@@ -16,8 +16,10 @@ all:
 # latency) + the vectorized-executor gate (>= 3x mean execute speedup
 # over the row interpreter, byte-identical results on a randomized
 # differential single-node and through a 2-shard platform, fallback
-# overhead <= 2.5%); the introspection suite exercises the HTTP admin
-# endpoint through its pure handler, so no curl / open port needed
+# overhead <= 2.5%) + the layered benchmark's smoke run (1/50 of every
+# workload, each reply checked against the kdb oracle); the
+# introspection suite exercises the HTTP admin endpoint through its pure
+# handler, so no curl / open port needed
 ci:
 	dune build @all
 	dune runtest
@@ -28,8 +30,10 @@ ci:
 	dune exec bench/main.exe -- explain_gate
 	dune exec bench/main.exe -- runtime_gate
 	dune exec bench/main.exe -- vector_gate
+	dune build @bench/suite/bench-suite-smoke
 
-# quick overhead gates only (exit 1 on regression)
+# quick overhead gates and the oracle-checked benchmark smoke run
+# (exit 1 on regression)
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 	dune exec bench/main.exe -- plan_cache_gate
@@ -38,6 +42,7 @@ bench-smoke:
 	dune exec bench/main.exe -- explain_gate
 	dune exec bench/main.exe -- runtime_gate
 	dune exec bench/main.exe -- vector_gate
+	dune build @bench/suite/bench-suite-smoke
 
 check:
 	dune build @dev-check

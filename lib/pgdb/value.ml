@@ -214,25 +214,72 @@ let days_of_ymd y m d =
 
 let ns_per_day = 86_400_000_000_000L
 
-(** PG text-format rendering, as sent in DataRow messages. *)
-let to_text = function
-  | Null -> None
-  | Bool b -> Some (if b then "t" else "f")
-  | Int i -> Some (Int64.to_string i)
+(* Decimal digits written straight into the buffer. Digits are produced
+   from a non-positive value so [min_int] needs no special case. *)
+let rec add_nonpos_digits b n =
+  if n <= -10 then add_nonpos_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let rec count_nonpos_digits n =
+  if n > -10 then 1 else 1 + count_nonpos_digits (n / 10)
+
+(* Printf's "%0*d": the sign, then zeros so sign and digits fill [width] *)
+let add_padded b width n =
+  let m = if n < 0 then n else -n in
+  let len = count_nonpos_digits m + if n < 0 then 1 else 0 in
+  if n < 0 then Buffer.add_char b '-';
+  for _ = len + 1 to width do
+    Buffer.add_char b '0'
+  done;
+  add_nonpos_digits b m
+
+(* Printf's "%Ld". The quotient by 10 fits a native int, the last digit
+   is written on its own. *)
+let add_int64 b i =
+  if Int64.compare i 0L < 0 then Buffer.add_char b '-';
+  let q = Int64.to_int (Int64.div i 10L) in
+  let r = Int64.to_int (Int64.rem i 10L) in
+  if q <> 0 then add_nonpos_digits b (if q < 0 then q else -q);
+  Buffer.add_char b (Char.unsafe_chr (48 + abs r))
+
+external format_float : string -> float -> string = "caml_format_float"
+
+let add_date b d =
+  let y, m, dd = ymd_of_days d in
+  add_padded b 4 y;
+  Buffer.add_char b '-';
+  add_padded b 2 m;
+  Buffer.add_char b '-';
+  add_padded b 2 dd
+
+(* "%02d:%02d:%02d" of a second count, as hours, minutes and seconds *)
+let add_clock b s =
+  add_padded b 2 (s / 3600);
+  Buffer.add_char b ':';
+  add_padded b 2 (s / 60 mod 60);
+  Buffer.add_char b ':';
+  add_padded b 2 (s mod 60)
+
+(** Append [v]'s PG text format, as sent in DataRow messages; [Null]
+    appends nothing (the wire marks NULL by length, not text). Output is
+    byte-identical to the Printf specification it replaces: "%Ld";
+    "%.1f" for integral floats below 1e15 and "%.17g" otherwise;
+    "%04d-%02d-%02d"; "%02d:%02d:%02d.%03d"; and for timestamps the
+    date, a space, then the clock with "%06d" microseconds. *)
+let add_text b = function
+  | Null -> ()
+  | Bool v -> Buffer.add_char b (if v then 't' else 'f')
+  | Int i -> add_int64 b i
   | Float f ->
-      Some
-        (if Float.is_integer f && Float.abs f < 1e15 then
-           Printf.sprintf "%.1f" f
-         else Printf.sprintf "%.17g" f)
-  | Str s -> Some s
-  | Date d ->
-      let y, m, dd = ymd_of_days d in
-      Some (Printf.sprintf "%04d-%02d-%02d" y m dd)
+      Buffer.add_string b
+        (if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
+         else format_float "%.17g" f)
+  | Str s -> Buffer.add_string b s
+  | Date d -> add_date b d
   | Time t ->
-      let ms = t mod 1000 and s = t / 1000 in
-      Some
-        (Printf.sprintf "%02d:%02d:%02d.%03d" (s / 3600) (s / 60 mod 60)
-           (s mod 60) ms)
+      add_clock b (t / 1000);
+      Buffer.add_char b '.';
+      add_padded b 3 (t mod 1000)
   | Timestamp n ->
       let day = Int64.to_int (Int64.div n ns_per_day) in
       let rem = Int64.rem n ns_per_day in
@@ -240,60 +287,67 @@ let to_text = function
         if Int64.compare rem 0L < 0 then (day - 1, Int64.add rem ns_per_day)
         else (day, rem)
       in
-      let y, m, dd = ymd_of_days day in
-      let us = Int64.to_int (Int64.div (Int64.rem rem 1_000_000_000L) 1000L) in
-      let s = Int64.to_int (Int64.div rem 1_000_000_000L) in
-      Some
-        (Printf.sprintf "%04d-%02d-%02d %02d:%02d:%02d.%06d" y m dd (s / 3600)
-           (s / 60 mod 60) (s mod 60) us)
+      add_date b day;
+      Buffer.add_char b ' ';
+      add_clock b (Int64.to_int (Int64.div rem 1_000_000_000L));
+      Buffer.add_char b '.';
+      add_padded b 6
+        (Int64.to_int (Int64.div (Int64.rem rem 1_000_000_000L) 1000L))
+
+(** PG text-format rendering, as sent in DataRow messages. *)
+let to_text = function
+  | Null -> None
+  | Str s -> Some s
+  | v ->
+      let b = Buffer.create 24 in
+      add_text b v;
+      Some (Buffer.contents b)
 
 let to_display v = match to_text v with Some s -> s | None -> "NULL"
 
+let rec pow10 n = if n <= 0 then 1 else 10 * pow10 (n - 1)
+
+(* "HH:MM[:SS[.fff...]]" as a count of 10^-[places] seconds since
+   midnight; fraction digits beyond [places] are truncated. *)
+let clock_of_text ~places s =
+  let unit = pow10 places in
+  match String.split_on_char ':' s with
+  | [ h; m; sec ] ->
+      let sec, frac =
+        match String.split_on_char '.' sec with
+        | [ s' ] -> (int_of_string s', 0)
+        | [ s'; frac ] ->
+            let n = min places (String.length frac) in
+            ( int_of_string s',
+              int_of_string (String.sub frac 0 n) * pow10 (places - n) )
+        | _ -> Errors.type_mismatch "bad time %s" s
+      in
+      ((((int_of_string h * 3600) + (int_of_string m * 60) + sec) * unit) + frac)
+  | [ h; m ] -> ((int_of_string h * 60) + int_of_string m) * 60 * unit
+  | _ -> Errors.type_mismatch "bad time %s" s
+
 (** Parse a value from PG text format, guided by the column type. *)
-let rec of_text (ty : Catalog.Sqltype.t) (s : string) : t =
+let of_text (ty : Catalog.Sqltype.t) (s : string) : t =
+  let days d =
+    match String.split_on_char '-' d with
+    | [ y; m; dd ] ->
+        days_of_ymd (int_of_string y) (int_of_string m) (int_of_string dd)
+    | _ -> Errors.type_mismatch "bad date %s" d
+  in
   match ty with
   | Catalog.Sqltype.TBool -> Bool (s = "t" || s = "true" || s = "TRUE" || s = "1")
   | Catalog.Sqltype.TBigint -> Int (Int64.of_string s)
   | Catalog.Sqltype.TDouble -> Float (float_of_string s)
   | Catalog.Sqltype.TVarchar | Catalog.Sqltype.TText -> Str s
-  | Catalog.Sqltype.TDate -> (
-      match String.split_on_char '-' s with
-      | [ y; m; d ] ->
-          Date (days_of_ymd (int_of_string y) (int_of_string m) (int_of_string d))
-      | _ -> Errors.type_mismatch "bad date %s" s)
-  | Catalog.Sqltype.TTime -> (
-      match String.split_on_char ':' s with
-      | [ h; m; sec ] ->
-          let sec, ms =
-            match String.split_on_char '.' sec with
-            | [ s' ] -> (int_of_string s', 0)
-            | [ s'; frac ] ->
-                let frac = if String.length frac > 3 then String.sub frac 0 3 else frac in
-                let scale =
-                  match String.length frac with 1 -> 100 | 2 -> 10 | _ -> 1
-                in
-                (int_of_string s', int_of_string frac * scale)
-            | _ -> Errors.type_mismatch "bad time %s" s
-          in
-          Time
-            ((((int_of_string h * 3600) + (int_of_string m * 60) + sec) * 1000)
-            + ms)
-      | [ h; m ] -> Time (((int_of_string h * 60) + int_of_string m) * 60000)
-      | _ -> Errors.type_mismatch "bad time %s" s)
+  | Catalog.Sqltype.TDate -> Date (days s)
+  | Catalog.Sqltype.TTime -> Time (clock_of_text ~places:3 s)
   | Catalog.Sqltype.TTimestamp -> (
+      let at_midnight d = Int64.mul (Int64.of_int (days d)) ns_per_day in
       match String.split_on_char ' ' s with
-      | [ d; t ] -> (
-          match (of_text Catalog.Sqltype.TDate d, of_text Catalog.Sqltype.TTime t) with
-          | Date days, Time ms ->
-              Timestamp
-                (Int64.add
-                   (Int64.mul (Int64.of_int days) ns_per_day)
-                   (Int64.mul (Int64.of_int ms) 1_000_000L))
-          | _ -> Errors.type_mismatch "bad timestamp %s" s)
-      | [ d ] -> (
-          match of_text Catalog.Sqltype.TDate d with
-          | Date days -> Timestamp (Int64.mul (Int64.of_int days) ns_per_day)
-          | _ -> Errors.type_mismatch "bad timestamp %s" s)
+      | [ d; t ] ->
+          let ns = clock_of_text ~places:9 t in
+          Timestamp (Int64.add (at_midnight d) (Int64.of_int ns))
+      | [ d ] -> Timestamp (at_midnight d)
       | _ -> Errors.type_mismatch "bad timestamp %s" s)
 
 (** Cast between SQL types, as [CAST(x AS t)]. *)

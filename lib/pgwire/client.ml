@@ -14,50 +14,55 @@ type transport = string -> string
 
 type t = {
   send : transport;
-  mutable buffer : string;  (** undecoded backend bytes *)
+  inp : C.input;  (** undecoded backend bytes *)
   mutable ready : bool;
 }
 
-let drain_one (t : t) : C.backend_msg option =
-  match C.decode_backend t.buffer with
-  | exception C.Decode_error _ -> None
-  | m, consumed ->
-      t.buffer <-
-        String.sub t.buffer consumed (String.length t.buffer - consumed);
-      Some m
+let refill (t : t) =
+  (* request more bytes with an empty write *)
+  let more = t.send "" in
+  if more = "" then protocol_error "backend closed the connection";
+  C.append t.inp more
 
-let rec next_msg (t : t) : C.backend_msg =
-  match drain_one t with
-  | Some m -> m
+(* Decode the next message with [decode], pulling bytes from the
+   transport while the buffered ones end mid-frame. A malformed frame is
+   an error, never a reason to wait for more bytes. *)
+let rec next (t : t) decode =
+  match C.take t.inp decode with
+  | v -> v
+  | exception C.Incomplete ->
+      refill t;
+      next t decode
+  | exception C.Decode_error e ->
+      protocol_error "malformed backend message: %s" e
+
+let next_msg (t : t) : C.backend_msg = next t C.decode_backend
+
+let rec peek_tag (t : t) : char =
+  match C.peek_tag t.inp with
+  | Some c -> c
   | None ->
-      (* request more bytes with an empty write *)
-      let more = t.send "" in
-      if more = "" then protocol_error "backend closed the connection"
-      else begin
-        t.buffer <- t.buffer ^ more;
-        next_msg t
-      end
+      refill t;
+      peek_tag t
 
 (** Open a connection: run the startup/auth handshake to completion. *)
 let connect ?(user = "app") ?(password = "secret") ?(database = "hyperq")
     (send : transport) : t =
-  let t = { send; buffer = ""; ready = false } in
+  let t = { send; inp = C.input (); ready = false } in
   let startup =
     C.encode_frontend (C.Startup [ ("user", user); ("database", database) ])
   in
-  t.buffer <- t.buffer ^ send startup;
+  C.append t.inp (send startup);
   let rec go () =
     match next_msg t with
     | C.AuthenticationOk -> go ()
     | C.AuthenticationCleartextPassword ->
-        t.buffer <-
-          t.buffer ^ send (C.encode_frontend (C.PasswordMessage password));
+        C.append t.inp (send (C.encode_frontend (C.PasswordMessage password)));
         go ()
     | C.AuthenticationMD5Password salt ->
         let hex s = Digest.to_hex (Digest.string s) in
         let response = "md5" ^ hex (hex (password ^ user) ^ salt) in
-        t.buffer <-
-          t.buffer ^ send (C.encode_frontend (C.PasswordMessage response));
+        C.append t.inp (send (C.encode_frontend (C.PasswordMessage response)));
         go ()
     | C.ParameterStatus _ -> go ()
     | C.ReadyForQuery _ ->
@@ -76,51 +81,60 @@ type query_result = {
 }
 
 (** Run one simple query: streams DataRows until CommandComplete, decoding
-    text fields according to the RowDescription's type OIDs. *)
+    each text cell straight into the typed row according to the
+    RowDescription's type OIDs. *)
 let query (t : t) (sql : string) : (query_result, string) result =
   if not t.ready then protocol_error "connection is not ready";
-  t.buffer <- t.buffer ^ t.send (C.encode_frontend (C.Query sql));
+  C.append t.inp (t.send (C.encode_frontend (C.Query sql)));
   let columns = ref [] in
+  let types = ref [||] in
   let rows = ref [] in
   let tag = ref "" in
   let error = ref None in
+  let cell i text =
+    if i >= Array.length !types then
+      protocol_error "DataRow has more cells than the %d described columns"
+        (Array.length !types);
+    Pgdb.Value.of_text !types.(i) text
+  in
+  let data_row = C.decode_data_row ~null:Pgdb.Value.Null ~cell in
   let rec go () =
-    match next_msg t with
-    | C.RowDescription fields ->
-        columns :=
-          List.map
-            (fun f ->
-              let ty =
-                match C.type_of_oid f.C.fd_type_oid with
-                | Some ty -> ty
-                | None -> Catalog.Sqltype.TText
-              in
-              (f.C.fd_name, ty))
-            fields;
-        go ()
-    | C.DataRow cells ->
-        let typed =
-          List.map2
-            (fun (_, ty) cell ->
-              match cell with
-              | None -> Pgdb.Value.Null
-              | Some text -> Pgdb.Value.of_text ty text)
-            !columns cells
-        in
-        rows := Array.of_list typed :: !rows;
-        go ()
-    | C.CommandComplete t' ->
-        tag := t';
-        go ()
-    | C.ErrorResponse { code; message } ->
-        error := Some (Printf.sprintf "%s: %s" code message);
-        go ()
-    | C.ReadyForQuery _ -> ()
-    | C.EmptyQueryResponse -> go ()
-    | C.ParameterStatus _ -> go ()
-    | C.AuthenticationOk | C.AuthenticationCleartextPassword
-    | C.AuthenticationMD5Password _ ->
-        protocol_error "unexpected auth message mid-session"
+    if peek_tag t = 'D' then begin
+      let row = next t data_row in
+      if Array.length row <> Array.length !types then
+        protocol_error "DataRow has %d cells for %d columns" (Array.length row)
+          (Array.length !types);
+      rows := row :: !rows;
+      go ()
+    end
+    else
+      match next_msg t with
+      | C.RowDescription fields ->
+          columns :=
+            List.map
+              (fun f ->
+                let ty =
+                  match C.type_of_oid f.C.fd_type_oid with
+                  | Some ty -> ty
+                  | None -> Catalog.Sqltype.TText
+                in
+                (f.C.fd_name, ty))
+              fields;
+          types := Array.of_list (List.map snd !columns);
+          go ()
+      | C.CommandComplete t' ->
+          tag := t';
+          go ()
+      | C.ErrorResponse { code; message } ->
+          error := Some (Printf.sprintf "%s: %s" code message);
+          go ()
+      | C.ReadyForQuery _ -> ()
+      | C.EmptyQueryResponse -> go ()
+      | C.ParameterStatus _ -> go ()
+      | C.DataRow _ -> assert false (* a 'D' tag is decoded typed above *)
+      | C.AuthenticationOk | C.AuthenticationCleartextPassword
+      | C.AuthenticationMD5Password _ ->
+          protocol_error "unexpected auth message mid-session"
   in
   go ();
   match !error with

@@ -10,6 +10,10 @@
     format. *)
 
 exception Decode_error of string
+(** The bytes are malformed: no amount of further input can fix them. *)
+
+exception Incomplete
+(** The buffer ends before the frame does: wait for more bytes. *)
 
 let decode_error fmt = Format.kasprintf (fun s -> raise (Decode_error s)) fmt
 
@@ -55,10 +59,13 @@ let put_cstr buf s =
   Buffer.add_string buf s;
   put_u8 buf 0
 
-type reader = { data : string; mutable pos : int }
+(* A reader bounded to one frame: every field read stops at [limit], the
+   frame's end, so a field that overruns its frame is malformed instead of
+   a read into the next message. *)
+type reader = { data : string; mutable pos : int; limit : int }
 
 let need r n =
-  if r.pos + n > String.length r.data then decode_error "truncated message"
+  if n < 0 || r.pos + n > r.limit then decode_error "field overruns its frame"
 
 let get_u8 r =
   need r 1;
@@ -79,11 +86,16 @@ let get_i32 r =
   r.pos <- r.pos + 4;
   if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
 
+(* an Int16 element count *)
+let get_count r =
+  let n = get_i16 r in
+  if n < 0 then decode_error "negative field count %d" n;
+  n
+
 let get_cstr r =
   let start = r.pos in
-  let len = String.length r.data in
   let rec find i =
-    if i >= len then decode_error "unterminated string"
+    if i >= r.limit then decode_error "unterminated string"
     else if r.data.[i] = '\000' then i
     else find (i + 1)
   in
@@ -91,6 +103,20 @@ let get_cstr r =
   let s = String.sub r.data start (zero - start) in
   r.pos <- zero + 1;
   s
+
+(* The frame starting at [off]: [tag_bytes] of tag, then an Int32 length
+   that counts itself. Returns a reader over the body, bounded to the
+   frame. [Incomplete] while the frame has not fully arrived;
+   [Decode_error] for a length below [min_len], which would otherwise
+   consume no bytes and stall the caller forever. *)
+let open_frame data off ~tag_bytes ~min_len =
+  let body = off + tag_bytes + 4 in
+  if body > String.length data then raise Incomplete;
+  let len = get_i32 { data; pos = off + tag_bytes; limit = body } in
+  if len < min_len then decode_error "invalid message length %d" len;
+  let limit = off + tag_bytes + len in
+  if limit > String.length data then raise Incomplete;
+  { data; pos = body; limit }
 
 (* ------------------------------------------------------------------ *)
 (* Messages                                                            *)
@@ -120,33 +146,56 @@ type frontend_msg =
 (* Encoding                                                          *)
 (* ---------------------------------------------------------------- *)
 
-let frame tag body =
-  let buf = Buffer.create (Buffer.length body + 5) in
-  Buffer.add_char buf tag;
-  put_i32 buf (4 + Buffer.length body);
-  Buffer.add_buffer buf body;
-  Buffer.contents buf
+let add_frame out tag body =
+  Buffer.add_char out tag;
+  put_i32 out (4 + Buffer.length body);
+  Buffer.add_buffer out body
 
-let encode_backend (m : backend_msg) : string =
+let frame tag body =
+  let out = Buffer.create (Buffer.length body + 5) in
+  add_frame out tag body;
+  Buffer.contents out
+
+(** Append one DataRow frame to [out]. [cell b c] writes cell [c]'s text
+    into [b] and returns [true], or returns [false] for SQL NULL. [body]
+    and [scratch] are caller-owned work buffers, reused across rows so a
+    result set of any size allocates nothing per row. *)
+let add_data_row out ~body ~scratch (cell : Buffer.t -> 'a -> bool)
+    (row : 'a array) =
+  Buffer.clear body;
+  put_i16 body (Array.length row);
+  Array.iter
+    (fun c ->
+      Buffer.clear scratch;
+      if cell scratch c then begin
+        put_i32 body (Buffer.length scratch);
+        Buffer.add_buffer body scratch
+      end
+      else put_i32 body (-1))
+    row;
+  add_frame out 'D' body
+
+(** Append one backend message's frame to [out]. *)
+let add_backend out (m : backend_msg) =
   let body = Buffer.create 32 in
   match m with
   | AuthenticationOk ->
       put_i32 body 0;
-      frame 'R' body
+      add_frame out 'R' body
   | AuthenticationCleartextPassword ->
       put_i32 body 3;
-      frame 'R' body
+      add_frame out 'R' body
   | AuthenticationMD5Password salt ->
       put_i32 body 5;
       Buffer.add_string body (String.sub (salt ^ "\000\000\000\000") 0 4);
-      frame 'R' body
+      add_frame out 'R' body
   | ParameterStatus (k, v) ->
       put_cstr body k;
       put_cstr body v;
-      frame 'S' body
+      add_frame out 'S' body
   | ReadyForQuery status ->
       Buffer.add_char body status;
-      frame 'Z' body
+      add_frame out 'Z' body
   | RowDescription fields ->
       put_i16 body (List.length fields);
       List.iter
@@ -164,21 +213,18 @@ let encode_backend (m : backend_msg) : string =
           put_i16 body 0
           (* format: text *))
         fields;
-      frame 'T' body
+      add_frame out 'T' body
   | DataRow fields ->
-      put_i16 body (List.length fields);
-      List.iter
-        (fun f ->
-          match f with
-          | None -> put_i32 body (-1)
+      add_data_row out ~body ~scratch:(Buffer.create 16)
+        (fun b -> function
+          | None -> false
           | Some s ->
-              put_i32 body (String.length s);
-              Buffer.add_string body s)
-        fields;
-      frame 'D' body
+              Buffer.add_string b s;
+              true)
+        (Array.of_list fields)
   | CommandComplete tag ->
       put_cstr body tag;
-      frame 'C' body
+      add_frame out 'C' body
   | ErrorResponse { code; message } ->
       Buffer.add_char body 'S';
       put_cstr body "ERROR";
@@ -187,8 +233,13 @@ let encode_backend (m : backend_msg) : string =
       Buffer.add_char body 'M';
       put_cstr body message;
       put_u8 body 0;
-      frame 'E' body
-  | EmptyQueryResponse -> frame 'I' body
+      add_frame out 'E' body
+  | EmptyQueryResponse -> add_frame out 'I' body
+
+let encode_backend (m : backend_msg) : string =
+  let out = Buffer.create 64 in
+  add_backend out m;
+  Buffer.contents out
 
 let encode_frontend (m : frontend_msg) : string =
   match m with
@@ -220,16 +271,34 @@ let encode_frontend (m : frontend_msg) : string =
 (* Decoding                                                          *)
 (* ---------------------------------------------------------------- *)
 
-(** Decode one backend message; returns it plus bytes consumed. *)
-let decode_backend (data : string) : backend_msg * int =
-  if String.length data < 5 then decode_error "short message";
-  let tag = data.[0] in
-  let r = { data; pos = 1 } in
-  let len = get_i32 r in
-  let total = 1 + len in
-  if total > String.length data then decode_error "truncated message";
+(* Every decoder reads the message starting at [off] (default 0) and
+   returns it plus the bytes it consumed. [Incomplete] means the frame
+   has not fully arrived; [Decode_error] means it never will decode. *)
+
+let data_row_cells r ~null ~cell =
+  let n = get_count r in
+  Array.init n (fun i ->
+      let len = get_i32 r in
+      if len = -1 then null
+      else begin
+        need r len;
+        let s = String.sub r.data r.pos len in
+        r.pos <- r.pos + len;
+        cell i s
+      end)
+
+(** Decode a DataRow straight into a row array: [null] for a SQL NULL
+    cell, [cell i text] for cell [i]'s text otherwise. *)
+let decode_data_row ~null ~(cell : int -> string -> 'a) ?(off = 0)
+    (data : string) : 'a array * int =
+  let r = open_frame data off ~tag_bytes:1 ~min_len:4 in
+  if data.[off] <> 'D' then decode_error "expected DataRow, got %C" data.[off];
+  (data_row_cells r ~null ~cell, r.limit - off)
+
+let decode_backend ?(off = 0) (data : string) : backend_msg * int =
+  let r = open_frame data off ~tag_bytes:1 ~min_len:4 in
   let m =
-    match tag with
+    match data.[off] with
     | 'R' -> (
         let code = get_i32 r in
         match code with
@@ -247,7 +316,7 @@ let decode_backend (data : string) : backend_msg * int =
         ParameterStatus (k, v)
     | 'Z' -> ReadyForQuery (Char.chr (get_u8 r))
     | 'T' ->
-        let n = get_i16 r in
+        let n = get_count r in
         let fields =
           List.init n (fun _ ->
               let fd_name = get_cstr r in
@@ -261,19 +330,9 @@ let decode_backend (data : string) : backend_msg * int =
         in
         RowDescription fields
     | 'D' ->
-        let n = get_i16 r in
-        let fields =
-          List.init n (fun _ ->
-              let len = get_i32 r in
-              if len < 0 then None
-              else begin
-                need r len;
-                let s = String.sub r.data r.pos len in
-                r.pos <- r.pos + len;
-                Some s
-              end)
-        in
-        DataRow fields
+        DataRow
+          (Array.to_list
+             (data_row_cells r ~null:None ~cell:(fun _ s -> Some s)))
     | 'C' -> CommandComplete (get_cstr r)
     | 'E' ->
         let code = ref "XX000" and message = ref "unknown error" in
@@ -293,22 +352,19 @@ let decode_backend (data : string) : backend_msg * int =
     | 'I' -> EmptyQueryResponse
     | t -> decode_error "unknown backend message %C" t
   in
-  (m, total)
+  (m, r.limit - off)
 
-(** Decode one frontend message. Startup has no tag byte; pass
-    [in_startup:true] until the startup packet has been seen. *)
-let decode_frontend ?(in_startup = false) (data : string) :
+(** Startup has no tag byte; pass [in_startup:true] until the startup
+    packet has been seen. *)
+let decode_frontend ?(in_startup = false) ?(off = 0) (data : string) :
     frontend_msg * int =
   if in_startup then begin
-    if String.length data < 8 then decode_error "short startup";
-    let r = { data; pos = 0 } in
-    let len = get_i32 r in
-    if len > String.length data then decode_error "truncated startup";
+    let r = open_frame data off ~tag_bytes:0 ~min_len:8 in
     let proto = get_i32 r in
     if proto <> 196608 then decode_error "unsupported protocol %d" proto;
     let params = ref [] in
     let rec go () =
-      if r.pos < len && data.[r.pos] <> '\000' then begin
+      if r.pos < r.limit && data.[r.pos] <> '\000' then begin
         let k = get_cstr r in
         let v = get_cstr r in
         params := (k, v) :: !params;
@@ -316,21 +372,56 @@ let decode_frontend ?(in_startup = false) (data : string) :
       end
     in
     go ();
-    (Startup (List.rev !params), len)
+    (Startup (List.rev !params), r.limit - off)
   end
   else begin
-    if String.length data < 5 then decode_error "short message";
-    let tag = data.[0] in
-    let r = { data; pos = 1 } in
-    let len = get_i32 r in
-    let total = 1 + len in
-    if total > String.length data then decode_error "truncated message";
+    let r = open_frame data off ~tag_bytes:1 ~min_len:4 in
     let m =
-      match tag with
+      match data.[off] with
       | 'Q' -> Query (get_cstr r)
       | 'p' -> PasswordMessage (get_cstr r)
       | 'X' -> Terminate
       | t -> decode_error "unknown frontend message %C" t
     in
-    (m, total)
+    (m, r.limit - off)
   end
+
+(* ---------------------------------------------------------------- *)
+(* Receive cursor                                                    *)
+(* ---------------------------------------------------------------- *)
+
+(** Received bytes with a read cursor. Messages decode in place at [pos];
+    the consumed prefix is dropped only when {!append} adds bytes, so a
+    reply of n messages costs one copy instead of n tail copies. *)
+type input = { mutable buf : string; mutable pos : int }
+
+let input () = { buf = ""; pos = 0 }
+
+let append inp bytes =
+  if bytes <> "" then begin
+    let tail = String.length inp.buf - inp.pos in
+    if tail = 0 then inp.buf <- bytes
+    else begin
+      let b = Bytes.create (tail + String.length bytes) in
+      Bytes.blit_string inp.buf inp.pos b 0 tail;
+      Bytes.blit_string bytes 0 b tail (String.length bytes);
+      inp.buf <- Bytes.unsafe_to_string b
+    end;
+    inp.pos <- 0
+  end
+
+(** Drop every buffered byte. *)
+let clear inp =
+  inp.buf <- "";
+  inp.pos <- 0
+
+(** The next message's tag byte, if any byte is buffered. *)
+let peek_tag inp =
+  if inp.pos < String.length inp.buf then Some inp.buf.[inp.pos] else None
+
+(** Decode the message at the cursor with [decode] and advance past it.
+    Raises whatever [decode] raises; the cursor moves only on success. *)
+let take inp (decode : ?off:int -> string -> 'a * int) : 'a =
+  let v, consumed = decode ~off:inp.pos inp.buf in
+  inp.pos <- inp.pos + consumed;
+  v

@@ -22,12 +22,12 @@ type t = {
   users : (string * string) list;  (** user -> password *)
   auth : auth_mode;
   mutable phase : phase;
-  mutable pending : string;  (** bytes received but not yet parsed *)
+  inp : C.input;  (** bytes received but not yet parsed *)
   mutable queries_served : int;
 }
 
 let create ?(users = [ ("app", "secret") ]) ?(auth = Trust) session =
-  { session; users; auth; phase = Startup; pending = ""; queries_served = 0 }
+  { session; users; auth; phase = Startup; inp = C.input (); queries_served = 0 }
 
 (* PG's md5 scheme: "md5" ^ md5hex(md5hex(password ^ user) ^ salt) *)
 let md5_response ~user ~password ~salt =
@@ -51,118 +51,107 @@ let ok_preamble () =
       C.encode_backend (C.ReadyForQuery 'I');
     ]
 
-let result_messages (res : Pgdb.Exec.result) (tag : string) : string =
+(* A result set's whole reply — RowDescription, every DataRow,
+   CommandComplete, ReadyForQuery — written into [out], each cell's text
+   rendered straight into the frame with two work buffers shared by all
+   rows. *)
+let result_messages out (res : Pgdb.Exec.result) (tag : string) =
   let fields =
     List.map
       (fun (name, ty) ->
         { C.fd_name = name; fd_type_oid = C.oid_of_type ty })
       res.Pgdb.Exec.res_cols
   in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (C.encode_backend (C.RowDescription fields));
+  C.add_backend out (C.RowDescription fields);
+  let cell b = function
+    | Pgdb.Value.Null -> false
+    | v ->
+        Pgdb.Value.add_text b v;
+        true
+  in
   Array.iter
-    (fun row ->
-      let cells = Array.to_list (Array.map Pgdb.Value.to_text row) in
-      Buffer.add_string buf (C.encode_backend (C.DataRow cells)))
+    (C.add_data_row out ~body:(Buffer.create 256) ~scratch:(Buffer.create 32)
+       cell)
     res.Pgdb.Exec.res_rows;
-  Buffer.add_string buf (C.encode_backend (C.CommandComplete tag));
-  Buffer.add_string buf (C.encode_backend (C.ReadyForQuery 'I'));
-  Buffer.contents buf
+  C.add_backend out (C.CommandComplete tag);
+  C.add_backend out (C.ReadyForQuery 'I')
 
-let run_query t (sql : string) : string =
+let run_query t out (sql : string) =
   t.queries_served <- t.queries_served + 1;
   match Pgdb.Db.exec_script t.session sql with
-  | Pgdb.Db.Rows (res, tag) -> result_messages res tag
+  | Pgdb.Db.Rows (res, tag) -> result_messages out res tag
   | Pgdb.Db.Complete tag ->
-      C.encode_backend (C.CommandComplete tag)
-      ^ C.encode_backend (C.ReadyForQuery 'I')
+      C.add_backend out (C.CommandComplete tag);
+      C.add_backend out (C.ReadyForQuery 'I')
   | exception Pgdb.Errors.Sql_error { code; message } ->
-      C.encode_backend (C.ErrorResponse { code; message })
-      ^ C.encode_backend (C.ReadyForQuery 'I')
+      C.add_backend out (C.ErrorResponse { code; message });
+      C.add_backend out (C.ReadyForQuery 'I')
+
+(* Act on one decoded frontend message; messages the current phase does
+   not expect are ignored. *)
+let handle t out (m : C.frontend_msg) =
+  match (t.phase, m) with
+  | Startup, C.Startup params -> (
+      let user =
+        match List.assoc_opt "user" params with
+        | Some u -> u
+        | None -> "anonymous"
+      in
+      match t.auth with
+      | Trust ->
+          t.phase <- Ready;
+          Buffer.add_string out (ok_preamble ())
+      | Cleartext ->
+          t.phase <- Authenticating { user; salt = None };
+          C.add_backend out C.AuthenticationCleartextPassword
+      | Md5 ->
+          let salt = "s@lt" in
+          t.phase <- Authenticating { user; salt = Some salt };
+          C.add_backend out (C.AuthenticationMD5Password salt))
+  | Authenticating { user; salt }, C.PasswordMessage given ->
+      if check_password t ~user ~given ~salt then begin
+        t.phase <- Ready;
+        Buffer.add_string out (ok_preamble ())
+      end
+      else begin
+        t.phase <- Closed;
+        C.add_backend out
+          (C.ErrorResponse
+             {
+               code = "28P01";
+               message =
+                 Printf.sprintf "password authentication failed for user \"%s\""
+                   user;
+             })
+      end
+  | Ready, C.Query sql -> run_query t out sql
+  | Ready, C.Terminate -> t.phase <- Closed
+  | _ -> ()
 
 (** Feed frontend bytes into the server; returns backend bytes. Partial
-    messages are buffered across calls. *)
+    messages are buffered across calls. A malformed message is a protocol
+    violation: the server answers with an error and closes, as PG does. *)
 let feed (t : t) (bytes : string) : string =
-  t.pending <- t.pending ^ bytes;
+  C.append t.inp bytes;
   let out = Buffer.create 64 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
+  let rec loop () =
     match t.phase with
-    | Closed -> t.pending <- ""
-    | Startup -> (
-        match C.decode_frontend ~in_startup:true t.pending with
-        | exception C.Decode_error _ -> ()
-        | C.Startup params, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
-            let user =
-              match List.assoc_opt "user" params with
-              | Some u -> u
-              | None -> "anonymous"
-            in
-            (match t.auth with
-            | Trust ->
-                t.phase <- Ready;
-                Buffer.add_string out (ok_preamble ())
-            | Cleartext ->
-                t.phase <- Authenticating { user; salt = None };
-                Buffer.add_string out
-                  (C.encode_backend C.AuthenticationCleartextPassword)
-            | Md5 ->
-                let salt = "s@lt" in
-                t.phase <- Authenticating { user; salt = Some salt };
-                Buffer.add_string out
-                  (C.encode_backend (C.AuthenticationMD5Password salt)));
-            progress := true
-        | _, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
-            progress := true)
-    | Authenticating { user; salt } -> (
-        match C.decode_frontend t.pending with
-        | exception C.Decode_error _ -> ()
-        | C.PasswordMessage given, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
-            if check_password t ~user ~given ~salt then begin
-              t.phase <- Ready;
-              Buffer.add_string out (ok_preamble ())
-            end
-            else begin
-              t.phase <- Closed;
-              Buffer.add_string out
-                (C.encode_backend
-                   (C.ErrorResponse
-                      {
-                        code = "28P01";
-                        message =
-                          Printf.sprintf
-                            "password authentication failed for user \"%s\""
-                            user;
-                      }))
-            end;
-            progress := true
-        | _, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
-            progress := true)
-    | Ready -> (
-        match C.decode_frontend t.pending with
-        | exception C.Decode_error _ -> ()
-        | C.Query sql, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
-            Buffer.add_string out (run_query t sql);
-            progress := true
-        | C.Terminate, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
+    | Closed -> C.clear t.inp
+    | phase -> (
+        let in_startup = match phase with Startup -> true | _ -> false in
+        match C.take t.inp (C.decode_frontend ~in_startup) with
+        | exception C.Incomplete -> ()
+        | exception C.Decode_error e ->
             t.phase <- Closed;
-            progress := true
-        | _, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
-            progress := true)
-  done;
+            C.add_backend out
+              (C.ErrorResponse
+                 {
+                   code = "08P01";
+                   message = "invalid frontend message: " ^ e;
+                 })
+        | m ->
+            handle t out m;
+            loop ())
+  in
+  loop ();
   Buffer.contents out

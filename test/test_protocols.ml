@@ -368,6 +368,365 @@ let test_wire_fragmented_delivery () =
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
+(* Hostile frames                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A backend that completes the handshake, then answers the first query
+   with [reply]. Asking for more bytes after that reads as a closed
+   connection; [asks] counts those requests. *)
+let scripted_backend reply =
+  let asks = ref 0 and queried = ref false in
+  let transport bytes =
+    if bytes = "" then begin
+      incr asks;
+      ""
+    end
+    else if bytes.[0] = 'Q' && not !queried then begin
+      queried := true;
+      reply
+    end
+    else
+      PC.encode_backend PC.AuthenticationOk
+      ^ PC.encode_backend (PC.ReadyForQuery 'I')
+  in
+  (Pgwire.Client.connect transport, asks)
+
+let expect_protocol_error ?(asks_expected = 0) name reply =
+  let client, asks = scripted_backend reply in
+  (match Pgwire.Client.query client "SELECT 1" with
+  | exception Pgwire.Client.Protocol_error _ -> ()
+  | Ok _ | Error _ -> Alcotest.failf "%s: expected a protocol error" name);
+  check tint (name ^ ": requests for more bytes") asks_expected !asks
+
+let test_hostile_short_length () =
+  (* a length prefix below 4 used to be consumed as 0 bytes, forever *)
+  expect_protocol_error "length -1" "C\xff\xff\xff\xffOK\000";
+  expect_protocol_error "length 3" "Z\000\000\000\003I";
+  expect_protocol_error "length 0" "D\000\000\000\000";
+  match PC.decode_backend "C\xff\xff\xff\xffOK\000" with
+  | exception PC.Decode_error _ -> ()
+  | _ -> Alcotest.fail "length below 4 must be malformed"
+
+let test_hostile_field_overruns_frame () =
+  (* "OK" has no terminator inside its frame; the zero byte after it
+     belongs to the next message and must not be borrowed *)
+  let cc = "C\000\000\000\006OK" ^ PC.encode_backend (PC.ReadyForQuery 'I') in
+  expect_protocol_error "unterminated tag" cc;
+  (* a DataRow cell length past the frame end *)
+  let rd =
+    PC.encode_backend
+      (PC.RowDescription [ { PC.fd_name = "a"; fd_type_oid = 25 } ])
+  in
+  let bad_cell = "D\000\000\000\014\000\001\000\000\000\100abcd" in
+  expect_protocol_error "cell overruns frame"
+    (rd ^ bad_cell ^ String.make 200 'x');
+  (* a negative cell count *)
+  expect_protocol_error "negative count" (rd ^ "D\000\000\000\006\255\255");
+  (* more or fewer cells than the described columns *)
+  expect_protocol_error "extra cell"
+    (rd ^ PC.encode_backend (PC.DataRow [ Some "a"; Some "b" ]));
+  expect_protocol_error "missing cell" (rd ^ PC.encode_backend (PC.DataRow []));
+  match PC.decode_backend (bad_cell ^ String.make 200 'x') with
+  | exception PC.Decode_error _ -> ()
+  | _ -> Alcotest.fail "cell past its frame must be malformed"
+
+let test_truncated_frame_waits () =
+  (* a frame cut short is not malformed: the decoder asks for more bytes,
+     and only a closed connection turns it into an error *)
+  let frame = PC.encode_backend (PC.CommandComplete "SELECT 0") in
+  let head = String.sub frame 0 7 in
+  (match PC.decode_backend head with
+  | exception PC.Incomplete -> ()
+  | _ -> Alcotest.fail "partial frame must be incomplete");
+  (match PC.decode_backend "C\000" with
+  | exception PC.Incomplete -> ()
+  | _ -> Alcotest.fail "partial header must be incomplete");
+  expect_protocol_error ~asks_expected:1 "closed mid-frame" head
+
+let test_server_rejects_malformed () =
+  let server = wire_fixture () in
+  ignore
+    (Pgwire.Server.feed server
+       (PC.encode_frontend (PC.Startup [ ("user", "app") ])));
+  let reply = Pgwire.Server.feed server "Q\000\000\000\001" in
+  (match PC.decode_backend reply with
+  | PC.ErrorResponse { code; _ }, _ -> check tstr "sqlstate" "08P01" code
+  | _ -> Alcotest.fail "expected an ErrorResponse");
+  check tstr "closed: later bytes ignored" ""
+    (Pgwire.Server.feed server (PC.encode_frontend (PC.Query "SELECT 1")));
+  (* a startup packet shorter than its own header *)
+  let server = wire_fixture () in
+  match PC.decode_backend (Pgwire.Server.feed server "\000\000\000\004") with
+  | PC.ErrorResponse _, _ -> ()
+  | _ -> Alcotest.fail "short startup must be rejected"
+
+(* ------------------------------------------------------------------ *)
+(* Large results                                                       *)
+(* ------------------------------------------------------------------ *)
+
+module PV = Pgdb.Value
+
+let big_rows = 20_000
+
+(* a session over [big_rows] rows of every wire type, with NULLs *)
+let big_session () =
+  let db = Pgdb.Db.create () in
+  let col = Catalog.Schema.column in
+  Pgdb.Db.load_table db
+    (Catalog.Schema.table "big"
+       Catalog.Sqltype.
+         [
+           col "id" TBigint;
+           col "px" TDouble;
+           col "sym" TVarchar;
+           col "d" TDate;
+           col "ts" TTimestamp;
+           col "ok" TBool;
+         ])
+    (List.init big_rows (fun i ->
+         [|
+           PV.Int (Int64.of_int (i - 7_000));
+           (if i mod 11 = 0 then PV.Null else PV.Float (float_of_int i /. 7.));
+           PV.Str (if i mod 13 = 0 then "" else Printf.sprintf "S%d" (i mod 97));
+           PV.Date ((i mod 4000) - 2000);
+           PV.Timestamp (Int64.mul (Int64.of_int ((i * 7919) - 70_000_000)) 1_000_000L);
+           (if i mod 5 = 0 then PV.Null else PV.Bool (i mod 2 = 0));
+         |]));
+  Pgdb.Db.open_session db
+
+let big_sql = "SELECT id, px, sym, d, ts, ok FROM big"
+
+let test_chunked_large_result () =
+  let session = big_session () in
+  let server = Pgwire.Server.create session in
+  (* the reply travels in pseudo-random 1-97 byte chunks, one per call *)
+  let rng = Random.State.make [| 13 |] in
+  let queued = Buffer.create 4096 and pos = ref 0 in
+  let transport bytes =
+    Buffer.add_string queued (Pgwire.Server.feed server bytes);
+    let left = Buffer.length queued - !pos in
+    let n = min left (1 + Random.State.int rng 97) in
+    let chunk = Buffer.sub queued !pos n in
+    pos := !pos + n;
+    chunk
+  in
+  let client = Pgwire.Client.connect transport in
+  let wire =
+    match Pgwire.Client.query client big_sql with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  check tint "all bytes consumed" (Buffer.length queued) !pos;
+  match Pgdb.Db.exec session big_sql with
+  | Pgdb.Db.Rows (res, tag) ->
+      check tint "rows" big_rows (Array.length wire.Pgwire.Client.rows);
+      check tstr "tag" tag wire.Pgwire.Client.tag;
+      check tbool "columns" true (res.Pgdb.Exec.res_cols = wire.Pgwire.Client.columns);
+      Array.iteri
+        (fun i row ->
+          if row <> wire.Pgwire.Client.rows.(i) then
+            Alcotest.failf "row %d differs" i)
+        res.Pgdb.Exec.res_rows
+  | Pgdb.Db.Complete _ -> Alcotest.fail "expected rows"
+
+let test_decode_allocation_is_linear () =
+  (* the whole reply arrives in one piece, as from the in-process
+     gateway; decoding it may allocate a small constant times its size
+     (about 14x here, mostly [of_text] splitting dates and timestamps).
+     Copying the undecoded tail after every message allocates
+     quadratically, about 10,000x, and fails. *)
+  let server = Pgwire.Server.create (big_session ()) in
+  let replay = ref None in
+  let transport bytes =
+    match !replay with
+    | Some reply -> if bytes = "" then "" else reply
+    | None -> Pgwire.Server.feed server bytes
+  in
+  let client = Pgwire.Client.connect transport in
+  let reply = Pgwire.Server.feed server (PC.encode_frontend (PC.Query big_sql)) in
+  replay := Some reply;
+  let before = Gc.allocated_bytes () in
+  (match Pgwire.Client.query client big_sql with
+  | Ok { Pgwire.Client.rows; _ } -> check tint "rows" big_rows (Array.length rows)
+  | Error e -> Alcotest.fail e);
+  let ratio = (Gc.allocated_bytes () -. before) /. float_of_int (String.length reply) in
+  if ratio > 24. then
+    Alcotest.failf "decode allocated %.1fx the %d reply bytes" ratio
+      (String.length reply)
+
+(* ------------------------------------------------------------------ *)
+(* Text format                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The Printf specification the PG text writer must match byte for
+   byte. *)
+let reference_text = function
+  | PV.Null -> None
+  | PV.Bool b -> Some (if b then "t" else "f")
+  | PV.Int i -> Some (Printf.sprintf "%Ld" i)
+  | PV.Float f ->
+      Some
+        (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+         else Printf.sprintf "%.17g" f)
+  | PV.Str s -> Some s
+  | PV.Date d ->
+      let y, m, dd = PV.ymd_of_days d in
+      Some (Printf.sprintf "%04d-%02d-%02d" y m dd)
+  | PV.Time t ->
+      let s = t / 1000 in
+      Some
+        (Printf.sprintf "%02d:%02d:%02d.%03d" (s / 3600) (s / 60 mod 60)
+           (s mod 60) (t mod 1000))
+  | PV.Timestamp n ->
+      let day = Int64.to_int (Int64.div n PV.ns_per_day) in
+      let rem = Int64.rem n PV.ns_per_day in
+      let day, rem =
+        if Int64.compare rem 0L < 0 then (day - 1, Int64.add rem PV.ns_per_day)
+        else (day, rem)
+      in
+      let y, m, dd = PV.ymd_of_days day in
+      let us = Int64.to_int (Int64.div (Int64.rem rem 1_000_000_000L) 1000L) in
+      let s = Int64.to_int (Int64.div rem 1_000_000_000L) in
+      Some
+        (Printf.sprintf "%04d-%02d-%02d %02d:%02d:%02d.%06d" y m dd (s / 3600)
+           (s / 60 mod 60) (s mod 60) us)
+
+let text_edge_cases =
+  let day y m d = PV.days_of_ymd y m d in
+  let ts y m d ns =
+    PV.Timestamp (Int64.add (Int64.mul (Int64.of_int (day y m d)) PV.ns_per_day) ns)
+  in
+  [
+    PV.Null; PV.Bool true; PV.Bool false; PV.Str ""; PV.Str "a\000b";
+    PV.Int 0L; PV.Int (-1L); PV.Int 9L; PV.Int (-10L);
+    PV.Int Int64.min_int; PV.Int Int64.max_int;
+    PV.Float 0.0; PV.Float (-0.0); PV.Float nan; PV.Float (-.nan);
+    PV.Float infinity; PV.Float neg_infinity; PV.Float 1e15; PV.Float (-1e15);
+    PV.Float 999999999999999.0; PV.Float (-999999999999999.0);
+    PV.Float (Float.pred 1e15);
+    PV.Float 0.1; PV.Float (-2.5); PV.Float 5e-324; PV.Float (-5e-324);
+    PV.Float 2.2250738585072009e-308; PV.Float max_float; PV.Float min_float;
+    PV.Date 0; PV.Date (day 0 1 1); PV.Date (day 9999 12 31); PV.Date (day 1 1 1);
+    PV.Date (day 1969 12 31); PV.Date (-1_000_000); PV.Date 5_000_000;
+    PV.Time 0; PV.Time 86_399_999; PV.Time 86_400_000; PV.Time 360_000_000_000;
+    PV.Time (-1); PV.Time (-1500); PV.Time (-86_400_000); PV.Time max_int;
+    PV.Time min_int;
+    ts 1969 12 31 999_999_000L; ts 1900 1 1 0L; ts 1970 1 1 1_000L;
+    ts 2000 1 1 0L; ts 2016 6 30 34_200_123_456_000L; ts 9999 12 31 86_399_999_999_999L;
+    PV.Timestamp (-1L); PV.Timestamp Int64.min_int; PV.Timestamp Int64.max_int;
+  ]
+
+let test_text_edge_cases () =
+  List.iter
+    (fun v ->
+      let want = reference_text v in
+      if PV.to_text v <> want then
+        Alcotest.failf "%s: got %S, want %S" (PV.to_debug v)
+          (Option.value ~default:"NULL" (PV.to_text v))
+          (Option.value ~default:"NULL" want))
+    text_edge_cases
+
+let gen_pg_value : PV.t QCheck.Gen.t =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun b -> PV.Bool b) bool);
+        (3, map (fun i -> PV.Int i) int64);
+        (1, map (fun i -> PV.Int (Int64.of_int i)) (int_range (-1000) 1000));
+        (3, map (fun f -> PV.Float f) float);
+        (1, map (fun i -> PV.Float (float_of_int i)) int);
+        (1, map (fun i -> PV.Float (float_of_int i /. 8.)) (int_range (-100000) 100000));
+        (1, map (fun s -> PV.Str s) string_printable);
+        (2, map (fun d -> PV.Date d) (int_range (-800_000) 3_000_000));
+        (2, map (fun t -> PV.Time t) (int_range (-200_000_000) 200_000_000));
+        (3, map (fun n -> PV.Timestamp n) int64);
+        (1, oneofl text_edge_cases);
+      ])
+
+let prop_text_writer_matches_printf =
+  QCheck.Test.make ~count:2000 ~name:"PG text writer = Printf spec"
+    (QCheck.make ~print:(fun v -> PV.to_debug v) gen_pg_value)
+    (fun v -> PV.to_text v = reference_text v)
+
+let test_datarow_golden () =
+  check tstr "DataRow frame"
+    "D\000\000\000\020\000\003\000\000\000\002AB\255\255\255\255\000\000\000\000"
+    (PC.encode_backend (PC.DataRow [ Some "AB"; None; Some "" ]));
+  (* the server's streamed result is the message-level encoding, byte
+     for byte *)
+  let session = big_session () in
+  let server = Pgwire.Server.create session in
+  ignore
+    (Pgwire.Server.feed server
+       (PC.encode_frontend (PC.Startup [ ("user", "app") ])));
+  let sql = "SELECT id, px, sym, d, ts, ok FROM big WHERE id < -6990" in
+  let got = Pgwire.Server.feed server (PC.encode_frontend (PC.Query sql)) in
+  match Pgdb.Db.exec session sql with
+  | Pgdb.Db.Rows (res, tag) ->
+      let fields =
+        List.map
+          (fun (n, ty) -> { PC.fd_name = n; fd_type_oid = PC.oid_of_type ty })
+          res.Pgdb.Exec.res_cols
+      in
+      let want =
+        String.concat ""
+          ((PC.encode_backend (PC.RowDescription fields)
+           :: List.map
+                (fun row ->
+                  PC.encode_backend
+                    (PC.DataRow (Array.to_list (Array.map reference_text row))))
+                (Array.to_list res.Pgdb.Exec.res_rows))
+          @ [
+              PC.encode_backend (PC.CommandComplete tag);
+              PC.encode_backend (PC.ReadyForQuery 'I');
+            ])
+      in
+      check tint "10 rows" 10 (Array.length res.Pgdb.Exec.res_rows);
+      check tstr "reply bytes" want got
+  | Pgdb.Db.Complete _ -> Alcotest.fail "expected rows"
+
+(* µs-aligned timestamps, including pre-1970 and pre-2000 ones, survive
+   the text round trip exactly across the int64 ns range (about 1708 to
+   2292); so do dates and times at their edges *)
+let test_text_roundtrip_edges () =
+  let roundtrip ty v =
+    match PV.to_text v with
+    | Some s ->
+        let v' = PV.of_text ty s in
+        if v' <> v then Alcotest.failf "%S parsed back as %s" s (PV.to_display v')
+    | None -> Alcotest.fail "unexpected NULL"
+  in
+  let day y m d = PV.days_of_ymd y m d in
+  List.iter
+    (fun (y, m, d, us) ->
+      roundtrip Catalog.Sqltype.TTimestamp
+        (PV.Timestamp
+           (Int64.add
+              (Int64.mul (Int64.of_int (day y m d)) PV.ns_per_day)
+              (Int64.mul us 1000L))))
+    [
+      (1969, 12, 31, 86_399_999_999L); (1969, 12, 31, 1L); (1900, 2, 28, 123_456L);
+      (1970, 1, 1, 0L); (1999, 12, 31, 86_399_999_999L); (2000, 1, 1, 1L);
+      (2016, 6, 30, 34_200_000_001L); (1710, 1, 1, 500_000L);
+      (2290, 12, 31, 86_399_999_999L);
+    ];
+  List.iter
+    (fun d -> roundtrip Catalog.Sqltype.TDate (PV.Date d))
+    [ day 0 1 1; day 1 1 1; day 1969 12 31; 0; -1; day 2000 2 29; day 9999 12 31 ];
+  List.iter
+    (fun t -> roundtrip Catalog.Sqltype.TTime (PV.Time t))
+    [ 0; 1; 999; 86_399_999; 86_400_000; 360_000_000_001 ]
+
+let prop_timestamp_us_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"µs timestamp text roundtrip"
+    QCheck.(int_range (-3_000_000_000_000_000) 3_000_000_000_000_000)
+    (fun ns ->
+      let v = PV.Timestamp (Int64.mul (Int64.of_int (ns / 1000)) 1000L) in
+      match PV.to_text v with
+      | Some s -> PV.of_text Catalog.Sqltype.TTimestamp s = v
+      | None -> false)
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -430,7 +789,13 @@ let prop_pg_datarow_roundtrip =
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_qipc_roundtrip; prop_pg_datarow_roundtrip; prop_compress_roundtrip ]
+    [
+      prop_qipc_roundtrip;
+      prop_pg_datarow_roundtrip;
+      prop_compress_roundtrip;
+      prop_text_writer_matches_printf;
+      prop_timestamp_us_roundtrip;
+    ]
 
 let () =
   Alcotest.run "protocols"
@@ -473,6 +838,27 @@ let () =
           Alcotest.test_case "cleartext auth" `Quick test_wire_cleartext_auth;
           Alcotest.test_case "fragmented delivery" `Quick
             test_wire_fragmented_delivery;
+          Alcotest.test_case "chunked 20k-row result" `Quick
+            test_chunked_large_result;
+          Alcotest.test_case "decode allocation is linear" `Quick
+            test_decode_allocation_is_linear;
+        ] );
+      ( "hostile frames",
+        [
+          Alcotest.test_case "length below 4" `Quick test_hostile_short_length;
+          Alcotest.test_case "field overruns frame" `Quick
+            test_hostile_field_overruns_frame;
+          Alcotest.test_case "truncated frame waits" `Quick
+            test_truncated_frame_waits;
+          Alcotest.test_case "server rejects malformed" `Quick
+            test_server_rejects_malformed;
+        ] );
+      ( "text format",
+        [
+          Alcotest.test_case "Printf edge cases" `Quick test_text_edge_cases;
+          Alcotest.test_case "DataRow golden frames" `Quick test_datarow_golden;
+          Alcotest.test_case "round trip at the edges" `Quick
+            test_text_roundtrip_edges;
         ] );
       ("properties", props);
     ]
