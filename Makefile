@@ -3,7 +3,8 @@
 all:
 	dune build @all
 
-# build + full test suite + the correlation-plane overhead smoke gate +
+# build + full test suite + the bench-smoke list below: the
+# correlation-plane overhead smoke gate +
 # the plan-cache reuse gate (warm hit ratio >= 0.95, warm mean < cold
 # mean, zero result divergence) + the shard scaling gate (>= 1.5x at 4
 # shards under the simulated remote-latency model, zero divergence vs
@@ -23,14 +24,7 @@ all:
 ci:
 	dune build @all
 	dune runtest
-	dune exec bench/main.exe -- smoke
-	dune exec bench/main.exe -- plan_cache_gate
-	dune exec bench/main.exe -- shard_gate
-	dune exec bench/main.exe -- obs_gate
-	dune exec bench/main.exe -- explain_gate
-	dune exec bench/main.exe -- runtime_gate
-	dune exec bench/main.exe -- vector_gate
-	dune build @bench/suite/bench-suite-smoke
+	$(MAKE) --no-print-directory bench-smoke
 
 # quick overhead gates and the oracle-checked benchmark smoke run
 # (exit 1 on regression)

@@ -1656,8 +1656,7 @@ let bench_runtime ?(gate = false) () =
    query classes are timed on a scaled-up tick table (mean and p99 per
    class, speedup = total row time / total vector time); a randomized
    differential requires byte-identical results single-node and
-   value-identical results through a 2-shard platform; the engine's
-   pivot stage is timed with and without the columnar hand-off; the
+   value-identical results through a 2-shard platform; the
    fallback rate comes from the Vexec counters over the differential;
    and the fallback cost is the min-latency delta of a view-backed
    query (never lowerable, so the vectorized session pays shape
@@ -1910,28 +1909,6 @@ let bench_vectorized ?(gate = false) () =
   let fallback_overhead_pct =
     Float.max 0.0 (100.0 *. (fb_on -. fb_off) /. Float.max 1e-9 fb_off)
   in
-  (* ---- engine pivot stage: columnar hand-off vs row repivot ---- *)
-  let pivot_ms vec =
-    let eng =
-      E.create (Hyperq.Backend.of_pgdb_session (session vec))
-    in
-    let q = "select Symbol,Price,Size from trades" in
-    (match E.try_run eng q with
-    | Ok _ -> ()
-    | Error e -> failwith ("pivot bench: " ^ e));
-    let timer = E.timer eng in
-    let n = if gate then 3 else 8 in
-    let tot = ref 0.0 in
-    for _ = 1 to n do
-      T.reset timer;
-      (match E.try_run eng q with
-      | Ok _ -> ()
-      | Error e -> failwith ("pivot bench: " ^ e));
-      tot := !tot +. T.total timer T.Pivot
-    done;
-    !tot *. 1e3 /. float_of_int n
-  in
-  let pivot_vec = pivot_ms true and pivot_row = pivot_ms false in
   Printf.printf "%-34s %12.1fx  (target >=3x)\n" "overall execute speedup"
     speedup;
   Printf.printf "%-34s %12.1fx  (target >=2x)\n" "join class speedup"
@@ -1947,8 +1924,6 @@ let bench_vectorized ?(gate = false) () =
     fb vq;
   Printf.printf "%-34s %11.3f%%  (target <=2.5%%)\n" "fallback overhead"
     fallback_overhead_pct;
-  Printf.printf "%-34s %12.3f\n" "pivot stage, columnar (ms)" pivot_vec;
-  Printf.printf "%-34s %12.3f\n" "pivot stage, row repivot (ms)" pivot_row;
   let limit = 2.5 in
   let ok =
     speedup >= 3.0 && join_speedup >= 2.0 && !divergences = 0
@@ -1987,12 +1962,10 @@ let bench_vectorized ?(gate = false) () =
       \  \"divergences\": %d,\n\
       \  \"shard_divergences\": %d,\n\
       \  \"fallback_rate\": %.4f,\n\
-      \  \"fallback_overhead_pct\": %.4f,\n\
-      \  \"pivot_columnar_ms\": %.4f,\n\
-      \  \"pivot_row_ms\": %.4f\n\
+      \  \"fallback_overhead_pct\": %.4f\n\
        }\n"
       speedup join_speedup differential_n !divergences shard_divergences
-      fallback_rate fallback_overhead_pct pivot_vec pivot_row;
+      fallback_rate fallback_overhead_pct;
     close_out oc;
     Printf.printf "--\nwrote BENCH_vectorized.json\n";
     if not ok then begin

@@ -9,12 +9,9 @@
 type result = {
   cols : (string * Catalog.Sqltype.t) list;
   rows : Pgdb.Value.t array array;
-  colmajor : Pgdb.Value.t array array option;
-      (** the same result as column vectors (one array per column), when
-          the executor produced it that way — the direct pgdb adapter
-          forwards the vectorized executor's gather output so the QIPC
-          pivot can adopt columns instead of re-pivoting rows. Absent on
-          the wire path, which reconstructs results from protocol text. *)
+      (** row-major cells, one array of [List.length cols] values per
+          row. On the wire path these are the decoded PG v3 DataRows;
+          the engine's Q pivot walks them once per column. *)
 }
 
 type reply = Result_set of result | Command_ok of string
@@ -87,11 +84,7 @@ let of_pgdb_session (sess : Pgdb.Db.session) : t =
         ignore tag;
         Ok
           (Result_set
-             {
-               cols = res.Pgdb.Exec.res_cols;
-               rows = res.Pgdb.Exec.res_rows;
-               colmajor = Pgdb.Db.take_colmajor sess;
-             })
+             { cols = res.Pgdb.Exec.res_cols; rows = res.Pgdb.Exec.res_rows })
     | Pgdb.Db.Complete tag -> Ok (Command_ok tag)
     | exception Pgdb.Errors.Sql_error { code; message } ->
         Error (Printf.sprintf "%s: %s" code message)

@@ -7,9 +7,9 @@
 type result = {
   cols : (string * Catalog.Sqltype.t) list;
   rows : Pgdb.Value.t array array;
-  colmajor : Pgdb.Value.t array array option;
-      (** the same result as column vectors (one array per column), when
-          the executor produced it that way; [None] on the wire path *)
+      (** row-major cells, one array of [List.length cols] values per
+          row — the only result representation; the engine's Q pivot
+          walks it once per column *)
 }
 
 type reply = Result_set of result | Command_ok of string

@@ -321,46 +321,28 @@ let is_internal_col name =
 let table_of_result (res : Backend.result) : QV.table =
   let nrows = Array.length res.Backend.rows in
   let ncols = List.length res.Backend.cols in
-  match res.Backend.colmajor with
-  | Some cm
-    when Array.length cm = ncols
-         && Array.for_all (fun c -> Array.length c = nrows) cm ->
-      (* columnar fast path: the vectorized executor already produced the
-         result as column vectors, so adopt them — no row-major walk and
-         no per-row width check (columns are rectangular by construction) *)
-      let data = ref [] in
-      List.iteri
-        (fun j (name, ty) ->
-          if not (is_internal_col name) then begin
-            let conv = Typemap.atom_of_value ty in
-            data :=
-              (name, QV.vector_of_atoms (Array.map conv cm.(j))) :: !data
-          end)
-        res.Backend.cols;
-      QV.table (List.rev !data)
-  | _ ->
-      let rows = res.Backend.rows in
-      (* one up-front width check so the per-cell walk below can use unsafe
-         indexing — this is the pivot hot path, executed per result row *)
-      Array.iter
-        (fun row ->
-          if Array.length row <> ncols then
-            hq_error "pivot" "backend row has %d cells, expected %d"
-              (Array.length row) ncols)
-        rows;
-      let data = ref [] in
-      List.iteri
-        (fun j (name, ty) ->
-          if not (is_internal_col name) then begin
-            let conv = Typemap.atom_of_value ty in
-            let atoms =
-              Array.init nrows (fun i ->
-                  conv (Array.unsafe_get (Array.unsafe_get rows i) j))
-            in
-            data := (name, QV.vector_of_atoms atoms) :: !data
-          end)
-        res.Backend.cols;
-      QV.table (List.rev !data)
+  let rows = res.Backend.rows in
+  (* one up-front width check so the per-cell walk below can use unsafe
+     indexing — this is the pivot hot path, executed per result row *)
+  Array.iter
+    (fun row ->
+      if Array.length row <> ncols then
+        hq_error "pivot" "backend row has %d cells, expected %d"
+          (Array.length row) ncols)
+    rows;
+  let data = ref [] in
+  List.iteri
+    (fun j (name, ty) ->
+      if not (is_internal_col name) then begin
+        let conv = Typemap.atom_of_value ty in
+        let atoms =
+          Array.init nrows (fun i ->
+              conv (Array.unsafe_get (Array.unsafe_get rows i) j))
+        in
+        data := (name, QV.vector_of_atoms atoms) :: !data
+      end)
+    res.Backend.cols;
+  QV.table (List.rev !data)
 
 let pivot (res : Backend.result) (shape : Binder.rshape) : QV.t =
   let tbl = table_of_result res in

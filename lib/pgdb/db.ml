@@ -33,10 +33,6 @@ type session = {
       (** operator-stats tree of the last SELECT run with [analyze] on *)
   mutable vectorized : bool;
       (** lower supported SELECTs to the vectorized executor *)
-  mutable last_colmajor : Value.t array array option;
-      (** column-major view of the last SELECT's result when the vector
-          path produced one (plain column gathers only); consumed once
-          via {!take_colmajor} by the backend adapter *)
 }
 
 type outcome =
@@ -67,7 +63,6 @@ let open_session db =
     analyze = false;
     last_plan = None;
     vectorized = db.vectorized_default;
-    last_colmajor = None;
   }
 
 let close_session (s : session) = Hashtbl.reset s.temps
@@ -83,13 +78,6 @@ let vectorized (s : session) : bool = s.vectorized
 
 (** Default executor path for sessions opened after this call. *)
 let set_vectorized_default (db : t) (on : bool) = db.vectorized_default <- on
-
-(** Column-major view of the last SELECT's result, consumed at most once
-    (cleared on read so a stale pivot never attaches to a later result). *)
-let take_colmajor (s : session) : Value.t array array option =
-  let c = s.last_colmajor in
-  s.last_colmajor <- None;
-  c
 
 (* ------------------------------------------------------------------ *)
 (* Catalog maintenance                                                 *)
@@ -220,7 +208,6 @@ and run_select (sess : session) (sel : A.select) : Exec.result =
   match vec with
   | Some o ->
       if sess.analyze then sess.last_plan <- o.Vexec.vr_plan;
-      sess.last_colmajor <- o.Vexec.vr_colmajor;
       o.Vexec.vr_result
   | None ->
       if sess.vectorized then Atomic.incr Vexec.stats_fallback;
@@ -230,7 +217,6 @@ and run_select (sess : session) (sel : A.select) : Exec.result =
       (* the outermost SELECT wins: view/CTAS sub-executions set these
          first and are then overwritten by the enclosing statement *)
       if sess.analyze then sess.last_plan <- env.Exec.plan;
-      sess.last_colmajor <- None;
       res
 
 (* ------------------------------------------------------------------ *)

@@ -991,9 +991,6 @@ let rec compile_agg_expr (bindings : Exec.binding list)
 type outcome = {
   vr_result : Exec.result;
   vr_plan : Opstats.node option; (* operator tree, when collect was on *)
-  vr_colmajor : Value.t array array option;
-      (* result columns as column vectors when the projection was a
-         plain column gather — the engine's QIPC pivot adopts these *)
 }
 
 (* the ORDER BY comparator, verbatim from the row path *)
@@ -1551,23 +1548,18 @@ let try_run ~(resolve : string -> (Exec.binding list * Batch.t) option)
                    ~rows_in:n_pre_limit ~rows_out:(List.length pairs));
               List.map fst pairs
             in
-            let out_rows, colmajor =
+            let out_rows =
               match result with
-              | `Rows pairs -> (Array.of_list (sort_limit pairs), None)
+              | `Rows pairs -> Array.of_list (sort_limit pairs)
               | `Gather (col_idxs, pairs) ->
-                  let final_sel = Array.of_list (sort_limit pairs) in
-                  let cm =
-                    Array.of_list
-                      (List.map
-                         (fun j -> Batch.values cols.(j) final_sel)
-                         col_idxs)
+                  (* plain column gather: read each output row straight
+                     from the batch columns through the final selection *)
+                  let src =
+                    Array.of_list (List.map (fun j -> cols.(j)) col_idxs)
                   in
-                  let width = Array.length cm in
-                  let rows =
-                    Array.init (Array.length final_sel) (fun r ->
-                        Array.init width (fun c -> cm.(c).(r)))
-                  in
-                  (rows, Some cm)
+                  Array.map
+                    (fun i -> Array.map (fun c -> Batch.value_at c i) src)
+                    (Array.of_list (sort_limit pairs))
             in
             let types =
               List.mapi
@@ -1590,6 +1582,5 @@ let try_run ~(resolve : string -> (Exec.binding list * Batch.t) option)
               {
                 vr_result = res;
                 vr_plan = (if collect then !cur else None);
-                vr_colmajor = colmajor;
               }
       with Fallback -> None)

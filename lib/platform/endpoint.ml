@@ -893,7 +893,9 @@ let record_workload (t : t) ~(norm : string) ~(fp : string)
 
 (** Feed client bytes in; returns the bytes to send back. An authentication
     failure closes the connection (kdb+ behaviour: the server just closes;
-    we additionally surface a flag via [phase]). *)
+    we additionally surface a flag via [phase]). A malformed message frame
+    gets one QIPC error reply and closes the connection; an incomplete one
+    waits for the next [feed]. *)
 let feed (t : t) (bytes : string) : string =
   M.add t.m.qipc_bytes_in (String.length bytes);
   t.pending <- t.pending ^ bytes;
@@ -927,15 +929,27 @@ let feed (t : t) (bytes : string) : string =
             end)
     | Connected ->
         let out = Buffer.create 64 in
+        let data = t.pending in
+        let pos = ref 0 in
         let progress = ref true in
         while !progress do
           progress := false;
-          match Qipc.Codec.decode_message t.pending with
-          | exception Qipc.Codec.Decode_error _ -> ()
+          match Qipc.Codec.decode_frame data !pos with
+          | exception Qipc.Codec.Incomplete -> ()
+          | exception Qipc.Codec.Decode_error e ->
+              Obs.Log.warn t.obs.Obs.Ctx.log
+                ~conn_id:t.session.Obs.Sessions.s_conn "malformed message"
+                [ ("error", Obs.Events.Str e) ];
+              Buffer.add_string out
+                (Qipc.Codec.encode_message
+                   {
+                     mt = Qipc.Codec.Response;
+                     body = Qipc.Codec.Error ("malformed message: " ^ e);
+                   });
+              pos := String.length data;
+              t.phase <- Closed
           | msg, consumed ->
-              t.pending <-
-                String.sub t.pending consumed
-                  (String.length t.pending - consumed);
+              pos := !pos + consumed;
               progress := true;
               let reply =
                 match msg.Qipc.Codec.body with
@@ -1074,6 +1088,7 @@ let feed (t : t) (bytes : string) : string =
               if msg.Qipc.Codec.mt <> Qipc.Codec.Async then
                 Buffer.add_string out reply
         done;
+        t.pending <- String.sub data !pos (String.length data - !pos);
         Buffer.contents out
   in
   M.add t.m.qipc_bytes_out (String.length reply_bytes);

@@ -66,24 +66,15 @@ let wire_backend ?(user = "app") ?(password = "secret")
         [ ("sql_bytes", Obs.Events.Int (String.length sql)) ];
     let sent0 = !sent and received0 = !received in
     let start = Obs.Clock.now_ns () in
-    let wire = Pgwire.Client.query client sql in
-    (* the vectorized executor's column vectors survive the PG v3 round
-       trip out of band: the gateway owns the session the wire server
-       executes on, so an all-column projection's colmajor result is
-       recovered here and the engine's Q pivot adopts it instead of
-       re-pivoting the decoded rows (the consumer validates the shape
-       against cols/rows). Consumed unconditionally — even on error —
-       so a stale vector can never outlive its statement. *)
-    let colmajor = Pgdb.Db.take_colmajor session in
     let result =
-      match wire with
+      match Pgwire.Client.query client sql with
       | Ok { Pgwire.Client.columns; rows; tag } ->
           if columns = [] && Array.length rows = 0 then
             Ok (Hyperq.Backend.Command_ok tag)
           else
             Ok
               (Hyperq.Backend.Result_set
-                 { Hyperq.Backend.cols = columns; rows; colmajor })
+                 { Hyperq.Backend.cols = columns; rows })
       | Error e ->
           M.inc backend_errors;
           Obs.Log.warn log ~trace_id:(Obs.Ctx.trace_id obs) "backend error"

@@ -12,7 +12,11 @@
 
 open Qvalue
 
+(** The frame is malformed; more bytes cannot fix it. *)
 exception Decode_error of string
+
+(** The frame has not fully arrived yet: wait for more bytes. *)
+exception Incomplete
 
 let decode_error fmt = Format.kasprintf (fun s -> raise (Decode_error s)) fmt
 
@@ -46,10 +50,12 @@ let put_i64 buf (v : int64) =
 
 let put_f64 buf f = put_i64 buf (Int64.bits_of_float f)
 
-type reader = { data : string; mutable pos : int }
+(* [lim] is the end of the frame being read: no field read ever borrows
+   bytes from the next message *)
+type reader = { data : string; mutable pos : int; lim : int }
 
 let need r n =
-  if r.pos + n > String.length r.data then
+  if r.pos + n > r.lim then
     decode_error "truncated message (need %d bytes at %d)" n r.pos
 
 let get_u8 r =
@@ -117,11 +123,10 @@ let put_atom_payload buf (a : Atom.t) =
    written by one monomorphic loop per element type — same-type atoms
    and typed nulls inline, with {!Atom.cast} only on the rare mistyped
    element — instead of running the [Qtype.equal]/[Atom.cast]/
-   [put_atom_payload] triple dispatch once per element. This is the
-   wire half of the columnar hand-off: an all-column projection arrives
-   here as column vectors straight from the vectorized executor and
-   leaves as wire bytes without any per-element type probing. The byte
-   output is identical to the generic path. *)
+   [put_atom_payload] triple dispatch once per element. Every result
+   column the engine pivots from the decoded PG v3 rows leaves here as
+   wire bytes without any per-element type probing. The byte output is
+   identical to the generic path. *)
 let put_vector_payload buf (ty : Qtype.t) (atoms : Atom.t array) =
   let n = Array.length atoms in
   let slow a = put_atom_payload buf (Atom.cast ty a) in
@@ -220,7 +225,7 @@ let rec put_value buf (v : Value.t) =
 
 let get_sym r =
   let start = r.pos in
-  let len = String.length r.data in
+  let len = r.lim in
   let rec find i = if i >= len then decode_error "unterminated symbol" else if r.data.[i] = '\000' then i else find (i + 1) in
   let zero = find start in
   let s = String.sub r.data start (zero - start) in
@@ -251,6 +256,14 @@ let get_atom_payload r (ty : Qtype.t) : Atom.t =
       let v = get_i32 r in
       if v = int_null then Atom.Null Qtype.Time else Atom.Time v
 
+(* a count can never exceed the bytes left in the frame: every element
+   takes at least one *)
+let get_count r =
+  let n = get_i32 r in
+  if n < 0 || n > r.lim - r.pos then
+    decode_error "bad element count %d at %d" n r.pos;
+  n
+
 let rec get_value r : Value.t =
   let code = get_i8 r in
   if code < 0 then
@@ -259,7 +272,7 @@ let rec get_value r : Value.t =
     | None -> decode_error "unknown atom type code %d" code
   else if code = 0 then begin
     let _attrs = get_u8 r in
-    let n = get_i32 r in
+    let n = get_count r in
     Value.List (Array.init n (fun _ -> get_value r))
   end
   else if code = 98 then begin
@@ -291,7 +304,7 @@ let rec get_value r : Value.t =
     match Qtype.of_code code with
     | Some ty ->
         let _attrs = get_u8 r in
-        let n = get_i32 r in
+        let n = get_count r in
         Value.Vector (ty, Array.init n (fun _ -> get_atom_payload r ty))
     | None -> decode_error "unknown vector type code %d" code
 
@@ -332,68 +345,61 @@ let encode_message ?(compress = true) (m : message) : string =
     match Compress.compress raw with Some c -> c | None -> raw
   else raw
 
-(** Decode one complete QIPC message from the start of [data]; returns the
-    message and the number of bytes consumed. Compressed messages are
-    transparently decompressed. *)
-let rec decode_message (data : string) : message * int =
-  if String.length data < 8 then decode_error "short header";
-  let r = { data; pos = 0 } in
-  let endian = get_u8 r in
-  if endian <> 1 then decode_error "big-endian peers are not supported";
+(* The header of the frame at [off]: message type, compressed flag and
+   total length. [Incomplete] until the whole frame is there;
+   [Decode_error] for a header more bytes cannot fix. *)
+let open_frame data off =
+  if String.length data - off < 8 then raise Incomplete;
+  let r = { data; pos = off; lim = off + 8 } in
+  if get_u8 r <> 1 then decode_error "big-endian peers are not supported";
   let mt = msg_type_of_code (get_u8 r) in
-  let compressed = get_u8 r in
-  ignore mt;
-  if compressed <> 0 then begin
-    (* decompress the whole message, then decode the plain form *)
-    let r0 = { data; pos = 4 } in
-    let total = get_i32 r0 in
-    if total > String.length data then decode_error "truncated message";
-    let plain =
-      try Compress.decompress (String.sub data 0 total)
-      with Compress.Corrupt m -> decode_error "corrupt compressed body: %s" m
-    in
-    let m, _ = decode_message_plain plain in
-    (m, total)
-  end
-  else decode_plain_tail data r
-
-and decode_message_plain (data : string) : message * int =
-  (* like decode_message but the compressed flag has been cleared *)
-  if String.length data < 8 then decode_error "short header";
-  let r = { data; pos = 0 } in
-  let endian = get_u8 r in
-  if endian <> 1 then decode_error "big-endian peers are not supported";
-  decode_plain_tail data r
-
-and decode_plain_tail data r =
-  let r' = { data; pos = 1 } in
-  let mt = msg_type_of_code (get_u8 r') in
-  ignore r;
-  let r = { data; pos = 3 } in
+  let compressed = get_u8 r <> 0 in
   let _reserved = get_u8 r in
   let total = get_i32 r in
-  if total > String.length data then
-    decode_error "truncated message (header says %d, have %d)" total
-      (String.length data);
-  (* error responses carry type code -128 followed by the message text *)
-  if r.pos < String.length data && get_i8 { data; pos = r.pos } = -128 then begin
-    r.pos <- r.pos + 1;
-    let msg = get_sym r in
-    ({ mt; body = Error msg }, total)
-  end
+  if total < 8 then decode_error "message length %d below the header" total;
+  if total > String.length data - off then raise Incomplete;
+  (mt, compressed, total)
+
+(** Decode the QIPC message that starts at [off] in [data]; returns it
+    and the number of bytes it occupies. Compressed messages are
+    transparently decompressed. Raises [Incomplete] while the frame has
+    not fully arrived and [Decode_error] when it is malformed. *)
+let rec decode_frame (data : string) (off : int) : message * int =
+  let mt, compressed, total = open_frame data off in
+  if compressed then
+    let plain =
+      try Compress.decompress (String.sub data off total)
+      with Compress.Corrupt m -> decode_error "corrupt compressed body: %s" m
+    in
+    (fst (decode_frame plain 0), total)
   else
-  let body_value = get_value r in
-  let body =
-    match body_value with
-    | Value.Vector (Qtype.Char, _) as s -> (
-        (* char vectors are queries on the request path; plain string
-           results are indistinguishable, the caller decides by direction *)
-        match mt with
-        | Sync | Async -> Query (Value.to_string_exn s)
-        | Response -> Value body_value)
-    | v -> Value v
-  in
-  ({ mt; body }, total)
+    let r = { data; pos = off + 8; lim = off + total } in
+    (* error responses carry type code -128 followed by the message text *)
+    if r.pos < r.lim && data.[r.pos] = '\x80' then begin
+      r.pos <- r.pos + 1;
+      ({ mt; body = Error (get_sym r) }, total)
+    end
+    else
+      let body =
+        match get_value r with
+        | Value.Vector (Qtype.Char, _) as s -> (
+            (* char vectors are queries on the request path; plain string
+               results are indistinguishable, the caller decides by
+               direction *)
+            match mt with
+            | Sync | Async -> Query (Value.to_string_exn s)
+            | Response -> Value s)
+        | v -> Value v
+      in
+      ({ mt; body }, total)
+
+(** Decode one complete QIPC message from the start of [data]; returns the
+    message and the number of bytes consumed. A truncated message is a
+    [Decode_error] here. *)
+let decode_message (data : string) : message * int =
+  try decode_frame data 0
+  with Incomplete ->
+    decode_error "truncated message (have %d bytes)" (String.length data)
 
 (* ------------------------------------------------------------------ *)
 (* Handshake                                                           *)

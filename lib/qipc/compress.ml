@@ -124,7 +124,10 @@ let decompress (msg : string) : string =
     lor (Char.code msg.[off + 3] lsl 24)
   in
   let t = get_i32 8 in
-  if t < 8 || t > 1 lsl 30 then raise (Corrupt "bad uncompressed length");
+  (* a match item (2 bytes plus its share of a flags byte) expands to at
+     most 257 bytes, so a longer claim is a lie, not a big message *)
+  if t < 8 || t - 8 > 128 * (String.length msg - 12) then
+    raise (Corrupt "bad uncompressed length");
   let dst = Bytes.create t in
   (* reconstruct the 8-byte header: uncompressed flag, total length = t *)
   Bytes.set dst 0 msg.[0];

@@ -99,7 +99,6 @@ let concat (results : B.result list) : B.result =
   {
     B.cols = merge_col_types results;
     rows = Array.concat (List.map (fun r -> r.B.rows) results);
-    colmajor = None;
   }
 
 (** K-way merge of per-shard sorted results on [keys] (column name,
@@ -145,7 +144,7 @@ let merge ~(keys : (string * [ `Asc | `Desc ]) list)
         out := streams.(s).(pos.(s)) :: !out;
         pos.(s) <- pos.(s) + 1
       done;
-      Ok { B.cols; rows = Array.of_list (List.rev !out); colmajor = None }
+      Ok { B.cols; rows = Array.of_list (List.rev !out) }
 
 (* ------------------------------------------------------------------ *)
 (* Partial-aggregate recombination                                     *)
@@ -362,4 +361,4 @@ let combine (plan : Router.agg_plan) (results : B.result list) :
                 in
                 List.stable_sort (cmp_rows keys) rows
           in
-          Ok { B.cols; rows = Array.of_list rows; colmajor = None })
+          Ok { B.cols; rows = Array.of_list rows })

@@ -154,6 +154,81 @@ let test_fragmented_qipc_delivery () =
       check tint "3 rows" 3 (QV.table_length t)
   | _ -> Alcotest.fail "expected a table reply")
 
+(* A malformed frame gets one QIPC error reply and closes the
+   connection: no hang, no escaping exception, no later query runs. *)
+let expect_malformed_closes name patch =
+  let p = platform () in
+  let conn = P.connect p in
+  let ep = conn.P.endpoint in
+  let hello =
+    Qipc.Codec.encode_handshake ~user:"trader" ~password:"pwd" ~version:3
+  in
+  ignore (Platform.Endpoint.feed ep hello);
+  let query () =
+    Qipc.Codec.encode_message
+      { mt = Qipc.Codec.Sync; body = Qipc.Codec.Query "select Price from trades" }
+  in
+  let frame = Bytes.of_string (query ()) in
+  patch frame;
+  let reply = Platform.Endpoint.feed ep (Bytes.to_string frame) in
+  (match Qipc.Codec.decode_message reply with
+  | { Qipc.Codec.body = Qipc.Codec.Error _; _ }, n ->
+      check tint (name ^ ": one error reply") (String.length reply) n
+  | _ -> Alcotest.failf "%s: expected a QIPC error reply" name);
+  check tbool (name ^ ": closed") true (Platform.Endpoint.is_closed ep);
+  check tint (name ^ ": later queries get no reply") 0
+    (String.length (Platform.Endpoint.feed ep (query ())))
+
+let test_hostile_length_below_header () =
+  (* a frame of length 0 consumes no bytes: accepted, [feed] would decode
+     and run the same query forever *)
+  expect_malformed_closes "length 0" (fun b -> Bytes.set_int32_le b 4 0l)
+
+let test_hostile_endianness () =
+  expect_malformed_closes "endianness byte 0" (fun b -> Bytes.set b 0 '\000')
+
+let test_hostile_message_type () =
+  expect_malformed_closes "message type 7" (fun b -> Bytes.set b 1 '\007')
+
+let test_hostile_negative_compressed_length () =
+  expect_malformed_closes "negative compressed length" (fun b ->
+      Bytes.set b 2 '\001';
+      Bytes.set_int32_le b 4 (-5l))
+
+let test_hostile_negative_count () =
+  expect_malformed_closes "negative element count" (fun b ->
+      Bytes.set_int32_le b 10 (-1l))
+
+(* Every select crosses the PG v3 wire, whether the vectorized executor
+   gathered plain columns or evaluated an expression, so a nanosecond
+   timestamp comes back at PG's microsecond precision on every path. *)
+let test_timestamp_precision_same_on_every_path () =
+  let db = Db.create () in
+  Db.load_table db
+    (S.table ~order_col:"hq_ord" "t"
+       [
+         S.column "hq_ord" Ty.TBigint;
+         S.column "ts" Ty.TTimestamp;
+         S.column "px" Ty.TDouble;
+       ])
+    [
+      [| V.Int 0L; V.Timestamp 1_000_000_001L; V.Float 1.5 |];
+      [| V.Int 1L; V.Timestamp 2_500_000_999L; V.Float 2.5 |];
+    ];
+  let c = P.Client.connect (P.create db) in
+  let ts q =
+    match ok (P.Client.query c q) with
+    | QV.Table t -> QV.column_exn t "ts"
+    | v -> Alcotest.failf "expected table, got %s" (Qvalue.Qprint.to_string v)
+  in
+  let micros =
+    QV.vector_of_atoms
+      [| QA.Timestamp 1_000_000_000L; QA.Timestamp 2_500_000_000L |]
+  in
+  List.iter
+    (fun q -> check tbool q true (QV.equal (ts q) micros))
+    [ "select ts from t"; "select ts, px from t"; "select ts, y:px*1 from t" ]
+
 let test_temp_tables_released_on_disconnect () =
   (* physical materialization creates session temp tables; disconnect must
      release them in the backend *)
@@ -240,6 +315,18 @@ let () =
             test_function_definition_and_call_over_wire;
           Alcotest.test_case "fragmented QIPC delivery" `Quick
             test_fragmented_qipc_delivery;
+          Alcotest.test_case "QIPC length below header closes" `Quick
+            test_hostile_length_below_header;
+          Alcotest.test_case "QIPC bad endianness closes" `Quick
+            test_hostile_endianness;
+          Alcotest.test_case "QIPC unknown message type closes" `Quick
+            test_hostile_message_type;
+          Alcotest.test_case "QIPC negative compressed length closes" `Quick
+            test_hostile_negative_compressed_length;
+          Alcotest.test_case "QIPC negative element count closes" `Quick
+            test_hostile_negative_count;
+          Alcotest.test_case "timestamp precision same on every path" `Quick
+            test_timestamp_precision_same_on_every_path;
           Alcotest.test_case "temp tables released on disconnect" `Quick
             test_temp_tables_released_on_disconnect;
           Alcotest.test_case "large result compressed end-to-end" `Quick

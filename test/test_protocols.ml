@@ -129,6 +129,8 @@ let test_qipc_truncated () =
   | exception QC.Decode_error _ -> ()
   | _ -> Alcotest.fail "truncated message must not decode"
 
+let query_frame q = QC.encode_message { QC.mt = QC.Sync; body = QC.Query q }
+
 (* ------------------------------------------------------------------ *)
 (* QIPC compression                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -180,6 +182,68 @@ let test_corrupt_compressed_rejected () =
       check tbool "corruption detected or value changed" false
         (Value.equal v v')
   | _ -> ()
+
+let test_qipc_frame_incomplete () =
+  (* every proper prefix is Incomplete, never malformed; back-to-back
+     frames decode at their offsets *)
+  let a = query_frame "select from trades" and b = query_frame "1+1" in
+  let packed =
+    QC.encode_message
+      { QC.mt = QC.Response; body = QC.Value (big_table 5000) }
+  in
+  check tbool "compressed frame" true (packed.[2] = '\001');
+  List.iter
+    (fun m ->
+      for n = 0 to String.length m - 1 do
+        match QC.decode_frame (String.sub m 0 n) 0 with
+        | exception QC.Incomplete -> ()
+        | exception QC.Decode_error e ->
+            Alcotest.failf "prefix of %d bytes called malformed: %s" n e
+        | _ -> Alcotest.failf "prefix of %d bytes decoded" n
+      done)
+    [ a; packed ];
+  let both = a ^ b in
+  let _, n = QC.decode_frame both 0 in
+  check tint "first frame length" (String.length a) n;
+  match QC.decode_frame both n with
+  | { QC.body = QC.Query q; _ }, m ->
+      check tstr "second frame" "1+1" q;
+      check tint "second frame length" (String.length b) m
+  | _ -> Alcotest.fail "expected the second query"
+
+let expect_malformed name data =
+  match QC.decode_frame data 0 with
+  | exception QC.Decode_error _ -> ()
+  | exception QC.Incomplete -> Alcotest.failf "%s: waits for more bytes" name
+  | _ -> Alcotest.failf "%s: decoded" name
+
+(* the endpoint tests in test_platform.ml cover the malformed headers;
+   these are the body reads the frame must bound *)
+let test_qipc_frame_malformed () =
+  let patch f =
+    let b = Bytes.of_string (query_frame "select from trades") in
+    f b;
+    Bytes.to_string b
+  in
+  (* a count the frame cannot hold is rejected before any allocation *)
+  expect_malformed "element count past the frame"
+    (patch (fun b -> Bytes.set_int32_le b 10 0x7fffffffl));
+  (* a frame that claims fewer bytes than its body must not read the
+     next frame's bytes *)
+  let short = patch (fun b -> Bytes.set_int32_le b 4 20l) in
+  expect_malformed "body past its frame" (short ^ query_frame "1+1")
+
+let test_decompress_rejects_inflated_claim () =
+  (* a 13-byte compressed message claiming a 100 MB original cannot be
+     honest: one flags byte and nothing else expands to 8 bytes at most *)
+  let b = Bytes.make 13 '\000' in
+  Bytes.set b 0 '\001';
+  Bytes.set b 2 '\001';
+  Bytes.set_int32_le b 4 13l;
+  Bytes.set_int32_le b 8 100_000_000l;
+  match Qipc.Compress.decompress (Bytes.to_string b) with
+  | exception Qipc.Compress.Corrupt _ -> ()
+  | _ -> Alcotest.fail "inflated length claim must be rejected"
 
 let prop_compress_roundtrip =
   QCheck.Test.make ~count:200 ~name:"compress . decompress = id"
@@ -811,6 +875,10 @@ let () =
           Alcotest.test_case "query body" `Quick test_qipc_query_roundtrip;
           Alcotest.test_case "handshake" `Quick test_qipc_handshake;
           Alcotest.test_case "truncated input" `Quick test_qipc_truncated;
+          Alcotest.test_case "incomplete frames wait" `Quick
+            test_qipc_frame_incomplete;
+          Alcotest.test_case "malformed frames rejected" `Quick
+            test_qipc_frame_malformed;
         ] );
       ( "compression",
         [
@@ -820,6 +888,8 @@ let () =
             test_small_messages_stay_plain;
           Alcotest.test_case "corruption rejected" `Quick
             test_corrupt_compressed_rejected;
+          Alcotest.test_case "inflated length claim rejected" `Quick
+            test_decompress_rejects_inflated_claim;
         ] );
       ( "pgv3",
         [

@@ -301,7 +301,7 @@ let gen_join_query (rng : Random.State.t) : string =
          %s%s%s"
         (jk ()) (on "t" "q") (where ()) (limit ())
   | 1 ->
-      (* all-column projection over a join: the colmajor output shape *)
+      (* all-column projection over a join: the plain column gather shape *)
       Printf.sprintf "SELECT * FROM trades t %s quotes q ON %s%s" (jk ())
         (on "t" "q") (where ())
   | 2 ->
@@ -484,7 +484,7 @@ let test_all_null_column () =
   | _ -> Alcotest.fail "all-null aggregate should be (NULL, 0)"
 
 (* ------------------------------------------------------------------ *)
-(* Explain, colmajor hand-off, counters, feedback                      *)
+(* Explain, counters, feedback                                        *)
 (* ------------------------------------------------------------------ *)
 
 let test_explain_vector_nodes () =
@@ -513,33 +513,6 @@ let test_explain_vector_nodes () =
       check tint "scan actual = table rows" 10 scan.Op.rows_out;
       check tint "plan-wide rows_scanned counts vector scans" 10
         (Op.rows_scanned root)
-
-let test_colmajor_handoff () =
-  let db = fixture () in
-  let sess = session ~vectorized:true db in
-  (match Db.exec sess "SELECT sym, price FROM trades WHERE size >= 200" with
-  | Db.Rows (res, _) -> (
-      match Db.take_colmajor sess with
-      | None -> Alcotest.fail "plain-column select should yield colmajor"
-      | Some cm ->
-          check tint "one vector per column" 2 (Array.length cm);
-          Array.iteri
-            (fun j col ->
-              check tint "column length = row count"
-                (Array.length res.Pgdb.Exec.res_rows)
-                (Array.length col);
-              Array.iteri
-                (fun i v ->
-                  check tbool "colmajor agrees with rows" true
-                    (Stdlib.compare v res.Pgdb.Exec.res_rows.(i).(j) = 0))
-                col)
-            cm)
-  | Db.Complete _ -> Alcotest.fail "expected rows");
-  check tbool "take_colmajor consumes" true (Db.take_colmajor sess = None);
-  (* expression projections materialize rows: no columnar output *)
-  ignore (Db.exec sess "SELECT price * 2 AS p2 FROM trades");
-  check tbool "expression select yields no colmajor" true
-    (Db.take_colmajor sess = None)
 
 let test_path_counters () =
   let db = fixture () in
@@ -684,8 +657,6 @@ let () =
         [
           Alcotest.test_case "explain shows vector nodes" `Quick
             test_explain_vector_nodes;
-          Alcotest.test_case "columnar hand-off to the pivot" `Quick
-            test_colmajor_handoff;
           Alcotest.test_case "path counters" `Quick test_path_counters;
           Alcotest.test_case "selectivity feedback" `Quick
             test_selectivity_feedback;
