@@ -1212,6 +1212,27 @@ let shard_workload (d : MD.dataset) : string list =
       (sym 3);
   ]
 
+(* Q queries whose SQL needs the window operator, derived tables or a
+   residual join: moving average and deltas (windows), fby (window over
+   a derived table), as-of join (left join + residual + row_number) and
+   a chained lj (nested derived tables). Time-bounded so the row
+   interpreter leg stays fast. *)
+let vector_shape_workload (d : MD.dataset) : string list =
+  let sym i = d.MD.syms.(i mod Array.length d.MD.syms) in
+  [
+    Printf.sprintf "select Time, m:5 mavg Price from trades where Symbol=`%s"
+      (sym 1);
+    Printf.sprintf "select Time, x:deltas Price from trades where Symbol=`%s"
+      (sym 2);
+    "select from trades where Time<09:40:00.000, Price=(max;Price) fby Symbol";
+    Printf.sprintf
+      "aj[`Symbol`Time; select Symbol, Time, Price from trades where \
+       Symbol=`%s, Time<09:40:00.000; select Symbol, Time, Bid from quotes \
+       where Symbol=`%s]"
+      (sym 0) (sym 0);
+    "select qty:sum Size by Sector from (trades lj secmaster_w) lj risk_w";
+  ]
+
 (* float-tolerant deep equality: partial-aggregate recombination sums
    floats in a different association order than the single-backend pass *)
 let shard_feq a b =
@@ -1802,7 +1823,12 @@ let bench_vectorized ?(gate = false) () =
           " WHERE "
           ^ String.concat " AND " (List.init n (fun _ -> conjunct ()))
     in
-    match Random.State.int rng 8 with
+    (* a prefix of the tick table by its order column: keeps the
+       window and as-of classes within the row interpreter's budget *)
+    let prefix () =
+      Printf.sprintf "hq_ord < %d" (20 + Random.State.int rng 300)
+    in
+    match Random.State.int rng 10 with
     | 0 ->
         Printf.sprintf
           "SELECT \"Symbol\", \"Price\", \"Size\" FROM trades%s" (where ())
@@ -1840,11 +1866,61 @@ let bench_vectorized ?(gate = false) () =
            FROM trades t JOIN secmaster_w s ON t.\"Symbol\" = \
            s.\"Symbol\" WHERE t.\"Size\" >= %d GROUP BY s.\"Sector\""
           (100 * (1 + Random.State.int rng 50))
-    | _ ->
+    | 7 ->
         Printf.sprintf
           "SELECT \"Symbol\", \"Bid\", \"Ask\" FROM quotes WHERE \"Ask\" \
            > %.2f"
           (20.0 +. Random.State.float rng 180.0)
+    | 8 ->
+        (* windows: ranking, running and sliding frames, lag nested in
+           an expression, with and without PARTITION BY *)
+        let over =
+          pick
+            [|
+              "row_number() OVER (PARTITION BY \"Symbol\" ORDER BY \
+               \"Price\" DESC)";
+              "rank() OVER (PARTITION BY \"Exch\" ORDER BY \"Size\")";
+              "sum(\"Size\") OVER (PARTITION BY \"Symbol\" ORDER BY hq_ord)";
+              "avg(\"Price\") OVER (ORDER BY hq_ord ROWS BETWEEN 4 \
+               PRECEDING AND CURRENT ROW)";
+              "coalesce(\"Price\" - lag(\"Price\") OVER (PARTITION BY \
+               \"Symbol\" ORDER BY hq_ord), \"Price\")";
+              "max(\"Price\") OVER (PARTITION BY \"Symbol\")";
+            |]
+        in
+        Printf.sprintf
+          "SELECT hq_ord, \"Symbol\", %s AS w FROM trades WHERE %s ORDER BY \
+           hq_ord"
+          over (prefix ())
+    | _ -> (
+        (* derived tables and equi + residual joins, the as-of shape
+           included *)
+        match Random.State.int rng 3 with
+        | 0 ->
+            Printf.sprintf
+              "SELECT q.hq_ord, q.\"Bid\" FROM (SELECT t.hq_ord, b.\"Bid\", \
+               row_number() OVER (PARTITION BY t.hq_ord ORDER BY b.\"Time\" \
+               DESC) AS rn FROM (SELECT hq_ord, \"Symbol\", \"Time\" FROM \
+               trades WHERE %s ORDER BY hq_ord) AS t LEFT JOIN quotes b ON \
+               t.\"Symbol\" = b.\"Symbol\" AND b.\"Time\" <= t.\"Time\") AS q \
+               WHERE q.rn = 1 ORDER BY q.hq_ord"
+              (prefix ())
+        | 1 ->
+            Printf.sprintf
+              "SELECT t.\"Symbol\", t.\"Price\", s.\"Sector\" FROM trades t \
+               %s secmaster_w s ON t.\"Symbol\" = s.\"Symbol\" AND \
+               t.\"Price\" > %.2f"
+              (if Random.State.bool rng then "JOIN" else "LEFT JOIN")
+              (20.0 +. Random.State.float rng 180.0)
+        | _ ->
+            Printf.sprintf
+              "SELECT d.\"Sector\", count(*) AS n, sum(d.\"Size\") AS sz \
+               FROM (SELECT t.\"Size\", s.\"Sector\" FROM trades t LEFT JOIN \
+               secmaster_w s ON t.\"Symbol\" = s.\"Symbol\" AND t.\"Size\" \
+               >= %d%s) AS d GROUP BY d.\"Sector\" ORDER BY d.\"Sector\""
+              (100 * (1 + Random.State.int rng 50))
+              (if Random.State.bool rng then " ORDER BY t.hq_ord LIMIT 500"
+               else ""))
   in
   (match
      Pgdb.Db.exec von
@@ -1892,7 +1968,7 @@ let bench_vectorized ?(gate = false) () =
             | Ok va, Ok vb -> if not (shard_val_eq va vb) then incr n
             | Error _, Error _ -> ()
             | _ -> incr n)
-          (shard_workload d);
+          (shard_workload d @ vector_shape_workload d);
         P.Client.close con;
         P.Client.close coff;
         !n)
@@ -1917,7 +1993,7 @@ let bench_vectorized ?(gate = false) () =
     differential_n
     (if !first_div = "" then "" else "  first: " ^ !first_div);
   Printf.printf "%-34s %9d/%d\n" "2-shard divergences" shard_divergences
-    (List.length (shard_workload d));
+    (List.length (shard_workload d @ vector_shape_workload d));
   Printf.printf "%-34s %11.1f%%  (%d fallback / %d vector)\n"
     "fallback rate (differential)"
     (100.0 *. fallback_rate)

@@ -21,7 +21,10 @@ type data =
   | DVal of Value.t array
 
 type column = { data : data; nulls : Bytes.t; has_nulls : bool }
-type t = { nrows : int; cols : column array }
+(* [rows] are the row-major rows the columns pivot: a result that reads
+   a column unchanged can share their boxed values instead of boxing
+   the typed payload again *)
+type t = { nrows : int; cols : column array; rows : Value.t array array }
 
 (* a selection vector: row indices into a batch, in ascending order *)
 type sel = int array
@@ -48,11 +51,10 @@ let value_at c i =
 
 let all_rows n : sel = Array.init n (fun i -> i)
 
-(* pivot one column out of a row-major rowset. One sniff pass picks the
-   narrowest representation that holds every non-null value exactly;
-   the fill pass leaves dummy payloads under null bits. *)
-let column_of_rows (rows : Value.t array array) j : column =
-  let n = Array.length rows in
+(* build a column from [n] values read through [get]. One sniff pass
+   picks the narrowest representation that holds every non-null value
+   exactly; the fill pass leaves dummy payloads under null bits. *)
+let column_init (n : int) (get : int -> Value.t) : column =
   let nulls = ref no_nulls in
   let has_nulls = ref false in
   let mark_null i =
@@ -66,7 +68,7 @@ let column_of_rows (rows : Value.t array array) j : column =
   let kind = ref `Unknown in
   (try
      for i = 0 to n - 1 do
-       match rows.(i).(j) with
+       match get i with
        | Value.Null -> ()
        | Value.Int _ ->
            if !kind = `Unknown then kind := `Int
@@ -85,7 +87,7 @@ let column_of_rows (rows : Value.t array array) j : column =
     | `Int ->
         let a = Array.make n 0L in
         for i = 0 to n - 1 do
-          match rows.(i).(j) with
+          match get i with
           | Value.Int v -> a.(i) <- v
           | _ -> mark_null i
         done;
@@ -93,7 +95,7 @@ let column_of_rows (rows : Value.t array array) j : column =
     | `Float ->
         let a = Array.make n 0.0 in
         for i = 0 to n - 1 do
-          match rows.(i).(j) with
+          match get i with
           | Value.Float v -> a.(i) <- v
           | _ -> mark_null i
         done;
@@ -101,7 +103,7 @@ let column_of_rows (rows : Value.t array array) j : column =
     | `Str ->
         let a = Array.make n "" in
         for i = 0 to n - 1 do
-          match rows.(i).(j) with
+          match get i with
           | Value.Str v -> a.(i) <- v
           | _ -> mark_null i
         done;
@@ -109,7 +111,7 @@ let column_of_rows (rows : Value.t array array) j : column =
     | `Unknown | `Mixed ->
         let a = Array.make n Value.Null in
         for i = 0 to n - 1 do
-          (match rows.(i).(j) with
+          (match get i with
           | Value.Null -> mark_null i
           | v -> a.(i) <- v)
         done;
@@ -117,12 +119,25 @@ let column_of_rows (rows : Value.t array array) j : column =
   in
   { data; nulls = !nulls; has_nulls = !has_nulls }
 
+(* pivot one column out of a row-major rowset *)
+let column_of_rows (rows : Value.t array array) j : column =
+  column_init (Array.length rows) (fun i -> rows.(i).(j))
+
+(* a column holding [vals], e.g. a computed projection or window result *)
+let column_of_values (vals : Value.t array) : column =
+  column_init (Array.length vals) (Array.get vals)
+
 (* [width] covers the zero-row case, where the rows themselves cannot
    say how many columns the table has *)
 let of_rows ~width (rows : Value.t array array) : t =
-  { nrows = Array.length rows; cols = Array.init width (column_of_rows rows) }
+  {
+    nrows = Array.length rows;
+    cols = Array.init width (column_of_rows rows);
+    rows;
+  }
 
-(* gather a column through a selection vector into a dense column *)
+(* gather a column through a selection vector, or any vector of row
+   indices, into a dense column *)
 let compact (c : column) (sel : sel) : column =
   let n = Array.length sel in
   let nulls = ref no_nulls in
@@ -159,31 +174,36 @@ let gather (c : column) (idx : int array) : column =
   let n = Array.length idx in
   let nulls = ref no_nulls in
   let has_nulls = ref false in
-  let mark k =
-    if not !has_nulls then begin
-      nulls := Bytes.make ((n + 7) / 8) '\000';
-      has_nulls := true
-    end;
-    bit_set !nulls k
-  in
   for k = 0 to n - 1 do
     let i = Array.unsafe_get idx k in
-    if i < 0 || is_null c i then mark k
+    if i < 0 || is_null c i then begin
+      if not !has_nulls then begin
+        nulls := Bytes.make ((n + 7) / 8) '\000';
+        has_nulls := true
+      end;
+      bit_set !nulls k
+    end
   done;
+  (* a NULL slot keeps the dummy payload [fill] was made with *)
+  let pick (type a) (a : a array) (fill : a) : a array =
+    let out = Array.make n fill in
+    for k = 0 to n - 1 do
+      let i = Array.unsafe_get idx k in
+      if i >= 0 then Array.unsafe_set out k (Array.unsafe_get a i)
+    done;
+    out
+  in
   let data =
     match c.data with
-    | DInt a ->
-        DInt (Array.init n (fun k -> let i = idx.(k) in if i < 0 then 0L else a.(i)))
+    | DInt a -> DInt (pick a 0L)
     | DFloat a ->
-        DFloat
-          (Array.init n (fun k -> let i = idx.(k) in if i < 0 then 0.0 else a.(i)))
-    | DStr a ->
-        DStr
-          (Array.init n (fun k -> let i = idx.(k) in if i < 0 then "" else a.(i)))
-    | DVal a ->
-        DVal
-          (Array.init n (fun k ->
-               let i = idx.(k) in
-               if i < 0 then Value.Null else a.(i)))
+        let out = Array.make n 0.0 in
+        for k = 0 to n - 1 do
+          let i = Array.unsafe_get idx k in
+          if i >= 0 then Array.unsafe_set out k (Array.unsafe_get a i)
+        done;
+        DFloat out
+    | DStr a -> DStr (pick a "")
+    | DVal a -> DVal (pick a Value.Null)
   in
   { data; nulls = !nulls; has_nulls = !has_nulls }

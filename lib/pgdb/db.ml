@@ -176,7 +176,7 @@ and exec_env (sess : session) : Exec.env =
    and unknown names return [None] — the row path stays authoritative
    for view expansion and for raising undefined_table. *)
 and resolve_batch (sess : session) (name : string) :
-    (Exec.binding list * Batch.t) option =
+    (Exec.binding list * (unit -> Batch.t)) option =
   let lname = String.lowercase_ascii name in
   if lname = catalog_table_name then refresh_catalog sess.db;
   let tbl =
@@ -196,7 +196,7 @@ and resolve_batch (sess : session) (name : string) :
             })
           tbl.Storage.def.S.tbl_columns
       in
-      (bindings, Storage.batch_of tbl))
+      (bindings, fun () -> Storage.batch_of tbl))
     tbl
 
 and run_select (sess : session) (sel : A.select) : Exec.result =

@@ -47,30 +47,39 @@ let error_undefined_column c = Errors.undefined_column "column %s does not exist
 (* Name resolution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let find_binding (bindings : binding list) (qual : string option) (name : string) : int =
-  let lname = String.lowercase_ascii name in
-  let matches exact =
-    List.filteri (fun _ _ -> true) bindings
-    |> List.mapi (fun i b -> (i, b))
-    |> List.filter (fun (_, b) ->
-           (match qual with
-           | None -> true
-           | Some q -> (
-               match b.b_qual with
-               | Some bq -> String.lowercase_ascii bq = String.lowercase_ascii q
-               | None -> false))
-           &&
-           if exact then b.b_name = name
-           else String.lowercase_ascii b.b_name = lname)
+(* ASCII case-insensitive equality, without allocating lowercased copies *)
+let equal_ci (a : string) (b : string) : bool =
+  let n = String.length a in
+  n = String.length b
+  &&
+  let rec go i =
+    i = n
+    || Char.lowercase_ascii (String.unsafe_get a i)
+       = Char.lowercase_ascii (String.unsafe_get b i)
+       && go (i + 1)
   in
-  match matches true with
-  | [ (i, _) ] -> i
-  | (i, _) :: _ -> i
-  | [] -> (
-      match matches false with
-      | [ (i, _) ] -> i
-      | (i, _) :: _ -> i
-      | [] -> error_undefined_column name)
+  go 0
+
+(** Position of the column [qual.name] in [bindings]. The qualifier, when
+    given, matches case-insensitively. The first binding whose name
+    matches exactly wins; failing that, the first case-insensitive name
+    match; failing that, [undefined_column]. One pass, no allocation. *)
+let find_binding (bindings : binding list) (qual : string option) (name : string) : int =
+  let rec go i ci = function
+    | [] -> if ci >= 0 then ci else error_undefined_column name
+    | b :: rest ->
+        let qual_ok =
+          match qual with
+          | None -> true
+          | Some q -> (
+              match b.b_qual with Some bq -> equal_ci bq q | None -> false)
+        in
+        if qual_ok && String.equal b.b_name name then i
+        else
+          let ci = if ci < 0 && qual_ok && equal_ci b.b_name name then i else ci in
+          go (i + 1) ci rest
+  in
+  go 0 (-1) bindings
 
 (* ------------------------------------------------------------------ *)
 (* Scalar functions                                                    *)

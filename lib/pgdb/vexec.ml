@@ -1,16 +1,22 @@
 (** Vectorized executor: batch-at-a-time evaluation over columnar data.
 
-    [try_run] lowers a supported {!Sqlast.Ast.select} shape — single
-    base-table FROM, WHERE conjuncts, projections, hash group-by with
-    the standard aggregates, ORDER BY, LIMIT/OFFSET — into a pipeline of
-    compiled closures over a {!Batch.t} and runs it. Everything outside
-    that shape (joins, subqueries, unions, windows, DISTINCT, views)
-    returns [None] and the caller falls back to the row interpreter in
-    {!Exec}, which stays authoritative for edge-case behavior.
+    [try_run] lowers a {!Sqlast.Ast.select} into a pipeline of compiled
+    closures over column vectors and runs it. The FROM tree may hold base
+    tables, derived tables (planned with the same lowering and fed to the
+    outer pipeline as a columnar source) and INNER/LEFT JOINs with at
+    least one equality conjunct (hash join, any other conjuncts run as a
+    residual kernel over the candidate pairs). Then come WHERE
+    conjuncts, either hash group-by with the standard aggregates or
+    window functions plus projections, ORDER BY and LIMIT/OFFSET.
 
-    The two paths produce byte-identical results. Compilation performs
-    name resolution and shape checks only — it never touches data — so
-    a lowering failure costs nothing, and runtime errors (type
+    Still outside that shape, returning [None] so the caller falls back
+    to the row interpreter in {!Exec}: cross joins, ON clauses without an
+    equality conjunct, UNION, views, DISTINCT, and windows inside
+    aggregate queries. Planning covers the whole tree, nested subqueries
+    included, and touches no data, so a declined query moves no data and
+    records no selectivity observation.
+
+    The two paths produce byte-identical results. Runtime errors (type
     mismatches, division by zero) surface from the same {!Value}
     functions the row path calls, in the same (row, expression) order.
     The one sanctioned divergence is short-circuiting: conjuncts are
@@ -150,132 +156,195 @@ let reset_selectivities () =
   Mutex.unlock sel_mutex
 
 (* ------------------------------------------------------------------ *)
-(* Expression compilation                                              *)
+(* Staged compilation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* a compiled scalar expression: evaluate at one base-batch row index *)
+(* Every compile function below runs in two stages. Stage one, given a
+   [scope], resolves names and checks shapes: it is the only place
+   [Fallback] is raised, and it touches no data. It returns stage two, a
+   function of [data] that binds to the columns once the source has run
+   and never raises [Fallback]. A whole SELECT tree, nested subqueries
+   included, is therefore planned before any of it runs. *)
+
+(* what stage two binds to: the pipeline's columns and the select's
+   window results, both indexed by source row *)
+type data = { col : int -> Batch.column; win : int -> Value.t array }
+
+(* names an expression may use: the FROM bindings, and the window
+   expressions whose results [data.win] holds, by position *)
+type scope = { bindings : Exec.binding list; windows : A.expr list }
+
+let no_windows (_ : int) : Value.t array =
+  invalid_arg "vexec: no window results in this scope"
+
+(* a compiled scalar expression: evaluate at one source row *)
 type cexpr = int -> Value.t
 
 (* eval context for reified sub-expressions (never consults bindings) *)
 let empty_ctx () : Exec.eval_ctx = { Exec.bindings = []; windows = [] }
 
-let rec compile_expr (bindings : Exec.binding list)
-    (cols : Batch.column array) (e : A.expr) : cexpr =
-  let comp e = compile_expr bindings cols e in
+(* position of [x] in [l] under [compare], the equality the row path's
+   List.mem/List.assoc_opt window lookups use *)
+let index_of (x : A.expr) (l : A.expr list) : int option =
+  let rec go i = function
+    | [] -> None
+    | y :: rest -> if compare y x = 0 then Some i else go (i + 1) rest
+  in
+  go 0 l
+
+let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
+  let comp e = compile_expr sc e in
   match e with
   | A.Lit l ->
       let v = Value.of_lit l in
-      fun _ -> v
+      fun _ _ -> v
   | A.Col (q, c) ->
-      let col = cols.(Exec.find_binding bindings q c) in
-      fun i -> Batch.value_at col i
-  (* the row path raises on these at evaluation time (or not at all,
-     when no row reaches them); falling back reproduces either outcome *)
-  | A.Star | A.Agg _ | A.Window _ -> raise Fallback
+      let j = Exec.find_binding sc.bindings q c in
+      fun d ->
+        let col = d.col j in
+        fun i -> Batch.value_at col i
+  | A.Window _ -> (
+      (* a window anywhere in a scalar expression reads its precomputed
+         column; where the select computed none, the row path raises
+         (or has no row to raise on) and falling back reproduces both *)
+      match index_of e sc.windows with
+      | Some k ->
+          fun d ->
+            let a = d.win k in
+            fun i -> a.(i)
+      | None -> raise Fallback)
+  | A.Star | A.Agg _ -> raise Fallback
   | A.Bin (op, a, b) -> (
       let ca = comp a and cb = comp b in
-      match op with
-      | A.Add -> fun i -> Value.add (ca i) (cb i)
-      | A.Sub -> fun i -> Value.sub (ca i) (cb i)
-      | A.Mul -> fun i -> Value.mul (ca i) (cb i)
-      | A.Div -> fun i -> Value.div (ca i) (cb i)
-      | A.Mod -> fun i -> Value.modulo (ca i) (cb i)
-      | A.Eq -> fun i -> Value.eq3 (ca i) (cb i)
-      | A.Neq -> fun i -> Value.not3 (Value.eq3 (ca i) (cb i))
-      | A.Lt -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c < 0)
-      | A.Le -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c <= 0)
-      | A.Gt -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c > 0)
-      | A.Ge -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c >= 0)
-      | A.And -> fun i -> Value.and3 (ca i) (cb i)
-      | A.Or -> fun i -> Value.or3 (ca i) (cb i)
-      | A.Concat -> (
-          fun i ->
-            match (Value.to_text (ca i), Value.to_text (cb i)) with
-            | Some x, Some y -> Value.Str (x ^ y)
-            | _ -> Value.Null)
-      | A.IsDistinctFrom ->
-          fun i -> Value.not3 (Value.not_distinct (ca i) (cb i))
-      | A.IsNotDistinctFrom -> fun i -> Value.not_distinct (ca i) (cb i))
+      fun d ->
+        let ca = ca d and cb = cb d in
+        match op with
+        | A.Add -> fun i -> Value.add (ca i) (cb i)
+        | A.Sub -> fun i -> Value.sub (ca i) (cb i)
+        | A.Mul -> fun i -> Value.mul (ca i) (cb i)
+        | A.Div -> fun i -> Value.div (ca i) (cb i)
+        | A.Mod -> fun i -> Value.modulo (ca i) (cb i)
+        | A.Eq -> fun i -> Value.eq3 (ca i) (cb i)
+        | A.Neq -> fun i -> Value.not3 (Value.eq3 (ca i) (cb i))
+        | A.Lt -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c < 0)
+        | A.Le -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c <= 0)
+        | A.Gt -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c > 0)
+        | A.Ge -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c >= 0)
+        | A.And -> fun i -> Value.and3 (ca i) (cb i)
+        | A.Or -> fun i -> Value.or3 (ca i) (cb i)
+        | A.Concat -> (
+            fun i ->
+              match (Value.to_text (ca i), Value.to_text (cb i)) with
+              | Some x, Some y -> Value.Str (x ^ y)
+              | _ -> Value.Null)
+        | A.IsDistinctFrom ->
+            fun i -> Value.not3 (Value.not_distinct (ca i) (cb i))
+        | A.IsNotDistinctFrom -> fun i -> Value.not_distinct (ca i) (cb i))
   | A.Un (A.Not, a) ->
       let ca = comp a in
-      fun i -> Value.not3 (ca i)
-  | A.Un (A.Neg, a) -> (
+      fun d ->
+        let ca = ca d in
+        fun i -> Value.not3 (ca i)
+  | A.Un (A.Neg, a) ->
       let ca = comp a in
-      fun i ->
-        match ca i with
-        | Value.Int x -> Value.Int (Int64.neg x)
-        | Value.Float f -> Value.Float (-.f)
-        | Value.Null -> Value.Null
-        | _ -> Errors.type_mismatch "cannot negate non-number")
+      fun d ->
+        let ca = ca d in
+        fun i ->
+          (match ca i with
+          | Value.Int x -> Value.Int (Int64.neg x)
+          | Value.Float f -> Value.Float (-.f)
+          | Value.Null -> Value.Null
+          | _ -> Errors.type_mismatch "cannot negate non-number")
   | A.IsNull a ->
       let ca = comp a in
-      fun i -> Value.Bool (Value.is_null (ca i))
+      fun d ->
+        let ca = ca d in
+        fun i -> Value.Bool (Value.is_null (ca i))
   | A.IsNotNull a ->
       let ca = comp a in
-      fun i -> Value.Bool (not (Value.is_null (ca i)))
+      fun d ->
+        let ca = ca d in
+        fun i -> Value.Bool (not (Value.is_null (ca i)))
   | A.In (a, es) ->
       let ca = comp a in
       let ces = List.map comp es in
-      fun i ->
-        let va = ca i in
-        if Value.is_null va then Value.Null
-        else begin
-          let found = ref false and saw_null = ref false in
-          List.iter
-            (fun ce ->
-              let v = ce i in
-              if Value.is_null v then saw_null := true
-              else
-                match Value.compare3 va v with
-                | Some 0 -> found := true
-                | _ -> ())
-            ces;
-          if !found then Value.Bool true
-          else if !saw_null then Value.Null
-          else Value.Bool false
-        end
+      fun d ->
+        let ca = ca d in
+        let ces = List.map (fun ce -> ce d) ces in
+        fun i ->
+          let va = ca i in
+          if Value.is_null va then Value.Null
+          else begin
+            let found = ref false and saw_null = ref false in
+            List.iter
+              (fun ce ->
+                let v = ce i in
+                if Value.is_null v then saw_null := true
+                else
+                  match Value.compare3 va v with
+                  | Some 0 -> found := true
+                  | _ -> ())
+              ces;
+            if !found then Value.Bool true
+            else if !saw_null then Value.Null
+            else Value.Bool false
+          end
   | A.Between (a, lo, hi) ->
       let ca = comp a and clo = comp lo and chi = comp hi in
-      fun i ->
-        let va = ca i in
-        let vlo = clo i in
-        let vhi = chi i in
-        Value.and3
-          (Exec.cmp_bool va vlo (fun c -> c >= 0))
-          (Exec.cmp_bool va vhi (fun c -> c <= 0))
+      fun d ->
+        let ca = ca d and clo = clo d and chi = chi d in
+        fun i ->
+          let va = ca i in
+          let vlo = clo i in
+          let vhi = chi i in
+          Value.and3
+            (Exec.cmp_bool va vlo (fun c -> c >= 0))
+            (Exec.cmp_bool va vhi (fun c -> c <= 0))
   | A.Case (branches, else_) ->
       let cbs = List.map (fun (c, r) -> (comp c, comp r)) branches in
       let celse = Option.map comp else_ in
-      fun i ->
-        let rec go = function
-          | [] -> ( match celse with Some ce -> ce i | None -> Value.Null)
-          | (cc, cr) :: rest -> if Value.is_true (cc i) then cr i else go rest
-        in
-        go cbs
+      fun d ->
+        let cbs = List.map (fun (c, r) -> (c d, r d)) cbs in
+        let celse = Option.map (fun ce -> ce d) celse in
+        fun i ->
+          let rec go = function
+            | [] -> ( match celse with Some ce -> ce i | None -> Value.Null)
+            | (cc, cr) :: rest ->
+                if Value.is_true (cc i) then cr i else go rest
+          in
+          go cbs
   | A.Cast (a, ty) ->
       let ca = comp a in
-      fun i -> Value.cast ty (ca i)
+      fun d ->
+        let ca = ca d in
+        fun i -> Value.cast ty (ca i)
   | A.Fun (f, args) ->
       let cargs = List.map comp args in
-      fun i -> Exec.scalar_fun f (List.map (fun ca -> ca i) cargs)
+      fun d ->
+        let cargs = List.map (fun ca -> ca d) cargs in
+        fun i -> Exec.scalar_fun f (List.map (fun ca -> ca i) cargs)
   | A.Like (a, p) -> (
       let ca = comp a in
       match p with
       | A.Lit (A.Str pat) ->
           (* the pattern compiles once per query, not once per row *)
           let matcher = Exec.compile_like pat in
-          fun i -> (
-            match ca i with
-            | Value.Null -> Value.Null
-            | Value.Str s -> Value.Bool (matcher s)
-            | _ -> Errors.type_mismatch "LIKE expects text operands")
+          fun d ->
+            let ca = ca d in
+            fun i ->
+              (match ca i with
+              | Value.Null -> Value.Null
+              | Value.Str s -> Value.Bool (matcher s)
+              | _ -> Errors.type_mismatch "LIKE expects text operands")
       | _ ->
           let cp = comp p in
-          fun i -> (
-            match (ca i, cp i) with
-            | Value.Null, _ | _, Value.Null -> Value.Null
-            | Value.Str s, Value.Str pat -> Value.Bool (Exec.like_match s pat)
-            | _ -> Errors.type_mismatch "LIKE expects text operands"))
+          fun d ->
+            let ca = ca d and cp = cp d in
+            fun i ->
+              (match (ca i, cp i) with
+              | Value.Null, _ | _, Value.Null -> Value.Null
+              | Value.Str s, Value.Str pat -> Value.Bool (Exec.like_match s pat)
+              | _ -> Errors.type_mismatch "LIKE expects text operands"))
 
 (* ------------------------------------------------------------------ *)
 (* Filter kernels                                                      *)
@@ -316,55 +385,99 @@ let flip_op (op : A.binop) : A.binop =
   | A.Ge -> A.Le
   | op -> op
 
+(* [filter_sel] specialized to a test on a column's payload: one loop,
+   the null bitmap read inline, one call per row. [filter_floats] reads
+   an unboxed float array; [filter_boxed] serves int64 and string
+   arrays. *)
+let filter_floats (c : Batch.column) (a : float array) (keep : float -> bool)
+    : kernel =
+ fun sel ->
+  let n = Array.length sel in
+  let out = Array.make n 0 in
+  let k = ref 0 in
+  let nulls = c.Batch.has_nulls in
+  for t = 0 to n - 1 do
+    let i = Array.unsafe_get sel t in
+    if
+      (not (nulls && Batch.bit_get c.Batch.nulls i))
+      && keep (Array.unsafe_get a i)
+    then begin
+      Array.unsafe_set out !k i;
+      incr k
+    end
+  done;
+  if !k = n then sel else Array.sub out 0 !k
+
+let filter_boxed (c : Batch.column) (a : 'a array) (keep : 'a -> bool) :
+    kernel =
+ fun sel ->
+  let n = Array.length sel in
+  let out = Array.make n 0 in
+  let k = ref 0 in
+  let nulls = c.Batch.has_nulls in
+  for t = 0 to n - 1 do
+    let i = Array.unsafe_get sel t in
+    if
+      (not (nulls && Batch.bit_get c.Batch.nulls i))
+      && keep (Array.unsafe_get a i)
+    then begin
+      Array.unsafe_set out !k i;
+      incr k
+    end
+  done;
+  if !k = n then sel else Array.sub out 0 !k
+
+(* [x op f] as a direct float test with Float.compare's verdict: for a
+   non-NaN [f] it agrees with the IEEE operators except that a NaN [x]
+   compares below every number, which only [<] and [<=] notice *)
+let float_keep (op : A.binop) (f : float) : float -> bool =
+  match op with
+  | A.Eq -> fun x -> x = f
+  | A.Neq -> fun x -> x <> f
+  | A.Lt -> fun x -> x < f || Float.is_nan x
+  | A.Le -> fun x -> x <= f || Float.is_nan x
+  | A.Gt -> fun x -> x > f
+  | _ -> fun x -> x >= f
+
+(* [x op lit] on int64 payloads: Int64.compare is signed order *)
+let int_keep (op : A.binop) (lit : int64) : int64 -> bool =
+  match op with
+  | A.Eq -> fun x -> Int64.equal x lit
+  | A.Neq -> fun x -> not (Int64.equal x lit)
+  | A.Lt -> fun x -> x < lit
+  | A.Le -> fun x -> x <= lit
+  | A.Gt -> fun x -> x > lit
+  | _ -> fun x -> x >= lit
+
 (* comparison against a literal, specialized per column representation.
    Exactness: Value.compare3 compares same-type ints with Int64.compare,
    same-type strings with String.compare, and any other numeric-ish
    pair through to_float/Float.compare — each arm below applies exactly
    that conversion, so NaN ordering and int64→float rounding match the
    row path bit for bit. Anything else (DVal columns, cross-kind pairs
-   compare3 rejects) stays on the generic closure, which raises the same
-   errors the row path would. *)
+   compare3 rejects, a NaN literal) stays on the generic closure, which
+   raises the same errors the row path would. *)
 let cmp_kernel (c : Batch.column) (op : A.binop) (l : A.lit) : kernel option =
   match cmp_test op with
   | None -> None
   | Some test -> (
-      let null i = Batch.is_null c i in
+      let as_float = function
+        | A.Int i -> Int64.to_float i
+        | A.Float f -> f
+        | A.Bool b -> if b then 1.0 else 0.0
+        | _ -> 0.0
+      in
       match (c.Batch.data, l) with
       | _, A.Null -> Some (fun _ -> [||])
-      | Batch.DInt a, A.Int lit ->
-          Some
-            (fun sel ->
-              filter_sel sel (fun i ->
-                  (not (null i)) && test (Int64.compare a.(i) lit)))
+      | _, A.Float f when Float.is_nan f -> None
+      | Batch.DInt a, A.Int lit -> Some (filter_boxed c a (int_keep op lit))
       | Batch.DInt a, (A.Float _ | A.Bool _) ->
-          let f =
-            match l with
-            | A.Float f -> f
-            | A.Bool b -> if b then 1.0 else 0.0
-            | _ -> 0.0
-          in
-          Some
-            (fun sel ->
-              filter_sel sel (fun i ->
-                  (not (null i))
-                  && test (Float.compare (Int64.to_float a.(i)) f)))
+          let keep = float_keep op (as_float l) in
+          Some (filter_boxed c a (fun x -> keep (Int64.to_float x)))
       | Batch.DFloat a, (A.Int _ | A.Float _ | A.Bool _) ->
-          let f =
-            match l with
-            | A.Int i -> Int64.to_float i
-            | A.Float f -> f
-            | A.Bool b -> if b then 1.0 else 0.0
-            | _ -> 0.0
-          in
-          Some
-            (fun sel ->
-              filter_sel sel (fun i ->
-                  (not (null i)) && test (Float.compare a.(i) f)))
+          Some (filter_floats c a (float_keep op (as_float l)))
       | Batch.DStr a, A.Str lit ->
-          Some
-            (fun sel ->
-              filter_sel sel (fun i ->
-                  (not (null i)) && test (String.compare a.(i) lit)))
+          Some (filter_boxed c a (fun x -> test (String.compare x lit)))
       | _ -> None)
 
 (* IN over a literal list, specialized when the column representation
@@ -641,10 +754,10 @@ let vcompare (op : A.binop) (ta, ka) (tb, kb) : (vty * vkernel) option =
       | _ -> None)
 
 let rec compile_vec (bindings : Exec.binding list)
-    (cols : Batch.column array) (e : A.expr) : (vty * vkernel) option =
-  let comp e = compile_vec bindings cols e in
+    (col : int -> Batch.column) (e : A.expr) : (vty * vkernel) option =
+  let comp e = compile_vec bindings col e in
   match e with
-  | A.Col (q, c) -> vload cols.(Exec.find_binding bindings q c)
+  | A.Col (q, c) -> vload (col (Exec.find_binding bindings q c))
   | A.Lit l -> vlit l
   | A.Bin ((A.Add | A.Sub | A.Mul) as op, a, b) -> (
       match (comp a, comp b) with
@@ -749,15 +862,15 @@ let rec compile_vec (bindings : Exec.binding list)
       (* a >= lo AND a <= hi, exactly how compile_expr stages it (both
          bounds evaluated; 3VL and3 combines) — expressed on the vector
          algebra so each leg is one comparison loop *)
-      compile_vec bindings cols
+      compile_vec bindings col
         (A.Bin (A.And, A.Bin (A.Ge, a, lo), A.Bin (A.Le, a, hi)))
   | _ -> None
 
 (* a WHERE conjunct compiled whole-column: survivors are slots whose
    boolean is true and not null (3VL reject on null, as the row path) *)
 let vec_filter_kernel (bindings : Exec.binding list)
-    (cols : Batch.column array) (e : A.expr) : kernel option =
-  match compile_vec bindings cols e with
+    (col : int -> Batch.column) (e : A.expr) : kernel option =
+  match compile_vec bindings col e with
   | Some (TBool, vk) ->
       Some
         (fun sel ->
@@ -775,223 +888,494 @@ let vec_filter_kernel (bindings : Exec.binding list)
           if !k = n then sel else Array.sub out 0 !k)
   | _ -> None
 
-(* compile one WHERE conjunct to a kernel: a typed no-box kernel when
-   the shape and column representation allow, a compiled-closure test
-   otherwise *)
-let compile_conjunct (bindings : Exec.binding list)
-    (cols : Batch.column array) (e : A.expr) : kernel =
-  let col q c = cols.(Exec.find_binding bindings q c) in
-  let special =
-    match e with
-    | A.Bin (op, A.Col (q, c), A.Lit l) -> cmp_kernel (col q c) op l
-    | A.Bin (op, A.Lit l, A.Col (q, c)) -> cmp_kernel (col q c) (flip_op op) l
-    | A.Between (A.Col (q, c), A.Lit lo, A.Lit hi) -> (
-        (* staging as two kernels is safe only when both comparisons are
-           guaranteed non-raising, which is what cmp_kernel certifies *)
-        let cc = col q c in
-        match (cmp_kernel cc A.Ge lo, cmp_kernel cc A.Le hi) with
-        | Some klo, Some khi -> Some (fun sel -> khi (klo sel))
-        | _ -> None)
-    | A.In (A.Col (q, c), es)
-      when List.for_all (function A.Lit _ -> true | _ -> false) es ->
-        in_kernel (col q c)
-          (List.filter_map (function A.Lit l -> Some l | _ -> None) es)
-    | A.Like (A.Col (q, c), A.Lit (A.Str pat)) -> (
-        let cc = col q c in
-        match cc.Batch.data with
-        | Batch.DStr a ->
-            let matcher = Exec.compile_like pat in
-            Some
-              (fun sel ->
-                filter_sel sel (fun i ->
-                    (not (Batch.is_null cc i)) && matcher a.(i)))
-        | _ -> None)
-    | _ -> None
-  in
-  match special with
-  | Some k -> k
-  | None -> (
-      (* batch expression evaluation: whole-column kernels when every
-         node of the conjunct is a non-raising typed operation *)
-      match vec_filter_kernel bindings cols e with
-      | Some k -> k
-      | None ->
-          let ce = compile_expr bindings cols e in
-          fun sel -> filter_sel sel (fun i -> Value.is_true (ce i)))
+(* compile one WHERE conjunct (or a join residual) to a kernel: a typed
+   no-box kernel when the shape and column representation allow, a
+   compiled-closure test otherwise. Stage one compiles the closure, so
+   every shape check happens there. *)
+let compile_conjunct (sc : scope) (e : A.expr) : data -> kernel =
+  let ce = compile_expr sc e in
+  fun d ->
+    let col q c = d.col (Exec.find_binding sc.bindings q c) in
+    let special =
+      match e with
+      | A.Bin (op, A.Col (q, c), A.Lit l) -> cmp_kernel (col q c) op l
+      | A.Bin (op, A.Lit l, A.Col (q, c)) -> cmp_kernel (col q c) (flip_op op) l
+      | A.Between (A.Col (q, c), A.Lit lo, A.Lit hi) -> (
+          (* staging as two kernels is safe only when both comparisons are
+             guaranteed non-raising, which is what cmp_kernel certifies *)
+          let cc = col q c in
+          match (cmp_kernel cc A.Ge lo, cmp_kernel cc A.Le hi) with
+          | Some klo, Some khi -> Some (fun sel -> khi (klo sel))
+          | _ -> None)
+      | A.In (A.Col (q, c), es)
+        when List.for_all (function A.Lit _ -> true | _ -> false) es ->
+          in_kernel (col q c)
+            (List.filter_map (function A.Lit l -> Some l | _ -> None) es)
+      | A.Like (A.Col (q, c), A.Lit (A.Str pat)) -> (
+          let cc = col q c in
+          match cc.Batch.data with
+          | Batch.DStr a ->
+              let matcher = Exec.compile_like pat in
+              Some
+                (fun sel ->
+                  filter_sel sel (fun i ->
+                      (not (Batch.is_null cc i)) && matcher a.(i)))
+          | _ -> None)
+      | _ -> None
+    in
+    match special with
+    | Some k -> k
+    | None -> (
+        (* batch expression evaluation: whole-column kernels when every
+           node of the conjunct is a non-raising typed operation *)
+        match (vec_filter_kernel sc.bindings d.col e, e) with
+        | Some k, _ -> k
+        | None, A.Bin (op, A.Col (qa, ca), A.Col (qb, cb))
+          when cmp_test op <> None ->
+            (* column against column on any representation (calendar
+               values, say): compare3 directly, the comparison the row
+               path's cmp_bool makes, without boxing its verdict *)
+            let test = Option.get (cmp_test op) in
+            let a = col qa ca and b = col qb cb in
+            fun sel ->
+              filter_sel sel (fun i ->
+                  match
+                    Value.compare3 (Batch.value_at a i) (Batch.value_at b i)
+                  with
+                  | Some c -> test c
+                  | None -> false)
+        | None, _ ->
+            let ce = ce d in
+            fun sel -> filter_sel sel (fun i -> Value.is_true (ce i)))
 
 (* ------------------------------------------------------------------ *)
-(* Aggregate compilation                                               *)
+(* Aggregates                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* A running aggregate: after [add]ing values in order, [get] returns
+   what {!Exec.apply_agg} returns on that list. count/sum/avg/min/max
+   stream in constant space with apply_agg's exact arithmetic (sum keeps
+   the all-int flag beside an int64 and a left-folded float; min/max
+   keep the earlier value on compare_total ties). Every other aggregate
+   collects its values and calls apply_agg itself, so the long tail
+   shares one implementation. Hash aggregation and window frames both
+   fold through these. *)
+type acc = {
+  add : Value.t -> unit;
+  get : unit -> Value.t;
+  clear : unit -> unit;
+}
+
+let to_float0 v = match Value.to_float v with Some f -> f | None -> 0.0
+
+let make_acc (name : string) : acc =
+  match String.lowercase_ascii name with
+  | "count" ->
+      let n = ref 0 in
+      {
+        add = (fun v -> if not (Value.is_null v) then incr n);
+        get = (fun () -> Value.Int (Int64.of_int !n));
+        clear = (fun () -> n := 0);
+      }
+  | "sum" ->
+      let any = ref false and all_int = ref true in
+      let isum = ref 0L and fsum = ref 0.0 in
+      {
+        add =
+          (function
+          | Value.Null -> ()
+          | Value.Int x ->
+              any := true;
+              isum := Int64.add !isum x;
+              fsum := !fsum +. Int64.to_float x
+          | v ->
+              any := true;
+              all_int := false;
+              fsum := !fsum +. to_float0 v);
+        get =
+          (fun () ->
+            if not !any then Value.Null
+            else if !all_int then Value.Int !isum
+            else Value.Float !fsum);
+        clear =
+          (fun () ->
+            any := false;
+            all_int := true;
+            isum := 0L;
+            fsum := 0.0);
+      }
+  | "avg" ->
+      let n = ref 0 and fsum = ref 0.0 in
+      {
+        add =
+          (fun v ->
+            if not (Value.is_null v) then begin
+              incr n;
+              fsum := !fsum +. to_float0 v
+            end);
+        get =
+          (fun () ->
+            if !n = 0 then Value.Null
+            else Value.Float (!fsum /. float_of_int !n));
+        clear =
+          (fun () ->
+            n := 0;
+            fsum := 0.0);
+      }
+  | ("min" | "max") as m ->
+      let is_min = m = "min" in
+      let wins c = if is_min then c < 0 else c > 0 in
+      let best = ref Value.Null in
+      {
+        add =
+          (fun v ->
+            if not (Value.is_null v) then
+              match !best with
+              | Value.Null -> best := v
+              | b -> if wins (Value.compare_total v b) then best := v);
+        get = (fun () -> !best);
+        clear = (fun () -> best := Value.Null);
+      }
+  | _ ->
+      let vals = ref [] in
+      {
+        add = (fun v -> vals := v :: !vals);
+        get = (fun () -> Exec.apply_agg name false (List.rev !vals));
+        clear = (fun () -> vals := []);
+      }
 
 (* a compiled aggregate-context expression: evaluate over one group's
-   base-batch row indices (in row order) *)
+   source row indices (in row order) *)
 type caggexpr = int array -> Value.t
 
-(* streaming accumulators for the hot aggregates, replicating
-   {!Exec.apply_agg} exactly: sum tracks the all-int flag alongside an
-   int64 and a left-folded float accumulator; min/max fold with
-   compare_total keeping the earlier value on ties; count counts
-   non-nulls. Everything else collects the values and calls apply_agg
-   itself, so the long tail shares one implementation. *)
-let streaming_agg (name : string) (ce : cexpr) : caggexpr option =
-  match name with
-  | "count" ->
+(* count/sum/avg/min/max of a plain int64 or float column: the folds of
+   [make_acc] as loops over the payload, boxing only the result. On
+   these representations compare_total is Int64.compare and
+   Float.compare, and sum's all-int flag is fixed by the column. *)
+let typed_agg (name : string) (c : Batch.column) : caggexpr option =
+  let null i = Batch.is_null c i in
+  (* [wins i b]: row i replaces the best row b so far (strictly, so
+     the earlier row is kept on ties) *)
+  let extreme (wins : int -> int -> bool) (box : int -> Value.t) : caggexpr =
+   fun g ->
+    let best = ref (-1) in
+    for t = 0 to Array.length g - 1 do
+      let i = Array.unsafe_get g t in
+      if (not (null i)) && (!best < 0 || wins i !best) then best := i
+    done;
+    if !best < 0 then Value.Null else box !best
+  in
+  match (String.lowercase_ascii name, c.Batch.data) with
+  | "count", (Batch.DInt _ | Batch.DFloat _) ->
       Some
         (fun g ->
           let n = ref 0 in
-          Array.iter (fun i -> if not (Value.is_null (ce i)) then incr n) g;
+          for t = 0 to Array.length g - 1 do
+            if not (null (Array.unsafe_get g t)) then incr n
+          done;
           Value.Int (Int64.of_int !n))
-  | "sum" ->
+  | "sum", Batch.DInt a ->
       Some
         (fun g ->
-          let any = ref false and all_int = ref true in
-          let isum = ref 0L and fsum = ref 0.0 in
-          Array.iter
-            (fun i ->
-              match ce i with
-              | Value.Null -> ()
-              | Value.Int x ->
-                  any := true;
-                  isum := Int64.add !isum x;
-                  fsum := !fsum +. Int64.to_float x
-              | v ->
-                  any := true;
-                  all_int := false;
-                  fsum :=
-                    !fsum
-                    +. (match Value.to_float v with Some f -> f | None -> 0.0))
-            g;
-          if not !any then Value.Null
-          else if !all_int then Value.Int !isum
-          else Value.Float !fsum)
-  | "avg" ->
+          let any = ref false and sum = ref 0L in
+          for t = 0 to Array.length g - 1 do
+            let i = Array.unsafe_get g t in
+            if not (null i) then begin
+              any := true;
+              sum := Int64.add !sum a.(i)
+            end
+          done;
+          if !any then Value.Int !sum else Value.Null)
+  | "sum", Batch.DFloat a ->
       Some
         (fun g ->
-          let n = ref 0 and fsum = ref 0.0 in
-          Array.iter
-            (fun i ->
-              match ce i with
-              | Value.Null -> ()
-              | v ->
-                  incr n;
-                  fsum :=
-                    !fsum
-                    +. (match Value.to_float v with Some f -> f | None -> 0.0))
-            g;
-          if !n = 0 then Value.Null
-          else Value.Float (!fsum /. float_of_int !n))
-  | "min" ->
+          let any = ref false and sum = ref 0.0 in
+          for t = 0 to Array.length g - 1 do
+            let i = Array.unsafe_get g t in
+            if not (null i) then begin
+              any := true;
+              sum := !sum +. a.(i)
+            end
+          done;
+          if !any then Value.Float !sum else Value.Null)
+  | "avg", (Batch.DInt _ | Batch.DFloat _) ->
+      let get =
+        match c.Batch.data with
+        | Batch.DInt a -> fun i -> Int64.to_float a.(i)
+        | Batch.DFloat a -> fun i -> a.(i)
+        | _ -> fun _ -> 0.0
+      in
       Some
         (fun g ->
-          let acc = ref Value.Null in
-          Array.iter
-            (fun i ->
-              let v = ce i in
-              if not (Value.is_null v) then
-                match !acc with
-                | Value.Null -> acc := v
-                | a -> if Value.compare_total v a < 0 then acc := v)
-            g;
-          !acc)
-  | "max" ->
+          let n = ref 0 and sum = ref 0.0 in
+          for t = 0 to Array.length g - 1 do
+            let i = Array.unsafe_get g t in
+            if not (null i) then begin
+              incr n;
+              sum := !sum +. get i
+            end
+          done;
+          if !n = 0 then Value.Null else Value.Float (!sum /. float_of_int !n))
+  | ("min" | "max") as m, Batch.DInt a ->
+      let sign = if m = "min" then -1 else 1 in
       Some
-        (fun g ->
-          let acc = ref Value.Null in
-          Array.iter
-            (fun i ->
-              let v = ce i in
-              if not (Value.is_null v) then
-                match !acc with
-                | Value.Null -> acc := v
-                | a -> if Value.compare_total v a > 0 then acc := v)
-            g;
-          !acc)
+        (extreme
+           (fun i b -> Int64.compare a.(i) a.(b) * sign > 0)
+           (fun b -> Value.Int a.(b)))
+  | ("min" | "max") as m, Batch.DFloat a ->
+      let sign = if m = "min" then -1 else 1 in
+      Some
+        (extreme
+           (fun i b -> Float.compare a.(i) a.(b) * sign > 0)
+           (fun b -> Value.Float a.(b)))
   | _ -> None
 
 (* mirror of {!Exec.eval_agg_expr} over compiled closures; the Bin/Un
    arms rebuild the two-literal expression and hand it to the row
    path's own evaluator, so its coercion quirks (Date/Time/Timestamp
    flattening through lit_of) are inherited, not re-implemented *)
-let rec compile_agg_expr (bindings : Exec.binding list)
-    (cols : Batch.column array) (e : A.expr) : caggexpr =
-  let comp e = compile_agg_expr bindings cols e in
+let rec compile_agg_expr (sc : scope) (e : A.expr) : data -> caggexpr =
+  let comp e = compile_agg_expr sc e in
   match e with
   | A.Agg { agg_name; distinct; args } -> (
       match args with
-      | [ A.Star ] | [] -> fun g -> Value.Int (Int64.of_int (Array.length g))
+      | [ A.Star ] | [] -> fun _ g -> Value.Int (Int64.of_int (Array.length g))
       | [ arg ] -> (
-          let ce = compile_expr bindings cols arg in
-          let stream =
-            if distinct then None
-            else streaming_agg (String.lowercase_ascii agg_name) ce
+          let ce = compile_expr sc arg in
+          let plain =
+            match arg with
+            | A.Col (q, c) when not distinct ->
+                Some (Exec.find_binding sc.bindings q c)
+            | _ -> None
           in
-          match stream with
-          | Some f -> f
-          | None ->
-              fun g ->
-                Exec.apply_agg agg_name distinct
-                  (Array.to_list (Array.map ce g)))
+          fun d ->
+            match Option.bind plain (fun j -> typed_agg agg_name (d.col j)) with
+            | Some f -> f
+            | None when distinct ->
+                let ce = ce d in
+                fun g ->
+                  Exec.apply_agg agg_name true (Array.to_list (Array.map ce g))
+            | None ->
+                let ce = ce d and acc = make_acc agg_name in
+                fun g ->
+                  acc.clear ();
+                  Array.iter (fun i -> acc.add (ce i)) g;
+                  acc.get ())
       | _ -> raise Fallback)
   | A.Bin (op, a, b) ->
       let ca = comp a and cb = comp b in
-      fun g ->
-        let va = ca g in
-        let vb = cb g in
-        Exec.eval_expr (empty_ctx ()) [||] 0
-          (A.Bin (op, A.Lit (Exec.lit_of va), A.Lit (Exec.lit_of vb)))
+      fun d ->
+        let ca = ca d and cb = cb d in
+        fun g ->
+          let va = ca g in
+          let vb = cb g in
+          Exec.eval_expr (empty_ctx ()) [||] 0
+            (A.Bin (op, A.Lit (Exec.lit_of va), A.Lit (Exec.lit_of vb)))
   | A.Un (op, a) ->
       let ca = comp a in
-      fun g ->
-        Exec.eval_expr (empty_ctx ()) [||] 0
-          (A.Un (op, A.Lit (Exec.lit_of (ca g))))
+      fun d ->
+        let ca = ca d in
+        fun g ->
+          Exec.eval_expr (empty_ctx ()) [||] 0
+            (A.Un (op, A.Lit (Exec.lit_of (ca g))))
   | A.Cast (a, ty) ->
       let ca = comp a in
-      fun g -> Value.cast ty (ca g)
+      fun d ->
+        let ca = ca d in
+        fun g -> Value.cast ty (ca g)
   | A.Fun (f, args) when Exec.expr_has_agg e ->
       let cargs = List.map comp args in
-      fun g -> Exec.scalar_fun f (List.map (fun ca -> ca g) cargs)
+      fun d ->
+        let cargs = List.map (fun ca -> ca d) cargs in
+        fun g -> Exec.scalar_fun f (List.map (fun ca -> ca g) cargs)
   | A.IsNull a when Exec.expr_has_agg e ->
       let ca = comp a in
-      fun g -> Value.Bool (Value.is_null (ca g))
+      fun d ->
+        let ca = ca d in
+        fun g -> Value.Bool (Value.is_null (ca g))
   | A.IsNotNull a when Exec.expr_has_agg e ->
       let ca = comp a in
-      fun g -> Value.Bool (not (Value.is_null (ca g)))
+      fun d ->
+        let ca = ca d in
+        fun g -> Value.Bool (not (Value.is_null (ca g)))
   | A.Case (branches, else_) when Exec.expr_has_agg e ->
       let cbs = List.map (fun (c, r) -> (comp c, comp r)) branches in
       let celse = Option.map comp else_ in
-      fun g ->
-        let rec go = function
-          | [] -> ( match celse with Some ce -> ce g | None -> Value.Null)
-          | (cc, cr) :: rest -> if Value.is_true (cc g) then cr g else go rest
-        in
-        go cbs
+      fun d ->
+        let cbs = List.map (fun (c, r) -> (c d, r d)) cbs in
+        let celse = Option.map (fun ce -> ce d) celse in
+        fun g ->
+          let rec go = function
+            | [] -> ( match celse with Some ce -> ce g | None -> Value.Null)
+            | (cc, cr) :: rest ->
+                if Value.is_true (cc g) then cr g else go rest
+          in
+          go cbs
   | A.Between (a, lo, hi) when Exec.expr_has_agg e ->
       let ca = comp a and clo = comp lo and chi = comp hi in
-      fun g ->
-        let v = ca g in
-        let vlo = clo g in
-        let vhi = chi g in
-        Value.and3
-          (Exec.cmp_bool v vlo (fun c -> c >= 0))
-          (Exec.cmp_bool v vhi (fun c -> c <= 0))
+      fun d ->
+        let ca = ca d and clo = clo d and chi = chi d in
+        fun g ->
+          let v = ca g in
+          let vlo = clo g in
+          let vhi = chi g in
+          Value.and3
+            (Exec.cmp_bool v vlo (fun c -> c >= 0))
+            (Exec.cmp_bool v vhi (fun c -> c <= 0))
   | (A.In _ | A.Like _) when Exec.expr_has_agg e ->
       (* row path: feature_not_supported, raised per evaluated group *)
       raise Fallback
   | e ->
-      let ce = compile_expr bindings cols e in
-      fun g ->
-        if Array.length g = 0 then (
-          try Exec.eval_expr (empty_ctx ()) [||] 0 e with _ -> Value.Null)
-        else ce g.(0)
+      let ce = compile_expr sc e in
+      fun d ->
+        let ce = ce d in
+        fun g ->
+          if Array.length g = 0 then (
+            try Exec.eval_expr (empty_ctx ()) [||] 0 e with _ -> Value.Null)
+          else ce g.(0)
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline                                                            *)
+(* Grouping and partitioning keys                                      *)
 (* ------------------------------------------------------------------ *)
 
-type outcome = {
-  vr_result : Exec.result;
-  vr_plan : Opstats.node option; (* operator tree, when collect was on *)
-}
+module StrTbl = Hashtbl.Make (String)
+module IntTbl = Hashtbl.Make (Int64)
+module FloatTbl = Hashtbl.Make (Float)
+
+(* a hashable PARTITION BY value, equal exactly when compare_total calls
+   two values of one kind (constructor) equal. gkey compares numbers
+   through float, which would merge distinct int64s beyond 2^53
+   (nanosecond timestamps), so those keep their payload. *)
+type pkey = PG of Exec.gkey | PBig of int64
+
+(* a PARTITION BY key position holding values of two kinds, where
+   compare_total may raise (text against a number) or stop being an
+   equivalence: the row path's own partitioning must decide *)
+exception Mixed_keys
+
+let kind_of : Value.t -> int = function
+  | Value.Null -> -1
+  | Value.Bool _ -> 0
+  | Value.Int _ -> 1
+  | Value.Float _ -> 2
+  | Value.Str _ -> 3
+  | Value.Date _ -> 4
+  | Value.Time _ -> 5
+  | Value.Timestamp _ -> 6
+
+let pkey_of (v : Value.t) : pkey =
+  match v with
+  | (Value.Int x | Value.Timestamp x)
+    when Int64.compare x 9007199254740992L > 0
+         || Int64.compare x (-9007199254740992L) < 0 ->
+      PBig x
+  | v -> PG (Exec.gkey_of v)
+
+(* The key of row i as a dense id, ids handed out in first-encounter
+   order. For GROUP BY ([~partition:false]) rows share an id exactly
+   when Exec.gkey_of maps their keys alike, the row path's grouping;
+   for a window's PARTITION BY, when compare_total calls them equal
+   ([pkey]). One plain int, float or text column hashes its payload
+   under that equivalence — text by string, floats with Float.equal
+   (merging NaNs and -0.0/0.0 as both do), ints by float value for
+   grouping and exactly for partitions — with NULLs one id; anything
+   else hashes the key list, and for partitions raises [Mixed_keys] when
+   a key position meets a second kind. *)
+let key_slots ~(partition : bool) (keys : cexpr list)
+    (col : Batch.column option) : int -> int =
+  let next = ref 0 in
+  let fresh () =
+    let g = !next in
+    incr next;
+    g
+  in
+  let null_id = ref (-1) in
+  let typed (type k) (module T : Hashtbl.S with type key = k) (c : Batch.column)
+      (get : int -> k) : int -> int =
+    let tbl = T.create 64 in
+    fun i ->
+      if Batch.is_null c i then begin
+        if !null_id < 0 then null_id := fresh ();
+        !null_id
+      end
+      else
+        let k = get i in
+        match T.find_opt tbl k with
+        | Some g -> g
+        | None ->
+            let g = fresh () in
+            T.add tbl k g;
+            g
+  in
+  match col with
+  | Some ({ Batch.data = Batch.DStr a; _ } as c) ->
+      typed (module StrTbl) c (fun i -> a.(i))
+  | Some ({ Batch.data = Batch.DInt a; _ } as c) ->
+      if partition then typed (module IntTbl) c (fun i -> a.(i))
+      else typed (module FloatTbl) c (fun i -> Int64.to_float a.(i))
+  | Some ({ Batch.data = Batch.DFloat a; _ } as c) ->
+      typed (module FloatTbl) c (fun i -> a.(i))
+  | _ ->
+      let tbl : (pkey list, int) Hashtbl.t = Hashtbl.create 64 in
+      let kinds = Array.make (List.length keys) (-1) in
+      let key pos v =
+        if partition then begin
+          let k = kind_of v in
+          if k >= 0 then
+            if kinds.(pos) < 0 then kinds.(pos) <- k
+            else if kinds.(pos) <> k then raise Mixed_keys;
+          pkey_of v
+        end
+        else PG (Exec.gkey_of v)
+      in
+      fun i ->
+        let k = List.mapi (fun pos ce -> key pos (ce i)) keys in
+        match Hashtbl.find_opt tbl k with
+        | Some g -> g
+        | None ->
+            let g = fresh () in
+            Hashtbl.add tbl k g;
+            g
+
+(* the row path's partitioning (Exec.compute_window), for keys of mixed
+   kinds: each row searches the partitions met so far, most recent
+   first, with compare_total *)
+let compare_partitions (cpart : cexpr list) (sel : Batch.sel) :
+    int array list =
+  let parts = ref [] in
+  Array.iter
+    (fun i ->
+      let key = List.map (fun c -> c i) cpart in
+      match
+        List.find_opt
+          (fun (k, _) ->
+            List.for_all2 (fun a b -> Value.compare_total a b = 0) k key)
+          !parts
+      with
+      | Some (_, l) -> l := i :: !l
+      | None -> parts := (key, ref [ i ]) :: !parts)
+    sel;
+  List.rev_map (fun (_, l) -> Array.of_list (List.rev !l)) !parts
+
+(* the rows of [sel] split by group id, groups in id order, rows
+   ascending within each *)
+let split_groups (sel : Batch.sel) (slot : int -> int) : int array list =
+  let gids = Array.map slot sel in
+  let ng = Array.fold_left (fun m g -> Stdlib.max m (g + 1)) 0 gids in
+  let sizes = Array.make ng 0 in
+  Array.iter (fun g -> sizes.(g) <- sizes.(g) + 1) gids;
+  let groups = Array.map (fun k -> Array.make k 0) sizes in
+  let fill = Array.make ng 0 in
+  Array.iteri
+    (fun t g ->
+      groups.(g).(fill.(g)) <- sel.(t);
+      fill.(g) <- fill.(g) + 1)
+    gids;
+  Array.to_list groups
+
+(* ------------------------------------------------------------------ *)
+(* Ordering                                                            *)
+(* ------------------------------------------------------------------ *)
 
 (* the ORDER BY comparator, verbatim from the row path *)
 let order_cmp (order_by : (A.expr * A.direction) list) (k1 : Value.t list)
@@ -1007,9 +1391,302 @@ let order_cmp (order_by : (A.expr * A.direction) list) (k1 : Value.t list)
   in
   go k1 k2 order_by
 
+(* whether every key position holds values of one kind, NULLs aside.
+   compare_total is then a total preorder that never raises, so every
+   stable sort yields the row path's order. Mixed kinds (text against a
+   number raises; ints against floats lose transitivity beyond 2^53)
+   replay the row path's own sort instead, comparison for comparison. *)
+let uniform_keys (keys : Value.t list array) : bool =
+  Array.length keys = 0
+  ||
+  let kinds = Array.make (List.length keys.(0)) (-1) in
+  Array.for_all
+    (List.for_all2
+       (fun p v ->
+         let k = kind_of v in
+         if k >= 0 && kinds.(p) < 0 then kinds.(p) <- k;
+         k < 0 || kinds.(p) = k)
+       (List.init (Array.length kinds) Fun.id))
+    keys
+
+(* positions [0, n) stably sorted by [cmp] *)
+let stable_positions (cmp : int -> int -> int) (n : int) : int array =
+  let perm = Array.init n Fun.id in
+  Array.stable_sort cmp perm;
+  perm
+
+(* the first [k] positions of the stable sort of [0, n) by [cmp], in
+   order, without sorting the rest: a buffer kept sorted by insertion.
+   A position enters only if it sorts strictly before the buffer's last
+   entry, and lands after its equals, which is where a stable sort puts
+   a later position. *)
+let top_positions (cmp : int -> int -> int) (n : int) (k : int) : int array =
+  if k = 0 then [||]
+  else begin
+    let buf = Array.make k 0 in
+    let len = ref 0 in
+    for p = 0 to n - 1 do
+      if !len < k || cmp p buf.(k - 1) < 0 then begin
+        let j = ref (if !len < k then !len else k - 1) in
+        while !j > 0 && cmp p buf.(!j - 1) < 0 do
+          buf.(!j) <- buf.(!j - 1);
+          decr j
+        done;
+        buf.(!j) <- p;
+        if !len < k then incr len
+      end
+    done;
+    Array.sub buf 0 !len
+  end
+
 (* ------------------------------------------------------------------ *)
-(* FROM planning: base tables and vectorized hash joins                *)
+(* Window operator                                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* A window function is computed over the rows that survived WHERE.
+   Partitions are the hash classes of the PARTITION BY values, in
+   first-encounter order. Each partition is sorted stably by the ORDER
+   BY keys, which is {!Exec.compute_window}'s comparator: its tie-break
+   on the original row index is what stability gives. The function then
+   fills a source-row-indexed result array that compile_expr's Window
+   arm reads. *)
+
+(* evaluate a window function over one sorted partition: [sorted] holds
+   its source rows in window order and [keys] their ORDER BY values;
+   results go to [out] at each row's source index *)
+type wfill = int array -> Value.t list array -> Value.t array -> unit
+
+(* Stage one of a window: the function, its arguments, partition and
+   order expressions. Stage two maps the surviving rows to the result
+   array over all [nrows] source rows. *)
+let plan_window (sc : scope) (w : A.expr) :
+    string * (data -> Batch.sel -> int -> Value.t array) =
+  match w with
+  | A.Window { win_fn; win_args; partition; order; frame } ->
+      (* window arguments see no window results, as in the row path *)
+      let sc = { sc with windows = [] } in
+      let fn = String.lowercase_ascii win_fn in
+      let cpart = List.map (compile_expr sc) partition in
+      let plain_part =
+        match partition with
+        | [ A.Col (q, c) ] -> Some (Exec.find_binding sc.bindings q c)
+        | _ -> None
+      in
+      let cord = List.map (fun (e, _) -> compile_expr sc e) order in
+      (* the row path's frame bounds, positions within the partition *)
+      let bounds m pos =
+        match frame with
+        | None -> if order = [] then (0, m - 1) else (0, pos)
+        | Some { A.lo; hi; _ } ->
+            let b = function
+              | A.UnboundedPreceding -> 0
+              | A.Preceding k -> Stdlib.max 0 (pos - k)
+              | A.CurrentRow -> pos
+              | A.Following k -> Stdlib.min (m - 1) (pos + k)
+              | A.UnboundedFollowing -> m - 1
+            in
+            (b lo, b hi)
+      in
+      (* the first argument, compiled only by the functions that read it *)
+      let arg () =
+        match win_args with
+        | [] -> fun _ _ -> Value.Null
+        | a :: _ -> compile_expr sc a
+      in
+      let fill : data -> wfill =
+        match fn with
+        | "row_number" ->
+            fun _ sorted _ out ->
+              Array.iteri
+                (fun pos i -> out.(i) <- Value.Int (Int64.of_int (pos + 1)))
+                sorted
+        | "rank" | "dense_rank" ->
+            let dense = fn = "dense_rank" in
+            fun _ sorted keys out ->
+              let rank = ref 0 and drank = ref 0 and prev = ref None in
+              Array.iteri
+                (fun pos i ->
+                  let key = keys.(pos) in
+                  let same =
+                    match !prev with
+                    | Some k ->
+                        List.for_all2
+                          (fun a b -> Value.compare_total a b = 0)
+                          k key
+                    | None -> false
+                  in
+                  if not same then begin
+                    rank := pos + 1;
+                    incr drank;
+                    prev := Some key
+                  end;
+                  out.(i) <-
+                    Value.Int (Int64.of_int (if dense then !drank else !rank)))
+                sorted
+        | "lag" | "lead" ->
+            let ca = arg () in
+            let offset =
+              match win_args with
+              | _ :: A.Lit (A.Int k) :: _ -> Int64.to_int k
+              | _ -> 1
+            in
+            let cdefault =
+              match win_args with
+              | [ _; _; dflt ] -> Some (compile_expr sc dflt)
+              | _ -> None
+            in
+            let step = if fn = "lag" then -offset else offset in
+            fun d ->
+              let ca = ca d and cdefault = Option.map (fun c -> c d) cdefault in
+              fun sorted _ out ->
+                let m = Array.length sorted in
+                Array.iteri
+                  (fun pos i ->
+                    let src = pos + step in
+                    out.(i) <-
+                      (if src >= 0 && src < m then ca sorted.(src)
+                       else
+                         match cdefault with
+                         | Some c -> c i
+                         | None -> Value.Null))
+                  sorted
+        | "first_value" | "last_value" ->
+            let ca = arg () in
+            let first = fn = "first_value" in
+            fun d ->
+              let ca = ca d in
+              fun sorted _ out ->
+                let m = Array.length sorted in
+                Array.iteri
+                  (fun pos i ->
+                    let lo, hi = bounds m pos in
+                    out.(i) <- ca sorted.(if first then lo else hi))
+                  sorted
+        | "ntile" ->
+            let buckets =
+              match win_args with [ A.Lit (A.Int k) ] -> Int64.to_int k | _ -> 1
+            in
+            fun _ sorted _ out ->
+              let m = Array.length sorted in
+              Array.iteri
+                (fun pos i ->
+                  out.(i) <-
+                    Value.Int
+                      (Int64.of_int (1 + (pos * buckets / Stdlib.max 1 m))))
+                sorted
+        | "sum" | "avg" | "min" | "max" | "count" | "stddev" | "first"
+        | "last" ->
+            let value =
+              match win_args with
+              | [] | [ A.Star ] -> fun _ _ -> Value.Int 1L
+              | a :: _ -> compile_expr sc a
+            in
+            let count_rows = fn = "count" && win_args = [] in
+            fun d ->
+              let value = value d in
+              let acc = make_acc fn in
+              fun sorted _ out ->
+                (* [acc] holds the frame [lo0, hi0]: a frame that keeps
+                   its start and does not shrink is extended, anything
+                   else refolds, so running and whole-partition frames
+                   cost one pass and a k-row sliding frame k per row *)
+                let m = Array.length sorted in
+                let lo0 = ref 0 and hi0 = ref (-1) and fresh = ref true in
+                for pos = 0 to m - 1 do
+                  let lo, hi = bounds m pos in
+                  if !fresh || lo <> !lo0 || hi < !hi0 then begin
+                    acc.clear ();
+                    lo0 := lo;
+                    hi0 := lo - 1;
+                    fresh := false
+                  end;
+                  for k = !hi0 + 1 to hi do
+                    acc.add (value sorted.(k))
+                  done;
+                  if hi > !hi0 then hi0 := hi;
+                  out.(sorted.(pos)) <-
+                    (if count_rows then Value.Int (Int64.of_int (hi - lo + 1))
+                     else acc.get ())
+                done
+        | _ -> raise Fallback
+      in
+      ( fn,
+        fun d ->
+          let cpart = List.map (fun c -> c d) cpart in
+          let part_col = Option.map d.col plain_part in
+          let cord = List.map (fun c -> c d) cord in
+          let fill = fill d in
+          fun sel nrows ->
+            let out = Array.make nrows Value.Null in
+            let parts =
+              if partition <> [] then
+                try split_groups sel (key_slots ~partition:true cpart part_col)
+                with Mixed_keys -> compare_partitions cpart sel
+              else if Array.length sel = 0 then []
+              else [ sel ]
+            in
+            List.iter
+              (fun rows ->
+                let keys =
+                  Array.map (fun i -> List.map (fun c -> c i) cord) rows
+                in
+                let m = Array.length rows in
+                let cmp a b = order_cmp order keys.(a) keys.(b) in
+                let perm =
+                  if order = [] then Array.init m Fun.id
+                  else if uniform_keys keys then stable_positions cmp m
+                  else begin
+                    (* Exec.compute_window's sort: Array.sort, ties
+                       broken on the row index *)
+                    let perm = Array.init m Fun.id in
+                    Array.sort
+                      (fun a b ->
+                        let c = cmp a b in
+                        if c <> 0 then c else Stdlib.compare a b)
+                      perm;
+                    perm
+                  end
+                in
+                fill
+                  (Array.map (fun p -> rows.(p)) perm)
+                  (Array.map (fun p -> keys.(p)) perm)
+                  out)
+              parts;
+            out )
+  | _ -> raise Fallback
+
+(* ------------------------------------------------------------------ *)
+(* Sources and hash joins                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A pipeline source: a row count, columns materialized on first use,
+   and [values j idx], column j's values through row indices (-1 is
+   NULL). A base table hands out its stored columns; a join or a derived
+   table gathers a column only when something downstream reads it, so a
+   join against a 513-column table moves the handful of columns the
+   query names (late materialization). [values] composes the index
+   vectors down to the base table and shares its boxed values, so an
+   output column is never boxed twice. *)
+type source = {
+  nrows : int;
+  column : int -> Batch.column;
+  values : int -> int array -> Value.t array;
+}
+
+(* [idx] mapped through [a]; -1 stays -1 *)
+let compose (a : int array) (idx : int array) : int array =
+  Array.map (fun k -> if k < 0 then -1 else Array.unsafe_get a k) idx
+
+let memo_columns (width : int) (make : int -> Batch.column) :
+    int -> Batch.column =
+  let cache = Array.make width None in
+  fun j ->
+    match cache.(j) with
+    | Some c -> c
+    | None ->
+        let c = make j in
+        cache.(j) <- Some c;
+        c
 
 (* join output accumulator: parallel growable index vectors, probe-side
    and build-side. A build slot of -1 marks a left-outer null pad. *)
@@ -1019,7 +1696,9 @@ type pair_acc = {
   mutable pa_n : int;
 }
 
-let pair_acc () = { pa_l = Array.make 256 0; pa_r = Array.make 256 0; pa_n = 0 }
+let pair_acc (cap : int) =
+  let cap = Stdlib.max 16 cap in
+  { pa_l = Array.make cap 0; pa_r = Array.make cap 0; pa_n = 0 }
 
 let pair_emit (p : pair_acc) (i : int) (j : int) =
   if p.pa_n = Array.length p.pa_l then begin
@@ -1034,84 +1713,73 @@ let pair_emit (p : pair_acc) (i : int) (j : int) =
   p.pa_r.(p.pa_n) <- j;
   p.pa_n <- p.pa_n + 1
 
-(* Vectorized hash join over two batches on extracted equality pairs
-   [(left col, right col, null_safe)]: build on the right, probe with
-   the left in row order, exactly the row path's [Exec.eval_join] hash
-   branch. Buckets hold right-row indices in ascending order (the row
-   path prepends then reverses); a plain (non-null-safe) key never
-   matches NULL on either side, a null-safe key treats NULL as a value.
-   Key equality is the row path's: equality of the displayed key tuple
-   — the typed single-key fast paths below are exact refinements
-   (distinct int64s/strings have distinct displays). *)
-let hash_join_idx (l : Batch.t) (r : Batch.t)
-    (equi : (int * int * bool) list) ~(left_outer : bool) :
+let pair_result (p : pair_acc) : int array * int array =
+  (Array.sub p.pa_l 0 p.pa_n, Array.sub p.pa_r 0 p.pa_n)
+
+(* Vectorized hash join on equality key columns [(left, right,
+   null_safe)]: build on the right, probe with the left in row order,
+   exactly the row path's [Exec.eval_join] hash branch. Each bucket is an
+   array of right-row indices in ascending order (the row path prepends
+   then reverses); a plain (non-null-safe) key never matches NULL on
+   either side, a null-safe key treats NULL as a value. Key equality is
+   the row path's: equality of the displayed key tuple — the typed
+   single-key fast paths below are exact refinements (distinct
+   int64s/strings have distinct displays). *)
+let hash_join_idx ~(lrows : int) ~(rrows : int)
+    (keys : (Batch.column * Batch.column * bool) list) ~(left_outer : bool) :
     int array * int array =
-  let out = pair_acc () in
-  (match equi with
-  | [ (li, ri, null_safe) ]
-    when (match (l.Batch.cols.(li).Batch.data, r.Batch.cols.(ri).Batch.data) with
+  let out = pair_acc lrows in
+  let probe (matches : int -> int array) =
+    for i = 0 to lrows - 1 do
+      let js = matches i in
+      let m = Array.length js in
+      if m = 0 then begin if left_outer then pair_emit out i (-1) end
+      else
+        for t = 0 to m - 1 do
+          pair_emit out i (Array.unsafe_get js t)
+        done
+    done
+  in
+  (* bucket lists (descending, as built) become ascending arrays *)
+  let bucket (l : int list ref) = Array.of_list (List.rev !l) in
+  (match keys with
+  | [ (lc, rc, null_safe) ]
+    when (match (lc.Batch.data, rc.Batch.data) with
          | Batch.DInt _, Batch.DInt _ | Batch.DStr _, Batch.DStr _ -> true
          | _ -> false) ->
-      (* single typed key: hash the unboxed payloads directly *)
-      let lc = l.Batch.cols.(li) and rc = r.Batch.cols.(ri) in
-      let null_bucket : int list ref = ref [] in
-      let probe_bucket find =
-        for i = 0 to l.Batch.nrows - 1 do
-          let matches =
-            if Batch.is_null lc i then
-              if null_safe then List.rev !null_bucket else []
-            else find i
-          in
-          match matches with
-          | [] -> if left_outer then pair_emit out i (-1)
-          | js -> List.iter (fun j -> pair_emit out i j) js
-        done
+      (* single typed key: hash the payloads directly *)
+      let nulls = ref [] in
+      let by (type k) (module T : Hashtbl.S with type key = k) (la : k array)
+          (ra : k array) =
+        let tbl = T.create (Stdlib.max 16 rrows) in
+        for j = 0 to rrows - 1 do
+          if Batch.is_null rc j then begin
+            if null_safe then nulls := j :: !nulls
+          end
+          else
+            let k = ra.(j) in
+            match T.find_opt tbl k with
+            | Some l -> l := j :: !l
+            | None -> T.add tbl k (ref [ j ])
+        done;
+        let arrays = T.create (T.length tbl) in
+        T.iter (fun k l -> T.add arrays k (bucket l)) tbl;
+        let null_matches = bucket nulls in
+        probe (fun i ->
+            if Batch.is_null lc i then null_matches
+            else match T.find_opt arrays la.(i) with Some js -> js | None -> [||])
       in
       (match (lc.Batch.data, rc.Batch.data) with
-      | Batch.DInt la, Batch.DInt ra ->
-          let tbl : (int64, int list ref) Hashtbl.t =
-            Hashtbl.create (Stdlib.max 16 r.Batch.nrows)
-          in
-          for j = 0 to r.Batch.nrows - 1 do
-            if Batch.is_null rc j then begin
-              if null_safe then null_bucket := j :: !null_bucket
-            end
-            else
-              let k = Array.unsafe_get ra j in
-              match Hashtbl.find_opt tbl k with
-              | Some lst -> lst := j :: !lst
-              | None -> Hashtbl.add tbl k (ref [ j ])
-          done;
-          probe_bucket (fun i ->
-              match Hashtbl.find_opt tbl (Array.unsafe_get la i) with
-              | Some lst -> List.rev !lst
-              | None -> [])
-      | Batch.DStr la, Batch.DStr ra ->
-          let tbl : (string, int list ref) Hashtbl.t =
-            Hashtbl.create (Stdlib.max 16 r.Batch.nrows)
-          in
-          for j = 0 to r.Batch.nrows - 1 do
-            if Batch.is_null rc j then begin
-              if null_safe then null_bucket := j :: !null_bucket
-            end
-            else
-              let k = Array.unsafe_get ra j in
-              match Hashtbl.find_opt tbl k with
-              | Some lst -> lst := j :: !lst
-              | None -> Hashtbl.add tbl k (ref [ j ])
-          done;
-          probe_bucket (fun i ->
-              match Hashtbl.find_opt tbl (Array.unsafe_get la i) with
-              | Some lst -> List.rev !lst
-              | None -> [])
+      | Batch.DInt la, Batch.DInt ra -> by (module IntTbl) la ra
+      | Batch.DStr la, Batch.DStr ra -> by (module StrTbl) la ra
       | _ -> assert false)
   | _ ->
       (* general case: display-string key tuple, the row path's own key
          function, so multi-key and float/calendar columns match
          byte-identically *)
-      let lcols = List.map (fun (li, _, _) -> l.Batch.cols.(li)) equi in
-      let rcols = List.map (fun (_, ri, _) -> r.Batch.cols.(ri)) equi in
-      let safes = List.map (fun (_, _, ns) -> ns) equi in
+      let lcols = List.map (fun (lc, _, _) -> lc) keys in
+      let rcols = List.map (fun (_, rc, _) -> rc) keys in
+      let safes = List.map (fun (_, _, ns) -> ns) keys in
       let ok cols i =
         List.for_all2 (fun c ns -> ns || not (Batch.is_null c i)) cols safes
       in
@@ -1119,42 +1787,114 @@ let hash_join_idx (l : Batch.t) (r : Batch.t)
         String.concat "\x00"
           (List.map (fun c -> Value.to_display (Batch.value_at c i)) cols)
       in
-      let tbl : (string, int list ref) Hashtbl.t =
-        Hashtbl.create (Stdlib.max 16 r.Batch.nrows)
-      in
-      for j = 0 to r.Batch.nrows - 1 do
+      let tbl = StrTbl.create (Stdlib.max 16 rrows) in
+      for j = 0 to rrows - 1 do
         if ok rcols j then
           let k = key rcols j in
-          match Hashtbl.find_opt tbl k with
-          | Some lst -> lst := j :: !lst
-          | None -> Hashtbl.add tbl k (ref [ j ])
+          match StrTbl.find_opt tbl k with
+          | Some l -> l := j :: !l
+          | None -> StrTbl.add tbl k (ref [ j ])
       done;
-      for i = 0 to l.Batch.nrows - 1 do
-        let matches =
-          if not (ok lcols i) then []
+      let arrays = StrTbl.create (StrTbl.length tbl) in
+      StrTbl.iter (fun k l -> StrTbl.add arrays k (bucket l)) tbl;
+      probe (fun i ->
+          if not (ok lcols i) then [||]
           else
-            match Hashtbl.find_opt tbl (key lcols i) with
-            | Some lst -> List.rev !lst
-            | None -> []
-        in
-        match matches with
-        | [] -> if left_outer then pair_emit out i (-1)
-        | js -> List.iter (fun j -> pair_emit out i j) js
-      done);
-  (Array.sub out.pa_l 0 out.pa_n, Array.sub out.pa_r 0 out.pa_n)
+            match StrTbl.find_opt arrays (key lcols i) with
+            | Some js -> js
+            | None -> [||]));
+  pair_result out
 
-(* Lower a FROM tree: base tables resolve to their cached batches;
-   INNER/LEFT JOINs whose ON clause is entirely extractable equality
-   conjuncts run the vectorized hash join and materialize the joined
-   batch by gathering both sides' columns through the index pair.
-   Cross joins, ON residuals (non-equi or single-side conjuncts), and
-   subquery/union sources raise [Fallback] — the row interpreter stays
-   authoritative there. Analysis (resolution, equi extraction) happens
-   eagerly so unsupported shapes fall back before any join runs; the
-   returned thunk does the data work. *)
-let rec plan_from ~(resolve : string -> (Exec.binding list * Batch.t) option)
-    ~(collect : bool) (f : A.from_item) :
-    Exec.binding list * string * (unit -> Batch.t * Opstats.node option) =
+(* Keep the candidate pairs [(cl, cr)] (grouped by probe row, ascending)
+   whose residual passed — [pass] holds their positions, ascending —
+   and pad a left-outer probe row none of whose candidates passed: the
+   row path's per-probe-row residual loop. *)
+let residual_pairs ~(lrows : int) ~(left_outer : bool) (cl : int array)
+    (cr : int array) (pass : Batch.sel) : int array * int array =
+  let out = pair_acc (Array.length pass) in
+  let nc = Array.length cl and np = Array.length pass in
+  let k = ref 0 and p = ref 0 in
+  for i = 0 to lrows - 1 do
+    let matched = ref false in
+    while !k < nc && cl.(!k) = i do
+      if !p < np && pass.(!p) = !k then begin
+        pair_emit out i cr.(!k);
+        matched := true;
+        incr p
+      end;
+      incr k
+    done;
+    if left_outer && not !matched then pair_emit out i (-1)
+  done;
+  pair_result out
+
+(* ------------------------------------------------------------------ *)
+(* SELECT planning                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* an output column in output row order: column j of a source read
+   through the final row order, or computed values *)
+type ocol = Through of source * int * int array | Computed of Value.t array
+
+(* the column's values through output-row indices (-1 is NULL) *)
+let ocol_values (oc : ocol) (idx : int array) : Value.t array =
+  match oc with
+  | Through (src, j, rows) -> src.values j (compose rows idx)
+  | Computed v -> Array.map (fun r -> if r < 0 then Value.Null else v.(r)) idx
+
+(* the column as a batch column, when a derived table feeds a pipeline *)
+let ocol_column : ocol -> Batch.column = function
+  | Through (src, j, rows) -> Batch.compact (src.column j) rows
+  | Computed v -> Batch.column_of_values v
+
+(* what a planned SELECT yields when run *)
+type output = {
+  o_nrows : int;
+  o_cols : ocol array;
+  o_types : Catalog.Sqltype.t list;
+  o_plan : Opstats.node option;
+}
+
+(* a planned FROM item: its bindings (a derived table's types are known
+   only once it has run, so [fp_run] returns the typed list), a name
+   for selectivity keys, and the thunk that produces the source *)
+type from_plan = {
+  fp_bindings : Exec.binding list;
+  fp_name : string;
+  fp_run : unit -> source * Exec.binding list * Opstats.node option;
+}
+
+let expand_stars (bindings : Exec.binding list) (projs : A.proj list) :
+    A.proj list =
+  let proj_of (b : Exec.binding) =
+    { A.p_expr = A.Col (b.Exec.b_qual, b.Exec.b_name); p_alias = Some b.Exec.b_name }
+  in
+  List.concat_map
+    (fun p ->
+      match p.A.p_expr with
+      | A.Star -> List.map proj_of bindings
+      | A.Col (Some q, "*") ->
+          List.filter (fun b -> b.Exec.b_qual = Some q) bindings
+          |> List.map proj_of
+      | _ -> [ p ])
+    projs
+
+(* the windows a non-aggregate select computes, deduplicated in order
+   of appearance (the row path's list) *)
+let select_windows (projs : A.proj list) (s : A.select) : A.expr list =
+  List.concat_map (fun p -> Exec.collect_windows p.A.p_expr) projs
+  @ List.concat_map (fun (e, _) -> Exec.collect_windows e) s.A.order_by
+  |> List.fold_left (fun acc w -> if List.mem w acc then acc else w :: acc) []
+  |> List.rev
+
+(* Lower a FROM tree. Base tables resolve to their cached batches;
+   derived tables plan their SELECT with the same lowering and feed its
+   output as a source; INNER/LEFT JOINs hash on the ON clause's equality
+   conjuncts and run any remaining conjuncts as a residual kernel over
+   the candidate pairs. Cross joins, equality-free ON clauses, UNION and
+   views raise [Fallback]. *)
+let rec plan_from ~(resolve : string -> (Exec.binding list * (unit -> Batch.t)) option)
+    ~(collect : bool) (f : A.from_item) : from_plan =
   match f with
   | A.TableRef (name, alias) -> (
       match resolve name with
@@ -1165,18 +1905,64 @@ let rec plan_from ~(resolve : string -> (Exec.binding list * Batch.t) option)
           let bindings =
             List.map (fun b -> { b with Exec.b_qual = qual }) base_bindings
           in
-          ( bindings,
-            name,
-            fun () ->
-              let node =
-                if collect then
-                  let n = batch.Batch.nrows in
-                  Some
-                    (Opstats.make ~op:"vector_scan" ~detail:name ~est_rows:n
-                       ~rows_in:n ~rows_out:n ~self_ns:0L ~children:[])
-                else None
-              in
-              (batch, node) ))
+          {
+            fp_bindings = bindings;
+            fp_name = name;
+            fp_run =
+              (fun () ->
+                let b = batch () in
+                let n = b.Batch.nrows in
+                let node =
+                  if collect then
+                    Some
+                      (Opstats.make ~op:"vector_scan" ~detail:name ~est_rows:n
+                         ~rows_in:n ~rows_out:n ~self_ns:0L ~children:[])
+                  else None
+                in
+                let values j idx =
+                  Array.map
+                    (fun i -> if i < 0 then Value.Null else b.Batch.rows.(i).(j))
+                    idx
+                in
+                ( { nrows = n; column = Array.get b.Batch.cols; values },
+                  bindings,
+                  node ));
+          })
+  | A.SubqueryRef (sel, alias) ->
+      let names, run = plan_select ~resolve ~collect sel in
+      let qualify types =
+        List.map2
+          (fun n ty -> { Exec.b_qual = Some alias; b_name = n; b_type = ty })
+          names types
+      in
+      {
+        fp_bindings = qualify (List.map (fun _ -> None) names);
+        fp_name = alias;
+        fp_run =
+          (fun () ->
+            let o = run () in
+            let node =
+              if collect then
+                Some
+                  (Opstats.make ~op:"vector_subquery" ~detail:alias
+                     ~est_rows:
+                       (match o.o_plan with
+                       | Some p -> p.Opstats.est_rows
+                       | None -> o.o_nrows)
+                     ~rows_in:o.o_nrows ~rows_out:o.o_nrows ~self_ns:0L
+                     ~children:(Option.to_list o.o_plan))
+              else None
+            in
+            ( {
+                nrows = o.o_nrows;
+                column =
+                  memo_columns (Array.length o.o_cols) (fun k ->
+                      ocol_column o.o_cols.(k));
+                values = (fun k idx -> ocol_values o.o_cols.(k) idx);
+              },
+              qualify (List.map Option.some o.o_types),
+              node ));
+      }
   | A.JoinItem { jkind; left; right; on } ->
       let left_outer =
         match jkind with
@@ -1184,15 +1970,17 @@ let rec plan_from ~(resolve : string -> (Exec.binding list * Batch.t) option)
         | `Inner -> false
         | `Cross -> raise Fallback
       in
-      let lb, lname, lrun = plan_from ~resolve ~collect left in
-      let rb, rname, rrun = plan_from ~resolve ~collect right in
-      (* extract equality conjuncts with the row path's exact pattern;
-         anything it would treat as a residual falls back instead *)
-      let equi =
+      let lp = plan_from ~resolve ~collect left in
+      let rp = plan_from ~resolve ~collect right in
+      let lb = lp.fp_bindings and rb = rp.fp_bindings in
+      let nl = List.length lb in
+      let bindings = lb @ rb in
+      (* split the ON conjuncts with the row path's exact pattern *)
+      let equi, residual =
         match on with
         | None -> raise Fallback
         | Some e ->
-            List.map
+            List.partition_map
               (fun conj ->
                 match conj with
                 | A.Bin
@@ -1201,386 +1989,423 @@ let rec plan_from ~(resolve : string -> (Exec.binding list * Batch.t) option)
                       A.Col (qr, cr) ) ->
                     let null_safe = op = A.IsNotDistinctFrom in
                     if Exec.side_of lb ql cl && Exec.side_of rb qr cr then
-                      ( Exec.find_binding lb ql cl,
-                        Exec.find_binding rb qr cr,
-                        null_safe )
+                      Either.Left
+                        ( Exec.find_binding lb ql cl,
+                          Exec.find_binding rb qr cr,
+                          null_safe )
                     else if Exec.side_of lb qr cr && Exec.side_of rb ql cl then
-                      ( Exec.find_binding lb qr cr,
-                        Exec.find_binding rb ql cl,
-                        null_safe )
-                    else raise Fallback
-                | _ -> raise Fallback)
+                      Either.Left
+                        ( Exec.find_binding lb qr cr,
+                          Exec.find_binding rb ql cl,
+                          null_safe )
+                    else Either.Right conj
+                | conj -> Either.Right conj)
               (Exec.conjuncts e)
       in
       if equi = [] then raise Fallback;
-      ( lb @ rb,
-        lname ^ "\xe2\x8b\x88" ^ rname,
-        fun () ->
-          let lbatch, lnode = lrun () in
-          let rbatch, rnode = rrun () in
-          let t0 = if collect then Exec.now_ns () else 0L in
-          let lidx, ridx = hash_join_idx lbatch rbatch equi ~left_outer in
-          let npairs = Array.length lidx in
-          let joined_cols =
-            Array.append
-              (Array.map (fun c -> Batch.gather c lidx) lbatch.Batch.cols)
-              (Array.map (fun c -> Batch.gather c ridx) rbatch.Batch.cols)
-          in
-          let batch = { Batch.nrows = npairs; cols = joined_cols } in
-          let node =
-            if collect then begin
-              let est_of = function
-                | Some n -> n.Opstats.est_rows
-                | None -> 1
-              in
-              (* hash equi-joins estimated as max(inputs), like the row
-                 path's hash_join node *)
-              let est = Stdlib.max (est_of lnode) (est_of rnode) in
-              let kind = if left_outer then "left" else "inner" in
-              Some
-                (Opstats.make ~op:"vector_hash_join"
-                   ~detail:
-                     (Printf.sprintf "%s build=%d probe=%d" kind
-                        rbatch.Batch.nrows lbatch.Batch.nrows)
-                   ~est_rows:est
-                   ~rows_in:(lbatch.Batch.nrows + rbatch.Batch.nrows)
-                   ~rows_out:npairs
-                   ~self_ns:(Int64.sub (Exec.now_ns ()) t0)
-                   ~children:(List.filter_map Fun.id [ lnode; rnode ]))
-            end
-            else None
-          in
-          (batch, node) )
-  | A.SubqueryRef _ | A.UnionRef _ -> raise Fallback
-
-let try_run ~(resolve : string -> (Exec.binding list * Batch.t) option)
-    ~(collect : bool) (s : A.select) : outcome option =
-  match s.A.from with
-  | None -> None
-  | Some from_item -> (
-      try
-        if s.A.distinct then raise Fallback;
-        (* ---- plan: name resolution and shape checks only; no data is
-           touched, so Fallback aborts with no side effects *)
-        let bindings, src_name, run_src =
-          plan_from ~resolve ~collect from_item
-        in
-        (* ---- run the source (a base-table lookup, or the hash join
-           pipeline for JOIN trees) *)
-        let batch, src_node = run_src () in
-        let cols = batch.Batch.cols in
-        let nrows = batch.Batch.nrows in
-        let conjs =
-          match s.A.where with
-          | None -> []
-          | Some w ->
+      (* the residual is one AND-folded predicate, evaluated whole on
+         every candidate pair as the row path does *)
+      let residual =
+        match residual with
+        | [] -> None
+        | e :: rest ->
+            let r = List.fold_left (fun a b -> A.Bin (A.And, a, b)) e rest in
+            Some (r, compile_conjunct { bindings; windows = [] } r)
+      in
+      let width = List.length bindings in
+      {
+        fp_bindings = bindings;
+        fp_name = lp.fp_name ^ "\xe2\x8b\x88" ^ rp.fp_name;
+        fp_run =
+          (fun () ->
+            let l, ltyped, lnode = lp.fp_run () in
+            let r, rtyped, rnode = rp.fp_run () in
+            let t0 = if collect then Exec.now_ns () else 0L in
+            let keys =
               List.map
-                (fun conj ->
-                  let key = conjunct_key src_name conj in
-                  ( conj,
-                    key,
-                    estimated_selectivity key,
-                    compile_conjunct bindings cols conj ))
-                (Exec.conjuncts w)
-        in
-            (* most-selective-first, stable on the EWMA estimate *)
-            let conjs =
-              List.stable_sort
-                (fun (_, _, e1, _) (_, _, e2, _) -> Float.compare e1 e2)
-                conjs
+                (fun (li, ri, ns) -> (l.column li, r.column ri, ns))
+                equi
             in
-            let projs =
-              List.concat_map
-                (fun p ->
-                  match p.A.p_expr with
-                  | A.Star ->
-                      List.map
-                        (fun b ->
-                          {
-                            A.p_expr = A.Col (b.Exec.b_qual, b.Exec.b_name);
-                            p_alias = Some b.Exec.b_name;
-                          })
-                        bindings
-                  | A.Col (Some q, "*") ->
-                      bindings
-                      |> List.filter (fun b -> b.Exec.b_qual = Some q)
-                      |> List.map (fun b ->
-                             {
-                               A.p_expr = A.Col (b.Exec.b_qual, b.Exec.b_name);
-                               p_alias = Some b.Exec.b_name;
-                             })
-                  | _ -> [ p ])
-                s.A.projs
+            (* [through lidx ridx j] gathers joined column j *)
+            let through lidx ridx j =
+              if j < nl then Batch.gather (l.column j) lidx
+              else Batch.gather (r.column (j - nl)) ridx
             in
-            let has_agg =
-              s.A.group_by <> []
-              || List.exists (fun p -> Exec.expr_has_agg p.A.p_expr) projs
-              ||
-              match s.A.having with
-              | Some h -> Exec.expr_has_agg h
-              | None -> false
-            in
-            let out_names = List.mapi Exec.proj_name projs in
-            (* opstats chain, mirroring the row path's push discipline *)
-            let cur : Opstats.node option ref = ref None in
-            let last_t = ref (if collect then Exec.now_ns () else 0L) in
-            let lap () =
-              let t = Exec.now_ns () in
-              let d = Int64.sub t !last_t in
-              last_t := t;
-              if d < 0L then 0L else d
-            in
-            let cur_est () =
-              match !cur with Some n -> n.Opstats.est_rows | None -> 1
-            in
-            let push ~op ~detail ~est_rows ~rows_in ~rows_out =
-              if collect then begin
-                let self_ns = lap () in
-                let children =
-                  match !cur with Some n -> [ n ] | None -> []
-                in
-                cur :=
-                  Some
-                    (Opstats.make ~op ~detail ~est_rows ~rows_in ~rows_out
-                       ~self_ns ~children)
-              end
-            in
-            (* ---- execute: the source node (scan, or a hash-join tree)
-               seeds the chain; then filter* → agg/project → sort → limit *)
-            if collect then begin
-              cur := src_node;
-              last_t := Exec.now_ns ()
-            end;
-            let selr = ref (Batch.all_rows nrows) in
-            List.iter
-              (fun (conj, key, est_sel, kernel) ->
-                let before = Array.length !selr in
-                selr := kernel !selr;
-                let after = Array.length !selr in
-                if before > 0 then
-                  observe_selectivity key
-                    (float_of_int after /. float_of_int before);
-                push ~op:"vector_filter" ~detail:(A.expr_str conj)
-                  ~est_rows:
-                    (Stdlib.max 1
-                       (int_of_float
-                          (Float.round (est_sel *. float_of_int (cur_est ())))))
-                  ~rows_in:before ~rows_out:after)
-              conjs;
-            let sel = !selr in
-            let result =
-              if has_agg then begin
-                let ckeys =
-                  List.map (compile_expr bindings cols) s.A.group_by
-                in
-                (* hashed grouping over selection-vector indices, groups
-                   kept in first-encounter order (same as the row path) *)
-                let groups : int array list =
-                  if s.A.group_by = [] then [ Array.copy sel ]
-                  else begin
-                    let tbl : (Exec.gkey list, int list ref) Hashtbl.t =
-                      Hashtbl.create 64
-                    in
-                    let acc : int list ref list ref = ref [] in
-                    Array.iter
-                      (fun i ->
-                        let key = List.map (fun ce -> ce i) ckeys in
-                        let hk = List.map Exec.gkey_of key in
-                        match Hashtbl.find_opt tbl hk with
-                        | Some l -> l := i :: !l
-                        | None ->
-                            let l = ref [ i ] in
-                            Hashtbl.add tbl hk l;
-                            acc := l :: !acc)
-                      sel;
-                    List.rev_map (fun l -> Array.of_list (List.rev !l)) !acc
-                  end
-                in
-                let groups =
-                  match s.A.having with
-                  | None -> groups
-                  | Some h ->
-                      let ch = compile_agg_expr bindings cols h in
-                      List.filter (fun g -> Value.is_true (ch g)) groups
-                in
-                let cprojs =
-                  List.map
-                    (fun p -> compile_agg_expr bindings cols p.A.p_expr)
-                    projs
-                in
-                let out =
-                  List.map
-                    (fun g ->
-                      Array.of_list (List.map (fun cp -> cp g) cprojs))
-                    groups
-                in
-                let ckord =
-                  List.map
-                    (fun (e, _) ->
-                      compile_agg_expr bindings cols
-                        (Exec.subst_aliases projs out_names e))
-                    s.A.order_by
-                in
-                let keys =
-                  List.map (fun g -> List.map (fun ck -> ck g) ckord) groups
-                in
-                push ~op:"vector_hash_agg"
-                  ~detail:
-                    (if s.A.group_by = [] then "scalar"
-                     else
-                       Printf.sprintf "group by %d" (List.length s.A.group_by))
-                  ~est_rows:
-                    (if s.A.group_by = [] then 1
-                     else Stdlib.max 1 (cur_est () / 10))
-                  ~rows_in:(Array.length sel) ~rows_out:(List.length out);
-                `Rows (List.combine out keys)
-              end
-              else begin
-                let plain_cols =
-                  List.map
-                    (fun p ->
-                      match p.A.p_expr with
-                      | A.Col (q, c) -> Some (Exec.find_binding bindings q c)
-                      | _ -> None)
-                    projs
-                in
-                let ckord =
-                  List.map
-                    (fun (e, _) ->
-                      compile_expr bindings cols
-                        (Exec.subst_aliases projs out_names e))
-                    s.A.order_by
-                in
-                let keys_of i = List.map (fun ck -> ck i) ckord in
-                let n = Array.length sel in
-                let rec all_plain = function
-                  | [] -> Some []
-                  | Some j :: rest ->
-                      Option.map (fun js -> j :: js) (all_plain rest)
-                  | None :: _ -> None
-                in
-                match (if projs = [] then None else all_plain plain_cols) with
-                | Some col_idxs ->
-                    (* all-column projection: a pure gather. Carry the
-                       selection vector through sort/limit and gather the
-                       output columns directly at the end *)
-                    push ~op:"vector_project"
-                      ~detail:(Printf.sprintf "%d cols" (List.length projs))
-                      ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n;
-                    `Gather
-                      ( col_idxs,
-                        List.map (fun i -> (i, keys_of i)) (Array.to_list sel)
-                      )
-                | None ->
-                    let cprojs =
-                      List.map
-                        (fun p -> compile_expr bindings cols p.A.p_expr)
-                        projs
-                    in
-                    let out =
-                      List.map
-                        (fun i ->
-                          ( Array.of_list (List.map (fun cp -> cp i) cprojs),
-                            keys_of i ))
-                        (Array.to_list sel)
-                    in
-                    push ~op:"vector_project"
-                      ~detail:(Printf.sprintf "%d cols" (List.length projs))
-                      ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n;
-                    `Rows out
-              end
-            in
-            (* ---- ORDER BY / OFFSET / LIMIT, verbatim row-path logic
-               over (payload, keys) pairs *)
-            let sort_limit : 'a. ('a * Value.t list) list -> 'a list =
-             fun pairs ->
-              let pairs =
-                if s.A.order_by = [] then pairs
-                else
-                  List.stable_sort
-                    (fun (_, k1) (_, k2) -> order_cmp s.A.order_by k1 k2)
-                    pairs
-              in
-              (if s.A.order_by <> [] then
-                 let np = List.length pairs in
-                 push ~op:"vector_sort"
-                   ~detail:
-                     (Printf.sprintf "%d keys" (List.length s.A.order_by))
-                   ~est_rows:(cur_est ()) ~rows_in:np ~rows_out:np);
-              let n_pre_limit = if collect then List.length pairs else 0 in
-              let pairs =
-                match s.A.offset with
-                | Some n -> (
-                    try List.filteri (fun i _ -> i >= n) pairs
-                    with _ -> pairs)
-                | None -> pairs
-              in
-              let pairs =
-                match s.A.limit with
-                | Some n -> List.filteri (fun i _ -> i < n) pairs
-                | None -> pairs
-              in
-              (if s.A.limit <> None || s.A.offset <> None then
-                 let detail =
-                   String.concat " "
-                     (List.filter
-                        (fun x -> x <> "")
-                        [
-                          (match s.A.limit with
-                          | Some n -> Printf.sprintf "limit %d" n
-                          | None -> "");
-                          (match s.A.offset with
-                          | Some n -> Printf.sprintf "offset %d" n
-                          | None -> "");
-                        ])
-                 in
-                 let est =
-                   let after_offset =
-                     Stdlib.max 0
-                       (cur_est ()
-                       - match s.A.offset with Some o -> o | None -> 0)
-                   in
-                   match s.A.limit with
-                   | Some n -> Stdlib.min n after_offset
-                   | None -> after_offset
-                 in
-                 push ~op:"vector_limit" ~detail ~est_rows:est
-                   ~rows_in:n_pre_limit ~rows_out:(List.length pairs));
-              List.map fst pairs
-            in
-            let out_rows =
-              match result with
-              | `Rows pairs -> Array.of_list (sort_limit pairs)
-              | `Gather (col_idxs, pairs) ->
-                  (* plain column gather: read each output row straight
-                     from the batch columns through the final selection *)
-                  let src =
-                    Array.of_list (List.map (fun j -> cols.(j)) col_idxs)
+            let lidx, ridx =
+              match residual with
+              | None ->
+                  hash_join_idx ~lrows:l.nrows ~rrows:r.nrows keys ~left_outer
+              | Some (_, kernel) ->
+                  let cl, cr =
+                    hash_join_idx ~lrows:l.nrows ~rrows:r.nrows keys
+                      ~left_outer:false
                   in
-                  Array.map
-                    (fun i -> Array.map (fun c -> Batch.value_at c i) src)
-                    (Array.of_list (sort_limit pairs))
+                  (* gather only the residual's own columns, through the
+                     candidate pairs *)
+                  let cand =
+                    { col = memo_columns width (through cl cr); win = no_windows }
+                  in
+                  let pass = kernel cand (Batch.all_rows (Array.length cl)) in
+                  residual_pairs ~lrows:l.nrows ~left_outer cl cr pass
             in
-            let types =
-              List.mapi
-                (fun i p ->
-                  Exec.infer_col_type bindings out_rows i p.A.p_expr)
-                projs
-            in
-            let res =
+            let npairs = Array.length lidx in
+            let src =
               {
-                Exec.res_cols = List.combine out_names types;
-                res_rows = out_rows;
+                nrows = npairs;
+                column = memo_columns width (through lidx ridx);
+                values =
+                  (fun j idx ->
+                    if j < nl then l.values j (compose lidx idx)
+                    else r.values (j - nl) (compose ridx idx));
               }
             in
-            Atomic.incr stats_vector;
-            Atomic.incr Exec.stats.Exec.selects_run;
-            ignore
-              (Atomic.fetch_and_add Exec.stats.Exec.rows_out
-                 (Array.length out_rows));
+            let node =
+              if collect then begin
+                let est_of = function
+                  | Some n -> n.Opstats.est_rows
+                  | None -> 1
+                in
+                (* hash equi-joins estimated as max(inputs), like the row
+                   path's hash_join node *)
+                let est = Stdlib.max (est_of lnode) (est_of rnode) in
+                let kind = if left_outer then "left" else "inner" in
+                let detail =
+                  Printf.sprintf "%s build=%d probe=%d%s" kind r.nrows l.nrows
+                    (match residual with
+                    | Some (e, _) -> " residual=" ^ A.expr_str e
+                    | None -> "")
+                in
+                Some
+                  (Opstats.make ~op:"vector_hash_join" ~detail ~est_rows:est
+                     ~rows_in:(l.nrows + r.nrows) ~rows_out:npairs
+                     ~self_ns:(Int64.sub (Exec.now_ns ()) t0)
+                     ~children:(List.filter_map Fun.id [ lnode; rnode ]))
+              end
+              else None
+            in
+            (src, ltyped @ rtyped, node));
+      }
+  | A.UnionRef _ -> raise Fallback
+
+(* Plan a SELECT: FROM tree, WHERE kernels, then either hash
+   aggregation or windows + projections, then ORDER BY/OFFSET/LIMIT.
+   Returns the output column names and the thunk that runs it. *)
+and plan_select ~resolve ~collect (s : A.select) :
+    string list * (unit -> output) =
+  let from_item = match s.A.from with Some f -> f | None -> raise Fallback in
+  if s.A.distinct then raise Fallback;
+  let fp = plan_from ~resolve ~collect from_item in
+  let bindings = fp.fp_bindings in
+  let sc = { bindings; windows = [] } in
+  let conjs =
+    match s.A.where with
+    | None -> []
+    | Some w ->
+        List.map
+          (fun conj ->
+            (conj, conjunct_key fp.fp_name conj, compile_conjunct sc conj))
+          (Exec.conjuncts w)
+  in
+  let projs = expand_stars bindings s.A.projs in
+  let has_agg =
+    s.A.group_by <> []
+    || List.exists (fun p -> Exec.expr_has_agg p.A.p_expr) projs
+    ||
+    match s.A.having with Some h -> Exec.expr_has_agg h | None -> false
+  in
+  let out_names = List.mapi Exec.proj_name projs in
+  let order_exprs =
+    List.map (fun (e, _) -> Exec.subst_aliases projs out_names e) s.A.order_by
+  in
+  (* the body's stage two: given the data, the surviving rows and the
+     opstats push, return the row-space size, each row's sort keys, and
+     the output columns for a final row order *)
+  let body :
+      source ->
+      data ->
+      Batch.sel ->
+      (op:string -> detail:string -> est_rows:int -> rows_in:int ->
+      rows_out:int -> unit) ->
+      (unit -> int) ->
+      int * Value.t list array * (int array -> ocol array) =
+    if has_agg then begin
+      (* aggregate context: windows are out of scope, so every compile
+         here sees none and a window anywhere falls back *)
+      let ckeys = List.map (compile_expr sc) s.A.group_by in
+      let plain_key =
+        match s.A.group_by with
+        | [ A.Col (q, c) ] -> Some (Exec.find_binding bindings q c)
+        | _ -> None
+      in
+      let chaving = Option.map (compile_agg_expr sc) s.A.having in
+      let cprojs = List.map (fun p -> compile_agg_expr sc p.A.p_expr) projs in
+      let cord = List.map (compile_agg_expr sc) order_exprs in
+      fun _ d sel push cur_est ->
+        let ckeys = List.map (fun c -> c d) ckeys in
+        (* hashed grouping over selection-vector indices, groups kept in
+           first-encounter order (same as the row path) *)
+        let groups : int array list =
+          if s.A.group_by = [] then [ Array.copy sel ]
+          else
+            split_groups sel
+              (key_slots ~partition:false ckeys (Option.map d.col plain_key))
+        in
+        let groups =
+          match chaving with
+          | None -> groups
+          | Some ch ->
+              let ch = ch d in
+              List.filter (fun g -> Value.is_true (ch g)) groups
+        in
+        let groups = Array.of_list groups in
+        let ng = Array.length groups in
+        let cprojs = Array.of_list (List.map (fun c -> c d) cprojs) in
+        (* row-major, like the row path: every projection of a group,
+           then the next group; the sort keys after all of them *)
+        let vals = Array.map (fun _ -> Array.make ng Value.Null) cprojs in
+        Array.iteri
+          (fun gi g -> Array.iteri (fun k cp -> vals.(k).(gi) <- cp g) cprojs)
+          groups;
+        let cord = List.map (fun c -> c d) cord in
+        let keys = Array.map (fun g -> List.map (fun ck -> ck g) cord) groups in
+        push ~op:"vector_hash_agg"
+          ~detail:
+            (if s.A.group_by = [] then "scalar"
+             else Printf.sprintf "group by %d" (List.length s.A.group_by))
+          ~est_rows:
+            (if s.A.group_by = [] then 1 else Stdlib.max 1 (cur_est () / 10))
+          ~rows_in:(Array.length sel) ~rows_out:ng;
+        ( ng,
+          keys,
+          fun fin ->
+            Array.map (fun v -> Computed (Array.map (Array.get v) fin)) vals )
+    end
+    else begin
+      let windows = select_windows projs s in
+      let wplans = List.map (plan_window sc) windows in
+      let scw = { bindings; windows } in
+      let cprojs =
+        List.map
+          (fun p ->
+            match p.A.p_expr with
+            | A.Col (q, c) -> `Plain (Exec.find_binding bindings q c)
+            | e -> `Expr (compile_expr scw e))
+          projs
+      in
+      let cord = List.map (compile_expr scw) order_exprs in
+      fun src d sel push cur_est ->
+        let n = Array.length sel in
+        let warrs =
+          Array.of_list
+            (List.map
+               (fun (fn, wp) ->
+                 let a = wp d sel src.nrows in
+                 push ~op:"vector_window" ~detail:fn ~est_rows:(cur_est ())
+                   ~rows_in:n ~rows_out:n;
+                 a)
+               wplans)
+        in
+        let d = { d with win = Array.get warrs } in
+        let cprojs =
+          Array.of_list
+            (List.map
+               (function
+                 | `Plain j -> `Plain j
+                 | `Expr ce -> `Expr (ce d, Array.make n Value.Null))
+               cprojs)
+        in
+        (* computed projections row-major, like the row path *)
+        if Array.exists (function `Expr _ -> true | `Plain _ -> false) cprojs
+        then
+          for t = 0 to n - 1 do
+            let i = sel.(t) in
+            Array.iter
+              (function `Expr (ce, v) -> v.(t) <- ce i | `Plain _ -> ())
+              cprojs
+          done;
+        let cord = List.map (fun c -> c d) cord in
+        let keys =
+          if cord = [] then [||]
+          else Array.map (fun i -> List.map (fun ck -> ck i) cord) sel
+        in
+        push ~op:"vector_project"
+          ~detail:(Printf.sprintf "%d cols" (Array.length cprojs))
+          ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n;
+        ( n,
+          keys,
+          fun fin ->
+            let rows = Array.map (Array.get sel) fin in
+            Array.map
+              (function
+                | `Plain j -> Through (src, j, rows)
+                | `Expr (_, v) -> Computed (Array.map (Array.get v) fin))
+              cprojs )
+    end
+  in
+  ( out_names,
+    fun () ->
+      let src, typed, src_node = fp.fp_run () in
+      let d = { col = src.column; win = no_windows } in
+      (* opstats chain, mirroring the row path's push discipline *)
+      let cur : Opstats.node option ref = ref src_node in
+      let last_t = ref (if collect then Exec.now_ns () else 0L) in
+      let lap () =
+        let t = Exec.now_ns () in
+        let dt = Int64.sub t !last_t in
+        last_t := t;
+        if dt < 0L then 0L else dt
+      in
+      let cur_est () =
+        match !cur with Some n -> n.Opstats.est_rows | None -> 1
+      in
+      let push ~op ~detail ~est_rows ~rows_in ~rows_out =
+        if collect then begin
+          let self_ns = lap () in
+          let children = match !cur with Some n -> [ n ] | None -> [] in
+          cur :=
             Some
-              {
-                vr_result = res;
-                vr_plan = (if collect then !cur else None);
-              }
-      with Fallback -> None)
+              (Opstats.make ~op ~detail ~est_rows ~rows_in ~rows_out ~self_ns
+                 ~children)
+        end
+      in
+      (* ---- filters, most-selective-first on the EWMA estimate *)
+      let conjs =
+        List.map
+          (fun (conj, key, k) -> (conj, key, estimated_selectivity key, k d))
+          conjs
+        |> List.stable_sort (fun (_, _, e1, _) (_, _, e2, _) ->
+               Float.compare e1 e2)
+      in
+      let sel =
+        List.fold_left
+          (fun sel (conj, key, est_sel, kernel) ->
+            let before = Array.length sel in
+            let sel = kernel sel in
+            let after = Array.length sel in
+            if before > 0 then
+              observe_selectivity key (float_of_int after /. float_of_int before);
+            push ~op:"vector_filter" ~detail:(A.expr_str conj)
+              ~est_rows:
+                (Stdlib.max 1
+                   (int_of_float
+                      (Float.round (est_sel *. float_of_int (cur_est ())))))
+              ~rows_in:before ~rows_out:after;
+            sel)
+          (Batch.all_rows src.nrows) conjs
+      in
+      (* ---- aggregation or windows + projection *)
+      let n, keys, columns = body src d sel push cur_est in
+      (* ---- ORDER BY / OFFSET / LIMIT over row-space positions; a
+         LIMIT that keeps a small prefix selects it without a full sort *)
+      let first = match s.A.offset with Some o -> Stdlib.max 0 o | None -> 0 in
+      let first = Stdlib.min first n in
+      let count =
+        match s.A.limit with
+        | Some l -> Stdlib.max 0 (Stdlib.min l (n - first))
+        | None -> n - first
+      in
+      let fin =
+        if s.A.order_by = [] then Array.init count (fun t -> first + t)
+        else
+          let cmp a b = order_cmp s.A.order_by keys.(a) keys.(b) in
+          let prefix = first + count in
+          let order =
+            if not (uniform_keys keys) then
+              (* the row path's List.stable_sort on (row, keys) pairs *)
+              Array.of_list (List.stable_sort cmp (List.init n Fun.id))
+            else if 8 * prefix < n then top_positions cmp n prefix
+            else stable_positions cmp n
+          in
+          Array.sub order first count
+      in
+      if s.A.order_by <> [] then
+        push ~op:"vector_sort"
+          ~detail:(Printf.sprintf "%d keys" (List.length s.A.order_by))
+          ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n;
+      (if s.A.limit <> None || s.A.offset <> None then
+         let detail =
+           String.concat " "
+             (List.filter
+                (fun x -> x <> "")
+                [
+                  (match s.A.limit with
+                  | Some l -> Printf.sprintf "limit %d" l
+                  | None -> "");
+                  (match s.A.offset with
+                  | Some o -> Printf.sprintf "offset %d" o
+                  | None -> "");
+                ])
+         in
+         let est =
+           let after_offset =
+             Stdlib.max 0
+               (cur_est () - match s.A.offset with Some o -> o | None -> 0)
+           in
+           match s.A.limit with
+           | Some l -> Stdlib.min l after_offset
+           | None -> after_offset
+         in
+         push ~op:"vector_limit" ~detail ~est_rows:est ~rows_in:n
+           ~rows_out:count);
+      let cols = columns fin in
+      (* ---- column types, as Exec.infer_col_type: a plain column's
+         declared type, a cast's target, else the first non-null value *)
+      let types =
+        List.mapi
+          (fun k p ->
+            let declared =
+              match p.A.p_expr with
+              | A.Col (q, c) ->
+                  (List.nth typed (Exec.find_binding typed q c)).Exec.b_type
+              | A.Cast (_, ty) -> Some ty
+              | _ -> None
+            in
+            match declared with
+            | Some ty -> ty
+            | None ->
+                let vals = ocol_values cols.(k) (Batch.all_rows count) in
+                let rec scan r =
+                  if r >= count then Catalog.Sqltype.TText
+                  else
+                    match Value.type_of vals.(r) with
+                    | Some ty -> ty
+                    | None -> scan (r + 1)
+                in
+                scan 0)
+          projs
+      in
+      { o_nrows = count; o_cols = cols; o_types = types; o_plan = !cur } )
+
+(* ------------------------------------------------------------------ *)
+(* Entry point                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* the result rows; a plain column shares the base table's boxed
+   values *)
+let rows_of_output (o : output) : Value.t array array =
+  let all = Batch.all_rows o.o_nrows in
+  let cols = Array.map (fun oc -> ocol_values oc all) o.o_cols in
+  Array.init o.o_nrows (fun r -> Array.map (fun c -> Array.unsafe_get c r) cols)
+
+type outcome = {
+  vr_result : Exec.result;
+  vr_plan : Opstats.node option; (* operator tree, when collect was on *)
+}
+
+let try_run ~(resolve : string -> (Exec.binding list * (unit -> Batch.t)) option)
+    ~(collect : bool) (s : A.select) : outcome option =
+  match plan_select ~resolve ~collect s with
+  | exception Fallback -> None
+  | names, run ->
+      (* planned in full: from here on no Fallback, only data work *)
+      let o = run () in
+      let rows = rows_of_output o in
+      Atomic.incr stats_vector;
+      Atomic.incr Exec.stats.Exec.selects_run;
+      ignore (Atomic.fetch_and_add Exec.stats.Exec.rows_out o.o_nrows);
+      Some
+        {
+          vr_result =
+            { Exec.res_cols = List.combine names o.o_types; res_rows = rows };
+          vr_plan = (if collect then o.o_plan else None);
+        }

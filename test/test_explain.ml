@@ -159,6 +159,54 @@ let test_vector_hash_join_node () =
   check tbool "left join detail" true
     (String.length lj.Op.detail >= 5 && String.sub lj.Op.detail 0 5 = "left ")
 
+(* the paper's as-of join, as the serializer writes it, analyzed on the
+   vectorized executor: every operator is a vector operator, the window
+   and derived-table nodes are there, the join names its residual, and
+   each node's rows_in is what its children produced *)
+let test_aj_all_vector_tree () =
+  let db = marketdata_db () in
+  let sess = Db.open_session db in
+  Db.set_vectorized sess true;
+  Db.set_analyze sess true;
+  let eng = Hyperq.Engine.create (Hyperq.Backend.of_pgdb_session sess) in
+  let sql =
+    Hyperq.Engine.translate eng
+      "aj[`Symbol`Time; select Symbol, Time, Price from trades; select \
+       Symbol, Time, Bid, Ask from quotes]"
+  in
+  let plan = analyzed_plan sess sql in
+  let nodes = List.map snd (Op.flatten plan) in
+  List.iter
+    (fun m ->
+      check tbool (m.Op.op ^ " is a vector operator") true
+        (String.length m.Op.op > 7 && String.sub m.Op.op 0 7 = "vector_"))
+    nodes;
+  let ops = ops_of plan in
+  List.iter
+    (fun op -> check tbool (op ^ " present") true (List.mem op ops))
+    [ "vector_window"; "vector_subquery"; "vector_hash_join"; "vector_filter" ];
+  let join = List.find (fun m -> m.Op.op = "vector_hash_join") nodes in
+  check tbool "join detail names the residual" true
+    (Str.string_match (Str.regexp "left build=[0-9]+ probe=[0-9]+ residual=")
+       join.Op.detail 0);
+  List.iter
+    (fun m ->
+      check tbool (m.Op.op ^ " estimate present") true (m.Op.est_rows >= 1);
+      match m.Op.children with
+      | [] -> check tint (m.Op.op ^ " leaf rows_in") m.Op.rows_out m.Op.rows_in
+      | cs ->
+          check tint
+            (m.Op.op ^ " rows_in = children's rows_out")
+            (List.fold_left (fun a c -> a + c.Op.rows_out) 0 cs)
+            m.Op.rows_in)
+    nodes;
+  (* the window keeps every joined row; rn = 1 keeps one per trade *)
+  let window = List.find (fun m -> m.Op.op = "vector_window") nodes in
+  check tint "window rows_out = join rows_out" join.Op.rows_out
+    window.Op.rows_out;
+  check tint "one row per trade" (Array.length (MD.generate MD.small_scale).MD.trades)
+    plan.Op.rows_out
+
 let test_exec_off_collects_nothing () =
   let db = marketdata_db () in
   let sess = Db.open_session db in
@@ -505,6 +553,8 @@ let () =
             test_vector_hash_join_node;
           Alcotest.test_case "aggregate and join" `Quick
             test_exec_aggregate_and_join;
+          Alcotest.test_case "aj analyzes all-vector" `Quick
+            test_aj_all_vector_tree;
           Alcotest.test_case "off collects nothing" `Quick
             test_exec_off_collects_nothing;
           Alcotest.test_case "q-error" `Quick test_qerror_accounting;

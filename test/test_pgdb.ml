@@ -56,6 +56,34 @@ let cell res i j = res.Pgdb.Exec.res_rows.(i).(j)
 (* Basic queries                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* name resolution: the first exact name match wins, then the first
+   case-insensitive one; qualifiers always match case-insensitively *)
+let test_find_binding () =
+  let b q n = { Pgdb.Exec.b_qual = q; b_name = n; b_type = None } in
+  let bs =
+    [ b (Some "T") "Price"; b (Some "t") "price"; b (Some "u") "PRICE";
+      b None "x" ]
+  in
+  let find q n = Pgdb.Exec.find_binding bs q n in
+  check tint "exact match beats an earlier case-insensitive one" 1
+    (find None "price");
+  check tint "first exact match" 0 (find None "Price");
+  check tint "else the first case-insensitive match" 0 (find None "pRiCe");
+  check tint "qualifier matches case-insensitively" 0
+    (find (Some "t") "PRICE");
+  check tint "qualified exact match" 2 (find (Some "U") "PRICE");
+  check tint "unqualified name finds an unqualified binding" 3
+    (find None "X");
+  let undefined q n =
+    match find q n with
+    | _ -> Alcotest.failf "%s resolved" n
+    | exception Pgdb.Errors.Sql_error { code; _ } ->
+        check tstr ("undefined column " ^ n) "42703" code
+  in
+  undefined (Some "t") "x";
+  undefined None "nope";
+  undefined (Some "v") "price"
+
 let test_select_all () =
   let sess = fixture () in
   let res = q sess "SELECT * FROM trades" in
@@ -551,6 +579,10 @@ let () =
           Alcotest.test_case "drop" `Quick test_drop;
           Alcotest.test_case "catalog queryable" `Quick test_catalog_queryable;
         ] );
-      ("errors", [ Alcotest.test_case "error codes" `Quick test_errors ]);
+      ( "errors",
+        [
+          Alcotest.test_case "error codes" `Quick test_errors;
+          Alcotest.test_case "find_binding rules" `Quick test_find_binding;
+        ] );
       ("properties", props);
     ]

@@ -5,9 +5,12 @@
    the result the row interpreter produces, including column types, row
    order, and NULL placement. A randomized 200-query differential, a
    join differential (400+ 2-/3-table equi- and left-outer joins with
-   null keys, single-node and over 2 hash partitions) plus targeted unit
-   tests (3VL filters, selection-vector compaction, empty batches,
-   all-null columns, explain nodes) pin that down. *)
+   null keys, single-node and over 2 hash partitions), differentials
+   over window functions, nested derived tables, equi + residual joins
+   and the translator's as-of join SQL (each also required to stay on
+   the vector path), the 25 analytical queries without a fallback, plus
+   targeted unit tests (3VL filters, selection-vector compaction, empty
+   batches, all-null columns, explain nodes) pin that down. *)
 
 module V = Pgdb.Value
 module Db = Pgdb.Db
@@ -524,7 +527,7 @@ let test_path_counters () =
   ignore (run von "SELECT sym FROM trades WHERE size > 100");
   check tint "vector counter" 1 (Atomic.get Vexec.stats_vector - v0);
   check tint "no fallback" 0 (Atomic.get Vexec.stats_fallback - f0);
-  (* joins are outside the lowerable fragment: fallback + row *)
+  (* cross joins are outside the lowerable fragment: fallback + row *)
   ignore
     (run von
        "SELECT t.sym FROM trades t, trades u WHERE t.sym = u.sym LIMIT 1");
@@ -630,6 +633,318 @@ let test_views_and_temps_fall_back () =
   | Ok (_, rows) -> check tbool "temp table grouped" true (Array.length rows > 0)
   | Error e -> Alcotest.failf "temp table query failed: %s" e
 
+(* ------------------------------------------------------------------ *)
+(* Windows, derived tables, residual joins                             *)
+(* ------------------------------------------------------------------ *)
+
+(* every query must agree with the row path AND be served by the vector
+   path: the vector counter moves once per query, fallback never *)
+let vector_differential db sqls =
+  let von = session ~vectorized:true db in
+  let voff = session ~vectorized:false db in
+  List.iter
+    (fun sql ->
+      let v0 = Atomic.get Vexec.stats_vector in
+      let f0 = Atomic.get Vexec.stats_fallback in
+      let a = run von sql in
+      (match a with
+      | Error e -> Alcotest.failf "%s: %s" sql e
+      | Ok _ -> ());
+      check tint ("vector path served: " ^ sql) 1
+        (Atomic.get Vexec.stats_vector - v0);
+      check tint ("no fallback: " ^ sql) 0
+        (Atomic.get Vexec.stats_fallback - f0);
+      check_same sql a (run voff sql))
+    sqls
+
+(* partition keys with NULLs, order keys with NULLs and ties, and a
+   float column with NULLs for the aggregates and lag/lead values *)
+let window_fixture () : Db.t =
+  let db = Db.create () in
+  Db.load_table db
+    (S.table "w"
+       [
+         S.column "g" Ty.TVarchar;
+         S.column "k" Ty.TBigint;
+         S.column "t" Ty.TBigint;
+         S.column "v" Ty.TDouble;
+       ])
+    [
+      [| V.Str "a"; V.Int 3L; V.Int 10L; V.Float 1.5 |];
+      [| V.Str "b"; V.Int 1L; V.Int 20L; V.Float 2.0 |];
+      [| V.Str "a"; V.Int 3L; V.Int 30L; V.Null |];
+      [| V.Null; V.Int 2L; V.Int 40L; V.Float 4.0 |];
+      [| V.Str "b"; V.Null; V.Int 50L; V.Float 2.0 |];
+      [| V.Str "a"; V.Int 1L; V.Int 60L; V.Float (-1.0) |];
+      [| V.Null; V.Int 5L; V.Int 70L; V.Null |];
+      [| V.Str "c"; V.Int 4L; V.Int 80L; V.Float 8.25 |];
+      [| V.Str "a"; V.Int 3L; V.Int 90L; V.Float 0.5 |];
+      [| V.Str "b"; V.Int 2L; V.Int 100L; V.Float 3.0 |];
+    ];
+  db
+
+let test_window_functions () =
+  let over part order frame =
+    Printf.sprintf "OVER (%s%s%s)"
+      (if part then "PARTITION BY g " else "")
+      order frame
+  in
+  let shapes =
+    (* (partition?, order, frame) — the frames are only meaningful with
+       an ORDER BY, so the frame-less and ordered shapes carry none *)
+    [
+      (true, "ORDER BY k", "");
+      (false, "ORDER BY k DESC, t", "");
+      (true, "", "");
+      (false, "", "");
+      (true, "ORDER BY t", " ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING");
+      (false, "ORDER BY v", " ROWS BETWEEN 2 PRECEDING AND CURRENT ROW");
+      (true, "ORDER BY k", " ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING");
+      (false, "ORDER BY t", " ROWS BETWEEN UNBOUNDED PRECEDING AND 1 FOLLOWING");
+    ]
+  in
+  let fns =
+    [
+      "row_number()"; "rank()"; "dense_rank()"; "lag(v)"; "lead(v, 2)";
+      "lag(k, 1, 0)"; "first_value(v)"; "last_value(v)"; "ntile(3)";
+      "sum(v)"; "sum(k)"; "avg(v)"; "min(v)"; "max(k)"; "count(v)";
+      "count(*)"; "stddev(v)";
+    ]
+  in
+  let sqls =
+    List.concat_map
+      (fun (part, order, frame) ->
+        List.map
+          (fun fn ->
+            Printf.sprintf "SELECT g, k, t, %s %s AS w FROM w" fn
+              (over part order frame))
+          fns)
+      shapes
+  in
+  vector_differential (window_fixture ())
+    (sqls
+    @ [
+        (* a window nested in a scalar expression (the deltas shape) *)
+        "SELECT t, coalesce(v - lag(v) OVER (ORDER BY t), v) AS d FROM w";
+        (* windows see the rows WHERE kept; ORDER BY reads a window *)
+        "SELECT g, t, row_number() OVER (PARTITION BY g ORDER BY t DESC) AS \
+         rn FROM w WHERE v IS NOT NULL";
+        "SELECT g, t, sum(v) OVER (PARTITION BY g ORDER BY t) AS rs FROM w \
+         ORDER BY rs DESC, t LIMIT 4";
+        (* two windows sharing one partition, an expression partition key *)
+        "SELECT t, min(v) OVER (PARTITION BY g) AS lo, max(v) OVER \
+         (PARTITION BY g) AS hi FROM w";
+        "SELECT t, count(*) OVER (PARTITION BY k % 2 ORDER BY t) AS c FROM w";
+        (* a small LIMIT selects its prefix without a full sort: ties
+           and NULL keys must still come out in stable order *)
+        "SELECT g, k, t FROM w ORDER BY k LIMIT 1";
+        "SELECT g, t FROM w ORDER BY v DESC LIMIT 1";
+        "SELECT g, t FROM w ORDER BY g DESC LIMIT 1";
+      ]);
+  (* partition keys mixing kinds: text against a number raises in the
+     row path's compare_total, ints against floats compare as floats;
+     both paths must agree on the error and on the partitions *)
+  differential (window_fixture ())
+    [
+      "SELECT t, row_number() OVER (PARTITION BY CASE WHEN k > 2 THEN g \
+       ELSE k END ORDER BY t) AS r FROM w";
+      "SELECT t, count(*) OVER (PARTITION BY CASE WHEN k > 2 THEN v ELSE k \
+       END) AS c FROM w";
+      "SELECT t, rank() OVER (ORDER BY CASE WHEN k > 2 THEN g ELSE k END) AS \
+       r FROM w";
+      "SELECT t, rank() OVER (PARTITION BY g ORDER BY CASE WHEN k > 2 THEN v \
+       ELSE k END) AS r FROM w";
+      "SELECT t FROM w ORDER BY CASE WHEN k > 2 THEN g ELSE k END";
+      "SELECT t FROM w ORDER BY CASE WHEN k > 2 THEN v ELSE k END, t LIMIT 1";
+    ]
+
+let test_derived_tables () =
+  vector_differential (window_fixture ())
+    [
+      "SELECT x.g, x.k FROM (SELECT g, k FROM w WHERE k > 1 ORDER BY k \
+       DESC, t LIMIT 4) AS x";
+      "SELECT y.g, y.s2 FROM (SELECT x.g, x.k * 2 AS s2 FROM (SELECT g, k, \
+       t FROM w ORDER BY t DESC) AS x WHERE x.k IS NOT NULL) AS y ORDER BY \
+       y.s2, y.g";
+      "SELECT z.g, count(*) AS n, sum(z.v) AS sv FROM (SELECT y.g, y.v FROM \
+       (SELECT x.g, x.v FROM (SELECT g, v FROM w ORDER BY v DESC LIMIT 6) \
+       AS x) AS y) AS z GROUP BY z.g ORDER BY z.g";
+      "SELECT * FROM (SELECT g, t FROM w ORDER BY t LIMIT 3 OFFSET 1) AS q";
+      "SELECT q.g, q.n FROM (SELECT g, count(*) AS n FROM w GROUP BY g) AS \
+       q WHERE q.n > 1 ORDER BY q.g";
+      "SELECT q.k FROM (SELECT k FROM w WHERE k > 1000) AS q";
+      (* a window over a derived table, filtered outside (the fby shape) *)
+      "SELECT q.t FROM (SELECT t, v, max(v) OVER (PARTITION BY g) AS mx \
+       FROM w) AS q WHERE q.v IS NOT DISTINCT FROM q.mx ORDER BY q.t";
+      "SELECT q.g, w.t FROM (SELECT g, max(t) AS mt FROM w GROUP BY g) AS q \
+       JOIN w ON q.g = w.g AND w.t < q.mt";
+    ]
+
+let residual_fixture () : Db.t =
+  let db = Db.create () in
+  Db.load_table db
+    (S.table "a"
+       [
+         S.column "id" Ty.TBigint;
+         S.column "g" Ty.TVarchar;
+         S.column "t" Ty.TBigint;
+         S.column "x" Ty.TDouble;
+       ])
+    [
+      [| V.Int 1L; V.Str "p"; V.Int 50L; V.Float 1.0 |];
+      [| V.Int 2L; V.Str "q"; V.Int 5L; V.Float 3.0 |];
+      (* every candidate of row 3 fails b.t <= a.t *)
+      [| V.Int 3L; V.Str "p"; V.Int 1L; V.Float 2.5 |];
+      [| V.Int 4L; V.Null; V.Int 60L; V.Float 0.0 |];
+      [| V.Int 5L; V.Str "r"; V.Int 70L; V.Null |];
+      [| V.Int 6L; V.Str "q"; V.Int 40L; V.Float 4.0 |];
+      [| V.Int 7L; V.Str "p"; V.Int 25L; V.Float 5.0 |];
+    ];
+  Db.load_table db
+    (S.table "b"
+       [ S.column "g" Ty.TVarchar; S.column "t" Ty.TBigint; S.column "y" Ty.TDouble ])
+    [
+      [| V.Str "p"; V.Int 10L; V.Float 1.0 |];
+      [| V.Str "q"; V.Int 10L; V.Float 2.0 |];
+      [| V.Str "p"; V.Int 30L; V.Null |];
+      [| V.Null; V.Int 0L; V.Float 9.0 |];
+      [| V.Str "p"; V.Int 20L; V.Float 3.0 |];
+      [| V.Str "q"; V.Int 45L; V.Float 1.5 |];
+    ];
+  db
+
+let test_residual_joins () =
+  let shapes =
+    [
+      "b.t <= a.t";
+      "a.x > 2";
+      "(b.t <= a.t OR b.y IS NULL)";
+      "b.y > 1.5 AND b.t < a.t";
+      "b.y * 2 > a.x";
+    ]
+  in
+  let sqls =
+    List.concat_map
+      (fun res ->
+        List.concat_map
+          (fun (kind, eq) ->
+            [
+              Printf.sprintf
+                "SELECT a.id, b.t, b.y FROM a %s JOIN b ON a.g %s b.g AND %s"
+                kind eq res;
+              Printf.sprintf
+                "SELECT a.g, count(b.t) AS n, sum(b.y) AS s FROM a %s JOIN b \
+                 ON %s AND a.g %s b.g GROUP BY a.g ORDER BY a.g"
+                kind res eq;
+            ])
+          [ ("", "="); ("LEFT", "="); ("LEFT", "IS NOT DISTINCT FROM") ])
+      shapes
+  in
+  vector_differential (residual_fixture ()) sqls
+
+(* the serializer's own as-of join SQL, taken from the translator *)
+let test_aj_sql () =
+  let d = Workload.Marketdata.generate Workload.Marketdata.small_scale in
+  let db = Db.create () in
+  Workload.Marketdata.load_pg db d;
+  let eng =
+    Hyperq.Engine.create
+      (Hyperq.Backend.of_pgdb_session (Db.open_session db))
+  in
+  let sqls =
+    List.map (Hyperq.Engine.translate eng)
+      [
+        "aj[`Symbol`Time; select Symbol, Time, Price from trades; select \
+         Symbol, Time, Bid, Ask from quotes]";
+        "select slip:avg Price-Bid by Symbol from aj[`Symbol`Time; select \
+         Symbol, Time, Price from trades; select Symbol, Time, Bid from \
+         quotes] lj secmaster_w";
+      ]
+  in
+  check tbool "aj lowers to a window over a left join" true
+    (List.for_all
+       (fun sql ->
+         let has sub = Str.string_match (Str.regexp (".*" ^ sub)) sql 0 in
+         has "row_number() OVER" && has "LEFT OUTER JOIN")
+       sqls);
+  vector_differential db sqls
+
+(* shapes still outside the vector path plan in full, decline before
+   any data moves and leave the selectivity store untouched *)
+let test_unsupported_shapes_fall_back () =
+  let db = window_fixture () in
+  let setup = session ~vectorized:true db in
+  ignore (Db.exec setup "CREATE VIEW wv AS SELECT g, k FROM w");
+  let von = session ~vectorized:true db in
+  let voff = session ~vectorized:false db in
+  List.iter
+    (fun sql ->
+      Vexec.reset_selectivities ();
+      let f0 = Atomic.get Vexec.stats_fallback in
+      let a = run von sql in
+      check tint ("falls back: " ^ sql) 1
+        (Atomic.get Vexec.stats_fallback - f0);
+      check tint ("selectivity store untouched: " ^ sql) 0
+        (List.length (Vexec.selectivity_snapshot ()));
+      check_same sql a (run voff sql))
+    [
+      (* the filtered derived table is planned first, then the view *)
+      "SELECT x.k FROM (SELECT g, k FROM w WHERE k > 1) AS x JOIN (SELECT \
+       g FROM wv WHERE k > 2) AS y ON x.g = y.g";
+      "SELECT u.z FROM (SELECT k AS z FROM w WHERE k > 1 UNION ALL SELECT t \
+       AS z FROM w WHERE t > 50) AS u";
+      "SELECT x.k FROM (SELECT k FROM w WHERE k > 1) AS x CROSS JOIN w";
+      "SELECT x.k FROM (SELECT g, k FROM w WHERE k > 1) AS x JOIN w ON x.k \
+       < w.k";
+      "SELECT DISTINCT g FROM (SELECT g FROM w WHERE k > 1) AS x";
+      "SELECT g, sum(k) AS s, row_number() OVER (ORDER BY g) AS rn FROM w \
+       WHERE k > 1 GROUP BY g";
+    ];
+  Vexec.reset_selectivities ()
+
+(* the paper's 25 analytical queries, translated by the engine and run on
+   a vectorized pgdb session: none may fall back *)
+let test_analytical_all_vector () =
+  let module MD = Workload.Marketdata in
+  let module AW = Workload.Analytical in
+  let d =
+    MD.generate
+      { MD.symbols = 6; trades_per_symbol = 12; quotes_per_symbol = 20;
+        wide_columns = 20 }
+  in
+  let db = Db.create () in
+  MD.load_pg db d;
+  let sess = Db.open_session db in
+  Db.set_vectorized sess true;
+  let eng = Hyperq.Engine.create (Hyperq.Backend.of_pgdb_session sess) in
+  let qs = AW.queries d in
+  List.iter
+    (fun q ->
+      List.iter
+        (fun st ->
+          match Hyperq.Engine.try_run eng st with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "setup Q%02d: %s" q.AW.id e)
+        q.AW.setup)
+    qs;
+  let v0 = Atomic.get Vexec.stats_vector in
+  let f0 = Atomic.get Vexec.stats_fallback in
+  List.iter
+    (fun q ->
+      let f = Atomic.get Vexec.stats_fallback in
+      (match Hyperq.Engine.try_run eng q.AW.text with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "Q%02d: %s" q.AW.id e);
+      check tint
+        (Printf.sprintf "Q%02d %s on the vector path" q.AW.id q.AW.name)
+        0
+        (Atomic.get Vexec.stats_fallback - f))
+    qs;
+  check tint "no fallback over the workload" 0
+    (Atomic.get Vexec.stats_fallback - f0);
+  check tbool "every query served by the vector path" true
+    (Atomic.get Vexec.stats_vector - v0 >= List.length qs)
+
 let () =
   Alcotest.run "vexec"
     [
@@ -664,5 +979,17 @@ let () =
             test_selectivity_eviction_keeps_hot_keys;
           Alcotest.test_case "views and temps" `Quick
             test_views_and_temps_fall_back;
+        ] );
+      ( "new shapes",
+        [
+          Alcotest.test_case "window functions" `Quick test_window_functions;
+          Alcotest.test_case "derived tables" `Quick test_derived_tables;
+          Alcotest.test_case "equi + residual joins" `Quick
+            test_residual_joins;
+          Alcotest.test_case "serializer aj SQL" `Quick test_aj_sql;
+          Alcotest.test_case "unsupported shapes fall back" `Quick
+            test_unsupported_shapes_fall_back;
+          Alcotest.test_case "analytical workload all-vector" `Quick
+            test_analytical_all_vector;
         ] );
     ]
