@@ -1501,8 +1501,10 @@ let micro () =
    allocation averages, flight-recorder alloc/minor-GC deltas,
    per-domain utilization gauges, per-shard dispatch allocation), then
    isolates the pure attribution cost per query — one per-query
-   [Gc.allocated_bytes]/[Gc.quick_stat] pair plus one per pipeline
-   stage — and holds it under 2.5% of the measured mean query latency.
+   [Gc.allocated_bytes]/[Obs.Runtime.minor_collections] pair plus one
+   [Gc.allocated_bytes] pair per pipeline stage, the reads the endpoint
+   and the engine make — and holds it under 2.5% of the measured mean
+   query latency.
    Full run writes BENCH_runtime.json; [~gate:true] is the CI variant. *)
 let bench_runtime ?(gate = false) () =
   header
@@ -1578,21 +1580,22 @@ let bench_runtime ?(gate = false) () =
     List.length
       (List.filter (fun r -> r.Obs.Recorder.r_alloc_bytes > 0.0) recent)
   in
-  (* isolated attribution cost: what one query pays for the capture —
-     one per-query [Gc.quick_stat] pair (minor-GC delta; cross-domain,
-     ~1us a call) plus cheap domain-local [Gc.allocated_bytes] pairs,
-     one per query and one per pipeline stage (6 stages) *)
+  (* isolated attribution cost: what one query pays for the capture in
+     [Endpoint.traced_process] and [Engine.stage] — one per-query
+     [Obs.Runtime.minor_collections] pair (minor-GC delta) plus
+     domain-local [Gc.allocated_bytes] pairs, one per query and one per
+     pipeline stage (6 stages on a plan-cache miss) *)
   let iterations = if gate then 50_000 else 500_000 in
   let sink = ref 0.0 in
   let t0 = now () in
   for _ = 1 to iterations do
-    let g0 = (Gc.quick_stat ()).Gc.minor_collections in
+    let g0 = Obs.Runtime.minor_collections () in
     for _ = 0 to 6 do
       let a0 = Gc.allocated_bytes () in
       let a1 = Gc.allocated_bytes () in
       sink := !sink +. (a1 -. a0)
     done;
-    let g1 = (Gc.quick_stat ()).Gc.minor_collections in
+    let g1 = Obs.Runtime.minor_collections () in
     sink := !sink +. float_of_int (g1 - g0)
   done;
   ignore (Sys.opaque_identity !sink);

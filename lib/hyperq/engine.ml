@@ -169,9 +169,8 @@ let create ?(config = default_config ()) ?mdi_config ?server_scope ?plan_cache
    read) so attribution rides along for free: onto the stage timer
    (full_spans) and as an attribute of the stage's trace span.
    Minor-collection deltas are captured once per query at the endpoint,
-   not here: [Gc.quick_stat] sums counters across every domain in
-   OCaml 5 (~1us), so a per-stage bracket would cost more than the
-   stages it measures. *)
+   not here: every minor collection stops all domains, so the count is
+   process-wide and a per-stage delta would not attribute anything. *)
 let stage (t : t) (s : Stage_timer.stage) (f : unit -> 'a) : 'a =
   Obs.Ctx.span t.obs (Stage_timer.stage_name s) (fun () ->
       let start = Obs.Clock.now_ns () in
@@ -590,61 +589,70 @@ let cache_key (t : t) (fp : string) (sg : string) : Plancache.key =
       (match t.sharder with
       | None -> 0
       | Some sh -> sh.sh_generation ());
+    k_struct = "";
   }
 
 (* Install a template for a statement the slow path just ran: re-translate
    the query with sentinel literals (no stage timers, no backend traffic),
    locate each sentinel's rendering in the generated SQL, and accept the
    template only if splicing the original literals back reproduces the
-   original SQL byte for byte. Deterministic failures are negatively
+   original SQL byte for byte. A position whose sentinel never appears is
+   structure: it stays verbatim in the next sentinel translation, and its
+   value extends the key. Each round makes at least one more position
+   structural, so the loop ends. Deterministic failures are negatively
    cached so the same shape does not retry on every miss. *)
 let install_template (t : t) (pc : Plancache.t) (an : F.analysis)
     ~(params : Plancache.param array) ~(sql : string) ~(shape : Binder.rshape)
     ~(key : Plancache.key) ~(src : string) : unit =
-  let start = Obs.Clock.now_ns () in
-  let negative reason =
-    Plancache.store pc key ~norm:an.F.a_norm (Plancache.Uncacheable reason)
+  let store key kind = Plancache.store pc key ~norm:an.F.a_norm kind in
+  let negative reason = store key (Plancache.Uncacheable reason) in
+  let mark = Backend.log_mark t.backend in
+  let translate sentinel_src =
+    match Qlang.Parser.parse_program sentinel_src with
+    | [ stmt ] -> (
+        match Binder.bind (make_ctx t) stmt with
+        | Binder.BRel brel when brel.Binder.shape = shape ->
+            let optimized =
+              Xformer.optimize ~config:t.config.xformer brel.Binder.rel
+            in
+            Some
+              (Serializer.serialize_to_sql
+                 ~tolerate_eq2:(not t.config.xformer.Xformer.enable_2vl)
+                 optimized)
+        | _ -> None)
+    | _ -> None
   in
-  match Plancache.sentinel_rewrite ~src an.F.a_literals with
-  | None -> ()
-  | Some (sentinel_src, sentinels) -> (
-      let mark = Backend.log_mark t.backend in
-      let translate () =
-        match Qlang.Parser.parse_program sentinel_src with
-        | [ stmt ] -> (
-            match Binder.bind (make_ctx t) stmt with
-            | Binder.BRel brel when brel.Binder.shape = shape ->
-                let optimized =
-                  Xformer.optimize ~config:t.config.xformer brel.Binder.rel
-                in
-                Some
-                  (Serializer.serialize_to_sql
-                     ~tolerate_eq2:(not t.config.xformer.Xformer.enable_2vl)
-                     optimized)
-            | _ -> None)
-        | _ -> None
-      in
-      match translate () with
-      | exception _ -> negative "sentinel translation failed"
-      | None -> negative "sentinel translation changed shape"
-      | Some sentinel_sql ->
-          if Backend.log_mark t.backend <> mark then
+  let rec attempt structural =
+    let start = Obs.Clock.now_ns () in
+    match Plancache.sentinel_rewrite ~src ~structural an.F.a_literals with
+    | None -> ()
+    | Some (sentinel_src, sentinels) -> (
+        match translate sentinel_src with
+        | exception _ -> negative "sentinel translation failed"
+        | None -> negative "sentinel translation changed shape"
+        | Some _ when Backend.log_mark t.backend <> mark ->
             (* the sentinel bind touched the backend (an MDI refetch) —
                possibly transient, so skip without a negative entry *)
             ()
-          else begin
+        | Some sentinel_sql -> (
             let translate_s = Obs.Clock.seconds_since start in
-            let renderings = Array.map Plancache.render sentinels in
             match
-              Plancache.split ~sentinel_sql ~shape ~translate_s renderings
+              Plancache.split ~sentinel_sql ~shape ~translate_s ~structural
+                (Array.map Plancache.render sentinels)
             with
-            | None -> negative "literal lost in translation"
-            | Some tpl ->
-                if Plancache.splice tpl params = sql then
-                  Plancache.store pc key ~norm:an.F.a_norm
-                    (Plancache.Template tpl)
-                else negative "template validation failed"
-          end)
+            | Error (`Lost lost) ->
+                attempt (Plancache.widen_to_spans an.F.a_literals (structural @ lost))
+            | Error `Overlap -> negative "sentinel renderings overlap"
+            | Ok tpl when Plancache.splice tpl params <> sql ->
+                negative "template validation failed"
+            | Ok tpl when structural = [] -> store key (Plancache.Template tpl)
+            | Ok tpl ->
+                store key (Plancache.Structural structural);
+                store
+                  (Plancache.structural_key key structural params)
+                  (Plancache.Template tpl)))
+  in
+  attempt []
 
 (* Execute a template hit: splice the literals, jump straight to
    Execute→Pivot. Returns None if the backend rejects the spliced SQL —
@@ -699,7 +707,7 @@ let run_program_cached (t : t) (pc : Plancache.t) (src : string) : run_result =
           | _ -> ());
           r
         in
-        match Plancache.find pc key with
+        match Plancache.lookup pc key params with
         | Some { Plancache.e_kind = Plancache.Uncacheable _; _ } ->
             Obs.Metrics.inc t.pc_bypass;
             t.last_cache <- "bypass";
@@ -712,9 +720,9 @@ let run_program_cached (t : t) (pc : Plancache.t) (src : string) : run_result =
                 Plancache.note_hit e;
                 r
             | None ->
-                Plancache.remove pc key;
+                Plancache.remove pc e.Plancache.e_key;
                 miss ())
-        | None -> miss ())
+        | Some { Plancache.e_kind = Plancache.Structural _; _ } | None -> miss ())
 
 (** Parse and execute a Q program; returns the last statement's result.
     With the plan cache enabled, single-statement queries whose shape is

@@ -31,7 +31,15 @@
       splicing the {e original} literals back into it reproduces the
       original generated SQL byte for byte. Any shape whose translation
       is value-dependent beyond the signature's classes fails this check
-      and is negatively cached as uncacheable. *)
+      and is negatively cached as uncacheable.
+
+    Some literals are structure rather than parameters: an [aj] key
+    symbol or [xdesc]'s column becomes an identifier, [5 mavg] becomes a
+    [ROWS 4 PRECEDING] frame. Their sentinels never appear verbatim in
+    the sentinel SQL. Install treats every such position as
+    {e structural}: the shape entry remembers the positions
+    ({!Structural}), their values extend the key ({!structural_key}),
+    and the template is cut around the remaining positions only. *)
 
 module A = Sqlast.Ast
 module F = Qlang.Fingerprint
@@ -59,6 +67,12 @@ let render (p : param) : string =
 (* Type signatures                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Integral floats below 1e15 render as [10.0] rather than in %.17g
+   form (see {!A.lit_str}), so they are a class of their own, with
+   sentinels of the same form. *)
+let is_plain_integral (f : float) : bool =
+  Float.is_integer f && Float.abs f < 1e15
+
 (* Class of one atom, or None when its value class has bespoke binder
    behaviour and must bypass the cache. Numerics split by sign (negative
    [take]/[sublist] read from the end); zero, booleans and nulls are
@@ -69,10 +83,11 @@ let class_of_atom (a : Atom.t) : string option =
   match a with
   | Atom.Long i -> if i > 0L then Some "j+" else if i < 0L then Some "j-" else None
   | Atom.Float f ->
-      if Float.is_integer f then None (* integral floats fold like ints *)
+      if f = 0. || Float.is_nan f then None
+      else if is_plain_integral f then Some (if f > 0. then "fi+" else "fi-")
+      else if Float.is_integer f then None
       else if f > 0. then Some "f+"
-      else if f < 0. then Some "f-"
-      else None
+      else Some "f-"
   | Atom.Sym s -> if s = "" then None else Some "s"
   | Atom.Date d -> if d > 0 then Some "d" else None
   | Atom.Time t -> if t > 0 then Some "t" else None
@@ -140,9 +155,10 @@ let signature (lits : F.lit_span list) : (string * param array) option =
 
 (* Sentinel parameter for flattened position [k], same class as [p].
    Value ranges are chosen so no sentinel's SQL rendering is a substring
-   of another's: longs live in 8624xxxx, floats in 7351xxxx.5, strings
-   and symbols in distinct [hqs<k>...] namespaces, temporals in ranges
-   whose rendered text carries date/time separators. *)
+   of another's: longs live in 8624xxxx, fractional floats in
+   7351xxxx.5, integral floats in 9137xxxx.0, strings and symbols in
+   distinct [hqs<k>...] namespaces, temporals in ranges whose rendered
+   text carries date/time separators. *)
 let sentinel_param (k : int) (p : param) : param option =
   match p with
   | PString _ -> Some (PString (Printf.sprintf "hqs%dstr" k))
@@ -151,6 +167,9 @@ let sentinel_param (k : int) (p : param) : param option =
       | Atom.Long i when i > 0L -> Some (PAtom (Atom.Long (Int64.of_int (86240001 + k))))
       | Atom.Long i when i < 0L ->
           Some (PAtom (Atom.Long (Int64.of_int (-(86240001 + k)))))
+      | Atom.Float f when is_plain_integral f ->
+          let v = float_of_int (91370001 + k) in
+          Some (PAtom (Atom.Float (if f > 0. then v else -.v)))
       | Atom.Float f when f > 0. ->
           Some (PAtom (Atom.Float (float_of_int (73510001 + k) +. 0.5)))
       | Atom.Float f when f < 0. ->
@@ -178,14 +197,37 @@ let sentinel_source (p : param) : string =
   | PAtom (Atom.Timestamp n) -> Printf.sprintf "%Ldp" n
   | PAtom _ -> invalid_arg "sentinel_source"
 
+(* the parameters of one literal span, one per flattened position *)
+let span_params (ls : F.lit_span) : param list =
+  match ls.F.l_value with
+  | F.LNum atoms -> List.map (fun a -> PAtom a) atoms
+  | F.LStr s -> [ PString s ]
+  | F.LSym syms -> List.map (fun s -> PAtom (Atom.Sym s)) syms
+
+(** Widen structural positions to whole literal spans: a span is the
+    unit {!sentinel_rewrite} keeps verbatim, so every position of a span
+    holding a structural one is structural. Sorted, no duplicates. *)
+let widen_to_spans (lits : F.lit_span list) (positions : int list) : int list =
+  let _, widened =
+    List.fold_left
+      (fun (k, acc) ls ->
+        let n = List.length (span_params ls) in
+        let held = List.exists (fun p -> p >= k && p < k + n) positions in
+        (k + n, if held then acc @ List.init n (fun i -> k + i) else acc))
+      (0, []) lits
+  in
+  widened
+
 (** Rewrite [src], replacing every literal span with sentinel literals of
-    the same classes. Returns the rewritten source and the sentinel
-    parameters in flatten order, or [None] if any literal has no
-    sentinel form (callers reject such queries via {!signature} first). *)
-let sentinel_rewrite ~(src : string) (lits : F.lit_span list) :
-    (string * param array) option =
+    the same classes, except spans holding a [structural] position,
+    which stay verbatim. Returns the rewritten source and one parameter
+    per flattened position: the sentinel, or the original value at a
+    structural position. [None] if any literal has no sentinel form
+    (callers reject such queries via {!signature} first). *)
+let sentinel_rewrite ~(src : string) ?(structural = []) (lits : F.lit_span list)
+    : (string * param array) option =
   let buf = Buffer.create (String.length src + 64) in
-  let sentinels = ref [] in
+  let out = ref [] in
   let k = ref 0 in
   let ok = ref true in
   let pos = ref 0 in
@@ -193,33 +235,39 @@ let sentinel_rewrite ~(src : string) (lits : F.lit_span list) :
     match sentinel_param !k p with
     | Some sp ->
         incr k;
-        sentinels := sp :: !sentinels;
+        out := sp :: !out;
         sentinel_source sp
     | None ->
         ok := false;
         ""
   in
+  let keep (p : param) =
+    incr k;
+    out := p :: !out
+  in
   List.iter
     (fun (ls : F.lit_span) ->
       if !ok then begin
         Buffer.add_substring buf src !pos (ls.F.l_start - !pos);
-        (match ls.F.l_value with
-        | F.LNum atoms ->
-            Buffer.add_string buf
-              (String.concat " "
-                 (List.map (fun a -> one (PAtom a)) atoms))
-        | F.LStr s -> Buffer.add_string buf (one (PString s))
-        | F.LSym syms ->
-            List.iter
-              (fun s -> Buffer.add_string buf (one (PAtom (Atom.Sym s))))
-              syms);
+        let params = span_params ls in
+        let n = List.length params in
+        if List.exists (fun p -> p >= !k && p < !k + n) structural then begin
+          List.iter keep params;
+          Buffer.add_substring buf src ls.F.l_start (ls.F.l_stop - ls.F.l_start)
+        end
+        else begin
+          let texts = List.map one params in
+          match ls.F.l_value with
+          | F.LSym _ -> List.iter (Buffer.add_string buf) texts
+          | F.LNum _ | F.LStr _ -> Buffer.add_string buf (String.concat " " texts)
+        end;
         pos := ls.F.l_stop
       end)
     lits;
   if not !ok then None
   else begin
     Buffer.add_substring buf src !pos (String.length src - !pos);
-    Some (Buffer.contents buf, Array.of_list (List.rev !sentinels))
+    Some (Buffer.contents buf, Array.of_list (List.rev !out))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -235,55 +283,61 @@ type template = {
           estimated time saved per hit *)
 }
 
+(* first occurrence of [needle] in [hay] at or after [from], compared
+   in place *)
 let naive_find (hay : string) (needle : string) (from : int) : int option =
   let hl = String.length hay and nl = String.length needle in
-  let rec go i =
-    if i + nl > hl then None
-    else if String.sub hay i nl = needle then Some i
-    else go (i + 1)
+  let rec matches i j =
+    j = nl || (String.unsafe_get hay (i + j) = String.unsafe_get needle j && matches i (j + 1))
   in
-  if nl = 0 then None else go from
+  let rec go i =
+    if i + nl > hl then None else if matches i 0 then Some i else go (i + 1)
+  in
+  if nl = 0 || from < 0 then None else go from
 
 (** Cut [sentinel_sql] into a template: find every (non-overlapping)
-    occurrence of each sentinel's rendering, require each sentinel to
-    appear at least once, and split the text around them. [None] when a
-    sentinel vanished (constant-folded) or renderings overlap. *)
+    occurrence of each non-[structural] position's sentinel rendering
+    and split the text around them. [Error (`Lost ps)] names the
+    positions whose rendering never occurs (folded, transformed, or
+    turned into an identifier) — the caller makes them structural;
+    [Error `Overlap] when renderings overlap. *)
 let split ~(sentinel_sql : string) ~(shape : Binder.rshape)
-    ~(translate_s : float) (renderings : string array) : template option =
-  let occs = ref [] in
+    ~(translate_s : float) ~(structural : int list) (renderings : string array)
+    : (template, [ `Lost of int list | `Overlap ]) result =
+  let occs = ref [] and lost = ref [] in
   Array.iteri
     (fun k r ->
-      let rl = String.length r in
-      let rec go from =
-        match naive_find sentinel_sql r from with
-        | Some p ->
-            occs := (p, rl, k) :: !occs;
-            go (p + rl)
-        | None -> ()
-      in
-      go 0)
+      if not (List.mem k structural) then begin
+        let rl = String.length r in
+        let rec go from found =
+          match naive_find sentinel_sql r from with
+          | Some p ->
+              occs := (p, rl, k) :: !occs;
+              go (p + rl) true
+          | None -> if not found then lost := k :: !lost
+        in
+        go 0 false
+      end)
     renderings;
   let occs = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !occs in
-  let n = Array.length renderings in
-  let seen = Array.make n false in
   let parts = ref [] and slots = ref [] in
-  let pos = ref 0 and ok = ref true in
+  let pos = ref 0 and overlap = ref false in
   List.iter
     (fun (p, l, k) ->
-      if p < !pos then ok := false
+      if p < !pos then overlap := true
       else begin
-        seen.(k) <- true;
         parts := String.sub sentinel_sql !pos (p - !pos) :: !parts;
         slots := k :: !slots;
         pos := p + l
       end)
     occs;
-  if (not !ok) || not (Array.for_all Fun.id seen) then None
+  if !lost <> [] then Error (`Lost (List.rev !lost))
+  else if !overlap then Error `Overlap
   else begin
     parts :=
       String.sub sentinel_sql !pos (String.length sentinel_sql - !pos)
       :: !parts;
-    Some
+    Ok
       {
         tp_parts = Array.of_list (List.rev !parts);
         tp_slots = Array.of_list (List.rev !slots);
@@ -321,13 +375,38 @@ type key = {
           shard set or a table's distribution changes, so a template
           installed for a single-backend route can never serve a
           statement that now fans out *)
+  k_struct : string;
+      (** the values at the shape's structural positions ({!structural_key});
+          [""] for the shape key itself *)
 }
 
 type kind =
   | Template of template
+  | Structural of int list
+      (** the shape's literal positions that are structure: templates
+          for this shape live under {!structural_key} *)
   | Uncacheable of string
       (** negative entry: this (shape, signature) failed template
           construction or validation — skip install attempts *)
+
+let kind_name = function
+  | Template _ -> "template"
+  | Structural ps ->
+      "structural " ^ String.concat "," (List.map string_of_int ps)
+  | Uncacheable reason -> "uncacheable: " ^ reason
+
+(** The key of the template serving [params] for a shape whose
+    [positions] are structural: their values, rendered and
+    length-prefixed so no two value lists share a key. *)
+let structural_key (key : key) (positions : int list) (params : param array) :
+    key =
+  let b = Buffer.create 32 in
+  List.iter
+    (fun k ->
+      let r = render params.(k) in
+      Printf.bprintf b "%d=%d:%s;" k (String.length r) r)
+    positions;
+  { key with k_struct = Buffer.contents b }
 
 type entry = {
   e_key : key;
@@ -377,6 +456,13 @@ let find (t : t) (key : key) : entry option =
           Some e
       | None -> None)
 
+(** The entry serving [params] under the shape key [key]: a shape with
+    structural positions redirects to the entry for their values. *)
+let lookup (t : t) (key : key) (params : param array) : entry option =
+  match find t key with
+  | Some { e_kind = Structural ps; _ } -> find t (structural_key key ps params)
+  | found -> found
+
 let remove (t : t) (key : key) : unit =
   with_mu t (fun () -> Hashtbl.remove t.tbl key)
 
@@ -421,7 +507,7 @@ let note_hit (e : entry) : unit =
   e.e_hits <- e.e_hits + 1;
   match e.e_kind with
   | Template tpl -> e.e_saved_s <- e.e_saved_s +. tpl.tp_translate_s
-  | Uncacheable _ -> ()
+  | Structural _ | Uncacheable _ -> ()
 
 (** All entries, most-hit first — the admin surfaces' view. *)
 let entries (t : t) : entry list =

@@ -281,13 +281,7 @@ and serialize_join st ~kind ~left ~right ~eq_cols ~extra_pred : A.select =
     | (`Inner | `Left), _ -> (kind :> [ `Inner | `Left | `Cross ])
   in
   let lcols = I.output_cols left in
-  let lnames = List.map (fun c -> c.I.cr_name) lcols in
-  let rextras =
-    I.output_cols right
-    |> List.filter (fun c ->
-           (not (List.mem c.I.cr_name eq_cols))
-           && not (List.mem c.I.cr_name lnames))
-  in
+  let rextras = I.join_extras ~eq_cols lcols (I.output_cols right) in
   let projs =
     List.map (fun c -> A.proj ~alias:c.I.cr_name (A.qcol la c.I.cr_name)) lcols
     @ List.map
@@ -354,13 +348,11 @@ and serialize_asof st ~left ~right ~eq_cols ~ts_col ~keep_right_time :
     | None -> Some range
     | Some a -> Some (A.Bin (A.And, a, range))
   in
-  let lnames = List.map (fun c -> c.I.cr_name) left_cols in
+  let rcols = I.output_cols right in
   let rextras =
-    I.output_cols right
-    |> List.filter (fun c ->
-           (not (List.mem c.I.cr_name eq_cols))
-           && (c.I.cr_name <> ts_col || keep_right_time)
-           && not (List.mem c.I.cr_name lnames))
+    I.join_extras ~eq_cols
+      ~drop:(fun n -> n = ts_col && not keep_right_time)
+      left_cols rcols
   in
   let inner_projs =
     List.map
@@ -375,8 +367,10 @@ and serialize_asof st ~left ~right ~eq_cols ~ts_col ~keep_right_time :
           A.proj ~alias (A.qcol ra c.I.cr_name))
         (if keep_right_time then
            rextras
-           @ (I.output_cols right
-             |> List.filter (fun c -> c.I.cr_name = ts_col && List.mem ts_col lnames))
+           @ (rcols
+             |> List.filter (fun c ->
+                    c.I.cr_name = ts_col
+                    && List.exists (fun l -> l.I.cr_name = ts_col) left_cols))
          else rextras)
     @ [
         {

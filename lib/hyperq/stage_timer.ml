@@ -48,9 +48,9 @@ let record t stage seconds =
 
 (** Run [f] and record its monotonic duration and allocation under
     [stage]. Only the cheap domain-local [Gc.allocated_bytes] delta is
-    captured here — minor-collection deltas come from [Gc.quick_stat],
-    which sums across all domains (~1us) and is taken once per query by
-    the endpoint instead. *)
+    captured here — the minor-collection delta is process-wide (every
+    minor collection stops all domains), so the endpoint takes it once
+    per query instead. *)
 let timed (t : t) (stage : stage) (f : unit -> 'a) : 'a =
   let start = Obs.Clock.now_ns () in
   let a0 = Gc.allocated_bytes () in

@@ -76,76 +76,69 @@ let rec filter_fusion (r : I.rel) : I.rel =
 (* Push the set of required column names down the tree, trimming Get nodes
    and Project lists. The required set at the root is every output column
    (the application sees them all); the pay-off is at interior nodes where
-   e.g. a 500-column Get feeds a 3-column projection. *)
+   e.g. a 500-column Get feeds a 3-column projection.
+
+   Required names are a set, and a join hands its whole required set to
+   both sides instead of splitting it by each side's output columns: a
+   name a subtree does not output is inert there (only a Get or Project
+   matches names, and every operator in between passes its input's
+   columns through), so no [output_cols] is recomputed per join and the
+   pass stays linear in schema width. *)
 let column_pruning (root : I.rel) : I.rel =
-  let rec prune (r : I.rel) (required : string list) : I.rel =
+  let module N = Set.Make (String) in
+  (* [None] requires every column: the root's whole output, without
+     computing it *)
+  let mem n = function None -> true | Some s -> N.mem n s in
+  let union names = function None -> None | Some s -> Some (N.union s names) in
+  let cols_of (s : I.scalar) = N.of_list (I.scalar_cols s) in
+  let cols_of_all f l =
+    List.fold_left (fun acc x -> N.union acc (cols_of (f x))) N.empty l
+  in
+  let rec prune (r : I.rel) (required : N.t option) : I.rel =
     match r with
     | I.Get g ->
-        let keep =
-          List.filter (fun c -> List.mem c.I.cr_name required) g.cols
-        in
+        let keep = List.filter (fun c -> mem c.I.cr_name required) g.cols in
         (* never prune to the empty column list *)
         let keep = if keep = [] then (match g.cols with c :: _ -> [ c ] | [] -> []) else keep in
         I.Get { g with cols = keep }
     | I.ConstRel _ -> r
     | I.Project { input; exprs } ->
-        let exprs' =
-          List.filter (fun (n, _) -> List.mem n required) exprs
-        in
+        let exprs' = List.filter (fun (n, _) -> mem n required) exprs in
         let exprs' = if exprs' = [] then exprs else exprs' in
-        let needed =
-          List.concat_map (fun (_, s) -> I.scalar_cols s) exprs'
-        in
-        I.Project { input = prune input (dedup needed); exprs = exprs' }
+        I.Project
+          { input = prune input (Some (cols_of_all snd exprs')); exprs = exprs' }
     | I.Filter { input; pred } ->
-        let needed = required @ I.scalar_cols pred in
-        I.Filter { input = prune input (dedup needed); pred }
+        I.Filter { input = prune input (union (cols_of pred) required); pred }
     | I.Join j ->
-        let pred_cols =
-          match j.extra_pred with Some p -> I.scalar_cols p | None -> []
+        let needed = union (N.of_list j.eq_cols) required in
+        let needed =
+          match j.extra_pred with Some p -> union (cols_of p) needed | None -> needed
         in
-        let needed = dedup (required @ j.eq_cols @ pred_cols) in
-        let lnames = List.map (fun c -> c.I.cr_name) (I.output_cols j.left) in
-        let lneed = List.filter (fun c -> List.mem c lnames) needed in
-        let rnames = List.map (fun c -> c.I.cr_name) (I.output_cols j.right) in
-        let rneed = List.filter (fun c -> List.mem c rnames) needed in
-        I.Join { j with left = prune j.left lneed; right = prune j.right rneed }
+        I.Join { j with left = prune j.left needed; right = prune j.right needed }
     | I.AsofJoin a ->
-        let ord =
-          match I.order_col a.left with Some oc -> [ oc ] | None -> []
+        let ord = match I.order_col a.left with Some oc -> [ oc ] | None -> [] in
+        let needed =
+          union (N.of_list ((a.ts_col :: a.eq_cols) @ ord)) required
         in
-        let needed = dedup (required @ a.eq_cols @ [ a.ts_col ] @ ord) in
-        let lnames = List.map (fun c -> c.I.cr_name) (I.output_cols a.left) in
-        let lneed = List.filter (fun c -> List.mem c lnames) needed in
-        let rnames = List.map (fun c -> c.I.cr_name) (I.output_cols a.right) in
-        let rneed = List.filter (fun c -> List.mem c rnames) needed in
-        I.AsofJoin { a with left = prune a.left lneed; right = prune a.right rneed }
+        I.AsofJoin { a with left = prune a.left needed; right = prune a.right needed }
     | I.Aggregate { input; keys; aggs } ->
-        let needed =
-          List.concat_map (fun (_, s) -> I.scalar_cols s) (keys @ aggs)
-        in
-        I.Aggregate { input = prune input (dedup needed); keys; aggs }
+        I.Aggregate
+          { input = prune input (Some (cols_of_all snd (keys @ aggs))); keys; aggs }
     | I.WindowOp { input; wins } ->
-        let needed =
-          required @ List.concat_map (fun (_, s) -> I.scalar_cols s) wins
-        in
         (* window outputs themselves are not input columns *)
-        let win_names = List.map fst wins in
-        let needed = List.filter (fun c -> not (List.mem c win_names)) needed in
-        I.WindowOp { input = prune input (dedup needed); wins }
-    | I.Sort { input; keys } ->
         let needed =
-          required @ List.concat_map (fun k -> I.scalar_cols k.I.sk_expr) keys
+          Option.map
+            (fun s -> List.fold_left (fun acc (n, _) -> N.remove n acc) s wins)
+            (union (cols_of_all snd wins) required)
         in
-        I.Sort { input = prune input (dedup needed); keys }
+        I.WindowOp { input = prune input needed; wins }
+    | I.Sort { input; keys } ->
+        let needed = union (cols_of_all (fun k -> k.I.sk_expr) keys) required in
+        I.Sort { input = prune input needed; keys }
     | I.Limit { input; n } -> I.Limit { input = prune input required; n }
     | I.Union rels -> I.Union (List.map (fun r' -> prune r' required) rels)
-  and dedup l =
-    List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l
-    |> List.rev
   in
-  let all = List.map (fun c -> c.I.cr_name) (I.output_cols root) in
-  prune root all
+  prune root None
 
 (* ------------------------------------------------------------------ *)
 (* Transparency: order enforcement and elision                         *)

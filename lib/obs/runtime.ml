@@ -24,6 +24,9 @@ let uptime_s () = Clock.seconds_since start_ns
 let word_bytes = Sys.word_size / 8
 let words_to_bytes w = w *. float_of_int word_bytes
 
+external minor_collections : unit -> int = "hq_minor_collections"
+[@@noalloc]
+
 let default_interval_s = 5.0
 
 type t = {

@@ -353,11 +353,6 @@ let plancache_table (pc : Hyperq.Plancache.t option) : QV.t =
   let module PC = Hyperq.Plancache in
   let entries = match pc with None -> [] | Some pc -> PC.entries pc in
   let arr f = Array.of_list (List.map f entries) in
-  let kind (e : PC.entry) =
-    match e.PC.e_kind with
-    | PC.Template _ -> "template"
-    | PC.Uncacheable reason -> "uncacheable: " ^ reason
-  in
   QV.Table
     (QV.table
        [
@@ -366,7 +361,7 @@ let plancache_table (pc : Hyperq.Plancache.t option) : QV.t =
          ( "signature",
            QV.syms (arr (fun (e : PC.entry) -> e.PC.e_key.PC.k_signature)) );
          ("query", QV.syms (arr (fun (e : PC.entry) -> e.PC.e_norm)));
-         ("kind", QV.syms (arr kind));
+         ("kind", QV.syms (arr (fun (e : PC.entry) -> PC.kind_name e.PC.e_kind)));
          ("hits", QV.longs (arr (fun (e : PC.entry) -> e.PC.e_hits)));
          ( "saved_ms",
            QV.floats (arr (fun (e : PC.entry) -> e.PC.e_saved_s *. 1e3)) );
@@ -774,7 +769,7 @@ let traced_process (t : t) (text : string) ~(bytes_in : int) : processed =
   M.inc t.m.queries_total;
   let start = Obs.Clock.now_ns () in
   let a0 = Gc.allocated_bytes () in
-  let g0 = (Gc.quick_stat ()).Gc.minor_collections in
+  let g0 = Obs.Runtime.minor_collections () in
   let v0 = Atomic.get Pgdb.Vexec.stats_vector in
   let r0 = Atomic.get Pgdb.Vexec.stats_row in
   let tr = Obs.Ctx.start_trace t.obs "query" in
@@ -794,7 +789,7 @@ let traced_process (t : t) (text : string) ~(bytes_in : int) : processed =
   in
   let duration = Obs.Clock.seconds_since start in
   let alloc_bytes = Gc.allocated_bytes () -. a0 in
-  let minor_gcs = (Gc.quick_stat ()).Gc.minor_collections - g0 in
+  let minor_gcs = Obs.Runtime.minor_collections () - g0 in
   let path =
     exec_path
       ~dv:(Atomic.get Pgdb.Vexec.stats_vector - v0)

@@ -181,17 +181,13 @@ let plancache_json (t : t) : string =
         PC.entries pc
         |> List.filteri (fun i _ -> i < 50)
         |> List.map (fun (e : PC.entry) ->
-               let kind =
-                 match e.PC.e_kind with
-                 | PC.Template _ -> "template"
-                 | PC.Uncacheable reason -> "uncacheable: " ^ reason
-               in
                Printf.sprintf
                  "{\"fingerprint\":\"%s\",\"signature\":\"%s\",\"norm\":\"%s\",\"kind\":\"%s\",\"hits\":%d,\"saved_seconds\":%g}"
                  (Obs.Trace.json_escape e.PC.e_key.PC.k_fingerprint)
                  (Obs.Trace.json_escape e.PC.e_key.PC.k_signature)
                  (Obs.Trace.json_escape e.PC.e_norm)
-                 (Obs.Trace.json_escape kind) e.PC.e_hits e.PC.e_saved_s)
+                 (Obs.Trace.json_escape (PC.kind_name e.PC.e_kind))
+                 e.PC.e_hits e.PC.e_saved_s)
       in
       Printf.sprintf
         "{\"enabled\":true,\"size\":%d,\"evictions\":%d,\"entries\":[%s]}\n"

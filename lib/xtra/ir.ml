@@ -106,6 +106,26 @@ exception Bind_error of string
 
 let bind_error fmt = Format.kasprintf (fun s -> raise (Bind_error s)) fmt
 
+(** The right-side columns a join adds to its left side's: every column
+    not named as a join key, not [drop]ped and not already on the left
+    (the left side's same-named column wins). Shared by {!output_cols}
+    and the serializer's join lowering so both agree on the layout.
+    The left side's names are a hashed set (cf. "Design of an
+    intermediate representation for query languages": column sets are
+    sets): the wide tables put thousands of names on each side, and a
+    list scan per right-side column made translation quadratic in
+    schema width. *)
+let join_extras ?(drop = fun (_ : string) -> false) ~(eq_cols : string list)
+    (lcols : colref list) (rcols : colref list) : colref list =
+  let lnames = Hashtbl.create (2 * List.length lcols + 1) in
+  List.iter (fun c -> Hashtbl.replace lnames c.cr_name ()) lcols;
+  List.filter
+    (fun c ->
+      (not (List.mem c.cr_name eq_cols))
+      && (not (drop c.cr_name))
+      && not (Hashtbl.mem lnames c.cr_name))
+    rcols
+
 (** Derive the scalar type of an expression given input columns. *)
 let rec scalar_type (cols : colref list) (s : scalar) : Ty.t =
   let col name =
@@ -151,7 +171,8 @@ let rec scalar_type (cols : colref list) (s : scalar) : Ty.t =
   | WinFun { args = a :: _; _ } -> scalar_type cols a
   | WinFun { args = []; _ } -> Ty.TBigint
 
-(** Output columns of a relational expression, in order. *)
+(** Output columns of a relational expression, in order. One visit per
+    node; joins test names against a hashed set ({!join_extras}). *)
 let rec output_cols (r : rel) : colref list =
   match r with
   | Get { cols; _ } -> cols
@@ -164,23 +185,13 @@ let rec output_cols (r : rel) : colref list =
   | Filter { input; _ } -> output_cols input
   | Join { left; right; eq_cols; _ } ->
       let lcols = output_cols left in
-      let lnames = List.map (fun c -> c.cr_name) lcols in
-      lcols
-      @ (output_cols right
-        |> List.filter (fun c ->
-               (not (List.mem c.cr_name eq_cols))
-               && not (List.mem c.cr_name lnames)))
+      lcols @ join_extras ~eq_cols lcols (output_cols right)
   | AsofJoin { left; right; eq_cols; ts_col; keep_right_time } ->
       let lcols = output_cols left in
-      let lnames = List.map (fun c -> c.cr_name) lcols in
-      let extra =
-        output_cols right
-        |> List.filter (fun c ->
-               (not (List.mem c.cr_name eq_cols))
-               && ((not (c.cr_name = ts_col)) || keep_right_time)
-               && not (List.mem c.cr_name lnames))
-      in
-      lcols @ extra
+      lcols
+      @ join_extras ~eq_cols
+          ~drop:(fun n -> n = ts_col && not keep_right_time)
+          lcols (output_cols right)
   | Aggregate { input; keys; aggs } ->
       let in_cols = output_cols input in
       List.map

@@ -241,6 +241,182 @@ let test_randomized_differential () =
   check tbool "workload produced cache hits" true (hits eng > 50)
 
 (* ------------------------------------------------------------------ *)
+(* Every analytical shape is cached                                    *)
+(* ------------------------------------------------------------------ *)
+
+module MD = Workload.Marketdata
+module AW = Workload.Analytical
+
+let market_engine d ~plan_cache =
+  let db = Db.create () in
+  MD.load_pg db d;
+  let cfg = E.default_config () in
+  cfg.E.plan_cache <- plan_cache;
+  E.create ~config:cfg (Hyperq.Backend.of_pgdb_session (Db.open_session db))
+
+let run_full eng q =
+  match E.try_run eng q with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "query %S failed: %s" q e
+
+(* [q] must send the same SQL and return an agreeing value on both
+   engines *)
+let check_same_translation ~cached ~uncached q =
+  let c = run_full cached q and u = run_full uncached q in
+  check (Alcotest.list Alcotest.string) ("SQL of " ^ q) u.E.sqls c.E.sqls;
+  match (c.E.value, u.E.value) with
+  | Some cv, Some uv -> (
+      match Sidebyside.Framework.values_agree cv uv with
+      | None -> ()
+      | Some d -> Alcotest.failf "cache changed the answer of %S: %s" q d)
+  | _ -> Alcotest.failf "%S returned no value" q
+
+let test_analytical_all_cached () =
+  let d = MD.generate MD.small_scale in
+  let eng = market_engine d ~plan_cache:true in
+  let uncached = market_engine d ~plan_cache:false in
+  let queries = AW.queries d in
+  List.iter
+    (fun q ->
+      List.iter
+        (fun s -> ignore (run_full eng s); ignore (run_full uncached s))
+        q.AW.setup)
+    queries;
+  (* warm the cache-off engine's metadata cache too, so both send only
+     the query's own SQL below *)
+  List.iter (fun q -> ignore (run_full uncached q.AW.text)) queries;
+  let b0 = bypass eng in
+  for pass = 1 to 3 do
+    List.iter
+      (fun q ->
+        let h = hits eng in
+        ignore (run_full eng q.AW.text);
+        if pass = 3 && hits eng <> h + 1 then
+          Alcotest.failf "Q%02d missed the plan cache on the third pass" q.AW.id)
+      queries
+  done;
+  check tint "no bypass" b0 (bypass eng);
+  let pc = Option.get (E.plan_cache eng) in
+  List.iter
+    (fun (e : PC.entry) ->
+      match e.PC.e_kind with
+      | PC.Uncacheable reason ->
+          Alcotest.failf "uncacheable entry %S: %s" e.PC.e_norm reason
+      | PC.Template _ | PC.Structural _ -> ())
+    (PC.entries pc);
+  (* new literals: an integral-float slot (Q20), a structural window
+     length (Q12) and a slot that surfaces as LIMIT (Q11) *)
+  let q id = (List.find (fun q -> q.AW.id = id) queries).AW.text in
+  let subst id a b =
+    let t = q id in
+    let i = Str.search_forward (Str.regexp_string a) t 0 in
+    String.sub t 0 i ^ b ^ String.sub t (i + String.length a) (String.length t - i - String.length a)
+  in
+  let variants =
+    [ subst 20 "Price>5.0" "Price>7.0"; subst 12 "5 mavg" "7 mavg"; subst 11 "3#" "4#" ]
+  in
+  List.iter
+    (fun v ->
+      (* the second run of each variant is a hit *)
+      check_same_translation ~cached:eng ~uncached v;
+      let h = hits eng in
+      check_same_translation ~cached:eng ~uncached v;
+      check tint ("variant hits: " ^ v) (h + 1) (hits eng))
+    variants
+
+(* the value classes the analytical shapes added to the key *)
+let test_new_key_classes () =
+  let eng, _ = make_engine ~plan_cache:true () in
+  let uncached, _ = make_engine ~plan_cache:false () in
+  let pc = Option.get (E.plan_cache eng) in
+  let templates () =
+    List.length
+      (List.filter
+         (fun (e : PC.entry) ->
+           match e.PC.e_kind with PC.Template _ -> true | _ -> false)
+         (PC.entries pc))
+  in
+  (* integral and fractional floats never share a template *)
+  let integral = "select Price from trades where Price>11.0" in
+  let fractional = "select Price from trades where Price>11.5" in
+  warm eng integral;
+  warm eng fractional;
+  check tint "one template per float class" 2 (templates ());
+  let h0 = hits eng in
+  check_vs_uncached ~cached:eng ~uncached integral;
+  check_vs_uncached ~cached:eng ~uncached fractional;
+  check_vs_uncached ~cached:eng ~uncached "select Price from trades where Price>20.0";
+  check tint "each float class hits its own template" (h0 + 3) (hits eng);
+  (* 0.0 still bypasses *)
+  let b0 = bypass eng in
+  ignore (run eng "select Price from trades where Price>0.0");
+  check tint "0.0 bypasses" (b0 + 1) (bypass eng);
+  (* 3# and -3# never share an entry: the sign splits the class, and a
+     take from the end is not translatable, so -3# must fail exactly as
+     on the cache-off engine instead of reusing 3#'s template *)
+  PC.clear pc;
+  let take = "3#select Price from trades" and take_end = "-3#select Price from trades" in
+  warm eng take;
+  check_vs_uncached ~cached:eng ~uncached take;
+  let h = hits eng in
+  let error_of eng =
+    match E.try_run eng take_end with
+    | Ok _ -> Alcotest.failf "%S should not translate" take_end
+    | Error e -> e
+  in
+  check Alcotest.string "-3# fails as without the cache" (error_of uncached)
+    (error_of eng);
+  check tint "-3# served by no template" h (hits eng);
+  check tint "only 3#'s template" 1 (templates ());
+  (* 5 mavg and 6 mavg never share one: the window length is structure *)
+  PC.clear pc;
+  let m5 = "select m:5 mavg Price from trades" in
+  let m6 = "select m:6 mavg Price from trades" in
+  warm eng m5;
+  warm eng m6;
+  check tint "one template per window length" 2 (templates ());
+  let h = hits eng in
+  check_vs_uncached ~cached:eng ~uncached m5;
+  check_vs_uncached ~cached:eng ~uncached m6;
+  check tint "both window lengths hit" (h + 2) (hits eng)
+
+let test_signature_integral_floats () =
+  let sig_of q =
+    PC.signature (Qlang.Fingerprint.analyze q).Qlang.Fingerprint.a_literals
+  in
+  match
+    ( sig_of "select from trades where Price>10.0",
+      sig_of "select from trades where Price>10.5",
+      sig_of "select from trades where Price>-10.0",
+      sig_of "select from trades where Price>0.0" )
+  with
+  | Some (i, _), Some (f, _), Some (n, _), None ->
+      check tbool "integral and fractional floats differ" true (i <> f);
+      check tbool "integral floats split by sign" true (i <> n)
+  | _ -> Alcotest.fail "non-zero floats cache, 0.0 bypasses"
+
+(* in-place search agrees with the obvious definition *)
+let test_naive_find () =
+  let hay = "SELECT 86240001 FROM t WHERE x > 86240001.5" in
+  let reference needle from =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length hay then None
+      else if String.sub hay i n = needle then Some i
+      else go (i + 1)
+    in
+    if n = 0 then None else go from
+  in
+  List.iter
+    (fun (needle, from) ->
+      check (Alcotest.option tint) (Printf.sprintf "%S from %d" needle from)
+        (reference needle from) (PC.naive_find hay needle from))
+    [
+      ("86240001", 0); ("86240001", 8); ("86240001.5", 0); ("t", 0);
+      ("missing", 0); ("", 0); ("5", 40); (hay, 0); (hay ^ "x", 0);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* pgdb statement cache (level 2)                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -345,6 +521,7 @@ let test_lru_eviction () =
       k_server_gen = 0;
       k_catalog_gen = 0;
       k_shard_gen = 0;
+      k_struct = "";
     }
   in
   PC.store pc (key "a") ~norm:"a" (PC.Uncacheable "test");
@@ -378,6 +555,13 @@ let () =
           Alcotest.test_case "session promotion" `Quick
             test_invalidate_session_promotion;
         ] );
+      ( "analytical",
+        [
+          Alcotest.test_case "every analytical shape is cached" `Quick
+            test_analytical_all_cached;
+          Alcotest.test_case "new key classes never share entries" `Quick
+            test_new_key_classes;
+        ] );
       ( "differential",
         [
           Alcotest.test_case "200-query randomized vs uncached" `Quick
@@ -398,6 +582,9 @@ let () =
       ( "units",
         [
           Alcotest.test_case "signature classes" `Quick test_signature_classes;
+          Alcotest.test_case "integral-float classes" `Quick
+            test_signature_integral_floats;
+          Alcotest.test_case "in-place sentinel search" `Quick test_naive_find;
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
         ] );
     ]

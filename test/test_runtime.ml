@@ -305,6 +305,18 @@ let test_timeseries_gc_windows () =
   P.Client.close c;
   P.shutdown p
 
+(* the endpoint's per-query minor-GC counter reads what Gc.quick_stat
+   reports *)
+let test_minor_collections_counter () =
+  let q () = (Gc.quick_stat ()).Gc.minor_collections in
+  Gc.minor ();
+  check tint "agrees with Gc.quick_stat" (q ()) (RT.minor_collections ());
+  let before = RT.minor_collections () in
+  Gc.minor ();
+  Gc.minor ();
+  check tint "counts collections" (before + 2) (RT.minor_collections ());
+  check tint "still agrees" (q ()) (RT.minor_collections ())
+
 let () =
   Alcotest.run "runtime"
     [
@@ -317,6 +329,8 @@ let () =
           Alcotest.test_case "gc/heap deltas and reset" `Quick
             test_runtime_sampler;
           Alcotest.test_case "heap watermark" `Quick test_heap_watermark;
+          Alcotest.test_case "minor-collection counter" `Quick
+            test_minor_collections_counter;
         ] );
       ( "domains",
         [

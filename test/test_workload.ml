@@ -164,6 +164,49 @@ let test_pg_and_kdb_loads_agree () =
         kdb_sorted pg_sectors
   | _ -> Alcotest.fail "catalog query failed"
 
+(* Cold translation must stay linear in schema width: doubling the wide
+   tables' columns may at most about double Q18's and Q20's translation
+   time. A list-membership test per column pair made each doubling cost
+   ~3.7x. Time, not allocation, is measured: a quadratic List.mem scan
+   allocates nothing. *)
+let test_translation_linear_in_width () =
+  let translate_s width =
+    let scale =
+      { MD.symbols = 4; trades_per_symbol = 4; quotes_per_symbol = 4; wide_columns = width }
+    in
+    let d = MD.generate scale in
+    let db = Pgdb.Db.create () in
+    MD.load_pg db d;
+    let cfg = Hyperq.Engine.default_config () in
+    cfg.Hyperq.Engine.plan_cache <- false;
+    let eng =
+      Hyperq.Engine.create ~config:cfg
+        (Hyperq.Backend.of_pgdb_session (Pgdb.Db.open_session db))
+    in
+    let queries = AW.queries d in
+    List.map
+      (fun id ->
+        let q = (List.find (fun q -> q.AW.id = id) queries).AW.text in
+        (* the first translation fetches the wide tables' metadata *)
+        ignore (Hyperq.Engine.translate eng q);
+        let best = ref infinity in
+        for _ = 1 to 7 do
+          let t0 = Obs.Clock.now_ns () in
+          ignore (Hyperq.Engine.translate eng q);
+          best := Float.min !best (Obs.Clock.seconds_since t0)
+        done;
+        (id, !best))
+      [ 18; 20 ]
+  in
+  let narrow = translate_s 510 and wide = translate_s 1020 in
+  List.iter2
+    (fun (id, n) (_, w) ->
+      let ratio = w /. n in
+      if ratio >= 3.0 then
+        Alcotest.failf "Q%d: 1020 columns take %.1fx the time of 510 (%.0f vs %.0f us)"
+          id ratio (w *. 1e6) (n *. 1e6))
+    narrow wide
+
 let () =
   Alcotest.run "workload"
     [
@@ -185,5 +228,7 @@ let () =
           Alcotest.test_case "25 queries, heavy ids" `Quick
             test_workload_has_25_queries;
           Alcotest.test_case "all queries parse" `Quick test_all_queries_parse;
+          Alcotest.test_case "translation linear in width" `Quick
+            test_translation_linear_in_width;
         ] );
     ]
