@@ -14,10 +14,7 @@ all:
 # gate (per-operator EXPLAIN/ANALYZE instrumentation costs <= 2.5% of
 # mean query latency while collection is off) + the runtime gate
 # (per-query GC/allocation attribution costs <= 2.5% of mean query
-# latency) + the vectorized-executor gate (>= 3x mean execute speedup
-# over the row interpreter, byte-identical results on a randomized
-# differential single-node and through a 2-shard platform, fallback
-# overhead <= 2.5%) + the layered benchmark's smoke run (1/50 of every
+# latency) + the layered benchmark's smoke run (1/50 of every
 # workload, each reply checked against the kdb oracle); the
 # introspection suite exercises the HTTP admin endpoint through its pure
 # handler, so no curl / open port needed
@@ -35,7 +32,6 @@ bench-smoke:
 	dune exec bench/main.exe -- obs_gate
 	dune exec bench/main.exe -- explain_gate
 	dune exec bench/main.exe -- runtime_gate
-	dune exec bench/main.exe -- vector_gate
 	dune build @bench/suite/bench-suite-smoke
 
 check:

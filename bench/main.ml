@@ -26,8 +26,6 @@
      explain_gate    Quick explain gate for `make ci` (exit 1 on fail)
      runtime         GC telemetry + allocation-attribution overhead
      runtime_gate    Quick runtime gate for `make ci` (exit 1 on fail)
-     vectorized      Columnar batch executor vs row interpreter
-     vector_gate     Quick vectorized gate for `make ci` (exit 1 on fail)
      micro           Bechamel micro-benchmarks of the translation pipeline *)
 
 module E = Hyperq.Engine
@@ -1212,27 +1210,6 @@ let shard_workload (d : MD.dataset) : string list =
       (sym 3);
   ]
 
-(* Q queries whose SQL needs the window operator, derived tables or a
-   residual join: moving average and deltas (windows), fby (window over
-   a derived table), as-of join (left join + residual + row_number) and
-   a chained lj (nested derived tables). Time-bounded so the row
-   interpreter leg stays fast. *)
-let vector_shape_workload (d : MD.dataset) : string list =
-  let sym i = d.MD.syms.(i mod Array.length d.MD.syms) in
-  [
-    Printf.sprintf "select Time, m:5 mavg Price from trades where Symbol=`%s"
-      (sym 1);
-    Printf.sprintf "select Time, x:deltas Price from trades where Symbol=`%s"
-      (sym 2);
-    "select from trades where Time<09:40:00.000, Price=(max;Price) fby Symbol";
-    Printf.sprintf
-      "aj[`Symbol`Time; select Symbol, Time, Price from trades where \
-       Symbol=`%s, Time<09:40:00.000; select Symbol, Time, Bid from quotes \
-       where Symbol=`%s]"
-      (sym 0) (sym 0);
-    "select qty:sum Size by Sector from (trades lj secmaster_w) lj risk_w";
-  ]
-
 (* float-tolerant deep equality: partial-aggregate recombination sums
    floats in a different association order than the single-backend pass *)
 let shard_feq a b =
@@ -1670,394 +1647,6 @@ let bench_runtime ?(gate = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Vectorized executor: row interpreter vs columnar batch pipeline     *)
-(* ------------------------------------------------------------------ *)
-
-(* Execute-time comparison of the two pgdb executors over the same
-   storage. Timing happens at the Db.exec level with no simulated
-   dispatch latency: the executor itself is under test, and the 15ms
-   MPP dispatch floor of the other experiments would swamp it. Four
-   query classes are timed on a scaled-up tick table (mean and p99 per
-   class, speedup = total row time / total vector time); a randomized
-   differential requires byte-identical results single-node and
-   value-identical results through a 2-shard platform; the
-   fallback rate comes from the Vexec counters over the differential;
-   and the fallback cost is the min-latency delta of a view-backed
-   query (never lowerable, so the vectorized session pays shape
-   analysis and then runs the identical row path). Full run writes
-   BENCH_vectorized.json; [~gate:true] is the quick `make ci` variant:
-   >= 3x mean execute speedup overall, >= 2x on the join-heavy class,
-   zero divergence on both legs, fallback overhead <= 2.5%, exit 1 on
-   fail. *)
-let bench_vectorized ?(gate = false) () =
-  header
-    (if gate then "Vectorized executor - speedup/divergence gate"
-     else
-       "Vectorized executor - row vs columnar batch execution (writes \
-        BENCH_vectorized.json)");
-  let scale =
-    {
-      MD.symbols = 16;
-      trades_per_symbol = (if gate then 1_500 else 6_000);
-      quotes_per_symbol = (if gate then 400 else 2_000);
-      wide_columns = 8;
-    }
-  in
-  let d = MD.generate scale in
-  let db = Pgdb.Db.create () in
-  MD.load_pg db d;
-  let session vec =
-    let s = Pgdb.Db.open_session db in
-    Pgdb.Db.set_vectorized s vec;
-    s
-  in
-  let von = session true and voff = session false in
-  let reps = if gate then 12 else 30 in
-  let exec sess sql =
-    match Pgdb.Db.exec sess sql with
-    | Pgdb.Db.Rows (res, _) ->
-        Ok (res.Pgdb.Exec.res_cols, res.Pgdb.Exec.res_rows)
-    | Pgdb.Db.Complete tag -> Error ("complete:" ^ tag)
-    | exception Pgdb.Errors.Sql_error { code; message } ->
-        Error (code ^ ":" ^ message)
-  in
-  let time_samples sess sql =
-    (* warmup run builds the batch cache / learns selectivities *)
-    ignore (exec sess sql);
-    Array.init reps (fun _ ->
-        let t0 = now () in
-        ignore (exec sess sql);
-        now () -. t0)
-  in
-  let mean a =
-    Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
-  in
-  let pctl q a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s.(Stdlib.min
-         (Array.length s - 1)
-         (int_of_float (q /. 100.0 *. float_of_int (Array.length s))))
-  in
-  let amin a = Array.fold_left Float.min a.(0) a in
-  (* ---- per-class execute latency ---- *)
-  let classes =
-    [
-      ( "filter_project",
-        "SELECT \"Symbol\", \"Price\", \"Size\" FROM trades WHERE \
-         \"Price\" > 140.0 AND \"Size\" > 600" );
-      ( "grouped_agg",
-        "SELECT \"Symbol\", count(*) AS n, sum(\"Size\") AS s, \
-         avg(\"Price\") AS a FROM trades GROUP BY \"Symbol\"" );
-      ( "scalar_agg",
-        "SELECT count(*) AS n, sum(\"Size\") AS s, min(\"Price\") AS mn, \
-         max(\"Price\") AS mx FROM trades WHERE \"Exch\" = 'N'" );
-      ( "topn",
-        "SELECT \"Symbol\", \"Time\", \"Price\" FROM trades WHERE \
-         \"Price\" > 150.0 ORDER BY \"Price\" DESC LIMIT 25" );
-      (* join-heavy: every trade probes the secmaster build side, then
-         filters / aggregates over the joined batch *)
-      ( "join_filter",
-        "SELECT t.\"Symbol\", s.\"Sector\", t.\"Price\" FROM trades t \
-         JOIN secmaster_w s ON t.\"Symbol\" = s.\"Symbol\" WHERE \
-         t.\"Price\" > 140.0" );
-      ( "join_agg",
-        "SELECT s.\"Sector\", count(*) AS n, sum(t.\"Size\") AS sz FROM \
-         trades t JOIN secmaster_w s ON t.\"Symbol\" = s.\"Symbol\" GROUP \
-         BY s.\"Sector\"" );
-    ]
-  in
-  let join_class name = name = "join_filter" || name = "join_agg" in
-  Printf.printf "%d trades, %d reps per class\n" (Array.length d.MD.trades)
-    reps;
-  Printf.printf "%-16s %13s %13s %13s %13s %9s\n" "class" "row_mean(ms)"
-    "row_p99(ms)" "vec_mean(ms)" "vec_p99(ms)" "speedup";
-  let class_rows =
-    List.map
-      (fun (name, sql) ->
-        let sr = time_samples voff sql in
-        let sv = time_samples von sql in
-        let rm = mean sr *. 1e3
-        and rp = pctl 99.0 sr *. 1e3
-        and vm = mean sv *. 1e3
-        and vp = pctl 99.0 sv *. 1e3 in
-        Printf.printf "%-16s %13.3f %13.3f %13.3f %13.3f %8.1fx\n" name rm
-          rp vm vp (rm /. vm);
-        (name, rm, rp, vm, vp))
-      classes
-  in
-  let row_total = List.fold_left (fun a (_, rm, _, _, _) -> a +. rm) 0.0 class_rows in
-  let vec_total = List.fold_left (fun a (_, _, _, vm, _) -> a +. vm) 0.0 class_rows in
-  let speedup = row_total /. Float.max 1e-9 vec_total in
-  let join_rows = List.filter (fun (n, _, _, _, _) -> join_class n) class_rows in
-  let join_row = List.fold_left (fun a (_, rm, _, _, _) -> a +. rm) 0.0 join_rows in
-  let join_vec = List.fold_left (fun a (_, _, _, vm, _) -> a +. vm) 0.0 join_rows in
-  let join_speedup = join_row /. Float.max 1e-9 join_vec in
-  (* ---- randomized differential (single node) ---- *)
-  let syms = d.MD.syms in
-  let gen rng =
-    let pick a = a.(Random.State.int rng (Array.length a)) in
-    let sym () = pick syms in
-    let conjunct () =
-      match Random.State.int rng 8 with
-      | 0 ->
-          Printf.sprintf "\"Price\" > %.2f"
-            (20.0 +. Random.State.float rng 180.0)
-      | 1 ->
-          Printf.sprintf "\"Price\" <= %.2f"
-            (20.0 +. Random.State.float rng 180.0)
-      | 2 ->
-          Printf.sprintf "\"Size\" >= %d"
-            (100 * (1 + Random.State.int rng 50))
-      | 3 ->
-          Printf.sprintf "\"Size\" < %d"
-            (100 * (1 + Random.State.int rng 50))
-      | 4 -> Printf.sprintf "\"Symbol\" = '%s'" (sym ())
-      | 5 -> Printf.sprintf "\"Symbol\" IN ('%s', '%s')" (sym ()) (sym ())
-      | 6 -> Printf.sprintf "\"Symbol\" LIKE '%c%%'" (sym ()).[0]
-      | _ ->
-          Printf.sprintf "\"Exch\" = '%s'"
-            (pick [| "N"; "Q"; "A"; "B" |])
-    in
-    let where () =
-      match Random.State.int rng 4 with
-      | 0 -> ""
-      | n ->
-          " WHERE "
-          ^ String.concat " AND " (List.init n (fun _ -> conjunct ()))
-    in
-    (* a prefix of the tick table by its order column: keeps the
-       window and as-of classes within the row interpreter's budget *)
-    let prefix () =
-      Printf.sprintf "hq_ord < %d" (20 + Random.State.int rng 300)
-    in
-    match Random.State.int rng 10 with
-    | 0 ->
-        Printf.sprintf
-          "SELECT \"Symbol\", \"Price\", \"Size\" FROM trades%s" (where ())
-    | 1 ->
-        Printf.sprintf
-          "SELECT \"Symbol\", count(*) AS n, sum(\"Size\") AS s, \
-           avg(\"Price\") AS a FROM trades%s GROUP BY \"Symbol\""
-          (where ())
-    | 2 ->
-        Printf.sprintf
-          "SELECT min(\"Price\") AS mn, max(\"Price\") AS mx, count(*) AS \
-           n FROM trades%s"
-          (where ())
-    | 3 ->
-        Printf.sprintf
-          "SELECT \"Time\", \"Price\" FROM trades%s ORDER BY \"Price\" \
-           DESC LIMIT %d"
-          (where ())
-          (1 + Random.State.int rng 20)
-    | 4 ->
-        (* view-backed: never lowerable, so the differential also covers
-           the fallback path and the fallback-rate counter moves *)
-        Printf.sprintf "SELECT \"Symbol\", \"Price\" FROM v_bench%s"
-          (where ())
-    | 5 ->
-        Printf.sprintf
-          "SELECT t.\"Symbol\", s.\"Sector\", t.\"Price\" FROM trades t \
-           %s secmaster_w s ON t.\"Symbol\" = s.\"Symbol\" WHERE \
-           t.\"Price\" > %.2f"
-          (if Random.State.bool rng then "JOIN" else "LEFT JOIN")
-          (20.0 +. Random.State.float rng 180.0)
-    | 6 ->
-        Printf.sprintf
-          "SELECT s.\"Sector\", count(*) AS n, sum(t.\"Size\") AS sz \
-           FROM trades t JOIN secmaster_w s ON t.\"Symbol\" = \
-           s.\"Symbol\" WHERE t.\"Size\" >= %d GROUP BY s.\"Sector\""
-          (100 * (1 + Random.State.int rng 50))
-    | 7 ->
-        Printf.sprintf
-          "SELECT \"Symbol\", \"Bid\", \"Ask\" FROM quotes WHERE \"Ask\" \
-           > %.2f"
-          (20.0 +. Random.State.float rng 180.0)
-    | 8 ->
-        (* windows: ranking, running and sliding frames, lag nested in
-           an expression, with and without PARTITION BY *)
-        let over =
-          pick
-            [|
-              "row_number() OVER (PARTITION BY \"Symbol\" ORDER BY \
-               \"Price\" DESC)";
-              "rank() OVER (PARTITION BY \"Exch\" ORDER BY \"Size\")";
-              "sum(\"Size\") OVER (PARTITION BY \"Symbol\" ORDER BY hq_ord)";
-              "avg(\"Price\") OVER (ORDER BY hq_ord ROWS BETWEEN 4 \
-               PRECEDING AND CURRENT ROW)";
-              "coalesce(\"Price\" - lag(\"Price\") OVER (PARTITION BY \
-               \"Symbol\" ORDER BY hq_ord), \"Price\")";
-              "max(\"Price\") OVER (PARTITION BY \"Symbol\")";
-            |]
-        in
-        Printf.sprintf
-          "SELECT hq_ord, \"Symbol\", %s AS w FROM trades WHERE %s ORDER BY \
-           hq_ord"
-          over (prefix ())
-    | _ -> (
-        (* derived tables and equi + residual joins, the as-of shape
-           included *)
-        match Random.State.int rng 3 with
-        | 0 ->
-            Printf.sprintf
-              "SELECT q.hq_ord, q.\"Bid\" FROM (SELECT t.hq_ord, b.\"Bid\", \
-               row_number() OVER (PARTITION BY t.hq_ord ORDER BY b.\"Time\" \
-               DESC) AS rn FROM (SELECT hq_ord, \"Symbol\", \"Time\" FROM \
-               trades WHERE %s ORDER BY hq_ord) AS t LEFT JOIN quotes b ON \
-               t.\"Symbol\" = b.\"Symbol\" AND b.\"Time\" <= t.\"Time\") AS q \
-               WHERE q.rn = 1 ORDER BY q.hq_ord"
-              (prefix ())
-        | 1 ->
-            Printf.sprintf
-              "SELECT t.\"Symbol\", t.\"Price\", s.\"Sector\" FROM trades t \
-               %s secmaster_w s ON t.\"Symbol\" = s.\"Symbol\" AND \
-               t.\"Price\" > %.2f"
-              (if Random.State.bool rng then "JOIN" else "LEFT JOIN")
-              (20.0 +. Random.State.float rng 180.0)
-        | _ ->
-            Printf.sprintf
-              "SELECT d.\"Sector\", count(*) AS n, sum(d.\"Size\") AS sz \
-               FROM (SELECT t.\"Size\", s.\"Sector\" FROM trades t LEFT JOIN \
-               secmaster_w s ON t.\"Symbol\" = s.\"Symbol\" AND t.\"Size\" \
-               >= %d%s) AS d GROUP BY d.\"Sector\" ORDER BY d.\"Sector\""
-              (100 * (1 + Random.State.int rng 50))
-              (if Random.State.bool rng then " ORDER BY t.hq_ord LIMIT 500"
-               else ""))
-  in
-  (match
-     Pgdb.Db.exec von
-       "CREATE VIEW v_bench AS SELECT \"Symbol\", \"Price\", \"Size\" \
-        FROM trades"
-   with
-  | Pgdb.Db.Complete _ -> ()
-  | Pgdb.Db.Rows _ -> ());
-  let rng = Random.State.make [| 0xba7c4; 9 |] in
-  Pgdb.Vexec.reset_stats ();
-  let differential_n = 200 in
-  let divergences = ref 0 and first_div = ref "" in
-  for _ = 1 to differential_n do
-    let sql = gen rng in
-    let a = exec von sql and b = exec voff sql in
-    if Stdlib.compare a b <> 0 then begin
-      incr divergences;
-      if !first_div = "" then first_div := sql
-    end
-  done;
-  let fb = Atomic.get Pgdb.Vexec.stats_fallback in
-  let vq = Atomic.get Pgdb.Vexec.stats_vector in
-  let fallback_rate =
-    float_of_int fb /. float_of_int (Stdlib.max 1 (vq + fb))
-  in
-  (* ---- 2-shard differential through the full platform ---- *)
-  let shard_divergences =
-    let module P = Platform.Hyperq_platform in
-    let mk vec =
-      let db = Pgdb.Db.create () in
-      MD.load_pg db d;
-      P.create ~shards:2 ~vectorized:vec db
-    in
-    let pon = mk true and poff = mk false in
-    Fun.protect
-      ~finally:(fun () ->
-        P.shutdown pon;
-        P.shutdown poff)
-      (fun () ->
-        let con = P.Client.connect pon and coff = P.Client.connect poff in
-        let n = ref 0 in
-        List.iter
-          (fun q ->
-            match (P.Client.query con q, P.Client.query coff q) with
-            | Ok va, Ok vb -> if not (shard_val_eq va vb) then incr n
-            | Error _, Error _ -> ()
-            | _ -> incr n)
-          (shard_workload d @ vector_shape_workload d);
-        P.Client.close con;
-        P.Client.close coff;
-        !n)
-  in
-  (* ---- fallback cost: same row-path work, plus shape analysis ---- *)
-  let fb_sql =
-    "SELECT \"Symbol\", avg(\"Price\") AS a FROM v_bench GROUP BY \
-     \"Symbol\""
-  in
-  (* min over reps: scheduler noise dies in the min, a constant
-     compile-to-fallback cost would not *)
-  let fb_on = amin (time_samples von fb_sql) *. 1e3 in
-  let fb_off = amin (time_samples voff fb_sql) *. 1e3 in
-  let fallback_overhead_pct =
-    Float.max 0.0 (100.0 *. (fb_on -. fb_off) /. Float.max 1e-9 fb_off)
-  in
-  Printf.printf "%-34s %12.1fx  (target >=3x)\n" "overall execute speedup"
-    speedup;
-  Printf.printf "%-34s %12.1fx  (target >=2x)\n" "join class speedup"
-    join_speedup;
-  Printf.printf "%-34s %9d/%d%s\n" "single-node divergences" !divergences
-    differential_n
-    (if !first_div = "" then "" else "  first: " ^ !first_div);
-  Printf.printf "%-34s %9d/%d\n" "2-shard divergences" shard_divergences
-    (List.length (shard_workload d @ vector_shape_workload d));
-  Printf.printf "%-34s %11.1f%%  (%d fallback / %d vector)\n"
-    "fallback rate (differential)"
-    (100.0 *. fallback_rate)
-    fb vq;
-  Printf.printf "%-34s %11.3f%%  (target <=2.5%%)\n" "fallback overhead"
-    fallback_overhead_pct;
-  let limit = 2.5 in
-  let ok =
-    speedup >= 3.0 && join_speedup >= 2.0 && !divergences = 0
-    && shard_divergences = 0
-    && fallback_overhead_pct <= limit
-  in
-  if gate then begin
-    if not ok then begin
-      Printf.printf
-        "--\nVECTOR GATE FAIL: speedup %.1fx (>=3x), join %.1fx (>=2x), \
-         divergences %d+%d (=0), fallback overhead %.3f%% (<=%.1f%%)\n"
-        speedup join_speedup !divergences shard_divergences
-        fallback_overhead_pct limit;
-      exit 1
-    end;
-    Printf.printf "--\nvector gate ok\n"
-  end
-  else begin
-    let oc = open_out "BENCH_vectorized.json" in
-    Printf.fprintf oc "{\n  \"trades\": %d,\n  \"classes\": [\n"
-      (Array.length d.MD.trades);
-    List.iteri
-      (fun i (name, rm, rp, vm, vp) ->
-        Printf.fprintf oc
-          "    {\"class\": \"%s\", \"row_mean_ms\": %.4f, \"row_p99_ms\": \
-           %.4f, \"vec_mean_ms\": %.4f, \"vec_p99_ms\": %.4f, \
-           \"speedup\": %.2f}%s\n"
-          name rm rp vm vp (rm /. Float.max 1e-9 vm)
-          (if i = List.length class_rows - 1 then "" else ","))
-      class_rows;
-    Printf.fprintf oc
-      "  ],\n\
-      \  \"speedup\": %.3f,\n\
-      \  \"join_speedup\": %.3f,\n\
-      \  \"differential_queries\": %d,\n\
-      \  \"divergences\": %d,\n\
-      \  \"shard_divergences\": %d,\n\
-      \  \"fallback_rate\": %.4f,\n\
-      \  \"fallback_overhead_pct\": %.4f\n\
-       }\n"
-      speedup join_speedup differential_n !divergences shard_divergences
-      fallback_rate fallback_overhead_pct;
-    close_out oc;
-    Printf.printf "--\nwrote BENCH_vectorized.json\n";
-    if not ok then begin
-      Printf.printf
-        "VECTOR GATE FAIL: speedup %.1fx (>=3x), join %.1fx (>=2x), \
-         divergences %d+%d (=0), fallback overhead %.3f%% (<=%.1f%%)\n"
-        speedup join_speedup !divergences shard_divergences
-        fallback_overhead_pct limit;
-      exit 1
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Main                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -2084,8 +1673,6 @@ let all_experiments =
     ("explain_gate", (fun () -> bench_explain ~gate:true ()));
     ("runtime", (fun () -> bench_runtime ()));
     ("runtime_gate", (fun () -> bench_runtime ~gate:true ()));
-    ("vectorized", (fun () -> bench_vectorized ()));
-    ("vector_gate", (fun () -> bench_vectorized ~gate:true ()));
     ("micro", micro);
   ]
 
@@ -2104,7 +1691,6 @@ let () =
           if name <> "smoke" && name <> "plan_cache_gate"
              && name <> "shard_gate" && name <> "obs_gate"
              && name <> "explain_gate" && name <> "runtime_gate"
-             && name <> "vector_gate"
           then f ())
         all_experiments
   | names ->

@@ -46,7 +46,6 @@ let () =
   let ts_ring = ref Obs.Timeseries.default_capacity in
   let slo_spec = ref "" in
   let analyze_sample = ref 0 in
-  let vectorized = ref true in
   let runtime_interval = ref Obs.Runtime.default_interval_s in
   let heap_watermark_mb = ref 0.0 in
   let speclist =
@@ -112,13 +111,6 @@ let () =
         Arg.Set_string slo_spec,
         "SPEC latency/error-rate objectives with burn-rate alerting on \
          GET /healthz and /slo.json; " ^ Obs.Slo.spec_syntax );
-      ( "--vectorized",
-        Arg.Bool (fun b -> vectorized := b),
-        "BOOL execute supported SELECT shapes on the columnar batch \
-         executor, falling back to the row interpreter per query \
-         (default true); per-path counts appear as \
-         hq_exec_vectorized_total{path=...} and .hq.explain reports \
-         the executor taken" );
       ( "--analyze-sample",
         Arg.Set_int analyze_sample,
         "N run every Nth query with per-operator EXPLAIN/ANALYZE \
@@ -213,7 +205,7 @@ let () =
     P.create ~plan_cache:!plan_cache ~plan_cache_size:!plan_cache_size ~obs
       ~shards:!shards
       ?workers:(if !workers > 0 then Some !workers else None)
-      ~analyze_sample:!analyze_sample ~vectorized:!vectorized db
+      ~analyze_sample:!analyze_sample db
   in
   at_exit (fun () -> P.shutdown platform);
   let recorder = (P.obs platform).Obs.Ctx.recorder in

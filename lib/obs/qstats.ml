@@ -33,8 +33,6 @@ type entry = {
   (* allocation attribution: coordinator-side Gc deltas per call *)
   mutable e_alloc_bytes : float;  (** total bytes allocated, all calls *)
   mutable e_minor_gcs : int;  (** total minor collections, all calls *)
-  mutable e_vector_calls : int;
-      (** calls served entirely by the vectorized executor *)
 }
 
 type t = {
@@ -104,8 +102,7 @@ let add_stages (sums : (string * float) list)
     sums
   @ List.filter (fun (name, _) -> not (List.mem_assoc name sums)) obs
 
-let record t ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ?(vectorized = false)
-    ~(fingerprint : string)
+let record t ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ~(fingerprint : string)
     ~(query : string) ~(duration_s : float) ~(error_class : string option)
     ~(rows_out : int) ~(bytes_in : int) ~(bytes_out : int)
     ~(stages : (string * float) list) () : unit =
@@ -137,7 +134,6 @@ let record t ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ?(vectorized = false)
             e_worst_op = "";
             e_alloc_bytes = 0.0;
             e_minor_gcs = 0;
-            e_vector_calls = 0;
           }
         in
         Hashtbl.replace t.q_table fingerprint e;
@@ -157,7 +153,6 @@ let record t ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ?(vectorized = false)
   e.e_stages <- add_stages e.e_stages stages;
   if alloc_bytes > 0.0 then e.e_alloc_bytes <- e.e_alloc_bytes +. alloc_bytes;
   if minor_gcs > 0 then e.e_minor_gcs <- e.e_minor_gcs + minor_gcs;
-  if vectorized then e.e_vector_calls <- e.e_vector_calls + 1;
   let b = bucket_of_seconds duration_s in
   e.e_hist.(b) <- e.e_hist.(b) + 1;
   e.e_last_use <- t.q_tick)
@@ -282,7 +277,6 @@ let entry_json (e : entry) : string =
       ("minor_gcs", string_of_int e.e_minor_gcs);
       ("minor_gcs_avg", Printf.sprintf "%.2f" (entry_minor_gcs_avg e));
       ("analyzed", string_of_int e.e_analyzed);
-      ("vector_calls", string_of_int e.e_vector_calls);
       ("rows_scanned_avg", Printf.sprintf "%.1f" (entry_rows_scanned_avg e));
       ("rows_out_avg", Printf.sprintf "%.1f" (entry_rows_out_avg e));
       ( "selectivity",

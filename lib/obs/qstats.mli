@@ -35,8 +35,6 @@ type entry = {
   (* allocation attribution: coordinator-side Gc deltas per call *)
   mutable e_alloc_bytes : float;  (** total bytes allocated, all calls *)
   mutable e_minor_gcs : int;  (** total minor collections, all calls *)
-  mutable e_vector_calls : int;
-      (** calls served entirely by the vectorized executor *)
 }
 
 type t
@@ -51,13 +49,11 @@ val create : ?capacity:int -> unit -> t
 (** Fold one completed query into its fingerprint's entry. [stages] are
     (stage name, seconds) pairs added to the per-stage sums.
     [alloc_bytes] / [minor_gcs] are the coordinator-side Gc deltas
-    measured around the query (0 = not measured). [vectorized] marks
-    calls served entirely by the vectorized executor. *)
+    measured around the query (0 = not measured). *)
 val record :
   t ->
   ?alloc_bytes:float ->
   ?minor_gcs:int ->
-  ?vectorized:bool ->
   fingerprint:string ->
   query:string ->
   duration_s:float ->

@@ -18,9 +18,6 @@ type record = {
           not measured — separates GC-victim slow queries from ones
           that are genuinely expensive *)
   r_minor_gcs : int;  (** minor collections during the query, 0 = none *)
-  r_path : string;
-      (** executor path the backend took: ["vector"], ["row"], ["mixed"]
-          (multi-statement queries split across paths), [""] unknown *)
 }
 
 type t = {
@@ -81,7 +78,7 @@ let push t r =
     threshold, or as a tail sample of every [sample_every]-th fast query
     (0 disables sampling). Returns whether it was kept. *)
 let observe t ~(ts : float) ?(trace_id = "") ?(ops = "") ?(top_operator = "")
-    ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ?(path = "") ~(fingerprint : string)
+    ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ~(fingerprint : string)
     ~(query : string) ~(duration_s : float) ~(status : string)
     ~(error : string) ~(sql : string list) (span : Trace.span) : bool =
   t.seen <- t.seen + 1;
@@ -112,7 +109,6 @@ let observe t ~(ts : float) ?(trace_id = "") ?(ops = "") ?(top_operator = "")
           r_top_operator = top_operator;
           r_alloc_bytes = alloc_bytes;
           r_minor_gcs = minor_gcs;
-          r_path = path;
         };
       true
 
@@ -134,7 +130,7 @@ let record_json (r : record) : string =
   Printf.sprintf
     "{\"ts\":%.3f,\"trace_id\":\"%s\",\"fingerprint\":\"%s\",\
      \"query\":\"%s\",\"ms\":%.3f,\
-     \"status\":\"%s\",\"error\":\"%s\",\"kind\":\"%s\",\"path\":\"%s\",\
+     \"status\":\"%s\",\"error\":\"%s\",\"kind\":\"%s\",\
      \"alloc_bytes\":%.0f,\"minor_gcs\":%d,\"sql\":[%s],\
      \"top_operator\":\"%s\",\"ops\":%s,\
      \"trace\":%s}"
@@ -142,7 +138,7 @@ let record_json (r : record) : string =
     (Trace.json_escape r.r_query)
     (r.r_duration_s *. 1e3) r.r_status
     (Trace.json_escape r.r_error)
-    r.r_kind r.r_path r.r_alloc_bytes r.r_minor_gcs
+    r.r_kind r.r_alloc_bytes r.r_minor_gcs
     (String.concat ","
        (List.map (fun s -> Printf.sprintf "\"%s\"" (Trace.json_escape s)) r.r_sql))
     (Trace.json_escape r.r_top_operator)

@@ -30,9 +30,6 @@ type record = {
           not measured — separates GC-victim slow queries from ones
           that are genuinely expensive *)
   r_minor_gcs : int;  (** minor collections during the query, 0 = none *)
-  r_path : string;
-      (** executor path the backend took: ["vector"], ["row"], ["mixed"]
-          (multi-statement queries split across paths), [""] unknown *)
 }
 
 type t
@@ -50,8 +47,7 @@ val create :
     [ops] is the pre-rendered operator-stats tree JSON and
     [top_operator] its hottest operator, both [""] when the query was
     not analyzed. [alloc_bytes] / [minor_gcs] are the coordinator-side
-    Gc deltas measured around the query (0 = not measured). [path] is
-    the executor path the backend took ([vector]/[row]/[mixed]). *)
+    Gc deltas measured around the query (0 = not measured). *)
 val observe :
   t ->
   ts:float ->
@@ -60,7 +56,6 @@ val observe :
   ?top_operator:string ->
   ?alloc_bytes:float ->
   ?minor_gcs:int ->
-  ?path:string ->
   fingerprint:string ->
   query:string ->
   duration_s:float ->

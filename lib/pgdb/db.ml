@@ -19,8 +19,6 @@ type t = {
       (** bounded SQL-text → parsed-statement cache (PG prepared-statement
           emulation): repeated statements skip [Sql_parser.parse] *)
   mutable stmt_tick : int;  (** LRU clock for [stmts] *)
-  mutable vectorized_default : bool;
-      (** whether new sessions route SELECTs through {!Vexec} *)
 }
 
 type session = {
@@ -31,8 +29,6 @@ type session = {
       (** collect per-operator statistics for every SELECT (ANALYZE mode) *)
   mutable last_plan : Opstats.node option;
       (** operator-stats tree of the last SELECT run with [analyze] on *)
-  mutable vectorized : bool;
-      (** lower supported SELECTs to the vectorized executor *)
 }
 
 type outcome =
@@ -48,7 +44,6 @@ let create () =
     catalog_dirty = true;
     stmts = Hashtbl.create 64;
     stmt_tick = 0;
-    vectorized_default = true;
   }
 
 (* Atomic: shard worker domains open their own sessions concurrently *)
@@ -62,7 +57,6 @@ let open_session db =
     session_id = id;
     analyze = false;
     last_plan = None;
-    vectorized = db.vectorized_default;
   }
 
 let close_session (s : session) = Hashtbl.reset s.temps
@@ -72,12 +66,6 @@ let set_analyze (s : session) (on : bool) =
   if not on then s.last_plan <- None
 
 let last_plan (s : session) : Opstats.node option = s.last_plan
-
-let set_vectorized (s : session) (on : bool) = s.vectorized <- on
-let vectorized (s : session) : bool = s.vectorized
-
-(** Default executor path for sessions opened after this call. *)
-let set_vectorized_default (db : t) (on : bool) = db.vectorized_default <- on
 
 (* ------------------------------------------------------------------ *)
 (* Catalog maintenance                                                 *)
@@ -128,55 +116,9 @@ let invalidate_catalog db = db.catalog_dirty <- true
 (* Table resolution                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let rowset_of_table (tbl : Storage.table) : Exec.rowset =
-  {
-    Exec.bindings =
-      List.map
-        (fun (c : S.column) ->
-          {
-            Exec.b_qual = None;
-            b_name = c.S.col_name;
-            b_type = Some c.S.col_type;
-          })
-        tbl.Storage.def.S.tbl_columns;
-    rows = tbl.Storage.rows;
-  }
-
-let rec resolve_rowset (sess : session) (name : string) : Exec.rowset =
-  let lname = String.lowercase_ascii name in
-  if lname = catalog_table_name then refresh_catalog sess.db;
-  match Hashtbl.find_opt sess.temps lname with
-  | Some tbl -> rowset_of_table tbl
-  | None -> (
-      match Hashtbl.find_opt sess.db.tables lname with
-      | Some tbl -> rowset_of_table tbl
-      | None -> (
-          match Hashtbl.find_opt sess.db.views lname with
-          | Some view -> (
-              match Sql_parser.parse view.S.view_sql with
-              | A.Select sel ->
-                  let res = run_select sess sel in
-                  {
-                    Exec.bindings =
-                      List.map
-                        (fun (n, ty) ->
-                          { Exec.b_qual = None; b_name = n; b_type = Some ty })
-                        res.Exec.res_cols;
-                    rows = res.Exec.res_rows;
-                  }
-              | _ -> Errors.undefined_table "view %s is not a SELECT" name)
-          | None -> Errors.undefined_table "relation %s does not exist" name))
-
-and exec_env (sess : session) : Exec.env =
-  Exec.env_of_resolve ~collect:sess.analyze (fun name ->
-      resolve_rowset sess name)
-
-(* base-table resolver for the vectorized executor: hands back the
-   table's (unqualified) bindings and its cached columnar pivot. Views
-   and unknown names return [None] — the row path stays authoritative
-   for view expansion and for raising undefined_table. *)
-and resolve_batch (sess : session) (name : string) :
-    (Exec.binding list * (unit -> Batch.t)) option =
+(* a relation name as {!Vexec} sees it: the session's temp tables
+   shadow base tables, and views share the base tables' namespace *)
+let resolve (sess : session) (name : string) : Vexec.relation =
   let lname = String.lowercase_ascii name in
   if lname = catalog_table_name then refresh_catalog sess.db;
   let tbl =
@@ -184,8 +126,8 @@ and resolve_batch (sess : session) (name : string) :
     | Some t -> Some t
     | None -> Hashtbl.find_opt sess.db.tables lname
   in
-  Option.map
-    (fun (tbl : Storage.table) ->
+  match tbl with
+  | Some tbl ->
       let bindings =
         List.map
           (fun (c : S.column) ->
@@ -196,36 +138,30 @@ and resolve_batch (sess : session) (name : string) :
             })
           tbl.Storage.def.S.tbl_columns
       in
-      (bindings, fun () -> Storage.batch_of tbl))
-    tbl
+      Vexec.Table (bindings, fun () -> Storage.batch_of tbl)
+  | None -> (
+      match Hashtbl.find_opt sess.db.views lname with
+      | Some view -> (
+          match Sql_parser.parse view.S.view_sql with
+          | A.Select sel -> Vexec.View sel
+          | _ -> Errors.undefined_table "view %s is not a SELECT" name)
+      | None -> Errors.undefined_table "relation %s does not exist" name)
 
-and run_select (sess : session) (sel : A.select) : Exec.result =
-  let vec =
-    if sess.vectorized then
-      Vexec.try_run ~resolve:(resolve_batch sess) ~collect:sess.analyze sel
-    else None
-  in
-  match vec with
-  | Some o ->
-      if sess.analyze then sess.last_plan <- o.Vexec.vr_plan;
-      o.Vexec.vr_result
-  | None ->
-      if sess.vectorized then Atomic.incr Vexec.stats_fallback;
-      Atomic.incr Vexec.stats_row;
-      let env = exec_env sess in
-      let res = Exec.run_select env sel in
-      (* the outermost SELECT wins: view/CTAS sub-executions set these
-         first and are then overwritten by the enclosing statement *)
-      if sess.analyze then sess.last_plan <- env.Exec.plan;
-      res
+let run_select (sess : session) (sel : A.select) : Exec.result =
+  let o = Vexec.run ~resolve:(resolve sess) ~collect:sess.analyze sel in
+  if sess.analyze then sess.last_plan <- o.Vexec.vr_plan;
+  o.Vexec.vr_result
 
 (* ------------------------------------------------------------------ *)
 (* DDL / DML                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* tables, temp tables and views share one namespace *)
 let table_exists sess name =
   let lname = String.lowercase_ascii name in
-  Hashtbl.mem sess.temps lname || Hashtbl.mem sess.db.tables lname
+  Hashtbl.mem sess.temps lname
+  || Hashtbl.mem sess.db.tables lname
+  || Hashtbl.mem sess.db.views lname
 
 let def_of_result name temp (res : Exec.result) : S.table_def =
   S.table ~temp name
@@ -268,6 +204,8 @@ let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
         (Printf.sprintf "SELECT %d" (Array.length res.Exec.res_rows))
   | A.CreateView { cv_name; cv_query } ->
       let lname = String.lowercase_ascii cv_name in
+      if table_exists sess lname then
+        Errors.duplicate_table "relation %s already exists" cv_name;
       Hashtbl.replace sess.db.views lname
         { S.view_name = lname; view_sql = A.select_str cv_query };
       Complete "CREATE VIEW"

@@ -14,6 +14,7 @@ let type_mismatch fmt = error "42804" fmt
 let division_by_zero fmt = error "22012" fmt
 let duplicate_table fmt = error "42P07" fmt
 let feature_not_supported fmt = error "0A000" fmt
+let invalid_object_definition fmt = error "42P17" fmt
 
 let to_string = function
   | Sql_error { code; message } -> Printf.sprintf "ERROR %s: %s" code message

@@ -1,6 +1,6 @@
 (** Per-operator execution statistics for the pgdb executor.
 
-    When a session runs with ANALYZE collection enabled, {!Exec} builds one
+    When a session runs with ANALYZE collection enabled, {!Vexec} builds one
     of these trees per SELECT: a plan-shaped record of what each operator
     (scan/filter/join/aggregate/sort/limit/...) actually did — rows in, rows
     out, self-time — next to the naive cardinality estimate the executor
@@ -74,7 +74,7 @@ let worst_estimate (n : node) : node * float =
 let rows_scanned (n : node) : int =
   List.fold_left
     (fun acc (_, m) ->
-      if m.op = "scan" || m.op = "vector_scan" then acc + m.rows_out else acc)
+      if m.op = "vector_scan" then acc + m.rows_out else acc)
     0 (flatten n)
 
 (* ------------------------------------------------------------------ *)

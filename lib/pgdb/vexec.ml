@@ -1,48 +1,34 @@
 (** Vectorized executor: batch-at-a-time evaluation over columnar data.
+    It answers every SELECT pgdb's parser accepts.
 
-    [try_run] lowers a {!Sqlast.Ast.select} into a pipeline of compiled
+    [run] lowers a {!Sqlast.Ast.select} into a pipeline of compiled
     closures over column vectors and runs it. The FROM tree may hold base
-    tables, derived tables (planned with the same lowering and fed to the
-    outer pipeline as a columnar source) and INNER/LEFT JOINs with at
-    least one equality conjunct (hash join, any other conjuncts run as a
-    residual kernel over the candidate pairs). Then come WHERE
+    tables, views and derived tables (planned with the same lowering and
+    fed to the outer pipeline as a columnar source), UNION ALL (the
+    branches concatenated), a one-row source when there is no FROM, and
+    joins: a hash join on the ON clause's equality conjuncts, or a nested
+    loop over every pair when there is none, with the other conjuncts
+    run as a residual kernel over the candidate pairs. Then come WHERE
     conjuncts, either hash group-by with the standard aggregates or
-    window functions plus projections, ORDER BY and LIMIT/OFFSET.
-
-    Still outside that shape, returning [None] so the caller falls back
-    to the row interpreter in {!Exec}: cross joins, ON clauses without an
-    equality conjunct, UNION, views, DISTINCT, and windows inside
-    aggregate queries. Planning covers the whole tree, nested subqueries
-    included, and touches no data, so a declined query moves no data and
-    records no selectivity observation.
-
-    The two paths produce byte-identical results. Runtime errors (type
-    mismatches, division by zero) surface from the same {!Value}
-    functions the row path calls, in the same (row, expression) order.
-    The one sanctioned divergence is short-circuiting: conjuncts are
-    applied most-selective-first (ordered by the EWMA selectivity store
-    below, fed back after every filter) and later conjuncts never see
-    rows an earlier one dropped, whereas the row interpreter evaluates
-    the whole WHERE expression — including error-raising sub-terms — on
-    every row. Queries that do not raise are unaffected. *)
+    window functions plus projections, DISTINCT, ORDER BY and
+    LIMIT/OFFSET. DESIGN.md ("SELECT surface") states which errors are
+    raised and when. *)
 
 module A = Sqlast.Ast
-
-(* query shape not lowerable: compile raises, try_run returns None *)
-exception Fallback
 
 (* ------------------------------------------------------------------ *)
 (* Execution counters (process-wide; shard domains run concurrently)   *)
 (* ------------------------------------------------------------------ *)
 
-let stats_vector = Atomic.make 0 (* SELECTs answered by the vector path *)
-let stats_row = Atomic.make 0 (* SELECTs answered by the row path *)
-let stats_fallback = Atomic.make 0 (* vectorized-on SELECTs that fell back *)
+let stats_vector = Atomic.make 0 (* SELECTs answered *)
+let stats_rows_out = Atomic.make 0 (* rows those SELECTs returned *)
+
+(* always 0: the harness in bench/suite reads it for pgdb.vector_ratio *)
+let stats_row = Atomic.make 0
 
 let reset_stats () =
   Atomic.set stats_vector 0;
-  Atomic.set stats_row 0;
-  Atomic.set stats_fallback 0
+  Atomic.set stats_rows_out 0
 
 (* ------------------------------------------------------------------ *)
 (* Selectivity feedback                                                *)
@@ -160,11 +146,15 @@ let reset_selectivities () =
 (* ------------------------------------------------------------------ *)
 
 (* Every compile function below runs in two stages. Stage one, given a
-   [scope], resolves names and checks shapes: it is the only place
-   [Fallback] is raised, and it touches no data. It returns stage two, a
-   function of [data] that binds to the columns once the source has run
-   and never raises [Fallback]. A whole SELECT tree, nested subqueries
-   included, is therefore planned before any of it runs. *)
+   [scope], resolves names and checks shapes, touching no data; it
+   raises only name errors (unknown relation, column or view cycle). It
+   returns stage two, a function of [data] that binds to the columns
+   once the source has run. A whole SELECT tree, nested subqueries and
+   views included, is therefore planned before any of it runs. A shape
+   the executor rejects (a window where none was computed, [*] or an
+   aggregate in a scalar expression, ...) compiles to a closure that
+   raises each time it is evaluated, so an empty input still returns an
+   empty result. *)
 
 (* what stage two binds to: the pipeline's columns and the select's
    window results, both indexed by source row *)
@@ -177,14 +167,14 @@ type scope = { bindings : Exec.binding list; windows : A.expr list }
 let no_windows (_ : int) : Value.t array =
   invalid_arg "vexec: no window results in this scope"
 
+(* stage two with no row at all: any column read raises *)
+let no_data =
+  { col = (fun _ -> invalid_arg "vexec: no row"); win = no_windows }
+
 (* a compiled scalar expression: evaluate at one source row *)
 type cexpr = int -> Value.t
 
-(* eval context for reified sub-expressions (never consults bindings) *)
-let empty_ctx () : Exec.eval_ctx = { Exec.bindings = []; windows = [] }
-
-(* position of [x] in [l] under [compare], the equality the row path's
-   List.mem/List.assoc_opt window lookups use *)
+(* position of [x] in [l] under structural equality *)
 let index_of (x : A.expr) (l : A.expr list) : int option =
   let rec go i = function
     | [] -> None
@@ -205,56 +195,32 @@ let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
         fun i -> Batch.value_at col i
   | A.Window _ -> (
       (* a window anywhere in a scalar expression reads its precomputed
-         column; where the select computed none, the row path raises
-         (or has no row to raise on) and falling back reproduces both *)
+         column; windows are computed only for a non-aggregate select's
+         projections and ORDER BY *)
       match index_of e sc.windows with
       | Some k ->
           fun d ->
             let a = d.win k in
             fun i -> a.(i)
-      | None -> raise Fallback)
-  | A.Star | A.Agg _ -> raise Fallback
-  | A.Bin (op, a, b) -> (
-      let ca = comp a and cb = comp b in
+      | None ->
+          fun _ _ ->
+            Errors.feature_not_supported "window function in this context")
+  | A.Star -> fun _ _ -> Errors.syntax_error "stray * in expression"
+  | A.Agg _ ->
+      fun _ _ ->
+        Errors.syntax_error "aggregate function in a non-aggregate context"
+  | A.Bin (op, a, b) ->
+      let ca = comp a and cb = comp b and f = Exec.binop op in
       fun d ->
         let ca = ca d and cb = cb d in
-        match op with
-        | A.Add -> fun i -> Value.add (ca i) (cb i)
-        | A.Sub -> fun i -> Value.sub (ca i) (cb i)
-        | A.Mul -> fun i -> Value.mul (ca i) (cb i)
-        | A.Div -> fun i -> Value.div (ca i) (cb i)
-        | A.Mod -> fun i -> Value.modulo (ca i) (cb i)
-        | A.Eq -> fun i -> Value.eq3 (ca i) (cb i)
-        | A.Neq -> fun i -> Value.not3 (Value.eq3 (ca i) (cb i))
-        | A.Lt -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c < 0)
-        | A.Le -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c <= 0)
-        | A.Gt -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c > 0)
-        | A.Ge -> fun i -> Exec.cmp_bool (ca i) (cb i) (fun c -> c >= 0)
-        | A.And -> fun i -> Value.and3 (ca i) (cb i)
-        | A.Or -> fun i -> Value.or3 (ca i) (cb i)
-        | A.Concat -> (
-            fun i ->
-              match (Value.to_text (ca i), Value.to_text (cb i)) with
-              | Some x, Some y -> Value.Str (x ^ y)
-              | _ -> Value.Null)
-        | A.IsDistinctFrom ->
-            fun i -> Value.not3 (Value.not_distinct (ca i) (cb i))
-        | A.IsNotDistinctFrom -> fun i -> Value.not_distinct (ca i) (cb i))
-  | A.Un (A.Not, a) ->
-      let ca = comp a in
-      fun d ->
-        let ca = ca d in
-        fun i -> Value.not3 (ca i)
-  | A.Un (A.Neg, a) ->
-      let ca = comp a in
-      fun d ->
-        let ca = ca d in
         fun i ->
-          (match ca i with
-          | Value.Int x -> Value.Int (Int64.neg x)
-          | Value.Float f -> Value.Float (-.f)
-          | Value.Null -> Value.Null
-          | _ -> Errors.type_mismatch "cannot negate non-number")
+          let va = ca i in
+          f va (cb i)
+  | A.Un (op, a) ->
+      let ca = comp a and f = Exec.unop op in
+      fun d ->
+        let ca = ca d in
+        fun i -> f (ca i)
   | A.IsNull a ->
       let ca = comp a in
       fun d ->
@@ -454,9 +420,9 @@ let int_keep (op : A.binop) (lit : int64) : int64 -> bool =
    same-type strings with String.compare, and any other numeric-ish
    pair through to_float/Float.compare — each arm below applies exactly
    that conversion, so NaN ordering and int64→float rounding match the
-   row path bit for bit. Anything else (DVal columns, cross-kind pairs
-   compare3 rejects, a NaN literal) stays on the generic closure, which
-   raises the same errors the row path would. *)
+   generic closure bit for bit. Anything else (DVal columns, cross-kind
+   pairs compare3 rejects, a NaN literal) stays on the generic closure,
+   which raises compare3's errors. *)
 let cmp_kernel (c : Batch.column) (op : A.binop) (l : A.lit) : kernel option =
   match cmp_test op with
   | None -> None
@@ -551,9 +517,9 @@ let in_kernel (c : Batch.column) (lits : A.lit list) : kernel option =
    int64/float columns (add/sub/mul; div and mod raise on zero and stay
    on the closure path), same-representation comparisons, 3VL boolean
    combinators, IS [NOT] NULL — so evaluating operands column-at-a-time
-   instead of row-at-a-time cannot reorder an error the row path would
-   have raised. Null bitmaps propagate exactly as the row path's
-   null-propagating Value ops do. *)
+   instead of row-at-a-time cannot reorder an error the closure would
+   have raised. Null bitmaps propagate exactly as the null-propagating
+   Value ops do. *)
 
 (* a sel-aligned result vector: slot [t] holds the value for base row
    [sel.(t)]; [rnulls] is a packed bitmap over slots (empty = none) *)
@@ -769,8 +735,8 @@ let rec compile_vec (bindings : Exec.binding list)
       | _ -> None)
   | A.Bin (A.And, a, b) -> (
       (* 3VL conjunction: false dominates null (Value.and3); both sides
-         are whole-column evaluated, matching the row path's closure
-         which evaluates both operands unconditionally *)
+         are whole-column evaluated, as the closure evaluates both
+         operands unconditionally *)
       match (comp a, comp b) with
       | Some (TBool, ka), Some (TBool, kb) ->
           Some
@@ -867,7 +833,7 @@ let rec compile_vec (bindings : Exec.binding list)
   | _ -> None
 
 (* a WHERE conjunct compiled whole-column: survivors are slots whose
-   boolean is true and not null (3VL reject on null, as the row path) *)
+   boolean is true and not null (3VL reject on null) *)
 let vec_filter_kernel (bindings : Exec.binding list)
     (col : int -> Batch.column) (e : A.expr) : kernel option =
   match compile_vec bindings col e with
@@ -1130,10 +1096,13 @@ let typed_agg (name : string) (c : Batch.column) : caggexpr option =
            (fun b -> Value.Float a.(b)))
   | _ -> None
 
-(* mirror of {!Exec.eval_agg_expr} over compiled closures; the Bin/Un
-   arms rebuild the two-literal expression and hand it to the row
-   path's own evaluator, so its coercion quirks (Date/Time/Timestamp
-   flattening through lit_of) are inherited, not re-implemented *)
+(* an operand of an operator over aggregates: calendar values flatten
+   to their integer encoding *)
+let flatten (v : Value.t) : Value.t = Value.of_lit (Exec.lit_of v)
+
+(* an expression in aggregate context: [Agg] nodes fold the group's
+   rows, operators combine their operands' per-group values, anything
+   else is read from the group's first row *)
 let rec compile_agg_expr (sc : scope) (e : A.expr) : data -> caggexpr =
   let comp e = compile_agg_expr sc e in
   match e with
@@ -1161,23 +1130,20 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) : data -> caggexpr =
                   acc.clear ();
                   Array.iter (fun i -> acc.add (ce i)) g;
                   acc.get ())
-      | _ -> raise Fallback)
+      | _ -> fun _ _ -> Errors.feature_not_supported "multi-argument aggregate")
   | A.Bin (op, a, b) ->
-      let ca = comp a and cb = comp b in
+      let ca = comp a and cb = comp b and f = Exec.binop op in
       fun d ->
         let ca = ca d and cb = cb d in
         fun g ->
           let va = ca g in
           let vb = cb g in
-          Exec.eval_expr (empty_ctx ()) [||] 0
-            (A.Bin (op, A.Lit (Exec.lit_of va), A.Lit (Exec.lit_of vb)))
+          f (flatten va) (flatten vb)
   | A.Un (op, a) ->
-      let ca = comp a in
+      let ca = comp a and f = Exec.unop op in
       fun d ->
         let ca = ca d in
-        fun g ->
-          Exec.eval_expr (empty_ctx ()) [||] 0
-            (A.Un (op, A.Lit (Exec.lit_of (ca g))))
+        fun g -> f (flatten (ca g))
   | A.Cast (a, ty) ->
       let ca = comp a in
       fun d ->
@@ -1223,16 +1189,18 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) : data -> caggexpr =
             (Exec.cmp_bool v vlo (fun c -> c >= 0))
             (Exec.cmp_bool v vhi (fun c -> c <= 0))
   | (A.In _ | A.Like _) when Exec.expr_has_agg e ->
-      (* row path: feature_not_supported, raised per evaluated group *)
-      raise Fallback
+      fun _ _ -> Errors.feature_not_supported "aggregate nested in IN/LIKE"
   | e ->
+      (* a plain expression takes the group's first row; an empty group
+         still evaluates a row-independent one (a literal, constant
+         arithmetic), and anything else, errors included, is NULL *)
       let ce = compile_expr sc e in
       fun d ->
-        let ce = ce d in
+        let ce' = ce d in
         fun g ->
           if Array.length g = 0 then (
-            try Exec.eval_expr (empty_ctx ()) [||] 0 e with _ -> Value.Null)
-          else ce g.(0)
+            try ce no_data 0 with _ -> Value.Null)
+          else ce' g.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Grouping and partitioning keys                                      *)
@@ -1250,7 +1218,7 @@ type pkey = PG of Exec.gkey | PBig of int64
 
 (* a PARTITION BY key position holding values of two kinds, where
    compare_total may raise (text against a number) or stop being an
-   equivalence: the row path's own partitioning must decide *)
+   equivalence: [compare_partitions] decides instead *)
 exception Mixed_keys
 
 let kind_of : Value.t -> int = function
@@ -1273,7 +1241,7 @@ let pkey_of (v : Value.t) : pkey =
 
 (* The key of row i as a dense id, ids handed out in first-encounter
    order. For GROUP BY ([~partition:false]) rows share an id exactly
-   when Exec.gkey_of maps their keys alike, the row path's grouping;
+   when Exec.gkey_of maps their keys alike;
    for a window's PARTITION BY, when compare_total calls them equal
    ([pkey]). One plain int, float or text column hashes its payload
    under that equivalence — text by string, floats with Float.equal
@@ -1337,9 +1305,8 @@ let key_slots ~(partition : bool) (keys : cexpr list)
             Hashtbl.add tbl k g;
             g
 
-(* the row path's partitioning (Exec.compute_window), for keys of mixed
-   kinds: each row searches the partitions met so far, most recent
-   first, with compare_total *)
+(* partitioning for keys of mixed kinds: each row searches the
+   partitions met so far, most recent first, with compare_total *)
 let compare_partitions (cpart : cexpr list) (sel : Batch.sel) :
     int array list =
   let parts = ref [] in
@@ -1377,7 +1344,7 @@ let split_groups (sel : Batch.sel) (slot : int -> int) : int array list =
 (* Ordering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* the ORDER BY comparator, verbatim from the row path *)
+(* the ORDER BY comparator: compare_total per key, NULLS LAST for ASC *)
 let order_cmp (order_by : (A.expr * A.direction) list) (k1 : Value.t list)
     (k2 : Value.t list) : int =
   let rec go ks1 ks2 dirs =
@@ -1393,9 +1360,10 @@ let order_cmp (order_by : (A.expr * A.direction) list) (k1 : Value.t list)
 
 (* whether every key position holds values of one kind, NULLs aside.
    compare_total is then a total preorder that never raises, so every
-   stable sort yields the row path's order. Mixed kinds (text against a
-   number raises; ints against floats lose transitivity beyond 2^53)
-   replay the row path's own sort instead, comparison for comparison. *)
+   stable sort yields one order. Mixed kinds (text against a number
+   raises; ints against floats lose transitivity beyond 2^53) take a
+   fixed reference sort instead, so which error is raised, or which
+   order results, does not depend on the sort chosen. *)
 let uniform_keys (keys : Value.t list array) : bool =
   Array.length keys = 0
   ||
@@ -1446,8 +1414,7 @@ let top_positions (cmp : int -> int -> int) (n : int) (k : int) : int array =
 (* A window function is computed over the rows that survived WHERE.
    Partitions are the hash classes of the PARTITION BY values, in
    first-encounter order. Each partition is sorted stably by the ORDER
-   BY keys, which is {!Exec.compute_window}'s comparator: its tie-break
-   on the original row index is what stability gives. The function then
+   BY keys, ties kept in row order. The function then
    fills a source-row-indexed result array that compile_expr's Window
    arm reads. *)
 
@@ -1463,7 +1430,7 @@ let plan_window (sc : scope) (w : A.expr) :
     string * (data -> Batch.sel -> int -> Value.t array) =
   match w with
   | A.Window { win_fn; win_args; partition; order; frame } ->
-      (* window arguments see no window results, as in the row path *)
+      (* window arguments see no window results *)
       let sc = { sc with windows = [] } in
       let fn = String.lowercase_ascii win_fn in
       let cpart = List.map (compile_expr sc) partition in
@@ -1473,7 +1440,9 @@ let plan_window (sc : scope) (w : A.expr) :
         | _ -> None
       in
       let cord = List.map (fun (e, _) -> compile_expr sc e) order in
-      (* the row path's frame bounds, positions within the partition *)
+      (* frame bounds, positions within the partition; without a frame
+         PG's default: the whole partition, or with an ORDER BY range
+         unbounded preceding .. current row *)
       let bounds m pos =
         match frame with
         | None -> if order = [] then (0, m - 1) else (0, pos)
@@ -1608,7 +1577,9 @@ let plan_window (sc : scope) (w : A.expr) :
                     (if count_rows then Value.Int (Int64.of_int (hi - lo + 1))
                      else acc.get ())
                 done
-        | _ -> raise Fallback
+        | f ->
+            fun _ _ _ _ ->
+              Errors.undefined_function "unknown window function %s" f
       in
       ( fn,
         fun d ->
@@ -1636,8 +1607,8 @@ let plan_window (sc : scope) (w : A.expr) :
                   if order = [] then Array.init m Fun.id
                   else if uniform_keys keys then stable_positions cmp m
                   else begin
-                    (* Exec.compute_window's sort: Array.sort, ties
-                       broken on the row index *)
+                    (* the reference sort for mixed kinds: Array.sort,
+                       ties broken on the row index *)
                     let perm = Array.init m Fun.id in
                     Array.sort
                       (fun a b ->
@@ -1653,7 +1624,7 @@ let plan_window (sc : scope) (w : A.expr) :
                   out)
               parts;
             out )
-  | _ -> raise Fallback
+  | _ -> invalid_arg "vexec: plan_window on a non-window expression"
 
 (* ------------------------------------------------------------------ *)
 (* Sources and hash joins                                              *)
@@ -1677,8 +1648,8 @@ type source = {
 let compose (a : int array) (idx : int array) : int array =
   Array.map (fun k -> if k < 0 then -1 else Array.unsafe_get a k) idx
 
-let memo_columns (width : int) (make : int -> Batch.column) :
-    int -> Batch.column =
+(* [make j] computed once per j in [0, width) *)
+let memo (width : int) (make : int -> 'a) : int -> 'a =
   let cache = Array.make width None in
   fun j ->
     match cache.(j) with
@@ -1717,14 +1688,13 @@ let pair_result (p : pair_acc) : int array * int array =
   (Array.sub p.pa_l 0 p.pa_n, Array.sub p.pa_r 0 p.pa_n)
 
 (* Vectorized hash join on equality key columns [(left, right,
-   null_safe)]: build on the right, probe with the left in row order,
-   exactly the row path's [Exec.eval_join] hash branch. Each bucket is an
-   array of right-row indices in ascending order (the row path prepends
-   then reverses); a plain (non-null-safe) key never matches NULL on
-   either side, a null-safe key treats NULL as a value. Key equality is
-   the row path's: equality of the displayed key tuple — the typed
-   single-key fast paths below are exact refinements (distinct
-   int64s/strings have distinct displays). *)
+   null_safe)]: build on the right, probe with the left in row order.
+   Each bucket is an array of right-row indices in ascending order; a
+   plain (non-null-safe) key never matches NULL on either side, a
+   null-safe key treats NULL as a value. Key equality is equality of
+   the displayed key tuple — the typed single-key fast paths below are
+   exact refinements (distinct int64s/strings have distinct
+   displays). *)
 let hash_join_idx ~(lrows : int) ~(rrows : int)
     (keys : (Batch.column * Batch.column * bool) list) ~(left_outer : bool) :
     int array * int array =
@@ -1774,9 +1744,8 @@ let hash_join_idx ~(lrows : int) ~(rrows : int)
       | Batch.DStr la, Batch.DStr ra -> by (module StrTbl) la ra
       | _ -> assert false)
   | _ ->
-      (* general case: display-string key tuple, the row path's own key
-         function, so multi-key and float/calendar columns match
-         byte-identically *)
+      (* general case: the display-string key tuple, which multi-key and
+         float/calendar columns share *)
       let lcols = List.map (fun (lc, _, _) -> lc) keys in
       let rcols = List.map (fun (_, rc, _) -> rc) keys in
       let safes = List.map (fun (_, _, ns) -> ns) keys in
@@ -1807,8 +1776,7 @@ let hash_join_idx ~(lrows : int) ~(rrows : int)
 
 (* Keep the candidate pairs [(cl, cr)] (grouped by probe row, ascending)
    whose residual passed — [pass] holds their positions, ascending —
-   and pad a left-outer probe row none of whose candidates passed: the
-   row path's per-probe-row residual loop. *)
+   and pad a left-outer probe row none of whose candidates passed. *)
 let residual_pairs ~(lrows : int) ~(left_outer : bool) (cl : int array)
     (cr : int array) (pass : Batch.sel) : int array * int array =
   let out = pair_acc (Array.length pass) in
@@ -1880,28 +1848,125 @@ let expand_stars (bindings : Exec.binding list) (projs : A.proj list) :
     projs
 
 (* the windows a non-aggregate select computes, deduplicated in order
-   of appearance (the row path's list) *)
+   of appearance *)
 let select_windows (projs : A.proj list) (s : A.select) : A.expr list =
   List.concat_map (fun p -> Exec.collect_windows p.A.p_expr) projs
   @ List.concat_map (fun (e, _) -> Exec.collect_windows e) s.A.order_by
   |> List.fold_left (fun acc w -> if List.mem w acc then acc else w :: acc) []
   |> List.rev
 
+(* what a relation name resolves to *)
+type relation =
+  | Table of Exec.binding list * (unit -> Batch.t)
+      (** unqualified bindings and the cached columnar pivot *)
+  | View of A.select
+
+(* resolves a relation name, raising undefined_table for unknown ones *)
+type resolver = string -> relation
+
+let est_of (n : Opstats.node option) =
+  match n with Some n -> n.Opstats.est_rows | None -> 1
+
+(* every (left, right) pair, grouped by left row *)
+let cross_pairs (lrows : int) (rrows : int) : int array * int array =
+  let n = lrows * rrows in
+  (Array.init n (fun k -> k / rrows), Array.init n (fun k -> k mod rrows))
+
+(* the source of a SELECT without FROM: one row, no columns *)
+let values_plan ~(collect : bool) : from_plan =
+  let no_columns _ = invalid_arg "vexec: a VALUES row has no columns" in
+  {
+    fp_bindings = [];
+    fp_name = "";
+    fp_run =
+      (fun () ->
+        ( {
+            nrows = 1;
+            column = no_columns;
+            values = (fun j _ -> no_columns j);
+          },
+          [],
+          if collect then
+            Some
+              (Opstats.leaf ~op:"vector_values" ~detail:"" ~est_rows:1
+                 ~rows_out:1 ~self_ns:0L)
+          else None ));
+  }
+
+(* positions [0, n) of the first occurrence of each row of [cols] (one
+   value array per column) under compare_total equality, ascending.
+   Rows hash on their group keys, which compare_total-equal values
+   share, and are compared only within a bucket. *)
+let distinct_positions (cols : Value.t array array) (n : int) : int array =
+  let seen : (Exec.gkey list, int list ref) Hashtbl.t = Hashtbl.create 64 in
+  let same r r' =
+    Array.for_all (fun c -> Value.compare_total c.(r) c.(r') = 0) cols
+  in
+  let kept = ref [] in
+  for r = 0 to n - 1 do
+    let key =
+      Array.fold_right (fun c acc -> Exec.gkey_of c.(r) :: acc) cols []
+    in
+    match Hashtbl.find_opt seen key with
+    | Some rs when List.exists (same r) !rs -> ()
+    | Some rs ->
+        rs := r :: !rs;
+        kept := r :: !kept
+    | None ->
+        Hashtbl.add seen key (ref [ r ]);
+        kept := r :: !kept
+  done;
+  Array.of_list (List.rev !kept)
+
+(* a planned SELECT's output as a source whose bindings [alias]
+   qualifies; [run] also returns the source's operator node. The column
+   types are known only once the SELECT has run. *)
+let derived_source (names : string list) (alias : string)
+    (run : unit -> output * Opstats.node option) : from_plan =
+  let qualify types =
+    List.map2
+      (fun n ty -> { Exec.b_qual = Some alias; b_name = n; b_type = ty })
+      names types
+  in
+  {
+    fp_bindings = qualify (List.map (fun _ -> None) names);
+    fp_name = alias;
+    fp_run =
+      (fun () ->
+        let o, node = run () in
+        ( {
+            nrows = o.o_nrows;
+            column =
+              memo (Array.length o.o_cols) (fun k -> ocol_column o.o_cols.(k));
+            values = (fun k idx -> ocol_values o.o_cols.(k) idx);
+          },
+          qualify (List.map Option.some o.o_types),
+          node ));
+  }
+
 (* Lower a FROM tree. Base tables resolve to their cached batches;
-   derived tables plan their SELECT with the same lowering and feed its
-   output as a source; INNER/LEFT JOINs hash on the ON clause's equality
-   conjuncts and run any remaining conjuncts as a residual kernel over
-   the candidate pairs. Cross joins, equality-free ON clauses, UNION and
-   views raise [Fallback]. *)
-let rec plan_from ~(resolve : string -> (Exec.binding list * (unit -> Batch.t)) option)
-    ~(collect : bool) (f : A.from_item) : from_plan =
+   views and derived tables plan their SELECT with the same lowering
+   and feed its output as a source; UNION ALL concatenates its
+   branches. A join with equality conjuncts in ON hashes on them; any
+   other join (CROSS, comma, an ON without equality, or none) pairs
+   every left row with every right row. Either way the rest of the ON
+   clause runs as one residual kernel over the candidate pairs.
+   [expanding] holds the views being inlined, so a view cycle is an
+   error rather than an endless expansion. *)
+let rec plan_from ~(resolve : resolver) ~(collect : bool)
+    ~(expanding : string list) (f : A.from_item) : from_plan =
   match f with
   | A.TableRef (name, alias) -> (
       match resolve name with
-      | None -> raise Fallback
-      | Some (base_bindings, batch) ->
-          (* qualify bindings exactly like eval_from's TableRef arm *)
-          let qual = match alias with Some a -> Some a | None -> Some name in
+      | View sel ->
+          let lname = String.lowercase_ascii name in
+          if List.mem lname expanding then
+            Errors.invalid_object_definition
+              "infinite recursion detected in rules for relation \"%s\"" lname;
+          plan_derived ~resolve ~collect ~expanding:(lname :: expanding) sel
+            (Option.value alias ~default:name)
+      | Table (base_bindings, batch) ->
+          let qual = Some (Option.value alias ~default:name) in
           let bindings =
             List.map (fun b -> { b with Exec.b_qual = qual }) base_bindings
           in
@@ -1929,56 +1994,65 @@ let rec plan_from ~(resolve : string -> (Exec.binding list * (unit -> Batch.t)) 
                   node ));
           })
   | A.SubqueryRef (sel, alias) ->
-      let names, run = plan_select ~resolve ~collect sel in
-      let qualify types =
-        List.map2
-          (fun n ty -> { Exec.b_qual = Some alias; b_name = n; b_type = ty })
-          names types
+      plan_derived ~resolve ~collect ~expanding sel alias
+  | A.UnionRef (sels, alias) ->
+      let branches = List.map (plan_select ~resolve ~collect ~expanding) sels in
+      let names =
+        match branches with
+        | [] -> Errors.syntax_error "empty UNION"
+        | (names, _) :: _ -> names
       in
-      {
-        fp_bindings = qualify (List.map (fun _ -> None) names);
-        fp_name = alias;
-        fp_run =
-          (fun () ->
-            let o = run () in
-            let node =
-              if collect then
-                Some
-                  (Opstats.make ~op:"vector_subquery" ~detail:alias
-                     ~est_rows:
-                       (match o.o_plan with
-                       | Some p -> p.Opstats.est_rows
-                       | None -> o.o_nrows)
-                     ~rows_in:o.o_nrows ~rows_out:o.o_nrows ~self_ns:0L
-                     ~children:(Option.to_list o.o_plan))
-              else None
-            in
-            ( {
-                nrows = o.o_nrows;
-                column =
-                  memo_columns (Array.length o.o_cols) (fun k ->
-                      ocol_column o.o_cols.(k));
-                values = (fun k idx -> ocol_values o.o_cols.(k) idx);
-              },
-              qualify (List.map Option.some o.o_types),
-              node ));
-      }
+      let width = List.length names in
+      if List.exists (fun (n, _) -> List.length n <> width) branches then
+        Errors.syntax_error
+          "each UNION query must have the same number of columns";
+      derived_source names alias (fun () ->
+          let outs = List.map (fun (_, run) -> run ()) branches in
+          let t0 = if collect then Exec.now_ns () else 0L in
+          let nrows = List.fold_left (fun a o -> a + o.o_nrows) 0 outs in
+          (* column j: every branch's rows, in branch order *)
+          let cols =
+            Array.init width (fun j ->
+                Computed
+                  (Array.concat
+                     (List.map
+                        (fun o ->
+                          ocol_values o.o_cols.(j) (Batch.all_rows o.o_nrows))
+                        outs)))
+          in
+          let node =
+            if collect then
+              let children = List.filter_map (fun o -> o.o_plan) outs in
+              Some
+                (Opstats.make ~op:"vector_union" ~detail:alias
+                   ~est_rows:
+                     (List.fold_left
+                        (fun a n -> a + n.Opstats.est_rows)
+                        0 children)
+                   ~rows_in:nrows ~rows_out:nrows
+                   ~self_ns:(Int64.sub (Exec.now_ns ()) t0) ~children)
+            else None
+          in
+          ( {
+              o_nrows = nrows;
+              o_cols = cols;
+              o_types = (List.hd outs).o_types;
+              o_plan = node;
+            },
+            node ))
   | A.JoinItem { jkind; left; right; on } ->
-      let left_outer =
-        match jkind with
-        | `Left -> true
-        | `Inner -> false
-        | `Cross -> raise Fallback
-      in
-      let lp = plan_from ~resolve ~collect left in
-      let rp = plan_from ~resolve ~collect right in
+      let left_outer = jkind = `Left in
+      let lp = plan_from ~resolve ~collect ~expanding left in
+      let rp = plan_from ~resolve ~collect ~expanding right in
       let lb = lp.fp_bindings and rb = rp.fp_bindings in
       let nl = List.length lb in
       let bindings = lb @ rb in
-      (* split the ON conjuncts with the row path's exact pattern *)
+      (* equality conjuncts [left.a = right.b] (or IS NOT DISTINCT FROM)
+         become hash keys; a CROSS join tests its whole ON per pair *)
       let equi, residual =
         match on with
-        | None -> raise Fallback
+        | None -> ([], [])
+        | Some _ when jkind = `Cross -> ([], [])
         | Some e ->
             List.partition_map
               (fun conj ->
@@ -2002,9 +2076,10 @@ let rec plan_from ~(resolve : string -> (Exec.binding list * (unit -> Batch.t)) 
                 | conj -> Either.Right conj)
               (Exec.conjuncts e)
       in
-      if equi = [] then raise Fallback;
+      (* without hash keys the residual is the ON clause as written *)
+      let residual = if equi = [] then Option.to_list on else residual in
       (* the residual is one AND-folded predicate, evaluated whole on
-         every candidate pair as the row path does *)
+         every candidate pair *)
       let residual =
         match residual with
         | [] -> None
@@ -2031,19 +2106,26 @@ let rec plan_from ~(resolve : string -> (Exec.binding list * (unit -> Batch.t)) 
               if j < nl then Batch.gather (l.column j) lidx
               else Batch.gather (r.column (j - nl)) ridx
             in
+            let candidates () =
+              if equi = [] then cross_pairs l.nrows r.nrows
+              else
+                hash_join_idx ~lrows:l.nrows ~rrows:r.nrows keys
+                  ~left_outer:false
+            in
             let lidx, ridx =
               match residual with
-              | None ->
+              | None when equi <> [] ->
                   hash_join_idx ~lrows:l.nrows ~rrows:r.nrows keys ~left_outer
+              | None ->
+                  let cl, cr = candidates () in
+                  residual_pairs ~lrows:l.nrows ~left_outer cl cr
+                    (Batch.all_rows (Array.length cl))
               | Some (_, kernel) ->
-                  let cl, cr =
-                    hash_join_idx ~lrows:l.nrows ~rrows:r.nrows keys
-                      ~left_outer:false
-                  in
+                  let cl, cr = candidates () in
                   (* gather only the residual's own columns, through the
                      candidate pairs *)
                   let cand =
-                    { col = memo_columns width (through cl cr); win = no_windows }
+                    { col = memo width (through cl cr); win = no_windows }
                   in
                   let pass = kernel cand (Batch.all_rows (Array.length cl)) in
                   residual_pairs ~lrows:l.nrows ~left_outer cl cr pass
@@ -2052,7 +2134,7 @@ let rec plan_from ~(resolve : string -> (Exec.binding list * (unit -> Batch.t)) 
             let src =
               {
                 nrows = npairs;
-                column = memo_columns width (through lidx ridx);
+                column = memo width (through lidx ridx);
                 values =
                   (fun j idx ->
                     if j < nl then l.values j (compose lidx idx)
@@ -2061,22 +2143,33 @@ let rec plan_from ~(resolve : string -> (Exec.binding list * (unit -> Batch.t)) 
             in
             let node =
               if collect then begin
-                let est_of = function
-                  | Some n -> n.Opstats.est_rows
-                  | None -> 1
+                let kind =
+                  match jkind with
+                  | `Left -> "left"
+                  | `Inner -> "inner"
+                  | `Cross -> "cross"
                 in
-                (* hash equi-joins estimated as max(inputs), like the row
-                   path's hash_join node *)
-                let est = Stdlib.max (est_of lnode) (est_of rnode) in
-                let kind = if left_outer then "left" else "inner" in
+                (* a hash equi-join is estimated as max(inputs), a nested
+                   loop as the cross product *)
+                let op, est, detail =
+                  if equi <> [] then
+                    ( "vector_hash_join",
+                      Stdlib.max (est_of lnode) (est_of rnode),
+                      Printf.sprintf "%s build=%d probe=%d" kind r.nrows
+                        l.nrows )
+                  else
+                    ( "vector_nested_loop",
+                      Stdlib.max 1 (est_of lnode) * Stdlib.max 1 (est_of rnode),
+                      Printf.sprintf "%s outer=%d inner=%d" kind l.nrows
+                        r.nrows )
+                in
                 let detail =
-                  Printf.sprintf "%s build=%d probe=%d%s" kind r.nrows l.nrows
-                    (match residual with
-                    | Some (e, _) -> " residual=" ^ A.expr_str e
-                    | None -> "")
+                  match residual with
+                  | Some (e, _) -> detail ^ " residual=" ^ A.expr_str e
+                  | None -> detail
                 in
                 Some
-                  (Opstats.make ~op:"vector_hash_join" ~detail ~est_rows:est
+                  (Opstats.make ~op ~detail ~est_rows:est
                      ~rows_in:(l.nrows + r.nrows) ~rows_out:npairs
                      ~self_ns:(Int64.sub (Exec.now_ns ()) t0)
                      ~children:(List.filter_map Fun.id [ lnode; rnode ]))
@@ -2085,16 +2178,36 @@ let rec plan_from ~(resolve : string -> (Exec.binding list * (unit -> Batch.t)) 
             in
             (src, ltyped @ rtyped, node));
       }
-  | A.UnionRef _ -> raise Fallback
+
+(* a derived table or an inlined view: the SELECT's output as a source *)
+and plan_derived ~resolve ~collect ~expanding (sel : A.select) (alias : string)
+    : from_plan =
+  let names, run = plan_select ~resolve ~collect ~expanding sel in
+  derived_source names alias (fun () ->
+      let o = run () in
+      ( o,
+        if collect then
+          Some
+            (Opstats.make ~op:"vector_subquery" ~detail:alias
+               ~est_rows:
+                 (match o.o_plan with
+                 | Some p -> p.Opstats.est_rows
+                 | None -> o.o_nrows)
+               ~rows_in:o.o_nrows ~rows_out:o.o_nrows ~self_ns:0L
+               ~children:(Option.to_list o.o_plan))
+        else None ))
 
 (* Plan a SELECT: FROM tree, WHERE kernels, then either hash
-   aggregation or windows + projections, then ORDER BY/OFFSET/LIMIT.
+   aggregation or windows + projections, then DISTINCT and
+   ORDER BY/OFFSET/LIMIT.
    Returns the output column names and the thunk that runs it. *)
-and plan_select ~resolve ~collect (s : A.select) :
+and plan_select ~resolve ~collect ~expanding (s : A.select) :
     string list * (unit -> output) =
-  let from_item = match s.A.from with Some f -> f | None -> raise Fallback in
-  if s.A.distinct then raise Fallback;
-  let fp = plan_from ~resolve ~collect from_item in
+  let fp =
+    match s.A.from with
+    | Some f -> plan_from ~resolve ~collect ~expanding f
+    | None -> values_plan ~collect
+  in
   let bindings = fp.fp_bindings in
   let sc = { bindings; windows = [] } in
   let conjs =
@@ -2143,7 +2256,7 @@ and plan_select ~resolve ~collect (s : A.select) :
       fun _ d sel push cur_est ->
         let ckeys = List.map (fun c -> c d) ckeys in
         (* hashed grouping over selection-vector indices, groups kept in
-           first-encounter order (same as the row path) *)
+           first-encounter order *)
         let groups : int array list =
           if s.A.group_by = [] then [ Array.copy sel ]
           else
@@ -2160,8 +2273,9 @@ and plan_select ~resolve ~collect (s : A.select) :
         let groups = Array.of_list groups in
         let ng = Array.length groups in
         let cprojs = Array.of_list (List.map (fun c -> c d) cprojs) in
-        (* row-major, like the row path: every projection of a group,
-           then the next group; the sort keys after all of them *)
+        (* row-major, so errors surface in row order: every projection
+           of a group, then the next group; the sort keys after all of
+           them *)
         let vals = Array.map (fun _ -> Array.make ng Value.Null) cprojs in
         Array.iteri
           (fun gi g -> Array.iteri (fun k cp -> vals.(k).(gi) <- cp g) cprojs)
@@ -2214,7 +2328,8 @@ and plan_select ~resolve ~collect (s : A.select) :
                  | `Expr ce -> `Expr (ce d, Array.make n Value.Null))
                cprojs)
         in
-        (* computed projections row-major, like the row path *)
+        (* computed projections row-major, so errors surface in row
+           order *)
         if Array.exists (function `Expr _ -> true | `Plain _ -> false) cprojs
         then
           for t = 0 to n - 1 do
@@ -2246,7 +2361,8 @@ and plan_select ~resolve ~collect (s : A.select) :
     fun () ->
       let src, typed, src_node = fp.fp_run () in
       let d = { col = src.column; win = no_windows } in
-      (* opstats chain, mirroring the row path's push discipline *)
+      (* opstats chain: each phase pushes one node on top of the last,
+         timed from the previous phase boundary *)
       let cur : Opstats.node option ref = ref src_node in
       let last_t = ref (if collect then Exec.now_ns () else 0L) in
       let lap () =
@@ -2295,6 +2411,21 @@ and plan_select ~resolve ~collect (s : A.select) :
       in
       (* ---- aggregation or windows + projection *)
       let n, keys, columns = body src d sel push cur_est in
+      (* ---- DISTINCT keeps each output row's first occurrence *)
+      let n, keys, columns =
+        if not s.A.distinct then (n, keys, columns)
+        else begin
+          let all = Batch.all_rows n in
+          let vals = Array.map (fun oc -> ocol_values oc all) (columns all) in
+          let kept = distinct_positions vals n in
+          push ~op:"vector_distinct" ~detail:"" ~est_rows:(cur_est ())
+            ~rows_in:n ~rows_out:(Array.length kept);
+          ( Array.length kept,
+            (if Array.length keys = 0 then keys
+             else Array.map (Array.get keys) kept),
+            fun fin -> columns (Array.map (Array.get kept) fin) )
+        end
+      in
       (* ---- ORDER BY / OFFSET / LIMIT over row-space positions; a
          LIMIT that keeps a small prefix selects it without a full sort *)
       let first = match s.A.offset with Some o -> Stdlib.max 0 o | None -> 0 in
@@ -2311,7 +2442,7 @@ and plan_select ~resolve ~collect (s : A.select) :
           let prefix = first + count in
           let order =
             if not (uniform_keys keys) then
-              (* the row path's List.stable_sort on (row, keys) pairs *)
+              (* the reference sort for mixed kinds *)
               Array.of_list (List.stable_sort cmp (List.init n Fun.id))
             else if 8 * prefix < n then top_positions cmp n prefix
             else stable_positions cmp n
@@ -2392,20 +2523,14 @@ type outcome = {
   vr_plan : Opstats.node option; (* operator tree, when collect was on *)
 }
 
-let try_run ~(resolve : string -> (Exec.binding list * (unit -> Batch.t)) option)
-    ~(collect : bool) (s : A.select) : outcome option =
-  match plan_select ~resolve ~collect s with
-  | exception Fallback -> None
-  | names, run ->
-      (* planned in full: from here on no Fallback, only data work *)
-      let o = run () in
-      let rows = rows_of_output o in
-      Atomic.incr stats_vector;
-      Atomic.incr Exec.stats.Exec.selects_run;
-      ignore (Atomic.fetch_and_add Exec.stats.Exec.rows_out o.o_nrows);
-      Some
-        {
-          vr_result =
-            { Exec.res_cols = List.combine names o.o_types; res_rows = rows };
-          vr_plan = (if collect then o.o_plan else None);
-        }
+let run ~(resolve : resolver) ~(collect : bool) (s : A.select) : outcome =
+  let names, run = plan_select ~resolve ~collect ~expanding:[] s in
+  let o = run () in
+  let rows = rows_of_output o in
+  Atomic.incr stats_vector;
+  ignore (Atomic.fetch_and_add stats_rows_out o.o_nrows);
+  {
+    vr_result =
+      { Exec.res_cols = List.combine names o.o_types; res_rows = rows };
+    vr_plan = (if collect then o.o_plan else None);
+  }

@@ -145,11 +145,11 @@ let refresh_external_gauges (ctx : Obs.Ctx.t) : unit =
   M.set
     (M.gauge reg ~help:"Top-level SELECTs executed by the pgdb backend"
        "hq_backend_selects_run")
-    (float_of_int (Atomic.get Pgdb.Exec.stats.Pgdb.Exec.selects_run));
+    (float_of_int (Atomic.get Pgdb.Vexec.stats_vector));
   M.set
     (M.gauge reg ~help:"Rows produced by the pgdb backend"
        "hq_backend_rows_out")
-    (float_of_int (Atomic.get Pgdb.Exec.stats.Pgdb.Exec.rows_out));
+    (float_of_int (Atomic.get Pgdb.Vexec.stats_rows_out));
   M.set
     (M.gauge reg ~help:"Distinct query fingerprints currently tracked"
        "hq_fingerprints_tracked")
@@ -167,25 +167,6 @@ let refresh_external_gauges (ctx : Obs.Ctx.t) : unit =
        ~help:"Queries captured by the flight recorder as over-threshold"
        "hq_slow_captured_total")
     (float_of_int (Obs.Recorder.captured_slow ctx.Obs.Ctx.recorder));
-  M.set
-    (M.gauge reg
-       ~help:"SELECTs served per executor path (vector = columnar batch)"
-       ~labels:[ ("path", "vector") ]
-       "hq_exec_vectorized_total")
-    (float_of_int (Atomic.get Pgdb.Vexec.stats_vector));
-  M.set
-    (M.gauge reg
-       ~help:"SELECTs served per executor path (vector = columnar batch)"
-       ~labels:[ ("path", "row") ]
-       "hq_exec_vectorized_total")
-    (float_of_int (Atomic.get Pgdb.Vexec.stats_row));
-  M.set
-    (M.gauge reg
-       ~help:
-         "SELECTs that attempted vectorized lowering and fell back to the \
-          row interpreter"
-       "hq_exec_vector_fallback_total")
-    (float_of_int (Atomic.get Pgdb.Vexec.stats_fallback));
   let sc_hits, sc_misses, sc_evictions = Pgdb.Db.stmt_cache_stats () in
   M.set
     (M.gauge reg ~help:"Backend statement-cache hits (parse skipped)"
@@ -266,7 +247,6 @@ let slow_table (ctx : Obs.Ctx.t) (n : int) : QV.t =
          ("minor_gcs", QV.longs (arr (fun r -> r.Obs.Recorder.r_minor_gcs)));
          ("status", QV.syms (arr (fun r -> r.Obs.Recorder.r_status)));
          ("kind", QV.syms (arr (fun r -> r.Obs.Recorder.r_kind)));
-         ("path", QV.syms (arr (fun r -> r.Obs.Recorder.r_path)));
          ( "top_operator",
            QV.syms (arr (fun r -> r.Obs.Recorder.r_top_operator)) );
          ( "sql",
@@ -375,7 +355,6 @@ let plancache_table (pc : Hyperq.Plancache.t option) : QV.t =
     post-reset state. *)
 let reset_stats (ctx : Obs.Ctx.t) : unit =
   M.reset_all ctx.Obs.Ctx.registry;
-  Pgdb.Exec.reset_stats ();
   Pgdb.Vexec.reset_stats ();
   Obs.Qstats.reset ctx.Obs.Ctx.qstats;
   Obs.Recorder.reset ctx.Obs.Ctx.recorder;
@@ -494,8 +473,7 @@ let explain_table (coord : Op.node option)
    route explanation, pipeline annotation, coordinator tree, shard trees *)
 let explain_doc ~(query : string) ~(fingerprint : string)
     ~(route : Shard.Router.explain option) ~(cache : string)
-    ~(sharded : bool) ~(statements : int) ~(executor : string)
-    ~(coord : Op.node option)
+    ~(sharded : bool) ~(statements : int) ~(coord : Op.node option)
     ~(shard_plans : (int * Op.node option) list) : string =
   let shard_docs =
     List.filter_map
@@ -507,14 +485,13 @@ let explain_doc ~(query : string) ~(fingerprint : string)
       shard_plans
   in
   Printf.sprintf
-    "{\"query\":\"%s\",\"fingerprint\":\"%s\",\"route\":%s,\"pipeline\":{\"cache\":\"%s\",\"sharded\":%b,\"statements\":%d,\"executor\":\"%s\"},\"plan\":%s,\"shards\":[%s]}"
+    "{\"query\":\"%s\",\"fingerprint\":\"%s\",\"route\":%s,\"pipeline\":{\"cache\":\"%s\",\"sharded\":%b,\"statements\":%d},\"plan\":%s,\"shards\":[%s]}"
     (Obs.Trace.json_escape query)
     (Obs.Trace.json_escape fingerprint)
     (match route with
     | Some x -> Shard.Router.explain_json x
     | None -> "null")
     cache sharded statements
-    (Obs.Trace.json_escape executor)
     (match coord with Some n -> Op.to_json n | None -> "null")
     (String.concat "," shard_docs)
 
@@ -526,21 +503,11 @@ type explain_summary = {
   xs_worst_qerror : float;
 }
 
-(* classify which executor served the query's SELECTs from the global
-   Vexec counters bracketing the call. Best effort under concurrency:
-   SELECTs run by other connections inside the bracket blur the
-   attribution, which only affects the label, never the data. *)
-let exec_path ~(dv : int) ~(dr : int) : string =
-  if dv > 0 && dr > 0 then "mixed"
-  else if dv > 0 then "vector"
-  else if dr > 0 then "row"
-  else ""
-
 (** Assemble the unified explain document for one analyzed query, offer
     it to the explain ring, and return the headline numbers the caller
     feeds into the recorder and the cardinality store. *)
 let offer_explain (t : t) ~(norm : string) ~(fp : string)
-    ~(trace_id : string) ~(duration : float) ~(executor : string)
+    ~(trace_id : string) ~(duration : float)
     ~(route : Shard.Router.explain option) ~(coord : Op.node option)
     ~(shard_plans : (int * Op.node option) list) : explain_summary =
   let cache, sharded, statements =
@@ -585,7 +552,7 @@ let offer_explain (t : t) ~(norm : string) ~(fp : string)
   in
   let doc =
     explain_doc ~query:norm ~fingerprint:fp ~route ~cache ~sharded
-      ~statements ~executor ~coord ~shard_plans
+      ~statements ~coord ~shard_plans
   in
   Obs.Explain.offer t.obs.Obs.Ctx.explain
     {
@@ -631,8 +598,6 @@ let explain_reply (t : t) (rest : string) : QV.t =
       else begin
         eh.eh_set_analyze true;
         let start = Obs.Clock.now_ns () in
-        let v0 = Atomic.get Pgdb.Vexec.stats_vector in
-        let r0 = Atomic.get Pgdb.Vexec.stats_row in
         let tr = Obs.Ctx.start_trace t.obs "explain" in
         let trace_id = Obs.Trace.trace_id tr in
         let result =
@@ -644,11 +609,6 @@ let explain_reply (t : t) (rest : string) : QV.t =
               raise e
         in
         let duration = Obs.Clock.seconds_since start in
-        let executor =
-          exec_path
-            ~dv:(Atomic.get Pgdb.Vexec.stats_vector - v0)
-            ~dr:(Atomic.get Pgdb.Vexec.stats_row - r0)
-        in
         ignore (Obs.Ctx.finish_trace t.obs tr);
         let coord = eh.eh_plan () in
         let route = eh.eh_route () in
@@ -660,7 +620,7 @@ let explain_reply (t : t) (rest : string) : QV.t =
             let norm = Qlang.Fingerprint.normalize qtext in
             let fp = Qlang.Fingerprint.of_normalized norm in
             let s =
-              offer_explain t ~norm ~fp ~trace_id ~duration ~executor ~route
+              offer_explain t ~norm ~fp ~trace_id ~duration ~route
                 ~coord ~shard_plans
             in
             (* cardinality feedback reaches the store only for shapes
@@ -758,9 +718,6 @@ type processed = {
   pr_trace_id : string;
   pr_alloc_bytes : float;
   pr_minor_gcs : int;
-  pr_path : string;
-      (** executor path the backend took ([vector]/[row]/[mixed]), [""]
-          when the query ran no SELECT *)
 }
 
 (** Run one query through the cross compiler under a fresh trace span,
@@ -770,8 +727,6 @@ let traced_process (t : t) (text : string) ~(bytes_in : int) : processed =
   let start = Obs.Clock.now_ns () in
   let a0 = Gc.allocated_bytes () in
   let g0 = Obs.Runtime.minor_collections () in
-  let v0 = Atomic.get Pgdb.Vexec.stats_vector in
-  let r0 = Atomic.get Pgdb.Vexec.stats_row in
   let tr = Obs.Ctx.start_trace t.obs "query" in
   let trace_id = Obs.Trace.trace_id tr in
   (* stamp the session entry so .hq.activity correlates with the trace
@@ -790,11 +745,6 @@ let traced_process (t : t) (text : string) ~(bytes_in : int) : processed =
   let duration = Obs.Clock.seconds_since start in
   let alloc_bytes = Gc.allocated_bytes () -. a0 in
   let minor_gcs = Obs.Runtime.minor_collections () - g0 in
-  let path =
-    exec_path
-      ~dv:(Atomic.get Pgdb.Vexec.stats_vector - v0)
-      ~dr:(Atomic.get Pgdb.Vexec.stats_row - r0)
-  in
   M.observe t.m.query_seconds duration;
   (* in-band pacing: the ring keeps filling under load even when no
      sampler thread runs (tick is a clock read when the interval has
@@ -804,8 +754,6 @@ let traced_process (t : t) (text : string) ~(bytes_in : int) : processed =
   Obs.Trace.add_root_attr tr "alloc_bytes"
     (Obs.Trace.Int (int_of_float alloc_bytes));
   Obs.Trace.add_root_attr tr "minor_gcs" (Obs.Trace.Int minor_gcs);
-  if path <> "" then
-    Obs.Trace.add_root_attr tr "executor" (Obs.Trace.Str path);
   let root = Obs.Ctx.finish_trace t.obs tr in
   {
     pr_result = result;
@@ -814,7 +762,6 @@ let traced_process (t : t) (text : string) ~(bytes_in : int) : processed =
     pr_trace_id = trace_id;
     pr_alloc_bytes = alloc_bytes;
     pr_minor_gcs = minor_gcs;
-    pr_path = path;
   }
 
 let emit_query_event (t : t) ~(text : string) ~(sql_before : int)
@@ -854,7 +801,7 @@ let emit_query_event (t : t) ~(text : string) ~(sql_before : int)
     generated, its full span tree and its trace id). *)
 let record_workload (t : t) ~(norm : string) ~(fp : string)
     ~(trace_id : string) ~(sql_before : int) ?(ops = "")
-    ?(top_operator = "") ?(path = "")
+    ?(top_operator = "")
     ~(result : (QV.t option, string) result)
     ~(duration : float) ~(bytes_in : int) ~(bytes_out : int)
     ~(alloc_bytes : float) ~(minor_gcs : int) (root : Obs.Trace.span) : unit =
@@ -872,14 +819,14 @@ let record_workload (t : t) ~(norm : string) ~(fp : string)
       Hyperq.Stage_timer.all_stages
   in
   Obs.Qstats.record t.obs.Obs.Ctx.qstats ~alloc_bytes ~minor_gcs
-    ~vectorized:(path = "vector") ~fingerprint:fp ~query:norm
+    ~fingerprint:fp ~query:norm
     ~duration_s:duration
     ~error_class:(match result with Ok _ -> None | Error e -> Some (error_class e))
     ~rows_out:rows ~bytes_in ~bytes_out ~stages ();
   let sql = Hyperq.Backend.sql_since (backend t) sql_before in
   ignore
     (Obs.Recorder.observe t.obs.Obs.Ctx.recorder ~ts:(Unix.gettimeofday ())
-       ~trace_id ~ops ~top_operator ~path ~fingerprint:fp ~query:norm
+       ~trace_id ~ops ~top_operator ~fingerprint:fp ~query:norm
        ~duration_s:duration ~status ~error ~sql ~alloc_bytes ~minor_gcs root)
 
 (* ------------------------------------------------------------------ *)
@@ -1009,7 +956,7 @@ let feed (t : t) (bytes : string) : string =
                           | Some (coord, route, shard_plans), Ok _ ->
                               Some
                                 (offer_explain t ~norm ~fp ~trace_id
-                                   ~duration ~executor:pr.pr_path ~route
+                                   ~duration ~route
                                    ~coord ~shard_plans)
                           | _ -> None
                         in
@@ -1046,7 +993,7 @@ let feed (t : t) (bytes : string) : string =
                           ?ops:(Option.map (fun s -> s.xs_doc) summary)
                           ?top_operator:
                             (Option.map (fun s -> s.xs_top_operator) summary)
-                          ~path:pr.pr_path ~result ~duration ~bytes_in:consumed
+                          ~result ~duration ~bytes_in:consumed
                           ~bytes_out:(String.length reply)
                           ~alloc_bytes:pr.pr_alloc_bytes
                           ~minor_gcs:pr.pr_minor_gcs root;

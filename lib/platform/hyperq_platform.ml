@@ -32,8 +32,6 @@ type t = {
       (** run every Nth ordinary query with operator-stats collection on
           (0 = off) — the [--analyze-sample N] tail sampler *)
   analyze_seen : int Atomic.t;  (** queries considered by the sampler *)
-  vectorized : bool;
-      (** whether backend sessions default to the vectorized executor *)
 }
 
 type connection = {
@@ -54,12 +52,8 @@ let create ?(users = [ ("trader", "pwd") ])
     ?(engine_config = Hyperq.Engine.default_config) ?(plan_cache = true)
     ?(plan_cache_size = Hyperq.Plancache.default_capacity) ?obs
     ?(shards = 1) ?workers ?distributions ?(analyze_sample = 0)
-    ?(vectorized = true) (db : Pgdb.Db.t) : t =
+    (db : Pgdb.Db.t) : t =
   let obs = match obs with Some o -> o | None -> Obs.Ctx.create () in
-  (* set the default before any session opens: the coordinator sessions
-     in [connect] and the per-shard sessions the cluster opens all
-     inherit it *)
-  Pgdb.Db.set_vectorized_default db vectorized;
   let cluster =
     if shards > 1 then
       Some
@@ -71,9 +65,6 @@ let create ?(users = [ ("trader", "pwd") ])
            ~obs db)
     else None
   in
-  (* shard databases are created by the cluster, so their already-open
-     sessions need the toggle applied explicitly *)
-  Option.iter (fun c -> Shard.Cluster.set_vectorized c vectorized) cluster;
   (* every periodic snapshot first refreshes the mirrored gauges (pgdb
      executor, fingerprint store, recorder, statement cache), takes a
      GC/heap sample so hq_gc_* counters enter the snapshot, and — when
@@ -105,11 +96,7 @@ let create ?(users = [ ("trader", "pwd") ])
     cluster;
     analyze_sample = Atomic.make (max 0 analyze_sample);
     analyze_seen = Atomic.make 0;
-    vectorized;
   }
-
-(** Whether backend sessions default to the vectorized executor. *)
-let vectorized (t : t) : bool = t.vectorized
 
 (** The platform's shared plan cache, when enabled. *)
 let plan_cache (t : t) = t.plancache

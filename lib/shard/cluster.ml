@@ -243,11 +243,6 @@ let set_analyze (t : t) (on : bool) : unit =
   if not on then t.c_last_shard_plans <- [];
   Array.iter (fun sh -> Pgdb.Db.set_analyze sh.s_session on) t.c_shards
 
-(** Toggle the vectorized executor on every shard session (same ordering
-    argument as {!set_analyze}). *)
-let set_vectorized (t : t) (on : bool) : unit =
-  Array.iter (fun sh -> Pgdb.Db.set_vectorized sh.s_session on) t.c_shards
-
 (** Routing decision of the last statement the sharder saw, as a route
     explanation (including coordinator fallbacks with their reason). *)
 let last_route (t : t) : Router.explain option =

@@ -50,9 +50,6 @@ let ops_of (n : Op.node) : string list =
 let test_exec_tree_shape () =
   let db = marketdata_db () in
   let sess = Db.open_session db in
-  (* this test pins the ROW interpreter's operator chain; the vectorized
-     executor's nodes are covered in test_vexec *)
-  Db.set_vectorized sess false;
   Db.set_analyze sess true;
   let n =
     analyzed_plan sess
@@ -61,14 +58,16 @@ let test_exec_tree_shape () =
   in
   check
     Alcotest.(list string)
-    "operator chain" [ "limit"; "sort"; "project"; "filter"; "scan" ]
+    "operator chain"
+    [ "vector_limit"; "vector_sort"; "vector_project"; "vector_filter";
+      "vector_scan" ]
     (ops_of n);
   (* sane actuals: the scan reads the whole table, the limit caps at 5 *)
   let by op = List.find (fun (_, m) -> m.Op.op = op) (Op.flatten n) in
-  let _, scan = by "scan" in
+  let _, scan = by "vector_scan" in
   check tstr "scan names the table" "trades" scan.Op.detail;
   check tbool "scan read rows" true (scan.Op.rows_out > 0);
-  let _, limit = by "limit" in
+  let _, limit = by "vector_limit" in
   check tbool "limit caps output" true (limit.Op.rows_out <= 5);
   (* every node carries a positive estimate and non-negative self time *)
   List.iter
@@ -80,14 +79,13 @@ let test_exec_tree_shape () =
 let test_exec_aggregate_and_join () =
   let db = marketdata_db () in
   let sess = Db.open_session db in
-  Db.set_vectorized sess false;
   Db.set_analyze sess true;
   let agg =
     analyzed_plan sess
       "SELECT \"Symbol\", SUM(\"Size\") FROM trades GROUP BY \"Symbol\""
   in
   check tbool "aggregate at the root" true
-    (List.mem "aggregate" (ops_of agg));
+    (List.mem "vector_hash_agg" (ops_of agg));
   let join =
     analyzed_plan sess
       "SELECT t.\"Price\", s.\"Sector\" FROM trades t JOIN secmaster_w s \
@@ -95,23 +93,23 @@ let test_exec_aggregate_and_join () =
   in
   let _, j =
     List.find
-      (fun (_, m) -> m.Op.op = "hash_join" || m.Op.op = "nested_loop")
+      (fun (_, m) ->
+        m.Op.op = "vector_hash_join" || m.Op.op = "vector_nested_loop")
       (Op.flatten join)
   in
   check tint "join has two children" 2 (List.length j.Op.children);
-  check tstr "equi join hashes" "hash_join" j.Op.op;
+  check tstr "equi join hashes" "vector_hash_join" j.Op.op;
   (* join input accounting: rows_in is the sum of both children *)
   check tint "join rows_in"
     (List.fold_left (fun a c -> a + c.Op.rows_out) 0 j.Op.children)
     j.Op.rows_in
 
-(* the vectorized join: its operator node must carry the same accounting
-   contract as the row path's hash_join — build/probe sizes in the
-   detail, est vs actual cardinalities, and a computable q-error *)
+(* the vectorized join: its operator node carries the join accounting
+   contract — build/probe sizes in the detail, est vs actual
+   cardinalities, and a computable q-error *)
 let test_vector_hash_join_node () =
   let db = marketdata_db () in
   let sess = Db.open_session db in
-  Db.set_vectorized sess true;
   Db.set_analyze sess true;
   let plan =
     analyzed_plan sess
@@ -166,7 +164,6 @@ let test_vector_hash_join_node () =
 let test_aj_all_vector_tree () =
   let db = marketdata_db () in
   let sess = Db.open_session db in
-  Db.set_vectorized sess true;
   Db.set_analyze sess true;
   let eng = Hyperq.Engine.create (Hyperq.Backend.of_pgdb_session sess) in
   let sql =
@@ -491,15 +488,12 @@ let test_explain_json_endpoint () =
           "\"plans\"";
           "\"route\":\"partial_agg\"";
           "\"pipeline\"";
-          "\"executor\"";
+          "\"statements\"";
           "\"rows_scanned\"";
           "\"top_operator\"";
         ];
-      (* the grouped aggregate lowers on the shards, so the scan node is
-         the vectorized one; either spelling proves a plan attached *)
       check tbool "scan node present" true
-        (contains body "\"op\":\"vector_scan\""
-        || contains body "\"op\":\"scan\"");
+        (contains body "\"op\":\"vector_scan\"");
       (* ?n= limits the ring read: the newest plan routes single, the
          older partial_agg one must drop out *)
       ignore

@@ -368,6 +368,55 @@ let test_view () =
   let res = q sess "SELECT COUNT(*) FROM a_trades" in
   check tbool "3 rows through view" true (cell res 0 0 = V.Int 3L)
 
+let sqlstate sess sql =
+  match Db.exec sess sql with
+  | exception Pgdb.Errors.Sql_error { code; _ } -> code
+  | _ -> "ok"
+
+(* a view defined, through another, on itself: the inliner stops at the
+   re-entry instead of expanding forever *)
+let test_view_cycle () =
+  let sess = Db.open_session (Db.create ()) in
+  List.iter
+    (fun sql -> check tstr sql "ok" (sqlstate sess sql))
+    [
+      "CREATE TABLE t (a bigint)";
+      "CREATE VIEW a AS SELECT * FROM t";
+      "CREATE VIEW b AS SELECT * FROM a";
+      "DROP VIEW a";
+      "CREATE VIEW a AS SELECT * FROM b";
+    ];
+  match Db.exec sess "SELECT * FROM a" with
+  | exception Pgdb.Errors.Sql_error { code; message } ->
+      check tstr "SQLSTATE" "42P17" code;
+      check tstr "message"
+        "infinite recursion detected in rules for relation \"a\"" message
+  | _ -> Alcotest.fail "a view cycle must raise"
+
+(* tables, temp tables and views share one namespace *)
+let test_view_over_table () =
+  let sess = fixture () in
+  check tstr "CREATE VIEW over a table" "42P07"
+    (sqlstate sess "CREATE VIEW trades AS SELECT * FROM quotes");
+  check tint "the table still answers" 5
+    (Array.length (q sess "SELECT * FROM trades").Pgdb.Exec.res_rows)
+
+let test_view_over_view () =
+  let sess = fixture () in
+  ignore (Db.exec sess "CREATE VIEW v AS SELECT sym FROM trades");
+  check tstr "CREATE VIEW over a view" "42P07"
+    (sqlstate sess "CREATE VIEW v AS SELECT sym FROM quotes");
+  check tint "the first definition stands" 5
+    (Array.length (q sess "SELECT * FROM v").Pgdb.Exec.res_rows)
+
+let test_table_over_view () =
+  let sess = fixture () in
+  ignore (Db.exec sess "CREATE VIEW v AS SELECT sym FROM trades");
+  check tstr "CREATE TABLE over a view" "42P07"
+    (sqlstate sess "CREATE TABLE v (a bigint)");
+  check tstr "CREATE TEMP TABLE AS over a view" "42P07"
+    (sqlstate sess "CREATE TEMPORARY TABLE v AS SELECT * FROM quotes")
+
 let test_drop () =
   let sess = fixture () in
   ignore (Db.exec sess "CREATE TEMPORARY TABLE tt AS SELECT * FROM trades");
@@ -576,6 +625,10 @@ let () =
             test_temp_table_lifecycle;
           Alcotest.test_case "create + insert" `Quick test_create_insert;
           Alcotest.test_case "view" `Quick test_view;
+          Alcotest.test_case "view cycle" `Quick test_view_cycle;
+          Alcotest.test_case "view over table" `Quick test_view_over_table;
+          Alcotest.test_case "view over view" `Quick test_view_over_view;
+          Alcotest.test_case "table over view" `Quick test_table_over_view;
           Alcotest.test_case "drop" `Quick test_drop;
           Alcotest.test_case "catalog queryable" `Quick test_catalog_queryable;
         ] );

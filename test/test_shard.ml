@@ -515,6 +515,48 @@ let test_differential_unordered () =
   differential ~engine_config:config ~shards:2 ~queries:60
     ~compare_rows:multiset_eq ()
 
+(* Q queries whose SQL needs the window operator, derived tables or a
+   residual join: moving average and deltas (windows), fby (a window
+   over a derived table), as-of join (left join + residual +
+   row_number) and a chained lj (nested derived tables). Through a
+   2-shard platform each must agree with the kdb interpreter. *)
+let test_vector_shapes_against_kdb () =
+  let d = MD.generate MD.small_scale in
+  let sym i = d.MD.syms.(i mod Array.length d.MD.syms) in
+  let queries =
+    [
+      Printf.sprintf "select Time, m:5 mavg Price from trades where Symbol=`%s"
+        (sym 1);
+      Printf.sprintf "select Time, x:deltas Price from trades where Symbol=`%s"
+        (sym 2);
+      "select from trades where Time<09:40:00.000, Price=(max;Price) fby \
+       Symbol";
+      Printf.sprintf
+        "aj[`Symbol`Time; select Symbol, Time, Price from trades where \
+         Symbol=`%s, Time<09:40:00.000; select Symbol, Time, Bid from quotes \
+         where Symbol=`%s]"
+        (sym 0) (sym 0);
+      "select qty:sum Size by Sector from (trades lj secmaster_w) lj risk_w";
+    ]
+  in
+  let kdb = Kdb.Server.create () in
+  List.iter (fun (name, v) -> Kdb.Server.load kdb name v) (MD.q_tables d);
+  let db = Db.create () in
+  MD.load_pg db d;
+  with_platform ~shards:2 db (fun p ->
+      let c = P.Client.connect p in
+      List.iter
+        (fun q ->
+          let hq = ok (P.Client.query c q) in
+          match Kdb.Server.query kdb ~client:0 q with
+          | Error e -> Alcotest.failf "kdb failed on %s: %s" q e
+          | Ok k -> (
+              match Sidebyside.Framework.values_agree k hq with
+              | None -> ()
+              | Some why -> Alcotest.failf "%s differs from kdb: %s" q why))
+        queries;
+      P.Client.close c)
+
 (* ------------------------------------------------------------------ *)
 (* Plan cache: shard-map generation in the key                         *)
 (* ------------------------------------------------------------------ *)
@@ -700,6 +742,8 @@ let () =
         [
           Alcotest.test_case "200 randomized queries" `Quick test_differential_200;
           Alcotest.test_case "unordered concat" `Quick test_differential_unordered;
+          Alcotest.test_case "vector shapes against kdb, 2 shards" `Quick
+            test_vector_shapes_against_kdb;
         ] );
       ( "plan cache",
         [
