@@ -355,32 +355,36 @@ let bench_protocol () =
                ("qty", Qvalue.Value.longs (Array.init n (fun i -> i)));
              ])
       in
+      (* the same rows as pgdb hands the wire server *)
+      let rows =
+        Array.init n (fun i ->
+            [|
+              Pgdb.Value.Str (Printf.sprintf "S%03d" (i mod 500));
+              Pgdb.Value.Float (float_of_int i *. 0.01);
+              Pgdb.Value.Int (Int64.of_int i);
+            |])
+      in
       let t0 = now () in
       let qipc_bytes =
         Qipc.Codec.encode_message
           { Qipc.Codec.mt = Qipc.Codec.Response; body = Qipc.Codec.Value table }
       in
       let qipc_ms = (now () -. t0) *. 1000.0 in
+      (* the row stream the Gateway reads: binary cells, one DataRow per row *)
       let t1 = now () in
       let buf = Buffer.create (n * 32) in
-      Buffer.add_string buf
-        (Pgwire.Codec.encode_backend
-           (Pgwire.Codec.RowDescription
-              [
-                { Pgwire.Codec.fd_name = "sym"; fd_type_oid = 1043 };
-                { Pgwire.Codec.fd_name = "px"; fd_type_oid = 701 };
-                { Pgwire.Codec.fd_name = "qty"; fd_type_oid = 20 };
-              ]));
-      for i = 0 to n - 1 do
-        Buffer.add_string buf
-          (Pgwire.Codec.encode_backend
-             (Pgwire.Codec.DataRow
-                [
-                  Some (Printf.sprintf "S%03d" (i mod 500));
-                  Some (Printf.sprintf "%.2f" (float_of_int i *. 0.01));
-                  Some (string_of_int i);
-                ]))
-      done;
+      Pgwire.Codec.add_backend buf
+        (Pgwire.Codec.RowDescription
+           (List.map
+              (fun (fd_name, fd_type_oid) ->
+                { Pgwire.Codec.fd_name; fd_type_oid; fd_format = Pgwire.Codec.Binary })
+              [ ("sym", 1043); ("px", 701); ("qty", 20) ]));
+      let body = Buffer.create 64 and scratch = Buffer.create 16 in
+      Array.iter
+        (Pgwire.Codec.add_data_row buf ~body ~scratch (fun b _ v ->
+             Pgdb.Value.add_binary b v;
+             true))
+        rows;
       let pg_ms = (now () -. t1) *. 1000.0 in
       Printf.printf "%-10d %14d %14.2f %14d %14.2f\n%!" n
         (String.length qipc_bytes) qipc_ms (Buffer.length buf) pg_ms)

@@ -354,22 +354,32 @@ let evict_lru (db : t) =
       Atomic.incr stmt_cache_evictions
   | None -> ()
 
-(** Parse one SQL statement through the bounded statement cache: repeats
-    of the same text (modulo the trailing trace comment) reuse the
-    already-parsed AST. Parse errors propagate and are never cached. *)
-let parse_cached (db : t) (sql : string) : A.stmt =
-  let key = strip_trailing_comment sql in
+(* The cached statement for [key], counted as a hit, if there is one *)
+let cache_find (db : t) (key : string) : A.stmt option =
   db.stmt_tick <- db.stmt_tick + 1;
   match Hashtbl.find_opt db.stmts key with
   | Some en ->
       Atomic.incr stmt_cache_hits;
       en.se_last_use <- db.stmt_tick;
-      en.se_stmt
+      Some en.se_stmt
+  | None -> None
+
+(* Cache [stmt] under [key]; the caller has counted the miss *)
+let cache_add (db : t) (key : string) (stmt : A.stmt) =
+  if Hashtbl.length db.stmts >= stmt_cache_capacity then evict_lru db;
+  Hashtbl.replace db.stmts key { se_stmt = stmt; se_last_use = db.stmt_tick }
+
+(** Parse one SQL statement through the bounded statement cache: repeats
+    of the same text (modulo the trailing trace comment) reuse the
+    already-parsed AST. Parse errors propagate and are never cached. *)
+let parse_cached (db : t) (sql : string) : A.stmt =
+  let key = strip_trailing_comment sql in
+  match cache_find db key with
+  | Some stmt -> stmt
   | None ->
       Atomic.incr stmt_cache_misses;
       let stmt = Sql_parser.parse key in
-      if Hashtbl.length db.stmts >= stmt_cache_capacity then evict_lru db;
-      Hashtbl.replace db.stmts key { se_stmt = stmt; se_last_use = db.stmt_tick };
+      cache_add db key stmt;
       stmt
 
 (** Parse and execute one SQL statement. *)
@@ -381,25 +391,37 @@ let exec (sess : session) (sql : string) : outcome =
     the PG v3 wire — goes through the statement cache; genuinely
     multi-statement scripts are parsed afresh. *)
 let exec_script (sess : session) (sql : string) : outcome =
-  let db = sess.db in
   let key = strip_trailing_comment sql in
-  db.stmt_tick <- db.stmt_tick + 1;
-  match Hashtbl.find_opt db.stmts key with
-  | Some en ->
-      Atomic.incr stmt_cache_hits;
-      en.se_last_use <- db.stmt_tick;
-      exec_stmt sess en.se_stmt
+  match cache_find sess.db key with
+  | Some stmt -> exec_stmt sess stmt
   | None -> (
       match Sql_parser.parse_many sql with
       | [] -> Complete "EMPTY"
       | [ stmt ] ->
           Atomic.incr stmt_cache_misses;
-          if Hashtbl.length db.stmts >= stmt_cache_capacity then evict_lru db;
-          Hashtbl.replace db.stmts key
-            { se_stmt = stmt; se_last_use = db.stmt_tick };
+          cache_add sess.db key stmt;
           exec_stmt sess stmt
       | stmts ->
           List.fold_left (fun _ s -> exec_stmt sess s) (Complete "EMPTY") stmts)
+
+(** Parse the one statement of an extended-protocol Parse message through
+    the statement cache, with the key and counters {!exec_script} uses
+    for a single statement. [None] for an empty query; more than one
+    statement is 42601, as in PG. *)
+let prepare (db : t) (sql : string) : A.stmt option =
+  let key = strip_trailing_comment sql in
+  match cache_find db key with
+  | Some stmt -> Some stmt
+  | None -> (
+      match Sql_parser.parse_many sql with
+      | [] -> None
+      | [ stmt ] ->
+          Atomic.incr stmt_cache_misses;
+          cache_add db key stmt;
+          Some stmt
+      | _ ->
+          Errors.syntax_error
+            "cannot insert multiple commands into a prepared statement")
 
 (* ------------------------------------------------------------------ *)
 (* Bulk loading and direct catalog access (used by tests, the workload

@@ -165,52 +165,34 @@ let is_true = function Bool true -> true | _ -> false
 (* Text rendering (PG text protocol format)                            *)
 (* ------------------------------------------------------------------ *)
 
-let days_in_month y m =
-  match m with
-  | 1 | 3 | 5 | 7 | 8 | 10 | 12 -> 31
-  | 4 | 6 | 9 | 11 -> 30
-  | 2 -> if (y mod 4 = 0 && y mod 100 <> 0) || y mod 400 = 0 then 29 else 28
-  | _ -> invalid_arg "days_in_month"
+(* Days from 0000-03-01 to 2000-01-01: Hinnant's algorithms count days
+   from 1970-01-01 as days from 0000-03-01 minus 719468, and 2000-01-01
+   is day 10957 after 1970-01-01. *)
+let epoch_shift = 730425
 
-let ymd_of_days days =
-  let y = ref 2000 and d = ref days in
-  let year_len yy =
-    if (yy mod 4 = 0 && yy mod 100 <> 0) || yy mod 400 = 0 then 366 else 365
-  in
-  while !d < 0 do
-    decr y;
-    d := !d + year_len !y
-  done;
-  while !d >= year_len !y do
-    d := !d - year_len !y;
-    incr y
-  done;
-  let m = ref 1 in
-  while !d >= days_in_month !y !m do
-    d := !d - days_in_month !y !m;
-    incr m
-  done;
-  (!y, !m, !d + 1)
-
+(** Days since 2000-01-01 of a proleptic Gregorian date (year 0 is a leap
+    year), in O(1): Howard Hinnant's days_from_civil
+    (http://howardhinnant.github.io/date_algorithms.html). The day of
+    month is not range-checked: day 0 is the last day of the month
+    before. *)
 let days_of_ymd y m d =
-  let days = ref 0 in
-  if y >= 2000 then
-    for yy = 2000 to y - 1 do
-      days :=
-        !days
-        + if (yy mod 4 = 0 && yy mod 100 <> 0) || yy mod 400 = 0 then 366 else 365
-    done
-  else
-    for yy = y to 1999 do
-      days :=
-        !days
-        - (if (yy mod 4 = 0 && yy mod 100 <> 0) || yy mod 400 = 0 then 366
-           else 365)
-    done;
-  for mm = 1 to m - 1 do
-    days := !days + days_in_month y mm
-  done;
-  !days + d - 1
+  let y = if m <= 2 then y - 1 else y in
+  let era = (if y >= 0 then y else y - 399) / 400 in
+  let yoe = y - (era * 400) in
+  let doy = ((((153 * if m > 2 then m - 3 else m + 9) + 2) / 5) + d) - 1 in
+  let doe = (yoe * 365) + (yoe / 4) - (yoe / 100) + doy in
+  (era * 146097) + doe - epoch_shift
+
+(** The inverse of {!days_of_ymd}: Hinnant's civil_from_days. *)
+let ymd_of_days days =
+  let z = days + epoch_shift in
+  let era = (if z >= 0 then z else z - 146096) / 146097 in
+  let doe = z - (era * 146097) in
+  let yoe = (doe - (doe / 1460) + (doe / 36524) - (doe / 146096)) / 365 in
+  let doy = doe - ((365 * yoe) + (yoe / 4) - (yoe / 100)) in
+  let mp = ((5 * doy) + 2) / 153 in
+  let m = if mp < 10 then mp + 3 else mp - 9 in
+  ((yoe + (era * 400) + if m <= 2 then 1 else 0), m, doy - (((153 * mp) + 2) / 5) + 1)
 
 let ns_per_day = 86_400_000_000_000L
 
@@ -305,50 +287,158 @@ let to_text = function
 
 let to_display v = match to_text v with Some s -> s | None -> "NULL"
 
+(* ------------------------------------------------------------------ *)
+(* Binary format (PG v3 binary result cells)                           *)
+(* ------------------------------------------------------------------ *)
+
+(* the widest time, in ms, whose microsecond count fits an int64 *)
+let max_binary_time = Int64.to_int (Int64.div Int64.max_int 1000L)
+
+(** Append [v]'s PG binary format, as sent in DataRow cells whose result
+    format is binary; [Null] appends nothing. float8 and int8 are
+    big-endian; a date is an int32 of days since 2000-01-01 (pgdb's own
+    epoch); a time is an int64 of microseconds; a timestamp an int64 of
+    microseconds since 2000-01-01, the floor of its nanoseconds / 1000
+    as in the text format; a bool one byte; text its raw bytes. A date
+    or time the format cannot hold is 22008. *)
+let add_binary b = function
+  | Null -> ()
+  | Bool v -> Buffer.add_char b (if v then '\001' else '\000')
+  | Int i -> Buffer.add_int64_be b i
+  | Float f -> Buffer.add_int64_be b (Int64.bits_of_float f)
+  | Str s -> Buffer.add_string b s
+  | Date d ->
+      if d < -0x8000_0000 || d > 0x7fff_ffff then
+        Errors.datetime_overflow "date %d out of range" d;
+      Buffer.add_int32_be b (Int32.of_int d)
+  | Time t ->
+      if t < -max_binary_time || t > max_binary_time then
+        Errors.datetime_overflow "time %d ms out of range" t;
+      Buffer.add_int64_be b (Int64.mul (Int64.of_int t) 1000L)
+  | Timestamp n ->
+      let us = Int64.div n 1000L in
+      Buffer.add_int64_be b
+        (if Int64.compare (Int64.rem n 1000L) 0L < 0 then Int64.pred us else us)
+
+let bad_width ty len =
+  Errors.type_mismatch "%d-byte binary %s cell" len (Catalog.Sqltype.name ty)
+
+(** Decode the binary cell [s.[off..off+len)], guided by the column type.
+    A length the type's format does not have is a [type_mismatch]. *)
+let of_binary (ty : Catalog.Sqltype.t) (s : string) (off : int) (len : int) : t
+    =
+  match ty with
+  | Catalog.Sqltype.TVarchar | Catalog.Sqltype.TText -> Str (String.sub s off len)
+  | Catalog.Sqltype.TBool ->
+      if len <> 1 then bad_width ty len;
+      Bool (s.[off] <> '\000')
+  | Catalog.Sqltype.TDate ->
+      if len <> 4 then bad_width ty len;
+      Date (Int32.to_int (String.get_int32_be s off))
+  | Catalog.Sqltype.TBigint | Catalog.Sqltype.TDouble | Catalog.Sqltype.TTime
+  | Catalog.Sqltype.TTimestamp -> (
+      if len <> 8 then bad_width ty len;
+      let v = String.get_int64_be s off in
+      match ty with
+      | Catalog.Sqltype.TBigint -> Int v
+      | Catalog.Sqltype.TDouble -> Float (Int64.float_of_bits v)
+      | Catalog.Sqltype.TTime -> Time (Int64.to_int (Int64.div v 1000L))
+      | _ -> Timestamp (Int64.mul v 1000L))
+
+(* Text parsing reads fields in place, bounded to [s.[i..j)]; any
+   malformed field raises [Malformed], which [of_text] reports as the
+   type's [type_mismatch]. *)
+exception Malformed
+
 let rec pow10 n = if n <= 0 then 1 else 10 * pow10 (n - 1)
 
-(* "HH:MM[:SS[.fff...]]" as a count of 10^-[places] seconds since
-   midnight; fraction digits beyond [places] are truncated. *)
-let clock_of_text ~places s =
-  let unit = pow10 places in
-  match String.split_on_char ':' s with
-  | [ h; m; sec ] ->
-      let sec, frac =
-        match String.split_on_char '.' sec with
-        | [ s' ] -> (int_of_string s', 0)
-        | [ s'; frac ] ->
-            let n = min places (String.length frac) in
-            ( int_of_string s',
-              int_of_string (String.sub frac 0 n) * pow10 (places - n) )
-        | _ -> Errors.type_mismatch "bad time %s" s
-      in
-      ((((int_of_string h * 3600) + (int_of_string m * 60) + sec) * unit) + frac)
-  | [ h; m ] -> ((int_of_string h * 60) + int_of_string m) * 60 * unit
-  | _ -> Errors.type_mismatch "bad time %s" s
+(* the first [c] in [s.[i..j)], or [j] *)
+let rec index_in s c i j = if i >= j || s.[i] = c then i else index_in s c (i + 1) j
 
-(** Parse a value from PG text format, guided by the column type. *)
+(* The unsigned decimal in [s.[i..j)]: 1 to 18 digits, so it cannot
+   overflow *)
+let digits_in s i j =
+  if i >= j || j - i > 18 then raise Malformed;
+  let n = ref 0 in
+  for k = i to j - 1 do
+    match s.[k] with
+    | '0' .. '9' as c -> n := (!n * 10) + Char.code c - 48
+    | _ -> raise Malformed
+  done;
+  !n
+
+let int_in s i j =
+  if i < j && s.[i] = '-' then -digits_in s (i + 1) j
+  else if i < j && s.[i] = '+' then digits_in s (i + 1) j
+  else digits_in s i j
+
+(* "Y-M-D" as days since 2000-01-01. The year may carry a sign, as the
+   writer gives years before 0; the month must be 1..12. *)
+let days_in s i j =
+  let y_end = index_in s '-' (if i < j && s.[i] = '-' then i + 1 else i) j in
+  let m_end = index_in s '-' (y_end + 1) j in
+  if m_end >= j then raise Malformed;
+  let m = int_in s (y_end + 1) m_end in
+  if m < 1 || m > 12 then raise Malformed;
+  days_of_ymd (int_in s i y_end) m (int_in s (m_end + 1) j)
+
+(* "H:M[:S[.F]]" as a count of 10^-[places] seconds since midnight.
+   Fraction digits beyond [places] are truncated; a signed fraction (the
+   writer's form for negative times) keeps its sign. *)
+let clock_in ~places s i j =
+  let h_end = index_in s ':' i j in
+  let m_end = index_in s ':' (h_end + 1) j in
+  if h_end >= j then raise Malformed;
+  let minutes = (int_in s i h_end * 60) + int_in s (h_end + 1) m_end in
+  let unit = pow10 places in
+  if m_end >= j then minutes * 60 * unit
+  else begin
+    let s_end = index_in s '.' (m_end + 1) j in
+    let secs = (minutes * 60) + int_in s (m_end + 1) s_end in
+    let frac =
+      if s_end >= j then 0
+      else begin
+        let neg = s_end + 1 < j && s.[s_end + 1] = '-' in
+        let f = if neg then s_end + 2 else s_end + 1 in
+        let n = min places (j - f) in
+        let v = digits_in s f (f + n) * pow10 (places - n) in
+        for k = f + n to j - 1 do
+          if s.[k] < '0' || s.[k] > '9' then raise Malformed
+        done;
+        if neg then -v else v
+      end
+    in
+    (secs * unit) + frac
+  end
+
+let date_text s i j =
+  try days_in s i j
+  with Malformed -> Errors.type_mismatch "bad date %s" (String.sub s i (j - i))
+
+let clock_text ~places s i j =
+  try clock_in ~places s i j
+  with Malformed -> Errors.type_mismatch "bad time %s" (String.sub s i (j - i))
+
+(** Parse a value from PG text format, guided by the column type. Dates,
+    times and timestamps are read in place, without splitting. *)
 let of_text (ty : Catalog.Sqltype.t) (s : string) : t =
-  let days d =
-    match String.split_on_char '-' d with
-    | [ y; m; dd ] ->
-        days_of_ymd (int_of_string y) (int_of_string m) (int_of_string dd)
-    | _ -> Errors.type_mismatch "bad date %s" d
-  in
+  let n = String.length s in
   match ty with
   | Catalog.Sqltype.TBool -> Bool (s = "t" || s = "true" || s = "TRUE" || s = "1")
   | Catalog.Sqltype.TBigint -> Int (Int64.of_string s)
   | Catalog.Sqltype.TDouble -> Float (float_of_string s)
   | Catalog.Sqltype.TVarchar | Catalog.Sqltype.TText -> Str s
-  | Catalog.Sqltype.TDate -> Date (days s)
-  | Catalog.Sqltype.TTime -> Time (clock_of_text ~places:3 s)
-  | Catalog.Sqltype.TTimestamp -> (
-      let at_midnight d = Int64.mul (Int64.of_int (days d)) ns_per_day in
-      match String.split_on_char ' ' s with
-      | [ d; t ] ->
-          let ns = clock_of_text ~places:9 t in
-          Timestamp (Int64.add (at_midnight d) (Int64.of_int ns))
-      | [ d ] -> Timestamp (at_midnight d)
-      | _ -> Errors.type_mismatch "bad timestamp %s" s)
+  | Catalog.Sqltype.TDate -> Date (date_text s 0 n)
+  | Catalog.Sqltype.TTime -> Time (clock_text ~places:3 s 0 n)
+  | Catalog.Sqltype.TTimestamp ->
+      let sp = index_in s ' ' 0 n in
+      if index_in s ' ' (sp + 1) n < n then
+        Errors.type_mismatch "bad timestamp %s" s;
+      let day = Int64.mul (Int64.of_int (date_text s 0 sp)) ns_per_day in
+      if sp >= n then Timestamp day
+      else
+        Timestamp
+          (Int64.add day (Int64.of_int (clock_text ~places:9 s (sp + 1) n)))
 
 (** Cast between SQL types, as [CAST(x AS t)]. *)
 let cast (ty : Catalog.Sqltype.t) (v : t) : t =

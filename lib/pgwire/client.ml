@@ -80,27 +80,55 @@ type query_result = {
   tag : string;
 }
 
-(** Run one simple query: streams DataRows until CommandComplete, decoding
-    each text cell straight into the typed row according to the
-    RowDescription's type OIDs. *)
+(** The extended-protocol batch for one statement: Parse into the
+    unnamed statement, Bind it to the unnamed portal with every result
+    column in binary, Describe the portal, Execute it without a row
+    limit, Sync. *)
+let batch (sql : string) : string =
+  let out = Buffer.create (String.length sql + 64) in
+  List.iter (C.add_frontend out)
+    [
+      C.Parse { stmt = ""; query = sql; param_types = [] };
+      C.Bind
+        {
+          portal = "";
+          stmt = "";
+          param_formats = [];
+          params = [];
+          result_formats = [ C.Binary ];
+        };
+      C.Describe (C.Portal, "");
+      C.Execute { portal = ""; max_rows = 0 };
+      C.Sync;
+    ];
+  Buffer.contents out
+
+(** Run one statement: its whole {!batch} goes out in one transport
+    write, then the reply streams in until ReadyForQuery. Each binary
+    DataRow cell is decoded in place, straight into the typed row,
+    according to the RowDescription's type OIDs. *)
 let query (t : t) (sql : string) : (query_result, string) result =
   if not t.ready then protocol_error "connection is not ready";
-  C.append t.inp (t.send (C.encode_frontend (C.Query sql)));
+  C.append t.inp (t.send (batch sql));
   let columns = ref [] in
   let types = ref [||] in
   let rows = ref [] in
   let tag = ref "" in
   let error = ref None in
-  let cell i text =
+  let cell i data off len =
     if i >= Array.length !types then
       protocol_error "DataRow has more cells than the %d described columns"
         (Array.length !types);
-    Pgdb.Value.of_text !types.(i) text
+    Pgdb.Value.of_binary !types.(i) data off len
   in
   let data_row = C.decode_data_row ~null:Pgdb.Value.Null ~cell in
   let rec go () =
     if peek_tag t = 'D' then begin
-      let row = next t data_row in
+      let row =
+        try next t data_row
+        with Pgdb.Errors.Sql_error { message; _ } ->
+          protocol_error "malformed binary cell: %s" message
+      in
       if Array.length row <> Array.length !types then
         protocol_error "DataRow has %d cells for %d columns" (Array.length row)
           (Array.length !types);
@@ -113,6 +141,9 @@ let query (t : t) (sql : string) : (query_result, string) result =
           columns :=
             List.map
               (fun f ->
+                if f.C.fd_format <> C.Binary then
+                  protocol_error "column %s is not in the binary format Bind asked for"
+                    f.C.fd_name;
                 let ty =
                   match C.type_of_oid f.C.fd_type_oid with
                   | Some ty -> ty
@@ -129,8 +160,9 @@ let query (t : t) (sql : string) : (query_result, string) result =
           error := Some (Printf.sprintf "%s: %s" code message);
           go ()
       | C.ReadyForQuery _ -> ()
-      | C.EmptyQueryResponse -> go ()
-      | C.ParameterStatus _ -> go ()
+      | C.ParseComplete | C.BindComplete | C.NoData | C.EmptyQueryResponse
+      | C.ParameterStatus _ ->
+          go ()
       | C.DataRow _ -> assert false (* a 'D' tag is decoded typed above *)
       | C.AuthenticationOk | C.AuthenticationCleartextPassword
       | C.AuthenticationMD5Password _ ->

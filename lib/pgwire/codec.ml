@@ -6,8 +6,10 @@
     message, which is why Hyper-Q has to buffer and pivot (Figure 5).
 
     All messages except Startup begin with a 1-byte type tag followed by a
-    4-byte big-endian length that includes itself. Values use the text
-    format. *)
+    4-byte big-endian length that includes itself. A simple Query's cells
+    use the text format; the extended protocol (Parse, Bind, Describe,
+    Execute, Sync) lets Bind ask for binary cells, which is how the
+    Gateway reads every result. *)
 
 exception Decode_error of string
 (** The bytes are malformed: no amount of further input can fix them. *)
@@ -28,10 +30,12 @@ let oid_of_type : Catalog.Sqltype.t -> int = function
   | Catalog.Sqltype.TTime -> 1083
   | Catalog.Sqltype.TTimestamp -> 1114
 
+(* only the OIDs whose binary format is the type's: int2/int4, float4
+   and numeric have other layouts *)
 let type_of_oid : int -> Catalog.Sqltype.t option = function
   | 16 -> Some Catalog.Sqltype.TBool
-  | 20 | 21 | 23 -> Some Catalog.Sqltype.TBigint
-  | 700 | 701 | 1700 -> Some Catalog.Sqltype.TDouble
+  | 20 -> Some Catalog.Sqltype.TBigint
+  | 701 -> Some Catalog.Sqltype.TDouble
   | 1043 -> Some Catalog.Sqltype.TVarchar
   | 25 -> Some Catalog.Sqltype.TText
   | 1082 -> Some Catalog.Sqltype.TDate
@@ -43,17 +47,9 @@ let type_of_oid : int -> Catalog.Sqltype.t option = function
 (* Big-endian primitives                                               *)
 (* ------------------------------------------------------------------ *)
 
-let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
-
-let put_i16 buf v =
-  put_u8 buf ((v lsr 8) land 0xff);
-  put_u8 buf (v land 0xff)
-
-let put_i32 buf v =
-  put_u8 buf ((v lsr 24) land 0xff);
-  put_u8 buf ((v lsr 16) land 0xff);
-  put_u8 buf ((v lsr 8) land 0xff);
-  put_u8 buf (v land 0xff)
+let put_u8 buf v = Buffer.add_char buf (Char.unsafe_chr (v land 0xff))
+let put_i16 buf v = Buffer.add_uint16_be buf (v land 0xffff)
+let put_i32 buf v = Buffer.add_int32_be buf (Int32.of_int v)
 
 let put_cstr buf s =
   Buffer.add_string buf s;
@@ -75,21 +71,23 @@ let get_u8 r =
 
 let get_i16 r =
   need r 2;
-  let v = (Char.code r.data.[r.pos] lsl 8) lor Char.code r.data.[r.pos + 1] in
+  let v = String.get_int16_be r.data r.pos in
   r.pos <- r.pos + 2;
-  if v land 0x8000 <> 0 then v - 0x10000 else v
+  v
 
 let get_i32 r =
   need r 4;
-  let b i = Char.code r.data.[r.pos + i] in
-  let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+  let v = Int32.to_int (String.get_int32_be r.data r.pos) in
   r.pos <- r.pos + 4;
-  if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
+  v
 
-(* an Int16 element count *)
-let get_count r =
+(* An Int16 element count of elements at least [width] bytes each. The
+   frame must hold that many before anything is sized by the count. *)
+let get_count r ~width =
   let n = get_i16 r in
   if n < 0 then decode_error "negative field count %d" n;
+  if n * width > r.limit - r.pos then
+    decode_error "%d elements overrun their frame" n;
   n
 
 let get_cstr r =
@@ -112,7 +110,7 @@ let get_cstr r =
 let open_frame data off ~tag_bytes ~min_len =
   let body = off + tag_bytes + 4 in
   if body > String.length data then raise Incomplete;
-  let len = get_i32 { data; pos = off + tag_bytes; limit = body } in
+  let len = Int32.to_int (String.get_int32_be data (off + tag_bytes)) in
   if len < min_len then decode_error "invalid message length %d" len;
   let limit = off + tag_bytes + len in
   if limit > String.length data then raise Incomplete;
@@ -122,7 +120,10 @@ let open_frame data off ~tag_bytes ~min_len =
 (* Messages                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type field_desc = { fd_name : string; fd_type_oid : int }
+(** A cell's format code: 0 text, 1 binary. *)
+type format = Text | Binary
+
+type field_desc = { fd_name : string; fd_type_oid : int; fd_format : format }
 
 type backend_msg =
   | AuthenticationOk
@@ -131,16 +132,42 @@ type backend_msg =
   | ParameterStatus of string * string
   | ReadyForQuery of char  (** transaction status: 'I', 'T' or 'E' *)
   | RowDescription of field_desc list
-  | DataRow of string option list  (** one text field per column *)
+  | DataRow of string option list  (** one cell's bytes per column *)
   | CommandComplete of string
   | ErrorResponse of { code : string; message : string }
   | EmptyQueryResponse
+  | ParseComplete
+  | BindComplete
+  | NoData  (** Describe of a statement that returns no rows *)
+
+(** What a Describe names: a prepared statement ('S') or a portal ('P'). *)
+type describe_target = Statement | Portal
 
 type frontend_msg =
   | Startup of (string * string) list  (** parameters: user, database, ... *)
   | PasswordMessage of string
   | Query of string
+  | Parse of { stmt : string; query : string; param_types : int list }
+      (** [stmt] "" is the unnamed statement *)
+  | Bind of {
+      portal : string;
+      stmt : string;
+      param_formats : format list;
+      params : string option list;
+      result_formats : format list;
+          (** none: all text; one: every column; else one per column *)
+    }
+  | Describe of describe_target * string
+  | Execute of { portal : string; max_rows : int }  (** 0: no row limit *)
+  | Sync
   | Terminate
+
+let format_code = function Text -> 0 | Binary -> 1
+
+let format_of_code = function
+  | 0 -> Text
+  | 1 -> Binary
+  | c -> decode_error "unknown format code %d" c
 
 (* ---------------------------------------------------------------- *)
 (* Encoding                                                          *)
@@ -151,23 +178,19 @@ let add_frame out tag body =
   put_i32 out (4 + Buffer.length body);
   Buffer.add_buffer out body
 
-let frame tag body =
-  let out = Buffer.create (Buffer.length body + 5) in
-  add_frame out tag body;
-  Buffer.contents out
-
-(** Append one DataRow frame to [out]. [cell b c] writes cell [c]'s text
-    into [b] and returns [true], or returns [false] for SQL NULL. [body]
-    and [scratch] are caller-owned work buffers, reused across rows so a
-    result set of any size allocates nothing per row. *)
-let add_data_row out ~body ~scratch (cell : Buffer.t -> 'a -> bool)
+(** Append one DataRow frame to [out]. [cell b i c] writes cell [c] of
+    column [i] into [b], in the column's format, and returns [true], or
+    returns [false] for SQL NULL. [body] and [scratch] are caller-owned
+    work buffers, reused across rows so a result set of any size
+    allocates nothing per row. *)
+let add_data_row out ~body ~scratch (cell : Buffer.t -> int -> 'a -> bool)
     (row : 'a array) =
   Buffer.clear body;
   put_i16 body (Array.length row);
-  Array.iter
-    (fun c ->
+  Array.iteri
+    (fun i c ->
       Buffer.clear scratch;
-      if cell scratch c then begin
+      if cell scratch i c then begin
         put_i32 body (Buffer.length scratch);
         Buffer.add_buffer body scratch
       end
@@ -210,13 +233,12 @@ let add_backend out (m : backend_msg) =
           (* type size: variable *)
           put_i32 body (-1);
           (* type modifier *)
-          put_i16 body 0
-          (* format: text *))
+          put_i16 body (format_code f.fd_format))
         fields;
       add_frame out 'T' body
   | DataRow fields ->
       add_data_row out ~body ~scratch:(Buffer.create 16)
-        (fun b -> function
+        (fun b _ -> function
           | None -> false
           | Some s ->
               Buffer.add_string b s;
@@ -235,16 +257,25 @@ let add_backend out (m : backend_msg) =
       put_u8 body 0;
       add_frame out 'E' body
   | EmptyQueryResponse -> add_frame out 'I' body
+  | ParseComplete -> add_frame out '1' body
+  | BindComplete -> add_frame out '2' body
+  | NoData -> add_frame out 'n' body
 
 let encode_backend (m : backend_msg) : string =
   let out = Buffer.create 64 in
   add_backend out m;
   Buffer.contents out
 
-let encode_frontend (m : frontend_msg) : string =
+let put_formats body fs =
+  put_i16 body (List.length fs);
+  List.iter (fun f -> put_i16 body (format_code f)) fs
+
+(** Append one frontend message's frame to [out], so a client can send
+    several messages in one write. *)
+let add_frontend out (m : frontend_msg) =
+  let body = Buffer.create 64 in
   match m with
   | Startup params ->
-      let body = Buffer.create 64 in
       put_i32 body 196608;
       (* protocol 3.0 *)
       List.iter
@@ -253,19 +284,49 @@ let encode_frontend (m : frontend_msg) : string =
           put_cstr body v)
         params;
       put_u8 body 0;
-      let buf = Buffer.create (Buffer.length body + 4) in
-      put_i32 buf (4 + Buffer.length body);
-      Buffer.add_buffer buf body;
-      Buffer.contents buf
+      put_i32 out (4 + Buffer.length body);
+      Buffer.add_buffer out body
   | PasswordMessage p ->
-      let body = Buffer.create 16 in
       put_cstr body p;
-      frame 'p' body
+      add_frame out 'p' body
   | Query q ->
-      let body = Buffer.create (String.length q + 1) in
       put_cstr body q;
-      frame 'Q' body
-  | Terminate -> frame 'X' (Buffer.create 0)
+      add_frame out 'Q' body
+  | Parse { stmt; query; param_types } ->
+      put_cstr body stmt;
+      put_cstr body query;
+      put_i16 body (List.length param_types);
+      List.iter (put_i32 body) param_types;
+      add_frame out 'P' body
+  | Bind { portal; stmt; param_formats; params; result_formats } ->
+      put_cstr body portal;
+      put_cstr body stmt;
+      put_formats body param_formats;
+      put_i16 body (List.length params);
+      List.iter
+        (function
+          | None -> put_i32 body (-1)
+          | Some v ->
+              put_i32 body (String.length v);
+              Buffer.add_string body v)
+        params;
+      put_formats body result_formats;
+      add_frame out 'B' body
+  | Describe (target, name) ->
+      Buffer.add_char body (match target with Statement -> 'S' | Portal -> 'P');
+      put_cstr body name;
+      add_frame out 'D' body
+  | Execute { portal; max_rows } ->
+      put_cstr body portal;
+      put_i32 body max_rows;
+      add_frame out 'E' body
+  | Sync -> add_frame out 'S' body
+  | Terminate -> add_frame out 'X' body
+
+let encode_frontend (m : frontend_msg) : string =
+  let out = Buffer.create 64 in
+  add_frontend out m;
+  Buffer.contents out
 
 (* ---------------------------------------------------------------- *)
 (* Decoding                                                          *)
@@ -276,24 +337,30 @@ let encode_frontend (m : frontend_msg) : string =
    has not fully arrived; [Decode_error] means it never will decode. *)
 
 let data_row_cells r ~null ~cell =
-  let n = get_count r in
-  Array.init n (fun i ->
-      let len = get_i32 r in
-      if len = -1 then null
-      else begin
-        need r len;
-        let s = String.sub r.data r.pos len in
-        r.pos <- r.pos + len;
-        cell i s
-      end)
+  let row = Array.make (get_count r ~width:4) null in
+  for i = 0 to Array.length row - 1 do
+    let len = get_i32 r in
+    if len <> -1 then begin
+      need r len;
+      let off = r.pos in
+      r.pos <- r.pos + len;
+      row.(i) <- cell i r.data off len
+    end
+  done;
+  row
 
 (** Decode a DataRow straight into a row array: [null] for a SQL NULL
-    cell, [cell i text] for cell [i]'s text otherwise. *)
-let decode_data_row ~null ~(cell : int -> string -> 'a) ?(off = 0)
-    (data : string) : 'a array * int =
+    cell, [cell i data off len] for cell [i], whose bytes are
+    [data.[off..off+len)], otherwise. The cell is read in place, so a
+    fixed-width cell allocates no substring. *)
+let decode_data_row ~null ~(cell : int -> string -> int -> int -> 'a)
+    ?(off = 0) (data : string) : 'a array * int =
   let r = open_frame data off ~tag_bytes:1 ~min_len:4 in
   if data.[off] <> 'D' then decode_error "expected DataRow, got %C" data.[off];
   (data_row_cells r ~null ~cell, r.limit - off)
+
+let get_formats r =
+  List.init (get_count r ~width:2) (fun _ -> format_of_code (get_i16 r))
 
 let decode_backend ?(off = 0) (data : string) : backend_msg * int =
   let r = open_frame data off ~tag_bytes:1 ~min_len:4 in
@@ -316,7 +383,8 @@ let decode_backend ?(off = 0) (data : string) : backend_msg * int =
         ParameterStatus (k, v)
     | 'Z' -> ReadyForQuery (Char.chr (get_u8 r))
     | 'T' ->
-        let n = get_count r in
+        (* a field is at least an empty name and 18 bytes of ints *)
+        let n = get_count r ~width:19 in
         let fields =
           List.init n (fun _ ->
               let fd_name = get_cstr r in
@@ -325,14 +393,15 @@ let decode_backend ?(off = 0) (data : string) : backend_msg * int =
               let fd_type_oid = get_i32 r in
               let _size = get_i16 r in
               let _modifier = get_i32 r in
-              let _format = get_i16 r in
-              { fd_name; fd_type_oid })
+              let fd_format = format_of_code (get_i16 r) in
+              { fd_name; fd_type_oid; fd_format })
         in
         RowDescription fields
     | 'D' ->
         DataRow
           (Array.to_list
-             (data_row_cells r ~null:None ~cell:(fun _ s -> Some s)))
+             (data_row_cells r ~null:None ~cell:(fun _ s off len ->
+                  Some (String.sub s off len))))
     | 'C' -> CommandComplete (get_cstr r)
     | 'E' ->
         let code = ref "XX000" and message = ref "unknown error" in
@@ -350,6 +419,9 @@ let decode_backend ?(off = 0) (data : string) : backend_msg * int =
         fields ();
         ErrorResponse { code = !code; message = !message }
     | 'I' -> EmptyQueryResponse
+    | '1' -> ParseComplete
+    | '2' -> BindComplete
+    | 'n' -> NoData
     | t -> decode_error "unknown backend message %C" t
   in
   (m, r.limit - off)
@@ -380,6 +452,40 @@ let decode_frontend ?(in_startup = false) ?(off = 0) (data : string) :
       match data.[off] with
       | 'Q' -> Query (get_cstr r)
       | 'p' -> PasswordMessage (get_cstr r)
+      | 'P' ->
+          let stmt = get_cstr r in
+          let query = get_cstr r in
+          let param_types = List.init (get_count r ~width:4) (fun _ -> get_i32 r) in
+          Parse { stmt; query; param_types }
+      | 'B' ->
+          let portal = get_cstr r in
+          let stmt = get_cstr r in
+          let param_formats = get_formats r in
+          let params =
+            List.init (get_count r ~width:4) (fun _ ->
+                let len = get_i32 r in
+                if len = -1 then None
+                else begin
+                  need r len;
+                  let v = String.sub r.data r.pos len in
+                  r.pos <- r.pos + len;
+                  Some v
+                end)
+          in
+          let result_formats = get_formats r in
+          Bind { portal; stmt; param_formats; params; result_formats }
+      | 'D' ->
+          let target =
+            match Char.chr (get_u8 r) with
+            | 'S' -> Statement
+            | 'P' -> Portal
+            | c -> decode_error "unknown Describe target %C" c
+          in
+          Describe (target, get_cstr r)
+      | 'E' ->
+          let portal = get_cstr r in
+          Execute { portal; max_rows = get_i32 r }
+      | 'S' -> Sync
       | 'X' -> Terminate
       | t -> decode_error "unknown frontend message %C" t
     in

@@ -1,6 +1,7 @@
 (** A PG v3 wire server wrapping a pgdb session: a byte-level state machine
     that implements startup, authentication (trust, clear-text, or the MD5
-    scheme — paper Section 4.2 lists all three), simple queries and
+    scheme — paper Section 4.2 lists all three), simple queries, the
+    extended protocol over the unnamed statement and portal, and
     termination.
 
     [feed] consumes raw frontend bytes and returns the backend bytes to
@@ -17,6 +18,14 @@ type phase =
   | Ready
   | Closed
 
+(* The unnamed portal: a statement bound to its result formats. It runs
+   once, when Describe or Execute first needs its outcome. *)
+type portal = {
+  stmt : Sqlast.Ast.stmt option;  (** [None]: the empty query *)
+  formats : C.format list;
+  mutable outcome : Pgdb.Db.outcome option;
+}
+
 type t = {
   session : Pgdb.Db.session;
   users : (string * string) list;  (** user -> password *)
@@ -24,10 +33,25 @@ type t = {
   mutable phase : phase;
   inp : C.input;  (** bytes received but not yet parsed *)
   mutable queries_served : int;
+  mutable statement : Sqlast.Ast.stmt option option;
+      (** the unnamed prepared statement, once a Parse has set it *)
+  mutable portal : portal option;  (** the unnamed portal *)
+  mutable skipping : bool;
+      (** an extended-protocol message failed: discard until Sync *)
 }
 
 let create ?(users = [ ("app", "secret") ]) ?(auth = Trust) session =
-  { session; users; auth; phase = Startup; inp = C.input (); queries_served = 0 }
+  {
+    session;
+    users;
+    auth;
+    phase = Startup;
+    inp = C.input ();
+    queries_served = 0;
+    statement = None;
+    portal = None;
+    skipping = false;
+  }
 
 (* PG's md5 scheme: "md5" ^ md5hex(md5hex(password ^ user) ^ salt) *)
 let md5_response ~user ~password ~salt =
@@ -51,41 +75,145 @@ let ok_preamble () =
       C.encode_backend (C.ReadyForQuery 'I');
     ]
 
-(* A result set's whole reply — RowDescription, every DataRow,
-   CommandComplete, ReadyForQuery — written into [out], each cell's text
-   rendered straight into the frame with two work buffers shared by all
-   rows. *)
-let result_messages out (res : Pgdb.Exec.result) (tag : string) =
-  let fields =
-    List.map
-      (fun (name, ty) ->
-        { C.fd_name = name; fd_type_oid = C.oid_of_type ty })
-      res.Pgdb.Exec.res_cols
-  in
-  C.add_backend out (C.RowDescription fields);
-  let cell b = function
+let row_description (res : Pgdb.Exec.result) (formats : C.format array) =
+  C.RowDescription
+    (List.mapi
+       (fun i (name, ty) ->
+         {
+           C.fd_name = name;
+           fd_type_oid = C.oid_of_type ty;
+           fd_format = formats.(i);
+         })
+       res.Pgdb.Exec.res_cols)
+
+(* Every DataRow of a result, each cell rendered straight into the frame
+   in its column's format, with two work buffers shared by all rows *)
+let data_rows out (res : Pgdb.Exec.result) (formats : C.format array) =
+  let cell b i = function
     | Pgdb.Value.Null -> false
     | v ->
-        Pgdb.Value.add_text b v;
+        (match formats.(i) with
+        | C.Binary -> Pgdb.Value.add_binary b v
+        | C.Text -> Pgdb.Value.add_text b v);
         true
   in
   Array.iter
     (C.add_data_row out ~body:(Buffer.create 256) ~scratch:(Buffer.create 32)
        cell)
-    res.Pgdb.Exec.res_rows;
-  C.add_backend out (C.CommandComplete tag);
-  C.add_backend out (C.ReadyForQuery 'I')
+    res.Pgdb.Exec.res_rows
 
+(* Any failure of a statement, as the ErrorResponse fields *)
+let error_fields = function
+  | Pgdb.Errors.Sql_error { code; message } -> (code, message)
+  | e -> ("XX000", Printexc.to_string e)
+
+(* A simple Query's whole reply, in text: RowDescription, every DataRow
+   and CommandComplete, or an ErrorResponse; then ReadyForQuery *)
 let run_query t out (sql : string) =
   t.queries_served <- t.queries_served + 1;
-  match Pgdb.Db.exec_script t.session sql with
-  | Pgdb.Db.Rows (res, tag) -> result_messages out res tag
-  | Pgdb.Db.Complete tag ->
-      C.add_backend out (C.CommandComplete tag);
-      C.add_backend out (C.ReadyForQuery 'I')
-  | exception Pgdb.Errors.Sql_error { code; message } ->
-      C.add_backend out (C.ErrorResponse { code; message });
-      C.add_backend out (C.ReadyForQuery 'I')
+  (match Pgdb.Db.exec_script t.session sql with
+  | Pgdb.Db.Rows (res, tag) ->
+      let text = Array.make (List.length res.Pgdb.Exec.res_cols) C.Text in
+      C.add_backend out (row_description res text);
+      data_rows out res text;
+      C.add_backend out (C.CommandComplete tag)
+  | Pgdb.Db.Complete tag -> C.add_backend out (C.CommandComplete tag)
+  | exception e ->
+      let code, message = error_fields e in
+      C.add_backend out (C.ErrorResponse { code; message }));
+  C.add_backend out (C.ReadyForQuery 'I')
+
+(* ---------------------------------------------------------------- *)
+(* Extended protocol                                                 *)
+(* ---------------------------------------------------------------- *)
+
+(* The Gateway sends one batch per statement — Parse, Bind, Describe
+   portal, Execute, Sync — over the unnamed statement and portal, with
+   no parameters and no row limit. Those are the semantics implemented;
+   named statements or portals, parameters and row limits are 0A000. *)
+
+let unsupported what = Pgdb.Errors.feature_not_supported "%s are not supported" what
+
+let unnamed_portal t name =
+  if name <> "" then unsupported "named portals";
+  match t.portal with
+  | Some p -> p
+  | None -> Pgdb.Errors.error "34000" "portal \"\" does not exist"
+
+(* the portal's outcome, its statement run on first use *)
+let outcome t p stmt =
+  match p.outcome with
+  | Some o -> o
+  | None ->
+      t.queries_served <- t.queries_served + 1;
+      let o = Pgdb.Db.exec_stmt t.session stmt in
+      p.outcome <- Some o;
+      o
+
+(* Bind's result formats, one per column of [res] *)
+let column_formats p (res : Pgdb.Exec.result) =
+  let n = List.length res.Pgdb.Exec.res_cols in
+  match p.formats with
+  | [] -> Array.make n C.Text
+  | [ f ] -> Array.make n f
+  | fs when List.length fs = n -> Array.of_list fs
+  | fs ->
+      Pgdb.Errors.error "08P01"
+        "bind message has %d result formats but query has %d columns"
+        (List.length fs) n
+
+let extended t out (m : C.frontend_msg) =
+  match m with
+  | C.Parse { stmt; query; param_types } ->
+      if stmt <> "" then unsupported "named prepared statements";
+      if param_types <> [] then unsupported "statement parameters";
+      t.statement <- Some (Pgdb.Db.prepare t.session.Pgdb.Db.db query);
+      C.add_backend out C.ParseComplete
+  | C.Bind { portal; stmt; param_formats; params; result_formats } ->
+      if portal <> "" then unsupported "named portals";
+      if stmt <> "" then unsupported "named prepared statements";
+      if params <> [] || param_formats <> [] then unsupported "bind parameters";
+      (match t.statement with
+      | Some stmt ->
+          t.portal <- Some { stmt; formats = result_formats; outcome = None }
+      | None ->
+          Pgdb.Errors.error "26000" "unnamed prepared statement does not exist");
+      C.add_backend out C.BindComplete
+  | C.Describe (C.Statement, _) -> unsupported "statement descriptions"
+  | C.Describe (C.Portal, name) -> (
+      let p = unnamed_portal t name in
+      match p.stmt with
+      | Some (Sqlast.Ast.Select _ as stmt) -> (
+          match outcome t p stmt with
+          | Pgdb.Db.Rows (res, _) ->
+              C.add_backend out (row_description res (column_formats p res))
+          | Pgdb.Db.Complete _ -> C.add_backend out C.NoData)
+      | _ -> C.add_backend out C.NoData)
+  | C.Execute { portal; max_rows } -> (
+      let p = unnamed_portal t portal in
+      if max_rows <> 0 then unsupported "row limits";
+      t.portal <- None;
+      match p.stmt with
+      | None -> C.add_backend out C.EmptyQueryResponse
+      | Some stmt -> (
+          match outcome t p stmt with
+          | Pgdb.Db.Rows (res, tag) ->
+              data_rows out res (column_formats p res);
+              C.add_backend out (C.CommandComplete tag)
+          | Pgdb.Db.Complete tag -> C.add_backend out (C.CommandComplete tag)))
+  | C.Startup _ | C.PasswordMessage _ | C.Query _ | C.Sync | C.Terminate -> ()
+
+(* Run one extended-protocol message. A failure answers one
+   ErrorResponse in place of whatever the message had begun to write,
+   and discards every later message until Sync. *)
+let run_extended t out m =
+  let mark = Buffer.length out in
+  try extended t out m
+  with e ->
+    let code, message = error_fields e in
+    Buffer.truncate out mark;
+    C.add_backend out (C.ErrorResponse { code; message });
+    t.skipping <- true
 
 (* Act on one decoded frontend message; messages the current phase does
    not expect are ignored. *)
@@ -124,8 +252,18 @@ let handle t out (m : C.frontend_msg) =
                    user;
              })
       end
-  | Ready, C.Query sql -> run_query t out sql
   | Ready, C.Terminate -> t.phase <- Closed
+  | Ready, C.Sync ->
+      t.skipping <- false;
+      t.portal <- None;
+      C.add_backend out (C.ReadyForQuery 'I')
+  | Ready, _ when t.skipping -> ()
+  | Ready, C.Query sql ->
+      t.statement <- None;
+      t.portal <- None;
+      run_query t out sql
+  | Ready, ((C.Parse _ | C.Bind _ | C.Describe _ | C.Execute _) as m) ->
+      run_extended t out m
   | _ -> ()
 
 (** Feed frontend bytes into the server; returns backend bytes. Partial

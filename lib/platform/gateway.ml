@@ -1,7 +1,9 @@
 (** The Gateway: Hyper-Q's PG-specific plugin (paper Figure 1, Section 3.1).
 
-    Packs SQL statements into PG v3 [Query] messages, transmits them to the
-    backend, and unpacks the streamed row messages into typed result sets.
+    Packs each SQL statement into one PG v3 extended-protocol batch
+    (Parse, Bind asking for binary results, Describe, Execute, Sync),
+    transmits it to the backend in one write, and unpacks the streamed
+    binary row messages into typed result sets.
     This implementation goes through real protocol bytes on both directions
     — a {!Pgwire.Server} wraps the pgdb session, a {!Pgwire.Client} drives
     it — so the data path exercises exactly what a networked deployment

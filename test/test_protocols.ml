@@ -297,18 +297,61 @@ let test_pg_backend_messages () =
   backend_roundtrip
     (PC.RowDescription
        [
-         { PC.fd_name = "sym"; fd_type_oid = 1043 };
-         { PC.fd_name = "px"; fd_type_oid = 701 };
+         { PC.fd_name = "sym"; fd_type_oid = 1043; fd_format = PC.Text };
+         { PC.fd_name = "px"; fd_type_oid = 701; fd_format = PC.Binary };
        ]);
   backend_roundtrip (PC.DataRow [ Some "GOOG"; Some "99.5"; None ]);
   backend_roundtrip (PC.CommandComplete "SELECT 5");
-  backend_roundtrip (PC.ErrorResponse { code = "42P01"; message = "missing" })
+  backend_roundtrip (PC.ErrorResponse { code = "42P01"; message = "missing" });
+  backend_roundtrip PC.ParseComplete;
+  backend_roundtrip PC.BindComplete;
+  backend_roundtrip PC.NoData;
+  (* a format code per field: the last Int16 of each field *)
+  let rd =
+    PC.encode_backend
+      (PC.RowDescription
+         [ { PC.fd_name = "a"; fd_type_oid = 20; fd_format = PC.Binary } ])
+  in
+  check tstr "binary format code" "\000\001" (String.sub rd (String.length rd - 2) 2)
+
+let frontend_roundtrip m =
+  let bytes = PC.encode_frontend m in
+  let m', consumed = PC.decode_frontend bytes in
+  check tint "consumed" (String.length bytes) consumed;
+  if m <> m' then Alcotest.fail "frontend roundtrip mismatch"
 
 let test_pg_frontend_messages () =
   let q = PC.encode_frontend (PC.Query "SELECT 1") in
   (match PC.decode_frontend q with
   | PC.Query "SELECT 1", consumed -> check tint "consumed" (String.length q) consumed
   | _ -> Alcotest.fail "query roundtrip");
+  List.iter frontend_roundtrip
+    [
+      PC.Parse { stmt = ""; query = "SELECT 1"; param_types = [] };
+      PC.Parse { stmt = "s1"; query = "SELECT $1"; param_types = [ 20 ] };
+      PC.Bind
+        {
+          portal = "";
+          stmt = "";
+          param_formats = [];
+          params = [];
+          result_formats = [ PC.Binary ];
+        };
+      PC.Bind
+        {
+          portal = "p";
+          stmt = "s1";
+          param_formats = [ PC.Text; PC.Binary ];
+          params = [ Some "42"; None ];
+          result_formats = [ PC.Text; PC.Binary ];
+        };
+      PC.Describe (PC.Portal, "");
+      PC.Describe (PC.Statement, "s1");
+      PC.Execute { portal = ""; max_rows = 0 };
+      PC.Execute { portal = "p"; max_rows = 10 };
+      PC.Sync;
+      PC.Terminate;
+    ];
   let s =
     PC.encode_frontend (PC.Startup [ ("user", "app"); ("database", "hq") ])
   in
@@ -432,6 +475,174 @@ let test_wire_fragmented_delivery () =
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
+(* Extended protocol                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* a server past its startup handshake *)
+let ready_server () =
+  let server = wire_fixture () in
+  ignore
+    (Pgwire.Server.feed server
+       (PC.encode_frontend (PC.Startup [ ("user", "app") ])));
+  server
+
+(* every backend message of a reply, in order *)
+let backend_messages reply =
+  let rec go off acc =
+    if off >= String.length reply then List.rev acc
+    else
+      let m, n = PC.decode_backend ~off reply in
+      go (off + n) (m :: acc)
+  in
+  go 0 []
+
+let frontend ms =
+  let out = Buffer.create 64 in
+  List.iter (PC.add_frontend out) ms;
+  Buffer.contents out
+
+let unnamed_batch ?(stmt = "") ?(param_types = []) ?(params = [])
+    ?(max_rows = 0) sql =
+  frontend
+    [
+      PC.Parse { stmt; query = sql; param_types };
+      PC.Bind
+        {
+          portal = "";
+          stmt = "";
+          param_formats = [];
+          params;
+          result_formats = [ PC.Binary ];
+        };
+      PC.Describe (PC.Portal, "");
+      PC.Execute { portal = ""; max_rows };
+      PC.Sync;
+    ]
+
+(* the tags of a reply's messages, with each error's SQLSTATE *)
+let shape reply =
+  String.concat " "
+    (List.map
+       (function
+         | PC.ErrorResponse { code; _ } -> "E" ^ code
+         | m -> String.make 1 (PC.encode_backend m).[0])
+       (backend_messages reply))
+
+let test_extended_batch_reply () =
+  let server = ready_server () in
+  check tstr "rows" "1 2 T D D C Z"
+    (shape (Pgwire.Server.feed server (Pgwire.Client.batch "SELECT a, b FROM t")));
+  check tstr "no rows: NoData" "1 2 n C Z"
+    (shape
+       (Pgwire.Server.feed server
+          (Pgwire.Client.batch "CREATE TEMP TABLE u (x BIGINT)")));
+  check tstr "empty query" "1 2 n I Z"
+    (shape (Pgwire.Server.feed server (Pgwire.Client.batch "")));
+  (* the statement cache serves Parse with exec_script's key and counters *)
+  let hits, misses, _ = Pgdb.Db.stmt_cache_stats () in
+  ignore (Pgwire.Server.feed server (Pgwire.Client.batch "SELECT a FROM t"));
+  ignore
+    (Pgwire.Server.feed server
+       (Pgwire.Client.batch "SELECT a FROM t /* traceparent='00-1-2-01' */"));
+  let hits', misses', _ = Pgdb.Db.stmt_cache_stats () in
+  check tint "one miss" 1 (misses' - misses);
+  check tint "one hit" 1 (hits' - hits)
+
+let test_extended_error_until_sync () =
+  let server = ready_server () in
+  (* an error at Parse discards Bind, Describe and Execute; Sync ends the
+     skip with one ReadyForQuery *)
+  check tstr "parse error" "E42601 Z"
+    (shape (Pgwire.Server.feed server (Pgwire.Client.batch "SELEC 1")));
+  check tstr "execution error" "1 2 E42P01 Z"
+    (shape (Pgwire.Server.feed server (Pgwire.Client.batch "SELECT * FROM missing")));
+  (* two batches in one write: the second runs after the first's Sync *)
+  check tstr "skip stops at Sync" "E42601 Z 1 2 T D D C Z"
+    (shape
+       (Pgwire.Server.feed server
+          (Pgwire.Client.batch "SELEC 1" ^ Pgwire.Client.batch "SELECT a FROM t")));
+  check tstr "two statements in one Parse" "E42601 Z"
+    (shape
+       (Pgwire.Server.feed server
+          (Pgwire.Client.batch "SELECT a FROM t; SELECT b FROM t")));
+  (* a result the binary format cannot carry: the rows already written
+     are taken back, and one error replaces them *)
+  check tstr "unencodable cell" "1 2 T E22008 Z"
+    (shape
+       (Pgwire.Server.feed server
+          (Pgwire.Client.batch
+             "SELECT d FROM (SELECT CAST(a AS DATE) AS d FROM t UNION ALL \
+              SELECT CAST(4000000000 AS DATE) AS d FROM t) AS u")));
+  (* the next statement on the same connection succeeds *)
+  let client = Pgwire.Client.connect (Pgwire.Server.feed (wire_fixture ())) in
+  (match Pgwire.Client.query client "SELEC 1" with
+  | Error e -> check tstr "sqlstate" "42601" (String.sub e 0 5)
+  | Ok _ -> Alcotest.fail "expected a syntax error");
+  match Pgwire.Client.query client "SELECT a FROM t ORDER BY a" with
+  | Ok { Pgwire.Client.rows; _ } -> check tint "recovered" 2 (Array.length rows)
+  | Error e -> Alcotest.fail e
+
+let test_extended_unsupported () =
+  let server = ready_server () in
+  let expect name want bytes =
+    check tstr name want (shape (Pgwire.Server.feed server bytes))
+  in
+  expect "named statement" "E0A000 Z" (unnamed_batch ~stmt:"s1" "SELECT a FROM t");
+  expect "parameter types" "E0A000 Z"
+    (unnamed_batch ~param_types:[ 20 ] "SELECT a FROM t");
+  expect "bind parameters" "1 E0A000 Z"
+    (unnamed_batch ~params:[ Some "1" ] "SELECT a FROM t");
+  expect "row limit" "1 2 T E0A000 Z" (unnamed_batch ~max_rows:1 "SELECT a FROM t");
+  expect "describe statement" "1 E0A000 Z"
+    (frontend
+       [
+         PC.Parse { stmt = ""; query = "SELECT a FROM t"; param_types = [] };
+         PC.Describe (PC.Statement, "");
+         PC.Sync;
+       ]);
+  expect "named portal" "E0A000 Z"
+    (frontend [ PC.Execute { portal = "p"; max_rows = 0 }; PC.Sync ]);
+  expect "no portal" "E34000 Z"
+    (frontend [ PC.Execute { portal = ""; max_rows = 0 }; PC.Sync ]);
+  let bind_text =
+    PC.Bind
+      { portal = ""; stmt = ""; param_formats = []; params = []; result_formats = [] }
+  in
+  (* Sync drops the portal; the unnamed statement stays until a Query *)
+  expect "statement kept" "2 D D C Z"
+    (frontend
+       [
+         bind_text;
+         PC.Execute { portal = ""; max_rows = 0 };
+         PC.Sync;
+       ]);
+  ignore (Pgwire.Server.feed server (PC.encode_frontend (PC.Query "SELECT 1")));
+  expect "no statement after a Query" "E26000 Z"
+    (frontend
+       [
+         bind_text;
+         PC.Sync;
+       ]);
+  (* the connection still serves simple queries in text *)
+  match backend_messages (Pgwire.Server.feed server (PC.encode_frontend (PC.Query "SELECT 7"))) with
+  | [ PC.RowDescription [ { PC.fd_format = PC.Text; _ } ]; PC.DataRow [ Some "7" ];
+      PC.CommandComplete _; PC.ReadyForQuery 'I' ] -> ()
+  | _ -> Alcotest.fail "simple Query must answer in text"
+
+let test_extended_fragmented_batch () =
+  (* a whole batch delivered one byte per feed gets the reply it gets in
+     one piece *)
+  let batch = Pgwire.Client.batch "SELECT a, b FROM t ORDER BY a" in
+  let whole = Pgwire.Server.feed (ready_server ()) batch in
+  let server = ready_server () in
+  let out = Buffer.create 64 in
+  String.iter
+    (fun c -> Buffer.add_string out (Pgwire.Server.feed server (String.make 1 c)))
+    batch;
+  check tstr "byte at a time" whole (Buffer.contents out);
+  check tstr "shape" "1 2 T D D C Z" (shape whole)
+
+(* ------------------------------------------------------------------ *)
 (* Hostile frames                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -445,7 +656,7 @@ let scripted_backend reply =
       incr asks;
       ""
     end
-    else if bytes.[0] = 'Q' && not !queried then begin
+    else if bytes.[0] = 'P' && not !queried then begin
       queried := true;
       reply
     end
@@ -479,7 +690,8 @@ let test_hostile_field_overruns_frame () =
   (* a DataRow cell length past the frame end *)
   let rd =
     PC.encode_backend
-      (PC.RowDescription [ { PC.fd_name = "a"; fd_type_oid = 25 } ])
+      (PC.RowDescription
+         [ { PC.fd_name = "a"; fd_type_oid = 25; fd_format = PC.Binary } ])
   in
   let bad_cell = "D\000\000\000\014\000\001\000\000\000\100abcd" in
   expect_protocol_error "cell overruns frame"
@@ -523,6 +735,100 @@ let test_server_rejects_malformed () =
   match PC.decode_backend (Pgwire.Server.feed server "\000\000\000\004") with
   | PC.ErrorResponse _, _ -> ()
   | _ -> Alcotest.fail "short startup must be rejected"
+
+(* A count the frame cannot hold is malformed, and is refused before
+   anything is sized by it: a 32767-element list would allocate ~800 KB. *)
+let test_oversized_counts () =
+  let frame tag body =
+    let b = Buffer.create 16 in
+    Buffer.add_char b tag;
+    Buffer.add_int32_be b (Int32.of_int (4 + String.length body));
+    Buffer.add_string b body;
+    Buffer.contents b
+  in
+  let huge = "\x7f\xff" in
+  let expect name decode bytes =
+    let before = Gc.minor_words () in
+    (match decode bytes with
+    | exception PC.Decode_error _ -> ()
+    | exception PC.Incomplete -> Alcotest.failf "%s: waits for more bytes" name
+    | _ -> Alcotest.failf "%s: decoded" name);
+    let words = Gc.minor_words () -. before in
+    (* the error message is most of it *)
+    if words > 4096. then Alcotest.failf "%s: allocated %.0f words" name words
+  in
+  let frontend bytes = PC.decode_frontend bytes in
+  let backend bytes = PC.decode_backend bytes in
+  expect "Parse parameter types" frontend (frame 'P' ("\000\000" ^ huge));
+  expect "Bind parameter formats" frontend (frame 'B' ("\000\000" ^ huge));
+  expect "Bind parameters" frontend (frame 'B' ("\000\000\000\000" ^ huge));
+  expect "Bind result formats" frontend
+    (frame 'B' ("\000\000\000\000\000\000" ^ huge));
+  expect "Bind parameter past its frame" frontend
+    (frame 'B' "\000\000\000\000\000\001\000\000\001\000");
+  expect "unknown format code" frontend
+    (frame 'B' "\000\000\000\001\000\007\000\000\000\000");
+  expect "unknown Describe target" frontend (frame 'D' "X\000");
+  expect "RowDescription fields" backend (frame 'T' huge);
+  expect "DataRow cells" backend (frame 'D' huge)
+
+(* Mutations of a valid message stream: cut short, bytes overwritten,
+   a 0x7fff count planted, garbage appended, or garbage alone. *)
+let gen_mutated (bases : string list) : string QCheck.Gen.t =
+  QCheck.Gen.(
+    oneofl bases >>= fun base ->
+    let n = String.length base in
+    let overwrite edits =
+      let b = Bytes.of_string base in
+      List.iter (fun (i, c) -> Bytes.set b (i mod n) (Char.chr c)) edits;
+      Bytes.to_string b
+    in
+    frequency
+      [
+        (2, map (fun k -> String.sub base 0 k) (int_bound n));
+        (3, map overwrite (list_size (int_range 1 6) (pair nat (int_bound 255))));
+        (2, map (fun i -> overwrite [ (i, 0x7f); (i + 1, 0xff) ]) nat);
+        (1, map (fun g -> base ^ g) (string_size (int_bound 64)));
+        (1, string_size (int_bound 64));
+      ])
+
+(* decode every message of [bytes]; only [Incomplete] or [Decode_error]
+   may stop it *)
+let decodes_cleanly decode bytes =
+  let rec go off =
+    off >= String.length bytes
+    ||
+    match decode ~off bytes with
+    | _, n -> go (off + n)
+    | exception (PC.Incomplete | PC.Decode_error _) -> true
+  in
+  go 0
+
+let frontend_bases =
+  [
+    Pgwire.Client.batch "SELECT a, b FROM t ORDER BY a";
+    unnamed_batch ~params:[ Some "1"; None ] ~param_types:[ 20; 25 ] "SELECT $1";
+    PC.encode_frontend (PC.Query "SELECT 1") ^ PC.encode_frontend PC.Terminate;
+  ]
+
+let prop_fuzz_frontend =
+  QCheck.Test.make ~count:1000 ~name:"fuzzed frontend frames decode cleanly"
+    (QCheck.make ~print:String.escaped (gen_mutated frontend_bases))
+    (fun bytes ->
+      decodes_cleanly (fun ~off b -> PC.decode_frontend ~off b) bytes
+      && (ignore (Pgwire.Server.feed (ready_server ()) bytes);
+          true))
+
+let prop_fuzz_backend =
+  let reply = Pgwire.Server.feed (ready_server ()) (Pgwire.Client.batch "SELECT a, b FROM t") in
+  QCheck.Test.make ~count:1000 ~name:"fuzzed backend frames decode cleanly"
+    (QCheck.make ~print:String.escaped (gen_mutated [ reply ]))
+    (fun bytes ->
+      decodes_cleanly (fun ~off b -> PC.decode_backend ~off b) bytes
+      &&
+      let client, _ = scripted_backend bytes in
+      match Pgwire.Client.query client "SELECT 1" with
+      | Ok _ | Error _ | (exception Pgwire.Client.Protocol_error _) -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Large results                                                       *)
@@ -594,11 +900,11 @@ let test_chunked_large_result () =
   | Pgdb.Db.Complete _ -> Alcotest.fail "expected rows"
 
 let test_decode_allocation_is_linear () =
-  (* the whole reply arrives in one piece, as from the in-process
-     gateway; decoding it may allocate a small constant times its size
-     (about 14x here, mostly [of_text] splitting dates and timestamps).
-     Copying the undecoded tail after every message allocates
-     quadratically, about 10,000x, and fails. *)
+  (* the whole extended-protocol reply arrives in one piece, as from the
+     in-process gateway; decoding it may allocate a small constant times
+     its size (about 9x here: a boxed value per cell and a substring per
+     text cell). Copying the undecoded tail after every message
+     allocates quadratically, about 10,000x, and fails. *)
   let server = Pgwire.Server.create (big_session ()) in
   let replay = ref None in
   let transport bytes =
@@ -607,16 +913,37 @@ let test_decode_allocation_is_linear () =
     | None -> Pgwire.Server.feed server bytes
   in
   let client = Pgwire.Client.connect transport in
-  let reply = Pgwire.Server.feed server (PC.encode_frontend (PC.Query big_sql)) in
+  let reply = Pgwire.Server.feed server (Pgwire.Client.batch big_sql) in
   replay := Some reply;
   let before = Gc.allocated_bytes () in
   (match Pgwire.Client.query client big_sql with
   | Ok { Pgwire.Client.rows; _ } -> check tint "rows" big_rows (Array.length rows)
   | Error e -> Alcotest.fail e);
   let ratio = (Gc.allocated_bytes () -. before) /. float_of_int (String.length reply) in
-  if ratio > 24. then
+  if ratio > 20. then
     Alcotest.failf "decode allocated %.1fx the %d reply bytes" ratio
       (String.length reply)
+
+let test_one_write_per_statement () =
+  (* the Gateway's fixed cost: one transport write per statement, however
+     many reads its reply takes *)
+  let server = Pgwire.Server.create (big_session ()) in
+  let writes = ref 0 and queued = Buffer.create 4096 and pos = ref 0 in
+  let transport bytes =
+    if bytes <> "" then incr writes;
+    Buffer.add_string queued (Pgwire.Server.feed server bytes);
+    let n = min (Buffer.length queued - !pos) 4096 in
+    let chunk = Buffer.sub queued !pos n in
+    pos := !pos + n;
+    chunk
+  in
+  let client = Pgwire.Client.connect transport in
+  List.iter
+    (fun sql ->
+      writes := 0;
+      ignore (Pgwire.Client.query client sql);
+      check tint sql 1 !writes)
+    [ big_sql; "SELECT * FROM missing"; "CREATE TEMP TABLE w (x BIGINT)"; "" ]
 
 (* ------------------------------------------------------------------ *)
 (* Text format                                                         *)
@@ -729,7 +1056,8 @@ let test_datarow_golden () =
   | Pgdb.Db.Rows (res, tag) ->
       let fields =
         List.map
-          (fun (n, ty) -> { PC.fd_name = n; fd_type_oid = PC.oid_of_type ty })
+          (fun (n, ty) ->
+            { PC.fd_name = n; fd_type_oid = PC.oid_of_type ty; fd_format = PC.Text })
           res.Pgdb.Exec.res_cols
       in
       let want =
@@ -789,6 +1117,190 @@ let prop_timestamp_us_roundtrip =
       match PV.to_text v with
       | Some s -> PV.of_text Catalog.Sqltype.TTimestamp s = v
       | None -> false)
+
+(* every day of years -4800..9999 is the successor of the day before,
+   and the two date conversions invert each other on it *)
+let test_civil_successor_days () =
+  let leap y = (y mod 4 = 0 && y mod 100 <> 0) || y mod 400 = 0 in
+  let month_len y = function
+    | 2 -> if leap y then 29 else 28
+    | 4 | 6 | 9 | 11 -> 30
+    | _ -> 31
+  in
+  check tint "epoch" 0 (PV.days_of_ymd 2000 1 1);
+  let y = ref (-4800) and m = ref 1 and d = ref 1 in
+  for day = PV.days_of_ymd (-4800) 1 1 to PV.days_of_ymd 9999 12 31 do
+    let y', m', d' = PV.ymd_of_days day in
+    if y' <> !y || m' <> !m || d' <> !d || PV.days_of_ymd !y !m !d <> day then
+      Alcotest.failf "day %d: %d-%d-%d, want %d-%d-%d" day y' m' d' !y !m !d;
+    if !d < month_len !y !m then incr d
+    else begin
+      d := 1;
+      if !m < 12 then incr m
+      else begin
+        m := 1;
+        incr y
+      end
+    end
+  done;
+  check tint "walked to 10000-01-01" 10000 !y
+
+(* [v] through the binary format and back *)
+let binary_roundtrip ty v =
+  let b = Buffer.create 16 in
+  PV.add_binary b v;
+  PV.of_binary ty (Buffer.contents b) 0 (Buffer.length b)
+
+(* The binary round trip is the identity wherever the text round trip
+   is, NaN included. The one exception is a time whose microseconds
+   overflow PG's int64 (beyond about ±292,000 years), which the binary
+   format refuses with 22008 rather than wrap. *)
+let binary_agrees_with_text v =
+  match (PV.type_of v, PV.to_text v) with
+  | Some ty, Some text -> (
+      match PV.of_text ty text with
+      | exception _ -> true
+      | v' when compare v v' <> 0 -> true
+      | _ -> (
+          match binary_roundtrip ty v with
+          | v'' -> compare v v'' = 0
+          | exception Pgdb.Errors.Sql_error { code = "22008"; _ } -> (
+              match v with
+              | PV.Time t ->
+                  let max_ms = Int64.to_int (Int64.div Int64.max_int 1000L) in
+                  t > max_ms || t < -max_ms
+              | _ -> false)))
+  | _ -> true
+
+let test_binary_edge_cases () =
+  List.iter
+    (fun v ->
+      if not (binary_agrees_with_text v) then
+        Alcotest.failf "%s %s: binary round trip differs from text"
+          (PV.to_debug v) (PV.to_display v))
+    text_edge_cases;
+  (* the timestamp's microseconds are floored, as the text writer does *)
+  check tbool "floor of ns/1000" true
+    (binary_roundtrip Catalog.Sqltype.TTimestamp (PV.Timestamp (-1L))
+    = PV.Timestamp (-1000L));
+  (* a cell of the wrong width is refused, not misread *)
+  match PV.of_binary Catalog.Sqltype.TBigint "\000\001" 0 2 with
+  | exception Pgdb.Errors.Sql_error _ -> ()
+  | _ -> Alcotest.fail "a 2-byte int8 cell must be refused"
+
+let prop_binary_matches_text =
+  QCheck.Test.make ~count:2000 ~name:"binary round trip = text round trip"
+    (QCheck.make ~print:PV.to_display gen_pg_value)
+    binary_agrees_with_text
+
+(* ------------------------------------------------------------------ *)
+(* Binary vs text over real statements                                 *)
+(* ------------------------------------------------------------------ *)
+
+module MD = Workload.Marketdata
+module AW = Workload.Analytical
+
+(* The reply to a simple Query, decoded the way the client read text
+   results: every cell through [Value.of_text]. *)
+let text_query server sql =
+  let reply = Pgwire.Server.feed server (PC.encode_frontend (PC.Query sql)) in
+  let cols = ref [] and rows = ref [] and error = ref None in
+  let rec go off =
+    if off < String.length reply then
+      if reply.[off] = 'D' then begin
+        let types = Array.of_list (List.map snd !cols) in
+        let row, n =
+          PC.decode_data_row ~null:PV.Null ~off reply ~cell:(fun i s o l ->
+              PV.of_text types.(i) (String.sub s o l))
+        in
+        rows := row :: !rows;
+        go (off + n)
+      end
+      else
+        let m, n = PC.decode_backend ~off reply in
+        (match m with
+        | PC.RowDescription fields ->
+            cols :=
+              List.map
+                (fun f ->
+                  ( f.PC.fd_name,
+                    Option.value ~default:Catalog.Sqltype.TText
+                      (PC.type_of_oid f.PC.fd_type_oid) ))
+                fields
+        | PC.ErrorResponse { code; message } -> error := Some (code ^ ": " ^ message)
+        | _ -> ());
+        go (off + n)
+  in
+  go 0;
+  match !error with
+  | Some e -> Error e
+  | None -> Ok (!cols, Array.of_list (List.rev !rows))
+
+let same_rows a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun r r' ->
+         Array.length r = Array.length r'
+         && Array.for_all2 (fun v v' -> compare v v' = 0) r r')
+       a b
+
+(* The SQL the translator sends for the paper's 25 analytical queries and
+   the four tick_extract shapes, each run over simple Query (text cells
+   through [of_text]) and over the client's extended batch (binary cells):
+   the decoded rows are equal. *)
+let test_binary_matches_text_statements () =
+  let d =
+    MD.generate
+      { MD.symbols = 4; trades_per_symbol = 60; quotes_per_symbol = 120;
+        wide_columns = 40 }
+  in
+  let db = Pgdb.Db.create () in
+  MD.load_pg db d;
+  let backend = Hyperq.Backend.of_pgdb_session (Pgdb.Db.open_session db) in
+  let eng = Hyperq.Engine.create backend in
+  let run q =
+    match Hyperq.Engine.try_run eng q with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" q e
+  in
+  let sym = d.MD.syms.(1) in
+  List.iter
+    (fun q ->
+      List.iter run q.AW.setup;
+      run q.AW.text)
+    (AW.queries d);
+  List.iter run
+    [
+      Printf.sprintf "select from trades where Symbol=`%s" sym;
+      Printf.sprintf
+        "select Time, Bid, Ask, BSize, ASize from quotes where Symbol=`%s, \
+         Time within 09:30:00.000 12:30:00.000"
+        sym;
+      Printf.sprintf "select from trades where Symbol=`%s, Size>500" sym;
+      "select Symbol, Time, Price from trades where Price within 90.0 110.0";
+    ];
+  let sqls = List.rev !(backend.Hyperq.Backend.sql_log) in
+  let text_server = Pgwire.Server.create (Pgdb.Db.open_session db) in
+  ignore
+    (Pgwire.Server.feed text_server
+       (PC.encode_frontend (PC.Startup [ ("user", "app") ])));
+  let client =
+    Pgwire.Client.connect
+      (Pgwire.Server.feed (Pgwire.Server.create (Pgdb.Db.open_session db)))
+  in
+  let with_rows = ref 0 in
+  List.iter
+    (fun sql ->
+      match (text_query text_server sql, Pgwire.Client.query client sql) with
+      | Ok (cols, rows), Ok r ->
+          if cols <> r.Pgwire.Client.columns then Alcotest.failf "%s: columns" sql;
+          if not (same_rows rows r.Pgwire.Client.rows) then
+            Alcotest.failf "%s: rows differ" sql;
+          if rows <> [||] then incr with_rows
+      | Error e, Error e' -> check tstr sql e e'
+      | _ -> Alcotest.failf "%s: one path failed" sql)
+    sqls;
+  check tbool "rows compared" true (!with_rows >= 29)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -859,6 +1371,9 @@ let props =
       prop_compress_roundtrip;
       prop_text_writer_matches_printf;
       prop_timestamp_us_roundtrip;
+      prop_binary_matches_text;
+      prop_fuzz_frontend;
+      prop_fuzz_backend;
     ]
 
 let () =
@@ -912,6 +1427,18 @@ let () =
             test_chunked_large_result;
           Alcotest.test_case "decode allocation is linear" `Quick
             test_decode_allocation_is_linear;
+          Alcotest.test_case "one write per statement" `Quick
+            test_one_write_per_statement;
+        ] );
+      ( "extended protocol",
+        [
+          Alcotest.test_case "batch reply" `Quick test_extended_batch_reply;
+          Alcotest.test_case "error until Sync" `Quick
+            test_extended_error_until_sync;
+          Alcotest.test_case "unsupported is 0A000" `Quick
+            test_extended_unsupported;
+          Alcotest.test_case "byte-at-a-time batch" `Quick
+            test_extended_fragmented_batch;
         ] );
       ( "hostile frames",
         [
@@ -922,6 +1449,7 @@ let () =
             test_truncated_frame_waits;
           Alcotest.test_case "server rejects malformed" `Quick
             test_server_rejects_malformed;
+          Alcotest.test_case "oversized counts" `Quick test_oversized_counts;
         ] );
       ( "text format",
         [
@@ -929,6 +1457,15 @@ let () =
           Alcotest.test_case "DataRow golden frames" `Quick test_datarow_golden;
           Alcotest.test_case "round trip at the edges" `Quick
             test_text_roundtrip_edges;
+          Alcotest.test_case "civil dates: successor days" `Quick
+            test_civil_successor_days;
+        ] );
+      ( "binary format",
+        [
+          Alcotest.test_case "edge cases match text" `Quick
+            test_binary_edge_cases;
+          Alcotest.test_case "statements: binary = text" `Quick
+            test_binary_matches_text_statements;
         ] );
       ("properties", props);
     ]
