@@ -3,35 +3,19 @@
 all:
 	dune build @all
 
-# build + full test suite + the bench-smoke list below: the
-# correlation-plane overhead smoke gate +
-# the plan-cache reuse gate (warm hit ratio >= 0.95, warm mean < cold
-# mean, zero result divergence) + the shard scaling gate (>= 1.5x at 4
-# shards under the simulated remote-latency model, zero divergence vs
-# the unsharded engine) + the cluster-observability gate (per-shard
-# child spans, traceparent stamping, ring sampling and SLO evaluation
-# cost <= 2.5% of scatter latency on a 2-shard cluster) + the explain
-# gate (per-operator EXPLAIN/ANALYZE instrumentation costs <= 2.5% of
-# mean query latency while collection is off) + the runtime gate
-# (per-query GC/allocation attribution costs <= 2.5% of mean query
-# latency) + the layered benchmark's smoke run (1/50 of every
-# workload, each reply checked against the kdb oracle); the
-# introspection suite exercises the HTTP admin endpoint through its pure
-# handler, so no curl / open port needed
+# build + tier-1 tests (correctness: the kdb oracle, differentials,
+# allocation budgets, the fan-out barrier; the introspection suite drives
+# the HTTP admin endpoint through its pure handler, so no curl or open
+# port) + bench-smoke. Speed is measured by hqbench (bench/suite), not
+# gated here; bench/main.exe prints the paper's figures.
 ci:
 	dune build @all
 	dune runtest
 	$(MAKE) --no-print-directory bench-smoke
 
-# quick overhead gates and the oracle-checked benchmark smoke run
-# (exit 1 on regression)
+# 1/50 of every hqbench workload, each reply checked against the kdb
+# oracle (fails on a wrong answer or a failed request)
 bench-smoke:
-	dune exec bench/main.exe -- smoke
-	dune exec bench/main.exe -- plan_cache_gate
-	dune exec bench/main.exe -- shard_gate
-	dune exec bench/main.exe -- obs_gate
-	dune exec bench/main.exe -- explain_gate
-	dune exec bench/main.exe -- runtime_gate
 	dune build @bench/suite/bench-suite-smoke
 
 check:

@@ -653,7 +653,9 @@ let admin_reply (t : t) (text : string) : QV.t option =
   | ".hq.stats.reset" ->
       reset_stats t.obs;
       answered (fun () -> QV.Atom (Qvalue.Atom.Sym "reset"))
-  | _ when String.length text >= 11 && String.sub text 0 11 = ".hq.explain"
+  | _
+    when String.starts_with ~prefix:".hq.explain" text
+         && (String.length text = 11 || String.contains " \t\r\n" text.[11])
     ->
       answered (fun () ->
           explain_reply t (String.sub text 11 (String.length text - 11)))

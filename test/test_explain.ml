@@ -349,6 +349,34 @@ let test_explain_unsharded () =
       | v -> Alcotest.failf "expected atom, got %s" (Qvalue.Qprint.to_string v));
       P.Client.close c)
 
+(* the admin prefix must be followed by whitespace or end the text:
+   [.hq.explaintrades] is an ordinary (undefined) Q name for the
+   translator, not an ANALYZE of [trades] *)
+let test_explain_prefix_is_a_word () =
+  with_platform (marketdata_db ()) (fun p ->
+      let c = P.Client.connect p in
+      let admin () =
+        Obs.Metrics.counter_value
+          (Obs.Metrics.counter (P.obs p).Obs.Ctx.registry
+             "hq_admin_queries_total")
+      in
+      let a0 = admin () in
+      (match P.Client.query c ".hq.explaintrades" with
+      | Error e ->
+          check tbool "translator names the whole token" true
+            (Str.string_match (Str.regexp ".*explaintrades") e 0)
+      | Ok v ->
+          Alcotest.failf "expected a translator error, got %s"
+            (Qvalue.Qprint.to_string v));
+      check tint "not answered as an admin query" a0 (admin ());
+      check tint "nothing analyzed" 0
+        (Obs.Explain.analyzed_total (P.obs p).Obs.Ctx.explain);
+      (* whitespace after the prefix still selects the admin query *)
+      ignore (ok (P.Client.query c ".hq.explain\tselect t:sum Size from trades"));
+      check tint "tab-separated query analyzed" 1
+        (Obs.Explain.analyzed_total (P.obs p).Obs.Ctx.explain);
+      P.Client.close c)
+
 (* ------------------------------------------------------------------ *)
 (* Plan-cache hits must explain identically                            *)
 (* ------------------------------------------------------------------ *)
@@ -560,6 +588,8 @@ let () =
           Alcotest.test_case "route explanations" `Quick
             test_route_explanations;
           Alcotest.test_case "unsharded" `Quick test_explain_unsharded;
+          Alcotest.test_case "prefix must end the word" `Quick
+            test_explain_prefix_is_a_word;
         ] );
       ( "plan cache",
         [

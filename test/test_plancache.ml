@@ -1,7 +1,8 @@
 (* Plan cache tests: collision regression (same fingerprint, different
    literal classes), versioned invalidation (DDL / variable reassignment
    / session promotion), a randomized differential check against a
-   cache-disabled engine, the pgdb statement cache, and the bounded
+   cache-disabled engine (deep-nested shapes included, whose hits must
+   skip every translation stage), the pgdb statement cache, and the bounded
    engine error log. *)
 
 module V = Pgdb.Value
@@ -238,7 +239,71 @@ let test_randomized_differential () =
     if not (same_value cv uv) then
       Alcotest.failf "divergence at query %d: %S" i q
   done;
-  check tbool "workload produced cache hits" true (hits eng > 50)
+  check tbool "workload produced cache hits" true (hits eng > 50);
+  (* deep-nested shapes (40/32/28/16/12 levels) with varying literals of
+     fixed classes: after two warm-up rounds every repeat must hit the
+     cache, agree with the uncached engine and run no translation stage *)
+  let nest levels i =
+    let rec go k acc =
+      if k = 0 then acc
+      else
+        go (k - 1)
+          (Printf.sprintf "(select from %s where Size>%d)" acc
+             (1 + ((k + i) mod 7)))
+    in
+    go levels "trades"
+  in
+  let deep agg levels i =
+    Printf.sprintf "select %s Price by Symbol from %s" agg (nest levels i)
+  in
+  let shapes =
+    [|
+      deep "avg" 40;
+      deep "max" 32;
+      deep "sum" 28;
+      (fun i ->
+        Printf.sprintf
+          "select vwap:(sum Price*Size)%%sum Size by Symbol from %s where \
+           Price>%f"
+          (nest 16 i)
+          (float_of_int (i mod 13) +. 0.5));
+      (fun i ->
+        Printf.sprintf
+          "select hi:max Price,lo:min Price,n:count Price by Symbol from %s \
+           where Symbol=`%s"
+          (nest 12 i)
+          syms.(i mod Array.length syms));
+    |]
+  in
+  let query_at i = shapes.(i mod Array.length shapes) i in
+  for i = 0 to (2 * Array.length shapes) - 1 do
+    ignore (run eng (query_at i))
+  done;
+  let looked_up () = hits eng + misses eng + bypass eng in
+  let h0 = hits eng and l0 = looked_up () in
+  let timer = E.timer eng in
+  for i = 10 to 59 do
+    let q = query_at i in
+    let h = hits eng in
+    Hyperq.Stage_timer.reset timer;
+    let cv = run eng q in
+    if hits eng > h then
+      List.iter
+        (fun (stage, _) ->
+          match stage with
+          | Hyperq.Stage_timer.Execute | Pivot -> ()
+          | s ->
+              Alcotest.failf "hit on deep query %d ran %s" i
+                (Hyperq.Stage_timer.stage_name s))
+        (Hyperq.Stage_timer.spans timer);
+    if not (same_value cv (run uncached q)) then
+      Alcotest.failf "cache changed the answer of deep query %d" i
+  done;
+  let ratio =
+    float_of_int (hits eng - h0) /. float_of_int (looked_up () - l0)
+  in
+  if ratio < 0.95 then
+    Alcotest.failf "deep shapes hit ratio %.3f < 0.95" ratio
 
 (* ------------------------------------------------------------------ *)
 (* Every analytical shape is cached                                    *)

@@ -2,8 +2,9 @@
    counters, build info, uptime, reset re-basing, heap watermark),
    Prometheus label-value escaping, per-domain utilization of a sharded
    platform, per-query allocation attribution (stable across plan-cache
-   miss and hit), flight-recorder alloc deltas, and the /runtime.json +
-   .hq.runtime + /healthz surfaces. *)
+   miss and hit), flight-recorder alloc deltas, allocation budgets of the
+   per-query observability work, and the /runtime.json + .hq.runtime +
+   /healthz surfaces. *)
 
 module V = Pgdb.Value
 module Db = Pgdb.Db
@@ -317,6 +318,114 @@ let test_minor_collections_counter () =
   check tint "counts collections" (before + 2) (RT.minor_collections ());
   check tint "still agrees" (q ()) (RT.minor_collections ())
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets of the per-query observability work              *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words one call of [f] allocates, averaged over [iters]
+   calls after [iters] warm-up calls (which fill every ring to its
+   steady state). [Gc.minor_words] is domain-local and exact, so the
+   figure does not depend on machine speed or load. Each budget sits a
+   few words above the figure measured on OCaml 5.1 (376, 315.8 and 184
+   words), so a regression the size of one [Gc.quick_stat] pair (48
+   words) fails. *)
+let words_per_call ?(iters = 2_000) (f : int -> unit) : float =
+  for i = 1 to iters do f i done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to iters do f i done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+let check_budget name ~budget words =
+  Printf.printf "%s: %.1f words per query (budget %d)\n" name words budget;
+  if words > float_of_int budget then
+    Alcotest.failf "%s allocates %.1f words per query, budget %d" name words
+      budget
+
+(* the correlation plane one query pays: trace id, session registry
+   churn, traceparent decoration, export-ring offer, one log line *)
+let test_correlation_budget () =
+  let session = Obs.Sessions.register ~user:"budget" (Obs.Sessions.create ()) in
+  let export = Obs.Export.create () in
+  let log = Obs.Log.create ~sink:(Obs.Events.create ()) (M.create ()) in
+  let sql = "SELECT \"Price\" FROM trades WHERE \"Symbol\" = 'S000'" in
+  let cycle _ =
+    let tr = Obs.Trace.start "query" in
+    let trace_id = Obs.Trace.trace_id tr in
+    Obs.Sessions.query_started session ~query:sql ~fingerprint:"fp";
+    Obs.Sessions.set_trace session trace_id;
+    let decorated =
+      sql ^ " /* traceparent='"
+      ^ Obs.Trace.traceparent ~trace_id
+          ~span_id:(Obs.Trace.span_id (Obs.Trace.current tr))
+      ^ "' */"
+    in
+    ignore (Sys.opaque_identity decorated);
+    Obs.Trace.with_span tr "execute" (fun () -> ());
+    let root = Obs.Trace.finish tr in
+    Obs.Sessions.query_finished session;
+    Obs.Export.offer export ~ts:(Unix.gettimeofday ()) ~trace_id root;
+    Obs.Log.info log ~trace_id "query completed"
+      [ ("duration_ms", Obs.Events.Float 0.1) ]
+  in
+  check_budget "correlation cycle" ~budget:392 (words_per_call cycle)
+
+(* what a 2-shard scatter adds: a child span, attach handle and
+   traceparent per shard, the gather span, the latency observation, a
+   time-series tick (a clock read between snapshots) and an SLO
+   evaluation every 100 queries *)
+let test_cluster_obs_budget () =
+  let reg = M.create () in
+  let h = M.histogram reg "hq_query_seconds" in
+  let ts = Obs.Timeseries.create ~interval_s:3600.0 reg in
+  let slo =
+    match Obs.Slo.parse_spec "p99<1s,err<5%,fast=1s,slow=5s" with
+    | Ok config -> Obs.Slo.create ~config ts
+    | Error e -> Alcotest.fail e
+  in
+  let cycle i =
+    let tr = Obs.Trace.start "query" in
+    let trace_id = Obs.Trace.trace_id tr in
+    for k = 0 to 1 do
+      let sp = Obs.Trace.open_child tr "shard_exec" in
+      Obs.Trace.set_span_attr sp "shard" (Obs.Trace.Int k);
+      let handle = Obs.Trace.attach ~trace_id sp in
+      let comment =
+        " /* traceparent='"
+        ^ Obs.Trace.traceparent ~trace_id
+            ~span_id:(Obs.Trace.span_id (Obs.Trace.current handle))
+        ^ "' */"
+      in
+      ignore (Sys.opaque_identity comment);
+      Obs.Trace.close_span (Obs.Trace.current handle)
+    done;
+    Obs.Trace.with_span tr "gather" (fun () -> ());
+    ignore (Obs.Trace.finish tr);
+    M.observe h 0.0001;
+    ignore (Obs.Timeseries.tick ts);
+    if i mod 100 = 0 then ignore (Obs.Slo.evaluate slo)
+  in
+  check_budget "cluster-observability cycle" ~budget:330
+    (words_per_call cycle)
+
+(* the allocation attribution the endpoint and the engine read per
+   query: one minor-collection pair per query plus one
+   [Gc.allocated_bytes] pair per query and per pipeline stage (6 on a
+   plan-cache miss) *)
+let test_attribution_budget () =
+  let sink = ref 0.0 in
+  let reads _ =
+    let g0 = RT.minor_collections () in
+    for _ = 0 to 6 do
+      let a0 = Gc.allocated_bytes () in
+      let a1 = Gc.allocated_bytes () in
+      sink := !sink +. (a1 -. a0)
+    done;
+    let g1 = RT.minor_collections () in
+    sink := !sink +. float_of_int (g1 - g0)
+  in
+  check_budget "attribution reads" ~budget:192 (words_per_call reads);
+  ignore (Sys.opaque_identity !sink)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -341,6 +450,13 @@ let () =
         [
           Alcotest.test_case "plan-cache miss and hit both attribute" `Quick
             test_alloc_attribution_cache_hit_miss;
+        ] );
+      ( "budgets",
+        [
+          Alcotest.test_case "correlation cycle" `Quick test_correlation_budget;
+          Alcotest.test_case "cluster-observability cycle" `Quick
+            test_cluster_obs_budget;
+          Alcotest.test_case "attribution reads" `Quick test_attribution_budget;
         ] );
       ( "surfaces",
         [

@@ -1,5 +1,6 @@
 (* Sharded execution tests: router classification over hand-built XTRA
-   trees, cluster partitioning and DDL/DML mirroring, the full platform
+   trees, cluster partitioning and DDL/DML mirroring, fan-out overlap
+   (every shard inside its backend at once), the full platform
    at --shards 2 (the existing end-to-end suite re-run sharded), a
    200-query randomized differential against the single-backend engine,
    and the plan-cache shard-generation regression. *)
@@ -293,6 +294,48 @@ let test_cluster_mirrors_ddl () =
       check tbool "unmirrorable mutation evicts the table" true
         (not (SM.known (C.map c) "trades"));
       check tbool "eviction bumps the generation" true (C.generation c > gen1))
+
+(* Fan-out overlap. Each shard backend's [exec] waits on a cyclic
+   N-party barrier, so a scatter completes only if every shard is
+   inside [exec] at once. A pool that dispatched shards one at a time
+   would leave the first shard waiting alone until the timeout, on any
+   core count: the check needs no wall-clock ratio. *)
+let test_fanout_overlaps () =
+  let shards = 4 in
+  let arrived = Atomic.make 0 and timed_out = Atomic.make false in
+  let barrier () =
+    let round = Atomic.fetch_and_add arrived 1 / shards in
+    let start = Obs.Clock.now_ns () in
+    while Atomic.get arrived < (round + 1) * shards && not (Atomic.get timed_out)
+    do
+      if Obs.Clock.seconds_since start > 5.0 then Atomic.set timed_out true
+      else Unix.sleepf 0.0005
+    done
+  in
+  let make_backend ~shard_id:_ ~obs:_ sess =
+    let b = Hyperq.Backend.of_pgdb_session sess in
+    { b with exec = (fun sql -> barrier (); b.exec sql) }
+  in
+  let db = make_db () in
+  let obs = Obs.Ctx.create () in
+  let c = C.create ~shards ~make_backend ~obs db in
+  Fun.protect ~finally:(fun () -> C.shutdown c) (fun () ->
+      let eng =
+        E.create ~sharder:(C.sharder c) ~obs
+          (Hyperq.Backend.of_pgdb_session (Db.open_session db))
+      in
+      for _ = 1 to 3 do
+        match E.try_run eng "select mx:max Price by Symbol from trades" with
+        | Ok { E.value = Some (QV.KTable (_, v)); _ } ->
+            check tbool "grouped max across shards" true
+              (QV.equal (QV.column_exn v "mx") (QV.floats [| 12.0; 21.0 |]))
+        | Ok _ -> Alcotest.fail "expected a keyed table"
+        | Error e -> Alcotest.failf "scatter failed: %s" e
+      done;
+      check tbool "every shard was inside exec at once" false
+        (Atomic.get timed_out);
+      check tint "one barrier round per scatter" (3 * shards)
+        (Atomic.get arrived))
 
 (* ------------------------------------------------------------------ *)
 (* The platform end-to-end at --shards 2                               *)
@@ -731,6 +774,8 @@ let () =
         [
           Alcotest.test_case "partitions rows" `Quick test_cluster_partitions_rows;
           Alcotest.test_case "mirrors DDL/DML" `Quick test_cluster_mirrors_ddl;
+          Alcotest.test_case "fan-out overlaps shard dispatch" `Quick
+            test_fanout_overlaps;
         ] );
       ( "platform --shards 2",
         [
