@@ -69,9 +69,10 @@ let () =
   section "generated SQL (LEFT OUTER JOIN + ROW_NUMBER window, Section 3.2.2)";
   print_endline (Hyperq.Engine.translate eng query);
 
-  (* the punchline: both sides agree *)
+  (* the punchline: both sides agree; a mismatch fails the run *)
   section "side-by-side verdict";
-  (match Sidebyside.Framework.values_agree kdb_result hq_result with
+  match Sidebyside.Framework.values_agree kdb_result hq_result with
   | None -> print_endline "MATCH: identical results from both stacks"
-  | Some d -> Printf.printf "MISMATCH: %s\n" d);
-  ()
+  | Some d ->
+      Printf.printf "MISMATCH: %s\n" d;
+      exit 1

@@ -4,10 +4,10 @@
 
     The registry is the single source every surface reads from: the
     in-band [.hq.stats] query, the [--stats] shutdown dump of the server
-    binary, and the benchmark's [BENCH_obs.json] all render a
-    {!snapshot} of the same registry. Metric identity is the pair
-    (name, labels); registering the same pair twice returns the existing
-    instrument. *)
+    binary and the HTTP admin endpoint render a {!snapshot} of the same
+    registry, and hqbench reads its per-layer metrics from its counters.
+    Metric identity is the pair (name, labels); registering the same pair
+    twice returns the existing instrument. *)
 
 type t
 (** A registry. *)

@@ -1442,19 +1442,21 @@ let plan_window (sc : scope) (w : A.expr) :
       let cord = List.map (fun (e, _) -> compile_expr sc e) order in
       (* frame bounds, positions within the partition; without a frame
          PG's default: the whole partition, or with an ORDER BY range
-         unbounded preceding .. current row *)
+         unbounded preceding .. current row. The frame is clamped to the
+         partition as a whole, so one that lies wholly before or after
+         it is empty (lo > hi) rather than the nearest row. *)
       let bounds m pos =
         match frame with
         | None -> if order = [] then (0, m - 1) else (0, pos)
         | Some { A.lo; hi; _ } ->
             let b = function
               | A.UnboundedPreceding -> 0
-              | A.Preceding k -> Stdlib.max 0 (pos - k)
+              | A.Preceding k -> pos - k
               | A.CurrentRow -> pos
-              | A.Following k -> Stdlib.min (m - 1) (pos + k)
+              | A.Following k -> pos + k
               | A.UnboundedFollowing -> m - 1
             in
-            (b lo, b hi)
+            (Stdlib.max 0 (b lo), Stdlib.min (m - 1) (b hi))
       in
       (* the first argument, compiled only by the functions that read it *)
       let arg () =
@@ -1529,7 +1531,9 @@ let plan_window (sc : scope) (w : A.expr) :
                 Array.iteri
                   (fun pos i ->
                     let lo, hi = bounds m pos in
-                    out.(i) <- ca sorted.(if first then lo else hi))
+                    out.(i) <-
+                      (if lo > hi then Value.Null
+                       else ca sorted.(if first then lo else hi)))
                   sorted
         | "ntile" ->
             let buckets =
@@ -1558,7 +1562,9 @@ let plan_window (sc : scope) (w : A.expr) :
                 (* [acc] holds the frame [lo0, hi0]: a frame that keeps
                    its start and does not shrink is extended, anything
                    else refolds, so running and whole-partition frames
-                   cost one pass and a k-row sliding frame k per row *)
+                   cost one pass and a k-row sliding frame k per row. An
+                   empty frame (lo > hi) refolds to nothing: NULL, or a
+                   count of 0. *)
                 let m = Array.length sorted in
                 let lo0 = ref 0 and hi0 = ref (-1) and fresh = ref true in
                 for pos = 0 to m - 1 do
@@ -1574,7 +1580,8 @@ let plan_window (sc : scope) (w : A.expr) :
                   done;
                   if hi > !hi0 then hi0 := hi;
                   out.(sorted.(pos)) <-
-                    (if count_rows then Value.Int (Int64.of_int (hi - lo + 1))
+                    (if count_rows then
+                       Value.Int (Int64.of_int (Stdlib.max 0 (hi - lo + 1)))
                      else acc.get ())
                 done
         | f ->
@@ -1625,6 +1632,126 @@ let plan_window (sc : scope) (w : A.expr) :
               parts;
             out )
   | _ -> invalid_arg "vexec: plan_window on a non-window expression"
+
+(* The ORDER BY comparator of source rows over plain columns, when each
+   holds values of one kind among [sel], NULLs aside: [order_cmp] without
+   key lists. On one kind compare_total is Int64.compare, Float.compare
+   or String.compare of a typed payload, NULLs last. None when a column
+   mixes kinds. *)
+let column_order (keys : (Batch.column * A.direction) list) (sel : Batch.sel)
+    : (int -> int -> int) option =
+  let payload (c : Batch.column) : (int -> int -> int) option =
+    match c.Batch.data with
+    | Batch.DInt a -> Some (fun i j -> Int64.compare a.(i) a.(j))
+    | Batch.DFloat a -> Some (fun i j -> Float.compare a.(i) a.(j))
+    | Batch.DStr a -> Some (fun i j -> String.compare a.(i) a.(j))
+    | Batch.DVal a ->
+        let kind = ref (-1) in
+        let one_kind i =
+          let k = kind_of a.(i) in
+          if k >= 0 && !kind < 0 then kind := k;
+          k < 0 || k = !kind
+        in
+        if Array.for_all one_kind sel then
+          Some (fun i j -> Value.compare_total a.(i) a.(j))
+        else None
+  in
+  List.fold_right
+    (fun (c, dir) rest ->
+      match (payload c, rest) with
+      | Some payload, Some rest ->
+          let cmp =
+            if not c.Batch.has_nulls then payload
+            else fun i j ->
+              match (Batch.is_null c i, Batch.is_null c j) with
+              | false, false -> payload i j
+              | true, true -> 0
+              | true, false -> 1
+              | false, true -> -1
+          in
+          let cmp =
+            match dir with A.Asc -> cmp | A.Desc -> fun i j -> cmp j i
+          in
+          Some
+            (fun i j ->
+              let x = cmp i j in
+              if x <> 0 then x else rest i j)
+      | _ -> None)
+    keys
+    (Some (fun _ _ -> 0))
+
+(* The rank-limit cut: a row_number() window whose query keeps only the
+   rows it numbers [k] or less. Stage two returns the result array and
+   the rows of [sel] it keeps, ascending; a dropped row's result is
+   NULL. For k = 1, when every ORDER BY key is a plain column of one
+   kind among [sel], each partition's first row in window order is
+   chosen in one pass without key lists or a sort: [top_positions]
+   replaces its best row only with a strictly better one, so a tie keeps
+   the earlier row as the stable sort does. Any other k, expression or
+   mixed-kind order keys and mixed-kind partition keys run the whole
+   window through [plan_window] and cut afterwards, so results and
+   errors stay those of the full window. *)
+let plan_window_top (sc : scope) (w : A.expr) (k : int) :
+    string * (data -> Batch.sel -> int -> Value.t array * Batch.sel) =
+  match w with
+  | A.Window { partition; order; _ } ->
+      let _, full = plan_window sc w in
+      let sc = { sc with windows = [] } in
+      let cpart = List.map (compile_expr sc) partition in
+      let plain_part =
+        match partition with
+        | [ A.Col (q, c) ] -> Some (Exec.find_binding sc.bindings q c)
+        | _ -> None
+      in
+      let plain_order =
+        if k <> 1 then None
+        else
+          List.fold_right
+            (fun (e, dir) rest ->
+              match (e, rest) with
+              | A.Col (q, c), Some rest ->
+                  Some ((Exec.find_binding sc.bindings q c, dir) :: rest)
+              | _ -> None)
+            order (Some [])
+      in
+      let limit = Int64.of_int k in
+      let cut (out : Value.t array) sel =
+        ( out,
+          filter_sel sel (fun i ->
+              match out.(i) with
+              | Value.Int r -> Int64.compare r limit <= 0
+              | _ -> false) )
+      in
+      ( Printf.sprintf "row_number top %d" k,
+        fun d ->
+          let full = full d in
+          let cpart = List.map (fun c -> c d) cpart in
+          let part_col = Option.map d.col plain_part in
+          let keys =
+            Option.map (List.map (fun (j, dir) -> (d.col j, dir))) plain_order
+          in
+          fun sel nrows ->
+            match Option.bind keys (fun keys -> column_order keys sel) with
+            | Some cmp -> (
+                let slot =
+                  if partition = [] then fun _ -> 0
+                  else key_slots ~partition:true cpart part_col
+                in
+                match split_groups sel slot with
+                | groups ->
+                    let out = Array.make nrows Value.Null in
+                    List.iter
+                      (fun rows ->
+                        Array.iter
+                          (fun p -> out.(rows.(p)) <- Value.Int 1L)
+                          (top_positions
+                             (fun a b -> cmp rows.(a) rows.(b))
+                             (Array.length rows) 1))
+                      groups;
+                    cut out sel
+                | exception Mixed_keys -> cut (full sel nrows) sel)
+            | None -> cut (full sel nrows) sel )
+  | _ -> invalid_arg "vexec: plan_window_top on a non-window expression"
 
 (* ------------------------------------------------------------------ *)
 (* Sources and hash joins                                              *)
@@ -1918,6 +2045,58 @@ let distinct_positions (cols : Value.t array array) (n : int) : int array =
   done;
   Array.of_list (List.rev !kept)
 
+(* The rank limits a WHERE places on the columns of the one derived
+   table [alias] its query reads: each top-level conjunct [c = k],
+   [c <= k] or [c < k], either operand order, as [(c, l)] where rows
+   numbered above [l] (at least 0) cannot pass. The SELECT that defines
+   [c] decides whether a limit applies ([plan_select]). *)
+let rank_limits (alias : string) (where : A.expr option) : (string * int) list
+    =
+  let col = function
+    | A.Col (None, c) -> Some c
+    | A.Col (Some q, c) when Exec.equal_ci q alias -> Some c
+    | _ -> None
+  in
+  let lit = function
+    | A.Lit (A.Int k) -> Some k
+    | A.Un (A.Neg, A.Lit (A.Int k)) -> Some (Int64.neg k)
+    | _ -> None
+  in
+  let limit op k =
+    let k =
+      if Int64.compare k 0L <= 0 then 0
+      else if Int64.compare k (Int64.of_int max_int) >= 0 then max_int
+      else Int64.to_int k
+    in
+    match op with
+    | A.Eq | A.Le -> Some k
+    | A.Lt -> Some (Stdlib.max 0 (k - 1))
+    | _ -> None
+  in
+  match where with
+  | None -> []
+  | Some w ->
+      List.filter_map
+        (function
+          | A.Bin (op, a, b) -> (
+              match (col a, lit b, col b, lit a) with
+              | Some c, Some k, _, _ ->
+                  Option.map (fun l -> (c, l)) (limit op k)
+              | _, _, Some c, Some k ->
+                  Option.map (fun l -> (c, l)) (limit (flip_op op) k)
+              | _ -> None)
+          | _ -> None)
+        (Exec.conjuncts w)
+
+(* the type of the first non-NULL value among [get 0 .. get (n - 1)],
+   text when there is none: how a computed column is typed *)
+let first_type (n : int) (get : int -> Value.t) : Catalog.Sqltype.t =
+  let rec scan r =
+    if r >= n then Catalog.Sqltype.TText
+    else match Value.type_of (get r) with Some ty -> ty | None -> scan (r + 1)
+  in
+  scan 0
+
 (* a planned SELECT's output as a source whose bindings [alias]
    qualifies; [run] also returns the source's operator node. The column
    types are known only once the SELECT has run. *)
@@ -1963,7 +2142,8 @@ let rec plan_from ~(resolve : resolver) ~(collect : bool)
           if List.mem lname expanding then
             Errors.invalid_object_definition
               "infinite recursion detected in rules for relation \"%s\"" lname;
-          plan_derived ~resolve ~collect ~expanding:(lname :: expanding) sel
+          plan_derived ~limits:[] ~resolve ~collect
+            ~expanding:(lname :: expanding) sel
             (Option.value alias ~default:name)
       | Table (base_bindings, batch) ->
           let qual = Some (Option.value alias ~default:name) in
@@ -1994,9 +2174,11 @@ let rec plan_from ~(resolve : resolver) ~(collect : bool)
                   node ));
           })
   | A.SubqueryRef (sel, alias) ->
-      plan_derived ~resolve ~collect ~expanding sel alias
+      plan_derived ~limits:[] ~resolve ~collect ~expanding sel alias
   | A.UnionRef (sels, alias) ->
-      let branches = List.map (plan_select ~resolve ~collect ~expanding) sels in
+      let branches =
+        List.map (plan_select ~limits:[] ~resolve ~collect ~expanding) sels
+      in
       let names =
         match branches with
         | [] -> Errors.syntax_error "empty UNION"
@@ -2179,10 +2361,11 @@ let rec plan_from ~(resolve : resolver) ~(collect : bool)
             (src, ltyped @ rtyped, node));
       }
 
-(* a derived table or an inlined view: the SELECT's output as a source *)
-and plan_derived ~resolve ~collect ~expanding (sel : A.select) (alias : string)
-    : from_plan =
-  let names, run = plan_select ~resolve ~collect ~expanding sel in
+(* a derived table or an inlined view: the SELECT's output as a source;
+   [limits] are the rank limits the enclosing query places on it *)
+and plan_derived ~limits ~resolve ~collect ~expanding (sel : A.select)
+    (alias : string) : from_plan =
+  let names, run = plan_select ~limits ~resolve ~collect ~expanding sel in
   derived_source names alias (fun () ->
       let o = run () in
       ( o,
@@ -2200,11 +2383,18 @@ and plan_derived ~resolve ~collect ~expanding (sel : A.select) (alias : string)
 (* Plan a SELECT: FROM tree, WHERE kernels, then either hash
    aggregation or windows + projections, then DISTINCT and
    ORDER BY/OFFSET/LIMIT.
-   Returns the output column names and the thunk that runs it. *)
-and plan_select ~resolve ~collect ~expanding (s : A.select) :
+   Returns the output column names and the thunk that runs it. [limits]
+   are the enclosing query's rank limits on this SELECT's columns (see
+   [rank_limits]); a FROM that is one derived table passes this WHERE's
+   limits down to it. *)
+and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
     string list * (unit -> output) =
   let fp =
     match s.A.from with
+    | Some (A.SubqueryRef (sub, alias)) ->
+        plan_derived
+          ~limits:(rank_limits alias s.A.where)
+          ~resolve ~collect ~expanding sub alias
     | Some f -> plan_from ~resolve ~collect ~expanding f
     | None -> values_plan ~collect
   in
@@ -2227,12 +2417,48 @@ and plan_select ~resolve ~collect ~expanding (s : A.select) :
     match s.A.having with Some h -> Exec.expr_has_agg h | None -> false
   in
   let out_names = List.mapi Exec.proj_name projs in
+  (* the rank-limit cut: the first limit whose column resolves, as the
+     enclosing WHERE would resolve it, to a bare row_number() projection
+     of a SELECT without aggregates, DISTINCT, ORDER BY, LIMIT or OFFSET
+     whose projections are all plain columns or windows. Its output is
+     then its rows in WHERE order and every computed column is a window
+     that numbers all of them, so each column's type is read from all
+     rows, as without the cut. *)
+  let top =
+    if
+      has_agg || s.A.distinct || s.A.order_by <> [] || s.A.limit <> None
+      || s.A.offset <> None
+      || not
+           (List.for_all
+              (fun p ->
+                match p.A.p_expr with
+                | A.Col _ | A.Window _ -> true
+                | _ -> false)
+              projs)
+    then None
+    else
+      let outs =
+        List.map
+          (fun n -> { Exec.b_qual = None; b_name = n; b_type = None })
+          out_names
+      in
+      List.find_map
+        (fun (c, k) ->
+          match (List.nth projs (Exec.find_binding outs None c)).A.p_expr with
+          | A.Window { win_fn; win_args = []; _ } as w
+            when String.lowercase_ascii win_fn = "row_number" ->
+              Some (w, k)
+          | _ -> None
+          | exception Errors.Sql_error _ -> None)
+        limits
+  in
   let order_exprs =
     List.map (fun (e, _) -> Exec.subst_aliases projs out_names e) s.A.order_by
   in
   (* the body's stage two: given the data, the surviving rows and the
-     opstats push, return the row-space size, each row's sort keys, and
-     the output columns for a final row order *)
+     opstats push, return the row-space size, each row's sort keys, the
+     output columns for a final row order, and the types of projections
+     typed before the final order (the cut's windows) *)
   let body :
       source ->
       data ->
@@ -2240,7 +2466,10 @@ and plan_select ~resolve ~collect ~expanding (s : A.select) :
       (op:string -> detail:string -> est_rows:int -> rows_in:int ->
       rows_out:int -> unit) ->
       (unit -> int) ->
-      int * Value.t list array * (int array -> ocol array) =
+      int
+      * Value.t list array
+      * (int array -> ocol array)
+      * (int -> Catalog.Sqltype.t option) =
     if has_agg then begin
       (* aggregate context: windows are out of scope, so every compile
          here sees none and a window anywhere falls back *)
@@ -2291,12 +2520,32 @@ and plan_select ~resolve ~collect ~expanding (s : A.select) :
           ~rows_in:(Array.length sel) ~rows_out:ng;
         ( ng,
           keys,
-          fun fin ->
-            Array.map (fun v -> Computed (Array.map (Array.get v) fin)) vals )
+          (fun fin ->
+            Array.map (fun v -> Computed (Array.map (Array.get v) fin)) vals),
+          fun _ -> None )
     end
     else begin
       let windows = select_windows projs s in
-      let wplans = List.map (plan_window sc) windows in
+      (* the cut window runs last, so every other window sees all rows;
+         each stage two returns the rows it keeps *)
+      let windows =
+        match top with
+        | Some (w, _) -> List.filter (fun x -> x <> w) windows @ [ w ]
+        | None -> windows
+      in
+      let wplans =
+        List.map
+          (fun w ->
+            match top with
+            | Some (tw, k) when w = tw -> plan_window_top sc w k
+            | _ ->
+                let fn, run = plan_window sc w in
+                ( fn,
+                  fun d ->
+                    let run = run d in
+                    fun sel nrows -> (run sel nrows, sel) ))
+          windows
+      in
       let scw = { bindings; windows } in
       let cprojs =
         List.map
@@ -2308,16 +2557,32 @@ and plan_select ~resolve ~collect ~expanding (s : A.select) :
       in
       let cord = List.map (compile_expr scw) order_exprs in
       fun src d sel push cur_est ->
-        let n = Array.length sel in
+        let kept = ref sel in
         let warrs =
           Array.of_list
             (List.map
                (fun (fn, wp) ->
-                 let a = wp d sel src.nrows in
+                 let a, rows = wp d !kept src.nrows in
                  push ~op:"vector_window" ~detail:fn ~est_rows:(cur_est ())
-                   ~rows_in:n ~rows_out:n;
+                   ~rows_in:(Array.length !kept) ~rows_out:(Array.length rows);
+                 kept := rows;
                  a)
                wplans)
+        in
+        let all = sel and sel = !kept in
+        let n = Array.length sel in
+        (* with the cut, a window projection's type: its first non-NULL
+           value over every row it saw; the cut window numbers them all *)
+        let pretyped k =
+          match (top, (List.nth projs k).A.p_expr) with
+          | Some (tw, _), w when w = tw ->
+              Some
+                (if Array.length all = 0 then Catalog.Sqltype.TText
+                 else Catalog.Sqltype.TBigint)
+          | Some _, (A.Window _ as w) ->
+              let a = warrs.(Option.get (index_of w windows)) in
+              Some (first_type (Array.length all) (fun t -> a.(all.(t))))
+          | _ -> None
         in
         let d = { d with win = Array.get warrs } in
         let cprojs =
@@ -2348,13 +2613,14 @@ and plan_select ~resolve ~collect ~expanding (s : A.select) :
           ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n;
         ( n,
           keys,
-          fun fin ->
+          (fun fin ->
             let rows = Array.map (Array.get sel) fin in
             Array.map
               (function
                 | `Plain j -> Through (src, j, rows)
                 | `Expr (_, v) -> Computed (Array.map (Array.get v) fin))
-              cprojs )
+              cprojs),
+          pretyped )
     end
   in
   ( out_names,
@@ -2410,7 +2676,7 @@ and plan_select ~resolve ~collect ~expanding (s : A.select) :
           (Batch.all_rows src.nrows) conjs
       in
       (* ---- aggregation or windows + projection *)
-      let n, keys, columns = body src d sel push cur_est in
+      let n, keys, columns, pretyped = body src d sel push cur_est in
       (* ---- DISTINCT keeps each output row's first occurrence *)
       let n, keys, columns =
         if not s.A.distinct then (n, keys, columns)
@@ -2489,20 +2755,13 @@ and plan_select ~resolve ~collect ~expanding (s : A.select) :
               | A.Col (q, c) ->
                   (List.nth typed (Exec.find_binding typed q c)).Exec.b_type
               | A.Cast (_, ty) -> Some ty
-              | _ -> None
+              | _ -> pretyped k
             in
             match declared with
             | Some ty -> ty
             | None ->
-                let vals = ocol_values cols.(k) (Batch.all_rows count) in
-                let rec scan r =
-                  if r >= count then Catalog.Sqltype.TText
-                  else
-                    match Value.type_of vals.(r) with
-                    | Some ty -> ty
-                    | None -> scan (r + 1)
-                in
-                scan 0)
+                first_type count
+                  (Array.get (ocol_values cols.(k) (Batch.all_rows count))))
           projs
       in
       { o_nrows = count; o_cols = cols; o_types = types; o_plan = !cur } )
@@ -2524,7 +2783,7 @@ type outcome = {
 }
 
 let run ~(resolve : resolver) ~(collect : bool) (s : A.select) : outcome =
-  let names, run = plan_select ~resolve ~collect ~expanding:[] s in
+  let names, run = plan_select ~limits:[] ~resolve ~collect ~expanding:[] s in
   let o = run () in
   let rows = rows_of_output o in
   Atomic.incr stats_vector;

@@ -219,7 +219,8 @@ let compute_window (ctx : eval_ctx) (rows : Value.t array array)
           let m = Array.length sorted in
           let fn = String.lowercase_ascii win_fn in
           (* frame bounds for aggregates; PG default with ORDER BY is
-             range unbounded preceding .. current row *)
+             range unbounded preceding .. current row. A frame wholly
+             outside the partition is empty (lo > hi). *)
           let bounds pos =
             match frame with
             | None ->
@@ -227,12 +228,12 @@ let compute_window (ctx : eval_ctx) (rows : Value.t array array)
             | Some { lo; hi; _ } ->
                 let b = function
                   | A.UnboundedPreceding -> 0
-                  | A.Preceding k -> Stdlib.max 0 (pos - k)
+                  | A.Preceding k -> pos - k
                   | A.CurrentRow -> pos
-                  | A.Following k -> Stdlib.min (m - 1) (pos + k)
+                  | A.Following k -> pos + k
                   | A.UnboundedFollowing -> m - 1
                 in
-                (b lo, b hi)
+                (Stdlib.max 0 (b lo), Stdlib.min (m - 1) (b hi))
           in
           let arg_at i =
             match win_args with
@@ -289,14 +290,16 @@ let compute_window (ctx : eval_ctx) (rows : Value.t array array)
           | "first_value" ->
               Array.iteri
                 (fun pos i ->
-                  let lo, _ = bounds pos in
-                  out.(i) <- arg_at sorted.(lo))
+                  let lo, hi = bounds pos in
+                  out.(i) <-
+                    (if lo > hi then Value.Null else arg_at sorted.(lo)))
                 sorted
           | "last_value" ->
               Array.iteri
                 (fun pos i ->
-                  let _, hi = bounds pos in
-                  out.(i) <- arg_at sorted.(hi))
+                  let lo, hi = bounds pos in
+                  out.(i) <-
+                    (if lo > hi then Value.Null else arg_at sorted.(hi)))
                 sorted
           | "ntile" ->
               let buckets =
@@ -324,7 +327,7 @@ let compute_window (ctx : eval_ctx) (rows : Value.t array array)
                   done;
                   out.(i) <-
                     (if fn = "count" && win_args = [] then
-                       Value.Int (Int64.of_int (hi - lo + 1))
+                       Value.Int (Int64.of_int (Stdlib.max 0 (hi - lo + 1)))
                      else apply_agg fn false !vals))
                 sorted
           | f -> Errors.undefined_function "unknown window function %s" f))

@@ -159,8 +159,9 @@ let test_vector_hash_join_node () =
 
 (* the paper's as-of join, as the serializer writes it, analyzed on the
    vectorized executor: every operator is a vector operator, the window
-   and derived-table nodes are there, the join names its residual, and
-   each node's rows_in is what its children produced *)
+   and derived-table nodes are there, the join names its residual, the
+   window cuts the join's fan-out to one row per trade, and each node's
+   rows_in is what its children produced *)
 let test_aj_all_vector_tree () =
   let db = marketdata_db () in
   let sess = Db.open_session db in
@@ -197,12 +198,16 @@ let test_aj_all_vector_tree () =
             (List.fold_left (fun a c -> a + c.Op.rows_out) 0 cs)
             m.Op.rows_in)
     nodes;
-  (* the window keeps every joined row; rn = 1 keeps one per trade *)
+  (* the rank-limit cut: the window keeps each trade's first row of the
+     join's fan-out, so rn = 1 sees one row per trade *)
+  let trades = Array.length (MD.generate MD.small_scale).MD.trades in
   let window = List.find (fun m -> m.Op.op = "vector_window") nodes in
-  check tint "window rows_out = join rows_out" join.Op.rows_out
-    window.Op.rows_out;
-  check tint "one row per trade" (Array.length (MD.generate MD.small_scale).MD.trades)
-    plan.Op.rows_out
+  check tint "window rows_out = one per trade" trades window.Op.rows_out;
+  check tbool "window rows_out < join rows_out" true
+    (window.Op.rows_out < join.Op.rows_out);
+  check tbool "window detail names the cut" true
+    (Str.string_match (Str.regexp ".*top 1") window.Op.detail 0);
+  check tint "one row per trade" trades plan.Op.rows_out
 
 let test_exec_off_collects_nothing () =
   let db = marketdata_db () in

@@ -8,10 +8,12 @@
    left-outer joins with null keys, single-node and over 2 hash
    partitions), differentials over window functions, nested derived
    tables, equi + residual joins, the translator's as-of join SQL, no
-   FROM, UNION ALL, views, cross and theta joins, DISTINCT and the
-   rejected shapes' errors, the 25 analytical queries,
-   plus targeted unit tests (3VL filters, selection-vector compaction,
-   empty batches, all-null columns, explain nodes) pin that down. *)
+   FROM, UNION ALL, views, cross and theta joins, DISTINCT, the
+   rank-limit cut (and the shapes it must leave alone) and the rejected
+   shapes' errors, the 25 analytical queries, plus targeted unit tests
+   (3VL filters, selection-vector compaction, empty batches, all-null
+   columns, empty window frames against PostgreSQL's values, explain
+   nodes) pin that down. *)
 
 module V = Pgdb.Value
 module Db = Pgdb.Db
@@ -814,6 +816,206 @@ let test_window_functions () =
       "SELECT t FROM w ORDER BY CASE WHEN k > 2 THEN v ELSE k END, t LIMIT 1";
     ]
 
+(* ROWS frames that lie wholly before or after the row are empty:
+   PostgreSQL's values, computed by hand for x = 1, 2, 3 *)
+let test_empty_frames () =
+  let db = Db.create () in
+  Db.load_table db
+    (S.table "e" [ S.column "x" Ty.TBigint ])
+    [ [| V.Int 1L |]; [| V.Int 2L |]; [| V.Int 3L |] ];
+  let sess = session db in
+  let before = "OVER (ORDER BY x ROWS BETWEEN 2 PRECEDING AND 1 PRECEDING)"
+  and after = "OVER (ORDER BY x ROWS BETWEEN 1 FOLLOWING AND 2 FOLLOWING)" in
+  let i n = V.Int (Int64.of_int n) and f x = V.Float x and null = V.Null in
+  List.iter
+    (fun (fn, frame, expected) ->
+      let sql =
+        Printf.sprintf "SELECT x, %s %s AS w FROM e ORDER BY x" fn frame
+      in
+      let a = run sess sql in
+      (match a with
+      | Ok (_, rows) ->
+          if Array.to_list (Array.map (fun r -> r.(1)) rows) <> expected then
+            Alcotest.failf "%s: not PostgreSQL's values" sql
+      | Error e -> Alcotest.failf "%s: %s" sql e);
+      check_same sql a (reference sess sql))
+    [
+      ("sum(x)", before, [ null; i 1; i 3 ]);
+      ("count(*)", before, [ i 0; i 1; i 2 ]);
+      ("count(x)", before, [ i 0; i 1; i 2 ]);
+      ("avg(x)", before, [ null; f 1.0; f 1.5 ]);
+      ("min(x)", before, [ null; i 1; i 1 ]);
+      ("max(x)", before, [ null; i 1; i 2 ]);
+      ("first_value(x)", before, [ null; i 1; i 1 ]);
+      ("last_value(x)", before, [ null; i 1; i 2 ]);
+      ("sum(x)", after, [ i 5; i 3; null ]);
+      ("count(*)", after, [ i 2; i 1; i 0 ]);
+      ("first_value(x)", after, [ i 2; i 3; null ]);
+      ("last_value(x)", after, [ i 3; i 3; null ]);
+      ("min(x)", after, [ i 2; i 3; null ]);
+      ("max(x)", after, [ i 3; i 3; null ]);
+    ]
+
+(* the window fixture plus [d]: date and time order keys, with ties and
+   NULLs, which the cut compares on their int payloads *)
+let cut_fixture () : Db.t =
+  let db = window_fixture () in
+  Db.load_table db
+    (S.table "d"
+       [
+         S.column "g" Ty.TVarchar;
+         S.column "day" Ty.TDate;
+         S.column "tm" Ty.TTime;
+       ])
+    [
+      [| V.Str "a"; V.Date 5; V.Time 3000 |];
+      [| V.Str "a"; V.Date 7; V.Null |];
+      [| V.Str "b"; V.Null; V.Time 1000 |];
+      [| V.Str "a"; V.Date 7; V.Time 3000 |];
+      [| V.Str "b"; V.Date 2; V.Time 2000 |];
+      [| V.Null; V.Date 1; V.Time 500 |];
+      [| V.Str "b"; V.Date 9; V.Time 2000 |];
+    ];
+  db
+
+(* the rank-limit cut: [row_number() <= k] outside a derived table keeps
+   each partition's first k rows inside the window stage; results must
+   be the reference's, which numbers every row and filters after *)
+let test_rank_limit_cut () =
+  let sess = session (cut_fixture ()) in
+  let cut ?(extra = "") over where =
+    Printf.sprintf
+      "SELECT * FROM (SELECT g, k, t, v%s, row_number() OVER (%s) AS rn FROM \
+       w) AS q WHERE %s"
+      extra over where
+  in
+  let overs =
+    [
+      (* ties in k; NULL k first under DESC; NULL partition *)
+      "PARTITION BY g ORDER BY k DESC";
+      "PARTITION BY g ORDER BY k";
+      (* NULL and tied float keys *)
+      "PARTITION BY g ORDER BY v DESC";
+      "PARTITION BY g ORDER BY v, t DESC";
+      "ORDER BY v DESC";
+      "ORDER BY g DESC, k";
+      "PARTITION BY k ORDER BY t DESC";
+      "PARTITION BY g";
+      (* expression keys and mixed kinds take the reference sort *)
+      "PARTITION BY g ORDER BY k * 2 DESC";
+      "PARTITION BY g ORDER BY CASE WHEN k > 2 THEN v ELSE k END";
+      "PARTITION BY CASE WHEN k > 2 THEN v ELSE k END ORDER BY t DESC";
+    ]
+  in
+  let wheres =
+    [
+      "q.rn = 1"; "rn = 1"; "1 = q.rn"; "q.rn <= 3"; "3 >= q.rn"; "q.rn < 2";
+      "2 > q.rn"; "q.rn = 2"; "q.rn <= 0"; "q.rn < 1"; "q.rn <= -1";
+      "q.rn = -2"; "q.rn <= 2 AND q.t > 20"; "q.t > 20 AND q.rn = 1";
+    ]
+  in
+  vector_differential sess
+    (List.concat_map (fun o -> List.map (cut o) wheres) overs
+    @ [
+        (* a second window in the same SELECT sees every row *)
+        cut
+          ~extra:
+            ", sum(v) OVER (PARTITION BY g) AS sv, count(*) OVER () AS n, \
+             lag(t) OVER (ORDER BY t) AS pt"
+          "PARTITION BY g ORDER BY t DESC" "q.rn = 1";
+        cut ~extra:", rank() OVER (PARTITION BY g ORDER BY k) AS rk"
+          "PARTITION BY g ORDER BY k" "q.rn <= 2";
+        (* the kept row's lag and every row of an empty cut are NULL: the
+           columns are typed from all the rows the windows saw *)
+        cut ~extra:", lag(t) OVER (ORDER BY t) AS pt" "ORDER BY t" "q.rn = 1";
+        cut ~extra:", lag(t) OVER (ORDER BY t) AS pt" "ORDER BY t" "q.rn < 1";
+        (* the inner SELECT's own WHERE *)
+        "SELECT q.t, q.rn FROM (SELECT t, row_number() OVER (PARTITION BY g \
+         ORDER BY v DESC) AS rn FROM w WHERE t > 10) AS q WHERE q.rn = 1";
+        (* partitions of 40 rows: k = 1 takes the one-pass selection, k = 2
+           and 3 the full window cut afterwards *)
+        "SELECT * FROM (SELECT a.g, a.t, b.t AS bt, row_number() OVER \
+         (PARTITION BY a.g ORDER BY b.v DESC, b.k) AS rn FROM w a CROSS JOIN \
+         w b) AS q WHERE q.rn = 1";
+        "SELECT * FROM (SELECT a.g, a.t, b.t AS bt, row_number() OVER \
+         (PARTITION BY a.g ORDER BY b.v DESC, b.k) AS rn FROM w a CROSS JOIN \
+         w b) AS q WHERE q.rn <= 2";
+        "SELECT * FROM (SELECT a.t, b.t AS bt, row_number() OVER (PARTITION \
+         BY a.k ORDER BY b.g, b.k DESC) AS rn FROM w a CROSS JOIN w b) AS q \
+         WHERE q.rn < 4";
+        (* date and time keys *)
+        "SELECT * FROM (SELECT g, day, tm, row_number() OVER (PARTITION BY g \
+         ORDER BY day DESC) AS rn FROM d) AS q WHERE q.rn = 1";
+        "SELECT * FROM (SELECT g, day, tm, row_number() OVER (PARTITION BY g \
+         ORDER BY tm, day DESC) AS rn FROM d) AS q WHERE q.rn <= 2";
+        "SELECT * FROM (SELECT g, day, tm, row_number() OVER (ORDER BY tm \
+         DESC) AS rn FROM d) AS q WHERE q.rn < 3";
+        (* a plain order column holding ints and floats *)
+        "SELECT * FROM (SELECT x.g, x.m, row_number() OVER (PARTITION BY x.g \
+         ORDER BY x.m DESC) AS rn FROM (SELECT g, CASE WHEN k > 2 THEN v \
+         ELSE k END AS m FROM w) AS x) AS q WHERE q.rn = 1";
+      ]);
+  (* text against a number in the order or partition keys raises; the
+     cut raises the reference's error *)
+  differential (cut_fixture ())
+    [
+      cut "PARTITION BY g ORDER BY CASE WHEN k > 2 THEN g ELSE k END"
+        "q.rn = 1";
+      cut "PARTITION BY CASE WHEN k > 2 THEN g ELSE k END ORDER BY t"
+        "q.rn = 1";
+      "SELECT * FROM (SELECT x.t, row_number() OVER (ORDER BY x.m) AS rn \
+       FROM (SELECT t, CASE WHEN k > 2 THEN g ELSE k END AS m FROM w) AS x) \
+       AS q WHERE q.rn = 1";
+    ];
+  (* the cut is the window node: every row in, the kept rows out *)
+  let n =
+    analyzed_node (cut "PARTITION BY g ORDER BY t DESC" "q.rn = 1")
+      "vector_window"
+  in
+  check Alcotest.string "cut detail" "row_number top 1" n.Op.detail;
+  check tint "cut rows in" 10 n.Op.rows_in;
+  check tint "cut rows out: one per partition" 4 n.Op.rows_out;
+  let n =
+    analyzed_node (cut "PARTITION BY g ORDER BY t DESC" "q.rn <= 2")
+      "vector_window"
+  in
+  check Alcotest.string "top 2 detail" "row_number top 2" n.Op.detail;
+  check tint "top 2 rows out" 7 n.Op.rows_out;
+  (* shapes that must not be cut: every window node keeps all its rows *)
+  let uncut =
+    [
+      cut "PARTITION BY g ORDER BY t" "q.rn = 1 OR q.t > 80";
+      cut "PARTITION BY g ORDER BY t" "q.rn > 1";
+      cut "PARTITION BY g ORDER BY t" "q.t = 1";
+      "SELECT * FROM (SELECT g, t, row_number() OVER (PARTITION BY g ORDER \
+       BY t) AS rn FROM w ORDER BY t LIMIT 6) AS q WHERE q.rn = 1";
+      "SELECT * FROM (SELECT g, t, row_number() OVER (PARTITION BY g ORDER \
+       BY t) AS rn FROM w ORDER BY t OFFSET 2) AS q WHERE q.rn = 1";
+      "SELECT * FROM (SELECT DISTINCT g, row_number() OVER (PARTITION BY g \
+       ORDER BY k) AS rn FROM w) AS q WHERE q.rn = 1";
+      "SELECT * FROM (SELECT g, t, rank() OVER (PARTITION BY g ORDER BY k) \
+       AS rn FROM w) AS q WHERE q.rn = 1";
+      "SELECT * FROM (SELECT g, t, row_number() OVER (PARTITION BY g ORDER \
+       BY t) + 0 AS rn FROM w) AS q WHERE q.rn = 1";
+      "SELECT q.g, w.t FROM (SELECT g, t, row_number() OVER (PARTITION BY g \
+       ORDER BY t) AS rn FROM w) AS q JOIN w ON q.t = w.t WHERE q.rn = 1";
+      (* the inner ORDER BY and computed columns are typed from the
+         output rows, so these keep every row *)
+      "SELECT * FROM (SELECT g, t, row_number() OVER (PARTITION BY g ORDER \
+       BY t) AS rn FROM w ORDER BY t DESC) AS q WHERE q.rn = 1";
+      "SELECT * FROM (SELECT g, t * 2 AS t2, row_number() OVER (PARTITION \
+       BY g ORDER BY t) AS rn FROM w) AS q WHERE q.rn = 1";
+    ]
+  in
+  vector_differential sess uncut;
+  List.iter
+    (fun sql ->
+      let n = analyzed_node sql "vector_window" in
+      check tbool ("no cut: " ^ sql) false
+        (Str.string_match (Str.regexp ".*top") n.Op.detail 0);
+      check tint ("window keeps every row: " ^ sql) n.Op.rows_in n.Op.rows_out)
+    uncut
+
 let test_derived_tables () =
   vector_differential (session (window_fixture ()))
     [
@@ -1073,6 +1275,8 @@ let () =
       ( "new shapes",
         [
           Alcotest.test_case "window functions" `Quick test_window_functions;
+          Alcotest.test_case "empty ROWS frames" `Quick test_empty_frames;
+          Alcotest.test_case "rank-limit cut" `Quick test_rank_limit_cut;
           Alcotest.test_case "derived tables" `Quick test_derived_tables;
           Alcotest.test_case "equi + residual joins" `Quick
             test_residual_joins;
