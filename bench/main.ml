@@ -295,8 +295,8 @@ let bench_materialization () =
     config.E.materialization <- strategy;
     let eng = make_engine ~config d in
     ignore (E.try_run eng setup);
-    let backend_log = (E.mdi eng).Hyperq.Mdi.backend.Hyperq.Backend.sql_log in
-    let before = List.length !backend_log in
+    let backend = (E.mdi eng).Hyperq.Mdi.backend in
+    let before = Hyperq.Backend.log_mark backend in
     let t0 = now () in
     for _ = 1 to invocations do
       match E.try_run eng (Printf.sprintf "f[`%s]" sym) with
@@ -304,7 +304,7 @@ let bench_materialization () =
       | Error e -> failwith e
     done;
     let ms = (now () -. t0) *. 1000.0 in
-    (ms, List.length !backend_log - before)
+    (ms, Hyperq.Backend.log_mark backend - before)
   in
   let lm, ls = run `Logical in
   let pm, ps = run `Physical in

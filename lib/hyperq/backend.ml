@@ -20,35 +20,40 @@ type t = {
   name : string;
   exec : string -> (reply, string) Stdlib.result;
       (** execute one SQL statement *)
-  sql_log : string list ref;  (** every statement sent, newest first *)
-  sql_count : int ref;  (** length of [sql_log], maintained so callers
-                            can bookmark and slice the log without
-                            walking it *)
+  sql_count : int ref;
+      (** statements sent since the backend was created — the bookmark
+          {!log_mark} hands out *)
+  request_sql : string list ref;
+      (** the statements of the current request only, newest first;
+          {!begin_request} empties it, so the backend holds no history
+          that grows with the number of requests *)
   decorate : (string -> string) ref;
       (** statement rewrite applied before logging and dispatch — the
           Gateway installs the sqlcommenter [traceparent] comment here
-          so the decorated text is what both [sql_log] and the backend
-          see *)
+          so the decorated text is what both [request_sql] and the
+          backend see *)
   on_exec : (string -> unit) ref;
       (** observer called with every statement as it is dispatched —
           {!Mdi} chains a DDL watcher here so catalog-changing
-          statements bump the catalog generation *)
+          statements bump the catalog generation; a caller that wants
+          every statement ever sent chains a recorder here too *)
 }
 
 let exec (b : t) (sql : string) : (reply, string) Stdlib.result =
   let sql = !(b.decorate) sql in
-  b.sql_log := sql :: !(b.sql_log);
+  b.request_sql := sql :: !(b.request_sql);
   incr b.sql_count;
   !(b.on_exec) sql;
   b.exec sql
 
+let begin_request (b : t) : unit = b.request_sql := []
 let log_mark (b : t) : int = !(b.sql_count)
 
 let sql_since (b : t) (mark : int) : string list =
   let rec go acc n l =
     match l with x :: tl when n > 0 -> go (x :: acc) (n - 1) tl | _ -> acc
   in
-  go [] (!(b.sql_count) - mark) !(b.sql_log)
+  go [] (!(b.sql_count) - mark) !(b.request_sql)
 
 let exec_exn (b : t) (sql : string) : reply =
   match exec b sql with
@@ -92,8 +97,8 @@ let of_pgdb_session (sess : Pgdb.Db.session) : t =
   {
     name = "pgdb-direct";
     exec;
-    sql_log = ref [];
     sql_count = ref 0;
+    request_sql = ref [];
     decorate = ref Fun.id;
     on_exec = ref ignore;
   }

@@ -18,30 +18,41 @@ type t = {
   name : string;
   exec : string -> (reply, string) Stdlib.result;
       (** execute one SQL statement *)
-  sql_log : string list ref;  (** every statement sent, newest first *)
-  sql_count : int ref;  (** length of [sql_log], maintained so callers
-                            can bookmark and slice the log without
-                            walking it *)
+  sql_count : int ref;
+      (** statements sent since the backend was created — the bookmark
+          {!log_mark} hands out *)
+  request_sql : string list ref;
+      (** the statements of the current request only, newest first;
+          {!begin_request} empties it, so the backend holds no history
+          that grows with the number of requests *)
   decorate : (string -> string) ref;
       (** statement rewrite applied before logging and dispatch — the
           Gateway installs the sqlcommenter [traceparent] comment here
-          so the decorated text is what both [sql_log] and the backend
-          see *)
+          so the decorated text is what both [request_sql] and the
+          backend see *)
   on_exec : (string -> unit) ref;
       (** observer called with every statement as it is dispatched —
           {!Mdi} chains a DDL watcher here so catalog-changing
-          statements bump the catalog generation *)
+          statements bump the catalog generation; a caller that wants
+          every statement ever sent chains a recorder here too *)
 }
 
-(** Execute a statement: apply [decorate], record the decorated text in
-    [sql_log], dispatch it. *)
+(** Execute a statement: apply [decorate], count it, record the
+    decorated text in [request_sql], dispatch it. *)
 val exec : t -> string -> (reply, string) Stdlib.result
 
-(** Statements logged so far (O(1)) — a bookmark for {!sql_since}. *)
+(** Start a new request: forget the previous request's statements. The
+    engine calls this at the start of every program; a shard cluster
+    calls it before each dispatch to a shard backend. *)
+val begin_request : t -> unit
+
+(** Statements sent so far (O(1)) — a bookmark for {!sql_since}. Counts
+    across requests, so the difference of two marks is the number of
+    statements sent between them. *)
 val log_mark : t -> int
 
-(** Statements logged since [mark], oldest first. Walks only the entries
-    added after the mark, never the whole log. *)
+(** Statements sent since [mark] within the current request, oldest
+    first. Walks only the entries added after the mark. *)
 val sql_since : t -> int -> string list
 
 val exec_exn : t -> string -> reply

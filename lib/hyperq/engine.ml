@@ -166,8 +166,8 @@ let create ?(config = default_config ()) ?mdi_config ?server_scope ?plan_cache
    histograms, and — when the endpoint has a query trace open — a child
    span of that trace. The same bracket also captures the
    coordinator-domain allocation delta ([Gc.allocated_bytes], ~25ns a
-   read) so attribution rides along for free: onto the stage timer
-   (full_spans) and as an attribute of the stage's trace span.
+   read) so attribution rides along for free, as an attribute of the
+   stage's trace span.
    Minor-collection deltas are captured once per query at the endpoint,
    not here: every minor collection stops all domains, so the count is
    process-wide and a per-stage delta would not attribute anything. *)
@@ -179,8 +179,7 @@ let stage (t : t) (s : Stage_timer.stage) (f : unit -> 'a) : 'a =
         ~finally:(fun () ->
           let d = Obs.Clock.seconds_since start in
           let alloc = Gc.allocated_bytes () -. a0 in
-          Stage_timer.record_alloc t.timer s d ~alloc_bytes:alloc
-            ~minor_gcs:0;
+          Stage_timer.record t.timer s d;
           if alloc > 0.0 then
             Obs.Ctx.add_attr t.obs "alloc_bytes"
               (Obs.Trace.Int (int_of_float alloc));
@@ -199,69 +198,9 @@ let fresh_temp (t : t) : string =
   t.temp_counter <- t.temp_counter + 1;
   Printf.sprintf "hq_temp_%d" t.temp_counter
 
-(* replace ConstRel nodes with materialized temp tables: the SQL dialect
-   has no VALUES-in-FROM, and Hyper-Q materializes Q table values into PG
-   objects anyway (Section 4.3) *)
-let rec materialize_const_rels (t : t) (r : I.rel) : I.rel =
-  match r with
-  | I.ConstRel { cols; rows } ->
-      let name = fresh_temp t in
-      let create =
-        A.CreateTable
-          {
-            ct_temp = true;
-            ct_name = name;
-            ct_cols =
-              List.map
-                (fun c -> { A.cd_name = c.I.cr_name; cd_type = c.I.cr_type })
-                cols;
-          }
-      in
-      (match Backend.exec t.backend (A.stmt_str create) with
-      | Ok _ -> ()
-      | Error e -> hq_error "backend" "materializing literal table: %s" e);
-      if rows <> [] then begin
-        let insert =
-          A.InsertValues
-            {
-              ins_table = name;
-              ins_cols = List.map (fun c -> c.I.cr_name) cols;
-              rows;
-            }
-        in
-        match Backend.exec t.backend (A.stmt_str insert) with
-        | Ok _ -> ()
-        | Error e -> hq_error "backend" "loading literal table: %s" e
-      end;
-      I.Get { table = name; cols; ordcol = None }
-  | I.Get _ -> r
-  | I.Project p -> I.Project { p with input = materialize_const_rels t p.input }
-  | I.Filter f -> I.Filter { f with input = materialize_const_rels t f.input }
-  | I.Join j ->
-      I.Join
-        {
-          j with
-          left = materialize_const_rels t j.left;
-          right = materialize_const_rels t j.right;
-        }
-  | I.AsofJoin a ->
-      I.AsofJoin
-        {
-          a with
-          left = materialize_const_rels t a.left;
-          right = materialize_const_rels t a.right;
-        }
-  | I.Aggregate a ->
-      I.Aggregate { a with input = materialize_const_rels t a.input }
-  | I.WindowOp w -> I.WindowOp { w with input = materialize_const_rels t w.input }
-  | I.Sort s -> I.Sort { s with input = materialize_const_rels t s.input }
-  | I.Limit l -> I.Limit { l with input = materialize_const_rels t l.input }
-  | I.Union rels -> I.Union (List.map (materialize_const_rels t) rels)
-
 (** Lower an XTRA tree to executable SQL text, running the Xformer and the
     serializer under their stage timers. *)
 let lower (t : t) (rel : I.rel) : string =
-  let rel = materialize_const_rels t rel in
   let optimized =
     stage t Stage_timer.Optimize (fun () ->
         Xformer.optimize ~config:t.config.xformer rel)
@@ -379,10 +318,9 @@ type run_result = {
 
 let execute_rel (t : t) (brel : Binder.bound_rel) : QV.t * string list =
   let sql_before = Backend.log_mark t.backend in
-  let rel = materialize_const_rels t brel.Binder.rel in
   let optimized =
     stage t Stage_timer.Optimize (fun () ->
-        Xformer.optimize ~config:t.config.xformer rel)
+        Xformer.optimize ~config:t.config.xformer brel.Binder.rel)
   in
   let sharded_run =
     match t.sharder with
@@ -440,8 +378,6 @@ let execute_rel (t : t) (brel : Binder.bound_rel) : QV.t * string list =
 
 (* a context-free scalar evaluates via a FROM-less SELECT *)
 let execute_scalar (t : t) (s : I.scalar) : QV.t =
-  let rel = I.Aggregate { input = I.ConstRel { cols = []; rows = [] }; keys = []; aggs = [] } in
-  ignore rel;
   let optimized =
     stage t Stage_timer.Optimize (fun () ->
         I.map_scalar
@@ -558,23 +494,25 @@ let run_program_uncached (t : t) (src : string) : run_result =
 module F = Qlang.Fingerprint
 
 (* A cacheable statement must be self-contained: a rel that reads a
-   session temp table (or still carries a literal table) depends on
-   state the generation counters do not version. *)
-let rec rel_mentions_temp (r : I.rel) : bool =
+   session temp table depends on state the generation counters do not
+   version. A literal table is inlined into the SQL, but its rows are
+   not literals the template could splice, so a template would only
+   ever match the same table again. *)
+let rec rel_reads_temp_or_literal (r : I.rel) : bool =
   match r with
   | I.Get { table; _ } ->
       String.length table >= 8
       && String.lowercase_ascii (String.sub table 0 8) = "hq_temp_"
   | I.ConstRel _ -> true
-  | I.Project p -> rel_mentions_temp p.input
-  | I.Filter f -> rel_mentions_temp f.input
-  | I.Join j -> rel_mentions_temp j.left || rel_mentions_temp j.right
-  | I.AsofJoin a -> rel_mentions_temp a.left || rel_mentions_temp a.right
-  | I.Aggregate a -> rel_mentions_temp a.input
-  | I.WindowOp w -> rel_mentions_temp w.input
-  | I.Sort s -> rel_mentions_temp s.input
-  | I.Limit l -> rel_mentions_temp l.input
-  | I.Union rels -> List.exists rel_mentions_temp rels
+  | I.Project p -> rel_reads_temp_or_literal p.input
+  | I.Filter f -> rel_reads_temp_or_literal f.input
+  | I.Join { left; right; _ } | I.AsofJoin { left; right; _ } ->
+      rel_reads_temp_or_literal left || rel_reads_temp_or_literal right
+  | I.Aggregate a -> rel_reads_temp_or_literal a.input
+  | I.WindowOp w -> rel_reads_temp_or_literal w.input
+  | I.Sort s -> rel_reads_temp_or_literal s.input
+  | I.Limit l -> rel_reads_temp_or_literal l.input
+  | I.Union rels -> List.exists rel_reads_temp_or_literal rels
 
 let cache_key (t : t) (fp : string) (sg : string) : Plancache.key =
   let session_gen, server_gen = Scopes.generations t.scopes in
@@ -700,7 +638,7 @@ let run_program_cached (t : t) (pc : Plancache.t) (src : string) : run_result =
                  && t.temp_counter = temps0
                  && Scopes.generations t.scopes = gens0
                  && Mdi.generation t.mdi = catalog0
-                 && not (rel_mentions_temp rel) ->
+                 && not (rel_reads_temp_or_literal rel) ->
               (* single read-only relational statement, no assignment, no
                  materialization, no catalog movement: install a template *)
               install_template t pc an ~params ~sql ~shape ~key ~src
@@ -728,6 +666,7 @@ let run_program_cached (t : t) (pc : Plancache.t) (src : string) : run_result =
     With the plan cache enabled, single-statement queries whose shape is
     cached skip the translation pipeline entirely. *)
 let run_program (t : t) (src : string) : run_result =
+  Backend.begin_request t.backend;
   t.last_sharded <- false;
   t.last_cache <- "off";
   (* one lexer pass, only when a sharder is listening: its router keys
@@ -795,7 +734,7 @@ let try_run (t : t) (src : string) : (run_result, string) result =
        terse signals (paper Section 5). The bound is enforced with an
        explicit length counter and amortized truncation — recomputing
        List.length and rebuilding the list on every failure made this
-       O(n²) across a failure burst (the sql_log bug class from PR 2) *)
+       O(n²) across a failure burst *)
     t.error_log <- (src, msg) :: t.error_log;
     t.error_count <- t.error_count + 1;
     if t.error_count > 2 * error_log_limit then begin

@@ -128,10 +128,32 @@ let rec select_of_rel (st : state) (r : I.rel) : A.select =
         projs = List.map (fun c -> A.proj (A.col c.I.cr_name)) cols;
         from = Some (A.TableRef (table, None));
       }
-  | I.ConstRel _ ->
-      error
-        "constant relations must be materialized before serialization \
-         (engine responsibility)"
+  | I.ConstRel { cols = []; _ } -> error "a literal table needs a column"
+  | I.ConstRel { cols; rows } ->
+      (* a Q literal table inlines as a derived table: one FROM-less
+         SELECT per row, each cell cast to its column's type; an empty
+         table is one all-NULL row under LIMIT 0 *)
+      let row lits =
+        {
+          A.empty_select with
+          projs =
+            List.map2
+              (fun c l ->
+                A.proj ~alias:c.I.cr_name (A.Cast (A.Lit l, c.I.cr_type)))
+              cols lits;
+        }
+      in
+      let parts =
+        match rows with
+        | [] ->
+            [ { (row (List.map (fun _ -> A.Null) cols)) with limit = Some 0 } ]
+        | rows -> List.map row rows
+      in
+      {
+        A.empty_select with
+        projs = List.map (fun c -> A.proj (A.col c.I.cr_name)) cols;
+        from = Some (A.UnionRef (parts, fresh_alias st "hq_c"));
+      }
   | I.Filter { input; pred } ->
       let s = select_of_rel st input in
       let p = sql_of_scalar st pred in

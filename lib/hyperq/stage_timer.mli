@@ -1,15 +1,17 @@
 (** Per-stage timing of the translation pipeline (paper Figures 6 and 7).
 
-    The engine wraps each pipeline stage in {!timed}; benchmarks read the
-    accumulated spans to reproduce the paper's translation-overhead and
+    The engine records each pipeline stage run here; benchmarks read the
+    per-stage totals to reproduce the paper's translation-overhead and
     stage-split figures. Durations come from the monotonic clock
     ({!Obs.Clock}), never from wall-clock time, so a stepping NTP clock
-    cannot record negative spans.
+    cannot record negative durations.
 
-    This is the lightweight per-session view; the engine mirrors every
-    recorded duration into the {!Obs.Metrics} per-stage histograms of its
-    observability context, which add cross-session aggregation and
-    percentiles. *)
+    The timer keeps one running total per stage and nothing else, so it
+    holds the same memory after a million queries as after one. The
+    engine mirrors every recorded duration into the {!Obs.Metrics}
+    per-stage histograms of its observability context, which add
+    cross-session aggregation and percentiles, and into the query's
+    trace, which keeps each stage run. *)
 
 type stage = Parse | Algebrize | Optimize | Serialize | Execute | Pivot
 
@@ -22,47 +24,15 @@ type t
 
 val create : unit -> t
 
-(** Drop all recorded spans (call between measured queries). *)
+(** Zero every total (call between measured queries). *)
 val reset : t -> unit
 
-(** One recorded stage run: duration plus the coordinator-domain Gc
-    deltas measured across it (0 when only timed). *)
-type span = {
-  sp_stage : stage;
-  sp_seconds : float;
-  sp_alloc_bytes : float;
-  sp_minor_gcs : int;
-}
-
-(** Record one span of [seconds] under the stage (no allocation data). *)
-val record : t -> stage -> float -> unit
-
-(** Record one span with its measured Gc deltas. *)
-val record_alloc :
-  t -> stage -> float -> alloc_bytes:float -> minor_gcs:int -> unit
-
-(** Run a thunk, recording its monotonic duration and its
-    [Gc.allocated_bytes] delta under the stage (also on raise).
-    Minor-collection deltas are per-query, captured by the endpoint —
-    [Gc.quick_stat] sums across all domains and is too slow to bracket
-    every stage. Spans accumulate: a stage that runs several times per
+(** Add one stage run of [seconds]. A stage that runs several times per
     query (e.g. repeated algebrization of unrolled functions) sums up. *)
-val timed : t -> stage -> (unit -> 'a) -> 'a
-
-(** Recorded (stage, seconds) spans in recording order. *)
-val spans : t -> (stage * float) list
-
-(** Recorded spans with allocation detail, in recording order. *)
-val full_spans : t -> span list
+val record : t -> stage -> float -> unit
 
 (** Total seconds recorded for one stage since the last {!reset}. *)
 val total : t -> stage -> float
-
-(** Total bytes allocated / minor collections recorded for one stage
-    since the last {!reset}. *)
-val alloc_total : t -> stage -> float
-
-val minor_gcs_total : t -> stage -> int
 
 (** Sum of the four translation stages (parse + algebrize + optimize +
     serialize). *)

@@ -93,7 +93,10 @@ type t = {
   explain : explain_hooks option;
       (** supplied by the platform; powers [.hq.explain] and sampling *)
   mutable phase : phase;
-  mutable pending : string;
+  pending : Buffer.t;  (** received bytes not yet consumed *)
+  mutable frame_total : int;
+      (** length of the frame at the start of [pending] once its header
+          is in, -1 before *)
   mutable client_version : int;
 }
 
@@ -109,7 +112,8 @@ let create ?(users = [ ("trader", "pwd") ]) ?obs ?shards_info ?explain
     shards_info;
     explain;
     phase = Handshake;
-    pending = "";
+    pending = Buffer.create 256;
+    frame_total = -1;
     client_version = 3;
   }
 
@@ -835,205 +839,274 @@ let record_workload (t : t) ~(norm : string) ~(fp : string)
 (* Byte-level protocol handling                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* the reply to one decoded message of [consumed] bytes *)
+let reply_to (t : t) (msg : Qipc.Codec.message) ~(consumed : int) : string =
+  match msg.Qipc.Codec.body with
+  | Qipc.Codec.Query text -> (
+      match admin_reply t text with
+      | Some v ->
+          (* answered in-band, backend untouched *)
+          Qipc.Codec.encode_message
+            { mt = Qipc.Codec.Response; body = Qipc.Codec.Value v }
+      | None ->
+          let sql_before = sql_statement_count t in
+          (* fingerprint once; the session registry, the
+             statistics store and the recorder all key on
+             the same normalization *)
+          let norm = Qlang.Fingerprint.normalize text in
+          let fp = Qlang.Fingerprint.of_normalized norm in
+          Obs.Sessions.query_started t.session ~query:norm
+            ~fingerprint:fp;
+          (* opt-in tail sampling: every Nth query runs
+             with operator-stats collection on and lands
+             in the explain ring like an .hq.explain *)
+          let sampled =
+            match t.explain with
+            | Some eh -> eh.eh_sample ()
+            | None -> false
+          in
+          let captured = ref None in
+          let pr =
+            Fun.protect
+              ~finally:(fun () ->
+                (match t.explain with
+                | Some eh when sampled ->
+                    eh.eh_set_analyze false
+                | _ -> ());
+                Obs.Sessions.query_finished t.session)
+              (fun () ->
+                (match t.explain with
+                | Some eh when sampled ->
+                    eh.eh_set_analyze true
+                | _ -> ());
+                let r =
+                  traced_process t text ~bytes_in:consumed
+                in
+                (* read the trees before ~finally clears
+                   them with collection *)
+                (match t.explain with
+                | Some eh when sampled ->
+                    captured :=
+                      Some
+                        ( eh.eh_plan (),
+                          eh.eh_route (),
+                          eh.eh_shard_plans () )
+                | _ -> ());
+                r)
+          in
+          let result = pr.pr_result in
+          let root = pr.pr_root in
+          let duration = pr.pr_duration in
+          let trace_id = pr.pr_trace_id in
+          let summary =
+            match (!captured, result) with
+            | Some (coord, route, shard_plans), Ok _ ->
+                Some
+                  (offer_explain t ~norm ~fp ~trace_id
+                     ~duration ~route
+                     ~coord ~shard_plans)
+            | _ -> None
+          in
+          let reply =
+            match result with
+            | Ok (Some v) ->
+                Qipc.Codec.encode_message
+                  {
+                    mt = Qipc.Codec.Response;
+                    body = Qipc.Codec.Value v;
+                  }
+            | Ok None ->
+                (* definitions return the identity-ish unit
+                   value *)
+                Qipc.Codec.encode_message
+                  {
+                    mt = Qipc.Codec.Response;
+                    body = Qipc.Codec.Value (QV.List [||]);
+                  }
+            | Error e ->
+                M.inc t.m.query_errors_total;
+                Qipc.Codec.encode_message
+                  {
+                    mt = Qipc.Codec.Response;
+                    body = Qipc.Codec.Error e;
+                  }
+          in
+          Obs.Trace.set_span_attr root "qipc_bytes_out"
+            (Obs.Trace.Int (String.length reply));
+          emit_query_event t ~text ~sql_before ~result ~duration
+            ~bytes_in:consumed ~bytes_out:(String.length reply)
+            root;
+          record_workload t ~norm ~fp ~trace_id ~sql_before
+            ?ops:(Option.map (fun s -> s.xs_doc) summary)
+            ?top_operator:
+              (Option.map (fun s -> s.xs_top_operator) summary)
+            ~result ~duration ~bytes_in:consumed
+            ~bytes_out:(String.length reply)
+            ~alloc_bytes:pr.pr_alloc_bytes
+            ~minor_gcs:pr.pr_minor_gcs root;
+          (* est-vs-actual feedback keyed on the same
+             fingerprint record the line above created *)
+          Option.iter
+            (fun s ->
+              Obs.Qstats.record_cardinality
+                t.obs.Obs.Ctx.qstats ~fingerprint:fp
+                ~rows_scanned:s.xs_rows_scanned
+                ~qerror:s.xs_worst_qerror ~op:s.xs_worst_op)
+            summary;
+          Obs.Log.info t.obs.Obs.Ctx.log ~trace_id
+            ~conn_id:t.session.Obs.Sessions.s_conn
+            "query completed"
+            [
+              ("fingerprint", Obs.Events.Str fp);
+              ( "status",
+                Obs.Events.Str
+                  (match result with
+                  | Ok _ -> "ok"
+                  | Error _ -> "error") );
+              ("duration_ms", Obs.Events.Float (duration *. 1e3));
+            ];
+          reply)
+  | Qipc.Codec.Value _ | Qipc.Codec.Error _ ->
+      Qipc.Codec.encode_message
+        {
+          mt = Qipc.Codec.Response;
+          body = Qipc.Codec.Error "endpoint expects query messages";
+        }
+
+(* the longest handshake accepted: "user:password", a version byte and
+   the NUL. A peer that sends more without a NUL is not a Q client. *)
+let max_handshake_bytes = 4096
+
+(* a log line and a closed connection, no reply (kdb+ just closes) *)
+let refuse (t : t) (why : string) (fields : (string * Obs.Events.field) list) =
+  Obs.Log.warn t.obs.Obs.Ctx.log ~conn_id:t.session.Obs.Sessions.s_conn why
+    fields;
+  t.phase <- Closed;
+  Buffer.reset t.pending
+
+(* decode and answer every whole frame in [t.pending]; keep the bytes of
+   a frame still arriving. The header of that frame is read once, when
+   its 8 bytes are in, so a frame that arrives a byte at a time costs no
+   allocation per byte beyond the buffer's doubling. *)
+let serve_frames (t : t) : string =
+  let buf = t.pending in
+  if Buffer.length buf < max 8 t.frame_total then "" (* still arriving *)
+  else begin
+    let out = ref [] in
+    let malformed e =
+      Obs.Log.warn t.obs.Obs.Ctx.log ~conn_id:t.session.Obs.Sessions.s_conn
+        "malformed message"
+        [ ("error", Obs.Events.Str e) ];
+      out :=
+        Qipc.Codec.encode_message
+          {
+            mt = Qipc.Codec.Response;
+            body = Qipc.Codec.Error ("malformed message: " ^ e);
+          }
+        :: !out;
+      t.phase <- Closed
+    in
+    (* serve the frame at [pos]; the offset of the first byte kept *)
+    let rec next pos =
+      let avail = Buffer.length buf - pos in
+      (if t.frame_total < 0 && avail >= 8 then
+         match Qipc.Codec.frame_length (Buffer.sub buf pos 8) 0 with
+         | total -> t.frame_total <- total
+         | exception Qipc.Codec.Decode_error e -> malformed e);
+      let total = t.frame_total in
+      if t.phase <> Connected || total < 0 || avail < total then pos
+      else begin
+        t.frame_total <- -1;
+        match Qipc.Codec.decode_frame (Buffer.sub buf pos total) 0 with
+        | exception Qipc.Codec.Decode_error e ->
+            malformed e;
+            pos
+        | exception Qipc.Codec.Incomplete ->
+            malformed "frame shorter than its header says";
+            pos
+        | msg, _ ->
+            let reply = reply_to t msg ~consumed:total in
+            (* async messages get no response *)
+            if msg.Qipc.Codec.mt <> Qipc.Codec.Async then out := reply :: !out;
+            next (pos + total)
+      end
+    in
+    let pos = next 0 in
+    if t.phase = Closed then Buffer.reset buf
+    else if pos > 0 then begin
+      (* the kept tail arrived in this call: the frame before it was
+         completed by this call's bytes, so the copy is linear overall *)
+      let rest = Buffer.sub buf pos (Buffer.length buf - pos) in
+      Buffer.reset buf;
+      Buffer.add_string buf rest
+    end;
+    String.concat "" (List.rev !out)
+  end
+
+(* the bytes up to the handshake's NUL: authenticate, then serve any
+   frames that followed it in the same bytes *)
+let handshake (t : t) ~(from : int) : string =
+  let buf = t.pending in
+  let n = Buffer.length buf in
+  let rec nul i =
+    if i >= n then None
+    else if Buffer.nth buf i = '\000' then Some i
+    else nul (i + 1)
+  in
+  match nul from with
+  | None when n < max_handshake_bytes -> "" (* wait for more bytes *)
+  | Some z when z < max_handshake_bytes -> (
+      let hello = Buffer.sub buf 0 (z + 1) in
+      let rest = Buffer.sub buf (z + 1) (n - z - 1) in
+      Buffer.reset buf;
+      Buffer.add_string buf rest;
+      match Qipc.Codec.decode_handshake hello with
+      | exception Qipc.Codec.Decode_error e ->
+          refuse t "handshake rejected" [ ("error", Obs.Events.Str e) ];
+          ""
+      | h when authenticate t h ->
+          t.phase <- Connected;
+          t.client_version <- min h.Qipc.Codec.version 3;
+          Obs.Sessions.set_user t.session h.Qipc.Codec.user;
+          Obs.Log.info t.obs.Obs.Ctx.log
+            ~conn_id:t.session.Obs.Sessions.s_conn "connection accepted"
+            [
+              ("user", Obs.Events.Str h.Qipc.Codec.user);
+              ("qipc_version", Obs.Events.Int t.client_version);
+            ];
+          Qipc.Codec.handshake_accept ~version:t.client_version
+          ^ serve_frames t
+      | h ->
+          M.inc t.m.auth_failures_total;
+          refuse t "handshake rejected"
+            [ ("user", Obs.Events.Str h.Qipc.Codec.user) ];
+          "")
+  | _ ->
+      refuse t "handshake too long"
+        [
+          ("bytes", Obs.Events.Int n);
+          ("limit", Obs.Events.Int max_handshake_bytes);
+        ];
+      ""
+
 (** Feed client bytes in; returns the bytes to send back. An authentication
-    failure closes the connection (kdb+ behaviour: the server just closes;
-    we additionally surface a flag via [phase]). A malformed message frame
-    gets one QIPC error reply and closes the connection; an incomplete one
-    waits for the next [feed]. *)
+    failure, or a handshake longer than {!max_handshake_bytes} without its
+    NUL, closes the connection with no reply (kdb+ behaviour: the server
+    just closes). A malformed message frame gets one QIPC error reply and
+    closes the connection; an incomplete one waits for the next [feed].
+    Bytes after the handshake's NUL are served as frames at once. *)
 let feed (t : t) (bytes : string) : string =
   M.add t.m.qipc_bytes_in (String.length bytes);
-  t.pending <- t.pending ^ bytes;
   let reply_bytes =
     match t.phase with
     | Closed -> ""
-    | Handshake -> (
-        match Qipc.Codec.decode_handshake t.pending with
-        | exception Qipc.Codec.Decode_error _ -> "" (* wait for more bytes *)
-        | h ->
-            t.pending <- "";
-            if authenticate t h then begin
-              t.phase <- Connected;
-              t.client_version <- min h.Qipc.Codec.version 3;
-              Obs.Sessions.set_user t.session h.Qipc.Codec.user;
-              Obs.Log.info t.obs.Obs.Ctx.log
-                ~conn_id:t.session.Obs.Sessions.s_conn "connection accepted"
-                [
-                  ("user", Obs.Events.Str h.Qipc.Codec.user);
-                  ("qipc_version", Obs.Events.Int t.client_version);
-                ];
-              Qipc.Codec.handshake_accept ~version:t.client_version
-            end
-            else begin
-              M.inc t.m.auth_failures_total;
-              Obs.Log.warn t.obs.Obs.Ctx.log
-                ~conn_id:t.session.Obs.Sessions.s_conn "handshake rejected"
-                [ ("user", Obs.Events.Str h.Qipc.Codec.user) ];
-              t.phase <- Closed;
-              ""
-            end)
+    | Handshake ->
+        let from = Buffer.length t.pending in
+        Buffer.add_string t.pending bytes;
+        handshake t ~from
     | Connected ->
-        let out = Buffer.create 64 in
-        let data = t.pending in
-        let pos = ref 0 in
-        let progress = ref true in
-        while !progress do
-          progress := false;
-          match Qipc.Codec.decode_frame data !pos with
-          | exception Qipc.Codec.Incomplete -> ()
-          | exception Qipc.Codec.Decode_error e ->
-              Obs.Log.warn t.obs.Obs.Ctx.log
-                ~conn_id:t.session.Obs.Sessions.s_conn "malformed message"
-                [ ("error", Obs.Events.Str e) ];
-              Buffer.add_string out
-                (Qipc.Codec.encode_message
-                   {
-                     mt = Qipc.Codec.Response;
-                     body = Qipc.Codec.Error ("malformed message: " ^ e);
-                   });
-              pos := String.length data;
-              t.phase <- Closed
-          | msg, consumed ->
-              pos := !pos + consumed;
-              progress := true;
-              let reply =
-                match msg.Qipc.Codec.body with
-                | Qipc.Codec.Query text -> (
-                    match admin_reply t text with
-                    | Some v ->
-                        (* answered in-band, backend untouched *)
-                        Qipc.Codec.encode_message
-                          { mt = Qipc.Codec.Response; body = Qipc.Codec.Value v }
-                    | None ->
-                        let sql_before = sql_statement_count t in
-                        (* fingerprint once; the session registry, the
-                           statistics store and the recorder all key on
-                           the same normalization *)
-                        let norm = Qlang.Fingerprint.normalize text in
-                        let fp = Qlang.Fingerprint.of_normalized norm in
-                        Obs.Sessions.query_started t.session ~query:norm
-                          ~fingerprint:fp;
-                        (* opt-in tail sampling: every Nth query runs
-                           with operator-stats collection on and lands
-                           in the explain ring like an .hq.explain *)
-                        let sampled =
-                          match t.explain with
-                          | Some eh -> eh.eh_sample ()
-                          | None -> false
-                        in
-                        let captured = ref None in
-                        let pr =
-                          Fun.protect
-                            ~finally:(fun () ->
-                              (match t.explain with
-                              | Some eh when sampled ->
-                                  eh.eh_set_analyze false
-                              | _ -> ());
-                              Obs.Sessions.query_finished t.session)
-                            (fun () ->
-                              (match t.explain with
-                              | Some eh when sampled ->
-                                  eh.eh_set_analyze true
-                              | _ -> ());
-                              let r =
-                                traced_process t text ~bytes_in:consumed
-                              in
-                              (* read the trees before ~finally clears
-                                 them with collection *)
-                              (match t.explain with
-                              | Some eh when sampled ->
-                                  captured :=
-                                    Some
-                                      ( eh.eh_plan (),
-                                        eh.eh_route (),
-                                        eh.eh_shard_plans () )
-                              | _ -> ());
-                              r)
-                        in
-                        let result = pr.pr_result in
-                        let root = pr.pr_root in
-                        let duration = pr.pr_duration in
-                        let trace_id = pr.pr_trace_id in
-                        let summary =
-                          match (!captured, result) with
-                          | Some (coord, route, shard_plans), Ok _ ->
-                              Some
-                                (offer_explain t ~norm ~fp ~trace_id
-                                   ~duration ~route
-                                   ~coord ~shard_plans)
-                          | _ -> None
-                        in
-                        let reply =
-                          match result with
-                          | Ok (Some v) ->
-                              Qipc.Codec.encode_message
-                                {
-                                  mt = Qipc.Codec.Response;
-                                  body = Qipc.Codec.Value v;
-                                }
-                          | Ok None ->
-                              (* definitions return the identity-ish unit
-                                 value *)
-                              Qipc.Codec.encode_message
-                                {
-                                  mt = Qipc.Codec.Response;
-                                  body = Qipc.Codec.Value (QV.List [||]);
-                                }
-                          | Error e ->
-                              M.inc t.m.query_errors_total;
-                              Qipc.Codec.encode_message
-                                {
-                                  mt = Qipc.Codec.Response;
-                                  body = Qipc.Codec.Error e;
-                                }
-                        in
-                        Obs.Trace.set_span_attr root "qipc_bytes_out"
-                          (Obs.Trace.Int (String.length reply));
-                        emit_query_event t ~text ~sql_before ~result ~duration
-                          ~bytes_in:consumed ~bytes_out:(String.length reply)
-                          root;
-                        record_workload t ~norm ~fp ~trace_id ~sql_before
-                          ?ops:(Option.map (fun s -> s.xs_doc) summary)
-                          ?top_operator:
-                            (Option.map (fun s -> s.xs_top_operator) summary)
-                          ~result ~duration ~bytes_in:consumed
-                          ~bytes_out:(String.length reply)
-                          ~alloc_bytes:pr.pr_alloc_bytes
-                          ~minor_gcs:pr.pr_minor_gcs root;
-                        (* est-vs-actual feedback keyed on the same
-                           fingerprint record the line above created *)
-                        Option.iter
-                          (fun s ->
-                            Obs.Qstats.record_cardinality
-                              t.obs.Obs.Ctx.qstats ~fingerprint:fp
-                              ~rows_scanned:s.xs_rows_scanned
-                              ~qerror:s.xs_worst_qerror ~op:s.xs_worst_op)
-                          summary;
-                        Obs.Log.info t.obs.Obs.Ctx.log ~trace_id
-                          ~conn_id:t.session.Obs.Sessions.s_conn
-                          "query completed"
-                          [
-                            ("fingerprint", Obs.Events.Str fp);
-                            ( "status",
-                              Obs.Events.Str
-                                (match result with
-                                | Ok _ -> "ok"
-                                | Error _ -> "error") );
-                            ("duration_ms", Obs.Events.Float (duration *. 1e3));
-                          ];
-                        reply)
-                | Qipc.Codec.Value _ | Qipc.Codec.Error _ ->
-                    Qipc.Codec.encode_message
-                      {
-                        mt = Qipc.Codec.Response;
-                        body = Qipc.Codec.Error "endpoint expects query messages";
-                      }
-              in
-              (* async messages get no response *)
-              if msg.Qipc.Codec.mt <> Qipc.Codec.Async then
-                Buffer.add_string out reply
-        done;
-        t.pending <- String.sub data !pos (String.length data - !pos);
-        Buffer.contents out
+        Buffer.add_string t.pending bytes;
+        serve_frames t
   in
   M.add t.m.qipc_bytes_out (String.length reply_bytes);
   reply_bytes

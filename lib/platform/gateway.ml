@@ -91,9 +91,10 @@ let wire_backend ?(user = "app") ?(password = "secret")
   in
   (* sqlcommenter-style correlation: while a query trace is open, every
      statement the translator dispatches gets the W3C traceparent appended
-     as a trailing comment. Backend.exec applies this before logging, so
-     the decorated text is what sql_log records and what the backend's SQL
-     lexer sees (it skips the comment as whitespace). *)
+     as a trailing comment. Backend.exec applies this before recording,
+     so the decorated text is what the request's statement list and
+     [on_exec] observers see, and what the backend's SQL lexer sees (it
+     skips the comment as whitespace). *)
   let decorate sql =
     match Obs.Ctx.trace_ids obs with
     | Some (trace_id, span_id) ->
@@ -105,8 +106,8 @@ let wire_backend ?(user = "app") ?(password = "secret")
   {
     Hyperq.Backend.name = "pg-wire";
     exec;
-    sql_log = ref [];
     sql_count = ref 0;
+    request_sql = ref [];
     decorate = ref decorate;
     on_exec = ref ignore;
   }

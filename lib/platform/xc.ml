@@ -36,8 +36,6 @@ let pt_state_name = function
 type event =
   | Query_arrived of string
   | Request_parsed of string
-  | Backend_started
-  | Backend_finished
   | Translation_done of (Qvalue.Value.t option, string) result
   | Response_sent
 
@@ -46,7 +44,9 @@ type t = {
   events : event Queue.t;
   mutable pt : pt_state;
   mutable qt : qt_state;
-  mutable transitions : string list;  (** newest first, for observability *)
+  mutable transitions : string list;
+      (** the states of the request in flight (or the last one), newest
+          first; {!process} starts it afresh *)
   mutable pending_result : (Qvalue.Value.t option, string) result option;
 }
 
@@ -66,15 +66,10 @@ let create (make_engine : Hyperq.Backend.t -> Hyperq.Engine.t)
         (fun sql ->
           (match !t_ref with
           | Some t when t.pt <> PT_Awaiting_backend ->
-              Queue.add Backend_started t.events;
               transition t PT_Awaiting_backend
           | _ -> ());
           let r = backend.Hyperq.Backend.exec sql in
-          (match !t_ref with
-          | Some t ->
-              Queue.add Backend_finished t.events;
-              transition t PT_Awaiting_translation
-          | None -> ());
+          Option.iter (fun t -> transition t PT_Awaiting_translation) !t_ref;
           r);
     }
   in
@@ -114,9 +109,6 @@ let step (t : t) : bool =
           in
           t.qt <- QT_Idle;
           Queue.add (Translation_done result) t.events
-      | Backend_started | Backend_finished ->
-          (* transitions already recorded by the instrumented backend *)
-          ()
       | Translation_done result ->
           transition t PT_Translating_results;
           t.pending_result <- Some result;
@@ -128,6 +120,7 @@ let step (t : t) : bool =
 let process (t : t) (source : string) : (Qvalue.Value.t option, string) result
     =
   t.pending_result <- None;
+  t.transitions <- [ pt_state_name t.pt ];
   Queue.add (Query_arrived source) t.events;
   while step t do
     ()

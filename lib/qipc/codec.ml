@@ -346,9 +346,9 @@ let encode_message ?(compress = true) (m : message) : string =
   else raw
 
 (* The header of the frame at [off]: message type, compressed flag and
-   total length. [Incomplete] until the whole frame is there;
+   total length. [Incomplete] until the 8 header bytes are there;
    [Decode_error] for a header more bytes cannot fix. *)
-let open_frame data off =
+let frame_header data off =
   if String.length data - off < 8 then raise Incomplete;
   let r = { data; pos = off; lim = off + 8 } in
   if get_u8 r <> 1 then decode_error "big-endian peers are not supported";
@@ -357,8 +357,20 @@ let open_frame data off =
   let _reserved = get_u8 r in
   let total = get_i32 r in
   if total < 8 then decode_error "message length %d below the header" total;
-  if total > String.length data - off then raise Incomplete;
   (mt, compressed, total)
+
+(** The total length, header included, of the frame whose header starts
+    at [off]. Raises [Incomplete] while fewer than 8 bytes are there and
+    [Decode_error] for a header no further bytes can fix. *)
+let frame_length (data : string) (off : int) : int =
+  let _, _, total = frame_header data off in
+  total
+
+(* [frame_header], and [Incomplete] until the whole frame is there *)
+let open_frame data off =
+  let ((_, _, total) as h) = frame_header data off in
+  if total > String.length data - off then raise Incomplete;
+  h
 
 (** Decode the QIPC message that starts at [off] in [data]; returns it
     and the number of bytes it occupies. Compressed messages are

@@ -279,6 +279,15 @@ let refresh_saturation (t : t) : unit =
       end)
     (Pool.worker_stats t.c_pool)
 
+(* send one statement to a shard's backend, on the worker domain the
+   shard is pinned to. Each dispatch is its own request for the shard
+   backend, so it keeps only this statement. *)
+let shard_exec (sh : shard) (sql : string) : (B.reply, string) result =
+  Atomic.incr sh.s_statements;
+  ignore (Atomic.fetch_and_add sh.s_sql_bytes (String.length sql));
+  B.begin_request sh.s_backend;
+  B.exec sh.s_backend sql
+
 (* run [sql] on the given shards through the domain pool (shard i is
    pinned to worker i mod workers) and collect row results in shard
    order.
@@ -320,14 +329,11 @@ let fan_out (t : t) ~(targets : int list) (sql : string) :
                     sh.s_obs.Obs.Ctx.trace <- None
                 | None -> ())
               (fun () ->
-                Atomic.incr sh.s_statements;
-                ignore
-                  (Atomic.fetch_and_add sh.s_sql_bytes (String.length sql));
                 let start = Obs.Clock.now_ns () in
                 (* Gc.allocated_bytes is domain-local: this delta is the
                    worker domain's allocation for this one dispatch *)
                 let a0 = Gc.allocated_bytes () in
-                let r = B.exec sh.s_backend sql in
+                let r = shard_exec sh sql in
                 let alloc = Gc.allocated_bytes () -. a0 in
                 if alloc > 0.0 then M.add sh.s_alloc (int_of_float alloc);
                 M.observe sh.s_hist (Obs.Clock.seconds_since start);
@@ -470,11 +476,7 @@ let broadcast_exn (t : t) (sql : string) : unit =
        (fun i ->
          ( i,
            fun () ->
-             let sh = t.c_shards.(i) in
-             Atomic.incr sh.s_statements;
-             ignore
-               (Atomic.fetch_and_add sh.s_sql_bytes (String.length sql));
-             match B.exec sh.s_backend sql with
+             match shard_exec t.c_shards.(i) sql with
              | Ok _ -> ()
              | Error e -> failwith e ))
        (all_shards t))
@@ -530,12 +532,7 @@ let mirror_distributed_insert (t : t) (table : string) (dist : string)
                      Some
                        ( i,
                          fun () ->
-                           let sh = t.c_shards.(i) in
-                           Atomic.incr sh.s_statements;
-                           ignore
-                             (Atomic.fetch_and_add sh.s_sql_bytes
-                                (String.length stmt));
-                           match B.exec sh.s_backend stmt with
+                           match shard_exec t.c_shards.(i) stmt with
                            | Ok _ -> ()
                            | Error e -> failwith e ))
                (all_shards t)))
@@ -610,8 +607,8 @@ type shard_info = {
           is wire-metered, otherwise the SQL text bytes dispatched *)
 }
 
-(** Per-shard backends in shard order (tests reach through this to read
-    each shard's [sql_log]). *)
+(** Per-shard backends in shard order (tests reach through this to
+    observe the statements each shard is sent). *)
 let backends (t : t) : B.t array =
   Array.map (fun sh -> sh.s_backend) t.c_shards
 

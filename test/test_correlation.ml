@@ -55,6 +55,17 @@ let backend_of (c : P.Client.client) : Hyperq.Backend.t =
   (Hyperq.Engine.mdi (Platform.Xc.engine c.P.Client.conn.P.xc))
     .Hyperq.Mdi.backend
 
+(* every statement [b] dispatches from now on, decorated, newest first:
+   an observer chained onto the backend's [on_exec] hook *)
+let record_sql (b : Hyperq.Backend.t) : string list ref =
+  let log = ref [] in
+  let prev = !(b.Hyperq.Backend.on_exec) in
+  (b.Hyperq.Backend.on_exec :=
+     fun sql ->
+       prev sql;
+       log := sql :: !log);
+  log
+
 let column_syms tb name =
   let col = QV.column_exn tb name in
   Array.init (QV.length col) (fun i ->
@@ -73,6 +84,8 @@ let test_one_trace_id_everywhere () =
   let obs = Obs.Ctx.create ~events:sink ~recorder () in
   let p = P.create ~obs db in
   let c = P.Client.connect p in
+  let backend = backend_of c in
+  let sent = record_sql backend in
   ignore (ok (P.Client.query c "select Price from trades where Symbol=`A"));
   (* (c) the flight recorder's capture carries the trace id *)
   let trace_id =
@@ -106,21 +119,17 @@ let test_one_trace_id_everywhere () =
   check tbool "logs.json 200" true (contains logs_http "HTTP/1.1 200");
   check tbool "logs.json carries the trace id" true
     (contains logs_http trace_id);
-  (* (d) the dispatched SQL carries the traceparent comment, in sql_log *)
-  let backend = backend_of c in
+  (* (d) the dispatched SQL carries the traceparent comment, as the
+     backend's [on_exec] observers see it *)
   let decorated =
-    match
-      List.find_opt
-        (fun sql -> contains sql "traceparent")
-        !(backend.Hyperq.Backend.sql_log)
-    with
+    match List.find_opt (fun sql -> contains sql "traceparent") !sent with
     | Some sql -> sql
     | None -> Alcotest.fail "no dispatched SQL carries a traceparent comment"
   in
   let expected_prefix =
     Printf.sprintf "/* traceparent='00-%s-" trace_id
   in
-  check tbool "sql_log comment names this trace" true
+  check tbool "dispatched comment names this trace" true
     (contains decorated expected_prefix);
   check tbool "comment is W3C-shaped" true (contains decorated "-01' */");
   (* the commented statement still executes identically on pgdb: the SQL
@@ -263,6 +272,12 @@ let test_cross_shard_trace () =
   Obs.Log.set_level obs.Obs.Ctx.log Obs.Log.Debug;
   let p = P.create ~obs ~shards (make_db ()) in
   let c = P.Client.connect p in
+  let backends =
+    match P.cluster p with
+    | Some cl -> Shard.Cluster.backends cl
+    | None -> Alcotest.fail "platform must be sharded"
+  in
+  let sent = Array.map record_sql backends in
   (* a grouped aggregate is shard-safe and scatters to every shard *)
   ignore (ok (P.Client.query c "select mx:max Price by Symbol from trades"));
   let exported =
@@ -291,21 +306,15 @@ let test_cross_shard_trace () =
   check tbool "gather span recorded" true (collect_named "gather" root [] <> []);
   (* (b) each shard's dispatched SQL carries a traceparent naming the
      trace AND that shard's own child span id *)
-  let backends =
-    match P.cluster p with
-    | Some cl -> Shard.Cluster.backends cl
-    | None -> Alcotest.fail "platform must be sharded"
-  in
   List.iter
     (fun (shard, span_id) ->
       let expected =
         Printf.sprintf "/* traceparent='00-%s-%s-01' */" trace_id span_id
       in
-      let log = !(backends.(shard).Hyperq.Backend.sql_log) in
       check tbool
-        (Printf.sprintf "shard %d sql_log names its own shard_exec span" shard)
+        (Printf.sprintf "shard %d SQL names its own shard_exec span" shard)
         true
-        (List.exists (fun sql -> contains sql expected) log))
+        (List.exists (fun sql -> contains sql expected) !(sent.(shard))))
     by_shard;
   (* (c) shard-side structured logs correlate on the same trace id: the
      gateway's Debug dispatch line is emitted on the worker domain

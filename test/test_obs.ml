@@ -107,35 +107,7 @@ let test_prometheus_exposition () =
     (contains "lat_seconds_count{stage=\"parse\"} 2")
 
 (* ------------------------------------------------------------------ *)
-(* Stage timer (monotonic, recording order)                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_stage_timer_order_and_totals () =
-  let t = ST.create () in
-  ST.record t ST.Parse 0.001;
-  ST.record t ST.Execute 0.01;
-  ST.record t ST.Parse 0.002;
-  check tint "three spans" 3 (List.length (ST.spans t));
-  (match ST.spans t with
-  | [ (ST.Parse, a); (ST.Execute, _); (ST.Parse, b) ] ->
-      check tfloat "first span first" 0.001 a;
-      check tfloat "last span last" 0.002 b
-  | _ -> Alcotest.fail "spans must come back in recording order");
-  check tfloat "stage total sums" 0.003 (ST.total t ST.Parse);
-  ST.reset t;
-  check tint "reset" 0 (List.length (ST.spans t))
-
-let test_stage_timer_monotonic_nonnegative () =
-  let t = ST.create () in
-  for _ = 1 to 100 do
-    ST.timed t ST.Parse (fun () -> ())
-  done;
-  List.iter
-    (fun (_, d) -> check tbool "span is non-negative" true (d >= 0.0))
-    (ST.spans t)
-
-(* ------------------------------------------------------------------ *)
-(* Full round trip: spans, metrics, .hq.stats                          *)
+(* Fixtures                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let make_db () =
@@ -164,6 +136,51 @@ let sample_value reg name =
   with
   | Some s -> s.M.s_value
   | None -> Alcotest.failf "metric %s not in snapshot" name
+
+(* ------------------------------------------------------------------ *)
+(* Stage timer (per-stage running totals)                              *)
+(* ------------------------------------------------------------------ *)
+
+let test_stage_timer_totals_and_reset () =
+  let t = ST.create () in
+  ST.record t ST.Parse 0.001;
+  ST.record t ST.Execute 0.01;
+  ST.record t ST.Parse 0.002;
+  ST.record t ST.Serialize 0.004;
+  check tfloat "stage total sums its runs" 0.003 (ST.total t ST.Parse);
+  check tfloat "other stages keep their own total" 0.01 (ST.total t ST.Execute);
+  check tfloat "unrecorded stage is zero" 0.0 (ST.total t ST.Pivot);
+  check tfloat "translation = parse..serialize" 0.007 (ST.translation_total t);
+  check tfloat "execution" 0.01 (ST.execution_total t);
+  ST.reset t;
+  List.iter
+    (fun s -> check tfloat ("reset zeroes " ^ ST.stage_name s) 0.0 (ST.total t s))
+    ST.all_stages
+
+let test_stage_timer_monotonic_nonnegative () =
+  (* the engine records monotonic durations: no total can go negative *)
+  let eng =
+    Hyperq.Engine.create
+      (Hyperq.Backend.of_pgdb_session (Db.open_session (make_db ())))
+  in
+  let t = Hyperq.Engine.timer eng in
+  for i = 1 to 100 do
+    ST.reset t;
+    (match
+       Hyperq.Engine.try_run eng
+         (Printf.sprintf "select Price from trades where Size>%d" i)
+     with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    List.iter
+      (fun s -> check tbool "stage total is non-negative" true (ST.total t s >= 0.0))
+      ST.all_stages;
+    check tbool "execute was recorded" true (ST.execution_total t > 0.0)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Full round trip: spans, metrics, .hq.stats                          *)
+(* ------------------------------------------------------------------ *)
 
 let test_round_trip_span_tree () =
   let p = P.create (make_db ()) in
@@ -263,18 +280,14 @@ let test_hq_stats_over_qipc () =
     ignore (ok (P.Client.query c "select Price from trades"))
   done;
   (* .hq.stats is answered by the endpoint without a backend round trip *)
-  let sql_log =
-    !((Hyperq.Engine.mdi (Platform.Xc.engine c.P.Client.conn.P.xc))
-        .Hyperq.Mdi.backend.Hyperq.Backend.sql_log)
+  let backend =
+    (Hyperq.Engine.mdi (Platform.Xc.engine c.P.Client.conn.P.xc))
+      .Hyperq.Mdi.backend
   in
-  let statements_before = List.length sql_log in
+  let statements_before = Hyperq.Backend.log_mark backend in
   let v = ok (P.Client.query c ".hq.stats") in
-  let sql_log_after =
-    !((Hyperq.Engine.mdi (Platform.Xc.engine c.P.Client.conn.P.xc))
-        .Hyperq.Mdi.backend.Hyperq.Backend.sql_log)
-  in
   check tint "no backend statements for .hq.stats" statements_before
-    (List.length sql_log_after);
+    (Hyperq.Backend.log_mark backend);
   match v with
   | QV.Table tb ->
       let metric_col = QV.column_exn tb "metric" in
@@ -646,8 +659,8 @@ let () =
         ] );
       ( "stage-timer",
         [
-          Alcotest.test_case "recording order and totals" `Quick
-            test_stage_timer_order_and_totals;
+          Alcotest.test_case "totals and reset" `Quick
+            test_stage_timer_totals_and_reset;
           Alcotest.test_case "monotonic non-negative" `Quick
             test_stage_timer_monotonic_nonnegative;
         ] );

@@ -1257,6 +1257,9 @@ let test_binary_matches_text_statements () =
   let db = Pgdb.Db.create () in
   MD.load_pg db d;
   let backend = Hyperq.Backend.of_pgdb_session (Pgdb.Db.open_session db) in
+  (* every statement sent, newest first *)
+  let sent = ref [] in
+  (backend.Hyperq.Backend.on_exec := fun sql -> sent := sql :: !sent);
   let eng = Hyperq.Engine.create backend in
   let run q =
     match Hyperq.Engine.try_run eng q with
@@ -1279,7 +1282,7 @@ let test_binary_matches_text_statements () =
       Printf.sprintf "select from trades where Symbol=`%s, Size>500" sym;
       "select Symbol, Time, Price from trades where Price within 90.0 110.0";
     ];
-  let sqls = List.rev !(backend.Hyperq.Backend.sql_log) in
+  let sqls = List.rev !sent in
   let text_server = Pgwire.Server.create (Pgdb.Db.open_session db) in
   ignore
     (Pgwire.Server.feed text_server

@@ -601,6 +601,106 @@ let test_vector_shapes_against_kdb () =
       P.Client.close c)
 
 (* ------------------------------------------------------------------ *)
+(* Q literal tables: inlined as a derived table, checked against kdb   *)
+(* ------------------------------------------------------------------ *)
+
+(* every column type the binder emits for a literal (symbol, long,
+   float, bool, date, time, timestamp), with NULL cells, zero rows,
+   used through lj, through ij and as a from source, and one ~1,000-row
+   table keyed on Size *)
+let literal_table_queries (d : MD.dataset) : string list =
+  let sym i = d.MD.syms.(i mod Array.length d.MD.syms) in
+  let all_types =
+    "([] s:`a``c; l:1 0N 3; f:1.5 0n 2.5; b:101b; d:2016.06.26 0Nd \
+     2016.06.28; t:09:30:00.000 0Nt 10:00:00.000; p:2016.06.26D09:30:00.000000000 \
+     0Np 2016.06.27D10:00:00.000000000)"
+  in
+  let big =
+    Printf.sprintf "([Size:%s] w:%s)"
+      (String.concat " " (List.init 1000 (fun i -> string_of_int (100 * i))))
+      (String.concat " " (List.init 1000 (fun i -> string_of_int (i mod 7))))
+  in
+  [
+    Printf.sprintf
+      "select Symbol, Time, Price, w from (trades lj ([Symbol:`%s`%s] \
+       w:1.5 2.5)) where Symbol in `%s`%s`%s"
+      (sym 0) (sym 1) (sym 0) (sym 1) (sym 2);
+    Printf.sprintf
+      "select Symbol, Time, Price, w, c from (trades lj ([Symbol:`%s`%s`%s] \
+       w:1 0N 3; c:`x``z)) where Symbol in `%s`%s`%s"
+      (sym 0) (sym 1) (sym 2) (sym 0) (sym 1) (sym 2);
+    Printf.sprintf
+      "select Symbol, Price, w from trades ij ([Symbol:`%s`%s] w:10 20)"
+      (sym 1) (sym 3);
+    Printf.sprintf
+      "select n:count Price, w:max w by Symbol from trades ij \
+       ([Symbol:`%s`%s; Exch:`N`A] w:1.5 0n)"
+      (sym 0) (sym 2);
+    "select from " ^ all_types;
+    "select s, d, t, p from " ^ all_types ^ " where l>1";
+    "select n:count b, mx:max f, lo:min d from " ^ all_types;
+    "select from ([] a:`x`y`z; b:1 0N 3)";
+    "select from ([] a:(); b:())";
+    "select Symbol, Price from trades ij ([Symbol:()] w:())";
+    "select Symbol, Price, w from trades lj ([Symbol:()] w:())";
+    "select n:count Price, s:sum w by Symbol from trades lj " ^ big;
+    "select n:count w, s:sum w from " ^ big;
+  ]
+
+(* the coordinator's statements for one literal join: exactly one
+   SELECT, so no session temp table is created or loaded *)
+let check_one_select (c : P.Client.client) (q : string) =
+  let backend =
+    (E.mdi (Platform.Xc.engine c.P.Client.conn.P.xc)).Hyperq.Mdi.backend
+  in
+  ignore (ok (P.Client.query c q));
+  let sent = ref [] in
+  let prev = !(backend.Hyperq.Backend.on_exec) in
+  (backend.Hyperq.Backend.on_exec :=
+     fun sql ->
+       prev sql;
+       sent := sql :: !sent);
+  let mark = Hyperq.Backend.log_mark backend in
+  ignore (ok (P.Client.query c q));
+  backend.Hyperq.Backend.on_exec := prev;
+  check tint (q ^ ": one backend statement") 1
+    (Hyperq.Backend.log_mark backend - mark);
+  List.iter
+    (fun sql ->
+      check tbool (q ^ ": a SELECT") true
+        (String.length sql > 7 && String.sub sql 0 7 = "SELECT "))
+    !sent
+
+let test_literal_tables_against_kdb () =
+  let d = MD.generate MD.small_scale in
+  let kdb = Kdb.Server.create () in
+  List.iter (fun (name, v) -> Kdb.Server.load kdb name v) (MD.q_tables d);
+  let queries = literal_table_queries d in
+  List.iter
+    (fun shards ->
+      let db = Db.create () in
+      MD.load_pg db d;
+      with_platform ?shards db (fun p ->
+          let c = P.Client.connect p in
+          List.iter
+            (fun q ->
+              let where =
+                match shards with Some n -> Printf.sprintf " (%d shards)" n | None -> ""
+              in
+              match (Kdb.Server.query kdb ~client:0 q, P.Client.query c q) with
+              | Error e, _ -> Alcotest.failf "kdb failed on %s: %s" q e
+              | Ok _, Error e -> Alcotest.failf "%s%s: %s" q where e
+              | Ok k, Ok hq -> (
+                  match Sidebyside.Framework.values_agree k hq with
+                  | None -> ()
+                  | Some why -> Alcotest.failf "%s%s differs from kdb: %s" q where why))
+            queries;
+          check_one_select c (List.hd queries);
+          check_one_select c (List.nth queries 2);
+          P.Client.close c))
+    [ None; Some 2 ]
+
+(* ------------------------------------------------------------------ *)
 (* Plan cache: shard-map generation in the key                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -789,6 +889,8 @@ let () =
           Alcotest.test_case "unordered concat" `Quick test_differential_unordered;
           Alcotest.test_case "vector shapes against kdb, 2 shards" `Quick
             test_vector_shapes_against_kdb;
+          Alcotest.test_case "literal tables against kdb, 1 node and 2 shards"
+            `Quick test_literal_tables_against_kdb;
         ] );
       ( "plan cache",
         [
