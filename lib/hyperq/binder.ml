@@ -224,6 +224,9 @@ let bind_monadic_on_scalar ctx (name : string) (arg : I.scalar) : I.scalar =
             I.AggFun { fn = "sum"; distinct = false; args = [ arg ] };
             I.Const (A.Int 0L, Ty.TBigint);
           ] )
+  | Some "count" ->
+      (* Q's count counts every item; SQL's COUNT(x) skips NULLs *)
+      I.AggFun { fn = "count"; distinct = false; args = [] }
   | Some fn -> I.AggFun { fn; distinct = false; args = [ arg ] }
   | None -> (
       match List.assoc_opt name scalar_fun_map with

@@ -45,13 +45,7 @@ let default_config () =
     coordinator backend as before). [sh_generation] versions the shard
     map for plan-cache keying. *)
 type sharder = {
-  sh_route :
-    ?fingerprint:string ->
-    I.rel ->
-    (unit -> (Backend.result, string) result) option;
-      (** [fingerprint] is the statement's workload fingerprint when the
-          engine computed one — the router consults per-fingerprint
-          selectivity feedback to prune scatter targets *)
+  sh_route : I.rel -> (unit -> (Backend.result, string) result) option;
   sh_generation : unit -> int;
 }
 
@@ -84,10 +78,6 @@ type t = {
       (* whether the last program's relational statement fanned out *)
   mutable last_note : pipeline_note option;
       (* pipeline annotation of the last completed program *)
-  mutable cur_fingerprint : string option;
-      (* workload fingerprint of the program being run, handed to the
-         sharder so routing can consult per-fingerprint selectivity
-         feedback; only computed when a sharder is attached *)
 }
 
 (** How the Q→XTRA→SQL pipeline handled the last program: the plan-cache
@@ -158,7 +148,6 @@ let create ?(config = default_config ()) ?mdi_config ?server_scope ?plan_cache
     last_cache = "off";
     last_sharded = false;
     last_note = None;
-    cur_fingerprint = None;
   }
 
 (* every pipeline stage is recorded three ways from one measurement: the
@@ -324,7 +313,7 @@ let execute_rel (t : t) (brel : Binder.bound_rel) : QV.t * string list =
   in
   let sharded_run =
     match t.sharder with
-    | Some sh -> sh.sh_route ?fingerprint:t.cur_fingerprint optimized
+    | Some sh -> sh.sh_route optimized
     | None -> None
   in
   match sharded_run with
@@ -669,13 +658,6 @@ let run_program (t : t) (src : string) : run_result =
   Backend.begin_request t.backend;
   t.last_sharded <- false;
   t.last_cache <- "off";
-  (* one lexer pass, only when a sharder is listening: its router keys
-     selectivity feedback by the same workload fingerprint the stats
-     plane records under *)
-  t.cur_fingerprint <-
-    (match t.sharder with
-    | Some _ -> Some (Qlang.Fingerprint.fingerprint src)
-    | None -> None);
   let r =
     match t.plancache with
     | None -> run_program_uncached t src

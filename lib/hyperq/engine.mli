@@ -29,15 +29,9 @@ type t
     statement serializes and executes on the coordinator backend.
     [sh_generation] returns the shard-map generation, mixed into
     plan-cache keys so cached single-backend templates can never serve a
-    statement whose route changed. [sh_route]'s [fingerprint] is the
-    statement's workload fingerprint (as recorded by the stats plane)
-    when the engine computed one — routing consults per-fingerprint
-    selectivity feedback to prune scatter targets. *)
+    statement whose route changed. *)
 type sharder = {
-  sh_route :
-    ?fingerprint:string ->
-    Xtra.Ir.rel ->
-    (unit -> (Backend.result, string) result) option;
+  sh_route : Xtra.Ir.rel -> (unit -> (Backend.result, string) result) option;
   sh_generation : unit -> int;
 }
 

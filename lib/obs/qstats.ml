@@ -25,11 +25,6 @@ type entry = {
   mutable e_stages : (string * float) list;  (** per-stage latency sums *)
   e_hist : int array;  (** log2-us-bucketed latency histogram *)
   mutable e_last_use : int;  (** logical tick, for LRU eviction *)
-  (* cardinality feedback, fed from analyzed (EXPLAIN/ANALYZE) runs only *)
-  mutable e_analyzed : int;  (** calls that ran with operator stats on *)
-  mutable e_rows_scanned : int;  (** base-table rows read, analyzed calls *)
-  mutable e_worst_qerror : float;  (** worst per-operator q-error seen *)
-  mutable e_worst_op : string;  (** operator holding that worst q-error *)
   (* allocation attribution: coordinator-side Gc deltas per call *)
   mutable e_alloc_bytes : float;  (** total bytes allocated, all calls *)
   mutable e_minor_gcs : int;  (** total minor collections, all calls *)
@@ -128,10 +123,6 @@ let record t ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ~(fingerprint : string)
             e_stages = [];
             e_hist = Array.make hist_buckets 0;
             e_last_use = 0;
-            e_analyzed = 0;
-            e_rows_scanned = 0;
-            e_worst_qerror = 0.0;
-            e_worst_op = "";
             e_alloc_bytes = 0.0;
             e_minor_gcs = 0;
           }
@@ -157,45 +148,9 @@ let record t ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ~(fingerprint : string)
   e.e_hist.(b) <- e.e_hist.(b) + 1;
   e.e_last_use <- t.q_tick)
 
-(** Fold one analyzed run's operator-tree observations into the
-    fingerprint's cardinality feedback. No-op when the fingerprint is
-    unknown (the per-call {!record} always runs first). *)
-let record_cardinality t ~(fingerprint : string) ~(rows_scanned : int)
-    ~(qerror : float) ~(op : string) : unit =
-  with_mu t (fun () ->
-      match Hashtbl.find_opt t.q_table fingerprint with
-      | None -> ()
-      | Some e ->
-          e.e_analyzed <- e.e_analyzed + 1;
-          e.e_rows_scanned <- e.e_rows_scanned + rows_scanned;
-          if qerror > e.e_worst_qerror then begin
-            e.e_worst_qerror <- qerror;
-            e.e_worst_op <- op
-          end)
-
-(** Top-[n] fingerprints by worst observed q-error — the planner's
-    worst-offender feed. Only fingerprints with analyzed runs qualify. *)
-let worst_misestimates t (n : int) : entry list =
-  with_mu t (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) t.q_table [])
-  |> List.filter (fun e -> e.e_analyzed > 0)
-  |> List.sort (fun a b -> Float.compare b.e_worst_qerror a.e_worst_qerror)
-  |> List.filteri (fun i _ -> i < n)
-
-let entry_rows_scanned_avg (e : entry) : float =
-  if e.e_analyzed = 0 then 0.0
-  else float_of_int e.e_rows_scanned /. float_of_int e.e_analyzed
-
 let entry_rows_out_avg (e : entry) : float =
   if e.e_calls = 0 then 0.0
   else float_of_int e.e_rows_out /. float_of_int e.e_calls
-
-(* observed end-to-end selectivity of the fingerprint's access path:
-   rows returned per row scanned, from analyzed runs. The vectorized
-   lowering reads this as a prior for ordering filter conjuncts. *)
-let entry_selectivity (e : entry) : float option =
-  let scanned = entry_rows_scanned_avg e in
-  if scanned <= 0.0 then None
-  else Some (Float.min 1.0 (entry_rows_out_avg e /. scanned))
 
 let entry_alloc_avg (e : entry) : float =
   if e.e_calls = 0 then 0.0 else e.e_alloc_bytes /. float_of_int e.e_calls
@@ -276,15 +231,7 @@ let entry_json (e : entry) : string =
       ("alloc_bytes_avg", Printf.sprintf "%.0f" (entry_alloc_avg e));
       ("minor_gcs", string_of_int e.e_minor_gcs);
       ("minor_gcs_avg", Printf.sprintf "%.2f" (entry_minor_gcs_avg e));
-      ("analyzed", string_of_int e.e_analyzed);
-      ("rows_scanned_avg", Printf.sprintf "%.1f" (entry_rows_scanned_avg e));
       ("rows_out_avg", Printf.sprintf "%.1f" (entry_rows_out_avg e));
-      ( "selectivity",
-        match entry_selectivity e with
-        | Some s -> Printf.sprintf "%.4f" s
-        | None -> "null" );
-      ("worst_qerror", Printf.sprintf "%.2f" e.e_worst_qerror);
-      ("worst_op", Printf.sprintf "\"%s\"" (Trace.json_escape e.e_worst_op));
     ]
 
 let to_json ?(n = max_int) t : string =

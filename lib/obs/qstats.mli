@@ -27,11 +27,6 @@ type entry = {
   mutable e_stages : (string * float) list;  (** per-stage latency sums *)
   e_hist : int array;  (** log2-us-bucketed latency histogram *)
   mutable e_last_use : int;  (** logical tick, for LRU eviction *)
-  (* cardinality feedback, fed from analyzed (EXPLAIN/ANALYZE) runs only *)
-  mutable e_analyzed : int;  (** calls that ran with operator stats on *)
-  mutable e_rows_scanned : int;  (** base-table rows read, analyzed calls *)
-  mutable e_worst_qerror : float;  (** worst per-operator q-error seen *)
-  mutable e_worst_op : string;  (** operator holding that worst q-error *)
   (* allocation attribution: coordinator-side Gc deltas per call *)
   mutable e_alloc_bytes : float;  (** total bytes allocated, all calls *)
   mutable e_minor_gcs : int;  (** total minor collections, all calls *)
@@ -65,32 +60,11 @@ val record :
   unit ->
   unit
 
-(** Fold one analyzed run's operator-tree observations into the
-    fingerprint's cardinality feedback: total base-table rows scanned,
-    and the worst per-operator q-error with the operator that produced
-    it. No-op for unknown fingerprints ({!record} always runs first). *)
-val record_cardinality :
-  t -> fingerprint:string -> rows_scanned:int -> qerror:float -> op:string -> unit
-
 (** The [n] entries with the largest total time, descending. *)
 val top : t -> int -> entry list
 
-(** Top-[n] fingerprints by worst observed q-error, descending; only
-    fingerprints with at least one analyzed run qualify. *)
-val worst_misestimates : t -> int -> entry list
-
-(** Mean base-table rows scanned per analyzed call (0 when never
-    analyzed) / mean rows returned per call. *)
-val entry_rows_scanned_avg : entry -> float
-
+(** Mean rows returned per call. *)
 val entry_rows_out_avg : entry -> float
-
-(** Observed end-to-end selectivity of the fingerprint's access path
-    (mean rows out per row scanned, clamped to 1.0), from analyzed runs;
-    [None] until the fingerprint has been analyzed at least once. The
-    vectorized lowering reads this as a prior for ordering filter
-    conjuncts. *)
-val entry_selectivity : entry -> float option
 
 (** Mean bytes allocated / mean minor collections per call. *)
 val entry_alloc_avg : entry -> float

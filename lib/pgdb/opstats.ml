@@ -4,9 +4,8 @@
     of these trees per SELECT: a plan-shaped record of what each operator
     (scan/filter/join/aggregate/sort/limit/...) actually did — rows in, rows
     out, self-time — next to the naive cardinality estimate the executor
-    would have planned with. The tree is the raw material for `.hq.explain`,
-    `GET /explain.json` and the per-fingerprint cardinality feedback in the
-    observability layer; keeping the annotations on the plan tree itself
+    would have planned with. The tree is the raw material for `.hq.explain`
+    and `GET /explain.json` in the observability layer; keeping the annotations on the plan tree itself
     (rather than in side tables) follows the IR-design argument in the
     paper's related work.
 
@@ -70,7 +69,7 @@ let worst_estimate (n : node) : node * float =
     (flatten n)
 
 (** Total rows read out of base-table scans, the "work touched" measure
-    surfaced per fingerprint. *)
+    of one analyzed plan. *)
 let rows_scanned (n : node) : int =
   List.fold_left
     (fun acc (_, m) ->

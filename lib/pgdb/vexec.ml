@@ -31,117 +31,6 @@ let reset_stats () =
   Atomic.set stats_rows_out 0
 
 (* ------------------------------------------------------------------ *)
-(* Selectivity feedback                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Observed per-conjunct selectivities, keyed by the conjunct's shape
-   (literals stripped) plus the table name, smoothed with an EWMA. The
-   lowering step orders conjuncts most-selective-first from these, and
-   every executed filter feeds its observation back — closing the
-   cardinality loop the EXPLAIN plane's q-errors expose. *)
-
-let sel_alpha = 0.2
-let default_selectivity = 1.0 /. 3.0
-let sel_store_capacity = 1024
-
-(* second-chance eviction state: [hot] is set on every read or update
-   and cleared as the clock hand sweeps past, so a full store evicts a
-   key nobody consulted since the last sweep instead of wiping every
-   learned EWMA (the reset-on-full bug this replaces) *)
-type sel_entry = { mutable ewma : float; mutable hot : bool }
-
-let sel_store : (string, sel_entry) Hashtbl.t = Hashtbl.create 256
-let sel_clock : string Queue.t = Queue.create ()
-let sel_mutex = Mutex.create ()
-
-let rec strip_lits (e : A.expr) : A.expr =
-  match e with
-  | A.Lit _ -> A.Lit A.Null
-  | A.Col _ | A.Star -> e
-  | A.Bin (op, a, b) -> A.Bin (op, strip_lits a, strip_lits b)
-  | A.Un (op, a) -> A.Un (op, strip_lits a)
-  | A.IsNull a -> A.IsNull (strip_lits a)
-  | A.IsNotNull a -> A.IsNotNull (strip_lits a)
-  | A.In (a, es) -> A.In (strip_lits a, List.map strip_lits es)
-  | A.Between (a, lo, hi) ->
-      A.Between (strip_lits a, strip_lits lo, strip_lits hi)
-  | A.Case (bs, el) ->
-      A.Case
-        ( List.map (fun (c, r) -> (strip_lits c, strip_lits r)) bs,
-          Option.map strip_lits el )
-  | A.Cast (a, ty) -> A.Cast (strip_lits a, ty)
-  | A.Fun (f, args) -> A.Fun (f, List.map strip_lits args)
-  | A.Agg { agg_name; distinct; args } ->
-      A.Agg { agg_name; distinct; args = List.map strip_lits args }
-  | A.Window { win_fn; win_args; partition; order; frame } ->
-      A.Window
-        {
-          win_fn;
-          win_args = List.map strip_lits win_args;
-          partition = List.map strip_lits partition;
-          order = List.map (fun (x, d) -> (strip_lits x, d)) order;
-          frame;
-        }
-  | A.Like (a, p) -> A.Like (strip_lits a, strip_lits p)
-
-let conjunct_key (table : string) (e : A.expr) : string =
-  table ^ "|" ^ A.expr_str (strip_lits e)
-
-let estimated_selectivity (key : string) : float =
-  Mutex.lock sel_mutex;
-  let v =
-    match Hashtbl.find_opt sel_store key with
-    | Some e ->
-        e.hot <- true;
-        e.ewma
-    | None -> default_selectivity
-  in
-  Mutex.unlock sel_mutex;
-  v
-
-(* sweep the clock until a cold key falls out; every hot key passed gets
-   its second chance (bit cleared, requeued). Bounded by the queue
-   length: if every key is hot, the first one swept is now cold and the
-   second pass evicts it. *)
-let rec evict_one (budget : int) : unit =
-  match Queue.take_opt sel_clock with
-  | None -> ()
-  | Some k -> (
-      match Hashtbl.find_opt sel_store k with
-      | None -> evict_one budget (* stale clock slot: key already gone *)
-      | Some e when e.hot && budget > 0 ->
-          e.hot <- false;
-          Queue.add k sel_clock;
-          evict_one (budget - 1)
-      | Some _ -> Hashtbl.remove sel_store k)
-
-let observe_selectivity (key : string) (observed : float) : unit =
-  Mutex.lock sel_mutex;
-  (match Hashtbl.find_opt sel_store key with
-  | Some e ->
-      e.hot <- true;
-      e.ewma <- (sel_alpha *. observed) +. ((1.0 -. sel_alpha) *. e.ewma)
-  | None ->
-      if Hashtbl.length sel_store >= sel_store_capacity then
-        evict_one (Queue.length sel_clock);
-      Hashtbl.add sel_store key { ewma = observed; hot = true };
-      Queue.add key sel_clock);
-  Mutex.unlock sel_mutex
-
-(** (conjunct shape, EWMA selectivity) pairs currently tracked. *)
-let selectivity_snapshot () : (string * float) list =
-  Mutex.lock sel_mutex;
-  let l = Hashtbl.fold (fun k e acc -> (k, e.ewma) :: acc) sel_store [] in
-  Mutex.unlock sel_mutex;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) l
-
-let reset_selectivities () =
-  Mutex.lock sel_mutex;
-  Hashtbl.reset sel_store;
-  Queue.clear sel_clock;
-  Mutex.unlock sel_mutex
-
-(* ------------------------------------------------------------------ *)
 (* Staged compilation                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1951,11 +1840,10 @@ type output = {
 }
 
 (* a planned FROM item: its bindings (a derived table's types are known
-   only once it has run, so [fp_run] returns the typed list), a name
-   for selectivity keys, and the thunk that produces the source *)
+   only once it has run, so [fp_run] returns the typed list) and the
+   thunk that produces the source *)
 type from_plan = {
   fp_bindings : Exec.binding list;
-  fp_name : string;
   fp_run : unit -> source * Exec.binding list * Opstats.node option;
 }
 
@@ -2004,7 +1892,6 @@ let values_plan ~(collect : bool) : from_plan =
   let no_columns _ = invalid_arg "vexec: a VALUES row has no columns" in
   {
     fp_bindings = [];
-    fp_name = "";
     fp_run =
       (fun () ->
         ( {
@@ -2109,7 +1996,6 @@ let derived_source (names : string list) (alias : string)
   in
   {
     fp_bindings = qualify (List.map (fun _ -> None) names);
-    fp_name = alias;
     fp_run =
       (fun () ->
         let o, node = run () in
@@ -2152,7 +2038,6 @@ let rec plan_from ~(resolve : resolver) ~(collect : bool)
           in
           {
             fp_bindings = bindings;
-            fp_name = name;
             fp_run =
               (fun () ->
                 let b = batch () in
@@ -2272,7 +2157,6 @@ let rec plan_from ~(resolve : resolver) ~(collect : bool)
       let width = List.length bindings in
       {
         fp_bindings = bindings;
-        fp_name = lp.fp_name ^ "\xe2\x8b\x88" ^ rp.fp_name;
         fp_run =
           (fun () ->
             let l, ltyped, lnode = lp.fp_run () in
@@ -2405,8 +2289,7 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
     | None -> []
     | Some w ->
         List.map
-          (fun conj ->
-            (conj, conjunct_key fp.fp_name conj, compile_conjunct sc conj))
+          (fun conj -> (conj, compile_conjunct sc conj))
           (Exec.conjuncts w)
   in
   let projs = expand_stars bindings s.A.projs in
@@ -2650,28 +2533,17 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
                  ~children)
         end
       in
-      (* ---- filters, most-selective-first on the EWMA estimate *)
-      let conjs =
-        List.map
-          (fun (conj, key, k) -> (conj, key, estimated_selectivity key, k d))
-          conjs
-        |> List.stable_sort (fun (_, _, e1, _) (_, _, e2, _) ->
-               Float.compare e1 e2)
-      in
+      (* ---- filters, in the order the WHERE clause wrote them: each
+         conjunct sees only the rows the previous ones kept, and is
+         estimated to keep a third of them *)
       let sel =
         List.fold_left
-          (fun sel (conj, key, est_sel, kernel) ->
+          (fun sel (conj, k) ->
             let before = Array.length sel in
-            let sel = kernel sel in
-            let after = Array.length sel in
-            if before > 0 then
-              observe_selectivity key (float_of_int after /. float_of_int before);
+            let sel = k d sel in
             push ~op:"vector_filter" ~detail:(A.expr_str conj)
-              ~est_rows:
-                (Stdlib.max 1
-                   (int_of_float
-                      (Float.round (est_sel *. float_of_int (cur_est ())))))
-              ~rows_in:before ~rows_out:after;
+              ~est_rows:(Stdlib.max 1 (before / 3))
+              ~rows_in:before ~rows_out:(Array.length sel);
             sel)
           (Batch.all_rows src.nrows) conjs
       in

@@ -226,11 +226,6 @@ let top_table (ctx : Obs.Ctx.t) (n : int) : QV.t =
          (* coordinator-domain allocation attribution *)
          ("alloc_avg_bytes", floats Obs.Qstats.entry_alloc_avg);
          ("minor_gcs_avg", floats Obs.Qstats.entry_minor_gcs_avg);
-         (* cardinality feedback: populated by analyzed runs only *)
-         ("analyzed", longs (fun e -> e.Obs.Qstats.e_analyzed));
-         ("rows_scanned_avg", floats Obs.Qstats.entry_rows_scanned_avg);
-         ("worst_qerror", floats (fun e -> e.Obs.Qstats.e_worst_qerror));
-         ("worst_op", QV.syms (arr (fun e -> e.Obs.Qstats.e_worst_op)));
        ])
 
 (** The newest [n] flight-recorder captures as a Q table — the reply to
@@ -502,14 +497,11 @@ let explain_doc ~(query : string) ~(fingerprint : string)
 type explain_summary = {
   xs_doc : string;  (** the unified JSON document (ring entry, recorder) *)
   xs_top_operator : string;
-  xs_rows_scanned : int;
-  xs_worst_op : string;
-  xs_worst_qerror : float;
 }
 
 (** Assemble the unified explain document for one analyzed query, offer
-    it to the explain ring, and return the headline numbers the caller
-    feeds into the recorder and the cardinality store. *)
+    it to the explain ring, and return what the caller feeds into the
+    recorder. *)
 let offer_explain (t : t) ~(norm : string) ~(fp : string)
     ~(trace_id : string) ~(duration : float)
     ~(route : Shard.Router.explain option) ~(coord : Op.node option)
@@ -546,13 +538,10 @@ let offer_explain (t : t) ~(norm : string) ~(fp : string)
     | Some n -> if n.Op.detail = "" then n.Op.op else n.Op.op ^ "(" ^ n.Op.detail ^ ")"
     | None -> ""
   in
-  let worst_op, worst_qerror =
+  let worst_qerror =
     List.fold_left
-      (fun ((_, bq) as best) n ->
-        let m, q = Op.worst_estimate n in
-        if q > bq then ((if m.Op.detail = "" then m.Op.op else m.Op.op ^ "(" ^ m.Op.detail ^ ")"), q)
-        else best)
-      ("", 0.0) trees
+      (fun bq n -> Float.max bq (snd (Op.worst_estimate n)))
+      0.0 trees
   in
   let doc =
     explain_doc ~query:norm ~fingerprint:fp ~route ~cache ~sharded
@@ -577,13 +566,7 @@ let offer_explain (t : t) ~(norm : string) ~(fp : string)
       p_worst_qerror = worst_qerror;
       p_tree = doc;
     };
-  {
-    xs_doc = doc;
-    xs_top_operator = top_operator;
-    xs_rows_scanned = rows_scanned;
-    xs_worst_op = worst_op;
-    xs_worst_qerror = worst_qerror;
-  }
+  { xs_doc = doc; xs_top_operator = top_operator }
 
 (** Answer [.hq.explain <query>]: run the query with operator-stats
     collection on, and reply with the flattened coordinator→shard
@@ -623,15 +606,9 @@ let explain_reply (t : t) (rest : string) : QV.t =
         | Ok _ ->
             let norm = Qlang.Fingerprint.normalize qtext in
             let fp = Qlang.Fingerprint.of_normalized norm in
-            let s =
-              offer_explain t ~norm ~fp ~trace_id ~duration ~route
-                ~coord ~shard_plans
-            in
-            (* cardinality feedback reaches the store only for shapes
-               normal traffic has already fingerprinted *)
-            Obs.Qstats.record_cardinality t.obs.Obs.Ctx.qstats
-              ~fingerprint:fp ~rows_scanned:s.xs_rows_scanned
-              ~qerror:s.xs_worst_qerror ~op:s.xs_worst_op;
+            ignore
+              (offer_explain t ~norm ~fp ~trace_id ~duration ~route
+                 ~coord ~shard_plans);
             explain_table coord shard_plans
       end)
 
@@ -944,15 +921,6 @@ let reply_to (t : t) (msg : Qipc.Codec.message) ~(consumed : int) : string =
             ~bytes_out:(String.length reply)
             ~alloc_bytes:pr.pr_alloc_bytes
             ~minor_gcs:pr.pr_minor_gcs root;
-          (* est-vs-actual feedback keyed on the same
-             fingerprint record the line above created *)
-          Option.iter
-            (fun s ->
-              Obs.Qstats.record_cardinality
-                t.obs.Obs.Ctx.qstats ~fingerprint:fp
-                ~rows_scanned:s.xs_rows_scanned
-                ~qerror:s.xs_worst_qerror ~op:s.xs_worst_op)
-            summary;
           Obs.Log.info t.obs.Obs.Ctx.log ~trace_id
             ~conn_id:t.session.Obs.Sessions.s_conn
             "query completed"

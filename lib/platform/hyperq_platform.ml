@@ -328,14 +328,6 @@ let connect (t : t) : connection =
   (* mirror this connection's DDL/DML onto the shards so their
      partitions stay consistent with the coordinator *)
   Option.iter (fun c -> Shard.Cluster.watch_backend c backend) t.cluster;
-  (* close the adaptivity loop: the router prunes scatter targets for
-     fingerprints whose analyzed runs observed a selective access path *)
-  Option.iter
-    (fun c ->
-      let qstats = t.obs.Obs.Ctx.qstats in
-      Shard.Cluster.set_selectivity_source c (fun fp ->
-          Option.bind (Obs.Qstats.find qstats fp) Obs.Qstats.entry_selectivity))
-    t.cluster;
   let sharder = Option.map Shard.Cluster.sharder t.cluster in
   let make_engine be =
     Hyperq.Engine.create ~config:(t.engine_config ())

@@ -69,9 +69,6 @@ type t = {
   mutable c_closed : bool;
   mutable c_analyze : bool;
       (** shard sessions collect per-operator stats (ANALYZE mode) *)
-  mutable c_selectivity : (string -> float option) option;
-      (** workload feedback: fingerprint -> observed selectivity, wired
-          from the platform's {!Obs.Qstats} store *)
   mutable c_last_route : Router.route option;
       (** routing decision of the last statement offered to the sharder *)
   mutable c_last_shard_plans : (int * Pgdb.Opstats.node option) list;
@@ -218,22 +215,14 @@ let create ?(distributions = default_distributions) ?workers ~shards
     c_pruned =
       M.counter reg
         ~help:
-          "Scatters dispatched to a shard subset via selectivity feedback"
+          "Scatters dispatched to a shard subset by distribution-key \
+           constraints"
         "hq_shard_pruned_scatters_total";
     c_closed = false;
     c_analyze = false;
-    c_selectivity = None;
     c_last_route = None;
     c_last_shard_plans = [];
   }
-
-(** Wire the workload-statistics selectivity feed: [f fingerprint] is
-    the observed output/scanned row ratio of the fingerprint's analyzed
-    runs ({!Obs.Qstats.entry_selectivity}). Selective fingerprints let
-    the router prune scatters to the shards allowed by distribution-key
-    membership predicates. *)
-let set_selectivity_source (t : t) (f : string -> float option) : unit =
-  t.c_selectivity <- Some f
 
 (** Toggle ANALYZE collection on every shard session. Worker domains
     only touch their sessions inside [Pool.run], whose completion latch
@@ -416,18 +405,10 @@ let sharder (t : t) : Hyperq.Engine.sharder =
   {
     Hyperq.Engine.sh_generation = (fun () -> Shardmap.generation t.c_map);
     sh_route =
-      (fun ?fingerprint rel ->
+      (fun rel ->
         if t.c_closed then None
         else
-          (* the adaptivity loop: observed selectivity of this statement
-             shape (when the platform wired a source and the engine knows
-             the fingerprint) feeds the router's scatter pruning *)
-          let selectivity =
-            match (fingerprint, t.c_selectivity) with
-            | Some fp, Some src -> src fp
-            | _ -> None
-          in
-          let route = Router.route ?selectivity t.c_map rel in
+          let route = Router.route t.c_map rel in
           t.c_last_route <- Some route;
           match route with
         | Router.Coordinator reason ->

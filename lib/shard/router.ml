@@ -71,9 +71,9 @@ type plan =
 type route =
   | Run of plan * int list
       (** plan + target shards: [[s]] for a pinned statement, every
-          shard for a conservative scatter, a proper subset for a
-          selectivity-pruned scatter (the excluded shards cannot hold
-          rows satisfying the distribution-key constraints) *)
+          shard for an unconstrained scatter, a proper subset for a
+          pruned scatter (the excluded shards cannot hold rows
+          satisfying the distribution-key constraints) *)
   | Coordinator of string
 
 (** Short label of a plan's gather strategy — stamped onto the query
@@ -106,7 +106,7 @@ let pinnable_lit (l : Sqlast.Ast.lit) : bool =
    column [k]: each returned element is the set of shards that can hold
    a row satisfying one conjunct. A singleton is the classic pin; a
    larger proper subset (an IN list whose members hash to several but
-   not all shards) licenses a selectivity-pruned scatter. *)
+   not all shards) prunes the scatter to that subset. *)
 let key_constraints (map : Shardmap.t) (k : string) (pred : I.scalar) :
     int list list =
   List.filter_map
@@ -354,28 +354,12 @@ let pinned ~shards (cons : int list list) : int option =
   | [] -> List.find_map (function s :: _ -> Some s | [] -> None) cons
   | _ -> None
 
-(** Observed-selectivity ceiling under which a scatter is pruned to the
-    shards the distribution-key constraints allow. Feedback comes from
-    the workload-statistics plane ({!Obs.Qstats.entry_selectivity}): a
-    fingerprint whose analyzed runs return at most half the rows they
-    scan is selective enough that skipping shards which cannot
-    contribute matching rows is a clear win; without feedback the
-    scatter stays conservative (all shards). *)
-let prune_max_selectivity = 0.5
-
-(* Scatter targets: all shards unless workload feedback marks the
-   fingerprint selective AND the distribution-key constraints confine
-   matching rows to a subset. Pruning is semantically safe regardless —
-   an excluded shard holds no satisfying rows, so its contribution to a
-   concat/merge/partial-combine gather is empty — but the selectivity
-   gate keeps routing deterministic for un-profiled statements. *)
-let scatter_targets ~shards ~(selectivity : float option)
-    (cons : int list list) : int list =
-  let all = all_of ~shards in
-  match selectivity with
-  | Some s when s <= prune_max_selectivity && cons <> [] -> (
-      match allowed_shards ~shards cons with [] -> all | sub -> sub)
-  | _ -> all
+(* Scatter targets: the shards the distribution-key constraints allow.
+   An excluded shard holds no satisfying rows, so its contribution to a
+   concat/merge/partial-combine gather is empty. Contradictory
+   constraints (no shard allowed) keep every shard. *)
+let scatter_targets ~shards (cons : int list list) : int list =
+  match allowed_shards ~shards cons with [] -> all_of ~shards | sub -> sub
 
 (* root Sort keys usable for a coordinator re-sort / merge: plain column
    references over the relation's output columns *)
@@ -393,10 +377,9 @@ let plain_sort_keys (keys : I.sort_key list) (out : string list) :
 (* Classification                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let try_partial_agg (map : Shardmap.t) ~(selectivity : float option)
-    ~(whole : I.rel) ~(input : I.rel) ~(keys : (string * I.scalar) list)
-    ~(aggs : (string * I.scalar) list) ~(sort : I.sort_key list option) :
-    route =
+let try_partial_agg (map : Shardmap.t) ~(whole : I.rel) ~(input : I.rel)
+    ~(keys : (string * I.scalar) list) ~(aggs : (string * I.scalar) list)
+    ~(sort : I.sort_key list option) : route =
   let shards = Shardmap.shards map in
   match info map input with
   | No reason, _, _ -> Coordinator reason
@@ -427,17 +410,15 @@ let try_partial_agg (map : Shardmap.t) ~(selectivity : float option)
                             @ combines;
                           a_sort;
                         },
-                      scatter_targets ~shards ~selectivity cons ))))
+                      scatter_targets ~shards cons ))))
 
-let route ?selectivity (map : Shardmap.t) (rel : I.rel) : route =
+let route (map : Shardmap.t) (rel : I.rel) : route =
   let shards = Shardmap.shards map in
   match rel with
   | I.Aggregate { input; keys; aggs } ->
-      try_partial_agg map ~selectivity ~whole:rel ~input ~keys ~aggs
-        ~sort:None
+      try_partial_agg map ~whole:rel ~input ~keys ~aggs ~sort:None
   | I.Sort { input = I.Aggregate { input; keys; aggs }; keys = skeys } ->
-      try_partial_agg map ~selectivity ~whole:rel ~input ~keys ~aggs
-        ~sort:(Some skeys)
+      try_partial_agg map ~whole:rel ~input ~keys ~aggs ~sort:(Some skeys)
   | I.Sort { input; keys = [ { I.sk_expr = I.ColRef oc; sk_dir } ] }
     when I.order_col input = Some oc -> (
       (* class C: the root order is the implicit order column — unique
@@ -452,7 +433,7 @@ let route ?selectivity (map : Shardmap.t) (rel : I.rel) : route =
           | _ ->
               Run
                 ( Merge (rel, [ (oc, sk_dir) ]),
-                  scatter_targets ~shards ~selectivity cons )))
+                  scatter_targets ~shards cons )))
   | I.Sort _ -> (
       (* an explicit user sort on payload columns: ties may straddle
          shards, so a merge is not deterministic — but a pinned
@@ -470,7 +451,7 @@ let route ?selectivity (map : Shardmap.t) (rel : I.rel) : route =
       | Partitioned _, cons, has_union -> (
           match pinned ~shards cons with
           | Some pin when not has_union -> Run (Single (pin, rel), [ pin ])
-          | _ -> Run (Concat rel, scatter_targets ~shards ~selectivity cons)))
+          | _ -> Run (Concat rel, scatter_targets ~shards cons)))
 
 (* ------------------------------------------------------------------ *)
 (* Route explanation                                                   *)
@@ -488,9 +469,8 @@ type explain = {
   x_combines : (string * string) list;
       (** partial-aggregate recombination rule per output column *)
   x_pruned : bool;
-      (** scatter dispatched to a proper shard subset because workload
-          selectivity feedback plus distribution-key constraints ruled
-          the other shards out *)
+      (** scatter dispatched to a proper shard subset because the
+          distribution-key constraints ruled the other shards out *)
 }
 
 let combine_name = function

@@ -3,8 +3,8 @@
    query over the full 25-query analytical workload on a 2-shard
    platform (single-shard and scatter/gather routes included), the
    /explain.json admin endpoint, tree-shape stability across plan-cache
-   hits, tail sampling, and the cardinality feedback that analyzed runs
-   fold into the per-fingerprint store. *)
+   hits, tail sampling, and the recorder and HTTP surfaces that carry
+   analyzed trees. *)
 
 module Db = Pgdb.Db
 module Op = Pgdb.Opstats
@@ -430,7 +430,7 @@ let test_plan_cache_hit_stability () =
       P.Client.close c)
 
 (* ------------------------------------------------------------------ *)
-(* Sampling, cardinality feedback, recorder and HTTP surfaces          *)
+(* Sampling, recorder and HTTP surfaces                               *)
 (* ------------------------------------------------------------------ *)
 
 let test_tail_sampling () =
@@ -441,34 +441,6 @@ let test_tail_sampling () =
       done;
       check tint "1-in-3 sampling analyzed 2 of 6" 2
         (Obs.Explain.analyzed_total (P.obs p).Obs.Ctx.explain);
-      P.Client.close c)
-
-let test_cardinality_feedback () =
-  with_platform ~analyze_sample:1 (marketdata_db ()) (fun p ->
-      let c = P.Client.connect p in
-      let q = "select a:avg Price by Symbol from trades" in
-      ignore (ok (P.Client.query c q));
-      ignore (ok (P.Client.query c q));
-      let qstats = (P.obs p).Obs.Ctx.qstats in
-      (match Obs.Qstats.worst_misestimates qstats 5 with
-      | [] -> Alcotest.fail "no analyzed fingerprints"
-      | e :: _ ->
-          check tbool "analyzed runs counted" true (e.Obs.Qstats.e_analyzed >= 2);
-          check tbool "rows scanned accumulated" true
-            (e.Obs.Qstats.e_rows_scanned > 0);
-          check tbool "q-error clamped >= 1" true
-            (e.Obs.Qstats.e_worst_qerror >= 1.0);
-          check tbool "worst operator named" true
-            (e.Obs.Qstats.e_worst_op <> ""));
-      (* the feedback columns ride on .hq.top *)
-      (match ok (P.Client.query c ".hq.top[5]") with
-      | QV.Table t ->
-          List.iter
-            (fun col ->
-              check tbool (col ^ " column present") true
-                (List.mem col (Array.to_list t.QV.cols)))
-            [ "analyzed"; "rows_scanned_avg"; "worst_qerror"; "worst_op" ]
-      | v -> Alcotest.failf "expected table, got %s" (Qvalue.Qprint.to_string v));
       P.Client.close c)
 
 let test_recorder_attaches_tree () =
@@ -604,8 +576,6 @@ let () =
       ( "feedback",
         [
           Alcotest.test_case "tail sampling" `Quick test_tail_sampling;
-          Alcotest.test_case "cardinality store" `Quick
-            test_cardinality_feedback;
           Alcotest.test_case "recorder tree" `Quick
             test_recorder_attaches_tree;
           Alcotest.test_case "/explain.json" `Quick

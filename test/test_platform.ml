@@ -549,8 +549,8 @@ module MD = Workload.Marketdata
 
 (* A long-lived proxy must not keep anything per request it served:
    after a warm-up that fills every bounded cache (plan cache 512,
-   fingerprint store 512, pgdb statement cache 256, selectivity store
-   1,024), 10,000 more requests of one traffic mix leave the platform
+   fingerprint store 512, pgdb statement cache 256), 10,000 more
+   requests of one traffic mix leave the platform
    and its connection holding less than one more live word per
    request. The time-series ring is held still (its interval never
    elapses): it fills with wall-clock time, not with requests. *)

@@ -1,9 +1,11 @@
 (* Sharded execution tests: router classification over hand-built XTRA
    trees, cluster partitioning and DDL/DML mirroring, fan-out overlap
    (every shard inside its backend at once), the full platform
-   at --shards 2 (the existing end-to-end suite re-run sharded), a
-   200-query randomized differential against the single-backend engine,
-   and the plan-cache shard-generation regression. *)
+   at --shards 2 (the existing end-to-end suite re-run sharded),
+   scatter pruning at 4 shards, a 200-query randomized differential
+   against the single-backend engine, kdb differentials (vector shapes,
+   literal tables, count of NULL-bearing columns), and the plan-cache
+   shard-generation regression. *)
 
 module V = Pgdb.Value
 module Db = Pgdb.Db
@@ -129,13 +131,13 @@ let test_route_partial_agg () =
       | _ -> Alcotest.fail "unexpected combine plan")
   | _ -> Alcotest.fail "decomposable aggregate should scatter as partial-agg"
 
-(* selectivity feedback: an IN list on the distribution column whose
-   members hash to a proper shard subset prunes the scatter — but only
-   when workload feedback says the statement is selective *)
+(* an IN list on the distribution column whose members hash to a proper
+   shard subset prunes the scatter to that subset; no workload feedback
+   is consulted *)
 let test_route_pruned_scatter () =
   let m = smap () in
   let shard_of s = SM.shard_of_value m (V.Str s) in
-  (* find two symbols on distinct shards and one sharing the first's *)
+  (* two symbols on distinct shards, and one sharing the first's *)
   let syms = List.init 64 (fun i -> Printf.sprintf "S%d" i) in
   let a = List.hd syms in
   let b = List.find (fun s -> shard_of s <> shard_of a) syms in
@@ -150,27 +152,17 @@ let test_route_pruned_scatter () =
       }
   in
   let expected = List.sort_uniq compare [ shard_of a; shard_of b ] in
-  (* no feedback: conservative full scatter *)
-  (match R.route m (in_pred [ a; b ]) with
-  | R.Run (R.Concat _, [ 0; 1; 2; 3 ]) -> ()
-  | _ -> Alcotest.fail "without feedback the scatter must stay full");
-  (* unselective feedback: still full *)
-  (match R.route ~selectivity:0.9 m (in_pred [ a; b ]) with
-  | R.Run (R.Concat _, [ 0; 1; 2; 3 ]) -> ()
-  | _ -> Alcotest.fail "unselective fingerprints must not prune");
-  (* selective feedback: scatter only where the members can live *)
-  (match R.route ~selectivity:0.05 m (in_pred [ a; b ]) with
+  let route = R.route m (in_pred [ a; b ]) in
+  (match route with
   | R.Run (R.Concat _, targets) ->
-      check tbool "pruned to the members' shards" true (targets = expected);
-      let x =
-        R.explain_route ~shards:4 (R.route ~selectivity:0.05 m (in_pred [ a; b ]))
-      in
-      check tbool "explain marks the prune" true x.R.x_pruned;
-      check tbool "explain carries the subset" true (x.R.x_targets = expected)
-  | _ -> Alcotest.fail "selective IN list should prune the scatter");
-  (* all members on one shard still pins, with or without feedback *)
+      check tbool "pruned to the members' shards" true (targets = expected)
+  | _ -> Alcotest.fail "a proper-subset IN list should prune the scatter");
+  let x = R.explain_route ~shards:4 route in
+  check tbool "explain marks the prune" true x.R.x_pruned;
+  check tbool "explain carries the subset" true (x.R.x_targets = expected);
+  (* all members on one shard still pins *)
   let a' = List.find (fun s -> s <> a && shard_of s = shard_of a) syms in
-  match R.route ~selectivity:0.05 m (in_pred [ a; a' ]) with
+  match R.route m (in_pred [ a; a' ]) with
   | R.Run (R.Single (s, _), _) ->
       check tint "same-shard IN list pins" (shard_of a) s
   | _ -> Alcotest.fail "single-shard IN list should pin"
@@ -395,46 +387,6 @@ let test_sharded_platform_end_to_end () =
       | v -> Alcotest.failf "expected table, got %s" (Qvalue.Qprint.to_string v));
       P.Client.close c)
 
-(* selectivity feedback through the full stack: with a selective
-   fingerprint, an IN list on the distribution column dispatches only to
-   the shards its members hash to — and the answer is unchanged *)
-let test_pruned_dispatch_end_to_end () =
-  with_platform ~shards:4 (make_db ()) (fun p ->
-      let cluster = Option.get (P.cluster p) in
-      let m = C.map cluster in
-      let c = P.Client.connect p in
-      (* a member sharing shard with no other: pick a symbol on a
-         different shard than "A" so the pair spans a proper subset *)
-      let shard_of s = SM.shard_of_value m (V.Str s) in
-      let other =
-        List.find
-          (fun s -> shard_of s <> shard_of "A")
-          (List.init 64 (fun i -> Printf.sprintf "S%d" i))
-      in
-      let q = Printf.sprintf "select from trades where Symbol in `A`%s" other in
-      let statements () =
-        List.map (fun i -> i.C.si_statements) (C.shards_info cluster)
-      in
-      let delta f =
-        let before = statements () in
-        let r = f () in
-        (r, List.map2 ( - ) (statements ()) before)
-      in
-      (* without feedback: the scatter hits all four shards *)
-      let v_full, d_full = delta (fun () -> ok (P.Client.query c q)) in
-      check tint "conservative scatter hits every shard" 4
-        (List.length (List.filter (fun d -> d > 0) d_full));
-      (* selective feedback: only the members' shards are dispatched *)
-      C.set_selectivity_source cluster (fun _ -> Some 0.05);
-      let v_pruned, d_pruned = delta (fun () -> ok (P.Client.query c q)) in
-      check tint "pruned scatter hits two shards" 2
-        (List.length (List.filter (fun d -> d > 0) d_pruned));
-      check tbool "pruned answer unchanged" true (QV.equal v_full v_pruned);
-      let reg = (P.obs p).Obs.Ctx.registry in
-      check tbool "pruned scatter counted" true
-        (M.counter_value (M.counter reg "hq_shard_pruned_scatters_total") >= 1);
-      P.Client.close c)
-
 (* ------------------------------------------------------------------ *)
 (* Randomized differential: sharded vs single-backend                  *)
 (* ------------------------------------------------------------------ *)
@@ -469,6 +421,82 @@ and table_eq (ta : QV.table) (tb : QV.table) =
   ta.QV.cols = tb.QV.cols
   && Array.length ta.QV.data = Array.length tb.QV.data
   && Array.for_all2 val_eq ta.QV.data tb.QV.data
+
+(* pruning through the full stack, 4 shards: an IN list on the
+   distribution column dispatches every scatter class only to the shards
+   its members hash to, and each answer equals the 1-node answer and
+   kdb's *)
+let test_pruned_dispatch_end_to_end () =
+  let d = MD.generate MD.small_scale in
+  let kdb = Kdb.Server.create () in
+  List.iter (fun (name, v) -> Kdb.Server.load kdb name v) (MD.q_tables d);
+  let load () =
+    let db = Db.create () in
+    MD.load_pg db d;
+    db
+  in
+  with_platform (load ()) (fun single ->
+      with_platform ~shards:4 (load ()) (fun p ->
+          let one = P.Client.connect single in
+          let c = P.Client.connect p in
+          let cluster = Option.get (P.cluster p) in
+          let shard_of s = SM.shard_of_value (C.map cluster) (V.Str s) in
+          let syms = Array.to_list d.MD.syms in
+          let a = List.hd syms in
+          let b = List.find (fun s -> shard_of s <> shard_of a) syms in
+          let members = Printf.sprintf "`%s`%s" a b in
+          let expected = List.sort_uniq compare [ shard_of a; shard_of b ] in
+          let statements () =
+            List.map (fun i -> i.C.si_statements) (C.shards_info cluster)
+          in
+          let pruned_total () =
+            M.counter_value
+              (M.counter (P.obs p).Obs.Ctx.registry
+                 "hq_shard_pruned_scatters_total")
+          in
+          List.iter
+            (fun (cls, q) ->
+              let q = Printf.sprintf q members in
+              let before = statements () and pruned = pruned_total () in
+              let hq = ok (P.Client.query c q) in
+              let hit =
+                List.filteri
+                  (fun i _ -> List.nth (statements ()) i > List.nth before i)
+                  (List.init 4 Fun.id)
+              in
+              check (Alcotest.list tint) (q ^ ": only the members' shards")
+                expected hit;
+              (match C.last_route cluster with
+              | Some x ->
+                  check Alcotest.string (q ^ ": route class") cls
+                    x.R.x_class;
+                  check tbool (q ^ ": explain marks the prune") true
+                    x.R.x_pruned
+              | None -> Alcotest.failf "%s: no route recorded" q);
+              check tbool (q ^ ": pruned scatter counted") true
+                (pruned_total () = pruned + 1);
+              check tbool (q ^ ": equals the 1-node answer") true
+                (val_eq hq (ok (P.Client.query one q)));
+              match Kdb.Server.query kdb ~client:0 q with
+              | Error e -> Alcotest.failf "kdb failed on %s: %s" q e
+              | Ok k -> (
+                  match Sidebyside.Framework.values_agree k hq with
+                  | None -> ()
+                  | Some why -> Alcotest.failf "%s differs from kdb: %s" q why))
+            [
+              ("merge", "select from trades where Symbol in %s");
+              ( "partial_agg",
+                "select n:count Size, s:sum Size, a:avg Price, lo:min Price, \
+                 hi:max Price by Symbol from trades where Symbol in %s" );
+              ( "partial_agg",
+                "select n:count Size, s:sum Size, a:avg Price, lo:min Price, \
+                 hi:max Price from trades where Symbol in %s" );
+              ( "merge",
+                "select Symbol, Time, Price from trades where Symbol in %s, \
+                 Size>0" );
+            ];
+          P.Client.close c;
+          P.Client.close one))
 
 let marketdata_db () =
   let db = Db.create () in
@@ -633,12 +661,12 @@ let literal_table_queries (d : MD.dataset) : string list =
       "select Symbol, Price, w from trades ij ([Symbol:`%s`%s] w:10 20)"
       (sym 1) (sym 3);
     Printf.sprintf
-      "select n:count Price, w:max w by Symbol from trades ij \
+      "select n:count Price, c:count w, w:max w by Symbol from trades ij \
        ([Symbol:`%s`%s; Exch:`N`A] w:1.5 0n)"
       (sym 0) (sym 2);
     "select from " ^ all_types;
     "select s, d, t, p from " ^ all_types ^ " where l>1";
-    "select n:count b, mx:max f, lo:min d from " ^ all_types;
+    "select n:count l, mx:max f, lo:min d from " ^ all_types;
     "select from ([] a:`x`y`z; b:1 0N 3)";
     "select from ([] a:(); b:())";
     "select Symbol, Price from trades ij ([Symbol:()] w:())";
@@ -700,6 +728,95 @@ let test_literal_tables_against_kdb () =
           P.Client.close c))
     [ None; Some 2 ]
 
+(* Q's count counts every item, NULLs included; SQL's COUNT(x) skips
+   them. Plain, by and (on 2 shards) through the partial-aggregate
+   combine, each answer must equal kdb's. avg keeps skipping NULLs. *)
+let test_count_with_nulls_against_kdb () =
+  let n = 12 in
+  let sym i = [| "A"; "B"; "C" |].(i mod 3) in
+  let size i = if i mod 4 = 1 then None else Some (10 * i) in
+  let price i = if i mod 5 = 2 then None else Some (100.0 +. float_of_int i) in
+  let load () =
+    let db = Db.create () in
+    Db.load_table db
+      (S.table ~order_col:"hq_ord" "trades"
+         [
+           S.column "hq_ord" Ty.TBigint;
+           S.column "Symbol" Ty.TVarchar;
+           S.column "Price" Ty.TDouble;
+           S.column "Size" Ty.TBigint;
+         ])
+      (List.init n (fun i ->
+           [|
+             V.Int (Int64.of_int i);
+             V.Str (sym i);
+             (match price i with Some p -> V.Float p | None -> V.Null);
+             (match size i with
+             | Some s -> V.Int (Int64.of_int s)
+             | None -> V.Null);
+           |]));
+    db
+  in
+  let kdb = Kdb.Server.create () in
+  let vec ty f = QV.Vector (ty, Array.init n f) in
+  Kdb.Server.load kdb "trades"
+    (QV.Table
+       (QV.table
+          [
+            ("Symbol", vec Qvalue.Qtype.Sym (fun i -> QA.Sym (sym i)));
+            ( "Price",
+              vec Qvalue.Qtype.Float (fun i ->
+                  match price i with
+                  | Some p -> QA.Float p
+                  | None -> QA.Null Qvalue.Qtype.Float) );
+            ( "Size",
+              vec Qvalue.Qtype.Long (fun i ->
+                  match size i with
+                  | Some s -> QA.Long (Int64.of_int s)
+                  | None -> QA.Null Qvalue.Qtype.Long) );
+          ]));
+  let queries =
+    [
+      "select n:count Size from trades";
+      "select n:count Size, p:count Price, a:avg Size by Symbol from trades";
+      "select n:count Price, a:avg Price from trades where Symbol in `A`B";
+    ]
+  in
+  List.iter
+    (fun shards ->
+      with_platform ?shards (load ()) (fun p ->
+          let c = P.Client.connect p in
+          let where =
+            match shards with
+            | Some k -> Printf.sprintf " (%d shards)" k
+            | None -> ""
+          in
+          List.iter
+            (fun q ->
+              let hq =
+                match P.Client.query c q with
+                | Ok v -> v
+                | Error e -> Alcotest.failf "%s%s: %s" q where e
+              in
+              (match P.cluster p with
+              | Some cluster -> (
+                  match C.last_route cluster with
+                  | Some x ->
+                      check Alcotest.string (q ^ where ^ ": combined")
+                        "partial_agg" x.R.x_class
+                  | None -> Alcotest.failf "%s%s: no route" q where)
+              | None -> ());
+              match Kdb.Server.query kdb ~client:0 q with
+              | Error e -> Alcotest.failf "kdb failed on %s: %s" q e
+              | Ok k -> (
+                  match Sidebyside.Framework.values_agree k hq with
+                  | None -> ()
+                  | Some why ->
+                      Alcotest.failf "%s%s differs from kdb: %s" q where why))
+            queries;
+          P.Client.close c))
+    [ None; Some 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Plan cache: shard-map generation in the key                         *)
 (* ------------------------------------------------------------------ *)
@@ -729,7 +846,7 @@ let test_plan_cache_shard_generation () =
   let gen = ref 1 in
   let sharder =
     {
-      E.sh_route = (fun ?fingerprint:_ _ -> None);
+      E.sh_route = (fun _ -> None);
       sh_generation = (fun () -> !gen);
     }
   in
@@ -891,6 +1008,8 @@ let () =
             test_vector_shapes_against_kdb;
           Alcotest.test_case "literal tables against kdb, 1 node and 2 shards"
             `Quick test_literal_tables_against_kdb;
+          Alcotest.test_case "count with NULLs against kdb, 1 node and 2 shards"
+            `Quick test_count_with_nulls_against_kdb;
         ] );
       ( "plan cache",
         [

@@ -559,75 +559,57 @@ let test_path_counters () =
     (Atomic.get Vexec.stats_vector - v0);
   check tint "row counter never moves" 0 (Atomic.get Vexec.stats_row - r0)
 
-let test_selectivity_feedback () =
-  let db = fixture () in
-  let sess = session db in
-  Vexec.reset_selectivities ();
-  for _ = 1 to 5 do
-    ignore
-      (run sess
-         "SELECT sym FROM trades WHERE price > 100 AND size > 0")
-  done;
-  let snap = Vexec.selectivity_snapshot () in
-  check tbool "both conjuncts tracked" true (List.length snap >= 2);
-  List.iter
-    (fun (_, s) ->
-      check tbool "selectivity estimate in [0,1]" true (s >= 0.0 && s <= 1.0))
-    snap;
-  (* literal-stripped keys: the same shape with other constants shares
-     the entry instead of creating a new one *)
-  let n0 = List.length snap in
-  ignore (run sess "SELECT sym FROM trades WHERE price > 11 AND size > 90");
-  check tint "literal-stripped conjunct keys dedupe" n0
-    (List.length (Vexec.selectivity_snapshot ()));
-  (* price > 100 keeps 1 of 10 rows: the learned estimate must have
-     moved well below the 1/3 default toward the observed 0.1 *)
-  let key =
-    List.find_opt (fun (k, _) -> k <> "") snap |> Option.map fst
+(* AND conjuncts run in the order they are written, in every run and
+   every session: a guard conjunct protects the one after it, as in
+   kdb's where-clause, where each constraint sees only the rows the
+   previous one kept. An order learned from earlier runs would let
+   [10 / x > 1] see the zero and raise division by zero. *)
+let test_conjuncts_run_in_written_order () =
+  let db = Db.create () in
+  Db.load_table db
+    (S.table "t" [ S.column "x" Ty.TBigint ])
+    (List.init 10 (fun i -> [| V.Int (Int64.of_int i) |]));
+  let sql = "SELECT x FROM t WHERE x <> 0 AND 10 / x > 1" in
+  let expected =
+    List.map (fun i -> [| V.Int (Int64.of_int i) |]) [ 1; 2; 3; 4; 5 ]
   in
-  check tbool "snapshot keys are non-empty" true (key <> None);
-  Vexec.reset_selectivities ();
-  check tint "reset empties the store" 0
-    (List.length (Vexec.selectivity_snapshot ()))
-
-(* eviction regression: a full selectivity store must shed only cold
-   keys. The old behaviour (Hashtbl.reset on overflow) wiped every
-   learned EWMA; the second-chance clock keeps recently-consulted keys
-   and their estimates across overflow. *)
-let test_selectivity_eviction_keeps_hot_keys () =
-  Vexec.reset_selectivities ();
-  let cap = 1024 in
-  for i = 0 to cap - 1 do
-    Vexec.observe_selectivity (Printf.sprintf "t|k%04d" i) 0.5
+  let same label = function
+    | Ok (_, rows) ->
+        check tbool (label ^ ": the 5 guarded rows") true
+          (Array.to_list rows = expected)
+    | Error e -> Alcotest.failf "%s: %s" label e
+  in
+  let sess = session db in
+  for i = 1 to 3 do
+    same (Printf.sprintf "run %d" i) (run sess sql)
   done;
-  check tint "filled to capacity" cap
-    (List.length (Vexec.selectivity_snapshot ()));
-  (* one overflow sweeps the clock (everything was hot) and evicts a
-     single victim — not the whole store *)
-  Vexec.observe_selectivity "t|overflow" 0.25;
-  check tint "overflow evicts one, not all" cap
-    (List.length (Vexec.selectivity_snapshot ()));
-  (* consult a few keys so they are hot when the next sweeps arrive *)
-  let hot = [ "t|k0100"; "t|k0500"; "t|k0900" ] in
-  List.iter (fun k -> ignore (Vexec.estimated_selectivity k)) hot;
-  for i = 0 to 49 do
-    Vexec.observe_selectivity (Printf.sprintf "t|new%02d" i) 0.75
-  done;
-  let snap = Vexec.selectivity_snapshot () in
-  check tint "store stays at capacity" cap (List.length snap);
-  List.iter
-    (fun k ->
-      match List.assoc_opt k snap with
-      | Some e ->
-          check (Alcotest.float 1e-9) (k ^ " keeps its learned EWMA") 0.5 e
-      | None -> Alcotest.failf "hot key %s was evicted" k)
-    hot;
-  (* the new keys all made it in, so cold keys were the victims *)
-  check tint "all new keys inserted" 50
-    (List.length
-       (List.filter (fun (k, _) -> String.length k > 5
-                                   && String.sub k 0 5 = "t|new") snap));
-  Vexec.reset_selectivities ()
+  same "second session" (run (session db) sql);
+  (* the analyzed plan shows the filters in written order, each
+     estimated to keep a third of its input *)
+  Db.set_analyze sess true;
+  same "analyzed run" (run sess sql);
+  match Db.last_plan sess with
+  | None -> Alcotest.fail "analyzed query produced no plan"
+  | Some root ->
+      (* pre-order lists the later filter (the parent) first *)
+      let filters =
+        List.rev
+          (List.filter_map
+             (fun (_, n) -> if n.Op.op = "vector_filter" then Some n else None)
+             (Op.flatten root))
+      in
+      check (Alcotest.list Alcotest.string) "filters in written order"
+        [ "(x <> 0)"; "((10 / x) > 1)" ]
+        (List.map (fun n -> n.Op.detail) filters);
+      check (Alcotest.list tint) "rows in, filter by filter" [ 10; 9 ]
+        (List.map (fun n -> n.Op.rows_in) filters);
+      List.iter
+        (fun n ->
+          check tint
+            (n.Op.detail ^ ": est = a third of rows in")
+            (Stdlib.max 1 (n.Op.rows_in / 3))
+            n.Op.est_rows)
+        filters
 
 (* views are inlined as derived tables, temp tables scan their
    session's batch: both on the vector path *)
@@ -1257,10 +1239,8 @@ let () =
           Alcotest.test_case "explain shows vector nodes" `Quick
             test_explain_vector_nodes;
           Alcotest.test_case "path counters" `Quick test_path_counters;
-          Alcotest.test_case "selectivity feedback" `Quick
-            test_selectivity_feedback;
-          Alcotest.test_case "eviction keeps hot keys" `Quick
-            test_selectivity_eviction_keeps_hot_keys;
+          Alcotest.test_case "conjuncts run in written order" `Quick
+            test_conjuncts_run_in_written_order;
           Alcotest.test_case "views and temps" `Quick test_views_and_temps;
         ] );
       ( "operators",
