@@ -7,20 +7,37 @@
      dune exec bin/hyperq_server.exe -- --admin-port 9090 -- live HTTP admin endpoint
      q) select vwap:(sum Price*Size)%sum Size by Symbol from trades
      q) aj[`Symbol`Time; trades; quotes]
-     q) .hq.stats                                 -- in-band metrics table
-     q) .hq.top[5]                                -- top query fingerprints
-     q) .hq.slow[]                                -- slow-query flight recorder
-     q) .hq.activity                              -- session registry (who runs what)
-     q) .hq.traces[5]                             -- last finished query traces
-     q) .hq.stats.reset                           -- zero counters/histograms
+     q) .hq.<plane>[n]                            -- an introspection plane as a table
+     q) .hq.explain select from trades            -- analyze one query
+     q) .hq.stats.reset                           -- zero every plane
      q) \sql select from trades where Symbol=`AAA -- show generated SQL
      q) \q                                        -- quit
 
+   The banner names every plane; --help names every admin-port route.
    stdout is the REPL's result channel; diagnostics (--stats dump,
    admin-listener notices) go to stderr so piped output stays clean. *)
 
 module P = Platform.Hyperq_platform
 module MD = Workload.Marketdata
+module Planes = Platform.Planes
+
+(* "GET /metrics, ... and POST /reset", from the admin port's routes *)
+let admin_routes =
+  let paths meth =
+    String.concat ", "
+      (List.filter_map
+         (fun (m, path, _) -> if m = meth then Some path else None)
+         P.http_routes)
+  in
+  Printf.sprintf "GET %s and POST %s" (paths "GET") (paths "POST")
+
+(* one line per plane: its in-band query and what it shows *)
+let plane_lines =
+  String.concat ""
+    (List.map
+       (fun (p : Planes.plane) ->
+         Printf.sprintf "  %-22s %s\n" (Planes.query p ^ "[n]") p.Planes.about)
+       Planes.all)
 
 let usage =
   "hyperq_server [options]\n\n\
@@ -55,10 +72,7 @@ let () =
         " dump Prometheus metrics to stderr when the REPL exits" );
       ( "--admin-port",
         Arg.Set_int admin_port,
-        "PORT serve GET /metrics, /healthz, /stats.json, /slow.json, \
-         /traces.json, /logs.json, /activity.json, /plancache.json, \
-         /timeseries.json, /slo.json, /runtime.json and POST /reset on \
-         127.0.0.1:PORT" );
+        "PORT serve " ^ admin_routes ^ " on 127.0.0.1:PORT" );
       ( "--slow-threshold-ms",
         Arg.Set_float slow_threshold_ms,
         "MS flight-record queries slower than MS (default 100)" );
@@ -233,11 +247,14 @@ let () =
     "Hyper-Q interactive session (backend: pgdb via PG v3 wire)\n\
      tables: trades (%d rows), quotes (%d rows), secmaster_w, risk_w, \
      limits_w\n\
-     commands: \\sql <q-query> shows generated SQL, .hq.stats / .hq.top[n] \
-     / .hq.slow[n] / .hq.activity / .hq.traces[n] / .hq.plancache / \
-     .hq.stats.reset for proxy introspection, \\q quits\n\n"
+     commands: \\sql <q-query> shows generated SQL, \\q quits\n\
+     proxy introspection (n rows, or the plane's default without [n]):\n\
+     %s\
+    \  %-22s analyze one query\n\
+    \  %-22s zero every plane\n\n"
     (Array.length d.MD.trades)
-    (Array.length d.MD.quotes);
+    (Array.length d.MD.quotes)
+    plane_lines ".hq.explain <query>" ".hq.stats.reset";
   let rec loop () =
     print_string "q) ";
     match read_line () with

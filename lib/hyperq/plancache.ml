@@ -515,3 +515,30 @@ let entries (t : t) : entry list =
   |> List.sort (fun a b -> compare b.e_hits a.e_hits)
 
 let clear (t : t) : unit = with_mu t (fun () -> Hashtbl.reset t.tbl)
+
+(* the admin surfaces list this many entries unless asked for more *)
+let default_listed = 50
+
+(** The [n] (default {!default_listed}) most-hit entries as the relation
+    behind [.hq.plancache] and [GET /plancache.json], with hit counts
+    and estimated translation time saved; [None] is a disabled cache. *)
+let relation ?(n = default_listed) (t : t option) : Obs.Relation.t =
+  let doc, entries =
+    match t with
+    | None -> (Obs.Relation.[ ("enabled", Bool false); ("size", Int 0); ("evictions", Int 0) ], [])
+    | Some t ->
+        ( Obs.Relation.
+            [ ("enabled", Bool true); ("size", Int (size t)); ("evictions", Int (evictions t)) ],
+          entries t )
+  in
+  Obs.Relation.(
+    make ~fields:doc ~n
+      [
+        str "fingerprint" (fun e -> e.e_key.k_fingerprint);
+        str "signature" (fun e -> e.e_key.k_signature);
+        str "norm" (fun e -> e.e_norm);
+        str "kind" (fun e -> kind_name e.e_kind);
+        int "hits" (fun e -> e.e_hits);
+        float "saved_seconds" (fun e -> e.e_saved_s);
+      ]
+      entries)

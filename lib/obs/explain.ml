@@ -15,83 +15,34 @@ type plan = {
 }
 
 (* written by the coordinator after each analyzed query, read by the
-   admin thread (/explain.json) and in-band .hq admin queries — the
-   multi-word ring state is lock-guarded like the trace-export ring *)
-type t = {
-  mu : Mutex.t;
-  capacity : int;
-  ring : plan option array;
-  mutable next : int;  (** next write slot *)
-  mutable stored : int;  (** live entries, <= capacity always *)
-  mutable analyzed_total : int;
-}
+   admin thread (/explain.json) and in-band .hq admin queries *)
+type t = plan Ring.t
 
 let default_capacity = 128
+let create ?(capacity = default_capacity) () : t = Ring.create capacity
+let capacity = Ring.capacity
+let size = Ring.size
+let analyzed_total = Ring.pushed
+let reset = Ring.clear
+let offer = Ring.push
+let recent = Ring.recent
 
-let create ?(capacity = default_capacity) () =
-  if capacity < 1 then invalid_arg "Explain.create: capacity must be >= 1";
-  {
-    mu = Mutex.create ();
-    capacity;
-    ring = Array.make capacity None;
-    next = 0;
-    stored = 0;
-    analyzed_total = 0;
-  }
-
-let with_mu t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-let capacity t = t.capacity
-let size t = with_mu t (fun () -> t.stored)
-let analyzed_total t = with_mu t (fun () -> t.analyzed_total)
-
-let reset t =
-  with_mu t (fun () ->
-      Array.fill t.ring 0 t.capacity None;
-      t.next <- 0;
-      t.stored <- 0;
-      t.analyzed_total <- 0)
-
-let offer t (p : plan) : unit =
-  with_mu t (fun () ->
-      t.ring.(t.next) <- Some p;
-      t.next <- (t.next + 1) mod t.capacity;
-      if t.stored < t.capacity then t.stored <- t.stored + 1;
-      t.analyzed_total <- t.analyzed_total + 1)
-
-(** The newest [n] analyzed plans, newest first. *)
-let recent t (n : int) : plan list =
-  with_mu t (fun () ->
-      let out = ref [] in
-      let i = ref ((t.next - 1 + t.capacity) mod t.capacity) in
-      let remaining = ref (Stdlib.min n t.stored) in
-      while !remaining > 0 do
-        (match t.ring.(!i) with Some r -> out := r :: !out | None -> ());
-        i := (!i - 1 + t.capacity) mod t.capacity;
-        decr remaining
-      done;
-      List.rev !out)
-
-let plan_json (p : plan) : string =
-  Printf.sprintf
-    "{\"ts\":%.3f,\"trace_id\":\"%s\",\"fingerprint\":\"%s\",\
-     \"query\":\"%s\",\"ms\":%.3f,\"route\":\"%s\",\"cache\":\"%s\",\
-     \"shards\":%d,\"rows_scanned\":%d,\"rows_out\":%d,\
-     \"top_operator\":\"%s\",\"worst_qerror\":%.2f,\"plan\":%s}"
-    p.p_ts p.p_trace_id p.p_fingerprint
-    (Trace.json_escape p.p_query)
-    (p.p_duration_s *. 1e3) (Trace.json_escape p.p_route)
-    (Trace.json_escape p.p_cache) p.p_shards p.p_rows_scanned p.p_rows_out
-    (Trace.json_escape p.p_top_operator)
-    p.p_worst_qerror
-    (* p_tree is pre-rendered JSON, spliced verbatim *)
-    (if p.p_tree = "" then "null" else p.p_tree)
-
-(** The newest [n] (default: all held) analyzed plans as one JSON
-    document — what [GET /explain.json] serves. *)
-let to_json ?n t : string =
-  let n = match n with Some n -> n | None -> t.capacity in
-  Printf.sprintf "{\"plans\":[%s]}\n"
-    (String.concat "," (List.map plan_json (recent t n)))
+let relation ?n t : Relation.t =
+  Relation.make
+    Relation.
+      [
+        float "ts" (fun p -> p.p_ts);
+        str "trace_id" (fun p -> p.p_trace_id);
+        str "fingerprint" (fun p -> p.p_fingerprint);
+        str "query" (fun p -> p.p_query);
+        float "ms" (fun p -> p.p_duration_s *. 1e3);
+        str "route" (fun p -> p.p_route);
+        str "cache" (fun p -> p.p_cache);
+        int "shards" (fun p -> p.p_shards);
+        int "rows_scanned" (fun p -> p.p_rows_scanned);
+        int "rows_out" (fun p -> p.p_rows_out);
+        str "top_operator" (fun p -> p.p_top_operator);
+        float "worst_qerror" (fun p -> p.p_worst_qerror);
+        json "plan" (fun p -> p.p_tree);
+      ]
+    (recent t (Option.value n ~default:(capacity t)))

@@ -52,7 +52,7 @@ val analyzed_total : t -> int
 (** Drop all held plans and counters. *)
 val reset : t -> unit
 
-val plan_json : plan -> string
-
-(** The newest [n] (default: all held) plans as one JSON document. *)
-val to_json : ?n:int -> t -> string
+(** The newest [n] (default: all held) plans, newest first, as the
+    relation behind bare [.hq.explain] and [GET /explain.json]; [plan]
+    is the pre-rendered document. *)
+val relation : ?n:int -> t -> Relation.t

@@ -4,69 +4,23 @@ type exported = {
   x_root : Trace.span;  (** finished root span *)
 }
 
-(* the ring is written by the coordinator (every finished trace) and
-   read by the admin thread (/traces.json) and in-band .hq.traces, so
-   its multi-word state is lock-guarded *)
-type t = {
-  mu : Mutex.t;
-  capacity : int;
-  ring : exported option array;
-  mutable next : int;  (** next write slot *)
-  mutable stored : int;  (** live entries, <= capacity always *)
-  mutable exported_total : int;
-}
+(* written by the coordinator (every finished trace), read by the admin
+   thread (/traces.json) and in-band .hq.traces *)
+type t = exported Ring.t
 
 let default_capacity = 256
-
-let create ?(capacity = default_capacity) () =
-  if capacity < 1 then invalid_arg "Export.create: capacity must be >= 1";
-  {
-    mu = Mutex.create ();
-    capacity;
-    ring = Array.make capacity None;
-    next = 0;
-    stored = 0;
-    exported_total = 0;
-  }
-
-let with_mu t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-let capacity t = t.capacity
-let size t = with_mu t (fun () -> t.stored)
-let exported_total t = with_mu t (fun () -> t.exported_total)
-
-let reset t =
-  with_mu t (fun () ->
-      Array.fill t.ring 0 t.capacity None;
-      t.next <- 0;
-      t.stored <- 0;
-      t.exported_total <- 0)
+let create ?(capacity = default_capacity) () : t = Ring.create capacity
+let capacity = Ring.capacity
+let size = Ring.size
+let exported_total = Ring.pushed
+let reset = Ring.clear
+let recent = Ring.recent
 
 let offer t ~(ts : float) ~(trace_id : string) (root : Trace.span) : unit =
-  with_mu t (fun () ->
-      t.ring.(t.next) <-
-        Some { x_ts = ts; x_trace_id = trace_id; x_root = root };
-      t.next <- (t.next + 1) mod t.capacity;
-      if t.stored < t.capacity then t.stored <- t.stored + 1;
-      t.exported_total <- t.exported_total + 1)
-
-(** The newest [n] exported traces, newest first. *)
-let recent t (n : int) : exported list =
-  with_mu t (fun () ->
-      let out = ref [] in
-      let i = ref ((t.next - 1 + t.capacity) mod t.capacity) in
-      let remaining = ref (Stdlib.min n t.stored) in
-      while !remaining > 0 do
-        (match t.ring.(!i) with Some r -> out := r :: !out | None -> ());
-        i := (!i - 1 + t.capacity) mod t.capacity;
-        decr remaining
-      done;
-      List.rev !out)
+  Ring.push t { x_ts = ts; x_trace_id = trace_id; x_root = root }
 
 let find t (trace_id : string) : exported option =
-  List.find_opt (fun e -> e.x_trace_id = trace_id) (recent t t.capacity)
+  List.find_opt (fun e -> e.x_trace_id = trace_id) (recent t (capacity t))
 
 (* ------------------------------------------------------------------ *)
 (* OTLP/Jaeger-style flat-span serialization                           *)
@@ -86,46 +40,43 @@ let span_json ~(trace_id : string) ~(root : Trace.span)
     ((parent, sp) : Trace.span option * Trace.span) : string =
   let tags =
     match Trace.attrs sp with
-    | [] -> ""
+    | [] -> []
     | ls ->
-        Printf.sprintf ",\"tags\":{%s}"
-          (String.concat ","
-             (List.map
-                (fun (k, v) ->
-                  Printf.sprintf "\"%s\":%s" (Trace.json_escape k)
-                    (Trace.attr_json v))
-                ls))
+        let tag (k, v) = (k, Relation.Json (Trace.attr_json v)) in
+        [ ("tags", Relation.Json (Relation.obj (List.map tag ls))) ]
   in
-  Printf.sprintf
-    "{\"traceID\":\"%s\",\"spanID\":\"%s\",\"parentSpanID\":\"%s\",\
-     \"operationName\":\"%s\",\"startOffsetUs\":%.1f,\"durationUs\":%.1f%s}"
-    trace_id (Trace.span_id sp)
-    (match parent with Some p -> Trace.span_id p | None -> "")
-    (Trace.json_escape (Trace.name sp))
-    (Int64.to_float (Int64.sub (Trace.start_ns sp) (Trace.start_ns root))
-    /. 1e3)
-    (Trace.duration_s sp *. 1e6)
-    tags
+  Relation.(
+    obj
+      ([
+         ("traceID", Str trace_id);
+         ("spanID", Str (Trace.span_id sp));
+         ( "parentSpanID",
+           Str (match parent with Some p -> Trace.span_id p | None -> "") );
+         ("operationName", Str (Trace.name sp));
+         ( "startOffsetUs",
+           Float
+             (Int64.to_float
+                (Int64.sub (Trace.start_ns sp) (Trace.start_ns root))
+             /. 1e3) );
+         ("durationUs", Float (Trace.duration_s sp *. 1e6));
+       ]
+      @ tags))
 
-(** Number of spans in an exported trace's tree. *)
-let span_count (e : exported) : int = List.length (flat_spans None e.x_root [])
-
-(** One exported trace as a flat-span JSON object (the shape any
-    OTLP/Jaeger ingester expects: trace id, span list, parent
-    pointers). *)
-let trace_json (e : exported) : string =
-  let spans = List.rev (flat_spans None e.x_root []) in
-  Printf.sprintf
-    "{\"traceID\":\"%s\",\"ts\":%.3f,\"durationMs\":%.3f,\"spanCount\":%d,\
-     \"spans\":[%s]}"
-    e.x_trace_id e.x_ts
-    (Trace.duration_s e.x_root *. 1e3)
-    (List.length spans)
-    (String.concat "," (List.map (span_json ~trace_id:e.x_trace_id ~root:e.x_root) spans))
-
-(** The newest [n] (default: all held) traces as one JSON document —
-    what [GET /traces.json] serves. *)
-let to_json ?n t : string =
-  let n = match n with Some n -> n | None -> t.capacity in
-  Printf.sprintf "{\"traces\":[%s]}\n"
-    (String.concat "," (List.map trace_json (recent t n)))
+let relation ?n t : Relation.t =
+  let traces =
+    List.map
+      (fun e -> (e, List.rev (flat_spans None e.x_root [])))
+      (recent t (Option.value n ~default:(capacity t)))
+  in
+  Relation.make
+    Relation.
+      [
+        str "traceID" (fun (e, _) -> e.x_trace_id);
+        float "ts" (fun (e, _) -> e.x_ts);
+        float "durationMs" (fun (e, _) -> Trace.duration_s e.x_root *. 1e3);
+        int "spanCount" (fun (_, spans) -> List.length spans);
+        json "spans" (fun (e, spans) ->
+            let root = e.x_root and trace_id = e.x_trace_id in
+            arr (List.map (fun s -> Json (span_json ~trace_id ~root s)) spans));
+      ]
+    traces

@@ -39,14 +39,10 @@ val exported_total : t -> int
 
 val reset : t -> unit
 
-(** Number of spans in an exported trace's tree. *)
-val span_count : exported -> int
-
-(** One trace as a flat-span JSON object: every span carries the trace
-    id, its own span id, its parent's span id, the start offset into
-    the trace (us) and its duration (us). *)
-val trace_json : exported -> string
-
-(** The newest [n] (default: all held) traces as one JSON document —
-    what [GET /traces.json] serves. *)
-val to_json : ?n:int -> t -> string
+(** The newest [n] (default: all held) traces, newest first, as the
+    relation behind [.hq.traces] and [GET /traces.json], in the shape
+    any OTLP/Jaeger ingester expects: [traceID], [ts], [durationMs],
+    [spanCount] and [spans], the flat span list as JSON. Every span
+    carries the trace id, its own span id, its parent's span id, the
+    start offset into the trace (us) and its duration (us). *)
+val relation : ?n:int -> t -> Relation.t

@@ -270,6 +270,16 @@ let snapshot reg : sample list =
                    facet "_p99" (percentile_unlocked h 99.0);
                  ]))
 
+let relation ?n reg =
+  Relation.make ?n
+    Relation.
+      [
+        str "name" (fun s -> s.s_name);
+        str "kind" (fun s -> s.s_kind);
+        float "value" (fun s -> s.s_value);
+      ]
+    (snapshot reg)
+
 (* raw (bucket-level) view of one instrument — what the time-series
    ring snapshots so later readers can compute deltas *)
 type hist_view = {

@@ -96,6 +96,11 @@ type sample = {
     rendered into the name Prometheus-style: [name{k="v"}]. *)
 val snapshot : t -> sample list
 
+(** The first [n] (default: all) samples of {!snapshot} as the
+    [(name, kind, value)] relation behind [.hq.stats] and
+    [GET /stats.json]. *)
+val relation : ?n:int -> t -> Relation.t
+
 (** Raw (delta-able) view of one histogram: shared bounds array, a
     copied bucket-count array (last slot is the +Inf bucket), total
     count and sum — all read consistently under the histogram's lock. *)
@@ -116,10 +121,6 @@ type raw =
     snapshots so per-window rates and percentiles can be derived from
     deltas of consecutive snapshots. *)
 val raw_snapshot : t -> (string * raw) list
-
-(** Render a float the way the exposition does: integers without a
-    decimal point, everything else via [%g]. *)
-val float_str : float -> string
 
 (** Escape a label value for Prometheus text exposition: backslash,
     double-quote and newline get a backslash escape; everything else

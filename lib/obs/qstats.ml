@@ -148,16 +148,11 @@ let record t ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ~(fingerprint : string)
   e.e_hist.(b) <- e.e_hist.(b) + 1;
   e.e_last_use <- t.q_tick)
 
-let entry_rows_out_avg (e : entry) : float =
-  if e.e_calls = 0 then 0.0
-  else float_of_int e.e_rows_out /. float_of_int e.e_calls
+(* a running total as a mean per call *)
+let per_call (e : entry) (total : float) : float =
+  if e.e_calls = 0 then 0.0 else total /. float_of_int e.e_calls
 
-let entry_alloc_avg (e : entry) : float =
-  if e.e_calls = 0 then 0.0 else e.e_alloc_bytes /. float_of_int e.e_calls
-
-let entry_minor_gcs_avg (e : entry) : float =
-  if e.e_calls = 0 then 0.0
-  else float_of_int e.e_minor_gcs /. float_of_int e.e_calls
+let entry_alloc_avg (e : entry) : float = per_call e e.e_alloc_bytes
 
 (** Top-[n] fingerprints by total bytes allocated, descending — the
     "who is creating the GC pressure" feed for [/stats.json]. *)
@@ -175,8 +170,7 @@ let top t (n : int) : entry list =
   |> List.sort (fun a b -> Float.compare b.e_total_s a.e_total_s)
   |> List.filteri (fun i _ -> i < n)
 
-let entry_avg_s (e : entry) : float =
-  if e.e_calls = 0 then 0.0 else e.e_total_s /. float_of_int e.e_calls
+let entry_avg_s (e : entry) : float = per_call e e.e_total_s
 
 let entry_percentile (e : entry) (p : float) : float =
   if e.e_calls = 0 then 0.0
@@ -198,44 +192,39 @@ let entry_percentile (e : entry) (p : float) : float =
 (* Exposition                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let entry_json (e : entry) : string =
-  let obj fmt kvs =
-    Printf.sprintf fmt
-      (String.concat ","
-         (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) kvs))
-  in
-  obj "{%s}"
-    [
-      ("fingerprint", Printf.sprintf "\"%s\"" e.e_fingerprint);
-      ("query", Printf.sprintf "\"%s\"" (Trace.json_escape e.e_query));
-      ("calls", string_of_int e.e_calls);
-      ("errors", string_of_int e.e_errors);
-      ( "error_classes",
-        obj "{%s}"
-          (List.map
-             (fun (c, n) -> (Trace.json_escape c, string_of_int n))
-             e.e_error_classes) );
-      ("rows_out", string_of_int e.e_rows_out);
-      ("bytes_in", string_of_int e.e_bytes_in);
-      ("bytes_out", string_of_int e.e_bytes_out);
-      ("total_ms", Printf.sprintf "%.3f" (e.e_total_s *. 1e3));
-      ("avg_ms", Printf.sprintf "%.3f" (entry_avg_s e *. 1e3));
-      ("max_ms", Printf.sprintf "%.3f" (e.e_max_s *. 1e3));
-      ("p95_ms", Printf.sprintf "%.3f" (entry_percentile e 95.0 *. 1e3));
-      ( "stages_ms",
-        obj "{%s}"
-          (List.map
-             (fun (s, d) -> (Trace.json_escape s, Printf.sprintf "%.3f" (d *. 1e3)))
-             e.e_stages) );
-      ("alloc_bytes", Printf.sprintf "%.0f" e.e_alloc_bytes);
-      ("alloc_bytes_avg", Printf.sprintf "%.0f" (entry_alloc_avg e));
-      ("minor_gcs", string_of_int e.e_minor_gcs);
-      ("minor_gcs_avg", Printf.sprintf "%.2f" (entry_minor_gcs_avg e));
-      ("rows_out_avg", Printf.sprintf "%.1f" (entry_rows_out_avg e));
-    ]
+(* nested per-class and per-stage breakdowns ride in one JSON cell *)
+let assoc_json (render : 'v -> Relation.cell) (kvs : (string * 'v) list) :
+    string =
+  Relation.obj (List.map (fun (k, v) -> (k, render v)) kvs)
 
-let to_json ?(n = max_int) t : string =
-  Printf.sprintf "[%s]" (String.concat "," (List.map entry_json (top t n)))
+let relation ?(n = max_int) t : Relation.t =
+  Relation.make
+    Relation.
+      [
+        str "fingerprint" (fun e -> e.e_fingerprint);
+        str "query" (fun e -> e.e_query);
+        int "calls" (fun e -> e.e_calls);
+        int "errors" (fun e -> e.e_errors);
+        json "error_classes" (fun e ->
+            assoc_json (fun n -> Int n) e.e_error_classes);
+        int "rows_out" (fun e -> e.e_rows_out);
+        int "bytes_in" (fun e -> e.e_bytes_in);
+        int "bytes_out" (fun e -> e.e_bytes_out);
+        float "total_ms" (fun e -> e.e_total_s *. 1e3);
+        float "avg_ms" (fun e -> entry_avg_s e *. 1e3);
+        float "max_ms" (fun e -> e.e_max_s *. 1e3);
+        float "p95_ms" (fun e -> entry_percentile e 95.0 *. 1e3);
+        json "stages_ms" (fun e ->
+            assoc_json (fun d -> Float (d *. 1e3)) e.e_stages);
+        (* coordinator-domain allocation attribution *)
+        float "alloc_bytes" (fun e -> e.e_alloc_bytes);
+        float "alloc_bytes_avg" entry_alloc_avg;
+        int "minor_gcs" (fun e -> e.e_minor_gcs);
+        float "minor_gcs_avg" (fun e ->
+            per_call e (float_of_int e.e_minor_gcs));
+        float "rows_out_avg" (fun e -> per_call e (float_of_int e.e_rows_out));
+      ]
+    (top t n)
 
 let to_prometheus ?(k = 10) t : string =
   let entries = top t k in

@@ -63,13 +63,8 @@ val record :
 (** The [n] entries with the largest total time, descending. *)
 val top : t -> int -> entry list
 
-(** Mean rows returned per call. *)
-val entry_rows_out_avg : entry -> float
-
-(** Mean bytes allocated / mean minor collections per call. *)
+(** Mean bytes allocated per call. *)
 val entry_alloc_avg : entry -> float
-
-val entry_minor_gcs_avg : entry -> float
 
 (** Top-[n] fingerprints by total bytes allocated, descending; only
     fingerprints with measured allocation qualify. *)
@@ -94,10 +89,11 @@ val entry_avg_s : entry -> float
     5ms one, in 24 ints per fingerprint. *)
 val entry_percentile : entry -> float -> float
 
-val entry_json : entry -> string
-
-(** JSON array of the top-[n] entries (default: all). *)
-val to_json : ?n:int -> t -> string
+(** The top-[n] entries (default: all) by total time as the relation
+    behind [.hq.top] and [GET /top.json]: calls, errors (with a
+    per-class [error_classes] object), rows and bytes, total/avg/max/p95
+    milliseconds, per-stage [stages_ms], and the allocation columns. *)
+val relation : ?n:int -> t -> Relation.t
 
 (** Prometheus text for the top-[k] (default 10) entries:
     [hq_fingerprint_{calls,errors,seconds,rows}_total] with a

@@ -21,12 +21,9 @@ type record = {
 }
 
 type t = {
-  capacity : int;
-  ring : record option array;
+  ring : record Ring.t;
   mutable threshold_s : float;
   mutable sample_every : int;
-  mutable next : int;  (** next write slot *)
-  mutable stored : int;  (** live records, <= capacity always *)
   mutable seen : int;
   mutable captured_slow : int;
   mutable captured_sampled : int;
@@ -37,14 +34,10 @@ let default_threshold_s = 0.100
 
 let create ?(capacity = default_capacity) ?(threshold_s = default_threshold_s)
     ?(sample_every = 0) () =
-  if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
   {
-    capacity;
-    ring = Array.make capacity None;
+    ring = Ring.create capacity;
     threshold_s;
     sample_every;
-    next = 0;
-    stored = 0;
     seen = 0;
     captured_slow = 0;
     captured_sampled = 0;
@@ -55,24 +48,17 @@ let threshold t = t.threshold_s
 let set_sample_every t n = t.sample_every <- n
 let sample_every t = t.sample_every
 
-let capacity t = t.capacity
-let size t = t.stored
+let capacity t = Ring.capacity t.ring
+let size t = Ring.size t.ring
 let seen t = t.seen
 let captured_slow t = t.captured_slow
 let captured_sampled t = t.captured_sampled
 
 let reset t =
-  Array.fill t.ring 0 t.capacity None;
-  t.next <- 0;
-  t.stored <- 0;
+  Ring.clear t.ring;
   t.seen <- 0;
   t.captured_slow <- 0;
   t.captured_sampled <- 0
-
-let push t r =
-  t.ring.(t.next) <- Some r;
-  t.next <- (t.next + 1) mod t.capacity;
-  if t.stored < t.capacity then t.stored <- t.stored + 1
 
 (** Offer one completed query; captured when it ran at least the
     threshold, or as a tail sample of every [sample_every]-th fast query
@@ -93,7 +79,7 @@ let observe t ~(ts : float) ?(trace_id = "") ?(ops = "") ?(top_operator = "")
   | Some r_kind ->
       if r_kind = "slow" then t.captured_slow <- t.captured_slow + 1
       else t.captured_sampled <- t.captured_sampled + 1;
-      push t
+      Ring.push t.ring
         {
           r_ts = ts;
           r_trace_id = trace_id;
@@ -113,40 +99,28 @@ let observe t ~(ts : float) ?(trace_id = "") ?(ops = "") ?(top_operator = "")
       true
 
 (** The newest [n] records, newest first. *)
-let recent t (n : int) : record list =
-  let out = ref [] in
-  let i = ref ((t.next - 1 + t.capacity) mod t.capacity) in
-  let remaining = ref (Stdlib.min n t.stored) in
-  while !remaining > 0 do
-    (match t.ring.(!i) with
-    | Some r -> out := r :: !out
-    | None -> ());
-    i := (!i - 1 + t.capacity) mod t.capacity;
-    decr remaining
-  done;
-  List.rev !out
+let recent t (n : int) : record list = Ring.recent t.ring n
 
-let record_json (r : record) : string =
-  Printf.sprintf
-    "{\"ts\":%.3f,\"trace_id\":\"%s\",\"fingerprint\":\"%s\",\
-     \"query\":\"%s\",\"ms\":%.3f,\
-     \"status\":\"%s\",\"error\":\"%s\",\"kind\":\"%s\",\
-     \"alloc_bytes\":%.0f,\"minor_gcs\":%d,\"sql\":[%s],\
-     \"top_operator\":\"%s\",\"ops\":%s,\
-     \"trace\":%s}"
-    r.r_ts r.r_trace_id r.r_fingerprint
-    (Trace.json_escape r.r_query)
-    (r.r_duration_s *. 1e3) r.r_status
-    (Trace.json_escape r.r_error)
-    r.r_kind r.r_alloc_bytes r.r_minor_gcs
-    (String.concat ","
-       (List.map (fun s -> Printf.sprintf "\"%s\"" (Trace.json_escape s)) r.r_sql))
-    (Trace.json_escape r.r_top_operator)
-    (* r_ops is pre-rendered JSON, spliced verbatim *)
-    (if r.r_ops = "" then "null" else r.r_ops)
-    (Trace.to_json r.r_span)
-
-(** One JSON line per record, newest first ([GET /slow.json]). *)
-let to_jsonl t : string =
-  String.concat ""
-    (List.map (fun r -> record_json r ^ "\n") (recent t t.capacity))
+(** The newest [n] (default: all held) records, newest first, as the
+    relation behind [.hq.slow] and [GET /slow.json]. *)
+let relation ?n t : Relation.t =
+  Relation.make
+    Relation.
+      [
+        float "ts" (fun r -> r.r_ts);
+        str "trace_id" (fun r -> r.r_trace_id);
+        str "fingerprint" (fun r -> r.r_fingerprint);
+        str "query" (fun r -> r.r_query);
+        float "ms" (fun r -> r.r_duration_s *. 1e3);
+        str "status" (fun r -> r.r_status);
+        str "error" (fun r -> r.r_error);
+        str "kind" (fun r -> r.r_kind);
+        (* GC-victim or genuinely expensive? alloc + minor-GC deltas say *)
+        float "alloc_bytes" (fun r -> r.r_alloc_bytes);
+        int "minor_gcs" (fun r -> r.r_minor_gcs);
+        json "sql" (fun r -> arr (List.map (fun s -> Str s) r.r_sql));
+        str "top_operator" (fun r -> r.r_top_operator);
+        json "ops" (fun r -> r.r_ops);
+        json "trace" (fun r -> Trace.to_json r.r_span);
+      ]
+    (recent t (Option.value n ~default:(capacity t)))

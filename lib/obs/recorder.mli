@@ -87,7 +87,8 @@ val captured_sampled : t -> int
 (** Drop all captured records and counters. *)
 val reset : t -> unit
 
-val record_json : record -> string
-
-(** One JSON line per held record, newest first. *)
-val to_jsonl : t -> string
+(** The newest [n] (default: all held) records, newest first, as the
+    relation behind [.hq.slow] and [GET /slow.json] (one JSON line per
+    record). [sql] is a JSON array of statements; [ops] and [trace] are
+    the operator-stats and span trees as JSON. *)
+val relation : ?n:int -> t -> Relation.t

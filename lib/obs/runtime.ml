@@ -211,18 +211,8 @@ let stats t : (string * float) list =
     ("heap_alarm", if heap_alarm t then 1.0 else 0.0);
   ]
 
-let to_json t : string =
-  let kv = stats t in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"version\": \"%s\",\n  \"ocaml\": \"%s\",\n" version
-       Sys.ocaml_version);
-  List.iteri
-    (fun i (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  \"%s\": %s%s\n" k (Metrics.float_str v)
-           (if i = List.length kv - 1 then "" else ",")))
-    kv;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+let relation ?n t : Relation.t =
+  Relation.make ?n
+    ~fields:[ ("version", Str version); ("ocaml", Str Sys.ocaml_version) ]
+    Relation.[ str "stat" fst; float "value" snd ]
+    (stats t)

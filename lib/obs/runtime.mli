@@ -77,5 +77,7 @@ val heap_alarm : t -> bool
     table body. *)
 val stats : t -> (string * float) list
 
-(** JSON object for [GET /runtime.json]: {!stats} plus version/ocaml. *)
-val to_json : t -> string
+(** The first [n] (default: all) of {!stats} as [(stat, value)] rows —
+    the relation behind [.hq.runtime] and [GET /runtime.json] — with
+    [version] and [ocaml] as document fields. *)
+val relation : ?n:int -> t -> Relation.t

@@ -83,20 +83,21 @@ let size t = Hashtbl.length t.tbl
 let connects_total t = t.connects_total
 let disconnects_total t = t.disconnects_total
 
-let session_json (s : session) : string =
-  Printf.sprintf
-    "{\"conn\":%d,\"user\":\"%s\",\"state\":\"%s\",\"connected_ts\":%.3f,\
-     \"queries\":%d,\"query\":\"%s\",\"fingerprint\":\"%s\",\
-     \"trace_id\":\"%s\",\"elapsed_ms\":%.3f}"
-    s.s_conn
-    (Trace.json_escape s.s_user)
-    (state_name s.s_state) s.s_connected_ts s.s_queries
-    (Trace.json_escape s.s_query)
-    s.s_fingerprint s.s_trace_id
-    (Int64.to_float (elapsed_ns s) /. 1e6)
-
-(** Every session as one JSON document — what [GET /activity.json]
-    serves (the proxy's [pg_stat_activity]). *)
-let to_json t : string =
-  Printf.sprintf "{\"sessions\":[%s]}\n"
-    (String.concat "," (List.map session_json (list t)))
+(** The first [n] (default: all) sessions by connection id as the
+    relation behind [.hq.activity] and [GET /activity.json] (the
+    proxy's [pg_stat_activity]). *)
+let relation ?n t : Relation.t =
+  Relation.make ?n
+    Relation.
+      [
+        int "conn" (fun s -> s.s_conn);
+        str "user" (fun s -> s.s_user);
+        str "state" (fun s -> state_name s.s_state);
+        float "connected_ts" (fun s -> s.s_connected_ts);
+        int "queries" (fun s -> s.s_queries);
+        str "query" (fun s -> s.s_query);
+        str "fingerprint" (fun s -> s.s_fingerprint);
+        str "trace_id" (fun s -> s.s_trace_id);
+        float "elapsed_ms" (fun s -> Int64.to_float (elapsed_ns s) /. 1e6);
+      ]
+    (list t)

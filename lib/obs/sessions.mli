@@ -9,8 +9,6 @@
 
 type state = Idle | Active
 
-val state_name : state -> string
-
 type session = {
   s_conn : int;
   mutable s_user : string;
@@ -64,8 +62,6 @@ val size : t -> int
 val connects_total : t -> int
 val disconnects_total : t -> int
 
-val session_json : session -> string
-
-(** Every session as one JSON document — what [GET /activity.json]
-    serves. *)
-val to_json : t -> string
+(** The first [n] (default: all) sessions by connection id as the
+    relation behind [.hq.activity] and [GET /activity.json]. *)
+val relation : ?n:int -> t -> Relation.t

@@ -237,25 +237,22 @@ let evaluate (t : t) : verdict =
       t.s_degraded_total <- t.s_degraded_total + 1);
   { v_healthy = healthy; v_burns = burns }
 
-let burn_json (b : burn) : string =
-  Printf.sprintf
-    "{\"objective\":\"%s\",\"fast_burn\":%s,\"slow_burn\":%s,\"burning\":%b}"
-    (Trace.json_escape b.b_name)
-    (Trace.float_json b.b_fast_burn)
-    (Trace.float_json b.b_slow_burn)
-    b.b_burning
-
-(** Current verdict plus config as one JSON document — what
-    [GET /slo.json] serves and the body [GET /healthz] returns with a
-    503 while burning. *)
-let to_json (t : t) : string =
+let relation ?n (t : t) : Relation.t =
   let cfg = config t in
   let v = evaluate t in
-  Printf.sprintf
-    "{\"healthy\":%b,\"fast_window_s\":%s,\"slow_window_s\":%s,\
-     \"burn_threshold\":%s,\"objectives\":[%s]}\n"
-    v.v_healthy
-    (Trace.float_json cfg.fast_s)
-    (Trace.float_json cfg.slow_s)
-    (Trace.float_json cfg.burn_threshold)
-    (String.concat "," (List.map burn_json v.v_burns))
+  Relation.make ?n
+    ~fields:
+      [
+        ("healthy", Bool v.v_healthy);
+        ("fast_window_s", Float cfg.fast_s);
+        ("slow_window_s", Float cfg.slow_s);
+        ("burn_threshold", Float cfg.burn_threshold);
+      ]
+    Relation.
+      [
+        str "objective" (fun b -> b.b_name);
+        float "fast_burn" (fun b -> b.b_fast_burn);
+        float "slow_burn" (fun b -> b.b_slow_burn);
+        bool "burning" (fun b -> b.b_burning);
+      ]
+    v.v_burns

@@ -60,6 +60,8 @@ val degraded_total : t -> int
 (** Evaluate every objective over the ring's fast and slow windows. *)
 val evaluate : t -> verdict
 
-(** Verdict plus config as one JSON document ([/slo.json], and the 503
-    body of a burning [/healthz]). *)
-val to_json : t -> string
+(** A fresh verdict as the relation behind [.hq.slo] and [GET /slo.json]
+    (and the 503 body of a burning [/healthz]): one row per objective
+    (the first [n], default all) with its fast and slow burn rates, and
+    [healthy] plus the config as document fields. *)
+val relation : ?n:int -> t -> Relation.t

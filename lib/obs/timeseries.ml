@@ -345,31 +345,30 @@ let frac_le ~(bounds : float array) ~(counts : int array) (threshold : float) :
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let window_json (w : window) : string =
-  Printf.sprintf
-    "{\"ts\":%.3f,\"dt_s\":%s,\"queries\":%d,\"qps\":%s,\"errors\":%d,\
-     \"error_rate\":%s,\"p50_ms\":%s,\"p95_ms\":%s,\"p99_ms\":%s,\
-     \"alloc_bytes\":%d,\"alloc_bps\":%s,\"minor_gcs\":%d,\"major_gcs\":%d}"
-    w.w_ts
-    (Trace.float_json w.w_dt_s)
-    w.w_queries
-    (Trace.float_json w.w_qps)
-    w.w_errors
-    (Trace.float_json w.w_error_rate)
-    (Trace.float_json (w.w_p50_s *. 1e3))
-    (Trace.float_json (w.w_p95_s *. 1e3))
-    (Trace.float_json (w.w_p99_s *. 1e3))
-    w.w_alloc_bytes
-    (Trace.float_json w.w_alloc_bps)
-    w.w_minor_gcs w.w_major_gcs
-
-(** The ring as one JSON document — what [GET /timeseries.json]
-    serves. [horizon_s] (the [?window=..] query parameter) bounds how
-    far back the reported windows reach. *)
-let to_json ?horizon_s t : string =
+let relation ?(n = max_int) ?horizon_s t : Relation.t =
   let ws = windows ?horizon_s t in
-  Printf.sprintf
-    "{\"interval_s\":%s,\"capacity\":%d,\"samples\":%d,\"windows\":[%s]}\n"
-    (Trace.float_json (interval_s t))
-    (capacity t) (size t)
-    (String.concat "," (List.map window_json ws))
+  let drop = List.length ws - n in
+  Relation.make
+    ~fields:
+      [
+        ("interval_s", Float (interval_s t));
+        ("capacity", Int (capacity t));
+        ("samples", Int (size t));
+      ]
+    Relation.
+      [
+        float "ts" (fun w -> w.w_ts);
+        float "dt_s" (fun w -> w.w_dt_s);
+        int "queries" (fun w -> w.w_queries);
+        float "qps" (fun w -> w.w_qps);
+        int "errors" (fun w -> w.w_errors);
+        float "error_rate" (fun w -> w.w_error_rate);
+        float "p50_ms" (fun w -> w.w_p50_s *. 1e3);
+        float "p95_ms" (fun w -> w.w_p95_s *. 1e3);
+        float "p99_ms" (fun w -> w.w_p99_s *. 1e3);
+        int "alloc_bytes" (fun w -> w.w_alloc_bytes);
+        float "alloc_bps" (fun w -> w.w_alloc_bps);
+        int "minor_gcs" (fun w -> w.w_minor_gcs);
+        int "major_gcs" (fun w -> w.w_major_gcs);
+      ]
+    (List.filteri (fun i _ -> i >= drop) ws)

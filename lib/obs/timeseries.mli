@@ -90,6 +90,10 @@ val percentile_of_deltas : bounds:float array -> counts:int array -> float -> fl
     seconds (interpolated). [nan] on an empty window. *)
 val frac_le : bounds:float array -> counts:int array -> float -> float
 
-(** The ring as one JSON document ([GET /timeseries.json]); [horizon_s]
-    is the [?window=..] parameter. *)
-val to_json : ?horizon_s:float -> t -> string
+(** The newest [n] (default: all) of {!windows}, oldest first, as the
+    relation behind [.hq.timeseries] and [GET /timeseries.json]: rates,
+    latency percentiles in ms ([nan], JSON [null], for idle windows)
+    and the allocation columns, with the ring's [interval_s],
+    [capacity] and [samples] as document fields. [horizon_s] is the
+    [?window=..] parameter. *)
+val relation : ?n:int -> ?horizon_s:float -> t -> Relation.t

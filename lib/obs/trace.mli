@@ -129,5 +129,6 @@ val add_json_escaped : Buffer.t -> string -> unit
     strings ["inf"] / ["-inf"]. *)
 val attr_json : attr -> string
 
-(** The non-finite-safe float rendering used by {!attr_json}. *)
+(** The non-finite-safe float rendering used by {!attr_json}: 15
+    significant digits, a decimal point on whole numbers. *)
 val float_json : float -> string

@@ -12,16 +12,11 @@
     per-query trace span the engine nests its pipeline stages under,
     emits one JSONL event per completed query, fingerprints every query
     into the per-shape statistics store, offers it to the slow-query
-    flight recorder, and answers the in-band admin queries directly —
-    [.hq.stats] (registry snapshot), [.hq.top[n]] (fingerprint table by
-    total time), [.hq.slow[n]] (flight-recorder captures),
-    [.hq.activity] (session registry), [.hq.traces[n]] (trace-export
-    ring), [.hq.timeseries[n]] (time-series windows), [.hq.plancache]
-    (plan-cache contents), [.hq.shards] (shard cluster layout and
-    traffic), [.hq.runtime] (GC/heap/uptime telemetry) and
-    [.hq.stats.reset] —
-    so any QIPC client can introspect the proxy without touching the
-    backend. *)
+    flight recorder, and answers the in-band admin queries directly, so
+    any QIPC client can introspect the proxy without touching the
+    backend: [.hq.<plane>] and [.hq.<plane>[n]] for every plane in
+    {!Planes.all}, [.hq.explain <query>] (analyze one query) and
+    [.hq.stats.reset] (zero every plane). *)
 
 module QV = Qvalue.Value
 module M = Obs.Metrics
@@ -88,7 +83,7 @@ type t = {
   obs : Obs.Ctx.t;
   m : metrics;
   session : Obs.Sessions.session;  (** this connection's registry entry *)
-  shards_info : (unit -> Shard.Cluster.shard_info list) option;
+  cluster : Shard.Cluster.t option;
       (** supplied by a sharded platform; answers [.hq.shards] *)
   explain : explain_hooks option;
       (** supplied by the platform; powers [.hq.explain] and sampling *)
@@ -100,7 +95,7 @@ type t = {
   mutable client_version : int;
 }
 
-let create ?(users = [ ("trader", "pwd") ]) ?obs ?shards_info ?explain
+let create ?(users = [ ("trader", "pwd") ]) ?obs ?cluster ?explain
     (xc : Xc.t) : t =
   let obs = match obs with Some o -> o | None -> Obs.Ctx.create () in
   {
@@ -109,7 +104,7 @@ let create ?(users = [ ("trader", "pwd") ]) ?obs ?shards_info ?explain
     obs;
     m = make_metrics obs.Obs.Ctx.registry;
     session = Obs.Sessions.register obs.Obs.Ctx.sessions;
-    shards_info;
+    cluster;
     explain;
     phase = Handshake;
     pending = Buffer.create 256;
@@ -136,286 +131,6 @@ let authenticate t (h : Qipc.Codec.handshake) : bool =
   | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* In-band admin queries                                               *)
-(* ------------------------------------------------------------------ *)
-
-(** Mirror counters owned by layers outside the metrics registry (the
-    dependency-free pgdb executor, the fingerprint store, the flight
-    recorder) into registry gauges, so one snapshot shows the whole
-    stack. *)
-let refresh_external_gauges (ctx : Obs.Ctx.t) : unit =
-  let reg = ctx.Obs.Ctx.registry in
-  Obs.Runtime.refresh_uptime ctx.Obs.Ctx.runtime;
-  M.set
-    (M.gauge reg ~help:"Top-level SELECTs executed by the pgdb backend"
-       "hq_backend_selects_run")
-    (float_of_int (Atomic.get Pgdb.Vexec.stats_vector));
-  M.set
-    (M.gauge reg ~help:"Rows produced by the pgdb backend"
-       "hq_backend_rows_out")
-    (float_of_int (Atomic.get Pgdb.Vexec.stats_rows_out));
-  M.set
-    (M.gauge reg ~help:"Distinct query fingerprints currently tracked"
-       "hq_fingerprints_tracked")
-    (float_of_int (Obs.Qstats.size ctx.Obs.Ctx.qstats));
-  M.set
-    (M.gauge reg ~help:"Fingerprint entries evicted (LRU) since reset"
-       "hq_fingerprint_evictions")
-    (float_of_int (Obs.Qstats.evictions ctx.Obs.Ctx.qstats));
-  M.set
-    (M.gauge reg ~help:"Queries held by the slow-query flight recorder"
-       "hq_slow_records")
-    (float_of_int (Obs.Recorder.size ctx.Obs.Ctx.recorder));
-  M.set
-    (M.gauge reg
-       ~help:"Queries captured by the flight recorder as over-threshold"
-       "hq_slow_captured_total")
-    (float_of_int (Obs.Recorder.captured_slow ctx.Obs.Ctx.recorder));
-  let sc_hits, sc_misses, sc_evictions = Pgdb.Db.stmt_cache_stats () in
-  M.set
-    (M.gauge reg ~help:"Backend statement-cache hits (parse skipped)"
-       "hq_backend_stmt_cache_hits")
-    (float_of_int sc_hits);
-  M.set
-    (M.gauge reg ~help:"Backend statement-cache misses (SQL parsed)"
-       "hq_backend_stmt_cache_misses")
-    (float_of_int sc_misses);
-  M.set
-    (M.gauge reg ~help:"Backend statement-cache entries evicted (LRU)"
-       "hq_backend_stmt_cache_evictions")
-    (float_of_int sc_evictions)
-
-(** The registry as a Q table [(metric; kind; value)] — the reply to the
-    in-band [.hq.stats] query, so any QIPC client can introspect the
-    proxy without touching the backend. *)
-let stats_table (ctx : Obs.Ctx.t) : QV.t =
-  refresh_external_gauges ctx;
-  let samples = M.snapshot ctx.Obs.Ctx.registry in
-  let arr f = Array.of_list (List.map f samples) in
-  QV.Table
-    (QV.table
-       [
-         ("metric", QV.syms (arr (fun s -> s.M.s_name)));
-         ("kind", QV.syms (arr (fun s -> s.M.s_kind)));
-         ( "value",
-           QV.Vector
-             ( Qvalue.Qtype.Float,
-               arr (fun s -> Qvalue.Atom.Float s.M.s_value) ) );
-       ])
-
-(** The top-[n] fingerprint entries as a Q table sorted by total time —
-    the reply to [.hq.top[n]]. *)
-let top_table (ctx : Obs.Ctx.t) (n : int) : QV.t =
-  let entries = Obs.Qstats.top ctx.Obs.Ctx.qstats n in
-  let arr f = Array.of_list (List.map f entries) in
-  let floats f = QV.floats (arr f) in
-  let longs f = QV.longs (arr f) in
-  QV.Table
-    (QV.table
-       [
-         ("fingerprint", QV.syms (arr (fun e -> e.Obs.Qstats.e_fingerprint)));
-         ("query", QV.syms (arr (fun e -> e.Obs.Qstats.e_query)));
-         ("calls", longs (fun e -> e.Obs.Qstats.e_calls));
-         ("errors", longs (fun e -> e.Obs.Qstats.e_errors));
-         ("total_ms", floats (fun e -> e.Obs.Qstats.e_total_s *. 1e3));
-         ("avg_ms", floats (fun e -> Obs.Qstats.entry_avg_s e *. 1e3));
-         ( "p95_ms",
-           floats (fun e -> Obs.Qstats.entry_percentile e 95.0 *. 1e3) );
-         ("rows_out", longs (fun e -> e.Obs.Qstats.e_rows_out));
-         ("rows_out_avg", floats Obs.Qstats.entry_rows_out_avg);
-         (* coordinator-domain allocation attribution *)
-         ("alloc_avg_bytes", floats Obs.Qstats.entry_alloc_avg);
-         ("minor_gcs_avg", floats Obs.Qstats.entry_minor_gcs_avg);
-       ])
-
-(** The newest [n] flight-recorder captures as a Q table — the reply to
-    [.hq.slow[n]]. The span tree rides along as a JSON column. *)
-let slow_table (ctx : Obs.Ctx.t) (n : int) : QV.t =
-  let records = Obs.Recorder.recent ctx.Obs.Ctx.recorder n in
-  let arr f = Array.of_list (List.map f records) in
-  QV.Table
-    (QV.table
-       [
-         ("ts", QV.floats (arr (fun r -> r.Obs.Recorder.r_ts)));
-         ("trace_id", QV.syms (arr (fun r -> r.Obs.Recorder.r_trace_id)));
-         ("fingerprint", QV.syms (arr (fun r -> r.Obs.Recorder.r_fingerprint)));
-         ("query", QV.syms (arr (fun r -> r.Obs.Recorder.r_query)));
-         ("ms", QV.floats (arr (fun r -> r.Obs.Recorder.r_duration_s *. 1e3)));
-         (* GC-victim or genuinely expensive? alloc + minor-GC deltas say *)
-         ("alloc_bytes", QV.floats (arr (fun r -> r.Obs.Recorder.r_alloc_bytes)));
-         ("minor_gcs", QV.longs (arr (fun r -> r.Obs.Recorder.r_minor_gcs)));
-         ("status", QV.syms (arr (fun r -> r.Obs.Recorder.r_status)));
-         ("kind", QV.syms (arr (fun r -> r.Obs.Recorder.r_kind)));
-         ( "top_operator",
-           QV.syms (arr (fun r -> r.Obs.Recorder.r_top_operator)) );
-         ( "sql",
-           QV.syms (arr (fun r -> String.concat "; " r.Obs.Recorder.r_sql)) );
-         ( "trace",
-           QV.syms (arr (fun r -> Obs.Trace.to_json r.Obs.Recorder.r_span)) );
-       ])
-
-(** The session registry as a Q table — the reply to [.hq.activity],
-    the proxy's [pg_stat_activity]. Active sessions show the in-flight
-    query's fingerprint, trace id and elapsed time. *)
-let activity_table (ctx : Obs.Ctx.t) : QV.t =
-  let sessions = Obs.Sessions.list ctx.Obs.Ctx.sessions in
-  let arr f = Array.of_list (List.map f sessions) in
-  QV.Table
-    (QV.table
-       [
-         ("conn", QV.longs (arr (fun s -> s.Obs.Sessions.s_conn)));
-         ("user", QV.syms (arr (fun s -> s.Obs.Sessions.s_user)));
-         ("connected", QV.floats (arr (fun s -> s.Obs.Sessions.s_connected_ts)));
-         ("queries", QV.longs (arr (fun s -> s.Obs.Sessions.s_queries)));
-         ( "state",
-           QV.syms
-             (arr (fun s -> Obs.Sessions.state_name s.Obs.Sessions.s_state)) );
-         ("query", QV.syms (arr (fun s -> s.Obs.Sessions.s_query)));
-         ("fingerprint", QV.syms (arr (fun s -> s.Obs.Sessions.s_fingerprint)));
-         ("trace_id", QV.syms (arr (fun s -> s.Obs.Sessions.s_trace_id)));
-         ( "elapsed_ms",
-           QV.floats
-             (arr (fun s ->
-                  Int64.to_float (Obs.Sessions.elapsed_ns s) /. 1e6)) );
-       ])
-
-(** The newest [n] exported traces as a Q table — the reply to
-    [.hq.traces[n]]. The flat span list rides along as a JSON column. *)
-let traces_table (ctx : Obs.Ctx.t) (n : int) : QV.t =
-  let traces = Obs.Export.recent ctx.Obs.Ctx.export n in
-  let arr f = Array.of_list (List.map f traces) in
-  QV.Table
-    (QV.table
-       [
-         ("ts", QV.floats (arr (fun x -> x.Obs.Export.x_ts)));
-         ("trace_id", QV.syms (arr (fun x -> x.Obs.Export.x_trace_id)));
-         ( "ms",
-           QV.floats
-             (arr (fun x ->
-                  Obs.Trace.duration_s x.Obs.Export.x_root *. 1e3)) );
-         ("spans", QV.longs (arr Obs.Export.span_count));
-         ("trace", QV.syms (arr (fun x -> Obs.Export.trace_json x)));
-       ])
-
-(** The newest [n] time-series windows as a Q table — the reply to
-    [.hq.timeseries[n]]. Each row is one inter-snapshot window with its
-    rate and latency percentiles; [nan] percentiles (idle windows)
-    surface as Q nulls. *)
-let timeseries_table (ctx : Obs.Ctx.t) (n : int) : QV.t =
-  let ts = ctx.Obs.Ctx.timeseries in
-  ignore (Obs.Timeseries.tick ts);
-  let ws = Obs.Timeseries.windows ts in
-  let ws =
-    let len = List.length ws in
-    if len <= n then ws else List.filteri (fun i _ -> i >= len - n) ws
-  in
-  let arr f = Array.of_list (List.map f ws) in
-  let floats f = QV.floats (arr f) in
-  let longs f = QV.longs (arr f) in
-  QV.Table
-    (QV.table
-       [
-         ("ts", floats (fun w -> w.Obs.Timeseries.w_ts));
-         ("dt_s", floats (fun w -> w.Obs.Timeseries.w_dt_s));
-         ("queries", longs (fun w -> w.Obs.Timeseries.w_queries));
-         ("qps", floats (fun w -> w.Obs.Timeseries.w_qps));
-         ("errors", longs (fun w -> w.Obs.Timeseries.w_errors));
-         ("error_rate", floats (fun w -> w.Obs.Timeseries.w_error_rate));
-         ("p50_ms", floats (fun w -> w.Obs.Timeseries.w_p50_s *. 1e3));
-         ("p95_ms", floats (fun w -> w.Obs.Timeseries.w_p95_s *. 1e3));
-         ("p99_ms", floats (fun w -> w.Obs.Timeseries.w_p99_s *. 1e3));
-       ])
-
-(** The plan cache's entries as a Q table (most-hit first) — the reply
-    to [.hq.plancache]. Empty when the cache is disabled. *)
-let plancache_table (pc : Hyperq.Plancache.t option) : QV.t =
-  let module PC = Hyperq.Plancache in
-  let entries = match pc with None -> [] | Some pc -> PC.entries pc in
-  let arr f = Array.of_list (List.map f entries) in
-  QV.Table
-    (QV.table
-       [
-         ( "fingerprint",
-           QV.syms (arr (fun (e : PC.entry) -> e.PC.e_key.PC.k_fingerprint)) );
-         ( "signature",
-           QV.syms (arr (fun (e : PC.entry) -> e.PC.e_key.PC.k_signature)) );
-         ("query", QV.syms (arr (fun (e : PC.entry) -> e.PC.e_norm)));
-         ("kind", QV.syms (arr (fun (e : PC.entry) -> PC.kind_name e.PC.e_kind)));
-         ("hits", QV.longs (arr (fun (e : PC.entry) -> e.PC.e_hits)));
-         ( "saved_ms",
-           QV.floats (arr (fun (e : PC.entry) -> e.PC.e_saved_s *. 1e3)) );
-       ])
-
-(** Zero every observability plane at once: the metrics registry, the
-    pgdb executor counters it mirrors, the fingerprint store, the
-    flight-recorder ring, the trace-export ring and the time-series
-    ring — so benchmark runs can be bracketed without restarting the
-    proxy and no plane reports pre-reset state next to another plane's
-    post-reset state. *)
-let reset_stats (ctx : Obs.Ctx.t) : unit =
-  M.reset_all ctx.Obs.Ctx.registry;
-  Pgdb.Vexec.reset_stats ();
-  Obs.Qstats.reset ctx.Obs.Ctx.qstats;
-  Obs.Recorder.reset ctx.Obs.Ctx.recorder;
-  Obs.Export.reset ctx.Obs.Ctx.export;
-  Obs.Timeseries.reset ctx.Obs.Ctx.timeseries;
-  Obs.Explain.reset ctx.Obs.Ctx.explain;
-  (* re-base the GC sampler after the registry zeroed its counters, so
-     post-reset samples count only post-reset GC activity *)
-  Obs.Runtime.reset ctx.Obs.Ctx.runtime
-
-(** Process-runtime telemetry as a key/value Q table — the reply to
-    [.hq.runtime]. Takes a fresh GC sample first so the numbers are
-    current even when no sampler thread runs. *)
-let runtime_table (ctx : Obs.Ctx.t) : QV.t =
-  let rt = ctx.Obs.Ctx.runtime in
-  Obs.Runtime.sample rt;
-  let stats = Obs.Runtime.stats rt in
-  let arr f = Array.of_list (List.map f stats) in
-  QV.Table
-    (QV.table
-       [
-         ("stat", QV.syms (arr fst));
-         ("value", QV.floats (arr snd));
-       ])
-
-(* [.hq.top] and [.hq.slow] take an optional bracketed count:
-   [".hq.top[5]"], [".hq.top[]"], or bare [".hq.top"]. Returns [None]
-   when [text] is not this admin query at all. *)
-let parse_bracket_arg ~(prefix : string) (text : string) : int option option =
-  let pl = String.length prefix in
-  if String.length text < pl || String.sub text 0 pl <> prefix then None
-  else
-    let rest = String.trim (String.sub text pl (String.length text - pl)) in
-    if rest = "" || rest = "[]" then Some None
-    else if
-      String.length rest >= 2 && rest.[0] = '[' && rest.[String.length rest - 1] = ']'
-    then
-      match
-        int_of_string_opt (String.trim (String.sub rest 1 (String.length rest - 2)))
-      with
-      | Some n when n >= 0 -> Some (Some n)
-      | _ -> None
-    else None
-
-(** The shard cluster's layout and traffic as a Q table — the reply to
-    [.hq.shards]. Empty when the platform runs unsharded. *)
-let shards_table (infos : Shard.Cluster.shard_info list) : QV.t =
-  let arr f = Array.of_list (List.map f infos) in
-  QV.Table
-    (QV.table
-       [
-         ("shard", QV.longs (arr (fun s -> s.Shard.Cluster.si_id)));
-         ( "tables",
-           QV.syms
-             (arr (fun s -> String.concat "," s.Shard.Cluster.si_tables)) );
-         ("rows", QV.longs (arr (fun s -> s.Shard.Cluster.si_rows)));
-         ( "statements",
-           QV.longs (arr (fun s -> s.Shard.Cluster.si_statements)) );
-         ("bytes", QV.longs (arr (fun s -> s.Shard.Cluster.si_bytes)));
-       ])
-
-(* ------------------------------------------------------------------ *)
 (* EXPLAIN/ANALYZE assembly                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -437,36 +152,29 @@ let explain_trees (coord : Op.node option)
   (match coord with Some n -> [ n ] | None -> [])
   @ List.filter_map snd shard_plans
 
-(** The analyzed plan as a flat Q table — the reply to [.hq.explain].
-    One row per operator, pre-order; [shard] is [-1] for
-    coordinator-side operators. *)
-let explain_table (coord : Op.node option)
-    (shard_plans : (int * Op.node option) list) : QV.t =
-  let rows =
-    (match coord with
-    | Some n -> List.map (fun (d, m) -> (-1, d, m)) (Op.flatten n)
-    | None -> [])
-    @ List.concat_map
-        (fun (k, p) ->
-          match p with
-          | Some n -> List.map (fun (d, m) -> (k, d, m)) (Op.flatten n)
-          | None -> [])
-        shard_plans
+(** The analyzed plan as a flat relation — the reply to
+    [.hq.explain <query>]. One row per operator, pre-order; [shard] is
+    [-1] for coordinator-side operators. *)
+let operators (coord : Op.node option)
+    (shard_plans : (int * Op.node option) list) : Obs.Relation.t =
+  let flat k = function
+    | Some n -> List.map (fun (d, m) -> (k, d, m)) (Op.flatten n)
+    | None -> []
   in
-  let arr f = Array.of_list (List.map f rows) in
-  QV.Table
-    (QV.table
-       [
-         ("shard", QV.longs (arr (fun (k, _, _) -> k)));
-         ("depth", QV.longs (arr (fun (_, d, _) -> d)));
-         ("op", QV.syms (arr (fun (_, _, m) -> m.Op.op)));
-         ("detail", QV.syms (arr (fun (_, _, m) -> m.Op.detail)));
-         ("est_rows", QV.longs (arr (fun (_, _, m) -> m.Op.est_rows)));
-         ("rows_in", QV.longs (arr (fun (_, _, m) -> m.Op.rows_in)));
-         ("rows_out", QV.longs (arr (fun (_, _, m) -> m.Op.rows_out)));
-         ( "self_ms",
-           QV.floats (arr (fun (_, _, m) -> Op.ms_of_ns m.Op.self_ns)) );
-       ])
+  Obs.Relation.(
+    make
+      [
+        int "shard" (fun (k, _, _) -> k);
+        int "depth" (fun (_, d, _) -> d);
+        str "op" (fun (_, _, m) -> m.Op.op);
+        str "detail" (fun (_, _, m) -> m.Op.detail);
+        int "est_rows" (fun (_, _, m) -> m.Op.est_rows);
+        int "rows_in" (fun (_, _, m) -> m.Op.rows_in);
+        int "rows_out" (fun (_, _, m) -> m.Op.rows_out);
+        float "self_ms" (fun (_, _, m) -> Op.ms_of_ns m.Op.self_ns);
+      ]
+      (flat (-1) coord
+      @ List.concat_map (fun (k, p) -> flat k p) shard_plans))
 
 (* the one JSON document describing an analyzed query end to end: query,
    route explanation, pipeline annotation, coordinator tree, shard trees *)
@@ -474,25 +182,29 @@ let explain_doc ~(query : string) ~(fingerprint : string)
     ~(route : Shard.Router.explain option) ~(cache : string)
     ~(sharded : bool) ~(statements : int) ~(coord : Op.node option)
     ~(shard_plans : (int * Op.node option) list) : string =
-  let shard_docs =
-    List.filter_map
-      (fun (k, p) ->
-        Option.map
-          (fun n ->
-            Printf.sprintf "{\"shard\":%d,\"plan\":%s}" k (Op.to_json n))
-          p)
-      shard_plans
+  let open Obs.Relation in
+  let shard (k, p) =
+    Option.map
+      (fun n -> Json (obj [ ("shard", Int k); ("plan", Json (Op.to_json n)) ]))
+      p
   in
-  Printf.sprintf
-    "{\"query\":\"%s\",\"fingerprint\":\"%s\",\"route\":%s,\"pipeline\":{\"cache\":\"%s\",\"sharded\":%b,\"statements\":%d},\"plan\":%s,\"shards\":[%s]}"
-    (Obs.Trace.json_escape query)
-    (Obs.Trace.json_escape fingerprint)
-    (match route with
-    | Some x -> Shard.Router.explain_json x
-    | None -> "null")
-    cache sharded statements
-    (match coord with Some n -> Op.to_json n | None -> "null")
-    (String.concat "," shard_docs)
+  obj
+    [
+      ("query", Str query);
+      ("fingerprint", Str fingerprint);
+      ( "route",
+        Json (Option.fold ~none:"" ~some:Shard.Router.explain_json route) );
+      ( "pipeline",
+        Json
+          (obj
+             [
+               ("cache", Str cache);
+               ("sharded", Bool sharded);
+               ("statements", Int statements);
+             ]) );
+      ("plan", Json (Option.fold ~none:"" ~some:Op.to_json coord));
+      ("shards", Json (arr (List.filter_map shard shard_plans)));
+    ]
 
 type explain_summary = {
   xs_doc : string;  (** the unified JSON document (ring entry, recorder) *)
@@ -609,62 +321,79 @@ let explain_reply (t : t) (rest : string) : QV.t =
             ignore
               (offer_explain t ~norm ~fp ~trace_id ~duration ~route
                  ~coord ~shard_plans);
-            explain_table coord shard_plans
+            Planes.to_q (operators coord shard_plans)
       end)
 
-let admin_reply (t : t) (text : string) : QV.t option =
+(* ------------------------------------------------------------------ *)
+(* In-band admin queries                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* the bytes String.trim drops *)
+let is_blank = function ' ' | '\t' | '\r' | '\n' | '\012' -> true | _ -> false
+
+(* the rest of an admin query after its name: [""], ["[]"] or ["[n]"] *)
+let row_limit (rest : string) : int option option =
+  match String.trim rest with
+  | "" | "[]" -> Some None
+  | r when r.[0] = '[' && r.[String.length r - 1] = ']' -> (
+      let inner = String.sub r 1 (String.length r - 2) in
+      match int_of_string_opt (String.trim inner) with
+      | Some n when n >= 0 -> Some (Some n)
+      | _ -> None)
+  | _ -> None
+
+let planes_ctx (t : t) : Planes.ctx =
+  {
+    Planes.obs = t.obs;
+    plancache = Hyperq.Engine.plan_cache (Xc.engine t.xc);
+    cluster = t.cluster;
+  }
+
+(* an admin query, trimmed: [.hq.<plane>], [.hq.<plane>[n]],
+   [.hq.explain <query>] or [.hq.stats.reset] *)
+let admin_command (t : t) (text : string) : QV.t option =
   (* count the admin query before building the reply so a .hq.stats
      snapshot includes itself *)
   let answered mk =
     M.inc t.m.admin_queries_total;
     Some (mk ())
   in
-  let text = String.trim text in
-  match text with
-  | ".hq.stats" -> answered (fun () -> stats_table t.obs)
-  | ".hq.runtime" -> answered (fun () -> runtime_table t.obs)
-  | ".hq.activity" -> answered (fun () -> activity_table t.obs)
-  | ".hq.plancache" ->
-      answered (fun () ->
-          plancache_table (Hyperq.Engine.plan_cache (Xc.engine t.xc)))
-  | ".hq.shards" ->
-      answered (fun () ->
-          shards_table
-            (match t.shards_info with Some f -> f () | None -> []))
-  | ".hq.stats.reset" ->
-      reset_stats t.obs;
+  let len = String.length text in
+  let stop = ref 4 in
+  while !stop < len && text.[!stop] <> '[' && not (is_blank text.[!stop]) do
+    incr stop
+  done;
+  let name = String.sub text 4 (!stop - 4) in
+  let rest = String.sub text !stop (len - !stop) in
+  match name with
+  | "stats.reset" when rest = "" ->
+      Planes.reset t.obs;
       answered (fun () -> QV.Atom (Qvalue.Atom.Sym "reset"))
-  | _
-    when String.starts_with ~prefix:".hq.explain" text
-         && (String.length text = 11 || String.contains " \t\r\n" text.[11])
-    ->
-      answered (fun () ->
-          explain_reply t (String.sub text 11 (String.length text - 11)))
+  | "explain" when rest <> "" && is_blank rest.[0] ->
+      answered (fun () -> explain_reply t rest)
   | _ -> (
-      match parse_bracket_arg ~prefix:".hq.top" text with
-      | Some n ->
-          answered (fun () -> top_table t.obs (Option.value n ~default:10))
-      | None -> (
-          match parse_bracket_arg ~prefix:".hq.timeseries" text with
-          | Some n ->
-              answered (fun () ->
-                  timeseries_table t.obs (Option.value n ~default:max_int))
-          | None -> (
-          match parse_bracket_arg ~prefix:".hq.traces" text with
-          | Some n ->
-              answered (fun () ->
-                  traces_table t.obs
-                    (Option.value n
-                       ~default:(Obs.Export.capacity t.obs.Obs.Ctx.export)))
-          | None -> (
-              match parse_bracket_arg ~prefix:".hq.slow" text with
-              | Some n ->
-                  answered (fun () ->
-                      slow_table t.obs
-                        (Option.value n
-                           ~default:
-                             (Obs.Recorder.capacity t.obs.Obs.Ctx.recorder)))
-              | None -> None))))
+      match (Planes.find name, row_limit rest) with
+      | Some p, Some n -> answered (fun () -> Planes.q_reply (planes_ctx t) p n)
+      | _ -> None)
+
+(** The in-band admin reply to [text], or [None] for an ordinary query.
+    Anything not starting with [.hq.] costs one prefix check and
+    allocates nothing. *)
+let admin_reply (t : t) (text : string) : QV.t option =
+  let len = String.length text in
+  let i = ref 0 in
+  while !i < len && is_blank (String.unsafe_get text !i) do
+    incr i
+  done;
+  let i = !i in
+  if
+    len - i >= 4
+    && text.[i] = '.'
+    && text.[i + 1] = 'h'
+    && text.[i + 2] = 'q'
+    && text.[i + 3] = '.'
+  then admin_command t (String.trim text)
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* Per-query observability                                             *)

@@ -70,7 +70,7 @@ let create ?(users = [ ("trader", "pwd") ])
      GC/heap sample so hq_gc_* counters enter the snapshot, and — when
      sharded — the pool saturation gauges, so the ring sees live values *)
   Obs.Timeseries.on_sample obs.Obs.Ctx.timeseries (fun () ->
-      Endpoint.refresh_external_gauges obs;
+      Planes.refresh_external_gauges obs;
       Obs.Runtime.sample obs.Obs.Ctx.runtime;
       Option.iter Shard.Cluster.refresh_saturation cluster);
   let plancache =
@@ -128,127 +128,16 @@ let obs (t : t) = t.obs
     metrics scraper ([GET /metrics] on the admin port) or the server
     binary's [--stats] shutdown dump prints. *)
 let stats_text (t : t) : string =
-  Endpoint.refresh_external_gauges t.obs;
+  Planes.refresh_external_gauges t.obs;
   Obs.Metrics.to_prometheus t.obs.Obs.Ctx.registry
   ^ Obs.Qstats.to_prometheus ~k:10 t.obs.Obs.Ctx.qstats
 
-(** The same snapshot as a Q table — what [.hq.stats] answers. *)
-let stats_value (t : t) : Qvalue.Value.t = Endpoint.stats_table t.obs
-
-(** The full registry snapshot plus the fingerprint table as one JSON
-    document — what [GET /stats.json] serves. *)
-let stats_json (t : t) : string =
-  Endpoint.refresh_external_gauges t.obs;
-  let samples = Obs.Metrics.snapshot t.obs.Obs.Ctx.registry in
-  let metrics =
-    String.concat ","
-      (List.map
-         (fun s ->
-           Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\",\"value\":%g}"
-             (Obs.Trace.json_escape s.Obs.Metrics.s_name)
-             s.Obs.Metrics.s_kind s.Obs.Metrics.s_value)
-         samples)
-  in
-  Printf.sprintf "{\"metrics\":[%s],\"fingerprints\":%s}\n" metrics
-    (Obs.Qstats.to_json t.obs.Obs.Ctx.qstats)
-
 (** Zero counters/histograms and the fingerprint store — [.hq.stats.reset]
     and [POST /reset]. *)
-let reset_stats (t : t) : unit = Endpoint.reset_stats t.obs
+let reset_stats (t : t) : unit = Planes.reset t.obs
 
-(** The plan cache's contents as JSON — what [GET /plancache.json]
-    serves: top entries (most-hit first) with hit counts and estimated
-    translation time saved. *)
-let plancache_json (t : t) : string =
-  match t.plancache with
-  | None -> "{\"enabled\":false,\"size\":0,\"evictions\":0,\"entries\":[]}\n"
-  | Some pc ->
-      let module PC = Hyperq.Plancache in
-      let entries =
-        PC.entries pc
-        |> List.filteri (fun i _ -> i < 50)
-        |> List.map (fun (e : PC.entry) ->
-               Printf.sprintf
-                 "{\"fingerprint\":\"%s\",\"signature\":\"%s\",\"norm\":\"%s\",\"kind\":\"%s\",\"hits\":%d,\"saved_seconds\":%g}"
-                 (Obs.Trace.json_escape e.PC.e_key.PC.k_fingerprint)
-                 (Obs.Trace.json_escape e.PC.e_key.PC.k_signature)
-                 (Obs.Trace.json_escape e.PC.e_norm)
-                 (Obs.Trace.json_escape (PC.kind_name e.PC.e_kind))
-                 e.PC.e_hits e.PC.e_saved_s)
-      in
-      Printf.sprintf
-        "{\"enabled\":true,\"size\":%d,\"evictions\":%d,\"entries\":[%s]}\n"
-        (PC.size pc) (PC.evictions pc)
-        (String.concat "," entries)
-
-(* the admin plane's route table: every known path with the methods it
-   accepts, so the fallback can answer 405 with a correct Allow header *)
-let admin_routes : (string * string list) list =
-  [
-    ("/metrics", [ "GET" ]);
-    ("/healthz", [ "GET" ]);
-    ("/stats.json", [ "GET" ]);
-    ("/slow.json", [ "GET" ]);
-    ("/traces.json", [ "GET" ]);
-    ("/logs.json", [ "GET" ]);
-    ("/activity.json", [ "GET" ]);
-    ("/plancache.json", [ "GET" ]);
-    ("/shards.json", [ "GET" ]);
-    ("/explain.json", [ "GET" ]);
-    ("/timeseries.json", [ "GET" ]);
-    ("/slo.json", [ "GET" ]);
-    ("/runtime.json", [ "GET" ]);
-    ("/reset", [ "POST" ]);
-  ]
-
-(** The shard cluster's layout and traffic as JSON — what
-    [GET /shards.json] serves. *)
-let shards_json (t : t) : string =
-  match t.cluster with
-  | None -> "{\"sharded\":false,\"shards\":[]}\n"
-  | Some c ->
-      let infos = Shard.Cluster.shards_info c in
-      let entries =
-        List.map
-          (fun (i : Shard.Cluster.shard_info) ->
-            Printf.sprintf
-              "{\"shard\":%d,\"tables\":[%s],\"rows\":%d,\"statements\":%d,\"bytes\":%d}"
-              i.Shard.Cluster.si_id
-              (String.concat ","
-                 (List.map
-                    (fun n -> "\"" ^ Obs.Trace.json_escape n ^ "\"")
-                    i.Shard.Cluster.si_tables))
-              i.Shard.Cluster.si_rows i.Shard.Cluster.si_statements
-              i.Shard.Cluster.si_bytes)
-          infos
-      in
-      Printf.sprintf
-        "{\"sharded\":true,\"generation\":%d,\"shards\":[%s]}\n"
-        (Shard.Cluster.generation c)
-        (String.concat "," entries)
-
-(** The time-series ring as JSON — what [GET /timeseries.json] serves.
-    [?window=30s] (any {!Obs.Slo.parse_duration_s} form) keeps only
-    windows ending within that horizon of the newest snapshot. *)
-let timeseries_json ?(window : string option) (t : t) : string =
-  let ts = t.obs.Obs.Ctx.timeseries in
-  ignore (Obs.Timeseries.tick ts);
-  let horizon_s = Option.bind window Obs.Slo.parse_duration_s in
-  Obs.Timeseries.to_json ?horizon_s ts
-
-(** The SLO monitor's verdict plus config as JSON — [GET /slo.json]. *)
-let slo_json (t : t) : string =
-  ignore (Obs.Timeseries.tick t.obs.Obs.Ctx.timeseries);
-  Obs.Slo.to_json t.obs.Obs.Ctx.slo
-
-(** Process-runtime telemetry (GC counters, heap size, uptime, build
-    info) as JSON — what [GET /runtime.json] serves. Takes a fresh GC
-    sample first, so the document is current even with no sampler
-    thread. *)
-let runtime_json (t : t) : string =
-  let rt = t.obs.Obs.Ctx.runtime in
-  Obs.Runtime.sample rt;
-  Obs.Runtime.to_json rt
+let planes_ctx (t : t) : Planes.ctx =
+  { Planes.obs = t.obs; plancache = t.plancache; cluster = t.cluster }
 
 (** [GET /healthz]: 200/"ok" (plus uptime) while every SLO objective is
     within budget and the heap is under its watermark, 503 with the burn
@@ -258,66 +147,69 @@ let runtime_json (t : t) : string =
     default) it never degrades. *)
 let healthz (t : t) : Obs.Http.response =
   ignore (Obs.Timeseries.tick t.obs.Obs.Ctx.timeseries);
-  let slo = t.obs.Obs.Ctx.slo in
   let rt = t.obs.Obs.Ctx.runtime in
-  let v = Obs.Slo.evaluate slo in
+  let v = Obs.Slo.evaluate t.obs.Obs.Ctx.slo in
   if Obs.Runtime.heap_alarm rt then
     Obs.Http.json 503
-      (Printf.sprintf
-         "{\"status\":\"degraded\",\"reason\":\"heap above watermark\",\"heap_bytes\":%.0f,\"heap_watermark_bytes\":%.0f}\n"
-         (Obs.Runtime.heap_bytes ())
-         (match Obs.Runtime.heap_watermark rt with
-         | Some b -> b
-         | None -> 0.0))
+      (Obs.Relation.(
+         obj
+           [
+             ("status", Str "degraded");
+             ("reason", Str "heap above watermark");
+             ("heap_bytes", Float (Obs.Runtime.heap_bytes ()));
+             ( "heap_watermark_bytes",
+               Float
+                 (Option.value (Obs.Runtime.heap_watermark rt) ~default:0.0) );
+           ])
+      ^ "\n")
   else if v.Obs.Slo.v_healthy then
     Obs.Http.text 200
       (Printf.sprintf "ok uptime_s=%.0f\n" (Obs.Runtime.uptime_s ()))
-  else Obs.Http.json 503 (Obs.Slo.to_json slo)
+  else
+    Obs.Http.json 503
+      (Planes.json_body (planes_ctx t) Planes.slo ~n:max_int (fun _ -> None))
 
-(** Route an admin-plane HTTP request: [GET /metrics] (Prometheus text),
-    [GET /healthz] (SLO-aware: 503 while burning), [GET /stats.json],
-    [GET /slow.json] (flight-recorder JSONL), [GET /traces.json]
-    (trace-export ring), [GET /logs.json] (structured-log tail),
-    [GET /activity.json] (session registry), [GET /timeseries.json]
-    (windowed rates and percentiles), [GET /slo.json] (burn report) and
-    [POST /reset]. A known path with the wrong method gets a 405 with an
-    [Allow] header. Pure — drive it through {!Obs.Http.handle} in tests,
-    or hang it off {!Obs.Http.listen} in the server binary. *)
+(** The admin port's routes: method, path, handler. Every plane serves
+    [GET /<name>.json]; the rest are [GET /metrics] (Prometheus text),
+    [GET /healthz] (SLO-aware: 503 while burning), [GET /logs.json]
+    (structured-log tail) and [POST /reset]. *)
+let http_routes :
+    (string * string * (t -> Obs.Http.request -> Obs.Http.response)) list =
+  [
+    ("GET", "/metrics", fun t _ -> Obs.Http.text 200 (stats_text t));
+    ("GET", "/healthz", fun t _ -> healthz t);
+    ( "GET",
+      "/logs.json",
+      fun t _ -> Obs.Http.ndjson 200 (Obs.Log.to_jsonl t.obs.Obs.Ctx.log) );
+    ( "POST",
+      "/reset",
+      fun t _ ->
+        reset_stats t;
+        Obs.Http.json 200 "{\"status\":\"reset\"}\n" );
+  ]
+  @ List.map
+      (fun p ->
+        ("GET", Planes.path p, fun t -> Planes.http_reply (planes_ctx t) p))
+      Planes.all
+
+(** Route an admin-plane HTTP request through {!http_routes}. A known
+    path with the wrong method gets a 405 with an [Allow] header. Pure —
+    drive it through {!Obs.Http.handle} in tests, or hang it off
+    {!Obs.Http.listen} in the server binary. *)
 let admin_handler (t : t) (req : Obs.Http.request) : Obs.Http.response =
-  match (req.Obs.Http.meth, req.Obs.Http.path) with
-  | "GET", "/metrics" -> Obs.Http.text 200 (stats_text t)
-  | "GET", "/healthz" -> healthz t
-  | "GET", "/stats.json" -> Obs.Http.json 200 (stats_json t)
-  | "GET", "/slow.json" ->
-      Obs.Http.ndjson 200 (Obs.Recorder.to_jsonl t.obs.Obs.Ctx.recorder)
-  | "GET", "/traces.json" ->
-      Obs.Http.json 200 (Obs.Export.to_json t.obs.Obs.Ctx.export)
-  | "GET", "/logs.json" ->
-      Obs.Http.ndjson 200 (Obs.Log.to_jsonl t.obs.Obs.Ctx.log)
-  | "GET", "/activity.json" ->
-      Obs.Http.json 200 (Obs.Sessions.to_json t.obs.Obs.Ctx.sessions)
-  | "GET", "/plancache.json" -> Obs.Http.json 200 (plancache_json t)
-  | "GET", "/shards.json" -> Obs.Http.json 200 (shards_json t)
-  | "GET", "/explain.json" ->
-      let n =
-        Option.bind (Obs.Http.query_param req "n") int_of_string_opt
-      in
-      Obs.Http.json 200 (Obs.Explain.to_json ?n t.obs.Obs.Ctx.explain)
-  | "GET", "/timeseries.json" ->
-      Obs.Http.json 200
-        (timeseries_json ?window:(Obs.Http.query_param req "window") t)
-  | "GET", "/slo.json" -> Obs.Http.json 200 (slo_json t)
-  | "GET", "/runtime.json" -> Obs.Http.json 200 (runtime_json t)
-  | "POST", "/reset" ->
-      reset_stats t;
-      Obs.Http.json 200 "{\"status\":\"reset\"}\n"
-  | _, path -> (
-      match List.assoc_opt path admin_routes with
-      | Some allowed ->
-          Obs.Http.text
-            ~headers:[ ("Allow", String.concat ", " allowed) ]
-            405 "method not allowed\n"
-      | None -> Obs.Http.text 404 "not found\n")
+  let on_path =
+    List.filter (fun (_, path, _) -> path = req.Obs.Http.path) http_routes
+  in
+  match
+    (List.find_opt (fun (m, _, _) -> m = req.Obs.Http.meth) on_path, on_path)
+  with
+  | Some (_, _, handle), _ -> handle t req
+  | None, [] -> Obs.Http.text 404 "not found\n"
+  | None, _ ->
+      let allowed = List.map (fun (m, _, _) -> m) on_path in
+      Obs.Http.text
+        ~headers:[ ("Allow", String.concat ", " allowed) ]
+        405 "method not allowed\n"
 
 (** Open a client connection: a fresh backend session (temp-table scope), a
     fresh engine session sharing the server variable scope, wired through
@@ -335,9 +227,6 @@ let connect (t : t) : connection =
       ?sharder be
   in
   let xc = Xc.create make_engine backend in
-  let shards_info =
-    Option.map (fun c () -> Shard.Cluster.shards_info c) t.cluster
-  in
   (* the endpoint's ANALYZE plumbing: flip collection on this
      connection's backend session and (when sharded) on every shard
      session, and read the trees back out *)
@@ -364,7 +253,7 @@ let connect (t : t) : connection =
   in
   {
     endpoint =
-      Endpoint.create ~users:t.users ~obs:t.obs ?shards_info ~explain xc;
+      Endpoint.create ~users:t.users ~obs:t.obs ?cluster:t.cluster ~explain xc;
     xc;
     session;
   }

@@ -616,6 +616,28 @@ let shards_info (t : t) : shard_info list =
          })
        t.c_shards)
 
+(** The first [n] (default: all) shards' layout and traffic as the
+    relation behind [.hq.shards] and [GET /shards.json]; [None] is an
+    unsharded platform. *)
+let relation ?n (t : t option) : Obs.Relation.t =
+  let doc, infos =
+    match t with
+    | None -> ([ ("sharded", Obs.Relation.Bool false) ], [])
+    | Some t ->
+        ( Obs.Relation.[ ("sharded", Bool true); ("generation", Int (generation t)) ],
+          shards_info t )
+  in
+  Obs.Relation.(
+    make ~fields:doc ?n
+      [
+        int "shard" (fun s -> s.si_id);
+        json "tables" (fun s -> arr (List.map (fun n -> Str n) s.si_tables));
+        int "rows" (fun s -> s.si_rows);
+        int "statements" (fun s -> s.si_statements);
+        int "bytes" (fun s -> s.si_bytes);
+      ]
+      infos)
+
 (** Stop the worker domains. The shard databases stay readable (they are
     plain in-process structures); only the dispatch pool goes away. *)
 let shutdown (t : t) : unit =

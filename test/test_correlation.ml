@@ -232,12 +232,12 @@ let test_hq_traces_in_band () =
   (match ok (P.Client.query c ".hq.traces[2]") with
   | QV.Table tb ->
       check tint "bracket arg bounds rows" 2 (QV.table_length tb);
-      let ids = column_syms tb "trace_id" in
+      let ids = column_syms tb "traceID" in
       Array.iter
         (fun id -> check tint "each row a full trace id" 32 (String.length id))
         ids;
       check tbool "distinct traces" true (ids.(0) <> ids.(1));
-      let traces = column_syms tb "trace" in
+      let traces = column_syms tb "spans" in
       check tbool "flat spans embedded" true
         (contains traces.(0) "\"parentSpanID\":")
   | v -> Alcotest.failf "expected a table, got %s" (Qvalue.Qprint.to_string v));
@@ -341,7 +341,7 @@ let test_cross_shard_trace () =
   (* (e) .hq.traces serves the same tree in band *)
   (match ok (P.Client.query c ".hq.traces[1]") with
   | QV.Table tb ->
-      let traces = column_syms tb "trace" in
+      let traces = column_syms tb "spans" in
       check tbool ".hq.traces embeds shard_exec spans" true
         (contains traces.(0) "shard_exec")
   | v -> Alcotest.failf "expected a table, got %s" (Qvalue.Qprint.to_string v));

@@ -1,9 +1,10 @@
 (* Workload introspection plane tests: query fingerprint normalization,
    the LRU fingerprint statistics store, the slow-query flight recorder
    (trace-id stamped), the hand-rolled HTTP admin endpoint (hardened:
-   414, Allow on 405, Content-Length everywhere), and the in-band
+   414, Allow on 405, Content-Length everywhere), the in-band
    .hq.top / .hq.slow / .hq.stats.reset admin queries over a scripted
-   workload. *)
+   workload, and every registered plane on both surfaces (same columns,
+   same rows) with the allocation-free admin check. *)
 
 module F = Qlang.Fingerprint
 module M = Obs.Metrics
@@ -174,7 +175,7 @@ let test_qstats_prometheus_and_json () =
     (contains prom "hq_fingerprint_seconds_total{fingerprint=\"abc123\"}");
   check tbool "type comment" true
     (contains prom "# TYPE hq_fingerprint_calls_total counter");
-  let j = QS.to_json qs in
+  let j = Obs.Relation.rows_json (QS.relation qs) in
   check tbool "json has fingerprint" true (contains j "\"fingerprint\":\"abc123\"");
   check tbool "json has stages" true (contains j "\"stages_ms\"");
   check tbool "empty store renders empty exposition" true
@@ -235,7 +236,7 @@ let test_recorder_jsonl () =
        ~status:"error" ~error:"[binder] nope"
        ~sql:[ "SELECT a FROM t"; "DROP TABLE tmp" ]
        (span_of "query"));
-  let jl = R.to_jsonl r in
+  let jl = Obs.Relation.to_jsonl (R.relation r) in
   check tbool "fingerprint in jsonl" true (contains jl "\"fingerprint\":\"deadbeef\"");
   (* trace_id round-trips through the record and its JSONL rendering *)
   (match R.recent r 1 with
@@ -512,7 +513,7 @@ let test_admin_endpoint_routes () =
   (* the in-band table agrees with the scrape *)
   (match ok (P.Client.query c ".hq.stats") with
   | QV.Table tb ->
-      let metric_col = QV.column_exn tb "metric" in
+      let metric_col = QV.column_exn tb "name" in
       let value_col = QV.column_exn tb "value" in
       let rec lookup i =
         if i >= QV.length metric_col then Alcotest.fail "metric missing"
@@ -666,6 +667,243 @@ let test_default_buckets_log_scale () =
   let g = M.log_buckets ~lo:1e-3 ~hi:1.0 () in
   check tbool "generator bounds" true (g.(0) = 1e-3 && g.(Array.length g - 1) = 1.0)
 
+(* ------------------------------------------------------------------ *)
+(* Every plane, both surfaces                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Planes = Platform.Planes
+
+(* just enough JSON to read the admin port's documents back: objects
+   keep their key order *)
+type json =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+let parse_json (s : string) : json =
+  let pos = ref 0 in
+  let fail what = Alcotest.failf "json: %s at %d in %s" what !pos s in
+  let ws () =
+    while !pos < String.length s && String.contains " \t\r\n" s.[!pos] do
+      incr pos
+    done
+  in
+  let eat c =
+    ws ();
+    if !pos < String.length s && s.[!pos] = c then incr pos
+    else fail (Printf.sprintf "expected %c" c)
+  in
+  let word w v =
+    if !pos + String.length w <= String.length s
+       && String.sub s !pos (String.length w) = w
+    then (
+      pos := !pos + String.length w;
+      v)
+    else fail ("expected " ^ w)
+  in
+  let str () =
+    eat '"';
+    let b = Buffer.create 16 in
+    while s.[!pos] <> '"' do
+      (match s.[!pos] with
+      | '\\' ->
+          incr pos;
+          (match s.[!pos] with
+          | 'n' -> Buffer.add_char b '\n'
+          | 't' -> Buffer.add_char b '\t'
+          | 'r' -> Buffer.add_char b '\r'
+          | 'u' ->
+              Buffer.add_char b '?';
+              pos := !pos + 4
+          | c -> Buffer.add_char b c)
+      | c -> Buffer.add_char b c);
+      incr pos
+    done;
+    incr pos;
+    Buffer.contents b
+  in
+  (* the elements of a [open ... close] sequence *)
+  let rec seq : 'a. char -> (unit -> 'a) -> 'a list =
+   fun close elem ->
+    ws ();
+    if s.[!pos] = close then (
+      incr pos;
+      [])
+    else
+      let x = elem () in
+      ws ();
+      if s.[!pos] = ',' then (
+        incr pos;
+        x :: seq close elem)
+      else (
+        eat close;
+        [ x ])
+  and value () =
+    ws ();
+    match s.[!pos] with
+    | '{' ->
+        incr pos;
+        Obj
+          (seq '}' (fun () ->
+               let k = str () in
+               eat ':';
+               (k, value ())))
+    | '[' ->
+        incr pos;
+        Arr (seq ']' value)
+    | '"' -> Str (str ())
+    | 't' -> word "true" (Bool true)
+    | 'f' -> word "false" (Bool false)
+    | 'n' -> word "null" Null
+    | _ ->
+        let start = !pos in
+        while !pos < String.length s && String.contains "+-0123456789.eE" s.[!pos] do
+          incr pos
+        done;
+        (match float_of_string_opt (String.sub s start (!pos - start)) with
+        | Some f -> Num f
+        | None -> fail "expected a value")
+  in
+  let v = value () in
+  ws ();
+  if !pos <> String.length s then fail "trailing bytes";
+  v
+
+let http_body (reply : string) : string =
+  match Str.bounded_split_delim (Str.regexp_string "\r\n\r\n") reply 2 with
+  | [ _; body ] -> body
+  | _ -> Alcotest.failf "no body in %s" reply
+
+(* a 2-shard platform with the plan cache on and something in every
+   plane: two query shapes, two analyzed plans, two SLO objectives *)
+let populated_platform () =
+  let recorder = R.create ~threshold_s:0.0 () in
+  let obs = Obs.Ctx.create ~recorder () in
+  Obs.Timeseries.set_interval obs.Obs.Ctx.timeseries 0.0;
+  (match Obs.Slo.parse_spec "p99<50ms,err<1%" with
+  | Ok cfg -> Obs.Slo.configure obs.Obs.Ctx.slo cfg
+  | Error m -> Alcotest.failf "spec: %s" m);
+  let db = make_db () in
+  (* a replicated table: reads of it run on the coordinator, so the plan
+     cache keeps their templates *)
+  Db.load_table db
+    (S.table ~order_col:"hq_ord" "venues"
+       [ S.column "hq_ord" Ty.TBigint; S.column "Venue" Ty.TVarchar; S.column "Fee" Ty.TDouble ])
+    [ [| V.Int 0L; V.Str "X"; V.Float 0.5 |]; [| V.Int 1L; V.Str "Y"; V.Float 0.7 |] ];
+  let p = P.create ~obs ~shards:2 ~plan_cache:true db in
+  let c = P.Client.connect p in
+  List.iter
+    (fun q -> ignore (ok (P.Client.query c q)))
+    [
+      "select Fee from venues where Venue=`X";
+      "select Venue from venues where Fee>0.6";
+      "select Price from trades where Symbol=`A";
+      "select Price from trades where Symbol=`B";
+      "select mx:max Price by Symbol from trades";
+      ".hq.explain select Size from trades";
+      ".hq.explain select mx:max Price by Symbol from trades";
+    ];
+  (p, c)
+
+let admin_request (p : P.t) (meth : string) (path : string) : string =
+  H.handle (P.admin_handler p)
+    (Printf.sprintf "%s %s HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n"
+       meth path)
+
+let test_every_plane_answers () =
+  let p, c = populated_platform () in
+  Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
+  check tint "eleven planes" 11 (List.length Planes.all);
+  List.iter
+    (fun (pl : Planes.plane) ->
+      let path = Planes.path pl in
+      check tbool ("GET " ^ path ^ " 200") true
+        (contains (admin_request p "GET" path) "HTTP/1.1 200");
+      let post = admin_request p "POST" path in
+      check tbool ("POST " ^ path ^ " 405") true (contains post "HTTP/1.1 405");
+      check tbool ("POST " ^ path ^ " allows GET") true
+        (contains post "Allow: GET\r\n");
+      match P.Client.query c (Planes.query pl) with
+      | Ok (QV.Table _) -> ()
+      | Ok v ->
+          Alcotest.failf "%s: expected a table, got %s" (Planes.query pl)
+            (Qvalue.Qprint.to_string v)
+      | Error e -> Alcotest.failf "%s: %s" (Planes.query pl) e)
+    Planes.all;
+  P.Client.close c
+
+(* the coherence check: for the same n, the Q table's columns are the
+   keys of every JSON row object, in order, and the row counts agree *)
+let test_surfaces_agree () =
+  let p, c = populated_platform () in
+  Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
+  let n = 2 in
+  List.iter
+    (fun (pl : Planes.plane) ->
+      let name = pl.Planes.name in
+      let cols, q_rows =
+        match ok (P.Client.query c (Printf.sprintf "%s[%d]" (Planes.query pl) n)) with
+        | QV.Table tb -> (Array.to_list tb.QV.cols, QV.table_length tb)
+        | v -> Alcotest.failf "%s: expected a table, got %s" name (Qvalue.Qprint.to_string v)
+      in
+      let body =
+        http_body (admin_request p "GET" (Printf.sprintf "%s?n=%d" (Planes.path pl) n))
+      in
+      let rows =
+        match pl.Planes.layout with
+        | Planes.Lines ->
+            String.split_on_char '\n' body
+            |> List.filter (fun l -> l <> "")
+            |> List.map parse_json
+        | Planes.Document key -> (
+            match parse_json body with
+            | Obj kvs -> (
+                match List.assoc_opt key kvs with
+                | Some (Arr rows) -> rows
+                | _ -> Alcotest.failf "%s: no %S array" name key)
+            | _ -> Alcotest.failf "%s: not a JSON object" name)
+      in
+      check tint (name ^ ": row counts agree") q_rows (List.length rows);
+      check tbool (name ^ ": has rows") true (q_rows > 0);
+      List.iter
+        (function
+          | Obj kvs ->
+              check (Alcotest.list tstr) (name ^ ": row keys are the columns")
+                cols (List.map fst kvs)
+          | _ -> Alcotest.failf "%s: row is not an object" name)
+        rows)
+    Planes.all;
+  P.Client.close c
+
+(* an ordinary query pays one prefix check for the admin plane and
+   allocates nothing *)
+let test_admin_check_allocates_nothing () =
+  let p = make_platform () in
+  let c = P.Client.connect p in
+  let ep = c.P.Client.conn.P.endpoint in
+  List.iter
+    (fun q ->
+      ignore (Platform.Endpoint.admin_reply ep q);
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Platform.Endpoint.admin_reply ep q))
+      done;
+      let words = Gc.minor_words () -. w0 in
+      check (Alcotest.float 0.0) ("no allocation: " ^ q) 0.0 words)
+    [
+      "select Price from trades where Symbol=`A";
+      "  \tselect Size from trades";
+      ".z.p";
+      ".hq";
+      "";
+    ];
+  check tbool "an admin query still answers" true
+    (Platform.Endpoint.admin_reply ep " .hq.top[1] " <> None);
+  P.Client.close c
+
 let () =
   Alcotest.run "introspection"
     [
@@ -718,5 +956,14 @@ let () =
             test_cluster_observability_http;
           Alcotest.test_case "log-scale default buckets" `Quick
             test_default_buckets_log_scale;
+        ] );
+      ( "planes",
+        [
+          Alcotest.test_case "every plane answers on both surfaces" `Quick
+            test_every_plane_answers;
+          Alcotest.test_case "Q table columns are JSON row keys" `Quick
+            test_surfaces_agree;
+          Alcotest.test_case "admin check allocates nothing" `Quick
+            test_admin_check_allocates_nothing;
         ] );
     ]

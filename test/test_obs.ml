@@ -290,7 +290,7 @@ let test_hq_stats_over_qipc () =
     (Hyperq.Backend.log_mark backend);
   match v with
   | QV.Table tb ->
-      let metric_col = QV.column_exn tb "metric" in
+      let metric_col = QV.column_exn tb "name" in
       let value_col = QV.column_exn tb "value" in
       let lookup name =
         let rec go i =
@@ -438,7 +438,7 @@ let test_trace_export_ring () =
       check tstr "then previous" t2 b.Obs.Export.x_trace_id
   | l -> Alcotest.failf "expected 2 traces, got %d" (List.length l));
   check tbool "oldest evicted" true (Obs.Export.find ex _t1 = None);
-  let json = Obs.Export.to_json ex in
+  let json = Obs.Relation.to_json ~rows_key:"traces" (Obs.Export.relation ex) in
   let contains needle =
     let re = Str.regexp_string needle in
     (try ignore (Str.search_forward re json 0); true with Not_found -> false)
@@ -496,7 +496,7 @@ let test_timeseries_windows () =
       check tfloat "idle error rate" 0.0 idle.TS.w_error_rate
   | [] -> Alcotest.fail "expected windows");
   (* nan percentiles must render as JSON null, not "nan" *)
-  let js = TS.to_json ts in
+  let js = Obs.Relation.to_json ~rows_key:"windows" (TS.relation ts) in
   check tbool "json carries windows" true (has_sub js "\"windows\":[");
   check tbool "nan renders as null" true (has_sub js "\"p99_ms\":null");
   check tbool "json never prints bare nan" false (has_sub js ":nan")

@@ -208,7 +208,9 @@ let test_alloc_attribution_cache_hit_miss () =
   check tbool "records carry alloc bytes" true
     (List.for_all (fun r -> r.Obs.Recorder.r_alloc_bytes > 0.0) recs);
   check tbool "jsonl carries alloc" true
-    (contains (Obs.Recorder.to_jsonl (P.obs p).Obs.Ctx.recorder) "\"alloc_bytes\":");
+    (contains
+       (Obs.Relation.to_jsonl (Obs.Recorder.relation (P.obs p).Obs.Ctx.recorder))
+       "\"alloc_bytes\":");
   P.Client.close c;
   P.shutdown p
 
@@ -228,10 +230,11 @@ let test_runtime_surfaces () =
   let rj = get "/runtime.json" in
   check tbool "runtime.json 200" true (contains rj "HTTP/1.1 200");
   check tbool "runtime.json version" true
-    (contains rj ("\"version\": \"" ^ RT.version ^ "\""));
+    (contains rj ("\"version\":\"" ^ RT.version ^ "\""));
   check tbool "runtime.json gc counters" true
-    (contains rj "\"gc_allocated_bytes_total\":");
-  check tbool "runtime.json uptime" true (contains rj "\"uptime_seconds\":");
+    (contains rj "{\"stat\":\"gc_allocated_bytes_total\",\"value\":");
+  check tbool "runtime.json uptime" true
+    (contains rj "{\"stat\":\"uptime_seconds\",\"value\":");
   (* wrong method gets a 405 with Allow *)
   let post =
     H.handle (P.admin_handler p) "POST /runtime.json HTTP/1.1\r\nHost: t\r\n\r\n"
@@ -302,7 +305,10 @@ let test_timeseries_gc_windows () =
   check tbool "alloc rate derived" true
     (List.exists (fun w -> w.Obs.Timeseries.w_alloc_bps > 0.0) ws);
   check tbool "windows render alloc json" true
-    (contains (Obs.Timeseries.to_json obs.Obs.Ctx.timeseries) "\"alloc_bytes\":");
+    (contains
+       (Obs.Relation.to_json ~rows_key:"windows"
+          (Obs.Timeseries.relation obs.Obs.Ctx.timeseries))
+       "\"alloc_bytes\":");
   P.Client.close c;
   P.shutdown p
 
