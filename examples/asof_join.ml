@@ -71,8 +71,26 @@ let () =
 
   (* the punchline: both sides agree; a mismatch fails the run *)
   section "side-by-side verdict";
-  match Sidebyside.Framework.values_agree kdb_result hq_result with
+  (match Sidebyside.Framework.values_agree kdb_result hq_result with
   | None -> print_endline "MATCH: identical results from both stacks"
   | Some d ->
       Printf.printf "MISMATCH: %s\n" d;
+      exit 1);
+
+  (* ties: every quote repeated at its own time with a higher bid, and
+     trades landing exactly on a quote's time. kdb's aj takes the last
+     quote at or before the trade, so of two quotes at one time the
+     later one; the SQL window breaks the tie on the quote's row order. *)
+  section "tied quotes: the later of two quotes at one time";
+  let tied = MD.with_tied_quotes d in
+  let h = Sidebyside.Framework.create tied in
+  let tied_query =
+    "aj[`Symbol`Time; select Symbol, Time, Price from trades; select \
+     Symbol, Time, Bid, Ask from quotes]"
+  in
+  match Sidebyside.Framework.compare_query h tied_query with
+  | Sidebyside.Framework.Match ->
+      print_endline "MATCH: kdb+ and Hyper-Q pick the same quote on every tie"
+  | v ->
+      print_endline (Sidebyside.Framework.verdict_str v);
       exit 1

@@ -212,6 +212,20 @@ let ord_window ctx : (I.scalar * [ `Asc | `Desc ]) list =
 let running_frame : A.frame option =
   Some { A.frame_mode = `Rows; lo = A.UnboundedPreceding; hi = A.CurrentRow }
 
+(* Q's [count distinct x] counts a NULL as one more distinct value; SQL's
+   COUNT(DISTINCT x) skips NULLs, so add one when x holds any NULL *)
+let count_distinct (arg : I.scalar) : I.scalar =
+  let count args = I.AggFun { fn = "count"; distinct = false; args } in
+  let one_if c =
+    I.Case
+      ( [ (c, I.Const (A.Int 1L, Ty.TBigint)) ],
+        Some (I.Const (A.Int 0L, Ty.TBigint)) )
+  in
+  I.Arith
+    ( `Add,
+      I.AggFun { fn = "count"; distinct = true; args = [ arg ] },
+      one_if (I.Cmp (`Gt, count [], count [ arg ])) )
+
 (** Monadic primitive applied to a scalar (column) expression in column
     context. *)
 let bind_monadic_on_scalar ctx (name : string) (arg : I.scalar) : I.scalar =
@@ -238,7 +252,7 @@ let bind_monadic_on_scalar ctx (name : string) (arg : I.scalar) : I.scalar =
       | Some `IsNull -> I.IsNull arg
       | None -> (
           match name with
-          | "distinct" -> I.AggFun { fn = "count"; distinct = true; args = [ arg ] }
+          | "distinct" -> count_distinct arg
           | "sums" ->
               I.WinFun
                 {
@@ -387,9 +401,9 @@ let rec bind (ctx : ctx) (e : Ast.expr) : bval =
 and bind_app1 ctx (f : Ast.expr) (x : Ast.expr) : bval =
   match (f, x) with
   | Ast.Var "count", Ast.App1 (Ast.Var "distinct", inner) -> (
-      (* count distinct col -> COUNT(DISTINCT col) *)
+      (* count distinct col -> COUNT(DISTINCT col), plus one for NULL *)
       match bind ctx inner with
-      | BScalar s -> BScalar (I.AggFun { fn = "count"; distinct = true; args = [ s ] })
+      | BScalar s -> BScalar (count_distinct s)
       | v -> bind_app1_value ctx f v)
   | _ ->
   let fx = bind ctx x in

@@ -316,47 +316,61 @@ and serialize_join st ~kind ~left ~right ~eq_cols ~extra_pred : A.select =
     from = Some (A.JoinItem { jkind; left = litem; right = ritem; on });
   }
 
+(* one side of an as-of join with a unique row identity: its implicit
+   order column if present, else a row number over the side's output
+   rows in order, computed in a wrapping SELECT so that it follows the
+   side's own ORDER BY and works over any side (a grouped one too) *)
+and identified_side st (r : I.rel) (alias : string) :
+    A.from_item * I.colref list * string =
+  let cols = I.output_cols r in
+  match I.order_col r with
+  | Some oc -> (join_side st r alias, cols, oc)
+  | None ->
+      let id_col = "hq_rowid" in
+      let n = fresh_alias st "hq_n" in
+      let inner = select_of_rel st r in
+      let proj qual c = A.proj ~alias:c.I.cr_name (qual c.I.cr_name) in
+      let inner =
+        if inner.A.projs = [] then
+          { inner with A.projs = List.map (proj A.col) cols }
+        else inner
+      in
+      let numbered =
+        {
+          A.empty_select with
+          projs =
+            List.map (proj (A.qcol n)) cols
+            @ [
+                {
+                  A.p_expr =
+                    A.Window
+                      {
+                        win_fn = "row_number";
+                        win_args = [];
+                        partition = [];
+                        order = [];
+                        frame = None;
+                      };
+                  p_alias = Some id_col;
+                };
+              ];
+          from = Some (A.SubqueryRef (inner, n));
+        }
+      in
+      ( A.SubqueryRef (numbered, alias),
+        cols @ [ { I.cr_name = id_col; cr_type = Catalog.Sqltype.TBigint } ],
+        id_col )
+
 (* the as-of join lowering (paper Section 3.2.2): left outer join on the
    equality columns plus a range condition on the as-of column; a
-   ROW_NUMBER window partitioned by the left row picks the latest match *)
+   ROW_NUMBER window partitioned by the left row picks the latest match,
+   and among quotes at that time the last in the right side's order, as
+   kdb's aj binary-searches for the last row at or before the time *)
 and serialize_asof st ~left ~right ~eq_cols ~ts_col ~keep_right_time :
     A.select =
   let la = fresh_alias st "l" and ra = fresh_alias st "r" in
-  (* the window needs a unique left-row identity: the implicit order column
-     if present, else a synthesized row number *)
-  let left_sel, left_cols, left_id =
-    match I.order_col left with
-    | Some oc -> (join_side st left la, I.output_cols left, oc)
-    | None ->
-        let inner = select_of_rel st left in
-        let id_col = "hq_rowid" in
-        let inner' =
-          {
-            inner with
-            A.projs =
-              inner.A.projs
-              @ [
-                  {
-                    A.p_expr =
-                      A.Window
-                        {
-                          win_fn = "row_number";
-                          win_args = [];
-                          partition = [];
-                          order = [];
-                          frame = None;
-                        };
-                    p_alias = Some id_col;
-                  };
-                ];
-          }
-        in
-        ( A.SubqueryRef (inner', la),
-          I.output_cols left
-          @ [ { I.cr_name = id_col; cr_type = Catalog.Sqltype.TBigint } ],
-          id_col )
-  in
-  let ritem = join_side st right ra in
+  let left_sel, left_cols, left_id = identified_side st left la in
+  let ritem, _, right_id = identified_side st right ra in
   let on =
     List.fold_left
       (fun acc c ->
@@ -402,7 +416,8 @@ and serialize_asof st ~left ~right ~eq_cols ~ts_col ~keep_right_time :
                 win_fn = "row_number";
                 win_args = [];
                 partition = [ A.qcol la left_id ];
-                order = [ (A.qcol ra ts_col, A.Desc) ];
+                order =
+                  [ (A.qcol ra ts_col, A.Desc); (A.qcol ra right_id, A.Desc) ];
                 frame = None;
               };
           p_alias = Some "hq_rn";

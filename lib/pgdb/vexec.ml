@@ -1569,6 +1569,28 @@ let column_order (keys : (Batch.column * A.direction) list) (sel : Batch.sel)
     keys
     (Some (fun _ _ -> 0))
 
+(* whether one integer PARTITION BY column makes every partition of
+   [sel] a single row: its values, NULL counted as one, are distinct *)
+let singleton_partitions (c : Batch.column) (sel : Batch.sel) : bool =
+  match c.Batch.data with
+  | Batch.DInt a ->
+      let seen = IntTbl.create (Array.length sel) in
+      let null_seen = ref false in
+      Array.for_all
+        (fun i ->
+          if Batch.is_null c i then begin
+            let fresh = not !null_seen in
+            null_seen := true;
+            fresh
+          end
+          else if IntTbl.mem seen a.(i) then false
+          else begin
+            IntTbl.add seen a.(i) ();
+            true
+          end)
+        sel
+  | _ -> false
+
 (* The rank-limit cut: a row_number() window whose query keeps only the
    rows it numbers [k] or less. Stage two returns the result array and
    the rows of [sel] it keeps, ascending; a dropped row's result is
@@ -1579,7 +1601,11 @@ let column_order (keys : (Batch.column * A.direction) list) (sel : Batch.sel)
    the earlier row as the stable sort does. Any other k, expression or
    mixed-kind order keys and mixed-kind partition keys run the whole
    window through [plan_window] and cut afterwards, so results and
-   errors stay those of the full window. *)
+   errors stay those of the full window. Under the same k = 1 and
+   plain-column conditions, a single integer PARTITION BY column that is
+   distinct over [sel] (a row identity, as the as-of lowering partitions
+   by) numbers every row 1 and keeps them all: a one-row partition needs
+   no comparison. *)
 let plan_window_top (sc : scope) (w : A.expr) (k : int) :
     string * (data -> Batch.sel -> int -> Value.t array * Batch.sel) =
   match w with
@@ -1620,7 +1646,18 @@ let plan_window_top (sc : scope) (w : A.expr) (k : int) :
             Option.map (List.map (fun (j, dir) -> (d.col j, dir))) plain_order
           in
           fun sel nrows ->
-            match Option.bind keys (fun keys -> column_order keys sel) with
+            let singletons =
+              keys <> None
+              && Option.fold ~none:false
+                   ~some:(fun c -> singleton_partitions c sel)
+                   part_col
+            in
+            if singletons then begin
+              let out = Array.make nrows Value.Null in
+              Array.iter (fun i -> out.(i) <- Value.Int 1L) sel;
+              (out, sel)
+            end
+            else match Option.bind keys (fun keys -> column_order keys sel) with
             | Some cmp -> (
                 let slot =
                   if partition = [] then fun _ -> 0
@@ -1703,36 +1740,25 @@ let pair_emit (p : pair_acc) (i : int) (j : int) =
 let pair_result (p : pair_acc) : int array * int array =
   (Array.sub p.pa_l 0 p.pa_n, Array.sub p.pa_r 0 p.pa_n)
 
-(* Vectorized hash join on equality key columns [(left, right,
-   null_safe)]: build on the right, probe with the left in row order.
-   Each bucket is an array of right-row indices in ascending order; a
-   plain (non-null-safe) key never matches NULL on either side, a
-   null-safe key treats NULL as a value. Key equality is equality of
-   the displayed key tuple — the typed single-key fast paths below are
-   exact refinements (distinct int64s/strings have distinct
-   displays). *)
-let hash_join_idx ~(lrows : int) ~(rrows : int)
-    (keys : (Batch.column * Batch.column * bool) list) ~(left_outer : bool) :
-    int array * int array =
-  let out = pair_acc lrows in
-  let probe (matches : int -> int array) =
-    for i = 0 to lrows - 1 do
-      let js = matches i in
-      let m = Array.length js in
-      if m = 0 then begin if left_outer then pair_emit out i (-1) end
-      else
-        for t = 0 to m - 1 do
-          pair_emit out i (Array.unsafe_get js t)
-        done
-    done
-  in
+(* The build side of a hash equi-join on key columns [(left, right,
+   null_safe)]: the right rows hashed on their keys, and the function
+   that maps a probe (left) row to its bucket of matching right rows.
+   [finish] turns each bucket, right-row indices ascending, into the
+   array the probe returns, once per bucket. A plain (non-null-safe) key
+   never matches NULL on either side, a null-safe key treats NULL as a
+   value. Key equality is equality of the displayed key tuple — the
+   typed single-key fast paths below are exact refinements (distinct
+   int64s/strings have distinct displays). *)
+let hash_buckets ~(rrows : int)
+    (keys : (Batch.column * Batch.column * bool) list)
+    ~(finish : int array -> int array) : int -> int array =
   (* bucket lists (descending, as built) become ascending arrays *)
-  let bucket (l : int list ref) = Array.of_list (List.rev !l) in
-  (match keys with
+  let bucket (l : int list ref) = finish (Array.of_list (List.rev !l)) in
+  match keys with
   | [ (lc, rc, null_safe) ]
     when (match (lc.Batch.data, rc.Batch.data) with
          | Batch.DInt _, Batch.DInt _ | Batch.DStr _, Batch.DStr _ -> true
-         | _ -> false) ->
+         | _ -> false) -> (
       (* single typed key: hash the payloads directly *)
       let nulls = ref [] in
       let by (type k) (module T : Hashtbl.S with type key = k) (la : k array)
@@ -1751,11 +1777,11 @@ let hash_join_idx ~(lrows : int) ~(rrows : int)
         let arrays = T.create (T.length tbl) in
         T.iter (fun k l -> T.add arrays k (bucket l)) tbl;
         let null_matches = bucket nulls in
-        probe (fun i ->
-            if Batch.is_null lc i then null_matches
-            else match T.find_opt arrays la.(i) with Some js -> js | None -> [||])
+        fun i ->
+          if Batch.is_null lc i then null_matches
+          else match T.find_opt arrays la.(i) with Some js -> js | None -> [||]
       in
-      (match (lc.Batch.data, rc.Batch.data) with
+      match (lc.Batch.data, rc.Batch.data) with
       | Batch.DInt la, Batch.DInt ra -> by (module IntTbl) la ra
       | Batch.DStr la, Batch.DStr ra -> by (module StrTbl) la ra
       | _ -> assert false)
@@ -1782,13 +1808,110 @@ let hash_join_idx ~(lrows : int) ~(rrows : int)
       done;
       let arrays = StrTbl.create (StrTbl.length tbl) in
       StrTbl.iter (fun k l -> StrTbl.add arrays k (bucket l)) tbl;
-      probe (fun i ->
-          if not (ok lcols i) then [||]
-          else
-            match StrTbl.find_opt arrays (key lcols i) with
-            | Some js -> js
-            | None -> [||]));
+      fun i ->
+        if not (ok lcols i) then [||]
+        else
+          match StrTbl.find_opt arrays (key lcols i) with
+          | Some js -> js
+          | None -> [||]
+
+(* Vectorized hash join: build on the right, probe with the left in row
+   order; each probe row's matches in ascending right-row order *)
+let hash_join_idx ~(lrows : int) ~(rrows : int)
+    (keys : (Batch.column * Batch.column * bool) list) ~(left_outer : bool) :
+    int array * int array =
+  let matches = hash_buckets ~rrows keys ~finish:Fun.id in
+  let out = pair_acc lrows in
+  for i = 0 to lrows - 1 do
+    let js = matches i in
+    let m = Array.length js in
+    if m = 0 then begin if left_outer then pair_emit out i (-1) end
+    else
+      for t = 0 to m - 1 do
+        pair_emit out i (Array.unsafe_get js t)
+      done
+  done;
   pair_result out
+
+(* The as-of range [x <= y] of right column [x] against left column [y],
+   when the non-NULL values of both are of one kind between them: SQL's
+   [<=] is then compare_total's order and never raises. [(le, cmp)]:
+   [le j i] tests right row j against left row i, [cmp] orders right
+   rows by [x]; both read non-NULL rows only. None when the columns mix
+   kinds. *)
+let range_order (x : Batch.column) (y : Batch.column) :
+    ((int -> int -> bool) * (int -> int -> int)) option =
+  let of_cmp cmp a b =
+    Some ((fun j i -> cmp a.(j) b.(i) <= 0), fun j k -> cmp a.(j) a.(k))
+  in
+  match (x.Batch.data, y.Batch.data) with
+  | Batch.DInt a, Batch.DInt b -> of_cmp Int64.compare a b
+  | Batch.DFloat a, Batch.DFloat b -> of_cmp Float.compare a b
+  | Batch.DStr a, Batch.DStr b -> of_cmp String.compare a b
+  | Batch.DVal a, Batch.DVal b ->
+      let kind = ref (-1) in
+      let one_kind (v : Value.t) =
+        let k = kind_of v in
+        if k >= 0 && !kind < 0 then kind := k;
+        k < 0 || k = !kind
+      in
+      if Array.for_all one_kind a && Array.for_all one_kind b then
+        of_cmp Value.compare_total a b
+      else None
+  | _ -> None
+
+(* The fused as-of join: each left row paired with the one right row
+   that the as-of window ranks first among its candidates — the rows of
+   its equi-key bucket with [x <= y], ordered by [x] descending, then the
+   later window keys [order], then row position — or with none. Each
+   bucket drops its NULL-[x] rows (they never pass [<=]) and is sorted
+   once in the reverse of that order; a left row binary-searches the
+   prefix with [x <= y] and takes its last row. None when [x] and [y]
+   mix kinds or a later key does, where the residual path decides, with
+   its errors. *)
+let asof_join_idx ~(lrows : int) ~(rrows : int)
+    (keys : (Batch.column * Batch.column * bool) list) ~(x : Batch.column)
+    ~(y : Batch.column) ~(order : (Batch.column * A.direction) list)
+    ~(left_outer : bool) : (int array * int array) option =
+  let reverse = function A.Asc -> A.Desc | A.Desc -> A.Asc in
+  match
+    ( range_order x y,
+      column_order
+        (List.map (fun (c, d) -> (c, reverse d)) order)
+        (Batch.all_rows rrows) )
+  with
+  | Some (le, xcmp), Some rest ->
+      let finish js =
+        let js =
+          if x.Batch.has_nulls then
+            filter_sel js (fun j -> not (Batch.is_null x j))
+          else js
+        in
+        Array.stable_sort
+          (fun j k ->
+            let c = xcmp j k in
+            if c <> 0 then c
+            else
+              let c = rest j k in
+              if c <> 0 then c else Int.compare k j)
+          js;
+        js
+      in
+      let matches = hash_buckets ~rrows keys ~finish in
+      let out = pair_acc lrows in
+      for i = 0 to lrows - 1 do
+        let js = if Batch.is_null y i then [||] else matches i in
+        (* [lo]: the length of the prefix with x <= y *)
+        let lo = ref 0 and hi = ref (Array.length js) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) lsr 1 in
+          if le (Array.unsafe_get js mid) i then lo := mid + 1 else hi := mid
+        done;
+        if !lo > 0 then pair_emit out i js.(!lo - 1)
+        else if left_outer then pair_emit out i (-1)
+      done;
+      Some (pair_result out)
+  | _ -> None
 
 (* Keep the candidate pairs [(cl, cr)] (grouped by probe row, ascending)
    whose residual passed — [pass] holds their positions, ascending —
@@ -1975,6 +2098,48 @@ let rank_limits (alias : string) (where : A.expr option) : (string * int) list
           | _ -> None)
         (Exec.conjuncts w)
 
+(* whether a SELECT with projections [projs] aggregates *)
+let select_has_agg (s : A.select) (projs : A.proj list) : bool =
+  s.A.group_by <> []
+  || List.exists (fun p -> Exec.expr_has_agg p.A.p_expr) projs
+  || match s.A.having with Some h -> Exec.expr_has_agg h | None -> false
+
+(* The rank-limit cut of a SELECT with projections [projs]: the first of
+   the enclosing query's [limits] whose column resolves, as the
+   enclosing WHERE would resolve it, to a bare row_number() projection
+   of a SELECT without aggregates, DISTINCT, ORDER BY, LIMIT or OFFSET
+   whose projections are all plain columns or windows. Its output is
+   then its rows in WHERE order and every computed column is a window
+   that numbers all of them, so each column's type is read from all
+   rows, as without the cut. *)
+let rank_cut (s : A.select) (projs : A.proj list) ~(has_agg : bool)
+    (limits : (string * int) list) : (A.expr * int) option =
+  if
+    has_agg || s.A.distinct || s.A.order_by <> [] || s.A.limit <> None
+    || s.A.offset <> None
+    || not
+         (List.for_all
+            (fun p ->
+              match p.A.p_expr with A.Col _ | A.Window _ -> true | _ -> false)
+            projs)
+  then None
+  else
+    let outs =
+      List.mapi
+        (fun k p ->
+          { Exec.b_qual = None; b_name = Exec.proj_name k p; b_type = None })
+        projs
+    in
+    List.find_map
+      (fun (c, k) ->
+        match (List.nth projs (Exec.find_binding outs None c)).A.p_expr with
+        | A.Window { win_fn; win_args = []; _ } as w
+          when String.lowercase_ascii win_fn = "row_number" ->
+            Some (w, k)
+        | _ -> None
+        | exception Errors.Sql_error _ -> None)
+      limits
+
 (* the type of the first non-NULL value among [get 0 .. get (n - 1)],
    text when there is none: how a computed column is typed *)
 let first_type (n : int) (get : int -> Value.t) : Catalog.Sqltype.t =
@@ -2009,16 +2174,58 @@ let derived_source (names : string list) (alias : string)
           node ));
   }
 
+(* The as-of lowering (paper Section 3.2.2) on a join whose SELECT's
+   one window [w] is a row_number() the enclosing query cuts at 1
+   ([plan_select]): the ON clause's one conjunct besides the equalities,
+   [range], is [r.x <= l.y] in either operand order, the window's
+   PARTITION BY keys are left columns and its ORDER BY is [r.x DESC]
+   then right columns. Columns resolve over the joined [bindings] as the
+   window and the residual resolve them; the first [nl] are the left
+   side's. [Some (x, y, order)]: x and the later order keys as right
+   column positions, y as a left one. *)
+let asof_shape (bindings : Exec.binding list) (nl : int) (w : A.expr)
+    (range : A.expr) : (int * int * (int * A.direction) list) option =
+  let slot = function
+    | A.Col (q, c) -> (
+        match Exec.find_binding bindings q c with
+        | j -> Some j
+        | exception Errors.Sql_error _ -> None)
+    | _ -> None
+  in
+  let left e = match slot e with Some j when j < nl -> Some j | _ -> None in
+  let right e =
+    match slot e with Some j when j >= nl -> Some (j - nl) | _ -> None
+  in
+  let bound =
+    match range with
+    | A.Bin (A.Le, a, b) | A.Bin (A.Ge, b, a) -> Some (a, b)
+    | _ -> None
+  in
+  match (w, bound) with
+  | A.Window { partition; order = (xe, A.Desc) :: rest; _ }, Some (a, b)
+    when List.for_all (fun e -> left e <> None) partition ->
+      let rest =
+        List.map (fun (e, d) -> Option.map (fun j -> (j, d)) (right e)) rest
+      in
+      (match (right xe, left b) with
+      | Some x, Some y when right a = Some x && not (List.mem None rest) ->
+          Some (x, y, List.filter_map Fun.id rest)
+      | _ -> None)
+  | _ -> None
+
 (* Lower a FROM tree. Base tables resolve to their cached batches;
    views and derived tables plan their SELECT with the same lowering
    and feed its output as a source; UNION ALL concatenates its
    branches. A join with equality conjuncts in ON hashes on them; any
    other join (CROSS, comma, an ON without equality, or none) pairs
    every left row with every right row. Either way the rest of the ON
-   clause runs as one residual kernel over the candidate pairs.
+   clause runs as one residual kernel over the candidate pairs. A LEFT or
+   INNER join in the as-of shape of [asof], the cut window of the SELECT
+   this FROM feeds ([asof_shape]), runs as one [asof_join_idx] instead:
+   at most one pair per left row, the one the window would rank first.
    [expanding] holds the views being inlined, so a view cycle is an
    error rather than an endless expansion. *)
-let rec plan_from ~(resolve : resolver) ~(collect : bool)
+let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
     ~(expanding : string list) (f : A.from_item) : from_plan =
   match f with
   | A.TableRef (name, alias) -> (
@@ -2143,6 +2350,14 @@ let rec plan_from ~(resolve : resolver) ~(collect : bool)
                 | conj -> Either.Right conj)
               (Exec.conjuncts e)
       in
+      let fused =
+        match (asof, jkind, residual) with
+        | Some w, (`Left | `Inner), [ range ] ->
+            Option.map
+              (fun shape -> (range, shape))
+              (asof_shape bindings nl w range)
+        | _ -> None
+      in
       (* without hash keys the residual is the ON clause as written *)
       let residual = if equi = [] then Option.to_list on else residual in
       (* the residual is one AND-folded predicate, evaluated whole on
@@ -2178,15 +2393,23 @@ let rec plan_from ~(resolve : resolver) ~(collect : bool)
                 hash_join_idx ~lrows:l.nrows ~rrows:r.nrows keys
                   ~left_outer:false
             in
+            let fused_pairs =
+              Option.bind fused (fun (_, (x, y, order)) ->
+                  asof_join_idx ~lrows:l.nrows ~rrows:r.nrows keys
+                    ~x:(r.column x) ~y:(l.column y)
+                    ~order:(List.map (fun (j, d) -> (r.column j, d)) order)
+                    ~left_outer)
+            in
             let lidx, ridx =
-              match residual with
-              | None when equi <> [] ->
+              match (fused_pairs, residual) with
+              | Some pairs, _ -> pairs
+              | None, None when equi <> [] ->
                   hash_join_idx ~lrows:l.nrows ~rrows:r.nrows keys ~left_outer
-              | None ->
+              | None, None ->
                   let cl, cr = candidates () in
                   residual_pairs ~lrows:l.nrows ~left_outer cl cr
                     (Batch.all_rows (Array.length cl))
-              | Some (_, kernel) ->
+              | None, Some (_, kernel) ->
                   let cl, cr = candidates () in
                   (* gather only the residual's own columns, through the
                      candidate pairs *)
@@ -2218,7 +2441,13 @@ let rec plan_from ~(resolve : resolver) ~(collect : bool)
                 (* a hash equi-join is estimated as max(inputs), a nested
                    loop as the cross product *)
                 let op, est, detail =
-                  if equi <> [] then
+                  if fused_pairs <> None then
+                    ( "vector_asof_join",
+                      est_of lnode,
+                      Printf.sprintf "%s build=%d probe=%d range=%s" kind
+                        r.nrows l.nrows
+                        (A.expr_str (fst (Option.get fused))) )
+                  else if equi <> [] then
                     ( "vector_hash_join",
                       Stdlib.max (est_of lnode) (est_of rnode),
                       Printf.sprintf "%s build=%d probe=%d" kind r.nrows
@@ -2230,9 +2459,9 @@ let rec plan_from ~(resolve : resolver) ~(collect : bool)
                         r.nrows )
                 in
                 let detail =
-                  match residual with
-                  | Some (e, _) -> detail ^ " residual=" ^ A.expr_str e
-                  | None -> detail
+                  match (fused_pairs, residual) with
+                  | None, Some (e, _) -> detail ^ " residual=" ^ A.expr_str e
+                  | _ -> detail
                 in
                 Some
                   (Opstats.make ~op ~detail ~est_rows:est
@@ -2273,13 +2502,27 @@ and plan_derived ~limits ~resolve ~collect ~expanding (sel : A.select)
    limits down to it. *)
 and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
     string list * (unit -> output) =
+  (* the as-of lowering: a SELECT without WHERE whose one window is cut
+     at 1 hands that window to its FROM ([plan_from]). Without stars the
+     projections are known before the FROM is planned. *)
+  let asof =
+    let star p =
+      match p.A.p_expr with A.Star | A.Col (_, "*") -> true | _ -> false
+    in
+    if s.A.where <> None || List.exists star s.A.projs then None
+    else
+      let has_agg = select_has_agg s s.A.projs in
+      match rank_cut s s.A.projs ~has_agg limits with
+      | Some (w, 1) when select_windows s.A.projs s = [ w ] -> Some w
+      | _ -> None
+  in
   let fp =
     match s.A.from with
     | Some (A.SubqueryRef (sub, alias)) ->
         plan_derived
           ~limits:(rank_limits alias s.A.where)
           ~resolve ~collect ~expanding sub alias
-    | Some f -> plan_from ~resolve ~collect ~expanding f
+    | Some f -> plan_from ?asof ~resolve ~collect ~expanding f
     | None -> values_plan ~collect
   in
   let bindings = fp.fp_bindings in
@@ -2293,48 +2536,9 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
           (Exec.conjuncts w)
   in
   let projs = expand_stars bindings s.A.projs in
-  let has_agg =
-    s.A.group_by <> []
-    || List.exists (fun p -> Exec.expr_has_agg p.A.p_expr) projs
-    ||
-    match s.A.having with Some h -> Exec.expr_has_agg h | None -> false
-  in
+  let has_agg = select_has_agg s projs in
   let out_names = List.mapi Exec.proj_name projs in
-  (* the rank-limit cut: the first limit whose column resolves, as the
-     enclosing WHERE would resolve it, to a bare row_number() projection
-     of a SELECT without aggregates, DISTINCT, ORDER BY, LIMIT or OFFSET
-     whose projections are all plain columns or windows. Its output is
-     then its rows in WHERE order and every computed column is a window
-     that numbers all of them, so each column's type is read from all
-     rows, as without the cut. *)
-  let top =
-    if
-      has_agg || s.A.distinct || s.A.order_by <> [] || s.A.limit <> None
-      || s.A.offset <> None
-      || not
-           (List.for_all
-              (fun p ->
-                match p.A.p_expr with
-                | A.Col _ | A.Window _ -> true
-                | _ -> false)
-              projs)
-    then None
-    else
-      let outs =
-        List.map
-          (fun n -> { Exec.b_qual = None; b_name = n; b_type = None })
-          out_names
-      in
-      List.find_map
-        (fun (c, k) ->
-          match (List.nth projs (Exec.find_binding outs None c)).A.p_expr with
-          | A.Window { win_fn; win_args = []; _ } as w
-            when String.lowercase_ascii win_fn = "row_number" ->
-              Some (w, k)
-          | _ -> None
-          | exception Errors.Sql_error _ -> None)
-        limits
-  in
+  let top = rank_cut s projs ~has_agg limits in
   let order_exprs =
     List.map (fun (e, _) -> Exec.subst_aliases projs out_names e) s.A.order_by
   in

@@ -121,6 +121,33 @@ let generate ?(seed = 20160626) (scale : scale) : dataset =
   Array.sort by_time_q quotes;
   { scale; syms; trades; quotes }
 
+(** [d] with every quote repeated at its own time, the copy's bid a cent
+    higher, and every other trade moved back onto the time of the last
+    quote of its symbol at or before it: an as-of join then meets ties on
+    both sides of its range, where kdb's [aj] takes the later of two
+    quotes at one time. *)
+let with_tied_quotes (d : dataset) : dataset =
+  let quotes =
+    Array.of_list
+      (List.concat_map
+         (fun q -> [ q; { q with q_bid = q.q_bid +. 0.01 } ])
+         (Array.to_list d.quotes))
+  in
+  let trades =
+    Array.mapi
+      (fun i t ->
+        if i mod 2 = 1 then t
+        else
+          Array.fold_left
+            (fun t' q ->
+              if q.q_sym = t.t_sym && q.q_time <= t.t_time then
+                { t with t_time = q.q_time }
+              else t')
+            t d.quotes)
+      d.trades
+  in
+  { d with trades; quotes }
+
 (* ------------------------------------------------------------------ *)
 (* Loading into the PG backend                                         *)
 (* ------------------------------------------------------------------ *)

@@ -159,8 +159,9 @@ let test_vector_hash_join_node () =
 
 (* the paper's as-of join, as the serializer writes it, analyzed on the
    vectorized executor: every operator is a vector operator, the window
-   and derived-table nodes are there, the join names its residual, the
-   window cuts the join's fan-out to one row per trade, and each node's
+   and derived-table nodes are there, the join runs as one
+   vector_asof_join that names its range conjunct and emits one row per
+   trade (no fan-out is left for the window to cut), and each node's
    rows_in is what its children produced *)
 let test_aj_all_vector_tree () =
   let db = marketdata_db () in
@@ -182,10 +183,15 @@ let test_aj_all_vector_tree () =
   let ops = ops_of plan in
   List.iter
     (fun op -> check tbool (op ^ " present") true (List.mem op ops))
-    [ "vector_window"; "vector_subquery"; "vector_hash_join"; "vector_filter" ];
-  let join = List.find (fun m -> m.Op.op = "vector_hash_join") nodes in
-  check tbool "join detail names the residual" true
-    (Str.string_match (Str.regexp "left build=[0-9]+ probe=[0-9]+ residual=")
+    [ "vector_window"; "vector_subquery"; "vector_asof_join"; "vector_filter" ];
+  check tbool "no candidate-pair hash join" false
+    (List.mem "vector_hash_join" ops);
+  let join = List.find (fun m -> m.Op.op = "vector_asof_join") nodes in
+  check tbool "join detail names the range conjunct" true
+    (Str.string_match
+       (Str.regexp
+          "left build=[0-9]+ probe=[0-9]+ range=(r[0-9]+\\.\"Time\" <= \
+           l[0-9]+\\.\"Time\")$")
        join.Op.detail 0);
   List.iter
     (fun m ->
@@ -198,16 +204,45 @@ let test_aj_all_vector_tree () =
             (List.fold_left (fun a c -> a + c.Op.rows_out) 0 cs)
             m.Op.rows_in)
     nodes;
-  (* the rank-limit cut: the window keeps each trade's first row of the
-     join's fan-out, so rn = 1 sees one row per trade *)
   let trades = Array.length (MD.generate MD.small_scale).MD.trades in
+  check tint "join rows_out = one per trade" trades join.Op.rows_out;
   let window = List.find (fun m -> m.Op.op = "vector_window") nodes in
   check tint "window rows_out = one per trade" trades window.Op.rows_out;
-  check tbool "window rows_out < join rows_out" true
-    (window.Op.rows_out < join.Op.rows_out);
   check tbool "window detail names the cut" true
     (Str.string_match (Str.regexp ".*top 1") window.Op.detail 0);
   check tint "one row per trade" trades plan.Op.rows_out
+
+(* the analytical workload's as-of queries keep the fused plan: Q05, Q10
+   and Q19 each run a vector_asof_join, and no join in them emits more
+   rows than its probe (left) side reads *)
+let test_aj_queries_fused () =
+  let d = MD.generate MD.small_scale in
+  let db = Db.create () in
+  MD.load_pg db d;
+  let sess = Db.open_session db in
+  Db.set_analyze sess true;
+  let eng = Hyperq.Engine.create (Hyperq.Backend.of_pgdb_session sess) in
+  List.iter
+    (fun q ->
+      if List.mem q.AW.id [ 5; 10; 19 ] then begin
+        let name = Printf.sprintf "Q%02d" q.AW.id in
+        let sql = Hyperq.Engine.translate eng q.AW.text in
+        let nodes = List.map snd (Op.flatten (analyzed_plan sess sql)) in
+        check tbool (name ^ " plans a vector_asof_join") true
+          (List.exists (fun m -> m.Op.op = "vector_asof_join") nodes);
+        List.iter
+          (fun m ->
+            let op = m.Op.op in
+            if Filename.check_suffix op "_join" then
+              match m.Op.children with
+              | probe :: _ ->
+                  check tbool
+                    (Printf.sprintf "%s %s emits at most its probe side" name op)
+                    true (m.Op.rows_out <= probe.Op.rows_out)
+              | [] -> Alcotest.failf "%s: %s has no children" name op)
+          nodes
+      end)
+    (AW.queries d)
 
 let test_exec_off_collects_nothing () =
   let db = marketdata_db () in
@@ -554,6 +589,8 @@ let () =
             test_exec_aggregate_and_join;
           Alcotest.test_case "aj analyzes all-vector" `Quick
             test_aj_all_vector_tree;
+          Alcotest.test_case "aj queries keep the fused join" `Quick
+            test_aj_queries_fused;
           Alcotest.test_case "off collects nothing" `Quick
             test_exec_off_collects_nothing;
           Alcotest.test_case "q-error" `Quick test_qerror_accounting;

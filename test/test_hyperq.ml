@@ -411,6 +411,67 @@ let test_multiday_asof () =
   check (Alcotest.array (Alcotest.float 1e-9))
     "each day matches its own quote" [| 0.9; 1.9 |] (float_col t "bid")
 
+(* kdb's aj takes the last quote at or before each trade in the quote
+   table's order, so of two quotes at one time the later one. The
+   translated SQL must agree with kdb, and give the same rows run as the
+   fused as-of join and, with a WHERE in its inner SELECT, as the join
+   and window it replaces. *)
+let test_asof_ties_against_kdb () =
+  let module MD = Workload.Marketdata in
+  let d = MD.with_tied_quotes (MD.generate MD.small_scale) in
+  let q =
+    "aj[`Symbol`Time; select Symbol, Time, Price from trades; select \
+     Symbol, Time, Bid from quotes]"
+  in
+  let h = Sidebyside.Framework.create d in
+  List.iter
+    (fun q ->
+      match Sidebyside.Framework.compare_query h q with
+      | Sidebyside.Framework.Match -> ()
+      | v -> Alcotest.failf "%s: %s" q (Sidebyside.Framework.verdict_str v))
+    [
+      q;
+      (* right sides without an order column: rows are numbered in their
+         output order, here the grouping's, to break the ties *)
+      "aj[`Symbol`Time; select Symbol, Time, Price from trades; select \
+       Bid:last Bid by Symbol, Time from quotes]";
+      "aj[`Symbol`Time; select Symbol, Time, Price from trades; select n:count \
+       Ask by Symbol, Time, Bid from quotes]";
+      (* and a left side without one *)
+      "aj[`Symbol`Time; select Price:last Price by Symbol, Time from \
+       trades; select Symbol, Time, Bid from quotes]";
+    ];
+  let db = Db.create () in
+  MD.load_pg db d;
+  let sess = Db.open_session db in
+  let eng = Hyperq.Engine.create (Hyperq.Backend.of_pgdb_session sess) in
+  let fused = Hyperq.Engine.translate eng q in
+  let windowed =
+    Str.replace_first (Str.regexp_string ") AS hq_aj")
+      " WHERE (1 = 1)) AS hq_aj" fused
+  in
+  let run_sql sql =
+    Db.set_analyze sess true;
+    let rows =
+      match Db.exec sess sql with
+      | Db.Rows (res, _) -> res.Pgdb.Exec.res_rows
+      | _ -> Alcotest.failf "expected rows from %s" sql
+    in
+    let ops =
+      match Db.last_plan sess with
+      | Some root ->
+          List.map (fun (_, n) -> n.Pgdb.Opstats.op) (Pgdb.Opstats.flatten root)
+      | None -> Alcotest.failf "no plan for %s" sql
+    in
+    Db.set_analyze sess false;
+    (rows, ops)
+  in
+  let frows, fops = run_sql fused and wrows, wops = run_sql windowed in
+  check tbool "fused path" true (List.mem "vector_asof_join" fops);
+  check tbool "window path" false (List.mem "vector_asof_join" wops);
+  check tint "one row per trade" (Array.length d.MD.trades) (Array.length frows);
+  check tbool "same rows on both paths" true (Stdlib.compare frows wrows = 0)
+
 let test_error_log () =
   let eng = make_engine () in
   (match Hyperq.Engine.try_run eng "select X from missing1" with
@@ -527,6 +588,8 @@ let () =
             test_asof_join_with_subqueries;
           Alcotest.test_case "lj" `Quick test_lj;
           Alcotest.test_case "multi-day as-of join" `Quick test_multiday_asof;
+          Alcotest.test_case "as-of ties agree with kdb" `Quick
+            test_asof_ties_against_kdb;
           Alcotest.test_case "uj" `Quick test_uj;
           Alcotest.test_case "uj agrees with kdb" `Quick
             test_uj_agrees_with_kdb;

@@ -728,10 +728,9 @@ let test_literal_tables_against_kdb () =
           P.Client.close c))
     [ None; Some 2 ]
 
-(* Q's count counts every item, NULLs included; SQL's COUNT(x) skips
-   them. Plain, by and (on 2 shards) through the partial-aggregate
-   combine, each answer must equal kdb's. avg keeps skipping NULLs. *)
-let test_count_with_nulls_against_kdb () =
+(* trades with NULL prices and sizes, loaded alike into a pgdb database
+   ([load] makes a fresh one) and the kdb interpreter *)
+let nulls_fixture () =
   let n = 12 in
   let sym i = [| "A"; "B"; "C" |].(i mod 3) in
   let size i = if i mod 4 = 1 then None else Some (10 * i) in
@@ -775,13 +774,11 @@ let test_count_with_nulls_against_kdb () =
                   | Some s -> QA.Long (Int64.of_int s)
                   | None -> QA.Null Qvalue.Qtype.Long) );
           ]));
-  let queries =
-    [
-      "select n:count Size from trades";
-      "select n:count Size, p:count Price, a:avg Size by Symbol from trades";
-      "select n:count Price, a:avg Price from trades where Symbol in `A`B";
-    ]
-  in
+  (load, kdb)
+
+(* each query's answer on one node and on 2 shards equals kdb's; on 2
+   shards, when [route] is given, the statement takes that route class *)
+let against_kdb ?route (load, kdb) queries =
   List.iter
     (fun shards ->
       with_platform ?shards (load ()) (fun p ->
@@ -798,14 +795,14 @@ let test_count_with_nulls_against_kdb () =
                 | Ok v -> v
                 | Error e -> Alcotest.failf "%s%s: %s" q where e
               in
-              (match P.cluster p with
-              | Some cluster -> (
+              (match (P.cluster p, route) with
+              | Some cluster, Some route -> (
                   match C.last_route cluster with
                   | Some x ->
-                      check Alcotest.string (q ^ where ^ ": combined")
-                        "partial_agg" x.R.x_class
+                      check Alcotest.string (q ^ where ^ ": route") route
+                        x.R.x_class
                   | None -> Alcotest.failf "%s%s: no route" q where)
-              | None -> ());
+              | _ -> ());
               match Kdb.Server.query kdb ~client:0 q with
               | Error e -> Alcotest.failf "kdb failed on %s: %s" q e
               | Ok k -> (
@@ -816,6 +813,31 @@ let test_count_with_nulls_against_kdb () =
             queries;
           P.Client.close c))
     [ None; Some 2 ]
+
+(* Q's count counts every item, NULLs included; SQL's COUNT(x) skips
+   them. Plain, by and (on 2 shards) through the partial-aggregate
+   combine, each answer must equal kdb's. avg keeps skipping NULLs. *)
+let test_count_with_nulls_against_kdb () =
+  against_kdb ~route:"partial_agg" (nulls_fixture ())
+    [
+      "select n:count Size from trades";
+      "select n:count Size, p:count Price, a:avg Size by Symbol from trades";
+      "select n:count Price, a:avg Price from trades where Symbol in `A`B";
+    ]
+
+(* Q's count distinct counts NULL as one distinct value; SQL's
+   COUNT(DISTINCT x) skips it. Plain and by, on one node and on 2
+   shards, each answer must equal kdb's, with groups that hold a NULL
+   and groups that do not. *)
+let test_count_distinct_with_nulls_against_kdb () =
+  against_kdb (nulls_fixture ())
+    [
+      "select n:count distinct Size from trades";
+      "select n:count distinct Size, p:count distinct Price by Symbol from \
+       trades";
+      "select n:count distinct Price from trades where Symbol in `A`C";
+      "select n:count distinct Size by Symbol from trades where Size > 50";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache: shard-map generation in the key                         *)
@@ -1010,6 +1032,8 @@ let () =
             `Quick test_literal_tables_against_kdb;
           Alcotest.test_case "count with NULLs against kdb, 1 node and 2 shards"
             `Quick test_count_with_nulls_against_kdb;
+          Alcotest.test_case "count distinct with NULLs agrees with kdb"
+            `Quick test_count_distinct_with_nulls_against_kdb;
         ] );
       ( "plan cache",
         [

@@ -1109,6 +1109,217 @@ let test_aj_sql () =
        sqls);
   vector_differential (session db) sqls
 
+(* the as-of join fixture: trades-like [a] (a unique id, a duplicated
+   partition key [dup]) against quotes-like [b], with NULL and tied
+   range values, NULL equality keys on both sides, an empty bucket
+   (g = 'r'), a left row whose every candidate fails the range, a NULL
+   bound, and ties on the second order key [k] *)
+let asof_fixture () : Db.t =
+  let db = Db.create () in
+  Db.load_table db
+    (S.table "a"
+       [
+         S.column "id" Ty.TBigint;
+         S.column "g" Ty.TVarchar;
+         S.column "t" Ty.TBigint;
+         S.column "dup" Ty.TBigint;
+         S.column "tm" Ty.TTime;
+       ])
+    (List.map
+       (fun (id, g, t, dup, tm) ->
+         [|
+           V.Int id;
+           (match g with Some g -> V.Str g | None -> V.Null);
+           (match t with Some t -> V.Int t | None -> V.Null);
+           V.Int dup;
+           (match tm with Some tm -> V.Time tm | None -> V.Null);
+         |])
+       [
+         (1L, Some "p", Some 50L, 1L, Some 5000);
+         (2L, Some "q", Some 5L, 1L, Some 500);
+         (3L, Some "p", Some 1L, 2L, Some 100);
+         (4L, None, Some 60L, 2L, Some 6000);
+         (5L, Some "r", Some 70L, 3L, Some 7000);
+         (6L, Some "q", None, 3L, None);
+         (7L, Some "p", Some 20L, 4L, Some 2000);
+         (8L, Some "p", Some 30L, 4L, Some 3000);
+         (9L, None, Some 10L, 5L, Some 1000);
+       ]);
+  Db.load_table db
+    (S.table "b"
+       [
+         S.column "o" Ty.TBigint;
+         S.column "g" Ty.TVarchar;
+         S.column "t" Ty.TBigint;
+         S.column "k" Ty.TBigint;
+         S.column "y" Ty.TDouble;
+         S.column "tm" Ty.TTime;
+       ])
+    (List.map
+       (fun (o, g, t, k, y) ->
+         [|
+           V.Int o;
+           (match g with Some g -> V.Str g | None -> V.Null);
+           (match t with Some t -> V.Int t | None -> V.Null);
+           (match k with Some k -> V.Int k | None -> V.Null);
+           V.Float y;
+           (match t with
+           | Some t -> V.Time (Int64.to_int t * 100)
+           | None -> V.Null);
+         |])
+       [
+         (0L, Some "p", Some 10L, Some 1L, 1.0);
+         (1L, Some "q", Some 10L, Some 2L, 2.0);
+         (2L, Some "p", Some 30L, None, 3.0);
+         (3L, None, Some 0L, Some 1L, 9.0);
+         (4L, Some "p", Some 20L, Some 2L, 4.0);
+         (5L, Some "p", Some 20L, Some 1L, 5.0);
+         (6L, Some "p", Some 20L, Some 2L, 6.0);
+         (7L, Some "q", Some 45L, Some 1L, 1.5);
+         (8L, Some "p", None, Some 3L, 7.0);
+         (9L, None, Some 5L, Some 2L, 8.0);
+         (10L, Some "q", Some 5L, None, 2.5);
+       ]);
+  db
+
+(* the as-of lowering ([row_number() OVER (PARTITION BY <left> ORDER BY
+   r.x DESC, <right>...)] over a join on key equalities plus
+   [r.x <= l.y], cut at rn = 1) runs as one vector_asof_join; every
+   variation must give the reference's result, which pairs, numbers and
+   filters every candidate *)
+let test_asof_join () =
+  let db = asof_fixture () in
+  let sess = session db in
+  let aj ?(kind = "LEFT") ?(on = "a.g = b.g AND b.t <= a.t")
+      ?(part = "PARTITION BY a.id") ?(order = "b.t DESC") ?(where = "q.rn = 1")
+      () =
+    Printf.sprintf
+      "SELECT * FROM (SELECT a.id, a.t, b.t AS bt, b.k, b.y, row_number() \
+       OVER (%s ORDER BY %s) AS rn FROM a %s JOIN b ON %s) AS q WHERE %s"
+      part order kind on where
+  in
+  let fused =
+    List.concat_map
+      (fun kind ->
+        List.concat_map
+          (fun on ->
+            List.concat_map
+              (fun part ->
+                List.map
+                  (fun order -> aj ~kind ~on ~part ~order ())
+                  [
+                    "b.t DESC"; "b.t DESC, b.k DESC"; "b.t DESC, b.k";
+                    "b.t DESC, b.k, b.o DESC";
+                  ])
+              (* a unique partition key skips the window; a duplicated
+                 one, a text one and none take it *)
+              [
+                "PARTITION BY a.id"; "PARTITION BY a.dup"; "PARTITION BY a.g";
+                "";
+              ])
+          [
+            "a.g = b.g AND b.t <= a.t";
+            "a.g IS NOT DISTINCT FROM b.g AND b.t <= a.t";
+            (* the range written with its operands swapped *)
+            "a.t >= b.t AND b.g = a.g";
+            "b.g IS NOT DISTINCT FROM a.g AND a.t >= b.t";
+            (* no equality key: one bucket *)
+            "b.t <= a.t";
+          ])
+      [ "LEFT"; "" ]
+    @ [
+        (* time-typed range columns *)
+        aj ~on:"a.g = b.g AND b.tm <= a.tm" ~order:"b.tm DESC, b.o DESC" ();
+        aj ~kind:"" ~on:"a.g IS NOT DISTINCT FROM b.g AND b.tm <= a.tm"
+          ~part:"PARTITION BY a.dup" ~order:"b.tm DESC" ();
+        (* the cut written the other ways *)
+        aj ~where:"q.rn <= 1" ();
+        aj ~where:"2 > q.rn" ~part:"PARTITION BY a.dup" ();
+        (* the translator's two-level shape: a projection over the cut *)
+        "SELECT q.id, q.y FROM (SELECT a.id, b.y, row_number() OVER \
+         (PARTITION BY a.id ORDER BY b.t DESC, b.o DESC) AS hq_rn FROM a \
+         LEFT OUTER JOIN b ON ((a.g IS NOT DISTINCT FROM b.g) AND (b.t <= \
+         a.t))) AS q WHERE (hq_rn = 1) ORDER BY q.id DESC";
+      ]
+  in
+  vector_differential sess fused;
+  let plan sql =
+    Db.set_analyze sess true;
+    ignore (run sess sql);
+    let nodes =
+      match Db.last_plan sess with
+      | Some root -> List.map snd (Op.flatten root)
+      | None -> Alcotest.failf "%s: no plan" sql
+    in
+    Db.set_analyze sess false;
+    nodes
+  in
+  let has op sql = List.exists (fun n -> n.Op.op = op) (plan sql) in
+  List.iter
+    (fun sql -> check tbool ("fused: " ^ sql) true (has "vector_asof_join" sql))
+    fused;
+  (* one pair per left row for a LEFT join, the window skipped on a
+     unique partition key *)
+  let nodes = plan (aj ()) in
+  let node op = List.find (fun n -> n.Op.op = op) nodes in
+  check tint "asof join: one row per left row" 9
+    (node "vector_asof_join").Op.rows_out;
+  check tint "window keeps every fused row" 9 (node "vector_window").Op.rows_out;
+  (* shapes outside the pattern keep the candidate-pair join *)
+  let unfused =
+    [
+      aj ~order:"b.t" ();
+      aj ~order:"a.t DESC" ();
+      aj ~order:"b.k DESC, b.t DESC" ();
+      aj ~order:"b.t DESC, a.t" ();
+      aj ~order:"b.t * 2 DESC" ();
+      aj ~part:"PARTITION BY b.g" ();
+      aj ~on:"a.g = b.g AND b.t < a.t" ();
+      aj ~on:"a.g = b.g AND b.k <= a.t" ();
+      aj ~on:"a.g = b.g AND b.t <= a.t AND b.y > 1" ();
+      aj ~where:"q.rn <= 2" ();
+      aj ~where:"q.rn = 1 OR q.t > 40" ();
+      "SELECT * FROM (SELECT a.id, b.y, row_number() OVER (PARTITION BY a.id \
+       ORDER BY b.t DESC) AS rn FROM a LEFT JOIN b ON a.g = b.g AND b.t <= \
+       a.t WHERE a.id > 2) AS q WHERE q.rn = 1";
+      "SELECT * FROM (SELECT a.id, b.y, row_number() OVER (PARTITION BY a.id \
+       ORDER BY b.t DESC) AS rn, count(*) OVER (PARTITION BY a.g) AS n FROM \
+       a LEFT JOIN b ON a.g = b.g AND b.t <= a.t) AS q WHERE q.rn = 1";
+    ]
+  in
+  vector_differential sess unfused;
+  List.iter
+    (fun sql ->
+      check tbool ("not fused: " ^ sql) false (has "vector_asof_join" sql))
+    unfused;
+  (* a range or order column mixing kinds keeps today's residual path:
+     ints against floats compare as numbers, text against a number
+     raises the reference's error *)
+  let mixed m =
+    Printf.sprintf
+      "SELECT * FROM (SELECT a.id, m.y, row_number() OVER (PARTITION BY a.id \
+       ORDER BY m.x DESC, m.z) AS rn FROM a LEFT JOIN (SELECT g, y, %s FROM \
+       b) AS m ON a.g = m.g AND m.x <= a.t) AS q WHERE q.rn = 1"
+      m
+  in
+  let numeric = mixed "CASE WHEN k > 1 THEN t ELSE y END AS x, k AS z" in
+  vector_differential sess [ numeric ];
+  check tbool "mixed numeric range: residual path" false
+    (has "vector_asof_join" numeric);
+  let raising =
+    [
+      mixed "CASE WHEN k > 1 THEN t ELSE g END AS x, k AS z";
+      mixed "t AS x, CASE WHEN k > 1 THEN k ELSE g END AS z";
+    ]
+  in
+  differential db raising;
+  List.iter
+    (fun sql ->
+      match run sess sql with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: expected the reference's error" sql)
+    (List.tl raising @ [ List.hd raising ])
+
 (* the shapes the row interpreter used to serve: no FROM, UNION ALL,
    views, CROSS and comma joins, ON clauses without an equality,
    DISTINCT *)
@@ -1261,6 +1472,7 @@ let () =
           Alcotest.test_case "equi + residual joins" `Quick
             test_residual_joins;
           Alcotest.test_case "serializer aj SQL" `Quick test_aj_sql;
+          Alcotest.test_case "fused as-of join" `Quick test_asof_join;
           Alcotest.test_case "former row-path shapes" `Quick
             test_former_row_shapes;
           Alcotest.test_case "analytical workload all-vector" `Quick
