@@ -80,13 +80,25 @@ let start_trace t name =
   t.trace <- Some tr;
   tr
 
-let finish_trace t tr =
+let finish_trace ?ts t tr =
   let root = Trace.finish tr in
   (match t.trace with
   | Some cur when cur == tr -> t.trace <- None
   | _ -> ());
   t.last_trace <- Some root;
   (* every finished query trace lands in the bounded export ring *)
-  Export.offer t.export ~ts:(Unix.gettimeofday ())
-    ~trace_id:(Trace.trace_id tr) root;
+  let ts = match ts with Some ts -> ts | None -> Unix.gettimeofday () in
+  Export.offer t.export ~ts ~trace_id:(Trace.trace_id tr) root;
   root
+
+let record_query t ~conn_id (q : Query.t) =
+  Qstats.record t.qstats q;
+  ignore (Recorder.observe t.recorder q);
+  Explain.offer t.explain q;
+  if Events.active t.events then Events.emit t.events (Query.event q);
+  Log.info t.log ~ts:q.ts ~trace_id:q.trace_id ~conn_id "query completed"
+    (Query.log_fields q);
+  (* in-band pacing: the ring keeps filling under load even when no
+     sampler thread runs (tick is a clock read when the interval has
+     not elapsed) *)
+  ignore (Timeseries.tick t.timeseries)

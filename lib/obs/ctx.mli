@@ -1,7 +1,9 @@
 (** Observability context: one registry + one event sink + the
     per-fingerprint workload statistics store + the slow-query flight
     recorder + the session registry + the structured logger + the
-    trace-export ring + the trace of the query currently in flight.
+    trace-export ring + the trace of the query currently in flight, and
+    the one entry point ({!record_query}) through which a completed
+    query's record reaches every per-query plane.
 
     A context is shared by every layer serving one proxy instance
     (Endpoint, XC, Engine, Gateway); each layer records into whatever is
@@ -61,6 +63,13 @@ val trace_ids : t -> (string * string) option
 val start_trace : t -> string -> Trace.t
 
 (** Finish the in-flight trace (if [tr] is still it), remember it as
-    {!field-last_trace} and offer it to the export ring; returns the
-    finished root span. *)
-val finish_trace : t -> Trace.t -> Trace.span
+    {!field-last_trace} and offer it to the export ring stamped [ts]
+    (default: the wall clock now); returns the finished root span. *)
+val finish_trace : ?ts:float -> t -> Trace.t -> Trace.span
+
+(** Hand one completed query's record to every per-query plane: fold it
+    into the fingerprint store, offer it to the flight recorder and, when
+    it was analyzed, to the explain ring, emit its JSONL event (rendered
+    only when the event sink has a writer), log "query completed" under
+    [conn_id], and pace the time-series ring. *)
+val record_query : t -> conn_id:int -> Query.t -> unit

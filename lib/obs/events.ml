@@ -7,15 +7,16 @@ type field =
 
 (* the sink is shared by the coordinator and shard worker domains; the
    mutex serializes whole lines so concurrent emits never interleave *)
-type sink = { mutable write : string -> unit; s_mu : Mutex.t }
+type sink = { mutable write : (string -> unit) option; s_mu : Mutex.t }
 
-let create ?(write = fun _ -> ()) () = { write; s_mu = Mutex.create () }
+let create ?write () = { write; s_mu = Mutex.create () }
+let active sink = Option.is_some sink.write
 
 let memory () =
   let captured = ref [] in
   let sink =
     {
-      write = (fun line -> captured := line :: !captured);
+      write = Some (fun line -> captured := line :: !captured);
       s_mu = Mutex.create ();
     }
   in
@@ -29,16 +30,17 @@ let memory () =
 let to_channel oc =
   {
     write =
-      (fun line ->
-        output_string oc line;
-        output_char oc '\n';
-        flush oc);
+      Some
+        (fun line ->
+          output_string oc line;
+          output_char oc '\n';
+          flush oc);
     s_mu = Mutex.create ();
   }
 
 let set_writer sink w =
   Mutex.lock sink.s_mu;
-  sink.write <- w;
+  sink.write <- Some w;
   Mutex.unlock sink.s_mu
 
 (* rendered straight into one buffer: a log line fires per query, so
@@ -82,7 +84,7 @@ let write sink line =
   Mutex.lock sink.s_mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock sink.s_mu)
-    (fun () -> sink.write line)
+    (fun () -> match sink.write with Some w -> w line | None -> ())
 
 let emit sink fields = write sink (obj_json fields)
 

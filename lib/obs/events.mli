@@ -1,24 +1,11 @@
 (** Structured JSONL event sink.
 
-    One line of JSON per completed query, with a pluggable writer so the
+    One line of JSON per completed query ({!Query.event} has the
+    schema) and per structured log line, with a pluggable writer so the
     server can stream to a file descriptor while tests capture events in
-    memory. The default sink discards events, making instrumentation
-    free to leave enabled everywhere.
-
-    Query-event schema (all fields always present):
-    {v
-    { "ts": <unix seconds, wall clock — for correlation only>,
-      "query_sha": "<16 hex chars of MD5 of the query text>",
-      "query_bytes": <int>,
-      "status": "ok" | "error",
-      "error_class": "<category>" | "",
-      "duration_ms": <float>,
-      "stages_us": {"parse": .., "algebrize": .., "optimize": ..,
-                    "serialize": .., "execute": .., "pivot": ..},
-      "rows_out": <int>,
-      "qipc_bytes_in": <int>, "qipc_bytes_out": <int>,
-      "sql_statements": <int> }
-    v} *)
+    memory. A sink created without a writer drops every line, and
+    {!active} lets a caller skip rendering one, making instrumentation
+    free to leave enabled everywhere. *)
 
 type field =
   | Int of int
@@ -30,8 +17,13 @@ type field =
 type sink
 
 (** A sink writing each event line through [write] (no trailing newline
-    is passed; the writer adds its own framing). Default writer drops. *)
+    is passed; the writer adds its own framing). Without [write] the
+    sink drops every line. *)
 val create : ?write:(string -> unit) -> unit -> sink
+
+(** Whether the sink has a writer: a line emitted without one is
+    dropped, so a caller may skip rendering it. *)
+val active : sink -> bool
 
 (** In-memory sink for tests: returns the sink and a function reading
     the captured lines in emission order. *)

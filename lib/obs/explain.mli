@@ -2,30 +2,18 @@
 
     Every query that runs with operator-stats collection on — via
     [.hq.explain], or tail-sampled with [--analyze-sample N] — deposits
-    one entry here: the coordinator→shard operator tree (pre-rendered
-    JSON, so this module stays independent of the executor and router
-    libraries that produce it) plus headline numbers (route class,
-    plan-cache outcome, rows scanned, hottest operator, worst q-error).
+    its {!Query.t} here: the record carries the coordinator→shard
+    operator tree (pre-rendered JSON, so this module stays independent
+    of the executor and router libraries that produce it) and headline
+    numbers (route class, plan-cache outcome, rows scanned, hottest
+    operator, worst q-error) in its [analysis].
 
     Read via [GET /explain.json] or assembled in-band by [.hq.explain].
     Lock-guarded like the trace-export ring: the coordinator writes,
     the admin thread reads. *)
 
-type plan = {
-  p_ts : float;  (** wall clock at query finish (correlation only) *)
-  p_trace_id : string;
-  p_fingerprint : string;
-  p_query : string;
-  p_duration_s : float;
-  p_route : string;  (** route class: single/merge/concat/partial_agg/coordinator *)
-  p_cache : string;  (** plan-cache outcome: hit/miss/bypass/off *)
-  p_shards : int;  (** number of shard-local operator trees attached *)
-  p_rows_scanned : int;
-  p_rows_out : int;
-  p_top_operator : string;
-  p_worst_qerror : float;
-  p_tree : string;  (** pre-rendered JSON document for this analyzed plan *)
-}
+(** One analyzed query: its record and that record's analysis. *)
+type plan = { q : Query.t; a : Query.analysis }
 
 type t
 
@@ -36,7 +24,9 @@ val default_capacity : int
     oldest. *)
 val create : ?capacity:int -> unit -> t
 
-val offer : t -> plan -> unit
+(** Keep the query if it was analyzed; a record without an analysis is
+    dropped. *)
+val offer : t -> Query.t -> unit
 
 (** The newest [n] analyzed plans, newest first. *)
 val recent : t -> int -> plan list

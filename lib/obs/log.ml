@@ -71,7 +71,7 @@ let push_tail t line =
     fields are always present in the output (empty / 0 when the caller
     has no context), so every line can be joined against the exported
     trace ring and the session registry. *)
-let log t (lvl : level) ?(trace_id = "") ?(conn_id = 0) (msg : string)
+let log t (lvl : level) ?ts ?(trace_id = "") ?(conn_id = 0) (msg : string)
     (fields : (string * Events.field) list) : unit =
   if enabled t lvl then begin
     Metrics.inc (counter_for t lvl);
@@ -79,7 +79,10 @@ let log t (lvl : level) ?(trace_id = "") ?(conn_id = 0) (msg : string)
       Events.field_json
         (Events.Obj
            ([
-              ("ts", Events.Float (Unix.gettimeofday ()));
+              ( "ts",
+                Events.Float
+                  (match ts with Some ts -> ts | None -> Unix.gettimeofday ())
+              );
               ("level", Events.Str (level_name lvl));
               ("msg", Events.Str msg);
               ("trace_id", Events.Str trace_id);
@@ -92,7 +95,7 @@ let log t (lvl : level) ?(trace_id = "") ?(conn_id = 0) (msg : string)
   end
 
 let debug t ?trace_id ?conn_id msg fields = log t Debug ?trace_id ?conn_id msg fields
-let info t ?trace_id ?conn_id msg fields = log t Info ?trace_id ?conn_id msg fields
+let info t ?ts ?trace_id ?conn_id msg fields = log t Info ?ts ?trace_id ?conn_id msg fields
 let warn t ?trace_id ?conn_id msg fields = log t Warn ?trace_id ?conn_id msg fields
 let error t ?trace_id ?conn_id msg fields = log t Error ?trace_id ?conn_id msg fields
 

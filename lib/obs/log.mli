@@ -35,10 +35,13 @@ val set_level : t -> level -> unit
     construction on the hot path with this. *)
 val enabled : t -> level -> bool
 
-(** [log t lvl ?trace_id ?conn_id msg fields] emits one line. *)
+(** [log t lvl ?ts ?trace_id ?conn_id msg fields] emits one line. [ts]
+    defaults to the wall clock now; a caller that has already read it
+    for the event passes it, so the line agrees with its other records. *)
 val log :
   t ->
   level ->
+  ?ts:float ->
   ?trace_id:string ->
   ?conn_id:int ->
   string ->
@@ -48,7 +51,7 @@ val log :
 val debug :
   t -> ?trace_id:string -> ?conn_id:int -> string -> (string * Events.field) list -> unit
 val info :
-  t -> ?trace_id:string -> ?conn_id:int -> string -> (string * Events.field) list -> unit
+  t -> ?ts:float -> ?trace_id:string -> ?conn_id:int -> string -> (string * Events.field) list -> unit
 val warn :
   t -> ?trace_id:string -> ?conn_id:int -> string -> (string * Events.field) list -> unit
 val error :

@@ -97,21 +97,18 @@ let add_stages (sums : (string * float) list)
     sums
   @ List.filter (fun (name, _) -> not (List.mem_assoc name sums)) obs
 
-let record t ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ~(fingerprint : string)
-    ~(query : string) ~(duration_s : float) ~(error_class : string option)
-    ~(rows_out : int) ~(bytes_in : int) ~(bytes_out : int)
-    ~(stages : (string * float) list) () : unit =
+let record t (q : Query.t) : unit =
   with_mu t (fun () ->
   t.q_tick <- t.q_tick + 1;
   let e =
-    match Hashtbl.find_opt t.q_table fingerprint with
+    match Hashtbl.find_opt t.q_table q.fingerprint with
     | Some e -> e
     | None ->
         if Hashtbl.length t.q_table >= t.q_capacity then evict_lru t;
         let e =
           {
-            e_fingerprint = fingerprint;
-            e_query = query;
+            e_fingerprint = q.fingerprint;
+            e_query = q.query;
             e_calls = 0;
             e_errors = 0;
             e_error_classes = [];
@@ -127,40 +124,30 @@ let record t ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ~(fingerprint : string)
             e_minor_gcs = 0;
           }
         in
-        Hashtbl.replace t.q_table fingerprint e;
+        Hashtbl.replace t.q_table q.fingerprint e;
         e
   in
   e.e_calls <- e.e_calls + 1;
-  (match error_class with
-  | Some cls ->
+  (match q.error with
+  | Some err ->
       e.e_errors <- e.e_errors + 1;
-      e.e_error_classes <- bump_assoc e.e_error_classes cls
+      e.e_error_classes <- bump_assoc e.e_error_classes err.error_class
   | None -> ());
-  e.e_rows_out <- e.e_rows_out + rows_out;
-  e.e_bytes_in <- e.e_bytes_in + bytes_in;
-  e.e_bytes_out <- e.e_bytes_out + bytes_out;
-  e.e_total_s <- e.e_total_s +. duration_s;
-  if duration_s > e.e_max_s then e.e_max_s <- duration_s;
-  e.e_stages <- add_stages e.e_stages stages;
-  if alloc_bytes > 0.0 then e.e_alloc_bytes <- e.e_alloc_bytes +. alloc_bytes;
-  if minor_gcs > 0 then e.e_minor_gcs <- e.e_minor_gcs + minor_gcs;
-  let b = bucket_of_seconds duration_s in
+  e.e_rows_out <- e.e_rows_out + q.rows_out;
+  e.e_bytes_in <- e.e_bytes_in + q.bytes_in;
+  e.e_bytes_out <- e.e_bytes_out + q.bytes_out;
+  e.e_total_s <- e.e_total_s +. q.duration_s;
+  if q.duration_s > e.e_max_s then e.e_max_s <- q.duration_s;
+  e.e_stages <- add_stages e.e_stages q.stages;
+  e.e_alloc_bytes <- e.e_alloc_bytes +. q.alloc_bytes;
+  e.e_minor_gcs <- e.e_minor_gcs + q.minor_gcs;
+  let b = bucket_of_seconds q.duration_s in
   e.e_hist.(b) <- e.e_hist.(b) + 1;
   e.e_last_use <- t.q_tick)
 
 (* a running total as a mean per call *)
 let per_call (e : entry) (total : float) : float =
   if e.e_calls = 0 then 0.0 else total /. float_of_int e.e_calls
-
-let entry_alloc_avg (e : entry) : float = per_call e e.e_alloc_bytes
-
-(** Top-[n] fingerprints by total bytes allocated, descending — the
-    "who is creating the GC pressure" feed for [/stats.json]. *)
-let top_allocators t (n : int) : entry list =
-  with_mu t (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) t.q_table [])
-  |> List.filter (fun e -> e.e_alloc_bytes > 0.0)
-  |> List.sort (fun a b -> Float.compare b.e_alloc_bytes a.e_alloc_bytes)
-  |> List.filteri (fun i _ -> i < n)
 
 let find t fingerprint =
   with_mu t (fun () -> Hashtbl.find_opt t.q_table fingerprint)
@@ -218,7 +205,7 @@ let relation ?(n = max_int) t : Relation.t =
             assoc_json (fun d -> Float (d *. 1e3)) e.e_stages);
         (* coordinator-domain allocation attribution *)
         float "alloc_bytes" (fun e -> e.e_alloc_bytes);
-        float "alloc_bytes_avg" entry_alloc_avg;
+        float "alloc_bytes_avg" (fun e -> per_call e e.e_alloc_bytes);
         int "minor_gcs" (fun e -> e.e_minor_gcs);
         float "minor_gcs_avg" (fun e ->
             per_call e (float_of_int e.e_minor_gcs));

@@ -41,34 +41,13 @@ val default_capacity : int
     the least-recently-used entry. *)
 val create : ?capacity:int -> unit -> t
 
-(** Fold one completed query into its fingerprint's entry. [stages] are
-    (stage name, seconds) pairs added to the per-stage sums.
-    [alloc_bytes] / [minor_gcs] are the coordinator-side Gc deltas
-    measured around the query (0 = not measured). *)
-val record :
-  t ->
-  ?alloc_bytes:float ->
-  ?minor_gcs:int ->
-  fingerprint:string ->
-  query:string ->
-  duration_s:float ->
-  error_class:string option ->
-  rows_out:int ->
-  bytes_in:int ->
-  bytes_out:int ->
-  stages:(string * float) list ->
-  unit ->
-  unit
+(** Fold one completed query into its fingerprint's entry: a call, its
+    error class, rows, bytes, duration, stage seconds and the
+    coordinator-side allocation and minor-GC deltas. *)
+val record : t -> Query.t -> unit
 
 (** The [n] entries with the largest total time, descending. *)
 val top : t -> int -> entry list
-
-(** Mean bytes allocated per call. *)
-val entry_alloc_avg : entry -> float
-
-(** Top-[n] fingerprints by total bytes allocated, descending; only
-    fingerprints with measured allocation qualify. *)
-val top_allocators : t -> int -> entry list
 
 val find : t -> string -> entry option
 val size : t -> int

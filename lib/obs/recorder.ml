@@ -1,24 +1,4 @@
-type record = {
-  r_ts : float;  (** wall-clock capture time (correlation only) *)
-  r_trace_id : string;  (** id of the query's trace, [""] when unknown *)
-  r_fingerprint : string;
-  r_query : string;
-  r_duration_s : float;
-  r_status : string;  (** ["ok"] or ["error"] *)
-  r_error : string;  (** categorised error text, [""] when ok *)
-  r_sql : string list;  (** generated SQL statements, oldest first *)
-  r_span : Trace.span;  (** finished root span of the query's trace *)
-  r_kind : string;  (** ["slow"] or ["sample"] *)
-  r_ops : string;
-      (** operator-stats tree as pre-rendered JSON, [""] when the query
-          did not run with ANALYZE collection on *)
-  r_top_operator : string;  (** operator with the most self-time, [""] *)
-  r_alloc_bytes : float;
-      (** coordinator-side bytes allocated while the query ran, 0 when
-          not measured — separates GC-victim slow queries from ones
-          that are genuinely expensive *)
-  r_minor_gcs : int;  (** minor collections during the query, 0 = none *)
-}
+type record = { q : Query.t; kind : string }
 
 type t = {
   ring : record Ring.t;
@@ -63,43 +43,28 @@ let reset t =
 (** Offer one completed query; captured when it ran at least the
     threshold, or as a tail sample of every [sample_every]-th fast query
     (0 disables sampling). Returns whether it was kept. *)
-let observe t ~(ts : float) ?(trace_id = "") ?(ops = "") ?(top_operator = "")
-    ?(alloc_bytes = 0.0) ?(minor_gcs = 0) ~(fingerprint : string)
-    ~(query : string) ~(duration_s : float) ~(status : string)
-    ~(error : string) ~(sql : string list) (span : Trace.span) : bool =
+let observe t (q : Query.t) : bool =
   t.seen <- t.seen + 1;
   let kind =
-    if duration_s >= t.threshold_s then Some "slow"
+    if q.duration_s >= t.threshold_s then Some "slow"
     else if t.sample_every > 0 && t.seen mod t.sample_every = 0 then
       Some "sample"
     else None
   in
   match kind with
   | None -> false
-  | Some r_kind ->
-      if r_kind = "slow" then t.captured_slow <- t.captured_slow + 1
+  | Some kind ->
+      if kind = "slow" then t.captured_slow <- t.captured_slow + 1
       else t.captured_sampled <- t.captured_sampled + 1;
-      Ring.push t.ring
-        {
-          r_ts = ts;
-          r_trace_id = trace_id;
-          r_fingerprint = fingerprint;
-          r_query = query;
-          r_duration_s = duration_s;
-          r_status = status;
-          r_error = error;
-          r_sql = sql;
-          r_span = span;
-          r_kind;
-          r_ops = ops;
-          r_top_operator = top_operator;
-          r_alloc_bytes = alloc_bytes;
-          r_minor_gcs = minor_gcs;
-        };
+      Ring.push t.ring { q; kind };
       true
 
 (** The newest [n] records, newest first. *)
 let recent t (n : int) : record list = Ring.recent t.ring n
+
+(* a string the query's analysis has, [""] when ANALYZE did not run *)
+let analysed r (f : Query.analysis -> string) =
+  Option.fold ~none:"" ~some:f r.q.analysis
 
 (** The newest [n] (default: all held) records, newest first, as the
     relation behind [.hq.slow] and [GET /slow.json]. *)
@@ -107,20 +72,21 @@ let relation ?n t : Relation.t =
   Relation.make
     Relation.
       [
-        float "ts" (fun r -> r.r_ts);
-        str "trace_id" (fun r -> r.r_trace_id);
-        str "fingerprint" (fun r -> r.r_fingerprint);
-        str "query" (fun r -> r.r_query);
-        float "ms" (fun r -> r.r_duration_s *. 1e3);
-        str "status" (fun r -> r.r_status);
-        str "error" (fun r -> r.r_error);
-        str "kind" (fun r -> r.r_kind);
+        float "ts" (fun r -> r.q.ts);
+        str "trace_id" (fun r -> r.q.trace_id);
+        str "fingerprint" (fun r -> r.q.fingerprint);
+        str "query" (fun r -> r.q.query);
+        float "ms" (fun r -> r.q.duration_s *. 1e3);
+        str "status" (fun r -> Query.status r.q);
+        str "error" (fun r ->
+            match r.q.error with Some e -> e.message | None -> "");
+        str "kind" (fun r -> r.kind);
         (* GC-victim or genuinely expensive? alloc + minor-GC deltas say *)
-        float "alloc_bytes" (fun r -> r.r_alloc_bytes);
-        int "minor_gcs" (fun r -> r.r_minor_gcs);
-        json "sql" (fun r -> arr (List.map (fun s -> Str s) r.r_sql));
-        str "top_operator" (fun r -> r.r_top_operator);
-        json "ops" (fun r -> r.r_ops);
-        json "trace" (fun r -> Trace.to_json r.r_span);
+        float "alloc_bytes" (fun r -> r.q.alloc_bytes);
+        int "minor_gcs" (fun r -> r.q.minor_gcs);
+        json "sql" (fun r -> arr (List.map (fun s -> Str s) r.q.sql));
+        str "top_operator" (fun r -> analysed r (fun a -> a.top_operator));
+        json "ops" (fun r -> analysed r (fun a -> a.doc));
+        json "trace" (fun r -> Trace.to_json r.q.span);
       ]
     (recent t (Option.value n ~default:(capacity t)))

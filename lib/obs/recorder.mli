@@ -10,26 +10,10 @@
     oldest. Read in-band via [.hq.slow[n]] or dump as JSONL via
     [GET /slow.json]. *)
 
+(** One captured query: its record and why it was kept. *)
 type record = {
-  r_ts : float;  (** wall-clock capture time (correlation only) *)
-  r_trace_id : string;  (** id of the query's trace, [""] when unknown *)
-  r_fingerprint : string;
-  r_query : string;
-  r_duration_s : float;
-  r_status : string;  (** ["ok"] or ["error"] *)
-  r_error : string;  (** categorised error text, [""] when ok *)
-  r_sql : string list;  (** generated SQL statements, oldest first *)
-  r_span : Trace.span;  (** finished root span of the query's trace *)
-  r_kind : string;  (** ["slow"] or ["sample"] *)
-  r_ops : string;
-      (** operator-stats tree as pre-rendered JSON, [""] when the query
-          did not run with ANALYZE collection on *)
-  r_top_operator : string;  (** operator with the most self-time, [""] *)
-  r_alloc_bytes : float;
-      (** coordinator-side bytes allocated while the query ran, 0 when
-          not measured — separates GC-victim slow queries from ones
-          that are genuinely expensive *)
-  r_minor_gcs : int;  (** minor collections during the query, 0 = none *)
+  q : Query.t;
+  kind : string;  (** ["slow"] or ["sample"] *)
 }
 
 type t
@@ -42,28 +26,10 @@ val default_threshold_s : float
 val create :
   ?capacity:int -> ?threshold_s:float -> ?sample_every:int -> unit -> t
 
-(** Offer one completed query; captured when [duration_s >= threshold],
-    or as every [sample_every]-th fast query. Returns whether kept.
-    [ops] is the pre-rendered operator-stats tree JSON and
-    [top_operator] its hottest operator, both [""] when the query was
-    not analyzed. [alloc_bytes] / [minor_gcs] are the coordinator-side
-    Gc deltas measured around the query (0 = not measured). *)
-val observe :
-  t ->
-  ts:float ->
-  ?trace_id:string ->
-  ?ops:string ->
-  ?top_operator:string ->
-  ?alloc_bytes:float ->
-  ?minor_gcs:int ->
-  fingerprint:string ->
-  query:string ->
-  duration_s:float ->
-  status:string ->
-  error:string ->
-  sql:string list ->
-  Trace.span ->
-  bool
+(** Offer one completed query; captured when its duration is at least
+    the threshold, or as every [sample_every]-th fast query. Returns
+    whether kept. *)
+val observe : t -> Query.t -> bool
 
 (** The newest [n] captured records, newest first. *)
 val recent : t -> int -> record list

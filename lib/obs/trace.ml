@@ -158,9 +158,16 @@ let rec find sp n =
       (fun acc c -> match acc with Some _ -> acc | None -> find c n)
       None (children sp)
 
-let rec total_s sp n =
-  (if sp.sp_name = n then duration_s sp else 0.0)
-  +. List.fold_left (fun acc c -> acc +. total_s c n) 0.0 (children sp)
+let totals sp names =
+  let sums = Array.make (List.length names) 0.0 in
+  let rec walk sp =
+    (match List.find_index (String.equal sp.sp_name) names with
+    | Some i -> sums.(i) <- sums.(i) +. duration_s sp
+    | None -> ());
+    List.iter walk sp.sp_children_rev
+  in
+  walk sp;
+  List.mapi (fun i n -> (n, sums.(i))) names
 
 let needs_json_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 

@@ -109,8 +109,9 @@ val duration_s : span -> float
 (** Depth-first search by span name. *)
 val find : span -> string -> span option
 
-(** Sum of [duration_s] over all spans named [name] in the tree. *)
-val total_s : span -> string -> float
+(** [(name, seconds)] for each of [names], in order: the sum of
+    [duration_s] over all spans so named in the tree, in one walk. *)
+val totals : span -> string list -> (string * float) list
 
 (** One-line JSON rendering of the span tree (used by the JSONL event
     sink and handy for debugging). *)

@@ -7,16 +7,21 @@
     cross compiler, and packs results (or errors) back into QIPC response
     messages.
 
-    The endpoint is also the proxy's observability boundary: it counts
-    QIPC traffic and queries into the shared metrics registry, opens the
-    per-query trace span the engine nests its pipeline stages under,
-    emits one JSONL event per completed query, fingerprints every query
-    into the per-shape statistics store, offers it to the slow-query
-    flight recorder, and answers the in-band admin queries directly, so
-    any QIPC client can introspect the proxy without touching the
-    backend: [.hq.<plane>] and [.hq.<plane>[n]] for every plane in
-    {!Planes.all}, [.hq.explain <query>] (analyze one query) and
-    [.hq.stats.reset] (zero every plane). *)
+    The endpoint is also the proxy's observability boundary. It counts
+    QIPC traffic and queries into the shared metrics registry and opens
+    the per-query trace span the engine nests its pipeline stages under.
+    When a query's reply is encoded it builds the query's one record
+    ({!Obs.Query.t}: trace id, fingerprint, wall-clock [ts], duration,
+    result, rows, bytes, allocation, stage totals, SQL, span tree and,
+    when ANALYZE ran, the operator trees) and hands it to
+    {!Obs.Ctx.record_query}, which feeds the per-shape statistics store,
+    the slow-query flight recorder, the explain ring, the JSONL event and
+    the "query completed" log line from that one value. It also answers
+    the in-band admin queries directly, so any QIPC client can introspect
+    the proxy without touching the backend: [.hq.<plane>] and
+    [.hq.<plane>[n]] for every plane in {!Planes.all},
+    [.hq.explain <query>] (analyze one query) and [.hq.stats.reset]
+    (zero every plane). *)
 
 module QV = Qvalue.Value
 module M = Obs.Metrics
@@ -206,18 +211,15 @@ let explain_doc ~(query : string) ~(fingerprint : string)
       ("shards", Json (arr (List.filter_map shard shard_plans)));
     ]
 
-type explain_summary = {
-  xs_doc : string;  (** the unified JSON document (ring entry, recorder) *)
-  xs_top_operator : string;
-}
+(* the operator trees an analyzed query leaves behind: the coordinator's,
+   the route explanation and one per shard *)
+type trees =
+  Op.node option * Shard.Router.explain option * (int * Op.node option) list
 
-(** Assemble the unified explain document for one analyzed query, offer
-    it to the explain ring, and return what the caller feeds into the
-    recorder. *)
-let offer_explain (t : t) ~(norm : string) ~(fp : string)
-    ~(trace_id : string) ~(duration : float)
-    ~(route : Shard.Router.explain option) ~(coord : Op.node option)
-    ~(shard_plans : (int * Op.node option) list) : explain_summary =
+(** The analysis one ANALYZE run adds to its query record: the unified
+    explain document and its headline numbers. *)
+let analysis (t : t) ~(norm : string) ~(fp : string)
+    ((coord, route, shard_plans) : trees) : Obs.Query.analysis =
   let cache, sharded, statements =
     match Hyperq.Engine.last_note (Xc.engine t.xc) with
     | Some n ->
@@ -227,16 +229,6 @@ let offer_explain (t : t) ~(norm : string) ~(fp : string)
     | None -> ("off", false, 0)
   in
   let trees = explain_trees coord shard_plans in
-  let rows_scanned =
-    List.fold_left (fun acc n -> acc + Op.rows_scanned n) 0 trees
-  in
-  (* rows leaving the plan: the coordinator root when it executed, else
-     the pre-merge sum of the shard roots *)
-  let rows_out =
-    match coord with
-    | Some n -> n.Op.rows_out
-    | None -> List.fold_left (fun acc n -> acc + n.Op.rows_out) 0 trees
-  in
   let top_operator =
     match
       List.fold_left
@@ -250,79 +242,151 @@ let offer_explain (t : t) ~(norm : string) ~(fp : string)
     | Some n -> if n.Op.detail = "" then n.Op.op else n.Op.op ^ "(" ^ n.Op.detail ^ ")"
     | None -> ""
   in
-  let worst_qerror =
-    List.fold_left
-      (fun bq n -> Float.max bq (snd (Op.worst_estimate n)))
-      0.0 trees
+  {
+    Obs.Query.doc =
+      explain_doc ~query:norm ~fingerprint:fp ~route ~cache ~sharded
+        ~statements ~coord ~shard_plans;
+    top_operator;
+    route =
+      (match route with
+      | Some x -> x.Shard.Router.x_class
+      | None -> "coordinator");
+    cache;
+    shards = List.length (List.filter_map snd shard_plans);
+    rows_scanned = List.fold_left (fun acc n -> acc + Op.rows_scanned n) 0 trees;
+    plan_rows_out =
+      (match coord with
+      | Some n -> n.Op.rows_out
+      | None -> List.fold_left (fun acc n -> acc + n.Op.rows_out) 0 trees);
+    worst_qerror =
+      List.fold_left
+        (fun bq n -> Float.max bq (snd (Op.worst_estimate n)))
+        0.0 trees;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The query record                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let rows_of_value : QV.t -> int = function
+  | QV.Table tb -> QV.table_length tb
+  | QV.KTable (_, vt) -> QV.table_length vt
+  | QV.Vector (_, atoms) -> Array.length atoms
+  | QV.List vs -> Array.length vs
+  | QV.Atom _ | QV.Dict _ -> 1
+
+let backend (t : t) : Hyperq.Backend.t =
+  (Hyperq.Engine.mdi (Xc.engine t.xc)).Hyperq.Mdi.backend
+
+let sql_statement_count (t : t) : int = Hyperq.Backend.log_mark (backend t)
+
+let stage_names =
+  List.map Hyperq.Stage_timer.stage_name Hyperq.Stage_timer.all_stages
+
+(** Run [text] through the cross compiler under a fresh [name] trace and
+    build its query record. With [analyze], operator-stats collection is
+    on for the run. [answer] turns the result and the operator trees the
+    run left (all empty without [analyze]) into the reply and its size
+    on the wire; the record is built after it, so it knows [bytes_out].
+    The clocks, the allocation and minor-GC counters, the stage walk and
+    the query digest are each read once here, for every plane. *)
+let run (t : t) ~(name : string) ~(analyze : bool) ~(bytes_in : int)
+    ~(norm : string) ~(fp : string) (text : string)
+    (answer : (QV.t option, string) result -> trees -> 'a * int) :
+    'a * Obs.Query.t =
+  let eh = if analyze then t.explain else None in
+  let collect on = Option.iter (fun eh -> eh.eh_set_analyze on) eh in
+  let sql_before = sql_statement_count t in
+  let start = Obs.Clock.now_ns () in
+  let a0 = Gc.allocated_bytes () in
+  let g0 = Obs.Runtime.minor_collections () in
+  let tr = Obs.Ctx.start_trace t.obs name in
+  let trace_id = Obs.Trace.trace_id tr in
+  (* stamp the session entry so .hq.activity correlates with the trace
+     while the query is still running *)
+  Obs.Sessions.set_trace t.session trace_id;
+  let query_sha = Obs.Events.query_sha text in
+  Obs.Trace.add_root_attr tr "query_sha" (Obs.Trace.Str query_sha);
+  collect true;
+  let result =
+    match Xc.process t.xc text with
+    | r -> r
+    | exception e ->
+        (* never leave a half-open trace or collection behind *)
+        ignore (Obs.Ctx.finish_trace t.obs tr);
+        collect false;
+        raise e
   in
-  let doc =
-    explain_doc ~query:norm ~fingerprint:fp ~route ~cache ~sharded
-      ~statements ~coord ~shard_plans
+  let duration_s = Obs.Clock.seconds_since start in
+  let alloc_bytes = Gc.allocated_bytes () -. a0 in
+  let minor_gcs = Obs.Runtime.minor_collections () - g0 in
+  let ts = Unix.gettimeofday () in
+  Obs.Trace.add_root_attr tr "qipc_bytes_in" (Obs.Trace.Int bytes_in);
+  Obs.Trace.add_root_attr tr "alloc_bytes"
+    (Obs.Trace.Int (int_of_float alloc_bytes));
+  Obs.Trace.add_root_attr tr "minor_gcs" (Obs.Trace.Int minor_gcs);
+  let root = Obs.Ctx.finish_trace ~ts t.obs tr in
+  (* read the trees before switching collection off clears them *)
+  let trees =
+    match eh with
+    | Some eh -> (eh.eh_plan (), eh.eh_route (), eh.eh_shard_plans ())
+    | None -> (None, None, [])
   in
-  Obs.Explain.offer t.obs.Obs.Ctx.explain
+  collect false;
+  let reply, bytes_out = answer result trees in
+  Obs.Trace.set_span_attr root "qipc_bytes_out" (Obs.Trace.Int bytes_out);
+  ( reply,
     {
-      Obs.Explain.p_ts = Unix.gettimeofday ();
-      p_trace_id = trace_id;
-      p_fingerprint = fp;
-      p_query = norm;
-      p_duration_s = duration;
-      p_route =
-        (match route with
-        | Some x -> x.Shard.Router.x_class
-        | None -> "coordinator");
-      p_cache = cache;
-      p_shards = List.length (List.filter_map snd shard_plans);
-      p_rows_scanned = rows_scanned;
-      p_rows_out = rows_out;
-      p_top_operator = top_operator;
-      p_worst_qerror = worst_qerror;
-      p_tree = doc;
-    };
-  { xs_doc = doc; xs_top_operator = top_operator }
+      Obs.Query.ts;
+      trace_id;
+      fingerprint = fp;
+      query = norm;
+      query_sha;
+      query_bytes = String.length text;
+      duration_s;
+      error =
+        (match result with
+        | Ok _ -> None
+        | Error e -> Some (Obs.Query.categorise e));
+      rows_out =
+        (match result with Ok (Some v) -> rows_of_value v | _ -> 0);
+      bytes_in;
+      bytes_out;
+      alloc_bytes;
+      minor_gcs;
+      stages = Obs.Trace.totals root stage_names;
+      sql = Hyperq.Backend.sql_since (backend t) sql_before;
+      sql_statements = sql_statement_count t - sql_before;
+      span = root;
+      analysis =
+        (match (result, eh) with
+        | Ok _, Some _ -> Some (analysis t ~norm ~fp trees)
+        | _ -> None);
+    } )
 
 (** Answer [.hq.explain <query>]: run the query with operator-stats
     collection on, and reply with the flattened coordinator→shard
-    operator table. The assembled JSON document also lands in the
-    explain ring ([GET /explain.json]). Errors come back as an error
-    atom, like any failed query would. *)
+    operator table. The query's record, with its analysis, also lands
+    in the explain ring ([GET /explain.json]); no other plane sees it.
+    Errors come back as an error atom, like any failed query would. *)
 let explain_reply (t : t) (rest : string) : QV.t =
-  match t.explain with
-  | None ->
-      QV.Atom
-        (Qvalue.Atom.Sym ".hq.explain requires a platform connection")
-  | Some eh -> (
-      let qtext = strip_q_wrapper rest in
-      if qtext = "" then
-        QV.Atom (Qvalue.Atom.Sym "usage: .hq.explain <query>")
-      else begin
-        eh.eh_set_analyze true;
-        let start = Obs.Clock.now_ns () in
-        let tr = Obs.Ctx.start_trace t.obs "explain" in
-        let trace_id = Obs.Trace.trace_id tr in
-        let result =
-          match Xc.process t.xc qtext with
-          | r -> r
-          | exception e ->
-              ignore (Obs.Ctx.finish_trace t.obs tr);
-              eh.eh_set_analyze false;
-              raise e
-        in
-        let duration = Obs.Clock.seconds_since start in
-        ignore (Obs.Ctx.finish_trace t.obs tr);
-        let coord = eh.eh_plan () in
-        let route = eh.eh_route () in
-        let shard_plans = eh.eh_shard_plans () in
-        eh.eh_set_analyze false;
-        match result with
-        | Error e -> QV.Atom (Qvalue.Atom.Sym ("explain failed: " ^ e))
-        | Ok _ ->
-            let norm = Qlang.Fingerprint.normalize qtext in
-            let fp = Qlang.Fingerprint.of_normalized norm in
-            ignore
-              (offer_explain t ~norm ~fp ~trace_id ~duration ~route
-                 ~coord ~shard_plans);
-            Planes.to_q (operators coord shard_plans)
-      end)
+  let qtext = strip_q_wrapper rest in
+  if Option.is_none t.explain then
+    QV.Atom (Qvalue.Atom.Sym ".hq.explain requires a platform connection")
+  else if qtext = "" then QV.Atom (Qvalue.Atom.Sym "usage: .hq.explain <query>")
+  else begin
+    let norm = Qlang.Fingerprint.normalize qtext in
+    let fp = Qlang.Fingerprint.of_normalized norm in
+    let table, q =
+      run t ~name:"explain" ~analyze:true ~bytes_in:0 ~norm ~fp qtext
+        (fun result (coord, _, shard_plans) ->
+          match result with
+          | Error e -> (QV.Atom (Qvalue.Atom.Sym ("explain failed: " ^ e)), 0)
+          | Ok _ -> (Planes.to_q (operators coord shard_plans), 0))
+    in
+    Obs.Explain.offer t.obs.Obs.Ctx.explain q;
+    table
+  end
 
 (* ------------------------------------------------------------------ *)
 (* In-band admin queries                                               *)
@@ -396,154 +460,44 @@ let admin_reply (t : t) (text : string) : QV.t option =
   else None
 
 (* ------------------------------------------------------------------ *)
-(* Per-query observability                                             *)
-(* ------------------------------------------------------------------ *)
-
-let rows_of_value : QV.t -> int = function
-  | QV.Table tb -> QV.table_length tb
-  | QV.KTable (_, vt) -> QV.table_length vt
-  | QV.Vector (_, atoms) -> Array.length atoms
-  | QV.List vs -> Array.length vs
-  | QV.Atom _ | QV.Dict _ -> 1
-
-(* error strings arrive categorised as "[category] message" (Section 5) *)
-let error_class (e : string) : string =
-  if String.length e > 2 && e.[0] = '[' then
-    match String.index_opt e ']' with
-    | Some i -> String.sub e 1 (i - 1)
-    | None -> "other"
-  else "other"
-
-let backend (t : t) : Hyperq.Backend.t =
-  (Hyperq.Engine.mdi (Xc.engine t.xc)).Hyperq.Mdi.backend
-
-let sql_statement_count (t : t) : int = Hyperq.Backend.log_mark (backend t)
-
-(** One processed query with the observability the endpoint captured
-    around it: the coordinator-domain allocation and minor-GC deltas are
-    this domain's only — shard-side allocation lands on the shard
-    counters instead (a scattered query touches several domains). *)
-type processed = {
-  pr_result : (QV.t option, string) result;
-  pr_root : Obs.Trace.span;
-  pr_duration : float;
-  pr_trace_id : string;
-  pr_alloc_bytes : float;
-  pr_minor_gcs : int;
-}
-
-(** Run one query through the cross compiler under a fresh trace span,
-    record metrics, and emit the JSONL event. *)
-let traced_process (t : t) (text : string) ~(bytes_in : int) : processed =
-  M.inc t.m.queries_total;
-  let start = Obs.Clock.now_ns () in
-  let a0 = Gc.allocated_bytes () in
-  let g0 = Obs.Runtime.minor_collections () in
-  let tr = Obs.Ctx.start_trace t.obs "query" in
-  let trace_id = Obs.Trace.trace_id tr in
-  (* stamp the session entry so .hq.activity correlates with the trace
-     while the query is still running *)
-  Obs.Sessions.set_trace t.session trace_id;
-  Obs.Trace.add_root_attr tr "query_sha"
-    (Obs.Trace.Str (Obs.Events.query_sha text));
-  let result =
-    match Xc.process t.xc text with
-    | r -> r
-    | exception e ->
-        (* never leave a half-open trace behind *)
-        ignore (Obs.Ctx.finish_trace t.obs tr);
-        raise e
-  in
-  let duration = Obs.Clock.seconds_since start in
-  let alloc_bytes = Gc.allocated_bytes () -. a0 in
-  let minor_gcs = Obs.Runtime.minor_collections () - g0 in
-  M.observe t.m.query_seconds duration;
-  (* in-band pacing: the ring keeps filling under load even when no
-     sampler thread runs (tick is a clock read when the interval has
-     not elapsed) *)
-  ignore (Obs.Timeseries.tick t.obs.Obs.Ctx.timeseries);
-  Obs.Trace.add_root_attr tr "qipc_bytes_in" (Obs.Trace.Int bytes_in);
-  Obs.Trace.add_root_attr tr "alloc_bytes"
-    (Obs.Trace.Int (int_of_float alloc_bytes));
-  Obs.Trace.add_root_attr tr "minor_gcs" (Obs.Trace.Int minor_gcs);
-  let root = Obs.Ctx.finish_trace t.obs tr in
-  {
-    pr_result = result;
-    pr_root = root;
-    pr_duration = duration;
-    pr_trace_id = trace_id;
-    pr_alloc_bytes = alloc_bytes;
-    pr_minor_gcs = minor_gcs;
-  }
-
-let emit_query_event (t : t) ~(text : string) ~(sql_before : int)
-    ~(result : (QV.t option, string) result) ~(duration : float)
-    ~(bytes_in : int) ~(bytes_out : int) (root : Obs.Trace.span) : unit =
-  let status, error_cls, rows =
-    match result with
-    | Ok v -> ("ok", "", match v with Some v -> rows_of_value v | None -> 0)
-    | Error e -> ("error", error_class e, 0)
-  in
-  let open Obs.Events in
-  emit t.obs.Obs.Ctx.events
-    [
-      ("ts", Float (Unix.gettimeofday ()));
-      ("query_sha", Str (query_sha text));
-      ("query_bytes", Int (String.length text));
-      ("status", Str status);
-      ("error_class", Str error_cls);
-      ("duration_ms", Float (duration *. 1000.0));
-      ( "stages_us",
-        Obj
-          (List.map
-             (fun s ->
-               ( Hyperq.Stage_timer.stage_name s,
-                 Float
-                   (Obs.Trace.total_s root (Hyperq.Stage_timer.stage_name s)
-                   *. 1e6) ))
-             Hyperq.Stage_timer.all_stages) );
-      ("rows_out", Int rows);
-      ("qipc_bytes_in", Int bytes_in);
-      ("qipc_bytes_out", Int bytes_out);
-      ("sql_statements", Int (sql_statement_count t - sql_before));
-    ]
-
-(** Fold the completed query into the per-fingerprint statistics store
-    and offer it to the slow-query flight recorder (with the SQL it
-    generated, its full span tree and its trace id). *)
-let record_workload (t : t) ~(norm : string) ~(fp : string)
-    ~(trace_id : string) ~(sql_before : int) ?(ops = "")
-    ?(top_operator = "")
-    ~(result : (QV.t option, string) result)
-    ~(duration : float) ~(bytes_in : int) ~(bytes_out : int)
-    ~(alloc_bytes : float) ~(minor_gcs : int) (root : Obs.Trace.span) : unit =
-  let status, error =
-    match result with Ok _ -> ("ok", "") | Error e -> ("error", e)
-  in
-  let rows =
-    match result with Ok (Some v) -> rows_of_value v | Ok None | Error _ -> 0
-  in
-  let stages =
-    List.map
-      (fun s ->
-        let name = Hyperq.Stage_timer.stage_name s in
-        (name, Obs.Trace.total_s root name))
-      Hyperq.Stage_timer.all_stages
-  in
-  Obs.Qstats.record t.obs.Obs.Ctx.qstats ~alloc_bytes ~minor_gcs
-    ~fingerprint:fp ~query:norm
-    ~duration_s:duration
-    ~error_class:(match result with Ok _ -> None | Error e -> Some (error_class e))
-    ~rows_out:rows ~bytes_in ~bytes_out ~stages ();
-  let sql = Hyperq.Backend.sql_since (backend t) sql_before in
-  ignore
-    (Obs.Recorder.observe t.obs.Obs.Ctx.recorder ~ts:(Unix.gettimeofday ())
-       ~trace_id ~ops ~top_operator ~fingerprint:fp ~query:norm
-       ~duration_s:duration ~status ~error ~sql ~alloc_bytes ~minor_gcs root)
-
-(* ------------------------------------------------------------------ *)
 (* Byte-level protocol handling                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* the encoded reply to a processed query; definitions (no value) answer
+   the empty list *)
+let encode_result (t : t) (result : (QV.t option, string) result) : string =
+  let body =
+    match result with
+    | Ok (Some v) -> Qipc.Codec.Value v
+    | Ok None -> Qipc.Codec.Value (QV.List [||])
+    | Error e ->
+        M.inc t.m.query_errors_total;
+        Qipc.Codec.Error e
+  in
+  Qipc.Codec.encode_message { mt = Qipc.Codec.Response; body }
+
+(* answer one ordinary query and hand its record to every plane *)
+let query_reply (t : t) (text : string) ~(bytes_in : int) : string =
+  M.inc t.m.queries_total;
+  (* fingerprint once; the session registry and the record key on the
+     same normalization *)
+  let norm = Qlang.Fingerprint.normalize text in
+  let fp = Qlang.Fingerprint.of_normalized norm in
+  Obs.Sessions.query_started t.session ~query:norm ~fingerprint:fp;
+  (* opt-in tail sampling: every Nth query runs with operator-stats
+     collection on and lands in the explain ring like an .hq.explain *)
+  let analyze = match t.explain with Some eh -> eh.eh_sample () | None -> false in
+  let reply, q =
+    Fun.protect
+      ~finally:(fun () -> Obs.Sessions.query_finished t.session)
+      (fun () ->
+        run t ~name:"query" ~analyze ~bytes_in ~norm ~fp text (fun result _ ->
+            let reply = encode_result t result in
+            (reply, String.length reply)))
+  in
+  M.observe t.m.query_seconds q.Obs.Query.duration_s;
+  Obs.Ctx.record_query t.obs ~conn_id:t.session.Obs.Sessions.s_conn q;
+  reply
 
 (* the reply to one decoded message of [consumed] bytes *)
 let reply_to (t : t) (msg : Qipc.Codec.message) ~(consumed : int) : string =
@@ -554,115 +508,7 @@ let reply_to (t : t) (msg : Qipc.Codec.message) ~(consumed : int) : string =
           (* answered in-band, backend untouched *)
           Qipc.Codec.encode_message
             { mt = Qipc.Codec.Response; body = Qipc.Codec.Value v }
-      | None ->
-          let sql_before = sql_statement_count t in
-          (* fingerprint once; the session registry, the
-             statistics store and the recorder all key on
-             the same normalization *)
-          let norm = Qlang.Fingerprint.normalize text in
-          let fp = Qlang.Fingerprint.of_normalized norm in
-          Obs.Sessions.query_started t.session ~query:norm
-            ~fingerprint:fp;
-          (* opt-in tail sampling: every Nth query runs
-             with operator-stats collection on and lands
-             in the explain ring like an .hq.explain *)
-          let sampled =
-            match t.explain with
-            | Some eh -> eh.eh_sample ()
-            | None -> false
-          in
-          let captured = ref None in
-          let pr =
-            Fun.protect
-              ~finally:(fun () ->
-                (match t.explain with
-                | Some eh when sampled ->
-                    eh.eh_set_analyze false
-                | _ -> ());
-                Obs.Sessions.query_finished t.session)
-              (fun () ->
-                (match t.explain with
-                | Some eh when sampled ->
-                    eh.eh_set_analyze true
-                | _ -> ());
-                let r =
-                  traced_process t text ~bytes_in:consumed
-                in
-                (* read the trees before ~finally clears
-                   them with collection *)
-                (match t.explain with
-                | Some eh when sampled ->
-                    captured :=
-                      Some
-                        ( eh.eh_plan (),
-                          eh.eh_route (),
-                          eh.eh_shard_plans () )
-                | _ -> ());
-                r)
-          in
-          let result = pr.pr_result in
-          let root = pr.pr_root in
-          let duration = pr.pr_duration in
-          let trace_id = pr.pr_trace_id in
-          let summary =
-            match (!captured, result) with
-            | Some (coord, route, shard_plans), Ok _ ->
-                Some
-                  (offer_explain t ~norm ~fp ~trace_id
-                     ~duration ~route
-                     ~coord ~shard_plans)
-            | _ -> None
-          in
-          let reply =
-            match result with
-            | Ok (Some v) ->
-                Qipc.Codec.encode_message
-                  {
-                    mt = Qipc.Codec.Response;
-                    body = Qipc.Codec.Value v;
-                  }
-            | Ok None ->
-                (* definitions return the identity-ish unit
-                   value *)
-                Qipc.Codec.encode_message
-                  {
-                    mt = Qipc.Codec.Response;
-                    body = Qipc.Codec.Value (QV.List [||]);
-                  }
-            | Error e ->
-                M.inc t.m.query_errors_total;
-                Qipc.Codec.encode_message
-                  {
-                    mt = Qipc.Codec.Response;
-                    body = Qipc.Codec.Error e;
-                  }
-          in
-          Obs.Trace.set_span_attr root "qipc_bytes_out"
-            (Obs.Trace.Int (String.length reply));
-          emit_query_event t ~text ~sql_before ~result ~duration
-            ~bytes_in:consumed ~bytes_out:(String.length reply)
-            root;
-          record_workload t ~norm ~fp ~trace_id ~sql_before
-            ?ops:(Option.map (fun s -> s.xs_doc) summary)
-            ?top_operator:
-              (Option.map (fun s -> s.xs_top_operator) summary)
-            ~result ~duration ~bytes_in:consumed
-            ~bytes_out:(String.length reply)
-            ~alloc_bytes:pr.pr_alloc_bytes
-            ~minor_gcs:pr.pr_minor_gcs root;
-          Obs.Log.info t.obs.Obs.Ctx.log ~trace_id
-            ~conn_id:t.session.Obs.Sessions.s_conn
-            "query completed"
-            [
-              ("fingerprint", Obs.Events.Str fp);
-              ( "status",
-                Obs.Events.Str
-                  (match result with
-                  | Ok _ -> "ok"
-                  | Error _ -> "error") );
-              ("duration_ms", Obs.Events.Float (duration *. 1e3));
-            ];
-          reply)
+      | None -> query_reply t text ~bytes_in:consumed)
   | Qipc.Codec.Value _ | Qipc.Codec.Error _ ->
       Qipc.Codec.encode_message
         {

@@ -90,7 +90,7 @@ let test_one_trace_id_everywhere () =
   (* (c) the flight recorder's capture carries the trace id *)
   let trace_id =
     match R.recent recorder 1 with
-    | [ r ] -> r.R.r_trace_id
+    | [ r ] -> r.R.q.Obs.Query.trace_id
     | _ -> Alcotest.fail "expected one recorder capture"
   in
   check tint "trace id is 32 hex chars" 32 (String.length trace_id);
@@ -349,6 +349,72 @@ let test_cross_shard_trace () =
   P.shutdown p
 
 (* ------------------------------------------------------------------ *)
+(* One query record, five planes                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* one query, analyzed (tail sampling on) and flight-recorded (threshold
+   0): its .hq.slow row, .hq.explain row, .hq.top entry, JSONL event and
+   "query completed" log line are all read from the same record, so they
+   agree on every fact they share, wall-clock [ts] included *)
+let test_one_record_five_planes () =
+  let sink, read = Obs.Events.memory () in
+  let recorder = R.create ~threshold_s:0.0 () in
+  let obs = Obs.Ctx.create ~events:sink ~recorder () in
+  let p = P.create ~obs ~analyze_sample:1 (make_db ()) in
+  let c = P.Client.connect p in
+  ignore (ok (P.Client.query c "select Price from trades"));
+  let row plane =
+    match ok (P.Client.query c (Printf.sprintf ".hq.%s[1]" plane)) with
+    | QV.Table tb when QV.table_length tb = 1 ->
+        fun name -> QV.index (QV.column_exn tb name) 0
+    | v -> Alcotest.failf ".hq.%s: %s" plane (Qvalue.Qprint.to_string v)
+  in
+  let slow = row "slow" and explain = row "explain" and top = row "top" in
+  let sym v = match v with QV.Atom (QA.Sym s) -> s | _ -> Alcotest.fail "sym" in
+  let num v =
+    match v with
+    | QV.Atom (QA.Float f) -> f
+    | QV.Atom (QA.Long n) -> Int64.to_float n
+    | _ -> Alcotest.fail "number"
+  in
+  let lines = read () in
+  let line_with needle =
+    match List.filter (fun l -> contains l needle) lines with
+    | [ l ] -> l
+    | l -> Alcotest.failf "%d lines with %s" (List.length l) needle
+  in
+  let event = line_with "\"query_sha\"" in
+  let log = line_with "\"msg\":\"query completed\"" in
+  (* the JSON lines render floats as Trace.float_json does *)
+  let has line key v =
+    contains line (Printf.sprintf "\"%s\":%s" key (Tr.float_json v))
+  in
+  let trace_id = sym (slow "trace_id") in
+  check tint "trace id" 32 (String.length trace_id);
+  check tstr "explain trace id" trace_id (sym (explain "trace_id"));
+  check tbool "log trace id" true
+    (contains log (Printf.sprintf "\"trace_id\":\"%s\"" trace_id));
+  let fp = sym (slow "fingerprint") in
+  check tstr "explain fingerprint" fp (sym (explain "fingerprint"));
+  check tstr "top fingerprint" fp (sym (top "fingerprint"));
+  check tbool "log fingerprint" true
+    (contains log (Printf.sprintf "\"fingerprint\":\"%s\"" fp));
+  let ts = num (slow "ts") in
+  check tbool "explain ts" true (num (explain "ts") = ts);
+  check tbool "event ts" true (has event "ts" ts);
+  check tbool "log ts" true (has log "ts" ts);
+  let ms = num (slow "ms") in
+  check tbool "explain ms" true (num (explain "ms") = ms);
+  check tbool "top total_ms" true (num (top "total_ms") = ms);
+  check tbool "event duration" true (has event "duration_ms" ms);
+  check tbool "log duration" true (has log "duration_ms" ms);
+  check tint "explain rows out" 3 (int_of_float (num (explain "rows_out")));
+  check tint "top rows out" 3 (int_of_float (num (top "rows_out")));
+  check tbool "event rows out" true (contains event "\"rows_out\":3,");
+  P.Client.close c;
+  P.shutdown p
+
+(* ------------------------------------------------------------------ *)
 (* Backend latency histogram                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -372,6 +438,11 @@ let () =
         [
           Alcotest.test_case "one id across all four surfaces" `Quick
             test_one_trace_id_everywhere;
+        ] );
+      ( "query-record",
+        [
+          Alcotest.test_case "one record across five planes" `Quick
+            test_one_record_five_planes;
         ] );
       ( "activity",
         [

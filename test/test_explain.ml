@@ -298,7 +298,7 @@ let test_workload_explains_sharded () =
                   check tbool
                     (Printf.sprintf "Q%d: rows scanned" q.AW.id)
                     true
-                    (pl.Obs.Explain.p_rows_scanned > 0)
+                    (pl.Obs.Explain.a.Obs.Query.rows_scanned > 0)
               | _ -> Alcotest.failf "Q%d: no ring entry" q.AW.id);
               check tbool
                 (Printf.sprintf "Q%d: ops named" q.AW.id)
@@ -332,9 +332,9 @@ let test_route_explanations () =
       | v -> Alcotest.failf "expected table, got %s" (Qvalue.Qprint.to_string v));
       (match Obs.Explain.recent ex 1 with
       | [ pl ] ->
-          check tstr "single route class" "single" pl.Obs.Explain.p_route;
+          check tstr "single route class" "single" pl.Obs.Explain.a.Obs.Query.route;
           check tint "single route: one shard plan" 1
-            pl.Obs.Explain.p_shards
+            pl.Obs.Explain.a.Obs.Query.shards
       | _ -> Alcotest.fail "no ring entry");
       (* a grouped aggregate scatters with partial-aggregate decomposition *)
       ignore
@@ -343,13 +343,13 @@ let test_route_explanations () =
       (match Obs.Explain.recent ex 1 with
       | [ pl ] ->
           check tstr "scatter route class" "partial_agg"
-            pl.Obs.Explain.p_route;
-          check tint "scatter: both shard plans" 2 pl.Obs.Explain.p_shards;
+            pl.Obs.Explain.a.Obs.Query.route;
+          check tint "scatter: both shard plans" 2 pl.Obs.Explain.a.Obs.Query.shards;
           (* the decomposition itself is in the rendered document *)
           let has s =
             Str.string_match
               (Str.regexp (".*" ^ Str.quote s))
-              pl.Obs.Explain.p_tree 0
+              pl.Obs.Explain.a.Obs.Query.doc 0
           in
           check tbool "combine functions listed" true
             (has "\"combines\"" && has "\"max\"")
@@ -378,8 +378,8 @@ let test_explain_unsharded () =
       (match Obs.Explain.recent (P.obs p).Obs.Ctx.explain 1 with
       | [ pl ] ->
           check tstr "unsharded route class" "coordinator"
-            pl.Obs.Explain.p_route;
-          check tbool "rows out recorded" true (pl.Obs.Explain.p_rows_out > 0)
+            pl.Obs.Explain.a.Obs.Query.route;
+          check tbool "rows out recorded" true (pl.Obs.Explain.a.Obs.Query.plan_rows_out > 0)
       | _ -> Alcotest.fail "no ring entry");
       (* a broken query comes back as an atom, not a crash *)
       (match ok (P.Client.query c ".hq.explain select nope from missing") with
@@ -450,18 +450,18 @@ let test_plan_cache_hit_stability () =
         | [ pl ] -> pl
         | _ -> Alcotest.fail "no second entry"
       in
-      check tstr "first run misses" "miss" first.Obs.Explain.p_cache;
+      check tstr "first run misses" "miss" first.Obs.Explain.a.Obs.Query.cache;
       check tstr "second run hits the template" "hit"
-        second.Obs.Explain.p_cache;
+        second.Obs.Explain.a.Obs.Query.cache;
       (* the template path must execute the same plan: identical operator
          sequence, identical row counts *)
       check
         Alcotest.(list string)
         "tree shape stable across cache hit"
-        (doc_ops first.Obs.Explain.p_tree)
-        (doc_ops second.Obs.Explain.p_tree);
-      check tint "row counts stable" first.Obs.Explain.p_rows_out
-        second.Obs.Explain.p_rows_out;
+        (doc_ops first.Obs.Explain.a.Obs.Query.doc)
+        (doc_ops second.Obs.Explain.a.Obs.Query.doc);
+      check tint "row counts stable" first.Obs.Explain.a.Obs.Query.plan_rows_out
+        second.Obs.Explain.a.Obs.Query.plan_rows_out;
       P.Client.close c)
 
 (* ------------------------------------------------------------------ *)
@@ -486,9 +486,14 @@ let test_recorder_attaches_tree () =
       (match Obs.Recorder.recent (P.obs p).Obs.Ctx.recorder 1 with
       | [ r ] ->
           check tbool "slow entry carries the operator tree" true
-            (String.length r.Obs.Recorder.r_ops > 0);
+            (String.length
+               (Option.fold ~none:"" ~some:(fun a -> a.Obs.Query.doc)
+                  r.Obs.Recorder.q.Obs.Query.analysis)
+            > 0);
           check tbool "top operator identified" true
-            (r.Obs.Recorder.r_top_operator <> "")
+            (Option.fold ~none:"" ~some:(fun a -> a.Obs.Query.top_operator)
+               r.Obs.Recorder.q.Obs.Query.analysis
+            <> "")
       | _ -> Alcotest.fail "recorder captured nothing");
       (* surfaced as the .hq.slow top_operator column *)
       (match ok (P.Client.query c ".hq.slow[1]") with

@@ -102,11 +102,39 @@ let test_fp_normalized_text () =
 (* Fingerprint statistics store                                        *)
 (* ------------------------------------------------------------------ *)
 
+let span_of name =
+  let tr = Tr.start name in
+  Tr.finish tr
+
+(* one completed query's record, as the endpoint would build it *)
+let query ?(ts = 0.0) ?(trace_id = "") ?(fp = "fp") ?(query = "q")
+    ?(dur = 0.01) ?error ?(rows = 1) ?(sql = []) () : Obs.Query.t =
+  {
+    Obs.Query.ts;
+    trace_id;
+    fingerprint = fp;
+    query;
+    query_sha = "";
+    query_bytes = String.length query;
+    duration_s = dur;
+    error = Option.map Obs.Query.categorise error;
+    rows_out = rows;
+    bytes_in = 10;
+    bytes_out = 20;
+    alloc_bytes = 0.0;
+    minor_gcs = 0;
+    stages = [ ("parse", 0.001); ("execute", 0.005) ];
+    sql;
+    sql_statements = List.length sql;
+    span = span_of "query";
+    analysis = None;
+  }
+
 let record ?(fp = "fp") ?(dur = 0.01) ?(err = None) ?(rows = 1) qs =
-  QS.record qs ~fingerprint:fp ~query:("q-" ^ fp) ~duration_s:dur
-    ~error_class:err ~rows_out:rows ~bytes_in:10 ~bytes_out:20
-    ~stages:[ ("parse", 0.001); ("execute", 0.005) ]
-    ()
+  QS.record qs
+    (query ~fp ~query:("q-" ^ fp) ~dur
+       ?error:(Option.map (fun c -> "[" ^ c ^ "] failed") err)
+       ~rows ())
 
 let test_qstats_accumulation () =
   let qs = QS.create () in
@@ -185,15 +213,8 @@ let test_qstats_prometheus_and_json () =
 (* Slow-query flight recorder                                          *)
 (* ------------------------------------------------------------------ *)
 
-let span_of name =
-  let tr = Tr.start name in
-  Tr.finish tr
-
-let observe ?(dur = 1.0) ?(status = "ok") ?(error = "") r i =
-  R.observe r ~ts:(float_of_int i) ~fingerprint:"fp" ~query:"q"
-    ~duration_s:dur ~status ~error
-    ~sql:[ "SELECT 1" ]
-    (span_of "query")
+let observe ?(dur = 1.0) r i =
+  R.observe r (query ~ts:(float_of_int i) ~dur ~sql:[ "SELECT 1" ] ())
 
 let test_recorder_threshold_and_bound () =
   let r = R.create ~capacity:8 ~threshold_s:0.1 () in
@@ -209,8 +230,8 @@ let test_recorder_threshold_and_bound () =
   (* newest first, newest survive the wraparound *)
   (match R.recent r 3 with
   | a :: b :: _ ->
-      check tbool "newest first" true (a.R.r_ts >= b.R.r_ts);
-      check tbool "newest retained" true (a.R.r_ts = 9999.0)
+      check tbool "newest first" true (a.R.q.ts >= b.R.q.ts);
+      check tbool "newest retained" true (a.R.q.ts = 9999.0)
   | _ -> Alcotest.fail "expected records");
   R.reset r;
   check tint "reset empties ring" 0 (R.size r)
@@ -225,33 +246,32 @@ let test_recorder_tail_sampling () =
   check tint "sampled counter" 10 (R.captured_sampled r);
   check tint "no slow captures" 0 (R.captured_slow r);
   match R.recent r 1 with
-  | [ rec_ ] -> check tstr "kind is sample" "sample" rec_.R.r_kind
+  | [ rec_ ] -> check tstr "kind is sample" "sample" rec_.R.kind
   | _ -> Alcotest.fail "expected one record"
 
 let test_recorder_jsonl () =
   let r = R.create ~capacity:4 ~threshold_s:0.0 () in
   ignore
-    (R.observe r ~ts:1.5 ~trace_id:"0123456789abcdef0123456789abcdef"
-       ~fingerprint:"deadbeef" ~query:"select ? from t" ~duration_s:0.25
-       ~status:"error" ~error:"[binder] nope"
-       ~sql:[ "SELECT a FROM t"; "DROP TABLE tmp" ]
-       (span_of "query"));
+    (R.observe r
+       (query ~ts:1.5 ~trace_id:"0123456789abcdef0123456789abcdef"
+          ~fp:"deadbeef" ~query:"select ? from t" ~dur:0.25
+          ~error:"[binder] nope"
+          ~sql:[ "SELECT a FROM t"; "DROP TABLE tmp" ]
+          ()));
   let jl = Obs.Relation.to_jsonl (R.relation r) in
   check tbool "fingerprint in jsonl" true (contains jl "\"fingerprint\":\"deadbeef\"");
   (* trace_id round-trips through the record and its JSONL rendering *)
   (match R.recent r 1 with
   | [ rec_ ] ->
       check tstr "trace_id stored" "0123456789abcdef0123456789abcdef"
-        rec_.R.r_trace_id
+        rec_.R.q.trace_id
   | _ -> Alcotest.fail "expected one record");
   check tbool "trace_id in jsonl" true
     (contains jl "\"trace_id\":\"0123456789abcdef0123456789abcdef\"");
   (* omitted trace_id renders as empty, still valid JSON *)
-  ignore
-    (R.observe r ~ts:2.0 ~fingerprint:"f2" ~query:"q2" ~duration_s:0.1
-       ~status:"ok" ~error:"" ~sql:[] (span_of "query"));
+  ignore (R.observe r (query ~ts:2.0 ~fp:"f2" ~query:"q2" ~dur:0.1 ()));
   (match R.recent r 1 with
-  | [ rec_ ] -> check tstr "default trace_id empty" "" rec_.R.r_trace_id
+  | [ rec_ ] -> check tstr "default trace_id empty" "" rec_.R.q.trace_id
   | _ -> Alcotest.fail "expected one record");
   check tbool "sql array" true (contains jl "\"SELECT a FROM t\",\"DROP TABLE tmp\"");
   check tbool "error escaped in" true (contains jl "[binder] nope");

@@ -196,17 +196,31 @@ let test_alloc_attribution_cache_hit_miss () =
   check tint "two calls" 2 e2.Obs.Qstats.e_calls;
   check tbool "hit also records allocation" true
     (e2.Obs.Qstats.e_alloc_bytes > alloc1);
-  check tbool "average positive" true (Obs.Qstats.entry_alloc_avg e2 > 0.0);
-  (* the top-allocators view surfaces the fingerprint *)
-  let tops = Obs.Qstats.top_allocators qs 5 in
-  check tbool "fingerprint in top allocators" true
-    (List.exists (fun e -> e.Obs.Qstats.e_fingerprint = fp) tops);
+  (* .hq.top's allocation columns surface the fingerprint's totals *)
+  (match ok (P.Client.query c ".hq.top") with
+  | QV.Table tb ->
+      let col name i = QV.index (QV.column_exn tb name) i in
+      let row =
+        List.find
+          (fun i -> col "fingerprint" i = QV.Atom (QA.Sym fp))
+          (List.init (QV.table_length tb) Fun.id)
+      in
+      let float_at name =
+        match col name row with
+        | QV.Atom (QA.Float f) -> f
+        | v -> Alcotest.failf "%s: %s" name (Qvalue.Qprint.to_string v)
+      in
+      check tbool "alloc_bytes column is the total" true
+        (float_at "alloc_bytes" = e2.Obs.Qstats.e_alloc_bytes);
+      check tbool "alloc_bytes_avg positive" true
+        (float_at "alloc_bytes_avg" > 0.0)
+  | v -> Alcotest.failf "expected table, got %s" (Qvalue.Qprint.to_string v));
   (* and the flight recorder (threshold 0 captures all) carries the
      per-query deltas, so .hq.slow can tell GC victims apart *)
   let recs = Obs.Recorder.recent (P.obs p).Obs.Ctx.recorder 10 in
   check tbool "recorder captured" true (recs <> []);
   check tbool "records carry alloc bytes" true
-    (List.for_all (fun r -> r.Obs.Recorder.r_alloc_bytes > 0.0) recs);
+    (List.for_all (fun r -> r.Obs.Recorder.q.Obs.Query.alloc_bytes > 0.0) recs);
   check tbool "jsonl carries alloc" true
     (contains
        (Obs.Relation.to_jsonl (Obs.Recorder.relation (P.obs p).Obs.Ctx.recorder))
@@ -432,6 +446,43 @@ let test_attribution_budget () =
   check_budget "attribution reads" ~budget:192 (words_per_call reads);
   ignore (Sys.opaque_identity !sink)
 
+(* one completed query's record handed to every per-query plane, with
+   the server default's writer-less event sink: the fingerprint-store
+   fold, the recorder's threshold check, the "query completed" log line
+   (rendered for the log tail) and a time-series tick between snapshots;
+   the JSONL event is not rendered. Measured on OCaml 5.1: 355 words. *)
+let test_record_fanout_budget () =
+  let registry = M.create () in
+  let timeseries = Obs.Timeseries.create ~interval_s:3600.0 registry in
+  let obs = Obs.Ctx.create ~registry ~timeseries () in
+  let root = Obs.Trace.finish (Obs.Trace.start "query") in
+  let q =
+    {
+      Obs.Query.ts = Unix.gettimeofday ();
+      trace_id = Obs.Trace.gen_trace_id ();
+      fingerprint = "fp";
+      query = "select Price from trades where Symbol = `?";
+      query_sha = Obs.Events.query_sha "select Price from trades";
+      query_bytes = 24;
+      duration_s = 0.0001;
+      error = None;
+      rows_out = 3;
+      bytes_in = 37;
+      bytes_out = 162;
+      alloc_bytes = 4096.0;
+      minor_gcs = 0;
+      stages =
+        Obs.Trace.totals root
+          (List.map Hyperq.Stage_timer.stage_name Hyperq.Stage_timer.all_stages);
+      sql = [ "SELECT \"Price\" FROM trades" ];
+      sql_statements = 1;
+      span = root;
+      analysis = None;
+    }
+  in
+  let fan_out _ = Obs.Ctx.record_query obs ~conn_id:1 q in
+  check_budget "query record fan-out" ~budget:368 (words_per_call fan_out)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -463,6 +514,8 @@ let () =
           Alcotest.test_case "cluster-observability cycle" `Quick
             test_cluster_obs_budget;
           Alcotest.test_case "attribution reads" `Quick test_attribution_budget;
+          Alcotest.test_case "query record fan-out" `Quick
+            test_record_fanout_budget;
         ] );
       ( "surfaces",
         [
