@@ -2,8 +2,9 @@
 
     Passes fall into the paper's three groups — correctness (2VL
     rewriting), performance (column pruning, filter fusion) and
-    transparency (order enforcement/elision) — and can be toggled
-    individually for the ablation benchmarks. *)
+    transparency (root order enforcement, then the required-order pass
+    that drops unobserved sorts) — and can be toggled individually for
+    the ablation benchmarks. *)
 
 type config = {
   mutable enable_2vl : bool;
@@ -11,7 +12,7 @@ type config = {
   mutable enable_filter_fusion : bool;
   mutable enable_order : bool;  (** inject Q's implicit ordering *)
   mutable enable_order_elision : bool;
-      (** remove orderings that are invisible to the consumer *)
+      (** run the required-order pass: drop orderings no consumer observes *)
 }
 
 val default_config : unit -> config
@@ -27,13 +28,17 @@ val filter_fusion : Xtra.Ir.rel -> Xtra.Ir.rel
     required above it (the wide-table SQL-bloat defence). *)
 val column_pruning : Xtra.Ir.rel -> Xtra.Ir.rel
 
-(** Transparency: remove orderings no order-insensitive aggregate can
-    observe (the paper's nested-scalar-aggregation example). *)
-val elide_sorts_under_aggregates : Xtra.Ir.rel -> Xtra.Ir.rel
-
 (** Transparency: sort the root by its implicit order column when Q's
     ordered-table semantics require it and no explicit ordering exists. *)
 val enforce_root_order : Xtra.Ir.rel -> Xtra.Ir.rel
+
+(** Transparency: drop every [Sort] whose order no consumer observes. A
+    top-down pass: the root's order is observed, and each operator
+    states whether it needs its inputs' order (a limit, an
+    order-sensitive aggregate or window, a sort with ties, ...). Runs
+    after {!enforce_root_order}, whose root sort states the result
+    order. *)
+val required_order : Xtra.Ir.rel -> Xtra.Ir.rel
 
 type pass = { pass_name : string; apply : Xtra.Ir.rel -> Xtra.Ir.rel }
 

@@ -110,3 +110,16 @@ let queries (d : Marketdata.dataset) : query list =
 (** Queries known to join three or more tables — the paper calls out 10,
     18, 19, 20 as the slowest to translate. *)
 let heavy_ids = [ 10; 18; 19; 20 ]
+
+(** Scalar aggregations over nested queries, the paper's example of an
+    ordering requirement the Xformer removes (Section 3.3): with order
+    elision on none of them emits an ORDER BY, with it off each keeps the
+    inner query's. Ablation C runs them; a tier-1 test checks the SQL. *)
+let order_elision_queries =
+  [
+    "select max Price from (select Price from trades)";
+    "select sum Size from (select Size from trades where Price>10.0)";
+    "select avg Bid from (select Bid from quotes)";
+    "select n:count Price from (select Price, Size from trades) where \
+     Size>1000";
+  ]

@@ -8,8 +8,9 @@
 
     Notable departures from vanilla relational algebra, straight from the
     paper:
-    - every relational operator declares an implicit *order column* and an
-      *order-preservation* property (Section 3.3, Transparency);
+    - every relational operator declares an implicit *order column*
+      (Section 3.3, Transparency); which operators observe their input's
+      order is the Xformer's required-order pass;
     - scalar equality comes in a Q-flavoured 2VL form ([Eq2]) that a
       correctness transformation must rewrite into [IS NOT DISTINCT FROM]
       before serialization (Section 3.3, Correctness);
@@ -230,18 +231,8 @@ let rec order_col (r : rel) : string option =
   | Limit { input; _ } -> order_col input
   | Union _ -> None
 
-(** Order preservation: does this operator keep its input's row order in
-    the backend? In a set-oriented backend only operators that impose an
-    explicit order do. Used by the Xformer to decide where ORDER BY
-    injection is required. *)
-let preserves_order = function
-  | Get _ | ConstRel _ -> false (* backend scans have no defined order *)
-  | Project _ | Filter _ | WindowOp _ | Limit _ -> true
-  | Join _ | AsofJoin _ | Aggregate _ | Union _ -> false
-  | Sort _ -> true
-
-(** Does the relation produce at most one row (scalar aggregate)? Used by
-    the order-elision transformation. *)
+(** Does the relation produce at most one row (scalar aggregate)? Such a
+    root needs no order (the Xformer's root-order enforcement). *)
 let rec is_scalar (r : rel) : bool =
   match r with
   | Aggregate { keys = []; _ } -> true

@@ -213,8 +213,10 @@ let test_aj_all_vector_tree () =
   check tint "one row per trade" trades plan.Op.rows_out
 
 (* the analytical workload's as-of queries keep the fused plan: Q05, Q10
-   and Q19 each run a vector_asof_join, and no join in them emits more
-   rows than its probe (left) side reads *)
+   and Q19 each run a vector_asof_join with no vector_sort beneath it,
+   and no join in them emits more rows than its probe (left) side reads.
+   Their one ORDER BY is the root's: the required-order pass drops the
+   sides' sorts, which the as-of window cannot observe *)
 let test_aj_queries_fused () =
   let d = MD.generate MD.small_scale in
   let db = Db.create () in
@@ -227,9 +229,19 @@ let test_aj_queries_fused () =
       if List.mem q.AW.id [ 5; 10; 19 ] then begin
         let name = Printf.sprintf "Q%02d" q.AW.id in
         let sql = Hyperq.Engine.translate eng q.AW.text in
+        check tint (name ^ " has one ORDER BY") 1 (Sql_shape.order_bys sql);
         let nodes = List.map snd (Op.flatten (analyzed_plan sess sql)) in
-        check tbool (name ^ " plans a vector_asof_join") true
-          (List.exists (fun m -> m.Op.op = "vector_asof_join") nodes);
+        let asof = List.filter (fun m -> m.Op.op = "vector_asof_join") nodes in
+        check tbool (name ^ " plans a vector_asof_join") true (asof <> []);
+        List.iter
+          (fun j ->
+            check tbool
+              (name ^ " sorts nothing beneath the as-of join")
+              false
+              (List.exists
+                 (fun (_, m) -> m.Op.op = "vector_sort")
+                 (Op.flatten j)))
+          asof;
         List.iter
           (fun m ->
             let op = m.Op.op in

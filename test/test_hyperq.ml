@@ -557,6 +557,21 @@ let test_no_2vl_changes_semantics () =
     (let re = Str.regexp_string "IS NOT DISTINCT FROM" in
      try ignore (Str.search_forward re sql 0); true with Not_found -> false)
 
+(* Ablation C's structural claim: the scalar aggregations over nested
+   queries emit no ORDER BY with order elision on, and keep the inner
+   query's with it off *)
+let test_order_elision_ablation () =
+  let sql elision q =
+    let config = Hyperq.Engine.default_config () in
+    config.Hyperq.Engine.xformer.Hyperq.Xformer.enable_order_elision <- elision;
+    Hyperq.Engine.translate (make_engine ~config ()) q
+  in
+  List.iter
+    (fun q ->
+      check tint (q ^ ": elided") 0 (Sql_shape.order_bys (sql true q));
+      check tint (q ^ ": kept") 1 (Sql_shape.order_bys (sql false q)))
+    Workload.Analytical.order_elision_queries
+
 let () =
   Alcotest.run "hyperq"
     [
@@ -625,5 +640,7 @@ let () =
           Alcotest.test_case "pruning shrinks SQL" `Quick
             test_pruning_shrinks_sql;
           Alcotest.test_case "2VL pass off" `Quick test_no_2vl_changes_semantics;
+          Alcotest.test_case "order elision (ablation C)" `Quick
+            test_order_elision_ablation;
         ] );
     ]

@@ -147,27 +147,95 @@ let test_order_enforcement () =
     -> ()
   | _ -> Alcotest.fail "root order not enforced"
 
+let sort_by_ord input =
+  I.Sort { input; keys = [ { I.sk_expr = I.ColRef "hq_ord"; sk_dir = `Asc } ] }
+
+let agg fn arg = I.AggFun { fn; distinct = false; args = [ arg ] }
+
+let rec count_sorts = function
+  | I.Sort { input; _ } -> 1 + count_sorts input
+  | I.Get _ | I.ConstRel _ -> 0
+  | I.Project { input; _ } | I.Filter { input; _ } | I.Aggregate { input; _ }
+  | I.WindowOp { input; _ } | I.Limit { input; _ } ->
+      count_sorts input
+  | I.Join { left; right; _ } | I.AsofJoin { left; right; _ } ->
+      count_sorts left + count_sorts right
+  | I.Union rels -> List.fold_left (fun n r -> n + count_sorts r) 0 rels
+
+(* the required-order pass under a scalar aggregate: an order-insensitive
+   one lets the sort go, an order-sensitive one keeps it *)
 let test_order_elision () =
-  let sorted =
-    I.Sort
-      { input = trades_get;
-        keys = [ { I.sk_expr = I.ColRef "hq_ord"; sk_dir = `Asc } ] }
-  in
-  let agg_of input aggs = I.Aggregate { input; keys = []; aggs } in
-  (* order-insensitive aggregate: sort elided *)
-  (match
-     X.elide_sorts_under_aggregates
-       (agg_of sorted [ ("s", I.AggFun { fn = "sum"; distinct = false; args = [ I.ColRef "px" ] }) ])
-   with
+  let agg_of aggs = I.Aggregate { input = sort_by_ord trades_get; keys = []; aggs } in
+  (match X.required_order (agg_of [ ("s", agg "sum" (I.ColRef "px")) ]) with
   | I.Aggregate { input = I.Get _; _ } -> ()
   | _ -> Alcotest.fail "sum should allow elision");
-  (* order-sensitive aggregate: sort kept *)
-  match
-    X.elide_sorts_under_aggregates
-      (agg_of sorted [ ("f", I.AggFun { fn = "first"; distinct = false; args = [ I.ColRef "px" ] }) ])
-  with
+  match X.required_order (agg_of [ ("f", agg "first" (I.ColRef "px")) ]) with
   | I.Aggregate { input = I.Sort _; _ } -> ()
   | _ -> Alcotest.fail "first must keep ordering"
+
+let quotes_get =
+  I.Get
+    {
+      table = "quotes";
+      cols = [ col "hq_ord" Ty.TBigint; col "sym" Ty.TVarchar; col "bid" Ty.TDouble ];
+      ordcol = Some "hq_ord";
+    }
+
+let asof left right =
+  I.AsofJoin
+    { left; right; eq_cols = [ "sym" ]; ts_col = "hq_ord"; keep_right_time = false }
+
+(* every consumer that can observe order keeps the sort beneath it; the
+   root sort is always kept *)
+let test_required_order_keeps () =
+  let sum_of input = I.Aggregate { input; keys = []; aggs = [ ("s", agg "sum" (I.ColRef "px")) ] } in
+  let grouped =
+    I.Sort
+      {
+        input =
+          I.Aggregate
+            { input = trades_get; keys = [ ("sym", I.ColRef "sym") ];
+              aggs = [ ("bid", agg "max" (I.ColRef "px")) ] };
+        keys = [ { I.sk_expr = I.ColRef "sym"; sk_dir = `Asc } ];
+      }
+  in
+  let unordered_window =
+    I.WinFun { fn = "row_number"; args = []; partition = []; order = []; frame = None }
+  in
+  List.iter
+    (fun (name, r, kept) ->
+      check tint name kept (count_sorts (X.required_order r)))
+    [
+      ("a take reads its input order", sum_of (I.Limit { input = sort_by_ord trades_get; n = 3 }), 1);
+      ( "a window with no ORDER BY reads it",
+        sum_of (I.WindowOp { input = sort_by_ord trades_get; wins = [ ("rn", unordered_window) ] }),
+        1 );
+      ( "a union's branches keep theirs under a non-total sort",
+        I.Sort
+          {
+            input = I.Union [ sort_by_ord trades_get; sort_by_ord trades_get ];
+            keys = [ { I.sk_expr = I.ColRef "px"; sk_dir = `Asc } ];
+          },
+        3 );
+      ( "a sort with ties keeps its input's",
+        I.Sort
+          { input = sort_by_ord trades_get;
+            keys = [ { I.sk_expr = I.ColRef "px"; sk_dir = `Desc } ] },
+        2 );
+      ( "an as-of side with no order column is numbered in its order",
+        sort_by_ord (asof (sort_by_ord trades_get) grouped),
+        2 );
+    ]
+
+(* under the root sort by the left order column, neither as-of side's
+   sort is observable: the window orders each left row's matches totally *)
+let test_required_order_asof () =
+  match
+    X.required_order
+      (sort_by_ord (asof (sort_by_ord trades_get) (sort_by_ord quotes_get)))
+  with
+  | I.Sort { input = I.AsofJoin { left = I.Get _; right = I.Get _; _ }; _ } -> ()
+  | r -> Alcotest.failf "as-of sides keep a sort:\n%s" (I.rel_to_string r)
 
 (* ------------------------------------------------------------------ *)
 (* Serializer                                                          *)
@@ -352,6 +420,10 @@ let () =
             test_pruning_keeps_filter_cols;
           Alcotest.test_case "order enforcement" `Quick test_order_enforcement;
           Alcotest.test_case "order elision" `Quick test_order_elision;
+          Alcotest.test_case "required order keeps observed sorts" `Quick
+            test_required_order_keeps;
+          Alcotest.test_case "required order drops as-of side sorts" `Quick
+            test_required_order_asof;
         ] );
       ( "serializer",
         [
