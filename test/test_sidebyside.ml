@@ -33,6 +33,31 @@ let extension_queries =
     "select lo:min Bid, hi:max Ask by 3600000 xbar Time from quotes";
   ]
 
+(* =, in and by on symbol columns holding null symbols. A stored null
+   symbol reaches pgdb as '' (ns.s, sec.Sec), an lj's unmatched rows as
+   NULL text: [trades lj sec] pads Sec with NULL through a gathered,
+   dictionary-coded column. *)
+let null_symbol_setup =
+  [
+    "ns:([] s:`a``b`a``c`b`a; v:1 2 3 4 5 6 7 8)";
+    "sec:([Symbol:`AAA`BBH`CCO] Sec:`x``y)";
+  ]
+
+let null_symbol_queries =
+  [
+    "select from ns where s=`a";
+    "select from ns where s=`";
+    "select from ns where not s=`a";
+    "select from ns where s in `a`c`";
+    "select from ns where s in `zz`yy";
+    "select n:count v, w:sum v by s from ns";
+    "select n:count v by s from ns where v>2";
+    "select v from ns where s=`b, v>3";
+    "select n:count Price from (trades lj sec) where Sec=`x";
+    "select n:count Price from (trades lj sec) where not Sec=`x";
+    "select n:count Price by Sec from (trades lj sec) where Sec in `x`y";
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Required order over permuted storage                                *)
 (* ------------------------------------------------------------------ *)
@@ -171,10 +196,22 @@ let () =
             | v -> Alcotest.fail (Sidebyside.Framework.verdict_str v)))
       extension_queries
   in
+  let null_symbol_cases =
+    List.map
+      (fun q ->
+        Alcotest.test_case q `Quick (fun () ->
+            match
+              Sidebyside.Framework.compare_query h ~setup:null_symbol_setup q
+            with
+            | Sidebyside.Framework.Match -> ()
+            | v -> Alcotest.fail (Sidebyside.Framework.verdict_str v)))
+      null_symbol_queries
+  in
   Alcotest.run "sidebyside"
     [
       ("analytical workload", workload_cases);
       ("extension queries", extension_cases);
+      ("null symbols", null_symbol_cases);
       ( "permuted storage",
         Alcotest.test_case "rows are shuffled" `Quick test_storage_is_permuted
         :: List.map
