@@ -229,17 +229,9 @@ let take_passing (sel : Batch.sel) (m : int) (passes : int -> bool) :
     out
   end
 
-(* the rows of [sel] that pass [keep], for a [keep] cheap enough to run
-   twice: one pass counts the survivors, a second writes them *)
-let select (sel : Batch.sel) (keep : int -> bool) : Batch.sel =
-  let m = ref 0 in
-  for t = 0 to Array.length sel - 1 do
-    if keep (Array.unsafe_get sel t) then incr m
-  done;
-  take_passing sel !m (fun t -> keep (Array.unsafe_get sel t))
-
-(* the same for a [pred] that boxes, or may raise, per row: it runs
-   once per row, in row order, and its verdicts wait in a bitmap *)
+(* the rows of [sel] that pass a [pred] that boxes, or may raise, per
+   row: it runs once per row, in row order, and its verdicts wait in a
+   bitmap *)
 let filter_sel (sel : Batch.sel) (pred : int -> bool) : Batch.sel =
   let n = Array.length sel in
   let pass = Bytes.make ((n + 7) / 8) '\000' in
@@ -271,150 +263,304 @@ let flip_op (op : A.binop) : A.binop =
   | A.Ge -> A.Le
   | op -> op
 
-(* [select] specialized to a test on a column's payload at row i, the
-   null bitmap read inline: NULL never survives *)
-let payload_kernel (c : Batch.column) (test : int -> bool) : kernel =
-  if c.Batch.has_nulls then
-    let nulls = c.Batch.nulls in
-    fun sel -> select sel (fun i -> (not (Batch.bit_get nulls i)) && test i)
-  else fun sel -> select sel test
+(* The typed kernels below each run two loops over the selection, one
+   counting the survivors and one writing them into an array of exactly
+   that size. Neither calls a closure or branches on the data per row
+   (a text kernel's count does, once per dictionary entry): a row's
+   verdict is an int, 1 to keep it and 0 to drop it, that the count
+   adds up and the fill advances its cursor by after an unconditional
+   write. The null bitmap is one more factor of that product. *)
 
-(* a test on a text column through its codes: [verdict] runs at most
-   once per dictionary entry, when the selection first meets it, and
-   each row after that is a lookup by code *)
+(* a column's null bitmap as [live] reads it: the bitmap and -1, or for
+   a column without NULLs one zero byte and 0, which confines every read
+   to that byte *)
+let zero_byte = Bytes.make 1 '\000'
+
+let null_view (c : Batch.column) : Bytes.t * int =
+  if c.Batch.has_nulls then (c.Batch.nulls, -1) else (zero_byte, 0)
+
+(* 1 when row i is not NULL, 0 when it is *)
+let[@inline] live (nulls : Bytes.t) (mask : int) (i : int) : int =
+  1
+  - (Char.code (Bytes.unsafe_get nulls ((i lsr 3) land mask))
+     lsr (i land 7)
+    land 1)
+
+(* A numeric kernel keeps a row whose payload x lies in one of the
+   intervals [r.(0), r.(1)], [r.(2), r.(3)], ... ([flip] = 0), or in
+   none of them ([flip] = 1); NULL never survives. The first interval,
+   the only one of a comparison or BETWEEN, is read as [lo] and [hi]
+   outside the loop over the others. An empty interval has lo > hi. *)
+
+let[@inline] int_pass (a : int64 array) (r : int64 array) lo hi flip nulls
+    mask i =
+  let x = Array.unsafe_get a i in
+  let hit = ref (Bool.to_int (x >= lo) land Bool.to_int (x <= hi)) in
+  let k = ref 2 in
+  while !k < Array.length r do
+    hit :=
+      !hit
+      lor (Bool.to_int (x >= Array.unsafe_get r !k)
+          land Bool.to_int (x <= Array.unsafe_get r (!k + 1)));
+    k := !k + 2
+  done;
+  (!hit lxor flip) land live nulls mask i
+
+let int_kernel (c : Batch.column) (a : int64 array) (r : int64 array)
+    (flip : int) : kernel =
+  let nulls, mask = null_view c and lo = r.(0) and hi = r.(1) in
+  fun sel ->
+    let m = ref 0 in
+    for t = 0 to Array.length sel - 1 do
+      m := !m + int_pass a r lo hi flip nulls mask (Array.unsafe_get sel t)
+    done;
+    if !m = 0 then [||]
+    else if !m = Array.length sel then sel
+    else begin
+      let out = Array.make !m 0 and k = ref 0 and t = ref 0 in
+      while !k < !m do
+        let i = Array.unsafe_get sel !t in
+        Array.unsafe_set out !k i;
+        k := !k + int_pass a r lo hi flip nulls mask i;
+        incr t
+      done;
+      out
+    end
+
+let[@inline] float_pass (a : float array) (r : float array) lo hi flip nulls
+    mask i =
+  let x = Array.unsafe_get a i in
+  let hit = ref (Bool.to_int (x >= lo) land Bool.to_int (x <= hi)) in
+  let k = ref 2 in
+  while !k < Array.length r do
+    hit :=
+      !hit
+      lor (Bool.to_int (x >= Array.unsafe_get r !k)
+          land Bool.to_int (x <= Array.unsafe_get r (!k + 1)));
+    k := !k + 2
+  done;
+  (!hit lxor flip) land live nulls mask i
+
+let float_kernel (c : Batch.column) (a : float array) (r : float array)
+    (flip : int) : kernel =
+  let nulls, mask = null_view c and lo = r.(0) and hi = r.(1) in
+  fun sel ->
+    let m = ref 0 in
+    for t = 0 to Array.length sel - 1 do
+      m := !m + float_pass a r lo hi flip nulls mask (Array.unsafe_get sel t)
+    done;
+    if !m = 0 then [||]
+    else if !m = Array.length sel then sel
+    else begin
+      let out = Array.make !m 0 and k = ref 0 and t = ref 0 in
+      while !k < !m do
+        let i = Array.unsafe_get sel !t in
+        Array.unsafe_set out !k i;
+        k := !k + float_pass a r lo hi flip nulls mask i;
+        incr t
+      done;
+      out
+    end
+
+(* a test on a text column through its codes. [verdict] runs at most
+   once per dictionary entry, when the count first meets it, and its
+   answer waits in [memo]: 0 not yet tested, 1 fails, 2 passes, so a
+   row's verdict is its code's byte shifted right once. The fill meets
+   only tested codes. *)
 let text_kernel (c : Batch.column) (codes : int array) (dict : string array)
     (verdict : string -> bool) : kernel =
- fun sel ->
-  (* per code: '\000' not yet tested, '\001' passes, '\002' fails *)
-  let memo = Bytes.make (Array.length dict) '\000' in
-  payload_kernel c
-    (fun i ->
+  let nulls, mask = null_view c in
+  fun sel ->
+    let memo = Bytes.make (Array.length dict) '\000' in
+    let m = ref 0 in
+    for t = 0 to Array.length sel - 1 do
+      let i = Array.unsafe_get sel t in
       let code = Array.unsafe_get codes i in
-      match Bytes.unsafe_get memo code with
-      | '\001' -> true
-      | '\002' -> false
-      | _ ->
-          let v = verdict (Array.unsafe_get dict code) in
-          Bytes.unsafe_set memo code (if v then '\001' else '\002');
-          v)
-    sel
+      let v = Char.code (Bytes.unsafe_get memo code) in
+      let v =
+        if v <> 0 then v
+        else begin
+          let v = if verdict (Array.unsafe_get dict code) then 2 else 1 in
+          Bytes.unsafe_set memo code (Char.unsafe_chr v);
+          v
+        end
+      in
+      m := !m + (v lsr 1 land live nulls mask i)
+    done;
+    if !m = 0 then [||]
+    else if !m = Array.length sel then sel
+    else begin
+      let out = Array.make !m 0 and k = ref 0 and t = ref 0 in
+      while !k < !m do
+        let i = Array.unsafe_get sel !t in
+        Array.unsafe_set out !k i;
+        k :=
+          !k
+          + (Char.code (Bytes.unsafe_get memo (Array.unsafe_get codes i))
+             lsr 1
+            land live nulls mask i);
+        incr t
+      done;
+      out
+    end
 
-(* [x op f] as a direct float test with Float.compare's verdict: for a
-   non-NaN [f] it agrees with the IEEE operators except that a NaN [x]
-   compares below every number, which only [<] and [<=] notice *)
-let float_keep (op : A.binop) (f : float) : float -> bool =
-  match op with
-  | A.Eq -> fun x -> x = f
-  | A.Neq -> fun x -> x <> f
-  | A.Lt -> fun x -> x < f || Float.is_nan x
-  | A.Le -> fun x -> x <= f || Float.is_nan x
-  | A.Gt -> fun x -> x > f
-  | _ -> fun x -> x >= f
+(* Literal tests as intervals. Exactness: Value.compare3 compares
+   same-type ints with Int64.compare, same-type strings with
+   String.compare, and any other numeric-ish pair through to_float and
+   Float.compare. An int column's interval is found under compare3
+   itself, whose verdict against a literal is monotone in the int64
+   payload, so int64→float rounding matches bit for bit. A float
+   column's interval uses IEEE comparisons, which agree with
+   Float.compare except on NaN: an interval never holds a NaN payload,
+   and [flip] keeps it exactly where Float.compare's "NaN below every
+   number" does, on the [<] and [<=] sides. *)
 
-(* [float_keep] on row i of an unboxed float array, without boxing the
-   payload for a closure call *)
-let float_test (op : A.binop) (a : float array) (f : float) : int -> bool =
-  match op with
-  | A.Eq -> fun i -> Array.unsafe_get a i = f
-  | A.Neq -> fun i -> Array.unsafe_get a i <> f
-  | A.Lt ->
-      fun i ->
-        let x = Array.unsafe_get a i in
-        x < f || Float.is_nan x
-  | A.Le ->
-      fun i ->
-        let x = Array.unsafe_get a i in
-        x <= f || Float.is_nan x
-  | A.Gt -> fun i -> Array.unsafe_get a i > f
-  | _ -> fun i -> Array.unsafe_get a i >= f
+(* a numeric literal other than NaN, as compare3 converts it *)
+let as_float_lit : A.lit -> float option = function
+  | A.Int i -> Some (Int64.to_float i)
+  | A.Float f when not (Float.is_nan f) -> Some f
+  | A.Bool b -> Some (if b then 1.0 else 0.0)
+  | _ -> None
 
-(* [x op lit] on row i of int64 payloads: Int64.compare is signed order *)
-let int_test (op : A.binop) (a : int64 array) (lit : int64) : int -> bool =
-  match op with
-  | A.Eq -> fun i -> Int64.equal (Array.unsafe_get a i) lit
-  | A.Neq -> fun i -> not (Int64.equal (Array.unsafe_get a i) lit)
-  | A.Lt -> fun i -> Int64.compare (Array.unsafe_get a i) lit < 0
-  | A.Le -> fun i -> Int64.compare (Array.unsafe_get a i) lit <= 0
-  | A.Gt -> fun i -> Int64.compare (Array.unsafe_get a i) lit > 0
-  | _ -> fun i -> Int64.compare (Array.unsafe_get a i) lit >= 0
+(* whether compare3 of column [c]'s payload against [l] never raises
+   and a kernel takes the pair: a numeric literal other than NaN
+   against int or float payloads, text against text, NULL against
+   those. Anything else (DVal columns, cross-kind pairs compare3
+   rejects, a NaN literal) stays on the generic closure, which raises
+   compare3's errors. *)
+let fits (c : Batch.column) (l : A.lit) : bool =
+  match (c.Batch.data, l) with
+  | (Batch.DInt _ | Batch.DFloat _ | Batch.DStr _), A.Null -> true
+  | (Batch.DInt _ | Batch.DFloat _), l -> as_float_lit l <> None
+  | Batch.DStr _, A.Str _ -> true
+  | _ -> false
 
-(* comparison against a literal, specialized per column representation.
-   Exactness: Value.compare3 compares same-type ints with Int64.compare,
-   same-type strings with String.compare, and any other numeric-ish
-   pair through to_float/Float.compare — each arm below applies exactly
-   that conversion, so NaN ordering and int64→float rounding match the
-   generic closure bit for bit. Anything else (DVal columns, cross-kind
-   pairs compare3 rejects, a NaN literal) stays on the generic closure,
-   which raises compare3's errors. *)
+(* the least int64 satisfying [p], monotone (false, then true) *)
+let least_int64 (p : int64 -> bool) : int64 option =
+  if not (p Int64.max_int) then None
+  else begin
+    let lo = ref Int64.min_int and hi = ref Int64.max_int in
+    while !lo < !hi do
+      (* the midpoint rounded down, without overflow *)
+      let mid =
+        Int64.(
+          add
+            (add (shift_right !lo 1) (shift_right !hi 1))
+            (logand (logand !lo !hi) 1L))
+      in
+      if p mid then hi := mid else lo := Int64.succ mid
+    done;
+    Some !lo
+  end
+
+(* the int64s x with [lo <= x <= hi] under compare3, as the pair of
+   array slots an int kernel reads; an absent bound is no bound *)
+let int_interval (lo : A.lit option) (hi : A.lit option) : int64 list =
+  (* the least x at or above [l], or strictly above it *)
+  let above (l : A.lit) ~strict =
+    match l with
+    | A.Int v when strict ->
+        if v = Int64.max_int then None else Some (Int64.succ v)
+    | A.Int v -> Some v
+    | l ->
+        let v = Value.of_lit l in
+        least_int64 (fun x ->
+            let c = Option.get (Value.compare3 (Value.Int x) v) in
+            if strict then c > 0 else c >= 0)
+  in
+  let a =
+    match lo with None -> Some Int64.min_int | Some l -> above l ~strict:false
+  in
+  let b =
+    match Option.map (above ~strict:true) hi with
+    | None | Some None -> Some Int64.max_int
+    | Some (Some g) when g = Int64.min_int -> None
+    | Some (Some g) -> Some (Int64.pred g)
+  in
+  match (a, b) with
+  | Some a, Some b -> [ a; b ]
+  | _ -> [ Int64.max_int; Int64.min_int ]
+
+(* comparison against a literal, specialized per column representation *)
 let cmp_kernel (c : Batch.column) (op : A.binop) (l : A.lit) : kernel option =
   match cmp_test op with
-  | None -> None
-  | Some test -> (
-      let as_float = function
-        | A.Int i -> Int64.to_float i
-        | A.Float f -> f
-        | A.Bool b -> if b then 1.0 else 0.0
-        | _ -> 0.0
-      in
+  | Some test when fits c l -> (
       match (c.Batch.data, l) with
       | _, A.Null -> Some (fun _ -> [||])
-      | _, A.Float f when Float.is_nan f -> None
-      | Batch.DInt a, A.Int lit -> Some (payload_kernel c (int_test op a lit))
-      | Batch.DInt a, (A.Float _ | A.Bool _) ->
-          let keep = float_keep op (as_float l) in
-          Some
-            (payload_kernel c (fun i ->
-                 keep (Int64.to_float (Array.unsafe_get a i))))
-      | Batch.DFloat a, (A.Int _ | A.Float _ | A.Bool _) ->
-          Some (payload_kernel c (float_test op a (as_float l)))
+      | Batch.DInt a, _ ->
+          let l = Some l in
+          let (lo, hi), flip =
+            match op with
+            | A.Ge -> ((l, None), 0)
+            | A.Lt -> ((l, None), 1)
+            | A.Le -> ((None, l), 0)
+            | A.Gt -> ((None, l), 1)
+            | A.Neq -> ((l, l), 1)
+            | _ -> ((l, l), 0)
+          in
+          Some (int_kernel c a (Array.of_list (int_interval lo hi)) flip)
+      | Batch.DFloat a, _ ->
+          let f = Option.get (as_float_lit l) in
+          let above =
+            if f = Float.infinity then [| f; Float.neg_infinity |]
+            else [| Float.succ f; Float.infinity |]
+          in
+          let r, flip =
+            match op with
+            | A.Ge -> ([| f; Float.infinity |], 0)
+            | A.Lt -> ([| f; Float.infinity |], 1)
+            | A.Gt -> (above, 0)
+            | A.Le -> (above, 1)
+            | A.Neq -> ([| f; f |], 1)
+            | _ -> ([| f; f |], 0)
+          in
+          Some (float_kernel c a r flip)
       | Batch.DStr { codes; dict }, A.Str lit ->
           Some (text_kernel c codes dict (fun s -> test (String.compare s lit)))
       | _ -> None)
+  | _ -> None
 
-(* IN over a literal list, specialized when the column representation
-   guarantees compare3 cannot raise against any list element. In WHERE
-   position both [false] and [NULL] (null in the list, no match) drop
-   the row, so survival is exactly "some element compares equal". *)
+(* [x BETWEEN lo AND hi] for literal bounds: [x >= lo AND x <= hi] as
+   one interval. A NULL bound drops every row. *)
+let between_kernel (c : Batch.column) (lo : A.lit) (hi : A.lit) :
+    kernel option =
+  if not (fits c lo && fits c hi) then None
+  else if lo = A.Null || hi = A.Null then Some (fun _ -> [||])
+  else
+    match (c.Batch.data, lo, hi) with
+    | Batch.DInt a, _, _ ->
+        Some
+          (int_kernel c a (Array.of_list (int_interval (Some lo) (Some hi))) 0)
+    | Batch.DFloat a, _, _ ->
+        let f l = Option.get (as_float_lit l) in
+        Some (float_kernel c a [| f lo; f hi |] 0)
+    | Batch.DStr { codes; dict }, A.Str lo, A.Str hi ->
+        Some
+          (text_kernel c codes dict (fun s ->
+               String.compare s lo >= 0 && String.compare s hi <= 0))
+    | _ -> None
+
+(* IN over a literal list. In WHERE position both [false] and [NULL]
+   (null in the list, no match) drop the row, so survival is exactly
+   "some element compares equal". *)
 let in_kernel (c : Batch.column) (lits : A.lit list) : kernel option =
-  let non_null = List.filter (fun l -> l <> A.Null) lits in
-  let numeric_only =
-    List.for_all
-      (function A.Int _ | A.Float _ | A.Bool _ -> true | _ -> false)
-      non_null
-  in
-  let str_only =
-    List.for_all (function A.Str _ -> true | _ -> false) non_null
-  in
+  let vals = List.filter (fun l -> l <> A.Null) lits in
   match c.Batch.data with
-  | Batch.DInt a when numeric_only ->
-      let tests =
-        List.map
-          (function
-            | A.Int i -> fun (v : int64) -> Int64.compare v i = 0
-            | A.Float f -> fun v -> Float.compare (Int64.to_float v) f = 0
-            | A.Bool b ->
-                let f = if b then 1.0 else 0.0 in
-                fun v -> Float.compare (Int64.to_float v) f = 0
-            | _ -> fun _ -> false)
-          non_null
+  | _ when not (List.for_all (fits c) lits) -> None
+  | _ when vals = [] -> Some (fun _ -> [||])
+  | Batch.DInt a ->
+      let r = List.concat_map (fun l -> int_interval (Some l) (Some l)) vals in
+      Some (int_kernel c a (Array.of_list r) 0)
+  | Batch.DFloat a ->
+      let r =
+        List.concat_map
+          (fun l -> match as_float_lit l with Some f -> [ f; f ] | None -> [])
+          vals
       in
-      Some (payload_kernel c (fun i -> List.exists (fun t -> t a.(i)) tests))
-  | Batch.DFloat a when numeric_only ->
+      Some (float_kernel c a (Array.of_list r) 0)
+  | Batch.DStr { codes; dict } ->
       let vals =
-        List.map
-          (function
-            | A.Int i -> Int64.to_float i
-            | A.Float f -> f
-            | A.Bool b -> if b then 1.0 else 0.0
-            | _ -> 0.0)
-          non_null
-      in
-      Some
-        (payload_kernel c (fun i ->
-             List.exists (fun f -> Float.compare a.(i) f = 0) vals))
-  | Batch.DStr { codes; dict } when str_only ->
-      let vals =
-        List.filter_map (function A.Str s -> Some s | _ -> None) non_null
+        List.filter_map (function A.Str s -> Some s | _ -> None) vals
       in
       Some
         (text_kernel c codes dict (fun s -> List.exists (String.equal s) vals))
@@ -471,10 +617,14 @@ let vnull_union n (a : Bytes.t) (b : Bytes.t) : Bytes.t =
     out
   end
 
-(* lift a base column into a sel-aligned vector *)
+(* lift a base column into a sel-aligned vector. A selection as long as
+   the column is its identity (selections ascend without repeats), and
+   the vector then shares the column's payload and bitmap: no kernel
+   writes to an operand. *)
 let vload (c : Batch.column) : (vty * vkernel) option =
-  let pull_nulls sel =
+  let pull_nulls sel whole =
     if not c.Batch.has_nulls then vnull_empty
+    else if whole then c.Batch.nulls
     else begin
       let n = Array.length sel in
       let b = vnull_make n in
@@ -493,24 +643,34 @@ let vload (c : Batch.column) : (vty * vkernel) option =
       Some
         ( TInt,
           fun sel ->
+            let whole = Array.length sel = Array.length a in
             {
               rdata =
                 VInt
-                  (Array.init (Array.length sel) (fun t ->
-                       Array.unsafe_get a (Array.unsafe_get sel t)));
-              rnulls = pull_nulls sel;
+                  (if whole then a
+                   else
+                     Array.init (Array.length sel) (fun t ->
+                         Array.unsafe_get a (Array.unsafe_get sel t)));
+              rnulls = pull_nulls sel whole;
             } )
   | Batch.DFloat a ->
       Some
         ( TFloat,
           fun sel ->
-            {
-              rdata =
-                VFloat
-                  (Array.init (Array.length sel) (fun t ->
-                       Array.unsafe_get a (Array.unsafe_get sel t)));
-              rnulls = pull_nulls sel;
-            } )
+            let n = Array.length sel in
+            let whole = n = Array.length a in
+            let v =
+              if whole then a
+              else begin
+                let v = Array.create_float n in
+                for t = 0 to n - 1 do
+                  Array.unsafe_set v t
+                    (Array.unsafe_get a (Array.unsafe_get sel t))
+                done;
+                v
+              end
+            in
+            { rdata = VFloat v; rnulls = pull_nulls sel whole } )
   | Batch.DStr { codes; dict } ->
       Some
         ( TStr,
@@ -520,7 +680,7 @@ let vload (c : Batch.column) : (vty * vkernel) option =
                 VStr
                   (Array.init (Array.length sel) (fun t ->
                        dict.(Array.unsafe_get codes (Array.unsafe_get sel t))));
-              rnulls = pull_nulls sel;
+              rnulls = pull_nulls sel (Array.length sel = Array.length codes);
             } )
   | Batch.DVal _ -> None
 
@@ -556,20 +716,47 @@ let vlit (l : A.lit) : (vty * vkernel) option =
             } )
   | A.Null -> None
 
+(* float vectors are filled by explicit loops: a float returned from a
+   closure (Array.init, Array.map) is boxed on the way *)
 let as_float = function
-  | VInt a -> Array.map Int64.to_float a
+  | VInt a ->
+      let out = Array.create_float (Array.length a) in
+      for t = 0 to Array.length a - 1 do
+        Array.unsafe_set out t (Int64.to_float (Array.unsafe_get a t))
+      done;
+      out
   | VFloat a -> a
   | _ -> invalid_arg "vexec: kernel type confusion"
+
+(* [a op b] slot by slot for [op] one of [+ - *] *)
+let float_arith (op : A.binop) (a : float array) (b : float array) :
+    float array =
+  let n = Array.length a in
+  let out = Array.create_float n in
+  (match op with
+  | A.Add ->
+      for t = 0 to n - 1 do
+        Array.unsafe_set out t (Array.unsafe_get a t +. Array.unsafe_get b t)
+      done
+  | A.Sub ->
+      for t = 0 to n - 1 do
+        Array.unsafe_set out t (Array.unsafe_get a t -. Array.unsafe_get b t)
+      done
+  | _ ->
+      for t = 0 to n - 1 do
+        Array.unsafe_set out t (Array.unsafe_get a t *. Array.unsafe_get b t)
+      done);
+  out
 
 (* int64/float arithmetic; Value.add/sub/mul on Int×Int use the Int64
    op, any int/float mix converts through to_float — both mirrored *)
 let varith (op : A.binop) (ta, ka) (tb, kb) : (vty * vkernel) option =
-  let iop, fop =
+  let iop =
     match op with
-    | A.Add -> (Some Int64.add, ( +. ))
-    | A.Sub -> (Some Int64.sub, ( -. ))
-    | A.Mul -> (Some Int64.mul, ( *. ))
-    | _ -> (None, ( +. ))
+    | A.Add -> Some Int64.add
+    | A.Sub -> Some Int64.sub
+    | A.Mul -> Some Int64.mul
+    | _ -> None
   in
   match (iop, ta, tb) with
   | None, _, _ -> None
@@ -591,8 +778,7 @@ let varith (op : A.binop) (ta, ka) (tb, kb) : (vty * vkernel) option =
             let a = ka sel and b = kb sel in
             let av = as_float a.rdata and bv = as_float b.rdata in
             {
-              rdata =
-                VFloat (Array.init (Array.length av) (fun t -> fop av.(t) bv.(t)));
+              rdata = VFloat (float_arith op av bv);
               rnulls = vnull_union (Array.length av) a.rnulls b.rnulls;
             } )
   | _ -> None
@@ -605,14 +791,16 @@ let vcompare (op : A.binop) (ta, ka) (tb, kb) : (vty * vkernel) option =
   match cmp_test op with
   | None -> None
   | Some test ->
-      let mk cmp =
+      (* [prep] converts each operand once, before the slot loop *)
+      let mk ?(prep = Fun.id) cmp =
         Some
           ( TBool,
             fun sel ->
               let a = ka sel and b = kb sel in
+              let av = prep a.rdata and bv = prep b.rdata in
               let n = Array.length sel in
               {
-                rdata = VBool (Array.init n (fun t -> test (cmp a.rdata b.rdata t)));
+                rdata = VBool (Array.init n (fun t -> test (cmp av bv t)));
                 rnulls = vnull_union n a.rnulls b.rnulls;
               } )
       in
@@ -633,7 +821,12 @@ let vcompare (op : A.binop) (ta, ka) (tb, kb) : (vty * vkernel) option =
               | VBool x, VBool y -> Stdlib.compare x.(t) y.(t)
               | _ -> invalid_arg "vexec: kernel type confusion")
       | (TInt | TFloat), (TInt | TFloat) ->
-          mk (fun a b t -> Float.compare (as_float a).(t) (as_float b).(t))
+          mk
+            ~prep:(fun v -> VFloat (as_float v))
+            (fun a b t ->
+              match (a, b) with
+              | VFloat x, VFloat y -> Float.compare x.(t) y.(t)
+              | _ -> invalid_arg "vexec: kernel type confusion")
       | _ -> None)
 
 let rec compile_vec (bindings : Exec.binding list)
@@ -785,13 +978,8 @@ let compile_conjunct (sc : scope) (e : A.expr) : data -> kernel =
       | A.Bin (op, A.Col (q, c), A.Lit l) -> cmp_kernel (col q c) (cmp_op op l) l
       | A.Bin (op, A.Lit l, A.Col (q, c)) ->
           cmp_kernel (col q c) (flip_op (cmp_op op l)) l
-      | A.Between (A.Col (q, c), A.Lit lo, A.Lit hi) -> (
-          (* staging as two kernels is safe only when both comparisons are
-             guaranteed non-raising, which is what cmp_kernel certifies *)
-          let cc = col q c in
-          match (cmp_kernel cc A.Ge lo, cmp_kernel cc A.Le hi) with
-          | Some klo, Some khi -> Some (fun sel -> khi (klo sel))
-          | _ -> None)
+      | A.Between (A.Col (q, c), A.Lit lo, A.Lit hi) ->
+          between_kernel (col q c) lo hi
       | A.In (A.Col (q, c), es)
         when List.for_all (function A.Lit _ -> true | _ -> false) es ->
           in_kernel (col q c)
@@ -834,13 +1022,14 @@ let compile_conjunct (sc : scope) (e : A.expr) : data -> kernel =
 (* ------------------------------------------------------------------ *)
 
 (* A running aggregate: after [add]ing values in order, [get] returns
-   what {!Exec.apply_agg} returns on that list. count/sum/avg/min/max
-   stream in constant space with apply_agg's exact arithmetic (sum keeps
-   the all-int flag beside an int64 and a left-folded float; min/max
-   keep the earlier value on compare_total ties). Every other aggregate
-   collects its values and calls apply_agg itself, so the long tail
-   shares one implementation. Hash aggregation and window frames both
-   fold through these. *)
+   what {!Exec.apply_agg} returns on that list, [distinct] or not.
+   count/sum/avg/min/max stream in constant space with apply_agg's exact
+   arithmetic (sum keeps the all-int flag beside an int64 and a
+   left-folded float; min/max keep the earlier value on compare_total
+   ties). Every other aggregate, and every DISTINCT one, collects its
+   values and calls apply_agg itself, so the long tail shares one
+   implementation. Window frames and the boxed aggregate folds fold
+   through these. *)
 type acc = {
   add : Value.t -> unit;
   get : unit -> Value.t;
@@ -849,16 +1038,16 @@ type acc = {
 
 let to_float0 v = match Value.to_float v with Some f -> f | None -> 0.0
 
-let make_acc (name : string) : acc =
-  match String.lowercase_ascii name with
-  | "count" ->
+let make_acc ?(distinct = false) (name : string) : acc =
+  match (distinct, String.lowercase_ascii name) with
+  | false, "count" ->
       let n = ref 0 in
       {
         add = (fun v -> if not (Value.is_null v) then incr n);
         get = (fun () -> Value.Int (Int64.of_int !n));
         clear = (fun () -> n := 0);
       }
-  | "sum" ->
+  | false, "sum" ->
       let any = ref false and all_int = ref true in
       let isum = ref 0L and fsum = ref 0.0 in
       {
@@ -885,7 +1074,7 @@ let make_acc (name : string) : acc =
             isum := 0L;
             fsum := 0.0);
       }
-  | "avg" ->
+  | false, "avg" ->
       let n = ref 0 and fsum = ref 0.0 in
       {
         add =
@@ -903,7 +1092,7 @@ let make_acc (name : string) : acc =
             n := 0;
             fsum := 0.0);
       }
-  | ("min" | "max") as m ->
+  | false, (("min" | "max") as m) ->
       let is_min = m = "min" in
       let wins c = if is_min then c < 0 else c > 0 in
       let best = ref Value.Null in
@@ -921,170 +1110,334 @@ let make_acc (name : string) : acc =
       let vals = ref [] in
       {
         add = (fun v -> vals := v :: !vals);
-        get = (fun () -> Exec.apply_agg name false (List.rev !vals));
+        get = (fun () -> Exec.apply_agg name distinct (List.rev !vals));
         clear = (fun () -> vals := []);
       }
 
-(* a compiled aggregate-context expression: evaluate over one group's
-   source row indices (in row order) *)
-type caggexpr = int array -> Value.t
+(* an aggregate's argument over the selection: slot t reads position
+   [at.(t)] of [payload] and of the null bitmap, as [live] reads it *)
+type payload = PInt of int64 array | PFloat of float array | POther
 
-(* count/sum/avg/min/max of a plain int64 or float column: the folds of
-   [make_acc] as loops over the payload, boxing only the result. On
-   these representations compare_total is Int64.compare and
-   Float.compare, and sum's all-int flag is fixed by the column. *)
-let typed_agg (name : string) (c : Batch.column) : caggexpr option =
-  let null i = Batch.is_null c i in
-  (* [wins i b]: row i replaces the best row b so far (strictly, so
-     the earlier row is kept on ties) *)
-  let extreme (wins : int -> int -> bool) (box : int -> Value.t) : caggexpr =
-   fun g ->
-    let best = ref (-1) in
-    for t = 0 to Array.length g - 1 do
-      let i = Array.unsafe_get g t in
-      if (not (null i)) && (!best < 0 || wins i !best) then best := i
-    done;
-    if !best < 0 then Value.Null else box !best
+type arg = { at : int array; nulls : Bytes.t; nmask : int; payload : payload }
+
+(* The groups of an aggregate SELECT's surviving rows [sel]: slot t of
+   [sel] belongs to group [gid.(t land mask)], where [mask] is -1, or 0
+   for the scalar aggregate's one group, whose [gid] is [|0|]. Groups
+   are numbered in first-encounter order and [first.(g)] is group g's
+   first row (-1 for the scalar aggregate over no rows). [ident] is an
+   identity selection at least as long as [sel], through which a fold
+   reads a sel-aligned vector; [vecs] holds the vectors of the
+   aggregate arguments evaluated so far, by expression, so aggregates
+   sharing an argument evaluate it once. *)
+type groups = {
+  sel : Batch.sel;
+  gid : int array;
+  mask : int;
+  ng : int;
+  first : int array;
+  ident : Batch.sel;
+  mutable vecs : (A.expr * arg) list;
+}
+
+let[@inline] group_at (gr : groups) (t : int) : int =
+  Array.unsafe_get gr.gid (t land gr.mask)
+
+(* int64 accumulators, 8 bytes a group, so a running sum never boxes *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* per group: the count of non-NULL values *)
+let fold_count (gr : groups) (x : arg) : int array =
+  let cnt = Array.make gr.ng 0 in
+  for t = 0 to Array.length gr.sel - 1 do
+    let g = group_at gr t in
+    Array.unsafe_set cnt g
+      (Array.unsafe_get cnt g + live x.nulls x.nmask (Array.unsafe_get x.at t))
+  done;
+  cnt
+
+(* per group: the count, int64 sum and float sum of the non-NULL values
+   of an int argument *)
+let fold_ints (gr : groups) (x : arg) (a : int64 array) :
+    int array * Bytes.t * float array =
+  let cnt = Array.make gr.ng 0 in
+  let isum = Bytes.make (8 * gr.ng) '\000' and fsum = Array.make gr.ng 0.0 in
+  for t = 0 to Array.length gr.sel - 1 do
+    let p = Array.unsafe_get x.at t in
+    if live x.nulls x.nmask p = 1 then begin
+      let g = group_at gr t and v = Array.unsafe_get a p in
+      Array.unsafe_set cnt g (Array.unsafe_get cnt g + 1);
+      set64 isum (8 * g) (Int64.add (get64 isum (8 * g)) v);
+      Array.unsafe_set fsum g (Array.unsafe_get fsum g +. Int64.to_float v)
+    end
+  done;
+  (cnt, isum, fsum)
+
+(* per group: the count and sum of the non-NULL values of a float
+   argument *)
+let fold_floats (gr : groups) (x : arg) (a : float array) :
+    int array * float array =
+  let cnt = Array.make gr.ng 0 and fsum = Array.make gr.ng 0.0 in
+  for t = 0 to Array.length gr.sel - 1 do
+    let p = Array.unsafe_get x.at t in
+    if live x.nulls x.nmask p = 1 then begin
+      let g = group_at gr t in
+      Array.unsafe_set cnt g (Array.unsafe_get cnt g + 1);
+      Array.unsafe_set fsum g (Array.unsafe_get fsum g +. Array.unsafe_get a p)
+    end
+  done;
+  (cnt, fsum)
+
+(* per group: the count and the greatest ([sign] 1) or least ([sign]
+   -1) non-NULL value, the earlier one on ties *)
+let extreme_ints (gr : groups) (x : arg) (a : int64 array) (sign : int) :
+    int array * Bytes.t =
+  let cnt = Array.make gr.ng 0 and best = Bytes.make (8 * gr.ng) '\000' in
+  for t = 0 to Array.length gr.sel - 1 do
+    let p = Array.unsafe_get x.at t in
+    if live x.nulls x.nmask p = 1 then begin
+      let g = group_at gr t and v = Array.unsafe_get a p in
+      let n = Array.unsafe_get cnt g in
+      if n = 0 || Int64.compare v (get64 best (8 * g)) * sign > 0 then
+        set64 best (8 * g) v;
+      Array.unsafe_set cnt g (n + 1)
+    end
+  done;
+  (cnt, best)
+
+let extreme_floats (gr : groups) (x : arg) (a : float array) (sign : int) :
+    int array * float array =
+  let cnt = Array.make gr.ng 0 and best = Array.make gr.ng 0.0 in
+  for t = 0 to Array.length gr.sel - 1 do
+    let p = Array.unsafe_get x.at t in
+    if live x.nulls x.nmask p = 1 then begin
+      let g = group_at gr t and v = Array.unsafe_get a p in
+      let n = Array.unsafe_get cnt g in
+      if n = 0 || Float.compare v (Array.unsafe_get best g) * sign > 0 then
+        Array.unsafe_set best g v;
+      Array.unsafe_set cnt g (n + 1)
+    end
+  done;
+  (cnt, best)
+
+(* whether [typed_fold] folds aggregate [name] (lowercase) of an
+   argument, numeric or not *)
+let folds_typed (name : string) ~(numeric : bool) : bool =
+  name = "count"
+  || (numeric && List.mem name [ "sum"; "avg"; "min"; "max" ])
+
+(* count of any argument, and sum/avg/min/max of an int or float one:
+   [make_acc]'s folds run per group, boxing only a result as it is
+   read. On these representations compare_total is Int64.compare and
+   Float.compare, and sum's all-int flag is fixed by the payload. *)
+let typed_fold (name : string) (gr : groups) (x : arg) : int -> Value.t =
+  let null_if (cnt : int array) f g = if cnt.(g) = 0 then Value.Null else f g in
+  let sign = if name = "min" then -1 else 1 in
+  match (name, x.payload) with
+  | "sum", PInt a ->
+      let cnt, isum, _ = fold_ints gr x a in
+      null_if cnt (fun g -> Value.Int (get64 isum (8 * g)))
+  | "avg", PInt a ->
+      let cnt, _, fsum = fold_ints gr x a in
+      null_if cnt (fun g -> Value.Float (fsum.(g) /. float_of_int cnt.(g)))
+  | "sum", PFloat a ->
+      let cnt, fsum = fold_floats gr x a in
+      null_if cnt (fun g -> Value.Float fsum.(g))
+  | "avg", PFloat a ->
+      let cnt, fsum = fold_floats gr x a in
+      null_if cnt (fun g -> Value.Float (fsum.(g) /. float_of_int cnt.(g)))
+  | ("min" | "max"), PInt a ->
+      let cnt, best = extreme_ints gr x a sign in
+      null_if cnt (fun g -> Value.Int (get64 best (8 * g)))
+  | ("min" | "max"), PFloat a ->
+      let cnt, best = extreme_floats gr x a sign in
+      null_if cnt (fun g -> Value.Float best.(g))
+  | _ ->
+      (* count, [folds_typed] holding *)
+      let cnt = fold_count gr x in
+      fun g -> Value.Int (Int64.of_int cnt.(g))
+
+(* any other aggregate: one [make_acc] folds each group in turn, fed the
+   argument's values in row order. The rows are first laid out group by
+   group, group g at [order.(start.(g)) .. order.(start.(g + 1) - 1)]:
+   one array, however many groups. A group's result is the first error
+   its argument raised, rows in ascending order, or failing that the
+   error its fold raised, since the row reference evaluates every
+   argument before it folds; reading the group raises that error. *)
+let boxed_fold (name : string) (distinct : bool) (gr : groups) (ce : cexpr) :
+    int -> Value.t =
+  let n = Array.length gr.sel in
+  let start = Array.make (gr.ng + 1) 0 in
+  for t = 0 to n - 1 do
+    let g = group_at gr t in
+    start.(g + 1) <- start.(g + 1) + 1
+  done;
+  for g = 1 to gr.ng do
+    start.(g) <- start.(g) + start.(g - 1)
+  done;
+  let order =
+    if gr.mask = 0 then gr.sel
+    else begin
+      let order = Array.make n 0 and next = Array.sub start 0 gr.ng in
+      for t = 0 to n - 1 do
+        let g = group_at gr t in
+        order.(next.(g)) <- gr.sel.(t);
+        next.(g) <- next.(g) + 1
+      done;
+      order
+    end
   in
-  match (String.lowercase_ascii name, c.Batch.data) with
-  | "count", (Batch.DInt _ | Batch.DFloat _ | Batch.DStr _) ->
-      Some
-        (fun g ->
-          let n = ref 0 in
-          for t = 0 to Array.length g - 1 do
-            if not (null (Array.unsafe_get g t)) then incr n
-          done;
-          Value.Int (Int64.of_int !n))
-  | "sum", Batch.DInt a ->
-      Some
-        (fun g ->
-          let any = ref false and sum = ref 0L in
-          for t = 0 to Array.length g - 1 do
-            let i = Array.unsafe_get g t in
-            if not (null i) then begin
-              any := true;
-              sum := Int64.add !sum a.(i)
-            end
-          done;
-          if !any then Value.Int !sum else Value.Null)
-  | "sum", Batch.DFloat a ->
-      Some
-        (fun g ->
-          let any = ref false and sum = ref 0.0 in
-          for t = 0 to Array.length g - 1 do
-            let i = Array.unsafe_get g t in
-            if not (null i) then begin
-              any := true;
-              sum := !sum +. a.(i)
-            end
-          done;
-          if !any then Value.Float !sum else Value.Null)
-  | "avg", (Batch.DInt _ | Batch.DFloat _) ->
-      let get =
-        match c.Batch.data with
-        | Batch.DInt a -> fun i -> Int64.to_float a.(i)
-        | Batch.DFloat a -> fun i -> a.(i)
-        | _ -> fun _ -> 0.0
-      in
-      Some
-        (fun g ->
-          let n = ref 0 and sum = ref 0.0 in
-          for t = 0 to Array.length g - 1 do
-            let i = Array.unsafe_get g t in
-            if not (null i) then begin
-              incr n;
-              sum := !sum +. get i
-            end
-          done;
-          if !n = 0 then Value.Null else Value.Float (!sum /. float_of_int !n))
-  | ("min" | "max") as m, Batch.DInt a ->
-      let sign = if m = "min" then -1 else 1 in
-      Some
-        (extreme
-           (fun i b -> Int64.compare a.(i) a.(b) * sign > 0)
-           (fun b -> Value.Int a.(b)))
-  | ("min" | "max") as m, Batch.DFloat a ->
-      let sign = if m = "min" then -1 else 1 in
-      Some
-        (extreme
-           (fun i b -> Float.compare a.(i) a.(b) * sign > 0)
-           (fun b -> Value.Float a.(b)))
-  | _ -> None
+  let acc = make_acc ~distinct name in
+  let fold g =
+    acc.clear ();
+    let fold_err = ref None in
+    let rec go k =
+      if k = start.(g + 1) then
+        match !fold_err with
+        | Some e -> Error e
+        | None -> ( try Ok (acc.get ()) with e -> Error e)
+      else
+        match ce order.(k) with
+        | exception e -> Error e
+        | v ->
+            if Option.is_none !fold_err then (
+              try acc.add v with e -> fold_err := Some e);
+            go (k + 1)
+    in
+    go start.(g)
+  in
+  let res = Array.init gr.ng fold in
+  fun g -> match res.(g) with Ok v -> v | Error e -> raise e
+
+(* one aggregate of [arg] over the groups: typed when the argument is a
+   plain column or an expression [compile_vec] takes and the aggregate
+   folds that payload, boxed otherwise *)
+let fold_agg (name : string) ~(distinct : bool) (sc : scope) (arg : A.expr) :
+    data -> groups -> int -> Value.t =
+  let ce = compile_expr sc arg in
+  let plain =
+    match arg with
+    | A.Col (q, c) -> Some (Exec.find_binding sc.bindings q c)
+    | _ -> None
+  in
+  let numeric = function PInt _ | PFloat _ -> true | POther -> false in
+  (* the argument's vector over the selection, evaluated once a query *)
+  let vector d gr =
+    match List.assoc_opt arg gr.vecs with
+    | Some x -> Some x
+    | None -> (
+        match compile_vec sc.bindings d.col arg with
+        | Some (ty, vk)
+          when folds_typed name ~numeric:(ty = TInt || ty = TFloat) ->
+            let r = vk gr.sel in
+            let nulls, nmask =
+              if Bytes.length r.rnulls = 0 then (zero_byte, 0)
+              else (r.rnulls, -1)
+            in
+            let payload =
+              match r.rdata with
+              | VInt a -> PInt a
+              | VFloat a -> PFloat a
+              | VStr _ | VBool _ -> POther
+            in
+            let x = { at = gr.ident; nulls; nmask; payload } in
+            gr.vecs <- (arg, x) :: gr.vecs;
+            Some x
+        | _ -> None)
+  in
+  fun d gr ->
+    let typed =
+      match plain with
+      | _ when distinct -> None
+      | Some j ->
+          let c = d.col j in
+          let nulls, nmask = null_view c in
+          let payload =
+            match c.Batch.data with
+            | Batch.DInt a -> PInt a
+            | Batch.DFloat a -> PFloat a
+            | Batch.DStr _ | Batch.DVal _ -> POther
+          in
+          Some { at = gr.sel; nulls; nmask; payload }
+      | None -> vector d gr
+    in
+    match typed with
+    | Some x when folds_typed name ~numeric:(numeric x.payload) ->
+        typed_fold name gr x
+    | _ -> boxed_fold name distinct gr (ce d)
 
 (* an operand of an operator over aggregates: calendar values flatten
    to their integer encoding *)
 let flatten (v : Value.t) : Value.t = Value.of_lit (Exec.lit_of v)
 
-(* an expression in aggregate context: [Agg] nodes fold the group's
-   rows, operators combine their operands' per-group values, anything
-   else is read from the group's first row *)
-let rec compile_agg_expr (sc : scope) (e : A.expr) : data -> caggexpr =
+(* An expression in aggregate context, read one group at a time. Stage
+   two folds every [Agg] node over all groups at once; operators combine
+   their operands' per-group values as they are read, and anything else
+   is read from the group's first row. A group's aggregate that raised
+   raises when read, so reads surface errors in the order the row
+   reference evaluates them. *)
+let rec compile_agg_expr (sc : scope) (e : A.expr) :
+    data -> groups -> int -> Value.t =
   let comp e = compile_agg_expr sc e in
   match e with
   | A.Agg { agg_name; distinct; args } -> (
       match args with
-      | [ A.Star ] | [] -> fun _ g -> Value.Int (Int64.of_int (Array.length g))
-      | [ arg ] -> (
-          let ce = compile_expr sc arg in
-          let plain =
-            match arg with
-            | A.Col (q, c) when not distinct ->
-                Some (Exec.find_binding sc.bindings q c)
-            | _ -> None
-          in
-          fun d ->
-            match Option.bind plain (fun j -> typed_agg agg_name (d.col j)) with
-            | Some f -> f
-            | None when distinct ->
-                let ce = ce d in
-                fun g ->
-                  Exec.apply_agg agg_name true (Array.to_list (Array.map ce g))
-            | None ->
-                let ce = ce d and acc = make_acc agg_name in
-                fun g ->
-                  acc.clear ();
-                  Array.iter (fun i -> acc.add (ce i)) g;
-                  acc.get ())
-      | _ -> fun _ _ -> Errors.feature_not_supported "multi-argument aggregate")
+      | [ A.Star ] | [] ->
+          fun _ gr ->
+            let sizes =
+              if gr.mask = 0 then [| Array.length gr.sel |]
+              else
+                fold_count gr
+                  {
+                    at = gr.sel;
+                    nulls = zero_byte;
+                    nmask = 0;
+                    payload = POther;
+                  }
+            in
+            fun g -> Value.Int (Int64.of_int sizes.(g))
+      | [ arg ] -> fold_agg (String.lowercase_ascii agg_name) ~distinct sc arg
+      | _ ->
+          fun _ _ _ -> Errors.feature_not_supported "multi-argument aggregate")
   | A.Bin (op, a, b) ->
       let ca = comp a and cb = comp b and f = Exec.binop op in
-      fun d ->
-        let ca = ca d and cb = cb d in
+      fun d gr ->
+        let ca = ca d gr and cb = cb d gr in
         fun g ->
           let va = ca g in
           let vb = cb g in
           f (flatten va) (flatten vb)
   | A.Un (op, a) ->
       let ca = comp a and f = Exec.unop op in
-      fun d ->
-        let ca = ca d in
+      fun d gr ->
+        let ca = ca d gr in
         fun g -> f (flatten (ca g))
   | A.Cast (a, ty) ->
       let ca = comp a in
-      fun d ->
-        let ca = ca d in
+      fun d gr ->
+        let ca = ca d gr in
         fun g -> Value.cast ty (ca g)
   | A.Fun (f, args) when Exec.expr_has_agg e ->
       let cargs = List.map comp args in
-      fun d ->
-        let cargs = List.map (fun ca -> ca d) cargs in
+      fun d gr ->
+        let cargs = List.map (fun ca -> ca d gr) cargs in
         fun g -> Exec.scalar_fun f (List.map (fun ca -> ca g) cargs)
   | A.IsNull a when Exec.expr_has_agg e ->
       let ca = comp a in
-      fun d ->
-        let ca = ca d in
+      fun d gr ->
+        let ca = ca d gr in
         fun g -> Value.Bool (Value.is_null (ca g))
   | A.IsNotNull a when Exec.expr_has_agg e ->
       let ca = comp a in
-      fun d ->
-        let ca = ca d in
+      fun d gr ->
+        let ca = ca d gr in
         fun g -> Value.Bool (not (Value.is_null (ca g)))
   | A.Case (branches, else_) when Exec.expr_has_agg e ->
       let cbs = List.map (fun (c, r) -> (comp c, comp r)) branches in
       let celse = Option.map comp else_ in
-      fun d ->
-        let cbs = List.map (fun (c, r) -> (c d, r d)) cbs in
-        let celse = Option.map (fun ce -> ce d) celse in
+      fun d gr ->
+        let cbs = List.map (fun (c, r) -> (c d gr, r d gr)) cbs in
+        let celse = Option.map (fun ce -> ce d gr) celse in
         fun g ->
           let rec go = function
             | [] -> ( match celse with Some ce -> ce g | None -> Value.Null)
@@ -1094,8 +1447,8 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) : data -> caggexpr =
           go cbs
   | A.Between (a, lo, hi) when Exec.expr_has_agg e ->
       let ca = comp a and clo = comp lo and chi = comp hi in
-      fun d ->
-        let ca = ca d and clo = clo d and chi = chi d in
+      fun d gr ->
+        let ca = ca d gr and clo = clo d gr and chi = chi d gr in
         fun g ->
           let v = ca g in
           let vlo = clo g in
@@ -1104,18 +1457,17 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) : data -> caggexpr =
             (Exec.cmp_bool v vlo (fun c -> c >= 0))
             (Exec.cmp_bool v vhi (fun c -> c <= 0))
   | (A.In _ | A.Like _) when Exec.expr_has_agg e ->
-      fun _ _ -> Errors.feature_not_supported "aggregate nested in IN/LIKE"
+      fun _ _ _ -> Errors.feature_not_supported "aggregate nested in IN/LIKE"
   | e ->
       (* a plain expression takes the group's first row; an empty group
          still evaluates a row-independent one (a literal, constant
          arithmetic), and anything else, errors included, is NULL *)
       let ce = compile_expr sc e in
-      fun d ->
+      fun d gr ->
         let ce' = ce d in
         fun g ->
-          if Array.length g = 0 then (
-            try ce no_data 0 with _ -> Value.Null)
-          else ce' g.(0)
+          let i = gr.first.(g) in
+          if i < 0 then try ce no_data 0 with _ -> Value.Null else ce' i
 
 (* ------------------------------------------------------------------ *)
 (* Grouping and partitioning keys                                      *)
@@ -1154,20 +1506,20 @@ let pkey_of (v : Value.t) : pkey =
       PBig x
   | v -> PG (Exec.gkey_of v)
 
-(* The key of row i as a dense id, ids handed out in first-encounter
-   order. For GROUP BY ([~partition:false]) rows share an id exactly
-   when Exec.gkey_of maps their keys alike;
+(* The group id of each row of [sel], ids handed out in first-encounter
+   order, and the number of groups. For GROUP BY ([~partition:false])
+   rows share an id exactly when Exec.gkey_of maps their keys alike;
    for a window's PARTITION BY, when compare_total calls them equal
    ([pkey]). One plain text column maps each dictionary code to its id
-   through an array indexed by code (distinct codes are distinct
-   strings); one plain int or float column hashes its payload under
-   that equivalence — floats with Float.equal (merging NaNs and
+   in one loop through an array indexed by code (distinct codes are
+   distinct strings); one plain int or float column hashes its payload
+   under that equivalence — floats with Float.equal (merging NaNs and
    -0.0/0.0 as both do), ints by float value for grouping and exactly
    for partitions. NULLs share one id. Anything else hashes the key
    list, and for partitions raises [Mixed_keys] when a key position
    meets a second kind. *)
-let key_slots ~(partition : bool) (keys : cexpr list)
-    (col : Batch.column option) : int -> int =
+let group_ids ~(partition : bool) (keys : cexpr list)
+    (col : Batch.column option) (sel : Batch.sel) : int array * int =
   let next = ref 0 in
   let fresh () =
     let g = !next in
@@ -1192,28 +1544,36 @@ let key_slots ~(partition : bool) (keys : cexpr list)
             T.add tbl k g;
             g
   in
+  let by (slot : int -> int) =
+    let gid = Array.map slot sel in
+    (gid, !next)
+  in
   match col with
   | Some ({ Batch.data = Batch.DStr { codes; dict }; _ } as c) ->
-      let ids = Array.make (Array.length dict) (-1) in
-      fun i ->
-        if Batch.is_null c i then begin
-          if !null_id < 0 then null_id := fresh ();
-          !null_id
-        end
-        else
-          let code = Array.unsafe_get codes i in
-          let g = Array.unsafe_get ids code in
-          if g >= 0 then g
-          else begin
-            let g = fresh () in
-            Array.unsafe_set ids code g;
-            g
-          end
+      (* a NULL row reads code [nd], one past the dictionary *)
+      let nd = Array.length dict in
+      let ids = Array.make (nd + 1) (-1) in
+      let nulls, mask = null_view c in
+      let gid = Array.make (Array.length sel) 0 in
+      for t = 0 to Array.length sel - 1 do
+        let i = Array.unsafe_get sel t in
+        let code = Array.unsafe_get codes i in
+        let code = code + ((nd - code) * (1 - live nulls mask i)) in
+        let g = Array.unsafe_get ids code in
+        Array.unsafe_set gid t
+          (if g >= 0 then g
+           else begin
+             let g = fresh () in
+             Array.unsafe_set ids code g;
+             g
+           end)
+      done;
+      (gid, !next)
   | Some ({ Batch.data = Batch.DInt a; _ } as c) ->
-      if partition then typed (module IntTbl) c (fun i -> a.(i))
-      else typed (module FloatTbl) c (fun i -> Int64.to_float a.(i))
+      if partition then by (typed (module IntTbl) c (fun i -> a.(i)))
+      else by (typed (module FloatTbl) c (fun i -> Int64.to_float a.(i)))
   | Some ({ Batch.data = Batch.DFloat a; _ } as c) ->
-      typed (module FloatTbl) c (fun i -> a.(i))
+      by (typed (module FloatTbl) c (fun i -> a.(i)))
   | _ ->
       let tbl : (pkey list, int) Hashtbl.t = Hashtbl.create 64 in
       let kinds = Array.make (List.length keys) (-1) in
@@ -1227,14 +1587,14 @@ let key_slots ~(partition : bool) (keys : cexpr list)
         end
         else PG (Exec.gkey_of v)
       in
-      fun i ->
-        let k = List.mapi (fun pos ce -> key pos (ce i)) keys in
-        match Hashtbl.find_opt tbl k with
-        | Some g -> g
-        | None ->
-            let g = fresh () in
-            Hashtbl.add tbl k g;
-            g
+      by (fun i ->
+          let k = List.mapi (fun pos ce -> key pos (ce i)) keys in
+          match Hashtbl.find_opt tbl k with
+          | Some g -> g
+          | None ->
+              let g = fresh () in
+              Hashtbl.add tbl k g;
+              g)
 
 (* partitioning for keys of mixed kinds: each row searches the
    partitions met so far, most recent first, with compare_total *)
@@ -1255,11 +1615,10 @@ let compare_partitions (cpart : cexpr list) (sel : Batch.sel) :
     sel;
   List.rev_map (fun (_, l) -> Array.of_list (List.rev !l)) !parts
 
-(* the rows of [sel] split by group id, groups in id order, rows
-   ascending within each *)
-let split_groups (sel : Batch.sel) (slot : int -> int) : int array list =
-  let gids = Array.map slot sel in
-  let ng = Array.fold_left (fun m g -> Stdlib.max m (g + 1)) 0 gids in
+(* the rows of [sel] split by their group ids [(gids, ng)], groups in id
+   order, rows ascending within each *)
+let split_groups (sel : Batch.sel) ((gids, ng) : int array * int) :
+    int array list =
   let sizes = Array.make ng 0 in
   Array.iter (fun g -> sizes.(g) <- sizes.(g) + 1) gids;
   let groups = Array.map (fun k -> Array.make k 0) sizes in
@@ -1270,6 +1629,15 @@ let split_groups (sel : Batch.sel) (slot : int -> int) : int array list =
       fill.(g) <- fill.(g) + 1)
     gids;
   Array.to_list groups
+
+(* a window's partitions of [sel] by PARTITION BY keys [cpart]: with
+   none, one partition of every row (none without rows). Raises
+   [Mixed_keys] as [group_ids] does. *)
+let partitions (cpart : cexpr list) (col : Batch.column option)
+    (sel : Batch.sel) : int array list =
+  match cpart with
+  | [] -> if Array.length sel = 0 then [] else [ sel ]
+  | _ -> split_groups sel (group_ids ~partition:true cpart col sel)
 
 (* ------------------------------------------------------------------ *)
 (* Ordering                                                            *)
@@ -1528,11 +1896,8 @@ let plan_window (sc : scope) (w : A.expr) :
           fun sel nrows ->
             let out = Array.make nrows Value.Null in
             let parts =
-              if partition <> [] then
-                try split_groups sel (key_slots ~partition:true cpart part_col)
-                with Mixed_keys -> compare_partitions cpart sel
-              else if Array.length sel = 0 then []
-              else [ sel ]
+              try partitions cpart part_col sel
+              with Mixed_keys -> compare_partitions cpart sel
             in
             List.iter
               (fun rows ->
@@ -1678,7 +2043,7 @@ let plan_window_top (sc : scope) (w : A.expr) (k : int) :
       let limit = Int64.of_int k in
       let cut (out : Value.t array) sel =
         ( out,
-          select sel (fun i ->
+          filter_sel sel (fun i ->
               match out.(i) with
               | Value.Int r -> Int64.compare r limit <= 0
               | _ -> false) )
@@ -1705,11 +2070,7 @@ let plan_window_top (sc : scope) (w : A.expr) (k : int) :
             end
             else match Option.bind keys (fun keys -> column_order keys sel) with
             | Some cmp -> (
-                let slot =
-                  if partition = [] then fun _ -> 0
-                  else key_slots ~partition:true cpart part_col
-                in
-                match split_groups sel slot with
+                match partitions cpart part_col sel with
                 | groups ->
                     let out = Array.make nrows Value.Null in
                     List.iter
@@ -1943,7 +2304,7 @@ let asof_join_idx ~(lrows : int) ~(rall : Batch.sel)
       let finish js =
         let js =
           if x.Batch.has_nulls then
-            select js (fun j -> not (Batch.is_null x j))
+            filter_sel js (fun j -> not (Batch.is_null x j))
           else js
         in
         Array.stable_sort
@@ -2638,26 +2999,43 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
       let chaving = Option.map (compile_agg_expr sc) s.A.having in
       let cprojs = List.map (fun p -> compile_agg_expr sc p.A.p_expr) projs in
       let cord = List.map (compile_agg_expr sc) order_exprs in
-      fun _ d sel push cur_est ->
+      fun src d sel push cur_est ->
         let ckeys = List.map (fun c -> c d) ckeys in
-        (* hashed grouping over selection-vector indices, groups kept in
-           first-encounter order *)
-        let groups : int array list =
-          if s.A.group_by = [] then [ sel ]
-          else
-            split_groups sel
-              (key_slots ~partition:false ckeys (Option.map d.col plain_key))
+        (* group ids once per surviving row, groups in first-encounter
+           order; the scalar aggregate is one group *)
+        let gr =
+          if s.A.group_by = [] then
+            {
+              sel;
+              gid = [| 0 |];
+              mask = 0;
+              ng = 1;
+              first = [| (if Array.length sel = 0 then -1 else sel.(0)) |];
+              ident = src.all;
+              vecs = [];
+            }
+          else begin
+            let gid, ng =
+              group_ids ~partition:false ckeys (Option.map d.col plain_key) sel
+            in
+            let first = Array.make ng (-1) in
+            for t = Array.length sel - 1 downto 0 do
+              first.(gid.(t)) <- sel.(t)
+            done;
+            { sel; gid; mask = -1; ng; first; ident = src.all; vecs = [] }
+          end
         in
         let groups =
           match chaving with
-          | None -> groups
+          | None -> Array.init gr.ng Fun.id
           | Some ch ->
-              let ch = ch d in
-              List.filter (fun g -> Value.is_true (ch g)) groups
+              let ch = ch d gr in
+              List.init gr.ng Fun.id
+              |> List.filter (fun g -> Value.is_true (ch g))
+              |> Array.of_list
         in
-        let groups = Array.of_list groups in
         let ng = Array.length groups in
-        let cprojs = Array.of_list (List.map (fun c -> c d) cprojs) in
+        let cprojs = Array.of_list (List.map (fun c -> c d gr) cprojs) in
         (* row-major, so errors surface in row order: every projection
            of a group, then the next group; the sort keys after all of
            them *)
@@ -2665,7 +3043,7 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
         Array.iteri
           (fun gi g -> Array.iteri (fun k cp -> vals.(k).(gi) <- cp g) cprojs)
           groups;
-        let cord = List.map (fun c -> c d) cord in
+        let cord = List.map (fun c -> c d gr) cord in
         let keys = Array.map (fun g -> List.map (fun ck -> ck g) cord) groups in
         push ~op:"vector_hash_agg"
           ~detail:
