@@ -33,10 +33,3 @@ let table ?(keys = []) ?order_col ?(temp = false) name columns =
     tbl_order_col = order_col;
     tbl_temp = temp;
   }
-
-let find_column (t : table_def) name =
-  List.find_opt
-    (fun c -> String.lowercase_ascii c.col_name = String.lowercase_ascii name)
-    t.tbl_columns
-
-let column_names (t : table_def) = List.map (fun c -> c.col_name) t.tbl_columns

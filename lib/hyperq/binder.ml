@@ -191,11 +191,6 @@ let agg_map =
     ("all", "bool_and"); ("any", "bool_or");
   ]
 
-(* uniform (vector) verbs translate to window functions over the implicit
-   order column *)
-let uniform_verbs =
-  [ "sums"; "maxs"; "mins"; "deltas"; "ratios"; "prev"; "next"; "fills" ]
-
 let scalar_fun_map =
   [
     ("neg", `Neg); ("abs", `Fun "abs"); ("sqrt", `Fun "sqrt");

@@ -14,7 +14,6 @@ let type_err fmt = q_error "type" fmt
 let length_err fmt = q_error "length" fmt
 let rank_err fmt = q_error "rank" fmt
 let value_err fmt = q_error "value" fmt
-let domain_err fmt = q_error "domain" fmt
 
 let to_string = function
   | Q_error { tag; detail } -> Printf.sprintf "'%s (%s)" tag detail

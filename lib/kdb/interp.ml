@@ -1008,6 +1008,3 @@ let eval_string env (src : string) : Value.t =
   | Prim name -> Value.string_ name
   | Derived _ -> Value.string_ "<derived function>"
   | Projection _ -> Value.string_ "<projection>"
-
-(** Evaluate and discard (for definitions). *)
-let exec_string env (src : string) : unit = ignore (eval_string_rt env src)

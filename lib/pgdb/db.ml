@@ -104,9 +104,9 @@ let refresh_catalog (db : t) =
                 :: !rows)
             tbl.Storage.def.S.tbl_columns)
       db.tables;
-    let cat = Storage.create catalog_def in
-    Storage.insert cat (List.rev !rows);
-    Hashtbl.replace db.tables catalog_table_name cat;
+    Hashtbl.replace db.tables catalog_table_name
+      (Storage.create catalog_def
+         (Batch.of_rows ~width:6 (Array.of_list (List.rev !rows))));
     db.catalog_dirty <- false
   end
 
@@ -138,7 +138,7 @@ let resolve (sess : session) (name : string) : Vexec.relation =
             })
           tbl.Storage.def.S.tbl_columns
       in
-      Vexec.Table (bindings, fun () -> Storage.batch_of tbl)
+      Vexec.Table (bindings, tbl.Storage.batch)
   | None -> (
       match Hashtbl.find_opt sess.db.views lname with
       | Some view -> (
@@ -163,9 +163,11 @@ let table_exists sess name =
   || Hashtbl.mem sess.db.tables lname
   || Hashtbl.mem sess.db.views lname
 
-let def_of_result name temp (res : Exec.result) : S.table_def =
-  S.table ~temp name
-    (List.map (fun (n, ty) -> S.column n ty) res.Exec.res_cols)
+let table_of_result name temp (res : Exec.result) : Storage.table =
+  Storage.create
+    (S.table ~temp name
+       (List.map (fun (n, ty) -> S.column n ty) res.Exec.res_cols))
+    (Batch.of_rows ~width:(List.length res.Exec.res_cols) res.Exec.res_rows)
 
 (** Execute one parsed statement. *)
 let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
@@ -181,7 +183,7 @@ let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
         S.table ~temp:ct_temp lname
           (List.map (fun c -> S.column c.A.cd_name c.A.cd_type) ct_cols)
       in
-      let tbl = Storage.create def in
+      let tbl = Storage.create def (Batch.empty ~width:(List.length ct_cols)) in
       if ct_temp then Hashtbl.replace sess.temps lname tbl
       else begin
         Hashtbl.replace sess.db.tables lname tbl;
@@ -193,8 +195,7 @@ let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
       if table_exists sess lname then
         Errors.duplicate_table "relation %s already exists" cta_name;
       let res = run_select sess cta_query in
-      let tbl = Storage.create (def_of_result lname cta_temp res) in
-      Storage.insert tbl (Array.to_list res.Exec.res_rows);
+      let tbl = table_of_result lname cta_temp res in
       if cta_temp then Hashtbl.replace sess.temps lname tbl
       else begin
         Hashtbl.replace sess.db.tables lname tbl;
@@ -232,7 +233,7 @@ let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
             ins_cols
       in
       let typed_rows =
-        List.map
+        Array.map
           (fun lits ->
             let row = Array.make width Value.Null in
             List.iteri
@@ -251,9 +252,9 @@ let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
                 | None -> ())
               lits;
             row)
-          rows
+          (Array.of_list rows)
       in
-      Storage.insert tbl typed_rows;
+      tbl.Storage.batch <- Batch.append tbl.Storage.batch typed_rows;
       Complete (Printf.sprintf "INSERT 0 %d" (List.length rows))
   | A.DropTable { if_exists; name } ->
       let lname = String.lowercase_ascii name in
@@ -429,14 +430,19 @@ let prepare (db : t) (sql : string) : A.stmt option =
 (* ------------------------------------------------------------------ *)
 
 (** Create (or replace) a permanent table with the given definition and
-    rows, bypassing SQL — the paper assumes data is loaded into the backend
-    independently. *)
-let load_table (db : t) (def : S.table_def) (rows : Value.t array list) =
+    columns, bypassing SQL — the paper assumes data is loaded into the
+    backend independently. The batch is never written, so several
+    databases may share it. *)
+let add_table (db : t) (def : S.table_def) (batch : Batch.t) =
   let lname = String.lowercase_ascii def.S.tbl_name in
-  let tbl = Storage.create { def with S.tbl_name = lname } in
-  Storage.insert tbl rows;
-  Hashtbl.replace db.tables lname tbl;
+  Hashtbl.replace db.tables lname
+    (Storage.create { def with S.tbl_name = lname } batch);
   invalidate_catalog db
+
+(** {!add_table} over row-major rows, pivoted once. *)
+let load_table (db : t) (def : S.table_def) (rows : Value.t array list) =
+  add_table db def
+    (Batch.of_rows ~width:(List.length def.S.tbl_columns) (Array.of_list rows))
 
 let describe_table (sess : session) (name : string) : S.table_def option =
   let lname = String.lowercase_ascii name in

@@ -13,6 +13,7 @@ let undefined_function fmt = error "42883" fmt
 let type_mismatch fmt = error "42804" fmt
 let division_by_zero fmt = error "22012" fmt
 let datetime_overflow fmt = error "22008" fmt
+let invalid_text_representation fmt = error "22P02" fmt
 let duplicate_table fmt = error "42P07" fmt
 let feature_not_supported fmt = error "0A000" fmt
 let invalid_object_definition fmt = error "42P17" fmt

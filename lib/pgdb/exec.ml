@@ -471,19 +471,25 @@ let lit_of (v : Value.t) : A.lit =
 (* Group keys                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** A hashable normalization of a grouping value: two values land in the
-    same class exactly when {!Value.compare_total} calls them equal —
-    all the numeric-ish types (int/float/bool/date/time/timestamp)
-    compare through [to_float], so they normalize to one float; [nan]
-    and [-0.0] are canonicalized because [Hashtbl]'s structural equality
-    would otherwise split classes ([nan <> nan]) or hashes
-    ([-0.0] vs [0.0]). *)
-type gkey = GNull | GStr of string | GNum of float | GNan
+(** A hashable normalization of a grouping value: two values of one
+    kind land in the same class exactly when {!Value.compare_total}
+    calls them equal. The numeric-ish types (int/float/bool/date/time/
+    timestamp) compare through [to_float], so they normalize to one
+    float, except an int or timestamp beyond ±2^53: float would merge
+    distinct ones, which compare_total compares exactly, so it keeps its
+    payload. [nan] and [-0.0] are canonicalized because [Hashtbl]'s
+    structural equality would otherwise split classes ([nan <> nan]) or
+    hashes ([-0.0] vs [0.0]). *)
+type gkey = GNull | GStr of string | GNum of float | GNan | GBig of int64
 
 let gkey_of (v : Value.t) : gkey =
   match v with
   | Value.Null -> GNull
   | Value.Str s -> GStr s
+  | (Value.Int x | Value.Timestamp x)
+    when Int64.compare x 9007199254740992L > 0
+         || Int64.compare x (-9007199254740992L) < 0 ->
+      GBig x
   | v -> (
       match Value.to_float v with
       | Some f ->

@@ -47,10 +47,6 @@ let top_operator (n : node) : node =
     (fun best (_, m) -> if m.self_ns > best.self_ns then m else best)
     n (flatten n)
 
-let top_operator_label (n : node) : string =
-  let t = top_operator n in
-  if t.detail = "" then t.op else t.op ^ "(" ^ t.detail ^ ")"
-
 (** Classic q-error: max(est/actual, actual/est), both clamped to >= 1 so
     empty results do not divide by zero. Always >= 1.0; 1.0 is a perfect
     estimate. *)

@@ -73,9 +73,6 @@ let type_name st : Catalog.Sqltype.t =
 
 let agg_names = [ "sum"; "avg"; "min"; "max"; "count"; "stddev"; "stddev_pop"; "variance"; "var_pop"; "median"; "first"; "last"; "bool_and"; "bool_or"; "string_agg" ]
 
-let window_fn_names =
-  [ "row_number"; "rank"; "dense_rank"; "lag"; "lead"; "first_value"; "last_value"; "ntile" ]
-
 let rec parse_expr st : A.expr = parse_or st
 
 and parse_or st =

@@ -1,32 +1,11 @@
-(** Row storage for the pgdb backend. *)
+(** Table storage for the pgdb backend: a table is its definition and
+    its typed columns ({!Batch}), held once. A mutation swaps in a new
+    batch. *)
 
-type table = {
-  mutable def : Catalog.Schema.table_def;
-  mutable rows : Value.t array array;
-  (* columnar pivot of [rows], built lazily by the vectorized executor
-     and dropped on any mutation *)
-  mutable batch : Batch.t option;
-}
+type table = { def : Catalog.Schema.table_def; mutable batch : Batch.t }
 
-let create def = { def; rows = [||]; batch = None }
-
-let insert (t : table) (new_rows : Value.t array list) =
-  t.rows <- Array.append t.rows (Array.of_list new_rows);
-  t.batch <- None
-
-let batch_of (t : table) : Batch.t =
-  match t.batch with
-  | Some b when b.Batch.nrows = Array.length t.rows -> b
-  | _ ->
-      let b =
-        Batch.of_rows
-          ~width:(List.length t.def.Catalog.Schema.tbl_columns)
-          t.rows
-      in
-      t.batch <- Some b;
-      b
-
-let row_count t = Array.length t.rows
+let create def batch = { def; batch }
+let row_count t = t.batch.Batch.nrows
 
 let column_index (t : table) name =
   let cols = t.def.Catalog.Schema.tbl_columns in

@@ -425,8 +425,18 @@ let of_text (ty : Catalog.Sqltype.t) (s : string) : t =
   let n = String.length s in
   match ty with
   | Catalog.Sqltype.TBool -> Bool (s = "t" || s = "true" || s = "TRUE" || s = "1")
-  | Catalog.Sqltype.TBigint -> Int (Int64.of_string s)
-  | Catalog.Sqltype.TDouble -> Float (float_of_string s)
+  | Catalog.Sqltype.TBigint -> (
+      match Int64.of_string_opt s with
+      | Some i -> Int i
+      | None ->
+          Errors.invalid_text_representation
+            "invalid input syntax for type bigint: \"%s\"" s)
+  | Catalog.Sqltype.TDouble -> (
+      match float_of_string_opt s with
+      | Some f -> Float f
+      | None ->
+          Errors.invalid_text_representation
+            "invalid input syntax for type double precision: \"%s\"" s)
   | Catalog.Sqltype.TVarchar | Catalog.Sqltype.TText -> Str s
   | Catalog.Sqltype.TDate -> Date (date_text s 0 n)
   | Catalog.Sqltype.TTime -> Time (clock_text ~places:3 s 0 n)

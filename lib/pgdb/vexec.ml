@@ -1477,12 +1477,6 @@ module StrTbl = Batch.StrTbl
 module IntTbl = Hashtbl.Make (Int64)
 module FloatTbl = Hashtbl.Make (Float)
 
-(* a hashable PARTITION BY value, equal exactly when compare_total calls
-   two values of one kind (constructor) equal. gkey compares numbers
-   through float, which would merge distinct int64s beyond 2^53
-   (nanosecond timestamps), so those keep their payload. *)
-type pkey = PG of Exec.gkey | PBig of int64
-
 (* a PARTITION BY key position holding values of two kinds, where
    compare_total may raise (text against a number) or stop being an
    equivalence: [compare_partitions] decides instead *)
@@ -1498,26 +1492,16 @@ let kind_of : Value.t -> int = function
   | Value.Time _ -> 5
   | Value.Timestamp _ -> 6
 
-let pkey_of (v : Value.t) : pkey =
-  match v with
-  | (Value.Int x | Value.Timestamp x)
-    when Int64.compare x 9007199254740992L > 0
-         || Int64.compare x (-9007199254740992L) < 0 ->
-      PBig x
-  | v -> PG (Exec.gkey_of v)
-
 (* The group id of each row of [sel], ids handed out in first-encounter
-   order, and the number of groups. For GROUP BY ([~partition:false])
-   rows share an id exactly when Exec.gkey_of maps their keys alike;
-   for a window's PARTITION BY, when compare_total calls them equal
-   ([pkey]). One plain text column maps each dictionary code to its id
-   in one loop through an array indexed by code (distinct codes are
-   distinct strings); one plain int or float column hashes its payload
-   under that equivalence — floats with Float.equal (merging NaNs and
-   -0.0/0.0 as both do), ints by float value for grouping and exactly
-   for partitions. NULLs share one id. Anything else hashes the key
-   list, and for partitions raises [Mixed_keys] when a key position
-   meets a second kind. *)
+   order, and the number of groups: rows share an id exactly when
+   Exec.gkey_of maps their keys alike. One plain text column maps each
+   dictionary code to its id in one loop through an array indexed by
+   code (distinct codes are distinct strings); one plain int or float
+   column hashes its payload under that equivalence — floats with
+   Float.equal (merging NaNs and -0.0/0.0 as gkey does), ints exactly.
+   NULLs share one id. Anything else hashes the key list, and for a
+   window's PARTITION BY ([~partition:true]) raises [Mixed_keys] when a
+   key position meets a second kind. *)
 let group_ids ~(partition : bool) (keys : cexpr list)
     (col : Batch.column option) (sel : Batch.sel) : int array * int =
   let next = ref 0 in
@@ -1570,22 +1554,19 @@ let group_ids ~(partition : bool) (keys : cexpr list)
       done;
       (gid, !next)
   | Some ({ Batch.data = Batch.DInt a; _ } as c) ->
-      if partition then by (typed (module IntTbl) c (fun i -> a.(i)))
-      else by (typed (module FloatTbl) c (fun i -> Int64.to_float a.(i)))
+      by (typed (module IntTbl) c (fun i -> a.(i)))
   | Some ({ Batch.data = Batch.DFloat a; _ } as c) ->
       by (typed (module FloatTbl) c (fun i -> a.(i)))
   | _ ->
-      let tbl : (pkey list, int) Hashtbl.t = Hashtbl.create 64 in
+      let tbl : (Exec.gkey list, int) Hashtbl.t = Hashtbl.create 64 in
       let kinds = Array.make (List.length keys) (-1) in
       let key pos v =
-        if partition then begin
-          let k = kind_of v in
-          if k >= 0 then
-            if kinds.(pos) < 0 then kinds.(pos) <- k
-            else if kinds.(pos) <> k then raise Mixed_keys;
-          pkey_of v
-        end
-        else PG (Exec.gkey_of v)
+        (if partition then
+           let k = kind_of v in
+           if k >= 0 then
+             if kinds.(pos) < 0 then kinds.(pos) <- k
+             else if kinds.(pos) <> k then raise Mixed_keys);
+        Exec.gkey_of v
       in
       by (fun i ->
           let k = List.mapi (fun pos ce -> key pos (ce i)) keys in
@@ -2098,8 +2079,8 @@ let plan_window_top (sc : scope) (w : A.expr) (k : int) :
    table gathers a column only when something downstream reads it, so a
    join against a 513-column table moves the handful of columns the
    query names (late materialization). [values] composes the index
-   vectors down to the base table and shares its boxed values, so an
-   output column is never boxed twice. *)
+   vectors down to the base table and boxes each output cell once from
+   its typed column. *)
 type source = {
   nrows : int;
   all : Batch.sel;
@@ -2420,8 +2401,8 @@ let select_windows (projs : A.proj list) (s : A.select) : A.expr list =
 
 (* what a relation name resolves to *)
 type relation =
-  | Table of Exec.binding list * (unit -> Batch.t)
-      (** unqualified bindings and the cached columnar pivot *)
+  | Table of Exec.binding list * Batch.t
+      (** unqualified bindings and the table's columns *)
   | View of A.select
 
 (* resolves a relation name, raising undefined_table for unknown ones *)
@@ -2640,7 +2621,7 @@ let asof_shape (bindings : Exec.binding list) (nl : int) (w : A.expr)
       | _ -> None)
   | _ -> None
 
-(* Lower a FROM tree. Base tables resolve to their cached batches;
+(* Lower a FROM tree. Base tables resolve to their batches;
    views and derived tables plan their SELECT with the same lowering
    and feed its output as a source; UNION ALL concatenates its
    branches. A join with equality conjuncts in ON hashes on them; any
@@ -2665,7 +2646,7 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
           plan_derived ~limits:[] ~resolve ~collect
             ~expanding:(lname :: expanding) sel
             (Option.value alias ~default:name)
-      | Table (base_bindings, batch) ->
+      | Table (base_bindings, b) ->
           let qual = Some (Option.value alias ~default:name) in
           let bindings =
             List.map (fun b -> { b with Exec.b_qual = qual }) base_bindings
@@ -2674,7 +2655,6 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
             fp_bindings = bindings;
             fp_run =
               (fun () ->
-                let b = batch () in
                 let n = b.Batch.nrows in
                 let node =
                   if collect then
@@ -2683,16 +2663,11 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
                          ~rows_in:n ~rows_out:n ~self_ns:0L ~children:[])
                   else None
                 in
-                let values j idx =
-                  Array.map
-                    (fun i -> if i < 0 then Value.Null else b.Batch.rows.(i).(j))
-                    idx
-                in
                 ( {
                     nrows = n;
                     all = b.Batch.all;
                     column = Array.get b.Batch.cols;
-                    values;
+                    values = (fun j -> Batch.values b.Batch.cols.(j));
                   },
                   bindings,
                   node ));

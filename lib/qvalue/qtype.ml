@@ -70,10 +70,6 @@ let is_numeric = function
   | Bool | Long | Float -> true
   | Char | Sym | Date | Time | Timestamp -> false
 
-let is_temporal = function
-  | Date | Time | Timestamp -> true
-  | Bool | Long | Float | Char | Sym -> false
-
 (** Numeric promotion used by arithmetic verbs: [Bool < Long < Float].
     Temporal types promote against [Long] to themselves (date shifting). *)
 let promote a b =

@@ -95,6 +95,26 @@ let shard_obs (obs : Obs.Ctx.t) : Obs.Ctx.t =
     ~slo:obs.Obs.Ctx.slo ~explain:obs.Obs.Ctx.explain
     ~runtime:obs.Obs.Ctx.runtime ()
 
+(* the rows of [c], an [nrows]-row distribution column, that each shard
+   owns: one ascending selection per shard. A text key hashes each
+   dictionary entry once. *)
+let shard_selections (map : Shardmap.t) (c : Pgdb.Batch.column) (nrows : int)
+    : Pgdb.Batch.sel array =
+  let of_value = Shardmap.shard_of_value map in
+  let owner =
+    match c.Pgdb.Batch.data with
+    | Pgdb.Batch.DStr { codes; dict } ->
+        let by_code = Array.map (fun s -> of_value (Pgdb.Value.Str s)) dict in
+        let null = of_value Pgdb.Value.Null in
+        fun i -> if Pgdb.Batch.is_null c i then null else by_code.(codes.(i))
+    | _ -> fun i -> of_value (Pgdb.Batch.value_at c i)
+  in
+  let sels = Array.make (Shardmap.shards map) [] in
+  for i = nrows - 1 downto 0 do
+    sels.(owner i) <- i :: sels.(owner i)
+  done;
+  Array.map Array.of_list sels
+
 let create ?(distributions = default_distributions) ?workers ~shards
     ?(make_backend =
       fun ~shard_id:_ ~obs:_ session -> B.of_pgdb_session session)
@@ -112,7 +132,7 @@ let create ?(distributions = default_distributions) ?workers ~shards
   List.iter
     (fun (name, (tbl : Pgdb.Storage.table)) ->
       let def = tbl.Pgdb.Storage.def in
-      let rows = tbl.Pgdb.Storage.rows in
+      let (b : Pgdb.Batch.t) = tbl.Pgdb.Storage.batch in
       let dist_idx =
         match Shardmap.distribution_of map name with
         | None -> None
@@ -127,19 +147,18 @@ let create ?(distributions = default_distributions) ?workers ~shards
       in
       match dist_idx with
       | Some ci ->
-          let buckets = Array.make shards [] in
-          (* iterate backwards so each bucket comes out in row order *)
-          for r = Array.length rows - 1 downto 0 do
-            let s = Shardmap.shard_of_value map rows.(r).(ci) in
-            buckets.(s) <- rows.(r) :: buckets.(s)
-          done;
+          let sels = shard_selections map b.cols.(ci) b.nrows in
           Array.iteri
-            (fun s sdb -> Pgdb.Db.load_table sdb def buckets.(s))
+            (fun s sdb ->
+              Pgdb.Db.add_table sdb def
+                (Pgdb.Batch.of_columns (Array.length sels.(s))
+                   (Array.map (fun c -> Pgdb.Batch.compact c sels.(s)) b.cols)))
             shard_dbs
       | None ->
+          (* the coordinator's batch is never written: every shard
+             shares it *)
           Shardmap.add_replicated map name;
-          let all = Array.to_list rows in
-          Array.iter (fun sdb -> Pgdb.Db.load_table sdb def all) shard_dbs)
+          Array.iter (fun sdb -> Pgdb.Db.add_table sdb def b) shard_dbs)
     tables;
   let reg = obs.Obs.Ctx.registry in
   let mk_shard i sdb =
@@ -602,7 +621,7 @@ let shards_info (t : t) : shard_info list =
            List.fold_left
              (fun acc name ->
                match Hashtbl.find_opt sh.s_db.Pgdb.Db.tables name with
-               | Some tbl -> acc + Array.length tbl.Pgdb.Storage.rows
+               | Some tbl -> acc + Pgdb.Storage.row_count tbl
                | None -> acc)
              0 tables
          in

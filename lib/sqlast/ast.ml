@@ -355,5 +355,3 @@ let stmt_str = function
       Printf.sprintf "DROP VIEW %s%s"
         (if if_exists then "IF EXISTS " else "")
         (quote_ident name)
-
-let pp_stmt ppf s = Format.pp_print_string ppf (stmt_str s)

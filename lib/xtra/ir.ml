@@ -300,17 +300,7 @@ let rec scalar_cols (s : scalar) : string list =
       @ List.concat_map scalar_cols partition
       @ List.concat_map (fun (e, _) -> scalar_cols e) order
 
-let rec contains_eq2 (s : scalar) : bool =
-  let found = ref false in
-  ignore
-    (map_scalar
-       (fun s' ->
-         (match s' with Eq2 _ | Neq2 _ -> found := true | _ -> ());
-         s')
-       s);
-  !found
-
-and rel_map_scalars (f : scalar -> scalar) (r : rel) : rel =
+let rec rel_map_scalars (f : scalar -> scalar) (r : rel) : rel =
   let rm = rel_map_scalars f in
   match r with
   | Get _ | ConstRel _ -> r

@@ -886,7 +886,7 @@ let rec resolve (sess : Db.session) (name : string) : rowset =
               b_type = Some c.Catalog.Schema.col_type;
             })
           tbl.Storage.def.Catalog.Schema.tbl_columns;
-      rows = tbl.Storage.rows;
+      rows = Stored.rows tbl;
     }
   in
   match Hashtbl.find_opt sess.Db.temps lname with

@@ -1,0 +1,24 @@
+(* Test-side views of the tables a pgdb database stores. pgdb keeps a
+   table only as its typed columns, so the row view the reference
+   interpreter scans, and the tests that shuffle or count stored rows
+   read, is built here from them. *)
+
+module Batch = Pgdb.Batch
+
+(* the table's rows, boxed from its columns *)
+let rows (tbl : Pgdb.Storage.table) : Pgdb.Value.t array array =
+  let b = tbl.Pgdb.Storage.batch in
+  Array.init b.Batch.nrows (fun i ->
+      Array.map (fun c -> Batch.value_at c i) b.Batch.cols)
+
+(* every table of [db] still holds the identity selection its batch was
+   built with: no kernel sorted or wrote a selection in place. A
+   replicated table's batch is shared by every shard database, so a
+   write on one shard's domain would race with every other shard. *)
+let check_identity_selections (db : Pgdb.Db.t) =
+  Hashtbl.iter
+    (fun name (tbl : Pgdb.Storage.table) ->
+      let b = tbl.Pgdb.Storage.batch in
+      if b.Batch.all <> Array.init b.Batch.nrows Fun.id then
+        Alcotest.failf "identity selection of %s was written to" name)
+    db.Pgdb.Db.tables

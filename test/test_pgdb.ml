@@ -453,9 +453,21 @@ let test_errors () =
   (match Db.exec sess "SELECT 1 +" with
   | exception Pgdb.Errors.Sql_error { code = "42601"; _ } -> ()
   | _ -> Alcotest.fail "syntax error should raise");
-  match Db.exec sess "SELECT 1/0" with
+  (match Db.exec sess "SELECT 1/0" with
   | exception Pgdb.Errors.Sql_error { code = "22012"; _ } -> ()
-  | _ -> Alcotest.fail "division by zero should raise"
+  | _ -> Alcotest.fail "division by zero should raise");
+  List.iter
+    (fun (sql, message) ->
+      match Db.exec sess sql with
+      | exception Pgdb.Errors.Sql_error { code = "22P02"; message = m } ->
+          check tstr sql message m
+      | _ -> Alcotest.failf "%s should raise 22P02" sql)
+    [
+      ( "SELECT CAST('x' AS bigint)",
+        "invalid input syntax for type bigint: \"x\"" );
+      ( "SELECT CAST('1.5x' AS double precision)",
+        "invalid input syntax for type double precision: \"1.5x\"" );
+    ]
 
 let test_case_and_cast () =
   let sess = fixture () in

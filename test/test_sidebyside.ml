@@ -71,7 +71,7 @@ let permuted_db (d : MD.dataset) : Pgdb.Db.t =
   List.iter
     (fun name ->
       let t = Hashtbl.find db.Pgdb.Db.tables name in
-      let rows = Array.copy t.Pgdb.Storage.rows in
+      let rows = Stored.rows t in
       for i = Array.length rows - 1 downto 1 do
         let j = Random.State.int rng (i + 1) in
         let x = rows.(i) in
@@ -114,7 +114,7 @@ let test_storage_is_permuted () =
   let p = Lazy.force permuted in
   List.iter
     (fun name ->
-      let rows = (Hashtbl.find p.db.Pgdb.Db.tables name).Pgdb.Storage.rows in
+      let rows = Stored.rows (Hashtbl.find p.db.Pgdb.Db.tables name) in
       let ord i = rows.(i).(0) in
       Alcotest.(check bool)
         (name ^ " rows are out of hq_ord order")
