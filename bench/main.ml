@@ -336,14 +336,21 @@ let bench_protocol () =
                ("qty", Qvalue.Value.longs (Array.init n (fun i -> i)));
              ])
       in
-      (* the same rows as pgdb hands the wire server *)
-      let rows =
-        Array.init n (fun i ->
+      (* the same result as pgdb hands the wire server: typed columns *)
+      let result =
+        {
+          Pgdb.Exec.res_cols =
+            Catalog.Sqltype.[ ("sym", TVarchar); ("px", TDouble); ("qty", TBigint) ];
+          res_nrows = n;
+          res_columns =
             [|
-              Pgdb.Value.Str (Printf.sprintf "S%03d" (i mod 500));
-              Pgdb.Value.Float (float_of_int i *. 0.01);
-              Pgdb.Value.Int (Int64.of_int i);
-            |])
+              Pgdb.Batch.column_init n (fun i ->
+                  Pgdb.Value.Str (Printf.sprintf "S%03d" (i mod 500)));
+              Pgdb.Batch.column_init n (fun i ->
+                  Pgdb.Value.Float (float_of_int i *. 0.01));
+              Pgdb.Batch.column_init n (fun i -> Pgdb.Value.Int (Int64.of_int i));
+            |];
+        }
       in
       let t0 = now () in
       let qipc_bytes =
@@ -354,18 +361,9 @@ let bench_protocol () =
       (* the row stream the Gateway reads: binary cells, one DataRow per row *)
       let t1 = now () in
       let buf = Buffer.create (n * 32) in
-      Pgwire.Codec.add_backend buf
-        (Pgwire.Codec.RowDescription
-           (List.map
-              (fun (fd_name, fd_type_oid) ->
-                { Pgwire.Codec.fd_name; fd_type_oid; fd_format = Pgwire.Codec.Binary })
-              [ ("sym", 1043); ("px", 701); ("qty", 20) ]));
-      let body = Buffer.create 64 and scratch = Buffer.create 16 in
-      Array.iter
-        (Pgwire.Codec.add_data_row buf ~body ~scratch (fun b _ v ->
-             Pgdb.Value.add_binary b v;
-             true))
-        rows;
+      let binary = Array.make 3 Pgwire.Codec.Binary in
+      Pgwire.Codec.add_backend buf (Pgwire.Server.row_description result binary);
+      Pgwire.Server.data_rows buf result binary;
       let pg_ms = (now () -. t1) *. 1000.0 in
       Printf.printf "%-10d %14d %14.2f %14d %14.2f\n%!" n
         (String.length qipc_bytes) qipc_ms (Buffer.length buf) pg_ms)

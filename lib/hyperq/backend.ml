@@ -6,12 +6,13 @@
     exist — a direct in-process pgdb session, and the wire-level gateway in
     {!Platform} that round-trips every request through real PG v3 bytes. *)
 
-type result = {
-  cols : (string * Catalog.Sqltype.t) list;
-  rows : Pgdb.Value.t array array;
-      (** row-major cells, one array of [List.length cols] values per
-          row. On the wire path these are the decoded PG v3 DataRows;
-          the engine's Q pivot walks them once per column. *)
+(** A result set: pgdb's own column-major result. On the wire path the
+    client rebuilds its typed columns from the PG v3 DataRows; the
+    engine's Q pivot reads each column once. *)
+type result = Pgdb.Exec.result = {
+  res_cols : (string * Catalog.Sqltype.t) list;
+  res_nrows : int;
+  res_columns : Pgdb.Batch.column array;
 }
 
 type reply = Result_set of result | Command_ok of string
@@ -85,11 +86,7 @@ let with_dispatch_latency (seconds : float) (b : t) : t =
 let of_pgdb_session (sess : Pgdb.Db.session) : t =
   let exec sql =
     match Pgdb.Db.exec sess sql with
-    | Pgdb.Db.Rows (res, tag) ->
-        ignore tag;
-        Ok
-          (Result_set
-             { cols = res.Pgdb.Exec.res_cols; rows = res.Pgdb.Exec.res_rows })
+    | Pgdb.Db.Rows (res, _) -> Ok (Result_set res)
     | Pgdb.Db.Complete tag -> Ok (Command_ok tag)
     | exception Pgdb.Errors.Sql_error { code; message } ->
         Error (Printf.sprintf "%s: %s" code message)

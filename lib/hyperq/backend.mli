@@ -4,12 +4,13 @@
     Implementations: {!of_pgdb_session} (direct, in-process) and
     [Platform.Gateway.wire_backend] (through real PG v3 bytes). *)
 
-type result = {
-  cols : (string * Catalog.Sqltype.t) list;
-  rows : Pgdb.Value.t array array;
-      (** row-major cells, one array of [List.length cols] values per
-          row — the only result representation; the engine's Q pivot
-          walks it once per column *)
+(** A result set: pgdb's own column-major result. On the wire path the
+    client rebuilds its typed columns from the PG v3 DataRows; the
+    engine's Q pivot reads each column once. *)
+type result = Pgdb.Exec.result = {
+  res_cols : (string * Catalog.Sqltype.t) list;
+  res_nrows : int;
+  res_columns : Pgdb.Batch.column array;
 }
 
 type reply = Result_set of result | Command_ok of string

@@ -26,8 +26,8 @@ let bind_error = I.bind_error
 (* Bound values                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Shape of a relational result, used to pivot backend rows into the Q
-    value the application expects. *)
+(** Shape of a relational result, used to pivot a backend result into
+    the Q value the application expects. *)
 type rshape =
   | RTable
   | RKeyed of string list  (** keyed table: key column names *)

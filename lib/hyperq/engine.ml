@@ -3,8 +3,8 @@
 
     Life cycle of a query: parse (lightweight Q parser) → algebrize (bind
     against scopes + MDI) → optimize (Xformer passes) → serialize (XTRA →
-    SQL text) → execute on the backend → pivot the row-oriented result into
-    the column-oriented Q value the application expects.
+    SQL text) → execute on the backend → pivot the result's typed columns
+    into the column-oriented Q value the application expects.
 
     Variable assignments trigger eager materialization (Section 4.3):
     logically — the definition is kept in the variable scope and inlined at
@@ -234,7 +234,7 @@ let make_ctx (t : t) : Binder.ctx =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Result pivot: row-oriented backend results -> Q values              *)
+(* Result pivot: typed result columns -> Q vectors                     *)
 (* ------------------------------------------------------------------ *)
 
 (* internal helper columns that must not reach the application: anything
@@ -245,30 +245,95 @@ let is_internal_col name =
   && String.unsafe_get name 1 = 'q'
   && String.unsafe_get name 2 = '_'
 
+module QA = Qvalue.Atom
+module QT = Qvalue.Qtype
+module Batch = Pgdb.Batch
+
+(* [Array.init n f] for atoms, starting from a static atom: OCaml's
+   [Array.make] runs a minor collection when an array too big for the
+   minor heap starts out holding a young value, as [f 0] is *)
+let init_atoms n (f : int -> QA.t) : QA.t array =
+  let a = Array.make n (QA.Null QT.Long) in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (f i)
+  done;
+  a
+
+(** The Q vector of a result column of SQL type [ty], [n] rows long,
+    read straight from its typed array. An int column becomes longs, or
+    the calendar type [ty] names; a float column floats; a text column
+    one atom per dictionary entry, shared by the rows that use it. A
+    boxed column (bool, calendar or mixed cells) goes atom by atom
+    through {!Typemap.atom_of_value}. The vector is what
+    {!QV.vector_of_atoms} makes of the same atoms: a NULL takes the
+    element type (bool and char have none: [0b], [" "]), an all-NULL
+    column is a long-null vector, mixed atoms a general list. An empty
+    column has the Q type of [ty], as kdb's does. *)
+let vector_of_column (ty : Ty.t) (n : int) (c : Batch.column) : QV.t =
+  let null = Batch.is_null c in
+  let rec any_value i = i < n && ((not (null i)) || any_value (i + 1)) in
+  (* a vector of [qt] whose non-NULL row [i] is [atom i] *)
+  let typed qt atom =
+    if not c.Batch.has_nulls then QV.Vector (qt, init_atoms n atom)
+    else if not (any_value 0) then
+      QV.Vector (QT.Long, Array.make n (QA.Null QT.Long))
+    else
+      let none =
+        match qt with
+        | QT.Bool -> QA.Bool false
+        | QT.Char -> QA.Char ' '
+        | qt -> QA.Null qt
+      in
+      QV.Vector (qt, init_atoms n (fun i -> if null i then none else atom i))
+  in
+  let boxed () =
+    QV.vector_of_atoms
+      (init_atoms n (fun i -> Typemap.atom_of_value ty (Batch.value_at c i)))
+  in
+  if n = 0 then QV.Vector (Typemap.qtype_of_sql ty, [||])
+  else
+    match c.Batch.data with
+    | Batch.DInt a -> (
+        match ty with
+        | Ty.TDate -> typed QT.Date (fun i -> QA.Date (Int64.to_int a.(i)))
+        | Ty.TTime -> typed QT.Time (fun i -> QA.Time (Int64.to_int a.(i)))
+        | Ty.TTimestamp -> typed QT.Timestamp (fun i -> QA.Timestamp a.(i))
+        | _ -> typed QT.Long (fun i -> QA.Long a.(i)))
+    | Batch.DFloat a -> typed QT.Float (fun i -> QA.Float a.(i))
+    | Batch.DStr { codes; dict } when Array.length dict <= n -> (
+        let atoms =
+          init_atoms (Array.length dict) (fun k ->
+              Typemap.atom_of_value ty (Pgdb.Value.Str dict.(k)))
+        in
+        let qt = QA.qtype atoms.(0) in
+        (* a text column mixes chars and symbols when its one-byte
+           strings are chars; the used entries then decide, row by row *)
+        if Array.for_all (fun a -> QT.equal (QA.qtype a) qt) atoms then
+          typed qt (fun i -> atoms.(codes.(i)))
+        else boxed ())
+    | Batch.DVal a -> (
+        (* the common case: every cell is of [ty]'s own Q type *)
+        let qt = Typemap.qtype_of_sql ty in
+        let atom i =
+          let x = Typemap.atom_of_value ty a.(i) in
+          if QT.equal (QA.qtype x) qt then x else raise Exit
+        in
+        try typed qt atom with Exit -> boxed ())
+    | Batch.DStr _ -> boxed ()
+
 let table_of_result (res : Backend.result) : QV.table =
-  let nrows = Array.length res.Backend.rows in
-  let ncols = List.length res.Backend.cols in
-  let rows = res.Backend.rows in
-  (* one up-front width check so the per-cell walk below can use unsafe
-     indexing — this is the pivot hot path, executed per result row *)
-  Array.iter
-    (fun row ->
-      if Array.length row <> ncols then
-        hq_error "pivot" "backend row has %d cells, expected %d"
-          (Array.length row) ncols)
-    rows;
+  let n = res.Backend.res_nrows in
+  if Array.length res.Backend.res_columns <> List.length res.Backend.res_cols
+  then
+    hq_error "pivot" "backend result has %d columns, expected %d"
+      (Array.length res.Backend.res_columns)
+      (List.length res.Backend.res_cols);
   let data = ref [] in
   List.iteri
     (fun j (name, ty) ->
-      if not (is_internal_col name) then begin
-        let conv = Typemap.atom_of_value ty in
-        let atoms =
-          Array.init nrows (fun i ->
-              conv (Array.unsafe_get (Array.unsafe_get rows i) j))
-        in
-        data := (name, QV.vector_of_atoms atoms) :: !data
-      end)
-    res.Backend.cols;
+      if not (is_internal_col name) then
+        data := (name, vector_of_column ty n res.Backend.res_columns.(j)) :: !data)
+    res.Backend.res_cols;
   QV.table (List.rev !data)
 
 let pivot (res : Backend.result) (shape : Binder.rshape) : QV.t =
@@ -290,7 +355,7 @@ let pivot (res : Backend.result) (shape : Binder.rshape) : QV.t =
       in
       QV.Dict (kcol, vcol)
   | Binder.RAtom ->
-      if Array.length res.Backend.rows = 0 then QV.List [||]
+      if res.Backend.res_nrows = 0 then QV.List [||]
       else QV.index (QV.Table tbl) 0 |> fun row ->
         (match row with
          | QV.Dict (_, vals) when QV.length vals = 1 -> QV.index vals 0
@@ -394,8 +459,11 @@ let execute_scalar (t : t) (s : I.scalar) : QV.t =
             hq_error "backend" "expected rows, got %s" tag
         | Error e -> hq_error "backend" "%s" e)
   in
-  match (res.Backend.cols, res.Backend.rows) with
-  | [ (_, ty) ], [| [| v |] |] -> QV.Atom (Typemap.atom_of_value ty v)
+  match (res.Backend.res_cols, res.Backend.res_nrows) with
+  | [ (_, ty) ], 1 ->
+      QV.Atom
+        (Typemap.atom_of_value ty
+           (Batch.value_at res.Backend.res_columns.(0) 0))
   | _ -> hq_error "backend" "scalar query returned a non-scalar result"
 
 let value_of_list (ls : (A.lit * Ty.t) list) : QV.t =

@@ -2,8 +2,8 @@
     (paper Figure 1).
 
     Parse → algebrize (binder + MDI) → optimize (Xformer) → serialize →
-    execute on the backend → pivot rows into the column-oriented Q value
-    the application expects. Assignments trigger eager materialization
+    execute on the backend → pivot the result's typed columns into the
+    column-oriented Q value the application expects. Assignments trigger eager materialization
     (Section 4.3), either logical (definitions inlined at use sites) or
     physical ([CREATE TEMPORARY TABLE HQ_TEMP_n AS ...]). *)
 

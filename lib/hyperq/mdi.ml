@@ -105,25 +105,26 @@ let fetch (t : t) (lname : string) : S.table_def option =
   | Error _ -> None
   | Ok (Backend.Command_ok _) -> None
   | Ok (Backend.Result_set res) ->
-      if Array.length res.Backend.rows = 0 then None
+      if res.Backend.res_nrows = 0 then None
       else
         let cols = ref [] and keys = ref [] and ordcol = ref None in
-        Array.iter
-          (fun row ->
-            match row with
-            | [| Pgdb.Value.Str cname; Pgdb.Value.Str tname; key; ord |] ->
+        let cell j i = Pgdb.Batch.value_at res.Backend.res_columns.(j) i in
+        if Array.length res.Backend.res_columns = 4 then
+          for i = 0 to res.Backend.res_nrows - 1 do
+            match (cell 0 i, cell 1 i) with
+            | Pgdb.Value.Str cname, Pgdb.Value.Str tname ->
                 let ty =
                   match Ty.of_name tname with Some ty -> ty | None -> Ty.TText
                 in
                 cols := S.column cname ty :: !cols;
-                (match key with
+                (match cell 2 i with
                 | Pgdb.Value.Bool true -> keys := cname :: !keys
                 | _ -> ());
-                (match ord with
+                (match cell 3 i with
                 | Pgdb.Value.Bool true -> ordcol := Some cname
                 | _ -> ())
-            | _ -> ())
-          res.Backend.rows;
+            | _ -> ()
+          done;
         Some
           (S.table ~keys:(List.rev !keys) ?order_col:!ordcol lname
              (List.rev !cols))

@@ -14,11 +14,13 @@
 
     Operators never copy rows to drop them: a selection vector (a dense
     [int array] of surviving row indices) narrows a batch, and
-    [compact] gathers a column through one only when a dense vector is
-    actually needed (e.g. to hand column values to the QIPC pivot).
-    Gathering a text column gathers its codes and shares its
-    dictionary. Each batch carries its identity selection, built once
-    here and shared read-only by every query that scans the batch. *)
+    [compact] or [gather] builds a dense column only when one is
+    actually needed: a derived table's, or a result's, which the wire
+    server encodes from and the wire client rebuilds with a {!builder}
+    for the Q pivot. Gathering a text column gathers its codes and
+    shares its dictionary. Each batch carries its identity selection,
+    built once here and shared read-only by every query that scans the
+    batch. *)
 
 type data =
   | DInt of int64 array
@@ -240,3 +242,210 @@ let gather (c : column) (idx : int array) : column =
     | DVal a -> DVal (pick a Value.Null)
   in
   { data; nulls = !nulls; has_nulls = !has_nulls }
+
+(** The rows of [parts] one after another, each part [(n, c)] the [n]
+    rows of a dense column [c]. Parts of one typed representation
+    concatenate their arrays, text merging its dictionaries; any other
+    mix is built again from its values, as {!column_of_values} would. *)
+let concat (parts : (int * column) list) : column =
+  let parts = List.filter (fun (n, _) -> n > 0) parts in
+  let total = List.fold_left (fun acc (n, _) -> acc + n) 0 parts in
+  let typed data =
+    if not (List.exists (fun (_, c) -> c.has_nulls) parts) then
+      { data; nulls = no_nulls; has_nulls = false }
+    else begin
+      let nulls = Bytes.make ((total + 7) / 8) '\000' in
+      ignore
+        (List.fold_left
+           (fun base (n, c) ->
+             for i = 0 to n - 1 do
+               if is_null c i then bit_set nulls (base + i)
+             done;
+             base + n)
+           0 parts);
+      { data; nulls; has_nulls = true }
+    end
+  in
+  (* every part's payload, when [pick] reads each part's representation *)
+  let every pick =
+    List.fold_right
+      (fun (_, c) acc ->
+        match (pick c.data, acc) with Some a, Some l -> Some (a :: l) | _ -> None)
+      parts (Some [])
+  in
+  match
+    ( every (function DInt a -> Some a | _ -> None),
+      every (function DFloat a -> Some a | _ -> None),
+      every (function DStr { codes; dict } -> Some (codes, dict) | _ -> None) )
+  with
+  | Some ints, _, _ -> typed (DInt (Array.concat ints))
+  | _, Some floats, _ -> typed (DFloat (Array.concat floats))
+  | _, _, Some texts ->
+      (* one dictionary: each part's codes mapped to the merged ones *)
+      let index = StrTbl.create 16 and dict = ref [] and nd = ref 0 in
+      let recode s =
+        match StrTbl.find_opt index s with
+        | Some c -> c
+        | None ->
+            let c = !nd in
+            StrTbl.add index s c;
+            dict := s :: !dict;
+            incr nd;
+            c
+      in
+      let codes =
+        List.map
+          (fun (codes, dict) ->
+            let map = Array.map recode dict in
+            Array.map (fun c -> map.(c)) codes)
+          texts
+      in
+      typed
+        (DStr
+           { codes = Array.concat codes; dict = Array.of_list (List.rev !dict) })
+  | None, None, None ->
+      column_of_values
+        (Array.concat (List.map (fun (n, c) -> Array.init n (value_at c)) parts))
+
+(* ------------------------------------------------------------------ *)
+(* Building a column cell by cell                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A text dictionary under construction: each distinct string once, in
+   first-encounter order, behind an open-addressing table of codes + 1
+   (0 is an empty slot). A string is looked up by its bytes in place,
+   so a repeated one allocates nothing. *)
+type strdict = {
+  mutable strs : string array;
+  mutable size : int;
+  mutable slots : int array;  (** a power of two, at most half full *)
+}
+
+let strdict () = { strs = Array.make 8 ""; size = 0; slots = Array.make 16 0 }
+
+(* FNV-1a over [s.[off..off+len)], in OCaml's 63-bit ints *)
+let hash_sub s off len =
+  let h = ref 0x4bf29ce484222325 in
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+  done;
+  !h land max_int
+
+(* whether [a.[i..)] equals [s.[off+i..off+len)]; every helper here
+   takes its context as arguments, so no lookup allocates a closure *)
+let rec equal_from (a : string) s off len i =
+  i = len
+  || String.unsafe_get a i = String.unsafe_get s (off + i)
+     && equal_from a s off len (i + 1)
+
+let rec place slots mask i code =
+  if Array.unsafe_get slots i = 0 then Array.unsafe_set slots i (code + 1)
+  else place slots mask ((i + 1) land mask) code
+
+(* add [s.[off..off+len)] as the next code, into the empty slot [i] *)
+let add_string (d : strdict) s off len i =
+  let c = d.size in
+  if c = Array.length d.strs then begin
+    let strs = Array.make (2 * c) "" in
+    Array.blit d.strs 0 strs 0 c;
+    d.strs <- strs
+  end;
+  d.strs.(c) <- String.sub s off len;
+  d.size <- c + 1;
+  Array.unsafe_set d.slots i (c + 1);
+  if 2 * d.size > Array.length d.slots then begin
+    let slots = Array.make (2 * Array.length d.slots) 0 in
+    let mask = Array.length slots - 1 in
+    for k = 0 to d.size - 1 do
+      let x = d.strs.(k) in
+      place slots mask (hash_sub x 0 (String.length x) land mask) k
+    done;
+    d.slots <- slots
+  end;
+  c
+
+let rec probe (d : strdict) s off len mask i =
+  let c = Array.unsafe_get d.slots i - 1 in
+  if c < 0 then add_string d s off len i
+  else
+    let a = Array.unsafe_get d.strs c in
+    if String.length a = len && equal_from a s off len 0 then c
+    else probe d s off len mask ((i + 1) land mask)
+
+(** The code of the string [s.[off..off+len)], added on first sight. *)
+let intern (d : strdict) (s : string) (off : int) (len : int) : int =
+  let mask = Array.length d.slots - 1 in
+  probe d s off len mask (hash_sub s off len land mask)
+
+(** A column's cells while it is built, at the builder's capacity. *)
+type cells =
+  | Ints of { mutable ints : int64 array }
+  | Floats of { mutable floats : float array }
+  | Texts of { mutable codes : int array; dict : strdict }
+  | Boxed of { mutable vals : Value.t array }
+
+(** A column built one cell at a time, for a reader that learns its rows
+    one by one (the PG v3 client). Its representation is chosen up
+    front; the caller writes row [r]'s cell straight into [cells], or
+    marks it with {!set_null}, for any [r] below [cap], and {!reserve}s
+    more rows first. *)
+type builder = {
+  cells : cells;
+  mutable cap : int;
+  mutable bits : Bytes.t;  (** the null bitmap; [no_nulls] until a null *)
+}
+
+let builder (kind : [ `Int | `Float | `Str | `Val ]) : builder =
+  let cells =
+    match kind with
+    | `Int -> Ints { ints = [||] }
+    | `Float -> Floats { floats = [||] }
+    | `Str -> Texts { codes = [||]; dict = strdict () }
+    | `Val -> Boxed { vals = [||] }
+  in
+  { cells; cap = 0; bits = no_nulls }
+
+let resize (type a) (a : a array) (n : int) (fill : a) : a array =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Stdlib.min n (Array.length a));
+  b
+
+(** Make room for [n] rows. *)
+let reserve (b : builder) (n : int) =
+  if n > b.cap then begin
+    (match b.cells with
+    | Ints c -> c.ints <- resize c.ints n 0L
+    | Floats c -> c.floats <- resize c.floats n 0.0
+    | Texts c -> c.codes <- resize c.codes n 0
+    | Boxed c -> c.vals <- resize c.vals n Value.Null);
+    if b.bits != no_nulls then begin
+      let bits = Bytes.make ((n + 7) / 8) '\000' in
+      Bytes.blit b.bits 0 bits 0 (Bytes.length b.bits);
+      b.bits <- bits
+    end;
+    b.cap <- n
+  end
+
+let set_null (b : builder) (r : int) =
+  if b.bits == no_nulls then b.bits <- Bytes.make ((b.cap + 7) / 8) '\000';
+  bit_set b.bits r
+
+(** The first [n] rows as a column. A text column's dictionary is never
+    empty: one with no string yet holds [""]. *)
+let finish (b : builder) (n : int) : column =
+  let fit a = if Array.length a = n then a else Array.sub a 0 n in
+  let data =
+    match b.cells with
+    | Ints c -> DInt (fit c.ints)
+    | Floats c -> DFloat (fit c.floats)
+    | Texts { codes; dict } ->
+        DStr
+          {
+            codes = fit codes;
+            dict =
+              (if dict.size = 0 then [| "" |]
+               else Array.sub dict.strs 0 dict.size);
+          }
+    | Boxed c -> DVal (fit c.vals)
+  in
+  { data; nulls = b.bits; has_nulls = b.bits != no_nulls }

@@ -167,14 +167,14 @@ let table_of_result name temp (res : Exec.result) : Storage.table =
   Storage.create
     (S.table ~temp name
        (List.map (fun (n, ty) -> S.column n ty) res.Exec.res_cols))
-    (Batch.of_rows ~width:(List.length res.Exec.res_cols) res.Exec.res_rows)
+    (Batch.of_columns res.Exec.res_nrows res.Exec.res_columns)
 
 (** Execute one parsed statement. *)
 let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
   match stmt with
   | A.Select sel ->
       let res = run_select sess sel in
-      Rows (res, Printf.sprintf "SELECT %d" (Array.length res.Exec.res_rows))
+      Rows (res, Printf.sprintf "SELECT %d" res.Exec.res_nrows)
   | A.CreateTable { ct_temp; ct_name; ct_cols } ->
       let lname = String.lowercase_ascii ct_name in
       if table_exists sess lname then
@@ -202,7 +202,7 @@ let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
         invalidate_catalog sess.db
       end;
       Complete
-        (Printf.sprintf "SELECT %d" (Array.length res.Exec.res_rows))
+        (Printf.sprintf "SELECT %d" res.Exec.res_nrows)
   | A.CreateView { cv_name; cv_query } ->
       let lname = String.lowercase_ascii cv_name in
       if table_exists sess lname then

@@ -6,9 +6,13 @@ module A = Sqlast.Ast
 
 type binding = { b_qual : string option; b_name : string; b_type : Catalog.Sqltype.t option }
 
+(* a SELECT's result, column-major: [res_nrows] rows as one typed
+   column per entry of [res_cols]. The wire server encodes it, the wire
+   client rebuilds it from the DataRows, and the Q pivot reads it. *)
 type result = {
   res_cols : (string * Catalog.Sqltype.t) list;
-  res_rows : Value.t array array;
+  res_nrows : int;
+  res_columns : Batch.column array;
 }
 
 let now_ns () : int64 = Monotonic_clock.now ()

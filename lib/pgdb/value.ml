@@ -242,6 +242,12 @@ let add_clock b s =
   Buffer.add_char b ':';
   add_padded b 2 (s mod 60)
 
+(* "%.1f" for an integral float below 1e15, "%.17g" otherwise *)
+let add_float b f =
+  Buffer.add_string b
+    (if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
+     else format_float "%.17g" f)
+
 (** Append [v]'s PG text format, as sent in DataRow messages; [Null]
     appends nothing (the wire marks NULL by length, not text). Output is
     byte-identical to the Printf specification it replaces: "%Ld";
@@ -252,10 +258,7 @@ let add_text b = function
   | Null -> ()
   | Bool v -> Buffer.add_char b (if v then 't' else 'f')
   | Int i -> add_int64 b i
-  | Float f ->
-      Buffer.add_string b
-        (if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
-         else format_float "%.17g" f)
+  | Float f -> add_float b f
   | Str s -> Buffer.add_string b s
   | Date d -> add_date b d
   | Time t ->

@@ -2080,12 +2080,15 @@ let plan_window_top (sc : scope) (w : A.expr) (k : int) :
    join against a 513-column table moves the handful of columns the
    query names (late materialization). [values] composes the index
    vectors down to the base table and boxes each output cell once from
-   its typed column. *)
+   its typed column; [gather j idx] composes them the same way and
+   gathers the typed column there, so a result column moves only the
+   rows it keeps. *)
 type source = {
   nrows : int;
   all : Batch.sel;
   column : int -> Batch.column;
   values : int -> int array -> Value.t array;
+  gather : int -> int array -> Batch.column;
 }
 
 (* [idx] mapped through [a]; -1 stays -1 *)
@@ -2355,9 +2358,22 @@ let ocol_dense : ocol -> Value.t array = function
   | Through (src, j, rows) -> src.values j rows
   | Computed v -> v
 
-(* the column as a batch column, when a derived table feeds a pipeline *)
+(* the value in output row [r] *)
+let ocol_get (oc : ocol) (r : int) : Value.t =
+  match oc with
+  | Through (src, j, rows) -> (src.values j [| rows.(r) |]).(0)
+  | Computed v -> v.(r)
+
+(* the column through output-row indices (-1 is NULL) *)
+let ocol_gather (oc : ocol) (idx : int array) : Batch.column =
+  match oc with
+  | Through (src, j, rows) -> src.gather j (compose rows idx)
+  | Computed _ -> Batch.column_of_values (ocol_values oc idx)
+
+(* the column as a batch column: what a derived table feeds a pipeline,
+   and what a result carries *)
 let ocol_column : ocol -> Batch.column = function
-  | Through (src, j, rows) -> Batch.compact (src.column j) rows
+  | Through (src, j, rows) -> src.gather j rows
   | Computed v -> Batch.column_of_values v
 
 (* what a planned SELECT yields when run *)
@@ -2428,6 +2444,7 @@ let values_plan ~(collect : bool) : from_plan =
             all = [| 0 |];
             column = no_columns;
             values = (fun j _ -> no_columns j);
+            gather = (fun j _ -> no_columns j);
           },
           [],
           if collect then
@@ -2577,6 +2594,7 @@ let derived_source (names : string list) (alias : string)
             column =
               memo (Array.length o.o_cols) (fun k -> ocol_column o.o_cols.(k));
             values = (fun k idx -> ocol_values o.o_cols.(k) idx);
+            gather = (fun k idx -> ocol_gather o.o_cols.(k) idx);
           },
           qualify (List.map Option.some o.o_types),
           node ));
@@ -2668,6 +2686,7 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
                     all = b.Batch.all;
                     column = Array.get b.Batch.cols;
                     values = (fun j -> Batch.values b.Batch.cols.(j));
+                    gather = (fun j -> Batch.gather b.Batch.cols.(j));
                   },
                   bindings,
                   node ));
@@ -2833,6 +2852,10 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
                   (fun j idx ->
                     if j < nl then l.values j (compose lidx idx)
                     else r.values (j - nl) (compose ridx idx));
+                gather =
+                  (fun j idx ->
+                    if j < nl then l.gather j (compose lidx idx)
+                    else r.gather (j - nl) (compose ridx idx));
               }
             in
             let node =
@@ -3257,8 +3280,7 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
             in
             match declared with
             | Some ty -> ty
-            | None ->
-                first_type count (Array.get (ocol_dense cols.(k))))
+            | None -> first_type count (ocol_get cols.(k)))
           projs
       in
       { o_nrows = count; o_cols = cols; o_types = types; o_plan = !cur } )
@@ -3266,12 +3288,6 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* the result rows; a plain column shares the base table's boxed
-   values *)
-let rows_of_output (o : output) : Value.t array array =
-  let cols = Array.map ocol_dense o.o_cols in
-  Array.init o.o_nrows (fun r -> Array.map (fun c -> Array.unsafe_get c r) cols)
 
 type outcome = {
   vr_result : Exec.result;
@@ -3281,11 +3297,14 @@ type outcome = {
 let run ~(resolve : resolver) ~(collect : bool) (s : A.select) : outcome =
   let names, run = plan_select ~limits:[] ~resolve ~collect ~expanding:[] s in
   let o = run () in
-  let rows = rows_of_output o in
   Atomic.incr stats_vector;
   ignore (Atomic.fetch_and_add stats_rows_out o.o_nrows);
   {
     vr_result =
-      { Exec.res_cols = List.combine names o.o_types; res_rows = rows };
+      {
+        Exec.res_cols = List.combine names o.o_types;
+        res_nrows = o.o_nrows;
+        res_columns = Array.map ocol_column o.o_cols;
+      };
     vr_plan = (if collect then o.o_plan else None);
   }

@@ -40,10 +40,20 @@ let next_msg (t : t) : C.backend_msg = next t C.decode_backend
 
 let rec peek_tag (t : t) : char =
   match C.peek_tag t.inp with
-  | Some c -> c
-  | None ->
+  | '\000' ->
       refill t;
       peek_tag t
+  | c -> c
+
+(* the next DataRow, decoded into [null] and [cell] as it arrives *)
+let rec next_data_row (t : t) ~null ~cell : int =
+  match C.take_data_row t.inp ~null ~cell with
+  | n -> n
+  | exception C.Incomplete ->
+      refill t;
+      next_data_row t ~null ~cell
+  | exception C.Decode_error e ->
+      protocol_error "malformed backend message: %s" e
 
 (** Open a connection: run the startup/auth handshake to completion. *)
 let connect ?(user = "app") ?(password = "secret") ?(database = "hyperq")
@@ -75,8 +85,9 @@ let connect ?(user = "app") ?(password = "secret") ?(database = "hyperq")
   go ()
 
 type query_result = {
-  columns : (string * Catalog.Sqltype.t) list;
-  rows : Pgdb.Value.t array array;
+  result : Pgdb.Exec.result;
+      (** the rows, column-major; no columns when the statement returns
+          no rows *)
   tag : string;
 }
 
@@ -103,36 +114,74 @@ let batch (sql : string) : string =
     ];
   Buffer.contents out
 
+(* A result column rebuilt from binary cells, its representation chosen
+   by the RowDescription type: int8 into ints, float8 into floats, text
+   into dictionary codes, and the rest boxed by {!Pgdb.Value.of_binary} *)
+let column_builder (ty : Catalog.Sqltype.t) : Pgdb.Batch.builder =
+  Pgdb.Batch.builder
+    (match ty with
+    | Catalog.Sqltype.TBigint -> `Int
+    | Catalog.Sqltype.TDouble -> `Float
+    | Catalog.Sqltype.TText | Catalog.Sqltype.TVarchar -> `Str
+    | Catalog.Sqltype.TBool | Catalog.Sqltype.TDate | Catalog.Sqltype.TTime
+    | Catalog.Sqltype.TTimestamp ->
+        `Val)
+
+(* write [data.[off..off+len)], row [r]'s binary cell, into [b] *)
+let decode_cell (b : Pgdb.Batch.builder) ty r data off len =
+  match b.Pgdb.Batch.cells with
+  | Pgdb.Batch.Ints c ->
+      if len <> 8 then Pgdb.Value.bad_width ty len;
+      Array.unsafe_set c.ints r (String.get_int64_be data off)
+  | Pgdb.Batch.Floats c ->
+      if len <> 8 then Pgdb.Value.bad_width ty len;
+      Array.unsafe_set c.floats r
+        (Int64.float_of_bits (String.get_int64_be data off))
+  | Pgdb.Batch.Texts c ->
+      Array.unsafe_set c.codes r (Pgdb.Batch.intern c.dict data off len)
+  | Pgdb.Batch.Boxed c ->
+      Array.unsafe_set c.vals r (Pgdb.Value.of_binary ty data off len)
+
 (** Run one statement: its whole {!batch} goes out in one transport
     write, then the reply streams in until ReadyForQuery. Each binary
-    DataRow cell is decoded in place, straight into the typed row,
-    according to the RowDescription's type OIDs. *)
+    DataRow cell is decoded in place into its column's builder, chosen
+    by the RowDescription's type OID; the columns are sized once from
+    the DataRows already buffered, and grow only when more arrive. *)
 let query (t : t) (sql : string) : (query_result, string) result =
   if not t.ready then protocol_error "connection is not ready";
   C.append t.inp (t.send (batch sql));
   let columns = ref [] in
   let types = ref [||] in
-  let rows = ref [] in
+  let builders = ref [||] in
+  let nrows = ref 0 and cap = ref 0 in
   let tag = ref "" in
   let error = ref None in
-  let cell i data off len =
-    if i >= Array.length !types then
+  let builder i =
+    if i >= Array.length !builders then
       protocol_error "DataRow has more cells than the %d described columns"
-        (Array.length !types);
-    Pgdb.Value.of_binary !types.(i) data off len
+        (Array.length !builders);
+    Array.unsafe_get !builders i
   in
-  let data_row = C.decode_data_row ~null:Pgdb.Value.Null ~cell in
+  let cell i data off len =
+    decode_cell (builder i) (Array.unsafe_get !types i) !nrows data off len
+  in
+  let null i = Pgdb.Batch.set_null (builder i) !nrows in
   let rec go () =
     if peek_tag t = 'D' then begin
-      let row =
-        try next t data_row
+      let r = !nrows in
+      if r = !cap then begin
+        cap := max (2 * r) (r + max 1 (C.buffered_data_rows t.inp));
+        Array.iter (fun b -> Pgdb.Batch.reserve b !cap) !builders
+      end;
+      let n =
+        try next_data_row t ~null ~cell
         with Pgdb.Errors.Sql_error { message; _ } ->
           protocol_error "malformed binary cell: %s" message
       in
-      if Array.length row <> Array.length !types then
-        protocol_error "DataRow has %d cells for %d columns" (Array.length row)
+      if n <> Array.length !types then
+        protocol_error "DataRow has %d cells for %d columns" n
           (Array.length !types);
-      rows := row :: !rows;
+      nrows := r + 1;
       go ()
     end
     else
@@ -152,6 +201,9 @@ let query (t : t) (sql : string) : (query_result, string) result =
                 (f.C.fd_name, ty))
               fields;
           types := Array.of_list (List.map snd !columns);
+          builders := Array.map column_builder !types;
+          nrows := 0;
+          cap := 0;
           go ()
       | C.CommandComplete t' ->
           tag := t';
@@ -172,7 +224,17 @@ let query (t : t) (sql : string) : (query_result, string) result =
   match !error with
   | Some e -> Error e
   | None ->
-      Ok { columns = !columns; rows = Array.of_list (List.rev !rows); tag = !tag }
+      let n = !nrows in
+      Ok
+        {
+          result =
+            {
+              Pgdb.Exec.res_cols = !columns;
+              res_nrows = n;
+              res_columns = Array.map (fun b -> Pgdb.Batch.finish b n) !builders;
+            };
+          tag = !tag;
+        }
 
 let terminate (t : t) : unit =
   ignore (t.send (C.encode_frontend C.Terminate));

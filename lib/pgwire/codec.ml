@@ -178,26 +178,6 @@ let add_frame out tag body =
   put_i32 out (4 + Buffer.length body);
   Buffer.add_buffer out body
 
-(** Append one DataRow frame to [out]. [cell b i c] writes cell [c] of
-    column [i] into [b], in the column's format, and returns [true], or
-    returns [false] for SQL NULL. [body] and [scratch] are caller-owned
-    work buffers, reused across rows so a result set of any size
-    allocates nothing per row. *)
-let add_data_row out ~body ~scratch (cell : Buffer.t -> int -> 'a -> bool)
-    (row : 'a array) =
-  Buffer.clear body;
-  put_i16 body (Array.length row);
-  Array.iteri
-    (fun i c ->
-      Buffer.clear scratch;
-      if cell scratch i c then begin
-        put_i32 body (Buffer.length scratch);
-        Buffer.add_buffer body scratch
-      end
-      else put_i32 body (-1))
-    row;
-  add_frame out 'D' body
-
 (** Append one backend message's frame to [out]. *)
 let add_backend out (m : backend_msg) =
   let body = Buffer.create 32 in
@@ -237,13 +217,15 @@ let add_backend out (m : backend_msg) =
         fields;
       add_frame out 'T' body
   | DataRow fields ->
-      add_data_row out ~body ~scratch:(Buffer.create 16)
-        (fun b _ -> function
-          | None -> false
+      put_i16 body (List.length fields);
+      List.iter
+        (function
+          | None -> put_i32 body (-1)
           | Some s ->
-              Buffer.add_string b s;
-              true)
-        (Array.of_list fields)
+              put_i32 body (String.length s);
+              Buffer.add_string body s)
+        fields;
+      add_frame out 'D' body
   | CommandComplete tag ->
       put_cstr body tag;
       add_frame out 'C' body
@@ -336,28 +318,23 @@ let encode_frontend (m : frontend_msg) : string =
    returns it plus the bytes it consumed. [Incomplete] means the frame
    has not fully arrived; [Decode_error] means it never will decode. *)
 
-let data_row_cells r ~null ~cell =
-  let row = Array.make (get_count r ~width:4) null in
-  for i = 0 to Array.length row - 1 do
+(* a DataRow body's cells, each handed over in place: [null i] for a
+   SQL NULL, [cell i data off len] for the bytes [data.[off..off+len)];
+   returns the cell count *)
+let data_row_cells r ~(null : int -> unit)
+    ~(cell : int -> string -> int -> int -> unit) =
+  let n = get_count r ~width:4 in
+  for i = 0 to n - 1 do
     let len = get_i32 r in
-    if len <> -1 then begin
+    if len = -1 then null i
+    else begin
       need r len;
       let off = r.pos in
       r.pos <- r.pos + len;
-      row.(i) <- cell i r.data off len
+      cell i r.data off len
     end
   done;
-  row
-
-(** Decode a DataRow straight into a row array: [null] for a SQL NULL
-    cell, [cell i data off len] for cell [i], whose bytes are
-    [data.[off..off+len)], otherwise. The cell is read in place, so a
-    fixed-width cell allocates no substring. *)
-let decode_data_row ~null ~(cell : int -> string -> int -> int -> 'a)
-    ?(off = 0) (data : string) : 'a array * int =
-  let r = open_frame data off ~tag_bytes:1 ~min_len:4 in
-  if data.[off] <> 'D' then decode_error "expected DataRow, got %C" data.[off];
-  (data_row_cells r ~null ~cell, r.limit - off)
+  n
 
 let get_formats r =
   List.init (get_count r ~width:2) (fun _ -> format_of_code (get_i16 r))
@@ -398,10 +375,13 @@ let decode_backend ?(off = 0) (data : string) : backend_msg * int =
         in
         RowDescription fields
     | 'D' ->
-        DataRow
-          (Array.to_list
-             (data_row_cells r ~null:None ~cell:(fun _ s off len ->
-                  Some (String.sub s off len))))
+        let cells = ref [] in
+        ignore
+          (data_row_cells r
+             ~null:(fun _ -> cells := None :: !cells)
+             ~cell:(fun _ s off len ->
+               cells := Some (String.sub s off len) :: !cells));
+        DataRow (List.rev !cells)
     | 'C' -> CommandComplete (get_cstr r)
     | 'E' ->
         let code = ref "XX000" and message = ref "unknown error" in
@@ -521,9 +501,22 @@ let clear inp =
   inp.buf <- "";
   inp.pos <- 0
 
-(** The next message's tag byte, if any byte is buffered. *)
+(** The next message's tag byte, or ['\000'] (no message's tag) while
+    no byte is buffered. *)
 let peek_tag inp =
-  if inp.pos < String.length inp.buf then Some inp.buf.[inp.pos] else None
+  if inp.pos < String.length inp.buf then inp.buf.[inp.pos] else '\000'
+
+(** How many complete DataRow frames lie back to back at the cursor: a
+    size hint, so a reader can allocate its columns once. *)
+let buffered_data_rows inp =
+  let s = inp.buf in
+  let rec go pos n =
+    if pos + 5 <= String.length s && s.[pos] = 'D' then
+      let next = pos + 1 + Int32.to_int (String.get_int32_be s (pos + 1)) in
+      if next <= pos + 4 || next > String.length s then n else go next (n + 1)
+    else n
+  in
+  go inp.pos 0
 
 (** Decode the message at the cursor with [decode] and advance past it.
     Raises whatever [decode] raises; the cursor moves only on success. *)
@@ -531,3 +524,16 @@ let take inp (decode : ?off:int -> string -> 'a * int) : 'a =
   let v, consumed = decode ~off:inp.pos inp.buf in
   inp.pos <- inp.pos + consumed;
   v
+
+(** Decode the DataRow at the cursor without building it, and advance
+    past it: each cell goes to [null] or [cell] as {!data_row_cells}
+    hands it over, read in place, so a frame allocates only its reader.
+    Returns the cell count. [Incomplete] (before any cell is handed
+    over) while the frame has not fully arrived. *)
+let take_data_row inp ~null ~cell : int =
+  let data = inp.buf and off = inp.pos in
+  let r = open_frame data off ~tag_bytes:1 ~min_len:4 in
+  if data.[off] <> 'D' then decode_error "expected DataRow, got %C" data.[off];
+  let n = data_row_cells r ~null ~cell in
+  inp.pos <- r.limit;
+  n

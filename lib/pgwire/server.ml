@@ -86,21 +86,60 @@ let row_description (res : Pgdb.Exec.result) (formats : C.format array) =
          })
        res.Pgdb.Exec.res_cols)
 
-(* Every DataRow of a result, each cell rendered straight into the frame
-   in its column's format, with two work buffers shared by all rows *)
+(** Every DataRow of a result, read from its typed columns in row order.
+    An int, float or text cell goes straight into the row's frame in its
+    column's format; a boxed cell (a calendar or bool value, or any cell
+    of a mixed column) is rendered by {!Pgdb.Value}, which range-checks
+    a binary date or time (22008). Two work buffers serve every row. *)
 let data_rows out (res : Pgdb.Exec.result) (formats : C.format array) =
-  let cell b i = function
-    | Pgdb.Value.Null -> false
-    | v ->
-        (match formats.(i) with
-        | C.Binary -> Pgdb.Value.add_binary b v
-        | C.Text -> Pgdb.Value.add_text b v);
-        true
+  let body = Buffer.create 256 and scratch = Buffer.create 32 in
+  (* a cell [add] renders: its length, then its bytes *)
+  let rendered add v =
+    Buffer.clear scratch;
+    add scratch v;
+    C.put_i32 body (Buffer.length scratch);
+    Buffer.add_buffer body scratch
   in
-  Array.iter
-    (C.add_data_row out ~body:(Buffer.create 256) ~scratch:(Buffer.create 32)
-       cell)
-    res.Pgdb.Exec.res_rows
+  let writer (c : Pgdb.Batch.column) (format : C.format) : int -> unit =
+    match (c.Pgdb.Batch.data, format) with
+    | Pgdb.Batch.DInt a, C.Binary ->
+        fun r ->
+          C.put_i32 body 8;
+          Buffer.add_int64_be body (Array.unsafe_get a r)
+    | Pgdb.Batch.DInt a, C.Text -> fun r -> rendered Pgdb.Value.add_int64 a.(r)
+    | Pgdb.Batch.DFloat a, C.Binary ->
+        fun r ->
+          C.put_i32 body 8;
+          Buffer.add_int64_be body (Int64.bits_of_float (Array.unsafe_get a r))
+    | Pgdb.Batch.DFloat a, C.Text -> fun r -> rendered Pgdb.Value.add_float a.(r)
+    | Pgdb.Batch.DStr { codes; dict }, _ ->
+        fun r ->
+          let s = Array.unsafe_get dict (Array.unsafe_get codes r) in
+          C.put_i32 body (String.length s);
+          Buffer.add_string body s
+    | Pgdb.Batch.DVal a, format -> (
+        let add =
+          match format with
+          | C.Binary -> Pgdb.Value.add_binary
+          | C.Text -> Pgdb.Value.add_text
+        in
+        fun r ->
+          match a.(r) with
+          | Pgdb.Value.Null -> C.put_i32 body (-1)
+          | v -> rendered add v)
+  in
+  let cols = res.Pgdb.Exec.res_columns in
+  let n = Array.length cols in
+  let writers = Array.mapi (fun j c -> writer c formats.(j)) cols in
+  for r = 0 to res.Pgdb.Exec.res_nrows - 1 do
+    Buffer.clear body;
+    C.put_i16 body n;
+    for j = 0 to n - 1 do
+      if Pgdb.Batch.is_null (Array.unsafe_get cols j) r then C.put_i32 body (-1)
+      else (Array.unsafe_get writers j) r
+    done;
+    C.add_frame out 'D' body
+  done
 
 (* Any failure of a statement, as the ErrorResponse fields *)
 let error_fields = function

@@ -2,8 +2,8 @@
 
     Packs each SQL statement into one PG v3 extended-protocol batch
     (Parse, Bind asking for binary results, Describe, Execute, Sync),
-    transmits it to the backend in one write, and unpacks the streamed
-    binary row messages into typed result sets.
+    transmits it to the backend in one write, and decodes the streamed
+    binary DataRows straight into a typed column per result column.
     This implementation goes through real protocol bytes on both directions
     — a {!Pgwire.Server} wraps the pgdb session, a {!Pgwire.Client} drives
     it — so the data path exercises exactly what a networked deployment
@@ -70,13 +70,10 @@ let wire_backend ?(user = "app") ?(password = "secret")
     let start = Obs.Clock.now_ns () in
     let result =
       match Pgwire.Client.query client sql with
-      | Ok { Pgwire.Client.columns; rows; tag } ->
-          if columns = [] && Array.length rows = 0 then
+      | Ok { Pgwire.Client.result; tag } ->
+          if result.Pgdb.Exec.res_cols = [] then
             Ok (Hyperq.Backend.Command_ok tag)
-          else
-            Ok
-              (Hyperq.Backend.Result_set
-                 { Hyperq.Backend.cols = columns; rows })
+          else Ok (Hyperq.Backend.Result_set result)
       | Error e ->
           M.inc backend_errors;
           Obs.Log.warn log ~trace_id:(Obs.Ctx.trace_id obs) "backend error"

@@ -4,7 +4,8 @@
 
     Data path per query, entirely over real protocol bytes:
     Q app --QIPC bytes--> Endpoint -> XC(QT: algebrize/optimize/serialize)
-         -> Gateway --PG v3 bytes--> pgdb --rows--> Gateway (pivot)
+         -> Gateway --PG v3 bytes--> pgdb --DataRows--> Gateway
+            (typed columns) -> pivot
          -> Endpoint --QIPC bytes--> Q app
 
     All connections share one observability context: the metrics

@@ -124,8 +124,8 @@ let put_atom_payload buf (a : Atom.t) =
    and typed nulls inline, with {!Atom.cast} only on the rare mistyped
    element — instead of running the [Qtype.equal]/[Atom.cast]/
    [put_atom_payload] triple dispatch once per element. Every result
-   column the engine pivots from the decoded PG v3 rows leaves here as
-   wire bytes without any per-element type probing. The byte output is
+   column the engine pivots from the decoded PG v3 columns leaves here
+   as wire bytes without any per-element type probing. The byte output is
    identical to the generic path. *)
 let put_vector_payload buf (ty : Qtype.t) (atoms : Atom.t array) =
   let n = Array.length atoms in

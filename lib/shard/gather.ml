@@ -18,6 +18,7 @@
 
 module B = Hyperq.Backend
 module V = Pgdb.Value
+module Batch = Pgdb.Batch
 
 (* ------------------------------------------------------------------ *)
 (* Column bookkeeping                                                  *)
@@ -27,12 +28,7 @@ let col_index (cols : (string * Catalog.Sqltype.t) list) (name : string) :
     int option =
   let rec go i = function
     | [] -> None
-    | (n, _) :: rest ->
-        if
-          n = name
-          || String.lowercase_ascii n = String.lowercase_ascii name
-        then Some i
-        else go (i + 1) rest
+    | (n, _) :: rest -> if Pgdb.Exec.equal_ci n name then Some i else go (i + 1) rest
   in
   go 0 cols
 
@@ -45,27 +41,38 @@ let merge_col_types (results : B.result list) :
   match results with
   | [] -> []
   | first :: _ ->
+      let types =
+        List.map (fun r -> Array.of_list (List.map snd r.B.res_cols)) results
+      in
       List.mapi
         (fun i (name, ty) ->
           let ty =
-            if ty <> Catalog.Sqltype.TText then ty
-            else
-              List.fold_left
-                (fun acc r ->
-                  if acc <> Catalog.Sqltype.TText then acc
-                  else
-                    match List.nth_opt r.B.cols i with
-                    | Some (_, t) -> t
-                    | None -> acc)
-                ty results
+            List.fold_left
+              (fun acc tys ->
+                if acc <> Catalog.Sqltype.TText || i >= Array.length tys then acc
+                else tys.(i))
+              ty types
           in
           (name, ty))
-        first.B.cols
+        first.B.res_cols
 
 let sniff_type (values : V.t list) : Catalog.Sqltype.t =
   match List.find_map V.type_of values with
   | Some t -> t
   | None -> Catalog.Sqltype.TText
+
+(* a result of [cols] over row-major [rows]: how a gather that computes
+   its rows (partial-aggregate recombination) hands them back *)
+let of_rows cols (rows : V.t array array) : B.result =
+  {
+    B.res_cols = cols;
+    res_nrows = Array.length rows;
+    res_columns =
+      Array.of_list
+        (List.mapi
+           (fun j _ -> Batch.column_of_values (Array.map (fun r -> r.(j)) rows))
+           cols);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Sort-key comparison (mirrors the serializer's null lowering)        *)
@@ -91,26 +98,47 @@ let cmp_rows (keys : (int * [ `Asc | `Desc ]) list) (a : V.t array)
   in
   go keys
 
+(* rows [x] and [y] under [keys], each a sort column's values and its
+   direction *)
+let cmp_keys (keys : (V.t array * [ `Asc | `Desc ]) list) (x : int) (y : int)
+    : int =
+  let rec go = function
+    | [] -> 0
+    | (vals, dir) :: rest ->
+        let c = cmp_dir dir vals.(x) vals.(y) in
+        if c <> 0 then c else go rest
+  in
+  go keys
+
 (* ------------------------------------------------------------------ *)
 (* Concat and merge                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let concat (results : B.result list) : B.result =
+  let cols = merge_col_types results in
   {
-    B.cols = merge_col_types results;
-    rows = Array.concat (List.map (fun r -> r.B.rows) results);
+    B.res_cols = cols;
+    res_nrows = List.fold_left (fun n r -> n + r.B.res_nrows) 0 results;
+    res_columns =
+      Array.of_list
+        (List.mapi
+           (fun j _ ->
+             Batch.concat
+               (List.map (fun r -> (r.B.res_nrows, r.B.res_columns.(j))) results))
+           cols);
   }
 
 (** K-way merge of per-shard sorted results on [keys] (column name,
     direction). Each input is already sorted by the backend; the merge
-    scans the (few) shard heads linearly per output row. *)
+    scans the (few) shard heads linearly per output row, then gathers
+    every column of the shards' concatenation in the merged order. *)
 let merge ~(keys : (string * [ `Asc | `Desc ]) list)
     (results : B.result list) : (B.result, string) result =
-  let cols = merge_col_types results in
+  let all = concat results in
   let key_idx =
     List.map
       (fun (name, dir) ->
-        match col_index cols name with
+        match col_index all.B.res_cols name with
         | Some i -> Ok (i, dir)
         | None -> Error name)
       keys
@@ -120,31 +148,44 @@ let merge ~(keys : (string * [ `Asc | `Desc ]) list)
   with
   | Some n -> Error (Printf.sprintf "merge key %s missing from shard result" n)
   | None ->
+      let total = all.B.res_nrows in
       let keys =
-        List.filter_map (function Ok k -> Some k | Error _ -> None) key_idx
+        List.filter_map
+          (function
+            | Ok (i, dir) ->
+                Some (Array.init total (Batch.value_at all.B.res_columns.(i)), dir)
+            | Error _ -> None)
+          key_idx
       in
-      let streams = Array.of_list (List.map (fun r -> r.B.rows) results) in
-      let pos = Array.make (Array.length streams) 0 in
-      let total = Array.fold_left (fun n s -> n + Array.length s) 0 streams in
-      let out = ref [] in
-      for _ = 1 to total do
-        let best = ref (-1) in
-        Array.iteri
-          (fun s rows ->
-            if pos.(s) < Array.length rows then
-              match !best with
-              | -1 -> best := s
-              | b ->
+      (* shard s's unmerged rows are [pos.(s), stop.(s)) of the
+         concatenation *)
+      let pos = Array.make (List.length results) 0 in
+      let stop = Array.copy pos in
+      List.iteri
+        (fun s r ->
+          if s > 0 then pos.(s) <- stop.(s - 1);
+          stop.(s) <- pos.(s) + r.B.res_nrows)
+        results;
+      let order =
+        Array.init total (fun _ ->
+            let best = ref (-1) in
+            Array.iteri
+              (fun s p ->
+                if p < stop.(s) then
                   (* strict < keeps the merge stable in shard order on
                      (impossible for a unique order column, but safe) ties *)
-                  if cmp_rows keys rows.(pos.(s)) streams.(b).(pos.(b)) < 0
-                  then best := s)
-          streams;
-        let s = !best in
-        out := streams.(s).(pos.(s)) :: !out;
-        pos.(s) <- pos.(s) + 1
-      done;
-      Ok { B.cols; rows = Array.of_list (List.rev !out) }
+                  if !best < 0 || cmp_keys keys p pos.(!best) < 0 then best := s)
+              pos;
+            let s = !best in
+            pos.(s) <- pos.(s) + 1;
+            pos.(s) - 1)
+      in
+      Ok
+        {
+          all with
+          B.res_columns =
+            Array.map (fun c -> Batch.gather c order) all.B.res_columns;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* Partial-aggregate recombination                                     *)
@@ -211,7 +252,7 @@ let combine (plan : Router.agg_plan) (results : B.result list) :
   match results with
   | [] -> Error "no shard results to combine"
   | first :: _ -> (
-      let shard_cols = first.B.cols in
+      let shard_cols = first.B.res_cols in
       (* every partial column any combine rule consults *)
       let needed =
         List.concat_map
@@ -268,27 +309,27 @@ let combine (plan : Router.agg_plan) (results : B.result list) :
           let order = ref [] in
           List.iter
             (fun r ->
-              Array.iter
-                (fun row ->
-                  let key = List.map (fun i -> row.(i)) key_idx in
-                  let acc =
-                    match Hashtbl.find_opt groups key with
-                    | Some acc -> acc
-                    | None ->
-                        let acc = Hashtbl.create 8 in
-                        Hashtbl.replace groups key acc;
-                        order := key :: !order;
-                        acc
-                  in
-                  Hashtbl.iter
-                    (fun name i ->
-                      let prev =
-                        Option.value ~default:[]
-                          (Hashtbl.find_opt acc name)
-                      in
-                      Hashtbl.replace acc name (row.(i) :: prev))
-                    idx_of)
-                r.B.rows)
+              for row = 0 to r.B.res_nrows - 1 do
+                let cell i = Batch.value_at r.B.res_columns.(i) row in
+                let key = List.map cell key_idx in
+                let acc =
+                  match Hashtbl.find_opt groups key with
+                  | Some acc -> acc
+                  | None ->
+                      let acc = Hashtbl.create 8 in
+                      Hashtbl.replace groups key acc;
+                      order := key :: !order;
+                      acc
+                in
+                Hashtbl.iter
+                  (fun name i ->
+                    let prev =
+                      Option.value ~default:[]
+                        (Hashtbl.find_opt acc name)
+                    in
+                    Hashtbl.replace acc name (cell i :: prev))
+                  idx_of
+              done)
             results;
           let finalize key acc (name, c) : V.t =
             let vals n = List.rev (Option.value ~default:[] (Hashtbl.find_opt acc n)) in
@@ -327,15 +368,13 @@ let combine (plan : Router.agg_plan) (results : B.result list) :
              aggregate columns are sniffed from the combined values just
              as a single backend sniffs expression columns *)
           let out_names = List.map fst plan.Router.a_cols in
-          let shard_out_types = merge_col_types results in
+          let shard_out_types =
+            Array.of_list (List.map snd (merge_col_types results))
+          in
           let col_ty i (name, c) =
             match c with
             | Router.CKey -> (
-                match
-                  List.nth_opt shard_out_types (Hashtbl.find idx_of name)
-                with
-                | Some (_, t) -> t
-                | None -> Catalog.Sqltype.TText)
+                shard_out_types.(Hashtbl.find idx_of name))
             | _ -> sniff_type (List.map (fun r -> r.(i)) (rows : V.t array list))
           in
           let cols =
@@ -361,4 +400,4 @@ let combine (plan : Router.agg_plan) (results : B.result list) :
                 in
                 List.stable_sort (cmp_rows keys) rows
           in
-          Ok { B.cols; rows = Array.of_list rows })
+          Ok (of_rows cols (Array.of_list rows)))

@@ -360,7 +360,7 @@ let rec eval_from (env : env) (f : A.from_item) : rowset =
       let res = run_select env sel in
       let sub = if env.collect then take_plan env else None in
       if env.collect then begin
-        let n = Array.length res.res_rows in
+        let n = res.res_nrows in
         let est =
           match sub with Some s -> s.Opstats.est_rows | None -> n
         in
@@ -373,7 +373,7 @@ let rec eval_from (env : env) (f : A.from_item) : rowset =
           List.map
             (fun (n, ty) -> { b_qual = Some alias; b_name = n; b_type = Some ty })
             res.res_cols;
-        rows = res.res_rows;
+        rows = Stored.result_rows res;
       }
   | A.UnionRef (sels, alias) -> (
       let subs =
@@ -397,7 +397,7 @@ let rec eval_from (env : env) (f : A.from_item) : rowset =
             rest;
           let rows =
             Array.concat
-              (first.res_rows :: List.map (fun (r, _) -> r.res_rows) rest)
+              (List.map Stored.result_rows (first :: List.map fst rest))
           in
           if env.collect then begin
             let children = List.filter_map snd subs in
@@ -868,7 +868,15 @@ and run_select (env : env) (s : A.select) : result =
       projs
   in
   if c then env.plan <- !cur;
-  { res_cols = List.combine out_names types; res_rows = out_rows }
+  {
+    res_cols = List.combine out_names types;
+    res_nrows = Array.length out_rows;
+    res_columns =
+      Array.of_list
+        (List.mapi
+           (fun j _ -> Batch.column_of_values (Array.map (fun r -> r.(j)) out_rows))
+           types);
+  }
 
 (* a session's relations: temp tables, then base tables, then views,
    each view run through this interpreter *)
@@ -906,7 +914,7 @@ let rec resolve (sess : Db.session) (name : string) : rowset =
                         (fun (n, ty) ->
                           { b_qual = None; b_name = n; b_type = Some ty })
                         res.res_cols;
-                    rows = res.res_rows;
+                    rows = Stored.result_rows res;
                   }
               | _ -> Errors.undefined_table "view %s is not a SELECT" name)
           | None -> Errors.undefined_table "relation %s does not exist" name))

@@ -1,7 +1,7 @@
-(* Test-side views of the tables a pgdb database stores. pgdb keeps a
-   table only as its typed columns, so the row view the reference
-   interpreter scans, and the tests that shuffle or count stored rows
-   read, is built here from them. *)
+(* Test-side row views of what pgdb keeps as typed columns: its stored
+   tables and its results. The row view the reference interpreter scans,
+   and the tests that shuffle, count or compare rows read, is built here
+   from the columns. *)
 
 module Batch = Pgdb.Batch
 
@@ -10,6 +10,12 @@ let rows (tbl : Pgdb.Storage.table) : Pgdb.Value.t array array =
   let b = tbl.Pgdb.Storage.batch in
   Array.init b.Batch.nrows (fun i ->
       Array.map (fun c -> Batch.value_at c i) b.Batch.cols)
+
+(* a result's rows, boxed from its columns: the one row view of a
+   columnar result the tests compare and count *)
+let result_rows (res : Pgdb.Exec.result) : Pgdb.Value.t array array =
+  Array.init res.Pgdb.Exec.res_nrows (fun i ->
+      Array.map (fun c -> Batch.value_at c i) res.Pgdb.Exec.res_columns)
 
 (* every table of [db] still holds the identity selection its batch was
    built with: no kernel sorted or wrote a selection in place. A

@@ -142,7 +142,7 @@ let test_one_trace_id_everywhere () =
   in
   let rows_of sql =
     match Db.exec sess sql with
-    | Db.Rows (res, _) -> res.Pgdb.Exec.res_rows
+    | Db.Rows (res, _) -> (Stored.result_rows res)
     | Db.Complete _ -> Alcotest.failf "expected rows from %s" sql
   in
   check tbool "decorated and plain SQL agree" true

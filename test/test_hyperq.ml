@@ -454,7 +454,7 @@ let test_asof_ties_against_kdb () =
     Db.set_analyze sess true;
     let rows =
       match Db.exec sess sql with
-      | Db.Rows (res, _) -> res.Pgdb.Exec.res_rows
+      | Db.Rows (res, _) -> (Stored.result_rows res)
       | _ -> Alcotest.failf "expected rows from %s" sql
     in
     let ops =

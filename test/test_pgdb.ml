@@ -50,7 +50,7 @@ let rows_of = function
 
 let q sess sql = rows_of (Db.exec sess sql)
 
-let cell res i j = res.Pgdb.Exec.res_rows.(i).(j)
+let cell res i j = (Stored.result_rows res).(i).(j)
 
 (* ------------------------------------------------------------------ *)
 (* Basic queries                                                       *)
@@ -87,13 +87,13 @@ let test_find_binding () =
 let test_select_all () =
   let sess = fixture () in
   let res = q sess "SELECT * FROM trades" in
-  check tint "5 rows" 5 (Array.length res.Pgdb.Exec.res_rows);
+  check tint "5 rows" 5 res.Pgdb.Exec.res_nrows;
   check tint "4 cols" 4 (List.length res.Pgdb.Exec.res_cols)
 
 let test_where_and_projection () =
   let sess = fixture () in
   let res = q sess "SELECT price FROM trades WHERE sym = 'A'" in
-  check tint "3 rows" 3 (Array.length res.Pgdb.Exec.res_rows);
+  check tint "3 rows" 3 res.Pgdb.Exec.res_nrows;
   match cell res 0 0 with
   | V.Float f -> check (Alcotest.float 1e-9) "first price" 10.0 f
   | v -> Alcotest.failf "expected float, got %s" (V.to_display v)
@@ -111,7 +111,7 @@ let test_expressions () =
 let test_order_by_limit () =
   let sess = fixture () in
   let res = q sess "SELECT price FROM trades ORDER BY price DESC LIMIT 2" in
-  check tint "2 rows" 2 (Array.length res.Pgdb.Exec.res_rows);
+  check tint "2 rows" 2 res.Pgdb.Exec.res_nrows;
   match (cell res 0 0, cell res 1 0) with
   | V.Float a, V.Float b ->
       check (Alcotest.float 1e-9) "top" 21.0 a;
@@ -121,7 +121,7 @@ let test_order_by_limit () =
 let test_distinct () =
   let sess = fixture () in
   let res = q sess "SELECT DISTINCT sym FROM trades ORDER BY sym ASC" in
-  check tint "2 rows" 2 (Array.length res.Pgdb.Exec.res_rows)
+  check tint "2 rows" 2 res.Pgdb.Exec.res_nrows
 
 (* ------------------------------------------------------------------ *)
 (* Null semantics (3VL)                                                *)
@@ -142,10 +142,10 @@ let test_null_equality_3vl () =
   let sess = null_fixture () in
   (* plain = never matches NULL *)
   let res = q sess "SELECT a FROM t WHERE a = a" in
-  check tint "only non-null row" 1 (Array.length res.Pgdb.Exec.res_rows);
+  check tint "only non-null row" 1 res.Pgdb.Exec.res_nrows;
   (* IS NOT DISTINCT FROM matches nulls: the Hyper-Q 2VL rewrite target *)
   let res = q sess "SELECT a FROM t WHERE a IS NOT DISTINCT FROM a" in
-  check tint "all rows" 3 (Array.length res.Pgdb.Exec.res_rows)
+  check tint "all rows" 3 res.Pgdb.Exec.res_nrows
 
 let test_null_arith_propagates () =
   let sess = null_fixture () in
@@ -175,7 +175,7 @@ let test_group_by () =
       "SELECT sym, MAX(price) AS mx, COUNT(*) AS n FROM trades GROUP BY sym \
        ORDER BY sym ASC"
   in
-  check tint "2 groups" 2 (Array.length res.Pgdb.Exec.res_rows);
+  check tint "2 groups" 2 res.Pgdb.Exec.res_nrows;
   check tbool "A max" true (cell res 0 1 = V.Float 12.0);
   check tbool "B count" true (cell res 1 2 = V.Int 2L)
 
@@ -186,7 +186,7 @@ let test_having () =
       "SELECT sym FROM trades GROUP BY sym HAVING COUNT(*) > 2 ORDER BY sym \
        ASC"
   in
-  check tint "only A has 3" 1 (Array.length res.Pgdb.Exec.res_rows);
+  check tint "only A has 3" 1 res.Pgdb.Exec.res_nrows;
   check tbool "A" true (cell res 0 0 = V.Str "A")
 
 let test_global_aggregate () =
@@ -213,7 +213,7 @@ let test_inner_join () =
        t.sym = q.sym AND q.t <= t.t"
   in
   (* every trade matches all earlier quotes of its symbol *)
-  check tint "8 pairs" 8 (Array.length res.Pgdb.Exec.res_rows)
+  check tint "8 pairs" 8 res.Pgdb.Exec.res_nrows
 
 let test_left_join_null_padding () =
   let sess = fixture () in
@@ -222,7 +222,7 @@ let test_left_join_null_padding () =
       "SELECT t.sym, q.bid FROM trades t LEFT OUTER JOIN quotes q ON t.sym = \
        q.sym AND q.t > 10000"
   in
-  check tint "all trades kept" 5 (Array.length res.Pgdb.Exec.res_rows);
+  check tint "all trades kept" 5 res.Pgdb.Exec.res_nrows;
   check tbool "bid is null" true (V.is_null (cell res 0 1))
 
 let test_asof_join_pattern () =
@@ -236,7 +236,7 @@ let test_asof_join_pattern () =
        quotes q ON t.sym = q.sym AND q.t <= t.t) x WHERE rn = 1 ORDER BY t \
        ASC"
   in
-  check tint "one row per trade" 5 (Array.length res.Pgdb.Exec.res_rows);
+  check tint "one row per trade" 5 res.Pgdb.Exec.res_nrows;
   (* trade A@1000 gets quote A@500 *)
   check tbool "prevailing bid" true (cell res 0 3 = V.Float 9.9);
   (* trade A@5000 gets quote A@2500 *)
@@ -253,11 +253,11 @@ let test_hash_join_null_keys () =
     [ [| V.Str "a"; V.Int 10L |]; [| V.Null; V.Int 20L |] ];
   let sess = Db.open_session db in
   let eq = q sess "SELECT l.v, r.w FROM l INNER JOIN r ON l.k = r.k" in
-  check tint "= skips nulls" 1 (Array.length eq.Pgdb.Exec.res_rows);
+  check tint "= skips nulls" 1 eq.Pgdb.Exec.res_nrows;
   let nsafe =
     q sess "SELECT l.v, r.w FROM l INNER JOIN r ON l.k IS NOT DISTINCT FROM r.k"
   in
-  check tint "null-safe matches nulls" 2 (Array.length nsafe.Pgdb.Exec.res_rows)
+  check tint "null-safe matches nulls" 2 nsafe.Pgdb.Exec.res_nrows
 
 let test_union_all () =
   let sess = fixture () in
@@ -266,7 +266,7 @@ let test_union_all () =
       "SELECT s FROM (SELECT sym AS s FROM trades UNION ALL SELECT sym AS s \
        FROM quotes) u"
   in
-  check tint "concatenated" 9 (Array.length res.Pgdb.Exec.res_rows);
+  check tint "concatenated" 9 res.Pgdb.Exec.res_nrows;
   (* arity mismatch is an error *)
   match
     Db.exec sess
@@ -399,7 +399,7 @@ let test_view_over_table () =
   check tstr "CREATE VIEW over a table" "42P07"
     (sqlstate sess "CREATE VIEW trades AS SELECT * FROM quotes");
   check tint "the table still answers" 5
-    (Array.length (q sess "SELECT * FROM trades").Pgdb.Exec.res_rows)
+    (q sess "SELECT * FROM trades").Pgdb.Exec.res_nrows
 
 let test_view_over_view () =
   let sess = fixture () in
@@ -407,7 +407,7 @@ let test_view_over_view () =
   check tstr "CREATE VIEW over a view" "42P07"
     (sqlstate sess "CREATE VIEW v AS SELECT sym FROM quotes");
   check tint "the first definition stands" 5
-    (Array.length (q sess "SELECT * FROM v").Pgdb.Exec.res_rows)
+    (q sess "SELECT * FROM v").Pgdb.Exec.res_nrows
 
 let test_table_over_view () =
   let sess = fixture () in
@@ -435,7 +435,7 @@ let test_catalog_queryable () =
       "SELECT column_name, type_name FROM pg_catalog_columns WHERE \
        table_name = 'trades' ORDER BY ordinal ASC"
   in
-  check tint "4 columns" 4 (Array.length res.Pgdb.Exec.res_rows);
+  check tint "4 columns" 4 res.Pgdb.Exec.res_nrows;
   check tbool "first is sym" true (cell res 0 0 = V.Str "sym")
 
 (* ------------------------------------------------------------------ *)
@@ -515,7 +515,7 @@ let prop_order_by_sorts =
               prev := i;
               ok
           | _ -> false)
-        res.Pgdb.Exec.res_rows)
+        (Stored.result_rows res))
 
 let prop_distinct_unique =
   QCheck.Test.make ~count:50 ~name:"DISTINCT removes duplicates"
@@ -538,7 +538,7 @@ let prop_distinct_unique =
                 true
               end
           | _ -> false)
-        res.Pgdb.Exec.res_rows)
+        (Stored.result_rows res))
 
 let prop_sum_group_total =
   QCheck.Test.make ~count:50
@@ -558,7 +558,7 @@ let prop_sum_group_total =
         Array.fold_left
           (fun acc row ->
             match row.(1) with V.Int i -> Int64.add acc i | _ -> acc)
-          0L grouped.Pgdb.Exec.res_rows
+          0L (Stored.result_rows grouped)
       in
       match (cell total 0 0, group_total) with
       | V.Int t, g -> Int64.equal t g

@@ -392,13 +392,18 @@ let wire_fixture ?auth ?users () =
   let session = Pgdb.Db.open_session db in
   Pgwire.Server.create ?users ?auth session
 
+(* a wire query's rows, boxed from the columns the client rebuilt *)
+let wire_rows (r : Pgwire.Client.query_result) =
+  Stored.result_rows r.Pgwire.Client.result
+
 let test_wire_query () =
   let server = wire_fixture () in
   let transport bytes = Pgwire.Server.feed server bytes in
   let client = Pgwire.Client.connect transport in
   match Pgwire.Client.query client "SELECT a, b FROM t ORDER BY a ASC" with
-  | Ok { Pgwire.Client.rows; columns; tag } ->
-      check tint "2 rows" 2 (Array.length rows);
+  | Ok ({ Pgwire.Client.tag; _ } as r) ->
+      let rows = wire_rows r and columns = r.Pgwire.Client.result.Pgdb.Exec.res_cols in
+      check tint "2 rows" 2 r.Pgwire.Client.result.Pgdb.Exec.res_nrows;
       check tint "2 cols" 2 (List.length columns);
       check tstr "tag" "SELECT 2" tag;
       (match rows.(0).(0) with
@@ -420,7 +425,7 @@ let test_wire_error () =
   | Ok _ -> Alcotest.fail "expected error");
   (* connection survives errors *)
   match Pgwire.Client.query client "SELECT a FROM t" with
-  | Ok { Pgwire.Client.rows; _ } -> check tint "recovered" 2 (Array.length rows)
+  | Ok r -> check tint "recovered" 2 r.Pgwire.Client.result.Pgdb.Exec.res_nrows
   | Error e -> Alcotest.fail e
 
 let test_wire_md5_auth () =
@@ -430,7 +435,7 @@ let test_wire_md5_auth () =
   let transport bytes = Pgwire.Server.feed server bytes in
   let client = Pgwire.Client.connect ~user:"alice" ~password:"wonder" transport in
   (match Pgwire.Client.query client "SELECT 1 + 1" with
-  | Ok { Pgwire.Client.rows; _ } -> check tint "1 row" 1 (Array.length rows)
+  | Ok r -> check tint "1 row" 1 r.Pgwire.Client.result.Pgdb.Exec.res_nrows
   | Error e -> Alcotest.fail e);
   (* wrong password is rejected *)
   let server2 =
@@ -448,8 +453,8 @@ let test_wire_cleartext_auth () =
   let transport bytes = Pgwire.Server.feed server bytes in
   let client = Pgwire.Client.connect ~user:"bob" ~password:"pw" transport in
   match Pgwire.Client.query client "SELECT 2 * 21" with
-  | Ok { Pgwire.Client.rows; _ } -> (
-      match rows.(0).(0) with
+  | Ok r -> (
+      match (wire_rows r).(0).(0) with
       | Pgdb.Value.Int 42L -> ()
       | v -> Alcotest.failf "expected 42, got %s" (Pgdb.Value.to_display v))
   | Error e -> Alcotest.fail e
@@ -468,8 +473,8 @@ let test_wire_fragmented_delivery () =
   in
   let client = Pgwire.Client.connect transport in
   match Pgwire.Client.query client "SELECT COUNT(*) FROM t" with
-  | Ok { Pgwire.Client.rows; _ } -> (
-      match rows.(0).(0) with
+  | Ok r -> (
+      match (wire_rows r).(0).(0) with
       | Pgdb.Value.Int 2L -> ()
       | v -> Alcotest.failf "expected 2, got %s" (Pgdb.Value.to_display v))
   | Error e -> Alcotest.fail e
@@ -579,7 +584,7 @@ let test_extended_error_until_sync () =
   | Error e -> check tstr "sqlstate" "42601" (String.sub e 0 5)
   | Ok _ -> Alcotest.fail "expected a syntax error");
   match Pgwire.Client.query client "SELECT a FROM t ORDER BY a" with
-  | Ok { Pgwire.Client.rows; _ } -> check tint "recovered" 2 (Array.length rows)
+  | Ok r -> check tint "recovered" 2 r.Pgwire.Client.result.Pgdb.Exec.res_nrows
   | Error e -> Alcotest.fail e
 
 let test_extended_unsupported () =
@@ -889,22 +894,26 @@ let test_chunked_large_result () =
   check tint "all bytes consumed" (Buffer.length queued) !pos;
   match Pgdb.Db.exec session big_sql with
   | Pgdb.Db.Rows (res, tag) ->
-      check tint "rows" big_rows (Array.length wire.Pgwire.Client.rows);
+      let rows = wire_rows wire in
+      check tint "rows" big_rows (Array.length rows);
       check tstr "tag" tag wire.Pgwire.Client.tag;
-      check tbool "columns" true (res.Pgdb.Exec.res_cols = wire.Pgwire.Client.columns);
+      check tbool "columns" true
+        (res.Pgdb.Exec.res_cols = wire.Pgwire.Client.result.Pgdb.Exec.res_cols);
       Array.iteri
         (fun i row ->
-          if row <> wire.Pgwire.Client.rows.(i) then
-            Alcotest.failf "row %d differs" i)
-        res.Pgdb.Exec.res_rows
+          if row <> rows.(i) then
+            Alcotest.failf "row %d differs: %s vs %s" i
+              (String.concat "," (Array.to_list (Array.map PV.to_display row)))
+              (String.concat "," (Array.to_list (Array.map PV.to_display rows.(i)))))
+        (Stored.result_rows res)
   | Pgdb.Db.Complete _ -> Alcotest.fail "expected rows"
 
 let test_decode_allocation_is_linear () =
   (* the whole extended-protocol reply arrives in one piece, as from the
      in-process gateway; decoding it may allocate a small constant times
-     its size (about 9x here: a boxed value per cell and a substring per
-     text cell). Copying the undecoded tail after every message
-     allocates quadratically, about 10,000x, and fails. *)
+     its size (a boxed value per calendar or bool cell, an int64 box per
+     int cell, a column slot per cell). Copying the undecoded tail after
+     every message allocates quadratically, about 10,000x, and fails. *)
   let server = Pgwire.Server.create (big_session ()) in
   let replay = ref None in
   let transport bytes =
@@ -917,12 +926,105 @@ let test_decode_allocation_is_linear () =
   replay := Some reply;
   let before = Gc.allocated_bytes () in
   (match Pgwire.Client.query client big_sql with
-  | Ok { Pgwire.Client.rows; _ } -> check tint "rows" big_rows (Array.length rows)
+  | Ok r -> check tint "rows" big_rows r.Pgwire.Client.result.Pgdb.Exec.res_nrows
   | Error e -> Alcotest.fail e);
   let ratio = (Gc.allocated_bytes () -. before) /. float_of_int (String.length reply) in
   if ratio > 20. then
     Alcotest.failf "decode allocated %.1fx the %d reply bytes" ratio
       (String.length reply)
+
+(* A 40,000-row result of an int, a float and a text column, as pgdb
+   hands it to the wire server: the columns the Gateway's extracts
+   carry, where boxing per cell would show *)
+let wide_rows = 40_000
+
+let wide_sql = "SELECT id, px, sym FROM w"
+
+let wide_session () =
+  let db = Pgdb.Db.create () in
+  Pgdb.Db.load_table db
+    (Catalog.Schema.table "w"
+       Catalog.Sqltype.
+         [
+           Catalog.Schema.column "id" TBigint;
+           Catalog.Schema.column "px" TDouble;
+           Catalog.Schema.column "sym" TVarchar;
+         ])
+    (List.init wide_rows (fun i ->
+         [|
+           PV.Int (Int64.of_int i);
+           (if i mod 9 = 0 then PV.Null else PV.Float (float_of_int i /. 3.));
+           PV.Str (Printf.sprintf "S%d" (i mod 50));
+         |]));
+  Pgdb.Db.open_session db
+
+(* the fewest words [f] allocated over three runs *)
+let least_words f =
+  let best = ref Float.infinity in
+  for _ = 1 to 3 do
+    let a0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    best := Float.min !best (Gc.allocated_bytes () -. a0)
+  done;
+  !best /. float_of_int (Sys.word_size / 8)
+
+(* The server writes DataRows straight from the typed columns: beyond
+   the output buffer it allocates a few hundred words for the whole
+   result (two work buffers and a writer per column), never a word per
+   cell; 0.000 words a cell measured on OCaml 5.1. Writing from boxed
+   rows allocated closures per row, 2.20 words a cell, on top of the
+   7.2 words a cell pgdb spent building those rows. The budget is 0.01
+   words a cell. *)
+let test_encode_allocation () =
+  let session = wide_session () in
+  let res =
+    match Pgdb.Db.exec session wide_sql with
+    | Pgdb.Db.Rows (res, _) -> res
+    | Pgdb.Db.Complete _ -> Alcotest.fail "expected rows"
+  in
+  let out = Buffer.create (64 * wide_rows) in
+  List.iter
+    (fun format ->
+      let formats = Array.make 3 format in
+      let words =
+        least_words (fun () ->
+            Buffer.clear out;
+            Pgwire.Server.data_rows out res formats)
+      in
+      let per_cell = words /. float_of_int (3 * wide_rows) in
+      if per_cell > 0.01 then
+        Alcotest.failf "%s encode: %.3f words a cell, budget 0.01"
+          (match format with PC.Binary -> "binary" | PC.Text -> "text")
+          per_cell)
+    [ PC.Binary ]
+
+(* The client decodes binary cells into per-column arrays: an int
+   column costs its array slot and the int64 box (4 words a cell), a
+   float or text column one word (a repeated string is found in the
+   dictionary in place), and each DataRow frame its 4-word reader:
+   3.21 words a cell measured on OCaml 5.1. Decoding into boxed rows
+   measured 10.3 (a Value.t and its payload per cell, a substring per
+   text cell, an array and a list cell per row). The budget is 3.5
+   words a cell. *)
+let test_decode_allocation () =
+  let server = Pgwire.Server.create (wide_session ()) in
+  let replay = ref None in
+  let transport bytes =
+    match !replay with
+    | Some reply -> if bytes = "" then "" else reply
+    | None -> Pgwire.Server.feed server bytes
+  in
+  let client = Pgwire.Client.connect transport in
+  replay := Some (Pgwire.Server.feed server (Pgwire.Client.batch wide_sql));
+  let words =
+    least_words (fun () ->
+        match Pgwire.Client.query client wide_sql with
+        | Ok r -> r
+        | Error e -> Alcotest.fail e)
+  in
+  let per_cell = words /. float_of_int (3 * wide_rows) in
+  if per_cell > 3.5 then
+    Alcotest.failf "decode: %.2f words a cell, budget 3.5" per_cell
 
 let test_one_write_per_statement () =
   (* the Gateway's fixed cost: one transport write per statement, however
@@ -1067,13 +1169,13 @@ let test_datarow_golden () =
                 (fun row ->
                   PC.encode_backend
                     (PC.DataRow (Array.to_list (Array.map reference_text row))))
-                (Array.to_list res.Pgdb.Exec.res_rows))
+                (Array.to_list (Stored.result_rows res)))
           @ [
               PC.encode_backend (PC.CommandComplete tag);
               PC.encode_backend (PC.ReadyForQuery 'I');
             ])
       in
-      check tint "10 rows" 10 (Array.length res.Pgdb.Exec.res_rows);
+      check tint "10 rows" 10 res.Pgdb.Exec.res_nrows;
       check tstr "reply bytes" want got
   | Pgdb.Db.Complete _ -> Alcotest.fail "expected rows"
 
@@ -1207,29 +1309,28 @@ let text_query server sql =
   let cols = ref [] and rows = ref [] and error = ref None in
   let rec go off =
     if off < String.length reply then
-      if reply.[off] = 'D' then begin
-        let types = Array.of_list (List.map snd !cols) in
-        let row, n =
-          PC.decode_data_row ~null:PV.Null ~off reply ~cell:(fun i s o l ->
-              PV.of_text types.(i) (String.sub s o l))
-        in
-        rows := row :: !rows;
-        go (off + n)
-      end
-      else
-        let m, n = PC.decode_backend ~off reply in
-        (match m with
-        | PC.RowDescription fields ->
-            cols :=
-              List.map
-                (fun f ->
-                  ( f.PC.fd_name,
-                    Option.value ~default:Catalog.Sqltype.TText
-                      (PC.type_of_oid f.PC.fd_type_oid) ))
-                fields
-        | PC.ErrorResponse { code; message } -> error := Some (code ^ ": " ^ message)
-        | _ -> ());
-        go (off + n)
+      let m, n = PC.decode_backend ~off reply in
+      (match m with
+      | PC.DataRow cells ->
+          let row =
+            List.map2
+              (fun (_, ty) -> function
+                | None -> PV.Null
+                | Some s -> PV.of_text ty s)
+              !cols cells
+          in
+          rows := Array.of_list row :: !rows
+      | PC.RowDescription fields ->
+          cols :=
+            List.map
+              (fun f ->
+                ( f.PC.fd_name,
+                  Option.value ~default:Catalog.Sqltype.TText
+                    (PC.type_of_oid f.PC.fd_type_oid) ))
+              fields
+      | PC.ErrorResponse { code; message } -> error := Some (code ^ ": " ^ message)
+      | _ -> ());
+      go (off + n)
   in
   go 0;
   match !error with
@@ -1296,14 +1397,206 @@ let test_binary_matches_text_statements () =
     (fun sql ->
       match (text_query text_server sql, Pgwire.Client.query client sql) with
       | Ok (cols, rows), Ok r ->
-          if cols <> r.Pgwire.Client.columns then Alcotest.failf "%s: columns" sql;
-          if not (same_rows rows r.Pgwire.Client.rows) then
+          if cols <> r.Pgwire.Client.result.Pgdb.Exec.res_cols then
+            Alcotest.failf "%s: columns" sql;
+          if not (same_rows rows (wire_rows r)) then
             Alcotest.failf "%s: rows differ" sql;
           if rows <> [||] then incr with_rows
       | Error e, Error e' -> check tstr sql e e'
       | _ -> Alcotest.failf "%s: one path failed" sql)
     sqls;
   check tbool "rows compared" true (!with_rows >= 29)
+
+(* ------------------------------------------------------------------ *)
+(* Typed results across the wire                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Ty = Catalog.Sqltype
+
+(* A generated result column: its SQL type, its cells, and whether it is
+   stored boxed ([DVal], as a mixed column is) rather than typed *)
+type gen_col = { g_ty : Ty.t; g_cells : PV.t array; g_boxed : bool }
+
+(* one non-NULL cell of [ty], favouring the values a codec gets wrong:
+   int64 extremes, NaN, -0.0 and infinities, empty and repeated strings,
+   µs-aligned timestamps (both formats floor to microseconds) *)
+let gen_cell (ty : Ty.t) : PV.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  match ty with
+  | Ty.TBigint ->
+      map
+        (fun i -> PV.Int i)
+        (oneof
+           [ oneofl [ Int64.min_int; Int64.max_int; 0L; -1L ]; int64;
+             map Int64.of_int (int_range (-50) 50) ])
+  | Ty.TDouble ->
+      map
+        (fun f -> PV.Float f)
+        (oneof
+           [ oneofl [ Float.nan; -0.0; 0.0; infinity; neg_infinity; 1e15 ];
+             float; map (fun i -> float_of_int i /. 8.) (int_range (-800) 800) ])
+  | Ty.TText | Ty.TVarchar ->
+      map
+        (fun s -> PV.Str s)
+        (oneof [ oneofl [ ""; "a"; "IBM"; "IBM"; "x y" ]; string_printable ])
+  | Ty.TBool -> map (fun b -> PV.Bool b) bool
+  | Ty.TDate -> map (fun d -> PV.Date d) (int_range (-800_000) 3_000_000)
+  | Ty.TTime ->
+      (* a negative time's text ("-0:-0:-0.-25") reads back as another:
+         the text writer's Printf form is ambiguous there *)
+      map (fun t -> PV.Time t) (int_range 0 200_000_000)
+  | Ty.TTimestamp ->
+      map
+        (fun ns -> PV.Timestamp (Int64.mul (Int64.of_int (ns / 1000)) 1000L))
+        (int_range (-3_000_000_000_000_000) 3_000_000_000_000_000)
+
+let gen_col (n : int) : gen_col QCheck.Gen.t =
+  let open QCheck.Gen in
+  oneofl Ty.[ TBigint; TDouble; TText; TVarchar; TBool; TDate; TTime; TTimestamp ]
+  >>= fun ty ->
+  frequency [ (1, return 0); (1, return 5); (6, return 1) ] >>= fun null_pct ->
+  (* 0: every cell NULL; 5: one in five; 1: none *)
+  let cell =
+    match null_pct with
+    | 0 -> return PV.Null
+    | 5 -> frequency [ (1, return PV.Null); (4, gen_cell ty) ]
+    | _ -> gen_cell ty
+  in
+  map2
+    (fun cells g_boxed -> { g_ty = ty; g_cells = Array.of_list cells; g_boxed })
+    (list_repeat n cell) bool
+
+(* a result of 1-5 columns and [min_rows]-24 rows *)
+let gen_result ?(min_rows = 0) () : gen_col list QCheck.Gen.t =
+  let open QCheck.Gen in
+  pair (int_range min_rows 24) (int_range 1 5) >>= fun (n, width) ->
+  list_repeat width (gen_col n)
+
+let print_result cols =
+  String.concat "\n"
+    (List.map
+       (fun c ->
+         Printf.sprintf "%s%s: %s" (Ty.name c.g_ty)
+           (if c.g_boxed then " (boxed)" else "")
+           (String.concat ", " (Array.to_list (Array.map PV.to_display c.g_cells))))
+       cols)
+
+(* a session over table g holding [cols] as stored columns, in the
+   representation each asks for, and the SELECT that reads them back *)
+let result_session (cols : gen_col list) =
+  let n = match cols with c :: _ -> Array.length c.g_cells | [] -> 0 in
+  let column c =
+    let typed = Pgdb.Batch.column_of_values c.g_cells in
+    if c.g_boxed then { typed with Pgdb.Batch.data = Pgdb.Batch.DVal c.g_cells }
+    else typed
+  in
+  let names = List.mapi (fun i _ -> Printf.sprintf "c%d" i) cols in
+  let db = Pgdb.Db.create () in
+  Pgdb.Db.add_table db
+    (Catalog.Schema.table "g"
+       (List.map2 (fun name c -> Catalog.Schema.column name c.g_ty) names cols))
+    (Pgdb.Batch.of_columns n (Array.of_list (List.map column cols)));
+  (Pgdb.Db.open_session db, "SELECT " ^ String.concat ", " names ^ " FROM g")
+
+(* a server over [session] past its startup handshake, and a client
+   connected to another *)
+let started_server session =
+  let s = Pgwire.Server.create session in
+  ignore (Pgwire.Server.feed s (PC.encode_frontend (PC.Startup [ ("user", "app") ])));
+  s
+
+let wire_client session =
+  Pgwire.Client.connect (Pgwire.Server.feed (Pgwire.Server.create session))
+
+(* equal cells; a float by its bits, so -0.0 is not 0.0, and any NaN is
+   NaN (text carries no payload) *)
+let same_cell a b =
+  match (a, b) with
+  | PV.Float x, PV.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      || (Float.is_nan x && Float.is_nan y)
+  | a, b -> compare a b = 0
+
+(* The server encodes a generated result from its columns, typed or
+   boxed, and the client rebuilds the same cells: in binary through
+   Client.query, in text through a simple Query *)
+let wire_roundtrip cols =
+  let session, sql = result_session cols in
+  let want = Array.of_list (List.map (fun c -> c.g_cells) cols) in
+  let types = List.map (fun c -> c.g_ty) cols in
+  let agrees format (cols', rows) =
+    if List.map snd cols' <> types then
+      QCheck.Test.fail_reportf "%s: column types" format;
+    if Array.length rows <> Array.length want.(0) then
+      QCheck.Test.fail_reportf "%s: %d rows" format (Array.length rows);
+    Array.iteri
+      (fun i row ->
+        Array.iteri
+          (fun j v ->
+            if not (same_cell v want.(j).(i)) then
+              QCheck.Test.fail_reportf "%s: row %d column %d: %s, want %s"
+                format i j (PV.to_display v) (PV.to_display want.(j).(i)))
+          row)
+      rows;
+    true
+  in
+  (match Pgwire.Client.query (wire_client session) sql with
+  | Ok r -> agrees "binary" (r.Pgwire.Client.result.Pgdb.Exec.res_cols, wire_rows r)
+  | Error e -> QCheck.Test.fail_reportf "binary: %s" e)
+  &&
+  match text_query (started_server session) sql with
+  | Ok r -> agrees "text" r
+  | Error e -> QCheck.Test.fail_reportf "text: %s" e
+
+let prop_wire_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"typed result wire round trip"
+    (QCheck.make ~print:print_result (gen_result ()))
+    wire_roundtrip
+
+(* the round trip's edge cases, whatever the generator draws: zero rows
+   of every type, and an all-NULL text column beside typed and boxed
+   extremes *)
+let test_wire_roundtrip_edges () =
+  let col ?(boxed = false) g_ty g_cells = { g_ty; g_cells; g_boxed = boxed } in
+  List.iter
+    (fun cols -> check tbool (print_result cols) true (wire_roundtrip cols))
+    [
+      List.map
+        (fun ty -> col ty [||])
+        Ty.[ TBigint; TDouble; TText; TVarchar; TBool; TDate; TTime; TTimestamp ];
+      [
+        col Ty.TText [| PV.Null; PV.Null; PV.Null |];
+        col Ty.TBigint [| PV.Int Int64.min_int; PV.Null; PV.Int Int64.max_int |];
+        col ~boxed:true Ty.TDouble
+          [| PV.Float Float.nan; PV.Float (-0.0); PV.Float neg_infinity |];
+        col ~boxed:true Ty.TVarchar [| PV.Str ""; PV.Null; PV.Str "" |];
+      ];
+    ]
+
+(* A date or time the binary format cannot hold, anywhere in a generated
+   result, answers one 22008 ErrorResponse and no DataRow *)
+let prop_wire_overflow =
+  QCheck.Test.make ~count:100 ~name:"unencodable cell: one 22008, no rows"
+    (QCheck.make ~print:print_result
+       QCheck.Gen.(
+         gen_result ~min_rows:1 () >>= fun cols ->
+         let n = Array.length (List.hd cols).g_cells in
+         map2
+           (fun row bad ->
+             let cells = Array.make n PV.Null in
+             cells.(row) <- bad;
+             let g_ty = match bad with PV.Date _ -> Ty.TDate | _ -> Ty.TTime in
+             cols @ [ { g_ty; g_cells = cells; g_boxed = true } ])
+           (int_range 0 (n - 1))
+           (oneofl [ PV.Date 0x8000_0000; PV.Date (-0x8000_0001); PV.Time max_int ])))
+    (fun cols ->
+      let session, sql = result_session cols in
+      shape (Pgwire.Server.feed (started_server session) (Pgwire.Client.batch sql))
+      = "1 2 T E22008 Z"
+      &&
+      match Pgwire.Client.query (wire_client session) sql with
+      | Error e -> String.sub e 0 5 = "22008"
+      | Ok _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -1377,6 +1670,8 @@ let props =
       prop_binary_matches_text;
       prop_fuzz_frontend;
       prop_fuzz_backend;
+      prop_wire_roundtrip;
+      prop_wire_overflow;
     ]
 
 let () =
@@ -1432,6 +1727,12 @@ let () =
             test_decode_allocation_is_linear;
           Alcotest.test_case "one write per statement" `Quick
             test_one_write_per_statement;
+          Alcotest.test_case "encode allocation budget" `Quick
+            test_encode_allocation;
+          Alcotest.test_case "decode allocation budget" `Quick
+            test_decode_allocation;
+          Alcotest.test_case "typed result round trip edges" `Quick
+            test_wire_roundtrip_edges;
         ] );
       ( "extended protocol",
         [

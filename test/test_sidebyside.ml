@@ -174,6 +174,44 @@ let test_kept_order (q, n) () =
   Alcotest.(check int) "ORDER BYs kept" n (Sql_shape.order_bys sql);
   agrees_with_kdb p q
 
+(* Each result column's Q type, which [values_agree] does not look at:
+   an empty result's columns must carry kdb's types, through the direct
+   backend and through the PG v3 wire alike *)
+let typed_queries (d : MD.dataset) =
+  let sym = d.MD.syms.(0) in
+  [
+    "select from trades where Symbol=`NOPE";
+    "select Price, Size from trades where Size < 0";
+    "select from trades where Symbol=`" ^ sym;
+    "select Time, Bid, Ask, BSize from quotes where Symbol=`" ^ sym;
+  ]
+
+let column_types (v : Qvalue.Value.t) : string list =
+  match Qvalue.Value.unkey v with
+  | Qvalue.Value.Table t ->
+      Array.to_list
+        (Array.map
+           (function
+             | Qvalue.Value.Vector (ty, _) -> Qvalue.Qtype.name ty
+             | Qvalue.Value.List _ -> "general"
+             | _ -> "not a list")
+           t.Qvalue.Value.data)
+  | v -> Alcotest.failf "expected a table, got %s" (Qvalue.Qprint.to_string v)
+
+let test_column_types (d : MD.dataset) kdb backend q () =
+  let want =
+    match Kdb.Server.query kdb ~client:0 q with
+    | Ok v -> column_types v
+    | Error e -> Alcotest.failf "kdb: %s" e
+  in
+  let db = Pgdb.Db.create () in
+  MD.load_pg db d;
+  match Hyperq.Engine.try_run (Hyperq.Engine.create (backend db)) q with
+  | Ok { Hyperq.Engine.value = Some v; _ } ->
+      Alcotest.(check (list string)) "column types" want (column_types v)
+  | Ok _ -> Alcotest.fail "no value"
+  | Error e -> Alcotest.failf "hyper-q: %s" e
+
 let () =
   let d = Workload.Marketdata.generate Workload.Marketdata.small_scale in
   let reports = Sidebyside.Framework.run_workload d in
@@ -219,6 +257,20 @@ let () =
                Alcotest.test_case q `Quick (fun () ->
                    agrees_with_kdb (Lazy.force permuted) q))
              (exactness_queries d) );
+      ( "column types",
+        List.concat_map
+          (fun (name, backend) ->
+            List.map
+              (fun q ->
+                Alcotest.test_case (name ^ ": " ^ q) `Quick
+                  (test_column_types d h.F.kdb backend q))
+              (typed_queries d))
+          [
+            ( "direct",
+              fun db -> Hyperq.Backend.of_pgdb_session (Pgdb.Db.open_session db) );
+            ( "wire",
+              fun db -> Platform.Gateway.wire_backend (Pgdb.Db.open_session db) );
+          ] );
       ( "required order",
         List.map
           (fun (name, q, n) ->

@@ -61,7 +61,7 @@ let session db = Db.open_session db
    data *)
 let outcome (f : unit -> Pgdb.Exec.result) =
   match f () with
-  | res -> Ok (res.Pgdb.Exec.res_cols, res.Pgdb.Exec.res_rows)
+  | res -> Ok (res.Pgdb.Exec.res_cols, (Stored.result_rows res))
   | exception Pgdb.Errors.Sql_error { code; message } ->
       Error (code ^ ":" ^ message)
 

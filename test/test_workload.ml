@@ -143,7 +143,7 @@ let test_pg_and_kdb_loads_agree () =
   with
   | Pgdb.Db.Rows (res, _) ->
       let pg_sectors =
-        Array.to_list res.Pgdb.Exec.res_rows
+        Array.to_list (Stored.result_rows res)
         |> List.map (fun row ->
                match row.(0) with Pgdb.Value.Str s -> s | _ -> "?")
       in
