@@ -56,16 +56,6 @@ let sql_since (b : t) (mark : int) : string list =
   in
   go [] (!(b.sql_count) - mark) !(b.request_sql)
 
-let exec_exn (b : t) (sql : string) : reply =
-  match exec b sql with
-  | Ok r -> r
-  | Error e -> failwith (Printf.sprintf "backend error: %s" e)
-
-let query_exn (b : t) (sql : string) : result =
-  match exec_exn b sql with
-  | Result_set r -> r
-  | Command_ok tag -> failwith (Printf.sprintf "expected rows, got %s" tag)
-
 (** Wrap a backend with a fixed per-statement latency, simulating the
     optimize-and-dispatch overhead of an MPP cluster (paper Section 2.1:
     "latency overhead in analytical databases, especially for

@@ -56,9 +56,6 @@ val log_mark : t -> int
     first. Walks only the entries added after the mark. *)
 val sql_since : t -> int -> string list
 
-val exec_exn : t -> string -> reply
-val query_exn : t -> string -> result
-
 (** Wrap a backend with a fixed per-statement latency, simulating an MPP
     cluster's optimize-and-dispatch floor (paper Section 2.1). Used by the
     benchmarks; tests run without it. *)

@@ -88,10 +88,6 @@ let invalidate t name =
   t.generation <- t.generation + 1;
   Hashtbl.remove t.cache (String.lowercase_ascii name)
 
-let invalidate_all t =
-  t.generation <- t.generation + 1;
-  Hashtbl.reset t.cache
-
 (* catalog round trip: fetch column metadata through SQL *)
 let fetch (t : t) (lname : string) : S.table_def option =
   t.misses <- t.misses + 1;

@@ -28,17 +28,15 @@ val default_config : unit -> config
     not CREATE TEMPORARY) bumps the catalog generation. *)
 val create : ?config:config -> Backend.t -> t
 
-(** Catalog generation: bumped on {!invalidate}/{!invalidate_all}, on DDL
+(** Catalog generation: bumped on {!invalidate}, on DDL
     observed through [Backend.exec], and on a cache refetch that returns
     a changed (or vanished) definition. Cached translations embed the
     generation they were bound under; a bump makes them unreachable. *)
 val generation : t -> int
 
-(** Drop one cached table (e.g. after DDL), or everything. Either way the
-    catalog generation advances. *)
+(** Drop one cached table (e.g. after DDL); the catalog generation
+    advances. *)
 val invalidate : t -> string -> unit
-
-val invalidate_all : t -> unit
 
 (** Resolve a table by (case-insensitive) name: cache first, then a SQL
     query against [pg_catalog_columns]. Returns columns, keys and the

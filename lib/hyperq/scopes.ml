@@ -74,8 +74,6 @@ let pop_local t =
   | _ :: rest -> t.locals <- rest
   | [] -> invalid_arg "pop_local: no local scope"
 
-let in_function t = t.locals <> []
-
 (** Lookup following the scope hierarchy; the caller falls through to the
     MDI when this returns [None]. *)
 let lookup (t : t) (name : string) : vardef option =

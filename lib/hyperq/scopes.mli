@@ -57,7 +57,6 @@ val generations : t -> int * int
 
 val push_local : t -> unit
 val pop_local : t -> unit
-val in_function : t -> bool
 
 (** Lookup: innermost local frame (only — Q has no lexical nesting), then
     session, then server. *)

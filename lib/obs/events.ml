@@ -27,17 +27,6 @@ let memory () =
         ~finally:(fun () -> Mutex.unlock sink.s_mu)
         (fun () -> List.rev !captured) )
 
-let to_channel oc =
-  {
-    write =
-      Some
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n';
-          flush oc);
-    s_mu = Mutex.create ();
-  }
-
 let set_writer sink w =
   Mutex.lock sink.s_mu;
   sink.write <- Some w;

@@ -29,9 +29,6 @@ val active : sink -> bool
     the captured lines in emission order. *)
 val memory : unit -> sink * (unit -> string list)
 
-(** Sink appending one line per event to a channel, flushing each. *)
-val to_channel : out_channel -> sink
-
 (** Replace the writer (e.g. redirect the server's sink at startup). *)
 val set_writer : sink -> (string -> unit) -> unit
 

@@ -29,7 +29,7 @@ type t = {
           hash-partitioned across N independent pgdb backends, each
           behind its own wire gateway on its own domain; shard-safe
           statements fan out, everything else runs on [db] as before *)
-  analyze_sample : int Atomic.t;
+  analyze_sample : int;
       (** run every Nth ordinary query with operator-stats collection on
           (0 = off) — the [--analyze-sample N] tail sampler *)
   analyze_seen : int Atomic.t;  (** queries considered by the sampler *)
@@ -95,20 +95,12 @@ let create ?(users = [ ("trader", "pwd") ])
     plancache;
     obs;
     cluster;
-    analyze_sample = Atomic.make (max 0 analyze_sample);
+    analyze_sample = max 0 analyze_sample;
     analyze_seen = Atomic.make 0;
   }
 
 (** The platform's shared plan cache, when enabled. *)
 let plan_cache (t : t) = t.plancache
-
-(** Change the ANALYZE tail-sampling rate at runtime: every [n]-th
-    ordinary query runs with operator-stats collection on and lands in
-    the explain ring; [0] turns sampling off. *)
-let set_analyze_sample (t : t) (n : int) : unit =
-  Atomic.set t.analyze_sample (max 0 n)
-
-let analyze_sample (t : t) : int = Atomic.get t.analyze_sample
 
 (** The shard cluster, when running sharded. *)
 let cluster (t : t) = t.cluster
@@ -247,7 +239,7 @@ let connect (t : t) : connection =
           | None -> []);
       eh_sample =
         (fun () ->
-          let n = Atomic.get t.analyze_sample in
+          let n = t.analyze_sample in
           if n <= 0 then false
           else (Atomic.fetch_and_add t.analyze_seen 1 + 1) mod n = 0);
     }

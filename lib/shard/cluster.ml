@@ -411,9 +411,9 @@ let execute (t : t) (plan : Router.plan) ~(targets : int list) :
         | Error e -> Error e)
     | Router.PartialAgg plan -> (
         match fan_out t ~targets (shard_sql plan.Router.a_shard_rel) with
-        | Ok rs -> gathering t (fun () -> Gather.combine plan rs)
+        | Ok rs -> Ok (gathering t (fun () -> Gather.combine plan rs))
         | Error e -> Error e)
-  with e -> Error (Printexc.to_string e)
+  with e -> Error (Pgdb.Errors.to_string e)
 
 (** The engine hook: route each optimized tree, claiming shard-safe
     statements and declining the rest (the engine then runs its normal

@@ -4,8 +4,10 @@
    at --shards 2 (the existing end-to-end suite re-run sharded),
    scatter pruning at 4 shards, a 200-query randomized differential
    against the single-backend engine, kdb differentials (vector shapes,
-   literal tables, count of NULL-bearing columns), and the plan-cache
-   shard-generation regression. *)
+   literal tables, count of NULL-bearing columns), the partial-aggregate
+   combine against pgdb over the whole table, the rendering of a
+   coordinator-side pgdb error, and the plan-cache shard-generation
+   regression. *)
 
 module V = Pgdb.Value
 module Db = Pgdb.Db
@@ -328,6 +330,47 @@ let test_fanout_overlaps () =
         (Atomic.get timed_out);
       check tint "one barrier round per scatter" (3 * shards)
         (Atomic.get arrived))
+
+(* A pgdb error raised by the coordinator's combine reads like one a
+   shard reports: here one shard's partial min is text and the other's a
+   number, which pgdb's min cannot compare. *)
+let test_coordinator_error () =
+  let column v = Pgdb.Batch.column_of_values [| v |] in
+  let make_backend ~shard_id ~obs:_ sess =
+    let b = Hyperq.Backend.of_pgdb_session sess in
+    let mn = if shard_id = 0 then V.Float 1.0 else V.Str "x" in
+    let partial =
+      {
+        Pgdb.Exec.res_cols = [ ("Symbol", Ty.TVarchar); ("mn", Ty.TDouble) ];
+        res_nrows = 1;
+        res_columns = [| column (V.Str "A"); column mn |];
+      }
+    in
+    { b with exec = (fun _ -> Ok (Hyperq.Backend.Result_set partial)) }
+  in
+  let c = C.create ~shards:2 ~make_backend (make_db ()) in
+  Fun.protect ~finally:(fun () -> C.shutdown c) (fun () ->
+      let min_price =
+        I.AggFun { fn = "min"; distinct = false; args = [ I.ColRef "Price" ] }
+      in
+      let plan =
+        {
+          R.a_shard_rel =
+            I.Aggregate
+              {
+                input = trades_get;
+                keys = [ ("Symbol", I.ColRef "Symbol") ];
+                aggs = [ ("mn", min_price) ];
+              };
+          a_cols = [ ("Symbol", R.CKey); ("mn", R.CMin) ];
+          a_sort = [];
+        }
+      in
+      match C.execute c (R.PartialAgg plan) ~targets:[ 0; 1 ] with
+      | Ok _ -> Alcotest.fail "min over text and a number should fail"
+      | Error e ->
+          check Alcotest.string "rendered as a pgdb error"
+            "ERROR 42804: cannot compare text with double" e)
 
 (* ------------------------------------------------------------------ *)
 (* The platform end-to-end at --shards 2                               *)
@@ -852,6 +895,162 @@ let test_count_distinct_with_nulls_against_kdb () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Partial-aggregate combine against pgdb over the whole table         *)
+(* ------------------------------------------------------------------ *)
+
+(* key and value columns of the combine fixture, each with its domain.
+   The keys hold NULLs, NaN, -0.0 beside 0.0, ints past 2^53 that one
+   float cannot tell apart, and a boxed column holding both 5 and 5.0,
+   which pgdb's GROUP BY puts in one group. The float values are
+   quarters, so every partial sum is exact in any association. *)
+let combine_cols =
+  let big = 9007199254740993L (* 2^53 + 1 *) in
+  let ints l = List.map (fun i -> V.Int i) l
+  and floats l = List.map (fun f -> V.Float f) l
+  and strs l = List.map (fun s -> V.Str s) l in
+  List.map
+    (fun (name, ty, dom) -> (name, ty, Array.of_list (V.Null :: dom)))
+    [
+      ("ki", Ty.TBigint, ints [ 0L; 1L; -3L; big; Int64.succ big ]);
+      ("kf", Ty.TDouble, floats [ 0.0; -0.0; Float.nan; 1.5 ]);
+      ("kt", Ty.TText, strs [ "a"; "b"; "" ]);
+      ("kb", Ty.TDouble, [ V.Int 5L; V.Float 5.0; V.Int 7L; V.Float 7.5 ]);
+      ("vi", Ty.TBigint, ints [ 0L; 2L; -7L; 100L ]);
+      ("vf", Ty.TDouble, floats [ 0.25; -1.5; 2.0; -0.0; Float.nan ]);
+      ("vt", Ty.TText, strs [ "x"; "y"; "zz" ]);
+    ]
+
+let combine_table rows =
+  let db = Db.create () in
+  Db.load_table db
+    (S.table "t" (List.map (fun (n, ty, _) -> S.column n ty) combine_cols))
+    rows;
+  db
+
+let select_on db sql =
+  let b = Hyperq.Backend.of_pgdb_session (Db.open_session db) in
+  match Hyperq.Backend.exec b sql with
+  | Ok (Hyperq.Backend.Result_set r) -> r
+  | Ok (Hyperq.Backend.Command_ok tag) -> Alcotest.failf "%s: %s" sql tag
+  | Error e -> Alcotest.failf "%s: %s" sql e
+
+(* equal cells: NaN matches NaN and -0.0 matches 0.0; on the boxed key
+   column a group's representative may be either of 5 and 5.0 *)
+let same_cell ~boxed a b =
+  match (a, b) with
+  | V.Float x, V.Float y -> Float.equal x y
+  | _ when boxed -> V.compare_total a b = 0
+  | _ -> V.type_of a = V.type_of b && V.compare_total a b = 0
+
+(* a random grouped (or, with no keys, scalar) aggregate over [t], its
+   groups sorted on every key *)
+let random_partial_agg rng =
+  let input =
+    I.Get
+      {
+        table = "t";
+        cols = List.map (fun (n, ty, _) -> cr n ty) combine_cols;
+        ordcol = None;
+      }
+  in
+  let keys =
+    List.filter (fun _ -> Random.State.bool rng) [ "ki"; "kf"; "kt"; "kb" ]
+  in
+  let agg fn c = I.AggFun { fn; distinct = false; args = [ I.ColRef c ] } in
+  let choices =
+    [|
+      agg "sum" "vi"; agg "sum" "vf"; agg "count" "vi"; agg "count" "kt";
+      agg "min" "vi"; agg "max" "vf"; agg "min" "vt"; agg "max" "vt";
+      agg "avg" "vi"; agg "avg" "vf";
+      (* the binder's Q-sum form *)
+      I.ScalarFun
+        ("coalesce", [ agg "sum" "vi"; I.Const (A.Int 0L, Ty.TBigint) ]);
+    |]
+  in
+  let aggs =
+    List.init
+      (1 + Random.State.int rng 4)
+      (fun i ->
+        ( Printf.sprintf "a%d" i,
+          choices.(Random.State.int rng (Array.length choices)) ))
+  in
+  let keyed = List.map (fun k -> (k, I.ColRef k)) keys in
+  let rel = I.Aggregate { input; keys = keyed; aggs } in
+  let dir () = if Random.State.bool rng then `Asc else `Desc in
+  if keys = [] then rel
+  else
+    I.Sort
+      {
+        input = rel;
+        keys =
+          List.map (fun k -> { I.sk_expr = I.ColRef k; sk_dir = dir () }) keys;
+      }
+
+(* Each query's combine, over the shard partials of 2 and of 4 random
+   partitions of the rows, returns the column types and values pgdb
+   returns for the same aggregate over the whole table. *)
+let test_combine_against_pgdb () =
+  let rng = Random.State.make [| 31 |] in
+  let map = SM.create ~shards:4 ~distributions:[ ("t", "ki") ] in
+  let random_row () =
+    Array.of_list
+      (List.map
+         (fun (_, _, dom) -> dom.(Random.State.int rng (Array.length dom)))
+         combine_cols)
+  in
+  let cell (r : Pgdb.Exec.result) j i =
+    Pgdb.Batch.value_at r.Pgdb.Exec.res_columns.(j) i
+  in
+  let show v = V.to_debug v ^ " " ^ V.to_display v in
+  let types (r : Pgdb.Exec.result) =
+    List.map (fun (n, ty) -> (n, Ty.name ty)) r.Pgdb.Exec.res_cols
+  in
+  for _ = 1 to 60 do
+    let rows =
+      List.init (1 + Random.State.int rng 40) (fun _ -> random_row ())
+    in
+    let whole = combine_table rows in
+    for _ = 1 to 4 do
+      let rel = random_partial_agg rng in
+      let sql = Hyperq.Serializer.serialize_to_sql rel in
+      let expected = select_on whole sql in
+      let plan =
+        match R.route map rel with
+        | R.Run (R.PartialAgg plan, _) -> plan
+        | _ -> Alcotest.failf "%s: expected a partial-aggregate route" sql
+      in
+      List.iter
+        (fun parts ->
+          let owner =
+            List.map (fun r -> (Random.State.int rng parts, r)) rows
+          in
+          let partial p =
+            let mine = List.filter (fun (q, _) -> q = p) owner in
+            select_on
+              (combine_table (List.map snd mine))
+              (C.shard_sql plan.R.a_shard_rel)
+          in
+          let got = Shard.Gather.combine plan (List.init parts partial) in
+          let where = Printf.sprintf "%s (%d partitions)" sql parts in
+          check
+            Alcotest.(list (pair string string))
+            (where ^ ": columns") (types expected) (types got);
+          check tint (where ^ ": rows") expected.Pgdb.Exec.res_nrows
+            got.Pgdb.Exec.res_nrows;
+          List.iteri
+            (fun j (name, _) ->
+              for i = 0 to expected.Pgdb.Exec.res_nrows - 1 do
+                let e = cell expected j i and g = cell got j i in
+                if not (same_cell ~boxed:(name = "kb") e g) then
+                  Alcotest.failf "%s: row %d, %s: expected %s, got %s" where
+                    i name (show e) (show g)
+              done)
+            expected.Pgdb.Exec.res_cols)
+        [ 2; 4 ]
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Plan cache: shard-map generation in the key                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1027,6 +1226,8 @@ let () =
           Alcotest.test_case "mirrors DDL/DML" `Quick test_cluster_mirrors_ddl;
           Alcotest.test_case "fan-out overlaps shard dispatch" `Quick
             test_fanout_overlaps;
+          Alcotest.test_case "coordinator error reads like a shard's" `Quick
+            test_coordinator_error;
         ] );
       ( "platform --shards 2",
         [
@@ -1046,6 +1247,8 @@ let () =
             `Quick test_count_with_nulls_against_kdb;
           Alcotest.test_case "count distinct with NULLs agrees with kdb"
             `Quick test_count_distinct_with_nulls_against_kdb;
+          Alcotest.test_case "combine against pgdb over the whole table"
+            `Quick test_combine_against_pgdb;
         ] );
       ( "plan cache",
         [
