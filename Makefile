@@ -1,4 +1,4 @@
-.PHONY: all check test bench bench-smoke fmt clean ci
+.PHONY: all check test bench-smoke fmt clean ci
 
 all:
 	dune build @all
@@ -7,7 +7,7 @@ all:
 # allocation budgets, the fan-out barrier; the introspection suite drives
 # the HTTP admin endpoint through its pure handler, so no curl or open
 # port) + bench-smoke. Speed is measured by hqbench (bench/suite), not
-# gated here; bench/main.exe prints the paper's figures.
+# gated here.
 ci:
 	dune build @all
 	dune runtest
@@ -23,9 +23,6 @@ check:
 
 test:
 	dune runtest
-
-bench:
-	dune exec bench/main.exe
 
 fmt:
 	dune fmt

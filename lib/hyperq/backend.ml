@@ -56,22 +56,6 @@ let sql_since (b : t) (mark : int) : string list =
   in
   go [] (!(b.sql_count) - mark) !(b.request_sql)
 
-(** Wrap a backend with a fixed per-statement latency, simulating the
-    optimize-and-dispatch overhead of an MPP cluster (paper Section 2.1:
-    "latency overhead in analytical databases, especially for
-    short-running queries, is typically larger..."). Used by the
-    benchmarks so execution times have the fixed floor a real Greenplum
-    deployment exhibits; tests run without it. *)
-let with_dispatch_latency (seconds : float) (b : t) : t =
-  {
-    b with
-    name = b.name ^ "+dispatch";
-    exec =
-      (fun sql ->
-        Unix.sleepf seconds;
-        b.exec sql);
-  }
-
 (** Direct in-process backend over a pgdb session. *)
 let of_pgdb_session (sess : Pgdb.Db.session) : t =
   let exec sql =

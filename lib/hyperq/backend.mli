@@ -56,10 +56,5 @@ val log_mark : t -> int
     first. Walks only the entries added after the mark. *)
 val sql_since : t -> int -> string list
 
-(** Wrap a backend with a fixed per-statement latency, simulating an MPP
-    cluster's optimize-and-dispatch floor (paper Section 2.1). Used by the
-    benchmarks; tests run without it. *)
-val with_dispatch_latency : float -> t -> t
-
 (** A direct in-process backend over a pgdb session. *)
 val of_pgdb_session : Pgdb.Db.session -> t

@@ -22,22 +22,6 @@ exception Hq_error of { category : string; message : string }
 let hq_error category fmt =
   Format.kasprintf (fun message -> raise (Hq_error { category; message })) fmt
 
-type config = {
-  xformer : Xformer.config;
-  mutable materialization : [ `Logical | `Physical ];
-  mutable plan_cache : bool;
-      (** enable the fingerprint-keyed translation plan cache *)
-  mutable plan_cache_size : int;  (** LRU capacity of the plan cache *)
-}
-
-let default_config () =
-  {
-    xformer = Xformer.default_config ();
-    materialization = `Logical;
-    plan_cache = false;
-    plan_cache_size = Plancache.default_capacity;
-  }
-
 (** Hook a sharded executor into the engine: after the Xformer runs,
     [sh_route] inspects the optimized XTRA tree and either claims the
     statement (returning a thunk that fans it out and gathers) or
@@ -57,7 +41,7 @@ type t = {
   timer : Stage_timer.t;
   obs : Obs.Ctx.t;
   stage_hists : (Stage_timer.stage * Obs.Metrics.histogram) list;
-  config : config;
+  materialization : [ `Logical | `Physical ];
   plancache : Plancache.t option;
   pc_hits : Obs.Metrics.counter;
   pc_misses : Obs.Metrics.counter;
@@ -90,29 +74,14 @@ and pipeline_note = {
   pn_statements : int;  (** SQL statements dispatched to backends *)
 }
 
-let create ?(config = default_config ()) ?mdi_config ?server_scope ?plan_cache
-    ?sharder ?obs backend =
+let create ?(materialization = `Logical) ?server_scope ?plan_cache ?sharder
+    ?obs backend =
   let obs = match obs with Some o -> o | None -> Obs.Ctx.create () in
   let reg = obs.Obs.Ctx.registry in
-  let pc_evictions =
-    Obs.Metrics.counter reg ~help:"Plan-cache entries evicted (LRU)"
-      "hq_plan_cache_evictions_total"
-  in
-  let plancache =
-    match plan_cache with
-    | Some pc -> Some pc
-    | None ->
-        if config.plan_cache then
-          Some
-            (Plancache.create
-               ~on_evict:(fun () -> Obs.Metrics.inc pc_evictions)
-               ~capacity:config.plan_cache_size ())
-        else None
-  in
   {
     backend;
     sharder;
-    mdi = Mdi.create ?config:mdi_config backend;
+    mdi = Mdi.create backend;
     scopes = Scopes.create ?server:server_scope ();
     timer = Stage_timer.create ();
     obs;
@@ -125,8 +94,8 @@ let create ?(config = default_config ()) ?mdi_config ?server_scope ?plan_cache
               ~labels:[ ("stage", Stage_timer.stage_name s) ]
               "hq_stage_seconds" ))
         Stage_timer.all_stages;
-    config;
-    plancache;
+    materialization;
+    plancache = plan_cache;
     pc_hits =
       Obs.Metrics.counter reg ~help:"Plan-cache hits (template reused)"
         "hq_plan_cache_hits_total";
@@ -190,20 +159,14 @@ let fresh_temp (t : t) : string =
 (** Lower an XTRA tree to executable SQL text, running the Xformer and the
     serializer under their stage timers. *)
 let lower (t : t) (rel : I.rel) : string =
-  let optimized =
-    stage t Stage_timer.Optimize (fun () ->
-        Xformer.optimize ~config:t.config.xformer rel)
-  in
-  stage t Stage_timer.Serialize (fun () ->
-      Serializer.serialize_to_sql
-        ~tolerate_eq2:(not t.config.xformer.Xformer.enable_2vl)
-        optimized)
+  let optimized = stage t Stage_timer.Optimize (fun () -> Xformer.optimize rel) in
+  stage t Stage_timer.Serialize (fun () -> Serializer.serialize_to_sql optimized)
 
 (* the binder callback implementing assignment materialization *)
 let materialize_cb (t : t) (_ctx : Binder.ctx) (name : string)
     (brel : Binder.bound_rel) : Scopes.vardef =
   ignore name;
-  match t.config.materialization with
+  match t.materialization with
   | `Logical -> Scopes.VRel (brel.Binder.rel, brel.Binder.keys)
   | `Physical ->
       let tbl = fresh_temp t in
@@ -373,8 +336,7 @@ type run_result = {
 let execute_rel (t : t) (brel : Binder.bound_rel) : QV.t * string list =
   let sql_before = Backend.log_mark t.backend in
   let optimized =
-    stage t Stage_timer.Optimize (fun () ->
-        Xformer.optimize ~config:t.config.xformer brel.Binder.rel)
+    stage t Stage_timer.Optimize (fun () -> Xformer.optimize brel.Binder.rel)
   in
   let sharded_run =
     match t.sharder with
@@ -407,9 +369,7 @@ let execute_rel (t : t) (brel : Binder.bound_rel) : QV.t * string list =
   | None ->
       let sql =
         stage t Stage_timer.Serialize (fun () ->
-            Serializer.serialize_to_sql
-              ~tolerate_eq2:(not t.config.xformer.Xformer.enable_2vl)
-              optimized)
+            Serializer.serialize_to_sql optimized)
       in
       if Obs.Log.enabled t.obs.Obs.Ctx.log Obs.Log.Debug then
         Obs.Log.debug t.obs.Obs.Ctx.log ~trace_id:(Obs.Ctx.trace_id t.obs)
@@ -433,21 +393,11 @@ let execute_rel (t : t) (brel : Binder.bound_rel) : QV.t * string list =
 (* a context-free scalar evaluates via a FROM-less SELECT *)
 let execute_scalar (t : t) (s : I.scalar) : QV.t =
   let optimized =
-    stage t Stage_timer.Optimize (fun () ->
-        I.map_scalar
-          (function
-            | I.Eq2 (a, b) -> I.NullSafeEq (a, b)
-            | I.Neq2 (a, b) -> I.NullSafeNeq (a, b)
-            | s -> s)
-          s)
+    stage t Stage_timer.Optimize (fun () -> Xformer.two_valued_scalar s)
   in
   let sql =
     stage t Stage_timer.Serialize (fun () ->
-        let st_expr =
-          Serializer.sql_of_scalar
-            { Serializer.alias_counter = 0; tolerate_eq2 = false }
-            optimized
-        in
+        let st_expr = Serializer.sql_of_scalar optimized in
         A.select_str
           { A.empty_select with projs = [ { A.p_expr = st_expr; p_alias = Some "value" } ] })
   in
@@ -466,22 +416,21 @@ let execute_scalar (t : t) (s : I.scalar) : QV.t =
            (Batch.value_at res.Backend.res_columns.(0) 0))
   | _ -> hq_error "backend" "scalar query returned a non-scalar result"
 
+(* a bound literal's Q atom: constants do not need the backend *)
+let atom_of_lit ((l, ty) : A.lit * Ty.t) : QA.t =
+  Typemap.atom_of_value ty
+    (match l with
+    | A.Null -> Pgdb.Value.Null
+    | A.Bool b -> Pgdb.Value.Bool b
+    | A.Int i -> Pgdb.Value.Int i
+    | A.Float f -> Pgdb.Value.Float f
+    | A.Str s -> (
+        match ty with
+        | Ty.TDate | Ty.TTime | Ty.TTimestamp -> Pgdb.Value.of_text ty s
+        | _ -> Pgdb.Value.Str s))
+
 let value_of_list (ls : (A.lit * Ty.t) list) : QV.t =
-  QV.vector_of_atoms
-    (Array.of_list
-       (List.map
-          (fun (l, ty) ->
-            Typemap.atom_of_value ty
-              (match l with
-              | A.Null -> Pgdb.Value.Null
-              | A.Bool b -> Pgdb.Value.Bool b
-              | A.Int i -> Pgdb.Value.Int i
-              | A.Float f -> Pgdb.Value.Float f
-              | A.Str s -> (
-                  match ty with
-                  | Ty.TDate | Ty.TTime | Ty.TTimestamp -> Pgdb.Value.of_text ty s
-                  | _ -> Pgdb.Value.Str s)))
-          ls))
+  QV.vector_of_atoms (Array.of_list (List.map atom_of_lit ls))
 
 (** Execute one parsed Q statement. *)
 let run_statement (t : t) (stmt : Ast.expr) : run_result =
@@ -509,20 +458,7 @@ let run_statement (t : t) (stmt : Ast.expr) : run_result =
       let value =
         match v with
         | Binder.BRel brel -> fst (execute_rel t brel)
-        | Binder.BScalar (I.Const (l, ty)) ->
-            (* constants do not need the backend *)
-            QV.Atom
-              (Typemap.atom_of_value ty
-                 (match l with
-                 | A.Null -> Pgdb.Value.Null
-                 | A.Bool b -> Pgdb.Value.Bool b
-                 | A.Int i -> Pgdb.Value.Int i
-                 | A.Float f -> Pgdb.Value.Float f
-                 | A.Str s -> (
-                     match ty with
-                     | Ty.TDate | Ty.TTime | Ty.TTimestamp ->
-                         Pgdb.Value.of_text ty s
-                     | _ -> Pgdb.Value.Str s)))
+        | Binder.BScalar (I.Const (l, ty)) -> QV.Atom (atom_of_lit (l, ty))
         | Binder.BScalar s -> execute_scalar t s
         | Binder.BList ls -> value_of_list ls
         | Binder.BFun l -> QV.string_ (Ast.to_string (Ast.Lambda l))
@@ -607,13 +543,7 @@ let install_template (t : t) (pc : Plancache.t) (an : F.analysis)
     | [ stmt ] -> (
         match Binder.bind (make_ctx t) stmt with
         | Binder.BRel brel when brel.Binder.shape = shape ->
-            let optimized =
-              Xformer.optimize ~config:t.config.xformer brel.Binder.rel
-            in
-            Some
-              (Serializer.serialize_to_sql
-                 ~tolerate_eq2:(not t.config.xformer.Xformer.enable_2vl)
-                 optimized)
+            Some (Serializer.serialize_to_sql (Xformer.optimize brel.Binder.rel))
         | _ -> None)
     | _ -> None
   in
@@ -741,7 +671,7 @@ let run_program (t : t) (src : string) : run_result =
   r
 
 (** Translate without executing: returns the serialized SQL for a single
-    Q query (used by tests, examples and the translation benchmarks). *)
+    Q query (used by tests, examples and the REPL's \\sql). *)
 let translate (t : t) (src : string) : string =
   let stmts =
     stage t Stage_timer.Parse (fun () -> Qlang.Parser.parse_program src)

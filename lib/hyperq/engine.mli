@@ -9,17 +9,6 @@
 
 exception Hq_error of { category : string; message : string }
 
-type config = {
-  xformer : Xformer.config;
-  mutable materialization : [ `Logical | `Physical ];
-  mutable plan_cache : bool;
-      (** enable the fingerprint-keyed translation plan cache (off by
-          default for standalone engines; the platform turns it on) *)
-  mutable plan_cache_size : int;  (** LRU capacity of the plan cache *)
-}
-
-val default_config : unit -> config
-
 type t
 
 (** Hook for a sharded executor (see [Shard.Cluster]): after the Xformer
@@ -35,19 +24,18 @@ type sharder = {
   sh_generation : unit -> int;
 }
 
-(** Create a session over a backend. [server_scope] shares global
-    variables across sessions (as on one kdb+ server); [mdi_config]
-    controls the metadata cache; [plan_cache] shares one translation
-    plan cache across sessions (a private one is created when
-    [config.plan_cache] is set and none is passed); [sharder] routes
-    statements to a shard cluster when present; [obs] is the
-    observability context the pipeline stages are recorded into
-    (per-stage latency histograms, and trace spans when a query trace is
-    open) — defaults to a private context so standalone engines stay
-    fully instrumented. *)
+(** Create a session over a backend. [materialization] picks how an
+    assignment materializes (default [`Logical]; [`Physical] is the
+    paper's Section 4.3 Example 3 strategy); [server_scope] shares global
+    variables across sessions (as on one kdb+ server); [plan_cache] is
+    the translation plan cache, possibly shared across sessions (none:
+    every query is translated in full); [sharder] routes statements to a
+    shard cluster when present; [obs] is the observability context the
+    pipeline stages are recorded into (per-stage latency histograms, and
+    trace spans when a query trace is open) — defaults to a private
+    context so standalone engines stay fully instrumented. *)
 val create :
-  ?config:config ->
-  ?mdi_config:Mdi.config ->
+  ?materialization:[ `Logical | `Physical ] ->
   ?server_scope:Scopes.server ->
   ?plan_cache:Plancache.t ->
   ?sharder:sharder ->
@@ -71,7 +59,7 @@ val run_statement : t -> Qlang.Ast.expr -> run_result
     Raises on errors — prefer {!try_run} at API boundaries. *)
 val run_program : t -> string -> run_result
 
-(** Translate a single Q query to SQL without executing it (benchmarks,
+(** Translate a single Q query to SQL without executing it (the REPL's \\sql,
     examples, debugging). *)
 val translate : t -> string -> string
 
@@ -88,7 +76,7 @@ val obs : t -> Obs.Ctx.t
 (** The session's metadata interface (cache statistics, invalidation). *)
 val mdi : t -> Mdi.t
 
-(** The session's plan cache, when enabled (possibly shared). *)
+(** The session's plan cache, when it has one (possibly shared). *)
 val plan_cache : t -> Plancache.t option
 
 (** How the last [run_program] moved through the Q→XTRA→SQL pipeline:

@@ -3,25 +3,20 @@
     The binder resolves table references by querying the backend's catalog.
     Each uncached lookup is a real SQL round trip against
     [pg_catalog_columns]; because metadata changes rarely, Hyper-Q keeps a
-    configurable cache with an expiration budget and explicit invalidation
-    (Section 6: "experiments are conducted with metadata caching
-    enabled"). *)
+    cache with an expiration budget and explicit invalidation (Section 6:
+    "experiments are conducted with metadata caching enabled"). *)
 
 module S = Catalog.Schema
 module Ty = Catalog.Sqltype
 
-type config = {
-  mutable cache_enabled : bool;
-  mutable max_age_lookups : int;
-      (** entries expire after this many lookups (a stand-in for wall-clock
-          expiry so tests and benches are deterministic) *)
-}
+(* entries expire after this many lookups (a stand-in for wall-clock
+   expiry so tests and benches are deterministic) *)
+let max_age_lookups = 10_000
 
 type entry = { def : S.table_def; mutable age : int }
 
 type t = {
   backend : Backend.t;
-  config : config;
   cache : (string, entry) Hashtbl.t;
   mutable lookups : int;  (** total lookup calls *)
   mutable misses : int;  (** lookups that hit the backend *)
@@ -32,8 +27,6 @@ type t = {
           definition. Cached translations embed the generation they were
           bound under; a bump makes them unreachable. *)
 }
-
-let default_config () = { cache_enabled = true; max_age_lookups = 10_000 }
 
 (* Catalog-changing statement? First keyword CREATE/DROP/ALTER — except
    CREATE TEMPORARY/TEMP, which the translator itself issues for
@@ -62,11 +55,10 @@ let is_ddl (sql : string) : bool =
         w2 <> "TEMPORARY" && w2 <> "TEMP"
     | _ -> false
 
-let create ?(config = default_config ()) backend =
+let create backend =
   let t =
     {
       backend;
-      config;
       cache = Hashtbl.create 32;
       lookups = 0;
       misses = 0;
@@ -130,26 +122,23 @@ let fetch (t : t) (lname : string) : S.table_def option =
 let lookup_table (t : t) (name : string) : S.table_def option =
   t.lookups <- t.lookups + 1;
   let lname = String.lowercase_ascii name in
-  if not t.config.cache_enabled then fetch t lname
-  else
-    match Hashtbl.find_opt t.cache lname with
-    | Some entry when t.lookups - entry.age <= t.config.max_age_lookups ->
-        Some entry.def
-    | prior -> (
-        match fetch t lname with
-        | Some def ->
-            (* an expired entry whose refetch comes back different means
-               the catalog changed behind our back — bump so cached
-               translations bound against the old definition die *)
-            (match prior with
-            | Some entry when entry.def <> def ->
-                t.generation <- t.generation + 1
-            | _ -> ());
-            Hashtbl.replace t.cache lname { def; age = t.lookups };
-            Some def
-        | None ->
-            if prior <> None then t.generation <- t.generation + 1;
-            Hashtbl.remove t.cache lname;
-            None)
+  match Hashtbl.find_opt t.cache lname with
+  | Some entry when t.lookups - entry.age <= max_age_lookups -> Some entry.def
+  | prior -> (
+      match fetch t lname with
+      | Some def ->
+          (* an expired entry whose refetch comes back different means
+             the catalog changed behind our back — bump so cached
+             translations bound against the old definition die *)
+          (match prior with
+          | Some entry when entry.def <> def ->
+              t.generation <- t.generation + 1
+          | _ -> ());
+          Hashtbl.replace t.cache lname { def; age = t.lookups };
+          Some def
+      | None ->
+          if prior <> None then t.generation <- t.generation + 1;
+          Hashtbl.remove t.cache lname;
+          None)
 
 let stats t = (t.lookups, t.misses)

@@ -1,17 +1,10 @@
 (** The MetaData Interface (paper Section 3.2.3): resolves table names by
-    querying the backend catalog over SQL, with a configurable cache
-    (Section 6 runs with caching enabled). *)
-
-type config = {
-  mutable cache_enabled : bool;
-  mutable max_age_lookups : int;
-      (** entries expire after this many lookups — a deterministic
-          stand-in for wall-clock expiry *)
-}
+    querying the backend catalog over SQL, through a cache whose entries
+    expire after 10,000 lookups, a deterministic stand-in for wall-clock
+    expiry (Section 6 runs with caching enabled). *)
 
 type t = {
   backend : Backend.t;
-  config : config;
   cache : (string, entry) Hashtbl.t;
   mutable lookups : int;
   mutable misses : int;  (** lookups that performed a backend round trip *)
@@ -21,12 +14,10 @@ type t = {
 
 and entry = { def : Catalog.Schema.table_def; mutable age : int }
 
-val default_config : unit -> config
-
 (** Build an MDI over a backend. Installs an observer on the backend's
     [on_exec] hook so DDL dispatched through it (CREATE/DROP/ALTER, but
     not CREATE TEMPORARY) bumps the catalog generation. *)
-val create : ?config:config -> Backend.t -> t
+val create : Backend.t -> t
 
 (** Catalog generation: bumped on {!invalidate}, on DDL
     observed through [Backend.exec], and on a cache refetch that returns

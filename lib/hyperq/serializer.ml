@@ -18,7 +18,7 @@ exception Serialize_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Serialize_error s)) fmt
 
-type state = { mutable alias_counter : int; tolerate_eq2 : bool }
+type state = { mutable alias_counter : int }
 
 let fresh_alias st prefix =
   st.alias_counter <- st.alias_counter + 1;
@@ -43,15 +43,10 @@ let rec sql_of_scalar (st : state) (s : I.scalar) : A.expr =
           | _ -> A.Lit l)
       | _ -> A.Lit l)
   | I.ColRef c -> A.Col (None, c)
-  | I.Eq2 (a, b) | I.Neq2 (a, b) ->
-      if st.tolerate_eq2 then
-        A.Bin
-          ( (match s with I.Eq2 _ -> A.Eq | _ -> A.Neq),
-            r a, r b )
-      else
-        error
-          "2VL equality survived to serialization — the two_valued_logic \
-           transformation must run first"
+  | I.Eq2 _ | I.Neq2 _ ->
+      error
+        "2VL equality survived to serialization — the two_valued_logic \
+         transformation must run first"
   | I.NullSafeEq (a, b) -> A.Bin (A.IsNotDistinctFrom, r a, r b)
   | I.NullSafeNeq (a, b) -> A.Bin (A.IsDistinctFrom, r a, r b)
   | I.Cmp (`Lt, a, b) -> A.Bin (A.Lt, r a, r b)
@@ -472,8 +467,8 @@ and serialize_asof st ~left ~right ~eq_cols ~ts_col ~keep_right_time :
 (* ------------------------------------------------------------------ *)
 
 (** Serialize an XTRA tree to a SELECT statement. *)
-let serialize ?(tolerate_eq2 = false) (r : I.rel) : A.select =
-  let st = { alias_counter = 0; tolerate_eq2 } in
+let serialize (r : I.rel) : A.select =
+  let st = { alias_counter = 0 } in
   let s = select_of_rel st r in
   (* a wrapped select with empty projections means select-all *)
   if s.A.projs = [] then
@@ -486,5 +481,7 @@ let serialize ?(tolerate_eq2 = false) (r : I.rel) : A.select =
     }
   else s
 
-let serialize_to_sql ?tolerate_eq2 (r : I.rel) : string =
-  A.select_str (serialize ?tolerate_eq2 r)
+let serialize_to_sql (r : I.rel) : string = A.select_str (serialize r)
+
+(** Serialize one scalar for a FROM-less SELECT. *)
+let sql_of_scalar (s : I.scalar) : A.expr = sql_of_scalar { alias_counter = 0 } s

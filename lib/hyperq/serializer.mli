@@ -9,17 +9,13 @@
 
 exception Serialize_error of string
 
-(** Serializer state; only exposed because {!sql_of_scalar} is reused by
-    the engine for FROM-less scalar queries. *)
-type state = { mutable alias_counter : int; tolerate_eq2 : bool }
+(** Serialize one scalar expression (the engine's FROM-less scalar
+    queries). Raises {!Serialize_error} on a 2VL equality. *)
+val sql_of_scalar : Xtra.Ir.scalar -> Sqlast.Ast.expr
 
-(** Serialize one scalar expression. Raises {!Serialize_error} on a 2VL
-    equality unless [state.tolerate_eq2] is set (ablation mode). *)
-val sql_of_scalar : state -> Xtra.Ir.scalar -> Sqlast.Ast.expr
-
-(** Serialize a relational tree to a SELECT. [tolerate_eq2] permits raw
-    [=] in place of [IS NOT DISTINCT FROM] — only for the 2VL ablation. *)
-val serialize : ?tolerate_eq2:bool -> Xtra.Ir.rel -> Sqlast.Ast.select
+(** Serialize a relational tree to a SELECT. Raises {!Serialize_error}
+    on a 2VL equality: {!Xformer.two_valued_logic} must run first. *)
+val serialize : Xtra.Ir.rel -> Sqlast.Ast.select
 
 (** {!serialize} followed by printing to SQL text. *)
-val serialize_to_sql : ?tolerate_eq2:bool -> Xtra.Ir.rel -> string
+val serialize_to_sql : Xtra.Ir.rel -> string

@@ -1,8 +1,7 @@
 (** The Xformer: XTRA-to-XTRA transformations (paper Section 3.3).
 
     Transformations serve three purposes, each represented here by named
-    passes that can be toggled individually (the ablation benchmarks rely
-    on this):
+    passes that {!optimize} runs in one fixed order:
 
     - {b Correctness} — [two_valued_logic] rewrites Q's 2VL equalities into
       null-safe [IS NOT DISTINCT FROM] forms;
@@ -10,42 +9,26 @@
       the columns actually requested, keeping 500-column wide tables from
       bloating the serialized SQL; [filter_fusion] collapses adjacent
       filters to reduce subquery nesting;
-    - {b Transparency} — [order_enforcement] injects the root ordering
+    - {b Transparency} — [enforce_root_order] injects the root ordering
       the Q data model implies; [required_order] then walks the tree top
       down and drops every [Sort] whose order no consumer observes (under
       an order-insensitive aggregate, on an as-of join side, ...). *)
 
 module I = Xtra.Ir
 
-type config = {
-  mutable enable_2vl : bool;
-  mutable enable_pruning : bool;
-  mutable enable_filter_fusion : bool;
-  mutable enable_order : bool;  (** inject Q's implicit ordering *)
-  mutable enable_order_elision : bool;
-      (** run the required-order pass: drop orderings no consumer observes *)
-}
-
-let default_config () =
-  {
-    enable_2vl = true;
-    enable_pruning = true;
-    enable_filter_fusion = true;
-    enable_order = true;
-    enable_order_elision = true;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Correctness: 2VL -> IS NOT DISTINCT FROM                            *)
 (* ------------------------------------------------------------------ *)
 
-let two_valued_logic (r : I.rel) : I.rel =
-  I.rel_map_scalars
-    (I.map_scalar (function
+let two_valued_scalar (s : I.scalar) : I.scalar =
+  I.map_scalar
+    (function
       | I.Eq2 (a, b) -> I.NullSafeEq (a, b)
       | I.Neq2 (a, b) -> I.NullSafeNeq (a, b)
-      | s -> s))
-    r
+      | s -> s)
+    s
+
+let two_valued_logic (r : I.rel) : I.rel = I.rel_map_scalars two_valued_scalar r
 
 (* ------------------------------------------------------------------ *)
 (* Performance: filter fusion                                          *)
@@ -292,36 +275,14 @@ let enforce_root_order (r : I.rel) : I.rel =
 (* Pass driver                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type pass = { pass_name : string; apply : I.rel -> I.rel }
+(** Run every transformation, in order. Order elision runs after
+    enforcement, whose root sort states the result order. *)
+let optimize (r : I.rel) : I.rel =
+  r |> two_valued_logic |> filter_fusion |> enforce_root_order
+  |> required_order |> column_pruning
 
-let passes (config : config) : pass list =
-  List.concat
-    [
-      (if config.enable_2vl then
-         [ { pass_name = "two_valued_logic"; apply = two_valued_logic } ]
-       else []);
-      (if config.enable_filter_fusion then
-         [ { pass_name = "filter_fusion"; apply = filter_fusion } ]
-       else []);
-      (if config.enable_order then
-         [ { pass_name = "order_enforcement"; apply = enforce_root_order } ]
-       else []);
-      (* after enforcement: the root sort states the result order *)
-      (if config.enable_order && config.enable_order_elision then
-         [ { pass_name = "required_order"; apply = required_order } ]
-       else []);
-      (if config.enable_pruning then
-         [ { pass_name = "column_pruning"; apply = column_pruning } ]
-       else []);
-    ]
-
-(** Run all enabled transformations in order. *)
-let optimize ?(config = default_config ()) (r : I.rel) : I.rel =
-  List.fold_left (fun r p -> p.apply r) r (passes config)
-
-(** Guard used by the serializer: 2VL equalities must not survive
-    transformation (a disabled 2VL pass is only valid for the ablation
-    study, where the serializer is instructed to tolerate them). *)
+(** [true] when no 2VL equality survives transformation: the serializer
+    rejects one. *)
 let check_no_eq2 (r : I.rel) : bool =
   let ok = ref true in
   ignore

@@ -3,22 +3,13 @@
     Passes fall into the paper's three groups — correctness (2VL
     rewriting), performance (column pruning, filter fusion) and
     transparency (root order enforcement, then the required-order pass
-    that drops unobserved sorts) — and can be toggled individually for
-    the ablation benchmarks. *)
+    that drops unobserved sorts). {!optimize} runs all of them. *)
 
-type config = {
-  mutable enable_2vl : bool;
-  mutable enable_pruning : bool;
-  mutable enable_filter_fusion : bool;
-  mutable enable_order : bool;  (** inject Q's implicit ordering *)
-  mutable enable_order_elision : bool;
-      (** run the required-order pass: drop orderings no consumer observes *)
-}
+(** Correctness: rewrite Q's 2VL equalities ([Eq2]/[Neq2]) in one scalar
+    into null-safe [IS NOT DISTINCT FROM] forms. *)
+val two_valued_scalar : Xtra.Ir.scalar -> Xtra.Ir.scalar
 
-val default_config : unit -> config
-
-(** Correctness: rewrite Q's 2VL equalities ([Eq2]/[Neq2]) into null-safe
-    [IS NOT DISTINCT FROM] forms. *)
+(** {!two_valued_scalar} over every scalar of a tree. *)
 val two_valued_logic : Xtra.Ir.rel -> Xtra.Ir.rel
 
 (** Performance: collapse adjacent filters into one conjunction. *)
@@ -40,13 +31,9 @@ val enforce_root_order : Xtra.Ir.rel -> Xtra.Ir.rel
     order. *)
 val required_order : Xtra.Ir.rel -> Xtra.Ir.rel
 
-type pass = { pass_name : string; apply : Xtra.Ir.rel -> Xtra.Ir.rel }
-
-(** The enabled passes, in application order. *)
-val passes : config -> pass list
-
-(** Run all enabled passes. *)
-val optimize : ?config:config -> Xtra.Ir.rel -> Xtra.Ir.rel
+(** Run every pass: 2VL rewriting, filter fusion, root order
+    enforcement, order elision, column pruning. *)
+val optimize : Xtra.Ir.rel -> Xtra.Ir.rel
 
 (** [true] when no 2VL equality survives in the tree (serializer guard). *)
 val check_no_eq2 : Xtra.Ir.rel -> bool

@@ -18,7 +18,8 @@ type t = {
       (** shared server variable scope: globals are visible across client
           connections, as on a kdb+ server *)
   users : (string * string) list;
-  engine_config : unit -> Hyperq.Engine.config;
+  materialization : [ `Logical | `Physical ];
+      (** how every connection's engine materializes assignments *)
   plancache : Hyperq.Plancache.t option;
       (** shared translation plan cache — one template store serves every
           connection (entries are still per-session keyed, because
@@ -48,9 +49,10 @@ type connection = {
     pinned to one of [workers] domains — and every other table is
     replicated to all of them. The coordinator [db] keeps the full data
     set, so statements the router cannot prove shard-safe fall back
-    unchanged. *)
-let create ?(users = [ ("trader", "pwd") ])
-    ?(engine_config = Hyperq.Engine.default_config) ?(plan_cache = true)
+    unchanged. [materialization] is passed to every connection's
+    engine. *)
+let create ?(users = [ ("trader", "pwd") ]) ?(materialization = `Logical)
+    ?(plan_cache = true)
     ?(plan_cache_size = Hyperq.Plancache.default_capacity) ?obs
     ?(shards = 1) ?workers ?distributions ?(analyze_sample = 0)
     (db : Pgdb.Db.t) : t =
@@ -91,7 +93,7 @@ let create ?(users = [ ("trader", "pwd") ])
     db;
     server_scope = Hyperq.Scopes.create_server_frame ();
     users;
-    engine_config = (fun () -> engine_config ());
+    materialization;
     plancache;
     obs;
     cluster;
@@ -215,7 +217,7 @@ let connect (t : t) : connection =
   Option.iter (fun c -> Shard.Cluster.watch_backend c backend) t.cluster;
   let sharder = Option.map Shard.Cluster.sharder t.cluster in
   let make_engine be =
-    Hyperq.Engine.create ~config:(t.engine_config ())
+    Hyperq.Engine.create ~materialization:t.materialization
       ~server_scope:t.server_scope ?plan_cache:t.plancache ~obs:t.obs
       ?sharder be
   in

@@ -374,11 +374,8 @@ let all_shards t = List.init (Array.length t.c_shards) Fun.id
 
 (* shard relations are serialized directly — they are already optimized
    subtrees of the coordinator's plan, so re-running the Xformer (which
-   would re-inject root ordering) is neither needed nor wanted.
-   [tolerate_eq2] because with 2VL rewriting disabled the tree may still
-   carry raw Q equality. *)
-let shard_sql (rel : I.rel) : string =
-  Hyperq.Serializer.serialize_to_sql ~tolerate_eq2:true rel
+   would re-inject root ordering) is neither needed nor wanted *)
+let shard_sql (rel : I.rel) : string = Hyperq.Serializer.serialize_to_sql rel
 
 (* reassembly gets its own span so the exported tree separates shard
    time from coordinator merge time *)

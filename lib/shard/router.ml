@@ -112,8 +112,6 @@ let key_constraints (map : Shardmap.t) (k : string) (pred : I.scalar) :
   List.filter_map
     (fun c ->
       match c with
-      | I.Eq2 (I.ColRef n, I.Const (l, _))
-      | I.Eq2 (I.Const (l, _), I.ColRef n)
       | I.NullSafeEq (I.ColRef n, I.Const (l, _))
       | I.NullSafeEq (I.Const (l, _), I.ColRef n)
         when n = k && pinnable_lit l ->

@@ -39,11 +39,12 @@ let make_db () =
        ]);
   db
 
+(* an engine with its own plan cache, or with none *)
+let own_cache plan_cache = if plan_cache then Some (PC.create ()) else None
+
 let make_engine ?server_scope ~plan_cache () =
-  let cfg = E.default_config () in
-  cfg.E.plan_cache <- plan_cache;
   let backend = Hyperq.Backend.of_pgdb_session (Db.open_session (make_db ())) in
-  (E.create ~config:cfg ?server_scope backend, backend)
+  (E.create ?plan_cache:(own_cache plan_cache) ?server_scope backend, backend)
 
 let counter eng name =
   Obs.Metrics.counter_value
@@ -313,9 +314,8 @@ module AW = Workload.Analytical
 let market_engine d ~plan_cache =
   let db = Db.create () in
   MD.load_pg db d;
-  let cfg = E.default_config () in
-  cfg.E.plan_cache <- plan_cache;
-  E.create ~config:cfg (Hyperq.Backend.of_pgdb_session (Db.open_session db))
+  E.create ?plan_cache:(own_cache plan_cache)
+    (Hyperq.Backend.of_pgdb_session (Db.open_session db))
 
 let run_full eng q =
   match E.try_run eng q with

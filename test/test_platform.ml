@@ -481,10 +481,7 @@ let test_temp_tables_released_on_disconnect () =
   (* physical materialization creates session temp tables; disconnect must
      release them in the backend *)
   let db = make_db () in
-  let config = Hyperq.Engine.default_config () in
-  config.Hyperq.Engine.materialization <- `Physical;
-  let p = P.create ~engine_config:(fun () -> config) db in
-  ignore config;
+  let p = P.create ~materialization:`Physical db in
   let c = P.Client.connect p in
   ignore (ok (P.Client.query c "dt: select Price from trades where Symbol=`A"));
   P.Client.close c;

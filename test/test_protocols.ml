@@ -373,6 +373,48 @@ let test_pg_row_streaming_shape () =
   | PC.DataRow [ Some "1"; Some "1" ], PC.DataRow [ Some "2"; Some "2" ] -> ()
   | _ -> Alcotest.fail "row stream decode")
 
+(* Figure 5's size contrast: the same 100-row, 3-column result as one
+   column-oriented QIPC message and as the PG v3 row stream the Gateway
+   reads (RowDescription plus one binary DataRow per row) *)
+let test_result_format_bytes () =
+  let n = 100 in
+  let sym i = Printf.sprintf "S%03d" (i mod 500) in
+  let px i = float_of_int i *. 0.01 in
+  let qipc =
+    QC.encode_message
+      {
+        QC.mt = QC.Response;
+        body =
+          QC.Value
+            (Value.Table
+               (Value.table
+                  [
+                    ("sym", Value.syms (Array.init n sym));
+                    ("px", Value.floats (Array.init n px));
+                    ("qty", Value.longs (Array.init n Fun.id));
+                  ]));
+      }
+  in
+  let result =
+    {
+      Pgdb.Exec.res_cols =
+        Catalog.Sqltype.[ ("sym", TVarchar); ("px", TDouble); ("qty", TBigint) ];
+      res_nrows = n;
+      res_columns =
+        [|
+          Pgdb.Batch.column_init n (fun i -> Pgdb.Value.Str (sym i));
+          Pgdb.Batch.column_init n (fun i -> Pgdb.Value.Float (px i));
+          Pgdb.Batch.column_init n (fun i -> Pgdb.Value.Int (Int64.of_int i));
+        |];
+    }
+  in
+  let buf = Buffer.create 4096 in
+  let binary = Array.make 3 PC.Binary in
+  PC.add_backend buf (Pgwire.Server.row_description result binary);
+  Pgwire.Server.data_rows buf result binary;
+  check tint "QIPC message bytes" 1471 (String.length qipc);
+  check tint "PG v3 row stream bytes" 3972 (Buffer.length buf)
+
 (* ------------------------------------------------------------------ *)
 (* Wire server + client                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1712,6 +1754,8 @@ let () =
             test_pg_frontend_messages;
           Alcotest.test_case "row streaming (Fig 5)" `Quick
             test_pg_row_streaming_shape;
+          Alcotest.test_case "result bytes against QIPC (Fig 5)" `Quick
+            test_result_format_bytes;
         ] );
       ( "wire",
         [

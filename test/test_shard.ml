@@ -59,11 +59,6 @@ let smap ?(shards = 4) () =
 let root_sort rel oc =
   I.Sort { input = rel; keys = [ { I.sk_expr = I.ColRef oc; sk_dir = `Asc } ] }
 
-let test_route_concat () =
-  match R.route (smap ()) trades_get with
-  | R.Run (R.Concat _, [ 0; 1; 2; 3 ]) -> ()
-  | _ -> Alcotest.fail "bare distributed scan should scatter as concat"
-
 let test_route_merge () =
   match R.route (smap ()) (root_sort trades_get "hq_ord") with
   | R.Run (R.Merge (_, [ ("hq_ord", `Asc) ]), [ 0; 1; 2; 3 ]) -> ()
@@ -75,7 +70,7 @@ let test_route_single () =
   let eqs =
     [
       I.NullSafeEq (I.ColRef "Symbol", I.Const (A.Str "AAA", Ty.TVarchar));
-      I.Eq2 (I.Const (A.Str "AAA", Ty.TVarchar), I.ColRef "Symbol");
+      I.NullSafeEq (I.Const (A.Str "AAA", Ty.TVarchar), I.ColRef "Symbol");
     ]
   in
   List.iter
@@ -376,8 +371,8 @@ let test_coordinator_error () =
 (* The platform end-to-end at --shards 2                               *)
 (* ------------------------------------------------------------------ *)
 
-let with_platform ?shards ?workers ?engine_config db f =
-  let p = P.create ?shards ?workers ?engine_config db in
+let with_platform ?shards ?workers db f =
+  let p = P.create ?shards ?workers db in
   Fun.protect ~finally:(fun () -> P.shutdown p) (fun () -> f p)
 
 let test_sharded_platform_end_to_end () =
@@ -546,6 +541,44 @@ let marketdata_db () =
   MD.load_pg db (MD.generate MD.small_scale);
   db
 
+(* an unsorted scan scatters as concat, and its rows, as a multiset, are
+   the single backend's *)
+let test_route_concat () =
+  (match R.route (smap ()) trades_get with
+  | R.Run (R.Concat _, [ 0; 1; 2; 3 ]) -> ()
+  | _ -> Alcotest.fail "bare distributed scan should scatter as concat");
+  let db = marketdata_db () in
+  let sess = Db.open_session db in
+  with_cluster db (fun c ->
+      List.iter
+        (fun (name, rel) ->
+          let single =
+            match Db.exec sess (Hyperq.Serializer.serialize_to_sql rel) with
+            | Db.Rows (res, _) -> res
+            | Db.Complete tag -> Alcotest.failf "%s: no rows (%s)" name tag
+          in
+          let routed =
+            match (C.sharder c).E.sh_route rel with
+            | Some run -> ok (run ())
+            | None -> Alcotest.failf "%s: the sharder declined" name
+          in
+          (match C.last_route c with
+          | Some x -> check Alcotest.string (name ^ ": route") "concat" x.R.x_class
+          | None -> Alcotest.failf "%s: no route recorded" name);
+          let sorted res = List.sort compare (Array.to_list (Stored.result_rows res)) in
+          check tbool (name ^ ": rows") true (sorted single <> []);
+          check tbool (name ^ ": same rows as the single backend") true
+            (sorted single = sorted routed))
+        [
+          ("scan", trades_get);
+          ( "filter",
+            I.Filter
+              {
+                input = trades_get;
+                pred = I.Cmp (`Gt, I.ColRef "Price", I.Const (A.Float 100.0, Ty.TDouble));
+              } );
+        ])
+
 let random_query (d : MD.dataset) rng =
   let sym () = d.MD.syms.(Random.State.int rng (Array.length d.MD.syms)) in
   let px () = 95.0 +. Random.State.float rng 15.0 in
@@ -561,11 +594,11 @@ let random_query (d : MD.dataset) rng =
       Printf.sprintf "select c:count Size by Symbol from trades where Price>%.2f"
         (px ())
 
-let differential ~engine_config ~shards ~queries ~compare_rows () =
+let differential ~shards ~queries () =
   let d = MD.generate MD.small_scale in
   let coordinator = marketdata_db () in
-  with_platform ~engine_config (marketdata_db ()) (fun plain ->
-      with_platform ~engine_config ~shards coordinator (fun sharded ->
+  with_platform (marketdata_db ()) (fun plain ->
+      with_platform ~shards coordinator (fun sharded ->
           let c1 = P.Client.connect plain in
           let c2 = P.Client.connect sharded in
           let rng = Random.State.make [| 20260807; shards |] in
@@ -574,7 +607,7 @@ let differential ~engine_config ~shards ~queries ~compare_rows () =
             let q = random_query d rng in
             match (P.Client.query c1 q, P.Client.query c2 q) with
             | Ok v1, Ok v2 ->
-                if not (compare_rows v1 v2) then
+                if not (val_eq v1 v2) then
                   divergences := (q, "values differ") :: !divergences
             | Error _, Error _ -> ()
             | Ok _, Error e ->
@@ -603,43 +636,7 @@ let differential ~engine_config ~shards ~queries ~compare_rows () =
                 (if List.length !divergences = 1 then "y" else "ies")
                 q why))
 
-let test_differential_200 () =
-  differential
-    ~engine_config:Hyperq.Engine.default_config
-    ~shards:4 ~queries:200 ~compare_rows:val_eq ()
-
-(* with implicit ordering disabled, scatter results concatenate in shard
-   order — unordered SQL semantics, so compare as multisets *)
-let multiset_eq (a : QV.t) (b : QV.t) =
-  let rows_of = function
-    | QV.Table t ->
-        Some
-          (List.init (QV.table_length t) (fun r ->
-               Array.map
-                 (function
-                   | QV.Vector (_, xs) -> QV.Atom xs.(r)
-                   | QV.List xs -> xs.(r)
-                   | v -> v)
-                 t.QV.data))
-    | _ -> None
-  in
-  match (rows_of a, rows_of b) with
-  | Some ra, Some rb ->
-      List.length ra = List.length rb
-      && Stdlib.compare
-           (List.sort Stdlib.compare ra)
-           (List.sort Stdlib.compare rb)
-         = 0
-  | _ -> val_eq a b
-
-let test_differential_unordered () =
-  let config () =
-    let cfg = Hyperq.Engine.default_config () in
-    cfg.E.xformer.Hyperq.Xformer.enable_order <- false;
-    cfg
-  in
-  differential ~engine_config:config ~shards:2 ~queries:60
-    ~compare_rows:multiset_eq ()
+let test_differential_200 () = differential ~shards:4 ~queries:200 ()
 
 (* Q queries whose SQL needs the window operator, derived tables or a
    residual join: moving average and deltas (windows), fby (a window
@@ -1058,9 +1055,7 @@ let test_plan_cache_shard_generation () =
   let pc = PC.create () in
   let q = "select Price from trades where Symbol=`A" in
   let engine ?sharder () =
-    let cfg = E.default_config () in
-    cfg.E.plan_cache <- true;
-    E.create ~config:cfg ~plan_cache:pc ?sharder
+    E.create ~plan_cache:pc ?sharder
       (Hyperq.Backend.of_pgdb_session (Db.open_session (make_db ())))
   in
   let run eng =
@@ -1238,7 +1233,6 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "200 randomized queries" `Quick test_differential_200;
-          Alcotest.test_case "unordered concat" `Quick test_differential_unordered;
           Alcotest.test_case "vector shapes against kdb, 2 shards" `Quick
             test_vector_shapes_against_kdb;
           Alcotest.test_case "literal tables against kdb, 1 node and 2 shards"

@@ -177,10 +177,8 @@ let test_translation_linear_in_width () =
     let d = MD.generate scale in
     let db = Pgdb.Db.create () in
     MD.load_pg db d;
-    let cfg = Hyperq.Engine.default_config () in
-    cfg.Hyperq.Engine.plan_cache <- false;
     let eng =
-      Hyperq.Engine.create ~config:cfg
+      Hyperq.Engine.create
         (Hyperq.Backend.of_pgdb_session (Pgdb.Db.open_session db))
     in
     let queries = AW.queries d in
