@@ -120,9 +120,9 @@ let create ?(materialization = `Logical) ?server_scope ?plan_cache ?sharder
   }
 
 (* every pipeline stage is recorded three ways from one measurement: the
-   per-session stage timer (Figures 6/7), the shared per-stage latency
-   histograms, and — when the endpoint has a query trace open — a child
-   span of that trace. The same bracket also captures the
+   per-session stage timer (which feeds hqbench's per-layer metrics),
+   the shared per-stage latency histograms, and — when the endpoint has
+   a query trace open — a child span of that trace. The same bracket also captures the
    coordinator-domain allocation delta ([Gc.allocated_bytes], ~25ns a
    read) so attribution rides along for free, as an attribute of the
    stage's trace span.

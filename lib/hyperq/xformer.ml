@@ -280,15 +280,3 @@ let enforce_root_order (r : I.rel) : I.rel =
 let optimize (r : I.rel) : I.rel =
   r |> two_valued_logic |> filter_fusion |> enforce_root_order
   |> required_order |> column_pruning
-
-(** [true] when no 2VL equality survives transformation: the serializer
-    rejects one. *)
-let check_no_eq2 (r : I.rel) : bool =
-  let ok = ref true in
-  ignore
-    (I.rel_map_scalars
-       (I.map_scalar (fun s ->
-            (match s with I.Eq2 _ | I.Neq2 _ -> ok := false | _ -> ());
-            s))
-       r);
-  !ok

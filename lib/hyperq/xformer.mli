@@ -34,6 +34,3 @@ val required_order : Xtra.Ir.rel -> Xtra.Ir.rel
 (** Run every pass: 2VL rewriting, filter fusion, root order
     enforcement, order elision, column pruning. *)
 val optimize : Xtra.Ir.rel -> Xtra.Ir.rel
-
-(** [true] when no 2VL equality survives in the tree (serializer guard). *)
-val check_no_eq2 : Xtra.Ir.rel -> bool

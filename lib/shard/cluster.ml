@@ -22,7 +22,6 @@
 
 module B = Hyperq.Backend
 module M = Obs.Metrics
-module I = Xtra.Ir
 
 (** Default market-data layout: the two high-volume streams are
     hash-distributed on the symbol; everything else replicates. *)
@@ -372,18 +371,16 @@ let fan_out (t : t) ~(targets : int list) (sql : string) :
 
 let all_shards t = List.init (Array.length t.c_shards) Fun.id
 
-(* shard relations are serialized directly — they are already optimized
-   subtrees of the coordinator's plan, so re-running the Xformer (which
-   would re-inject root ordering) is neither needed nor wanted *)
-let shard_sql (rel : I.rel) : string = Hyperq.Serializer.serialize_to_sql rel
-
 (* reassembly gets its own span so the exported tree separates shard
-   time from coordinator merge time *)
-let gathering (t : t) (f : unit -> 'a) : 'a =
-  match t.c_obs.Obs.Ctx.trace with
-  | Some tr -> Obs.Trace.with_span tr "gather" f
-  | None -> f ()
+   time from coordinator gather time; a single-shard result needs none *)
+let gathering (t : t) (plan : Router.plan) (f : unit -> 'a) : 'a =
+  match (plan, t.c_obs.Obs.Ctx.trace) with
+  | Router.Single _, _ | _, None -> f ()
+  | _, Some tr -> Obs.Trace.with_span tr "gather" f
 
+(* Shard relations are serialized directly — they are already optimized
+   subtrees of the coordinator's plan, so re-running the Xformer (which
+   would re-inject root ordering) is neither needed nor wanted. *)
 let execute (t : t) (plan : Router.plan) ~(targets : int list) :
     (B.result, string) result =
   (match t.c_obs.Obs.Ctx.trace with
@@ -391,25 +388,10 @@ let execute (t : t) (plan : Router.plan) ~(targets : int list) :
       Obs.Trace.add_attr tr "shard_route" (Obs.Trace.Str (Router.plan_kind plan))
   | None -> ());
   try
-    match plan with
-    | Router.Single (shard, rel) -> (
-        let sql = shard_sql rel in
-        match fan_out t ~targets:[ shard ] sql with
-        | Ok [ r ] -> Ok r
-        | Ok _ -> Error "single-shard dispatch returned multiple results"
-        | Error e -> Error e)
-    | Router.Concat rel -> (
-        match fan_out t ~targets (shard_sql rel) with
-        | Ok rs -> Ok (gathering t (fun () -> Gather.concat rs))
-        | Error e -> Error e)
-    | Router.Merge (rel, keys) -> (
-        match fan_out t ~targets (shard_sql rel) with
-        | Ok rs -> gathering t (fun () -> Gather.merge ~keys rs)
-        | Error e -> Error e)
-    | Router.PartialAgg plan -> (
-        match fan_out t ~targets (shard_sql plan.Router.a_shard_rel) with
-        | Ok rs -> Ok (gathering t (fun () -> Gather.combine plan rs))
-        | Error e -> Error e)
+    Result.map
+      (fun rs -> gathering t plan (fun () -> Gather.gather plan rs))
+      (fan_out t ~targets
+         (Hyperq.Serializer.serialize_to_sql (Router.shard_rel plan)))
   with e -> Error (Pgdb.Errors.to_string e)
 
 (** The engine hook: route each optimized tree, claiming shard-safe

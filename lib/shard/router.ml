@@ -8,9 +8,11 @@
       one literal, so the whole statement executes on one shard;
     - {e scatter-gather} ([Merge]/[Concat]/[PartialAgg]): the statement
       is shard-safe — its rows are multiset-partitioned across shards —
-      and the gather step reassembles the global answer (ordered merge
-      on the implicit order column, plain concatenation, or partial
-      aggregates recombined on the coordinator);
+      and the gather step reassembles the global answer from the shards'
+      concatenated results: as they are ([Concat]), re-sorted on the
+      implicit order column ([Merge]), or with the partial aggregates
+      recombined ([PartialAgg]), by a coordinator statement that pgdb's
+      executor runs (see {!Gather});
     - {e coordinator-only} ([Coordinator reason]): anything the analysis
       cannot prove safe falls back to the existing single backend, which
       holds every table.
@@ -61,8 +63,8 @@ type agg_plan = {
 type plan =
   | Single of int * I.rel  (** whole statement on one shard *)
   | Merge of I.rel * (string * [ `Asc | `Desc ]) list
-      (** ship verbatim; gather = k-way merge on the (unique) order
-          column every shard sorted by *)
+      (** ship verbatim; gather = re-sort of the concatenation on the
+          (unique) order column every shard sorted by *)
   | Concat of I.rel
       (** ship verbatim; gather = concatenation in shard order (the
           statement imposes no row order) *)
@@ -83,6 +85,11 @@ let plan_kind = function
   | Merge _ -> "merge"
   | Concat _ -> "concat"
   | PartialAgg _ -> "partial_agg"
+
+(** The relation every target shard runs. *)
+let shard_rel = function
+  | Single (_, rel) | Merge (rel, _) | Concat rel -> rel
+  | PartialAgg p -> p.a_shard_rel
 
 (* ------------------------------------------------------------------ *)
 (* Distribution-key pinning                                            *)
@@ -420,8 +427,8 @@ let route (map : Shardmap.t) (rel : I.rel) : route =
   | I.Sort { input; keys = [ { I.sk_expr = I.ColRef oc; sk_dir } ] }
     when I.order_col input = Some oc -> (
       (* class C: the root order is the implicit order column — unique
-         per source row, so a k-way merge of per-shard sorted results is
-         deterministic *)
+         per source row, so re-sorting the shards' concatenated results
+         on it is deterministic *)
       match info map input with
       | No reason, _, _ -> Coordinator reason
       | Replicated, _, _ -> Coordinator "replicated-only statement"
@@ -521,22 +528,20 @@ let explain_route ~(shards : int) (r : route) : explain =
       { none with x_class = "coordinator"; x_reason = reason }
 
 let explain_json (x : explain) : string =
-  Printf.sprintf
-    "{\"class\":\"%s\",\"targets\":[%s],\"reason\":\"%s\",\
-     \"merge_keys\":[%s],\"combines\":{%s},\"pruned\":%b}"
-    (Obs.Trace.json_escape x.x_class)
-    (String.concat "," (List.map string_of_int x.x_targets))
-    (Obs.Trace.json_escape x.x_reason)
-    (String.concat ","
-       (List.map
-          (fun (k, d) ->
-            Printf.sprintf "[\"%s\",\"%s\"]" (Obs.Trace.json_escape k)
-              (match d with `Asc -> "asc" | `Desc -> "desc"))
-          x.x_merge_keys))
-    (String.concat ","
-       (List.map
-          (fun (n, c) ->
-            Printf.sprintf "\"%s\":\"%s\"" (Obs.Trace.json_escape n)
-              (Obs.Trace.json_escape c))
-          x.x_combines))
-    x.x_pruned
+  let dir = function `Asc -> "asc" | `Desc -> "desc" in
+  Obs.Relation.(
+    obj
+      [
+        ("class", Str x.x_class);
+        ("targets", Json (arr (List.map (fun i -> Int i) x.x_targets)));
+        ("reason", Str x.x_reason);
+        ( "merge_keys",
+          Json
+            (arr
+               (List.map
+                  (fun (k, d) -> Json (arr [ Str k; Str (dir d) ]))
+                  x.x_merge_keys)) );
+        ( "combines",
+          Json (obj (List.map (fun (n, c) -> (n, Str c)) x.x_combines)) );
+        ("pruned", Bool x.x_pruned);
+      ])

@@ -302,7 +302,7 @@ let test_cross_shard_trace () =
       check tint "span id is 16 hex chars" 16 (String.length (Tr.span_id sp));
       check tbool "span id is hex" true (is_hex (Tr.span_id sp)))
     shard_spans;
-  (* gather/merge got its own span under the same trace *)
+  (* the gather got its own span under the same trace *)
   check tbool "gather span recorded" true (collect_named "gather" root [] <> []);
   (* (b) each shard's dispatched SQL carries a traceparent naming the
      trace AND that shard's own child span id *)

@@ -368,6 +368,43 @@ let test_route_explanations () =
       | _ -> Alcotest.fail "no ring entry");
       P.Client.close c)
 
+(* the route document the EXPLAIN plane splices in, byte for byte: a
+   pruned merge and a partial aggregate with an avg decomposition; the
+   merge key's quote and backslash pin the escaping *)
+let test_route_json_bytes () =
+  let module R = Shard.Router in
+  let module I = Xtra.Ir in
+  let get =
+    I.Get
+      {
+        table = "trades";
+        cols = [ { I.cr_name = "hq_ord"; cr_type = Catalog.Sqltype.TBigint } ];
+        ordcol = Some "hq_ord";
+      }
+  in
+  let json route = R.explain_json (R.explain_route ~shards:4 route) in
+  check tstr "merge route"
+    "{\"class\":\"merge\",\"targets\":[0,2],\"reason\":\"\",\
+     \"merge_keys\":[[\"hq_ord\",\"asc\"],[\"we\\\"ird\\\\\",\"desc\"]],\
+     \"combines\":{},\"pruned\":true}"
+    (json
+       (R.Run
+          (R.Merge (get, [ ("hq_ord", `Asc); ("we\"ird\\", `Desc) ]), [ 0; 2 ])));
+  let agg =
+    {
+      R.a_shard_rel = get;
+      a_cols =
+        [ ("Symbol", R.CKey); ("n", R.CCount); ("px", R.CAvg ("hq_ps_px", "hq_pc_px")) ];
+      a_sort = [ ("Symbol", `Asc) ];
+    }
+  in
+  check tstr "partial_agg route"
+    "{\"class\":\"partial_agg\",\"targets\":[0,1,2,3],\"reason\":\"\",\
+     \"merge_keys\":[[\"Symbol\",\"asc\"]],\
+     \"combines\":{\"Symbol\":\"key\",\"n\":\"count\",\
+     \"px\":\"avg(hq_ps_px/hq_pc_px)\"},\"pruned\":false}"
+    (json (R.Run (R.PartialAgg agg, [ 0; 1; 2; 3 ])))
+
 (* .hq.explain works unsharded too: the tree is coordinator-side *)
 let test_explain_unsharded () =
   with_platform (marketdata_db ()) (fun p ->
@@ -618,6 +655,7 @@ let () =
             test_workload_explains_sharded;
           Alcotest.test_case "route explanations" `Quick
             test_route_explanations;
+          Alcotest.test_case "route JSON bytes" `Quick test_route_json_bytes;
           Alcotest.test_case "unsharded" `Quick test_explain_unsharded;
           Alcotest.test_case "prefix must end the word" `Quick
             test_explain_prefix_is_a_word;

@@ -473,12 +473,51 @@ let test_pruned_dispatch_end_to_end () =
     MD.load_pg db d;
     db
   in
-  with_platform (load ()) (fun single ->
-      with_platform ~shards:4 (load ()) (fun p ->
+  let single_db = load () and db = load () in
+  with_platform single_db (fun single ->
+      with_platform ~shards:4 db (fun p ->
           let one = P.Client.connect single in
           let c = P.Client.connect p in
           let cluster = Option.get (P.cluster p) in
           let shard_of s = SM.shard_of_value (C.map cluster) (V.Str s) in
+          (* the declared column types of a query's gathered result, and
+             of the single backend's result for the same SQL: the pivot
+             reads most cells by their layout, so a wrong declared type
+             can hide behind equal Q values *)
+          let gathered = ref None in
+          let sharded =
+            let sh = C.sharder cluster in
+            E.create
+              (Hyperq.Backend.of_pgdb_session (Db.open_session db))
+              ~sharder:
+                {
+                  sh with
+                  E.sh_route =
+                    (fun rel ->
+                      Option.map
+                        (fun run () ->
+                          let r = run () in
+                          gathered := Result.to_option r;
+                          r)
+                        (sh.E.sh_route rel));
+                }
+          in
+          let plain =
+            E.create (Hyperq.Backend.of_pgdb_session (Db.open_session single_db))
+          in
+          let col_types q =
+            let names cols = List.map (fun (n, ty) -> (n, Ty.name ty)) cols in
+            gathered := None;
+            ignore (ok (E.try_run sharded q));
+            let got =
+              match !gathered with
+              | Some r -> names r.Hyperq.Backend.res_cols
+              | None -> Alcotest.failf "%s: the sharder did not gather" q
+            in
+            match Db.exec (Db.open_session single_db) (E.translate plain q) with
+            | Db.Rows (res, _) -> (names res.Pgdb.Exec.res_cols, got)
+            | Db.Complete tag -> Alcotest.failf "%s: no rows (%s)" q tag
+          in
           let syms = Array.to_list d.MD.syms in
           let a = List.hd syms in
           let b = List.find (fun s -> shard_of s <> shard_of a) syms in
@@ -494,7 +533,6 @@ let test_pruned_dispatch_end_to_end () =
           in
           List.iter
             (fun (cls, q) ->
-              let q = Printf.sprintf q members in
               let before = statements () and pruned = pruned_total () in
               let hq = ok (P.Client.query c q) in
               let hit =
@@ -515,24 +553,41 @@ let test_pruned_dispatch_end_to_end () =
                 (pruned_total () = pruned + 1);
               check tbool (q ^ ": equals the 1-node answer") true
                 (val_eq hq (ok (P.Client.query one q)));
+              (let expected, got = col_types q in
+               check
+                 Alcotest.(list (pair string string))
+                 (q ^ ": column types of the 1-node answer") expected got);
               match Kdb.Server.query kdb ~client:0 q with
               | Error e -> Alcotest.failf "kdb failed on %s: %s" q e
               | Ok k -> (
                   match Sidebyside.Framework.values_agree k hq with
                   | None -> ()
                   | Some why -> Alcotest.failf "%s differs from kdb: %s" q why))
-            [
-              ("merge", "select from trades where Symbol in %s");
-              ( "partial_agg",
-                "select n:count Size, s:sum Size, a:avg Price, lo:min Price, \
-                 hi:max Price by Symbol from trades where Symbol in %s" );
-              ( "partial_agg",
-                "select n:count Size, s:sum Size, a:avg Price, lo:min Price, \
-                 hi:max Price from trades where Symbol in %s" );
-              ( "merge",
-                "select Symbol, Time, Price from trades where Symbol in %s, \
-                 Size>0" );
-            ];
+            (List.map
+               (fun (cls, q) -> (cls, Printf.sprintf q members))
+               [
+                 ("merge", "select from trades where Symbol in %s");
+                 ( "partial_agg",
+                   "select n:count Size, s:sum Size, a:avg Price, lo:min Price, \
+                    hi:max Price by Symbol from trades where Symbol in %s" );
+                 ( "partial_agg",
+                   "select n:count Size, s:sum Size, a:avg Price, lo:min Price, \
+                    hi:max Price from trades where Symbol in %s" );
+                 ( "merge",
+                   "select Symbol, Time, Price from trades where Symbol in %s, \
+                    Size>0" );
+               ]
+            (* the lower of the two target shards returns no rows: its
+               computed column comes back untyped, and the other shard's
+               type must win in the coordinator's merge *)
+            @ [
+                ( "merge",
+                  Printf.sprintf
+                    "select Symbol, Time, v:Price*Size from trades where \
+                     Symbol in %s, Symbol<>`%s"
+                    members
+                    (if shard_of a < shard_of b then a else b) );
+              ]);
           P.Client.close c;
           P.Client.close one))
 
@@ -1025,9 +1080,9 @@ let test_combine_against_pgdb () =
             let mine = List.filter (fun (q, _) -> q = p) owner in
             select_on
               (combine_table (List.map snd mine))
-              (C.shard_sql plan.R.a_shard_rel)
+              (Hyperq.Serializer.serialize_to_sql plan.R.a_shard_rel)
           in
-          let got = Shard.Gather.combine plan (List.init parts partial) in
+          let got = Shard.Gather.gather (R.PartialAgg plan) (List.init parts partial) in
           let where = Printf.sprintf "%s (%d partitions)" sql parts in
           check
             Alcotest.(list (pair string string))

@@ -104,9 +104,13 @@ let test_2vl_pass () =
       { input = trades_get;
         pred = I.Eq2 (I.ColRef "sym", I.Const (A.Str "a", Ty.TVarchar)) }
   in
-  check tbool "before: contains Eq2" false (X.check_no_eq2 r);
-  let r' = X.two_valued_logic r in
-  check tbool "after: no Eq2" true (X.check_no_eq2 r')
+  (match Hyperq.Serializer.serialize r with
+  | exception Hyperq.Serializer.Serialize_error _ -> ()
+  | _ -> Alcotest.fail "before: the raw Eq2 must not serialize");
+  match Hyperq.Serializer.serialize (X.two_valued_logic r) with
+  | exception Hyperq.Serializer.Serialize_error e ->
+      Alcotest.failf "after: the rewritten tree must serialize: %s" e
+  | _ -> ()
 
 let test_filter_fusion () =
   let p c = I.Cmp (`Gt, I.ColRef "px", I.Const (A.Float c, Ty.TDouble)) in
