@@ -212,16 +212,6 @@ module QA = Qvalue.Atom
 module QT = Qvalue.Qtype
 module Batch = Pgdb.Batch
 
-(* [Array.init n f] for atoms, starting from a static atom: OCaml's
-   [Array.make] runs a minor collection when an array too big for the
-   minor heap starts out holding a young value, as [f 0] is *)
-let init_atoms n (f : int -> QA.t) : QA.t array =
-  let a = Array.make n (QA.Null QT.Long) in
-  for i = 0 to n - 1 do
-    Array.unsafe_set a i (f i)
-  done;
-  a
-
 (** The Q vector of a result column of SQL type [ty], [n] rows long,
     read straight from its typed array. An int column becomes longs, or
     the calendar type [ty] names; a float column floats; a text column
@@ -237,7 +227,7 @@ let vector_of_column (ty : Ty.t) (n : int) (c : Batch.column) : QV.t =
   let rec any_value i = i < n && ((not (null i)) || any_value (i + 1)) in
   (* a vector of [qt] whose non-NULL row [i] is [atom i] *)
   let typed qt atom =
-    if not c.Batch.has_nulls then QV.Vector (qt, init_atoms n atom)
+    if not c.Batch.has_nulls then QV.Vector (qt, QV.init_atoms n atom)
     else if not (any_value 0) then
       QV.Vector (QT.Long, Array.make n (QA.Null QT.Long))
     else
@@ -247,11 +237,11 @@ let vector_of_column (ty : Ty.t) (n : int) (c : Batch.column) : QV.t =
         | QT.Char -> QA.Char ' '
         | qt -> QA.Null qt
       in
-      QV.Vector (qt, init_atoms n (fun i -> if null i then none else atom i))
+      QV.Vector (qt, QV.init_atoms n (fun i -> if null i then none else atom i))
   in
   let boxed () =
     QV.vector_of_atoms
-      (init_atoms n (fun i -> Typemap.atom_of_value ty (Batch.value_at c i)))
+      (QV.init_atoms n (fun i -> Typemap.atom_of_value ty (Batch.value_at c i)))
   in
   if n = 0 then QV.Vector (Typemap.qtype_of_sql ty, [||])
   else
@@ -265,7 +255,7 @@ let vector_of_column (ty : Ty.t) (n : int) (c : Batch.column) : QV.t =
     | Batch.DFloat a -> typed QT.Float (fun i -> QA.Float a.(i))
     | Batch.DStr { codes; dict } when Array.length dict <= n -> (
         let atoms =
-          init_atoms (Array.length dict) (fun k ->
+          QV.init_atoms (Array.length dict) (fun k ->
               Typemap.atom_of_value ty (Pgdb.Value.Str dict.(k)))
         in
         let qt = QA.qtype atoms.(0) in

@@ -197,9 +197,14 @@ let compact (c : column) (sel : sel) : column =
   { data; nulls = !nulls; has_nulls = !has_nulls }
 
 (* dense boxed view of a column through a vector of row indices, where
-   a -1 slot is NULL *)
+   a -1 slot is NULL. The array starts out holding the static NULL:
+   [Array.map] would start it from the first cell, and OCaml's
+   [Array.make] runs a minor collection before it makes an array too big
+   for the minor heap from a young value. *)
 let values (c : column) (idx : int array) : Value.t array =
-  Array.map (fun i -> if i < 0 then Value.Null else value_at c i) idx
+  let a = Array.make (Array.length idx) Value.Null in
+  Array.iteri (fun k i -> if i >= 0 then Array.unsafe_set a k (value_at c i)) idx;
+  a
 
 (* gather a column through an index vector that may contain -1 slots,
    which become NULL — how a left-outer join pads its unmatched probe

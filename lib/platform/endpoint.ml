@@ -583,7 +583,9 @@ let serve_frames (t : t) : string =
       Buffer.reset buf;
       Buffer.add_string buf rest
     end;
-    String.concat "" (List.rev !out)
+    match !out with
+    | [ reply ] -> reply (* the usual case: a lone reply is not copied *)
+    | replies -> String.concat "" (List.rev replies)
   end
 
 (* the bytes up to the handshake's NUL: authenticate, then serve any

@@ -34,21 +34,22 @@ let msg_type_of_code = function
 (* Little-endian primitives                                            *)
 (* ------------------------------------------------------------------ *)
 
-let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
-let put_i8 buf v = put_u8 buf (v land 0xff)
+(* Writers store at [pos] of a [Bytes] sized beforehand and return the
+   next position; the bounds checks of [Bytes.set*] stay, so a sizing
+   slip is an exception, never a wrong byte. *)
+let put_u8 b pos v =
+  Bytes.set b pos (Char.unsafe_chr (v land 0xff));
+  pos + 1
 
-let put_i32 buf v =
-  put_u8 buf (v land 0xff);
-  put_u8 buf ((v lsr 8) land 0xff);
-  put_u8 buf ((v lsr 16) land 0xff);
-  put_u8 buf ((v lsr 24) land 0xff)
+let put_i32 b pos v =
+  Bytes.set_int32_le b pos (Int32.of_int v);
+  pos + 4
 
-let put_i64 buf (v : int64) =
-  for i = 0 to 7 do
-    put_u8 buf (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
-  done
+let put_i64 b pos (v : int64) =
+  Bytes.set_int64_le b pos v;
+  pos + 8
 
-let put_f64 buf f = put_i64 buf (Int64.bits_of_float f)
+let put_f64 b pos f = put_i64 b pos (Int64.bits_of_float f)
 
 (* [lim] is the end of the frame being read: no field read ever borrows
    bytes from the next message *)
@@ -60,7 +61,7 @@ let need r n =
 
 let get_u8 r =
   need r 1;
-  let v = Char.code r.data.[r.pos] in
+  let v = Char.code (String.unsafe_get r.data r.pos) in
   r.pos <- r.pos + 1;
   v
 
@@ -70,22 +71,22 @@ let get_i8 r =
 
 let get_i32 r =
   need r 4;
-  let b i = Char.code r.data.[r.pos + i] in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
+  let v = Int32.to_int (String.get_int32_le r.data r.pos) in
   r.pos <- r.pos + 4;
-  (* sign-extend from 32 bits *)
-  if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
+  v
 
 let get_i64 r =
   need r 8;
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code r.data.[r.pos + i]))
-  done;
+  let v = String.get_int64_le r.data r.pos in
   r.pos <- r.pos + 8;
-  !v
+  v
 
-let get_f64 r = Int64.float_of_bits (get_i64 r)
+(* read in place, so the float's bits are never boxed as an [int64] *)
+let get_f64 r =
+  need r 8;
+  let f = Int64.float_of_bits (String.get_int64_le r.data r.pos) in
+  r.pos <- r.pos + 8;
+  f
 
 (* ------------------------------------------------------------------ *)
 (* Value encoding                                                      *)
@@ -95,29 +96,79 @@ let get_f64 r = Int64.float_of_bits (get_i64 r)
 let long_null = Int64.min_int
 let int_null = -0x80000000
 
-let put_sym buf s =
-  Buffer.add_string buf s;
-  put_u8 buf 0
+(* An encode is two passes over the value: [value_size] counts its bytes
+   (fixed widths per type, plus each symbol's length and NUL), then
+   [put_value] writes them into one [Bytes] of exactly that size. *)
 
-let put_atom_payload buf (a : Atom.t) =
+(* the payload width of a non-symbol element type *)
+let width (ty : Qtype.t) =
+  match ty with
+  | Qtype.Bool | Qtype.Char | Qtype.Sym -> 1
+  | Qtype.Date | Qtype.Time -> 4
+  | Qtype.Long | Qtype.Float | Qtype.Timestamp -> 8
+
+let atom_payload_size (a : Atom.t) =
   match a with
-  | Atom.Bool b -> put_u8 buf (if b then 1 else 0)
-  | Atom.Long i -> put_i64 buf i
-  | Atom.Float f -> put_f64 buf f
-  | Atom.Char c -> put_u8 buf (Char.code c)
-  | Atom.Sym s -> put_sym buf s
-  | Atom.Timestamp n -> put_i64 buf n
-  | Atom.Date d -> put_i32 buf d
-  | Atom.Time t -> put_i32 buf t
+  | Atom.Sym s -> String.length s + 1
+  | a -> width (Atom.qtype a)
+
+(* a typed vector's payload: fixed width per element, except symbols,
+   which cost their text and a NUL (a mistyped element counts as what
+   {!Atom.cast} makes of it, as it is written) *)
+let vector_payload_size (ty : Qtype.t) (atoms : Atom.t array) =
+  match ty with
+  | Qtype.Sym ->
+      let n = ref 0 in
+      for i = 0 to Array.length atoms - 1 do
+        n :=
+          !n
+          +
+          match Array.unsafe_get atoms i with
+          | Atom.Sym s -> String.length s + 1
+          | Atom.Null _ -> 1
+          | a -> atom_payload_size (Atom.cast ty a)
+      done;
+      !n
+  | ty -> width ty * Array.length atoms
+
+let rec value_size (v : Value.t) =
+  match v with
+  | Value.Atom a -> 1 + atom_payload_size a
+  | Value.Vector (ty, atoms) -> 6 + vector_payload_size ty atoms
+  | Value.List vs -> Array.fold_left (fun n v -> n + value_size v) 6 vs
+  | Value.Dict (k, v') -> 1 + value_size k + value_size v'
+  | Value.Table t ->
+      (* type, attributes, the flip dict's type; then its two values *)
+      3
+      + Array.fold_left (fun n c -> n + String.length c + 1) 6 t.Value.cols
+      + Array.fold_left (fun n v -> n + value_size v) 6 t.Value.data
+  | Value.KTable (kt, vt) ->
+      1 + value_size (Value.Table kt) + value_size (Value.Table vt)
+
+let put_sym b pos s =
+  let n = String.length s in
+  Bytes.blit_string s 0 b pos n;
+  put_u8 b (pos + n) 0
+
+let put_atom_payload b pos (a : Atom.t) =
+  match a with
+  | Atom.Bool v -> put_u8 b pos (if v then 1 else 0)
+  | Atom.Long i -> put_i64 b pos i
+  | Atom.Float f -> put_f64 b pos f
+  | Atom.Char c -> put_u8 b pos (Char.code c)
+  | Atom.Sym s -> put_sym b pos s
+  | Atom.Timestamp n -> put_i64 b pos n
+  | Atom.Date d -> put_i32 b pos d
+  | Atom.Time t -> put_i32 b pos t
   | Atom.Null ty -> (
       match ty with
-      | Qtype.Bool -> put_u8 buf 0
-      | Qtype.Long -> put_i64 buf long_null
-      | Qtype.Float -> put_f64 buf Float.nan
-      | Qtype.Char -> put_u8 buf (Char.code ' ')
-      | Qtype.Sym -> put_sym buf ""
-      | Qtype.Timestamp -> put_i64 buf long_null
-      | Qtype.Date | Qtype.Time -> put_i32 buf int_null)
+      | Qtype.Bool -> put_u8 b pos 0
+      | Qtype.Long -> put_i64 b pos long_null
+      | Qtype.Float -> put_f64 b pos Float.nan
+      | Qtype.Char -> put_u8 b pos (Char.code ' ')
+      | Qtype.Sym -> put_sym b pos ""
+      | Qtype.Timestamp -> put_i64 b pos long_null
+      | Qtype.Date | Qtype.Time -> put_i32 b pos int_null)
 
 (* Direct columnar serialization: the payload of a typed vector is
    written by one monomorphic loop per element type — same-type atoms
@@ -127,124 +178,134 @@ let put_atom_payload buf (a : Atom.t) =
    column the engine pivots from the decoded PG v3 columns leaves here
    as wire bytes without any per-element type probing. The byte output is
    identical to the generic path. *)
-let put_vector_payload buf (ty : Qtype.t) (atoms : Atom.t array) =
+let put_vector_payload b pos (ty : Qtype.t) (atoms : Atom.t array) =
   let n = Array.length atoms in
-  let slow a = put_atom_payload buf (Atom.cast ty a) in
-  match ty with
+  let p = ref pos in
+  let slow pos a = put_atom_payload b pos (Atom.cast ty a) in
+  (match ty with
   | Qtype.Long ->
       for i = 0 to n - 1 do
         match Array.unsafe_get atoms i with
-        | Atom.Long v -> put_i64 buf v
-        | Atom.Null _ -> put_i64 buf long_null
-        | a -> slow a
+        | Atom.Long v -> p := put_i64 b !p v
+        | Atom.Null _ -> p := put_i64 b !p long_null
+        | a -> p := slow !p a
       done
   | Qtype.Float ->
       for i = 0 to n - 1 do
         match Array.unsafe_get atoms i with
-        | Atom.Float v -> put_f64 buf v
-        | Atom.Null _ -> put_f64 buf Float.nan
-        | a -> slow a
+        | Atom.Float v -> p := put_f64 b !p v
+        | Atom.Null _ -> p := put_f64 b !p Float.nan
+        | a -> p := slow !p a
       done
   | Qtype.Sym ->
       for i = 0 to n - 1 do
         match Array.unsafe_get atoms i with
-        | Atom.Sym s -> put_sym buf s
-        | Atom.Null _ -> put_sym buf ""
-        | a -> slow a
+        | Atom.Sym s -> p := put_sym b !p s
+        | Atom.Null _ -> p := put_u8 b !p 0
+        | a -> p := slow !p a
       done
   | Qtype.Bool ->
       for i = 0 to n - 1 do
         match Array.unsafe_get atoms i with
-        | Atom.Bool b -> put_u8 buf (if b then 1 else 0)
-        | Atom.Null _ -> put_u8 buf 0
-        | a -> slow a
+        | Atom.Bool v -> p := put_u8 b !p (if v then 1 else 0)
+        | Atom.Null _ -> p := put_u8 b !p 0
+        | a -> p := slow !p a
       done
   | Qtype.Char ->
       for i = 0 to n - 1 do
         match Array.unsafe_get atoms i with
-        | Atom.Char c -> put_u8 buf (Char.code c)
-        | Atom.Null _ -> put_u8 buf (Char.code ' ')
-        | a -> slow a
+        | Atom.Char c -> p := put_u8 b !p (Char.code c)
+        | Atom.Null _ -> p := put_u8 b !p (Char.code ' ')
+        | a -> p := slow !p a
       done
   | Qtype.Timestamp ->
       for i = 0 to n - 1 do
         match Array.unsafe_get atoms i with
-        | Atom.Timestamp v -> put_i64 buf v
-        | Atom.Null _ -> put_i64 buf long_null
-        | a -> slow a
+        | Atom.Timestamp v -> p := put_i64 b !p v
+        | Atom.Null _ -> p := put_i64 b !p long_null
+        | a -> p := slow !p a
       done
   | Qtype.Date ->
       for i = 0 to n - 1 do
         match Array.unsafe_get atoms i with
-        | Atom.Date v -> put_i32 buf v
-        | Atom.Null _ -> put_i32 buf int_null
-        | a -> slow a
+        | Atom.Date v -> p := put_i32 b !p v
+        | Atom.Null _ -> p := put_i32 b !p int_null
+        | a -> p := slow !p a
       done
   | Qtype.Time ->
       for i = 0 to n - 1 do
         match Array.unsafe_get atoms i with
-        | Atom.Time v -> put_i32 buf v
-        | Atom.Null _ -> put_i32 buf int_null
-        | a -> slow a
-      done
+        | Atom.Time v -> p := put_i32 b !p v
+        | Atom.Null _ -> p := put_i32 b !p int_null
+        | a -> p := slow !p a
+      done);
+  !p
 
-let rec put_value buf (v : Value.t) =
+(* a general list's or a vector's type, attributes byte and count *)
+let put_list_header b pos code n =
+  let pos = put_u8 b pos code in
+  let pos = put_u8 b pos 0 in
+  put_i32 b pos n
+
+let rec put_value b pos (v : Value.t) =
   match v with
   | Value.Atom a ->
-      put_i8 buf (-Qtype.code (Atom.qtype a));
-      put_atom_payload buf a
+      let pos = put_u8 b pos (-Qtype.code (Atom.qtype a)) in
+      put_atom_payload b pos a
   | Value.Vector (ty, atoms) ->
-      put_i8 buf (Qtype.code ty);
-      put_u8 buf 0;
-      (* attributes byte *)
-      put_i32 buf (Array.length atoms);
+      let pos = put_list_header b pos (Qtype.code ty) (Array.length atoms) in
       (* payload width is fixed by the vector's element type *)
-      put_vector_payload buf ty atoms
+      put_vector_payload b pos ty atoms
   | Value.List vs ->
-      put_i8 buf 0;
-      put_u8 buf 0;
-      put_i32 buf (Array.length vs);
-      Array.iter (put_value buf) vs
+      let pos = put_list_header b pos 0 (Array.length vs) in
+      Array.fold_left (put_value b) pos vs
   | Value.Dict (k, v') ->
-      put_i8 buf 99;
-      put_value buf k;
-      put_value buf v'
+      let pos = put_u8 b pos 99 in
+      put_value b (put_value b pos k) v'
   | Value.Table t ->
-      put_i8 buf 98;
-      put_u8 buf 0;
+      let pos = put_u8 b pos 98 in
+      let pos = put_u8 b pos 0 in
       (* attributes *)
-      put_i8 buf 99;
-      (* the flip dict *)
-      put_value buf (Value.syms t.Value.cols);
-      put_value buf (Value.List t.Value.data)
+      let pos = put_u8 b pos 99 in
+      (* the flip dict: column names, then the column list *)
+      let cols = t.Value.cols in
+      let pos = put_list_header b pos (Qtype.code Qtype.Sym) (Array.length cols) in
+      let pos = Array.fold_left (put_sym b) pos cols in
+      put_value b pos (Value.List t.Value.data)
   | Value.KTable (kt, vt) ->
       (* keyed table: dict of two tables *)
-      put_i8 buf 99;
-      put_value buf (Value.Table kt);
-      put_value buf (Value.Table vt)
+      let pos = put_u8 b pos 99 in
+      put_value b (put_value b pos (Value.Table kt)) (Value.Table vt)
 
 let get_sym r =
   let start = r.pos in
-  let len = r.lim in
-  let rec find i = if i >= len then decode_error "unterminated symbol" else if r.data.[i] = '\000' then i else find (i + 1) in
-  let zero = find start in
-  let s = String.sub r.data start (zero - start) in
-  r.pos <- zero + 1;
-  s
+  match String.index_from r.data start '\000' with
+  | zero when zero < r.lim ->
+      r.pos <- zero + 1;
+      String.sub r.data start (zero - start)
+  | _ | (exception Not_found) -> decode_error "unterminated symbol"
+
+(* atoms that carry no more than a byte are shared, not allocated per
+   cell *)
+let bool_atoms = [| Atom.Bool false; Atom.Bool true |]
+let char_atoms = Array.init 256 (fun i -> Atom.Char (Char.chr i))
 
 let get_atom_payload r (ty : Qtype.t) : Atom.t =
   match ty with
-  | Qtype.Bool -> Atom.Bool (get_u8 r <> 0)
+  | Qtype.Bool -> Array.unsafe_get bool_atoms (Bool.to_int (get_u8 r <> 0))
   | Qtype.Long ->
       let v = get_i64 r in
       if Int64.equal v long_null then Atom.Null Qtype.Long else Atom.Long v
   | Qtype.Float ->
       let f = get_f64 r in
       if Float.is_nan f then Atom.Null Qtype.Float else Atom.Float f
-  | Qtype.Char -> Atom.Char (Char.chr (get_u8 r))
+  | Qtype.Char -> Array.unsafe_get char_atoms (get_u8 r)
   | Qtype.Sym ->
-      let s = get_sym r in
-      if s = "" then Atom.Null Qtype.Sym else Atom.Sym s
+      if r.pos < r.lim && String.unsafe_get r.data r.pos = '\000' then begin
+        r.pos <- r.pos + 1;
+        Atom.Null Qtype.Sym
+      end
+      else Atom.Sym (get_sym r)
   | Qtype.Timestamp ->
       let v = get_i64 r in
       if Int64.equal v long_null then Atom.Null Qtype.Timestamp
@@ -264,6 +325,11 @@ let get_count r =
     decode_error "bad element count %d at %d" n r.pos;
   n
 
+(* A vector or general list starts out holding a static value, then is
+   filled in place (see {!Value.init_atoms}): [Array.init] would start it
+   from its first element, a young block, and OCaml's [caml_make_vect]
+   runs a minor collection before it makes an array over 256 words from
+   a young value. *)
 let rec get_value r : Value.t =
   let code = get_i8 r in
   if code < 0 then
@@ -273,7 +339,11 @@ let rec get_value r : Value.t =
   else if code = 0 then begin
     let _attrs = get_u8 r in
     let n = get_count r in
-    Value.List (Array.init n (fun _ -> get_value r))
+    let vs = Array.make n Value.static_value in
+    for i = 0 to n - 1 do
+      Array.unsafe_set vs i (get_value r)
+    done;
+    Value.List vs
   end
   else if code = 98 then begin
     let _attrs = get_u8 r in
@@ -305,13 +375,12 @@ let rec get_value r : Value.t =
     | Some ty ->
         let _attrs = get_u8 r in
         let n = get_count r in
-        Value.Vector (ty, Array.init n (fun _ -> get_atom_payload r ty))
+        let atoms = Array.make n Value.static_atom in
+        for i = 0 to n - 1 do
+          Array.unsafe_set atoms i (get_atom_payload r ty)
+        done;
+        Value.Vector (ty, atoms)
     | None -> decode_error "unknown vector type code %d" code
-
-(* error responses use type code -128 followed by the message text *)
-let put_error buf (msg : string) =
-  put_i8 buf (-128);
-  put_sym buf msg
 
 (* ------------------------------------------------------------------ *)
 (* Message framing                                                     *)
@@ -322,26 +391,41 @@ type body = Query of string | Value of Value.t | Error of string
 type message = { mt : msg_type; body : body }
 
 (** Encode one complete QIPC message (header + body). Queries travel as
-    char vectors, results as arbitrary Q values. With [compress:true]
-    (the default), messages above kdb+'s 2000-byte threshold are
-    compressed when that actually shrinks them. *)
+    char vectors, results as arbitrary Q values, error responses as type
+    code -128 followed by the message text. The body is sized first, so
+    header and body are written once, into one [Bytes] of exactly the
+    message's length. With [compress:true] (the default), messages above
+    kdb+'s 2000-byte threshold are compressed when that actually shrinks
+    them. *)
 let encode_message ?(compress = true) (m : message) : string =
-  let payload = Buffer.create 64 in
-  (match m.body with
-  | Query text -> put_value payload (Value.string_ text)
-  | Value v -> put_value payload v
-  | Error e -> put_error payload e);
-  let buf = Buffer.create (Buffer.length payload + 8) in
-  put_u8 buf 1;
-  (* little-endian *)
-  put_u8 buf (msg_type_code m.mt);
-  put_u8 buf 0;
-  (* not compressed *)
-  put_u8 buf 0;
-  put_i32 buf (8 + Buffer.length payload);
-  Buffer.add_buffer buf payload;
-  let raw = Buffer.contents buf in
-  if compress && String.length raw > 2000 then
+  let size =
+    8
+    +
+    match m.body with
+    | Query text -> 6 + String.length text
+    | Value v -> value_size v
+    | Error e -> String.length e + 2
+  in
+  let b = Bytes.create size in
+  let pos = put_u8 b 0 1 (* little-endian *) in
+  let pos = put_u8 b pos (msg_type_code m.mt) in
+  let pos = put_u8 b pos 0 (* not compressed *) in
+  let pos = put_u8 b pos 0 in
+  let pos = put_i32 b pos size in
+  let pos =
+    match m.body with
+    | Query text ->
+        let pos =
+          put_list_header b pos (Qtype.code Qtype.Char) (String.length text)
+        in
+        Bytes.blit_string text 0 b pos (String.length text);
+        pos + String.length text
+    | Value v -> put_value b pos v
+    | Error e -> put_sym b (put_u8 b pos (-128)) e
+  in
+  assert (pos = size);
+  let raw = Bytes.unsafe_to_string b in
+  if compress && size > 2000 then
     match Compress.compress raw with Some c -> c | None -> raw
   else raw
 
@@ -380,10 +464,10 @@ let rec decode_frame (data : string) (off : int) : message * int =
   let mt, compressed, total = open_frame data off in
   if compressed then
     let plain =
-      try Compress.decompress (String.sub data off total)
+      try Compress.decompress ~off data
       with Compress.Corrupt m -> decode_error "corrupt compressed body: %s" m
     in
-    (fst (decode_frame plain 0), total)
+    (fst (decode_frame (Bytes.unsafe_to_string plain) 0), total)
   else
     let r = { data; pos = off + 8; lim = off + total } in
     (* error responses carry type code -128 followed by the message text *)

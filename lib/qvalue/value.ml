@@ -35,6 +35,21 @@ let time t = Atom (Atom.Time t)
 let timestamp n = Atom (Atom.Timestamp n)
 let null ty = Atom (Atom.Null ty)
 
+(* Arrays of atoms and values start out holding a static one and are
+   filled in place: OCaml's [Array.make] runs a minor collection when an
+   array too big for the minor heap starts out holding a young value, as
+   the first element of [Array.init] or [Array.map] usually is. *)
+let static_atom = Atom.Null Qtype.Long
+let static_value = Atom static_atom
+
+(** [Array.init n f] for atoms, without that minor collection. *)
+let init_atoms n (f : int -> Atom.t) : Atom.t array =
+  let a = Array.make n static_atom in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (f i)
+  done;
+  a
+
 (** Build the most specific list from an array of atoms: a typed vector if
     all atoms share one (non-null-ambiguous) type, otherwise a general
     list. Null atoms adopt the type of their neighbours. *)
@@ -63,11 +78,14 @@ let vector_of_atoms (atoms : Atom.t array) : t =
               | t -> Atom.Null t)
           | a -> a
         in
-        Vector (t, Array.map retype atoms)
+        Vector (t, init_atoms n (fun i -> retype (Array.unsafe_get atoms i)))
     | true, None ->
         (* all nulls: a long-null vector *)
-        Vector (Qtype.Long, Array.map (fun _ -> Atom.Null Qtype.Long) atoms)
-    | false, _ -> List (Array.map (fun a -> Atom a) atoms)
+        Vector (Qtype.Long, Array.make n (Atom.Null Qtype.Long))
+    | false, _ ->
+        let vs = Array.make n static_value in
+        Array.iteri (fun i a -> Array.unsafe_set vs i (Atom a)) atoms;
+        List vs
 
 (** Build a list value from arbitrary values, collapsing to a typed vector
     when every element is an atom of the same type. *)

@@ -263,6 +263,38 @@ let prop_distinct_idempotent =
       let v = Value.longs (Array.of_list xs) in
       Value.equal (Value.distinct v) (Value.distinct (Value.distinct v)))
 
+(* [vector_of_atoms] over 1,000 freshly made (young) atoms: its result
+   arrays start out holding a static atom or value, so it runs no minor
+   collection. Mapped with [Array.map], each started from its first,
+   young, element, and OCaml's [caml_make_vect] empties the minor heap
+   before it makes an array over 256 words from a young value: one
+   collection per call. *)
+let test_vector_of_atoms_collections () =
+  let young f =
+    let a = Array.make 1000 (Atom.Null Qtype.Long) in
+    for i = 0 to 999 do
+      a.(i) <- f i
+    done;
+    a
+  in
+  let collections build =
+    Gc.minor ();
+    let atoms = build () in
+    let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+    ignore (Sys.opaque_identity (Value.vector_of_atoms atoms));
+    (Gc.quick_stat ()).Gc.minor_collections - c0
+  in
+  check tint "typed vector" 0
+    (collections (fun () ->
+         young (fun i ->
+             if i = 7 then Atom.Null Qtype.Float
+             else Atom.Float (float_of_int i))));
+  check tint "general list" 0
+    (collections (fun () ->
+         young (fun i ->
+             if i mod 2 = 0 then Atom.Long (Int64.of_int i)
+             else Atom.Sym (string_of_int i))))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -295,6 +327,8 @@ let () =
           Alcotest.test_case "xkey" `Quick test_xkey;
           Alcotest.test_case "dict ops" `Quick test_dict_ops;
           Alcotest.test_case "type codes" `Quick test_type_codes;
+          Alcotest.test_case "vector_of_atoms collections" `Quick
+            test_vector_of_atoms_collections;
         ] );
       ("properties", props);
     ]
