@@ -49,7 +49,7 @@ val span : t -> string -> (unit -> 'a) -> 'a
 
 (** Attribute on the innermost open span of the in-flight trace, if
     any. *)
-val add_attr : t -> string -> Trace.attr -> unit
+val add_attr : t -> string -> Relation.cell -> unit
 
 (** The in-flight trace's id, [""] when none is open. *)
 val trace_id : t -> string

@@ -5,14 +5,10 @@
     server can stream to a file descriptor while tests capture events in
     memory. A sink created without a writer drops every line, and
     {!active} lets a caller skip rendering one, making instrumentation
-    free to leave enabled everywhere. *)
+    free to leave enabled everywhere.
 
-type field =
-  | Int of int
-  | Float of float
-  | Str of string
-  | Obj of (string * field) list
-  | Raw of string  (** pre-rendered JSON, inserted verbatim *)
+    An event is a list of {!Relation.cell} fields, rendered by that
+    module's JSON writer: a nested object is a [Json] cell. *)
 
 type sink
 
@@ -33,16 +29,11 @@ val memory : unit -> sink * (unit -> string list)
 val set_writer : sink -> (string -> unit) -> unit
 
 (** Emit one event object as a single JSON line. *)
-val emit : sink -> (string * field) list -> unit
+val emit : sink -> (string * Relation.cell) list -> unit
 
 (** Write one pre-rendered line through the sink (the structured logger
     renders its own lines so it can also keep them in its tail ring). *)
 val write : sink -> string -> unit
-
-(** Render one field as JSON. Non-finite floats degrade to parseable
-    JSON: NaN becomes [null], the infinities the strings ["inf"] /
-    ["-inf"]. *)
-val field_json : field -> string
 
 (** Stable 16-hex-char digest of a query text, so logs can aggregate by
     query shape without retaining the (possibly sensitive) text. *)

@@ -41,9 +41,7 @@ let span_json ~(trace_id : string) ~(root : Trace.span)
   let tags =
     match Trace.attrs sp with
     | [] -> []
-    | ls ->
-        let tag (k, v) = (k, Relation.Json (Trace.attr_json v)) in
-        [ ("tags", Relation.Json (Relation.obj (List.map tag ls))) ]
+    | ls -> [ ("tags", Relation.Json (Relation.obj ls)) ]
   in
   Relation.(
     obj

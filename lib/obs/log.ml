@@ -23,16 +23,13 @@ type t = {
   c_info : Metrics.counter;
   c_warn : Metrics.counter;
   c_error : Metrics.counter;
-  tail : string option array;  (** bounded ring of rendered lines *)
-  mutable next : int;
-  mutable stored : int;
+  tail : string Ring.t;  (** the newest rendered lines *)
 }
 
 let default_tail_capacity = 256
 
 let create ?(level = Info) ?(tail_capacity = default_tail_capacity) ~sink
     (reg : Metrics.t) : t =
-  if tail_capacity < 1 then invalid_arg "Log.create: tail_capacity must be >= 1";
   let c l =
     Metrics.counter reg ~help:"Structured log lines emitted"
       ~labels:[ ("level", level_name l) ]
@@ -45,9 +42,7 @@ let create ?(level = Info) ?(tail_capacity = default_tail_capacity) ~sink
     c_info = c Info;
     c_warn = c Warn;
     c_error = c Error;
-    tail = Array.make tail_capacity None;
-    next = 0;
-    stored = 0;
+    tail = Ring.create tail_capacity;
   }
 
 let level t = t.min_level
@@ -62,36 +57,29 @@ let counter_for t = function
 
 let lines_logged t l = Metrics.counter_value (counter_for t l)
 
-let push_tail t line =
-  t.tail.(t.next) <- Some line;
-  t.next <- (t.next + 1) mod Array.length t.tail;
-  if t.stored < Array.length t.tail then t.stored <- t.stored + 1
-
 (** Emit one structured line. The [trace_id] and [conn_id] correlation
     fields are always present in the output (empty / 0 when the caller
     has no context), so every line can be joined against the exported
     trace ring and the session registry. *)
 let log t (lvl : level) ?ts ?(trace_id = "") ?(conn_id = 0) (msg : string)
-    (fields : (string * Events.field) list) : unit =
+    (fields : (string * Relation.cell) list) : unit =
   if enabled t lvl then begin
     Metrics.inc (counter_for t lvl);
+    let ts = match ts with Some ts -> ts | None -> Unix.gettimeofday () in
     let line =
-      Events.field_json
-        (Events.Obj
-           ([
-              ( "ts",
-                Events.Float
-                  (match ts with Some ts -> ts | None -> Unix.gettimeofday ())
-              );
-              ("level", Events.Str (level_name lvl));
-              ("msg", Events.Str msg);
-              ("trace_id", Events.Str trace_id);
-              ("conn_id", Events.Int conn_id);
-            ]
-           @ fields))
+      Relation.(
+        obj
+          ([
+             ("ts", Float ts);
+             ("level", Str (level_name lvl));
+             ("msg", Str msg);
+             ("trace_id", Str trace_id);
+             ("conn_id", Int conn_id);
+           ]
+          @ fields))
     in
     Events.write t.sink line;
-    push_tail t line
+    Ring.push t.tail line
   end
 
 let debug t ?trace_id ?conn_id msg fields = log t Debug ?trace_id ?conn_id msg fields
@@ -99,26 +87,10 @@ let info t ?ts ?trace_id ?conn_id msg fields = log t Info ?ts ?trace_id ?conn_id
 let warn t ?trace_id ?conn_id msg fields = log t Warn ?trace_id ?conn_id msg fields
 let error t ?trace_id ?conn_id msg fields = log t Error ?trace_id ?conn_id msg fields
 
-(** The newest [n] retained lines, newest first. *)
-let recent t (n : int) : string list =
-  let cap = Array.length t.tail in
-  let out = ref [] in
-  let i = ref ((t.next - 1 + cap) mod cap) in
-  let remaining = ref (Stdlib.min n t.stored) in
-  while !remaining > 0 do
-    (match t.tail.(!i) with Some l -> out := l :: !out | None -> ());
-    i := (!i - 1 + cap) mod cap;
-    decr remaining
-  done;
-  List.rev !out
+let recent t (n : int) : string list = Ring.recent t.tail n
 
-(** The retained tail, oldest first, one JSON line per entry — what
-    [GET /logs.json] serves. *)
 let to_jsonl t : string =
-  String.concat ""
-    (List.map (fun l -> l ^ "\n") (List.rev (recent t t.stored)))
+  let newest_first = Ring.recent t.tail (Ring.capacity t.tail) in
+  String.concat "" (List.rev_map (fun l -> l ^ "\n") newest_first)
 
-let reset t =
-  Array.fill t.tail 0 (Array.length t.tail) None;
-  t.next <- 0;
-  t.stored <- 0
+let reset t = Ring.clear t.tail

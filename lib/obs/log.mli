@@ -4,7 +4,9 @@
     events and log lines interleave in one stream), with mandatory
     [trace_id] / [conn_id] correlation fields, per-level counters in
     the metrics registry ([hq_log_lines_total{level="..."}]), and a
-    bounded in-memory tail served as [GET /logs.json].
+    bounded in-memory tail served as [GET /logs.json]. The tail is a
+    lock-guarded {!Ring}: shard worker domains log into the same [t] as
+    the coordinator.
 
     Line schema (correlation fields always present):
     {v
@@ -45,17 +47,17 @@ val log :
   ?trace_id:string ->
   ?conn_id:int ->
   string ->
-  (string * Events.field) list ->
+  (string * Relation.cell) list ->
   unit
 
 val debug :
-  t -> ?trace_id:string -> ?conn_id:int -> string -> (string * Events.field) list -> unit
+  t -> ?trace_id:string -> ?conn_id:int -> string -> (string * Relation.cell) list -> unit
 val info :
-  t -> ?ts:float -> ?trace_id:string -> ?conn_id:int -> string -> (string * Events.field) list -> unit
+  t -> ?ts:float -> ?trace_id:string -> ?conn_id:int -> string -> (string * Relation.cell) list -> unit
 val warn :
-  t -> ?trace_id:string -> ?conn_id:int -> string -> (string * Events.field) list -> unit
+  t -> ?trace_id:string -> ?conn_id:int -> string -> (string * Relation.cell) list -> unit
 val error :
-  t -> ?trace_id:string -> ?conn_id:int -> string -> (string * Events.field) list -> unit
+  t -> ?trace_id:string -> ?conn_id:int -> string -> (string * Relation.cell) list -> unit
 
 (** Lines emitted at [level] since creation (from the per-level
     registry counters, so [.hq.stats.reset] zeroes them too). *)

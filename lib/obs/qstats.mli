@@ -5,9 +5,9 @@
     stable hash of a query's {e shape} (literals stripped, whitespace
     collapsed; see [Qlang.Fingerprint]). Each entry accumulates calls,
     errors by class, rows and bytes in/out, per-stage latency sums, and
-    a compact log-bucketed latency histogram, so the proxy can answer
-    "which query shapes hurt" across millions of queries in O(capacity)
-    memory.
+    a latency histogram of the registry's kind ({!Metrics.new_histogram}),
+    so the proxy can answer "which query shapes hurt" across millions of
+    queries in O(capacity) memory.
 
     Read in-band via the [.hq.top[n]] admin query, over HTTP via
     [GET /stats.json], and merged into the Prometheus exposition as
@@ -22,10 +22,10 @@ type entry = {
   mutable e_rows_out : int;
   mutable e_bytes_in : int;
   mutable e_bytes_out : int;
-  mutable e_total_s : float;
-  mutable e_max_s : float;
   mutable e_stages : (string * float) list;  (** per-stage latency sums *)
-  e_hist : int array;  (** log2-us-bucketed latency histogram *)
+  e_hist : Metrics.histogram;
+      (** latency in seconds; its sum is the entry's total time, its max
+          the slowest call *)
   mutable e_last_use : int;  (** logical tick, for LRU eviction *)
   (* allocation attribution: coordinator-side Gc deltas per call *)
   mutable e_alloc_bytes : float;  (** total bytes allocated, all calls *)
@@ -59,22 +59,19 @@ val evictions : t -> int
 (** Drop every entry (for [.hq.stats.reset] / bracketing bench runs). *)
 val reset : t -> unit
 
-val entry_avg_s : entry -> float
+(** Seconds over all calls. *)
+val total_s : entry -> float
 
-(** Percentile (0..100) estimated from the entry's log-bucketed
-    histogram: the upper bound of the bucket holding the rank, clamped
-    to the observed max. Buckets are powers of two in microseconds, so
-    the estimate is within 2x — enough to separate a 50us shape from a
-    5ms one, in 24 ints per fingerprint. *)
-val entry_percentile : entry -> float -> float
+val entry_avg_s : entry -> float
 
 (** The top-[n] entries (default: all) by total time as the relation
     behind [.hq.top] and [GET /top.json]: calls, errors (with a
     per-class [error_classes] object), rows and bytes, total/avg/max/p95
-    milliseconds, per-stage [stages_ms], and the allocation columns. *)
+    milliseconds ([p95_ms] by {!Metrics.percentile}), per-stage
+    [stages_ms], and the allocation columns. *)
 val relation : ?n:int -> t -> Relation.t
 
-(** Prometheus text for the top-[k] (default 10) entries:
-    [hq_fingerprint_{calls,errors,seconds,rows}_total] with a
-    [fingerprint] label. Appended to the registry exposition. *)
-val to_prometheus : ?k:int -> t -> string
+(** The top-[k] (default 10) entries as Prometheus samples:
+    [hq_fingerprint_{calls,errors,seconds,rows,alloc_bytes,minor_gcs}_total]
+    counters with a [fingerprint] label. *)
+val exposition : ?k:int -> t -> Relation.t

@@ -43,7 +43,7 @@ let categorise (e : string) : error =
 let status q = if q.error = None then "ok" else "error"
 
 let event q =
-  Events.
+  Relation.
     [
       ("ts", Float q.ts);
       ("query_sha", Str q.query_sha);
@@ -52,7 +52,8 @@ let event q =
       ( "error_class",
         Str (match q.error with Some e -> e.error_class | None -> "") );
       ("duration_ms", Float (q.duration_s *. 1000.0));
-      ("stages_us", Obj (List.map (fun (n, s) -> (n, Float (s *. 1e6))) q.stages));
+      ( "stages_us",
+        Json (obj (List.map (fun (n, s) -> (n, Float (s *. 1e6))) q.stages)) );
       ("rows_out", Int q.rows_out);
       ("qipc_bytes_in", Int q.bytes_in);
       ("qipc_bytes_out", Int q.bytes_out);
@@ -60,7 +61,7 @@ let event q =
     ]
 
 let log_fields q =
-  Events.
+  Relation.
     [
       ("fingerprint", Str q.fingerprint);
       ("status", Str (status q));

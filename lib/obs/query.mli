@@ -79,8 +79,8 @@ val categorise : string -> error
 val status : t -> string
 
 (** The JSONL query event, in the key order of the schema above. *)
-val event : t -> (string * Events.field) list
+val event : t -> (string * Relation.cell) list
 
 (** The fields of the "query completed" log line after its correlation
     fields: fingerprint, status and duration. *)
-val log_fields : t -> (string * Events.field) list
+val log_fields : t -> (string * Relation.cell) list

@@ -1,7 +1,8 @@
 (** A bounded, lock-guarded ring: the store behind the flight recorder,
-    the trace-export ring and the explain ring. The coordinator pushes,
-    admin readers (the HTTP thread, in-band [.hq.*] queries) read. A
-    full ring overwrites its oldest entry. *)
+    the trace-export ring, the explain ring, the log tail and the
+    time-series snapshots. The coordinator and shard worker domains
+    push, admin readers (the HTTP thread, in-band [.hq.*] queries) read.
+    A full ring overwrites its oldest entry. *)
 
 type 'a t
 

@@ -1,4 +1,4 @@
-(** Time-series ring: a lock-guarded fixed-size ring of periodic raw
+(** Time-series ring: a lock-guarded fixed-size {!Ring} of periodic raw
     snapshots of the whole metrics registry, with per-window rates and
     latency percentiles derived from deltas of consecutive snapshots
     (counters and histogram buckets are cumulative, so two snapshots
@@ -79,12 +79,10 @@ type agg = {
     the horizon. *)
 val aggregate : t -> horizon_s:float -> agg option
 
-(** {1 Delta-of-buckets estimators} *)
+(** {1 Delta-of-buckets estimators}
 
-(** Percentile from a window's bucket deltas (rank interpolation inside
-    the holding bucket; the +Inf bucket clamps to the highest finite
-    bound so estimates stay finite). [nan] on an empty window. *)
-val percentile_of_deltas : bounds:float array -> counts:int array -> float -> float
+    A window's percentiles are {!Metrics.bucket_percentile} over its
+    bucket deltas, with no lifetime range. *)
 
 (** Fraction of a window's observations at or under [threshold]
     seconds (interpolated). [nan] on an empty window. *)

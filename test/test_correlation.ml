@@ -262,7 +262,7 @@ let rec collect_named name (sp : Tr.span) acc =
 
 let shard_attr (sp : Tr.span) : int =
   match List.assoc_opt "shard" (Tr.attrs sp) with
-  | Some (Tr.Int i) -> i
+  | Some (Obs.Relation.Int i) -> i
   | _ -> Alcotest.fail "shard_exec span must carry a shard attribute"
 
 let test_cross_shard_trace () =
@@ -385,9 +385,9 @@ let test_one_record_five_planes () =
   in
   let event = line_with "\"query_sha\"" in
   let log = line_with "\"msg\":\"query completed\"" in
-  (* the JSON lines render floats as Trace.float_json does *)
+  (* the JSON lines render floats as the one JSON writer does *)
   let has line key v =
-    contains line (Printf.sprintf "\"%s\":%s" key (Tr.float_json v))
+    contains line (Printf.sprintf "\"%s\":%s" key (Obs.Relation.cell_json (Float v)))
   in
   let trace_id = sym (slow "trace_id") in
   check tint "trace id" 32 (String.length trace_id);
