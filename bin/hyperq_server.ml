@@ -55,7 +55,6 @@ let () =
   let log_level = ref "info" in
   let log_file = ref "" in
   let trace_ring = ref Obs.Export.default_capacity in
-  let plan_cache = ref true in
   let plan_cache_size = ref Hyperq.Plancache.default_capacity in
   let shards = ref 1 in
   let workers = ref 0 in
@@ -92,14 +91,11 @@ let () =
           "N keep the last N finished traces for /traces.json and \
            .hq.traces (default %d)"
           Obs.Export.default_capacity );
-      ( "--plan-cache",
-        Arg.Bool (fun b -> plan_cache := b),
-        "BOOL enable the fingerprint-keyed translation plan cache \
-         (default true); inspect with .hq.plancache or GET \
-         /plancache.json" );
       ( "--plan-cache-size",
         Arg.Set_int plan_cache_size,
-        Printf.sprintf "N LRU capacity of the plan cache (default %d)"
+        Printf.sprintf
+          "N LRU capacity of the fingerprint-keyed translation plan cache \
+           (default %d); inspect with .hq.plancache or GET /plancache.json"
           Hyperq.Plancache.default_capacity );
       ( "--shards",
         Arg.Set_int shards,
@@ -216,7 +212,7 @@ let () =
        ());
   at_exit (fun () -> Atomic.set sampler_stop true);
   let platform =
-    P.create ~plan_cache:!plan_cache ~plan_cache_size:!plan_cache_size ~obs
+    P.create ~plan_cache_size:!plan_cache_size ~obs
       ~shards:!shards
       ?workers:(if !workers > 0 then Some !workers else None)
       ~analyze_sample:!analyze_sample db
