@@ -1095,11 +1095,12 @@ let test_decode_allocation_is_linear () =
   let client = Pgwire.Client.connect transport in
   let reply = Pgwire.Server.feed server (Pgwire.Client.batch big_sql) in
   replay := Some reply;
-  let before = Gc.allocated_bytes () in
+  let before = Obs.Runtime.allocated_bytes () in
   (match Pgwire.Client.query client big_sql with
   | Ok r -> check tint "rows" big_rows r.Pgwire.Client.result.Pgdb.Exec.res_nrows
   | Error e -> Alcotest.fail e);
-  let ratio = (Gc.allocated_bytes () -. before) /. float_of_int (String.length reply) in
+  let allocated = Obs.Runtime.allocated_bytes () -. before in
+  let ratio = allocated /. float_of_int (String.length reply) in
   if ratio > 20. then
     Alcotest.failf "decode allocated %.1fx the %d reply bytes" ratio
       (String.length reply)
@@ -1133,16 +1134,16 @@ let wide_session () =
 let least_words f =
   let best = ref Float.infinity in
   for _ = 1 to 3 do
-    let a0 = Gc.allocated_bytes () in
+    let a0 = Obs.Runtime.allocated_bytes () in
     ignore (Sys.opaque_identity (f ()));
-    best := Float.min !best (Gc.allocated_bytes () -. a0)
+    best := Float.min !best (Obs.Runtime.allocated_bytes () -. a0)
   done;
   !best /. float_of_int (Sys.word_size / 8)
 
 (* The server writes DataRows straight from the typed columns: beyond
    the output buffer it allocates a few hundred words for the whole
    result (two work buffers and a writer per column), never a word per
-   cell; 0.000 words a cell measured on OCaml 5.1. Writing from boxed
+   cell; 0.001 words a cell measured on OCaml 5.1. Writing from boxed
    rows allocated closures per row, 2.20 words a cell, on top of the
    7.2 words a cell pgdb spent building those rows. The budget is 0.01
    words a cell. *)
@@ -1173,7 +1174,7 @@ let test_encode_allocation () =
    column costs its array slot and the int64 box (4 words a cell), a
    float or text column one word (a repeated string is found in the
    dictionary in place), and each DataRow frame its 4-word reader:
-   3.21 words a cell measured on OCaml 5.1. Decoding into boxed rows
+   3.35 words a cell measured on OCaml 5.1. Decoding into boxed rows
    measured 10.3 (a Value.t and its payload per cell, a substring per
    text cell, an array and a list cell per row). The budget is 3.5
    words a cell. *)
