@@ -182,13 +182,9 @@ type t = {
 let create ?(config = default_config) (ts : Timeseries.t) : t =
   { s_mu = Mutex.create (); s_ts = ts; s_config = config; s_degraded_total = 0 }
 
-let with_mu t f =
-  Mutex.lock t.s_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.s_mu) f
-
-let config t = with_mu t (fun () -> t.s_config)
-let configure t cfg = with_mu t (fun () -> t.s_config <- cfg)
-let degraded_total t = with_mu t (fun () -> t.s_degraded_total)
+let config t = Mutex.protect t.s_mu (fun () -> t.s_config)
+let configure t cfg = Mutex.protect t.s_mu (fun () -> t.s_config <- cfg)
+let degraded_total t = Mutex.protect t.s_mu (fun () -> t.s_degraded_total)
 
 (* bad fraction of the traffic an aggregate saw; 0.0 when idle — an
    empty window consumes no budget *)
@@ -233,7 +229,7 @@ let evaluate (t : t) : verdict =
       cfg.objectives
   in
   let healthy = not (List.exists (fun b -> b.b_burning) burns) in
-  if not healthy then with_mu t (fun () ->
+  if not healthy then Mutex.protect t.s_mu (fun () ->
       t.s_degraded_total <- t.s_degraded_total + 1);
   { v_healthy = healthy; v_burns = burns }
 
