@@ -58,7 +58,7 @@ let () =
       (Hyperq.Backend.of_pgdb_session (Pgdb.Db.open_session db))
   in
   let hq_result =
-    match Hyperq.Engine.try_run eng query with
+    match Hyperq.Engine.try_run eng (Qlang.Fingerprint.analyze query) with
     | Ok { Hyperq.Engine.value = Some v; _ } -> v
     | Ok _ -> failwith "no result"
     | Error e -> failwith e

@@ -16,6 +16,7 @@ module A = Sqlast.Ast
 module Ast = Qlang.Ast
 module Ty = Catalog.Sqltype
 module QV = Qvalue.Value
+module F = Qlang.Fingerprint
 
 exception Hq_error of { category : string; message : string }
 
@@ -457,10 +458,11 @@ let run_statement (t : t) (stmt : Ast.expr) : run_result =
       let sqls = Backend.sql_since t.backend sql_mark in
       { value = Some value; sqls }
 
-(* the full pipeline: parse and execute every statement *)
-let run_program_uncached (t : t) (src : string) : run_result =
+(* the full pipeline: parse the analyzed tokens and execute every
+   statement *)
+let run_program_uncached (t : t) (an : F.analysis) : run_result =
   let stmts =
-    stage t Stage_timer.Parse (fun () -> Qlang.Parser.parse_program src)
+    stage t Stage_timer.Parse (fun () -> Qlang.Parser.parse_analysis an)
   in
   match stmts with
   | [] -> { value = None; sqls = [] }
@@ -473,8 +475,6 @@ let run_program_uncached (t : t) (src : string) : run_result =
 (* ------------------------------------------------------------------ *)
 (* Plan cache fast path                                                *)
 (* ------------------------------------------------------------------ *)
-
-module F = Qlang.Fingerprint
 
 (* A cacheable statement must be self-contained: a rel that reads a
    session temp table depends on state the generation counters do not
@@ -514,22 +514,23 @@ let cache_key (t : t) (fp : string) (sg : string) : Plancache.key =
   }
 
 (* Install a template for a statement the slow path just ran: re-translate
-   the query with sentinel literals (no stage timers, no backend traffic),
-   locate each sentinel's rendering in the generated SQL, and accept the
-   template only if splicing the original literals back reproduces the
-   original SQL byte for byte. A position whose sentinel never appears is
-   structure: it stays verbatim in the next sentinel translation, and its
-   value extends the key. Each round makes at least one more position
+   the query's tokens with sentinel literal tokens swapped in (no stage
+   timers, no backend traffic, no Q text), locate each sentinel's
+   rendering in the generated SQL, and accept the template only if
+   splicing the original literals back reproduces the original SQL byte
+   for byte. A position whose sentinel never appears is structure: its
+   token stays as it is in the next sentinel translation, and its value
+   extends the key. Each round makes at least one more position
    structural, so the loop ends. Deterministic failures are negatively
    cached so the same shape does not retry on every miss. *)
 let install_template (t : t) (pc : Plancache.t) (an : F.analysis)
     ~(params : Plancache.param array) ~(sql : string) ~(shape : Binder.rshape)
-    ~(key : Plancache.key) ~(src : string) : unit =
+    ~(key : Plancache.key) : unit =
   let store key kind = Plancache.store pc key ~norm:an.F.a_norm kind in
   let negative reason = store key (Plancache.Uncacheable reason) in
   let mark = Backend.log_mark t.backend in
-  let translate sentinel_src =
-    match Qlang.Parser.parse_program sentinel_src with
+  let translate sentinel_toks =
+    match Qlang.Parser.parse_tokens sentinel_toks with
     | [ stmt ] -> (
         match Binder.bind (make_ctx t) stmt with
         | Binder.BRel brel when brel.Binder.shape = shape ->
@@ -539,10 +540,10 @@ let install_template (t : t) (pc : Plancache.t) (an : F.analysis)
   in
   let rec attempt structural =
     let start = Obs.Clock.now_ns () in
-    match Plancache.sentinel_rewrite ~src ~structural an.F.a_literals with
+    match Plancache.sentinel_rewrite ~structural an with
     | None -> ()
-    | Some (sentinel_src, sentinels) -> (
-        match translate sentinel_src with
+    | Some (sentinel_toks, sentinels) -> (
+        match translate sentinel_toks with
         | exception _ -> negative "sentinel translation failed"
         | None -> negative "sentinel translation changed shape"
         | Some _ when Backend.log_mark t.backend <> mark ->
@@ -556,7 +557,7 @@ let install_template (t : t) (pc : Plancache.t) (an : F.analysis)
                 (Array.map Plancache.render sentinels)
             with
             | Error (`Lost lost) ->
-                attempt (Plancache.widen_to_spans an.F.a_literals (structural @ lost))
+                attempt (Plancache.widen_to_literals an (structural @ lost))
             | Error `Overlap -> negative "sentinel renderings overlap"
             | Ok tpl when Plancache.splice tpl params <> sql ->
                 negative "template validation failed"
@@ -587,16 +588,16 @@ let run_cached_hit (t : t) (tpl : Plancache.template)
       Some { value = Some value; sqls = Backend.sql_since t.backend mark }
   | Ok (Backend.Command_ok _) | Error _ -> None
 
-let run_program_cached (t : t) (pc : Plancache.t) (src : string) : run_result =
-  let an = F.analyze src in
+let run_program_cached (t : t) (pc : Plancache.t) (an : F.analysis) :
+    run_result =
   let bypass () =
     Obs.Metrics.inc t.pc_bypass;
     t.last_cache <- "bypass";
-    run_program_uncached t src
+    run_program_uncached t an
   in
-  if (not an.F.a_ok) || an.F.a_statements <> 1 then bypass ()
+  if Result.is_error an.F.a_tokens || an.F.a_statements <> 1 then bypass ()
   else
-    match Plancache.signature an.F.a_literals with
+    match Plancache.signature an with
     | None -> bypass ()
     | Some (sg, params) -> (
         let key = cache_key t an.F.a_fingerprint sg in
@@ -608,7 +609,7 @@ let run_program_cached (t : t) (pc : Plancache.t) (src : string) : run_result =
           let mark0 = Backend.log_mark t.backend in
           let temps0 = t.temp_counter in
           t.last_rel_exec <- None;
-          let r = run_program_uncached t src in
+          let r = run_program_uncached t an in
           (match t.last_rel_exec with
           | Some (rel, sql, shape)
             when Backend.log_mark t.backend - mark0 = 1
@@ -618,15 +619,12 @@ let run_program_cached (t : t) (pc : Plancache.t) (src : string) : run_result =
                  && not (rel_reads_temp_or_literal rel) ->
               (* single read-only relational statement, no assignment, no
                  materialization, no catalog movement: install a template *)
-              install_template t pc an ~params ~sql ~shape ~key ~src
+              install_template t pc an ~params ~sql ~shape ~key
           | _ -> ());
           r
         in
         match Plancache.lookup pc key params with
-        | Some { Plancache.e_kind = Plancache.Uncacheable _; _ } ->
-            Obs.Metrics.inc t.pc_bypass;
-            t.last_cache <- "bypass";
-            run_program_uncached t src
+        | Some { Plancache.e_kind = Plancache.Uncacheable _; _ } -> bypass ()
         | Some ({ Plancache.e_kind = Plancache.Template tpl; _ } as e) -> (
             match run_cached_hit t tpl params with
             | Some r ->
@@ -639,17 +637,18 @@ let run_program_cached (t : t) (pc : Plancache.t) (src : string) : run_result =
                 miss ())
         | Some { Plancache.e_kind = Plancache.Structural _; _ } | None -> miss ())
 
-(** Parse and execute a Q program; returns the last statement's result.
-    With the plan cache enabled, single-statement queries whose shape is
-    cached skip the translation pipeline entirely. *)
-let run_program (t : t) (src : string) : run_result =
+(** Parse and execute an analyzed Q program; returns the last
+    statement's result. With the plan cache enabled, single-statement
+    queries whose shape is cached skip the translation pipeline
+    entirely. *)
+let run_program (t : t) (an : F.analysis) : run_result =
   Backend.begin_request t.backend;
   t.last_sharded <- false;
   t.last_cache <- "off";
   let r =
     match t.plancache with
-    | None -> run_program_uncached t src
-    | Some pc -> run_program_cached t pc src
+    | None -> run_program_uncached t an
+    | Some pc -> run_program_cached t pc an
   in
   t.last_note <-
     Some
@@ -664,7 +663,8 @@ let run_program (t : t) (src : string) : run_result =
     Q query (used by tests, examples and the REPL's \\sql). *)
 let translate (t : t) (src : string) : string =
   let stmts =
-    stage t Stage_timer.Parse (fun () -> Qlang.Parser.parse_program src)
+    stage t Stage_timer.Parse (fun () ->
+        Qlang.Parser.parse_analysis (F.analyze src))
   in
   let stmt =
     match stmts with
@@ -697,7 +697,7 @@ let error_log_limit = 100
 
 (** Convenience wrapper turning all Hyper-Q failure modes into a
     result. *)
-let try_run (t : t) (src : string) : (run_result, string) result =
+let try_run (t : t) (an : F.analysis) : (run_result, string) result =
   let fail msg =
     (* keep a bounded log of failures with their query text: verbose,
        attributable errors are one of the ways Hyper-Q improves on kdb+'s
@@ -705,7 +705,7 @@ let try_run (t : t) (src : string) : (run_result, string) result =
        explicit length counter and amortized truncation — recomputing
        List.length and rebuilding the list on every failure made this
        O(n²) across a failure burst *)
-    t.error_log <- (src, msg) :: t.error_log;
+    t.error_log <- (an.F.a_src, msg) :: t.error_log;
     t.error_count <- t.error_count + 1;
     if t.error_count > 2 * error_log_limit then begin
       t.error_log <-
@@ -714,10 +714,12 @@ let try_run (t : t) (src : string) : (run_result, string) result =
     end;
     Obs.Log.error t.obs.Obs.Ctx.log ~trace_id:(Obs.Ctx.trace_id t.obs)
       "query failed"
-      [ ("error", Obs.Relation.Str msg); ("query", Obs.Relation.Str src) ];
+      [
+        ("error", Obs.Relation.Str msg); ("query", Obs.Relation.Str an.F.a_src);
+      ];
     Error msg
   in
-  match run_program t src with
+  match run_program t an with
   | r -> Ok r
   | exception Hq_error { category; message } ->
       fail (Printf.sprintf "[%s] %s" category message)

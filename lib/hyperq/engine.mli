@@ -55,17 +55,19 @@ type run_result = {
 (** Execute one parsed Q statement. *)
 val run_statement : t -> Qlang.Ast.expr -> run_result
 
-(** Parse and execute a Q program; returns the last statement's result.
+(** Parse and execute an analyzed Q program (the request's one lexing,
+    {!Qlang.Fingerprint.analyze}); returns the last statement's result.
     Raises on errors — prefer {!try_run} at API boundaries. *)
-val run_program : t -> string -> run_result
+val run_program : t -> Qlang.Fingerprint.analysis -> run_result
 
 (** Translate a single Q query to SQL without executing it (the REPL's \\sql,
     examples, debugging). *)
 val translate : t -> string -> string
 
 (** {!run_program} with every Hyper-Q failure mode collected into a
-    categorised error string. *)
-val try_run : t -> string -> (run_result, string) result
+    categorised error string. A text the lexer rejected fails as
+    [[parse] <lexer message>]. *)
+val try_run : t -> Qlang.Fingerprint.analysis -> (run_result, string) result
 
 (** The session's stage timer (reset it between measured queries). *)
 val timer : t -> Stage_timer.t

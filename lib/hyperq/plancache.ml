@@ -4,8 +4,9 @@
     Real Q application workloads repeat a small set of query shapes with
     different literals — exactly what the fingerprinter normalizes. After
     a successful slow-path translation of a cacheable statement, the
-    engine re-translates the query with unique {e sentinel} literals
-    spliced into the literal spans, locates each sentinel's SQL rendering
+    engine re-translates the query with unique {e sentinel} literal
+    tokens swapped in at its literals' token indices (no Q text is built
+    or lexed again), locates each sentinel's SQL rendering
     in the generated text, and stores the SQL as a template
     ([parts]/[slots]) plus the bound result shape. A later query with the
     same fingerprint and literal type-signature skips
@@ -43,6 +44,7 @@
 
 module A = Sqlast.Ast
 module F = Qlang.Fingerprint
+module T = Qlang.Token
 module Atom = Qvalue.Atom
 
 (* ------------------------------------------------------------------ *)
@@ -106,46 +108,50 @@ let class_of_string (s : string) : string option =
   then Some "S!"
   else Some "S"
 
-(** Flatten a query's extracted literals into spliceable parameters and
+(* the literal tokens of an analyzed query, in source order *)
+let literal_tokens (an : F.analysis) : T.t list =
+  match an.F.a_tokens with
+  | Ok toks -> List.map (fun i -> toks.(i)) an.F.a_literals
+  | Error _ -> []
+
+(* the parameters of one literal token, one per flattened position *)
+let token_params : T.t -> param list = function
+  | T.Num a -> [ PAtom a ]
+  | T.NumVec atoms -> List.map (fun a -> PAtom a) atoms
+  | T.Str s -> [ PString s ]
+  | T.SymLit syms -> List.map (fun s -> PAtom (Atom.Sym s)) syms
+  | _ -> []
+
+(** Flatten a query's literal tokens into spliceable parameters and
     compute the literal type-signature. [None] when any literal's value
     class must bypass the cache. Vector literals record their arity in
     the signature ([in 1 2 3] and [in 1 2] are different shapes). *)
-let signature (lits : F.lit_span list) : (string * param array) option =
+let signature (an : F.analysis) : (string * param array) option =
   let buf = Buffer.create 32 in
   let params = ref [] in
   let ok = ref true in
-  let atom cls a =
-    match cls with
-    | Some c ->
-        Buffer.add_string buf c;
-        params := PAtom a :: !params
-    | None -> ok := false
+  let class_of = function
+    | PAtom a -> class_of_atom a
+    | PString s -> class_of_string s
   in
   List.iter
-    (fun (ls : F.lit_span) ->
+    (fun (tok : T.t) ->
       if !ok then begin
         if Buffer.length buf > 0 then Buffer.add_char buf ' ';
-        match ls.F.l_value with
-        | F.LNum [ a ] -> atom (class_of_atom a) a
-        | F.LNum atoms ->
-            Buffer.add_char buf '(';
-            List.iter (fun a -> atom (class_of_atom a) a) atoms;
-            Buffer.add_char buf ')'
-        | F.LStr s -> (
-            match class_of_string s with
+        let ps = token_params tok in
+        let vector = match ps with [ _ ] -> false | _ -> true in
+        if vector then Buffer.add_char buf '(';
+        List.iter
+          (fun p ->
+            match class_of p with
             | Some c ->
                 Buffer.add_string buf c;
-                params := PString s :: !params
+                params := p :: !params
             | None -> ok := false)
-        | F.LSym [ s ] -> atom (class_of_atom (Atom.Sym s)) (Atom.Sym s)
-        | F.LSym syms ->
-            Buffer.add_char buf '(';
-            List.iter
-              (fun s -> atom (class_of_atom (Atom.Sym s)) (Atom.Sym s))
-              syms;
-            Buffer.add_char buf ')'
+          ps;
+        if vector then Buffer.add_char buf ')'
       end)
-    lits;
+    (literal_tokens an);
   if !ok then Some (Buffer.contents buf, Array.of_list (List.rev !params))
   else None
 
@@ -153,122 +159,99 @@ let signature (lits : F.lit_span list) : (string * param array) option =
 (* Sentinels                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Sentinel parameter for flattened position [k], same class as [p].
+(* Sentinel atom for flattened position [k], same class as [a].
    Value ranges are chosen so no sentinel's SQL rendering is a substring
    of another's: longs live in 8624xxxx, fractional floats in
    7351xxxx.5, integral floats in 9137xxxx.0, strings and symbols in
-   distinct [hqs<k>...] namespaces, temporals in ranges whose rendered
-   text carries date/time separators. *)
-let sentinel_param (k : int) (p : param) : param option =
-  match p with
-  | PString _ -> Some (PString (Printf.sprintf "hqs%dstr" k))
-  | PAtom a -> (
-      match a with
-      | Atom.Long i when i > 0L -> Some (PAtom (Atom.Long (Int64.of_int (86240001 + k))))
-      | Atom.Long i when i < 0L ->
-          Some (PAtom (Atom.Long (Int64.of_int (-(86240001 + k)))))
-      | Atom.Float f when is_plain_integral f ->
-          let v = float_of_int (91370001 + k) in
-          Some (PAtom (Atom.Float (if f > 0. then v else -.v)))
-      | Atom.Float f when f > 0. ->
-          Some (PAtom (Atom.Float (float_of_int (73510001 + k) +. 0.5)))
-      | Atom.Float f when f < 0. ->
-          Some (PAtom (Atom.Float (-.(float_of_int (73510001 + k) +. 0.5))))
-      | Atom.Sym _ -> Some (PAtom (Atom.Sym (Printf.sprintf "hqs%dsym" k)))
-      | Atom.Date _ -> Some (PAtom (Atom.Date (40001 + k)))
-      | Atom.Time _ -> Some (PAtom (Atom.Time (40000001 + k)))
-      | Atom.Timestamp _ ->
-          Some
-            (PAtom
-               (Atom.Timestamp
-                  (Int64.add 500_000_000_000_000_000L
-                     (Int64.mul (Int64.of_int (k + 1)) 1_000_000_000L))))
-      | _ -> None)
+   distinct [hqs<k>...] namespaces (see {!sentinel_token}), temporals in
+   ranges whose rendered text carries date/time separators. *)
+let sentinel_atom (k : int) (a : Atom.t) : Atom.t option =
+  match a with
+  | Atom.Long i when i > 0L -> Some (Atom.Long (Int64.of_int (86240001 + k)))
+  | Atom.Long i when i < 0L ->
+      Some (Atom.Long (Int64.of_int (-(86240001 + k))))
+  | Atom.Float f when is_plain_integral f ->
+      let v = float_of_int (91370001 + k) in
+      Some (Atom.Float (if f > 0. then v else -.v))
+  | Atom.Float f when f > 0. ->
+      Some (Atom.Float (float_of_int (73510001 + k) +. 0.5))
+  | Atom.Float f when f < 0. ->
+      Some (Atom.Float (-.(float_of_int (73510001 + k) +. 0.5)))
+  | Atom.Date _ -> Some (Atom.Date (40001 + k))
+  | Atom.Time _ -> Some (Atom.Time (40000001 + k))
+  | Atom.Timestamp _ ->
+      Some
+        (Atom.Timestamp
+           (Int64.add 500_000_000_000_000_000L
+              (Int64.mul (Int64.of_int (k + 1)) 1_000_000_000L)))
+  | _ -> None
 
-(* Q source text that lexes back to exactly this sentinel parameter. *)
-let sentinel_source (p : param) : string =
-  match p with
-  | PString s -> Printf.sprintf "\"%s\"" s
-  | PAtom (Atom.Long i) -> Int64.to_string i
-  | PAtom (Atom.Float f) -> Printf.sprintf "%.1f" f
-  | PAtom (Atom.Sym s) -> "`" ^ s
-  | PAtom (Atom.Date d) -> Printf.sprintf "%dd" d
-  | PAtom (Atom.Time t) -> Printf.sprintf "%dt" t
-  | PAtom (Atom.Timestamp n) -> Printf.sprintf "%Ldp" n
-  | PAtom _ -> invalid_arg "sentinel_source"
+(* The literal token [tok] with sentinels for its flattened positions
+   [k], [k+1], ...; [None] if an atom has no sentinel form. *)
+let sentinel_token (k : int) (tok : T.t) : T.t option =
+  let atoms xs =
+    let sent = List.mapi (fun j a -> sentinel_atom (k + j) a) xs in
+    if List.for_all Option.is_some sent then Some (List.map Option.get sent)
+    else None
+  in
+  match tok with
+  | T.Num a -> Option.map (fun a -> T.Num a) (sentinel_atom k a)
+  | T.NumVec xs -> Option.map (fun xs -> T.NumVec xs) (atoms xs)
+  | T.Str _ -> Some (T.Str (Printf.sprintf "hqs%dstr" k))
+  | T.SymLit ss ->
+      Some
+        (T.SymLit (List.mapi (fun j _ -> Printf.sprintf "hqs%dsym" (k + j)) ss))
+  | _ -> None
 
-(* the parameters of one literal span, one per flattened position *)
-let span_params (ls : F.lit_span) : param list =
-  match ls.F.l_value with
-  | F.LNum atoms -> List.map (fun a -> PAtom a) atoms
-  | F.LStr s -> [ PString s ]
-  | F.LSym syms -> List.map (fun s -> PAtom (Atom.Sym s)) syms
+(* the number of flattened positions of a literal token *)
+let arity (tok : T.t) : int = List.length (token_params tok)
 
-(** Widen structural positions to whole literal spans: a span is the
-    unit {!sentinel_rewrite} keeps verbatim, so every position of a span
-    holding a structural one is structural. Sorted, no duplicates. *)
-let widen_to_spans (lits : F.lit_span list) (positions : int list) : int list =
+(** Widen structural positions to whole literal tokens: a token is the
+    unit {!sentinel_rewrite} keeps verbatim, so every position of a
+    token holding a structural one is structural. Sorted, no
+    duplicates. *)
+let widen_to_literals (an : F.analysis) (positions : int list) : int list =
   let _, widened =
     List.fold_left
-      (fun (k, acc) ls ->
-        let n = List.length (span_params ls) in
+      (fun (k, acc) tok ->
+        let n = arity tok in
         let held = List.exists (fun p -> p >= k && p < k + n) positions in
         (k + n, if held then acc @ List.init n (fun i -> k + i) else acc))
-      (0, []) lits
+      (0, []) (literal_tokens an)
   in
   widened
 
-(** Rewrite [src], replacing every literal span with sentinel literals of
-    the same classes, except spans holding a [structural] position,
-    which stay verbatim. Returns the rewritten source and one parameter
-    per flattened position: the sentinel, or the original value at a
-    structural position. [None] if any literal has no sentinel form
-    (callers reject such queries via {!signature} first). *)
-let sentinel_rewrite ~(src : string) ?(structural = []) (lits : F.lit_span list)
-    : (string * param array) option =
-  let buf = Buffer.create (String.length src + 64) in
-  let out = ref [] in
-  let k = ref 0 in
-  let ok = ref true in
-  let pos = ref 0 in
-  let one (p : param) : string =
-    match sentinel_param !k p with
-    | Some sp ->
-        incr k;
-        out := sp :: !out;
-        sentinel_source sp
-    | None ->
-        ok := false;
-        ""
-  in
-  let keep (p : param) =
-    incr k;
-    out := p :: !out
-  in
-  List.iter
-    (fun (ls : F.lit_span) ->
-      if !ok then begin
-        Buffer.add_substring buf src !pos (ls.F.l_start - !pos);
-        let params = span_params ls in
-        let n = List.length params in
-        if List.exists (fun p -> p >= !k && p < !k + n) structural then begin
-          List.iter keep params;
-          Buffer.add_substring buf src ls.F.l_start (ls.F.l_stop - ls.F.l_start)
-        end
-        else begin
-          let texts = List.map one params in
-          match ls.F.l_value with
-          | F.LSym _ -> List.iter (Buffer.add_string buf) texts
-          | F.LNum _ | F.LStr _ -> Buffer.add_string buf (String.concat " " texts)
-        end;
-        pos := ls.F.l_stop
-      end)
-    lits;
-  if not !ok then None
-  else begin
-    Buffer.add_substring buf src !pos (String.length src - !pos);
-    Some (Buffer.contents buf, Array.of_list (List.rev !out))
-  end
+(** The query's tokens with every literal token replaced by sentinel
+    literals of the same classes, except tokens holding a [structural]
+    position, which stay as they are. Returns the rewritten tokens and
+    one parameter per flattened position: the sentinel, or the original
+    value at a structural position. [None] if the text did not lex or
+    any literal has no sentinel form (callers reject such queries via
+    {!signature} first). *)
+let sentinel_rewrite ?(structural = []) (an : F.analysis) :
+    (T.t array * param array) option =
+  match an.F.a_tokens with
+  | Error _ -> None
+  | Ok toks -> (
+      let toks = Array.copy toks in
+      let out = ref [] in
+      let k = ref 0 in
+      match
+        List.iter
+          (fun i ->
+            let tok = toks.(i) in
+            let n = arity tok in
+            (if not (List.exists (fun p -> p >= !k && p < !k + n) structural)
+             then
+               match sentinel_token !k tok with
+               | Some s -> toks.(i) <- s
+               | None -> raise Exit);
+            out := List.rev_append (token_params toks.(i)) !out;
+            k := !k + n)
+          an.F.a_literals
+      with
+      | () -> Some (toks, Array.of_list (List.rev !out))
+      | exception Exit -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Templates                                                           *)

@@ -25,6 +25,7 @@
 
 module QV = Qvalue.Value
 module M = Obs.Metrics
+module F = Qlang.Fingerprint
 
 type phase = Handshake | Connected | Closed
 
@@ -218,8 +219,8 @@ type trees =
 
 (** The analysis one ANALYZE run adds to its query record: the unified
     explain document and its headline numbers. *)
-let analysis (t : t) ~(norm : string) ~(fp : string)
-    ((coord, route, shard_plans) : trees) : Obs.Query.analysis =
+let analysis (t : t) (an : F.analysis) ((coord, route, shard_plans) : trees) :
+    Obs.Query.analysis =
   let cache, sharded, statements =
     match Hyperq.Engine.last_note (Xc.engine t.xc) with
     | Some n ->
@@ -244,8 +245,8 @@ let analysis (t : t) ~(norm : string) ~(fp : string)
   in
   {
     Obs.Query.doc =
-      explain_doc ~query:norm ~fingerprint:fp ~route ~cache ~sharded
-        ~statements ~coord ~shard_plans;
+      explain_doc ~query:an.F.a_norm ~fingerprint:an.F.a_fingerprint ~route
+        ~cache ~sharded ~statements ~coord ~shard_plans;
     top_operator;
     route =
       (match route with
@@ -283,15 +284,16 @@ let sql_statement_count (t : t) : int = Hyperq.Backend.log_mark (backend t)
 let stage_names =
   List.map Hyperq.Stage_timer.stage_name Hyperq.Stage_timer.all_stages
 
-(** Run [text] through the cross compiler under a fresh [name] trace and
-    build its query record. With [analyze], operator-stats collection is
-    on for the run. [answer] turns the result and the operator trees the
-    run left (all empty without [analyze]) into the reply and its size
-    on the wire; the record is built after it, so it knows [bytes_out].
-    The clocks, the allocation and minor-GC counters, the stage walk and
-    the query digest are each read once here, for every plane. *)
+(** Run the analyzed query [an] through the cross compiler under a fresh
+    [name] trace and build its query record. With [analyze],
+    operator-stats collection is on for the run. [answer] turns the
+    result and the operator trees the run left (all empty without
+    [analyze]) into the reply and its size on the wire; the record is
+    built after it, so it knows [bytes_out]. The clocks, the allocation
+    and minor-GC counters, the stage walk and the query digest are each
+    read once here, for every plane. *)
 let run (t : t) ~(name : string) ~(analyze : bool) ~(bytes_in : int)
-    ~(norm : string) ~(fp : string) (text : string)
+    (an : F.analysis)
     (answer : (QV.t option, string) result -> trees -> 'a * int) :
     'a * Obs.Query.t =
   let eh = if analyze then t.explain else None in
@@ -305,11 +307,11 @@ let run (t : t) ~(name : string) ~(analyze : bool) ~(bytes_in : int)
   (* stamp the session entry so .hq.activity correlates with the trace
      while the query is still running *)
   Obs.Sessions.set_trace t.session trace_id;
-  let query_sha = Obs.Events.query_sha text in
+  let query_sha = Obs.Events.query_sha an.F.a_src in
   Obs.Trace.add_root_attr tr "query_sha" (Obs.Relation.Str query_sha);
   collect true;
   let result =
-    match Xc.process t.xc text with
+    match Xc.process t.xc an with
     | r -> r
     | exception e ->
         (* never leave a half-open trace or collection behind *)
@@ -339,10 +341,10 @@ let run (t : t) ~(name : string) ~(analyze : bool) ~(bytes_in : int)
     {
       Obs.Query.ts;
       trace_id;
-      fingerprint = fp;
-      query = norm;
+      fingerprint = an.F.a_fingerprint;
+      query = an.F.a_norm;
       query_sha;
-      query_bytes = String.length text;
+      query_bytes = String.length an.F.a_src;
       duration_s;
       error =
         (match result with
@@ -360,7 +362,7 @@ let run (t : t) ~(name : string) ~(analyze : bool) ~(bytes_in : int)
       span = root;
       analysis =
         (match (result, eh) with
-        | Ok _, Some _ -> Some (analysis t ~norm ~fp trees)
+        | Ok _, Some _ -> Some (analysis t an trees)
         | _ -> None);
     } )
 
@@ -375,10 +377,8 @@ let explain_reply (t : t) (rest : string) : QV.t =
     QV.Atom (Qvalue.Atom.Sym ".hq.explain requires a platform connection")
   else if qtext = "" then QV.Atom (Qvalue.Atom.Sym "usage: .hq.explain <query>")
   else begin
-    let norm = Qlang.Fingerprint.normalize qtext in
-    let fp = Qlang.Fingerprint.of_normalized norm in
     let table, q =
-      run t ~name:"explain" ~analyze:true ~bytes_in:0 ~norm ~fp qtext
+      run t ~name:"explain" ~analyze:true ~bytes_in:0 (F.analyze qtext)
         (fun result (coord, _, shard_plans) ->
           match result with
           | Error e -> (QV.Atom (Qvalue.Atom.Sym ("explain failed: " ^ e)), 0)
@@ -479,11 +479,11 @@ let encode_result (t : t) (result : (QV.t option, string) result) : string =
 (* answer one ordinary query and hand its record to every plane *)
 let query_reply (t : t) (text : string) ~(bytes_in : int) : string =
   M.inc t.m.queries_total;
-  (* fingerprint once; the session registry and the record key on the
-     same normalization *)
-  let norm = Qlang.Fingerprint.normalize text in
-  let fp = Qlang.Fingerprint.of_normalized norm in
-  Obs.Sessions.query_started t.session ~query:norm ~fingerprint:fp;
+  (* lex once: the session registry and the record key on this
+     analysis, and the engine parses its tokens *)
+  let an = F.analyze text in
+  Obs.Sessions.query_started t.session ~query:an.F.a_norm
+    ~fingerprint:an.F.a_fingerprint;
   (* opt-in tail sampling: every Nth query runs with operator-stats
      collection on and lands in the explain ring like an .hq.explain *)
   let analyze = match t.explain with Some eh -> eh.eh_sample () | None -> false in
@@ -491,7 +491,7 @@ let query_reply (t : t) (text : string) ~(bytes_in : int) : string =
     Fun.protect
       ~finally:(fun () -> Obs.Sessions.query_finished t.session)
       (fun () ->
-        run t ~name:"query" ~analyze ~bytes_in ~norm ~fp text (fun result _ ->
+        run t ~name:"query" ~analyze ~bytes_in an (fun result _ ->
             let reply = encode_result t result in
             (reply, String.length reply)))
   in

@@ -8,6 +8,11 @@
     - {b QT} (Query Translator) owns query-language handling: algebrize →
       optimize → serialize, handing generated SQL back to PT for dispatch.
 
+    A request reaches the XC already analyzed: the endpoint lexes its
+    text once ({!Qlang.Fingerprint.analyze}), and the events carry that
+    analysis, so QT parses the tokens PT received instead of lexing the
+    text again.
+
     Both are event-driven with an explicit queue, giving the re-entrance
     the paper describes: heavy work (serializing large SQL, executing PG
     queries) happens inside a state, and completion events trigger the
@@ -34,8 +39,8 @@ let pt_state_name = function
   | PT_Responding -> "responding"
 
 type event =
-  | Query_arrived of string
-  | Request_parsed of string
+  | Query_arrived of Qlang.Fingerprint.analysis
+  | Request_parsed of Qlang.Fingerprint.analysis
   | Translation_done of (Qvalue.Value.t option, string) result
   | Response_sent
 
@@ -92,18 +97,19 @@ let step (t : t) : bool =
   | None -> false
   | Some ev ->
       (match ev with
-      | Query_arrived raw ->
+      | Query_arrived an ->
           transition t PT_Parsing_request;
-          (* PT extracts the query text from the protocol message; here the
-             endpoint has already unwrapped QIPC so the text passes through *)
-          Queue.add (Request_parsed raw) t.events
-      | Request_parsed text ->
+          (* PT extracts the query from the protocol message; here the
+             endpoint has already unwrapped QIPC and analyzed the text, so
+             the analysis passes through *)
+          Queue.add (Request_parsed an) t.events
+      | Request_parsed an ->
           transition t PT_Awaiting_translation;
           t.qt <- QT_Translating;
           (* QT: algebrize, optimize, serialize, execute; backend calls flip
              PT into Awaiting_backend via the instrumented backend *)
           let result =
-            match Hyperq.Engine.try_run t.engine text with
+            match Hyperq.Engine.try_run t.engine an with
             | Ok { Hyperq.Engine.value; _ } -> Ok value
             | Error e -> Error e
           in
@@ -116,12 +122,13 @@ let step (t : t) : bool =
       | Response_sent -> transition t PT_Responding);
       true
 
-(** Submit a query and run the FSMs until the response is ready. *)
-let process (t : t) (source : string) : (Qvalue.Value.t option, string) result
-    =
+(** Submit an analyzed query and run the FSMs until the response is
+    ready. *)
+let process (t : t) (an : Qlang.Fingerprint.analysis) :
+    (Qvalue.Value.t option, string) result =
   t.pending_result <- None;
   t.transitions <- [ pt_state_name t.pt ];
-  Queue.add (Query_arrived source) t.events;
+  Queue.add (Query_arrived an) t.events;
   while step t do
     ()
   done;

@@ -2,8 +2,13 @@
     statistics can aggregate by what a query does rather than by its
     literal text (pg_stat_statements-style).
 
-    Normalization runs the real {!Lexer} and re-renders the token stream
-    canonically:
+    {!analyze} is where a request's text becomes tokens, once per
+    request: its {!analysis} carries the token array with the shape, the
+    literals' token indices and the statement count, and every later
+    stage (the parser, the plan cache's signature and sentinel
+    substitution, the workload-stats plane) reads that analysis.
+
+    Normalization re-renders the token stream canonically:
 
     - numeric, temporal and boolean literals (including juxtaposed
       vector literals like [1 2 3]) become a single [?];
@@ -25,115 +30,89 @@ let collapse_ws (s : string) : string =
   |> List.filter (fun w -> w <> "")
   |> String.concat " "
 
-(** A literal occurrence extracted during normalization, carrying both the
-    lexed value and the half-open source span it came from — enough for a
-    caller to splice replacement literals back into the original text. *)
-type literal =
-  | LNum of Qvalue.Atom.t list
-      (** numeric/temporal/boolean literal; several atoms for a juxtaposed
-          vector like [1 2 3] *)
-  | LStr of string  (** string literal (unescaped contents) *)
-  | LSym of string list  (** symbol literal or symbol vector *)
-
-type lit_span = { l_start : int; l_stop : int; l_value : literal }
-
 type analysis = {
+  a_src : string;  (** the request text *)
+  a_tokens : (Token.t array, string) result;
+      (** the lexer's tokens, [Eof] last, or its error message *)
   a_norm : string;  (** canonical shape text, literals collapsed *)
   a_fingerprint : string;  (** [of_normalized a_norm] *)
-  a_literals : lit_span list;  (** literal occurrences in source order *)
+  a_literals : int list;
+      (** the token indices of the literals, in source order *)
   a_statements : int;  (** top-level (depth-0) statement count *)
-  a_ok : bool;  (** false when the lexer rejected the text *)
 }
-
-let token_text : Token.t -> string option = function
-  | Token.Num _ | Token.NumVec _ | Token.Str _ -> Some "?"
-  | Token.SymLit _ -> Some "`?"
-  | Token.Name n -> Some n
-  | Token.Verb v -> Some v
-  | Token.Adverb a -> Some a
-  | Token.LParen -> Some "("
-  | Token.RParen -> Some ")"
-  | Token.LBracket -> Some "["
-  | Token.RBracket -> Some "]"
-  | Token.LBrace -> Some "{"
-  | Token.RBrace -> Some "}"
-  | Token.Semi -> Some ";"
-  | Token.Eof -> None
 
 (** Stable 16-hex-char fingerprint hash of an already-normalized text. *)
 let of_normalized (norm : string) : string =
   String.sub (Digest.to_hex (Digest.string norm)) 0 16
 
-(** One lexer pass over [text] producing the normalized shape, its
-    fingerprint, the extracted literals with source spans, and the
-    top-level statement count. The plan cache and the workload-stats
-    plane both consume this, so a query is lexed exactly once per
-    normalization walk. Never raises. *)
+(** Lex [text] once and walk its tokens once, producing the normalized
+    shape, its fingerprint, the literals' token indices and the
+    top-level statement count. Never raises. *)
 let analyze (text : string) : analysis =
-  match Lexer.tokenize_spans text with
-  | spans ->
-      let parts = List.filter_map (fun (t, _, _) -> token_text t) spans in
-      let rec drop_trailing_semi = function
-        | ";" :: rest -> drop_trailing_semi rest
-        | rest -> rest
+  match Lexer.tokenize text with
+  | toks ->
+      let buf = Buffer.create (String.length text) in
+      (* the length of [buf] through its last part that is not [;]:
+         trailing separators do not change the shape *)
+      let kept = ref 0 in
+      let part p =
+        if Buffer.length buf > 0 then Buffer.add_char buf ' ';
+        Buffer.add_string buf p
       in
-      let norm =
-        List.rev parts |> drop_trailing_semi |> List.rev |> String.concat " "
+      let word p =
+        part p;
+        kept := Buffer.length buf
       in
-      let literals =
-        List.filter_map
-          (fun (t, start, stop) ->
-            match t with
-            | Token.Num a ->
-                Some { l_start = start; l_stop = stop; l_value = LNum [ a ] }
-            | Token.NumVec atoms ->
-                Some { l_start = start; l_stop = stop; l_value = LNum atoms }
-            | Token.Str s ->
-                Some { l_start = start; l_stop = stop; l_value = LStr s }
-            | Token.SymLit syms ->
-                Some { l_start = start; l_stop = stop; l_value = LSym syms }
-            | _ -> None)
-          spans
-      in
-      (* [;] emits Semi at any bracket depth ([aj[`s;t;q]]), so recompute
-         depth from the token stream: only depth-0 separators split
-         statements. *)
+      let lits = ref [] in
+      (* [;] emits Semi at any bracket depth ([aj[`s;t;q]]), so track the
+         depth: only depth-0 separators split statements *)
       let depth = ref 0 and stmts = ref 0 and in_stmt = ref false in
-      List.iter
-        (fun (t, _, _) ->
+      Array.iteri
+        (fun i (t : Token.t) ->
           match t with
+          | Token.Num _ | Token.NumVec _ | Token.Str _ ->
+              lits := i :: !lits;
+              word "?";
+              in_stmt := true
+          | Token.SymLit _ ->
+              lits := i :: !lits;
+              word "`?";
+              in_stmt := true
+          | Token.Name p | Token.Verb p | Token.Adverb p ->
+              word p;
+              in_stmt := true
           | Token.LParen | Token.LBracket | Token.LBrace ->
               incr depth;
+              word (Token.to_string t);
               in_stmt := true
-          | Token.RParen | Token.RBracket | Token.RBrace -> decr depth
+          | Token.RParen | Token.RBracket | Token.RBrace ->
+              decr depth;
+              word (Token.to_string t)
           | Token.Semi ->
+              part ";";
               if !depth = 0 then begin
                 if !in_stmt then incr stmts;
                 in_stmt := false
               end
-          | Token.Eof -> ()
-          | _ -> in_stmt := true)
-        spans;
+          | Token.Eof -> ())
+        toks;
       if !in_stmt then incr stmts;
+      let norm = Buffer.sub buf 0 !kept in
       {
+        a_src = text;
+        a_tokens = Ok toks;
         a_norm = norm;
         a_fingerprint = of_normalized norm;
-        a_literals = literals;
+        a_literals = List.rev !lits;
         a_statements = !stmts;
-        a_ok = true;
       }
-  | exception Lexer.Error _ ->
+  | exception Lexer.Error m ->
       let norm = collapse_ws text in
       {
+        a_src = text;
+        a_tokens = Error m;
         a_norm = norm;
         a_fingerprint = of_normalized norm;
         a_literals = [];
         a_statements = 0;
-        a_ok = false;
       }
-
-(** The canonical shape text of a query. Never raises. *)
-let normalize (text : string) : string = (analyze text).a_norm
-
-(** [fingerprint text = of_normalized (normalize text)]. *)
-let fingerprint (text : string) : string = (analyze text).a_fingerprint

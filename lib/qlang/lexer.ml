@@ -21,8 +21,7 @@ type state = {
   mutable pos : int;
   mutable depth : int;  (* () [] {} nesting *)
   mutable prev_nounish : bool;  (* last token can end an expression *)
-  mutable tok_start : int;  (* source offset where the current token began *)
-  mutable toks : (Token.t * int * int) list;  (* reversed, with spans *)
+  mutable toks : Token.t list;  (* reversed *)
 }
 
 let peek st o =
@@ -42,7 +41,7 @@ let emit st tok =
   | Token.RParen | Token.RBracket | Token.RBrace ->
       st.prev_nounish <- true
   | _ -> st.prev_nounish <- false);
-  st.toks <- (tok, st.tok_start, st.pos) :: st.toks
+  st.toks <- tok :: st.toks
 
 (* ------------------------------------------------------------------ *)
 (* Numeric / temporal literals                                         *)
@@ -401,27 +400,20 @@ let lex_name st =
 
 let verb_chars = "+-*%&|<>=,#_!?~@.$^:"
 
-(** Like {!tokenize}, but each token carries its source span
-    [(token, start, stop)] — the half-open byte range it was lexed from.
-    Statement-separating newlines surface as zero-width-ish [Semi] spans
-    over the newline itself; [Eof]'s span is [(len, len)]. One lexer pass
-    produces both the shape (for fingerprinting) and the literal
-    positions (for plan-cache parameter extraction). *)
-let tokenize_spans (src : string) : (Token.t * int * int) list =
-  let st =
-    { src; pos = 0; depth = 0; prev_nounish = false; tok_start = 0; toks = [] }
-  in
+(** The tokens of [src], [Eof] last. Raises {!Error} on text outside
+    the subset. *)
+let tokenize (src : string) : Token.t array =
+  let st = { src; pos = 0; depth = 0; prev_nounish = false; toks = [] } in
   let line_start = ref true in
   let had_space = ref true in
   let rec loop () =
     match cur st with
     | None -> ()
     | Some '\n' ->
-        st.tok_start <- st.pos;
         advance st;
         if st.depth = 0 then begin
           match st.toks with
-          | (Token.Semi, _, _) :: _ | [] -> ()
+          | Token.Semi :: _ | [] -> ()
           | _ -> emit st Token.Semi
         end;
         line_start := true;
@@ -445,7 +437,6 @@ let tokenize_spans (src : string) : (Token.t * int * int) list =
         loop ()
     | Some c ->
         line_start := false;
-        st.tok_start <- st.pos;
         let space_before = !had_space in
         had_space := false;
         (if at_number st || at_negative_literal st then
@@ -539,8 +530,7 @@ let tokenize_spans (src : string) : (Token.t * int * int) list =
         loop ()
   in
   loop ();
-  let len = String.length src in
-  List.rev ((Token.Eof, len, len) :: st.toks)
-
-let tokenize (src : string) : Token.t list =
-  List.map (fun (t, _, _) -> t) (tokenize_spans src)
+  (* [st.toks] is reversed: fill the array from its end, [Eof] last *)
+  let toks = Array.make (List.length st.toks + 1) Token.Eof in
+  List.iteri (fun i t -> toks.(Array.length toks - 2 - i) <- t) st.toks;
+  toks

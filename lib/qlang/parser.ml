@@ -11,7 +11,9 @@ exception Error of string
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 (* Keywords that start q-sql templates. *)
-let sql_keywords = [ "select"; "exec"; "update"; "delete" ]
+let is_sql_keyword = function
+  | "select" | "exec" | "update" | "delete" -> true
+  | _ -> false
 
 (* Named primitives usable infix (Q keywords). *)
 let infix_names =
@@ -23,25 +25,34 @@ let infix_names =
     "xcols"; "sublist";
   ]
 
-let control_names = [ "if"; "do"; "while" ]
+let is_control_name = function "if" | "do" | "while" -> true | _ -> false
+let is_infix_name n = List.exists (String.equal n) infix_names
 
-type stream = { mutable toks : Token.t list }
+(* The token array is read by index; past its end every read is [Eof]. *)
+type stream = { toks : Token.t array; mutable pos : int }
 
-let peek s = match s.toks with [] -> Token.Eof | t :: _ -> t
-
-let peek2 s =
-  match s.toks with _ :: t :: _ -> t | _ -> Token.Eof
+let at s i = if i < Array.length s.toks then s.toks.(i) else Token.Eof
+let peek s = at s s.pos
+let peek2 s = at s (s.pos + 1)
 
 let next s =
-  match s.toks with
-  | [] -> Token.Eof
-  | t :: rest ->
-      s.toks <- rest;
-      t
+  let t = peek s in
+  if s.pos < Array.length s.toks then s.pos <- s.pos + 1;
+  t
 
-let expect s tok what =
+(* Monomorphic token tests, for the parser's lookahead. *)
+let is_eof = function Token.Eof -> true | _ -> false
+let is_semi = function Token.Semi -> true | _ -> false
+let is_lbracket = function Token.LBracket -> true | _ -> false
+let is_rbracket = function Token.RBracket -> true | _ -> false
+let is_rparen = function Token.RParen -> true | _ -> false
+let is_rbrace = function Token.RBrace -> true | _ -> false
+let is_comma = function Token.Verb "," -> true | _ -> false
+let is_name n = function Token.Name m -> String.equal m n | _ -> false
+
+let expect s (is : Token.t -> bool) what =
   let t = next s in
-  if t <> tok then error "expected %s, found %s" what (Token.to_string t)
+  if not (is t) then error "expected %s, found %s" what (Token.to_string t)
 
 (* ------------------------------------------------------------------ *)
 (* Phrase items                                                        *)
@@ -75,7 +86,7 @@ let rec parse_statements (s : stream) ~(stop : Token.t -> bool) :
     Ast.expr list =
   let rec go acc =
     if stop (peek s) then List.rev acc
-    else if peek s = Token.Semi then begin
+    else if is_semi (peek s) then begin
       ignore (next s);
       go acc
     end
@@ -99,16 +110,15 @@ and parse_expr (s : stream) ~(extra_stop : Token.t -> bool) : Ast.expr =
     if is_terminator t || extra_stop t then ()
     else begin
       (match t with
-      | Token.Name kw when List.mem kw sql_keywords ->
+      | Token.Name kw when is_sql_keyword kw ->
           ignore (next s);
           items := Noun (parse_sql s kw ~extra_stop) :: !items
-      | Token.Name kw when List.mem kw control_names && peek2 s = Token.LBracket
-        ->
+      | Token.Name kw when is_control_name kw && is_lbracket (peek2 s) ->
           ignore (next s);
           ignore (next s);
           let args = parse_arg_list s in
           items := Noun (Ast.Control (kw, args)) :: !items
-      | Token.Name n when List.mem n infix_names ->
+      | Token.Name n when is_infix_name n ->
           ignore (next s);
           items := VerbItem (Ast.Verb n) :: !items
       | Token.Name n ->
@@ -133,7 +143,7 @@ and parse_expr (s : stream) ~(extra_stop : Token.t -> bool) : Ast.expr =
             else Ast.Lit (Ast.LString str)
           in
           items := Noun lit :: !items
-      | Token.Verb "$" when peek2 s = Token.LBracket ->
+      | Token.Verb "$" when is_lbracket (peek2 s) ->
           ignore (next s);
           ignore (next s);
           let args = parse_arg_list s in
@@ -206,7 +216,7 @@ and mk_dyadic v x y =
 (** Bracket argument list: [e;e;...]. An empty slot is a projection hole
     ([f\[;2\]] partially applies f). [f\[\]] is a zero-argument call. *)
 and parse_arg_list (s : stream) : Ast.expr list =
-  if peek s = Token.RBracket then begin
+  if is_rbracket (peek s) then begin
     ignore (next s);
     []
   end
@@ -250,18 +260,18 @@ and parse_paren (s : stream) : Ast.expr =
 (** Table literal: we are just past '(['. Columns are [name:expr] pairs;
     the bracketed ones are key columns. *)
 and parse_table_lit (s : stream) : Ast.expr =
-  let parse_cols ~stop_tok =
+  let parse_cols ~stop =
     let rec go acc =
-      if peek s = stop_tok then begin
+      if stop (peek s) then begin
         ignore (next s);
         List.rev acc
       end
-      else if peek s = Token.Semi then begin
+      else if is_semi (peek s) then begin
         ignore (next s);
         go acc
       end
       else
-        let e = parse_expr s ~extra_stop:(fun t -> t = stop_tok) in
+        let e = parse_expr s ~extra_stop:stop in
         let named =
           match e with
           | Ast.Assign (n, e') -> (n, e')
@@ -272,8 +282,8 @@ and parse_table_lit (s : stream) : Ast.expr =
     in
     go []
   in
-  let keys = parse_cols ~stop_tok:Token.RBracket in
-  let cols = parse_cols ~stop_tok:Token.RParen in
+  let keys = parse_cols ~stop:is_rbracket in
+  let cols = parse_cols ~stop:is_rparen in
   Ast.TableLit (keys, cols)
 
 (** Derive a column name from an expression, as q-sql does ([max Price] is
@@ -291,7 +301,7 @@ and infer_col_name (e : Ast.expr) : string =
 (** Lambda: we are just past '{'. *)
 and parse_lambda (s : stream) : Ast.expr =
   let params =
-    if peek s = Token.LBracket then begin
+    if is_lbracket (peek s) then begin
       ignore (next s);
       let rec go acc =
         match next s with
@@ -311,8 +321,8 @@ and parse_lambda (s : stream) : Ast.expr =
     end
     else []
   in
-  let body = parse_statements s ~stop:(fun t -> t = Token.RBrace) in
-  expect s Token.RBrace "}";
+  let body = parse_statements s ~stop:is_rbrace in
+  expect s is_rbrace "}";
   (* normalise return statements: a body expression of the form
      App1 (Verb ":", e) — produced by a leading colon — is a Return *)
   let body =
@@ -351,14 +361,14 @@ and parse_sql (s : stream) (kw : string) ~extra_stop : Ast.expr =
       else
         let e =
           parse_expr s ~extra_stop:(fun t ->
-              kw_stop t || t = Token.Verb "," || extra_stop t)
+              kw_stop t || is_comma t || extra_stop t)
         in
         let named =
           match e with
           | Ast.Assign (n, e') -> (Some n, e')
           | e' -> (None, e')
         in
-        if peek s = Token.Verb "," then begin
+        if is_comma (peek s) then begin
           ignore (next s);
           go (named :: acc)
         end
@@ -370,27 +380,26 @@ and parse_sql (s : stream) (kw : string) ~extra_stop : Ast.expr =
     if kw_stop (peek s) || is_terminator (peek s) then [] else parse_col_list ()
   in
   let by =
-    if peek s = Token.Name "by" then begin
+    if is_name "by" (peek s) then begin
       ignore (next s);
       parse_col_list ()
     end
     else []
   in
-  if peek s <> Token.Name "from" then
+  if not (is_name "from" (peek s)) then
     error "expected 'from' in %s expression" kw;
   ignore (next s);
   let from =
-    parse_expr s ~extra_stop:(fun t ->
-        (match t with Token.Name "where" -> true | _ -> false) || extra_stop t)
+    parse_expr s ~extra_stop:(fun t -> is_name "where" t || extra_stop t)
   in
   let filters =
-    if peek s = Token.Name "where" then begin
+    if is_name "where" (peek s) then begin
       ignore (next s);
       let rec go acc =
         let e =
-          parse_expr s ~extra_stop:(fun t -> t = Token.Verb "," || extra_stop t)
+          parse_expr s ~extra_stop:(fun t -> is_comma t || extra_stop t)
         in
-        if peek s = Token.Verb "," then begin
+        if is_comma (peek s) then begin
           ignore (next s);
           go (e :: acc)
         end
@@ -406,13 +415,21 @@ and parse_sql (s : stream) (kw : string) ~extra_stop : Ast.expr =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Parse a whole program / script: statements separated by semicolons or
-    top-level newlines. *)
+(** Parse a token array (as {!Lexer.tokenize} returns it): statements
+    separated by semicolons or top-level newlines. *)
+let parse_tokens (toks : Token.t array) : Ast.expr list =
+  parse_statements { toks; pos = 0 } ~stop:is_eof
+
+(** Parse an analyzed request from its tokens; a text the lexer rejected
+    raises the lexer's error. *)
+let parse_analysis (an : Fingerprint.analysis) : Ast.expr list =
+  match an.Fingerprint.a_tokens with
+  | Ok toks -> parse_tokens toks
+  | Error m -> raise (Lexer.Error m)
+
+(** Parse a whole program / script. *)
 let parse_program (src : string) : Ast.expr list =
-  let toks = Lexer.tokenize src in
-  let s = { toks } in
-  let stmts = parse_statements s ~stop:(fun t -> t = Token.Eof) in
-  stmts
+  parse_tokens (Lexer.tokenize src)
 
 (** Parse a single expression; fails on trailing garbage. *)
 let parse_expression (src : string) : Ast.expr =

@@ -139,9 +139,10 @@ let compare_query (h : harness) ?(setup = []) (src : string) : verdict =
   in
   let hq_result =
     List.iter
-      (fun s -> ignore (Hyperq.Engine.try_run h.engine s))
+      (fun s ->
+        ignore (Hyperq.Engine.try_run h.engine (Qlang.Fingerprint.analyze s)))
       setup;
-    Hyperq.Engine.try_run h.engine src
+    Hyperq.Engine.try_run h.engine (Qlang.Fingerprint.analyze src)
   in
   match (kdb_result, hq_result) with
   | Error e, _ -> Kdb_error e

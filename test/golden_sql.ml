@@ -27,7 +27,7 @@ let each_request ~label (w : W.t) (engine : Pgdb.Db.t -> E.t)
   MD.load_pg db d;
   let eng = engine db in
   let run text =
-    match E.try_run eng text with
+    match E.try_run eng (Qlang.Fingerprint.analyze text) with
     | Ok r -> r.E.sqls
     | Error e -> failwith (Printf.sprintf "%s: %s: %s" w.W.name text e)
   in

@@ -84,13 +84,13 @@ let make_engine ?materialization () =
   Hyperq.Engine.create ?materialization (Hyperq.Backend.of_pgdb_session sess)
 
 let run eng src =
-  match Hyperq.Engine.try_run eng src with
+  match Hyperq.Engine.try_run eng (Qlang.Fingerprint.analyze src) with
   | Ok { value = Some v; _ } -> v
   | Ok { value = None; _ } -> Alcotest.failf "no value for %s" src
   | Error e -> Alcotest.failf "%s failed: %s" src e
 
 let run_unit eng src =
-  match Hyperq.Engine.try_run eng src with
+  match Hyperq.Engine.try_run eng (Qlang.Fingerprint.analyze src) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%s failed: %s" src e
 
@@ -306,7 +306,7 @@ let test_function_unrolling_logical () =
   let eng = make_engine () in
   run_unit eng paper_example3;
   run_unit eng "f[`A]";
-  match Hyperq.Engine.try_run eng "f[`A]" with
+  match Hyperq.Engine.try_run eng (Qlang.Fingerprint.analyze "f[`A]") with
   | Ok { value = Some v; sqls } ->
       let t = as_table v in
       check (Alcotest.array (Alcotest.float 1e-9)) "max A price" [| 12.0 |]
@@ -322,7 +322,7 @@ let test_function_unrolling_physical () =
      strategy (Section 4.3) *)
   let eng = make_engine ~materialization:`Physical () in
   run_unit eng paper_example3;
-  match Hyperq.Engine.try_run eng "f[`A]" with
+  match Hyperq.Engine.try_run eng (Qlang.Fingerprint.analyze "f[`A]") with
   | Ok { value = Some v; sqls } ->
       let t = as_table v in
       check (Alcotest.array (Alcotest.float 1e-9)) "max A price" [| 12.0 |]
@@ -358,7 +358,7 @@ let test_session_promotion () =
     Hyperq.Engine.create ~server_scope:server
       (Hyperq.Backend.of_pgdb_session (Db.open_session db))
   in
-  (match Hyperq.Engine.try_run eng2 "shared" with
+  (match Hyperq.Engine.try_run eng2 (Qlang.Fingerprint.analyze "shared") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "session variable leaked before promotion");
   Hyperq.Engine.close_session eng1;
@@ -482,10 +482,10 @@ let test_asof_ties_against_kdb () =
 
 let test_error_log () =
   let eng = make_engine () in
-  (match Hyperq.Engine.try_run eng "select X from missing1" with
+  (match Hyperq.Engine.try_run eng (Qlang.Fingerprint.analyze "select X from missing1") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected error");
-  (match Hyperq.Engine.try_run eng "while[1b;x]" with
+  (match Hyperq.Engine.try_run eng (Qlang.Fingerprint.analyze "while[1b;x]") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected error");
   let log = Hyperq.Engine.recent_errors eng in
@@ -500,13 +500,16 @@ let test_error_log () =
 
 let test_unsupported_is_clean () =
   let eng = make_engine () in
-  (match Hyperq.Engine.try_run eng "while[1b;x:1]" with
+  (match Hyperq.Engine.try_run eng (Qlang.Fingerprint.analyze "while[1b;x:1]") with
   | Error e ->
       check tbool "mentions unsupported" true
         (let re = Str.regexp_string "unsupported" in
          try ignore (Str.search_forward re e 0); true with Not_found -> false)
   | Ok _ -> Alcotest.fail "while should be unsupported");
-  match Hyperq.Engine.try_run eng "select Price from nonexistent_table" with
+  match
+    Hyperq.Engine.try_run eng
+      (Qlang.Fingerprint.analyze "select Price from nonexistent_table")
+  with
   | Error e ->
       check tbool "names the missing table" true
         (let re = Str.regexp_string "nonexistent_table" in

@@ -188,7 +188,8 @@ let test_stage_timer_monotonic_nonnegative () =
     ST.reset t;
     (match
        Hyperq.Engine.try_run eng
-         (Printf.sprintf "select Price from trades where Size>%d" i)
+         (Qlang.Fingerprint.analyze
+            (Printf.sprintf "select Price from trades where Size>%d" i))
      with
     | Ok _ -> ()
     | Error e -> Alcotest.fail e);

@@ -101,7 +101,9 @@ let test_fsm_transitions () =
   (* the XC walks its documented states for every query *)
   let p = platform () in
   let conn = P.connect p in
-  (match Platform.Xc.process conn.P.xc "select Price from trades" with
+  (match Platform.Xc.process conn.P.xc
+     (Qlang.Fingerprint.analyze "select Price from trades")
+   with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   let ts = Platform.Xc.transitions conn.P.xc in
@@ -116,7 +118,9 @@ let test_fsm_transitions () =
   (* the XC keeps only the request in flight: a second request replaces
      the first one's states instead of appending to them *)
   let again () =
-    (match Platform.Xc.process conn.P.xc "select Size from trades" with
+    (match Platform.Xc.process conn.P.xc
+       (Qlang.Fingerprint.analyze "select Size from trades")
+     with
     | Ok _ -> ()
     | Error e -> Alcotest.fail e);
     Platform.Xc.transitions conn.P.xc

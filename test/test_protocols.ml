@@ -1566,7 +1566,7 @@ let test_binary_matches_text_statements () =
   (backend.Hyperq.Backend.on_exec := fun sql -> sent := sql :: !sent);
   let eng = Hyperq.Engine.create backend in
   let run q =
-    match Hyperq.Engine.try_run eng q with
+    match Hyperq.Engine.try_run eng (Qlang.Fingerprint.analyze q) with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "%s: %s" q e
   in

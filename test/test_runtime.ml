@@ -198,7 +198,7 @@ let test_alloc_attribution_cache_hit_miss () =
   let c = P.Client.connect p in
   let qs = (P.obs p).Obs.Ctx.qstats in
   let q = "select sum Size by Symbol from trades" in
-  let fp = Qlang.Fingerprint.of_normalized (Qlang.Fingerprint.normalize q) in
+  let fp = (Qlang.Fingerprint.analyze q).Qlang.Fingerprint.a_fingerprint in
   (* cold: plan-cache miss, full translate *)
   ignore (ok (P.Client.query c q));
   let e1 = Option.get (Obs.Qstats.find qs fp) in

@@ -314,7 +314,10 @@ let test_fanout_overlaps () =
           (Hyperq.Backend.of_pgdb_session (Db.open_session db))
       in
       for _ = 1 to 3 do
-        match E.try_run eng "select mx:max Price by Symbol from trades" with
+        match
+          E.try_run eng
+            (Qlang.Fingerprint.analyze "select mx:max Price by Symbol from trades")
+        with
         | Ok { E.value = Some (QV.KTable (_, v)); _ } ->
             check tbool "grouped max across shards" true
               (QV.equal (QV.column_exn v "mx") (QV.floats [| 12.0; 21.0 |]))
@@ -508,7 +511,7 @@ let test_pruned_dispatch_end_to_end () =
           let col_types q =
             let names cols = List.map (fun (n, ty) -> (n, Ty.name ty)) cols in
             gathered := None;
-            ignore (ok (E.try_run sharded q));
+            ignore (ok (E.try_run sharded (Qlang.Fingerprint.analyze q)));
             let got =
               match !gathered with
               | Some r -> names r.Hyperq.Backend.res_cols
@@ -1114,7 +1117,7 @@ let test_plan_cache_shard_generation () =
       (Hyperq.Backend.of_pgdb_session (Db.open_session (make_db ())))
   in
   let run eng =
-    match E.try_run eng q with
+    match E.try_run eng (Qlang.Fingerprint.analyze q) with
     | Ok { E.value = Some v; _ } -> v
     | Ok _ -> Alcotest.failf "query %S returned no value" q
     | Error e -> Alcotest.failf "query failed: %s" e

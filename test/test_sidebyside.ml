@@ -102,7 +102,7 @@ let agrees_with_kdb (p : permuted) (q : string) =
     | Ok v -> v
     | Error e -> Alcotest.failf "kdb: %s: %s" q e
   in
-  match Hyperq.Engine.try_run (engine p) q with
+  match Hyperq.Engine.try_run (engine p) (Qlang.Fingerprint.analyze q) with
   | Ok { Hyperq.Engine.value = Some hv; _ } -> (
       match F.values_agree kv hv with
       | None -> ()
@@ -206,7 +206,11 @@ let test_column_types (d : MD.dataset) kdb backend q () =
   in
   let db = Pgdb.Db.create () in
   MD.load_pg db d;
-  match Hyperq.Engine.try_run (Hyperq.Engine.create (backend db)) q with
+  match
+    Hyperq.Engine.try_run
+      (Hyperq.Engine.create (backend db))
+      (Qlang.Fingerprint.analyze q)
+  with
   | Ok { Hyperq.Engine.value = Some v; _ } ->
       Alcotest.(check (list string)) "column types" want (column_types v)
   | Ok _ -> Alcotest.fail "no value"

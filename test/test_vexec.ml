@@ -1920,7 +1920,7 @@ let test_analytical_all_vector () =
     (fun q ->
       List.iter
         (fun st ->
-          match Hyperq.Engine.try_run eng st with
+          match Hyperq.Engine.try_run eng (Qlang.Fingerprint.analyze st) with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "setup Q%02d: %s" q.AW.id e)
         q.AW.setup)
@@ -1929,7 +1929,7 @@ let test_analytical_all_vector () =
   let r0 = Atomic.get Vexec.stats_row in
   List.iter
     (fun q ->
-      match Hyperq.Engine.try_run eng q.AW.text with
+      match Hyperq.Engine.try_run eng (Qlang.Fingerprint.analyze q.AW.text) with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "Q%02d: %s" q.AW.id e)
     qs;
