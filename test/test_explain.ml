@@ -256,6 +256,38 @@ let test_aj_queries_fused () =
       end)
     (AW.queries d)
 
+(* tick_extract's one-symbol extract sorts on the serializer's pre-keyed
+   hq_ord with the typed kernel: its vector_sort names the path and the
+   one folded (hq_ord IS NULL) key. A key of mixed kinds names the
+   reference sort. *)
+let test_sort_path_named () =
+  let d = MD.generate MD.small_scale in
+  let db = Db.create () in
+  MD.load_pg db d;
+  let sess = Db.open_session db in
+  Db.set_analyze sess true;
+  let eng = Hyperq.Engine.create (Hyperq.Backend.of_pgdb_session sess) in
+  let sql =
+    Hyperq.Engine.translate eng
+      (Printf.sprintf "select from trades where Symbol=`%s" d.MD.syms.(0))
+  in
+  let sort_detail sql =
+    match
+      List.find_opt
+        (fun (_, m) -> m.Op.op = "vector_sort")
+        (Op.flatten (analyzed_plan sess sql))
+    with
+    | Some (_, m) -> m.Op.detail
+    | None -> Alcotest.failf "no vector_sort in %s" sql
+  in
+  check tstr "tick_extract sorts typed" "2 keys (1 folded), typed"
+    (sort_detail sql);
+  check tstr "mixed kinds take the reference"
+    "1 keys (0 folded), mixed-kind reference"
+    (sort_detail
+       "SELECT CASE WHEN \"Size\" > 1000 THEN \"Size\" ELSE 0.5 END AS v \
+        FROM trades ORDER BY v DESC")
+
 let test_exec_off_collects_nothing () =
   let db = marketdata_db () in
   let sess = Db.open_session db in
@@ -645,6 +677,7 @@ let () =
             test_aj_all_vector_tree;
           Alcotest.test_case "aj queries keep the fused join" `Quick
             test_aj_queries_fused;
+          Alcotest.test_case "sort path named" `Quick test_sort_path_named;
           Alcotest.test_case "off collects nothing" `Quick
             test_exec_off_collects_nothing;
           Alcotest.test_case "q-error" `Quick test_qerror_accounting;
