@@ -73,3 +73,70 @@ let of_pgdb_session (sess : Pgdb.Db.session) : t =
     decorate = ref Fun.id;
     on_exec = ref ignore;
   }
+
+type statement =
+  | Create of { temp : bool; table : string option; as_query : bool }
+  | Drop of string option
+  | Alter of string option
+  | Insert of string
+  | Mutate of string
+  | Other
+
+(* Reads words until it knows the kind and the name: a word is a run of
+   characters up to whitespace or one of ( ) ; , and is lower-cased. A
+   statement that starts with no DDL or DML keyword costs one word. *)
+let classify (sql : string) : statement =
+  let n = String.length sql in
+  let rec word_at i =
+    if i < n && sql.[i] <= ' ' then word_at (i + 1)
+    else
+      let j = ref i in
+      while !j < n && sql.[!j] > ' ' && not (String.contains "();," sql.[!j]) do
+        incr j
+      done;
+      (String.lowercase_ascii (String.sub sql i (!j - i)), !j)
+  in
+  (* up to [k] words from [i] *)
+  let rec words i k =
+    if k = 0 then []
+    else match word_at i with "", _ -> [] | w, j -> w :: words j (k - 1)
+  in
+  (* the relation a statement names after its object keyword *)
+  let named = function
+    | "if" :: "not" :: "exists" :: name :: rest
+    | "if" :: "exists" :: name :: rest
+    | name :: rest ->
+        (Some name, rest)
+    | [] -> (None, [])
+  in
+  let first, j = word_at 0 in
+  match
+    if
+      List.mem first
+        [ "create"; "drop"; "alter"; "insert"; "update"; "delete"; "truncate" ]
+    then first :: words j 7
+    else []
+  with
+  | "create" :: rest -> (
+      let temp, rest =
+        match rest with
+        | ("temp" | "temporary") :: rest -> (true, rest)
+        | rest -> (false, rest)
+      in
+      match rest with
+      | "table" :: rest ->
+          let table, rest = named rest in
+          let as_query = match rest with "as" :: _ -> true | _ -> false in
+          Create { temp; table; as_query }
+      | _ -> Create { temp; table = None; as_query = false })
+  | "drop" :: "table" :: rest -> Drop (fst (named rest))
+  | "drop" :: _ -> Drop None
+  | "alter" :: "table" :: rest -> Alter (fst (named rest))
+  | "alter" :: _ -> Alter None
+  | "insert" :: "into" :: name :: _ -> Insert name
+  | "update" :: name :: _
+  | "delete" :: "from" :: name :: _
+  | "truncate" :: "table" :: name :: _
+  | "truncate" :: name :: _ ->
+      Mutate name
+  | _ -> Other

@@ -58,3 +58,22 @@ val sql_since : t -> int -> string list
 
 (** A direct in-process backend over a pgdb session. *)
 val of_pgdb_session : Pgdb.Db.session -> t
+
+(** What a statement does to the catalog or to a table's rows, as the
+    backend's observers ([on_exec]) need it. Names are lower-cased. *)
+type statement =
+  | Create of { temp : bool; table : string option; as_query : bool }
+      (** CREATE [TEMP|TEMPORARY] ...: [table] is the name of a CREATE
+          TABLE [IF NOT EXISTS], [as_query] whether AS follows it *)
+  | Drop of string option
+      (** DROP ...: the name of a DROP TABLE [IF EXISTS] *)
+  | Alter of string option
+      (** ALTER ...: the name of an ALTER TABLE [IF EXISTS] *)
+  | Insert of string  (** INSERT INTO name *)
+  | Mutate of string
+      (** UPDATE name, DELETE FROM name, TRUNCATE [TABLE] name *)
+  | Other  (** anything else, SELECT included *)
+
+(** The statement's kind, read from its leading keywords and the
+    relation they name; the rest of the text is never read. *)
+val classify : string -> statement

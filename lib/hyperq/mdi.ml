@@ -28,32 +28,15 @@ type t = {
           bound under; a bump makes them unreachable. *)
 }
 
-(* Catalog-changing statement? First keyword CREATE/DROP/ALTER — except
-   CREATE TEMPORARY/TEMP, which the translator itself issues for
+(* Catalog-changing statement? CREATE, DROP or ALTER, except CREATE
+   TEMPORARY/TEMP, which the translator itself issues for
    materializations; temp tables are never resolved through the MDI, so
    they must not invalidate cached translations. *)
 let is_ddl (sql : string) : bool =
-  let n = String.length sql in
-  let rec skip_ws i = if i < n && sql.[i] <= ' ' then skip_ws (i + 1) else i in
-  let is_al c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') in
-  let word_at i =
-    let rec stop j =
-      if j < n && (is_al sql.[j] || sql.[j] = '_') then stop (j + 1) else j
-    in
-    let j = stop i in
-    (String.uppercase_ascii (String.sub sql i (j - i)), j)
-  in
-  let i = skip_ws 0 in
-  if i >= n then false
-  else
-    let w, j = word_at i in
-    match w with
-    | "DROP" | "ALTER" -> true
-    | "CREATE" ->
-        let k = skip_ws j in
-        let w2, _ = if k < n then word_at k else ("", k) in
-        w2 <> "TEMPORARY" && w2 <> "TEMP"
-    | _ -> false
+  match Backend.classify sql with
+  | Backend.Create { temp; _ } -> not temp
+  | Backend.Drop _ | Backend.Alter _ -> true
+  | Backend.Insert _ | Backend.Mutate _ | Backend.Other -> false
 
 let create backend =
   let t =

@@ -175,7 +175,10 @@ let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
   | A.Select sel ->
       let res = run_select sess sel in
       Rows (res, Printf.sprintf "SELECT %d" res.Exec.res_nrows)
-  | A.CreateTable { ct_temp; ct_name; ct_cols } ->
+  | A.CreateTable { ct_if_not_exists = true; ct_name; _ }
+    when table_exists sess ct_name ->
+      Complete "CREATE TABLE"
+  | A.CreateTable { ct_temp; ct_name; ct_cols; _ } ->
       let lname = String.lowercase_ascii ct_name in
       if table_exists sess lname then
         Errors.duplicate_table "relation %s already exists" ct_name;

@@ -475,15 +475,23 @@ let lit_of (v : Value.t) : A.lit =
 (* Group keys                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** A hashable normalization of a grouping value: two values of one
-    kind land in the same class exactly when {!Value.compare_total}
-    calls them equal. The numeric-ish types (int/float/bool/date/time/
-    timestamp) compare through [to_float], so they normalize to one
-    float, except an int or timestamp beyond ±2^53: float would merge
-    distinct ones, which compare_total compares exactly, so it keeps its
-    payload. [nan] and [-0.0] are canonicalized because [Hashtbl]'s
-    structural equality would otherwise split classes ([nan <> nan]) or
-    hashes ([-0.0] vs [0.0]). *)
+(** A hashable normalization of a key value, and the one key
+    equivalence of every hash operator: GROUP BY, DISTINCT, a window's
+    PARTITION BY and the hash join class two keys together exactly when
+    their gkeys are equal. Two values of one kind land in the same class
+    exactly when {!Value.compare_total} calls them equal. The
+    numeric-ish types (int/float/bool/date/time/timestamp) compare
+    through [to_float], so they normalize to one float, except an int or
+    timestamp beyond ±2^53: float would merge distinct ones, which
+    compare_total compares exactly, so it keeps its payload. [nan] and
+    [-0.0] are canonicalized because [Hashtbl]'s structural equality
+    would otherwise split classes ([nan <> nan]) or hashes ([-0.0] vs
+    [0.0]). NULL is one class, which a null-safe join key matches.
+
+    It differs from SQL [=] on two pairs of values: text against a
+    number is two classes, where [=] raises 42804, and an int beyond
+    ±2^53 stays apart from the float it rounds to, which [=] calls
+    equal. *)
 type gkey = GNull | GStr of string | GNum of float | GNan | GBig of int64
 
 let gkey_of (v : Value.t) : gkey =

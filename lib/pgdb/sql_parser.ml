@@ -571,9 +571,17 @@ let parse_stmt_tokens st : A.stmt =
       ignore (next st);
       let temp = eat_kw st "temporary" || eat_kw st "temp" in
       if eat_kw st "table" then begin
-        ignore (eat_kw st "if");
+        let if_not_exists =
+          if eat_kw st "if" then begin
+            expect_kw st "not";
+            expect_kw st "exists";
+            true
+          end
+          else false
+        in
         let name = ident st in
-        if eat_kw st "as" then
+        (* IF NOT EXISTS takes a column list, not AS *)
+        if (not if_not_exists) && eat_kw st "as" then
           A.CreateTableAs { cta_temp = temp; cta_name = name; cta_query = parse_select st }
         else begin
           expect_op st "(";
@@ -586,7 +594,13 @@ let parse_stmt_tokens st : A.stmt =
             | Sql_lexer.Op ")" -> List.rev acc
             | t -> error "expected , or ) in column list, found %s" (Sql_lexer.token_str t)
           in
-          A.CreateTable { ct_temp = temp; ct_name = name; ct_cols = go [] }
+          A.CreateTable
+            {
+              ct_temp = temp;
+              ct_if_not_exists = if_not_exists;
+              ct_name = name;
+              ct_cols = go [];
+            }
         end
       end
       else if eat_kw st "view" then begin

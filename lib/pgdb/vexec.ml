@@ -1477,33 +1477,33 @@ module StrTbl = Batch.StrTbl
 module IntTbl = Hashtbl.Make (Int64)
 module FloatTbl = Hashtbl.Make (Float)
 
-(* a PARTITION BY key position holding values of two kinds, where
-   compare_total may raise (text against a number) or stop being an
-   equivalence: [compare_partitions] decides instead *)
-exception Mixed_keys
+(* [id] of each row of [sel]: a loop over int arrays, which Array.map's
+   polymorphic reads and writes would slow per row *)
+let[@inline] ids_of (id : int -> int) (sel : Batch.sel) : int array =
+  let out = Array.make (Array.length sel) 0 in
+  for t = 0 to Array.length sel - 1 do
+    Array.unsafe_set out t (id (Array.unsafe_get sel t))
+  done;
+  out
 
-let kind_of : Value.t -> int = function
-  | Value.Null -> -1
-  | Value.Bool _ -> 0
-  | Value.Int _ -> 1
-  | Value.Float _ -> 2
-  | Value.Str _ -> 3
-  | Value.Date _ -> 4
-  | Value.Time _ -> 5
-  | Value.Timestamp _ -> 6
-
-(* The group id of each row of [sel], ids handed out in first-encounter
-   order, and the number of groups: rows share an id exactly when
-   Exec.gkey_of maps their keys alike. One plain text column maps each
-   dictionary code to its id in one loop through an array indexed by
-   code (distinct codes are distinct strings); one plain int or float
-   column hashes its payload under that equivalence — floats with
-   Float.equal (merging NaNs and -0.0/0.0 as gkey does), ints exactly.
-   NULLs share one id. Anything else hashes the key list, and for a
-   window's PARTITION BY ([~partition:true]) raises [Mixed_keys] when a
-   key position meets a second kind. *)
-let group_ids ~(partition : bool) (keys : cexpr list)
-    (col : Batch.column option) (sel : Batch.sel) : int array * int =
+(* The one key equivalence of every hash operator: GROUP BY, DISTINCT,
+   a window's PARTITION BY and the hash join. Each side [(keys, col)]
+   reads a row's key through [keys], or through [col] when the key is
+   one plain column. The result gives each side the class id of one
+   row and the class ids of a selection's rows, and counts the ids
+   handed out: ids come in the order the functions first meet a class,
+   one id space across the sides, and rows of any side share an id
+   exactly when Exec.gkey_of maps their keys alike. When
+   every side's key is one plain column of one typed representation,
+   the payloads decide: text maps each dictionary code to its id
+   through an array indexed by code, resolving a code's string once
+   when sides' dictionaries differ (within one, distinct codes are
+   distinct strings); ints hash exactly and floats with Float.equal,
+   which merges NaNs and -0.0/0.0 as gkey does. NULLs share one id.
+   Anything else, an int column against a float one included, hashes
+   the list of the key's gkeys. *)
+let key_classes (sides : (cexpr list * Batch.column option) array) :
+    ((int -> int) * (Batch.sel -> int array)) array * (unit -> int) =
   let next = ref 0 in
   let fresh () =
     let g = !next in
@@ -1511,95 +1511,115 @@ let group_ids ~(partition : bool) (keys : cexpr list)
     g
   in
   let null_id = ref (-1) in
-  let typed (type k) (module T : Hashtbl.S with type key = k) (c : Batch.column)
-      (get : int -> k) : int -> int =
+  let null () =
+    if !null_id < 0 then null_id := fresh ();
+    !null_id
+  in
+  (* k's id in [tbl], a fresh one for a new k *)
+  let intern find add tbl k =
+    match find tbl k with
+    | Some g -> g
+    | None ->
+        let g = fresh () in
+        add tbl k g;
+        g
+  in
+  (* every side's plain column and what [payload] reads of it, when
+     each side has one *)
+  let each payload =
+    if
+      Array.for_all
+        (function
+          | _, Some c -> Option.is_some (payload c.Batch.data) | _ -> false)
+        sides
+    then
+      Some
+        (Array.map
+           (fun (_, c) ->
+             let c = Option.get c in
+             (c, Option.get (payload c.Batch.data)))
+           sides)
+    else None
+  in
+  let typed (type k) (module T : Hashtbl.S with type key = k) cols
+      (get : _ -> int -> k) =
     let tbl = T.create 64 in
-    fun i ->
-      if Batch.is_null c i then begin
-        if !null_id < 0 then null_id := fresh ();
-        !null_id
-      end
-      else
-        let k = get i in
-        match T.find_opt tbl k with
-        | Some g -> g
-        | None ->
-            let g = fresh () in
-            T.add tbl k g;
-            g
+    Array.map
+      (fun (c, p) ->
+        let id i =
+          if Batch.is_null c i then null ()
+          else intern T.find_opt T.add tbl (get p i)
+        in
+        (id, ids_of id))
+      cols
   in
-  let by (slot : int -> int) =
-    let gid = Array.map slot sel in
-    (gid, !next)
+  let strs =
+    each (function Batch.DStr { codes; dict } -> Some (codes, dict) | _ -> None)
+  and ints = each (function Batch.DInt a -> Some a | _ -> None)
+  and floats = each (function Batch.DFloat a -> Some a | _ -> None) in
+  let ids =
+    match (strs, ints, floats) with
+    | Some strs, _, _ ->
+        (* the sides' strings, when their dictionaries may differ *)
+        let tbl =
+          if Array.length strs > 1 then Some (StrTbl.create 64) else None
+        in
+        Array.map
+          (fun (c, (codes, dict)) ->
+            (* a NULL row reads code [nd], one past the dictionary *)
+            let nd = Array.length dict in
+            let of_code = Array.make (nd + 1) (-1) in
+            let nulls, mask = null_view c in
+            (* the id of a code met for the first time *)
+            let first code =
+              let g =
+                if code = nd then null ()
+                else
+                  match tbl with
+                  | Some tbl ->
+                      intern StrTbl.find_opt StrTbl.add tbl dict.(code)
+                  | None -> fresh ()
+              in
+              Array.unsafe_set of_code code g;
+              g
+            in
+            let[@inline] id i =
+              let code = Array.unsafe_get codes i in
+              let code = code + ((nd - code) * (1 - live nulls mask i)) in
+              let g = Array.unsafe_get of_code code in
+              if g >= 0 then g else first code
+            in
+            (* applied whole, so [id] inlines into the loop *)
+            (id, fun sel -> ids_of id sel))
+          strs
+    | None, Some ints, _ -> typed (module IntTbl) ints Array.unsafe_get
+    | None, None, Some floats ->
+        typed (module FloatTbl) floats Array.unsafe_get
+    | None, None, None ->
+        let tbl : (Exec.gkey list, int) Hashtbl.t = Hashtbl.create 64 in
+        Array.map
+          (fun (keys, _) ->
+            let id i =
+              intern Hashtbl.find_opt Hashtbl.add tbl
+                (List.map (fun ce -> Exec.gkey_of (ce i)) keys)
+            in
+            (id, ids_of id))
+          sides
   in
-  match col with
-  | Some ({ Batch.data = Batch.DStr { codes; dict }; _ } as c) ->
-      (* a NULL row reads code [nd], one past the dictionary *)
-      let nd = Array.length dict in
-      let ids = Array.make (nd + 1) (-1) in
-      let nulls, mask = null_view c in
-      let gid = Array.make (Array.length sel) 0 in
-      for t = 0 to Array.length sel - 1 do
-        let i = Array.unsafe_get sel t in
-        let code = Array.unsafe_get codes i in
-        let code = code + ((nd - code) * (1 - live nulls mask i)) in
-        let g = Array.unsafe_get ids code in
-        Array.unsafe_set gid t
-          (if g >= 0 then g
-           else begin
-             let g = fresh () in
-             Array.unsafe_set ids code g;
-             g
-           end)
-      done;
-      (gid, !next)
-  | Some ({ Batch.data = Batch.DInt a; _ } as c) ->
-      by (typed (module IntTbl) c (fun i -> a.(i)))
-  | Some ({ Batch.data = Batch.DFloat a; _ } as c) ->
-      by (typed (module FloatTbl) c (fun i -> a.(i)))
-  | _ ->
-      let tbl : (Exec.gkey list, int) Hashtbl.t = Hashtbl.create 64 in
-      let kinds = Array.make (List.length keys) (-1) in
-      let key pos v =
-        (if partition then
-           let k = kind_of v in
-           if k >= 0 then
-             if kinds.(pos) < 0 then kinds.(pos) <- k
-             else if kinds.(pos) <> k then raise Mixed_keys);
-        Exec.gkey_of v
-      in
-      by (fun i ->
-          let k = List.mapi (fun pos ce -> key pos (ce i)) keys in
-          match Hashtbl.find_opt tbl k with
-          | Some g -> g
-          | None ->
-              let g = fresh () in
-              Hashtbl.add tbl k g;
-              g)
+  (ids, fun () -> !next)
 
-(* partitioning for keys of mixed kinds: each row searches the
-   partitions met so far, most recent first, with compare_total *)
-let compare_partitions (cpart : cexpr list) (sel : Batch.sel) :
-    int array list =
-  let parts = ref [] in
-  Array.iter
-    (fun i ->
-      let key = List.map (fun c -> c i) cpart in
-      match
-        List.find_opt
-          (fun (k, _) ->
-            List.for_all2 (fun a b -> Value.compare_total a b = 0) k key)
-          !parts
-      with
-      | Some (_, l) -> l := i :: !l
-      | None -> parts := (key, ref [ i ]) :: !parts)
-    sel;
-  List.rev_map (fun (_, l) -> Array.of_list (List.rev !l)) !parts
+(* the group id of each row of [sel] by [key_classes] of its keys, ids
+   in first-encounter order, and the number of groups *)
+let group_ids (keys : cexpr list) (col : Batch.column option)
+    (sel : Batch.sel) : int array * int =
+  let ids, count = key_classes [| (keys, col) |] in
+  let gid = snd ids.(0) sel in
+  (gid, count ())
 
 (* the rows of [sel] split by their group ids [(gids, ng)], groups in id
    order, rows ascending within each *)
 let split_groups (sel : Batch.sel) ((gids, ng) : int array * int) :
-    int array list =
+    int array array =
   let sizes = Array.make ng 0 in
   Array.iter (fun g -> sizes.(g) <- sizes.(g) + 1) gids;
   let groups = Array.map (fun k -> Array.make k 0) sizes in
@@ -1609,16 +1629,23 @@ let split_groups (sel : Batch.sel) ((gids, ng) : int array * int) :
       groups.(g).(fill.(g)) <- sel.(t);
       fill.(g) <- fill.(g) + 1)
     gids;
-  Array.to_list groups
+  groups
+
+(* each group's first row of [sel], groups in id order *)
+let first_rows (sel : Batch.sel) ((gids, ng) : int array * int) : int array =
+  let first = Array.make ng (-1) in
+  for t = Array.length sel - 1 downto 0 do
+    first.(gids.(t)) <- sel.(t)
+  done;
+  first
 
 (* a window's partitions of [sel] by PARTITION BY keys [cpart]: with
-   none, one partition of every row (none without rows). Raises
-   [Mixed_keys] as [group_ids] does. *)
+   none, one partition of every row (none without rows) *)
 let partitions (cpart : cexpr list) (col : Batch.column option)
     (sel : Batch.sel) : int array list =
   match cpart with
   | [] -> if Array.length sel = 0 then [] else [ sel ]
-  | _ -> split_groups sel (group_ids ~partition:true cpart col sel)
+  | _ -> Array.to_list (split_groups sel (group_ids cpart col sel))
 
 (* ------------------------------------------------------------------ *)
 (* Ordering                                                            *)
@@ -1695,6 +1722,17 @@ let key_value (k : sort_key) (id : int) : Value.t =
   | Rows (c, None) -> Batch.value_at c id
   | Rows (c, Some map) -> Batch.value_at c map.(id)
   | Vals v -> v.(id)
+
+(* a value's kind; NULL is none (-1) *)
+let kind_of : Value.t -> int = function
+  | Value.Null -> -1
+  | Value.Bool _ -> 0
+  | Value.Int _ -> 1
+  | Value.Float _ -> 2
+  | Value.Str _ -> 3
+  | Value.Date _ -> 4
+  | Value.Time _ -> 5
+  | Value.Timestamp _ -> 6
 
 (* whether [k]'s non-NULL values at [ids] are of one kind: [Some nulls],
    where [nulls] says whether a NULL was met, or None for mixed kinds *)
@@ -1990,11 +2028,11 @@ let order_positions (keys : sort_key list) (n : int) (prefix : int) :
 (* ------------------------------------------------------------------ *)
 
 (* A window function is computed over the rows that survived WHERE.
-   Partitions are the hash classes of the PARTITION BY values, in
-   first-encounter order. Each partition is sorted stably by the ORDER
-   BY keys with the sort kernel, ties kept in row order. The function
-   then fills a source-row-indexed result array that compile_expr's
-   Window arm reads. *)
+   Partitions are group_ids' classes of the PARTITION BY values, the
+   classes GROUP BY makes, in first-encounter order. Each partition is
+   sorted stably by the ORDER BY keys with the sort kernel, ties kept
+   in row order. The function then fills a source-row-indexed result
+   array that compile_expr's Window arm reads. *)
 
 (* evaluate a window function over one sorted partition: [sorted] holds
    its source rows in window order, and [tie pos], for [pos >= 1],
@@ -2178,10 +2216,6 @@ let plan_window (sc : scope) (w : A.expr) :
           let fill = fill d in
           fun sel nrows ->
             let out = Array.make nrows Value.Null in
-            let parts =
-              try partitions cpart part_col sel
-              with Mixed_keys -> compare_partitions cpart sel
-            in
             List.iter
               (fun rows ->
                 let m = Array.length rows in
@@ -2213,7 +2247,7 @@ let plan_window (sc : scope) (w : A.expr) :
                   end
                 in
                 fill (Array.map (Array.get rows) perm) tie out)
-              parts;
+              (partitions cpart part_col sel);
             out )
   | _ -> invalid_arg "vexec: plan_window on a non-window expression"
 
@@ -2247,14 +2281,13 @@ let singleton_partitions (c : Batch.column) (sel : Batch.sel) : bool =
    [sel], each partition's first row in window order is chosen in one
    pass without a sort: [top_positions]
    replaces its best row only with a strictly better one, so a tie keeps
-   the earlier row as the stable sort does. Any other k, expression or
-   mixed-kind order keys and mixed-kind partition keys run the whole
-   window through [plan_window] and cut afterwards, so results and
-   errors stay those of the full window. Under the same k = 1 and
-   plain-column conditions, a single integer PARTITION BY column that is
-   distinct over [sel] (a row identity, as the as-of lowering partitions
-   by) numbers every row 1 and keeps them all: a one-row partition needs
-   no comparison. *)
+   the earlier row as the stable sort does. Any other k and expression
+   or mixed-kind order keys run the whole window through [plan_window]
+   and cut afterwards, so results and errors stay those of the full
+   window. Under the same k = 1 and plain-column conditions, a single
+   integer PARTITION BY column that is distinct over [sel] (a row
+   identity, as the as-of lowering partitions by) numbers every row 1
+   and keeps them all: a one-row partition needs no comparison. *)
 let plan_window_top (sc : scope) (w : A.expr) (k : int) :
     string * (data -> Batch.sel -> int -> Value.t array * Batch.sel) =
   match w with
@@ -2310,20 +2343,17 @@ let plan_window_top (sc : scope) (w : A.expr) (k : int) :
             end
             else
               match Option.map (fun keys -> sort_order keys sel) keys with
-            | Some (cmp, true) -> (
-                match partitions cpart part_col sel with
-                | groups ->
-                    let out = Array.make nrows Value.Null in
-                    List.iter
-                      (fun rows ->
-                        Array.iter
-                          (fun p -> out.(rows.(p)) <- Value.Int 1L)
-                          (top_positions
-                             (fun a b -> cmp rows.(a) rows.(b))
-                             (Array.length rows) 1))
-                      groups;
-                    cut out sel
-                | exception Mixed_keys -> cut (full sel nrows) sel)
+            | Some (cmp, true) ->
+                let out = Array.make nrows Value.Null in
+                List.iter
+                  (fun rows ->
+                    Array.iter
+                      (fun p -> out.(rows.(p)) <- Value.Int 1L)
+                      (top_positions
+                         (fun a b -> cmp rows.(a) rows.(b))
+                         (Array.length rows) 1))
+                  (partitions cpart part_col sel);
+                cut out sel
             | Some (_, false) | None -> cut (full sel nrows) sel )
   | _ -> invalid_arg "vexec: plan_window_top on a non-window expression"
 
@@ -2395,91 +2425,47 @@ let pair_result (p : pair_acc) : int array * int array =
   (Array.sub p.pa_l 0 p.pa_n, Array.sub p.pa_r 0 p.pa_n)
 
 (* The build side of a hash equi-join on key columns [(left, right,
-   null_safe)]: the right rows hashed on their keys, and the function
-   that maps a probe (left) row to its bucket of matching right rows.
-   [finish] turns each bucket, right-row indices ascending, into the
-   array the probe returns, once per bucket. A plain (non-null-safe) key
-   never matches NULL on either side, a null-safe key treats NULL as a
-   value. Key equality is equality of the displayed key tuple — the
-   typed single-key fast paths below are exact refinements (distinct
-   int64s/strings have distinct displays). *)
-let hash_buckets ~(rrows : int)
+   null_safe)]: the right rows [rall] grouped by their keys, and the
+   function that maps a probe (left) row to its bucket of matching
+   right rows. [finish] turns each bucket, right-row indices ascending,
+   into the array the probe returns, once per bucket. Keys match under
+   key_classes' equivalence, as GROUP BY groups. The right rows are
+   classed first, so a left row in a class that holds right rows gets
+   an id below their count, which indexes its bucket. A plain
+   (non-null-safe) key never matches NULL: right rows with a NULL in
+   one are left out, so a left NULL there meets no right row's class. A
+   null-safe key treats NULL as a value. *)
+let hash_buckets ~(rall : Batch.sel)
     (keys : (Batch.column * Batch.column * bool) list)
     ~(finish : int array -> int array) : int -> int array =
-  (* bucket lists (descending, as built) become ascending arrays *)
-  let bucket (l : int list ref) = finish (Array.of_list (List.rev !l)) in
-  match keys with
-  | [ (lc, rc, null_safe) ]
-    when (match (lc.Batch.data, rc.Batch.data) with
-         | Batch.DInt _, Batch.DInt _ | Batch.DStr _, Batch.DStr _ -> true
-         | _ -> false) -> (
-      (* single typed key: hash the payloads directly *)
-      let nulls = ref [] in
-      let by (type k) (module T : Hashtbl.S with type key = k)
-          (lkey : int -> k) (rkey : int -> k) =
-        let tbl = T.create (Stdlib.max 16 rrows) in
-        for j = 0 to rrows - 1 do
-          if Batch.is_null rc j then begin
-            if null_safe then nulls := j :: !nulls
-          end
-          else
-            let k = rkey j in
-            match T.find_opt tbl k with
-            | Some l -> l := j :: !l
-            | None -> T.add tbl k (ref [ j ])
-        done;
-        let arrays = T.create (T.length tbl) in
-        T.iter (fun k l -> T.add arrays k (bucket l)) tbl;
-        let null_matches = bucket nulls in
-        fun i ->
-          if Batch.is_null lc i then null_matches
-          else match T.find_opt arrays (lkey i) with Some js -> js | None -> [||]
-      in
-      match (lc.Batch.data, rc.Batch.data) with
-      | Batch.DInt la, Batch.DInt ra ->
-          by (module IntTbl) (Array.get la) (Array.get ra)
-      | ( Batch.DStr { codes = lcodes; dict = ldict },
-          Batch.DStr { codes = rcodes; dict = rdict } ) ->
-          by (module StrTbl)
-            (fun i -> ldict.(lcodes.(i)))
-            (fun j -> rdict.(rcodes.(j)))
-      | _ -> assert false)
-  | _ ->
-      (* general case: the display-string key tuple, which multi-key and
-         float/calendar columns share *)
-      let lcols = List.map (fun (lc, _, _) -> lc) keys in
-      let rcols = List.map (fun (_, rc, _) -> rc) keys in
-      let safes = List.map (fun (_, _, ns) -> ns) keys in
-      let ok cols i =
-        List.for_all2 (fun c ns -> ns || not (Batch.is_null c i)) cols safes
-      in
-      let key cols i =
-        String.concat "\x00"
-          (List.map (fun c -> Value.to_display (Batch.value_at c i)) cols)
-      in
-      let tbl = StrTbl.create (Stdlib.max 16 rrows) in
-      for j = 0 to rrows - 1 do
-        if ok rcols j then
-          let k = key rcols j in
-          match StrTbl.find_opt tbl k with
-          | Some l -> l := j :: !l
-          | None -> StrTbl.add tbl k (ref [ j ])
-      done;
-      let arrays = StrTbl.create (StrTbl.length tbl) in
-      StrTbl.iter (fun k l -> StrTbl.add arrays k (bucket l)) tbl;
-      fun i ->
-        if not (ok lcols i) then [||]
-        else
-          match StrTbl.find_opt arrays (key lcols i) with
-          | Some js -> js
-          | None -> [||]
+  let side cols =
+    (List.map Batch.value_at cols, match cols with [ c ] -> Some c | _ -> None)
+  in
+  let rsel =
+    filter_sel rall (fun j ->
+        List.for_all (fun (_, rc, ns) -> ns || not (Batch.is_null rc j)) keys)
+  in
+  let ids, count =
+    key_classes
+      [|
+        side (List.map (fun (_, rc, _) -> rc) keys);
+        side (List.map (fun (lc, _, _) -> lc) keys);
+      |]
+  in
+  let rid = snd ids.(0) rsel in
+  let nr = count () in
+  let buckets = Array.map finish (split_groups rsel (rid, nr)) in
+  let lid = fst ids.(1) in
+  fun i ->
+    let g = lid i in
+    if g < nr then buckets.(g) else [||]
 
 (* Vectorized hash join: build on the right, probe with the left in row
    order; each probe row's matches in ascending right-row order *)
-let hash_join_idx ~(lrows : int) ~(rrows : int)
+let hash_join_idx ~(lrows : int) ~(rall : Batch.sel)
     (keys : (Batch.column * Batch.column * bool) list) ~(left_outer : bool) :
     int array * int array =
-  let matches = hash_buckets ~rrows keys ~finish:Fun.id in
+  let matches = hash_buckets ~rall keys ~finish:Fun.id in
   let out = pair_acc lrows in
   for i = 0 to lrows - 1 do
     let js = matches i in
@@ -2561,7 +2547,7 @@ let asof_join_idx ~(lrows : int) ~(rall : Batch.sel)
           js;
         js
       in
-      let matches = hash_buckets ~rrows:(Array.length rall) keys ~finish in
+      let matches = hash_buckets ~rall keys ~finish in
       let out = pair_acc lrows in
       for i = 0 to lrows - 1 do
         let js = if Batch.is_null y i then [||] else matches i in
@@ -2713,31 +2699,6 @@ let values_plan ~(collect : bool) : from_plan =
                  ~rows_out:1 ~self_ns:0L)
           else None ));
   }
-
-(* positions [0, n) of the first occurrence of each row of [cols] (one
-   value array per column) under compare_total equality, ascending.
-   Rows hash on their group keys, which compare_total-equal values
-   share, and are compared only within a bucket. *)
-let distinct_positions (cols : Value.t array array) (n : int) : int array =
-  let seen : (Exec.gkey list, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  let same r r' =
-    Array.for_all (fun c -> Value.compare_total c.(r) c.(r') = 0) cols
-  in
-  let kept = ref [] in
-  for r = 0 to n - 1 do
-    let key =
-      Array.fold_right (fun c acc -> Exec.gkey_of c.(r) :: acc) cols []
-    in
-    match Hashtbl.find_opt seen key with
-    | Some rs when List.exists (same r) !rs -> ()
-    | Some rs ->
-        rs := r :: !rs;
-        kept := r :: !kept
-    | None ->
-        Hashtbl.add seen key (ref [ r ]);
-        kept := r :: !kept
-  done;
-  Array.of_list (List.rev !kept)
 
 (* The rank limits a WHERE places on the columns of the one derived
    table [alias] its query reads: each top-level conjunct [c = k],
@@ -3073,7 +3034,7 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
             let candidates () =
               if equi = [] then cross_pairs l.nrows r.nrows
               else
-                hash_join_idx ~lrows:l.nrows ~rrows:r.nrows keys
+                hash_join_idx ~lrows:l.nrows ~rall:r.all keys
                   ~left_outer:false
             in
             let fused_pairs =
@@ -3087,7 +3048,7 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
               match (fused_pairs, residual) with
               | Some pairs, _ -> pairs
               | None, None when equi <> [] ->
-                  hash_join_idx ~lrows:l.nrows ~rrows:r.nrows keys ~left_outer
+                  hash_join_idx ~lrows:l.nrows ~rall:r.all keys ~left_outer
               | None, None ->
                   let cl, cr = candidates () in
                   residual_pairs ~lrows:l.nrows ~left_outer cl cr
@@ -3287,13 +3248,8 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
               vecs = [];
             }
           else begin
-            let gid, ng =
-              group_ids ~partition:false ckeys (Option.map d.col plain_key) sel
-            in
-            let first = Array.make ng (-1) in
-            for t = Array.length sel - 1 downto 0 do
-              first.(gid.(t)) <- sel.(t)
-            done;
+            let gid, ng = group_ids ckeys (Option.map d.col plain_key) sel in
+            let first = first_rows sel (gid, ng) in
             { sel; gid; mask = -1; ng; first; ident = src.all; vecs = [] }
           end
         in
@@ -3506,8 +3462,11 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
         if not s.A.distinct then (n, keys, columns)
         else begin
           let all = Batch.all_rows n in
-          let vals = Array.map ocol_dense (columns all) in
-          let kept = distinct_positions vals n in
+          let row =
+            Array.to_list
+              (Array.map (fun oc -> Array.get (ocol_dense oc)) (columns all))
+          in
+          let kept = first_rows all (group_ids row None all) in
           push ~op:"vector_distinct" ~detail:"" ~est_rows:(cur_est ())
             ~rows_in:n ~rows_out:(Array.length kept);
           ( Array.length kept,

@@ -430,24 +430,6 @@ let sharder (t : t) : Hyperq.Engine.sharder =
 (* DDL / DML mirroring                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let tokens_of (sql : string) : string list =
-  let buf = Buffer.create 16 in
-  let out = ref [] in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := String.lowercase_ascii (Buffer.contents buf) :: !out;
-      Buffer.clear buf
-    end
-  in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '\t' | '\n' | '\r' | '(' | ')' | ';' | ',' -> flush ()
-      | c -> Buffer.add_char buf c)
-    sql;
-  flush ();
-  List.rev !out
-
 (* broadcast a statement to every shard, ignoring per-shard outcomes:
    callers evict the table on any sign of trouble *)
 let broadcast_exn (t : t) (sql : string) : unit =
@@ -520,32 +502,18 @@ let mirror_distributed_insert (t : t) (table : string) (dist : string)
 
 (* the statement watcher composed onto a coordinator backend's [on_exec] *)
 let watch (t : t) (sql : string) : unit =
-  match tokens_of sql with
-  | "create" :: ("temporary" | "temp") :: _ -> ()
-  | "create" :: "table" :: name :: rest ->
-      if rest <> [] && List.hd rest = "as" then
-        (* CTAS stays coordinator-only: the result rows live only on the
-           coordinator, and routing treats the unknown table accordingly *)
-        ()
-      else begin
-        (* plain CREATE TABLE: mirror the (empty) definition everywhere
-           and treat the new table as replicated *)
-        (try broadcast_exn t sql with _ -> evict t name);
-        Shardmap.add_replicated t.c_map name
-      end
-  | "drop" :: "table" :: rest -> (
-      let name =
-        match rest with
-        | "if" :: "exists" :: n :: _ -> Some n
-        | n :: _ -> Some n
-        | [] -> None
-      in
-      match name with
-      | None -> ()
-      | Some name ->
-          (try broadcast_exn t sql with _ -> ());
-          evict t name)
-  | "insert" :: "into" :: name :: _ -> (
+  match B.classify sql with
+  | B.Create { temp = false; table = Some name; as_query = false } ->
+      (* plain CREATE TABLE: mirror the (empty) definition everywhere
+         and treat the new table as replicated. CTAS stays
+         coordinator-only: the result rows live only on the coordinator,
+         and routing treats the unknown table accordingly *)
+      (try broadcast_exn t sql with _ -> evict t name);
+      Shardmap.add_replicated t.c_map name
+  | B.Drop (Some name) ->
+      (try broadcast_exn t sql with _ -> ());
+      evict t name
+  | B.Insert name -> (
       match Shardmap.distribution_of t.c_map name with
       | Some dist -> (
           try mirror_distributed_insert t name dist sql
@@ -553,16 +521,11 @@ let watch (t : t) (sql : string) : unit =
       | None ->
           if Shardmap.is_replicated t.c_map name then
             try broadcast_exn t sql with _ -> evict t name)
-  | ("update" | "delete" | "truncate" | "alter") :: rest -> (
+  | B.Alter (Some name) | B.Mutate name ->
       (* mutations the mirror does not understand: evict the target so
          shards can never serve stale rows *)
-      let name =
-        match rest with
-        | "from" :: n :: _ | "table" :: n :: _ | n :: _ -> Some n
-        | [] -> None
-      in
-      match name with Some n -> evict t n | None -> ())
-  | _ -> ()
+      evict t name
+  | B.Create _ | B.Drop None | B.Alter None | B.Other -> ()
 
 (** Chain the cluster's DDL/DML mirror onto a coordinator backend. The
     previous observer (e.g. MDI's catalog watcher) still runs first. *)

@@ -90,7 +90,12 @@ type col_def = { cd_name : string; cd_type : Catalog.Sqltype.t }
 
 type stmt =
   | Select of select
-  | CreateTable of { ct_temp : bool; ct_name : string; ct_cols : col_def list }
+  | CreateTable of {
+      ct_temp : bool;
+      ct_if_not_exists : bool;
+      ct_name : string;
+      ct_cols : col_def list;
+    }
   | CreateTableAs of { cta_temp : bool; cta_name : string; cta_query : select }
   | CreateView of { cv_name : string; cv_query : select }
   | InsertValues of { ins_table : string; ins_cols : string list; rows : lit list list }
@@ -318,9 +323,10 @@ and select_str (s : select) : string =
 
 let stmt_str = function
   | Select s -> select_str s
-  | CreateTable { ct_temp; ct_name; ct_cols } ->
-      Printf.sprintf "CREATE %sTABLE %s (%s)"
+  | CreateTable { ct_temp; ct_if_not_exists; ct_name; ct_cols } ->
+      Printf.sprintf "CREATE %sTABLE %s%s (%s)"
         (if ct_temp then "TEMPORARY " else "")
+        (if ct_if_not_exists then "IF NOT EXISTS " else "")
         (quote_ident ct_name)
         (String.concat ", "
            (List.map

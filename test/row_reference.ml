@@ -1,9 +1,11 @@
 (* The row-at-a-time SELECT interpreter pgdb served queries with before
    its vectorized executor planned every shape: nested-loop and hashed
    joins over materialized rows, grouping by hashed keys, windows
-   computed per partition. No library or binary links it; it is the
-   reference test_vexec's differentials hold Vexec to. [run] answers a
-   SELECT against a Db session's temp tables, base tables and views. *)
+   computed per partition. Joins, grouping, DISTINCT and partitions
+   class keys with Exec.gkey_of, as Vexec does. No library or binary
+   links it; it is the reference test_vexec's differentials hold Vexec
+   to. [run] answers a SELECT against a Db session's temp tables, base
+   tables and views. *)
 
 open Pgdb
 open Exec
@@ -166,6 +168,28 @@ let rec eval_agg_expr (ctx : eval_ctx) (group_rows : Value.t array array)
       | _ -> eval_expr ctx group_rows.(0) 0 e)
 
 (* ------------------------------------------------------------------ *)
+(* Key classes                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [xs] split into classes whose keys [key] map alike under gkey_of, the
+   one key equivalence of GROUP BY, DISTINCT, window partitions and hash
+   joins: classes in first-encounter order, members in order *)
+let classes (key : 'a -> Value.t list) (xs : 'a list) : 'a list list =
+  let tbl : (gkey list, 'a list ref) Hashtbl.t = Hashtbl.create 64 in
+  let acc = ref [] in
+  List.iter
+    (fun x ->
+      let k = List.map gkey_of (key x) in
+      match Hashtbl.find_opt tbl k with
+      | Some l -> l := x :: !l
+      | None ->
+          let l = ref [ x ] in
+          Hashtbl.add tbl k l;
+          acc := l :: !acc)
+    xs;
+  List.rev_map (fun l -> List.rev !l) !acc
+
+(* ------------------------------------------------------------------ *)
 (* Window functions                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -175,22 +199,13 @@ let compute_window (ctx : eval_ctx) (rows : Value.t array array)
   | A.Window { win_fn; win_args; partition; order; frame } ->
       let n = Array.length rows in
       let out = Array.make n Value.Null in
-      (* partition row indices *)
-      let parts : (Value.t list * int list ref) list ref = ref [] in
-      for i = 0 to n - 1 do
-        let key = List.map (fun e -> eval_expr ctx rows.(i) i e) partition in
-        match
-          List.find_opt
-            (fun (k, _) ->
-              List.for_all2 (fun a b -> Value.compare_total a b = 0) k key)
-            !parts
-        with
-        | Some (_, l) -> l := i :: !l
-        | None -> parts := (key, ref [ i ]) :: !parts
-      done;
-      let parts = List.rev_map (fun (k, l) -> (k, List.rev !l)) !parts in
+      let parts =
+        classes
+          (fun i -> List.map (fun e -> eval_expr ctx rows.(i) i e) partition)
+          (List.init n Fun.id)
+      in
       List.iter
-        (fun ((_ : Value.t list), indices) ->
+        (fun indices ->
           let indices = Array.of_list indices in
           (* sort the partition by the ORDER BY keys, stable *)
           let sorted = Array.copy indices in
@@ -475,13 +490,11 @@ and eval_join (env : env) lnode rnode (l : rowset) (r : rowset) jkind
         (fun (_, ri, null_safe) -> null_safe || not (Value.is_null rrow.(ri)))
         equi
     in
-    let rkey rrow =
-      String.concat "\x00" (List.map (fun (_, ri, _) -> Value.to_display rrow.(ri)) equi)
+    let rkey rrow = List.map (fun (_, ri, _) -> gkey_of rrow.(ri)) equi in
+    let lkey lrow = List.map (fun (li, _, _) -> gkey_of lrow.(li)) equi in
+    let table : (gkey list, Value.t array list ref) Hashtbl.t =
+      Hashtbl.create 64
     in
-    let lkey lrow =
-      String.concat "\x00" (List.map (fun (li, _, _) -> Value.to_display lrow.(li)) equi)
-    in
-    let table : (string, Value.t array list ref) Hashtbl.t = Hashtbl.create 64 in
     Array.iter
       (fun rrow ->
         if hashable rrow then
@@ -669,58 +682,33 @@ and run_select (env : env) (s : A.select) : result =
   let out_names = List.mapi proj_name projs in
   let output_rows, sort_keys =
     if has_agg then begin
-      (* group rows *)
-      let groups : (Value.t list * Value.t array array) list =
-        if s.group_by = [] then [ ([], rows) ]
-        else begin
-          (* hashed grouping: one lookup per row on the normalized key,
-             groups kept in first-encounter order *)
-          let tbl : (gkey list, Value.t array list ref) Hashtbl.t =
-            Hashtbl.create 64
-          in
-          let acc : (Value.t list * Value.t array list ref) list ref =
-            ref []
-          in
-          Array.iter
-            (fun row ->
-              let key = List.map (fun e -> eval_expr ctx row 0 e) s.group_by in
-              let hk = List.map gkey_of key in
-              match Hashtbl.find_opt tbl hk with
-              | Some l -> l := row :: !l
-              | None ->
-                  let l = ref [ row ] in
-                  Hashtbl.add tbl hk l;
-                  acc := (key, l) :: !acc)
-            rows;
-          List.rev_map
-            (fun (k, l) -> (k, Array.of_list (List.rev !l)))
-            !acc
-        end
-      in
-      (* drop empty global group only when grouping columns exist *)
+      (* group rows: the scalar aggregate is one group, even of no rows *)
       let groups =
-        List.filter
-          (fun (_, rws) -> s.group_by = [] || Array.length rws > 0)
-          groups
+        if s.group_by = [] then [ rows ]
+        else
+          classes
+            (fun row -> List.map (fun e -> eval_expr ctx row 0 e) s.group_by)
+            (Array.to_list rows)
+          |> List.map Array.of_list
       in
       let groups =
         match s.having with
         | None -> groups
         | Some h ->
             List.filter
-              (fun (_, rws) -> Value.is_true (eval_agg_expr ctx rws h))
+              (fun rws -> Value.is_true (eval_agg_expr ctx rws h))
               groups
       in
       let out =
         List.map
-          (fun (_, rws) ->
+          (fun rws ->
             Array.of_list
               (List.map (fun p -> eval_agg_expr ctx rws p.A.p_expr) projs))
           groups
       in
       let keys =
         List.map
-          (fun (_, rws) ->
+          (fun rws ->
             List.map
               (fun (e, _) ->
                 eval_agg_expr ctx rws (subst_aliases projs out_names e))
@@ -782,20 +770,7 @@ and run_select (env : env) (s : A.select) : result =
   let n_pre_distinct = if c then List.length pairs else 0 in
   let pairs =
     if s.distinct then
-      List.fold_left
-        (fun acc (row, k) ->
-          if
-            List.exists
-              (fun (row', _) ->
-                Array.length row = Array.length row'
-                && Array.for_all2
-                     (fun a b -> Value.compare_total a b = 0)
-                     row row')
-              acc
-          then acc
-          else (row, k) :: acc)
-        [] pairs
-      |> List.rev
+      List.map List.hd (classes (fun (row, _) -> Array.to_list row) pairs)
     else pairs
   in
   (if c && s.distinct then

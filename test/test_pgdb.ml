@@ -428,6 +428,32 @@ let test_drop () =
   | Db.Complete _ -> ()
   | Db.Rows _ -> Alcotest.fail "expected Complete"
 
+(* CREATE TABLE IF NOT EXISTS creates a missing table and, as in
+   PostgreSQL, leaves an existing relation of that name as it is *)
+let test_create_if_not_exists () =
+  let sess = fixture () in
+  let tag sql =
+    match Db.exec sess sql with
+    | Db.Complete tag -> tag
+    | Db.Rows _ -> Alcotest.failf "%s: not a command" sql
+  in
+  check tstr "missing table created" "CREATE TABLE"
+    (tag "CREATE TABLE IF NOT EXISTS t (a bigint)");
+  ignore (Db.exec sess "INSERT INTO t VALUES (1)");
+  check tstr "existing table kept" "CREATE TABLE"
+    (tag "CREATE TABLE IF NOT EXISTS t (a text, b text)");
+  check tstr "existing base table kept" "CREATE TABLE"
+    (tag "CREATE TABLE IF NOT EXISTS TRADES (a bigint)");
+  check tint "its rows and columns stand" 1
+    (q sess "SELECT a + 1 FROM t").Pgdb.Exec.res_nrows;
+  check tstr "without IF NOT EXISTS it raises" "42P07"
+    (sqlstate sess "CREATE TABLE t (a bigint)");
+  check tstr "IF without NOT EXISTS" "42601"
+    (sqlstate sess "CREATE TABLE IF u (a bigint)");
+  check tstr "printed back" "CREATE TABLE IF NOT EXISTS t (a bigint)"
+    (Sqlast.Ast.stmt_str
+       (Pgdb.Sql_parser.parse "create table if not exists t (a bigint)"))
+
 let test_catalog_queryable () =
   let sess = fixture () in
   let res =
@@ -642,6 +668,8 @@ let () =
           Alcotest.test_case "view over view" `Quick test_view_over_view;
           Alcotest.test_case "table over view" `Quick test_table_over_view;
           Alcotest.test_case "drop" `Quick test_drop;
+          Alcotest.test_case "create table if not exists" `Quick
+            test_create_if_not_exists;
           Alcotest.test_case "catalog queryable" `Quick test_catalog_queryable;
         ] );
       ( "errors",

@@ -284,6 +284,56 @@ let test_cluster_mirrors_ddl () =
         (not (SM.known (C.map c) "trades"));
       check tbool "eviction bumps the generation" true (C.generation c > gen1))
 
+(* CREATE TABLE IF NOT EXISTS and DROP TABLE IF EXISTS mirror under
+   the table's own name, not under the IF keyword *)
+let test_cluster_mirrors_if_exists () =
+  let db = make_db () in
+  with_cluster db (fun c ->
+      let backend = Hyperq.Backend.of_pgdb_session (Db.open_session db) in
+      C.watch_backend c backend;
+      let exec sql =
+        match Hyperq.Backend.exec backend sql with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "%s failed: %s" sql e
+      in
+      let on_shards name =
+        List.filter (fun i -> List.mem name i.C.si_tables) (C.shards_info c)
+        |> List.length
+      in
+      exec "CREATE TABLE IF NOT EXISTS refdata (k BIGINT)";
+      check tbool "created table is replicated" true
+        (SM.is_replicated (C.map c) "refdata");
+      check tbool "no table named if" false (SM.known (C.map c) "if");
+      check tint "every shard holds it" 2 (on_shards "refdata");
+      exec "CREATE TABLE IF NOT EXISTS refdata (k BIGINT)";
+      check tbool "a second create keeps it replicated" true
+        (SM.is_replicated (C.map c) "refdata");
+      exec "DROP TABLE IF EXISTS refdata";
+      check tbool "dropped table evicted" false (SM.known (C.map c) "refdata");
+      check tint "no shard holds it" 0 (on_shards "refdata"));
+  List.iter
+    (fun (sql, expect) ->
+      check tbool sql true (Hyperq.Backend.classify sql = expect))
+    Hyperq.Backend.
+      [
+        ( "CREATE TABLE IF NOT EXISTS T(a bigint)",
+          Create { temp = false; table = Some "t"; as_query = false } );
+        ( "create temp table x as select 1",
+          Create { temp = true; table = Some "x"; as_query = true } );
+        ( "CREATE VIEW v AS SELECT 1",
+          Create { temp = false; table = None; as_query = false } );
+        ("  DROP TABLE IF EXISTS t;", Drop (Some "t"));
+        ("DROP VIEW v", Drop None);
+        ("ALTER TABLE IF EXISTS t ADD c bigint", Alter (Some "t"));
+        ("INSERT INTO t VALUES (1)", Insert "t");
+        ("UPDATE t SET a = 1", Mutate "t");
+        ("DELETE FROM t", Mutate "t");
+        ("TRUNCATE TABLE t", Mutate "t");
+        ("TRUNCATE t", Mutate "t");
+        ("SELECT * FROM t /* create table */", Other);
+        ("", Other);
+      ]
+
 (* Fan-out overlap. Each shard backend's [exec] waits on a cyclic
    N-party barrier, so a scatter completes only if every shard is
    inside [exec] at once. A pool that dispatched shards one at a time
@@ -1277,6 +1327,8 @@ let () =
         [
           Alcotest.test_case "partitions rows" `Quick test_cluster_partitions_rows;
           Alcotest.test_case "mirrors DDL/DML" `Quick test_cluster_mirrors_ddl;
+          Alcotest.test_case "mirrors IF [NOT] EXISTS" `Quick
+            test_cluster_mirrors_if_exists;
           Alcotest.test_case "fan-out overlaps shard dispatch" `Quick
             test_fanout_overlaps;
           Alcotest.test_case "coordinator error reads like a shard's" `Quick

@@ -13,7 +13,16 @@
    shapes' errors, the 25 analytical queries, plus targeted unit tests
    (3VL filters, selection-vector compaction, empty batches, all-null
    columns, empty window frames against PostgreSQL's values, explain
-   nodes) pin that down. *)
+   nodes) pin that down.
+
+   Every hash operator (GROUP BY, DISTINCT, PARTITION BY, the hash
+   join) classes keys by one equivalence, Exec.gkey_of's. The "key
+   classes" group holds both executors to it on keys that mix text,
+   ints and doubles, NaN, signed zeros and ints beyond 2^53, and holds a
+   join to the same predicate written in WHERE, but for the two pairs
+   where they differ: text against a number matches nothing in a join
+   and raises 42804 under [=], and an int beyond 2^53 stays apart from
+   the double it rounds to. *)
 
 module V = Pgdb.Value
 module Db = Pgdb.Db
@@ -80,6 +89,28 @@ let reference sess sql =
 let check_same sql a b =
   if Stdlib.compare a b <> 0 then
     Alcotest.failf "vector/reference divergence on: %s" sql
+
+(* an outcome with each float as its bit pattern: polymorphic compare
+   calls -0.0 and 0.0 equal *)
+let bits r =
+  Result.map
+    (fun (cols, rows) ->
+      ( cols,
+        Array.map
+          (Array.map (function
+            | V.Float f -> V.Int (Int64.bits_of_float f)
+            | v -> v))
+          rows ))
+    r
+
+(* every query must succeed and agree with the reference bit for bit *)
+let bit_differential sess sqls =
+  List.iter
+    (fun sql ->
+      let a = run sess sql in
+      (match a with Error e -> Alcotest.failf "%s: %s" sql e | Ok _ -> ());
+      check_same sql (bits a) (bits (reference sess sql)))
+    sqls
 
 let differential db sqls =
   let sess = session db in
@@ -599,22 +630,232 @@ let test_edge_values () =
           Printf.sprintf "SELECT %s FROM edge WHERE k = 'b'" b ])
       cols
   in
-  (* floats compare by bit pattern: polymorphic compare calls -0.0 and
-     0.0 equal *)
-  let bits =
-    Result.map (fun (cols, rows) ->
-        ( cols,
-          Array.map
-            (Array.map (function
-              | V.Float f -> V.Int (Int64.bits_of_float f)
-              | v -> v))
-            rows ))
-  in
   let sess = session db in
   List.iter
     (fun sql ->
       check_same sql (bits (run sess sql)) (bits (reference sess sql)))
     (List.map select filters @ aggs)
+
+(* ------------------------------------------------------------------ *)
+(* One key equivalence                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Two tables whose keys hold what the hash operators must class alike
+   or apart: ints against doubles (3 and 3.0), -0.0 and 0.0, NaN, the
+   int 2^53 + 1 and the double 2^53 it rounds to, text holding a number
+   or the word NULL, SQL NULL, and a column [m] mixing ints, doubles
+   and text. Columns: id, n bigint, d double, s text, m mixed. *)
+let key_rows =
+  let i x = V.Int x and f x = V.Float x and s x = V.Str x in
+  let big = i 9007199254740993L and rounded = f 9007199254740992.0 in
+  [
+    ( "l",
+      [
+        [| i 1L; i 3L; f 3.0; s "3"; i 3L |];
+        [| i 2L; i 0L; f (-0.0); V.Null; f 3.0 |];
+        [| i 3L; V.Null; f 0.0; s "NULL"; s "x" |];
+        [| i 4L; big; f Float.nan; s "1"; V.Null |];
+        [| i 5L; i 1L; rounded; s "x"; f (-0.0) |];
+        [| i 6L; i 3L; V.Null; s "3"; big |];
+      ] );
+    ( "r",
+      [
+        [| i 10L; i 1L; f 0.0; s "NULL"; f 0.0 |];
+        [| i 11L; i 3L; f Float.nan; V.Null; big |];
+        [| i 12L; V.Null; f 3.0; s "1"; s "3" |];
+        [| i 13L; i 0L; f (-0.0); s "x"; f 3.0 |];
+        [| i 14L; big; rounded; s "3"; V.Null |];
+        [| i 15L; i 0L; V.Null; s "NULL"; i 0L |];
+        [| i 16L; i 0L; f 0.0; V.Null; s "x" |];
+      ] );
+  ]
+
+let key_cols = [ "n"; "d"; "s"; "m" ]
+
+let key_fixture () : Db.t =
+  let db = Db.create () in
+  List.iter
+    (fun (name, rows) ->
+      Db.load_table db
+        (S.table name
+           [
+             S.column "id" Ty.TBigint;
+             S.column "n" Ty.TBigint;
+             S.column "d" Ty.TDouble;
+             S.column "s" Ty.TVarchar;
+             S.column "m" Ty.TVarchar;
+           ])
+        rows)
+    key_rows;
+  db
+
+(* DISTINCT, PARTITION BY and GROUP BY class keys as gkey_of does, on
+   keys that mix text with numbers (which compare_total cannot order),
+   ints with doubles, NaN, signed zeros and an int beyond 2^53 *)
+let test_key_classes () =
+  let sess = session (key_fixture ()) in
+  let keys =
+    key_cols
+    @ [
+        "CASE WHEN id > 2 THEN s ELSE n END";
+        "CASE WHEN id > 3 THEN d ELSE n END";
+        "CASE WHEN id > 3 THEN m ELSE d END";
+      ]
+  in
+  bit_differential sess
+    (List.concat_map
+       (fun e ->
+         [
+           Printf.sprintf "SELECT DISTINCT %s AS x FROM l" e;
+           Printf.sprintf "SELECT DISTINCT %s AS x, id > 3 AS y FROM l" e;
+           Printf.sprintf
+             "SELECT id, count(*) OVER (PARTITION BY %s) AS c FROM l" e;
+           Printf.sprintf
+             "SELECT id, row_number() OVER (PARTITION BY %s, id > 3 ORDER BY \
+              id DESC) AS rn FROM l"
+             e;
+           Printf.sprintf
+             "SELECT * FROM (SELECT id, row_number() OVER (PARTITION BY %s \
+              ORDER BY id DESC) AS rn FROM l) AS q WHERE q.rn = 1"
+             e;
+           Printf.sprintf
+             "SELECT x, count(*) AS c FROM (SELECT %s AS x FROM l) AS q GROUP \
+              BY x"
+             e;
+         ])
+       keys);
+  (* the classes themselves, first occurrences kept in row order *)
+  let rows sql =
+    match bits (run sess sql) with
+    | Ok (_, rows) -> Array.map (fun r -> r.(0)) rows
+    | Error e -> Alcotest.failf "%s: %s" sql e
+  in
+  let f x = V.Int (Int64.bits_of_float x) in
+  List.iter
+    (fun (sql, expect) ->
+      if rows sql <> Array.of_list expect then
+        Alcotest.failf "%s: not one class per gkey" sql)
+    [
+      ( "SELECT DISTINCT d FROM l",
+        [ f 3.0; f (-0.0); f Float.nan; f 9007199254740992.0; V.Null ] );
+      ( "SELECT DISTINCT x FROM (SELECT n AS x FROM l UNION ALL SELECT d AS \
+         x FROM l) AS u",
+        [ V.Int 3L; V.Int 0L; V.Null; V.Int 9007199254740993L; V.Int 1L;
+          f Float.nan; f 9007199254740992.0 ] );
+      ( "SELECT DISTINCT m FROM l",
+        [ V.Int 3L; V.Str "x"; V.Null; f (-0.0); V.Int 9007199254740993L ] );
+      ( "SELECT DISTINCT CASE WHEN id > 2 THEN s ELSE n END AS x FROM l",
+        [ V.Int 3L; V.Int 0L; V.Str "NULL"; V.Str "1"; V.Str "x"; V.Str "3" ]
+      );
+    ]
+
+(* a key pair the join and [=] decide differently: text against a
+   number, where [=] raises 42804 and the join matches nothing, and an
+   int beyond 2^53 against the double it rounds to, which [=] calls
+   equal and the join keeps apart, as GROUP BY does *)
+let documented (a : V.t) (b : V.t) =
+  match (a, b) with
+  | V.Null, _ | _, V.Null | V.Str _, V.Str _ -> false
+  | V.Str _, _ | _, V.Str _ -> true
+  | V.Int x, V.Float f | V.Float f, V.Int x ->
+      Int64.to_float x = f && Int64.compare (Int64.abs x) 9007199254740992L > 0
+  | _ -> false
+
+(* the join conditions: every column pair under [=] and IS NOT DISTINCT
+   FROM, and two-key conditions over typed, mixed and NULL-against-'NULL'
+   pairs *)
+let join_keys : (string * string * string) list list =
+  let ops = [ "="; "IS NOT DISTINCT FROM" ] in
+  List.concat_map
+    (fun x ->
+      List.concat_map
+        (fun y -> List.map (fun op -> [ (x, op, y) ]) ops)
+        key_cols)
+    key_cols
+  @ List.concat_map
+      (fun ((x, y), (x', y')) ->
+        List.concat_map
+          (fun op -> List.map (fun op' -> [ (x, op, y); (x', op', y') ]) ops)
+          ops)
+      [
+        (("n", "n"), ("s", "s"));
+        (("d", "n"), ("m", "m"));
+        (("s", "s"), ("m", "d"));
+        (("d", "d"), ("n", "m"));
+      ]
+
+let on_clause keys =
+  String.concat " AND "
+    (List.map (fun (x, op, y) -> Printf.sprintf "l.%s %s r.%s" x op y) keys)
+
+(* single- and two-key joins over every kind, inner and left outer,
+   against the reference *)
+let test_key_joins () =
+  bit_differential
+    (session (key_fixture ()))
+    (List.concat_map
+       (fun keys ->
+         List.map
+           (fun kind ->
+             Printf.sprintf
+               "SELECT l.id, r.id AS rid, l.d, r.d AS rd FROM l %s r ON %s" kind
+               (on_clause keys))
+           [ "JOIN"; "LEFT JOIN" ])
+       join_keys)
+
+(* [a JOIN b ON keys] returns the rows of [FROM a, b WHERE keys] but for
+   the documented pairs, which the WHERE skips before comparing and the
+   join must not return *)
+let test_join_matches_where () =
+  let sess = session (key_fixture ()) in
+  let lrows = List.assoc "l" key_rows and rrows = List.assoc "r" key_rows in
+  let col c = 1 + Option.get (List.find_index (( = ) c) key_cols) in
+  let pairs sql =
+    match run sess sql with
+    | Ok (_, rows) -> Array.to_list (Array.map (fun r -> (r.(0), r.(1))) rows)
+    | Error e -> Alcotest.failf "%s: %s" sql e
+  in
+  List.iter
+    (fun keys ->
+      let skipped =
+        List.concat_map
+          (fun (lr : V.t array) ->
+            List.filter_map
+              (fun (rr : V.t array) ->
+                if
+                  List.exists
+                    (fun (x, _, y) -> documented lr.(col x) rr.(col y))
+                    keys
+                then Some (lr.(0), rr.(0))
+                else None)
+              rrows)
+          lrows
+      in
+      let id = function V.Int i -> Int64.to_string i | _ -> assert false in
+      let skip =
+        match skipped with
+        | [] -> ""
+        | ps ->
+            Printf.sprintf "NOT (%s) AND "
+              (String.concat " OR "
+                 (List.map
+                    (fun (a, b) ->
+                      Printf.sprintf "(l.id = %s AND r.id = %s)" (id a) (id b))
+                    ps))
+      in
+      let join =
+        Printf.sprintf "SELECT l.id, r.id AS rid FROM l JOIN r ON %s ORDER BY \
+                        1, 2" (on_clause keys)
+      and where =
+        Printf.sprintf "SELECT l.id, r.id AS rid FROM l, r WHERE %s%s ORDER BY \
+                        1, 2" skip (on_clause keys)
+      in
+      let joined = pairs join in
+      if joined <> pairs where then
+        Alcotest.failf "%s: not the rows of %s" join where;
+      if List.exists (fun p -> List.mem p skipped) joined then
+        Alcotest.failf "%s: a documented pair matched" join)
+    join_keys
 
 (* ------------------------------------------------------------------ *)
 (* Errors in grouped aggregates                                        *)
@@ -1296,9 +1537,10 @@ let test_window_functions () =
         "SELECT g, t FROM w ORDER BY v DESC LIMIT 1";
         "SELECT g, t FROM w ORDER BY g DESC LIMIT 1";
       ]);
-  (* partition keys mixing kinds: text against a number raises in
-     compare_total, ints against floats compare as floats; Vexec and the
-     reference must agree on the error and on the partitions *)
+  (* keys mixing kinds: partitions class text and numbers apart and ints
+     with equal floats together, as GROUP BY does; an order key of text
+     against a number raises in compare_total. Vexec and the reference
+     must agree on the partitions and on the error *)
   differential (window_fixture ())
     [
       "SELECT t, row_number() OVER (PARTITION BY CASE WHEN k > 2 THEN g \
@@ -1452,8 +1694,8 @@ let test_rank_limit_cut () =
          ORDER BY x.m DESC) AS rn FROM (SELECT g, CASE WHEN k > 2 THEN v \
          ELSE k END AS m FROM w) AS x) AS q WHERE q.rn = 1";
       ]);
-  (* text against a number in the order or partition keys raises; the
-     cut raises the reference's error *)
+  (* text against a number in the order keys raises, and the cut raises
+     the reference's error; in the partition keys it classes apart *)
   differential (cut_fixture ())
     [
       cut "PARTITION BY g ORDER BY CASE WHEN k > 2 THEN g ELSE k END"
@@ -2189,23 +2431,7 @@ let test_sort_sql_shapes () =
               "SELECT x * 2 AS m, k FROM edge ORDER BY %s LIMIT 3" o ])
         (forms "m")
   in
-  let bits =
-    Result.map (fun (cols, rows) ->
-        ( cols,
-          Array.map
-            (Array.map (function
-              | V.Float f -> V.Int (Int64.bits_of_float f)
-              | v -> v))
-            rows ))
-  in
-  let sess = session db in
-  List.iter
-    (fun sql ->
-      (match run sess sql with
-      | Error e -> Alcotest.failf "%s: %s" sql e
-      | Ok _ -> ());
-      check_same sql (bits (run sess sql)) (bits (reference sess sql)))
-    sqls
+  bit_differential (session db) sqls
 
 (* A presorted ORDER BY costs one pass and its permutation, which is
    the result's row order as the unsorted scan's is. Over the big table,
@@ -2254,6 +2480,14 @@ let () =
             test_group_error_order;
           Alcotest.test_case "group keys beyond 2^53 stay apart" `Quick
             test_group_big_keys;
+        ] );
+      ( "key classes",
+        [
+          Alcotest.test_case "DISTINCT, PARTITION BY and GROUP BY classes"
+            `Quick test_key_classes;
+          Alcotest.test_case "single- and two-key joins" `Quick test_key_joins;
+          Alcotest.test_case "JOIN ON returns the rows of WHERE" `Quick
+            test_join_matches_where;
         ] );
       ( "nulls",
         [
