@@ -58,6 +58,97 @@ let find_binding (bindings : binding list) (qual : string option) (name : string
   go 0 (-1) bindings
 
 (* ------------------------------------------------------------------ *)
+(* Key classes and the key order                                       *)
+(* ------------------------------------------------------------------ *)
+
+(** A hashable normalization of a key value, and the one key
+    equivalence of every hash operator: GROUP BY, DISTINCT, a window's
+    PARTITION BY, the hash join and a DISTINCT aggregate class two keys
+    together exactly when their gkeys are equal. {!compare_key} orders
+    the classes, so two values compare 0 exactly when their gkeys are
+    equal. The numeric-ish types (int/float/bool/date/time/timestamp)
+    normalize to one float, except an integer beyond ±2^53: float would
+    merge distinct ones, so it keeps its payload. [nan] and [-0.0] are
+    canonicalized because [Hashtbl]'s structural equality would
+    otherwise split classes ([nan <> nan]) or hashes ([-0.0] vs
+    [0.0]). NULL is one class, which a null-safe join key matches.
+
+    It differs from SQL [=] on two pairs of values: text against a
+    number is two classes, where [=] raises 42804, and an int beyond
+    ±2^53 stays apart from the float it rounds to, which [=] calls
+    equal. *)
+type gkey = GNull | GStr of string | GNum of float | GNan | GBig of int64
+
+let beyond_2_53 (x : int64) : bool =
+  Int64.compare x 9007199254740992L > 0
+  || Int64.compare x (-9007199254740992L) < 0
+
+let gkey_of (v : Value.t) : gkey =
+  match v with
+  | Value.Null -> GNull
+  | Value.Str s -> GStr s
+  | (Value.Int x | Value.Timestamp x) when beyond_2_53 x -> GBig x
+  | (Value.Date x | Value.Time x) when beyond_2_53 (Int64.of_int x) ->
+      GBig (Int64.of_int x)
+  | v -> (
+      match Value.to_float v with
+      | Some f ->
+          if Float.is_nan f then GNan
+          else GNum (if f = 0.0 then 0.0 else f)
+      | None -> GNull)
+
+let text_against_number () =
+  Errors.type_mismatch "cannot order text against a non-text value"
+
+(* an integer beyond ±2^53 against a double, by exact value, the
+   integer after a double equal to it. Rounding is monotone, so a
+   rounded [x] unequal to [f] orders as [x] does; an equal one makes [f]
+   an integer, exact as an int64 below 2^63. *)
+let compare_big (x : int64) (f : float) : int =
+  let g = Int64.to_float x in
+  if g <> f then Float.compare g f
+  else if f >= 0x1p63 then -1
+  else match Int64.compare x (Int64.of_float f) with 0 -> 1 | c -> c
+
+(* the order of the classes: NULL last, text by String.compare, the
+   numbers by exact value with NaN lowest, and text against a number
+   raising 42804 *)
+let compare_gkey (a : gkey) (b : gkey) : int =
+  match (a, b) with
+  | GNull, GNull -> 0
+  | GNull, _ -> 1
+  | _, GNull -> -1
+  | GStr x, GStr y -> String.compare x y
+  | GStr _, _ | _, GStr _ -> text_against_number ()
+  | GNan, GNan -> 0
+  | GNan, _ -> -1
+  | _, GNan -> 1
+  | GNum x, GNum y -> Float.compare x y
+  | GBig x, GBig y -> Int64.compare x y
+  | GBig x, GNum f -> compare_big x f
+  | GNum f, GBig x -> -compare_big x f
+
+(** The one key order of pgdb: every sort (ORDER BY, a window's ORDER
+    BY, the rank-limit cut, the as-of join's later keys and so the
+    gather's merge), min/max and greatest/least. It orders
+    {!gkey_of}'s classes, so [compare_key a b = 0] exactly when [a] and
+    [b] are one class, and it is transitive, ints against doubles
+    included. NULL sorts after every value, PostgreSQL's ASC default; a
+    caller that places NULLs otherwise does so before comparing. Text
+    against a non-text value raises 42804, with one message whichever
+    pair meets first. Two values of one kind compare without building
+    their gkeys. *)
+let compare_key (a : Value.t) (b : Value.t) : int =
+  match (a, b) with
+  | Value.Int x, Value.Int y | Value.Timestamp x, Value.Timestamp y ->
+      Int64.compare x y
+  | Value.Float x, Value.Float y -> Float.compare x y
+  | Value.Str x, Value.Str y -> String.compare x y
+  | Value.Date x, Value.Date y | Value.Time x, Value.Time y -> Int.compare x y
+  | Value.Bool x, Value.Bool y -> Bool.compare x y
+  | _ -> compare_gkey (gkey_of a) (gkey_of b)
+
+(* ------------------------------------------------------------------ *)
 (* Scalar functions                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -127,7 +218,7 @@ let scalar_fun name (args : Value.t list) : Value.t =
           else
             match acc with
             | Value.Null -> v
-            | acc -> if Value.compare_total v acc > 0 then v else acc)
+            | acc -> if compare_key v acc > 0 then v else acc)
         Value.Null args
   | "least", args ->
       List.fold_left
@@ -136,7 +227,7 @@ let scalar_fun name (args : Value.t list) : Value.t =
           else
             match acc with
             | Value.Null -> v
-            | acc -> if Value.compare_total v acc < 0 then v else acc)
+            | acc -> if compare_key v acc < 0 then v else acc)
         Value.Null args
   | "upper", [ Value.Str s ] -> Value.Str (String.uppercase_ascii s)
   | "lower", [ Value.Str s ] -> Value.Str (String.lowercase_ascii s)
@@ -339,6 +430,19 @@ let rec collect_windows (e : A.expr) : A.expr list =
   | A.Like (a, b) -> collect_windows a @ collect_windows b
   | A.Lit _ | A.Col _ | A.Star -> []
 
+(* the first value of each gkey class of [vs], in order *)
+let first_of_classes (vs : Value.t list) : Value.t list =
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun v ->
+      let k = gkey_of v in
+      if Hashtbl.mem seen k then false
+      else begin
+        Hashtbl.add seen k ();
+        true
+      end)
+    vs
+
 let float_agg rows f =
   match rows with
   | [] -> Value.Null
@@ -349,16 +453,7 @@ let float_agg rows f =
 let apply_agg (name : string) (distinct : bool) (values : Value.t list) :
     Value.t =
   let non_null = List.filter (fun v -> not (Value.is_null v)) values in
-  let non_null =
-    if distinct then
-      List.fold_left
-        (fun acc v ->
-          if List.exists (fun u -> Value.compare_total u v = 0) acc then acc
-          else v :: acc)
-        [] non_null
-      |> List.rev
-    else non_null
-  in
+  let non_null = if distinct then first_of_classes non_null else non_null in
   match String.lowercase_ascii name with
   | "count" -> Value.Int (Int64.of_int (List.length non_null))
   | "sum" -> (
@@ -383,14 +478,14 @@ let apply_agg (name : string) (distinct : bool) (values : Value.t list) :
         (fun acc v ->
           match acc with
           | Value.Null -> v
-          | acc -> if Value.compare_total v acc < 0 then v else acc)
+          | acc -> if compare_key v acc < 0 then v else acc)
         Value.Null non_null
   | "max" ->
       List.fold_left
         (fun acc v ->
           match acc with
           | Value.Null -> v
-          | acc -> if Value.compare_total v acc > 0 then v else acc)
+          | acc -> if compare_key v acc > 0 then v else acc)
         Value.Null non_null
   | "stddev_pop" -> (
       match non_null with
@@ -470,45 +565,6 @@ let lit_of (v : Value.t) : A.lit =
   | Value.Date d -> A.Int (Int64.of_int d)
   | Value.Time t -> A.Int (Int64.of_int t)
   | Value.Timestamp n -> A.Int n
-
-(* ------------------------------------------------------------------ *)
-(* Group keys                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(** A hashable normalization of a key value, and the one key
-    equivalence of every hash operator: GROUP BY, DISTINCT, a window's
-    PARTITION BY and the hash join class two keys together exactly when
-    their gkeys are equal. Two values of one kind land in the same class
-    exactly when {!Value.compare_total} calls them equal. The
-    numeric-ish types (int/float/bool/date/time/timestamp) compare
-    through [to_float], so they normalize to one float, except an int or
-    timestamp beyond ±2^53: float would merge distinct ones, which
-    compare_total compares exactly, so it keeps its payload. [nan] and
-    [-0.0] are canonicalized because [Hashtbl]'s structural equality
-    would otherwise split classes ([nan <> nan]) or hashes ([-0.0] vs
-    [0.0]). NULL is one class, which a null-safe join key matches.
-
-    It differs from SQL [=] on two pairs of values: text against a
-    number is two classes, where [=] raises 42804, and an int beyond
-    ±2^53 stays apart from the float it rounds to, which [=] calls
-    equal. *)
-type gkey = GNull | GStr of string | GNum of float | GNan | GBig of int64
-
-let gkey_of (v : Value.t) : gkey =
-  match v with
-  | Value.Null -> GNull
-  | Value.Str s -> GStr s
-  | (Value.Int x | Value.Timestamp x)
-    when Int64.compare x 9007199254740992L > 0
-         || Int64.compare x (-9007199254740992L) < 0 ->
-      GBig x
-  | v -> (
-      match Value.to_float v with
-      | Some f ->
-          if Float.is_nan f then GNan
-          else GNum (if f = 0.0 then 0.0 else f)
-      | None -> GNull)
-
 
 (* ------------------------------------------------------------------ *)
 (* Select-list helpers                                                 *)

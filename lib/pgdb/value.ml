@@ -71,15 +71,6 @@ let rec compare3 (a : t) (b : t) : int option =
       | _ -> None)
   | _ -> Errors.type_mismatch "cannot compare %s with %s" (to_debug a) (to_debug b)
 
-(** Total order used by ORDER BY and window sorting: NULLS LAST for ASC,
-    as in PostgreSQL's default. *)
-and compare_total (a : t) (b : t) : int =
-  match (a, b) with
-  | Null, Null -> 0
-  | Null, _ -> 1
-  | _, Null -> -1
-  | _ -> ( match compare3 a b with Some c -> c | None -> 0)
-
 and to_debug = function
   | Null -> "null"
   | Bool _ -> "boolean"

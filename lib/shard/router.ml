@@ -100,14 +100,14 @@ let rec conjuncts (s : I.scalar) : I.scalar list =
   | I.Logic (`And, a, b) -> conjuncts a @ conjuncts b
   | s -> [ s ]
 
-(* literals whose canonical text is stable between ingest-time hashing
-   (of pgdb Values) and query-time hashing (of SQL literals) *)
+(* whether every row a literal equals is of its key class, and so on
+   its shard: all but a number at or beyond ±2^53, which [=] calls
+   equal to values of other classes that round to it or from it *)
 let pinnable_lit (l : Sqlast.Ast.lit) : bool =
-  match l with
-  | Sqlast.Ast.Str _ | Sqlast.Ast.Int _ | Sqlast.Ast.Bool _
-  | Sqlast.Ast.Null ->
-      true
-  | Sqlast.Ast.Float _ -> false
+  match Pgdb.Exec.gkey_of (Pgdb.Value.of_lit l) with
+  | Pgdb.Exec.GBig _ -> false
+  | Pgdb.Exec.GNum f -> Float.abs f < 0x1p53
+  | Pgdb.Exec.GNull | Pgdb.Exec.GStr _ | Pgdb.Exec.GNan -> true
 
 (* shard sets allowed by equality/membership conjuncts on distribution
    column [k]: each returned element is the set of shards that can hold

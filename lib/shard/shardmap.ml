@@ -83,16 +83,21 @@ let hash_string (s : string) : int =
     s;
   !h
 
+(* The canonical text of a value's key class under Pgdb.Exec.gkey_of, so
+   the values one class holds (5 and 5.0, -0.0 and 0) live on one shard
+   and a literal pins the shard of the rows it groups with. Text is the
+   string itself; an integral number within ±2^53, or beyond it, its
+   decimal digits; any other double its 17 significant digits, which
+   are exact. *)
 let canon (v : Pgdb.Value.t) : string =
-  match v with
-  | Pgdb.Value.Null -> "\x00null"
-  | Pgdb.Value.Bool b -> string_of_bool b
-  | Pgdb.Value.Int i -> Int64.to_string i
-  | Pgdb.Value.Float f -> string_of_float f
-  | Pgdb.Value.Str s -> s
-  | Pgdb.Value.Date d -> "d" ^ string_of_int d
-  | Pgdb.Value.Time tm -> "t" ^ string_of_int tm
-  | Pgdb.Value.Timestamp n -> "p" ^ Int64.to_string n
+  match Pgdb.Exec.gkey_of v with
+  | Pgdb.Exec.GNull -> "\x00null"
+  | Pgdb.Exec.GStr s -> s
+  | Pgdb.Exec.GNan -> "nan"
+  | Pgdb.Exec.GBig x -> Int64.to_string x
+  | Pgdb.Exec.GNum f when Float.is_integer f && Float.abs f <= 0x1p53 ->
+      Int64.to_string (Int64.of_float f)
+  | Pgdb.Exec.GNum f -> Printf.sprintf "%.17g" f
 
 (** The shard owning rows whose distribution column holds [v]. *)
 let shard_of_value t (v : Pgdb.Value.t) : int =
@@ -101,12 +106,4 @@ let shard_of_value t (v : Pgdb.Value.t) : int =
 (** The shard owning rows pinned by a literal equality on the
     distribution column. *)
 let shard_of_lit t (l : Sqlast.Ast.lit) : int =
-  let v =
-    match l with
-    | Sqlast.Ast.Null -> Pgdb.Value.Null
-    | Sqlast.Ast.Bool b -> Pgdb.Value.Bool b
-    | Sqlast.Ast.Int i -> Pgdb.Value.Int i
-    | Sqlast.Ast.Float f -> Pgdb.Value.Float f
-    | Sqlast.Ast.Str s -> Pgdb.Value.Str s
-  in
-  shard_of_value t v
+  shard_of_value t (Pgdb.Value.of_lit l)

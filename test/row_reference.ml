@@ -2,7 +2,9 @@
    its vectorized executor planned every shape: nested-loop and hashed
    joins over materialized rows, grouping by hashed keys, windows
    computed per partition. Joins, grouping, DISTINCT and partitions
-   class keys with Exec.gkey_of, as Vexec does. No library or binary
+   class keys with Exec.gkey_of, and its sorts order them with
+   Exec.compare_key, as Vexec does; its algorithms are its own
+   (List.stable_sort, Array.sort on the position). No library or binary
    links it; it is the reference test_vexec's differentials hold Vexec
    to. [run] answers a SELECT against a Db session's temp tables, base
    tables and views. *)
@@ -189,6 +191,23 @@ let classes (key : 'a -> Value.t list) (xs : 'a list) : 'a list list =
     xs;
   List.rev_map (fun l -> List.rev !l) !acc
 
+(* Rows' sort keys, one list per row, checked before they are sorted:
+   PostgreSQL rejects a sort key of text against other types whatever
+   the rows, so a key whose values mix them raises 42804 even where no
+   comparison would meet such a pair *)
+let check_orderable (keys : Value.t list list) : unit =
+  let text = function Value.Str _ -> true | _ -> false in
+  let other = function Value.Str _ | Value.Null -> false | _ -> true in
+  match keys with
+  | [] -> ()
+  | first :: _ ->
+      List.iteri
+        (fun i _ ->
+          let col = List.map (fun k -> List.nth k i) keys in
+          if List.exists text col && List.exists other col then
+            text_against_number ())
+        first
+
 (* ------------------------------------------------------------------ *)
 (* Window functions                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -221,13 +240,14 @@ let compute_window (ctx : eval_ctx) (rows : Value.t array array)
                 match (ks1, ks2, dirs) with
                 | [], [], _ -> Stdlib.compare i1 i2
                 | a :: r1, b :: r2, (_, d) :: rd ->
-                    let c = Value.compare_total a b in
+                    let c = compare_key a b in
                     let c = match d with A.Asc -> c | A.Desc -> -c in
                     if c <> 0 then c else go r1 r2 rd
                 | _ -> Stdlib.compare i1 i2
               in
               go k1 k2 order
             in
+            check_orderable (Array.to_list (Array.map snd keyed));
             Array.sort cmp keyed;
             Array.iteri (fun pos (i, _) -> sorted.(pos) <- i) keyed
           end;
@@ -271,7 +291,7 @@ let compute_window (ctx : eval_ctx) (rows : Value.t array array)
                     match !prev_key with
                     | Some k ->
                         List.for_all2
-                          (fun a b -> Value.compare_total a b = 0)
+                          (fun a b -> compare_key a b = 0)
                           k key
                     | None -> false
                   in
@@ -779,20 +799,22 @@ and run_select (env : env) (s : A.select) : result =
   (* ORDER BY *)
   let pairs =
     if s.order_by = [] then pairs
-    else
+    else begin
+      check_orderable (List.map snd pairs);
       List.stable_sort
         (fun (_, k1) (_, k2) ->
           let rec go ks1 ks2 dirs =
             match (ks1, ks2, dirs) with
             | [], [], _ -> 0
             | a :: r1, b :: r2, (_, d) :: rd ->
-                let c = Value.compare_total a b in
+                let c = compare_key a b in
                 let c = match d with A.Asc -> c | A.Desc -> -c in
                 if c <> 0 then c else go r1 r2 rd
             | _ -> 0
           in
           go k1 k2 s.order_by)
         pairs
+    end
   in
   (if c && s.order_by <> [] then
      let n = List.length pairs in

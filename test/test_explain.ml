@@ -258,8 +258,8 @@ let test_aj_queries_fused () =
 
 (* tick_extract's one-symbol extract sorts on the serializer's pre-keyed
    hq_ord with the typed kernel: its vector_sort names the path and the
-   one folded (hq_ord IS NULL) key. A key of mixed kinds names the
-   reference sort. *)
+   one folded (hq_ord IS NULL) key. A key mixing ints with doubles
+   takes the same kernel, ordered by Exec.compare_key. *)
 let test_sort_path_named () =
   let d = MD.generate MD.small_scale in
   let db = Db.create () in
@@ -282,8 +282,7 @@ let test_sort_path_named () =
   in
   check tstr "tick_extract sorts typed" "2 keys (1 folded), typed"
     (sort_detail sql);
-  check tstr "mixed kinds take the reference"
-    "1 keys (0 folded), mixed-kind reference"
+  check tstr "an int/float mix sorts typed" "1 keys (0 folded), typed"
     (sort_detail
        "SELECT CASE WHEN \"Size\" > 1000 THEN \"Size\" ELSE 0.5 END AS v \
         FROM trades ORDER BY v DESC")

@@ -271,14 +271,18 @@ let test_one_byte_feed_allocation () =
 
 (* 20,000 handshake bytes with no NUL: the endpoint closes once the
    handshake passes its bound, without a reply and without buffering
-   the rest *)
+   the rest. Counted exactly (Obs.Runtime.allocated_bytes), the feed
+   costs about one word per call plus the pending buffer's doublings, 4
+   bytes per byte: 240,000 bytes for 20,000 calls, of which OCaml 5.1
+   reads 173,240. Re-copying the pending bytes on each call would
+   allocate about 200 MB. *)
 let test_unterminated_handshake_closes () =
   let p = platform () in
   let ep = (P.connect p).P.endpoint in
   let junk = String.make 20_000 'a' in
-  let a0 = Gc.allocated_bytes () in
+  let a0 = Obs.Runtime.allocated_bytes () in
   let reply = feed_one_at_a_time ep junk in
-  let allocated = Gc.allocated_bytes () -. a0 in
+  let allocated = Obs.Runtime.allocated_bytes () -. a0 in
   check tint "no reply" 0 (String.length reply);
   check tbool "closed" true (Platform.Endpoint.is_closed ep);
   let ep' = (P.connect p).P.endpoint in
@@ -289,9 +293,10 @@ let test_unterminated_handshake_closes () =
   check tbool "closed at the bound" true (Platform.Endpoint.is_closed ep');
   check tint "a later handshake gets no reply" 0
     (String.length (Platform.Endpoint.feed ep (hello ())));
-  if allocated > float_of_int (2 * String.length junk) then
-    Alcotest.failf "%.0f bytes allocated for %d handshake bytes" allocated
-      (String.length junk)
+  let bound = ((Sys.word_size / 8) + 4) * String.length junk in
+  if allocated > float_of_int bound then
+    Alcotest.failf "%.0f bytes allocated for %d handshake bytes (bound %d)"
+      allocated (String.length junk) bound
 
 (* Mutation fuzz of the QIPC input path: valid handshake + query streams
    (one of them long enough to travel compressed) with bit flips,

@@ -82,16 +82,22 @@ let test_route_single () =
             s
       | _ -> Alcotest.fail "distribution-key equality should pin one shard")
     eqs;
-  (* a float literal's canonical text is not trusted for pinning *)
-  match
-    R.route m
-      (root_sort
-         (filtered
-            (I.NullSafeEq (I.ColRef "Symbol", I.Const (A.Float 1.0, Ty.TDouble))))
-         "hq_ord")
-  with
-  | R.Run (R.Merge _, _) -> ()
-  | _ -> Alcotest.fail "non-pinnable literal should fall back to scatter"
+  (* a number beyond 2^53 equals values of other key classes, so it
+     does not pin *)
+  List.iter
+    (fun (l, ty) ->
+      match
+        R.route m
+          (root_sort
+             (filtered (I.NullSafeEq (I.ColRef "Symbol", I.Const (l, ty))))
+             "hq_ord")
+      with
+      | R.Run (R.Merge _, _) -> ()
+      | _ -> Alcotest.fail "non-pinnable literal should fall back to scatter")
+    [
+      (A.Float 9007199254740994.0, Ty.TDouble);
+      (A.Int 9007199254740993L, Ty.TBigint);
+    ]
 
 let test_route_partial_agg () =
   let agg =
@@ -418,15 +424,64 @@ let test_coordinator_error () =
       | Ok _ -> Alcotest.fail "min over text and a number should fail"
       | Error e ->
           check Alcotest.string "rendered as a pgdb error"
-            "ERROR 42804: cannot compare text with double" e)
+            "ERROR 42804: cannot order text against a non-text value" e)
 
 (* ------------------------------------------------------------------ *)
 (* The platform end-to-end at --shards 2                               *)
 (* ------------------------------------------------------------------ *)
 
-let with_platform ?shards ?workers db f =
-  let p = P.create ?shards ?workers db in
+let with_platform ?shards ?workers ?distributions db f =
+  let p = P.create ?shards ?workers ?distributions db in
   Fun.protect ~finally:(fun () -> P.shutdown p) (fun () -> f p)
+
+(* A row's shard is its key's class under Exec.gkey_of. Over a double
+   distribution key holding 1.0 .. 20.0, the int literal k pins the
+   shard of the row k.0, so every point query answers as the single
+   backend does; text keys keep the shard of their string's hash. *)
+let test_pins_by_key_class () =
+  let db = Db.create () in
+  Db.load_table db
+    (S.table ~order_col:"hq_ord" "m"
+       [
+         S.column "hq_ord" Ty.TBigint;
+         S.column "k" Ty.TDouble;
+         S.column "v" Ty.TBigint;
+       ])
+    (List.init 20 (fun i ->
+         [| V.Int (Int64.of_int i); V.Float (float_of_int (i + 1));
+            V.Int (Int64.of_int (i + 1)) |]));
+  with_platform ~shards:4 ~distributions:[ ("m", "k") ] db (fun p ->
+      let c = P.Client.connect p in
+      for k = 1 to 20 do
+        let q = Printf.sprintf "select v from m where k=%d" k in
+        match ok (P.Client.query c q) with
+        | QV.Table t ->
+            check tbool q true
+              (QV.equal (QV.column_exn t "v") (QV.longs [| k |]))
+        | v -> Alcotest.failf "%s: %s" q (Qvalue.Qprint.to_string v)
+      done;
+      P.Client.close c);
+  let m = SM.create ~shards:4 ~distributions:[ ("m", "k") ] in
+  for k = 1 to 20 do
+    check tint
+      (Printf.sprintf "literals %d and %d.0 pin row %d.0's shard" k k k)
+      (SM.shard_of_value m (V.Float (float_of_int k)))
+      (SM.shard_of_lit m (A.Int (Int64.of_int k)));
+    check tint
+      (Printf.sprintf "the float literal %d.0" k)
+      (SM.shard_of_value m (V.Float (float_of_int k)))
+      (SM.shard_of_lit m (A.Float (float_of_int k)))
+  done;
+  check tint "-0.0 and 0 share a shard"
+    (SM.shard_of_value m (V.Int 0L))
+    (SM.shard_of_value m (V.Float (-0.0)));
+  (* FNV-1a of the string itself, as every earlier placement hashed
+     text: the shards hold the same text keys as before *)
+  List.iter
+    (fun (s, shard) ->
+      check tint ("text " ^ s) shard (SM.shard_of_value m (V.Str s));
+      check tint ("text literal " ^ s) shard (SM.shard_of_lit m (A.Str s)))
+    [ ("A", 0); ("B", 1); ("AAA", 2); ("MSFT", 3); ("5", 0); ("", 1) ]
 
 let test_sharded_platform_end_to_end () =
   with_platform ~shards:2 (make_db ()) (fun p ->
@@ -1044,8 +1099,8 @@ let select_on db sql =
 let same_cell ~boxed a b =
   match (a, b) with
   | V.Float x, V.Float y -> Float.equal x y
-  | _ when boxed -> V.compare_total a b = 0
-  | _ -> V.type_of a = V.type_of b && V.compare_total a b = 0
+  | _ when boxed -> Pgdb.Exec.compare_key a b = 0
+  | _ -> V.type_of a = V.type_of b && Pgdb.Exec.compare_key a b = 0
 
 (* a random grouped (or, with no keys, scalar) aggregate over [t], its
    groups sorted on every key *)
@@ -1319,6 +1374,7 @@ let () =
           Alcotest.test_case "concat" `Quick test_route_concat;
           Alcotest.test_case "merge" `Quick test_route_merge;
           Alcotest.test_case "single" `Quick test_route_single;
+          Alcotest.test_case "pins by key class" `Quick test_pins_by_key_class;
           Alcotest.test_case "partial-agg" `Quick test_route_partial_agg;
           Alcotest.test_case "pruned-scatter" `Quick test_route_pruned_scatter;
           Alcotest.test_case "coordinator" `Quick test_route_coordinator;
