@@ -214,15 +214,15 @@ module QT = Qvalue.Qtype
 module Batch = Pgdb.Batch
 
 (** The Q vector of a result column of SQL type [ty], [n] rows long,
-    read straight from its typed array. An int column becomes longs, or
-    the calendar type [ty] names; a float column floats; a text column
-    one atom per dictionary entry, shared by the rows that use it. A
-    boxed column (bool, calendar or mixed cells) goes atom by atom
-    through {!Typemap.atom_of_value}. The vector is what
-    {!QV.vector_of_atoms} makes of the same atoms: a NULL takes the
-    element type (bool and char have none: [0b], [" "]), an all-NULL
-    column is a long-null vector, mixed atoms a general list. An empty
-    column has the Q type of [ty], as kdb's does. *)
+    read straight from its typed payload. An int payload becomes longs,
+    or the calendar type [ty] names, or bools; a float column floats; a
+    text column one atom per dictionary entry, shared by the rows that
+    use it. A mixed column goes atom by atom through
+    {!Typemap.atom_of_value}. The vector is what {!QV.vector_of_atoms}
+    makes of the same atoms: a NULL takes the element type (bool and
+    char have none: [0b], [" "]), an all-NULL column is a long-null
+    vector, mixed atoms a general list. An empty column has the Q type
+    of [ty], as kdb's does. *)
 let vector_of_column (ty : Ty.t) (n : int) (c : Batch.column) : QV.t =
   let null = Batch.is_null c in
   let rec any_value i = i < n && ((not (null i)) || any_value (i + 1)) in
@@ -247,12 +247,24 @@ let vector_of_column (ty : Ty.t) (n : int) (c : Batch.column) : QV.t =
   if n = 0 then QV.Vector (Typemap.qtype_of_sql ty, [||])
   else
     match c.Batch.data with
-    | Batch.DInt a -> (
-        match ty with
-        | Ty.TDate -> typed QT.Date (fun i -> QA.Date (Int64.to_int a.(i)))
-        | Ty.TTime -> typed QT.Time (fun i -> QA.Time (Int64.to_int a.(i)))
-        | Ty.TTimestamp -> typed QT.Timestamp (fun i -> QA.Timestamp a.(i))
-        | _ -> typed QT.Long (fun i -> QA.Long a.(i)))
+    | Batch.DInt { kind; ints } -> (
+        let get i = Batch.Ivec.get_at ints (8 * i) in
+        let date i = QA.Date (Int64.to_int (Batch.Ivec.get_at ints (8 * i)))
+        and time i = QA.Time (Int64.to_int (Batch.Ivec.get_at ints (8 * i))) in
+        (* a bigint payload is read as the calendar type [ty] names; a
+           calendar or bool one of another type than [ty] goes atom by
+           atom, as its values would *)
+        match (kind, ty) with
+        | Batch.Bigint, Ty.TDate -> typed QT.Date date
+        | Batch.Bigint, Ty.TTime -> typed QT.Time time
+        | Batch.Bigint, Ty.TTimestamp -> typed QT.Timestamp (fun i -> QA.Timestamp (get i))
+        | Batch.Bigint, _ -> typed QT.Long (fun i -> QA.Long (get i))
+        | kind, ty when Batch.kind_of_type ty <> Some kind -> boxed ()
+        | Batch.Date, _ -> typed QT.Date date
+        | Batch.Time, _ -> typed QT.Time time
+        | Batch.Timestamp, _ -> typed QT.Timestamp (fun i -> QA.Timestamp (get i))
+        | Batch.Bool, _ ->
+            typed QT.Bool (fun i -> QA.Bool (Batch.Ivec.get_at ints (8 * i) <> 0L)))
     | Batch.DFloat a -> typed QT.Float (fun i -> QA.Float a.(i))
     | Batch.DStr { codes; dict } when Array.length dict <= n -> (
         let atoms =
@@ -265,15 +277,7 @@ let vector_of_column (ty : Ty.t) (n : int) (c : Batch.column) : QV.t =
         if Array.for_all (fun a -> QT.equal (QA.qtype a) qt) atoms then
           typed qt (fun i -> atoms.(codes.(i)))
         else boxed ())
-    | Batch.DVal a -> (
-        (* the common case: every cell is of [ty]'s own Q type *)
-        let qt = Typemap.qtype_of_sql ty in
-        let atom i =
-          let x = Typemap.atom_of_value ty a.(i) in
-          if QT.equal (QA.qtype x) qt then x else raise Exit
-        in
-        try typed qt atom with Exit -> boxed ())
-    | Batch.DStr _ -> boxed ()
+    | Batch.DStr _ | Batch.DVal _ -> boxed ()
 
 let table_of_result (res : Backend.result) : QV.table =
   let n = res.Backend.res_nrows in

@@ -115,32 +115,45 @@ let batch (sql : string) : string =
   Buffer.contents out
 
 (* A result column rebuilt from binary cells, its representation chosen
-   by the RowDescription type: int8 into ints, float8 into floats, text
-   into dictionary codes, and the rest boxed by {!Pgdb.Value.of_binary} *)
+   by the RowDescription type: float8 into floats, text into dictionary
+   codes, and int8, date, time, timestamp and bool into int payloads of
+   their kind *)
 let column_builder (ty : Catalog.Sqltype.t) : Pgdb.Batch.builder =
   Pgdb.Batch.builder
     (match ty with
-    | Catalog.Sqltype.TBigint -> `Int
     | Catalog.Sqltype.TDouble -> `Float
     | Catalog.Sqltype.TText | Catalog.Sqltype.TVarchar -> `Str
-    | Catalog.Sqltype.TBool | Catalog.Sqltype.TDate | Catalog.Sqltype.TTime
-    | Catalog.Sqltype.TTimestamp ->
-        `Val)
+    | ty -> `Int (Option.get (Pgdb.Batch.kind_of_type ty)))
 
-(* write [data.[off..off+len)], row [r]'s binary cell, into [b] *)
+(* write [data.[off..off+len)], row [r]'s binary cell, into [b]: the
+   inverse of the server's cells, a payload set in place. A length the
+   type's format does not have is a [type_mismatch]. *)
 let decode_cell (b : Pgdb.Batch.builder) ty r data off len =
+  let module I = Pgdb.Batch.Ivec in
   match b.Pgdb.Batch.cells with
-  | Pgdb.Batch.Ints c ->
-      if len <> 8 then Pgdb.Value.bad_width ty len;
-      Array.unsafe_set c.ints r (String.get_int64_be data off)
+  | Pgdb.Batch.Ints { kind; ints } -> (
+      match kind with
+      | Pgdb.Batch.Bigint ->
+          if len <> 8 then Pgdb.Value.bad_width ty len;
+          I.set_at ints (8 * r) (String.get_int64_be data off)
+      | Pgdb.Batch.Date ->
+          if len <> 4 then Pgdb.Value.bad_width ty len;
+          I.set_at ints (8 * r) (Int64.of_int32 (String.get_int32_be data off))
+      | Pgdb.Batch.Time ->
+          if len <> 8 then Pgdb.Value.bad_width ty len;
+          I.set_at ints (8 * r) (Int64.div (String.get_int64_be data off) 1000L)
+      | Pgdb.Batch.Timestamp ->
+          if len <> 8 then Pgdb.Value.bad_width ty len;
+          I.set_at ints (8 * r) (Int64.mul (String.get_int64_be data off) 1000L)
+      | Pgdb.Batch.Bool ->
+          if len <> 1 then Pgdb.Value.bad_width ty len;
+          I.set_at ints (8 * r) (if String.unsafe_get data off <> '\000' then 1L else 0L))
   | Pgdb.Batch.Floats c ->
       if len <> 8 then Pgdb.Value.bad_width ty len;
       Array.unsafe_set c.floats r
         (Int64.float_of_bits (String.get_int64_be data off))
   | Pgdb.Batch.Texts c ->
       Array.unsafe_set c.codes r (Pgdb.Batch.intern c.dict data off len)
-  | Pgdb.Batch.Boxed c ->
-      Array.unsafe_set c.vals r (Pgdb.Value.of_binary ty data off len)
 
 (** Run one statement: its whole {!batch} goes out in one transport
     write, then the reply streams in until ReadyForQuery. Each binary
