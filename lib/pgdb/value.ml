@@ -18,6 +18,18 @@ type t =
 
 let is_null = function Null -> true | _ -> false
 
+(** One int per type, -1 for NULL: two non-NULL values have one type
+    exactly when their codes are equal. *)
+let type_code = function
+  | Null -> -1
+  | Bool _ -> 0
+  | Int _ -> 1
+  | Float _ -> 2
+  | Str _ -> 3
+  | Date _ -> 4
+  | Time _ -> 5
+  | Timestamp _ -> 6
+
 let type_of : t -> Catalog.Sqltype.t option = function
   | Null -> None
   | Bool _ -> Some Catalog.Sqltype.TBool
@@ -285,59 +297,16 @@ let to_display v = match to_text v with Some s -> s | None -> "NULL"
 (* Binary format (PG v3 binary result cells)                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The wire server writes binary cells from a column's payloads and the
+   client reads them back into payloads (Pgwire.Server.int_cells,
+   Pgwire.Client.decode_cell); these are the limits they share. *)
+
 (* the widest time, in ms, whose microsecond count fits an int64 *)
 let max_binary_time = Int64.to_int (Int64.div Int64.max_int 1000L)
 
-(** Append [v]'s PG binary format, as sent in DataRow cells whose result
-    format is binary; [Null] appends nothing. float8 and int8 are
-    big-endian; a date is an int32 of days since 2000-01-01 (pgdb's own
-    epoch); a time is an int64 of microseconds; a timestamp an int64 of
-    microseconds since 2000-01-01, the floor of its nanoseconds / 1000
-    as in the text format; a bool one byte; text its raw bytes. A date
-    or time the format cannot hold is 22008. *)
-let add_binary b = function
-  | Null -> ()
-  | Bool v -> Buffer.add_char b (if v then '\001' else '\000')
-  | Int i -> Buffer.add_int64_be b i
-  | Float f -> Buffer.add_int64_be b (Int64.bits_of_float f)
-  | Str s -> Buffer.add_string b s
-  | Date d ->
-      if d < -0x8000_0000 || d > 0x7fff_ffff then
-        Errors.datetime_overflow "date %d out of range" d;
-      Buffer.add_int32_be b (Int32.of_int d)
-  | Time t ->
-      if t < -max_binary_time || t > max_binary_time then
-        Errors.datetime_overflow "time %d ms out of range" t;
-      Buffer.add_int64_be b (Int64.mul (Int64.of_int t) 1000L)
-  | Timestamp n ->
-      let us = Int64.div n 1000L in
-      Buffer.add_int64_be b
-        (if Int64.compare (Int64.rem n 1000L) 0L < 0 then Int64.pred us else us)
-
+(** A binary cell whose length the type's format does not have. *)
 let bad_width ty len =
   Errors.type_mismatch "%d-byte binary %s cell" len (Catalog.Sqltype.name ty)
-
-(** Decode the binary cell [s.[off..off+len)], guided by the column type.
-    A length the type's format does not have is a [type_mismatch]. *)
-let of_binary (ty : Catalog.Sqltype.t) (s : string) (off : int) (len : int) : t
-    =
-  match ty with
-  | Catalog.Sqltype.TVarchar | Catalog.Sqltype.TText -> Str (String.sub s off len)
-  | Catalog.Sqltype.TBool ->
-      if len <> 1 then bad_width ty len;
-      Bool (s.[off] <> '\000')
-  | Catalog.Sqltype.TDate ->
-      if len <> 4 then bad_width ty len;
-      Date (Int32.to_int (String.get_int32_be s off))
-  | Catalog.Sqltype.TBigint | Catalog.Sqltype.TDouble | Catalog.Sqltype.TTime
-  | Catalog.Sqltype.TTimestamp -> (
-      if len <> 8 then bad_width ty len;
-      let v = String.get_int64_be s off in
-      match ty with
-      | Catalog.Sqltype.TBigint -> Int v
-      | Catalog.Sqltype.TDouble -> Float (Int64.float_of_bits v)
-      | Catalog.Sqltype.TTime -> Time (Int64.to_int (Int64.div v 1000L))
-      | _ -> Timestamp (Int64.mul v 1000L))
 
 (* Text parsing reads fields in place, bounded to [s.[i..j)]; any
    malformed field raises [Malformed], which [of_text] reports as the

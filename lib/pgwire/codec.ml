@@ -107,14 +107,17 @@ let get_cstr r =
    frame. [Incomplete] while the frame has not fully arrived;
    [Decode_error] for a length below [min_len], which would otherwise
    consume no bytes and stall the caller forever. *)
-let open_frame data off ~tag_bytes ~min_len =
-  let body = off + tag_bytes + 4 in
-  if body > String.length data then raise Incomplete;
+let frame_limit data off ~tag_bytes ~min_len =
+  if off + tag_bytes + 4 > String.length data then raise Incomplete;
   let len = Int32.to_int (String.get_int32_be data (off + tag_bytes)) in
   if len < min_len then decode_error "invalid message length %d" len;
   let limit = off + tag_bytes + len in
   if limit > String.length data then raise Incomplete;
-  { data; pos = body; limit }
+  limit
+
+let open_frame data off ~tag_bytes ~min_len =
+  let limit = frame_limit data off ~tag_bytes ~min_len in
+  { data; pos = off + tag_bytes + 4; limit }
 
 (* ------------------------------------------------------------------ *)
 (* Messages                                                            *)
@@ -318,20 +321,29 @@ let encode_frontend (m : frontend_msg) : string =
    returns it plus the bytes it consumed. [Incomplete] means the frame
    has not fully arrived; [Decode_error] means it never will decode. *)
 
-(* a DataRow body's cells, each handed over in place: [null i] for a
-   SQL NULL, [cell i data off len] for the bytes [data.[off..off+len)];
-   returns the cell count *)
-let data_row_cells r ~(null : int -> unit)
+(* the cells of the DataRow body [data.[pos..limit)], each handed over
+   in place: [null i] for a SQL NULL, [cell i data off len] for the
+   bytes [data.[off..off+len)]; returns the cell count. Fields are
+   bounded to the frame as a {!reader}'s are, without building one. *)
+let data_row_cells data pos limit ~(null : int -> unit)
     ~(cell : int -> string -> int -> int -> unit) =
-  let n = get_count r ~width:4 in
+  let overrun () = decode_error "field overruns its frame" in
+  if pos + 2 > limit then overrun ();
+  let n = String.get_int16_be data pos in
+  if n < 0 then decode_error "negative field count %d" n;
+  if n * 4 > limit - pos - 2 then
+    decode_error "%d elements overrun their frame" n;
+  let pos = ref (pos + 2) in
   for i = 0 to n - 1 do
-    let len = get_i32 r in
+    if !pos + 4 > limit then overrun ();
+    let len = Int32.to_int (String.get_int32_be data !pos) in
+    pos := !pos + 4;
     if len = -1 then null i
     else begin
-      need r len;
-      let off = r.pos in
-      r.pos <- r.pos + len;
-      cell i r.data off len
+      if len < 0 || !pos + len > limit then overrun ();
+      let off = !pos in
+      pos := off + len;
+      cell i data off len
     end
   done;
   n
@@ -377,7 +389,7 @@ let decode_backend ?(off = 0) (data : string) : backend_msg * int =
     | 'D' ->
         let cells = ref [] in
         ignore
-          (data_row_cells r
+          (data_row_cells r.data r.pos r.limit
              ~null:(fun _ -> cells := None :: !cells)
              ~cell:(fun _ s off len ->
                cells := Some (String.sub s off len) :: !cells));
@@ -527,13 +539,13 @@ let take inp (decode : ?off:int -> string -> 'a * int) : 'a =
 
 (** Decode the DataRow at the cursor without building it, and advance
     past it: each cell goes to [null] or [cell] as {!data_row_cells}
-    hands it over, read in place, so a frame allocates only its reader.
+    hands it over, read in place, so a frame allocates nothing.
     Returns the cell count. [Incomplete] (before any cell is handed
     over) while the frame has not fully arrived. *)
 let take_data_row inp ~null ~cell : int =
   let data = inp.buf and off = inp.pos in
-  let r = open_frame data off ~tag_bytes:1 ~min_len:4 in
+  let limit = frame_limit data off ~tag_bytes:1 ~min_len:4 in
   if data.[off] <> 'D' then decode_error "expected DataRow, got %C" data.[off];
-  let n = data_row_cells r ~null ~cell in
-  inp.pos <- r.limit;
+  let n = data_row_cells data (off + 5) limit ~null ~cell in
+  inp.pos <- limit;
   n

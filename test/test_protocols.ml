@@ -882,6 +882,46 @@ let test_hostile_field_overruns_frame () =
   | exception PC.Decode_error _ -> ()
   | _ -> Alcotest.fail "cell past its frame must be malformed"
 
+(* a binary cell of a width its column's type does not have, in each
+   type the client decodes into an int payload, a float or text: every
+   one but text is a malformed binary cell, never a misread *)
+let test_wrong_width_cells () =
+  let module Ty = Catalog.Sqltype in
+  List.iter
+    (fun (ty, cell) ->
+      let rd =
+        PC.encode_backend
+          (PC.RowDescription
+             [ { PC.fd_name = "a"; fd_type_oid = PC.oid_of_type ty; fd_format = PC.Binary } ])
+      in
+      let reply =
+        PC.encode_backend PC.ParseComplete
+        ^ PC.encode_backend PC.BindComplete
+        ^ rd
+        ^ PC.encode_backend (PC.DataRow [ Some cell ])
+        ^ PC.encode_backend (PC.CommandComplete "SELECT 1")
+        ^ PC.encode_backend (PC.ReadyForQuery 'I')
+      in
+      let client, _ = scripted_backend reply in
+      match Pgwire.Client.query client "SELECT 1" with
+      | exception Pgwire.Client.Protocol_error e ->
+          let p = "malformed binary cell" in
+          if String.length e < String.length p || String.sub e 0 (String.length p) <> p
+          then Alcotest.failf "%s: %s" (Ty.name ty) e
+      | Ok _ | Error _ -> Alcotest.failf "%s: a %d-byte cell was read" (Ty.name ty)
+            (String.length cell))
+    Ty.
+      [
+        (TBigint, "\000\001");
+        (TDouble, "\000\000\000\000");
+        (TDate, "\000\000\000\000\000\000\000\001");
+        (TDate, "\001");
+        (TTime, "\000\000\000\001");
+        (TTimestamp, "\000\000\000\000\000\000\000\000\000");
+        (TBool, "");
+        (TBool, "\000\001");
+      ]
+
 let test_truncated_frame_waits () =
   (* a frame cut short is not malformed: the decoder asks for more bytes,
      and only a closed connection turns it into an error *)
@@ -1082,9 +1122,9 @@ let test_chunked_large_result () =
 let test_decode_allocation_is_linear () =
   (* the whole extended-protocol reply arrives in one piece, as from the
      in-process gateway; decoding it may allocate a small constant times
-     its size (a boxed value per calendar or bool cell, an int64 box per
-     int cell, a column slot per cell). Copying the undecoded tail after
-     every message allocates quadratically, about 10,000x, and fails. *)
+     its size (a column slot per cell, a string per new text). Copying
+     the undecoded tail after every message allocates quadratically,
+     about 10,000x, and fails. *)
   let server = Pgwire.Server.create (big_session ()) in
   let replay = ref None in
   let transport bytes =
@@ -1140,12 +1180,13 @@ let least_words f =
   done;
   !best /. float_of_int (Sys.word_size / 8)
 
-(* The server writes DataRows straight from the typed columns: beyond
-   the output buffer it allocates a few hundred words for the whole
-   result (two work buffers and a writer per column), never a word per
-   cell; 0.001 words a cell measured on OCaml 5.1. Writing from boxed
-   rows allocated closures per row, 2.20 words a cell, on top of the
-   7.2 words a cell pgdb spent building those rows. The budget is 0.01
+(* The server writes DataRows straight from the typed columns, sized
+   first and then written in place into its domain's reused row-stream
+   bytes: beyond the output buffer it allocates a few hundred words for
+   the whole result (a cell writer per column), never a word per cell;
+   0.001 words a cell measured on OCaml 5.1. Writing from boxed rows
+   allocated closures per row, 2.20 words a cell, on top of the 7.2
+   words a cell pgdb spent building those rows. The budget is 0.01
    words a cell. *)
 let test_encode_allocation () =
   let session = wide_session () in
@@ -1170,13 +1211,15 @@ let test_encode_allocation () =
           per_cell)
     [ PC.Binary ]
 
-(* The client decodes binary cells into per-column arrays: an int
-   column costs its array slot and the int64 box (4 words a cell), a
-   float or text column one word (a repeated string is found in the
-   dictionary in place), and each DataRow frame its 4-word reader:
-   3.35 words a cell measured on OCaml 5.1. Decoding into boxed rows
-   measured 10.3 (a Value.t and its payload per cell, a substring per
-   text cell, an array and a list cell per row). The budget is 3.5
+(* The client decodes binary cells in place into per-column payloads:
+   an int cell costs its 8 payload bytes, a float its slot in a float
+   array and a text cell its dictionary code, one word each (a repeated
+   string is found in the dictionary in place), and a DataRow frame is
+   walked without a reader: 1.01 words a cell measured on OCaml 5.1.
+   With an int64 array and a 4-word reader per frame it measured 3.35
+   (an int cell cost its slot and its box, 4 words), and decoding into
+   boxed rows 10.3 (a Value.t and its payload per cell, a substring per
+   text cell, an array and a list cell per row). The budget is 1.1
    words a cell. *)
 let test_decode_allocation () =
   let server = Pgwire.Server.create (wide_session ()) in
@@ -1195,8 +1238,8 @@ let test_decode_allocation () =
         | Error e -> Alcotest.fail e)
   in
   let per_cell = words /. float_of_int (3 * wide_rows) in
-  if per_cell > 3.5 then
-    Alcotest.failf "decode: %.2f words a cell, budget 3.5" per_cell
+  if per_cell > 1.1 then
+    Alcotest.failf "decode: %.2f words a cell, budget 1.1" per_cell
 
 (* Decoding the encoded big_table 5000 reply (three 5,000-element
    column vectors, compressed) from an emptied minor heap. Each vector
@@ -1450,11 +1493,29 @@ let test_civil_successor_days () =
   done;
   check tint "walked to 10000-01-01" 10000 !y
 
-(* [v] through the binary format and back *)
+(* row 0's binary cell of a column of type [ty], decoded as the client
+   decodes it *)
+let decode_binary_cell ty data off len =
+  let b = Pgwire.Client.column_builder ty in
+  Pgdb.Batch.reserve b 1;
+  Pgwire.Client.decode_cell b ty 0 data off len;
+  Pgdb.Batch.value_at (Pgdb.Batch.finish b 1) 0
+
+(* [v] through the binary format and back: written by the wire server
+   from a one-row column, read by the client's cell decoder *)
 let binary_roundtrip ty v =
-  let b = Buffer.create 16 in
-  PV.add_binary b v;
-  PV.of_binary ty (Buffer.contents b) 0 (Buffer.length b)
+  let out = Buffer.create 32 in
+  Pgwire.Server.data_rows out
+    {
+      Pgdb.Exec.res_cols = [ ("v", ty) ];
+      res_nrows = 1;
+      res_columns = [| Pgdb.Batch.column_of_values [| v |] |];
+    }
+    [| PC.Binary |];
+  let row = Buffer.contents out in
+  (* tag, length, cell count, then the cell's length and bytes *)
+  let len = Int32.to_int (String.get_int32_be row 7) in
+  if len < 0 then PV.Null else decode_binary_cell ty row 11 len
 
 (* The binary round trip is the identity wherever the text round trip
    is, NaN included. The one exception is a time whose microseconds
@@ -1489,7 +1550,7 @@ let test_binary_edge_cases () =
     (binary_roundtrip Catalog.Sqltype.TTimestamp (PV.Timestamp (-1L))
     = PV.Timestamp (-1000L));
   (* a cell of the wrong width is refused, not misread *)
-  match PV.of_binary Catalog.Sqltype.TBigint "\000\001" 0 2 with
+  match decode_binary_cell Catalog.Sqltype.TBigint "\000\001" 0 2 with
   | exception Pgdb.Errors.Sql_error _ -> ()
   | _ -> Alcotest.fail "a 2-byte int8 cell must be refused"
 
@@ -1777,21 +1838,30 @@ let test_wire_roundtrip_edges () =
     ]
 
 (* A date or time the binary format cannot hold, anywhere in a generated
-   result, answers one 22008 ErrorResponse and no DataRow *)
+   result, in a stored typed column or a boxed one, answers one 22008
+   ErrorResponse and no DataRow *)
 let prop_wire_overflow =
   QCheck.Test.make ~count:100 ~name:"unencodable cell: one 22008, no rows"
     (QCheck.make ~print:print_result
        QCheck.Gen.(
          gen_result ~min_rows:1 () >>= fun cols ->
          let n = Array.length (List.hd cols).g_cells in
-         map2
-           (fun row bad ->
+         map3
+           (fun row bad g_boxed ->
              let cells = Array.make n PV.Null in
              cells.(row) <- bad;
              let g_ty = match bad with PV.Date _ -> Ty.TDate | _ -> Ty.TTime in
-             cols @ [ { g_ty; g_cells = cells; g_boxed = true } ])
+             cols @ [ { g_ty; g_cells = cells; g_boxed } ])
            (int_range 0 (n - 1))
-           (oneofl [ PV.Date 0x8000_0000; PV.Date (-0x8000_0001); PV.Time max_int ])))
+           (oneofl
+              [
+                PV.Date 0x8000_0000;
+                PV.Date (-0x8000_0001);
+                PV.Time max_int;
+                PV.Time (PV.max_binary_time + 1);
+                PV.Time (-PV.max_binary_time - 1);
+              ])
+           bool))
     (fun cols ->
       let session, sql = result_session cols in
       shape (Pgwire.Server.feed (started_server session) (Pgwire.Client.batch sql))
@@ -1966,6 +2036,8 @@ let () =
             test_hostile_field_overruns_frame;
           Alcotest.test_case "truncated frame waits" `Quick
             test_truncated_frame_waits;
+          Alcotest.test_case "wrong-width typed cells" `Quick
+            test_wrong_width_cells;
           Alcotest.test_case "server rejects malformed" `Quick
             test_server_rejects_malformed;
           Alcotest.test_case "oversized counts" `Quick test_oversized_counts;
