@@ -59,10 +59,6 @@ let create backend =
 
 let generation t = t.generation
 
-let invalidate t name =
-  t.generation <- t.generation + 1;
-  Hashtbl.remove t.cache (String.lowercase_ascii name)
-
 (* catalog round trip: fetch column metadata through SQL *)
 let fetch (t : t) (lname : string) : S.table_def option =
   t.misses <- t.misses + 1;

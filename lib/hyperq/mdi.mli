@@ -19,15 +19,11 @@ and entry = { def : Catalog.Schema.table_def; mutable age : int }
     not CREATE TEMPORARY) bumps the catalog generation. *)
 val create : Backend.t -> t
 
-(** Catalog generation: bumped on {!invalidate}, on DDL
-    observed through [Backend.exec], and on a cache refetch that returns
-    a changed (or vanished) definition. Cached translations embed the
-    generation they were bound under; a bump makes them unreachable. *)
+(** Catalog generation: bumped on DDL observed through [Backend.exec],
+    and on a cache refetch that returns a changed (or vanished)
+    definition. Cached translations embed the generation they were
+    bound under; a bump makes them unreachable. *)
 val generation : t -> int
-
-(** Drop one cached table (e.g. after DDL); the catalog generation
-    advances. *)
-val invalidate : t -> string -> unit
 
 (** Resolve a table by (case-insensitive) name: cache first, then a SQL
     query against [pg_catalog_columns]. Returns columns, keys and the

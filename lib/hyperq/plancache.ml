@@ -504,18 +504,12 @@ let default_listed = 50
 
 (** The [n] (default {!default_listed}) most-hit entries as the relation
     behind [.hq.plancache] and [GET /plancache.json], with hit counts
-    and estimated translation time saved; [None] is a disabled cache. *)
-let relation ?(n = default_listed) (t : t option) : Obs.Relation.t =
-  let doc, entries =
-    match t with
-    | None -> (Obs.Relation.[ ("enabled", Bool false); ("size", Int 0); ("evictions", Int 0) ], [])
-    | Some t ->
-        ( Obs.Relation.
-            [ ("enabled", Bool true); ("size", Int (size t)); ("evictions", Int (evictions t)) ],
-          entries t )
-  in
+    and estimated translation time saved. *)
+let relation ?(n = default_listed) (t : t) : Obs.Relation.t =
   Obs.Relation.(
-    make ~fields:doc ~n
+    make
+      ~fields:[ ("size", Int (size t)); ("evictions", Int (evictions t)) ]
+      ~n
       [
         str "fingerprint" (fun e -> e.e_key.k_fingerprint);
         str "signature" (fun e -> e.e_key.k_signature);
@@ -524,4 +518,4 @@ let relation ?(n = default_listed) (t : t option) : Obs.Relation.t =
         int "hits" (fun e -> e.e_hits);
         float "saved_seconds" (fun e -> e.e_saved_s);
       ]
-      entries)
+      (entries t))

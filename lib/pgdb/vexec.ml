@@ -211,24 +211,6 @@ let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
    input, when none does the empty array. *)
 type kernel = Batch.sel -> Batch.sel
 
-(* the [m] entries of [sel] whose positions [passes] *)
-let take_passing (sel : Batch.sel) (m : int) (passes : int -> bool) :
-    Batch.sel =
-  let n = Array.length sel in
-  if m = n then sel
-  else if m = 0 then [||]
-  else begin
-    let out = Array.make m 0 in
-    let k = ref 0 in
-    for t = 0 to n - 1 do
-      if passes t then begin
-        Array.unsafe_set out !k (Array.unsafe_get sel t);
-        incr k
-      end
-    done;
-    out
-  end
-
 (* the rows of [sel] that pass a [pred] that boxes, or may raise, per
    row: it runs once per row, in row order, and its verdicts wait in a
    bitmap *)
@@ -242,7 +224,19 @@ let filter_sel (sel : Batch.sel) (pred : int -> bool) : Batch.sel =
       incr m
     end
   done;
-  take_passing sel !m (Batch.bit_get pass)
+  if !m = n then sel
+  else if !m = 0 then [||]
+  else begin
+    let out = Array.make !m 0 in
+    let k = ref 0 in
+    for t = 0 to n - 1 do
+      if Batch.bit_get pass t then begin
+        Array.unsafe_set out !k (Array.unsafe_get sel t);
+        incr k
+      end
+    done;
+    out
+  end
 
 (* only a [Some c] comparison passing [test] survives; NULL never does *)
 let cmp_test (op : A.binop) : (int -> bool) option =
@@ -417,8 +411,8 @@ let text_kernel (c : Batch.column) (codes : int array) (dict : string array)
    Float.compare's "NaN below every number" does, on the [<] and [<=]
    sides. *)
 
-(* a kernel's bound: a literal, or a CAST of one, folded when the
-   kernel is built. A literal the cast rejects builds no kernel: the
+(* a BETWEEN kernel's bound: a literal, or a CAST of one, folded when
+   the kernel is built. A literal the cast rejects builds no kernel: the
    closure then raises when a row reaches the cast, and only then *)
 type bound = Lit of A.lit | Cast of A.lit * Catalog.Sqltype.t
 
@@ -506,48 +500,45 @@ let int_interval (kind : Batch.kind) (lo : Value.t option)
   | Some a, Some b -> [ a; b ]
   | _ -> [ Int64.max_int; Int64.min_int ]
 
-(* comparison against a bound, specialized per column representation *)
-let cmp_kernel (c : Batch.column) (op : A.binop) (b : bound) : kernel option =
+(* comparison against a literal, specialized per column representation *)
+let cmp_kernel (c : Batch.column) (op : A.binop) (l : A.lit) : kernel option =
   match cmp_test op with
-  | Some test when fits c b -> (
-      match bound_value b with
-      | exception Errors.Sql_error _ -> None
-      | v ->
-          Some
-            (match (c.Batch.data, v) with
-             | _, Value.Null -> fun _ -> [||]
-             | Batch.DInt { kind; ints }, v ->
-                 let v = Some v in
-                 let (lo, hi), flip =
-                   match op with
-                   | A.Ge -> ((v, None), 0)
-                   | A.Lt -> ((v, None), 1)
-                   | A.Le -> ((None, v), 0)
-                   | A.Gt -> ((None, v), 1)
-                   | A.Neq -> ((v, v), 1)
-                   | _ -> ((v, v), 0)
-                 in
-                 int_kernel c ints (Array.of_list (int_interval kind lo hi)) flip
-             | Batch.DFloat a, v ->
-                 let f = Option.get (Value.to_float v) in
-                 let above =
-                   if f = Float.infinity then [| f; Float.neg_infinity |]
-                   else [| Float.succ f; Float.infinity |]
-                 in
-                 let r, flip =
-                   match op with
-                   | A.Ge -> ([| f; Float.infinity |], 0)
-                   | A.Lt -> ([| f; Float.infinity |], 1)
-                   | A.Gt -> (above, 0)
-                   | A.Le -> (above, 1)
-                   | A.Neq -> ([| f; f |], 1)
-                   | _ -> ([| f; f |], 0)
-                 in
-                 float_kernel c a r flip
-             | Batch.DStr { codes; dict }, v ->
-                 let lit = Option.get (Value.to_text v) in
-                 text_kernel c codes dict (fun s -> test (String.compare s lit))
-             | Batch.DVal _, _ -> invalid_arg "vexec: cmp_kernel on a boxed column"))
+  | Some test when fits c (Lit l) ->
+      Some
+        (match (c.Batch.data, Value.of_lit l) with
+         | _, Value.Null -> fun _ -> [||]
+         | Batch.DInt { kind; ints }, v ->
+             let v = Some v in
+             let (lo, hi), flip =
+               match op with
+               | A.Ge -> ((v, None), 0)
+               | A.Lt -> ((v, None), 1)
+               | A.Le -> ((None, v), 0)
+               | A.Gt -> ((None, v), 1)
+               | A.Neq -> ((v, v), 1)
+               | _ -> ((v, v), 0)
+             in
+             int_kernel c ints (Array.of_list (int_interval kind lo hi)) flip
+         | Batch.DFloat a, v ->
+             let f = Option.get (Value.to_float v) in
+             let above =
+               if f = Float.infinity then [| f; Float.neg_infinity |]
+               else [| Float.succ f; Float.infinity |]
+             in
+             let r, flip =
+               match op with
+               | A.Ge -> ([| f; Float.infinity |], 0)
+               | A.Lt -> ([| f; Float.infinity |], 1)
+               | A.Gt -> (above, 0)
+               | A.Le -> (above, 1)
+               | A.Neq -> ([| f; f |], 1)
+               | _ -> ([| f; f |], 0)
+             in
+             float_kernel c a r flip
+         | Batch.DStr { codes; dict }, v ->
+             let lit = Option.get (Value.to_text v) in
+             text_kernel c codes dict (fun s -> test (String.compare s lit))
+         | Batch.DVal _, _ -> invalid_arg "vexec: cmp_kernel on a boxed column")
   | _ -> None
 
 (* [x BETWEEN lo AND hi] for bounds: [x >= lo AND x <= hi] as one
@@ -610,36 +601,28 @@ let in_kernel (c : Batch.column) (lits : A.lit list) : kernel option =
 (* Batch expression evaluation                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Whole-column evaluation of scalar expressions: instead of calling a
-   compiled closure once per surviving index (boxing a Value.t at every
-   node of the expression per row), supported expressions compile to
+(* Whole-column evaluation of an aggregate's argument: instead of
+   calling a compiled closure once per surviving index (boxing a
+   Value.t at every node of the expression per row), bigint and float
+   columns, int and float literals and [+ - *] over them compile to
    kernels that fill a typed output vector for the whole selection in
-   one monomorphic loop per operator.
-
-   Only operations that can never raise are admitted — arithmetic over
-   int64/float columns (add/sub/mul; div and mod raise on zero and stay
-   on the closure path), same-representation comparisons, 3VL boolean
-   combinators, IS [NOT] NULL — so evaluating operands column-at-a-time
-   instead of row-at-a-time cannot reorder an error the closure would
-   have raised. Null bitmaps propagate exactly as the null-propagating
-   Value ops do. *)
+   one monomorphic loop per operator. None of these operations can
+   raise (div and mod raise on zero and stay on the closure path), so
+   evaluating operands column-at-a-time instead of row-at-a-time cannot
+   reorder an error the closure would have raised. Null bitmaps
+   propagate exactly as the null-propagating Value ops do. *)
 
 (* a sel-aligned result vector: slot [t] holds the value for base row
    [sel.(t)]; [rnulls] is a packed bitmap over slots (empty = none) *)
-type vvec =
-  | VInt of Batch.Ivec.t
-  | VFloat of float array
-  | VStr of string array
-  | VBool of bool array
+type vvec = VInt of Batch.Ivec.t | VFloat of float array
 
 type vres = { rdata : vvec; rnulls : Bytes.t }
 
 (* static result representation, decided at compile time so runtime
    dispatch on operand vectors can never fail. [TInt k] holds payloads
-   of kind [k]: only bigints enter arithmetic, and a calendar or bool
-   payload compares only with one of its own kind, where compare3 is
-   the payload order. *)
-type vty = TInt of Batch.kind | TFloat | TStr | TBool
+   of kind [k]; only bigints enter these kernels, and an aggregate of a
+   plain calendar or bool column folds its payloads as [TInt] too. *)
+type vty = TInt of Batch.kind | TFloat
 
 type vkernel = Batch.sel -> vres
 
@@ -660,10 +643,10 @@ let vnull_union n (a : Bytes.t) (b : Bytes.t) : Bytes.t =
     out
   end
 
-(* lift a base column into a sel-aligned vector. A selection as long as
-   the column is its identity (selections ascend without repeats), and
-   the vector then shares the column's payload and bitmap: no kernel
-   writes to an operand. *)
+(* lift a bigint or float column into a sel-aligned vector. A selection
+   as long as the column is its identity (selections ascend without
+   repeats), and the vector then shares the column's payload and
+   bitmap: no kernel writes to an operand. *)
 let vload (c : Batch.column) : (vty * vkernel) option =
   let pull_nulls sel whole =
     if not c.Batch.has_nulls then vnull_empty
@@ -682,9 +665,9 @@ let vload (c : Batch.column) : (vty * vkernel) option =
     end
   in
   match c.Batch.data with
-  | Batch.DInt { kind; ints } ->
+  | Batch.DInt { kind = Batch.Bigint; ints } ->
       Some
-        ( TInt kind,
+        ( TInt Batch.Bigint,
           fun sel ->
             let whole = Array.length sel = Batch.Ivec.length ints in
             {
@@ -709,18 +692,7 @@ let vload (c : Batch.column) : (vty * vkernel) option =
               end
             in
             { rdata = VFloat v; rnulls = pull_nulls sel whole } )
-  | Batch.DStr { codes; dict } ->
-      Some
-        ( TStr,
-          fun sel ->
-            {
-              rdata =
-                VStr
-                  (Array.init (Array.length sel) (fun t ->
-                       dict.(Array.unsafe_get codes (Array.unsafe_get sel t))));
-              rnulls = pull_nulls sel (Array.length sel = Array.length codes);
-            } )
-  | Batch.DVal _ -> None
+  | _ -> None
 
 let vlit (l : A.lit) : (vty * vkernel) option =
   match l with
@@ -740,21 +712,7 @@ let vlit (l : A.lit) : (vty * vkernel) option =
               rdata = VFloat (Array.make (Array.length sel) v);
               rnulls = vnull_empty;
             } )
-  | A.Str v ->
-      Some
-        ( TStr,
-          fun sel ->
-            { rdata = VStr (Array.make (Array.length sel) v); rnulls = vnull_empty }
-        )
-  | A.Bool v ->
-      Some
-        ( TBool,
-          fun sel ->
-            {
-              rdata = VBool (Array.make (Array.length sel) v);
-              rnulls = vnull_empty;
-            } )
-  | A.Null -> None
+  | _ -> None
 
 (* float vectors are filled by explicit loops: a float returned from a
    closure (Array.init, Array.map) is boxed on the way *)
@@ -766,7 +724,6 @@ let as_float = function
       done;
       out
   | VFloat a -> a
-  | _ -> invalid_arg "vexec: kernel type confusion"
 
 (* [a op b] slot by slot for [op] one of [+ - *] *)
 let float_arith (op : A.binop) (a : float array) (b : float array) :
@@ -834,53 +791,6 @@ let varith (op : A.binop) (ta, ka) (tb, kb) : (vty * vkernel) option =
             } )
   | _ -> None
 
-(* same-representation comparisons, with the exact compare each
-   Value.compare3 arm applies: Int64.compare for int/int,
-   String.compare for str/str, Stdlib.compare for bool/bool, and
-   float compare after to_float for any int/float mix *)
-let vcompare (op : A.binop) (ta, ka) (tb, kb) : (vty * vkernel) option =
-  match cmp_test op with
-  | None -> None
-  | Some test ->
-      (* [prep] converts each operand once, before the slot loop *)
-      let mk ?(prep = Fun.id) cmp =
-        Some
-          ( TBool,
-            fun sel ->
-              let a = ka sel and b = kb sel in
-              let av = prep a.rdata and bv = prep b.rdata in
-              let n = Array.length sel in
-              {
-                rdata = VBool (Array.init n (fun t -> test (cmp av bv t)));
-                rnulls = vnull_union n a.rnulls b.rnulls;
-              } )
-      in
-      (match (ta, tb) with
-      | TInt ka, TInt kb when ka = kb ->
-          mk (fun a b t ->
-              match (a, b) with
-              | VInt x, VInt y ->
-                  Int64.compare (Batch.Ivec.get_at x (8 * t)) (Batch.Ivec.get_at y (8 * t))
-              | _ -> invalid_arg "vexec: kernel type confusion")
-      | TStr, TStr ->
-          mk (fun a b t ->
-              match (a, b) with
-              | VStr x, VStr y -> String.compare x.(t) y.(t)
-              | _ -> invalid_arg "vexec: kernel type confusion")
-      | TBool, TBool ->
-          mk (fun a b t ->
-              match (a, b) with
-              | VBool x, VBool y -> Stdlib.compare x.(t) y.(t)
-              | _ -> invalid_arg "vexec: kernel type confusion")
-      | (TInt Batch.Bigint | TFloat), (TInt Batch.Bigint | TFloat) ->
-          mk
-            ~prep:(fun v -> VFloat (as_float v))
-            (fun a b t ->
-              match (a, b) with
-              | VFloat x, VFloat y -> Float.compare x.(t) y.(t)
-              | _ -> invalid_arg "vexec: kernel type confusion")
-      | _ -> None)
-
 let rec compile_vec (bindings : Exec.binding list)
     (col : int -> Batch.column) (e : A.expr) : (vty * vkernel) option =
   let comp e = compile_vec bindings col e in
@@ -891,129 +801,11 @@ let rec compile_vec (bindings : Exec.binding list)
       match (comp a, comp b) with
       | Some ca, Some cb -> varith op ca cb
       | _ -> None)
-  | A.Bin ((A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge) as op, a, b) -> (
-      match (comp a, comp b) with
-      | Some ca, Some cb -> vcompare op ca cb
-      | _ -> None)
-  | A.Bin (A.And, a, b) -> (
-      (* 3VL conjunction: false dominates null (Value.and3); both sides
-         are whole-column evaluated, as the closure evaluates both
-         operands unconditionally *)
-      match (comp a, comp b) with
-      | Some (TBool, ka), Some (TBool, kb) ->
-          Some
-            ( TBool,
-              fun sel ->
-                let a = ka sel and b = kb sel in
-                let n = Array.length sel in
-                let av = match a.rdata with VBool v -> v | _ -> [||] in
-                let bv = match b.rdata with VBool v -> v | _ -> [||] in
-                let out = Array.make n false in
-                let nulls = ref vnull_empty in
-                for t = 0 to n - 1 do
-                  let an = vnull_is a.rnulls t and bn = vnull_is b.rnulls t in
-                  let fa = (not an) && not av.(t)
-                  and fb = (not bn) && not bv.(t) in
-                  if fa || fb then () (* false *)
-                  else if an || bn then begin
-                    if Bytes.length !nulls = 0 then nulls := vnull_make n;
-                    Batch.bit_set !nulls t
-                  end
-                  else out.(t) <- true
-                done;
-                { rdata = VBool out; rnulls = !nulls } )
-      | _ -> None)
-  | A.Bin (A.Or, a, b) -> (
-      match (comp a, comp b) with
-      | Some (TBool, ka), Some (TBool, kb) ->
-          Some
-            ( TBool,
-              fun sel ->
-                let a = ka sel and b = kb sel in
-                let n = Array.length sel in
-                let av = match a.rdata with VBool v -> v | _ -> [||] in
-                let bv = match b.rdata with VBool v -> v | _ -> [||] in
-                let out = Array.make n false in
-                let nulls = ref vnull_empty in
-                for t = 0 to n - 1 do
-                  let an = vnull_is a.rnulls t and bn = vnull_is b.rnulls t in
-                  let ta_ = (not an) && av.(t) and tb_ = (not bn) && bv.(t) in
-                  if ta_ || tb_ then out.(t) <- true
-                  else if an || bn then begin
-                    if Bytes.length !nulls = 0 then nulls := vnull_make n;
-                    Batch.bit_set !nulls t
-                  end
-                done;
-                { rdata = VBool out; rnulls = !nulls } )
-      | _ -> None)
-  | A.Un (A.Not, a) -> (
-      match comp a with
-      | Some (TBool, ka) ->
-          Some
-            ( TBool,
-              fun sel ->
-                let r = ka sel in
-                let av = match r.rdata with VBool v -> v | _ -> [||] in
-                { rdata = VBool (Array.map not av); rnulls = r.rnulls } )
-      | _ -> None)
-  | A.IsNull a -> (
-      match comp a with
-      | Some (_, ka) ->
-          Some
-            ( TBool,
-              fun sel ->
-                let r = ka sel in
-                {
-                  rdata =
-                    VBool
-                      (Array.init (Array.length sel) (fun t ->
-                           vnull_is r.rnulls t));
-                  rnulls = vnull_empty;
-                } )
-      | None -> None)
-  | A.IsNotNull a -> (
-      match comp a with
-      | Some (_, ka) ->
-          Some
-            ( TBool,
-              fun sel ->
-                let r = ka sel in
-                {
-                  rdata =
-                    VBool
-                      (Array.init (Array.length sel) (fun t ->
-                           not (vnull_is r.rnulls t)));
-                  rnulls = vnull_empty;
-                } )
-      | None -> None)
-  | A.Between (a, lo, hi) ->
-      (* a >= lo AND a <= hi, exactly how compile_expr stages it (both
-         bounds evaluated; 3VL and3 combines) — expressed on the vector
-         algebra so each leg is one comparison loop *)
-      compile_vec bindings col
-        (A.Bin (A.And, A.Bin (A.Ge, a, lo), A.Bin (A.Le, a, hi)))
-  | _ -> None
-
-(* a WHERE conjunct compiled whole-column: survivors are slots whose
-   boolean is true and not null (3VL reject on null) *)
-let vec_filter_kernel (bindings : Exec.binding list)
-    (col : int -> Batch.column) (e : A.expr) : kernel option =
-  match compile_vec bindings col e with
-  | Some (TBool, vk) ->
-      Some
-        (fun sel ->
-          let r = vk sel in
-          let bv = match r.rdata with VBool v -> v | _ -> [||] in
-          let passes t = Array.unsafe_get bv t && not (vnull_is r.rnulls t) in
-          let m = ref 0 in
-          for t = 0 to Array.length sel - 1 do
-            if passes t then incr m
-          done;
-          take_passing sel !m passes)
   | _ -> None
 
 (* compile one WHERE conjunct (or a join residual) to a kernel: a typed
-   no-box kernel when the shape and column representation allow, a
+   no-box kernel when the conjunct tests one column against literals
+   (a comparison, BETWEEN, IN) and its representation allows, a
    compiled-closure test otherwise. Stage one compiles the closure, so
    every shape check happens there. *)
 let compile_conjunct (sc : scope) (e : A.expr) : data -> kernel =
@@ -1027,14 +819,9 @@ let compile_conjunct (sc : scope) (e : A.expr) : data -> kernel =
     in
     let special =
       match e with
-      | A.Bin (op, A.Col (q, c), A.Lit l) ->
-          cmp_kernel (col q c) (cmp_op op l) (Lit l)
+      | A.Bin (op, A.Col (q, c), A.Lit l) -> cmp_kernel (col q c) (cmp_op op l) l
       | A.Bin (op, A.Lit l, A.Col (q, c)) ->
-          cmp_kernel (col q c) (flip_op (cmp_op op l)) (Lit l)
-      | A.Bin (op, A.Col (q, c), (A.Cast (A.Lit _, _) as b)) ->
-          cmp_kernel (col q c) op (Option.get (bound_of b))
-      | A.Bin (op, (A.Cast (A.Lit _, _) as b), A.Col (q, c)) ->
-          cmp_kernel (col q c) (flip_op op) (Option.get (bound_of b))
+          cmp_kernel (col q c) (flip_op (cmp_op op l)) l
       | A.Between (A.Col (q, c), lo, hi) -> (
           match (bound_of lo, bound_of hi) with
           | Some lo, Some hi -> between_kernel (col q c) lo hi
@@ -1043,39 +830,13 @@ let compile_conjunct (sc : scope) (e : A.expr) : data -> kernel =
         when List.for_all (function A.Lit _ -> true | _ -> false) es ->
           in_kernel (col q c)
             (List.filter_map (function A.Lit l -> Some l | _ -> None) es)
-      | A.Like (A.Col (q, c), A.Lit (A.Str pat)) -> (
-          let cc = col q c in
-          match cc.Batch.data with
-          | Batch.DStr { codes; dict } ->
-              Some (text_kernel cc codes dict (Exec.compile_like pat))
-          | _ -> None)
       | _ -> None
     in
     match special with
     | Some k -> k
-    | None -> (
-        (* batch expression evaluation: whole-column kernels when every
-           node of the conjunct is a non-raising typed operation *)
-        match (vec_filter_kernel sc.bindings d.col e, e) with
-        | Some k, _ -> k
-        | None, A.Bin (op, A.Col (qa, ca), A.Col (qb, cb))
-          when cmp_test op <> None ->
-            (* column against column on any representation (a calendar
-               column against another kind, say): compare3 directly,
-               the comparison the row path's cmp_bool makes, without
-               boxing its verdict *)
-            let test = Option.get (cmp_test op) in
-            let a = col qa ca and b = col qb cb in
-            fun sel ->
-              filter_sel sel (fun i ->
-                  match
-                    Value.compare3 (Batch.value_at a i) (Batch.value_at b i)
-                  with
-                  | Some c -> test c
-                  | None -> false)
-        | None, _ ->
-            let ce = ce d in
-            fun sel -> filter_sel sel (fun i -> Value.is_true (ce i)))
+    | None ->
+        let ce = ce d in
+        fun sel -> filter_sel sel (fun i -> Value.is_true (ce i))
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates                                                          *)
@@ -1288,7 +1049,7 @@ let folds_typed (name : string) (ty : vty option) : bool =
   match ty with
   | Some (TInt Batch.Bigint | TFloat) -> List.mem name [ "sum"; "avg"; "min"; "max" ]
   | Some (TInt _) -> name = "min" || name = "max"
-  | Some (TStr | TBool) | None -> false
+  | None -> false
 
 let payload_type : payload -> vty option = function
   | PInt (kind, _) -> Some (TInt kind)
@@ -1542,7 +1303,6 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) :
 (* ------------------------------------------------------------------ *)
 
 module StrTbl = Batch.StrTbl
-module FloatTbl = Hashtbl.Make (Float)
 
 (* An open-addressing map from int payloads to ids, probed linearly.
    A payload is read in place from its column and compared and hashed
@@ -1625,16 +1385,15 @@ let[@inline] ids_of (id : int -> int) (sel : Batch.sel) : int array =
    row and the class ids of a selection's rows, and counts the ids
    handed out: ids come in the order the functions first meet a class,
    one id space across the sides, and rows of any side share an id
-   exactly when Exec.gkey_of maps their keys alike. When
-   every side's key is one plain column of one typed representation,
+   exactly when Exec.gkey_of maps their keys alike. When every side's
+   key is one plain text column, or one plain int column of one kind,
    the payloads decide: text maps each dictionary code to its id
    through an array indexed by code, resolving a code's string once
    when sides' dictionaries differ (within one, distinct codes are
-   distinct strings); int payloads of one kind hash exactly (within a
-   kind, equal payloads are equal values) and floats with Float.equal,
-   which merges NaNs and -0.0/0.0 as gkey does. NULLs share one id.
-   Anything else, an int column against a float one or a date against
-   a bigint included, hashes the list of the key's gkeys. *)
+   distinct strings); int payloads hash exactly (within a kind, equal
+   payloads are equal values). NULLs share one id. Anything else, float
+   keys, an int column against a float one and a date against a bigint
+   included, hashes the list of the key's gkeys. *)
 let key_classes (sides : (cexpr list * Batch.column option) array) :
     ((int -> int) * (Batch.sel -> int array)) array * (unit -> int) =
   let next = ref 0 in
@@ -1674,18 +1433,6 @@ let key_classes (sides : (cexpr list * Batch.column option) array) :
            sides)
     else None
   in
-  let typed (type k) (module T : Hashtbl.S with type key = k) cols
-      (get : _ -> int -> k) =
-    let tbl = T.create 64 in
-    Array.map
-      (fun (c, p) ->
-        let id i =
-          if Batch.is_null c i then null ()
-          else intern T.find_opt T.add tbl (get p i)
-        in
-        (id, ids_of id))
-      cols
-  in
   let strs =
     each (function Batch.DStr { codes; dict } -> Some (codes, dict) | _ -> None)
   and ints =
@@ -1700,10 +1447,10 @@ let key_classes (sides : (cexpr list * Batch.column option) array) :
     each (function
       | Batch.DInt { kind; ints } when Some kind = kinds.(0) -> Some ints
       | _ -> None)
-  and floats = each (function Batch.DFloat a -> Some a | _ -> None) in
+  in
   let ids =
-    match (strs, ints, floats) with
-    | Some strs, _, _ ->
+    match (strs, ints) with
+    | Some strs, _ ->
         (* the sides' strings, when their dictionaries may differ *)
         let tbl =
           if Array.length strs > 1 then Some (StrTbl.create 64) else None
@@ -1736,7 +1483,7 @@ let key_classes (sides : (cexpr list * Batch.column option) array) :
             (* applied whole, so [id] inlines into the loop *)
             (id, fun sel -> ids_of id sel))
           strs
-    | None, Some ints, _ ->
+    | None, Some ints ->
         let tbl = PayloadTbl.create 64 in
         Array.map
           (fun (c, p) ->
@@ -1746,9 +1493,7 @@ let key_classes (sides : (cexpr list * Batch.column option) array) :
             in
             (id, ids_of id))
           ints
-    | None, None, Some floats ->
-        typed (module FloatTbl) floats Array.unsafe_get
-    | None, None, None ->
+    | None, None ->
         let tbl : (Exec.gkey list, int) Hashtbl.t = Hashtbl.create 64 in
         Array.map
           (fun (keys, _) ->
@@ -1804,9 +1549,9 @@ let partitions (cpart : cexpr list) (col : Batch.column option)
 (* Ordering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One sort kernel serves the final ORDER BY, the window partitions,
-   the rank-limit cut and the as-of join's buckets, in pgdb's one key
-   order, Exec.compare_key's. It compares ids: a position in a result
+(* One sort kernel serves the final ORDER BY, the window partitions
+   and the as-of join's buckets, in pgdb's one key order,
+   Exec.compare_key's. It compares ids: a position in a result
    or in a partition, or a source row. A key reads
    its value at an id from a column, [Rows (c, Some map)] at
    [map.(id)] or [Rows (c, None)] at [id], or from a value array,
@@ -2359,90 +2104,47 @@ let singleton_partitions (c : Batch.column) (sel : Batch.sel) : bool =
 (* The rank-limit cut: a row_number() window whose query keeps only the
    rows it numbers [k] or less. Stage two returns the result array and
    the rows of [sel] it keeps, ascending; a dropped row's result is
-   NULL. For k = 1, when every ORDER BY key is a plain column (or the
-   serializer's NULL pre-key of one), each partition's first row in
-   window order is chosen in one pass without a sort: [top_positions]
-   replaces its best row only with a strictly better one, so a tie keeps
-   the earlier row as the stable sort does. Any other k, expression
-   order keys, and a key whose values over [sel] mix text with other
-   types (which the full window rejects only where one partition mixes
-   them) run the whole window through [plan_window] and cut afterwards,
-   so results and errors stay those of the full window.
-   Under the same k = 1 and plain-column conditions, a single integer
-   PARTITION BY column that is distinct over [sel] (a row identity, as
-   the as-of lowering partitions by) numbers every row 1 and keeps them
-   all: a one-row partition needs no comparison. *)
+   NULL. The whole window runs through [plan_window] and is cut
+   afterwards, so results and errors stay those of the full window, but
+   for one shape: for k = 1, when every ORDER BY key is a plain column
+   (or the serializer's NULL pre-key of one), a single integer PARTITION
+   BY column that is distinct over [sel] (a row identity, as the as-of
+   lowering partitions by) numbers every row 1 and keeps them all: a
+   one-row partition needs no comparison. *)
 let plan_window_top (sc : scope) (w : A.expr) (k : int) :
     string * (data -> Batch.sel -> int -> Value.t array * Batch.sel) =
   match w with
   | A.Window { partition; order; _ } ->
       let _, full = plan_window sc w in
-      let sc = { sc with windows = [] } in
-      let cpart = List.map (compile_expr sc) partition in
       let plain_part =
         match partition with
         | [ A.Col (q, c) ] -> Some (Exec.find_binding sc.bindings q c)
         | _ -> None
       in
       let plain_order =
-        if k <> 1 then None
-        else
-          List.fold_right
-            (fun (e, mk) rest ->
-              match (e, rest) with
-              | A.Col (q, c), Some rest ->
-                  Some ((Exec.find_binding sc.bindings q c, mk) :: rest)
-              | _ -> None)
-            (fold_order order) (Some [])
+        k = 1
+        && List.for_all
+             (function A.Col _, _ -> true | _ -> false)
+             (fold_order order)
       in
       let limit = Int64.of_int k in
-      let cut (out : Value.t array) sel =
-        ( out,
-          filter_sel sel (fun i ->
-              match out.(i) with
-              | Value.Int r -> Int64.compare r limit <= 0
-              | _ -> false) )
-      in
       ( Printf.sprintf "row_number top %d" k,
         fun d ->
           let full = full d in
-          let cpart = List.map (fun c -> c d) cpart in
           let part_col = Option.map d.col plain_part in
-          let keys =
-            Option.map
-              (List.map (fun (j, mk) -> mk (Rows (d.col j, None))))
-              plain_order
-          in
           fun sel nrows ->
-            let singletons =
-              keys <> None
-              && Option.fold ~none:false
-                   ~some:(fun c -> singleton_partitions c sel)
-                   part_col
-            in
-            if singletons then begin
-              let out = Array.make nrows Value.Null in
-              Array.iter (fun i -> out.(i) <- Value.Int 1L) sel;
-              (out, sel)
-            end
-            else
-              match
-                Option.bind keys (fun keys ->
-                    try Some (sort_order keys sel)
-                    with Errors.Sql_error _ -> None)
-              with
-            | Some cmp ->
+            match part_col with
+            | Some c when plain_order && singleton_partitions c sel ->
                 let out = Array.make nrows Value.Null in
-                List.iter
-                  (fun rows ->
-                    Array.iter
-                      (fun p -> out.(rows.(p)) <- Value.Int 1L)
-                      (top_positions
-                         (fun a b -> cmp rows.(a) rows.(b))
-                         (Array.length rows) 1))
-                  (partitions cpart part_col sel);
-                cut out sel
-            | None -> cut (full sel nrows) sel )
+                Array.iter (fun i -> out.(i) <- Value.Int 1L) sel;
+                (out, sel)
+            | _ ->
+                let out = full sel nrows in
+                ( out,
+                  filter_sel sel (fun i ->
+                      match out.(i) with
+                      | Value.Int r -> Int64.compare r limit <= 0
+                      | _ -> false) ) )
   | _ -> invalid_arg "vexec: plan_window_top on a non-window expression"
 
 (* ------------------------------------------------------------------ *)
@@ -2567,19 +2269,15 @@ let hash_join_idx ~(lrows : int) ~(rall : Batch.sel)
   pair_result out
 
 (* The as-of range [x <= y] of right column [x] against left column [y],
-   when the non-NULL values of both are of one kind between them (two
-   int payload columns of one kind compare their payloads): SQL's
-   [<=] is then Exec.compare_key's order and never raises. Across an
-   int and a double, [<=] compares two doubles, which is not the key
-   order, so mixed kinds are left to the residual path. [(le, cmp)]:
-   [le j i] tests right row j against left row i, [cmp] orders right
-   rows by [x]; both read non-NULL rows only. None when the columns mix
-   kinds. *)
+   when both are typed columns of one representation (two int payload
+   columns of one kind compare their payloads): SQL's [<=] is then
+   Exec.compare_key's order and never raises. Across an int and a
+   double, [<=] compares two doubles, which is not the key order, so
+   mixed kinds, and boxed columns, are left to the residual path.
+   [(le, cmp)]: [le j i] tests right row j against left row i, [cmp]
+   orders right rows by [x]; both read non-NULL rows only. *)
 let range_order (x : Batch.column) (y : Batch.column) :
     ((int -> int -> bool) * (int -> int -> int)) option =
-  let of_cmp cmp a b =
-    Some ((fun j i -> cmp a.(j) b.(i) <= 0), fun j k -> cmp a.(j) a.(k))
-  in
   match (x.Batch.data, y.Batch.data) with
   | Batch.DInt { kind = kx; ints = a }, Batch.DInt { kind = ky; ints = b }
     when kx = ky ->
@@ -2587,23 +2285,16 @@ let range_order (x : Batch.column) (y : Batch.column) :
       Some
         ( (fun j i -> Int64.compare (get a (8 * j)) (get b (8 * i)) <= 0),
           fun j k -> Int64.compare (get a (8 * j)) (get a (8 * k)) )
-  | Batch.DFloat a, Batch.DFloat b -> of_cmp Float.compare a b
+  | Batch.DFloat a, Batch.DFloat b ->
+      Some
+        ( (fun j i -> Float.compare a.(j) b.(i) <= 0),
+          fun j k -> Float.compare a.(j) a.(k) )
   | Batch.DStr { codes = xc; dict = xd }, Batch.DStr { codes = yc; dict = yd }
     ->
       let xs j = xd.(xc.(j)) in
       Some
         ( (fun j i -> String.compare (xs j) yd.(yc.(i)) <= 0),
           fun j k -> String.compare (xs j) (xs k) )
-  | Batch.DVal a, Batch.DVal b ->
-      let kind = ref (-1) in
-      let one_kind (v : Value.t) =
-        let k = Value.type_code v in
-        if k >= 0 && !kind < 0 then kind := k;
-        k < 0 || k = !kind
-      in
-      if Array.for_all one_kind a && Array.for_all one_kind b then
-        of_cmp Exec.compare_key a b
-      else None
   | _ -> None
 
 (* The fused as-of join: each left row paired with the one right row
@@ -2613,10 +2304,10 @@ let range_order (x : Batch.column) (y : Batch.column) :
    bucket drops its NULL-[x] rows (they never pass [<=]) and is sorted
    once in the reverse of that order; a left row binary-searches the
    prefix with [x <= y] and takes its last row. The later keys order
-   as any sort key does. None when [x] and [y] mix kinds, or when a
-   later key's values mix text with other types (the residual path
-   rejects them only where one left row's candidates mix them); the
-   residual path then decides, with its errors. *)
+   as any sort key does. None when [range_order] rejects [x] and [y],
+   or when a later key's values mix text with other types (the residual
+   path rejects them only where one left row's candidates mix them);
+   the residual path then decides, with its errors. *)
 let asof_join_idx ~(lrows : int) ~(rall : Batch.sel)
     (keys : (Batch.column * Batch.column * bool) list) ~(x : Batch.column)
     ~(y : Batch.column) ~(order : (Batch.column * A.direction) list)

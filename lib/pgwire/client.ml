@@ -248,7 +248,3 @@ let query (t : t) (sql : string) : (query_result, string) result =
             };
           tag = !tag;
         }
-
-let terminate (t : t) : unit =
-  ignore (t.send (C.encode_frontend C.Terminate));
-  t.ready <- false

@@ -89,8 +89,8 @@ type t = {
   obs : Obs.Ctx.t;
   m : metrics;
   session : Obs.Sessions.session;  (** this connection's registry entry *)
-  cluster : Shard.Cluster.t option;
-      (** supplied by a sharded platform; answers [.hq.shards] *)
+  planes : Planes.ctx;
+      (** supplied by the platform; answers [.hq.<plane>] *)
   explain : explain_hooks option;
       (** supplied by the platform; powers [.hq.explain] and sampling *)
   mutable phase : phase;
@@ -101,16 +101,16 @@ type t = {
   mutable client_version : int;
 }
 
-let create ?(users = [ ("trader", "pwd") ]) ?obs ?cluster ?explain
+let create ?(users = [ ("trader", "pwd") ]) ~(planes : Planes.ctx) ?explain
     (xc : Xc.t) : t =
-  let obs = match obs with Some o -> o | None -> Obs.Ctx.create () in
+  let obs = planes.Planes.obs in
   {
     xc;
     users;
     obs;
     m = make_metrics obs.Obs.Ctx.registry;
     session = Obs.Sessions.register obs.Obs.Ctx.sessions;
-    cluster;
+    planes;
     explain;
     phase = Handshake;
     pending = Buffer.create 256;
@@ -406,13 +406,6 @@ let row_limit (rest : string) : int option option =
       | _ -> None)
   | _ -> None
 
-let planes_ctx (t : t) : Planes.ctx =
-  {
-    Planes.obs = t.obs;
-    plancache = Hyperq.Engine.plan_cache (Xc.engine t.xc);
-    cluster = t.cluster;
-  }
-
 (* an admin query, trimmed: [.hq.<plane>], [.hq.<plane>[n]],
    [.hq.explain <query>] or [.hq.stats.reset] *)
 let admin_command (t : t) (text : string) : QV.t option =
@@ -437,7 +430,7 @@ let admin_command (t : t) (text : string) : QV.t option =
       answered (fun () -> explain_reply t rest)
   | _ -> (
       match (Planes.find name, row_limit rest) with
-      | Some p, Some n -> answered (fun () -> Planes.q_reply (planes_ctx t) p n)
+      | Some p, Some n -> answered (fun () -> Planes.q_reply t.planes p n)
       | _ -> None)
 
 (** The in-band admin reply to [text], or [None] for an ordinary query.

@@ -20,7 +20,7 @@ type t = {
   users : (string * string) list;
   materialization : [ `Logical | `Physical ];
       (** how every connection's engine materializes assignments *)
-  plancache : Hyperq.Plancache.t option;
+  plancache : Hyperq.Plancache.t;
       (** shared translation plan cache — one template store serves every
           connection (entries are still per-session keyed, because
           templates can embed inlined session-variable values) *)
@@ -89,7 +89,7 @@ let create ?(users = [ ("trader", "pwd") ]) ?(materialization = `Logical)
     server_scope = Hyperq.Scopes.create_server_frame ();
     users;
     materialization;
-    plancache = Some plancache;
+    plancache;
     obs;
     cluster;
     analyze_sample = max 0 analyze_sample;
@@ -214,7 +214,7 @@ let connect (t : t) : connection =
   let sharder = Option.map Shard.Cluster.sharder t.cluster in
   let make_engine be =
     Hyperq.Engine.create ~materialization:t.materialization
-      ~server_scope:t.server_scope ?plan_cache:t.plancache ~obs:t.obs
+      ~server_scope:t.server_scope ~plan_cache:t.plancache ~obs:t.obs
       ?sharder be
   in
   let xc = Xc.create make_engine backend in
@@ -244,7 +244,7 @@ let connect (t : t) : connection =
   in
   {
     endpoint =
-      Endpoint.create ~users:t.users ~obs:t.obs ?cluster:t.cluster ~explain xc;
+      Endpoint.create ~users:t.users ~planes:(planes_ctx t) ~explain xc;
     xc;
     session;
   }

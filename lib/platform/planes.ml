@@ -12,11 +12,11 @@ module R = Obs.Relation
 module QV = Qvalue.Value
 module M = Obs.Metrics
 
-(** What the planes read: the shared observability context, plus the
-    plan cache and the shard cluster when the platform has them. *)
+(** What the planes read: the shared observability context, the plan
+    cache, and the shard cluster when the platform has one. *)
 type ctx = {
   obs : Obs.Ctx.t;
-  plancache : Hyperq.Plancache.t option;
+  plancache : Hyperq.Plancache.t;
   cluster : Shard.Cluster.t option;
 }
 

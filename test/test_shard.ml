@@ -1271,14 +1271,10 @@ let test_sharded_routes_not_cached () =
       let v2 = ok (P.Client.query c q) in
       check tbool "sharded rerun identical" true (QV.equal v1 v2);
       let templates =
-        match P.plan_cache p with
-        | None -> 0
-        | Some pc ->
-            List.length
-              (List.filter
-                 (fun e ->
-                   match e.PC.e_kind with PC.Template _ -> true | _ -> false)
-                 (PC.entries pc))
+        List.length
+          (List.filter
+             (fun e -> match e.PC.e_kind with PC.Template _ -> true | _ -> false)
+             (PC.entries (P.plan_cache p)))
       in
       check tint "no template installed for the sharded route" 0 templates;
       P.Client.close c)
