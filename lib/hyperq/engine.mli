@@ -69,6 +69,10 @@ val translate : t -> string -> string
     [[parse] <lexer message>]. *)
 val try_run : t -> Qlang.Fingerprint.analysis -> (run_result, string) result
 
+(** A backend result's columns as the Q table the application gets, its
+    internal [hq_] columns dropped: the result pivot. *)
+val table_of_result : Backend.result -> Qvalue.Value.table
+
 (** The session's stage timer (reset it between measured queries). *)
 val timer : t -> Stage_timer.t
 

@@ -607,7 +607,7 @@ let meta_v v =
   in
   Value.KTable
     ( { Value.cols = [| "c" |]; data = [| Value.syms t.Value.cols |] },
-      { Value.cols = [| "t" |]; data = [| Value.Vector (Qtype.Char, types) |] }
+      { Value.cols = [| "t" |]; data = [| Value.vector Qtype.Char types |] }
     )
 
 let key_v = function

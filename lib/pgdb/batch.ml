@@ -23,8 +23,6 @@
     built once here and shared read-only by every query that scans the
     batch. *)
 
-module Ivec = Ivec
-
 (** What an int payload encodes, as {!Value} does: a bigint; days,
     milliseconds or nanoseconds since 2000-01-01 midnight; or a bool as
     0 or 1. Within one kind, payload order is value order. *)

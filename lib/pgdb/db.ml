@@ -193,7 +193,12 @@ let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
         invalidate_catalog sess.db
       end;
       Complete "CREATE TABLE"
-  | A.CreateTableAs { cta_temp; cta_name; cta_query } ->
+  | A.CreateTableAs { cta_if_not_exists = true; cta_name; _ }
+    when table_exists sess cta_name ->
+      (* PostgreSQL skips the query too, and answers the statement's own
+         tag rather than a row count *)
+      Complete "CREATE TABLE AS"
+  | A.CreateTableAs { cta_temp; cta_name; cta_query; _ } ->
       let lname = String.lowercase_ascii cta_name in
       if table_exists sess lname then
         Errors.duplicate_table "relation %s already exists" cta_name;

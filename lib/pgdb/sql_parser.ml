@@ -580,9 +580,14 @@ let parse_stmt_tokens st : A.stmt =
           else false
         in
         let name = ident st in
-        (* IF NOT EXISTS takes a column list, not AS *)
-        if (not if_not_exists) && eat_kw st "as" then
-          A.CreateTableAs { cta_temp = temp; cta_name = name; cta_query = parse_select st }
+        if eat_kw st "as" then
+          A.CreateTableAs
+            {
+              cta_temp = temp;
+              cta_if_not_exists = if_not_exists;
+              cta_name = name;
+              cta_query = parse_select st;
+            }
         else begin
           expect_op st "(";
           let rec go acc =

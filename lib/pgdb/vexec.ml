@@ -286,9 +286,9 @@ let[@inline] live (nulls : Bytes.t) (mask : int) (i : int) : int =
    the only one of a comparison or BETWEEN, is read as [lo] and [hi]
    outside the loop over the others. An empty interval has lo > hi. *)
 
-let[@inline] int_pass (a : Batch.Ivec.t) (r : int64 array) lo hi flip nulls
+let[@inline] int_pass (a : Ivec.t) (r : int64 array) lo hi flip nulls
     mask i =
-  let x = Batch.Ivec.unsafe_get_at a (8 * i) in
+  let x = Ivec.unsafe_get_at a (8 * i) in
   let hit = ref (Bool.to_int (x >= lo) land Bool.to_int (x <= hi)) in
   let k = ref 2 in
   while !k < Array.length r do
@@ -300,7 +300,7 @@ let[@inline] int_pass (a : Batch.Ivec.t) (r : int64 array) lo hi flip nulls
   done;
   (!hit lxor flip) land live nulls mask i
 
-let int_kernel (c : Batch.column) (a : Batch.Ivec.t) (r : int64 array)
+let int_kernel (c : Batch.column) (a : Ivec.t) (r : int64 array)
     (flip : int) : kernel =
   let nulls, mask = null_view c and lo = r.(0) and hi = r.(1) in
   fun sel ->
@@ -614,7 +614,7 @@ let in_kernel (c : Batch.column) (lits : A.lit list) : kernel option =
 
 (* a sel-aligned result vector: slot [t] holds the value for base row
    [sel.(t)]; [rnulls] is a packed bitmap over slots (empty = none) *)
-type vvec = VInt of Batch.Ivec.t | VFloat of float array
+type vvec = VInt of Ivec.t | VFloat of float array
 
 type vres = { rdata : vvec; rnulls : Bytes.t }
 
@@ -669,9 +669,9 @@ let vload (c : Batch.column) : (vty * vkernel) option =
       Some
         ( TInt Batch.Bigint,
           fun sel ->
-            let whole = Array.length sel = Batch.Ivec.length ints in
+            let whole = Array.length sel = Ivec.length ints in
             {
-              rdata = VInt (if whole then ints else Batch.Ivec.pick ints sel);
+              rdata = VInt (if whole then ints else Ivec.pick ints sel);
               rnulls = pull_nulls sel whole;
             } )
   | Batch.DFloat a ->
@@ -701,7 +701,7 @@ let vlit (l : A.lit) : (vty * vkernel) option =
         ( TInt Batch.Bigint,
           fun sel ->
             {
-              rdata = VInt (Batch.Ivec.make (Array.length sel) v);
+              rdata = VInt (Ivec.make (Array.length sel) v);
               rnulls = vnull_empty;
             } )
   | A.Float v ->
@@ -718,9 +718,9 @@ let vlit (l : A.lit) : (vty * vkernel) option =
    closure (Array.init, Array.map) is boxed on the way *)
 let as_float = function
   | VInt a ->
-      let out = Array.create_float (Batch.Ivec.length a) in
-      for t = 0 to Batch.Ivec.length a - 1 do
-        Array.unsafe_set out t (Int64.to_float (Batch.Ivec.unsafe_get_at a (8 * t)))
+      let out = Array.create_float (Ivec.length a) in
+      for t = 0 to Ivec.length a - 1 do
+        Array.unsafe_set out t (Int64.to_float (Ivec.unsafe_get_at a (8 * t)))
       done;
       out
   | VFloat a -> a
@@ -759,9 +759,9 @@ let varith (op : A.binop) (ta, ka) (tb, kb) : (vty * vkernel) option =
           fun sel ->
             let a = ka sel and b = kb sel in
             let av = ints a.rdata and bv = ints b.rdata in
-            let n = Batch.Ivec.length av in
-            let out = Batch.Ivec.create n in
-            let module I = Batch.Ivec in
+            let n = Ivec.length av in
+            let out = Ivec.create n in
+            let module I = Ivec in
             (match op with
             | A.Add ->
                 for t = 0 to n - 1 do
@@ -937,7 +937,7 @@ let make_acc ?(distinct = false) (name : string) : acc =
 
 (* an aggregate's argument over the selection: slot t reads position
    [at.(t)] of [payload] and of the null bitmap, as [live] reads it *)
-type payload = PInt of Batch.kind * Batch.Ivec.t | PFloat of float array | POther
+type payload = PInt of Batch.kind * Ivec.t | PFloat of float array | POther
 
 type arg = { at : int array; nulls : Bytes.t; nmask : int; payload : payload }
 
@@ -979,14 +979,14 @@ let fold_count (gr : groups) (x : arg) : int array =
 
 (* per group: the count, int64 sum and float sum of the non-NULL values
    of an int argument *)
-let fold_ints (gr : groups) (x : arg) (a : Batch.Ivec.t) :
+let fold_ints (gr : groups) (x : arg) (a : Ivec.t) :
     int array * Bytes.t * float array =
   let cnt = Array.make gr.ng 0 in
   let isum = Bytes.make (8 * gr.ng) '\000' and fsum = Array.make gr.ng 0.0 in
   for t = 0 to Array.length gr.sel - 1 do
     let p = Array.unsafe_get x.at t in
     if live x.nulls x.nmask p = 1 then begin
-      let g = group_at gr t and v = Batch.Ivec.unsafe_get_at a (8 * p) in
+      let g = group_at gr t and v = Ivec.unsafe_get_at a (8 * p) in
       Array.unsafe_set cnt g (Array.unsafe_get cnt g + 1);
       set64 isum (8 * g) (Int64.add (get64 isum (8 * g)) v);
       Array.unsafe_set fsum g (Array.unsafe_get fsum g +. Int64.to_float v)
@@ -1011,13 +1011,13 @@ let fold_floats (gr : groups) (x : arg) (a : float array) :
 
 (* per group: the count and the greatest ([sign] 1) or least ([sign]
    -1) non-NULL value, the earlier one on ties *)
-let extreme_ints (gr : groups) (x : arg) (a : Batch.Ivec.t) (sign : int) :
+let extreme_ints (gr : groups) (x : arg) (a : Ivec.t) (sign : int) :
     int array * Bytes.t =
   let cnt = Array.make gr.ng 0 and best = Bytes.make (8 * gr.ng) '\000' in
   for t = 0 to Array.length gr.sel - 1 do
     let p = Array.unsafe_get x.at t in
     if live x.nulls x.nmask p = 1 then begin
-      let g = group_at gr t and v = Batch.Ivec.unsafe_get_at a (8 * p) in
+      let g = group_at gr t and v = Ivec.unsafe_get_at a (8 * p) in
       let n = Array.unsafe_get cnt g in
       if n = 0 || Int64.compare v (get64 best (8 * g)) * sign > 0 then
         set64 best (8 * g) v;
@@ -1310,7 +1310,7 @@ module StrTbl = Batch.StrTbl
    allocates nothing (a Hashtbl keyed by int64 boxes every key it is
    asked about). *)
 module PayloadTbl = struct
-  module I = Batch.Ivec
+  module I = Ivec
 
   (* slot [s] holds payload [keys]'s slot [s] when [ids.(s) >= 0] *)
   type t = { mutable keys : I.t; mutable ids : int array; mutable count : int }
@@ -1677,8 +1677,8 @@ let typed_key (k : sort_key) (ids : int array) : int -> int -> int =
           | Batch.DInt { ints; _ } ->
               fun i j ->
                 Int64.compare
-                  (Batch.Ivec.get_at ints (8 * i))
-                  (Batch.Ivec.get_at ints (8 * j))
+                  (Ivec.get_at ints (8 * i))
+                  (Ivec.get_at ints (8 * j))
           | Batch.DFloat a -> fun i j -> Float.compare a.(i) a.(j)
           | Batch.DStr { codes; dict } ->
               let rank = dict_ranks dict in
@@ -2281,7 +2281,7 @@ let range_order (x : Batch.column) (y : Batch.column) :
   match (x.Batch.data, y.Batch.data) with
   | Batch.DInt { kind = kx; ints = a }, Batch.DInt { kind = ky; ints = b }
     when kx = ky ->
-      let get = Batch.Ivec.get_at in
+      let get = Ivec.get_at in
       Some
         ( (fun j i -> Int64.compare (get a (8 * j)) (get b (8 * i)) <= 0),
           fun j k -> Int64.compare (get a (8 * j)) (get a (8 * k)) )

@@ -129,7 +129,7 @@ let column_builder (ty : Catalog.Sqltype.t) : Pgdb.Batch.builder =
    inverse of the server's cells, a payload set in place. A length the
    type's format does not have is a [type_mismatch]. *)
 let decode_cell (b : Pgdb.Batch.builder) ty r data off len =
-  let module I = Pgdb.Batch.Ivec in
+  let module I = Ivec in
   match b.Pgdb.Batch.cells with
   | Pgdb.Batch.Ints { kind; ints } -> (
       match kind with

@@ -87,7 +87,6 @@ let row_description (res : Pgdb.Exec.result) (formats : C.format array) =
        res.Pgdb.Exec.res_cols)
 
 module Batch = Pgdb.Batch
-module Ivec = Batch.Ivec
 
 (* One column's non-NULL cells as {!data_rows} writes them: [width r]
    is row r's cell length, and [write b pos r] puts its bytes at

@@ -272,8 +272,7 @@ let analysis (t : t) (an : F.analysis) ((coord, route, shard_plans) : trees) :
 let rows_of_value : QV.t -> int = function
   | QV.Table tb -> QV.table_length tb
   | QV.KTable (_, vt) -> QV.table_length vt
-  | QV.Vector (_, atoms) -> Array.length atoms
-  | QV.List vs -> Array.length vs
+  | (QV.Vector _ | QV.List _) as v -> QV.length v
   | QV.Atom _ | QV.Dict _ -> 1
 
 let backend (t : t) : Hyperq.Backend.t =

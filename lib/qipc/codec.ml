@@ -96,6 +96,19 @@ let get_f64 r =
 let long_null = Int64.min_int
 let int_null = -0x80000000
 
+(* A vector's payload is written from and read into its {!Value.vec}
+   with these externals, which move an int32 or int64 between a byte
+   offset and the caller's registers unboxed, in the machine's byte
+   order. Frames are little-endian, so a big-endian machine swaps.
+   Writes keep their bounds checks, as [put_*]'s do; reads come after
+   [need] has checked the whole payload against the frame. *)
+external get32 : string -> int -> int32 = "%caml_string_get32u"
+external get64 : string -> int -> int64 = "%caml_string_get64u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
 (* An encode is two passes over the value: [value_size] counts its bytes
    (fixed widths per type, plus each symbol's length and NUL), then
    [put_value] writes them into one [Bytes] of exactly that size. *)
@@ -113,28 +126,17 @@ let atom_payload_size (a : Atom.t) =
   | a -> width (Atom.qtype a)
 
 (* a typed vector's payload: fixed width per element, except symbols,
-   which cost their text and a NUL (a mistyped element counts as what
-   {!Atom.cast} makes of it, as it is written) *)
-let vector_payload_size (ty : Qtype.t) (atoms : Atom.t array) =
-  match ty with
-  | Qtype.Sym ->
-      let n = ref 0 in
-      for i = 0 to Array.length atoms - 1 do
-        n :=
-          !n
-          +
-          match Array.unsafe_get atoms i with
-          | Atom.Sym s -> String.length s + 1
-          | Atom.Null _ -> 1
-          | a -> atom_payload_size (Atom.cast ty a)
-      done;
-      !n
-  | ty -> width ty * Array.length atoms
+   which cost their text and a NUL *)
+let vector_payload_size (ty : Qtype.t) (v : Value.vec) =
+  match v with
+  | Value.Syms a ->
+      Array.fold_left (fun n s -> n + String.length s + 1) 0 a
+  | v -> width ty * Value.vec_length v
 
 let rec value_size (v : Value.t) =
   match v with
   | Value.Atom a -> 1 + atom_payload_size a
-  | Value.Vector (ty, atoms) -> 6 + vector_payload_size ty atoms
+  | Value.Vector (ty, p) -> 6 + vector_payload_size ty p
   | Value.List vs -> Array.fold_left (fun n v -> n + value_size v) 6 vs
   | Value.Dict (k, v') -> 1 + value_size k + value_size v'
   | Value.Table t ->
@@ -170,76 +172,45 @@ let put_atom_payload b pos (a : Atom.t) =
       | Qtype.Timestamp -> put_i64 b pos long_null
       | Qtype.Date | Qtype.Time -> put_i32 b pos int_null)
 
-(* Direct columnar serialization: the payload of a typed vector is
-   written by one monomorphic loop per element type — same-type atoms
-   and typed nulls inline, with {!Atom.cast} only on the rare mistyped
-   element — instead of running the [Qtype.equal]/[Atom.cast]/
-   [put_atom_payload] triple dispatch once per element. Every result
-   column the engine pivots from the decoded PG v3 columns leaves here
-   as wire bytes without any per-element type probing. The byte output is
-   identical to the generic path. *)
-let put_vector_payload b pos (ty : Qtype.t) (atoms : Atom.t array) =
-  let n = Array.length atoms in
-  let p = ref pos in
-  let slow pos a = put_atom_payload b pos (Atom.cast ty a) in
-  (match ty with
-  | Qtype.Long ->
-      for i = 0 to n - 1 do
-        match Array.unsafe_get atoms i with
-        | Atom.Long v -> p := put_i64 b !p v
-        | Atom.Null _ -> p := put_i64 b !p long_null
-        | a -> p := slow !p a
-      done
-  | Qtype.Float ->
-      for i = 0 to n - 1 do
-        match Array.unsafe_get atoms i with
-        | Atom.Float v -> p := put_f64 b !p v
-        | Atom.Null _ -> p := put_f64 b !p Float.nan
-        | a -> p := slow !p a
-      done
-  | Qtype.Sym ->
-      for i = 0 to n - 1 do
-        match Array.unsafe_get atoms i with
-        | Atom.Sym s -> p := put_sym b !p s
-        | Atom.Null _ -> p := put_u8 b !p 0
-        | a -> p := slow !p a
-      done
-  | Qtype.Bool ->
-      for i = 0 to n - 1 do
-        match Array.unsafe_get atoms i with
-        | Atom.Bool v -> p := put_u8 b !p (if v then 1 else 0)
-        | Atom.Null _ -> p := put_u8 b !p 0
-        | a -> p := slow !p a
-      done
-  | Qtype.Char ->
-      for i = 0 to n - 1 do
-        match Array.unsafe_get atoms i with
-        | Atom.Char c -> p := put_u8 b !p (Char.code c)
-        | Atom.Null _ -> p := put_u8 b !p (Char.code ' ')
-        | a -> p := slow !p a
-      done
-  | Qtype.Timestamp ->
-      for i = 0 to n - 1 do
-        match Array.unsafe_get atoms i with
-        | Atom.Timestamp v -> p := put_i64 b !p v
-        | Atom.Null _ -> p := put_i64 b !p long_null
-        | a -> p := slow !p a
-      done
-  | Qtype.Date ->
-      for i = 0 to n - 1 do
-        match Array.unsafe_get atoms i with
-        | Atom.Date v -> p := put_i32 b !p v
-        | Atom.Null _ -> p := put_i32 b !p int_null
-        | a -> p := slow !p a
-      done
-  | Qtype.Time ->
-      for i = 0 to n - 1 do
-        match Array.unsafe_get atoms i with
-        | Atom.Time v -> p := put_i32 b !p v
-        | Atom.Null _ -> p := put_i32 b !p int_null
-        | a -> p := slow !p a
-      done);
-  !p
+(* Direct columnar serialization: a vector's payload already holds the
+   wire's values, nulls included, so it is written as it stands. Long
+   and timestamp slots are copied whole, date and time slots narrow to
+   their 4 bytes, a bool slot to its byte, a float to its bits; symbols
+   and chars are copied. *)
+let put_vector_payload b pos (ty : Qtype.t) (v : Value.vec) =
+  match v with
+  | Value.Ints a -> (
+      let n = Ivec.length a in
+      match ty with
+      | Qtype.Long | Qtype.Timestamp ->
+          if Sys.big_endian then
+            for i = 0 to n - 1 do
+              set64 b (pos + (8 * i)) (swap64 (Ivec.unsafe_get_at a (8 * i)))
+            done
+          else Bytes.blit a 0 b pos (8 * n);
+          pos + (8 * n)
+      | Qtype.Date | Qtype.Time ->
+          for i = 0 to n - 1 do
+            let x = Int64.to_int32 (Ivec.unsafe_get_at a (8 * i)) in
+            set32 b (pos + (4 * i)) (if Sys.big_endian then swap32 x else x)
+          done;
+          pos + (4 * n)
+      | Qtype.Bool | Qtype.Float | Qtype.Char | Qtype.Sym ->
+          for i = 0 to n - 1 do
+            Bytes.set b (pos + i)
+              (if Ivec.unsafe_get_at a (8 * i) <> 0L then '\001' else '\000')
+          done;
+          pos + n)
+  | Value.Floats a ->
+      for i = 0 to Array.length a - 1 do
+        let x = Int64.bits_of_float (Array.unsafe_get a i) in
+        set64 b (pos + (8 * i)) (if Sys.big_endian then swap64 x else x)
+      done;
+      pos + (8 * Array.length a)
+  | Value.Syms a -> Array.fold_left (put_sym b) pos a
+  | Value.Chars c ->
+      Bytes.blit c 0 b pos (Bytes.length c);
+      pos + Bytes.length c
 
 (* a general list's or a vector's type, attributes byte and count *)
 let put_list_header b pos code n =
@@ -252,10 +223,9 @@ let rec put_value b pos (v : Value.t) =
   | Value.Atom a ->
       let pos = put_u8 b pos (-Qtype.code (Atom.qtype a)) in
       put_atom_payload b pos a
-  | Value.Vector (ty, atoms) ->
-      let pos = put_list_header b pos (Qtype.code ty) (Array.length atoms) in
-      (* payload width is fixed by the vector's element type *)
-      put_vector_payload b pos ty atoms
+  | Value.Vector (ty, p) ->
+      let pos = put_list_header b pos (Qtype.code ty) (Value.vec_length p) in
+      put_vector_payload b pos ty p
   | Value.List vs ->
       let pos = put_list_header b pos 0 (Array.length vs) in
       Array.fold_left (put_value b) pos vs
@@ -285,21 +255,16 @@ let get_sym r =
       String.sub r.data start (zero - start)
   | _ | (exception Not_found) -> decode_error "unterminated symbol"
 
-(* atoms that carry no more than a byte are shared, not allocated per
-   cell *)
-let bool_atoms = [| Atom.Bool false; Atom.Bool true |]
-let char_atoms = Array.init 256 (fun i -> Atom.Char (Char.chr i))
-
 let get_atom_payload r (ty : Qtype.t) : Atom.t =
   match ty with
-  | Qtype.Bool -> Array.unsafe_get bool_atoms (Bool.to_int (get_u8 r <> 0))
+  | Qtype.Bool -> Atom.Bool (get_u8 r <> 0)
   | Qtype.Long ->
       let v = get_i64 r in
       if Int64.equal v long_null then Atom.Null Qtype.Long else Atom.Long v
   | Qtype.Float ->
       let f = get_f64 r in
       if Float.is_nan f then Atom.Null Qtype.Float else Atom.Float f
-  | Qtype.Char -> Array.unsafe_get char_atoms (get_u8 r)
+  | Qtype.Char -> Atom.Char (Char.chr (get_u8 r))
   | Qtype.Sym ->
       if r.pos < r.lim && String.unsafe_get r.data r.pos = '\000' then begin
         r.pos <- r.pos + 1;
@@ -325,11 +290,67 @@ let get_count r =
     decode_error "bad element count %d at %d" n r.pos;
   n
 
-(* A vector or general list starts out holding a static value, then is
-   filled in place (see {!Value.init_atoms}): [Array.init] would start it
-   from its first element, a young block, and OCaml's [caml_make_vect]
-   runs a minor collection before it makes an array over 256 words from
-   a young value. *)
+(* The payload of [n] elements of [ty], read straight into its
+   {!Value.vec}: long and timestamp bytes are copied whole, date and time
+   fields widen to their slots, bools become 0 or 1, float bits their
+   floats; a symbol costs its string, an empty one nothing. *)
+let get_vector_payload r (ty : Qtype.t) (n : int) : Value.vec =
+  let d = r.data and pos = r.pos in
+  match ty with
+  | Qtype.Long | Qtype.Timestamp ->
+      need r (8 * n);
+      let a = Ivec.create n in
+      if Sys.big_endian then
+        for i = 0 to n - 1 do
+          Ivec.unsafe_set_at a (8 * i) (swap64 (get64 d (pos + (8 * i))))
+        done
+      else Bytes.blit_string d pos a 0 (8 * n);
+      r.pos <- pos + (8 * n);
+      Value.Ints a
+  | Qtype.Date | Qtype.Time ->
+      need r (4 * n);
+      let a = Ivec.create n in
+      for i = 0 to n - 1 do
+        let x = get32 d (pos + (4 * i)) in
+        Ivec.unsafe_set_at a (8 * i)
+          (Int64.of_int32 (if Sys.big_endian then swap32 x else x))
+      done;
+      r.pos <- pos + (4 * n);
+      Value.Ints a
+  | Qtype.Bool ->
+      need r n;
+      let a = Ivec.create n in
+      for i = 0 to n - 1 do
+        Ivec.unsafe_set_at a (8 * i)
+          (if String.unsafe_get d (pos + i) <> '\000' then 1L else 0L)
+      done;
+      r.pos <- pos + n;
+      Value.Ints a
+  | Qtype.Float ->
+      need r (8 * n);
+      let a = Array.create_float n in
+      for i = 0 to n - 1 do
+        let x = get64 d (pos + (8 * i)) in
+        Array.unsafe_set a i
+          (Int64.float_of_bits (if Sys.big_endian then swap64 x else x))
+      done;
+      r.pos <- pos + (8 * n);
+      Value.Floats a
+  | Qtype.Char ->
+      need r n;
+      r.pos <- pos + n;
+      Value.Chars (Bytes.sub (Bytes.unsafe_of_string d) pos n)
+  | Qtype.Sym ->
+      let a = Array.make n "" in
+      for i = 0 to n - 1 do
+        if r.pos < r.lim && String.unsafe_get d r.pos = '\000' then
+          r.pos <- r.pos + 1
+        else Array.unsafe_set a i (get_sym r)
+      done;
+      Value.Syms a
+
+(* A general list is filled in place with {!Value.init_values}, which
+   runs no forced minor collection however long the list. *)
 let rec get_value r : Value.t =
   let code = get_i8 r in
   if code < 0 then
@@ -339,11 +360,7 @@ let rec get_value r : Value.t =
   else if code = 0 then begin
     let _attrs = get_u8 r in
     let n = get_count r in
-    let vs = Array.make n Value.static_value in
-    for i = 0 to n - 1 do
-      Array.unsafe_set vs i (get_value r)
-    done;
-    Value.List vs
+    Value.List (Value.init_values n (fun _ -> get_value r))
   end
   else if code = 98 then begin
     let _attrs = get_u8 r in
@@ -352,15 +369,9 @@ let rec get_value r : Value.t =
     let cols = get_value r in
     let data = get_value r in
     match (cols, data) with
-    | Value.Vector (Qtype.Sym, names), Value.List columns ->
-        Value.Table
-          {
-            Value.cols =
-              Array.map
-                (function Atom.Sym s -> s | _ -> decode_error "bad column name")
-                names;
-            data = columns;
-          }
+    | Value.Vector (Qtype.Sym, Value.Syms names), Value.List columns ->
+        if Array.mem "" names then decode_error "bad column name";
+        Value.Table { Value.cols = names; data = columns }
     | _ -> decode_error "malformed table body"
   end
   else if code = 99 then begin
@@ -375,11 +386,7 @@ let rec get_value r : Value.t =
     | Some ty ->
         let _attrs = get_u8 r in
         let n = get_count r in
-        let atoms = Array.make n Value.static_atom in
-        for i = 0 to n - 1 do
-          Array.unsafe_set atoms i (get_atom_payload r ty)
-        done;
-        Value.Vector (ty, atoms)
+        Value.Vector (ty, get_vector_payload r ty n)
     | None -> decode_error "unknown vector type code %d" code
 
 (* ------------------------------------------------------------------ *)

@@ -9,8 +9,8 @@ let atom_cell a = Atom.to_string a
 let rec cell = function
   | Value.Atom a -> atom_cell a
   | Value.Vector (Qtype.Char, _) as s -> "\"" ^ Value.to_string_exn s ^ "\""
-  | Value.Vector (_, atoms) ->
-      String.concat " " (Array.to_list (Array.map atom_cell atoms))
+  | Value.Vector _ as v ->
+      String.concat " " (Array.to_list (Array.map atom_cell (Value.atoms_exn v)))
   | Value.List vs ->
       "(" ^ String.concat ";" (Array.to_list (Array.map cell vs)) ^ ")"
   | Value.Dict _ -> "<dict>"
@@ -47,11 +47,13 @@ let rec to_string (v : Value.t) : string =
   match v with
   | Value.Atom a -> Atom.to_string a
   | Value.Vector (Qtype.Char, _) -> "\"" ^ Value.to_string_exn v ^ "\""
-  | Value.Vector (Qtype.Sym, atoms) ->
-      String.concat "" (Array.to_list (Array.map Atom.to_string atoms))
-  | Value.Vector (_, atoms) ->
-      if Array.length atoms = 0 then "()"
-      else String.concat " " (Array.to_list (Array.map Atom.to_string atoms))
+  | Value.Vector (Qtype.Sym, _) ->
+      String.concat "" (Array.to_list (Array.map Atom.to_string (Value.atoms_exn v)))
+  | Value.Vector _ ->
+      if Value.length v = 0 then "()"
+      else
+        String.concat " "
+          (Array.to_list (Array.map Atom.to_string (Value.atoms_exn v)))
   | Value.List vs ->
       "(" ^ String.concat ";" (Array.to_list (Array.map to_string vs)) ^ ")"
   | Value.Dict (k, v) ->

@@ -1,18 +1,40 @@
 (** Q compound values.
 
     Q is a list-processing language: every compound structure is built from
-    ordered lists. A [Vector] is a uniform typed list of atoms, a [List] is a
+    ordered lists. A [Vector] is a uniform typed list, a [List] is a
     general (mixed) list, a [Dict] maps a key list to a value list
     positionally, and a [Table] is a flipped dictionary of column vectors —
-    ordering is a first-class property of all of them. *)
+    ordering is a first-class property of all of them.
+
+    A vector holds its elements as one typed payload, not as atoms. Bool,
+    long, date, time and timestamp elements are int64 slots of an {!Ivec}:
+    a bool is 0 or 1, a date or a time its day or millisecond count.
+    Floats are a [float array], symbols a [string array] and chars a
+    [Bytes]. A null element is the sentinel QIPC writes for its type:
+    [Int64.min_int] for long and timestamp, [-2^31] for date and time,
+    NaN for float and [""] for symbol. Bool and char have no null; theirs
+    is [0b] and [" "]. So the QIPC codec writes and reads a payload as it
+    stands, and the result pivot hands pgdb's int and float payloads over
+    without a copy. A vector is never written once built, since its
+    payload may be stored data. The kdb interpreter and the printers read
+    atoms, which {!index}, {!elements} and {!atoms_exn} build on demand. *)
 
 type t =
   | Atom of Atom.t
-  | Vector of Qtype.t * Atom.t array
+  | Vector of Qtype.t * vec
   | List of t array
   | Dict of t * t  (** keys, values: two lists of equal length *)
   | Table of table
   | KTable of table * table  (** keyed table: key columns, value columns *)
+
+(** A vector's payload. The element type fixes the case: [Ints] for bool,
+    long, date, time and timestamp, [Floats] for float, [Syms] for
+    symbol and [Chars] for char. *)
+and vec =
+  | Ints of Ivec.t
+  | Floats of float array
+  | Syms of string array
+  | Chars of Bytes.t
 
 and table = { cols : string array; data : t array }
 
@@ -20,6 +42,109 @@ exception Length_error
 exception Rank_error of string
 
 let type_error = Atom.type_error
+
+(* ------------------------------------------------------------------ *)
+(* Payloads                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* the null slots of an int payload, as QIPC writes them: long and
+   timestamp in 8 bytes, date and time in 4 *)
+let long_null = Int64.min_int
+let int_null = -0x8000_0000L
+
+(** The slot a null of [ty] takes in an int payload ([0b] for bool). *)
+let null_slot (ty : Qtype.t) : int64 =
+  match ty with
+  | Qtype.Date | Qtype.Time -> int_null
+  | Qtype.Bool -> 0L
+  | Qtype.Long | Qtype.Timestamp | Qtype.Float | Qtype.Char | Qtype.Sym ->
+      long_null
+
+let vec_length = function
+  | Ints a -> Ivec.length a
+  | Floats a -> Array.length a
+  | Syms a -> Array.length a
+  | Chars b -> Bytes.length b
+
+(** Element [i] of a payload of type [ty], as an atom. *)
+let atom_at (ty : Qtype.t) (v : vec) (i : int) : Atom.t =
+  match v with
+  | Ints a -> (
+      let x = Ivec.get_at a (8 * i) in
+      match ty with
+      | Qtype.Bool -> Atom.Bool (x <> 0L)
+      | Qtype.Date -> if x = int_null then Atom.Null ty else Atom.Date (Int64.to_int x)
+      | Qtype.Time -> if x = int_null then Atom.Null ty else Atom.Time (Int64.to_int x)
+      | Qtype.Timestamp -> if x = long_null then Atom.Null ty else Atom.Timestamp x
+      | Qtype.Long | Qtype.Float | Qtype.Char | Qtype.Sym ->
+          if x = long_null then Atom.Null Qtype.Long else Atom.Long x)
+  | Floats a ->
+      let f = a.(i) in
+      if Float.is_nan f then Atom.Null Qtype.Float else Atom.Float f
+  | Syms a -> Atom.Sym a.(i)
+  | Chars b -> Atom.Char (Bytes.get b i)
+
+(** The payload of [atoms] as elements of type [ty]: a null takes [ty]'s
+    sentinel, and an atom of another type is cast to [ty] first. *)
+let vec_of_atoms (ty : Qtype.t) (atoms : Atom.t array) : vec =
+  let n = Array.length atoms in
+  let get i = Atom.cast ty (Array.unsafe_get atoms i) in
+  match ty with
+  | Qtype.Float ->
+      let a = Array.create_float n in
+      for i = 0 to n - 1 do
+        a.(i) <- (match get i with Atom.Float f -> f | _ -> Float.nan)
+      done;
+      Floats a
+  | Qtype.Sym ->
+      let a = Array.make n "" in
+      for i = 0 to n - 1 do
+        match get i with Atom.Sym s -> a.(i) <- s | _ -> ()
+      done;
+      Syms a
+  | Qtype.Char ->
+      Chars
+        (Bytes.init n (fun i -> match get i with Atom.Char c -> c | _ -> ' '))
+  | Qtype.Bool | Qtype.Long | Qtype.Date | Qtype.Time | Qtype.Timestamp ->
+      let a = Ivec.create n in
+      for i = 0 to n - 1 do
+        Ivec.set_at a (8 * i)
+          (match get i with
+          | Atom.Bool b -> if b then 1L else 0L
+          | Atom.Long x | Atom.Timestamp x -> x
+          | Atom.Date d | Atom.Time d -> Int64.of_int d
+          | Atom.Null _ | Atom.Float _ | Atom.Char _ | Atom.Sym _ -> null_slot ty)
+      done;
+      Ints a
+
+(** The payload whose element [k] is [v]'s element [idx.(k)], or a null
+    where [idx.(k)] is out of range. *)
+let vec_pick (ty : Qtype.t) (v : vec) (idx : int array) : vec =
+  let n = vec_length v and m = Array.length idx in
+  let inside k =
+    let i = Array.unsafe_get idx k in
+    i >= 0 && i < n
+  in
+  match v with
+  | Ints a ->
+      let out = Ivec.create m and nul = null_slot ty in
+      for k = 0 to m - 1 do
+        if inside k then
+          Ivec.unsafe_set_at out (8 * k) (Ivec.unsafe_get_at a (8 * idx.(k)))
+        else Ivec.unsafe_set_at out (8 * k) nul
+      done;
+      Ints out
+  | Floats a ->
+      Floats
+        (Array.init m (fun k -> if inside k then a.(idx.(k)) else Float.nan))
+  | Syms a ->
+      let out = Array.make m "" in
+      for k = 0 to m - 1 do
+        if inside k then out.(k) <- a.(idx.(k))
+      done;
+      Syms out
+  | Chars b ->
+      Chars (Bytes.init m (fun k -> if inside k then Bytes.get b idx.(k) else ' '))
 
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
@@ -35,20 +160,22 @@ let time t = Atom (Atom.Time t)
 let timestamp n = Atom (Atom.Timestamp n)
 let null ty = Atom (Atom.Null ty)
 
-(* Arrays of atoms and values start out holding a static one and are
-   filled in place: OCaml's [Array.make] runs a minor collection when an
-   array too big for the minor heap starts out holding a young value, as
-   the first element of [Array.init] or [Array.map] usually is. *)
-let static_atom = Atom.Null Qtype.Long
-let static_value = Atom static_atom
+(* An array of values starts out holding a static one and is filled in
+   place: OCaml's [Array.make] runs a minor collection when an array too
+   big for the minor heap starts out holding a young value, as the first
+   element of [Array.init] or [Array.map] usually is. *)
+let static_value = Atom (Atom.Null Qtype.Long)
 
-(** [Array.init n f] for atoms, without that minor collection. *)
-let init_atoms n (f : int -> Atom.t) : Atom.t array =
-  let a = Array.make n static_atom in
+let init_values n (f : int -> t) : t array =
+  let a = Array.make n static_value in
   for i = 0 to n - 1 do
     Array.unsafe_set a i (f i)
   done;
   a
+
+(** A vector of type [ty] holding [atoms] (see {!vec_of_atoms}). *)
+let vector (ty : Qtype.t) (atoms : Atom.t array) : t =
+  Vector (ty, vec_of_atoms ty atoms)
 
 (** Build the most specific list from an array of atoms: a typed vector if
     all atoms share one (non-null-ambiguous) type, otherwise a general
@@ -68,24 +195,13 @@ let vector_of_atoms (atoms : Atom.t array) : t =
       atoms;
     match (!uniform, !ty) with
     | true, Some t ->
-        (* retype nulls to the vector's element type; booleans and chars
-           have no null in kdb+ (they collapse to 0b / blank) *)
-        let retype = function
-          | Atom.Null _ -> (
-              match t with
-              | Qtype.Bool -> Atom.Bool false
-              | Qtype.Char -> Atom.Char ' '
-              | t -> Atom.Null t)
-          | a -> a
-        in
-        Vector (t, init_atoms n (fun i -> retype (Array.unsafe_get atoms i)))
+        (* nulls take the vector's element type; booleans and chars have
+           no null in kdb+ (they collapse to 0b / blank) *)
+        vector t atoms
     | true, None ->
         (* all nulls: a long-null vector *)
-        Vector (Qtype.Long, Array.make n (Atom.Null Qtype.Long))
-    | false, _ ->
-        let vs = Array.make n static_value in
-        Array.iteri (fun i a -> Array.unsafe_set vs i (Atom a)) atoms;
-        List vs
+        Vector (Qtype.Long, Ints (Ivec.make n long_null))
+    | false, _ -> List (init_values n (fun i -> Atom (Array.unsafe_get atoms i)))
 
 (** Build a list value from arbitrary values, collapsing to a typed vector
     when every element is an atom of the same type. *)
@@ -97,19 +213,24 @@ let of_values (vs : t array) : t =
     vector_of_atoms (Array.map (function Atom a -> a | _ -> assert false) vs)
   else List vs
 
-let longs xs = Vector (Qtype.Long, Array.map (fun i -> Atom.Long (Int64.of_int i)) xs)
-let floats xs = Vector (Qtype.Float, Array.map (fun f -> Atom.Float f) xs)
-let syms xs = Vector (Qtype.Sym, Array.map (fun s -> Atom.Sym s) xs)
-let bools xs = Vector (Qtype.Bool, Array.map (fun b -> Atom.Bool b) xs)
+let longs xs =
+  let a = Ivec.create (Array.length xs) in
+  Array.iteri (fun i x -> Ivec.set_at a (8 * i) (Int64.of_int x)) xs;
+  Vector (Qtype.Long, Ints a)
 
-let string_ s =
-  Vector (Qtype.Char, Array.init (String.length s) (fun i -> Atom.Char s.[i]))
+let floats xs = Vector (Qtype.Float, Floats (Array.copy xs))
+let syms xs = Vector (Qtype.Sym, Syms (Array.copy xs))
+
+let bools xs =
+  let a = Ivec.create (Array.length xs) in
+  Array.iteri (fun i b -> Ivec.set_at a (8 * i) (if b then 1L else 0L)) xs;
+  Vector (Qtype.Bool, Ints a)
+
+let string_ s = Vector (Qtype.Char, Chars (Bytes.of_string s))
 
 (** Read a char vector back as an OCaml string. *)
 let to_string_exn = function
-  | Vector (Qtype.Char, atoms) ->
-      String.init (Array.length atoms) (fun i ->
-          match atoms.(i) with Atom.Char c -> c | _ -> ' ')
+  | Vector (Qtype.Char, Chars b) -> Bytes.to_string b
   | Atom (Atom.Char c) -> String.make 1 c
   | Atom (Atom.Sym s) -> s
   | _ -> type_error "expected a string"
@@ -127,7 +248,7 @@ let is_atom = function Atom _ -> true | _ -> false
 (** Number of elements: atoms count 1, tables count rows. *)
 let rec length = function
   | Atom _ -> 1
-  | Vector (_, a) -> Array.length a
+  | Vector (_, v) -> vec_length v
   | List vs -> Array.length vs
   | Dict (k, _) -> length k
   | Table t -> table_length t
@@ -138,9 +259,9 @@ and table_length t =
 
 let rec index v i =
   match v with
-  | Vector (_, a) ->
-      if i < 0 || i >= Array.length a then Atom (Atom.Null Qtype.Long)
-      else Atom a.(i)
+  | Vector (ty, p) ->
+      if i < 0 || i >= vec_length p then Atom (Atom.Null Qtype.Long)
+      else Atom (atom_at ty p i)
   | List vs ->
       if i < 0 || i >= Array.length vs then Atom (Atom.Null Qtype.Long)
       else vs.(i)
@@ -158,19 +279,16 @@ let rec index v i =
   | KTable _ -> raise (Rank_error "cannot index keyed table by position")
 
 (** Elements of any list-like value as an array of values. *)
-let elements = function
+let rec elements = function
   | Atom a -> [| Atom a |]
-  | Vector (_, atoms) -> Array.map (fun a -> Atom a) atoms
+  | Vector (ty, p) -> init_values (vec_length p) (fun i -> Atom (atom_at ty p i))
   | List vs -> vs
-  | Dict (_, v) -> (
-      match v with
-      | Vector (_, atoms) -> Array.map (fun a -> Atom a) atoms
-      | List vs -> vs
-      | v -> [| v |])
+  | Dict (_, ((Vector _ | List _) as v)) -> elements v
+  | Dict (_, v) -> [| v |]
   | (Table _ | KTable _) as t -> Array.init (length t) (fun i -> index t i)
 
 let atoms_exn = function
-  | Vector (_, atoms) -> atoms
+  | Vector (ty, p) -> Array.init (vec_length p) (atom_at ty p)
   | List vs ->
       Array.map
         (function Atom a -> a | _ -> type_error "expected a vector of atoms")
@@ -227,7 +345,7 @@ let rec compare_value a b =
 (* List verbs                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let til n = Vector (Qtype.Long, Array.init n (fun i -> Atom.Long (Int64.of_int i)))
+let til n = longs (Array.init n Fun.id)
 
 let enlist v = of_values [| v |]
 
@@ -243,9 +361,9 @@ let last = function
 
 let rec rev = function
   | Atom _ as a -> a
-  | Vector (ty, atoms) ->
-      let n = Array.length atoms in
-      Vector (ty, Array.init n (fun i -> atoms.(n - 1 - i)))
+  | Vector (ty, p) ->
+      let n = vec_length p in
+      Vector (ty, vec_pick ty p (Array.init n (fun i -> n - 1 - i)))
   | List vs ->
       let n = Array.length vs in
       List (Array.init n (fun i -> vs.(n - 1 - i)))
@@ -271,11 +389,7 @@ let where_ v =
 (** Select elements at the given indices (out-of-range yields nulls). *)
 let rec at v (indices : int array) =
   match v with
-  | Vector (ty, atoms) ->
-      let n = Array.length atoms in
-      Vector
-        ( ty,
-          Array.map (fun i -> if i >= 0 && i < n then atoms.(i) else Atom.Null ty) indices )
+  | Vector (ty, p) -> Vector (ty, vec_pick ty p indices)
   | List vs ->
       let n = Array.length vs in
       List
@@ -403,7 +517,7 @@ let table (pairs : (string * t) list) : table =
     match lens with [] -> 1 | l -> List.fold_left Stdlib.max 0 l
   in
   let expand = function
-    | Atom a -> Vector (Atom.qtype a, Array.make max_len a)
+    | Atom a -> vector (Atom.qtype a) (Array.make max_len a)
     | v ->
         if length v <> max_len then raise Length_error;
         v

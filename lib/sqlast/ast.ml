@@ -96,7 +96,12 @@ type stmt =
       ct_name : string;
       ct_cols : col_def list;
     }
-  | CreateTableAs of { cta_temp : bool; cta_name : string; cta_query : select }
+  | CreateTableAs of {
+      cta_temp : bool;
+      cta_if_not_exists : bool;
+      cta_name : string;
+      cta_query : select;
+    }
   | CreateView of { cv_name : string; cv_query : select }
   | InsertValues of { ins_table : string; ins_cols : string list; rows : lit list list }
   | DropTable of { if_exists : bool; name : string }
@@ -333,9 +338,10 @@ let stmt_str = function
               (fun c ->
                 quote_ident c.cd_name ^ " " ^ Catalog.Sqltype.name c.cd_type)
               ct_cols))
-  | CreateTableAs { cta_temp; cta_name; cta_query } ->
-      Printf.sprintf "CREATE %sTABLE %s AS %s"
+  | CreateTableAs { cta_temp; cta_if_not_exists; cta_name; cta_query } ->
+      Printf.sprintf "CREATE %sTABLE %s%s AS %s"
         (if cta_temp then "TEMPORARY " else "")
+        (if cta_if_not_exists then "IF NOT EXISTS " else "")
         (quote_ident cta_name) (select_str cta_query)
   | CreateView { cv_name; cv_query } ->
       Printf.sprintf "CREATE VIEW %s AS %s" (quote_ident cv_name)

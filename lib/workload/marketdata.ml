@@ -247,8 +247,8 @@ let q_tables (d : dataset) : (string * QV.t) list =
     QV.table
       [
         ("Symbol", QV.syms (Array.map (fun t -> t.t_sym) d.trades));
-        ("Date", QV.Vector (Qvalue.Qtype.Date, Array.map (fun _ -> QA.Date trade_date) d.trades));
-        ("Time", QV.Vector (Qvalue.Qtype.Time, Array.map (fun t -> QA.Time t.t_time) d.trades));
+        ("Date", QV.vector Qvalue.Qtype.Date (Array.map (fun _ -> QA.Date trade_date) d.trades));
+        ("Time", QV.vector Qvalue.Qtype.Time (Array.map (fun t -> QA.Time t.t_time) d.trades));
         ("Price", QV.floats (Array.map (fun t -> t.t_price) d.trades));
         ("Size", QV.longs (Array.map (fun t -> t.t_size) d.trades));
         ("Exch", QV.syms (Array.map (fun t -> t.t_exch) d.trades));
@@ -258,8 +258,8 @@ let q_tables (d : dataset) : (string * QV.t) list =
     QV.table
       [
         ("Symbol", QV.syms (Array.map (fun q -> q.q_sym) d.quotes));
-        ("Date", QV.Vector (Qvalue.Qtype.Date, Array.map (fun _ -> QA.Date trade_date) d.quotes));
-        ("Time", QV.Vector (Qvalue.Qtype.Time, Array.map (fun q -> QA.Time q.q_time) d.quotes));
+        ("Date", QV.vector Qvalue.Qtype.Date (Array.map (fun _ -> QA.Date trade_date) d.quotes));
+        ("Time", QV.vector Qvalue.Qtype.Time (Array.map (fun q -> QA.Time q.q_time) d.quotes));
         ("Bid", QV.floats (Array.map (fun q -> q.q_bid) d.quotes));
         ("Ask", QV.floats (Array.map (fun q -> q.q_ask) d.quotes));
         ("BSize", QV.longs (Array.map (fun q -> q.q_bsize) d.quotes));

@@ -314,8 +314,8 @@ let test_qerror_accounting () =
 
 let column_syms t name =
   match QV.column_exn t name with
-  | QV.Vector (_, a) ->
-      Array.to_list a
+  | QV.Vector _ as v ->
+      Array.to_list (QV.atoms_exn v)
       |> List.map (function Qvalue.Atom.Sym s -> s | _ -> "?")
   | _ -> []
 
@@ -447,8 +447,8 @@ let test_explain_unsharded () =
       | QV.Table t ->
           let shards =
             match QV.column_exn t "shard" with
-            | QV.Vector (_, a) ->
-                Array.to_list a
+            | QV.Vector _ as v ->
+                Array.to_list (QV.atoms_exn v)
                 |> List.map (function Qvalue.Atom.Long i -> Int64.to_int i | _ -> 0)
             | _ -> []
           in

@@ -562,6 +562,55 @@ let test_pruning_shrinks_sql () =
        (List.init scale.Workload.Marketdata.wide_columns
           Workload.Marketdata.wide_col))
 
+(* The pivot re-tags a result's typed payloads as Q vectors: an int,
+   float, time and bool result of 1,000 rows without a NULL shares its
+   four payloads, so the table costs some words a column (the vector,
+   its payload's block, the pivot's closures, the table's arrays and
+   lists), not a word a cell. 244 words measured on OCaml 5.1, counted
+   with [Obs.Runtime.allocated_bytes]; building one atom a cell cost
+   17,241. The budget is 100 words a column. *)
+let test_pivot_allocation () =
+  let rows = 1_000 in
+  let db = Db.create () in
+  Db.load_table db
+    (S.table "p"
+       [
+         S.column "i" Ty.TBigint;
+         S.column "x" Ty.TDouble;
+         S.column "t" Ty.TTime;
+         S.column "b" Ty.TBool;
+       ])
+    (List.init rows (fun k ->
+         [|
+           V.Int (Int64.of_int (k * 7));
+           V.Float (float_of_int k /. 4.);
+           V.Time (k * 1000);
+           V.Bool (k mod 3 = 0);
+         |]));
+  let res =
+    match Db.exec (Db.open_session db) "SELECT i, x, t, b FROM p" with
+    | Db.Rows (res, _) -> res
+    | Db.Complete _ -> Alcotest.fail "expected rows"
+  in
+  let pivot () = Hyperq.Engine.table_of_result res in
+  let tbl = pivot () in
+  check (Alcotest.list Alcotest.int) "column types" [ 7; 9; 19; 1 ]
+    (Array.to_list (Array.map QV.type_code tbl.QV.data));
+  check tbool "row 999" true
+    (QV.equal
+       (QV.Atom (QV.atoms_exn tbl.QV.data.(2)).(999))
+       (QV.time 999_000));
+  let best = ref Float.infinity in
+  for _ = 1 to 3 do
+    let a0 = Obs.Runtime.allocated_bytes () in
+    ignore (Sys.opaque_identity (pivot ()));
+    best := Float.min !best (Obs.Runtime.allocated_bytes () -. a0)
+  done;
+  let words = !best /. float_of_int (Sys.word_size / 8) in
+  if words > 400. then
+    Alcotest.failf "pivot: %.0f words for 4 columns of %d rows, budget 400"
+      words rows
+
 (* Ablation C's structural claim: the scalar aggregations over nested
    queries emit no ORDER BY *)
 let test_order_elision_ablation () =
@@ -587,6 +636,8 @@ let () =
           Alcotest.test_case "sequential where" `Quick test_sequential_where;
           Alcotest.test_case "select by" `Quick test_select_by;
           Alcotest.test_case "exec vector" `Quick test_exec_vector;
+          Alcotest.test_case "pivot allocation budget" `Quick
+            test_pivot_allocation;
           Alcotest.test_case "scalar aggregate" `Quick test_scalar_result;
           Alcotest.test_case "in filter" `Quick test_in_filter;
           Alcotest.test_case "update" `Quick test_update;

@@ -17,7 +17,7 @@ let fixture () =
     Value.table
       [
         ("Symbol", Value.syms [| "A"; "B"; "A"; "B"; "A" |]);
-        ("Time", Value.Vector (Qtype.Time, [| Atom.Time 1000; Atom.Time 2000; Atom.Time 3000; Atom.Time 4000; Atom.Time 5000 |]));
+        ("Time", Value.vector Qtype.Time [| Atom.Time 1000; Atom.Time 2000; Atom.Time 3000; Atom.Time 4000; Atom.Time 5000 |]);
         ("Price", Value.floats [| 10.0; 20.0; 11.0; 21.0; 12.0 |]);
         ("Size", Value.longs [| 100; 200; 150; 250; 300 |]);
       ]
@@ -26,7 +26,7 @@ let fixture () =
     Value.table
       [
         ("Symbol", Value.syms [| "A"; "B"; "A"; "B" |]);
-        ("Time", Value.Vector (Qtype.Time, [| Atom.Time 500; Atom.Time 1500; Atom.Time 2500; Atom.Time 3500 |]));
+        ("Time", Value.vector Qtype.Time [| Atom.Time 500; Atom.Time 1500; Atom.Time 2500; Atom.Time 3500 |]);
         ("Bid", Value.floats [| 9.9; 19.9; 10.9; 20.9 |]);
         ("Ask", Value.floats [| 10.1; 20.1; 11.1; 21.1 |]);
       ]

@@ -454,6 +454,34 @@ let test_create_if_not_exists () =
     (Sqlast.Ast.stmt_str
        (Pgdb.Sql_parser.parse "create table if not exists t (a bigint)"))
 
+(* CREATE TABLE IF NOT EXISTS ... AS: a missing table is created from
+   the query; an existing one is left as it is and, as in PostgreSQL,
+   the query is not run and the tag is the statement's own *)
+let test_create_as_if_not_exists () =
+  let sess = fixture () in
+  let tag sql =
+    match Db.exec sess sql with
+    | Db.Complete tag -> tag
+    | Db.Rows _ -> Alcotest.failf "%s: not a command" sql
+  in
+  check tstr "missing table created" "SELECT 2"
+    (tag "CREATE TABLE IF NOT EXISTS t AS SELECT Price FROM trades LIMIT 2");
+  check tstr "existing table kept" "CREATE TABLE AS"
+    (tag "CREATE TABLE IF NOT EXISTS t AS SELECT Size, Price FROM trades");
+  check tstr "existing base table kept" "CREATE TABLE AS"
+    (tag "CREATE TABLE IF NOT EXISTS TRADES AS SELECT 1 AS a");
+  check tstr "the query is not run" "CREATE TABLE AS"
+    (tag "CREATE TEMPORARY TABLE IF NOT EXISTS t AS SELECT nope FROM missing");
+  check tint "its rows and columns stand" 2
+    (q sess "SELECT Price + 1 FROM t").Pgdb.Exec.res_nrows;
+  check tstr "without IF NOT EXISTS it raises" "42P07"
+    (sqlstate sess "CREATE TABLE t AS SELECT 1 AS a");
+  check tstr "printed back"
+    "CREATE TEMPORARY TABLE IF NOT EXISTS t AS SELECT 1 AS a"
+    (Sqlast.Ast.stmt_str
+       (Pgdb.Sql_parser.parse
+          "create temporary table if not exists t as select 1 as a"))
+
 let test_catalog_queryable () =
   let sess = fixture () in
   let res =
@@ -668,6 +696,8 @@ let () =
           Alcotest.test_case "view over view" `Quick test_view_over_view;
           Alcotest.test_case "table over view" `Quick test_table_over_view;
           Alcotest.test_case "drop" `Quick test_drop;
+          Alcotest.test_case "create table as if not exists" `Quick
+            test_create_as_if_not_exists;
           Alcotest.test_case "create table if not exists" `Quick
             test_create_if_not_exists;
           Alcotest.test_case "catalog queryable" `Quick test_catalog_queryable;

@@ -204,6 +204,129 @@ let test_type_codes () =
   check tint "general list" 0
     (Value.type_code (Value.List [| Value.int 1; Value.sym "s" |]))
 
+(* [vector_of_atoms] keeps kdb+'s null rules: a null takes its
+   neighbours' type, bool and char have no null ([0b] and [" "]), and a
+   vector of nothing but nulls is longs *)
+let test_vector_of_atoms_nulls () =
+  let v = Value.vector_of_atoms in
+  let elems x = Array.to_list (Value.atoms_exn x) in
+  let same name want got =
+    check tbool name true
+      (Value.type_code got = Value.type_code want && Value.equal got want
+      && List.for_all2 (fun a b -> Atom.is_null a = Atom.is_null b) (elems got)
+           (elems want))
+  in
+  same "bool null is 0b" (Value.bools [| true; false |])
+    (v [| Atom.Bool true; Atom.Null Qtype.Long |]);
+  check tstr "char null is a blank" "a "
+    (Value.to_string_exn (v [| Atom.Char 'a'; Atom.Null Qtype.Char |]));
+  same "all null is longs" (Value.vector Qtype.Long [| Atom.Null Qtype.Long; Atom.Null Qtype.Long |])
+    (v [| Atom.Null Qtype.Float; Atom.Null Qtype.Sym |]);
+  check tint "all null type" 7
+    (Value.type_code (v [| Atom.Null Qtype.Float; Atom.Null Qtype.Sym |]));
+  List.iter
+    (fun (a, ty) ->
+      let x = v [| a; Atom.Null Qtype.Long |] in
+      check tint (Qtype.name ty ^ " vector") (Qtype.code ty) (Value.type_code x);
+      check tbool (Qtype.name ty ^ " null") true
+        (match Value.index x 1 with
+        | Value.Atom n -> Atom.is_null n && Qtype.equal (Atom.qtype n) ty
+        | _ -> false))
+    [
+      (Atom.Long 1L, Qtype.Long);
+      (Atom.Float 1.5, Qtype.Float);
+      (Atom.Sym "a", Qtype.Sym);
+      (Atom.Date 1, Qtype.Date);
+      (Atom.Time 1, Qtype.Time);
+      (Atom.Timestamp 1L, Qtype.Timestamp);
+    ];
+  same "mixed types stay a general list"
+    (Value.List [| Value.int 1; Value.sym "a" |])
+    (v [| Atom.Long 1L; Atom.Sym "a" |]);
+  check tint "no atoms is the empty list" 0 (Value.type_code (v [||]))
+
+(* ------------------------------------------------------------------ *)
+(* QIPC round trip                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let encode v =
+  Qipc.Codec.encode_message ~compress:false
+    { Qipc.Codec.mt = Qipc.Codec.Response; body = Qipc.Codec.Value v }
+
+let decode bytes =
+  match Qipc.Codec.decode_message bytes with
+  | { Qipc.Codec.body = Qipc.Codec.Value v; _ }, _ -> v
+  | _ -> Alcotest.fail "expected a value"
+
+(* a value's type codes, its own and its parts', in order *)
+let rec type_codes v =
+  Value.type_code v
+  ::
+  (match v with
+  | Value.List vs -> List.concat_map type_codes (Array.to_list vs)
+  | Value.Dict (k, v) -> type_codes k @ type_codes v
+  | Value.Table t -> List.concat_map type_codes (Array.to_list t.Value.data)
+  | Value.KTable (k, v) -> type_codes (Value.Table k) @ type_codes (Value.Table v)
+  | Value.Atom _ | Value.Vector _ -> [])
+
+(* every Q type as a vector with its null and its extremes, and empty *)
+let every_vector =
+  let a = Atom.(
+    [
+      (Qtype.Bool, [| Bool true; Bool false |]);
+      (Qtype.Long,
+       [| Long 0L; Long Int64.max_int; Long (Int64.succ Int64.min_int); Null Qtype.Long |]);
+      (Qtype.Float,
+       [| Float 0.0; Float (-0.0); Float Float.infinity; Float Float.neg_infinity;
+          Float 1e-300; Null Qtype.Float |]);
+      (Qtype.Char, [| Char 'a'; Char ' '; Char '\000'; Char '\255' |]);
+      (Qtype.Sym, [| Sym "a"; Sym ""; Null Qtype.Sym; Sym "longer symbol" |]);
+      (Qtype.Date, [| Date 0; Date (-1); Date 0x7fff_ffff; Null Qtype.Date |]);
+      (Qtype.Time, [| Time 0; Time 86_399_999; Time (-1); Null Qtype.Time |]);
+      (Qtype.Timestamp,
+       [| Timestamp 0L; Timestamp Int64.max_int; Timestamp (Int64.succ Int64.min_int);
+          Null Qtype.Timestamp |]);
+    ])
+  in
+  List.map (fun (ty, atoms) -> Value.vector ty atoms) a
+  @ List.map (fun ty -> Value.vector ty [||]) Qtype.all
+
+let every_atom =
+  List.concat_map
+    (fun v -> Array.to_list (Value.elements v))
+    every_vector
+  (* bool and char have no null atom on the wire: theirs is 0b, " " *)
+  @ List.filter_map
+      (fun ty ->
+        match ty with
+        | Qtype.Bool | Qtype.Char -> None
+        | ty -> Some (Value.null ty))
+      Qtype.all
+
+(* [decode (encode v)] is [v] for every type, nulls included: equal as
+   Q values, of the same types, and encoding to the same bytes *)
+let test_qipc_roundtrip () =
+  let cols = List.filter (fun v -> Value.length v = 4) every_vector in
+  let values =
+    every_vector @ every_atom
+    @ [
+        Value.List (Array.of_list every_atom);
+        Value.Table
+          (Value.table (List.mapi (fun i v -> (Printf.sprintf "c%d" i, v)) cols));
+        Value.xkey [ "c0" ]
+          (Value.table (List.mapi (fun i v -> (Printf.sprintf "c%d" i, v)) cols));
+        Value.Dict (Value.syms [| "k"; "l" |], Value.floats [| Float.nan; -0.0 |]);
+      ]
+  in
+  List.iter
+    (fun v ->
+      let name = Qprint.to_string v in
+      let v' = decode (encode v) in
+      check tbool (name ^ ": equal") true (Value.equal v v');
+      check (Alcotest.list tint) (name ^ ": types") (type_codes v) (type_codes v');
+      check tbool (name ^ ": same bytes") true (encode v' = encode v))
+    values
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -263,9 +386,9 @@ let prop_distinct_idempotent =
       let v = Value.longs (Array.of_list xs) in
       Value.equal (Value.distinct v) (Value.distinct (Value.distinct v)))
 
-(* [vector_of_atoms] over 1,000 freshly made (young) atoms: its result
-   arrays start out holding a static atom or value, so it runs no minor
-   collection. Mapped with [Array.map], each started from its first,
+(* [vector_of_atoms] over 1,000 freshly made (young) atoms: a typed
+   vector's payload holds no pointer, and a general list starts out
+   holding a static value, so it runs no minor collection. Mapped with [Array.map], each started from its first,
    young, element, and OCaml's [caml_make_vect] empties the minor heap
    before it makes an array over 256 words from a young value: one
    collection per call. *)
@@ -329,6 +452,10 @@ let () =
           Alcotest.test_case "type codes" `Quick test_type_codes;
           Alcotest.test_case "vector_of_atoms collections" `Quick
             test_vector_of_atoms_collections;
+          Alcotest.test_case "vector_of_atoms nulls" `Quick
+            test_vector_of_atoms_nulls;
+          Alcotest.test_case "qipc round trip, every type" `Quick
+            test_qipc_roundtrip;
         ] );
       ("properties", props);
     ]

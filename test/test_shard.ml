@@ -523,10 +523,10 @@ let test_sharded_platform_end_to_end () =
           check tint ".hq.shards rows" 2 (QV.table_length t);
           let statements =
             match QV.column_exn t "statements" with
-            | QV.Vector (_, a) ->
+            | QV.Vector _ as v ->
                 Array.fold_left
                   (fun n x -> match x with QA.Long i -> n + Int64.to_int i | _ -> n)
-                  0 a
+                  0 (QV.atoms_exn v)
             | _ -> 0
           in
           check tbool "shards saw dispatches" true (statements > 0)
@@ -552,7 +552,8 @@ let atom_eq (a : QA.t) (b : QA.t) =
 let rec val_eq (a : QV.t) (b : QV.t) =
   match (a, b) with
   | QV.Atom x, QV.Atom y -> atom_eq x y
-  | QV.Vector (tx, xs), QV.Vector (ty, ys) ->
+  | QV.Vector (tx, _), QV.Vector (ty, _) ->
+      let xs = QV.atoms_exn a and ys = QV.atoms_exn b in
       tx = ty
       && Array.length xs = Array.length ys
       && Array.for_all2 atom_eq xs ys
@@ -972,7 +973,7 @@ let nulls_fixture () =
     db
   in
   let kdb = Kdb.Server.create () in
-  let vec ty f = QV.Vector (ty, Array.init n f) in
+  let vec ty f = QV.vector ty (Array.init n f) in
   Kdb.Server.load kdb "trades"
     (QV.Table
        (QV.table
