@@ -13,16 +13,6 @@ type table_def = {
   tbl_temp : bool;
 }
 
-type view_def = { view_name : string; view_sql : string }
-
-type function_def = {
-  fn_name : string;
-  fn_args : Sqltype.t list;
-  fn_ret : Sqltype.t;
-}
-
-type obj = Table of table_def | View of view_def | Function of function_def
-
 let column name ty = { col_name = name; col_type = ty }
 
 let table ?(keys = []) ?order_col ?(temp = false) name columns =

@@ -204,8 +204,7 @@ let ord_window ctx : (I.scalar * [ `Asc | `Desc ]) list =
   | Some oc -> [ (I.ColRef oc, `Asc) ]
   | None -> []
 
-let running_frame : A.frame option =
-  Some { A.frame_mode = `Rows; lo = A.UnboundedPreceding; hi = A.CurrentRow }
+let running_frame : A.frame option = Some A.UnboundedPreceding
 
 (* Q's [count distinct x] counts a NULL as one more distinct value; SQL's
    COUNT(DISTINCT x) skips NULLs, so add one when x holds any NULL *)
@@ -669,6 +668,9 @@ and bind_app2 ctx (f : Ast.expr) (x : Ast.expr) (y : Ast.expr) : bval =
       | "in" -> (
           match by with
           | BList ls -> BScalar (I.InList (as_scalar bx, ls))
+          (* an atom on the right is a one-item list, as in kdb *)
+          | BScalar (I.Const (l, ty)) ->
+              BScalar (I.InList (as_scalar bx, [ (l, ty) ]))
           | _ -> unsupported "in expects a literal list on the right")
       | "within" -> (
           match by with
@@ -710,13 +712,7 @@ and bind_app2 ctx (f : Ast.expr) (x : Ast.expr) (y : Ast.expr) : bval =
                      args = [ as_scalar by ];
                      partition = [];
                      order = ord_window ctx;
-                     frame =
-                       Some
-                         {
-                           A.frame_mode = `Rows;
-                           lo = A.Preceding (Int64.to_int n - 1);
-                           hi = A.CurrentRow;
-                         };
+                     frame = Some (A.Preceding (Int64.to_int n - 1));
                    })
           | _ -> unsupported "%s expects a constant window size" verb)
       | "wavg" ->

@@ -101,15 +101,10 @@ let is_passthrough_projs (s : A.select) =
       | _ -> false)
     s.A.projs
 
-let can_add_where (s : A.select) =
-  s.A.group_by = [] && s.A.having = None && s.A.limit = None
-  && s.A.offset = None && (not s.A.distinct)
-  && is_passthrough_projs s
-
-let can_replace_projs (s : A.select) =
-  s.A.group_by = [] && s.A.having = None && (not s.A.distinct)
-  && s.A.limit = None && s.A.offset = None
-  && is_passthrough_projs s
+(* a WHERE can be added to, or the projections replaced in, a select
+   that neither groups nor limits and passes its columns through *)
+let can_extend (s : A.select) =
+  s.A.group_by = [] && s.A.limit = None && is_passthrough_projs s
 
 (* ------------------------------------------------------------------ *)
 (* Relations                                                           *)
@@ -152,7 +147,7 @@ let rec select_of_rel (st : state) (r : I.rel) : A.select =
   | I.Filter { input; pred } ->
       let s = select_of_rel st input in
       let p = sql_of_scalar st pred in
-      if can_add_where s then
+      if can_extend s then
         {
           s with
           A.where =
@@ -170,7 +165,7 @@ let rec select_of_rel (st : state) (r : I.rel) : A.select =
           (fun (n, sc) -> { A.p_expr = sql_of_scalar st sc; p_alias = Some n })
           exprs
       in
-      if can_replace_projs s then { s with A.projs }
+      if can_extend s then { s with A.projs }
       else
         let sub = wrap st s in
         { sub with A.projs }
@@ -182,7 +177,7 @@ let rec select_of_rel (st : state) (r : I.rel) : A.select =
           (keys @ aggs)
       in
       let group_by = List.map (fun (_, sc) -> sql_of_scalar st sc) keys in
-      if can_replace_projs s && s.A.order_by = [] then
+      if can_extend s && s.A.order_by = [] then
         { s with A.projs; group_by }
       else
         let sub = wrap st s in
@@ -198,7 +193,7 @@ let rec select_of_rel (st : state) (r : I.rel) : A.select =
           (fun (n, sc) -> { A.p_expr = sql_of_scalar st sc; p_alias = Some n })
           wins
       in
-      if can_replace_projs s then { s with A.projs = base_projs @ win_projs }
+      if can_extend s then { s with A.projs = base_projs @ win_projs }
       else
         let sub = wrap st s in
         { sub with A.projs = base_projs @ win_projs }
@@ -216,7 +211,7 @@ let rec select_of_rel (st : state) (r : I.rel) : A.select =
             | `Desc -> [ (A.IsNull e, A.Asc); (e, A.Desc) ])
           keys
       in
-      if s.A.limit = None && s.A.offset = None then { s with A.order_by }
+      if s.A.limit = None then { s with A.order_by }
       else
         let sub = wrap st s in
         { sub with A.order_by }
@@ -284,11 +279,8 @@ and asof_side (st : state) (r : I.rel) (alias : string) : A.from_item =
       A.from = Some (A.TableRef (table, None));
       where = None;
       group_by = [];
-      having = None;
       order_by = [];
       limit = None;
-      offset = None;
-      distinct = false;
       _;
     } as s
     when is_passthrough_projs s ->

@@ -13,7 +13,6 @@ type stmt_entry = { se_stmt : A.stmt; mutable se_last_use : int }
 
 type t = {
   tables : (string, Storage.table) Hashtbl.t;
-  views : (string, S.view_def) Hashtbl.t;
   mutable catalog_dirty : bool;
   stmts : (string, stmt_entry) Hashtbl.t;
       (** bounded SQL-text → parsed-statement cache (PG prepared-statement
@@ -40,7 +39,6 @@ let catalog_table_name = "pg_catalog_columns"
 let create () =
   {
     tables = Hashtbl.create 32;
-    views = Hashtbl.create 8;
     catalog_dirty = true;
     stmts = Hashtbl.create 64;
     stmt_tick = 0;
@@ -117,8 +115,8 @@ let invalidate_catalog db = db.catalog_dirty <- true
 (* ------------------------------------------------------------------ *)
 
 (* a relation name as {!Vexec} sees it: the session's temp tables
-   shadow base tables, and views share the base tables' namespace *)
-let resolve (sess : session) (name : string) : Vexec.relation =
+   shadow base tables *)
+let resolve (sess : session) (name : string) : Exec.binding list * Batch.t =
   let lname = String.lowercase_ascii name in
   if lname = catalog_table_name then refresh_catalog sess.db;
   let tbl =
@@ -138,14 +136,8 @@ let resolve (sess : session) (name : string) : Vexec.relation =
             })
           tbl.Storage.def.S.tbl_columns
       in
-      Vexec.Table (bindings, tbl.Storage.batch)
-  | None -> (
-      match Hashtbl.find_opt sess.db.views lname with
-      | Some view -> (
-          match Sql_parser.parse view.S.view_sql with
-          | A.Select sel -> Vexec.View sel
-          | _ -> Errors.undefined_table "view %s is not a SELECT" name)
-      | None -> Errors.undefined_table "relation %s does not exist" name)
+      (bindings, tbl.Storage.batch)
+  | None -> Errors.undefined_table "relation %s does not exist" name
 
 let run_select (sess : session) (sel : A.select) : Exec.result =
   let o = Vexec.run ~resolve:(resolve sess) ~collect:sess.analyze sel in
@@ -156,12 +148,10 @@ let run_select (sess : session) (sel : A.select) : Exec.result =
 (* DDL / DML                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* tables, temp tables and views share one namespace *)
+(* tables and temp tables share one namespace *)
 let table_exists sess name =
   let lname = String.lowercase_ascii name in
-  Hashtbl.mem sess.temps lname
-  || Hashtbl.mem sess.db.tables lname
-  || Hashtbl.mem sess.db.views lname
+  Hashtbl.mem sess.temps lname || Hashtbl.mem sess.db.tables lname
 
 let table_of_result name temp (res : Exec.result) : Storage.table =
   Storage.create
@@ -211,13 +201,6 @@ let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
       end;
       Complete
         (Printf.sprintf "SELECT %d" res.Exec.res_nrows)
-  | A.CreateView { cv_name; cv_query } ->
-      let lname = String.lowercase_ascii cv_name in
-      if table_exists sess lname then
-        Errors.duplicate_table "relation %s already exists" cv_name;
-      Hashtbl.replace sess.db.views lname
-        { S.view_name = lname; view_sql = A.select_str cv_query };
-      Complete "CREATE VIEW"
   | A.InsertValues { ins_table; ins_cols; rows } ->
       let lname = String.lowercase_ascii ins_table in
       let tbl =
@@ -277,14 +260,6 @@ let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
       end
       else if if_exists then Complete "DROP TABLE"
       else Errors.undefined_table "relation %s does not exist" name
-  | A.DropView { if_exists; name } ->
-      let lname = String.lowercase_ascii name in
-      if Hashtbl.mem sess.db.views lname then begin
-        Hashtbl.remove sess.db.views lname;
-        Complete "DROP VIEW"
-      end
-      else if if_exists then Complete "DROP VIEW"
-      else Errors.undefined_table "view %s does not exist" name
 
 (* ------------------------------------------------------------------ *)
 (* Statement cache (PG prepared-statement emulation)                    *)

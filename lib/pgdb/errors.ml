@@ -16,7 +16,6 @@ let datetime_overflow fmt = error "22008" fmt
 let invalid_text_representation fmt = error "22P02" fmt
 let duplicate_table fmt = error "42P07" fmt
 let feature_not_supported fmt = error "0A000" fmt
-let invalid_object_definition fmt = error "42P17" fmt
 
 let to_string = function
   | Sql_error { code; message } -> Printf.sprintf "ERROR %s: %s" code message

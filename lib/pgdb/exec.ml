@@ -152,95 +152,76 @@ let compare_key (a : Value.t) (b : Value.t) : int =
 (* Scalar functions                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let scalar_fun name (args : Value.t list) : Value.t =
-  let num1 f =
-    match args with
-    | [ Value.Null ] -> Value.Null
-    | [ v ] -> (
-        match Value.to_float v with
-        | Some x -> Value.Float (f x)
-        | None -> Errors.type_mismatch "%s expects a number" name)
-    | _ -> Errors.undefined_function "%s with %d args" name (List.length args)
+(** 42883 for the function [name] of [nargs] arguments *)
+let no_function (name : string) (nargs : int) =
+  Errors.undefined_function "function %s with %d argument%s does not exist"
+    name nargs
+    (if nargs = 1 then "" else "s")
+
+(** The scalar function [name] of [nargs] arguments, resolved once when
+    a statement is planned: 42883 for any other, as PostgreSQL plans
+    it. These are the functions Hyper-Q's translator emits. *)
+let scalar_fun (name : string) (nargs : int) : Value.t list -> Value.t =
+  let one f = function [ v ] -> f v | _ -> invalid_arg "scalar_fun" in
+  let num f =
+    one (function
+      | Value.Null -> Value.Null
+      | v -> (
+          match Value.to_float v with
+          | Some x -> Value.Float (f x)
+          | None -> Errors.type_mismatch "%s expects a number" name))
   in
-  match (String.lowercase_ascii name, args) with
-  | "coalesce", args -> (
-      match List.find_opt (fun v -> not (Value.is_null v)) args with
-      | Some v -> v
-      | None -> Value.Null)
-  | "nullif", [ a; b ] -> (
-      match Value.compare3 a b with Some 0 -> Value.Null | _ -> a)
-  | "abs", [ Value.Int i ] -> Value.Int (Int64.abs i)
-  | "abs", _ -> num1 Float.abs
-  | "sqrt", _ -> num1 sqrt
-  | "exp", _ -> num1 exp
-  | "ln", _ -> num1 log
-  | "log", _ -> num1 log10
-  | "sign", [ v ] -> (
-      match Value.to_float v with
-      | Some f -> Value.Int (if f > 0. then 1L else if f < 0. then -1L else 0L)
-      | None -> Value.Null)
-  | "power", [ a; b ] -> (
-      match (Value.to_float a, Value.to_float b) with
-      | Some x, Some y -> Value.Float (x ** y)
-      | _ -> Value.Null)
-  | "round", [ v ] -> (
-      match v with
-      | Value.Int _ -> v
-      | _ -> (
+  (* floor and ceil keep an int as it is *)
+  let rounding f =
+    one (function
+      | Value.Int _ as v -> v
+      | v -> (
           match Value.to_float v with
-          | Some f -> Value.Float (Float.round f)
+          | Some x -> Value.Float (f x)
           | None -> Value.Null))
-  | "round", [ v; Value.Int digits ] -> (
-      match Value.to_float v with
-      | Some f ->
-          let scale = 10. ** Int64.to_float digits in
-          Value.Float (Float.round (f *. scale) /. scale)
-      | None -> Value.Null)
-  | "floor", [ v ] -> (
-      match v with
-      | Value.Int _ -> v
-      | _ -> (
+  in
+  let text f =
+    one (function
+      | Value.Str s -> Value.Str (f s)
+      | Value.Null -> Value.Null
+      | _ -> Errors.undefined_function "unknown function %s" name)
+  in
+  (* the greatest ([sign] 1) or least (-1) non-NULL argument *)
+  let extreme sign args =
+    List.fold_left
+      (fun acc v ->
+        if Value.is_null v then acc
+        else
+          match acc with
+          | Value.Null -> v
+          | acc -> if sign * compare_key v acc > 0 then v else acc)
+      Value.Null args
+  in
+  match (String.lowercase_ascii name, nargs) with
+  | "coalesce", n when n > 0 -> (
+      fun args ->
+        match List.find_opt (fun v -> not (Value.is_null v)) args with
+        | Some v -> v
+        | None -> Value.Null)
+  | "abs", 1 -> (
+      function
+      | [ Value.Int i ] -> Value.Int (Int64.abs i) | args -> num Float.abs args)
+  | "sqrt", 1 -> num sqrt
+  | "exp", 1 -> num exp
+  | "ln", 1 -> num log
+  | "sign", 1 ->
+      one (fun v ->
           match Value.to_float v with
-          | Some f -> Value.Float (Float.floor f)
-          | None -> Value.Null))
-  | ("ceil" | "ceiling"), [ v ] -> (
-      match v with
-      | Value.Int _ -> v
-      | _ -> (
-          match Value.to_float v with
-          | Some f -> Value.Float (Float.ceil f)
-          | None -> Value.Null))
-  | "mod", [ a; b ] -> Value.modulo a b
-  | "greatest", args ->
-      List.fold_left
-        (fun acc v ->
-          if Value.is_null v then acc
-          else
-            match acc with
-            | Value.Null -> v
-            | acc -> if compare_key v acc > 0 then v else acc)
-        Value.Null args
-  | "least", args ->
-      List.fold_left
-        (fun acc v ->
-          if Value.is_null v then acc
-          else
-            match acc with
-            | Value.Null -> v
-            | acc -> if compare_key v acc < 0 then v else acc)
-        Value.Null args
-  | "upper", [ Value.Str s ] -> Value.Str (String.uppercase_ascii s)
-  | "lower", [ Value.Str s ] -> Value.Str (String.lowercase_ascii s)
-  | ("upper" | "lower"), [ Value.Null ] -> Value.Null
-  | "length", [ Value.Str s ] -> Value.Int (Int64.of_int (String.length s))
-  | "length", [ Value.Null ] -> Value.Null
-  | "concat", args ->
-      Value.Str
-        (String.concat ""
-           (List.map
-              (fun v -> match Value.to_text v with Some s -> s | None -> "")
-              args))
-  | n, _ -> Errors.undefined_function "unknown function %s" n
+          | Some f ->
+              Value.Int (if f > 0. then 1L else if f < 0. then -1L else 0L)
+          | None -> Value.Null)
+  | "floor", 1 -> rounding Float.floor
+  | "ceil", 1 -> rounding Float.ceil
+  | "greatest", n when n > 0 -> extreme 1
+  | "least", n when n > 0 -> extreme (-1)
+  | "upper", 1 -> text String.uppercase_ascii
+  | "lower", 1 -> text String.lowercase_ascii
+  | n, k -> no_function n k
 
 (* general LIKE: two-pointer scan with greedy-'%' backtracking — the
    same language as the textbook DP without the per-call matrix *)
@@ -376,11 +357,6 @@ let binop (op : A.binop) : Value.t -> Value.t -> Value.t =
   | A.Ge -> fun a b -> cmp_bool a b (fun c -> c >= 0)
   | A.And -> Value.and3
   | A.Or -> Value.or3
-  | A.Concat -> (
-      fun a b ->
-        match (Value.to_text a, Value.to_text b) with
-        | Some x, Some y -> Value.Str (x ^ y)
-        | _ -> Value.Null)
   | A.IsDistinctFrom -> fun a b -> Value.not3 (Value.not_distinct a b)
   | A.IsNotDistinctFrom -> Value.not_distinct
 
@@ -402,7 +378,7 @@ let unop (op : A.unop) : Value.t -> Value.t =
 let rec expr_has_agg = function
   | A.Agg _ -> true
   | A.Bin (_, a, b) -> expr_has_agg a || expr_has_agg b
-  | A.Un (_, a) | A.IsNull a | A.IsNotNull a | A.Cast (a, _) -> expr_has_agg a
+  | A.Un (_, a) | A.IsNull a | A.Cast (a, _) -> expr_has_agg a
   | A.In (a, es) -> expr_has_agg a || List.exists expr_has_agg es
   | A.Between (a, b, c) -> expr_has_agg a || expr_has_agg b || expr_has_agg c
   | A.Case (bs, e) ->
@@ -417,8 +393,7 @@ let rec collect_windows (e : A.expr) : A.expr list =
   match e with
   | A.Window _ -> [ e ]
   | A.Bin (_, a, b) -> collect_windows a @ collect_windows b
-  | A.Un (_, a) | A.IsNull a | A.IsNotNull a | A.Cast (a, _) ->
-      collect_windows a
+  | A.Un (_, a) | A.IsNull a | A.Cast (a, _) -> collect_windows a
   | A.In (a, es) -> collect_windows a @ List.concat_map collect_windows es
   | A.Between (a, b, c) ->
       collect_windows a @ collect_windows b @ collect_windows c
@@ -443,114 +418,71 @@ let first_of_classes (vs : Value.t list) : Value.t list =
       end)
     vs
 
-let float_agg rows f =
-  match rows with
-  | [] -> Value.Null
-  | _ -> Value.Float (f (List.map (fun v -> match Value.to_float v with Some x -> x | None -> 0.0) rows))
+(** The aggregates pgdb computes, in GROUP BY and over a window frame
+    alike: the ones Hyper-Q's translator emits. *)
+let aggregates =
+  [ "count"; "sum"; "avg"; "min"; "max"; "median"; "stddev_pop"; "var_pop";
+    "first"; "last"; "bool_and"; "bool_or" ]
 
-(** Apply an aggregate to the list of argument values from a group's rows
-    (already filtered to non-null where SQL requires it). *)
+let floats (vs : Value.t list) : float list =
+  List.map (fun v -> match Value.to_float v with Some x -> x | None -> 0.0) vs
+
+(* the population variance of a non-empty list *)
+let variance (fs : float list) : float =
+  let n = float_of_int (List.length fs) in
+  let mean = List.fold_left ( +. ) 0.0 fs /. n in
+  List.fold_left (fun acc f -> acc +. ((f -. mean) ** 2.)) 0.0 fs /. n
+
+(** Apply an aggregate of {!aggregates} to the list of argument values
+    from a group's rows, NULLs among them. *)
 let apply_agg (name : string) (distinct : bool) (values : Value.t list) :
     Value.t =
   let non_null = List.filter (fun v -> not (Value.is_null v)) values in
   let non_null = if distinct then first_of_classes non_null else non_null in
+  (* a float aggregate: NULL over no values *)
+  let float_agg f =
+    if non_null = [] then Value.Null else Value.Float (f (floats non_null))
+  in
+  let extreme sign =
+    List.fold_left
+      (fun acc v ->
+        match acc with
+        | Value.Null -> v
+        | acc -> if sign * compare_key v acc > 0 then v else acc)
+      Value.Null non_null
+  in
   match String.lowercase_ascii name with
   | "count" -> Value.Int (Int64.of_int (List.length non_null))
   | "sum" -> (
       match non_null with
       | [] -> Value.Null
-      | vs ->
-          if List.for_all (function Value.Int _ -> true | _ -> false) vs then
-            Value.Int
-              (List.fold_left
-                 (fun acc v ->
-                   match v with Value.Int i -> Int64.add acc i | _ -> acc)
-                 0L vs)
-          else float_agg vs (List.fold_left ( +. ) 0.0))
-  | "avg" -> (
-      match non_null with
-      | [] -> Value.Null
-      | vs ->
-          float_agg vs (fun fs ->
-              List.fold_left ( +. ) 0.0 fs /. float_of_int (List.length fs)))
-  | "min" ->
-      List.fold_left
-        (fun acc v ->
-          match acc with
-          | Value.Null -> v
-          | acc -> if compare_key v acc < 0 then v else acc)
-        Value.Null non_null
-  | "max" ->
-      List.fold_left
-        (fun acc v ->
-          match acc with
-          | Value.Null -> v
-          | acc -> if compare_key v acc > 0 then v else acc)
-        Value.Null non_null
-  | "stddev_pop" -> (
-      match non_null with
-      | [] -> Value.Null
-      | vs ->
-          float_agg vs (fun fs ->
-              let n = float_of_int (List.length fs) in
-              let mean = List.fold_left ( +. ) 0.0 fs /. n in
-              let sq =
-                List.fold_left (fun acc f -> acc +. ((f -. mean) ** 2.)) 0.0 fs
-              in
-              sqrt (sq /. n)))
-  | "var_pop" -> (
-      match non_null with
-      | [] -> Value.Null
-      | vs ->
-          float_agg vs (fun fs ->
-              let n = float_of_int (List.length fs) in
-              let mean = List.fold_left ( +. ) 0.0 fs /. n in
-              let sq =
-                List.fold_left (fun acc f -> acc +. ((f -. mean) ** 2.)) 0.0 fs
-              in
-              sq /. n))
-  | "stddev" -> (
-      match non_null with
-      | [] | [ _ ] -> Value.Null
-      | vs ->
-          float_agg vs (fun fs ->
-              let n = float_of_int (List.length fs) in
-              let mean = List.fold_left ( +. ) 0.0 fs /. n in
-              let sq =
-                List.fold_left (fun acc f -> acc +. ((f -. mean) ** 2.)) 0.0 fs
-              in
-              sqrt (sq /. (n -. 1.))))
-  | "variance" -> (
-      match non_null with
-      | [] | [ _ ] -> Value.Null
-      | vs ->
-          float_agg vs (fun fs ->
-              let n = float_of_int (List.length fs) in
-              let mean = List.fold_left ( +. ) 0.0 fs /. n in
-              let sq =
-                List.fold_left (fun acc f -> acc +. ((f -. mean) ** 2.)) 0.0 fs
-              in
-              sq /. (n -. 1.)))
-  | "median" -> (
-      match non_null with
-      | [] -> Value.Null
-      | vs ->
-          float_agg vs (fun fs ->
-              let arr = Array.of_list fs in
-              Array.sort Float.compare arr;
-              let n = Array.length arr in
-              if n mod 2 = 1 then arr.(n / 2)
-              else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.0))
+      | vs when List.for_all (function Value.Int _ -> true | _ -> false) vs ->
+          Value.Int
+            (List.fold_left
+               (fun acc v ->
+                 match v with Value.Int i -> Int64.add acc i | _ -> acc)
+               0L vs)
+      | _ -> float_agg (List.fold_left ( +. ) 0.0))
+  | "avg" ->
+      float_agg (fun fs ->
+          List.fold_left ( +. ) 0.0 fs /. float_of_int (List.length fs))
+  | "min" -> extreme (-1)
+  | "max" -> extreme 1
+  | "stddev_pop" -> float_agg (fun fs -> sqrt (variance fs))
+  | "var_pop" -> float_agg variance
+  | "median" ->
+      float_agg (fun fs ->
+          let arr = Array.of_list fs in
+          Array.sort Float.compare arr;
+          let n = Array.length arr in
+          if n mod 2 = 1 then arr.(n / 2)
+          else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.0)
   | "first" -> ( match non_null with [] -> Value.Null | v :: _ -> v)
   | "last" -> (
       match List.rev non_null with [] -> Value.Null | v :: _ -> v)
   | "bool_and" ->
       Value.Bool (List.for_all (fun v -> Value.is_true v) non_null)
   | "bool_or" -> Value.Bool (List.exists (fun v -> Value.is_true v) non_null)
-  | "string_agg" ->
-      Value.Str
-        (String.concat ","
-           (List.filter_map Value.to_text non_null))
   | n -> Errors.undefined_function "unknown aggregate %s" n
 
 (* a value as the literal that denotes it; calendar values flatten to
@@ -609,7 +541,6 @@ let subst_aliases (projs : A.proj list) (names : string list) (e : A.expr) :
     | A.Bin (op, a, b) -> A.Bin (op, go a, go b)
     | A.Un (op, a) -> A.Un (op, go a)
     | A.IsNull a -> A.IsNull (go a)
-    | A.IsNotNull a -> A.IsNotNull (go a)
     | A.In (a, es) -> A.In (go a, List.map go es)
     | A.Between (a, lo, hi) -> A.Between (go a, go lo, go hi)
     | A.Case (bs, el) ->

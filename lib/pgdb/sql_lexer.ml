@@ -9,14 +9,11 @@ type token =
   | Op of string  (** operator or punctuation *)
   | Eof
 
-let keywords_preserve_case = false
-
 let is_digit c = c >= '0' && c <= '9'
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || is_digit c || c = '$'
 
 let tokenize (src : string) : token list =
-  ignore keywords_preserve_case;
   let n = String.length src in
   let pos = ref 0 in
   let toks = ref [] in
@@ -118,7 +115,7 @@ let tokenize (src : string) : token list =
       (* multi-char operators first *)
       let two = if !pos + 1 < n then String.sub src !pos 2 else "" in
       match two with
-      | "<>" | "<=" | ">=" | "!=" | "||" | "::" ->
+      | "<>" | "<=" | ">=" | "!=" | "::" ->
           emit (Op (if two = "!=" then "<>" else two));
           pos := !pos + 2
       | _ -> (

@@ -1,10 +1,17 @@
 (** Recursive-descent SQL parser producing {!Sqlast.Ast} statements.
 
-    Covers the dialect Hyper-Q's serializer emits plus enough general SQL to
-    be usable standalone: SELECT with joins, subqueries, GROUP BY / HAVING,
-    window functions with frames, IS [NOT] DISTINCT FROM, CASE, CAST (both
-    function and [::] forms), CREATE [TEMPORARY] TABLE [AS], CREATE VIEW,
-    INSERT ... VALUES, and DROP. *)
+    It accepts the SQL Hyper-Q's translator emits and nothing wider:
+    SELECT with joins, subqueries, UNION ALL, GROUP BY, ORDER BY and
+    LIMIT; aggregates (DISTINCT only inside one), window functions whose
+    frame is ROWS from [UNBOUNDED PRECEDING] or [k PRECEDING] to
+    [CURRENT ROW]; IS [NOT] NULL, IS [NOT] DISTINCT FROM, IN, BETWEEN,
+    LIKE, CASE and CAST (both function and [::] forms). The statements
+    besides SELECT are those the translator, the test fixtures and the
+    shard mirror send: CREATE [TEMPORARY] TABLE [IF NOT EXISTS] [AS],
+    INSERT ... VALUES and DROP TABLE [IF EXISTS]. Anything else is a
+    42601 syntax error; a function outside the closed set is refused
+    with 42883 when the statement is planned (DESIGN.md, "SELECT
+    surface"). *)
 
 module A = Sqlast.Ast
 
@@ -67,11 +74,21 @@ let type_name st : Catalog.Sqltype.t =
   | Some ty -> ty
   | None -> error "unknown type %s" name
 
+(* one or more [item]s separated by commas *)
+let parse_list st item =
+  let rec go acc =
+    let x = item st in
+    if peek st = Sql_lexer.Op "," then begin
+      ignore (next st);
+      go (x :: acc)
+    end
+    else List.rev (x :: acc)
+  in
+  go []
+
 (* ------------------------------------------------------------------ *)
 (* Expressions (precedence climbing)                                   *)
 (* ------------------------------------------------------------------ *)
-
-let agg_names = [ "sum"; "avg"; "min"; "max"; "count"; "stddev"; "stddev_pop"; "variance"; "var_pop"; "median"; "first"; "last"; "bool_and"; "bool_or"; "string_agg" ]
 
 let rec parse_expr st : A.expr = parse_or st
 
@@ -117,7 +134,7 @@ and parse_predicate st =
       ignore (next st);
       let negated = eat_kw st "not" in
       if eat_kw st "null" then
-        if negated then A.IsNotNull lhs else A.IsNull lhs
+        if negated then A.Un (A.Not, A.IsNull lhs) else A.IsNull lhs
       else if eat_kw st "distinct" then begin
         expect_kw st "from";
         let rhs = parse_additive st in
@@ -133,15 +150,7 @@ and parse_predicate st =
       A.Between (lhs, lo, hi)
   | Sql_lexer.Ident "in" ->
       ignore (next st);
-      expect_op st "(";
-      let rec go acc =
-        let e = parse_expr st in
-        match next st with
-        | Sql_lexer.Op "," -> go (e :: acc)
-        | Sql_lexer.Op ")" -> List.rev (e :: acc)
-        | t -> error "expected , or ) in IN list, found %s" (Sql_lexer.token_str t)
-      in
-      A.In (lhs, go [])
+      A.In (lhs, parse_in_list st)
   | Sql_lexer.Ident "like" ->
       ignore (next st);
       let rhs = parse_additive st in
@@ -149,21 +158,19 @@ and parse_predicate st =
   | Sql_lexer.Ident "not" when peek2 st = Sql_lexer.Ident "in" ->
       ignore (next st);
       ignore (next st);
-      expect_op st "(";
-      let rec go acc =
-        let e = parse_expr st in
-        match next st with
-        | Sql_lexer.Op "," -> go (e :: acc)
-        | Sql_lexer.Op ")" -> List.rev (e :: acc)
-        | t -> error "expected , or ) in IN list, found %s" (Sql_lexer.token_str t)
-      in
-      A.Un (A.Not, A.In (lhs, go []))
+      A.Un (A.Not, A.In (lhs, parse_in_list st))
   | Sql_lexer.Ident "not" when peek2 st = Sql_lexer.Ident "like" ->
       ignore (next st);
       ignore (next st);
       let rhs = parse_additive st in
       A.Un (A.Not, A.Like (lhs, rhs))
   | _ -> lhs
+
+and parse_in_list st =
+  expect_op st "(";
+  let es = parse_list st parse_expr in
+  expect_op st ")";
+  es
 
 and parse_additive st =
   let lhs = ref (parse_multiplicative st) in
@@ -176,10 +183,6 @@ and parse_additive st =
     | Sql_lexer.Op "-" ->
         ignore (next st);
         lhs := A.Bin (A.Sub, !lhs, parse_multiplicative st);
-        go ()
-    | Sql_lexer.Op "||" ->
-        ignore (next st);
-        lhs := A.Bin (A.Concat, !lhs, parse_multiplicative st);
         go ()
     | _ -> ()
   in
@@ -269,108 +272,54 @@ and parse_column st first =
 and parse_call st name : A.expr =
   expect_op st "(";
   let distinct = eat_kw st "distinct" in
-  let args =
-    if peek st = Sql_lexer.Op ")" then begin
-      ignore (next st);
-      []
-    end
-    else begin
-      let rec go acc =
-        let e = parse_expr st in
-        match next st with
-        | Sql_lexer.Op "," -> go (e :: acc)
-        | Sql_lexer.Op ")" -> List.rev (e :: acc)
-        | t -> error "expected , or ) in call, found %s" (Sql_lexer.token_str t)
-      in
-      go []
-    end
-  in
+  let args = if peek st = Sql_lexer.Op ")" then [] else parse_list st parse_expr in
+  expect_op st ")";
+  let is_agg = List.mem name Exec.aggregates in
+  if distinct && not is_agg then
+    error "DISTINCT specified, but %s is not an aggregate function" name;
   (* OVER clause makes it a window function *)
-  if at_kw st "over" then begin
-    ignore (next st);
+  if eat_kw st "over" then begin
+    if distinct then error "DISTINCT is not implemented for window functions";
     expect_op st "(";
-    let partition = ref [] and order = ref [] and frame = ref None in
-    if eat_kw st "partition" then begin
-      expect_kw st "by";
-      let rec go () =
-        partition := parse_expr st :: !partition;
-        if peek st = Sql_lexer.Op "," then begin
-          ignore (next st);
-          go ()
-        end
-      in
-      go ()
-    end;
-    if eat_kw st "order" then begin
-      expect_kw st "by";
-      let rec go () =
-        let e = parse_expr st in
-        let dir = parse_direction st in
-        order := (e, dir) :: !order;
-        if peek st = Sql_lexer.Op "," then begin
-          ignore (next st);
-          go ()
-        end
-      in
-      go ()
-    end;
-    (match peek st with
-    | Sql_lexer.Ident (("rows" | "range") as mode) ->
-        ignore (next st);
-        let parse_bound () =
-          if eat_kw st "unbounded" then
-            if eat_kw st "preceding" then A.UnboundedPreceding
-            else begin
-              expect_kw st "following";
-              A.UnboundedFollowing
-            end
-          else if eat_kw st "current" then begin
-            expect_kw st "row";
-            A.CurrentRow
-          end
+    let partition =
+      if eat_kw st "partition" then begin
+        expect_kw st "by";
+        parse_list st parse_expr
+      end
+      else []
+    in
+    let order =
+      if eat_kw st "order" then begin
+        expect_kw st "by";
+        parse_list st (fun st ->
+            let e = parse_expr st in
+            (e, parse_direction st))
+      end
+      else []
+    in
+    (* the one frame form: ROWS BETWEEN <start> AND CURRENT ROW *)
+    let frame =
+      if eat_kw st "rows" then begin
+        expect_kw st "between";
+        let start =
+          if eat_kw st "unbounded" then A.UnboundedPreceding
           else
             match next st with
-            | Sql_lexer.IntLit n ->
-                if eat_kw st "preceding" then A.Preceding (Int64.to_int n)
-                else begin
-                  expect_kw st "following";
-                  A.Following (Int64.to_int n)
-                end
-            | t -> error "bad frame bound %s" (Sql_lexer.token_str t)
+            | Sql_lexer.IntLit n -> A.Preceding (Int64.to_int n)
+            | t -> error "bad frame start %s" (Sql_lexer.token_str t)
         in
-        if eat_kw st "between" then begin
-          let lo = parse_bound () in
-          expect_kw st "and";
-          let hi = parse_bound () in
-          frame :=
-            Some
-              {
-                A.frame_mode = (if mode = "rows" then `Rows else `Range);
-                lo;
-                hi;
-              }
-        end
-        else
-          let lo = parse_bound () in
-          frame :=
-            Some
-              {
-                A.frame_mode = (if mode = "rows" then `Rows else `Range);
-                lo;
-                hi = A.CurrentRow;
-              }
-    | _ -> ());
+        expect_kw st "preceding";
+        expect_kw st "and";
+        expect_kw st "current";
+        expect_kw st "row";
+        Some start
+      end
+      else None
+    in
     expect_op st ")";
-    A.Window
-      {
-        win_fn = name;
-        win_args = args;
-        partition = List.rev !partition;
-        order = List.rev !order;
-        frame = !frame;
-      }
+    A.Window { win_fn = name; win_args = args; partition; order; frame }
   end
-  else if List.mem name agg_names then A.Agg { agg_name = name; distinct; args }
+  else if is_agg then A.Agg { agg_name = name; distinct; args }
   else A.Fun (name, args)
 
 and parse_case st : A.expr =
@@ -396,67 +345,44 @@ and parse_direction st : A.direction =
 
 and parse_select st : A.select =
   expect_kw st "select";
-  let distinct = eat_kw st "distinct" in
+  if at_kw st "distinct" then error "SELECT DISTINCT is not supported";
   let projs =
-    let rec go acc =
-      let e = parse_expr st in
-      let alias =
-        if eat_kw st "as" then Some (ident st)
-        else
-          match peek st with
-          | Sql_lexer.Ident a
-            when not
-                   (List.mem a
-                      [ "from"; "where"; "group"; "having"; "order"; "limit";
-                        "offset"; "union"; "all"; "inner"; "left"; "cross";
-                        "join"; "on"; "as"; "and"; "or" ]) ->
-              ignore (next st);
-              Some a
-          | Sql_lexer.QIdent a ->
-              ignore (next st);
-              Some a
-          | _ -> None
-      in
-      let acc = { A.p_expr = e; p_alias = alias } :: acc in
-      if peek st = Sql_lexer.Op "," then begin
-        ignore (next st);
-        go acc
-      end
-      else List.rev acc
-    in
-    go []
+    parse_list st (fun st ->
+        let e = parse_expr st in
+        let alias =
+          if eat_kw st "as" then Some (ident st)
+          else
+            match peek st with
+            | Sql_lexer.Ident a
+              when not
+                     (List.mem a
+                        [ "from"; "where"; "group"; "having"; "order"; "limit";
+                          "offset"; "union"; "all"; "inner"; "left"; "cross";
+                          "join"; "on"; "as"; "and"; "or" ]) ->
+                ignore (next st);
+                Some a
+            | Sql_lexer.QIdent a ->
+                ignore (next st);
+                Some a
+            | _ -> None
+        in
+        { A.p_expr = e; p_alias = alias })
   in
   let from = if eat_kw st "from" then Some (parse_from st) else None in
   let where = if eat_kw st "where" then Some (parse_expr st) else None in
   let group_by =
     if eat_kw st "group" then begin
       expect_kw st "by";
-      let rec go acc =
-        let e = parse_expr st in
-        if peek st = Sql_lexer.Op "," then begin
-          ignore (next st);
-          go (e :: acc)
-        end
-        else List.rev (e :: acc)
-      in
-      go []
+      parse_list st parse_expr
     end
     else []
   in
-  let having = if eat_kw st "having" then Some (parse_expr st) else None in
   let order_by =
     if eat_kw st "order" then begin
       expect_kw st "by";
-      let rec go acc =
-        let e = parse_expr st in
-        let d = parse_direction st in
-        if peek st = Sql_lexer.Op "," then begin
-          ignore (next st);
-          go ((e, d) :: acc)
-        end
-        else List.rev ((e, d) :: acc)
-      in
-      go []
+      parse_list st (fun st ->
+          let e = parse_expr st in
+          (e, parse_direction st))
     end
     else []
   in
@@ -467,24 +393,7 @@ and parse_select st : A.select =
       | t -> error "expected LIMIT count, found %s" (Sql_lexer.token_str t)
     else None
   in
-  let offset =
-    if eat_kw st "offset" then
-      match next st with
-      | Sql_lexer.IntLit n -> Some (Int64.to_int n)
-      | t -> error "expected OFFSET count, found %s" (Sql_lexer.token_str t)
-    else None
-  in
-  {
-    A.distinct;
-    projs;
-    from;
-    where;
-    group_by;
-    having;
-    order_by;
-    limit;
-    offset;
-  }
+  { A.projs; from; where; group_by; order_by; limit }
 
 and parse_from st : A.from_item =
   let base = parse_from_item st in
@@ -608,12 +517,7 @@ let parse_stmt_tokens st : A.stmt =
             }
         end
       end
-      else if eat_kw st "view" then begin
-        let name = ident st in
-        expect_kw st "as";
-        A.CreateView { cv_name = name; cv_query = parse_select st }
-      end
-      else error "expected TABLE or VIEW after CREATE")
+      else error "expected TABLE after CREATE")
   | Sql_lexer.Ident "insert" ->
       ignore (next st);
       expect_kw st "into";
@@ -681,7 +585,6 @@ let parse_stmt_tokens st : A.stmt =
       let name = ident st in
       match kind with
       | "table" -> A.DropTable { if_exists; name }
-      | "view" -> A.DropView { if_exists; name }
       | k -> error "cannot DROP %s" k)
   | t -> error "unsupported statement starting with %s" (Sql_lexer.token_str t)
 

@@ -3,15 +3,15 @@
 
     [run] lowers a {!Sqlast.Ast.select} into a pipeline of compiled
     closures over column vectors and runs it. The FROM tree may hold base
-    tables, views and derived tables (planned with the same lowering and
-    fed to the outer pipeline as a columnar source), UNION ALL (the
-    branches concatenated), a one-row source when there is no FROM, and
-    joins: a hash join on the ON clause's equality conjuncts, or a nested
-    loop over every pair when there is none, with the other conjuncts
-    run as a residual kernel over the candidate pairs. Then come WHERE
-    conjuncts, either hash group-by with the standard aggregates or
-    window functions plus projections, DISTINCT, ORDER BY and
-    LIMIT/OFFSET. DESIGN.md ("SELECT surface") states which errors are
+    tables and derived tables (planned with the same lowering and fed to
+    the outer pipeline as a columnar source), UNION ALL (the branches
+    concatenated), a one-row source when there is no FROM, and joins: a
+    hash join on the ON clause's equality conjuncts, or a nested loop
+    over every pair when there is none, with the other conjuncts run as
+    a residual kernel over the candidate pairs. Then come WHERE
+    conjuncts, either hash group-by with the aggregates of
+    {!Exec.aggregates} or window functions plus projections, ORDER BY
+    and LIMIT. DESIGN.md ("SELECT surface") states which errors are
     raised and when. *)
 
 module A = Sqlast.Ast
@@ -36,10 +36,10 @@ let reset_stats () =
 
 (* Every compile function below runs in two stages. Stage one, given a
    [scope], resolves names and checks shapes, touching no data; it
-   raises only name errors (unknown relation, column or view cycle). It
+   raises only name errors (unknown relation, column or function). It
    returns stage two, a function of [data] that binds to the columns
-   once the source has run. A whole SELECT tree, nested subqueries and
-   views included, is therefore planned before any of it runs. A shape
+   once the source has run. A whole SELECT tree, nested subqueries
+   included, is therefore planned before any of it runs. A shape
    the executor rejects (a window where none was computed, [*] or an
    aggregate in a scalar expression, ...) compiles to a closure that
    raises each time it is evaluated, so an empty input still returns an
@@ -115,11 +115,6 @@ let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
       fun d ->
         let ca = ca d in
         fun i -> Value.Bool (Value.is_null (ca i))
-  | A.IsNotNull a ->
-      let ca = comp a in
-      fun d ->
-        let ca = ca d in
-        fun i -> Value.Bool (not (Value.is_null (ca i)))
   | A.In (a, es) ->
       let ca = comp a in
       let ces = List.map comp es in
@@ -175,9 +170,10 @@ let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
         fun i -> Value.cast ty (ca i)
   | A.Fun (f, args) ->
       let cargs = List.map comp args in
+      let f = Exec.scalar_fun f (List.length args) in
       fun d ->
         let cargs = List.map (fun ca -> ca d) cargs in
-        fun i -> Exec.scalar_fun f (List.map (fun ca -> ca i) cargs)
+        fun i -> f (List.map (fun ca -> ca i) cargs)
   | A.Like (a, p) -> (
       let ca = comp a in
       match p with
@@ -1248,19 +1244,15 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) :
         fun g -> Value.cast ty (ca g)
   | A.Fun (f, args) when Exec.expr_has_agg e ->
       let cargs = List.map comp args in
+      let f = Exec.scalar_fun f (List.length args) in
       fun d gr ->
         let cargs = List.map (fun ca -> ca d gr) cargs in
-        fun g -> Exec.scalar_fun f (List.map (fun ca -> ca g) cargs)
+        fun g -> f (List.map (fun ca -> ca g) cargs)
   | A.IsNull a when Exec.expr_has_agg e ->
       let ca = comp a in
       fun d gr ->
         let ca = ca d gr in
         fun g -> Value.Bool (Value.is_null (ca g))
-  | A.IsNotNull a when Exec.expr_has_agg e ->
-      let ca = comp a in
-      fun d gr ->
-        let ca = ca d gr in
-        fun g -> Value.Bool (not (Value.is_null (ca g)))
   | A.Case (branches, else_) when Exec.expr_has_agg e ->
       let cbs = List.map (fun (c, r) -> (comp c, comp r)) branches in
       let celse = Option.map comp else_ in
@@ -1304,69 +1296,66 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) :
 
 module StrTbl = Batch.StrTbl
 
-(* An open-addressing map from int payloads to ids, probed linearly.
-   A payload is read in place from its column and compared and hashed
-   unboxed, so interning a row of a bigint, calendar or bool key
-   allocates nothing (a Hashtbl keyed by int64 boxes every key it is
-   asked about). *)
-module PayloadTbl = struct
+(* An open-addressing set of int payloads, probed linearly. A payload
+   is read in place from its column and compared and hashed unboxed, so
+   adding one allocates nothing (a Hashtbl keyed by int64 boxes every
+   key it is asked about). *)
+module PayloadSet = struct
   module I = Ivec
 
-  (* slot [s] holds payload [keys]'s slot [s] when [ids.(s) >= 0] *)
-  type t = { mutable keys : I.t; mutable ids : int array; mutable count : int }
+  (* slot [s] holds payload [keys]'s slot [s] when [used.(s)] *)
+  type t = { mutable keys : I.t; mutable used : bool array; mutable count : int }
 
   let create (n : int) : t =
     let cap = ref 16 in
     while !cap < 2 * n do
       cap := 2 * !cap
     done;
-    { keys = I.create !cap; ids = Array.make !cap (-1); count = 0 }
+    { keys = I.create !cap; used = Array.make !cap false; count = 0 }
 
   (* the slot of the payload at byte offset [off] of [src]: where it is
      held, or the empty slot it goes in. A multiplicative hash's high
      half picks the first slot. *)
-  let slot (keys : I.t) (ids : int array) (src : I.t) (off : int) : int =
+  let slot (keys : I.t) (used : bool array) (src : I.t) (off : int) : int =
     let x = I.get_at src off in
-    let mask = Array.length ids - 1 in
+    let mask = Array.length used - 1 in
     let s =
       ref
         (Int64.to_int
            (Int64.shift_right_logical (Int64.mul x 0x9E3779B97F4A7C15L) 32)
         land mask)
     in
-    while Array.unsafe_get ids !s >= 0 && I.unsafe_get_at keys (8 * !s) <> x do
+    while Array.unsafe_get used !s && I.unsafe_get_at keys (8 * !s) <> x do
       s := (!s + 1) land mask
     done;
     !s
 
   let grow (t : t) : unit =
-    let cap = 2 * Array.length t.ids in
-    let keys = I.create cap and ids = Array.make cap (-1) in
+    let cap = 2 * Array.length t.used in
+    let keys = I.create cap and used = Array.make cap false in
     Array.iteri
-      (fun s g ->
-        if g >= 0 then begin
-          let s' = slot keys ids t.keys (8 * s) in
+      (fun s u ->
+        if u then begin
+          let s' = slot keys used t.keys (8 * s) in
           I.unsafe_set_at keys (8 * s') (I.unsafe_get_at t.keys (8 * s));
-          Array.unsafe_set ids s' g
+          Array.unsafe_set used s' true
         end)
-      t.ids;
+      t.used;
     t.keys <- keys;
-    t.ids <- ids
+    t.used <- used
 
-  (* the id of [src]'s slot [i], [fresh ()] for a payload met for the
-     first time; kept at most half full *)
-  let intern (t : t) (src : I.t) (i : int) (fresh : unit -> int) : int =
-    let s = slot t.keys t.ids src (8 * i) in
-    let g = Array.unsafe_get t.ids s in
-    if g >= 0 then g
-    else begin
-      let g = fresh () in
-      I.unsafe_set_at t.keys (8 * s) (I.get_at src (8 * i));
-      Array.unsafe_set t.ids s g;
-      t.count <- t.count + 1;
-      if 2 * t.count > Array.length t.ids then grow t;
-      g
-    end
+  (* add [src]'s slot [i], whether it was absent; kept at most half
+     full *)
+  let add (t : t) (src : I.t) (i : int) : bool =
+    let s = slot t.keys t.used src (8 * i) in
+    (not (Array.unsafe_get t.used s))
+    && begin
+         I.unsafe_set_at t.keys (8 * s) (I.get_at src (8 * i));
+         Array.unsafe_set t.used s true;
+         t.count <- t.count + 1;
+         if 2 * t.count > Array.length t.used then grow t;
+         true
+       end
 end
 
 (* [id] of each row of [sel]: a loop over int arrays, which Array.map's
@@ -1378,22 +1367,19 @@ let[@inline] ids_of (id : int -> int) (sel : Batch.sel) : int array =
   done;
   out
 
-(* The one key equivalence of every hash operator: GROUP BY, DISTINCT,
-   a window's PARTITION BY and the hash join. Each side [(keys, col)]
-   reads a row's key through [keys], or through [col] when the key is
-   one plain column. The result gives each side the class id of one
-   row and the class ids of a selection's rows, and counts the ids
-   handed out: ids come in the order the functions first meet a class,
-   one id space across the sides, and rows of any side share an id
-   exactly when Exec.gkey_of maps their keys alike. When every side's
-   key is one plain text column, or one plain int column of one kind,
-   the payloads decide: text maps each dictionary code to its id
-   through an array indexed by code, resolving a code's string once
-   when sides' dictionaries differ (within one, distinct codes are
-   distinct strings); int payloads hash exactly (within a kind, equal
-   payloads are equal values). NULLs share one id. Anything else, float
-   keys, an int column against a float one and a date against a bigint
-   included, hashes the list of the key's gkeys. *)
+(* The one key equivalence of every hash operator: GROUP BY, a window's
+   PARTITION BY and the hash join. Each side [(keys, col)] reads a
+   row's key through [keys], or through [col] when the key is one plain
+   column. The result gives each side the class id of one row and the
+   class ids of a selection's rows, and counts the ids handed out: ids
+   come in the order the functions first meet a class, one id space
+   across the sides, and rows of any side share an id exactly when
+   Exec.gkey_of maps their keys alike. When every side's key is one
+   plain text column, the dictionary codes decide: each code maps to
+   its id through an array indexed by code, resolving a code's string
+   once when sides' dictionaries differ (within one, distinct codes are
+   distinct strings), and NULLs share one id. Any other key hashes the
+   list of its gkeys. *)
 let key_classes (sides : (cexpr list * Batch.column option) array) :
     ((int -> int) * (Batch.sel -> int array)) array * (unit -> int) =
   let next = ref 0 in
@@ -1416,41 +1402,23 @@ let key_classes (sides : (cexpr list * Batch.column option) array) :
         add tbl k g;
         g
   in
-  (* every side's plain column and what [payload] reads of it, when
-     each side has one *)
-  let each payload =
-    if
-      Array.for_all
-        (function
-          | _, Some c -> Option.is_some (payload c.Batch.data) | _ -> false)
-        sides
-    then
-      Some
-        (Array.map
-           (fun (_, c) ->
-             let c = Option.get c in
-             (c, Option.get (payload c.Batch.data)))
-           sides)
-    else None
-  in
+  (* every side's plain text column and its codes, when each side has
+     one *)
   let strs =
-    each (function Batch.DStr { codes; dict } -> Some (codes, dict) | _ -> None)
-  and ints =
-    (* one kind across the sides, whose payloads are then the classes *)
-    let kinds =
+    let strs =
       Array.map
         (function
-          | _, Some { Batch.data = Batch.DInt { kind; _ }; _ } -> Some kind
+          | _, Some ({ Batch.data = Batch.DStr { codes; dict }; _ } as c) ->
+              Some (c, (codes, dict))
           | _ -> None)
         sides
     in
-    each (function
-      | Batch.DInt { kind; ints } when Some kind = kinds.(0) -> Some ints
-      | _ -> None)
+    if Array.for_all Option.is_some strs then Some (Array.map Option.get strs)
+    else None
   in
   let ids =
-    match (strs, ints) with
-    | Some strs, _ ->
+    match strs with
+    | Some strs ->
         (* the sides' strings, when their dictionaries may differ *)
         let tbl =
           if Array.length strs > 1 then Some (StrTbl.create 64) else None
@@ -1483,17 +1451,7 @@ let key_classes (sides : (cexpr list * Batch.column option) array) :
             (* applied whole, so [id] inlines into the loop *)
             (id, fun sel -> ids_of id sel))
           strs
-    | None, Some ints ->
-        let tbl = PayloadTbl.create 64 in
-        Array.map
-          (fun (c, p) ->
-            let id i =
-              if Batch.is_null c i then null ()
-              else PayloadTbl.intern tbl p i fresh
-            in
-            (id, ids_of id))
-          ints
-    | None, None ->
+    | None ->
         let tbl : (Exec.gkey list, int) Hashtbl.t = Hashtbl.create 64 in
         Array.map
           (fun (keys, _) ->
@@ -1871,14 +1829,16 @@ let order_positions (keys : sort_key list) (n : int) (prefix : int) :
    array that compile_expr's Window arm reads. *)
 
 (* evaluate a window function over one sorted partition: [sorted] holds
-   its source rows in window order, and [tie pos], for [pos >= 1],
-   whether position [pos] has the ORDER BY keys of [pos - 1]; results
-   go to [out] at each row's source index *)
-type wfill = int array -> (int -> bool) -> Value.t array -> unit
+   its source rows in window order; results go to [out] at each row's
+   source index *)
+type wfill = int array -> Value.t array -> unit
 
 (* Stage one of a window: the function, its arguments, partition and
-   order expressions. Stage two maps the surviving rows to the result
-   array over all [nrows] source rows. *)
+   order expressions. The functions are row_number(), lag(x), lead(x)
+   and every aggregate of Exec.aggregates, count also over no argument
+   or [*]; any other is 42883 here, before a source runs. Stage two maps
+   the surviving rows to the result array over all [nrows] source
+   rows. *)
 let plan_window (sc : scope) (w : A.expr) :
     string * (data -> Batch.sel -> int -> Value.t array) =
   match w with
@@ -1900,143 +1860,75 @@ let plan_window (sc : scope) (w : A.expr) :
             | e -> `Expr (compile_expr sc e, mk))
           (fold_order order)
       in
-      (* frame bounds, positions within the partition; without a frame
-         PG's default: the whole partition, or with an ORDER BY range
-         unbounded preceding .. current row. The frame is clamped to the
-         partition as a whole, so one that lies wholly before or after
-         it is empty (lo > hi) rather than the nearest row. *)
-      let bounds m pos =
+      (* an aggregate's frame at position [pos] of a partition of [m]
+         rows: from [k] rows back (clamped to the partition) or its
+         first row, to the current row. Without a frame PG's default:
+         the whole partition, or with an ORDER BY its rows up to the
+         current one. *)
+      let start pos =
         match frame with
-        | None -> if order = [] then (0, m - 1) else (0, pos)
-        | Some { A.lo; hi; _ } ->
-            let b = function
-              | A.UnboundedPreceding -> 0
-              | A.Preceding k -> pos - k
-              | A.CurrentRow -> pos
-              | A.Following k -> pos + k
-              | A.UnboundedFollowing -> m - 1
-            in
-            (Stdlib.max 0 (b lo), Stdlib.min (m - 1) (b hi))
-      in
-      (* the first argument, compiled only by the functions that read it *)
-      let arg () =
-        match win_args with
-        | [] -> fun _ _ -> Value.Null
-        | a :: _ -> compile_expr sc a
-      in
+        | Some (A.Preceding k) -> Stdlib.max 0 (pos - k)
+        | _ -> 0
+      and stop m pos = if frame = None && order = [] then m - 1 else pos in
       let fill : data -> wfill =
-        match fn with
-        | "row_number" ->
-            fun _ sorted _ out ->
+        match (fn, win_args) with
+        | "row_number", [] ->
+            fun _ sorted out ->
               Array.iteri
                 (fun pos i -> out.(i) <- Value.Int (Int64.of_int (pos + 1)))
                 sorted
-        | "rank" | "dense_rank" ->
-            let dense = fn = "dense_rank" in
-            fun _ sorted tie out ->
-              let rank = ref 0 and drank = ref 0 in
-              Array.iteri
-                (fun pos i ->
-                  if pos = 0 || not (tie pos) then begin
-                    rank := pos + 1;
-                    incr drank
-                  end;
-                  out.(i) <-
-                    Value.Int (Int64.of_int (if dense then !drank else !rank)))
-                sorted
-        | "lag" | "lead" ->
-            let ca = arg () in
-            let offset =
-              match win_args with
-              | _ :: A.Lit (A.Int k) :: _ -> Int64.to_int k
-              | _ -> 1
-            in
-            let cdefault =
-              match win_args with
-              | [ _; _; dflt ] -> Some (compile_expr sc dflt)
-              | _ -> None
-            in
-            let step = if fn = "lag" then -offset else offset in
+        | ("lag" | "lead"), [ a ] ->
+            let ca = compile_expr sc a in
+            let step = if fn = "lag" then -1 else 1 in
             fun d ->
-              let ca = ca d and cdefault = Option.map (fun c -> c d) cdefault in
-              fun sorted _ out ->
+              let ca = ca d in
+              fun sorted out ->
                 let m = Array.length sorted in
                 Array.iteri
                   (fun pos i ->
                     let src = pos + step in
                     out.(i) <-
                       (if src >= 0 && src < m then ca sorted.(src)
-                       else
-                         match cdefault with
-                         | Some c -> c i
-                         | None -> Value.Null))
+                       else Value.Null))
                   sorted
-        | "first_value" | "last_value" ->
-            let ca = arg () in
-            let first = fn = "first_value" in
-            fun d ->
-              let ca = ca d in
-              fun sorted _ out ->
-                let m = Array.length sorted in
-                Array.iteri
-                  (fun pos i ->
-                    let lo, hi = bounds m pos in
-                    out.(i) <-
-                      (if lo > hi then Value.Null
-                       else ca sorted.(if first then lo else hi)))
-                  sorted
-        | "ntile" ->
-            let buckets =
-              match win_args with [ A.Lit (A.Int k) ] -> Int64.to_int k | _ -> 1
-            in
-            fun _ sorted _ out ->
+        | "count", ([] | [ A.Star ]) ->
+            fun _ sorted out ->
               let m = Array.length sorted in
               Array.iteri
                 (fun pos i ->
                   out.(i) <-
-                    Value.Int
-                      (Int64.of_int (1 + (pos * buckets / Stdlib.max 1 m))))
+                    Value.Int (Int64.of_int (stop m pos - start pos + 1)))
                 sorted
-        | "sum" | "avg" | "min" | "max" | "count" | "stddev" | "first"
-        | "last" ->
-            let value =
-              match win_args with
-              | [] | [ A.Star ] -> fun _ _ -> Value.Int 1L
-              | a :: _ -> compile_expr sc a
-            in
-            let count_rows = fn = "count" && win_args = [] in
+        | f, [ a ] when List.mem f Exec.aggregates ->
+            let value = compile_expr sc a in
             fun d ->
               let value = value d in
               let acc = make_acc fn in
-              fun sorted _ out ->
-                (* [acc] holds the frame [lo0, hi0]: a frame that keeps
-                   its start and does not shrink is extended, anything
-                   else refolds, so running and whole-partition frames
-                   cost one pass and a k-row sliding frame k per row. An
-                   empty frame (lo > hi) refolds to nothing: NULL, or a
-                   count of 0. *)
+              fun sorted out ->
+                (* [acc] holds the frame [lo0, hi0] and [v] its value: a
+                   frame that keeps its start is extended, one that moves
+                   it refolds, and one that is unchanged keeps [v], so
+                   running and whole-partition frames cost one pass and
+                   a k-row sliding frame k per row *)
                 let m = Array.length sorted in
-                let lo0 = ref 0 and hi0 = ref (-1) and fresh = ref true in
+                let lo0 = ref (-1) and hi0 = ref (-1) and v = ref Value.Null in
                 for pos = 0 to m - 1 do
-                  let lo, hi = bounds m pos in
-                  if !fresh || lo <> !lo0 || hi < !hi0 then begin
+                  let lo = start pos and hi = stop m pos in
+                  if lo <> !lo0 then begin
                     acc.clear ();
                     lo0 := lo;
-                    hi0 := lo - 1;
-                    fresh := false
+                    hi0 := lo - 1
                   end;
-                  for k = !hi0 + 1 to hi do
-                    acc.add (value sorted.(k))
-                  done;
-                  if hi > !hi0 then hi0 := hi;
-                  out.(sorted.(pos)) <-
-                    (if count_rows then
-                       Value.Int (Int64.of_int (Stdlib.max 0 (hi - lo + 1)))
-                     else acc.get ())
+                  if hi > !hi0 then begin
+                    for k = !hi0 + 1 to hi do
+                      acc.add (value sorted.(k))
+                    done;
+                    hi0 := hi;
+                    v := acc.get ()
+                  end;
+                  out.(sorted.(pos)) <- !v
                 done
-        | f ->
-            fun _ _ _ _ ->
-              Errors.undefined_function "unknown window function %s" f
+        | f, args -> Exec.no_function f (List.length args)
       in
       ( fn,
         fun d ->
@@ -2054,11 +1946,11 @@ let plan_window (sc : scope) (w : A.expr) :
             let out = Array.make nrows Value.Null in
             List.iter
               (fun rows ->
-                let m = Array.length rows in
-                let perm = Array.init m Fun.id in
-                let tie =
-                  if cord = [] then fun _ -> true
+                let sorted =
+                  if cord = [] then rows
                   else begin
+                    let m = Array.length rows in
+                    let perm = Array.init m Fun.id in
                     let keys =
                       sort_keys
                         (List.map
@@ -2069,12 +1961,11 @@ let plan_window (sc : scope) (w : A.expr) :
                            cord)
                         m
                     in
-                    let cmp = sort_order keys perm in
-                    sort_ids cmp perm;
-                    fun pos -> cmp perm.(pos - 1) perm.(pos) = 0
+                    sort_ids (sort_order keys perm) perm;
+                    Array.map (Array.get rows) perm
                   end
                 in
-                fill (Array.map (Array.get rows) perm) tie out)
+                fill sorted out)
               (partitions cpart part_col sel);
             out )
   | _ -> invalid_arg "vexec: plan_window on a non-window expression"
@@ -2084,7 +1975,7 @@ let plan_window (sc : scope) (w : A.expr) :
 let singleton_partitions (c : Batch.column) (sel : Batch.sel) : bool =
   match c.Batch.data with
   | Batch.DInt { ints; _ } ->
-      let seen = PayloadTbl.create (Array.length sel) in
+      let seen = PayloadSet.create (Array.length sel) in
       let null_seen = ref false in
       Array.for_all
         (fun i ->
@@ -2093,11 +1984,7 @@ let singleton_partitions (c : Batch.column) (sel : Batch.sel) : bool =
             null_seen := true;
             fresh
           end
-          else begin
-            let n = seen.PayloadTbl.count in
-            ignore (PayloadTbl.intern seen ints i (fun () -> 0));
-            seen.PayloadTbl.count > n
-          end)
+          else PayloadSet.add seen ints i)
         sel
   | _ -> false
 
@@ -2451,14 +2338,9 @@ let select_windows (projs : A.proj list) (s : A.select) : A.expr list =
   |> List.fold_left (fun acc w -> if List.mem w acc then acc else w :: acc) []
   |> List.rev
 
-(* what a relation name resolves to *)
-type relation =
-  | Table of Exec.binding list * Batch.t
-      (** unqualified bindings and the table's columns *)
-  | View of A.select
-
-(* resolves a relation name, raising undefined_table for unknown ones *)
-type resolver = string -> relation
+(* resolves a relation name to its unqualified bindings and its
+   table's columns, raising undefined_table for unknown ones *)
+type resolver = string -> Exec.binding list * Batch.t
 
 let est_of (n : Opstats.node option) =
   match n with Some n -> n.Opstats.est_rows | None -> 1
@@ -2535,23 +2417,20 @@ let rank_limits (alias : string) (where : A.expr option) : (string * int) list
 
 (* whether a SELECT with projections [projs] aggregates *)
 let select_has_agg (s : A.select) (projs : A.proj list) : bool =
-  s.A.group_by <> []
-  || List.exists (fun p -> Exec.expr_has_agg p.A.p_expr) projs
-  || match s.A.having with Some h -> Exec.expr_has_agg h | None -> false
+  s.A.group_by <> [] || List.exists (fun p -> Exec.expr_has_agg p.A.p_expr) projs
 
 (* The rank-limit cut of a SELECT with projections [projs]: the first of
    the enclosing query's [limits] whose column resolves, as the
    enclosing WHERE would resolve it, to a bare row_number() projection
-   of a SELECT without aggregates, DISTINCT, ORDER BY, LIMIT or OFFSET
-   whose projections are all plain columns or windows. Its output is
-   then its rows in WHERE order and every computed column is a window
-   that numbers all of them, so each column's type is read from all
-   rows, as without the cut. *)
+   of a SELECT without aggregates, ORDER BY or LIMIT whose projections
+   are all plain columns or windows. Its output is then its rows in
+   WHERE order and every computed column is a window that numbers all
+   of them, so each column's type is read from all rows, as without the
+   cut. *)
 let rank_cut (s : A.select) (projs : A.proj list) ~(has_agg : bool)
     (limits : (string * int) list) : (A.expr * int) option =
   if
-    has_agg || s.A.distinct || s.A.order_by <> [] || s.A.limit <> None
-    || s.A.offset <> None
+    has_agg || s.A.order_by <> [] || s.A.limit <> None
     || not
          (List.for_all
             (fun p ->
@@ -2650,64 +2529,51 @@ let asof_shape (bindings : Exec.binding list) (nl : int) (w : A.expr)
       | _ -> None)
   | _ -> None
 
-(* Lower a FROM tree. Base tables resolve to their batches;
-   views and derived tables plan their SELECT with the same lowering
-   and feed its output as a source; UNION ALL concatenates its
-   branches. A join with equality conjuncts in ON hashes on them; any
-   other join (CROSS, comma, an ON without equality, or none) pairs
-   every left row with every right row. Either way the rest of the ON
-   clause runs as one residual kernel over the candidate pairs. A LEFT or
-   INNER join in the as-of shape of [asof], the cut window of the SELECT
-   this FROM feeds ([asof_shape]), runs as one [asof_join_idx] instead:
-   at most one pair per left row, the one the window would rank first.
-   [expanding] holds the views being inlined, so a view cycle is an
-   error rather than an endless expansion. *)
+(* Lower a FROM tree. Base tables resolve to their batches; derived
+   tables plan their SELECT with the same lowering and feed its output
+   as a source; UNION ALL concatenates its branches. A join with
+   equality conjuncts in ON hashes on them; any other join (CROSS,
+   comma, an ON without equality, or none) pairs every left row with
+   every right row. Either way the rest of the ON clause runs as one
+   residual kernel over the candidate pairs. A LEFT or INNER join in
+   the as-of shape of [asof], the cut window of the SELECT this FROM
+   feeds ([asof_shape]), runs as one [asof_join_idx] instead: at most
+   one pair per left row, the one the window would rank first. *)
 let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
-    ~(expanding : string list) (f : A.from_item) : from_plan =
+    (f : A.from_item) : from_plan =
   match f with
-  | A.TableRef (name, alias) -> (
-      match resolve name with
-      | View sel ->
-          let lname = String.lowercase_ascii name in
-          if List.mem lname expanding then
-            Errors.invalid_object_definition
-              "infinite recursion detected in rules for relation \"%s\"" lname;
-          plan_derived ~limits:[] ~resolve ~collect
-            ~expanding:(lname :: expanding) sel
-            (Option.value alias ~default:name)
-      | Table (base_bindings, b) ->
-          let qual = Some (Option.value alias ~default:name) in
-          let bindings =
-            List.map (fun b -> { b with Exec.b_qual = qual }) base_bindings
-          in
-          {
-            fp_bindings = bindings;
-            fp_run =
-              (fun () ->
-                let n = b.Batch.nrows in
-                let node =
-                  if collect then
-                    Some
-                      (Opstats.make ~op:"vector_scan" ~detail:name ~est_rows:n
-                         ~rows_in:n ~rows_out:n ~self_ns:0L ~children:[])
-                  else None
-                in
-                ( {
-                    nrows = n;
-                    all = b.Batch.all;
-                    column = Array.get b.Batch.cols;
-                    values = (fun j -> Batch.values b.Batch.cols.(j));
-                    gather = (fun j -> Batch.gather b.Batch.cols.(j));
-                  },
-                  bindings,
-                  node ));
-          })
-  | A.SubqueryRef (sel, alias) ->
-      plan_derived ~limits:[] ~resolve ~collect ~expanding sel alias
-  | A.UnionRef (sels, alias) ->
-      let branches =
-        List.map (plan_select ~limits:[] ~resolve ~collect ~expanding) sels
+  | A.TableRef (name, alias) ->
+      let base_bindings, b = resolve name in
+      let qual = Some (Option.value alias ~default:name) in
+      let bindings =
+        List.map (fun b -> { b with Exec.b_qual = qual }) base_bindings
       in
+      {
+        fp_bindings = bindings;
+        fp_run =
+          (fun () ->
+            let n = b.Batch.nrows in
+            let node =
+              if collect then
+                Some
+                  (Opstats.make ~op:"vector_scan" ~detail:name ~est_rows:n
+                     ~rows_in:n ~rows_out:n ~self_ns:0L ~children:[])
+              else None
+            in
+            ( {
+                nrows = n;
+                all = b.Batch.all;
+                column = Array.get b.Batch.cols;
+                values = (fun j -> Batch.values b.Batch.cols.(j));
+                gather = (fun j -> Batch.gather b.Batch.cols.(j));
+              },
+              bindings,
+              node ));
+      }
+  | A.SubqueryRef (sel, alias) ->
+      plan_derived ~limits:[] ~resolve ~collect sel alias
+  | A.UnionRef (sels, alias) ->
+      let branches = List.map (plan_select ~limits:[] ~resolve ~collect) sels in
       let names =
         match branches with
         | [] -> Errors.syntax_error "empty UNION"
@@ -2750,8 +2616,8 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
             node ))
   | A.JoinItem { jkind; left; right; on } ->
       let left_outer = jkind = `Left in
-      let lp = plan_from ~resolve ~collect ~expanding left in
-      let rp = plan_from ~resolve ~collect ~expanding right in
+      let lp = plan_from ~resolve ~collect left in
+      let rp = plan_from ~resolve ~collect right in
       let lb = lp.fp_bindings and rb = rp.fp_bindings in
       let nl = List.length lb in
       let bindings = lb @ rb in
@@ -2913,11 +2779,11 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
             (src, ltyped @ rtyped, node));
       }
 
-(* a derived table or an inlined view: the SELECT's output as a source;
-   [limits] are the rank limits the enclosing query places on it *)
-and plan_derived ~limits ~resolve ~collect ~expanding (sel : A.select)
-    (alias : string) : from_plan =
-  let names, run = plan_select ~limits ~resolve ~collect ~expanding sel in
+(* a derived table: the SELECT's output as a source; [limits] are the
+   rank limits the enclosing query places on it *)
+and plan_derived ~limits ~resolve ~collect (sel : A.select) (alias : string)
+    : from_plan =
+  let names, run = plan_select ~limits ~resolve ~collect sel in
   derived_source names alias (fun () ->
       let o = run () in
       ( o,
@@ -2933,13 +2799,12 @@ and plan_derived ~limits ~resolve ~collect ~expanding (sel : A.select)
         else None ))
 
 (* Plan a SELECT: FROM tree, WHERE kernels, then either hash
-   aggregation or windows + projections, then DISTINCT and
-   ORDER BY/OFFSET/LIMIT.
+   aggregation or windows + projections, then ORDER BY and LIMIT.
    Returns the output column names and the thunk that runs it. [limits]
    are the enclosing query's rank limits on this SELECT's columns (see
    [rank_limits]); a FROM that is one derived table passes this WHERE's
    limits down to it. *)
-and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
+and plan_select ~limits ~resolve ~collect (s : A.select) :
     string list * (unit -> output) =
   (* the as-of lowering: a SELECT without WHERE whose one window is cut
      at 1 hands that window to its FROM ([plan_from]). Without stars the
@@ -2960,8 +2825,8 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
     | Some (A.SubqueryRef (sub, alias)) ->
         plan_derived
           ~limits:(rank_limits alias s.A.where)
-          ~resolve ~collect ~expanding sub alias
-    | Some f -> plan_from ?asof ~resolve ~collect ~expanding f
+          ~resolve ~collect sub alias
+    | Some f -> plan_from ?asof ~resolve ~collect f
     | None -> values_plan ~collect
   in
   let bindings = fp.fp_bindings in
@@ -3012,7 +2877,6 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
         | [ A.Col (q, c) ] -> Some (Exec.find_binding bindings q c)
         | _ -> None
       in
-      let chaving = Option.map (compile_agg_expr sc) s.A.having in
       let cprojs = List.map (fun p -> compile_agg_expr sc p.A.p_expr) projs in
       let cord =
         List.map
@@ -3043,32 +2907,21 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
             { sel; gid; mask = -1; ng; first; ident = src.all; vecs = [] }
           end
         in
-        let groups =
-          match chaving with
-          | None -> Array.init gr.ng Fun.id
-          | Some ch ->
-              let ch = ch d gr in
-              List.init gr.ng Fun.id
-              |> List.filter (fun g -> Value.is_true (ch g))
-              |> Array.of_list
-        in
-        let ng = Array.length groups in
+        let ng = gr.ng in
         let cprojs = Array.of_list (List.map (fun c -> c d gr) cprojs) in
         (* row-major, so errors surface in row order: every projection
            of a group, then the next group; the sort keys after all of
            them *)
         let vals = Array.map (fun _ -> Array.make ng Value.Null) cprojs in
-        Array.iteri
-          (fun gi g -> Array.iteri (fun k cp -> vals.(k).(gi) <- cp g) cprojs)
-          groups;
+        for g = 0 to ng - 1 do
+          Array.iteri (fun k cp -> vals.(k).(g) <- cp g) cprojs
+        done;
         let keys =
           sort_keys
             (List.map
                (function
                  | `Proj (k, mk) -> Ready (mk (Vals vals.(k)))
-                 | `Expr (c, mk) ->
-                     let c = c d gr in
-                     Eval ((fun gi -> c groups.(gi)), mk))
+                 | `Expr (c, mk) -> Eval (c d gr, mk))
                cord)
             ng
         in
@@ -3247,81 +3100,31 @@ and plan_select ~limits ~resolve ~collect ~expanding (s : A.select) :
       in
       (* ---- aggregation or windows + projection *)
       let n, keys, columns, pretyped = body src d sel push cur_est in
-      (* ---- DISTINCT keeps each output row's first occurrence *)
-      let n, keys, columns =
-        if not s.A.distinct then (n, keys, columns)
-        else begin
-          let all = Batch.all_rows n in
-          let row =
-            Array.to_list
-              (Array.map (fun oc -> Array.get (ocol_dense oc)) (columns all))
-          in
-          let kept = first_rows all (group_ids row None all) in
-          push ~op:"vector_distinct" ~detail:"" ~est_rows:(cur_est ())
-            ~rows_in:n ~rows_out:(Array.length kept);
-          ( Array.length kept,
-            List.map
-              (fun k ->
-                let src =
-                  match k.src with
-                  | Rows (c, Some map) ->
-                      Rows (c, Some (Array.map (Array.get map) kept))
-                  | Rows (c, None) -> Rows (c, Some kept)
-                  | Vals v -> Vals (Array.map (Array.get v) kept)
-                in
-                { k with src })
-              keys,
-            fun fin -> columns (Array.map (Array.get kept) fin) )
-        end
-      in
-      (* ---- ORDER BY / OFFSET / LIMIT over row-space positions; a
-         LIMIT that keeps a small prefix selects it without a full sort *)
-      let first = match s.A.offset with Some o -> Stdlib.max 0 o | None -> 0 in
-      let first = Stdlib.min first n in
+      (* ---- ORDER BY / LIMIT over row-space positions; a LIMIT that
+         keeps a small prefix selects it without a full sort *)
       let count =
-        match s.A.limit with
-        | Some l -> Stdlib.max 0 (Stdlib.min l (n - first))
-        | None -> n - first
+        match s.A.limit with Some l -> Stdlib.max 0 (Stdlib.min l n) | None -> n
       in
       let fin =
-        if s.A.order_by = [] then Array.init count (fun t -> first + t)
+        if s.A.order_by = [] then Array.init count Fun.id
         else begin
-          let order = order_positions keys n (first + count) in
+          let order = order_positions keys n count in
           push ~op:"vector_sort"
             ~detail:
               (Printf.sprintf "%d keys (%d folded), typed"
                  (List.length s.A.order_by)
                  (List.length (List.filter (fun k -> k.folded) keys)))
             ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n;
-          if first = 0 && count = Array.length order then order
-          else Array.sub order first count
+          if count = Array.length order then order else Array.sub order 0 count
         end
       in
-      (if s.A.limit <> None || s.A.offset <> None then
-         let detail =
-           String.concat " "
-             (List.filter
-                (fun x -> x <> "")
-                [
-                  (match s.A.limit with
-                  | Some l -> Printf.sprintf "limit %d" l
-                  | None -> "");
-                  (match s.A.offset with
-                  | Some o -> Printf.sprintf "offset %d" o
-                  | None -> "");
-                ])
-         in
-         let est =
-           let after_offset =
-             Stdlib.max 0
-               (cur_est () - match s.A.offset with Some o -> o | None -> 0)
-           in
-           match s.A.limit with
-           | Some l -> Stdlib.min l after_offset
-           | None -> after_offset
-         in
-         push ~op:"vector_limit" ~detail ~est_rows:est ~rows_in:n
-           ~rows_out:count);
+      Option.iter
+        (fun l ->
+          push ~op:"vector_limit"
+            ~detail:(Printf.sprintf "limit %d" l)
+            ~est_rows:(Stdlib.min l (cur_est ()))
+            ~rows_in:n ~rows_out:count)
+        s.A.limit;
       let cols = columns fin in
       (* ---- column types, as Exec.infer_col_type: a plain column's
          declared type, a cast's target, else the first non-null value *)
@@ -3352,7 +3155,7 @@ type outcome = {
 }
 
 let run ~(resolve : resolver) ~(collect : bool) (s : A.select) : outcome =
-  let names, run = plan_select ~limits:[] ~resolve ~collect ~expanding:[] s in
+  let names, run = plan_select ~limits:[] ~resolve ~collect s in
   let o = run () in
   Atomic.incr stats_vector;
   ignore (Atomic.fetch_and_add stats_rows_out o.o_nrows);

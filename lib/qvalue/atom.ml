@@ -294,8 +294,12 @@ let to_string = function
       let y, m, dd = ymd_of_date d in
       Printf.sprintf "%04d.%02d.%02d" y m dd
   | Time t ->
-      let ms = t mod 1000 and s = t / 1000 in
-      Printf.sprintf "%02d:%02d:%02d.%03d" (s / 3600) (s / 60 mod 60) (s mod 60) ms
+      (* kdb+ prints a negative time as the negation of its magnitude *)
+      let a = abs t in
+      let ms = a mod 1000 and s = a / 1000 in
+      Printf.sprintf "%s%02d:%02d:%02d.%03d"
+        (if t < 0 then "-" else "")
+        (s / 3600) (s / 60 mod 60) (s mod 60) ms
   | Timestamp n ->
       let day = Int64.to_int (Int64.div n ns_per_day) in
       let rem = Int64.rem n ns_per_day in

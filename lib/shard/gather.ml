@@ -142,7 +142,7 @@ let gather (plan : Router.plan) (results : B.result list) : B.result =
       let batch = Batch.of_columns all.B.res_nrows all.B.res_columns in
       let resolve name =
         if Pgdb.Exec.equal_ci name partials_table then
-          Pgdb.Vexec.Table (bindings, batch)
+          (bindings, batch)
         else Pgdb.Errors.undefined_table "relation %s does not exist" name
       in
       let sel = Hyperq.Serializer.serialize rel in

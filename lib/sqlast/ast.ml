@@ -2,7 +2,9 @@
 
     This is both the target of Hyper-Q's serializer and the output of the
     pgdb parser, so translated queries are round-tripped through real SQL
-    text — the same contract a real PG backend would impose. *)
+    text — the same contract a real PG backend would impose. It holds
+    what the translator builds and no more (DESIGN.md §13, "SELECT
+    surface"). *)
 
 type lit =
   | Null
@@ -25,7 +27,6 @@ type binop =
   | Ge
   | And
   | Or
-  | Concat
   | IsDistinctFrom
   | IsNotDistinctFrom
 
@@ -33,9 +34,8 @@ type unop = Not | Neg
 
 type direction = Asc | Desc
 
-type frame_bound = UnboundedPreceding | Preceding of int | CurrentRow | Following of int | UnboundedFollowing
-
-type frame = { frame_mode : [ `Rows | `Range ]; lo : frame_bound; hi : frame_bound }
+(** A window frame: ROWS from its start to the current row. *)
+type frame = UnboundedPreceding | Preceding of int
 
 type expr =
   | Lit of lit
@@ -43,8 +43,7 @@ type expr =
   | Star  (** the star projector, in select lists and count-star *)
   | Bin of binop * expr * expr
   | Un of unop * expr
-  | IsNull of expr
-  | IsNotNull of expr
+  | IsNull of expr  (** [x IS NOT NULL] is [Un (Not, IsNull x)] *)
   | In of expr * expr list
   | Between of expr * expr * expr
   | Case of (expr * expr) list * expr option
@@ -73,15 +72,12 @@ type from_item =
     }
 
 and select = {
-  distinct : bool;
   projs : proj list;
   from : from_item option;
   where : expr option;
   group_by : expr list;
-  having : expr option;
   order_by : (expr * direction) list;
   limit : int option;
-  offset : int option;
 }
 
 and proj = { p_expr : expr; p_alias : string option }
@@ -102,10 +98,8 @@ type stmt =
       cta_name : string;
       cta_query : select;
     }
-  | CreateView of { cv_name : string; cv_query : select }
   | InsertValues of { ins_table : string; ins_cols : string list; rows : lit list list }
   | DropTable of { if_exists : bool; name : string }
-  | DropView of { if_exists : bool; name : string }
 
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
@@ -119,15 +113,12 @@ let proj ?alias e = { p_expr = e; p_alias = alias }
 
 let empty_select =
   {
-    distinct = false;
     projs = [];
     from = None;
     where = None;
     group_by = [];
-    having = None;
     order_by = [];
     limit = None;
-    offset = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -148,7 +139,6 @@ let binop_str = function
   | Ge -> ">="
   | And -> "AND"
   | Or -> "OR"
-  | Concat -> "||"
   | IsDistinctFrom -> "IS DISTINCT FROM"
   | IsNotDistinctFrom -> "IS NOT DISTINCT FROM"
 
@@ -182,12 +172,9 @@ let quote_ident name =
 
 let direction_str = function Asc -> "ASC" | Desc -> "DESC"
 
-let frame_bound_str = function
-  | UnboundedPreceding -> "UNBOUNDED PRECEDING"
-  | Preceding n -> Printf.sprintf "%d PRECEDING" n
-  | CurrentRow -> "CURRENT ROW"
-  | Following n -> Printf.sprintf "%d FOLLOWING" n
-  | UnboundedFollowing -> "UNBOUNDED FOLLOWING"
+let frame_str = function
+  | UnboundedPreceding -> "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"
+  | Preceding n -> Printf.sprintf "ROWS BETWEEN %d PRECEDING AND CURRENT ROW" n
 
 let rec expr_str (e : expr) : string =
   match e with
@@ -200,7 +187,6 @@ let rec expr_str (e : expr) : string =
   | Un (Not, a) -> Printf.sprintf "(NOT %s)" (expr_str a)
   | Un (Neg, a) -> Printf.sprintf "(- %s)" (expr_str a)
   | IsNull a -> Printf.sprintf "(%s IS NULL)" (expr_str a)
-  | IsNotNull a -> Printf.sprintf "(%s IS NOT NULL)" (expr_str a)
   | In (a, es) ->
       Printf.sprintf "(%s IN (%s))" (expr_str a)
         (String.concat ", " (List.map expr_str es))
@@ -243,14 +229,7 @@ let rec expr_str (e : expr) : string =
                  (fun (e, d) -> expr_str e ^ " " ^ direction_str d)
                  order)
       in
-      let fr =
-        match frame with
-        | None -> ""
-        | Some { frame_mode; lo; hi } ->
-            Printf.sprintf "%s BETWEEN %s AND %s"
-              (match frame_mode with `Rows -> "ROWS" | `Range -> "RANGE")
-              (frame_bound_str lo) (frame_bound_str hi)
-      in
+      let fr = match frame with None -> "" | Some f -> frame_str f in
       let over =
         [ part; ord; fr ] |> List.filter (fun s -> s <> "") |> String.concat " "
       in
@@ -283,7 +262,6 @@ and from_str = function
 and select_str (s : select) : string =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "SELECT ";
-  if s.distinct then Buffer.add_string buf "DISTINCT ";
   let proj p =
     match p.p_alias with
     | Some a -> expr_str p.p_expr ^ " AS " ^ quote_ident a
@@ -305,11 +283,6 @@ and select_str (s : select) : string =
     Buffer.add_string buf " GROUP BY ";
     Buffer.add_string buf (String.concat ", " (List.map expr_str s.group_by))
   end;
-  (match s.having with
-  | Some h ->
-      Buffer.add_string buf " HAVING ";
-      Buffer.add_string buf (expr_str h)
-  | None -> ());
   if s.order_by <> [] then begin
     Buffer.add_string buf " ORDER BY ";
     Buffer.add_string buf
@@ -320,9 +293,6 @@ and select_str (s : select) : string =
   end;
   (match s.limit with
   | Some n -> Buffer.add_string buf (Printf.sprintf " LIMIT %d" n)
-  | None -> ());
-  (match s.offset with
-  | Some n -> Buffer.add_string buf (Printf.sprintf " OFFSET %d" n)
   | None -> ());
   Buffer.contents buf
 
@@ -343,9 +313,6 @@ let stmt_str = function
         (if cta_temp then "TEMPORARY " else "")
         (if cta_if_not_exists then "IF NOT EXISTS " else "")
         (quote_ident cta_name) (select_str cta_query)
-  | CreateView { cv_name; cv_query } ->
-      Printf.sprintf "CREATE VIEW %s AS %s" (quote_ident cv_name)
-        (select_str cv_query)
   | InsertValues { ins_table; ins_cols; rows } ->
       let cols =
         if ins_cols = [] then ""
@@ -361,9 +328,5 @@ let stmt_str = function
               rows))
   | DropTable { if_exists; name } ->
       Printf.sprintf "DROP TABLE %s%s"
-        (if if_exists then "IF EXISTS " else "")
-        (quote_ident name)
-  | DropView { if_exists; name } ->
-      Printf.sprintf "DROP VIEW %s%s"
         (if if_exists then "IF EXISTS " else "")
         (quote_ident name)

@@ -155,22 +155,17 @@ let rec scalar_type (cols : colref list) (s : scalar) : Ty.t =
   | Case ([], Some e) -> scalar_type cols e
   | Case ([], None) -> Ty.TText
   | Cast (_, ty) -> ty
-  | ScalarFun (("upper" | "lower" | "concat"), _) -> Ty.TText
-  | ScalarFun (("length" | "sign"), _) -> Ty.TBigint
-  | ScalarFun (("sqrt" | "exp" | "ln" | "log" | "power"), _) -> Ty.TDouble
-  | ScalarFun ("coalesce", a :: _) -> scalar_type cols a
+  | ScalarFun (("upper" | "lower"), _) -> Ty.TText
+  | ScalarFun ("sign", _) -> Ty.TBigint
+  | ScalarFun (("sqrt" | "exp" | "ln"), _) -> Ty.TDouble
   | ScalarFun (_, a :: _) -> scalar_type cols a
   | ScalarFun (_, []) -> Ty.TText
-  | AggFun { fn = "count"; _ } -> Ty.TBigint
-  | AggFun { fn = "avg" | "stddev" | "stddev_pop" | "variance" | "var_pop" | "median"; _ } -> Ty.TDouble
-  | AggFun { args = a :: _; _ } -> scalar_type cols a
-  | AggFun { args = []; _ } -> Ty.TBigint
-  | WinFun { fn = "row_number" | "rank" | "dense_rank" | "ntile"; _ } ->
-      Ty.TBigint
-  | WinFun { fn = "avg"; _ } -> Ty.TDouble
-  | WinFun { fn = "count"; _ } -> Ty.TBigint
-  | WinFun { args = a :: _; _ } -> scalar_type cols a
-  | WinFun { args = []; _ } -> Ty.TBigint
+  | AggFun { fn; args; _ } | WinFun { fn; args; _ } -> (
+      match (fn, args) with
+      | ("count" | "row_number"), _ -> Ty.TBigint
+      | ("avg" | "stddev_pop" | "var_pop" | "median"), _ -> Ty.TDouble
+      | _, a :: _ -> scalar_type cols a
+      | _, [] -> Ty.TBigint)
 
 (** Output columns of a relational expression, in order. One visit per
     node; joins test names against a hashed set ({!join_extras}). *)

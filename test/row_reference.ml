@@ -1,13 +1,12 @@
 (* The row-at-a-time SELECT interpreter pgdb served queries with before
    its vectorized executor planned every shape: nested-loop and hashed
    joins over materialized rows, grouping by hashed keys, windows
-   computed per partition. Joins, grouping, DISTINCT and partitions
-   class keys with Exec.gkey_of, and its sorts order them with
-   Exec.compare_key, as Vexec does; its algorithms are its own
-   (List.stable_sort, Array.sort on the position). No library or binary
-   links it; it is the reference test_vexec's differentials hold Vexec
-   to. [run] answers a SELECT against a Db session's temp tables, base
-   tables and views. *)
+   computed per partition. Joins, grouping and partitions class keys
+   with Exec.gkey_of, and its sorts order them with Exec.compare_key, as
+   Vexec does; its algorithms are its own (List.stable_sort, Array.sort
+   on the position). No library or binary links it; it is the reference
+   test_vexec's differentials hold Vexec to. [run] answers a SELECT
+   against a Db session's temp tables and base tables. *)
 
 open Pgdb
 open Exec
@@ -16,7 +15,7 @@ module A = Sqlast.Ast
 type rowset = { bindings : binding list; rows : Value.t array array }
 
 (** Table resolution is a callback so the executor stays independent of the
-    database facade (sessions, temp tables, views). [collect] turns on
+    database facade (sessions, temp tables). [collect] turns on
     per-operator statistics (ANALYZE): as each operator finishes it leaves
     its completed {!Opstats.node} subtree in [plan], where the enclosing
     operator picks it up; after [run_select] returns, [plan] holds the whole
@@ -55,7 +54,6 @@ let rec eval_expr (ctx : eval_ctx) (row : Value.t array) (idx : int)
       binop op va vb
   | A.Un (op, a) -> unop op (eval_expr ctx row idx a)
   | A.IsNull a -> Value.Bool (Value.is_null (eval_expr ctx row idx a))
-  | A.IsNotNull a -> Value.Bool (not (Value.is_null (eval_expr ctx row idx a)))
   | A.In (a, es) ->
       let va = eval_expr ctx row idx a in
       if Value.is_null va then Value.Null
@@ -93,7 +91,7 @@ let rec eval_expr (ctx : eval_ctx) (row : Value.t array) (idx : int)
       go branches)
   | A.Cast (a, ty) -> Value.cast ty (eval_expr ctx row idx a)
   | A.Fun (f, args) ->
-      scalar_fun f (List.map (eval_expr ctx row idx) args)
+      scalar_fun f (List.length args) (List.map (eval_expr ctx row idx) args)
   | A.Like (a, p) -> (
       match (eval_expr ctx row idx a, eval_expr ctx row idx p) with
       | Value.Null, _ | _, Value.Null -> Value.Null
@@ -131,11 +129,10 @@ let rec eval_agg_expr (ctx : eval_ctx) (group_rows : Value.t array array)
       eval_expr ctx [||] 0 (A.Un (op, A.Lit (lit_of (eval_agg_expr ctx group_rows a))))
   | A.Cast (a, ty) -> Value.cast ty (eval_agg_expr ctx group_rows a)
   | A.Fun (f, args) when expr_has_agg e ->
-      scalar_fun f (List.map (eval_agg_expr ctx group_rows) args)
+      scalar_fun f (List.length args)
+        (List.map (eval_agg_expr ctx group_rows) args)
   | A.IsNull a when expr_has_agg e ->
       Value.Bool (Value.is_null (eval_agg_expr ctx group_rows a))
-  | A.IsNotNull a when expr_has_agg e ->
-      Value.Bool (not (Value.is_null (eval_agg_expr ctx group_rows a)))
   | A.Case (branches, else_) when expr_has_agg e -> (
       let rec go = function
         | [] -> (
@@ -174,8 +171,8 @@ let rec eval_agg_expr (ctx : eval_ctx) (group_rows : Value.t array array)
 (* ------------------------------------------------------------------ *)
 
 (* [xs] split into classes whose keys [key] map alike under gkey_of, the
-   one key equivalence of GROUP BY, DISTINCT, window partitions and hash
-   joins: classes in first-encounter order, members in order *)
+   one key equivalence of GROUP BY, window partitions and hash joins:
+   classes in first-encounter order, members in order *)
 let classes (key : 'a -> Value.t list) (xs : 'a list) : 'a list list =
   let tbl : (gkey list, 'a list ref) Hashtbl.t = Hashtbl.create 64 in
   let acc = ref [] in
@@ -216,6 +213,13 @@ let compute_window (ctx : eval_ctx) (rows : Value.t array array)
     (w : A.expr) : Value.t array =
   match w with
   | A.Window { win_fn; win_args; partition; order; frame } ->
+      let fn = String.lowercase_ascii win_fn in
+      (match (fn, win_args) with
+      | "row_number", [] | ("lag" | "lead"), [ _ ] | "count", ([] | [ A.Star ])
+        ->
+          ()
+      | f, [ _ ] when List.mem f aggregates -> ()
+      | f, args -> no_function f (List.length args));
       let n = Array.length rows in
       let out = Array.make n Value.Null in
       let parts =
@@ -252,120 +256,50 @@ let compute_window (ctx : eval_ctx) (rows : Value.t array array)
             Array.iteri (fun pos (i, _) -> sorted.(pos) <- i) keyed
           end;
           let m = Array.length sorted in
-          let fn = String.lowercase_ascii win_fn in
-          (* frame bounds for aggregates; PG default with ORDER BY is
-             range unbounded preceding .. current row. A frame wholly
-             outside the partition is empty (lo > hi). *)
+          (* an aggregate's frame: ROWS from k back or the partition's
+             start to the current row; PG's default with ORDER BY is the
+             partition's rows up to the current one, without it the
+             whole partition *)
           let bounds pos =
             match frame with
-            | None ->
-                if order = [] then (0, m - 1) else (0, pos)
-            | Some { lo; hi; _ } ->
-                let b = function
-                  | A.UnboundedPreceding -> 0
-                  | A.Preceding k -> pos - k
-                  | A.CurrentRow -> pos
-                  | A.Following k -> pos + k
-                  | A.UnboundedFollowing -> m - 1
-                in
-                (Stdlib.max 0 (b lo), Stdlib.min (m - 1) (b hi))
+            | None -> if order = [] then (0, m - 1) else (0, pos)
+            | Some A.UnboundedPreceding -> (0, pos)
+            | Some (A.Preceding k) -> (Stdlib.max 0 (pos - k), pos)
           in
           let arg_at i =
             match win_args with
             | [] -> Value.Null
             | a :: _ -> eval_expr ctx rows.(i) i a
           in
-          (match fn with
-          | "row_number" ->
+          match (fn, win_args) with
+          | "row_number", _ ->
               Array.iteri
                 (fun pos i -> out.(i) <- Value.Int (Int64.of_int (pos + 1)))
                 sorted
-          | "rank" | "dense_rank" ->
-              let rank = ref 0 and drank = ref 0 and prev_key = ref None in
+          | ("lag" | "lead"), _ ->
               Array.iteri
                 (fun pos i ->
-                  let key =
-                    List.map (fun (e, _) -> eval_expr ctx rows.(i) i e) order
-                  in
-                  let same =
-                    match !prev_key with
-                    | Some k ->
-                        List.for_all2
-                          (fun a b -> compare_key a b = 0)
-                          k key
-                    | None -> false
-                  in
-                  if not same then begin
-                    rank := pos + 1;
-                    incr drank;
-                    prev_key := Some key
-                  end;
-                  out.(i) <-
-                    Value.Int
-                      (Int64.of_int (if fn = "rank" then !rank else !drank)))
-                sorted
-          | "lag" | "lead" ->
-              let offset =
-                match win_args with
-                | _ :: A.Lit (A.Int k) :: _ -> Int64.to_int k
-                | _ -> 1
-              in
-              let default =
-                match win_args with
-                | [ _; _; d ] -> fun i -> eval_expr ctx rows.(i) i d
-                | _ -> fun _ -> Value.Null
-              in
-              Array.iteri
-                (fun pos i ->
-                  let src = if fn = "lag" then pos - offset else pos + offset in
+                  let src = if fn = "lag" then pos - 1 else pos + 1 in
                   out.(i) <-
                     (if src >= 0 && src < m then arg_at sorted.(src)
-                     else default i))
+                     else Value.Null))
                 sorted
-          | "first_value" ->
+          | "count", ([] | [ A.Star ]) ->
               Array.iteri
                 (fun pos i ->
                   let lo, hi = bounds pos in
-                  out.(i) <-
-                    (if lo > hi then Value.Null else arg_at sorted.(lo)))
+                  out.(i) <- Value.Int (Int64.of_int (hi - lo + 1)))
                 sorted
-          | "last_value" ->
-              Array.iteri
-                (fun pos i ->
-                  let lo, hi = bounds pos in
-                  out.(i) <-
-                    (if lo > hi then Value.Null else arg_at sorted.(hi)))
-                sorted
-          | "ntile" ->
-              let buckets =
-                match win_args with
-                | [ A.Lit (A.Int k) ] -> Int64.to_int k
-                | _ -> 1
-              in
-              Array.iteri
-                (fun pos i ->
-                  out.(i) <-
-                    Value.Int (Int64.of_int (1 + (pos * buckets / Stdlib.max 1 m))))
-                sorted
-          | "sum" | "avg" | "min" | "max" | "count" | "stddev" | "first"
-          | "last" ->
+          | _ ->
               Array.iteri
                 (fun pos i ->
                   let lo, hi = bounds pos in
                   let vals = ref [] in
                   for k = hi downto lo do
-                    vals :=
-                      (match win_args with
-                      | [] | [ A.Star ] -> Value.Int 1L
-                      | a :: _ -> eval_expr ctx rows.(sorted.(k)) sorted.(k) a)
-                      :: !vals
+                    vals := arg_at sorted.(k) :: !vals
                   done;
-                  out.(i) <-
-                    (if fn = "count" && win_args = [] then
-                       Value.Int (Int64.of_int (Stdlib.max 0 (hi - lo + 1)))
-                     else apply_agg fn false !vals))
-                sorted
-          | f -> Errors.undefined_function "unknown window function %s" f))
+                  out.(i) <- apply_agg fn false !vals)
+                sorted)
         parts;
       out
   | _ -> assert false
@@ -695,9 +629,7 @@ and run_select (env : env) (s : A.select) : result =
       s.projs
   in
   let has_agg =
-    s.group_by <> []
-    || List.exists (fun p -> expr_has_agg p.A.p_expr) projs
-    || (match s.having with Some h -> expr_has_agg h | None -> false)
+    s.group_by <> [] || List.exists (fun p -> expr_has_agg p.A.p_expr) projs
   in
   let out_names = List.mapi proj_name projs in
   let output_rows, sort_keys =
@@ -710,14 +642,6 @@ and run_select (env : env) (s : A.select) : result =
             (fun row -> List.map (fun e -> eval_expr ctx row 0 e) s.group_by)
             (Array.to_list rows)
           |> List.map Array.of_list
-      in
-      let groups =
-        match s.having with
-        | None -> groups
-        | Some h ->
-            List.filter
-              (fun rws -> Value.is_true (eval_agg_expr ctx rws h))
-              groups
       in
       let out =
         List.map
@@ -785,17 +709,7 @@ and run_select (env : env) (s : A.select) : result =
        push ~op
          ~detail:(Printf.sprintf "%d cols" (List.length projs))
          ~est_rows:(cur_est ()) ~rows_in:n_in ~rows_out:n_out);
-  (* DISTINCT *)
   let pairs = List.combine output_rows sort_keys in
-  let n_pre_distinct = if c then List.length pairs else 0 in
-  let pairs =
-    if s.distinct then
-      List.map List.hd (classes (fun (row, _) -> Array.to_list row) pairs)
-    else pairs
-  in
-  (if c && s.distinct then
-     push ~op:"distinct" ~detail:"" ~est_rows:(cur_est ())
-       ~rows_in:n_pre_distinct ~rows_out:(List.length pairs));
   (* ORDER BY *)
   let pairs =
     if s.order_by = [] then pairs
@@ -821,43 +735,20 @@ and run_select (env : env) (s : A.select) : result =
      push ~op:"sort"
        ~detail:(Printf.sprintf "%d keys" (List.length s.order_by))
        ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n);
-  (* OFFSET / LIMIT *)
+  (* LIMIT *)
   let n_pre_limit = if c then List.length pairs else 0 in
-  let pairs =
-    match s.offset with
-    | Some n -> (try List.filteri (fun i _ -> i >= n) pairs with _ -> pairs)
-    | None -> pairs
-  in
   let pairs =
     match s.limit with
     | Some n -> List.filteri (fun i _ -> i < n) pairs
     | None -> pairs
   in
-  (if c && (s.limit <> None || s.offset <> None) then
-     let detail =
-       String.concat " "
-         (List.filter
-            (fun x -> x <> "")
-            [
-              (match s.limit with
-              | Some n -> Printf.sprintf "limit %d" n
-              | None -> "");
-              (match s.offset with
-              | Some n -> Printf.sprintf "offset %d" n
-              | None -> "");
-            ])
-     in
-     let est =
-       let after_offset =
-         Stdlib.max 0
-           (cur_est () - match s.offset with Some o -> o | None -> 0)
-       in
-       match s.limit with
-       | Some n -> Stdlib.min n after_offset
-       | None -> after_offset
-     in
-     push ~op:"limit" ~detail ~est_rows:est ~rows_in:n_pre_limit
-       ~rows_out:(List.length pairs));
+  (match s.limit with
+  | Some n when c ->
+      push ~op:"limit"
+        ~detail:(Printf.sprintf "limit %d" n)
+        ~est_rows:(Stdlib.min n (cur_est ()))
+        ~rows_in:n_pre_limit ~rows_out:(List.length pairs)
+  | _ -> ());
   let out_rows = Array.of_list (List.map fst pairs) in
   let types =
     List.mapi
@@ -875,9 +766,8 @@ and run_select (env : env) (s : A.select) : result =
            types);
   }
 
-(* a session's relations: temp tables, then base tables, then views,
-   each view run through this interpreter *)
-let rec resolve (sess : Db.session) (name : string) : rowset =
+(* a session's relations: temp tables, then base tables *)
+let resolve (sess : Db.session) (name : string) : rowset =
   let lname = String.lowercase_ascii name in
   if lname = Db.catalog_table_name then Db.refresh_catalog sess.Db.db;
   let of_table (tbl : Storage.table) =
@@ -899,22 +789,7 @@ let rec resolve (sess : Db.session) (name : string) : rowset =
   | None -> (
       match Hashtbl.find_opt sess.Db.db.Db.tables lname with
       | Some tbl -> of_table tbl
-      | None -> (
-          match Hashtbl.find_opt sess.Db.db.Db.views lname with
-          | Some view -> (
-              match Sql_parser.parse view.Catalog.Schema.view_sql with
-              | A.Select sel ->
-                  let res = run sess sel in
-                  {
-                    bindings =
-                      List.map
-                        (fun (n, ty) ->
-                          { b_qual = None; b_name = n; b_type = Some ty })
-                        res.res_cols;
-                    rows = Stored.result_rows res;
-                  }
-              | _ -> Errors.undefined_table "view %s is not a SELECT" name)
-          | None -> Errors.undefined_table "relation %s does not exist" name))
+      | None -> Errors.undefined_table "relation %s does not exist" name)
 
-and run (sess : Db.session) (sel : A.select) : result =
+let run (sess : Db.session) (sel : A.select) : result =
   run_select (env_of_resolve (resolve sess)) sel

@@ -77,7 +77,26 @@ let test_atom_printing () =
   check tstr "null long" "0N" (Atom.to_string (Atom.Null Qtype.Long));
   check tstr "time" "09:30:00.000" (Atom.to_string (Atom.Time 34200000));
   check tstr "date" "2016.06.26"
-    (Atom.to_string (Atom.Date (Atom.date_of_ymd 2016 6 26)))
+    (Atom.to_string (Atom.Date (Atom.date_of_ymd 2016 6 26)));
+  (* before 2000.01.01: kdb+ prints a negative time with one leading
+     minus sign, and a negative date or timestamp as the day and time it
+     falls on, counting down from the epoch *)
+  List.iter
+    (fun (want, a) -> check tstr want want (Atom.to_string a))
+    [
+      ("00:00:00.000", Atom.Time 0);
+      ("-00:00:00.001", Atom.Time (-1));
+      ("-01:02:03.004", Atom.Time (-3_723_004));
+      ("2000.01.01", Atom.Date 0);
+      ("1999.12.31", Atom.Date (-1));
+      ("1999.01.01", Atom.Date (-365));
+      ("1998.12.31", Atom.Date (-366));
+      ("2000.01.01D00:00:00.000000000", Atom.Timestamp 0L);
+      ("1999.12.31D23:59:59.999999999", Atom.Timestamp (-1L));
+      ("1999.12.31D00:00:00.000000000", Atom.Timestamp (-86_400_000_000_000L));
+      ("1999.12.30D23:59:59.999999999", Atom.Timestamp (-86_400_000_000_001L));
+      ("1999.12.31D23:00:00.000000000", Atom.Timestamp (-3_600_000_000_000L));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Values                                                              *)

@@ -806,7 +806,9 @@ let test_differential_200 () = differential ~shards:4 ~queries:200 ()
    residual join: moving average and deltas (windows), fby (a window
    over a derived table), as-of join (left join + residual +
    row_number) and a chained lj (nested derived tables). Through a
-   2-shard platform each must agree with the kdb interpreter. *)
+   2-shard platform each must agree with the kdb interpreter. So must
+   an atom on the right of in, which binds as a one-item list and so
+   pins its symbol's shard. *)
 let test_vector_shapes_against_kdb () =
   let d = MD.generate MD.small_scale in
   let sym i = d.MD.syms.(i mod Array.length d.MD.syms) in
@@ -832,16 +834,28 @@ let test_vector_shapes_against_kdb () =
   MD.load_pg db d;
   with_platform ~shards:2 db (fun p ->
       let c = P.Client.connect p in
+      let agree q =
+        let hq = ok (P.Client.query c q) in
+        match Kdb.Server.query kdb ~client:0 q with
+        | Error e -> Alcotest.failf "kdb failed on %s: %s" q e
+        | Ok k -> (
+            match Sidebyside.Framework.values_agree k hq with
+            | None -> ()
+            | Some why -> Alcotest.failf "%s differs from kdb: %s" q why)
+      in
+      List.iter agree queries;
       List.iter
         (fun q ->
-          let hq = ok (P.Client.query c q) in
-          match Kdb.Server.query kdb ~client:0 q with
-          | Error e -> Alcotest.failf "kdb failed on %s: %s" q e
-          | Ok k -> (
-              match Sidebyside.Framework.values_agree k hq with
-              | None -> ()
-              | Some why -> Alcotest.failf "%s differs from kdb: %s" q why))
-        queries;
+          agree q;
+          match C.last_route (Option.get (P.cluster p)) with
+          | Some x ->
+              check Alcotest.string (q ^ ": route class") "single" x.R.x_class
+          | None -> Alcotest.failf "%s: no route recorded" q)
+        [
+          Printf.sprintf "select from trades where Symbol in `%s" (sym 3);
+          Printf.sprintf "select n:count Price by Exch from trades where \
+                          Symbol in `%s" (sym 4);
+        ];
       P.Client.close c)
 
 (* ------------------------------------------------------------------ *)

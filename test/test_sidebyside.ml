@@ -33,6 +33,36 @@ let extension_queries =
     "select lo:min Bid, hi:max Ask by 3600000 xbar Time from quotes";
   ]
 
+(* every aggregate of the translator's agg_map in the three places it
+   lowers to: a GROUP BY aggregate, an fby window over each symbol's
+   rows and an update-by window, all and any over a boolean; and an
+   aggregate in a where clause, a window over every row *)
+let aggregate_queries =
+  List.concat_map
+    (fun (agg, arg) ->
+      [
+        ( agg ^ " by",
+          Printf.sprintf "select x:%s %s by Symbol from trades" agg arg );
+        ( agg ^ " fby",
+          Printf.sprintf "select from trades where Price > (%s;%s) fby Symbol"
+            agg arg );
+        ( agg ^ " update by",
+          Printf.sprintf "update x:%s %s by Symbol from trades" agg arg );
+      ])
+    (List.map
+       (fun a -> (a, "Price"))
+       [ "sum"; "avg"; "min"; "max"; "count"; "med"; "dev"; "var"; "first";
+         "last" ]
+    @ [ ("all", "Price>100.0"); ("any", "Price>100.0") ])
+  @ [ ("med in where", "select from trades where Price > med Price") ]
+
+(* kdb reads an atom on the right of in as a one-item list *)
+let in_atom_queries =
+  [
+    "select from trades where Symbol in `AAA";
+    "select n:count Price by Exch from trades where Symbol in `BBH";
+  ]
+
 (* =, in and by on symbol columns holding null symbols. A stored null
    symbol reaches pgdb as '' (ns.s, sec.Sec), an lj's unmatched rows as
    NULL text: [trades lj sec] pads Sec with NULL through a gathered,
@@ -238,6 +268,16 @@ let () =
             | v -> Alcotest.fail (Sidebyside.Framework.verdict_str v)))
       extension_queries
   in
+  let cases qs =
+    List.map
+      (fun (name, q) ->
+        Alcotest.test_case name `Quick (fun () ->
+            match Sidebyside.Framework.compare_query h q with
+            | Sidebyside.Framework.Match -> ()
+            | v ->
+                Alcotest.failf "%s: %s" q (Sidebyside.Framework.verdict_str v)))
+      qs
+  in
   let null_symbol_cases =
     List.map
       (fun q ->
@@ -254,6 +294,8 @@ let () =
       ("analytical workload", workload_cases);
       ("extension queries", extension_cases);
       ("null symbols", null_symbol_cases);
+      ("aggregates", cases aggregate_queries);
+      ("in an atom", cases (List.map (fun q -> (q, q)) in_atom_queries));
       ( "permuted storage",
         Alcotest.test_case "rows are shuffled" `Quick test_storage_is_permuted
         :: List.map

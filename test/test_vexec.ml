@@ -8,15 +8,15 @@
    left-outer joins with null keys, single-node and over 2 hash
    partitions), differentials over window functions, nested derived
    tables, equi + residual joins, the translator's as-of join SQL, no
-   FROM, UNION ALL, views, cross and theta joins, DISTINCT, the
-   rank-limit cut (and the shapes it must leave alone) and the rejected
-   shapes' errors, the 25 analytical queries, plus targeted unit tests
-   (3VL filters, selection-vector compaction, empty batches, all-null
-   columns, empty window frames against PostgreSQL's values, explain
-   nodes) pin that down.
+   FROM, UNION ALL, cross and theta joins, the rank-limit cut (and the
+   shapes it must leave alone) and the rejected shapes' errors, the 25
+   analytical queries, plus targeted unit tests (3VL filters,
+   selection-vector compaction, empty batches, all-null columns,
+   explain nodes) pin that down.
 
-   Every hash operator (GROUP BY, DISTINCT, PARTITION BY, the hash
-   join) classes keys by one equivalence, Exec.gkey_of's. The "key
+   Every hash operator (GROUP BY, a DISTINCT aggregate, PARTITION BY,
+   the hash join) classes keys by one equivalence, Exec.gkey_of's. The
+   "key
    classes" group holds both executors to it on keys that mix text,
    ints and doubles, NaN, signed zeros and ints beyond 2^53, and holds a
    join to the same predicate written in WHERE, but for the two pairs
@@ -151,7 +151,7 @@ let vector_differential sess sqls =
    operator: typed and generic filter kernels, IN/BETWEEN/LIKE,
    IS [NOT] NULL, IS [NOT] DISTINCT FROM against text, int, float and
    NULL literals, text ordering comparisons, grouped and scalar
-   aggregates, expression projections, ORDER BY, LIMIT/OFFSET. [from]
+   aggregates, expression projections, ORDER BY, LIMIT. [from]
    picks the source: the table itself, or one of [derived_sources]. *)
 let gen_query ?(from = fun _ -> "trades") (rng : Random.State.t) : string =
   let pick a = a.(Random.State.int rng (Array.length a)) in
@@ -242,12 +242,7 @@ let gen_query ?(from = fun _ -> "trades") (rng : Random.State.t) : string =
       if Random.State.bool rng then ""
       else Printf.sprintf " LIMIT %d" (Random.State.int rng 8)
     in
-    let off =
-      if Random.State.int rng 3 = 0 then
-        Printf.sprintf " OFFSET %d" (Random.State.int rng 4)
-      else ""
-    in
-    ob ^ lim ^ off
+    ob ^ lim
   in
   match Random.State.int rng 5 with
   | 0 ->
@@ -647,8 +642,8 @@ let test_edge_values () =
    of their kind. Against the row reference: comparisons with CAST
    literal bounds (the typed kernels' folded bounds, NULL and a literal
    the cast rejects among them), comparisons across kinds (the generic
-   path), extremes and the other aggregates, grouping, DISTINCT, joins
-   and sorts on each column, with NULLs and the binary format's edges
+   path), extremes and the other aggregates, grouping, joins and sorts
+   on each column, with NULLs and the binary format's edges
    among the values. *)
 let calendar_db () =
   let db = Db.create () in
@@ -726,7 +721,7 @@ let test_calendar_payloads () =
           Printf.sprintf "SELECT f, min(%s) AS lo, max(%s) AS hi FROM cal GROUP BY f" c c;
           Printf.sprintf "SELECT sum(%s) AS s FROM cal WHERE k > 2" c;
           Printf.sprintf "SELECT %s, count(*) AS n FROM cal GROUP BY %s ORDER BY %s" c c c;
-          Printf.sprintf "SELECT DISTINCT %s FROM cal ORDER BY %s DESC" c c;
+          Printf.sprintf "SELECT %s FROM cal GROUP BY %s ORDER BY %s DESC" c c c;
           Printf.sprintf "SELECT k, %s FROM cal ORDER BY %s, k" c c;
           Printf.sprintf
             "SELECT a.k, b.k AS k2 FROM cal a JOIN cal b ON a.%s = b.%s \
@@ -815,9 +810,42 @@ let key_fixture () : Db.t =
     key_rows;
   db
 
-(* DISTINCT, PARTITION BY and GROUP BY class keys as gkey_of does, on
-   keys that mix text with numbers (which no sort can order),
-   ints with doubles, NaN, signed zeros and an int beyond 2^53 *)
+let big_rows = 40_000
+
+(* a 40,000-row fact table whose bigint and date keys take 16 values
+   each, beside a bigint that takes 20,000 (two rows each, int64
+   extremes among them), and a 16-row dimension on the bigint key *)
+let keyed_session () =
+  let db = Db.create () in
+  Db.load_table db
+    (S.table "facts"
+       [
+         S.column "k" Ty.TBigint;
+         S.column "d" Ty.TDate;
+         S.column "f" Ty.TDouble;
+         S.column "id" Ty.TBigint;
+       ])
+    (List.init big_rows (fun i ->
+         [|
+           V.Int (Int64.of_int (1_000_000 * (i mod 16)));
+           V.Date (9_000 + (i mod 16));
+           V.Float (float_of_int i);
+           V.Int
+             (match i mod 20_000 with
+             | 0 -> Int64.min_int
+             | 1 -> Int64.max_int
+             | j -> Int64.of_int (j * 7919));
+         |]));
+  Db.load_table db
+    (S.table "dim" [ S.column "k" Ty.TBigint; S.column "name" Ty.TVarchar ])
+    (List.init 16 (fun i ->
+         [| V.Int (Int64.of_int (1_000_000 * i)); V.Str (Printf.sprintf "N%d" i) |]));
+  session db
+
+(* a DISTINCT aggregate, PARTITION BY and GROUP BY (Q's distinct among
+   its uses) class keys as gkey_of does, on keys that mix text with
+   numbers (which no sort can order), ints with doubles, NaN, signed
+   zeros and an int beyond 2^53 *)
 let test_key_classes () =
   let sess = session (key_fixture ()) in
   let keys =
@@ -832,8 +860,11 @@ let test_key_classes () =
     (List.concat_map
        (fun e ->
          [
-           Printf.sprintf "SELECT DISTINCT %s AS x FROM l" e;
-           Printf.sprintf "SELECT DISTINCT %s AS x, id > 3 AS y FROM l" e;
+           Printf.sprintf "SELECT count(DISTINCT %s) AS c FROM l" e;
+           Printf.sprintf
+             "SELECT q.x, q.y FROM (SELECT %s AS x, id > 3 AS y FROM l) AS q \
+              GROUP BY q.x, q.y"
+             e;
            Printf.sprintf
              "SELECT id, count(*) OVER (PARTITION BY %s) AS c FROM l" e;
            Printf.sprintf
@@ -862,17 +893,33 @@ let test_key_classes () =
       if rows sql <> Array.of_list expect then
         Alcotest.failf "%s: not one class per gkey" sql)
     [
-      ( "SELECT DISTINCT d FROM l",
+      ( "SELECT d FROM l GROUP BY d",
         [ f 3.0; f (-0.0); f Float.nan; f 9007199254740992.0; V.Null ] );
-      ( "SELECT DISTINCT x FROM (SELECT n AS x FROM l UNION ALL SELECT d AS \
-         x FROM l) AS u",
+      ( "SELECT x FROM (SELECT n AS x FROM l UNION ALL SELECT d AS x FROM l) \
+         AS u GROUP BY x",
         [ V.Int 3L; V.Int 0L; V.Null; V.Int 9007199254740993L; V.Int 1L;
           f Float.nan; f 9007199254740992.0 ] );
-      ( "SELECT DISTINCT m FROM l",
+      ( "SELECT m FROM l GROUP BY m",
         [ V.Int 3L; V.Str "x"; V.Null; f (-0.0); V.Int 9007199254740993L ] );
-      ( "SELECT DISTINCT CASE WHEN id > 2 THEN s ELSE n END AS x FROM l",
+      ( "SELECT x FROM (SELECT CASE WHEN id > 2 THEN s ELSE n END AS x FROM l) \
+         AS q GROUP BY x",
         [ V.Int 3L; V.Int 0L; V.Str "NULL"; V.Str "1"; V.Str "x"; V.Str "3" ]
       );
+    ];
+  (* a bigint key of 20,000 values, int64 extremes among them: GROUP BY,
+     Q's distinct, a unique PARTITION BY (the rank-limit cut's one-row
+     partitions, many times the size its payload set starts at) and the
+     hash join *)
+  let keyed = keyed_session () in
+  List.iter
+    (fun sql -> check_same sql (run keyed sql) (reference keyed sql))
+    [
+      "SELECT id, count(*) AS n, min(f) AS lo FROM facts GROUP BY id";
+      "SELECT count(*) AS n FROM (SELECT id FROM facts GROUP BY id) AS q";
+      "SELECT * FROM (SELECT id, f, row_number() OVER (PARTITION BY id \
+       ORDER BY f) AS rn FROM facts WHERE f < 20000) AS q WHERE rn = 1";
+      "SELECT a.id, a.f, b.f AS g FROM facts AS a JOIN facts AS b \
+       ON a.id = b.id WHERE a.f < 100";
     ]
 
 (* a key pair the join and [=] decide differently: text against a
@@ -1012,10 +1059,10 @@ let error_fixture () : Db.t =
     ];
   db
 
-(* every statement raises, or for a group HAVING drops does not, the
-   reference's error: projections row-major after HAVING over every
-   group, then the ORDER BY keys, each aggregate's first error in row
-   order, and an argument's error before its fold's *)
+(* every statement raises, or for groups WHERE drops does not, the
+   reference's error: projections row-major, then the ORDER BY keys,
+   each aggregate's first error in row order, and an argument's error
+   before its fold's *)
 (* GROUP BY keeps int and timestamp keys beyond 2^53 apart, as
    DISTINCT and PARTITION BY do: 2^53 and 2^53 + 1 are one double, and
    so are two nanosecond timestamps of 2026 one nanosecond apart. A
@@ -1072,14 +1119,9 @@ let test_group_error_order () =
       (* within g3, the addition's row comes first *)
       ( "SELECT g, sum(t + 1 + 10 / a) AS r FROM e WHERE g = 'g3' GROUP BY g",
         true );
-      (* HAVING over every group before any projection *)
-      (Printf.sprintf "SELECT g, %s AS q FROM e GROUP BY g HAVING %s > 0" q p,
-       true);
-      (Printf.sprintf "SELECT g, %s AS p FROM e GROUP BY g HAVING %s > 0" p q,
-       true);
-      (* g2's HAVING raises division by zero before g3's a type error *)
-      ( "SELECT g, count(*) AS n FROM e GROUP BY g HAVING sum(CASE WHEN g = \
-         'g1' THEN 1 ELSE 10 / a + m END) > 0",
+      (* g2 raises division by zero before g3 a type error *)
+      ( "SELECT g, sum(CASE WHEN g = 'g1' THEN 1 ELSE 10 / a + m END) AS r \
+         FROM e GROUP BY g",
         true );
       (* projections before ORDER BY keys *)
       (Printf.sprintf "SELECT g, %s AS q FROM e GROUP BY g ORDER BY %s" q p,
@@ -1090,10 +1132,7 @@ let test_group_error_order () =
       ( Printf.sprintf
           "SELECT g, coalesce(%s, 0) + count(*) AS r FROM e GROUP BY g" p,
         true );
-      (* groups HAVING drops raise nothing *)
-      ( Printf.sprintf "SELECT g, %s AS p, %s AS q FROM e GROUP BY g HAVING \
-         count(*) > 10" p q,
-        false );
+      (* groups WHERE drops raise nothing *)
       ( Printf.sprintf "SELECT g, %s AS p FROM e WHERE g = 'g1' GROUP BY g" p,
         false );
       (* the scalar aggregate *)
@@ -1216,7 +1255,6 @@ let test_text_codes () =
   check tbool "a -1 slot gathers NULL" true (Batch.is_null g 1)
 
 (* a 40,000-row table: 16 symbols, an int and a float column *)
-let big_rows = 40_000
 
 let big_session () =
   let db = Db.create () in
@@ -1312,73 +1350,6 @@ let test_grouped_allocation () =
         1.01 );
       ( "SELECT sym, sum(f - f) AS s, count(f - f) AS c FROM big GROUP BY sym",
         3.01 );
-    ]
-
-(* a 40,000-row fact table whose bigint and date keys take 16 values
-   each, beside a bigint that takes 20,000 (two rows each, int64
-   extremes among them), and a 16-row dimension on the bigint key *)
-let keyed_session () =
-  let db = Db.create () in
-  Db.load_table db
-    (S.table "facts"
-       [
-         S.column "k" Ty.TBigint;
-         S.column "d" Ty.TDate;
-         S.column "f" Ty.TDouble;
-         S.column "id" Ty.TBigint;
-       ])
-    (List.init big_rows (fun i ->
-         [|
-           V.Int (Int64.of_int (1_000_000 * (i mod 16)));
-           V.Date (9_000 + (i mod 16));
-           V.Float (float_of_int i);
-           V.Int
-             (match i mod 20_000 with
-             | 0 -> Int64.min_int
-             | 1 -> Int64.max_int
-             | j -> Int64.of_int (j * 7919));
-         |]));
-  Db.load_table db
-    (S.table "dim" [ S.column "k" Ty.TBigint; S.column "name" Ty.TVarchar ])
-    (List.init 16 (fun i ->
-         [| V.Int (Int64.of_int (1_000_000 * i)); V.Str (Printf.sprintf "N%d" i) |]));
-  session db
-
-(* the hash operators class int payloads in place, reading each
-   unboxed: a bigint or date GROUP BY allocates its group id a row, as
-   a text key does, 1.05 words a row on OCaml 5.1, and the hash join on
-   a bigint key 6.04 (the sides' class ids, the matched pairs and the
-   joined float column). Interning through a Hashtbl keyed by int64
-   boxed each key read and allocated an option per hit, 5 words a row
-   more: 6.05 and 11.04. The budgets are 1.1 and 6.1 words a row. The
-   key with 20,000 values grows the payload table many times over. *)
-let test_int_key_allocation () =
-  let sess = keyed_session () in
-  List.iter
-    (fun sql -> check_same sql (run sess sql) (reference sess sql))
-    [
-      "SELECT id, count(*) AS n, min(f) AS lo FROM facts GROUP BY id";
-      "SELECT count(*) AS n FROM (SELECT DISTINCT id FROM facts) AS q";
-      "SELECT * FROM (SELECT id, f, row_number() OVER (PARTITION BY id \
-       ORDER BY f) AS rn FROM facts WHERE f < 20000) AS q WHERE rn = 1";
-      "SELECT a.id, a.f, b.f AS g FROM facts AS a JOIN facts AS b \
-       ON a.id = b.id WHERE a.f < 100";
-    ];
-  List.iter
-    (fun (sql, budget) ->
-      let r, w =
-        allocated_words ~runs:3 ~bytes:Obs.Runtime.allocated_bytes sess sql
-      in
-      check_same sql r (reference sess sql);
-      let per_row = w /. float_of_int big_rows in
-      if per_row > budget then
-        Alcotest.failf "%s: %.3f words a row, budget %.2f" sql per_row budget)
-    [
-      ("SELECT k, count(*) AS n, sum(f) AS s FROM facts GROUP BY k", 1.1);
-      ("SELECT d, count(*) AS n, max(f) AS hi FROM facts GROUP BY d", 1.1);
-      ( "SELECT count(*) AS n, sum(facts.f) AS s FROM facts JOIN dim \
-         ON facts.k = dim.k",
-        6.1 );
     ]
 
 let test_empty_batch () =
@@ -1517,25 +1488,21 @@ let test_conjuncts_run_in_written_order () =
             n.Op.est_rows)
         filters
 
-(* views are inlined as derived tables, temp tables scan their
-   session's batch: both on the vector path *)
-let test_views_and_temps () =
+(* temp tables scan their session's batch on the vector path, alone
+   and joined with the base table they were made from *)
+let test_temp_tables () =
   let db = fixture () in
   let setup = session db in
   ignore
-    (Db.exec setup "CREATE VIEW big AS SELECT * FROM trades WHERE size > 100");
-  ignore (Db.exec setup "CREATE VIEW big_syms AS SELECT DISTINCT sym FROM big");
-  ignore
     (Db.exec setup
-       "CREATE TEMP TABLE scratch AS SELECT sym, size FROM trades");
+       "CREATE TEMP TABLE scratch AS SELECT sym, size FROM trades WHERE size \
+        > 100");
   vector_differential setup
     [
-      "SELECT sym, size FROM big ORDER BY size DESC LIMIT 3";
-      "SELECT count(*) AS n FROM big";
-      "SELECT b.sym, count(*) AS n FROM big AS b GROUP BY b.sym ORDER BY b.sym";
-      "SELECT big_syms.sym FROM big_syms ORDER BY big_syms.sym";
-      "SELECT s.sym, b.size FROM big_syms s JOIN big b ON s.sym = b.sym";
+      "SELECT sym, size FROM scratch ORDER BY size DESC LIMIT 3";
       "SELECT sym, sum(size) AS s FROM scratch GROUP BY sym ORDER BY sym";
+      "SELECT s.sym, t.t FROM scratch s JOIN trades t ON s.size = t.size \
+       ORDER BY t.t";
     ]
 
 (* a table written after a scan reads back the same on both paths: an
@@ -1670,12 +1637,6 @@ let test_explain_nested_loop () =
     && String.sub theta.Op.detail 0 6 = "inner "
     && Str.string_match (Str.regexp ".*residual=") theta.Op.detail 0)
 
-let test_explain_distinct () =
-  let n = analyzed_node "SELECT DISTINCT g FROM w" "vector_distinct" in
-  check tint "est rows" 10 n.Op.est_rows;
-  check tint "rows in" 10 n.Op.rows_in;
-  check tint "rows out" 4 n.Op.rows_out
-
 let test_window_functions () =
   let over part order frame =
     Printf.sprintf "OVER (%s%s%s)"
@@ -1683,25 +1644,28 @@ let test_window_functions () =
       order frame
   in
   let shapes =
-    (* (partition?, order, frame) — the frames are only meaningful with
-       an ORDER BY, so the frame-less and ordered shapes carry none *)
+    (* (partition?, order, frame): the translator's frames (msum's k
+       rows back, sums' running frame) and none, whose default is the
+       whole partition, or with an ORDER BY its rows up to the current
+       one *)
     [
       (true, "ORDER BY k", "");
       (false, "ORDER BY k DESC, t", "");
       (true, "", "");
       (false, "", "");
-      (true, "ORDER BY t", " ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING");
+      (true, "ORDER BY t", " ROWS BETWEEN 1 PRECEDING AND CURRENT ROW");
       (false, "ORDER BY v", " ROWS BETWEEN 2 PRECEDING AND CURRENT ROW");
-      (true, "ORDER BY k", " ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING");
-      (false, "ORDER BY t", " ROWS BETWEEN UNBOUNDED PRECEDING AND 1 FOLLOWING");
+      (true, "ORDER BY k", " ROWS BETWEEN 0 PRECEDING AND CURRENT ROW");
+      (false, "ORDER BY t", " ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW");
     ]
   in
+  (* every window function and aggregate the translator emits *)
   let fns =
     [
-      "row_number()"; "rank()"; "dense_rank()"; "lag(v)"; "lead(v, 2)";
-      "lag(k, 1, 0)"; "first_value(v)"; "last_value(v)"; "ntile(3)";
-      "sum(v)"; "sum(k)"; "avg(v)"; "min(v)"; "max(k)"; "count(v)";
-      "count(*)"; "stddev(v)";
+      "row_number()"; "lag(v)"; "lead(k)"; "sum(v)"; "sum(k)"; "avg(v)";
+      "min(v)"; "max(k)"; "count(v)"; "count(*)"; "count()"; "median(v)";
+      "median(k)"; "stddev_pop(v)"; "var_pop(k)"; "first(v)"; "last(v)";
+      "bool_and(v > 1)"; "bool_or(k > 2)";
     ]
   in
   let sqls =
@@ -1744,52 +1708,12 @@ let test_window_functions () =
        ELSE k END ORDER BY t) AS r FROM w";
       "SELECT t, count(*) OVER (PARTITION BY CASE WHEN k > 2 THEN v ELSE k \
        END) AS c FROM w";
-      "SELECT t, rank() OVER (ORDER BY CASE WHEN k > 2 THEN g ELSE k END) AS \
-       r FROM w";
-      "SELECT t, rank() OVER (PARTITION BY g ORDER BY CASE WHEN k > 2 THEN v \
+      "SELECT t, row_number() OVER (ORDER BY CASE WHEN k > 2 THEN g ELSE k \
+       END) AS r FROM w";
+      "SELECT t, sum(v) OVER (PARTITION BY g ORDER BY CASE WHEN k > 2 THEN v \
        ELSE k END) AS r FROM w";
       "SELECT t FROM w ORDER BY CASE WHEN k > 2 THEN g ELSE k END";
       "SELECT t FROM w ORDER BY CASE WHEN k > 2 THEN v ELSE k END, t LIMIT 1";
-    ]
-
-(* ROWS frames that lie wholly before or after the row are empty:
-   PostgreSQL's values, computed by hand for x = 1, 2, 3 *)
-let test_empty_frames () =
-  let db = Db.create () in
-  Db.load_table db
-    (S.table "e" [ S.column "x" Ty.TBigint ])
-    [ [| V.Int 1L |]; [| V.Int 2L |]; [| V.Int 3L |] ];
-  let sess = session db in
-  let before = "OVER (ORDER BY x ROWS BETWEEN 2 PRECEDING AND 1 PRECEDING)"
-  and after = "OVER (ORDER BY x ROWS BETWEEN 1 FOLLOWING AND 2 FOLLOWING)" in
-  let i n = V.Int (Int64.of_int n) and f x = V.Float x and null = V.Null in
-  List.iter
-    (fun (fn, frame, expected) ->
-      let sql =
-        Printf.sprintf "SELECT x, %s %s AS w FROM e ORDER BY x" fn frame
-      in
-      let a = run sess sql in
-      (match a with
-      | Ok (_, rows) ->
-          if Array.to_list (Array.map (fun r -> r.(1)) rows) <> expected then
-            Alcotest.failf "%s: not PostgreSQL's values" sql
-      | Error e -> Alcotest.failf "%s: %s" sql e);
-      check_same sql a (reference sess sql))
-    [
-      ("sum(x)", before, [ null; i 1; i 3 ]);
-      ("count(*)", before, [ i 0; i 1; i 2 ]);
-      ("count(x)", before, [ i 0; i 1; i 2 ]);
-      ("avg(x)", before, [ null; f 1.0; f 1.5 ]);
-      ("min(x)", before, [ null; i 1; i 1 ]);
-      ("max(x)", before, [ null; i 1; i 2 ]);
-      ("first_value(x)", before, [ null; i 1; i 1 ]);
-      ("last_value(x)", before, [ null; i 1; i 2 ]);
-      ("sum(x)", after, [ i 5; i 3; null ]);
-      ("count(*)", after, [ i 2; i 1; i 0 ]);
-      ("first_value(x)", after, [ i 2; i 3; null ]);
-      ("last_value(x)", after, [ i 3; i 3; null ]);
-      ("min(x)", after, [ i 2; i 3; null ]);
-      ("max(x)", after, [ i 3; i 3; null ]);
     ]
 
 (* the window fixture plus [d]: date and time order keys, with ties and
@@ -1859,7 +1783,7 @@ let test_rank_limit_cut () =
             ", sum(v) OVER (PARTITION BY g) AS sv, count(*) OVER () AS n, \
              lag(t) OVER (ORDER BY t) AS pt"
           "PARTITION BY g ORDER BY t DESC" "q.rn = 1";
-        cut ~extra:", rank() OVER (PARTITION BY g ORDER BY k) AS rk"
+        cut ~extra:", count(*) OVER (PARTITION BY g ORDER BY k) AS rk"
           "PARTITION BY g ORDER BY k" "q.rn <= 2";
         (* the kept row's lag and every row of an empty cut are NULL: the
            columns are typed from all the rows the windows saw *)
@@ -1925,11 +1849,7 @@ let test_rank_limit_cut () =
       cut "PARTITION BY g ORDER BY t" "q.t = 1";
       "SELECT * FROM (SELECT g, t, row_number() OVER (PARTITION BY g ORDER \
        BY t) AS rn FROM w ORDER BY t LIMIT 6) AS q WHERE q.rn = 1";
-      "SELECT * FROM (SELECT g, t, row_number() OVER (PARTITION BY g ORDER \
-       BY t) AS rn FROM w ORDER BY t OFFSET 2) AS q WHERE q.rn = 1";
-      "SELECT * FROM (SELECT DISTINCT g, row_number() OVER (PARTITION BY g \
-       ORDER BY k) AS rn FROM w) AS q WHERE q.rn = 1";
-      "SELECT * FROM (SELECT g, t, rank() OVER (PARTITION BY g ORDER BY k) \
+      "SELECT * FROM (SELECT g, t, count(*) OVER (PARTITION BY g ORDER BY k) \
        AS rn FROM w) AS q WHERE q.rn = 1";
       "SELECT * FROM (SELECT g, t, row_number() OVER (PARTITION BY g ORDER \
        BY t) + 0 AS rn FROM w) AS q WHERE q.rn = 1";
@@ -1963,7 +1883,7 @@ let test_derived_tables () =
       "SELECT z.g, count(*) AS n, sum(z.v) AS sv FROM (SELECT y.g, y.v FROM \
        (SELECT x.g, x.v FROM (SELECT g, v FROM w ORDER BY v DESC LIMIT 6) \
        AS x) AS y) AS z GROUP BY z.g ORDER BY z.g";
-      "SELECT * FROM (SELECT g, t FROM w ORDER BY t LIMIT 3 OFFSET 1) AS q";
+      "SELECT * FROM (SELECT g, t FROM w ORDER BY t LIMIT 3) AS q";
       "SELECT q.g, q.n FROM (SELECT g, count(*) AS n FROM w GROUP BY g) AS \
        q WHERE q.n > 1 ORDER BY q.g";
       "SELECT q.k FROM (SELECT k FROM w WHERE k > 1000) AS q";
@@ -2283,24 +2203,24 @@ let test_asof_join () =
     (List.tl raising @ [ List.hd raising ])
 
 (* the shapes the row interpreter used to serve: no FROM, UNION ALL,
-   views, CROSS and comma joins, ON clauses without an equality,
-   DISTINCT *)
+   derived tables, CROSS and comma joins, ON clauses without an
+   equality, Q's distinct *)
 let test_former_row_shapes () =
   let sess = session (window_fixture ()) in
-  ignore (Db.exec sess "CREATE VIEW wv AS SELECT g, k FROM w");
+  let wv = "(SELECT g, k FROM w) AS wv" in
   vector_differential sess
     [
       "SELECT (1 + 2) AS value";
       "SELECT 'x' AS s, 2.5 * 2 AS f, NULL AS n";
       "SELECT count(*) AS n, 1 AS one";
       "SELECT x.k FROM (SELECT g, k FROM w WHERE k > 1) AS x JOIN (SELECT \
-       g FROM wv WHERE k > 2) AS y ON x.g = y.g";
-      "SELECT wv.g, count(*) AS n FROM wv GROUP BY wv.g ORDER BY wv.g";
+       g FROM " ^ wv ^ " WHERE k > 2) AS y ON x.g = y.g";
+      "SELECT wv.g, count(*) AS n FROM " ^ wv ^ " GROUP BY wv.g ORDER BY wv.g";
       "SELECT u.z FROM (SELECT k AS z FROM w WHERE k > 1 UNION ALL SELECT t \
        AS z FROM w WHERE t > 50) AS u";
       "SELECT u.g, sum(u.z) AS s FROM (SELECT g, k AS z FROM w UNION ALL \
-       SELECT g, t AS z FROM w UNION ALL SELECT g, k FROM wv) AS u GROUP BY \
-       u.g ORDER BY u.g";
+       SELECT g, t AS z FROM w UNION ALL SELECT g, k FROM " ^ wv ^ ") AS u \
+       GROUP BY u.g ORDER BY u.g";
       "SELECT x.k FROM (SELECT k FROM w WHERE k > 1) AS x CROSS JOIN w";
       "SELECT a.t, b.t FROM w a, w b WHERE a.k = b.k AND a.t < b.t";
       "SELECT x.k FROM (SELECT g, k FROM w WHERE k > 1) AS x JOIN w ON x.k \
@@ -2309,17 +2229,15 @@ let test_former_row_shapes () =
        w ON x.k < w.k ORDER BY x.k, w.t";
       "SELECT w.t FROM w LEFT JOIN (SELECT k FROM w WHERE k > 100) AS e ON \
        w.k < e.k";
-      "SELECT DISTINCT g FROM (SELECT g FROM w WHERE k > 1) AS x";
-      "SELECT DISTINCT g, k FROM w ORDER BY k DESC, g LIMIT 3";
-      "SELECT DISTINCT v FROM w ORDER BY v";
-      "SELECT DISTINCT count(*) AS n FROM w GROUP BY g";
+      "SELECT x.g FROM (SELECT g FROM w WHERE k > 1) AS x GROUP BY x.g";
+      "SELECT g, k FROM w GROUP BY g, k ORDER BY k DESC, g LIMIT 3";
+      "SELECT v FROM w GROUP BY v ORDER BY v";
       (* a rejected shape over an empty input raises nothing *)
       "SELECT g, sum(k) AS s, row_number() OVER (ORDER BY g) AS rn FROM w \
        WHERE k > 100 GROUP BY g";
       "SELECT sum(k) AS s, row_number() OVER (ORDER BY g) AS rn FROM w WHERE \
        k > 100";
       "SELECT g, sum(k, t) AS s FROM w WHERE k > 100 GROUP BY g";
-      "SELECT g, nosuch(k) OVER (PARTITION BY g) AS x FROM w WHERE k > 100";
       "SELECT abs(*) AS x FROM w WHERE k > 100";
     ];
   (* rejected shapes and runtime errors: the reference's SQLSTATE and
@@ -2343,7 +2261,7 @@ let test_former_row_shapes () =
         "SELECT g, sum(k) AS s, row_number() OVER (ORDER BY g) AS rn FROM w \
          WHERE k > 1 GROUP BY g" );
       ("0A000", "SELECT g, sum(k, t) AS s FROM w GROUP BY g");
-      ("0A000", "SELECT g FROM w GROUP BY g HAVING sum(k) IN (1, 2)");
+      ("0A000", "SELECT g, sum(k) IN (1, 2) AS x FROM w GROUP BY g");
       ("42883", "SELECT g, nosuch(k) OVER (PARTITION BY g) AS x FROM w");
       ("42601", "SELECT abs(*) AS x FROM w");
     ]
@@ -2591,7 +2509,7 @@ let test_sort_runs () =
 
 (* the serializer's pre-keyed ORDER BY against the row reference, over
    the edge table's NULLs, extremes, NaN and signed zeros: every fold
-   form on every column, with LIMIT and OFFSET, over aggregate outputs,
+   form on every column, with LIMIT, over aggregate outputs,
    left-join pads and in a window *)
 let test_sort_sql_shapes () =
   let db = edge_fixture () in
@@ -2610,7 +2528,7 @@ let test_sort_sql_shapes () =
             [ Printf.sprintf "SELECT k, i, j, x, y FROM edge ORDER BY %s" o;
               Printf.sprintf "SELECT k, %s FROM edge ORDER BY %s LIMIT 3" c o;
               Printf.sprintf
-                "SELECT k, i FROM edge ORDER BY %s, i DESC LIMIT 4 OFFSET 2" o;
+                "SELECT k, i FROM edge ORDER BY %s, i DESC LIMIT 4" o;
               Printf.sprintf
                 "SELECT k, row_number() OVER (PARTITION BY k ORDER BY %s) AS r \
                  FROM edge" o ])
@@ -2793,14 +2711,15 @@ let test_key_order () =
     "SELECT least(n, 9007199254740992.0) AS lo, greatest(n, \
      9007199254740992.0) AS hi FROM ko WHERE id = 1"
     [ [ V.Float 9007199254740992.0; ko_n 1 ] ];
-  (* count(DISTINCT n) counts the classes SELECT DISTINCT n returns,
-     NULL aside: every row's value but those of 4 (2's class), 5 (3's)
-     and 8 (7's) *)
+  (* count(DISTINCT n) counts the classes Q's distinct (GROUP BY n)
+     returns, NULL aside: every row's value but those of 4 (2's class),
+     5 (3's) and 8 (7's) *)
   let classes = [ 1; 2; 3; 6; 7; 9; 10; 11; 12; 13; 14; 15; 16; 17; 18 ] in
-  expect "SELECT DISTINCT n FROM ko" (List.map (fun id -> [ ko_n id ]) classes);
+  expect "SELECT n FROM ko GROUP BY n"
+    (List.map (fun id -> [ ko_n id ]) classes);
   expect "SELECT count(DISTINCT n) AS c FROM ko"
     [ [ int (List.length classes - 1) ] ];
-  expect "SELECT DISTINCT s FROM ko"
+  expect "SELECT s FROM ko GROUP BY s"
     [ [ V.Str "b" ]; [ V.Int 1L ]; [ V.Str "a" ]; [ V.Null ] ];
   expect "SELECT count(DISTINCT s) AS c FROM ko" [ [ int 3 ] ];
   (* a window sorts each partition alone, so text in one partition and
@@ -2826,7 +2745,7 @@ let test_key_order () =
       "SELECT id FROM ko ORDER BY id, s";
       "SELECT id, row_number() OVER (ORDER BY s) AS r FROM ko";
       "SELECT id, row_number() OVER (ORDER BY id, s) AS r FROM ko";
-      "SELECT id, rank() OVER (PARTITION BY id > 3 ORDER BY s) AS r FROM ko";
+      "SELECT id, sum(id) OVER (PARTITION BY id > 3 ORDER BY s) AS r FROM ko";
       "SELECT min(s) AS m FROM ko";
     ]
 
@@ -2881,8 +2800,6 @@ let () =
             test_scan_allocation;
           Alcotest.test_case "grouped folds allocate group ids only" `Quick
             test_grouped_allocation;
-          Alcotest.test_case "int keys class in place" `Quick
-            test_int_key_allocation;
         ] );
       ( "integration",
         [
@@ -2891,7 +2808,7 @@ let () =
           Alcotest.test_case "path counters" `Quick test_path_counters;
           Alcotest.test_case "conjuncts run in written order" `Quick
             test_conjuncts_run_in_written_order;
-          Alcotest.test_case "views and temps" `Quick test_views_and_temps;
+          Alcotest.test_case "temp tables" `Quick test_temp_tables;
           Alcotest.test_case "writes after a scan" `Quick
             test_writes_after_scan;
         ] );
@@ -2901,13 +2818,10 @@ let () =
           Alcotest.test_case "explain vector_union" `Quick test_explain_union;
           Alcotest.test_case "explain vector_nested_loop" `Quick
             test_explain_nested_loop;
-          Alcotest.test_case "explain vector_distinct" `Quick
-            test_explain_distinct;
         ] );
       ( "new shapes",
         [
           Alcotest.test_case "window functions" `Quick test_window_functions;
-          Alcotest.test_case "empty ROWS frames" `Quick test_empty_frames;
           Alcotest.test_case "rank-limit cut" `Quick test_rank_limit_cut;
           Alcotest.test_case "derived tables" `Quick test_derived_tables;
           Alcotest.test_case "equi + residual joins" `Quick

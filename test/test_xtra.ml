@@ -322,7 +322,7 @@ let test_generated_sql_parses () =
                   { fn = "sum"; args = [ I.ColRef "qty" ]; partition = [ I.ColRef "sym" ];
                     order = [ (I.ColRef "hq_ord", `Asc) ];
                     frame =
-                      Some { A.frame_mode = `Rows; lo = A.UnboundedPreceding; hi = A.CurrentRow } } );
+                      Some A.UnboundedPreceding } );
             ];
         };
     ]
