@@ -697,6 +697,15 @@ and bind_app2 ctx (f : Ast.expr) (x : Ast.expr) (y : Ast.expr) : bval =
           | _ -> unsupported "like expects a literal pattern")
       | "mavg" | "msum" | "mmax" | "mmin" -> (
           match bx with
+          | BScalar (I.Const (A.Int n, _)) when Int64.compare n 0L < 0 ->
+              unsupported "%s expects a window size of at least 0" verb
+          | BScalar (I.Const (A.Int 0L, _)) ->
+              (* every window is empty, and the interpreter's [moving]
+                 folds no item into a long: 0 for msum, null for the
+                 others *)
+              BScalar
+                (if verb = "msum" then I.Const (A.Int 0L, Ty.TBigint)
+                 else I.Cast (I.Const (A.Null, Ty.TBigint), Ty.TBigint))
           | BScalar (I.Const (A.Int n, _)) ->
               let fn =
                 match verb with
@@ -1271,9 +1280,12 @@ and bind_update ctx (sql : Ast.sql) rel1 ~pred : bound_rel =
   end
   else begin
     (* grouped update: aggregates become window functions partitioned by
-       the group expressions; a where-guard restricts both the aggregated
-       rows (via CASE inside the aggregate, which skips NULLs) and the rows
-       that receive the new value *)
+       the group expressions, and the windows of the uniform verbs (sums,
+       prev, deltas, mavg, ...) take the same partition before their own.
+       A where-guard restricts the aggregated rows (via CASE inside the
+       aggregate, which skips NULLs), the rows a uniform verb runs over
+       (its value joins the partition, so a row meets only the rows the
+       guard keeps) and the rows that receive the new value *)
     let partition =
       List.map (fun (_, e) -> as_scalar (bind ctx e)) sql.Ast.by
     in
@@ -1296,6 +1308,13 @@ and bind_update ctx (sql : Ast.sql) rel1 ~pred : bound_rel =
                           List.map (fun a -> I.Case ([ (p, a) ], None)) args
                     in
                     I.WinFun { fn; args; partition; order = []; frame = None }
+                | I.WinFun w ->
+                    I.WinFun
+                      {
+                        w with
+                        partition =
+                          partition @ Option.to_list pred @ w.partition;
+                      }
                 | s' -> s')
               s
           in

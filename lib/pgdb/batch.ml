@@ -14,7 +14,8 @@
     tables and domains may share one.
 
     Operators never copy rows to drop them: a selection vector (a dense
-    [int array] of surviving row indices) narrows a batch, and
+    [int array] of surviving row indices) narrows a batch (the
+    executor's filters narrow one chunk's selection buffer in place), and
     [compact] or [gather] builds a dense column only when one is
     actually needed: a derived table's, or a result's, which the wire
     server encodes from and the wire client rebuilds with a {!builder}
@@ -40,7 +41,8 @@ type data =
 type column = { data : data; nulls : Bytes.t; has_nulls : bool }
 
 (* a selection vector: row indices into a batch, in ascending order.
-   Kernels never write to one: a selection may be shared. *)
+   One an operator did not make may be shared, so only its maker writes
+   to it. *)
 type sel = int array
 
 (* [all] is the identity selection [0, nrows), shared read-only by

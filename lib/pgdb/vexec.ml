@@ -198,39 +198,96 @@ let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
               | _ -> Errors.type_mismatch "LIKE expects text operands"))
 
 (* ------------------------------------------------------------------ *)
+(* Chunks                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A SELECT's WHERE conjuncts and aggregate folds run over its source
+   [chunk_rows] rows at a time ([scan]): each conjunct narrows the
+   chunk's selection in place, then the group ids and the folds take
+   the chunk's survivors. The chunk's selection, group ids and argument
+   vectors stay in cache from one operator to the next, and none of
+   them is as long as the table. 2,048 rows is the fastest of 1,024,
+   2,048 and 4,096 on the filter and grouped-fold probe that DESIGN.md
+   records (§13, "Chunked pipeline"). *)
+let chunk_rows = 2048
+
+(* A set of chunk buffers: one chunk's selection and group ids, the
+   identity [b_ident] through which a fold reads a chunk's argument
+   vector slot by slot, and [b_spill], where a projection's survivors
+   collect before they are copied out. The set is as long as the
+   longest chunk its pipelines have met, so a domain that only scans
+   small tables keeps small buffers. Shard statements run on pool
+   domains, so each domain keeps a set of its own ([Domain.DLS]), taken
+   for one pipeline at a time; a pipeline that starts while its
+   domain's set is taken (a derived table's nested inside another, or
+   one on another thread of the domain) makes a set of its own. Nothing
+   allocates between the test of [b_busy] and its write, so no thread
+   switch falls between them. *)
+type bufs = {
+  mutable b_sel : int array;
+  mutable b_gid : int array;
+  mutable b_ident : int array;
+  mutable b_spill : int array;
+  mutable b_busy : bool;
+}
+
+let make_bufs (n : int) : bufs =
+  {
+    b_sel = Array.make n 0;
+    b_gid = Array.make n 0;
+    b_ident = Array.init n Fun.id;
+    b_spill = [||];
+    b_busy = true;
+  }
+
+let domain_bufs : bufs Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { (make_bufs 0) with b_busy = false })
+
+(* buffers for a pipeline over [nrows] rows, until [give_bufs] *)
+let take_bufs (nrows : int) : bufs =
+  let n = Stdlib.min nrows chunk_rows in
+  let b = Domain.DLS.get domain_bufs in
+  if b.b_busy then make_bufs n
+  else begin
+    b.b_busy <- true;
+    if Array.length b.b_sel < n then begin
+      let g = make_bufs n in
+      b.b_sel <- g.b_sel;
+      b.b_gid <- g.b_gid;
+      b.b_ident <- g.b_ident
+    end;
+    b
+  end
+
+let give_bufs (b : bufs) : unit = b.b_busy <- false
+
+(* ------------------------------------------------------------------ *)
 (* Filter kernels                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* a filter kernel narrows a selection vector. It never writes to its
-   input, which may be a batch's shared identity selection, and
-   allocates only its survivors: when every row survives it returns its
-   input, when none does the empty array. *)
-type kernel = Batch.sel -> Batch.sel
+(* A filter kernel narrows a selection in place: [k sel n] keeps the
+   rows of [sel.(0) .. sel.(n - 1)] that pass, in order, at [sel.(0) ..
+   sel.(m - 1)] and returns [m]. Its one loop reads slot t and writes
+   slot m <= t, so no survivor is overwritten before it is read. The
+   pipeline hands it the chunk's selection buffer ([scan]); a whole
+   column's caller hands it an array of its own. *)
+type kernel = Batch.sel -> int -> int
 
-(* the rows of [sel] that pass a [pred] that boxes, or may raise, per
-   row: it runs once per row, in row order, and its verdicts wait in a
-   bitmap *)
-let filter_sel (sel : Batch.sel) (pred : int -> bool) : Batch.sel =
-  let n = Array.length sel in
-  let pass = Bytes.make ((n + 7) / 8) '\000' in
+(* the rows of [sel] that pass [keep], a test that neither raises nor
+   has effects, in a fresh array: all of them shares [sel] *)
+let select_rows (sel : Batch.sel) (keep : int -> bool) : Batch.sel =
   let m = ref 0 in
-  for t = 0 to n - 1 do
-    if pred (Array.unsafe_get sel t) then begin
-      Batch.bit_set pass t;
-      incr m
-    end
-  done;
-  if !m = n then sel
-  else if !m = 0 then [||]
+  Array.iter (fun i -> if keep i then incr m) sel;
+  if !m = Array.length sel then sel
   else begin
-    let out = Array.make !m 0 in
-    let k = ref 0 in
-    for t = 0 to n - 1 do
-      if Batch.bit_get pass t then begin
-        Array.unsafe_set out !k (Array.unsafe_get sel t);
-        incr k
-      end
-    done;
+    let out = Array.make !m 0 and k = ref 0 in
+    Array.iter
+      (fun i ->
+        if keep i then begin
+          out.(!k) <- i;
+          incr k
+        end)
+      sel;
     out
   end
 
@@ -253,13 +310,12 @@ let flip_op (op : A.binop) : A.binop =
   | A.Ge -> A.Le
   | op -> op
 
-(* The typed kernels below each run two loops over the selection, one
-   counting the survivors and one writing them into an array of exactly
-   that size. Neither calls a closure or branches on the data per row
-   (a text kernel's count does, once per dictionary entry): a row's
-   verdict is an int, 1 to keep it and 0 to drop it, that the count
-   adds up and the fill advances its cursor by after an unconditional
-   write. The null bitmap is one more factor of that product. *)
+(* The typed kernels below make one pass over the selection. None
+   calls a closure or branches on the data per row (a text kernel's
+   does, once per dictionary entry): a row's verdict is an int, 1 to
+   keep it and 0 to drop it, and the loop writes the row at its cursor
+   unconditionally and advances the cursor by the verdict. The null
+   bitmap is one more factor of that product. *)
 
 (* a column's null bitmap as [live] reads it: the bitmap and -1, or for
    a column without NULLs one zero byte and 0, which confines every read
@@ -299,23 +355,14 @@ let[@inline] int_pass (a : Ivec.t) (r : int64 array) lo hi flip nulls
 let int_kernel (c : Batch.column) (a : Ivec.t) (r : int64 array)
     (flip : int) : kernel =
   let nulls, mask = null_view c and lo = r.(0) and hi = r.(1) in
-  fun sel ->
-    let m = ref 0 in
-    for t = 0 to Array.length sel - 1 do
-      m := !m + int_pass a r lo hi flip nulls mask (Array.unsafe_get sel t)
+  fun sel n ->
+    let k = ref 0 in
+    for t = 0 to n - 1 do
+      let i = Array.unsafe_get sel t in
+      Array.unsafe_set sel !k i;
+      k := !k + int_pass a r lo hi flip nulls mask i
     done;
-    if !m = 0 then [||]
-    else if !m = Array.length sel then sel
-    else begin
-      let out = Array.make !m 0 and k = ref 0 and t = ref 0 in
-      while !k < !m do
-        let i = Array.unsafe_get sel !t in
-        Array.unsafe_set out !k i;
-        k := !k + int_pass a r lo hi flip nulls mask i;
-        incr t
-      done;
-      out
-    end
+    !k
 
 let[@inline] float_pass (a : float array) (r : float array) lo hi flip nulls
     mask i =
@@ -334,36 +381,27 @@ let[@inline] float_pass (a : float array) (r : float array) lo hi flip nulls
 let float_kernel (c : Batch.column) (a : float array) (r : float array)
     (flip : int) : kernel =
   let nulls, mask = null_view c and lo = r.(0) and hi = r.(1) in
-  fun sel ->
-    let m = ref 0 in
-    for t = 0 to Array.length sel - 1 do
-      m := !m + float_pass a r lo hi flip nulls mask (Array.unsafe_get sel t)
+  fun sel n ->
+    let k = ref 0 in
+    for t = 0 to n - 1 do
+      let i = Array.unsafe_get sel t in
+      Array.unsafe_set sel !k i;
+      k := !k + float_pass a r lo hi flip nulls mask i
     done;
-    if !m = 0 then [||]
-    else if !m = Array.length sel then sel
-    else begin
-      let out = Array.make !m 0 and k = ref 0 and t = ref 0 in
-      while !k < !m do
-        let i = Array.unsafe_get sel !t in
-        Array.unsafe_set out !k i;
-        k := !k + float_pass a r lo hi flip nulls mask i;
-        incr t
-      done;
-      out
-    end
+    !k
 
 (* a test on a text column through its codes. [verdict] runs at most
-   once per dictionary entry, when the count first meets it, and its
-   answer waits in [memo]: 0 not yet tested, 1 fails, 2 passes, so a
-   row's verdict is its code's byte shifted right once. The fill meets
-   only tested codes. *)
+   once per dictionary entry, when a row first meets it, and its answer
+   waits in [memo]: 0 not yet tested, 1 fails, 2 passes, so a row's
+   verdict is its code's byte shifted right once. The kernel is built
+   once a statement, so every chunk shares one [memo]. *)
 let text_kernel (c : Batch.column) (codes : int array) (dict : string array)
     (verdict : string -> bool) : kernel =
   let nulls, mask = null_view c in
-  fun sel ->
-    let memo = Bytes.make (Array.length dict) '\000' in
-    let m = ref 0 in
-    for t = 0 to Array.length sel - 1 do
+  let memo = Bytes.make (Array.length dict) '\000' in
+  fun sel n ->
+    let k = ref 0 in
+    for t = 0 to n - 1 do
       let i = Array.unsafe_get sel t in
       let code = Array.unsafe_get codes i in
       let v = Char.code (Bytes.unsafe_get memo code) in
@@ -375,24 +413,10 @@ let text_kernel (c : Batch.column) (codes : int array) (dict : string array)
           v
         end
       in
-      m := !m + (v lsr 1 land live nulls mask i)
+      Array.unsafe_set sel !k i;
+      k := !k + (v lsr 1 land live nulls mask i)
     done;
-    if !m = 0 then [||]
-    else if !m = Array.length sel then sel
-    else begin
-      let out = Array.make !m 0 and k = ref 0 and t = ref 0 in
-      while !k < !m do
-        let i = Array.unsafe_get sel !t in
-        Array.unsafe_set out !k i;
-        k :=
-          !k
-          + (Char.code (Bytes.unsafe_get memo (Array.unsafe_get codes i))
-             lsr 1
-            land live nulls mask i);
-        incr t
-      done;
-      out
-    end
+    !k
 
 (* Literal tests as intervals. Exactness: Value.compare3 compares
    same-type ints with Int64.compare, same-type strings with
@@ -502,7 +526,7 @@ let cmp_kernel (c : Batch.column) (op : A.binop) (l : A.lit) : kernel option =
   | Some test when fits c (Lit l) ->
       Some
         (match (c.Batch.data, Value.of_lit l) with
-         | _, Value.Null -> fun _ -> [||]
+         | _, Value.Null -> fun _ _ -> 0
          | Batch.DInt { kind; ints }, v ->
              let v = Some v in
              let (lo, hi), flip =
@@ -548,7 +572,7 @@ let between_kernel (c : Batch.column) (lo : bound) (hi : bound) :
     | lo, hi ->
       Some
         (match (c.Batch.data, lo, hi) with
-         | _, Value.Null, _ | _, _, Value.Null -> fun _ -> [||]
+         | _, Value.Null, _ | _, _, Value.Null -> fun _ _ -> 0
          | Batch.DInt { kind; ints }, lo, hi ->
              int_kernel c ints
                (Array.of_list (int_interval kind (Some lo) (Some hi)))
@@ -568,7 +592,7 @@ let in_kernel (c : Batch.column) (lits : A.lit list) : kernel option =
   let vals = List.filter (fun l -> l <> A.Null) lits in
   match c.Batch.data with
   | _ when not (List.for_all (fun l -> fits c (Lit l)) lits) -> None
-  | _ when vals = [] -> Some (fun _ -> [||])
+  | _ when vals = [] -> Some (fun _ _ -> 0)
   | Batch.DInt { kind; ints } ->
       let r =
         List.concat_map
@@ -597,19 +621,20 @@ let in_kernel (c : Batch.column) (lits : A.lit list) : kernel option =
 (* Batch expression evaluation                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Whole-column evaluation of an aggregate's argument: instead of
+(* Chunk-at-a-time evaluation of an aggregate's argument: instead of
    calling a compiled closure once per surviving index (boxing a
    Value.t at every node of the expression per row), bigint and float
    columns, int and float literals and [+ - *] over them compile to
-   kernels that fill a typed output vector for the whole selection in
+   kernels that fill a typed output vector for a chunk's selection in
    one monomorphic loop per operator. None of these operations can
    raise (div and mod raise on zero and stay on the closure path), so
-   evaluating operands column-at-a-time instead of row-at-a-time cannot
+   evaluating operands vector-at-a-time instead of row-at-a-time cannot
    reorder an error the closure would have raised. Null bitmaps
    propagate exactly as the null-propagating Value ops do. *)
 
-(* a sel-aligned result vector: slot [t] holds the value for base row
-   [sel.(t)]; [rnulls] is a packed bitmap over slots (empty = none) *)
+(* a slot-aligned result vector: slot [t] holds the value for row
+   [sel.(t)], for t below the selection's length; [rnulls] is a packed
+   bitmap over slots (empty = none) *)
 type vvec = VInt of Ivec.t | VFloat of float array
 
 type vres = { rdata : vvec; rnulls : Bytes.t }
@@ -620,21 +645,47 @@ type vres = { rdata : vvec; rnulls : Bytes.t }
    plain calendar or bool column folds its payloads as [TInt] too. *)
 type vty = TInt of Batch.kind | TFloat
 
-type vkernel = Batch.sel -> vres
+(* [k sel n] evaluates the expression at rows [sel.(0) .. sel.(n - 1)].
+   Each kernel writes into buffers of its own, grown to the longest
+   selection it has met, so the vectors it returns hold until its next
+   call, and a statement's chunks reuse them. *)
+type vkernel = Batch.sel -> int -> vres
 
 let vnull_empty = Batch.no_nulls
-let vnull_is (b : Bytes.t) t = Bytes.length b > 0 && Batch.bit_get b t
 
-let vnull_make n = Bytes.make ((n + 7) / 8) '\000'
+(* a buffer of at least [n] slots in [r]: grown to [n], or to twice its
+   size up to a chunk's [cap] slots, whichever is more. A grown
+   buffer's contents are undefined. *)
+let grow (length : 'a -> int) (create : int -> 'a) (cap : int) (r : 'a ref)
+    (n : int) : 'a =
+  if length !r < n then
+    r := create (Stdlib.max n (Stdlib.min cap (2 * length !r)));
+  !r
 
-(* union of two null bitmaps (3VL null propagation for strict ops) *)
-let vnull_union n (a : Bytes.t) (b : Bytes.t) : Bytes.t =
+let floats_buf = grow Array.length Array.create_float chunk_rows
+let ivec_buf = grow Ivec.length Ivec.create chunk_rows
+let bytes_buf = grow Bytes.length Bytes.create ((chunk_rows + 7) / 8)
+
+(* a null bitmap over [n] slots, all clear *)
+let bits_buf (r : Bytes.t ref) (n : int) : Bytes.t =
+  let len = (n + 7) / 8 in
+  let b = bytes_buf r len in
+  Bytes.fill b 0 len '\000';
+  b
+
+(* union of two null bitmaps over [n] slots (3VL null propagation for
+   strict ops), into [r] when both hold a NULL *)
+let vnull_union (r : Bytes.t ref) n (a : Bytes.t) (b : Bytes.t) : Bytes.t =
   if Bytes.length a = 0 then b
   else if Bytes.length b = 0 then a
   else begin
-    let out = vnull_make n in
-    for t = 0 to n - 1 do
-      if vnull_is a t || vnull_is b t then Batch.bit_set out t
+    let len = (n + 7) / 8 in
+    let out = bytes_buf r len in
+    for j = 0 to len - 1 do
+      Bytes.unsafe_set out j
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get a j)
+           lor Char.code (Bytes.unsafe_get b j)))
     done;
     out
   end
@@ -644,15 +695,15 @@ let vnull_union n (a : Bytes.t) (b : Bytes.t) : Bytes.t =
    repeats), and the vector then shares the column's payload and
    bitmap: no kernel writes to an operand. *)
 let vload (c : Batch.column) : (vty * vkernel) option =
-  let pull_nulls sel whole =
+  let nbuf = ref Bytes.empty in
+  let pull_nulls sel n whole =
     if not c.Batch.has_nulls then vnull_empty
     else if whole then c.Batch.nulls
     else begin
-      let n = Array.length sel in
-      let b = vnull_make n in
+      let b = bits_buf nbuf n in
       let any = ref false in
       for t = 0 to n - 1 do
-        if Batch.is_null c sel.(t) then begin
+        if Batch.is_null c (Array.unsafe_get sel t) then begin
           Batch.bit_set b t;
           any := true
         end
@@ -662,24 +713,33 @@ let vload (c : Batch.column) : (vty * vkernel) option =
   in
   match c.Batch.data with
   | Batch.DInt { kind = Batch.Bigint; ints } ->
+      let buf = ref Ivec.empty in
       Some
         ( TInt Batch.Bigint,
-          fun sel ->
-            let whole = Array.length sel = Ivec.length ints in
-            {
-              rdata = VInt (if whole then ints else Ivec.pick ints sel);
-              rnulls = pull_nulls sel whole;
-            } )
+          fun sel n ->
+            let whole = n = Ivec.length ints in
+            let v =
+              if whole then ints
+              else begin
+                let v = ivec_buf buf n in
+                for t = 0 to n - 1 do
+                  Ivec.unsafe_set_at v (8 * t)
+                    (Ivec.unsafe_get_at ints (8 * Array.unsafe_get sel t))
+                done;
+                v
+              end
+            in
+            { rdata = VInt v; rnulls = pull_nulls sel n whole } )
   | Batch.DFloat a ->
+      let buf = ref [||] in
       Some
         ( TFloat,
-          fun sel ->
-            let n = Array.length sel in
+          fun sel n ->
             let whole = n = Array.length a in
             let v =
               if whole then a
               else begin
-                let v = Array.create_float n in
+                let v = floats_buf buf n in
                 for t = 0 to n - 1 do
                   Array.unsafe_set v t
                     (Array.unsafe_get a (Array.unsafe_get sel t))
@@ -687,46 +747,45 @@ let vload (c : Batch.column) : (vty * vkernel) option =
                 v
               end
             in
-            { rdata = VFloat v; rnulls = pull_nulls sel whole } )
+            { rdata = VFloat v; rnulls = pull_nulls sel n whole } )
   | _ -> None
 
+(* a literal's vector, filled when it grows *)
 let vlit (l : A.lit) : (vty * vkernel) option =
   match l with
   | A.Int v ->
+      let buf = ref Ivec.empty in
       Some
         ( TInt Batch.Bigint,
-          fun sel ->
-            {
-              rdata = VInt (Ivec.make (Array.length sel) v);
-              rnulls = vnull_empty;
-            } )
+          fun _ n ->
+            if Ivec.length !buf < n then buf := Ivec.make n v;
+            { rdata = VInt !buf; rnulls = vnull_empty } )
   | A.Float v ->
+      let buf = ref [||] in
       Some
         ( TFloat,
-          fun sel ->
-            {
-              rdata = VFloat (Array.make (Array.length sel) v);
-              rnulls = vnull_empty;
-            } )
+          fun _ n ->
+            if Array.length !buf < n then buf := Array.make n v;
+            { rdata = VFloat !buf; rnulls = vnull_empty } )
   | _ -> None
 
-(* float vectors are filled by explicit loops: a float returned from a
-   closure (Array.init, Array.map) is boxed on the way *)
-let as_float = function
+(* a vector's first [n] slots as floats, converted into [r] from ints;
+   float vectors are filled by explicit loops, since a float returned
+   from a closure (Array.init, Array.map) is boxed on the way *)
+let as_float (r : float array ref) (n : int) = function
   | VInt a ->
-      let out = Array.create_float (Ivec.length a) in
-      for t = 0 to Ivec.length a - 1 do
+      let out = floats_buf r n in
+      for t = 0 to n - 1 do
         Array.unsafe_set out t (Int64.to_float (Ivec.unsafe_get_at a (8 * t)))
       done;
       out
   | VFloat a -> a
 
-(* [a op b] slot by slot for [op] one of [+ - *] *)
-let float_arith (op : A.binop) (a : float array) (b : float array) :
-    float array =
-  let n = Array.length a in
-  let out = Array.create_float n in
-  (match op with
+(* [a op b] over the first [n] slots into [out], for [op] one of
+   [+ - *] *)
+let float_arith (op : A.binop) (a : float array) (b : float array)
+    (out : float array) (n : int) : unit =
+  match op with
   | A.Add ->
       for t = 0 to n - 1 do
         Array.unsafe_set out t (Array.unsafe_get a t +. Array.unsafe_get b t)
@@ -738,8 +797,7 @@ let float_arith (op : A.binop) (a : float array) (b : float array) :
   | _ ->
       for t = 0 to n - 1 do
         Array.unsafe_set out t (Array.unsafe_get a t *. Array.unsafe_get b t)
-      done);
-  out
+      done
 
 (* int64/float arithmetic; Value.add/sub/mul on Int×Int use the Int64
    op, any int/float mix converts through to_float — both mirrored *)
@@ -748,15 +806,16 @@ let varith (op : A.binop) (ta, ka) (tb, kb) : (vty * vkernel) option =
     | VInt v -> v
     | _ -> invalid_arg "vexec: kernel type confusion"
   in
+  let nbuf = ref Bytes.empty in
   match (op, ta, tb) with
   | (A.Add | A.Sub | A.Mul), TInt Batch.Bigint, TInt Batch.Bigint ->
+      let buf = ref Ivec.empty in
       Some
         ( TInt Batch.Bigint,
-          fun sel ->
-            let a = ka sel and b = kb sel in
+          fun sel n ->
+            let a = ka sel n and b = kb sel n in
             let av = ints a.rdata and bv = ints b.rdata in
-            let n = Ivec.length av in
-            let out = Ivec.create n in
+            let out = ivec_buf buf n in
             let module I = Ivec in
             (match op with
             | A.Add ->
@@ -774,17 +833,17 @@ let varith (op : A.binop) (ta, ka) (tb, kb) : (vty * vkernel) option =
                   I.unsafe_set_at out (8 * t)
                     (Int64.mul (I.unsafe_get_at av (8 * t)) (I.unsafe_get_at bv (8 * t)))
                 done);
-            { rdata = VInt out; rnulls = vnull_union n a.rnulls b.rnulls } )
+            { rdata = VInt out; rnulls = vnull_union nbuf n a.rnulls b.rnulls } )
   | (A.Add | A.Sub | A.Mul), (TInt Batch.Bigint | TFloat), (TInt Batch.Bigint | TFloat) ->
+      let abuf = ref [||] and bbuf = ref [||] and buf = ref [||] in
       Some
         ( TFloat,
-          fun sel ->
-            let a = ka sel and b = kb sel in
-            let av = as_float a.rdata and bv = as_float b.rdata in
-            {
-              rdata = VFloat (float_arith op av bv);
-              rnulls = vnull_union (Array.length av) a.rnulls b.rnulls;
-            } )
+          fun sel n ->
+            let a = ka sel n and b = kb sel n in
+            let av = as_float abuf n a.rdata and bv = as_float bbuf n b.rdata in
+            let out = floats_buf buf n in
+            float_arith op av bv out n;
+            { rdata = VFloat out; rnulls = vnull_union nbuf n a.rnulls b.rnulls } )
   | _ -> None
 
 let rec compile_vec (bindings : Exec.binding list)
@@ -831,8 +890,16 @@ let compile_conjunct (sc : scope) (e : A.expr) : data -> kernel =
     match special with
     | Some k -> k
     | None ->
+        (* the closure runs once per row, in row order, and may raise *)
         let ce = ce d in
-        fun sel -> filter_sel sel (fun i -> Value.is_true (ce i))
+        fun sel n ->
+          let k = ref 0 in
+          for t = 0 to n - 1 do
+            let i = Array.unsafe_get sel t in
+            Array.unsafe_set sel !k i;
+            k := !k + Bool.to_int (Value.is_true (ce i))
+          done;
+          !k
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates                                                          *)
@@ -931,55 +998,106 @@ let make_acc ?(distinct = false) (name : string) : acc =
         clear = (fun () -> vals := []);
       }
 
-(* an aggregate's argument over the selection: slot t reads position
-   [at.(t)] of [payload] and of the null bitmap, as [live] reads it *)
+(* an aggregate's argument over a chunk's selection: slot t reads
+   position [at.(t)] of [payload] and of the null bitmap, as [live]
+   reads it *)
 type payload = PInt of Batch.kind * Ivec.t | PFloat of float array | POther
 
 type arg = { at : int array; nulls : Bytes.t; nmask : int; payload : payload }
 
-(* The groups of an aggregate SELECT's surviving rows [sel]: slot t of
-   [sel] belongs to group [gid.(t land mask)], where [mask] is -1, or 0
-   for the scalar aggregate's one group, whose [gid] is [|0|]. Groups
-   are numbered in first-encounter order and [first.(g)] is group g's
-   first row (-1 for the scalar aggregate over no rows). [ident] is an
-   identity selection at least as long as [sel], through which a fold
-   reads a sel-aligned vector; [vecs] holds the vectors of the
-   aggregate arguments evaluated so far, by expression, so aggregates
-   sharing an argument evaluate it once. *)
+let no_arg = { at = [||]; nulls = zero_byte; nmask = 0; payload = POther }
+
+(* An argument vector shared by the aggregates that read it: evaluated
+   once a chunk, the chunk [stamp] counts, by [eval] *)
+type shared = {
+  vty : vty;
+  mutable stamp : int;
+  mutable cur : arg;
+  eval : unit -> arg;
+}
+
+(* The groups of an aggregate SELECT, built chunk by chunk by [feed]:
+   the chunk's surviving rows are [sel.(0 .. len - 1)], and slot t
+   belongs to group [gid.(t land mask)], where [mask] is -1, or 0 for
+   the scalar aggregate's one group, whose [gid] is [|0|]; [ident] is
+   the identity over a chunk's slots. Groups are
+   numbered in first-encounter order across chunks; [first.(g)] is
+   group g's first row (-1 for the scalar aggregate over no rows).
+   Every aggregate registers a [folder] when its stage two runs: [feed]
+   folds a chunk into accumulators that live across chunks, [finish]
+   runs once after the last. [vecs] holds the argument vectors of the
+   aggregates, by expression. *)
+type folder = { feed : unit -> unit; finish : unit -> unit }
+
 type groups = {
   sel : Batch.sel;
+  ident : int array;
+  mutable len : int;
   gid : int array;
   mask : int;
-  ng : int;
-  first : int array;
-  ident : Batch.sel;
-  mutable vecs : (A.expr * arg) list;
+  mutable ng : int;
+  mutable first : int array;
+  mutable stamp : int;
+  mutable folders : folder list;
+  mutable vecs : (A.expr * shared) list;
 }
 
 let[@inline] group_at (gr : groups) (t : int) : int =
   Array.unsafe_get gr.gid (t land gr.mask)
 
+let register (gr : groups) ?(finish = ignore) (feed : unit -> unit) : unit =
+  gr.folders <- { feed; finish } :: gr.folders
+
+(* [a] with room for [n] entries, the new ones [fill]: grown to [n] or
+   twice its length, whichever is more *)
+let widen (a : 'a array) (n : int) (fill : 'a) : 'a array =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (Stdlib.max n (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
 (* int64 accumulators, 8 bytes a group, so a running sum never boxes *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
+(* A typed fold's per-group state, kept across chunks: the count of
+   non-NULL values, an int64 ([i64], 8 bytes a group) and a float
+   ([f64]), zero for a group not yet met *)
+type accum = {
+  mutable cnt : int array;
+  mutable i64 : Bytes.t;
+  mutable f64 : float array;
+}
+
+let accum () = { cnt = [||]; i64 = Bytes.empty; f64 = [||] }
+
+(* room for [ng] groups *)
+let reserve (st : accum) (ng : int) : unit =
+  let cap = Array.length st.cnt in
+  if ng > cap then begin
+    let cap' = Stdlib.max ng (2 * cap) in
+    st.cnt <- widen st.cnt cap' 0;
+    st.f64 <- widen st.f64 cap' 0.0;
+    let b = Bytes.make (8 * cap') '\000' in
+    Bytes.blit st.i64 0 b 0 (8 * cap);
+    st.i64 <- b
+  end
+
 (* per group: the count of non-NULL values *)
-let fold_count (gr : groups) (x : arg) : int array =
-  let cnt = Array.make gr.ng 0 in
-  for t = 0 to Array.length gr.sel - 1 do
+let fold_count (gr : groups) (x : arg) (cnt : int array) : unit =
+  for t = 0 to gr.len - 1 do
     let g = group_at gr t in
     Array.unsafe_set cnt g
       (Array.unsafe_get cnt g + live x.nulls x.nmask (Array.unsafe_get x.at t))
-  done;
-  cnt
+  done
 
 (* per group: the count, int64 sum and float sum of the non-NULL values
    of an int argument *)
-let fold_ints (gr : groups) (x : arg) (a : Ivec.t) :
-    int array * Bytes.t * float array =
-  let cnt = Array.make gr.ng 0 in
-  let isum = Bytes.make (8 * gr.ng) '\000' and fsum = Array.make gr.ng 0.0 in
-  for t = 0 to Array.length gr.sel - 1 do
+let fold_ints (gr : groups) (x : arg) (a : Ivec.t) (st : accum) : unit =
+  let cnt = st.cnt and isum = st.i64 and fsum = st.f64 in
+  for t = 0 to gr.len - 1 do
     let p = Array.unsafe_get x.at t in
     if live x.nulls x.nmask p = 1 then begin
       let g = group_at gr t and v = Ivec.unsafe_get_at a (8 * p) in
@@ -987,30 +1105,28 @@ let fold_ints (gr : groups) (x : arg) (a : Ivec.t) :
       set64 isum (8 * g) (Int64.add (get64 isum (8 * g)) v);
       Array.unsafe_set fsum g (Array.unsafe_get fsum g +. Int64.to_float v)
     end
-  done;
-  (cnt, isum, fsum)
+  done
 
 (* per group: the count and sum of the non-NULL values of a float
    argument *)
-let fold_floats (gr : groups) (x : arg) (a : float array) :
-    int array * float array =
-  let cnt = Array.make gr.ng 0 and fsum = Array.make gr.ng 0.0 in
-  for t = 0 to Array.length gr.sel - 1 do
+let fold_floats (gr : groups) (x : arg) (a : float array) (st : accum) :
+    unit =
+  let cnt = st.cnt and fsum = st.f64 in
+  for t = 0 to gr.len - 1 do
     let p = Array.unsafe_get x.at t in
     if live x.nulls x.nmask p = 1 then begin
       let g = group_at gr t in
       Array.unsafe_set cnt g (Array.unsafe_get cnt g + 1);
       Array.unsafe_set fsum g (Array.unsafe_get fsum g +. Array.unsafe_get a p)
     end
-  done;
-  (cnt, fsum)
+  done
 
 (* per group: the count and the greatest ([sign] 1) or least ([sign]
    -1) non-NULL value, the earlier one on ties *)
-let extreme_ints (gr : groups) (x : arg) (a : Ivec.t) (sign : int) :
-    int array * Bytes.t =
-  let cnt = Array.make gr.ng 0 and best = Bytes.make (8 * gr.ng) '\000' in
-  for t = 0 to Array.length gr.sel - 1 do
+let extreme_ints (gr : groups) (x : arg) (a : Ivec.t) (sign : int)
+    (st : accum) : unit =
+  let cnt = st.cnt and best = st.i64 in
+  for t = 0 to gr.len - 1 do
     let p = Array.unsafe_get x.at t in
     if live x.nulls x.nmask p = 1 then begin
       let g = group_at gr t and v = Ivec.unsafe_get_at a (8 * p) in
@@ -1019,13 +1135,12 @@ let extreme_ints (gr : groups) (x : arg) (a : Ivec.t) (sign : int) :
         set64 best (8 * g) v;
       Array.unsafe_set cnt g (n + 1)
     end
-  done;
-  (cnt, best)
+  done
 
-let extreme_floats (gr : groups) (x : arg) (a : float array) (sign : int) :
-    int array * float array =
-  let cnt = Array.make gr.ng 0 and best = Array.make gr.ng 0.0 in
-  for t = 0 to Array.length gr.sel - 1 do
+let extreme_floats (gr : groups) (x : arg) (a : float array) (sign : int)
+    (st : accum) : unit =
+  let cnt = st.cnt and best = st.f64 in
+  for t = 0 to gr.len - 1 do
     let p = Array.unsafe_get x.at t in
     if live x.nulls x.nmask p = 1 then begin
       let g = group_at gr t and v = Array.unsafe_get a p in
@@ -1034,8 +1149,7 @@ let extreme_floats (gr : groups) (x : arg) (a : float array) (sign : int) :
         Array.unsafe_set best g v;
       Array.unsafe_set cnt g (n + 1)
     end
-  done;
-  (cnt, best)
+  done
 
 (* whether [typed_fold] folds aggregate [name] (lowercase) of an
    argument whose payload has type [ty], if any *)
@@ -1056,85 +1170,82 @@ let payload_type : payload -> vty option = function
    of any int or float one: [make_acc]'s folds run per group, boxing
    only a result as it is read. On these representations
    Exec.compare_key is the payload order (Float.compare for floats),
-   and sum's all-int flag is fixed by the payload. *)
-let typed_fold (name : string) (gr : groups) (x : arg) : int -> Value.t =
-  let null_if (cnt : int array) f g = if cnt.(g) = 0 then Value.Null else f g in
+   and sum's all-int flag is fixed by the payload. [x] gives the
+   chunk's argument, whose payload has type [ty]. *)
+let typed_fold (name : string) (gr : groups) (ty : vty option)
+    (x : unit -> arg) : int -> Value.t =
+  let st = accum () in
+  let null_if f g = if st.cnt.(g) = 0 then Value.Null else f g in
   let sign = if name = "min" then -1 else 1 in
-  match (name, x.payload) with
-  | "sum", PInt (_, a) ->
-      let cnt, isum, _ = fold_ints gr x a in
-      null_if cnt (fun g -> Value.Int (get64 isum (8 * g)))
-  | "avg", PInt (_, a) ->
-      let cnt, _, fsum = fold_ints gr x a in
-      null_if cnt (fun g -> Value.Float (fsum.(g) /. float_of_int cnt.(g)))
-  | "sum", PFloat a ->
-      let cnt, fsum = fold_floats gr x a in
-      null_if cnt (fun g -> Value.Float fsum.(g))
-  | "avg", PFloat a ->
-      let cnt, fsum = fold_floats gr x a in
-      null_if cnt (fun g -> Value.Float (fsum.(g) /. float_of_int cnt.(g)))
-  | ("min" | "max"), PInt (kind, a) ->
-      let cnt, best = extreme_ints gr x a sign in
-      null_if cnt (fun g -> Batch.value_of kind (get64 best (8 * g)))
-  | ("min" | "max"), PFloat a ->
-      let cnt, best = extreme_floats gr x a sign in
-      null_if cnt (fun g -> Value.Float best.(g))
+  (* the scalar aggregate's group exists before any chunk *)
+  reserve st gr.ng;
+  register gr (fun () ->
+      reserve st gr.ng;
+      let x = x () in
+      match (name, x.payload) with
+      | ("sum" | "avg"), PInt (_, a) -> fold_ints gr x a st
+      | ("sum" | "avg"), PFloat a -> fold_floats gr x a st
+      | ("min" | "max"), PInt (_, a) -> extreme_ints gr x a sign st
+      | ("min" | "max"), PFloat a -> extreme_floats gr x a sign st
+      | _ -> fold_count gr x st.cnt);
+  match (name, ty) with
+  | "sum", Some (TInt _) ->
+      null_if (fun g -> Value.Int (get64 st.i64 (8 * g)))
+  | "sum", Some TFloat -> null_if (fun g -> Value.Float st.f64.(g))
+  | "avg", Some _ ->
+      null_if (fun g -> Value.Float (st.f64.(g) /. float_of_int st.cnt.(g)))
+  | ("min" | "max"), Some (TInt kind) ->
+      null_if (fun g -> Batch.value_of kind (get64 st.i64 (8 * g)))
+  | ("min" | "max"), Some TFloat -> null_if (fun g -> Value.Float st.f64.(g))
   | _ ->
       (* count, [folds_typed] holding *)
-      let cnt = fold_count gr x in
-      fun g -> Value.Int (Int64.of_int cnt.(g))
+      fun g -> Value.Int (Int64.of_int st.cnt.(g))
 
-(* any other aggregate: one [make_acc] folds each group in turn, fed the
-   argument's values in row order. The rows are first laid out group by
-   group, group g at [order.(start.(g)) .. order.(start.(g + 1) - 1)]:
-   one array, however many groups. A group's result is the first error
-   its argument raised, rows in ascending order, or failing that the
-   error its fold raised, since the row reference evaluates every
-   argument before it folds; reading the group raises that error. *)
+(* one group's fold of a boxed aggregate: [err] is the first error its
+   argument raised, rows in ascending order, or failing that the error
+   its fold raised *)
+type boxed = { acc : acc; mutable err : exn option; mutable arg_failed : bool }
+
+(* any other aggregate: a [make_acc] per group, fed the argument's
+   values in row order. A group's result is the first error its
+   argument raised, or failing that the error its fold raised, since
+   the row reference evaluates every argument before it folds; reading
+   the group raises that error. *)
 let boxed_fold (name : string) (distinct : bool) (gr : groups) (ce : cexpr) :
     int -> Value.t =
-  let n = Array.length gr.sel in
-  let start = Array.make (gr.ng + 1) 0 in
-  for t = 0 to n - 1 do
-    let g = group_at gr t in
-    start.(g + 1) <- start.(g + 1) + 1
-  done;
-  for g = 1 to gr.ng do
-    start.(g) <- start.(g) + start.(g - 1)
-  done;
-  let order =
-    if gr.mask = 0 then gr.sel
-    else begin
-      let order = Array.make n 0 and next = Array.sub start 0 gr.ng in
-      for t = 0 to n - 1 do
-        let g = group_at gr t in
-        order.(next.(g)) <- gr.sel.(t);
-        next.(g) <- next.(g) + 1
-      done;
-      order
-    end
+  let states = ref [||] and res = ref [||] in
+  let reserve () =
+    let n = Array.length !states in
+    if gr.ng > n then
+      states :=
+        Array.init (Stdlib.max gr.ng (2 * n)) (fun g ->
+            if g < n then !states.(g)
+            else { acc = make_acc ~distinct name; err = None; arg_failed = false })
   in
-  let acc = make_acc ~distinct name in
-  let fold g =
-    acc.clear ();
-    let fold_err = ref None in
-    let rec go k =
-      if k = start.(g + 1) then
-        match !fold_err with
-        | Some e -> Error e
-        | None -> ( try Ok (acc.get ()) with e -> Error e)
-      else
-        match ce order.(k) with
-        | exception e -> Error e
-        | v ->
-            if Option.is_none !fold_err then (
-              try acc.add v with e -> fold_err := Some e);
-            go (k + 1)
-    in
-    go start.(g)
-  in
-  let res = Array.init gr.ng fold in
-  fun g -> match res.(g) with Ok v -> v | Error e -> raise e
+  register gr
+    ~finish:(fun () ->
+      reserve ();
+      res :=
+        Array.init gr.ng (fun g ->
+            let b = !states.(g) in
+            match b.err with
+            | Some e -> Error e
+            | None -> ( try Ok (b.acc.get ()) with e -> Error e)))
+    (fun () ->
+      reserve ();
+      let states = !states in
+      for t = 0 to gr.len - 1 do
+        let b = states.(group_at gr t) in
+        if not b.arg_failed then
+          match ce gr.sel.(t) with
+          | exception e ->
+              b.err <- Some e;
+              b.arg_failed <- true
+          | v -> (
+              if Option.is_none b.err then
+                try b.acc.add v with e -> b.err <- Some e)
+      done);
+  fun g -> match !res.(g) with Ok v -> v | Error e -> raise e
 
 (* one aggregate of [arg] over the groups: typed when the argument is a
    plain column or an expression [compile_vec] takes and the aggregate
@@ -1147,27 +1258,30 @@ let fold_agg (name : string) ~(distinct : bool) (sc : scope) (arg : A.expr) :
     | A.Col (q, c) -> Some (Exec.find_binding sc.bindings q c)
     | _ -> None
   in
-  (* the argument's vector over the selection, evaluated once a query *)
+  (* the argument's vector, evaluated once a chunk *)
   let vector d gr =
     match List.assoc_opt arg gr.vecs with
-    | Some x -> Some x
+    | Some v -> Some v
     | None -> (
         match compile_vec sc.bindings d.col arg with
         | Some (ty, vk) when folds_typed name (Some ty) ->
-            let r = vk gr.sel in
-            let nulls, nmask =
-              if Bytes.length r.rnulls = 0 then (zero_byte, 0)
-              else (r.rnulls, -1)
+            let eval () =
+              let r = vk gr.sel gr.len in
+              let nulls, nmask =
+                if Bytes.length r.rnulls = 0 then (zero_byte, 0)
+                else (r.rnulls, -1)
+              in
+              let payload =
+                match (ty, r.rdata) with
+                | TInt kind, VInt a -> PInt (kind, a)
+                | _, VFloat a -> PFloat a
+                | _ -> POther
+              in
+              { at = gr.ident; nulls; nmask; payload }
             in
-            let payload =
-              match (ty, r.rdata) with
-              | TInt kind, VInt a -> PInt (kind, a)
-              | _, VFloat a -> PFloat a
-              | _ -> POther
-            in
-            let x = { at = gr.ident; nulls; nmask; payload } in
-            gr.vecs <- (arg, x) :: gr.vecs;
-            Some x
+            let v = { vty = ty; stamp = -1; cur = no_arg; eval } in
+            gr.vecs <- (arg, v) :: gr.vecs;
+            Some v
         | _ -> None)
   in
   fun d gr ->
@@ -1183,12 +1297,22 @@ let fold_agg (name : string) ~(distinct : bool) (sc : scope) (arg : A.expr) :
             | Batch.DFloat a -> PFloat a
             | Batch.DStr _ | Batch.DVal _ -> POther
           in
-          Some { at = gr.sel; nulls; nmask; payload }
-      | None -> vector d gr
+          let x = { at = gr.sel; nulls; nmask; payload } in
+          Some (payload_type payload, fun () -> x)
+      | None ->
+          Option.map
+            (fun v ->
+              ( Some v.vty,
+                fun () ->
+                  if v.stamp <> gr.stamp then begin
+                    v.cur <- v.eval ();
+                    v.stamp <- gr.stamp
+                  end;
+                  v.cur ))
+            (vector d gr)
     in
     match typed with
-    | Some x when folds_typed name (payload_type x.payload) ->
-        typed_fold name gr x
+    | Some (ty, get) when folds_typed name ty -> typed_fold name gr ty get
     | _ -> boxed_fold name distinct gr (ce d)
 
 (* an operand of an operator over aggregates: calendar values flatten
@@ -1209,18 +1333,14 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) :
       match args with
       | [ A.Star ] | [] ->
           fun _ gr ->
-            let sizes =
-              if gr.mask = 0 then [| Array.length gr.sel |]
-              else
-                fold_count gr
-                  {
-                    at = gr.sel;
-                    nulls = zero_byte;
-                    nmask = 0;
-                    payload = POther;
-                  }
-            in
-            fun g -> Value.Int (Int64.of_int sizes.(g))
+            let st = accum () in
+            let rows = { no_arg with at = gr.sel } in
+            reserve st gr.ng;
+            register gr (fun () ->
+                reserve st gr.ng;
+                if gr.mask = 0 then st.cnt.(0) <- st.cnt.(0) + gr.len
+                else fold_count gr rows st.cnt);
+            fun g -> Value.Int (Int64.of_int st.cnt.(g))
       | [ arg ] -> fold_agg (String.lowercase_ascii agg_name) ~distinct sc arg
       | _ ->
           fun _ _ _ -> Errors.feature_not_supported "multi-argument aggregate")
@@ -1358,20 +1478,29 @@ module PayloadSet = struct
        end
 end
 
-(* [id] of each row of [sel]: a loop over int arrays, which Array.map's
-   polymorphic reads and writes would slow per row *)
-let[@inline] ids_of (id : int -> int) (sel : Batch.sel) : int array =
-  let out = Array.make (Array.length sel) 0 in
-  for t = 0 to Array.length sel - 1 do
+(* [id] of each row of [sel.(0 .. n - 1)] into [out]: a loop over int
+   arrays, which Array.map's polymorphic reads and writes would slow per
+   row *)
+let[@inline] ids_of (id : int -> int) (sel : Batch.sel) (n : int)
+    (out : int array) : unit =
+  for t = 0 to n - 1 do
     Array.unsafe_set out t (id (Array.unsafe_get sel t))
-  done;
+  done
+
+(* the ids of every row of [sel], written by [ids] *)
+let all_ids (ids : Batch.sel -> int -> int array -> unit) (sel : Batch.sel) :
+    int array =
+  let out = Array.make (Array.length sel) 0 in
+  ids sel (Array.length sel) out;
   out
 
 (* The one key equivalence of every hash operator: GROUP BY, a window's
    PARTITION BY and the hash join. Each side [(keys, col)] reads a
    row's key through [keys], or through [col] when the key is one plain
    column. The result gives each side the class id of one row and the
-   class ids of a selection's rows, and counts the ids handed out: ids
+   class ids of a selection's first n rows, written into an array of at
+   least n slots, and counts the ids handed out. It is built once a
+   statement, so a pipeline's chunks share its classes: ids
    come in the order the functions first meet a class, one id space
    across the sides, and rows of any side share an id exactly when
    Exec.gkey_of maps their keys alike. When every side's key is one
@@ -1381,7 +1510,8 @@ let[@inline] ids_of (id : int -> int) (sel : Batch.sel) : int array =
    distinct strings), and NULLs share one id. Any other key hashes the
    list of its gkeys. *)
 let key_classes (sides : (cexpr list * Batch.column option) array) :
-    ((int -> int) * (Batch.sel -> int array)) array * (unit -> int) =
+    ((int -> int) * (Batch.sel -> int -> int array -> unit)) array
+    * (unit -> int) =
   let next = ref 0 in
   let fresh () =
     let g = !next in
@@ -1449,7 +1579,7 @@ let key_classes (sides : (cexpr list * Batch.column option) array) :
               if g >= 0 then g else first code
             in
             (* applied whole, so [id] inlines into the loop *)
-            (id, fun sel -> ids_of id sel))
+            (id, fun sel n out -> ids_of id sel n out))
           strs
     | None ->
         let tbl : (Exec.gkey list, int) Hashtbl.t = Hashtbl.create 64 in
@@ -1459,7 +1589,7 @@ let key_classes (sides : (cexpr list * Batch.column option) array) :
               intern Hashtbl.find_opt Hashtbl.add tbl
                 (List.map (fun ce -> Exec.gkey_of (ce i)) keys)
             in
-            (id, ids_of id))
+            (id, fun sel n out -> ids_of id sel n out))
           sides
   in
   (ids, fun () -> !next)
@@ -1469,7 +1599,7 @@ let key_classes (sides : (cexpr list * Batch.column option) array) :
 let group_ids (keys : cexpr list) (col : Batch.column option)
     (sel : Batch.sel) : int array * int =
   let ids, count = key_classes [| (keys, col) |] in
-  let gid = snd ids.(0) sel in
+  let gid = all_ids (snd ids.(0)) sel in
   (gid, count ())
 
 (* the rows of [sel] split by their group ids [(gids, ng)], groups in id
@@ -1486,14 +1616,6 @@ let split_groups (sel : Batch.sel) ((gids, ng) : int array * int) :
       fill.(g) <- fill.(g) + 1)
     gids;
   groups
-
-(* each group's first row of [sel], groups in id order *)
-let first_rows (sel : Batch.sel) ((gids, ng) : int array * int) : int array =
-  let first = Array.make ng (-1) in
-  for t = Array.length sel - 1 downto 0 do
-    first.(gids.(t)) <- sel.(t)
-  done;
-  first
 
 (* a window's partitions of [sel] by PARTITION BY keys [cpart]: with
    none, one partition of every row (none without rows) *)
@@ -2028,7 +2150,7 @@ let plan_window_top (sc : scope) (w : A.expr) (k : int) :
             | _ ->
                 let out = full sel nrows in
                 ( out,
-                  filter_sel sel (fun i ->
+                  select_rows sel (fun i ->
                       match out.(i) with
                       | Value.Int r -> Int64.compare r limit <= 0
                       | _ -> false) ) )
@@ -2039,7 +2161,8 @@ let plan_window_top (sc : scope) (w : A.expr) (k : int) :
 (* ------------------------------------------------------------------ *)
 
 (* A pipeline source: a row count, its identity selection [all] (a
-   base table shares its batch's; kernels never write to it), columns
+   base table shares its batch's; nothing writes to it), which an
+   unfiltered projection and a join's build side read whole, columns
    materialized on first use, and [values j idx], column j's values
    through row indices (-1 is NULL). A base table hands out its stored
    columns; a join or a derived
@@ -2119,7 +2242,7 @@ let hash_buckets ~(rall : Batch.sel)
     (List.map Batch.value_at cols, match cols with [ c ] -> Some c | _ -> None)
   in
   let rsel =
-    filter_sel rall (fun j ->
+    select_rows rall (fun j ->
         List.for_all (fun (_, rc, ns) -> ns || not (Batch.is_null rc j)) keys)
   in
   let ids, count =
@@ -2129,7 +2252,7 @@ let hash_buckets ~(rall : Batch.sel)
         side (List.map (fun (lc, _, _) -> lc) keys);
       |]
   in
-  let rid = snd ids.(0) rsel in
+  let rid = all_ids (snd ids.(0)) rsel in
   let nr = count () in
   let buckets = Array.map finish (split_groups rsel (rid, nr)) in
   let lid = fst ids.(1) in
@@ -2211,7 +2334,7 @@ let asof_join_idx ~(lrows : int) ~(rall : Batch.sel)
       let finish js =
         let js =
           if x.Batch.has_nulls then
-            filter_sel js (fun j -> not (Batch.is_null x j))
+            select_rows js (fun j -> not (Batch.is_null x j))
           else js
         in
         Array.stable_sort
@@ -2241,12 +2364,13 @@ let asof_join_idx ~(lrows : int) ~(rall : Batch.sel)
   | _ -> None
 
 (* Keep the candidate pairs [(cl, cr)] (grouped by probe row, ascending)
-   whose residual passed — [pass] holds their positions, ascending —
-   and pad a left-outer probe row none of whose candidates passed. *)
+   whose residual passed — [pass.(0 .. np - 1)] holds their positions,
+   ascending — and pad a left-outer probe row none of whose candidates
+   passed. *)
 let residual_pairs ~(lrows : int) ~(left_outer : bool) (cl : int array)
-    (cr : int array) (pass : Batch.sel) : int array * int array =
-  let out = pair_acc (Array.length pass) in
-  let nc = Array.length cl and np = Array.length pass in
+    (cr : int array) (pass : Batch.sel) (np : int) : int array * int array =
+  let out = pair_acc np in
+  let nc = Array.length cl in
   let k = ref 0 and p = ref 0 in
   for i = 0 to lrows - 1 do
     let matched = ref false in
@@ -2453,6 +2577,80 @@ let rank_cut (s : A.select) (projs : A.proj list) ~(has_agg : bool)
         | _ -> None
         | exception Errors.Sql_error _ -> None)
       limits
+
+(* per stage of a [scan], for ANALYZE: rows in, rows out and time
+   over every chunk, the conjuncts' stages first and the consumer's
+   last *)
+type tally = { t_in : int array; t_out : int array; t_ns : int64 array }
+
+(* Run [kernels], a WHERE's conjuncts in written order, over the rows
+   [0, nrows) of a source chunk by chunk, and hand [consume] each
+   chunk's survivors, [b.b_sel.(0 .. m - 1)] ascending. A chunk that
+   keeps no row skips its later stages.
+
+   Errors surface as one pass of each conjunct over every row would
+   surface them. A conjunct sees only the rows the earlier ones kept,
+   and the error raised is the first, in row order, of the earliest
+   stage that raises at all; [consume], which classes group keys, is
+   the last stage. So a stage that raises stops itself and every later
+   stage. The earlier stages still run over the chunks that remain: an
+   error one of them raises replaces the one held, and the error held
+   at the end is raised. *)
+let scan (b : bufs) (nrows : int) (kernels : kernel array)
+    (tally : tally option) (consume : Batch.sel -> int -> unit) : unit =
+  let sel = b.b_sel and nk = Array.length kernels in
+  let stages = ref (nk + 1) and err = ref None in
+  let base = ref 0 in
+  while !base < nrows do
+    let len = Stdlib.min chunk_rows (nrows - !base) in
+    for t = 0 to len - 1 do
+      Array.unsafe_set sel t (!base + t)
+    done;
+    let m = ref len and s = ref 0 in
+    while !s < !stages && !m > 0 do
+      let t0 = if Option.is_none tally then 0L else Exec.now_ns () in
+      match
+        if !s < nk then kernels.(!s) sel !m
+        else begin
+          consume sel !m;
+          !m
+        end
+      with
+      | m' ->
+          (match tally with
+          | Some ty ->
+              let k = !s in
+              ty.t_in.(k) <- ty.t_in.(k) + !m;
+              ty.t_out.(k) <- ty.t_out.(k) + m';
+              ty.t_ns.(k) <- Int64.add ty.t_ns.(k) (Int64.sub (Exec.now_ns ()) t0)
+          | None -> ());
+          m := m';
+          incr s
+      | exception e ->
+          err := Some e;
+          stages := !s
+    done;
+    base := !base + len
+  done;
+  Option.iter raise !err
+
+(* the rows of [all] that [run] hands its consumer, ascending, in an
+   array as long as they are: [run]'s chunks collect in [b.b_spill],
+   which the domain keeps. Every row shares [all]. *)
+let survivors (b : bufs) (all : Batch.sel)
+    (run : (Batch.sel -> int -> unit) -> unit) : Batch.sel =
+  let total = ref 0 in
+  run (fun sel m ->
+      let need = !total + m in
+      if Array.length b.b_spill < need then begin
+        let cap = Stdlib.min (Array.length all) (2 * Array.length b.b_spill) in
+        let spill = Array.make (Stdlib.max need cap) 0 in
+        Array.blit b.b_spill 0 spill 0 !total;
+        b.b_spill <- spill
+      end;
+      Array.blit sel 0 b.b_spill !total m;
+      total := need);
+  if !total = Array.length all then all else Array.sub b.b_spill 0 !total
 
 (* the type of the first non-NULL value among [get 0 .. get (n - 1)],
    text when there is none: how a computed column is typed *)
@@ -2709,6 +2907,7 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
                   let cl, cr = candidates () in
                   residual_pairs ~lrows:l.nrows ~left_outer cl cr
                     (Batch.all_rows (Array.length cl))
+                    (Array.length cl)
               | None, Some (_, kernel) ->
                   let cl, cr = candidates () in
                   (* gather only the residual's own columns, through the
@@ -2716,8 +2915,9 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
                   let cand =
                     { col = memo width (through cl cr); win = no_windows }
                   in
-                  let pass = kernel cand (Batch.all_rows (Array.length cl)) in
-                  residual_pairs ~lrows:l.nrows ~left_outer cl cr pass
+                  let pass = Batch.all_rows (Array.length cl) in
+                  let np = kernel cand pass (Array.length cl) in
+                  residual_pairs ~lrows:l.nrows ~left_outer cl cr pass np
             in
             let npairs = Array.length lidx in
             let src =
@@ -2853,16 +3053,18 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
   in
   (* a key that is a projection's expression sorts on its values *)
   let proj_index e = index_of e (List.map (fun p -> p.A.p_expr) projs) in
-  (* the body's stage two: given the data, the surviving rows and the
-     opstats push, return the row-space size, the sort keys over it, the
-     output columns for a final row order, and the types of projections
-     typed before the final order (the cut's windows) *)
+  (* the body's stage two: given the data, the chunk buffers, the WHERE
+     as a [scan] of the source, and the opstats push, return the
+     row-space size, the sort keys over it, the output columns for a
+     final row order, and the types of projections typed before the
+     final order (the cut's windows) *)
   let body :
       source ->
       data ->
-      Batch.sel ->
-      (op:string -> detail:string -> est_rows:int -> rows_in:int ->
-      rows_out:int -> unit) ->
+      bufs ->
+      ((Batch.sel -> int -> unit) -> unit) ->
+      (?self_ns:int64 -> op:string -> detail:string -> est_rows:int ->
+      rows_in:int -> rows_out:int -> unit -> unit) ->
       (unit -> int) ->
       int
       * sort_key list
@@ -2886,29 +3088,69 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
             | None -> `Expr (compile_agg_expr sc e, mk))
           order_keys
       in
-      fun src d sel push cur_est ->
-        let ckeys = List.map (fun c -> c d) ckeys in
-        (* group ids once per surviving row, groups in first-encounter
-           order; the scalar aggregate is one group *)
+      fun _ d b scan push cur_est ->
+        let grouped = s.A.group_by <> [] in
+        (* groups in first-encounter order; the scalar aggregate is one
+           group *)
         let gr =
-          if s.A.group_by = [] then
-            {
-              sel;
-              gid = [| 0 |];
-              mask = 0;
-              ng = 1;
-              first = [| (if Array.length sel = 0 then -1 else sel.(0)) |];
-              ident = src.all;
-              vecs = [];
-            }
-          else begin
-            let gid, ng = group_ids ckeys (Option.map d.col plain_key) sel in
-            let first = first_rows sel (gid, ng) in
-            { sel; gid; mask = -1; ng; first; ident = src.all; vecs = [] }
-          end
+          {
+            sel = b.b_sel;
+            ident = b.b_ident;
+            len = 0;
+            gid = (if grouped then b.b_gid else [| 0 |]);
+            mask = (if grouped then -1 else 0);
+            ng = (if grouped then 0 else 1);
+            first = (if grouped then [||] else [| -1 |]);
+            stamp = 0;
+            folders = [];
+            vecs = [];
+          }
         in
-        let ng = gr.ng in
         let cprojs = Array.of_list (List.map (fun c -> c d gr) cprojs) in
+        let cord =
+          List.map
+            (function
+              | `Proj (k, mk) -> `Proj (k, mk)
+              | `Expr (c, mk) -> `Expr (c d gr, mk))
+            cord
+        in
+        (* each chunk's group ids, one per surviving row *)
+        let write_ids =
+          if grouped then
+            let ids, count =
+              key_classes
+                [|
+                  (List.map (fun c -> c d) ckeys, Option.map d.col plain_key);
+                |]
+            in
+            let ids = snd ids.(0) in
+            (fun sel m ->
+              ids sel m gr.gid;
+              let ng = count () in
+              if ng > gr.ng then begin
+                (* a new group's id is the next one at its first row *)
+                gr.first <- widen gr.first ng (-1);
+                let next = ref gr.ng in
+                for t = 0 to m - 1 do
+                  if gr.gid.(t) = !next then begin
+                    gr.first.(!next) <- sel.(t);
+                    incr next
+                  end
+                done;
+                gr.ng <- ng
+              end)
+          else fun sel _ ->
+            if gr.first.(0) < 0 then gr.first.(0) <- sel.(0)
+        in
+        let rows_in = ref 0 in
+        scan (fun sel m ->
+            write_ids sel m;
+            gr.len <- m;
+            gr.stamp <- gr.stamp + 1;
+            rows_in := !rows_in + m;
+            List.iter (fun f -> f.feed ()) gr.folders);
+        List.iter (fun f -> f.finish ()) gr.folders;
+        let ng = gr.ng in
         (* row-major, so errors surface in row order: every projection
            of a group, then the next group; the sort keys after all of
            them *)
@@ -2921,17 +3163,17 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
             (List.map
                (function
                  | `Proj (k, mk) -> Ready (mk (Vals vals.(k)))
-                 | `Expr (c, mk) -> Eval (c d gr, mk))
+                 | `Expr (c, mk) -> Eval (c, mk))
                cord)
             ng
         in
         push ~op:"vector_hash_agg"
           ~detail:
-            (if s.A.group_by = [] then "scalar"
-             else Printf.sprintf "group by %d" (List.length s.A.group_by))
-          ~est_rows:
-            (if s.A.group_by = [] then 1 else Stdlib.max 1 (cur_est () / 10))
-          ~rows_in:(Array.length sel) ~rows_out:ng;
+            (if grouped then
+               Printf.sprintf "group by %d" (List.length s.A.group_by)
+             else "scalar")
+          ~est_rows:(if grouped then Stdlib.max 1 (cur_est () / 10) else 1)
+          ~rows_in:!rows_in ~rows_out:ng ();
         ( ng,
           keys,
           (fun fin ->
@@ -2980,7 +3222,8 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
                 | None -> `Expr (compile_expr scw e, mk)))
           order_keys
       in
-      fun src d sel push cur_est ->
+      fun src d b scan push cur_est ->
+        let sel = if conjs = [] then src.all else survivors b src.all scan in
         let kept = ref sel in
         let warrs =
           Array.of_list
@@ -2988,7 +3231,7 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
                (fun (fn, wp) ->
                  let a, rows = wp d !kept src.nrows in
                  push ~op:"vector_window" ~detail:fn ~est_rows:(cur_est ())
-                   ~rows_in:(Array.length !kept) ~rows_out:(Array.length rows);
+                   ~rows_in:(Array.length !kept) ~rows_out:(Array.length rows) ();
                  kept := rows;
                  a)
                wplans)
@@ -3044,7 +3287,7 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
         in
         push ~op:"vector_project"
           ~detail:(Printf.sprintf "%d cols" (Array.length cprojs))
-          ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n;
+          ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n ();
         ( n,
           keys,
           (fun fin ->
@@ -3061,6 +3304,7 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
     fun () ->
       let src, typed, src_node = fp.fp_run () in
       let d = { col = src.column; win = no_windows } in
+      let kernels = Array.of_list (List.map (fun (_, k) -> k d) conjs) in
       (* opstats chain: each phase pushes one node on top of the last,
          timed from the previous phase boundary *)
       let cur : Opstats.node option ref = ref src_node in
@@ -3074,9 +3318,9 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
       let cur_est () =
         match !cur with Some n -> n.Opstats.est_rows | None -> 1
       in
-      let push ~op ~detail ~est_rows ~rows_in ~rows_out =
+      let push ?self_ns ~op ~detail ~est_rows ~rows_in ~rows_out () =
         if collect then begin
-          let self_ns = lap () in
+          let self_ns = match self_ns with Some t -> t | None -> lap () in
           let children = match !cur with Some n -> [ n ] | None -> [] in
           cur :=
             Some
@@ -3084,22 +3328,50 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
                  ~children)
         end
       in
-      (* ---- filters, in the order the WHERE clause wrote them: each
-         conjunct sees only the rows the previous ones kept, and is
-         estimated to keep a third of them *)
-      let sel =
-        List.fold_left
-          (fun sel (conj, k) ->
-            let before = Array.length sel in
-            let sel = k d sel in
-            push ~op:"vector_filter" ~detail:(A.expr_str conj)
-              ~est_rows:(Stdlib.max 1 (before / 3))
-              ~rows_in:before ~rows_out:(Array.length sel);
-            sel)
-          src.all conjs
+      (* ---- filters, in the order the WHERE clause wrote them, chunk
+         by chunk: each conjunct sees only the rows the previous ones
+         kept, and is estimated to keep a third of them. Its node
+         totals its rows and time over the chunks; the consumer's time
+         is its operator's, which the next push charges. *)
+      let b = take_bufs src.nrows in
+      (* an unfiltered projection reads [src.all] and scans nothing *)
+      let scan =
+        if conjs = [] && not has_agg then fun _ -> ()
+        else fun consume ->
+          let nk = Array.length kernels in
+          let tally =
+            if collect then
+              Some
+                {
+                  t_in = Array.make (nk + 1) 0;
+                  t_out = Array.make (nk + 1) 0;
+                  t_ns = Array.make (nk + 1) 0L;
+                }
+            else None
+          in
+          scan b src.nrows kernels tally consume;
+          Option.iter
+            (fun ty ->
+              List.iteri
+                (fun k (conj, _) ->
+                  push ~self_ns:ty.t_ns.(k) ~op:"vector_filter"
+                    ~detail:(A.expr_str conj)
+                    ~est_rows:(Stdlib.max 1 (ty.t_in.(k) / 3))
+                    ~rows_in:ty.t_in.(k) ~rows_out:ty.t_out.(k) ())
+                conjs;
+              last_t := Int64.sub (Exec.now_ns ()) ty.t_ns.(nk))
+            tally
       in
       (* ---- aggregation or windows + projection *)
-      let n, keys, columns, pretyped = body src d sel push cur_est in
+      let n, keys, columns, pretyped =
+        match body src d b scan push cur_est with
+        | r ->
+            give_bufs b;
+            r
+        | exception e ->
+            give_bufs b;
+            raise e
+      in
       (* ---- ORDER BY / LIMIT over row-space positions; a LIMIT that
          keeps a small prefix selects it without a full sort *)
       let count =
@@ -3114,7 +3386,7 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
               (Printf.sprintf "%d keys (%d folded), typed"
                  (List.length s.A.order_by)
                  (List.length (List.filter (fun k -> k.folded) keys)))
-            ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n;
+            ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n ();
           if count = Array.length order then order else Array.sub order 0 count
         end
       in
@@ -3123,7 +3395,7 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
           push ~op:"vector_limit"
             ~detail:(Printf.sprintf "limit %d" l)
             ~est_rows:(Stdlib.min l (cur_est ()))
-            ~rows_in:n ~rows_out:count)
+            ~rows_in:n ~rows_out:count ())
         s.A.limit;
       let cols = columns fin in
       (* ---- column types, as Exec.infer_col_type: a plain column's

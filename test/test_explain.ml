@@ -107,6 +107,62 @@ let test_exec_aggregate_and_join () =
 (* the vectorized join: its operator node carries the join accounting
    contract — build/probe sizes in the detail, est vs actual
    cardinalities, and a computable q-error *)
+(* a filter and an aggregate over a table of several chunks: each
+   operator is one node whose rows in and out total every chunk's *)
+let test_chunked_totals () =
+  let n = (3 * Pgdb.Vexec.chunk_rows) + 7 in
+  let v i = if i mod 7 = 2 then None else Some (i * 37 mod 101) in
+  let g i = [| "a"; "b"; "c"; "d" |].(i / 5 mod 4) in
+  let db = Db.create () in
+  Db.load_table db
+    (Catalog.Schema.table "chunky"
+       [
+         Catalog.Schema.column "i" Catalog.Sqltype.TBigint;
+         Catalog.Schema.column "g" Catalog.Sqltype.TVarchar;
+         Catalog.Schema.column "v" Catalog.Sqltype.TBigint;
+       ])
+    (List.init n (fun i ->
+         [|
+           Pgdb.Value.Int (Int64.of_int i);
+           Pgdb.Value.Str (g i);
+           (match v i with
+           | Some x -> Pgdb.Value.Int (Int64.of_int x)
+           | None -> Pgdb.Value.Null);
+         |]));
+  let sess = Db.open_session db in
+  Db.set_analyze sess true;
+  let plan =
+    analyzed_plan sess
+      "SELECT g, count(*) AS n, sum(v) AS s FROM chunky WHERE i % 3 <> 0 AND \
+       v > 10 GROUP BY g"
+  in
+  let nodes op =
+    List.filter_map
+      (fun (_, m) -> if m.Op.op = op then Some m else None)
+      (Op.flatten plan)
+  in
+  let rows = List.init n Fun.id in
+  let first = List.filter (fun i -> i mod 3 <> 0) rows in
+  let second =
+    List.filter (fun i -> match v i with Some x -> x > 10 | None -> false) first
+  in
+  let groups = List.sort_uniq compare (List.map g second) in
+  (* pre-order lists the later filter first *)
+  (match List.rev (nodes "vector_filter") with
+  | [ f1; f2 ] ->
+      check tint "first filter rows in" n f1.Op.rows_in;
+      check tint "first filter rows out" (List.length first) f1.Op.rows_out;
+      check tint "second filter rows in" (List.length first) f2.Op.rows_in;
+      check tint "second filter rows out" (List.length second) f2.Op.rows_out;
+      check tint "estimate: a third of rows in" (List.length first / 3)
+        f2.Op.est_rows
+  | fs -> Alcotest.failf "%d filter nodes, expected 2" (List.length fs));
+  match nodes "vector_hash_agg" with
+  | [ a ] ->
+      check tint "aggregate rows in" (List.length second) a.Op.rows_in;
+      check tint "aggregate rows out" (List.length groups) a.Op.rows_out
+  | a -> Alcotest.failf "%d aggregate nodes, expected 1" (List.length a)
+
 let test_vector_hash_join_node () =
   let db = marketdata_db () in
   let sess = Db.open_session db in
@@ -670,6 +726,7 @@ let () =
           Alcotest.test_case "tree shape" `Quick test_exec_tree_shape;
           Alcotest.test_case "vector hash join node" `Quick
             test_vector_hash_join_node;
+          Alcotest.test_case "chunked totals" `Quick test_chunked_totals;
           Alcotest.test_case "aggregate and join" `Quick
             test_exec_aggregate_and_join;
           Alcotest.test_case "aj analyzes all-vector" `Quick

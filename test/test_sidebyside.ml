@@ -56,6 +56,29 @@ let aggregate_queries =
     @ [ ("all", "Price>100.0"); ("any", "Price>100.0") ])
   @ [ ("med in where", "select from trades where Price > med Price") ]
 
+(* a moving window of size 0 folds no item: msum answers 0 and the
+   other three a null; and the uniform verbs under update ... by run
+   within each group, and within the rows a where clause keeps *)
+let window_verb_queries =
+  List.map
+    (fun verb ->
+      ( "0 " ^ verb,
+        Printf.sprintf "select Time, m:0 %s Price, s:0 %s Size from trades \
+                        where Symbol=`AAA" verb verb ))
+    [ "mavg"; "msum"; "mmax"; "mmin" ]
+  @ List.map
+      (fun (verb, arg) ->
+        ( verb ^ " update by",
+          Printf.sprintf "update x:%s %s by Symbol from trades" verb arg ))
+      [ ("sums", "Size"); ("maxs", "Price"); ("prev", "Price");
+        ("deltas", "Size") ]
+  @ [
+      ( "sums update by where",
+        "update x:sums Size by Symbol from trades where Price>100.0" );
+      ( "prev update by where",
+        "update x:prev Price by Symbol from trades where Exch=`N" );
+    ]
+
 (* kdb reads an atom on the right of in as a one-item list *)
 let in_atom_queries =
   [
@@ -295,6 +318,7 @@ let () =
       ("extension queries", extension_cases);
       ("null symbols", null_symbol_cases);
       ("aggregates", cases aggregate_queries);
+      ("window verbs", cases window_verb_queries);
       ("in an atom", cases (List.map (fun q -> (q, q)) in_atom_queries));
       ( "permuted storage",
         Alcotest.test_case "rows are shuffled" `Quick test_storage_is_permuted
