@@ -3,11 +3,12 @@
 all:
 	dune build @all
 
-# build + tier-1 tests (correctness: the kdb oracle, differentials,
-# allocation budgets, the fan-out barrier; the introspection suite drives
-# the HTTP admin endpoint through its pure handler, so no curl or open
-# port) + bench-smoke. Speed is measured by hqbench (bench/suite), not
-# gated here.
+# build + tier-1 tests (correctness: the kdb oracle over the analytical
+# workload and the one Q differential, which checks every Hyper-Q path
+# against it; allocation budgets, the fan-out barrier; the introspection
+# suite drives the HTTP admin endpoint through its pure handler, so no
+# curl or open port) + bench-smoke. Speed is measured by hqbench
+# (bench/suite), not gated here.
 ci:
 	dune build @all
 	dune runtest

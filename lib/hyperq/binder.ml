@@ -110,6 +110,42 @@ let as_sym_list (v : bval) : string list =
 let scalar_is_bool ctx s =
   match I.scalar_type ctx.cols s with Ty.TBool -> true | _ -> false
 
+(* the 0 of [arg]'s type: Q sums no float to a float 0 *)
+let zero_of ctx (arg : I.scalar) : I.scalar =
+  if I.scalar_type ctx.cols arg = Ty.TDouble then
+    I.Const (A.Float 0.0, Ty.TDouble)
+  else I.Const (A.Int 0L, Ty.TBigint)
+
+(* an aggregate's arguments over only the rows [guard] keeps: CASE
+   gives the others NULL, which the aggregate skips; a row count counts
+   a 1 for each kept row *)
+let guarded_args (guard : I.scalar option) fn (args : I.scalar list) =
+  match (guard, fn, args) with
+  | None, _, _ -> args
+  | Some g, "count", [] -> [ I.Case ([ (g, I.Const (A.Int 1L, Ty.TBigint)) ], None) ]
+  | Some g, _, args -> List.map (fun a -> I.Case ([ (g, a) ], None)) args
+
+(* every aggregate in [s] as a window over every row: Q compares or
+   broadcasts an aggregate against each row *)
+let windows_over_rows (s : I.scalar) : I.scalar =
+  I.map_scalar
+    (function
+      | I.AggFun { fn; args; _ } ->
+          I.WinFun { fn; args; partition = []; order = []; frame = None }
+      | s -> s)
+    s
+
+(* Q's [&] and [|] of a long and a float are floats: the long
+   arguments are cast, so every row of the result is one type *)
+let common_numeric ctx (args : I.scalar list) : I.scalar list =
+  if List.exists (fun a -> I.scalar_type ctx.cols a = Ty.TDouble) args then
+    List.map
+      (fun a ->
+        if I.scalar_type ctx.cols a = Ty.TBigint then I.Cast (a, Ty.TDouble)
+        else a)
+      args
+  else args
+
 let rel_of_backend_table (bt : Scopes.backend_table) : bound_rel =
   {
     rel =
@@ -230,7 +266,7 @@ let bind_monadic_on_scalar ctx (name : string) (arg : I.scalar) : I.scalar =
         ( "coalesce",
           [
             I.AggFun { fn = "sum"; distinct = false; args = [ arg ] };
-            I.Const (A.Int 0L, Ty.TBigint);
+            zero_of ctx arg;
           ] )
   | Some "count" ->
       (* Q's count counts every item; SQL's COUNT(x) skips NULLs *)
@@ -700,11 +736,11 @@ and bind_app2 ctx (f : Ast.expr) (x : Ast.expr) (y : Ast.expr) : bval =
           | BScalar (I.Const (A.Int n, _)) when Int64.compare n 0L < 0 ->
               unsupported "%s expects a window size of at least 0" verb
           | BScalar (I.Const (A.Int 0L, _)) ->
-              (* every window is empty, and the interpreter's [moving]
-                 folds no item into a long: 0 for msum, null for the
-                 others *)
+              (* every window is empty: msum's sum is 0 of its type, and
+                 the interpreter's [moving] answers the others with long
+                 nulls *)
               BScalar
-                (if verb = "msum" then I.Const (A.Int 0L, Ty.TBigint)
+                (if verb = "msum" then zero_of ctx (as_scalar by)
                  else I.Cast (I.Const (A.Null, Ty.TBigint), Ty.TBigint))
           | BScalar (I.Const (A.Int n, _)) ->
               let fn =
@@ -714,15 +750,22 @@ and bind_app2 ctx (f : Ast.expr) (x : Ast.expr) (y : Ast.expr) : bval =
                 | "mmax" -> "max"
                 | _ -> "min"
               in
+              let arg = as_scalar by in
+              let win =
+                I.WinFun
+                  {
+                    fn;
+                    args = [ arg ];
+                    partition = [];
+                    order = ord_window ctx;
+                    frame = Some (A.Preceding (Int64.to_int n - 1));
+                  }
+              in
+              (* a window of nulls sums to 0, as in Q *)
               BScalar
-                (I.WinFun
-                   {
-                     fn;
-                     args = [ as_scalar by ];
-                     partition = [];
-                     order = ord_window ctx;
-                     frame = Some (A.Preceding (Int64.to_int n - 1));
-                   })
+                (if fn = "sum" then
+                   I.ScalarFun ("coalesce", [ win; zero_of ctx arg ])
+                 else win)
           | _ -> unsupported "%s expects a constant window size" verb)
       | "wavg" ->
           let w = as_scalar bx and v = as_scalar by in
@@ -796,10 +839,10 @@ and bind_scalar_verb ctx verb sx sy : bval =
     | ">=" -> I.Cmp (`Ge, sx, sy)
     | "&" ->
         if scalar_is_bool ctx sx then I.Logic (`And, sx, sy)
-        else I.ScalarFun ("least", [ sx; sy ])
+        else I.ScalarFun ("least", common_numeric ctx [ sx; sy ])
     | "|" ->
         if scalar_is_bool ctx sx then I.Logic (`Or, sx, sy)
-        else I.ScalarFun ("greatest", [ sx; sy ])
+        else I.ScalarFun ("greatest", common_numeric ctx [ sx; sy ])
     | "and" -> I.Logic (`And, sx, sy)
     | "or" -> I.Logic (`Or, sx, sy)
     | "^" -> I.ScalarFun ("coalesce", [ sy; sx ])
@@ -1086,16 +1129,7 @@ and bind_sql ctx (sql : Ast.sql) : bound_rel =
             (* an aggregate inside a filter compares each row against the
                aggregate of the rows filtered so far (Q semantics): it
                becomes a whole-input window function *)
-            let pred =
-              I.map_scalar
-                (function
-                  | I.AggFun { fn; args; _ } ->
-                      I.WinFun
-                        { fn; args; partition = []; order = []; frame = None }
-                  | s -> s)
-                pred
-            in
-            let pred, wins = extract_windows ctx pred in
+            let pred, wins = extract_windows ctx (windows_over_rows pred) in
             if wins = [] then I.Filter { input = rel; pred }
             else
               (* compute windows, filter, then drop the helper columns *)
@@ -1114,14 +1148,30 @@ and bind_sql ctx (sql : Ast.sql) : bound_rel =
       match sql.Ast.op with
       | Ast.Select | Ast.Exec -> bind_select ctx sql rel1 ~ordcol
       | Ast.Update ->
-          (* update filters choose which rows change, not which survive *)
-          let pred =
-            match List.map (fun e -> as_scalar (bind ctx e)) sql.Ast.filters with
-            | [] -> None
-            | p :: rest ->
-                Some (List.fold_left (fun a b -> I.Logic (`And, a, b)) p rest)
+          (* update filters choose which rows change, not which survive.
+             An aggregate or a window in one spans the rows the filters
+             before it keep: a window partitioned by their guard,
+             computed below the filter's use of it *)
+          let rel1, pred =
+            List.fold_left
+              (fun (rel, guard) e ->
+                let p =
+                  I.map_scalar
+                    (function
+                      | I.WinFun w ->
+                          I.WinFun
+                            { w with partition = Option.to_list guard @ w.partition }
+                      | s -> s)
+                    (windows_over_rows (as_scalar (bind ctx e)))
+                in
+                let p, wins = extract_windows ctx p in
+                ( (if wins = [] then rel else I.WindowOp { input = rel; wins }),
+                  Some
+                    (match guard with None -> p | Some g -> I.Logic (`And, g, p))
+                ))
+              (rel0, None) sql.Ast.filters
           in
-          bind_update ctx sql rel0 ~pred
+          bind_update ctx sql rel1 ~in_cols:cols0 ~pred
       | Ast.Delete -> bind_delete ctx sql rel1)
 
 and bind_select ctx (sql : Ast.sql) rel1 ~ordcol : bound_rel =
@@ -1145,6 +1195,22 @@ and bind_select ctx (sql : Ast.sql) rel1 ~ordcol : bound_rel =
           match s with I.AggFun _ -> true | I.Arith (_, I.AggFun _, _) -> true | _ -> false)
         bound_cols
       || List.exists (fun (_, s) -> scalar_contains_agg s) bound_cols
+    in
+    (* a column or window outside every aggregate makes the select
+       uniform: kdb broadcasts each aggregate over the rows, a window
+       over every row *)
+    let uniform (_, s) =
+      let rest =
+        I.map_scalar
+          (function I.AggFun _ -> I.Const (A.Null, Ty.TBool) | s -> s)
+          s
+      in
+      I.scalar_cols rest <> [] || I.spans_rows rest
+    in
+    let has_agg, bound_cols =
+      if has_agg && List.exists uniform bound_cols then
+        (false, List.map (fun (n, s) -> (n, windows_over_rows s)) bound_cols)
+      else (has_agg, bound_cols)
     in
     if has_agg then begin
       let rel = I.Aggregate { input = rel1; keys = []; aggs = bound_cols } in
@@ -1246,23 +1312,23 @@ and scalar_contains_agg (s : I.scalar) : bool =
        s);
   !found
 
-and bind_update ctx (sql : Ast.sql) rel1 ~pred : bound_rel =
-  let in_cols = I.output_cols rel1 in
+and bind_update ctx (sql : Ast.sql) rel1 ~in_cols ~pred : bound_rel =
   let guard_new (old : I.scalar option) (s : I.scalar) : I.scalar =
     match pred with
     | None -> s
     | Some p -> I.Case ([ (p, s) ], old)
   in
-  if sql.Ast.by = [] then begin
-    let updates =
-      List.mapi
-        (fun i (alias, e) ->
-          let name =
-            match alias with Some n -> n | None -> infer_col_name i e
-          in
-          (name, as_scalar (bind ctx e)))
-        sql.Ast.cols
-    in
+  let updates =
+    List.mapi
+      (fun i (alias, e) ->
+        let name = match alias with Some n -> n | None -> infer_col_name i e in
+        (name, as_scalar (bind ctx e)))
+      sql.Ast.cols
+  in
+  (* an aggregate or a window takes the grouped path, over one group *)
+  if
+    sql.Ast.by = [] && not (List.exists (fun (_, s) -> I.spans_rows s) updates)
+  then begin
     let exprs =
       List.map
         (fun c ->
@@ -1290,24 +1356,21 @@ and bind_update ctx (sql : Ast.sql) rel1 ~pred : bound_rel =
       List.map (fun (_, e) -> as_scalar (bind ctx e)) sql.Ast.by
     in
     let updates =
-      List.mapi
-        (fun i (alias, e) ->
-          let name =
-            match alias with Some n -> n | None -> infer_col_name i e
-          in
-          let s = as_scalar (bind ctx e) in
-          let s =
+      List.map
+        (fun (name, s) ->
+          ( name,
             I.map_scalar
               (fun s' ->
                 match s' with
                 | I.AggFun { fn; args; _ } ->
-                    let args =
-                      match pred with
-                      | None -> args
-                      | Some p ->
-                          List.map (fun a -> I.Case ([ (p, a) ], None)) args
-                    in
-                    I.WinFun { fn; args; partition; order = []; frame = None }
+                    I.WinFun
+                      {
+                        fn;
+                        args = guarded_args pred fn args;
+                        partition;
+                        order = [];
+                        frame = None;
+                      }
                 | I.WinFun w ->
                     I.WinFun
                       {
@@ -1316,10 +1379,8 @@ and bind_update ctx (sql : Ast.sql) rel1 ~pred : bound_rel =
                           partition @ Option.to_list pred @ w.partition;
                       }
                 | s' -> s')
-              s
-          in
-          (name, s))
-        sql.Ast.cols
+              s ))
+        updates
     in
     let wins =
       List.map (fun (n, s) -> (fresh ctx ("hq_upd_" ^ n), s)) updates

@@ -29,12 +29,14 @@ let qtype_of_sql : Ty.t -> QT.t = function
 
 (** Q atom -> SQL literal + type, for constant folding into queries. The
     temporal epochs agree on both sides, so the integer payloads transfer
-    directly (a cast conveys the intended type). *)
+    directly (a cast conveys the intended type). The null symbol is SQL
+    NULL, as every other Q null is. *)
 let lit_of_atom (a : QA.t) : Sqlast.Ast.lit * Ty.t =
   match a with
   | QA.Bool b -> (Sqlast.Ast.Bool b, Ty.TBool)
   | QA.Long i -> (Sqlast.Ast.Int i, Ty.TBigint)
   | QA.Float f -> (Sqlast.Ast.Float f, Ty.TDouble)
+  | QA.Sym "" -> (Sqlast.Ast.Null, Ty.TVarchar)
   | QA.Sym s -> (Sqlast.Ast.Str s, Ty.TVarchar)
   | QA.Char c -> (Sqlast.Ast.Str (String.make 1 c), Ty.TText)
   | QA.Date d ->

@@ -4,7 +4,7 @@
     passes that {!optimize} runs in one fixed order:
 
     - {b Correctness} — [two_valued_logic] rewrites Q's 2VL equalities into
-      null-safe [IS NOT DISTINCT FROM] forms;
+      null-safe [IS NOT DISTINCT FROM] forms, and makes [in] two-valued;
     - {b Performance} — [column_pruning] trims every operator's output to
       the columns actually requested, keeping 500-column wide tables from
       bloating the serialized SQL; [filter_fusion] collapses adjacent
@@ -20,11 +20,20 @@ module I = Xtra.Ir
 (* Correctness: 2VL -> IS NOT DISTINCT FROM                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A null member of an [in] list matches a null, and [not x in L] keeps
+   a null [x] that L does not hold: SQL's [IN] is unknown on NULL in
+   both places. A positive [in] with no null member keeps its [IN]. *)
 let two_valued_scalar (s : I.scalar) : I.scalar =
+  let null_lit (l, _) = l = Sqlast.Ast.Null in
   I.map_scalar
     (function
       | I.Eq2 (a, b) -> I.NullSafeEq (a, b)
       | I.Neq2 (a, b) -> I.NullSafeNeq (a, b)
+      | I.InList (a, ls) when List.exists null_lit ls -> (
+          match List.filter (fun l -> not (null_lit l)) ls with
+          | [] -> I.IsNull a
+          | ls -> I.Logic (`Or, I.InList (a, ls), I.IsNull a))
+      | I.Not (I.InList (a, _) as i) -> I.Logic (`Or, I.Not i, I.IsNull a)
       | s -> s)
     s
 

@@ -16,6 +16,29 @@ let length_err = Error.length_err
 (* Broadcasting                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* an atom of [v]'s type: an atom itself, or a typed vector's null *)
+let type_atom = function
+  | Value.Atom x -> Some x
+  | Value.Vector (ty, _) -> Some (Atom.Null ty)
+  | _ -> None
+
+(* the results [rs] of [f] over [a] and [b], typed as kdb+'s are: none
+   is the empty vector of the type [f] gives their types, and nulls of
+   one type are a vector of that type *)
+let results f a b (rs : Value.t array) =
+  match (rs, type_atom a, type_atom b) with
+  | [||], Some x, Some y -> (
+      match f x y with
+      | r -> Value.vector (Atom.qtype r) [||]
+      | exception _ -> Value.of_values rs)
+  | [||], _, _ -> Value.of_values rs
+  | _ -> (
+      match rs.(0) with
+      | Value.Atom (Atom.Null ty as n)
+        when Array.for_all (( = ) (Value.Atom n)) rs ->
+          Value.vector ty (Array.make (Array.length rs) n)
+      | _ -> Value.of_values rs)
+
 (** Broadcast a binary atom operation over two values. *)
 let rec atomic2 (f : Atom.t -> Atom.t -> Atom.t) (a : Value.t) (b : Value.t) :
     Value.t =
@@ -23,16 +46,16 @@ let rec atomic2 (f : Atom.t -> Atom.t -> Atom.t) (a : Value.t) (b : Value.t) :
   | Value.Atom x, Value.Atom y -> Value.Atom (f x y)
   | Value.Atom x, (Value.Vector _ | Value.List _) ->
       let ys = Value.elements b in
-      Value.of_values (Array.map (fun y -> atomic2 f (Value.Atom x) y) ys)
+      results f a b (Array.map (fun y -> atomic2 f (Value.Atom x) y) ys)
   | (Value.Vector _ | Value.List _), Value.Atom y ->
       let xs = Value.elements a in
-      Value.of_values (Array.map (fun x -> atomic2 f x (Value.Atom y)) xs)
+      results f a b (Array.map (fun x -> atomic2 f x (Value.Atom y)) xs)
   | (Value.Vector _ | Value.List _), (Value.Vector _ | Value.List _) ->
       let xs = Value.elements a and ys = Value.elements b in
       if Array.length xs <> Array.length ys then
         length_err "vector lengths %d and %d" (Array.length xs)
           (Array.length ys);
-      Value.of_values (Array.map2 (fun x y -> atomic2 f x y) xs ys)
+      results f a b (Array.map2 (fun x y -> atomic2 f x y) xs ys)
   | Value.Dict (k, v), _ -> Value.Dict (k, atomic2 f v b)
   | _, Value.Dict (k, v) -> Value.Dict (k, atomic2 f a v)
   | Value.Table t, _ ->
@@ -47,7 +70,7 @@ let rec atomic1 (f : Atom.t -> Atom.t) (v : Value.t) : Value.t =
   match v with
   | Value.Atom x -> Value.Atom (f x)
   | Value.Vector _ | Value.List _ ->
-      Value.of_values (Array.map (atomic1 f) (Value.elements v))
+      results (fun x _ -> f x) v v (Array.map (atomic1 f) (Value.elements v))
   | Value.Dict (k, v) -> Value.Dict (k, atomic1 f v)
   | Value.Table t ->
       Value.Table { t with data = Array.map (atomic1 f) t.data }
@@ -215,7 +238,11 @@ let count_v v = Value.int (Value.length v)
 
 let sum_v v =
   match non_null_atoms v with
-  | [] -> Value.int 0
+  | [] -> (
+      (* the sum of no float is a float 0 *)
+      match v with
+      | Value.Vector (Qtype.Float, _) -> Value.float 0.0
+      | _ -> Value.int 0)
   | a :: rest -> Value.Atom (List.fold_left Atom.add a rest)
 
 let prd_v v =
@@ -286,19 +313,23 @@ let any_v v =
 (* Uniform (running / sliding) verbs                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* a running fold that skips nulls, leading ones too: each item is the
+   fold of the values up to it, null before the first *)
 let running (f : Atom.t -> Atom.t -> Atom.t) v =
   let xs = Value.atoms_exn v in
   let acc = ref None in
   Value.vector_of_atoms
     (Array.map
        (fun x ->
-         let r =
-           match !acc with
-           | None -> x
-           | Some a -> if Atom.is_null x then a else f a x
-         in
-         acc := Some r;
-         r)
+         match !acc with
+         | _ when Atom.is_null x -> Option.value !acc ~default:x
+         | None ->
+             acc := Some x;
+             x
+         | Some a ->
+             let r = f a x in
+             acc := Some r;
+             r)
        xs)
 
 let sums = running Atom.add
@@ -319,12 +350,21 @@ let ratios v =
 
 (** Sliding-window aggregate of width [n] (expanding at the start). *)
 let moving (agg : Value.t -> Value.t) n v =
+  if n < 0 then Error.q_error "domain" "moving window size %d is negative" n;
   let xs = Value.elements v in
   let len = Array.length xs in
+  (* a window of a typed vector keeps its type, nulls only or not *)
+  let window =
+    match v with
+    | Value.Vector (ty, _) ->
+        let atoms = Value.atoms_exn v in
+        fun lo k -> Value.vector ty (Array.sub atoms lo k)
+    | _ -> fun lo k -> Value.of_values (Array.sub xs lo k)
+  in
   Value.of_values
     (Array.init len (fun i ->
          let lo = Stdlib.max 0 (i - n + 1) in
-         agg (Value.of_values (Array.sub xs lo (i - lo + 1)))))
+         agg (window lo (i - lo + 1))))
 
 let mavg n v = moving avg_v n v
 let msum n v = moving sum_v n v

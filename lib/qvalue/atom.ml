@@ -166,9 +166,19 @@ let imod a b =
     let d = to_long b in
     if d = 0L then Null Qtype.Long else Long (Int64.rem (to_long a) d)
 
-(** Q [&] (min) and [|] (max): on booleans these act as and/or. *)
-let min_ a b = if compare a b <= 0 then a else b
-let max_ a b = if compare a b >= 0 then a else b
+(* of a long and a float, the one picked as a float *)
+let widen a b r =
+  match (qtype a, qtype b, r) with
+  | (Qtype.Long, Qtype.Float, Long i | Qtype.Float, Qtype.Long, Long i) ->
+      Float (Int64.to_float i)
+  | (Qtype.Long, Qtype.Float, Null _ | Qtype.Float, Qtype.Long, Null _) ->
+      Null Qtype.Float
+  | _ -> r
+
+(** Q [&] (min) and [|] (max): on booleans these act as and/or; of a
+    long and a float they are a float. *)
+let min_ a b = widen a b (if compare a b <= 0 then a else b)
+let max_ a b = widen a b (if compare a b >= 0 then a else b)
 
 let neg = function
   | Long i -> Long (Int64.neg i)

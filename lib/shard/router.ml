@@ -123,6 +123,8 @@ let key_constraints (map : Shardmap.t) (k : string) (pred : I.scalar) :
       | I.NullSafeEq (I.Const (l, _), I.ColRef n)
         when n = k && pinnable_lit l ->
           Some [ Shardmap.shard_of_lit map l ]
+      | I.IsNull (I.ColRef n) when n = k ->
+          Some [ Shardmap.shard_of_value map Pgdb.Value.Null ]
       | I.InList (I.ColRef n, lits) when n = k && lits <> [] ->
           (* a vector membership constrains only when every member's
              shard is computable *)
@@ -179,6 +181,9 @@ let rec info (map : Shardmap.t) (r : I.rel) : part * int list list * bool =
   | I.Project { input; exprs } -> (
       let p, pins, u = info map input in
       match p with
+      | Partitioned _ when List.exists (fun (_, s) -> I.spans_rows s) exprs ->
+          (* an aggregate or window in a projection spans every row *)
+          (No "window function over distributed rows", [], u)
       | Partitioned (Some k)
         when not
                (List.exists

@@ -106,6 +106,29 @@ let rec values_agree (a : QV.t) (b : QV.t) : string option =
         (Printf.sprintf "shapes differ: %s vs %s"
            (Qvalue.Qprint.to_string a) (Qvalue.Qprint.to_string b))
 
+let column_types (v : QV.t) : string list =
+  let type_name = function
+    | QV.Vector (ty, _) -> Qvalue.Qtype.name ty
+    | QV.List _ -> "general"
+    | QV.Atom a -> Qvalue.Qtype.name (QA.qtype a) ^ " atom"
+    | _ -> "not a list"
+  in
+  let rec types v =
+    match QV.unkey v with
+    | QV.Table t -> Array.to_list (Array.map type_name t.QV.data)
+    | QV.Dict (k, v) -> types k @ types v
+    | v -> [ type_name v ]
+  in
+  types v
+
+let types_agree (a : QV.t) (b : QV.t) : string option =
+  let ta = column_types a and tb = column_types b in
+  if ta = tb then None
+  else
+    Some
+      (Printf.sprintf "column types [%s] vs [%s]" (String.concat ";" ta)
+         (String.concat ";" tb))
+
 (* ------------------------------------------------------------------ *)
 (* Harness                                                             *)
 (* ------------------------------------------------------------------ *)

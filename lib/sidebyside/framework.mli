@@ -15,6 +15,14 @@ type report = { query : string; verdict : verdict }
     first difference. *)
 val values_agree : Qvalue.Value.t -> Qvalue.Value.t -> string option
 
+(** The Q type of each column of a result (a keyed table's or a
+    dictionary's keys first), or of the list or atom itself. *)
+val column_types : Qvalue.Value.t -> string list
+
+(** [None] when the two values' {!column_types} are equal, otherwise
+    both lists: {!values_agree} compares cells across types. *)
+val types_agree : Qvalue.Value.t -> Qvalue.Value.t -> string option
+
 type harness = { kdb : Kdb.Server.t; engine : Hyperq.Engine.t }
 
 (** Load one generated dataset into both stacks. *)

@@ -274,6 +274,18 @@ let rec map_scalar (f : scalar -> scalar) (s : scalar) : scalar =
   in
   f s'
 
+(** Whether [s] holds an aggregate or a window function: a value that
+    spans rows. *)
+let spans_rows (s : scalar) : bool =
+  let found = ref false in
+  ignore
+    (map_scalar
+       (fun s ->
+         (match s with AggFun _ | WinFun _ -> found := true | _ -> ());
+         s)
+       s);
+  !found
+
 (** Column names referenced by a scalar. *)
 let rec scalar_cols (s : scalar) : string list =
   match s with

@@ -290,6 +290,14 @@ let compute_window (ctx : eval_ctx) (rows : Value.t array array)
                   let lo, hi = bounds pos in
                   out.(i) <- Value.Int (Int64.of_int (hi - lo + 1)))
                 sorted
+          | _ when order = [] && frame = None && m > 0 ->
+              (* every row's frame is the whole partition: one value *)
+              let vals = ref [] in
+              for k = m - 1 downto 0 do
+                vals := arg_at sorted.(k) :: !vals
+              done;
+              let v = apply_agg fn false !vals in
+              Array.iter (fun i -> out.(i) <- v) sorted
           | _ ->
               Array.iteri
                 (fun pos i ->
@@ -793,3 +801,10 @@ let resolve (sess : Db.session) (name : string) : rowset =
 
 let run (sess : Db.session) (sel : A.select) : result =
   run_select (env_of_resolve (resolve sess)) sel
+
+(* [sql] as a comparable outcome (Stored.outcome) *)
+let outcome (sess : Db.session) (sql : string) =
+  Stored.outcome (fun () ->
+      match Pgdb.Sql_parser.parse sql with
+      | A.Select sel -> run sess sel
+      | _ -> failwith ("not a SELECT: " ^ sql))

@@ -1,7 +1,7 @@
 (* Test-side row views of what pgdb keeps as typed columns: its stored
    tables and its results. The row view the reference interpreter scans,
    and the tests that shuffle, count or compare rows read, is built here
-   from the columns. *)
+   from the columns; so is the comparable outcome of one SELECT. *)
 
 module Batch = Pgdb.Batch
 
@@ -28,3 +28,32 @@ let check_identity_selections (db : Pgdb.Db.t) =
       if b.Batch.all <> Array.init b.Batch.nrows Fun.id then
         Alcotest.failf "identity selection of %s was written to" name)
     db.Pgdb.Db.tables
+
+(* one SELECT to a comparable value: result payload or an error tag;
+   Vexec and the reference must land on the same constructor with equal
+   data *)
+let outcome (f : unit -> Pgdb.Exec.result) =
+  match f () with
+  | res -> Ok (res.Pgdb.Exec.res_cols, result_rows res)
+  | exception Pgdb.Errors.Sql_error { code; message } ->
+      Error (code ^ ":" ^ message)
+
+(* [sql] through Vexec *)
+let run sess sql =
+  outcome (fun () ->
+      match Pgdb.Db.exec sess sql with
+      | Pgdb.Db.Rows (res, _) -> res
+      | Pgdb.Db.Complete tag -> Alcotest.failf "%s: not a SELECT (%s)" sql tag)
+
+(* an outcome with each float as its bit pattern: polymorphic compare
+   calls -0.0 and 0.0 equal *)
+let bits r =
+  Result.map
+    (fun (cols, rows) ->
+      ( cols,
+        Array.map
+          (Array.map (function
+            | Pgdb.Value.Float f -> Pgdb.Value.Int (Int64.bits_of_float f)
+            | v -> v))
+          rows ))
+    r

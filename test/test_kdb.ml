@@ -228,6 +228,19 @@ let test_errors_are_clean () =
   | exception _ -> Alcotest.fail "wrong error kind"
   | v -> Alcotest.failf "expected value error, got %s" (Qprint.to_string v)
 
+(* a moving window of a negative size is a clean Q error through the
+   server, for each of the four moving verbs *)
+let test_negative_window () =
+  let srv = Kdb.Server.create () in
+  List.iter
+    (fun verb ->
+      let src = Printf.sprintf "-1 %s 1.0 2.0 3.0" verb in
+      match Kdb.Server.query srv ~client:0 src with
+      | Error e ->
+          check tbool (src ^ ": " ^ e) true (String.starts_with ~prefix:"'domain" e)
+      | Ok v -> Alcotest.failf "%s answered %s" src (Qprint.to_string v))
+    [ "mavg"; "msum"; "mmax"; "mmin" ]
+
 (* ------------------------------------------------------------------ *)
 (* q-sql                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -560,6 +573,7 @@ let () =
           Alcotest.test_case "string ops" `Quick test_string_ops;
           Alcotest.test_case "value/eval" `Quick test_value_eval;
           Alcotest.test_case "clean errors" `Quick test_errors_are_clean;
+          Alcotest.test_case "negative moving window" `Quick test_negative_window;
         ] );
       ( "qsql",
         [

@@ -1,9 +1,10 @@
 (* Plan cache tests: collision regression (same fingerprint, different
    literal classes), versioned invalidation (DDL / variable reassignment
-   / session promotion), a randomized differential check against a
-   cache-disabled engine (deep-nested shapes included, whose hits must
-   skip every translation stage), the pgdb statement cache, and the bounded
-   engine error log. *)
+   / session promotion), deep-nested shapes against a cache-disabled
+   engine (their hits must skip every translation stage), the pgdb
+   statement cache, and the bounded engine error log. Random shapes,
+   cached and uncached, are checked by test_sidebyside's one
+   differential. *)
 
 module V = Pgdb.Value
 module Db = Pgdb.Db
@@ -201,62 +202,15 @@ let test_invalidate_session_promotion () =
   check tbool "promoted-variable query translated" true (misses eng2 > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Randomized differential: cached vs uncached engines, with scope and
-   catalog churn interleaved                                           *)
+(* Deep-nested shapes: cached vs uncached engines                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_randomized_differential () =
-  let rng = Random.State.make [| 20160626 |] in
-  let eng, backend = make_engine ~plan_cache:true () in
-  let uncached, ubackend = make_engine ~plan_cache:false () in
+(* Random shapes run cached and uncached in test_sidebyside's one
+   differential, with scope churn between cases. *)
+let test_deep_nested_differential () =
+  let eng, _ = make_engine ~plan_cache:true () in
+  let uncached, _ = make_engine ~plan_cache:false () in
   let syms = [| "A"; "B"; "C" |] in
-  let gen_query i =
-    match Random.State.int rng 6 with
-    | 0 ->
-        Printf.sprintf "select Price from trades where Size>%d"
-          (1 + Random.State.int rng 400)
-    | 1 ->
-        Printf.sprintf "select sum Size by Symbol from trades where Price>%f"
-          (float_of_int (Random.State.int rng 20) +. 0.5)
-    | 2 ->
-        Printf.sprintf
-          "select hi:max Price,lo:min Price from trades where Symbol=`%s"
-          syms.(Random.State.int rng (Array.length syms))
-    | 3 ->
-        Printf.sprintf
-          "select n:count Price by Symbol from trades where Size>%d,Price>%f"
-          (1 + Random.State.int rng 300)
-          (float_of_int (Random.State.int rng 15) +. 0.5)
-    | 4 -> Printf.sprintf "select Price,Size from trades where Size>-%d"
-             (1 + Random.State.int rng 50)
-    | _ ->
-        Printf.sprintf "select avg Price from trades where Size>%d"
-          (1 + (i mod 7))
-  in
-  for i = 0 to 199 do
-    (* occasionally churn state the generations must version *)
-    (match Random.State.int rng 20 with
-    | 0 ->
-        let v = Random.State.int rng 500 in
-        ignore (run eng (Printf.sprintf "lim:%d" v));
-        ignore (run uncached (Printf.sprintf "lim:%d" v))
-    | 1 ->
-        List.iter
-          (fun be ->
-            (match
-               Hyperq.Backend.exec be
-                 "CREATE TEMP TABLE IF NOT EXISTS t_churn (x BIGINT)"
-             with
-            | _ -> ());
-            match Hyperq.Backend.exec be "DROP TABLE t_churn" with _ -> ())
-          [ backend; ubackend ]
-    | _ -> ());
-    let q = gen_query i in
-    let cv = run eng q and uv = run uncached q in
-    if not (same_value cv uv) then
-      Alcotest.failf "divergence at query %d: %S" i q
-  done;
-  check tbool "workload produced cache hits" true (hits eng > 50);
   (* deep-nested shapes (40/32/28/16/12 levels) with varying literals of
      fixed classes: after two warm-up rounds every repeat must hit the
      cache, agree with the uncached engine and run no translation stage *)
@@ -669,8 +623,8 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "200-query randomized vs uncached" `Quick
-            test_randomized_differential;
+          Alcotest.test_case "deep-nested shapes vs uncached" `Quick
+            test_deep_nested_differential;
         ] );
       ( "stmt-cache",
         [

@@ -2,8 +2,8 @@
    trees, cluster partitioning and DDL/DML mirroring, fan-out overlap
    (every shard inside its backend at once), the full platform
    at --shards 2 (the existing end-to-end suite re-run sharded),
-   scatter pruning at 4 shards, a 200-query randomized differential
-   against the single-backend engine, kdb differentials (vector shapes,
+   scatter pruning at 4 shards, the NULL symbol's pin, kdb
+   differentials (vector shapes,
    literal tables, count of NULL-bearing columns), the partial-aggregate
    combine against pgdb over the whole table, the rendering of a
    coordinator-side pgdb error, and the plan-cache shard-generation
@@ -483,6 +483,53 @@ let test_pins_by_key_class () =
       check tint ("text literal " ^ s) shard (SM.shard_of_lit m (A.Str s)))
     [ ("A", 0); ("B", 1); ("AAA", 2); ("MSFT", 3); ("5", 0); ("", 1) ]
 
+(* The Q null symbol is SQL NULL: at 2 and 4 shards, Symbol=` pins the
+   shard Cluster.shard_selections gave the NULL keys and answers their
+   rows, and an in list holding it reaches that shard too *)
+let test_null_symbol_pin () =
+  let db = Db.create () in
+  Db.load_table db
+    (S.table ~order_col:"hq_ord" "trades"
+       [
+         S.column "hq_ord" Ty.TBigint; S.column "Symbol" Ty.TVarchar;
+         S.column "Price" Ty.TDouble;
+       ])
+    (List.mapi
+       (fun i sym ->
+         [| V.Int (Int64.of_int i); sym; V.Float (float_of_int (i + 1)) |])
+       [ V.Str "A"; V.Null; V.Str "B"; V.Null; V.Str "C"; V.Str "D" ]);
+  let nulls = Hashtbl.find db.Db.tables "trades" in
+  List.iter
+    (fun shards ->
+      with_platform ~shards db (fun p ->
+          let cluster = Option.get (P.cluster p) in
+          let sels =
+            C.shard_selections (C.map cluster)
+              nulls.Pgdb.Storage.batch.Pgdb.Batch.cols.(1) 6
+          in
+          let owner = List.find (fun k -> Array.mem 1 sels.(k)) (List.init shards Fun.id) in
+          check tbool "both NULL keys on one shard" true (Array.mem 3 sels.(owner));
+          let c = P.Client.connect p in
+          List.iter
+            (fun (q, prices) ->
+              (match ok (P.Client.query c q) with
+              | QV.Table t ->
+                  check tbool q true
+                    (QV.equal (QV.column_exn t "Price") (QV.floats prices))
+              | v -> Alcotest.failf "%s: %s" q (Qvalue.Qprint.to_string v));
+              match C.last_route cluster with
+              | Some x ->
+                  check (Alcotest.list tint)
+                    (Printf.sprintf "%s at %d shards: targets" q shards)
+                    [ owner ] x.R.x_targets
+              | None -> Alcotest.failf "%s: no route recorded" q)
+            [
+              ("select Price from trades where Symbol=`", [| 2.0; 4.0 |]);
+              ("select Price from trades where null Symbol", [| 2.0; 4.0 |]);
+            ];
+          P.Client.close c))
+    [ 2; 4 ]
+
 let test_sharded_platform_end_to_end () =
   with_platform ~shards:2 (make_db ()) (fun p ->
       let c = P.Client.connect p in
@@ -532,42 +579,6 @@ let test_sharded_platform_end_to_end () =
           check tbool "shards saw dispatches" true (statements > 0)
       | v -> Alcotest.failf "expected table, got %s" (Qvalue.Qprint.to_string v));
       P.Client.close c)
-
-(* ------------------------------------------------------------------ *)
-(* Randomized differential: sharded vs single-backend                  *)
-(* ------------------------------------------------------------------ *)
-
-(* float-tolerant value equality: partial-aggregate recombination sums
-   floats in a different association order than the single pass *)
-let feq a b =
-  a = b
-  || abs_float (a -. b)
-     <= 1e-9 *. Float.max 1.0 (Float.max (abs_float a) (abs_float b))
-
-let atom_eq (a : QA.t) (b : QA.t) =
-  match (a, b) with
-  | QA.Float x, QA.Float y -> feq x y
-  | a, b -> QA.equal a b
-
-let rec val_eq (a : QV.t) (b : QV.t) =
-  match (a, b) with
-  | QV.Atom x, QV.Atom y -> atom_eq x y
-  | QV.Vector (tx, _), QV.Vector (ty, _) ->
-      let xs = QV.atoms_exn a and ys = QV.atoms_exn b in
-      tx = ty
-      && Array.length xs = Array.length ys
-      && Array.for_all2 atom_eq xs ys
-  | QV.List xs, QV.List ys ->
-      Array.length xs = Array.length ys && Array.for_all2 val_eq xs ys
-  | QV.Dict (ka, va), QV.Dict (kb, vb) -> val_eq ka kb && val_eq va vb
-  | QV.Table ta, QV.Table tb -> table_eq ta tb
-  | QV.KTable (ka, va), QV.KTable (kb, vb) -> table_eq ka kb && table_eq va vb
-  | a, b -> QV.equal a b
-
-and table_eq (ta : QV.table) (tb : QV.table) =
-  ta.QV.cols = tb.QV.cols
-  && Array.length ta.QV.data = Array.length tb.QV.data
-  && Array.for_all2 val_eq ta.QV.data tb.QV.data
 
 (* pruning through the full stack, 4 shards: an IN list on the
    distribution column dispatches every scatter class only to the shards
@@ -660,8 +671,12 @@ let test_pruned_dispatch_end_to_end () =
               | None -> Alcotest.failf "%s: no route recorded" q);
               check tbool (q ^ ": pruned scatter counted") true
                 (pruned_total () = pruned + 1);
-              check tbool (q ^ ": equals the 1-node answer") true
-                (val_eq hq (ok (P.Client.query one q)));
+              (let one_node = ok (P.Client.query one q) in
+               check (Alcotest.option Alcotest.string)
+                 (q ^ ": equals the 1-node answer") None
+                 (match Sidebyside.Framework.values_agree one_node hq with
+                 | None -> Sidebyside.Framework.types_agree one_node hq
+                 | d -> d));
               (let expected, got = col_types q in
                check
                  Alcotest.(list (pair string string))
@@ -743,120 +758,84 @@ let test_route_concat () =
               } );
         ])
 
-let random_query (d : MD.dataset) rng =
-  let sym () = d.MD.syms.(Random.State.int rng (Array.length d.MD.syms)) in
-  let px () = 95.0 +. Random.State.float rng 15.0 in
-  match Random.State.int rng 8 with
-  | 0 -> Printf.sprintf "select from trades where Symbol=`%s" (sym ())
-  | 1 -> Printf.sprintf "select Price,Size from trades where Price>%.2f" (px ())
-  | 2 -> "select s:sum Size, a:avg Price by Symbol from trades"
-  | 3 -> "select mn:min Bid, mx:max Ask by Symbol from quotes"
-  | 4 -> "select a:avg Price, s:sum Size by Exch from trades"
-  | 5 -> "select t:sum Size from trades"
-  | 6 -> Printf.sprintf "select from quotes where Symbol=`%s" (sym ())
-  | _ ->
-      Printf.sprintf "select c:count Size by Symbol from trades where Price>%.2f"
-        (px ())
 
-let differential ~shards ~queries () =
-  let d = MD.generate MD.small_scale in
-  let coordinator = marketdata_db () in
-  with_platform (marketdata_db ()) (fun plain ->
-      with_platform ~shards coordinator (fun sharded ->
-          let c1 = P.Client.connect plain in
-          let c2 = P.Client.connect sharded in
-          let rng = Random.State.make [| 20260807; shards |] in
-          let divergences = ref [] in
-          for _ = 1 to queries do
-            let q = random_query d rng in
-            match (P.Client.query c1 q, P.Client.query c2 q) with
-            | Ok v1, Ok v2 ->
-                if not (val_eq v1 v2) then
-                  divergences := (q, "values differ") :: !divergences
-            | Error _, Error _ -> ()
-            | Ok _, Error e ->
-                divergences := (q, "sharded errored: " ^ e) :: !divergences
-            | Error e, Ok _ ->
-                divergences := (q, "single errored: " ^ e) :: !divergences
-          done;
-          P.Client.close c1;
-          P.Client.close c2;
-          (* the shards share each replicated table's batch with the
-             coordinator and with each other, read from several
-             domains: no kernel may have written a selection of one *)
-          Stored.check_identity_selections coordinator;
-          Option.iter
-            (fun c ->
-              Array.iter
-                (fun sh ->
-                  Stored.check_identity_selections sh.Shard.Cluster.s_db)
-                c.Shard.Cluster.c_shards)
-            (P.cluster sharded);
-          match !divergences with
-          | [] -> ()
-          | (q, why) :: _ ->
-              Alcotest.failf "%d divergent quer%s, first: %S (%s)"
-                (List.length !divergences)
-                (if List.length !divergences = 1 then "y" else "ies")
-                q why))
-
-let test_differential_200 () = differential ~shards:4 ~queries:200 ()
-
-(* Q queries whose SQL needs the window operator, derived tables or a
-   residual join: moving average and deltas (windows), fby (a window
-   over a derived table), as-of join (left join + residual +
-   row_number) and a chained lj (nested derived tables). Through a
-   2-shard platform each must agree with the kdb interpreter. So must
-   an atom on the right of in, which binds as a one-item list and so
-   pins its symbol's shard. *)
-let test_vector_shapes_against_kdb () =
-  let d = MD.generate MD.small_scale in
-  let sym i = d.MD.syms.(i mod Array.length d.MD.syms) in
-  let queries =
-    [
-      Printf.sprintf "select Time, m:5 mavg Price from trades where Symbol=`%s"
-        (sym 1);
-      Printf.sprintf "select Time, x:deltas Price from trades where Symbol=`%s"
-        (sym 2);
-      "select from trades where Time<09:40:00.000, Price=(max;Price) fby \
-       Symbol";
-      Printf.sprintf
-        "aj[`Symbol`Time; select Symbol, Time, Price from trades where \
-         Symbol=`%s, Time<09:40:00.000; select Symbol, Time, Bid from quotes \
-         where Symbol=`%s]"
-        (sym 0) (sym 0);
-      "select qty:sum Size by Sector from (trades lj secmaster_w) lj risk_w";
-    ]
+(* trades with NULL prices and sizes, loaded alike into a pgdb database
+   ([load] makes a fresh one) and the kdb interpreter *)
+let nulls_fixture () =
+  let n = 12 in
+  let vec ty f = QV.vector ty (Array.init n f) in
+  let trades =
+    QV.Table
+      (QV.table
+         [
+           ("Symbol", vec Qvalue.Qtype.Sym (fun i -> QA.Sym [| "A"; "B"; "C" |].(i mod 3)));
+           ( "Price",
+             vec Qvalue.Qtype.Float (fun i ->
+                 if i mod 5 = 2 then QA.Null Qvalue.Qtype.Float
+                 else QA.Float (100.0 +. float_of_int i)) );
+           ( "Size",
+             vec Qvalue.Qtype.Long (fun i ->
+                 if i mod 4 = 1 then QA.Null Qvalue.Qtype.Long
+                 else QA.Long (Int64.of_int (10 * i))) );
+         ])
   in
   let kdb = Kdb.Server.create () in
+  Kdb.Server.load kdb "trades" trades;
+  ( (fun () ->
+      let db = Db.create () in
+      Qgen.load_pg db "trades" trades;
+      db),
+    kdb )
+
+(* the market data, loaded alike *)
+let marketdata_fixture (d : MD.dataset) =
+  let kdb = Kdb.Server.create () in
   List.iter (fun (name, v) -> Kdb.Server.load kdb name v) (MD.q_tables d);
-  let db = Db.create () in
-  MD.load_pg db d;
-  with_platform ~shards:2 db (fun p ->
-      let c = P.Client.connect p in
-      let agree q =
-        let hq = ok (P.Client.query c q) in
-        match Kdb.Server.query kdb ~client:0 q with
-        | Error e -> Alcotest.failf "kdb failed on %s: %s" q e
-        | Ok k -> (
-            match Sidebyside.Framework.values_agree k hq with
-            | None -> ()
-            | Some why -> Alcotest.failf "%s differs from kdb: %s" q why)
-      in
-      List.iter agree queries;
-      List.iter
-        (fun q ->
-          agree q;
-          match C.last_route (Option.get (P.cluster p)) with
-          | Some x ->
-              check Alcotest.string (q ^ ": route class") "single" x.R.x_class
-          | None -> Alcotest.failf "%s: no route recorded" q)
-        [
-          Printf.sprintf "select from trades where Symbol in `%s" (sym 3);
-          Printf.sprintf "select n:count Price by Exch from trades where \
-                          Symbol in `%s" (sym 4);
-        ];
-      P.Client.close c)
+  ( (fun () ->
+      let db = Db.create () in
+      MD.load_pg db d;
+      db),
+    kdb )
+
+(* each query's answer on one node and on 2 shards equals kdb's; on 2
+   shards, when [route] is given, the statement takes that route class.
+   [after] then runs on each platform's client *)
+let against_kdb ?route ?(after = ignore) (load, kdb) queries =
+  List.iter
+    (fun shards ->
+      with_platform ?shards (load ()) (fun p ->
+          let c = P.Client.connect p in
+          let where =
+            match shards with
+            | Some k -> Printf.sprintf " (%d shards)" k
+            | None -> ""
+          in
+          List.iter
+            (fun q ->
+              let hq =
+                match P.Client.query c q with
+                | Ok v -> v
+                | Error e -> Alcotest.failf "%s%s: %s" q where e
+              in
+              (match (P.cluster p, route) with
+              | Some cluster, Some route -> (
+                  match C.last_route cluster with
+                  | Some x ->
+                      check Alcotest.string (q ^ where ^ ": route") route
+                        x.R.x_class
+                  | None -> Alcotest.failf "%s%s: no route" q where)
+              | _ -> ());
+              match Kdb.Server.query kdb ~client:0 q with
+              | Error e -> Alcotest.failf "kdb failed on %s: %s" q e
+              | Ok k -> (
+                  match Sidebyside.Framework.values_agree k hq with
+                  | None -> ()
+                  | Some why ->
+                      Alcotest.failf "%s%s differs from kdb: %s" q where why))
+            queries;
+          after c;
+          P.Client.close c))
+    [ None; Some 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Q literal tables: inlined as a derived table, checked against kdb   *)
@@ -930,119 +909,45 @@ let check_one_select (c : P.Client.client) (q : string) =
     !sent
 
 let test_literal_tables_against_kdb () =
+  let queries = literal_table_queries (MD.generate MD.small_scale) in
+  against_kdb
+    ~after:(fun c ->
+      check_one_select c (List.hd queries);
+      check_one_select c (List.nth queries 2))
+    (marketdata_fixture (MD.generate MD.small_scale))
+    queries
+
+(* Q queries whose SQL needs the window operator, derived tables or a
+   residual join: moving average and deltas (windows), fby (a window
+   over a derived table), as-of join (left join + residual +
+   row_number) and a chained lj (nested derived tables). Through a
+   2-shard platform each must agree with the kdb interpreter. So must
+   an atom on the right of in, which binds as a one-item list and so
+   pins its symbol's shard. *)
+let test_vector_shapes_against_kdb () =
   let d = MD.generate MD.small_scale in
-  let kdb = Kdb.Server.create () in
-  List.iter (fun (name, v) -> Kdb.Server.load kdb name v) (MD.q_tables d);
-  let queries = literal_table_queries d in
-  List.iter
-    (fun shards ->
-      let db = Db.create () in
-      MD.load_pg db d;
-      with_platform ?shards db (fun p ->
-          let c = P.Client.connect p in
-          List.iter
-            (fun q ->
-              let where =
-                match shards with Some n -> Printf.sprintf " (%d shards)" n | None -> ""
-              in
-              match (Kdb.Server.query kdb ~client:0 q, P.Client.query c q) with
-              | Error e, _ -> Alcotest.failf "kdb failed on %s: %s" q e
-              | Ok _, Error e -> Alcotest.failf "%s%s: %s" q where e
-              | Ok k, Ok hq -> (
-                  match Sidebyside.Framework.values_agree k hq with
-                  | None -> ()
-                  | Some why -> Alcotest.failf "%s%s differs from kdb: %s" q where why))
-            queries;
-          check_one_select c (List.hd queries);
-          check_one_select c (List.nth queries 2);
-          P.Client.close c))
-    [ None; Some 2 ]
-
-(* trades with NULL prices and sizes, loaded alike into a pgdb database
-   ([load] makes a fresh one) and the kdb interpreter *)
-let nulls_fixture () =
-  let n = 12 in
-  let sym i = [| "A"; "B"; "C" |].(i mod 3) in
-  let size i = if i mod 4 = 1 then None else Some (10 * i) in
-  let price i = if i mod 5 = 2 then None else Some (100.0 +. float_of_int i) in
-  let load () =
-    let db = Db.create () in
-    Db.load_table db
-      (S.table ~order_col:"hq_ord" "trades"
-         [
-           S.column "hq_ord" Ty.TBigint;
-           S.column "Symbol" Ty.TVarchar;
-           S.column "Price" Ty.TDouble;
-           S.column "Size" Ty.TBigint;
-         ])
-      (List.init n (fun i ->
-           [|
-             V.Int (Int64.of_int i);
-             V.Str (sym i);
-             (match price i with Some p -> V.Float p | None -> V.Null);
-             (match size i with
-             | Some s -> V.Int (Int64.of_int s)
-             | None -> V.Null);
-           |]));
-    db
-  in
-  let kdb = Kdb.Server.create () in
-  let vec ty f = QV.vector ty (Array.init n f) in
-  Kdb.Server.load kdb "trades"
-    (QV.Table
-       (QV.table
-          [
-            ("Symbol", vec Qvalue.Qtype.Sym (fun i -> QA.Sym (sym i)));
-            ( "Price",
-              vec Qvalue.Qtype.Float (fun i ->
-                  match price i with
-                  | Some p -> QA.Float p
-                  | None -> QA.Null Qvalue.Qtype.Float) );
-            ( "Size",
-              vec Qvalue.Qtype.Long (fun i ->
-                  match size i with
-                  | Some s -> QA.Long (Int64.of_int s)
-                  | None -> QA.Null Qvalue.Qtype.Long) );
-          ]));
-  (load, kdb)
-
-(* each query's answer on one node and on 2 shards equals kdb's; on 2
-   shards, when [route] is given, the statement takes that route class *)
-let against_kdb ?route (load, kdb) queries =
-  List.iter
-    (fun shards ->
-      with_platform ?shards (load ()) (fun p ->
-          let c = P.Client.connect p in
-          let where =
-            match shards with
-            | Some k -> Printf.sprintf " (%d shards)" k
-            | None -> ""
-          in
-          List.iter
-            (fun q ->
-              let hq =
-                match P.Client.query c q with
-                | Ok v -> v
-                | Error e -> Alcotest.failf "%s%s: %s" q where e
-              in
-              (match (P.cluster p, route) with
-              | Some cluster, Some route -> (
-                  match C.last_route cluster with
-                  | Some x ->
-                      check Alcotest.string (q ^ where ^ ": route") route
-                        x.R.x_class
-                  | None -> Alcotest.failf "%s%s: no route" q where)
-              | _ -> ());
-              match Kdb.Server.query kdb ~client:0 q with
-              | Error e -> Alcotest.failf "kdb failed on %s: %s" q e
-              | Ok k -> (
-                  match Sidebyside.Framework.values_agree k hq with
-                  | None -> ()
-                  | Some why ->
-                      Alcotest.failf "%s%s differs from kdb: %s" q where why))
-            queries;
-          P.Client.close c))
-    [ None; Some 2 ]
+  let sym i = d.MD.syms.(i mod Array.length d.MD.syms) in
+  against_kdb (marketdata_fixture d)
+    [
+      Printf.sprintf "select Time, m:5 mavg Price from trades where Symbol=`%s"
+        (sym 1);
+      Printf.sprintf "select Time, x:deltas Price from trades where Symbol=`%s"
+        (sym 2);
+      "select from trades where Time<09:40:00.000, Price=(max;Price) fby \
+       Symbol";
+      Printf.sprintf
+        "aj[`Symbol`Time; select Symbol, Time, Price from trades where \
+         Symbol=`%s, Time<09:40:00.000; select Symbol, Time, Bid from quotes \
+         where Symbol=`%s]"
+        (sym 0) (sym 0);
+      "select qty:sum Size by Sector from (trades lj secmaster_w) lj risk_w";
+    ];
+  against_kdb ~route:"single" (marketdata_fixture d)
+    [
+      Printf.sprintf "select from trades where Symbol in `%s" (sym 3);
+      Printf.sprintf "select n:count Price by Exch from trades where \
+                      Symbol in `%s" (sym 4);
+    ]
 
 (* Q's count counts every item, NULLs included; SQL's COUNT(x) skips
    them. Plain, by and (on 2 shards) through the partial-aggregate
@@ -1386,6 +1291,8 @@ let () =
           Alcotest.test_case "merge" `Quick test_route_merge;
           Alcotest.test_case "single" `Quick test_route_single;
           Alcotest.test_case "pins by key class" `Quick test_pins_by_key_class;
+          Alcotest.test_case "null symbol pins the NULL keys' shard" `Quick
+            test_null_symbol_pin;
           Alcotest.test_case "partial-agg" `Quick test_route_partial_agg;
           Alcotest.test_case "pruned-scatter" `Quick test_route_pruned_scatter;
           Alcotest.test_case "coordinator" `Quick test_route_coordinator;
@@ -1409,7 +1316,6 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "200 randomized queries" `Quick test_differential_200;
           Alcotest.test_case "vector shapes against kdb, 2 shards" `Quick
             test_vector_shapes_against_kdb;
           Alcotest.test_case "literal tables against kdb, 1 node and 2 shards"

@@ -1,6 +1,7 @@
 (* Tests for the XTRA algebra (lib/xtra) and the Xformer/Serializer
-   invariants: derived properties, transformation correctness, and a
-   random-query translation-equivalence property. *)
+   invariants: derived properties and transformation correctness.
+   Random queries are checked against kdb by test_sidebyside's one
+   differential. *)
 
 module I = Xtra.Ir
 module A = Sqlast.Ast
@@ -345,65 +346,6 @@ let test_generated_sql_parses () =
           Alcotest.failf "generated SQL does not parse (%s): %s" message sql)
     rels
 
-(* ------------------------------------------------------------------ *)
-(* Random-query translation equivalence                                *)
-(* ------------------------------------------------------------------ *)
-
-(* generate random simple q-sql over the shared fixture and require the
-   kdb interpreter and Hyper-Q->pgdb to agree — a randomized version of
-   the paper's side-by-side QA *)
-
-let gen_query : string QCheck.Gen.t =
-  let open QCheck.Gen in
-  let agg = oneofl [ "sum"; "avg"; "max"; "min"; "count" ] in
-  let numcol = oneofl [ "Price"; "Size" ] in
-  let filter =
-    oneof
-      [
-        (let* c = numcol in
-         let* v = int_range 1 100 in
-         return (Printf.sprintf "%s>%d" c v));
-        (let* s = oneofl [ "AAA"; "BBH"; "CCO" ] in
-         return (Printf.sprintf "Symbol=`%s" s));
-        (let* s = oneofl [ "N"; "Q" ] in
-         return (Printf.sprintf "Exch=`%s" s));
-      ]
-  in
-  let agg_col =
-    let* a = agg in
-    let* c = numcol in
-    return (Printf.sprintf "%s_%s:%s %s" a c a c)
-  in
-  let* n_aggs = int_range 1 3 in
-  let* aggs = list_repeat n_aggs agg_col in
-  let* by = oneofl [ ""; " by Symbol"; " by Symbol, Exch"; " by Exch" ] in
-  let* n_filters = int_range 0 2 in
-  let* filters = list_repeat n_filters filter in
-  let where =
-    if filters = [] then ""
-    else " where " ^ String.concat ", " filters
-  in
-  return
-    (Printf.sprintf "select %s%s from trades%s" (String.concat ", " aggs) by
-       where)
-
-let harness =
-  lazy
-    (Sidebyside.Framework.create
-       (Workload.Marketdata.generate Workload.Marketdata.small_scale))
-
-let prop_random_queries_agree =
-  QCheck.Test.make ~count:120 ~name:"random q-sql agrees across stacks"
-    (QCheck.make gen_query) (fun q ->
-      let h = Lazy.force harness in
-      match Sidebyside.Framework.compare_query h q with
-      | Sidebyside.Framework.Match -> true
-      | v ->
-          QCheck.Test.fail_reportf "%s: %s" q
-            (Sidebyside.Framework.verdict_str v))
-
-let props = [ QCheck_alcotest.to_alcotest prop_random_queries_agree ]
-
 let () =
   Alcotest.run "xtra"
     [
@@ -438,5 +380,4 @@ let () =
           Alcotest.test_case "generated SQL parses" `Quick
             test_generated_sql_parses;
         ] );
-      ("equivalence", props);
     ]
