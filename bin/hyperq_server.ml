@@ -105,7 +105,8 @@ let () =
          or GET /shards.json" );
       ( "--workers",
         Arg.Set_int workers,
-        "N size of the shard dispatch domain pool (default = --shards)" );
+        "N size of the shard dispatch domain pool (default = --shards \
+         minus 1: the coordinator runs the last shard's statement itself)" );
       ( "--ts-interval",
         Arg.Set_float ts_interval,
         Printf.sprintf

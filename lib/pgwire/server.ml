@@ -38,6 +38,7 @@ type t = {
   mutable portal : portal option;  (** the unnamed portal *)
   mutable skipping : bool;
       (** an extended-protocol message failed: discard until Sync *)
+  out : Buffer.t;  (** the reply [feed] is building, reused across calls *)
 }
 
 let create ?(users = [ ("app", "secret") ]) ?(auth = Trust) session =
@@ -51,6 +52,7 @@ let create ?(users = [ ("app", "secret") ]) ?(auth = Trust) session =
     statement = None;
     portal = None;
     skipping = false;
+    out = Buffer.create 64;
   }
 
 (* PG's md5 scheme: "md5" ^ md5hex(md5hex(password ^ user) ^ salt) *)
@@ -416,7 +418,8 @@ let handle t out (m : C.frontend_msg) =
     violation: the server answers with an error and closes, as PG does. *)
 let feed (t : t) (bytes : string) : string =
   C.append t.inp bytes;
-  let out = Buffer.create 64 in
+  let out = t.out in
+  Buffer.clear out;
   let rec loop () =
     match t.phase with
     | Closed -> C.clear t.inp
@@ -437,4 +440,8 @@ let feed (t : t) (bytes : string) : string =
             loop ())
   in
   loop ();
-  Buffer.contents out
+  let reply = Buffer.contents out in
+  (* a buffer that grew to the reply's size is kept for the next one,
+     unless it outgrew [scratch_max], like the row stream's *)
+  if Buffer.length out > scratch_max then Buffer.reset out;
+  reply

@@ -152,7 +152,8 @@ let strip_q_wrapper (s : string) : string =
   else s
 
 (* every operator tree attached to the analyzed query: the coordinator's
-   (unsharded / fallback execution) and one per shard that ran *)
+   (its own statement, or a sharded statement's gather) and one per
+   shard that ran *)
 let explain_trees (coord : Op.node option)
     (shard_plans : (int * Op.node option) list) : Op.node list =
   (match coord with Some n -> [ n ] | None -> [])

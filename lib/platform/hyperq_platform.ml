@@ -46,10 +46,11 @@ type connection = {
     sharded execution: the distributed tables ([distributions], default
     [trades]/[quotes] on [Symbol]) are hash-partitioned across that many
     independent pgdb backends — each behind its own PG wire gateway,
-    pinned to one of [workers] domains — and every other table is
-    replicated to all of them. The coordinator [db] keeps the full data
-    set, so statements the router cannot prove shard-safe fall back
-    unchanged. [materialization] is passed to every connection's
+    pinned to one of [workers] domains (default [shards - 1]; the
+    coordinator's domain runs each fan-out's last target) — and every
+    other table is replicated to all of them. The coordinator [db] keeps
+    the full data set, so statements the router cannot prove shard-safe
+    fall back unchanged. [materialization] is passed to every connection's
     engine. *)
 let create ?(users = [ ("trader", "pwd") ]) ?(materialization = `Logical)
     ?(plan_cache_size = Hyperq.Plancache.default_capacity) ?obs
@@ -224,7 +225,11 @@ let connect (t : t) : connection =
         (fun on ->
           Pgdb.Db.set_analyze session on;
           Option.iter (fun c -> Shard.Cluster.set_analyze c on) t.cluster);
-      eh_plan = (fun () -> Pgdb.Db.last_plan session);
+      eh_plan =
+        (fun () ->
+          match Option.bind t.cluster Shard.Cluster.last_gather_plan with
+          | Some _ as gather -> gather
+          | None -> Pgdb.Db.last_plan session);
       eh_route =
         (fun () -> Option.bind t.cluster Shard.Cluster.last_route);
       eh_shard_plans =

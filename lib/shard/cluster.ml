@@ -6,10 +6,12 @@
     {!Hyperq.Engine.sharder}: after the Xformer has optimized a
     statement, {!Router.route} classifies it, and shard-safe plans fan
     out over a fixed {!Pool} of OCaml domains — one wire gateway and
-    pgdb session per shard, each pinned to one domain so no session is
-    ever touched concurrently. {!Gather} reassembles the partial
-    results. Everything the router cannot prove safe silently falls
-    back to the coordinator's own backend, which holds all the data.
+    pgdb session per shard, each pinned to one worker domain, while the
+    coordinator runs a fan-out's last target itself, so no session is
+    ever touched by two domains at once. {!Gather} reassembles the
+    partial results. Everything the router cannot prove safe silently
+    falls back to the coordinator's own backend, which holds all the
+    data.
 
     The layout is fixed at {!create}: the translator sends the
     coordinator only reads and session temp tables, so no statement
@@ -37,7 +39,7 @@ type shard = {
   s_sql_bytes : int Atomic.t;  (** SQL text bytes dispatched *)
   s_hist : M.histogram;  (** per-shard dispatch latency *)
   s_alloc : M.counter;
-      (** bytes allocated on the worker domain per dispatch
+      (** bytes allocated per dispatch on the domain that ran it
           ([hq_shard_alloc_bytes{shard}]); per-dispatch, not per-query —
           a scattered query contributes to every target shard *)
   s_pg_in : M.counter;  (** the shard gateway's wire meters (0 when the *)
@@ -55,8 +57,10 @@ type t = {
   c_queue_depth : M.gauge;  (** hq_shard_pool_queue_depth *)
   c_busy : M.gauge;  (** hq_shard_pool_busy_workers *)
   c_workers : M.gauge;  (** hq_shard_pool_workers (pool size, static) *)
-  (* per-domain utilization, index = worker id; mirrored from the
-     pool's cumulative counters by [refresh_saturation] *)
+  (* per-domain utilization, index = worker id, then the coordinator's
+     own domain (label "coordinator", no idle time: it is not a pool
+     domain); mirrored from the pool's cumulative counters by
+     [refresh_saturation] *)
   c_domain_busy : M.gauge array;  (** hq_domain_busy_seconds{domain} *)
   c_domain_idle : M.gauge array;  (** hq_domain_idle_seconds{domain} *)
   c_domain_wait : M.gauge array;  (** hq_domain_queue_wait_seconds{domain} *)
@@ -69,6 +73,9 @@ type t = {
       (** routing decision of the last statement offered to the sharder *)
   mutable c_last_shard_plans : (int * Pgdb.Opstats.node option) list;
       (** per-target operator trees of the last analyzed fan-out *)
+  mutable c_last_gather_plan : Pgdb.Opstats.node option;
+      (** operator tree of the last analyzed statement's coordinator
+          gather, when it was sharded and its route has one *)
 }
 
 let shard_count t = Array.length t.c_shards
@@ -110,6 +117,11 @@ let shard_selections (map : Shardmap.t) (c : Pgdb.Batch.column) (nrows : int)
   done;
   Array.map Array.of_list sels
 
+(** Partition [db]'s tables onto [shards] fresh pgdb backends, each made
+    by [make_backend] over its session. The dispatch pool has [workers]
+    domains, by default [shards - 1] (at least one): the coordinator
+    runs a fan-out's last target itself, and targets are ascending, so
+    the last shard needs no worker of its own. *)
 let create ?(distributions = default_distributions) ?workers ~shards
     ?(make_backend =
       fun ~shard_id:_ ~obs:_ session -> B.of_pgdb_session session)
@@ -183,7 +195,7 @@ let create ?(distributions = default_distributions) ?workers ~shards
           "hq_shard_dispatch_seconds";
       s_alloc =
         M.counter reg
-          ~help:"Bytes allocated on the worker domain per shard dispatch"
+          ~help:"Bytes allocated per shard dispatch on the domain that ran it"
           ~labels "hq_shard_alloc_bytes";
       s_pg_in =
         M.counter reg ~help:"PG v3 bytes received from the backend" ~labels
@@ -198,16 +210,23 @@ let create ?(distributions = default_distributions) ?workers ~shards
       ~labels:[ ("route", r) ]
       "hq_shard_queries_total"
   in
-  let pool = Pool.create ~workers:(Option.value ~default:shards workers) in
+  (* the coordinator runs a fan-out's last (highest) target itself, so
+     shard [shards - 1] needs no worker of its own *)
+  let pool =
+    Pool.create ~workers:(Option.value ~default:(shards - 1) workers)
+  in
   let workers_g =
     M.gauge reg ~help:"Shard dispatch pool size" "hq_shard_pool_workers"
   in
   M.set workers_g (float_of_int (Pool.size pool));
   let domain_gauge name help k =
-    M.gauge reg ~help ~labels:[ ("domain", string_of_int k) ] name
+    let label =
+      if k < Pool.size pool then string_of_int k else "coordinator"
+    in
+    M.gauge reg ~help ~labels:[ ("domain", label) ] name
   in
-  let per_domain name help =
-    Array.init (Pool.size pool) (domain_gauge name help)
+  let per_domain ?(n = Pool.size pool + 1) name help =
+    Array.init n (domain_gauge name help)
   in
   {
     c_map = map;
@@ -226,9 +245,9 @@ let create ?(distributions = default_distributions) ?workers ~shards
     c_workers = workers_g;
     c_domain_busy =
       per_domain "hq_domain_busy_seconds"
-        "Cumulative wall-time the pinned domain spent executing dispatches";
+        "Cumulative wall-time the domain spent executing dispatches";
     c_domain_idle =
-      per_domain "hq_domain_idle_seconds"
+      per_domain ~n:(Pool.size pool) "hq_domain_idle_seconds"
         "Cumulative wall-time the pinned domain sat idle";
     c_domain_wait =
       per_domain "hq_domain_queue_wait_seconds"
@@ -246,14 +265,18 @@ let create ?(distributions = default_distributions) ?workers ~shards
     c_analyze = false;
     c_last_route = None;
     c_last_shard_plans = [];
+    c_last_gather_plan = None;
   }
 
 (** Toggle ANALYZE collection on every shard session. Worker domains
-    only touch their sessions inside [Pool.run], whose completion latch
-    orders these writes before any dispatch. *)
+    only touch their sessions inside [Pool.run], whose queue locks order
+    these writes before any dispatch. *)
 let set_analyze (t : t) (on : bool) : unit =
   t.c_analyze <- on;
-  if not on then t.c_last_shard_plans <- [];
+  if not on then begin
+    t.c_last_shard_plans <- [];
+    t.c_last_gather_plan <- None
+  end;
   Array.iter (fun sh -> Pgdb.Db.set_analyze sh.s_session on) t.c_shards
 
 (** Routing decision of the last statement the sharder saw, as a route
@@ -269,6 +292,13 @@ let last_route (t : t) : Router.explain option =
 let last_shard_plans (t : t) : (int * Pgdb.Opstats.node option) list =
   t.c_last_shard_plans
 
+(** The coordinator's operator tree for the last statement the sharder
+    saw, when it claimed it analyzed: the gather statement over the
+    shards' partials. [None] for a route without one (single, concat)
+    and for a statement left to the coordinator's own backend. *)
+let last_gather_plan (t : t) : Pgdb.Opstats.node option =
+  t.c_last_gather_plan
+
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -280,40 +310,45 @@ let refresh_saturation (t : t) : unit =
   M.set t.c_queue_depth (float_of_int (Pool.queue_depth t.c_pool));
   M.set t.c_busy (float_of_int (Pool.busy_workers t.c_pool));
   (* per-domain utilization: busy/wait/jobs are the pool's cumulative
-     counters; idle is everything else of the pool's lifetime *)
+     counters, the workers' and then the coordinator's; a worker's idle
+     time is everything else of the pool's lifetime *)
   let up = Pool.uptime_s t.c_pool in
   Array.iteri
     (fun k (ws : Pool.worker_stat) ->
-      if k < Array.length t.c_domain_busy then begin
-        M.set t.c_domain_busy.(k) ws.Pool.ws_busy_s;
+      M.set t.c_domain_busy.(k) ws.Pool.ws_busy_s;
+      if k < Array.length t.c_domain_idle then
         M.set t.c_domain_idle.(k) (Float.max 0.0 (up -. ws.Pool.ws_busy_s));
-        M.set t.c_domain_wait.(k) ws.Pool.ws_wait_s;
-        M.set t.c_domain_jobs.(k) (float_of_int ws.Pool.ws_jobs)
-      end)
-    (Pool.worker_stats t.c_pool)
+      M.set t.c_domain_wait.(k) ws.Pool.ws_wait_s;
+      M.set t.c_domain_jobs.(k) (float_of_int ws.Pool.ws_jobs))
+    (Array.append
+       (Pool.worker_stats t.c_pool)
+       [| Pool.caller_stats t.c_pool |])
 
-(* send one statement to a shard's backend, on the worker domain the
-   shard is pinned to. Each dispatch is its own request for the shard
-   backend, so it keeps only this statement. *)
+(* send one statement to a shard's backend, on its pinned worker's
+   domain or the coordinator's. Each dispatch is its own request for
+   the shard backend, so it keeps only this statement. *)
 let shard_exec (sh : shard) (sql : string) : (B.reply, string) result =
   Atomic.incr sh.s_statements;
   ignore (Atomic.fetch_and_add sh.s_sql_bytes (String.length sql));
   B.begin_request sh.s_backend;
   B.exec sh.s_backend sql
 
-(* run [sql] on the given shards through the domain pool (shard i is
-   pinned to worker i mod workers) and collect row results in shard
-   order.
+(* run [sql] on the given shards through the domain pool and collect
+   row results in shard order. Shard i is pinned to worker i mod
+   workers, except the last target, whose job the coordinator runs
+   itself once the others are queued: a routed statement never leaves
+   the coordinator's domain.
 
    Trace propagation: while the coordinator's query trace is open, each
    target gets a [shard_exec{shard=i}] child span, created HERE on the
    coordinator (which still solely owns the trace tree) and carried
-   onto the worker domain by planting a private {!Obs.Trace.attach}
-   handle in the shard's own ctx — explicit context passing, no TLS.
+   onto the domain that runs the job by planting a private
+   {!Obs.Trace.attach} handle in the shard's own ctx — explicit context
+   passing, no TLS.
    The shard gateway reads that ctx for its [traceparent] comment, so
-   the SQL each shard logs carries the child span's id; the worker
-   closes the span and clears the handle before the pool's completion
-   latch hands the tree back to the coordinator. *)
+   the SQL each shard logs carries the child span's id; the job closes
+   the span and clears the handle before the pool's completion latch
+   hands the tree back to the coordinator. *)
 let fan_out (t : t) ~(targets : int list) (sql : string) :
     (B.result list, string) result =
   let slots = Array.make (Array.length t.c_shards) None in
@@ -344,7 +379,7 @@ let fan_out (t : t) ~(targets : int list) (sql : string) :
               (fun () ->
                 let start = Obs.Clock.now_ns () in
                 (* allocated_bytes is domain-local: this delta is the
-                   worker domain's allocation for this one dispatch *)
+                   running domain's allocation for this one dispatch *)
                 let a0 = Obs.Runtime.allocated_bytes () in
                 let r = shard_exec sh sql in
                 let alloc = Obs.Runtime.allocated_bytes () -. a0 in
@@ -394,7 +429,11 @@ let execute (t : t) (plan : Router.plan) ~(targets : int list) :
   | None -> ());
   try
     Result.map
-      (fun rs -> gathering t plan (fun () -> Gather.gather plan rs))
+      (fun rs ->
+        gathering t plan (fun () ->
+            let r, tree = Gather.gather ~collect:t.c_analyze plan rs in
+            t.c_last_gather_plan <- tree;
+            r))
       (fan_out t ~targets
          (Hyperq.Serializer.serialize_to_sql (Router.shard_rel plan)))
   with e -> Error (Pgdb.Errors.to_string e)
@@ -409,6 +448,7 @@ let sharder (t : t) : Hyperq.Engine.sharder =
     else
       let route = Router.route t.c_map rel in
       t.c_last_route <- Some route;
+      t.c_last_gather_plan <- None;
       match route with
       | Router.Coordinator reason ->
           M.inc t.c_coordinated;

@@ -126,12 +126,14 @@ let statement (plan : Router.plan) (cols : (string * Catalog.Sqltype.t) list)
 (** Reassemble [plan]'s shard results: the one result, or their
     concatenation, with the plan's coordinator statement run over it by
     pgdb's executor when there is one, so the gather shares the
-    backend's grouping, aggregate and NULL-ordering semantics. A pgdb
-    error raises as {!Pgdb.Errors.Sql_error}. *)
-let gather (plan : Router.plan) (results : B.result list) : B.result =
+    backend's grouping, aggregate and NULL-ordering semantics. With
+    [collect], the statement's operator tree comes back with the result
+    (ANALYZE). A pgdb error raises as {!Pgdb.Errors.Sql_error}. *)
+let gather ?(collect = false) (plan : Router.plan) (results : B.result list) :
+    B.result * Pgdb.Opstats.node option =
   let all = match results with [ r ] -> r | rs -> concat rs in
   match statement plan all.B.res_cols with
-  | None -> all
+  | None -> (all, None)
   | Some rel ->
       let bindings =
         List.map
@@ -146,4 +148,5 @@ let gather (plan : Router.plan) (results : B.result list) : B.result =
         else Pgdb.Errors.undefined_table "relation %s does not exist" name
       in
       let sel = Hyperq.Serializer.serialize rel in
-      (Pgdb.Vexec.run ~resolve ~collect:false sel).Pgdb.Vexec.vr_result
+      let o = Pgdb.Vexec.run ~resolve ~collect sel in
+      (o.Pgdb.Vexec.vr_result, o.Pgdb.Vexec.vr_plan)

@@ -1,10 +1,11 @@
 (* EXPLAIN/ANALYZE plane tests: operator trees out of the instrumented
    pgdb executor (shapes, row counts, estimates), the .hq.explain admin
    query over the full 25-query analytical workload on a 2-shard
-   platform (single-shard and scatter/gather routes included), the
-   /explain.json admin endpoint, tree-shape stability across plan-cache
-   hits, tail sampling, and the recorder and HTTP surfaces that carry
-   analyzed trees. *)
+   platform (single-shard and scatter/gather routes included, the
+   coordinator's gather analyzed with the shards), the /explain.json
+   admin endpoint, tree-shape stability across plan-cache hits, tail
+   sampling, and the recorder and HTTP surfaces that carry analyzed
+   trees. *)
 
 module Db = Pgdb.Db
 module Op = Pgdb.Opstats
@@ -455,6 +456,41 @@ let test_route_explanations () =
       | _ -> Alcotest.fail "no ring entry");
       P.Client.close c)
 
+(* a scattered aggregate's coordinator gather is analyzed too: its rows
+   (shard -1) come first and scan the partials the shards returned *)
+let test_gather_rows () =
+  with_platform ~shards:2 (marketdata_db ()) (fun p ->
+      let c = P.Client.connect p in
+      (match
+         ok
+           (P.Client.query c
+              ".hq.explain select mx:max Price by Symbol from trades")
+       with
+      | QV.Table t ->
+          let ints name =
+            Array.map
+              (function Qvalue.Atom.Long i -> Int64.to_int i | _ -> min_int)
+              (QV.atoms_exn (QV.column_exn t name))
+          in
+          let shard = ints "shard" and depth = ints "depth" in
+          let rows_out = ints "rows_out" in
+          let detail = Array.of_list (column_syms t "detail") in
+          let outs p =
+            List.filter_map
+              (fun i -> if p i then Some rows_out.(i) else None)
+              (List.init (Array.length shard) Fun.id)
+          in
+          check tbool "coordinator rows first" true
+            (Array.length shard > 0 && shard.(0) = -1);
+          let roots = outs (fun i -> shard.(i) >= 0 && depth.(i) = 0) in
+          check tint "both shards' trees" 2 (List.length roots);
+          check (Alcotest.list tint) "the gather scans every partial row"
+            [ List.fold_left ( + ) 0 roots ]
+            (outs (fun i -> shard.(i) = -1 && detail.(i) = "hq_partials"))
+      | v ->
+          Alcotest.failf "expected table, got %s" (Qvalue.Qprint.to_string v));
+      P.Client.close c)
+
 (* the route document the EXPLAIN plane splices in, byte for byte: a
    pruned merge and a partial aggregate with an avg decomposition; the
    merge key's quote and backslash pin the escaping *)
@@ -748,6 +784,7 @@ let () =
           Alcotest.test_case "unsharded" `Quick test_explain_unsharded;
           Alcotest.test_case "prefix must end the word" `Quick
             test_explain_prefix_is_a_word;
+          Alcotest.test_case "sharded gather rows" `Quick test_gather_rows;
         ] );
       ( "plan cache",
         [

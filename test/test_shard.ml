@@ -1,12 +1,14 @@
 (* Sharded execution tests: router classification over hand-built XTRA
    trees, cluster partitioning, fan-out overlap (every shard inside its
-   backend at once), the full platform at --shards 2 (the existing
-   end-to-end suite re-run sharded), scatter pruning at 4 shards, the
-   NULL symbol's pin, kdb differentials (vector shapes, literal tables,
-   count of NULL-bearing columns), the partial-aggregate combine against
-   pgdb over the whole table, the rendering of a coordinator-side pgdb
-   error, sharded routes kept out of the plan cache, and the statements
-   the coordinator backend is sent. *)
+   backend at once), placement (a fan-out's last target on the calling
+   domain, every other on its own worker), the full platform at
+   --shards 2 (the existing end-to-end suite re-run sharded), scatter
+   pruning at 4 shards, the NULL symbol's pin, kdb differentials
+   (vector shapes, literal tables, count of NULL-bearing columns), the
+   partial-aggregate combine against pgdb over the whole table, the
+   rendering of a coordinator-side pgdb error, sharded routes kept out
+   of the plan cache, and the statements the coordinator backend is
+   sent. *)
 
 module V = Pgdb.Value
 module Db = Pgdb.Db
@@ -290,6 +292,93 @@ let test_fanout_overlaps () =
         (Atomic.get timed_out);
       check tint "one barrier round per scatter" (3 * shards)
         (Atomic.get arrived))
+
+(* Placement. Each shard backend's [exec] records the domain it ran
+   on; the coordinator runs a fan-out's last target itself and hands
+   every other target to its own worker. *)
+let with_placement ~shards (f : E.t -> int option Atomic.t array -> unit) =
+  let ran_on = Array.init shards (fun _ -> Atomic.make None) in
+  let make_backend ~shard_id ~obs:_ sess =
+    let b = Hyperq.Backend.of_pgdb_session sess in
+    {
+      b with
+      exec =
+        (fun sql ->
+          Atomic.set ran_on.(shard_id) (Some (Domain.self () :> int));
+          b.exec sql);
+    }
+  in
+  let db = make_db () in
+  let obs = Obs.Ctx.create () in
+  let c = C.create ~shards ~make_backend ~obs db in
+  Fun.protect ~finally:(fun () -> C.shutdown c) (fun () ->
+      f
+        (E.create ~sharder:(C.sharder c) ~obs
+           (Hyperq.Backend.of_pgdb_session (Db.open_session db)))
+        ran_on)
+
+let run_q eng q = ignore (ok (E.try_run eng (Qlang.Fingerprint.analyze q)))
+let self () = (Domain.self () :> int)
+
+let test_routed_runs_on_caller () =
+  with_placement ~shards:2 (fun eng ran_on ->
+      for _ = 1 to 3 do
+        Array.iter (fun a -> Atomic.set a None) ran_on;
+        run_q eng "select from trades where Symbol=`A";
+        match List.filter_map Atomic.get (Array.to_list ran_on) with
+        | [ d ] -> check tint "routed exec on the caller's domain" (self ()) d
+        | ds -> Alcotest.failf "routed to %d shards" (List.length ds)
+      done)
+
+let test_scatter_one_on_caller () =
+  let shards = 4 in
+  with_placement ~shards (fun eng ran_on ->
+      for _ = 1 to 3 do
+        Array.iter (fun a -> Atomic.set a None) ran_on;
+        run_q eng "select mx:max Price by Symbol from trades";
+        let ds = List.filter_map Atomic.get (Array.to_list ran_on) in
+        check tint "every target ran" shards (List.length ds);
+        check tint "one target on the caller" 1
+          (List.length (List.filter (( = ) (self ())) ds));
+        check tint "every target on its own domain" shards
+          (List.length (List.sort_uniq compare ds))
+      done)
+
+(* The caller's own job raises while a worker's job is still running:
+   [run] re-raises only once the worker's job has settled, and leaves
+   no job counted as queued or busy. *)
+let test_inline_raise_waits () =
+  let pool = Shard.Pool.create ~workers:1 in
+  Fun.protect ~finally:(fun () -> Shard.Pool.shutdown pool) (fun () ->
+      let started = Atomic.make false and settled = Atomic.make false in
+      let overlapped = Atomic.make false in
+      let worker_job () =
+        Atomic.set started true;
+        Unix.sleepf 0.05;
+        Atomic.set settled true
+      in
+      let inline_job () =
+        let t0 = Obs.Clock.now_ns () in
+        while (not (Atomic.get started)) && Obs.Clock.seconds_since t0 < 5.0 do
+          Domain.cpu_relax ()
+        done;
+        Atomic.set overlapped (Atomic.get started && not (Atomic.get settled));
+        failwith "inline"
+      in
+      (match Shard.Pool.run pool [ (0, worker_job); (1, inline_job) ] with
+      | () -> Alcotest.fail "the inline job's exception was lost"
+      | exception Failure m ->
+          check Alcotest.string "first exception" "inline" m);
+      check tbool "raised while the worker job ran" true
+        (Atomic.get overlapped);
+      check tbool "worker job settled before the re-raise" true
+        (Atomic.get settled);
+      check tint "queue depth" 0 (Shard.Pool.queue_depth pool);
+      check tint "busy workers" 0 (Shard.Pool.busy_workers pool);
+      check tint "inline job is the caller's" 1
+        (Shard.Pool.caller_stats pool).Shard.Pool.ws_jobs;
+      check tint "worker job is the worker's" 1
+        (Shard.Pool.worker_stats pool).(0).Shard.Pool.ws_jobs)
 
 (* A pgdb error raised by the coordinator's combine reads like one a
    shard reports: here one shard's partial min is text and the other's a
@@ -1018,7 +1107,9 @@ let test_combine_against_pgdb () =
               (combine_table (List.map snd mine))
               (Hyperq.Serializer.serialize_to_sql plan.R.a_shard_rel)
           in
-          let got = Shard.Gather.gather (R.PartialAgg plan) (List.init parts partial) in
+          let got, _ =
+            Shard.Gather.gather (R.PartialAgg plan) (List.init parts partial)
+          in
           let where = Printf.sprintf "%s (%d partitions)" sql parts in
           check
             Alcotest.(list (pair string string))
@@ -1218,6 +1309,15 @@ let () =
             test_fanout_overlaps;
           Alcotest.test_case "coordinator error reads like a shard's" `Quick
             test_coordinator_error;
+        ] );
+      ( "placement",
+        [
+          Alcotest.test_case "routed statement on the caller" `Quick
+            test_routed_runs_on_caller;
+          Alcotest.test_case "scatter: one on the caller" `Quick
+            test_scatter_one_on_caller;
+          Alcotest.test_case "inline raise waits for workers" `Quick
+            test_inline_raise_waits;
         ] );
       ( "platform --shards 2",
         [
