@@ -1053,7 +1053,9 @@ and bind_table_lit ctx keys cols : bound_rel =
   let colrefs =
     List.map
       (fun (name, ls) ->
-        let ty = match ls with (_, ty) :: _ -> ty | [] -> Ty.TText in
+        (* an empty general list has no element type: its nulls are
+           long nulls, as kdb pads an lj from it *)
+        let ty = match ls with (_, ty) :: _ -> ty | [] -> Ty.TBigint in
         { I.cr_name = name; cr_type = ty })
       bound
   in

@@ -209,105 +209,68 @@ module QA = Qvalue.Atom
 module QT = Qvalue.Qtype
 module Batch = Pgdb.Batch
 
-(** The Q vector of a result column of SQL type [ty], [n] rows long,
-    re-tagged from its typed payload. An int payload is already a Q
-    vector's: longs, the calendar type [ty] names, or bools; so is a
-    float payload. Without a NULL the vector shares it. With one the
-    vector holds a copy with the type's null under each NULL: a result
-    column may be stored data on the direct backend, and a Q vector is
-    never written. A text column's rows point at its dictionary's
-    strings: symbols, or chars when every string is one byte long and
-    [ty] is not [varchar]. Any other column goes atom by atom through
-    {!Typemap.atom_of_value} and {!QV.vector_of_atoms}, whose rules the
-    typed paths keep: a NULL takes the element type (bool and char have
-    none: [0b], [" "]), an all-NULL column is a long-null vector, mixed
-    atoms a general list. An empty column has the Q type of [ty], as
-    kdb's does. *)
+(** The Q vector of a result column of SQL type [ty], [n] rows long: a
+    vector of [ty]'s Q type ({!Typemap.qtype_of_sql}), whatever its rows
+    hold, as the RowDescription fixes the type before a row is read. An
+    int payload is already a Q vector's: longs, the calendar type [ty]
+    names, or bools; so is a float payload. Without a NULL the vector
+    shares it. With one the vector holds a copy with the type's null
+    under each NULL: a result column may be stored data on the direct
+    backend, and a Q vector is never written. A text column's rows point
+    at its dictionary's strings: symbols for [varchar], chars for [text],
+    each a one-byte string. Any other column (all NULL, or no typed
+    payload) goes atom by atom through {!Typemap.atom_of_value} into
+    [ty]'s vector, where a NULL is the type's null (bool and char have
+    none: [0b], [" "]). *)
 let vector_of_column (ty : Ty.t) (n : int) (c : Batch.column) : QV.t =
+  let qt = Typemap.qtype_of_sql ty in
   let null = Batch.is_null c in
-  let rec any_value i = i < n && ((not (null i)) || any_value (i + 1)) in
-  let boxed () =
-    QV.vector_of_atoms
-      (Array.init n (fun i -> Typemap.atom_of_value ty (Batch.value_at c i)))
+  let int_payload a =
+    if not c.Batch.has_nulls then QV.Ints (Ivec.prefix a n)
+    else
+      let b = Bytes.sub a 0 (8 * n) and nul = QV.null_slot qt in
+      for i = 0 to n - 1 do
+        if null i then Ivec.unsafe_set_at b (8 * i) nul
+      done;
+      QV.Ints b
   in
-  (* [qt]'s vector holding [payload ()]; all NULL, a long-null vector *)
-  let typed qt payload =
-    if c.Batch.has_nulls && not (any_value 0) then
-      QV.Vector (QT.Long, QV.Ints (Ivec.make n QV.long_null))
-    else QV.Vector (qt, payload ())
-  in
-  let int_vector qt a =
-    typed qt (fun () ->
-        if not c.Batch.has_nulls then QV.Ints (Ivec.prefix a n)
-        else
-          let b = Bytes.sub a 0 (8 * n) and nul = QV.null_slot qt in
-          for i = 0 to n - 1 do
-            if null i then Ivec.unsafe_set_at b (8 * i) nul
-          done;
-          QV.Ints b)
-  in
-  if n = 0 then QV.vector (Typemap.qtype_of_sql ty) [||]
-  else
-    match c.Batch.data with
-    | Batch.DInt { kind; ints } -> (
-        (* a bigint payload is read as the calendar type [ty] names; a
-           calendar or bool one of another type than [ty] goes atom by
-           atom, as its values would *)
-        match (kind, ty) with
-        | Batch.Bigint, Ty.TDate -> int_vector QT.Date ints
-        | Batch.Bigint, Ty.TTime -> int_vector QT.Time ints
-        | Batch.Bigint, Ty.TTimestamp -> int_vector QT.Timestamp ints
-        | Batch.Bigint, _ -> int_vector QT.Long ints
-        | kind, ty when Batch.kind_of_type ty <> Some kind -> boxed ()
-        | Batch.Date, _ -> int_vector QT.Date ints
-        | Batch.Time, _ -> int_vector QT.Time ints
-        | Batch.Timestamp, _ -> int_vector QT.Timestamp ints
-        | Batch.Bool, _ -> int_vector QT.Bool ints)
-    | Batch.DFloat a ->
-        typed QT.Float (fun () ->
-            if not c.Batch.has_nulls then
-              QV.Floats (if Array.length a = n then a else Array.sub a 0 n)
-            else
-              let b = Array.sub a 0 n in
-              for i = 0 to n - 1 do
-                if null i then Array.unsafe_set b i Float.nan
-              done;
-              QV.Floats b)
-    | Batch.DStr { codes; dict } -> (
-        let str i = dict.(codes.(i)) in
-        let syms () =
-          typed QT.Sym (fun () ->
-              let out = Array.make n "" in
-              (* without NULLs, no call per row *)
-              if c.Batch.has_nulls then
-                for i = 0 to n - 1 do
-                  if not (null i) then Array.unsafe_set out i dict.(codes.(i))
-                done
-              else
-                for i = 0 to n - 1 do
-                  Array.unsafe_set out i dict.(codes.(i))
-                done;
-              QV.Syms out)
-        in
-        if ty = Ty.TVarchar then syms ()
-        else
-          (* a text column pivots one-byte strings to chars, others to
-             symbols; a column with both is a general list *)
-          let ones = ref 0 and used = ref 0 in
-          for i = 0 to n - 1 do
-            if not (null i) then begin
-              incr used;
-              if String.length (str i) = 1 then incr ones
-            end
-          done;
-          if !ones = 0 then syms ()
-          else if !ones = !used then
-            typed QT.Char (fun () ->
-                QV.Chars
-                  (Bytes.init n (fun i ->
-                       if null i then ' ' else String.unsafe_get (str i) 0)))
-          else boxed ())
-    | Batch.DVal _ -> boxed ()
+  match (c.Batch.data, qt) with
+  | Batch.DInt { ints; _ }, (QT.Long | QT.Date | QT.Time | QT.Timestamp | QT.Bool)
+    ->
+      QV.Vector (qt, int_payload ints)
+  | Batch.DFloat a, QT.Float ->
+      QV.Vector
+        ( qt,
+          if not c.Batch.has_nulls then
+            QV.Floats (if Array.length a = n then a else Array.sub a 0 n)
+          else
+            let b = Array.sub a 0 n in
+            for i = 0 to n - 1 do
+              if null i then Array.unsafe_set b i Float.nan
+            done;
+            QV.Floats b )
+  | Batch.DStr { codes; dict }, QT.Sym ->
+      let out = Array.make n "" in
+      (* without NULLs, no call per row *)
+      if c.Batch.has_nulls then
+        for i = 0 to n - 1 do
+          if not (null i) then Array.unsafe_set out i dict.(codes.(i))
+        done
+      else
+        for i = 0 to n - 1 do
+          Array.unsafe_set out i dict.(codes.(i))
+        done;
+      QV.Vector (qt, QV.Syms out)
+  | Batch.DStr { codes; dict }, QT.Char ->
+      QV.Vector
+        ( qt,
+          QV.Chars
+            (Bytes.init n (fun i ->
+                 if null i then ' ' else Typemap.char_of_text dict.(codes.(i))))
+        )
+  | _ ->
+      QV.vector qt
+        (Array.init n (fun i -> Typemap.atom_of_value ty (Batch.value_at c i)))
 
 let table_of_result (res : Backend.result) : QV.table =
   let n = res.Backend.res_nrows in
@@ -479,6 +442,8 @@ let run_statement (t : t) (stmt : Ast.expr) : run_result =
       let value =
         match v with
         | Binder.BRel brel -> fst (execute_rel t brel)
+        | Binder.BScalar (I.Const (A.Str s, Ty.TText)) when String.length s <> 1 ->
+            QV.string_ s
         | Binder.BScalar (I.Const (l, ty)) -> QV.Atom (atom_of_lit (l, ty))
         | Binder.BScalar s -> execute_scalar t s
         | Binder.BList ls -> value_of_list ls
@@ -749,6 +714,8 @@ let try_run (t : t) (an : F.analysis) : (run_result, string) result =
   | r -> Ok r
   | exception Hq_error { category; message } ->
       fail (Printf.sprintf "[%s] %s" category message)
+  | exception Typemap.Not_a_char s ->
+      fail (Printf.sprintf "[pivot] text value %S is not one char" s)
   | exception Binder.Unsupported m -> fail (Printf.sprintf "[unsupported] %s" m)
   | exception I.Bind_error m -> fail (Printf.sprintf "[bind] %s" m)
   | exception Serializer.Serialize_error m ->

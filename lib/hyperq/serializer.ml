@@ -30,6 +30,7 @@ let fresh_alias st prefix =
 
 let rec sql_of_scalar (st : state) (s : I.scalar) : A.expr =
   let r = sql_of_scalar st in
+  let v = sql_of_value st in
   match s with
   | I.Const (l, _) -> (
       match l with
@@ -66,11 +67,9 @@ let rec sql_of_scalar (st : state) (s : I.scalar) : A.expr =
   | I.Within (a, lo, hi) -> A.Between (r a, r lo, r hi)
   | I.LikePat (a, p) -> A.Like (r a, A.Lit (A.Str p))
   | I.Case (branches, else_) ->
-      A.Case
-        ( List.map (fun (c, v) -> (r c, r v)) branches,
-          Option.map r else_ )
+      A.Case (List.map (fun (c, x) -> (r c, v x)) branches, Option.map v else_)
   | I.Cast (a, ty) -> A.Cast (r a, ty)
-  | I.ScalarFun (fn, args) -> A.Fun (fn, List.map r args)
+  | I.ScalarFun (fn, args) -> A.Fun (fn, List.map v args)
   | I.AggFun { fn = "count"; args = []; _ } ->
       A.Agg { agg_name = "count"; distinct = false; args = [ A.Star ] }
   | I.AggFun { fn; distinct; args } ->
@@ -87,6 +86,15 @@ let rec sql_of_scalar (st : state) (s : I.scalar) : A.expr =
               order;
           frame;
         }
+
+(* a scalar whose value becomes a column's: a NULL or a symbol constant,
+   whose literal alone the backend would type as text, is cast to its
+   type, so the column's SQL type is the IR's *)
+and sql_of_value (st : state) (s : I.scalar) : A.expr =
+  match s with
+  | I.Const (((A.Null | A.Str _) as l), ty) when ty <> Catalog.Sqltype.TText ->
+      A.Cast (A.Lit l, ty)
+  | s -> sql_of_scalar st s
 
 (* ------------------------------------------------------------------ *)
 (* Flattening predicates                                               *)
@@ -162,7 +170,7 @@ let rec select_of_rel (st : state) (r : I.rel) : A.select =
       let s = select_of_rel st input in
       let projs =
         List.map
-          (fun (n, sc) -> { A.p_expr = sql_of_scalar st sc; p_alias = Some n })
+          (fun (n, sc) -> { A.p_expr = sql_of_value st sc; p_alias = Some n })
           exprs
       in
       if can_extend s then { s with A.projs }
@@ -173,7 +181,7 @@ let rec select_of_rel (st : state) (r : I.rel) : A.select =
       let s = select_of_rel st input in
       let projs =
         List.map
-          (fun (n, sc) -> { A.p_expr = sql_of_scalar st sc; p_alias = Some n })
+          (fun (n, sc) -> { A.p_expr = sql_of_value st sc; p_alias = Some n })
           (keys @ aggs)
       in
       let group_by = List.map (fun (_, sc) -> sql_of_scalar st sc) keys in
@@ -190,7 +198,7 @@ let rec select_of_rel (st : state) (r : I.rel) : A.select =
       in
       let win_projs =
         List.map
-          (fun (n, sc) -> { A.p_expr = sql_of_scalar st sc; p_alias = Some n })
+          (fun (n, sc) -> { A.p_expr = sql_of_value st sc; p_alias = Some n })
           wins
       in
       if can_extend s then { s with A.projs = base_projs @ win_projs }
@@ -471,4 +479,4 @@ let serialize (r : I.rel) : A.select =
 let serialize_to_sql (r : I.rel) : string = A.select_str (serialize r)
 
 (** Serialize one scalar for a FROM-less SELECT. *)
-let sql_of_scalar (s : I.scalar) : A.expr = sql_of_scalar { alias_counter = 0 } s
+let sql_of_scalar (s : I.scalar) : A.expr = sql_of_value { alias_counter = 0 } s

@@ -122,11 +122,19 @@ let signum =
 (** [x ^ y]: fill — replace nulls in [y] with [x]. *)
 let fill = atomic2 (fun x y -> if Atom.is_null y then x else y)
 
+(* [rs], items a verb made from [v]'s, as a list: of [v]'s type when
+   there are none and [v] is a typed vector, since a column's Q type
+   does not depend on its row count *)
+let like (v : Value.t) (rs : Value.t array) : Value.t =
+  match (v, rs) with
+  | Value.Vector (ty, _), [||] -> Value.vector ty [||]
+  | _ -> Value.of_values rs
+
 (** [prev]: shift right, null-filling the head; [next] shifts left. *)
 let prev_v v =
   let xs = Value.elements v in
   let n = Array.length xs in
-  Value.of_values
+  like v
     (Array.init n (fun i ->
          if i = 0 then
            match xs.(0) with
@@ -137,7 +145,7 @@ let prev_v v =
 let next_v v =
   let xs = Value.elements v in
   let n = Array.length xs in
-  Value.of_values
+  like v
     (Array.init n (fun i ->
          if i = n - 1 then
            match xs.(i) with
@@ -257,14 +265,15 @@ let avg_v v =
       let s = List.fold_left (fun acc a -> acc +. Atom.to_float a) 0.0 atoms in
       Value.float (s /. float_of_int (List.length atoms))
 
+(* min and max of no value: the null of [v]'s type *)
 let min_agg v =
   match non_null_atoms v with
-  | [] -> Value.null Qtype.Long
+  | [] -> Value.null_item v
   | a :: rest -> Value.Atom (List.fold_left Atom.min_ a rest)
 
 let max_agg v =
   match non_null_atoms v with
-  | [] -> Value.null Qtype.Long
+  | [] -> Value.null_item v
   | a :: rest -> Value.Atom (List.fold_left Atom.max_ a rest)
 
 let med_v v =
@@ -318,7 +327,7 @@ let any_v v =
 let running (f : Atom.t -> Atom.t -> Atom.t) v =
   let xs = Value.atoms_exn v in
   let acc = ref None in
-  Value.vector_of_atoms
+  like v @@ Array.map (fun a -> Value.Atom a)
     (Array.map
        (fun x ->
          match !acc with
@@ -340,7 +349,7 @@ let mins = running Atom.min_
 (** [deltas]: first element unchanged, then pairwise differences. *)
 let deltas v =
   let xs = Value.atoms_exn v in
-  Value.vector_of_atoms
+  like v @@ Array.map (fun a -> Value.Atom a)
     (Array.mapi (fun i x -> if i = 0 then x else Atom.sub x xs.(i - 1)) xs)
 
 let ratios v =
@@ -361,10 +370,16 @@ let moving (agg : Value.t -> Value.t) n v =
         fun lo k -> Value.vector ty (Array.sub atoms lo k)
     | _ -> fun lo k -> Value.of_values (Array.sub xs lo k)
   in
-  Value.of_values
-    (Array.init len (fun i ->
-         let lo = Stdlib.max 0 (i - n + 1) in
-         agg (window lo (i - lo + 1))))
+  if len = 0 then
+    (* the type [agg] gives a window of no item *)
+    match agg (window 0 0) with
+    | Value.Atom a -> Value.vector (Atom.qtype a) [||]
+    | _ -> Value.List [||]
+  else
+    Value.of_values
+      (Array.init len (fun i ->
+           let lo = Stdlib.max 0 (i - n + 1) in
+           agg (window lo (i - lo + 1))))
 
 let mavg n v = moving avg_v n v
 let msum n v = moving sum_v n v
@@ -407,10 +422,11 @@ let xbar =
 
 (** [x in y]: membership; broadcasts over the left argument. *)
 let rec in_v a b =
+  let ys = Value.elements b in
+  let member x = Array.exists (fun y -> Value.equal x y) ys in
   match a with
-  | Value.Atom _ ->
-      let ys = Value.elements b in
-      Value.bool (Array.exists (fun y -> Value.equal a y) ys)
+  | Value.Atom _ -> Value.bool (member a)
+  | Value.Vector _ -> Value.bools (Array.map member (Value.elements a))
   | _ ->
       Value.of_values (Array.map (fun x -> in_v x b) (Value.elements a))
 

@@ -132,7 +132,7 @@ let resolve (sess : session) (name : string) : Exec.binding list * Batch.t =
             {
               Exec.b_qual = None;
               b_name = c.S.col_name;
-              b_type = Some c.S.col_type;
+              b_type = c.S.col_type;
             })
           tbl.Storage.def.S.tbl_columns
       in

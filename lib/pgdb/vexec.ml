@@ -71,6 +71,19 @@ let index_of (x : A.expr) (l : A.expr list) : int option =
   in
   go 0 l
 
+(* how each value of [e] takes its type ({!Exec.widening}) *)
+let widening (sc : scope) (e : A.expr) : Value.t -> Value.t =
+  Option.value (Exec.widening sc.bindings e) ~default:Fun.id
+
+(* [ce], the compiled [e], with each value widened *)
+let widened (sc : scope) (e : A.expr) (ce : data -> cexpr) : data -> cexpr =
+  match Exec.widening sc.bindings e with
+  | None -> ce
+  | Some w ->
+      fun d ->
+        let ce = ce d in
+        fun i -> w (ce i)
+
 let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
   let comp e = compile_expr sc e in
   match e with
@@ -153,16 +166,16 @@ let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
   | A.Case (branches, else_) ->
       let cbs = List.map (fun (c, r) -> (comp c, comp r)) branches in
       let celse = Option.map comp else_ in
-      fun d ->
-        let cbs = List.map (fun (c, r) -> (c d, r d)) cbs in
-        let celse = Option.map (fun ce -> ce d) celse in
-        fun i ->
-          let rec go = function
-            | [] -> ( match celse with Some ce -> ce i | None -> Value.Null)
-            | (cc, cr) :: rest ->
-                if Value.is_true (cc i) then cr i else go rest
-          in
-          go cbs
+      widened sc e (fun d ->
+          let cbs = List.map (fun (c, r) -> (c d, r d)) cbs in
+          let celse = Option.map (fun ce -> ce d) celse in
+          fun i ->
+            let rec go = function
+              | [] -> ( match celse with Some ce -> ce i | None -> Value.Null)
+              | (cc, cr) :: rest ->
+                  if Value.is_true (cc i) then cr i else go rest
+            in
+            go cbs)
   | A.Cast (a, ty) ->
       let ca = comp a in
       fun d ->
@@ -171,9 +184,9 @@ let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
   | A.Fun (f, args) ->
       let cargs = List.map comp args in
       let f = Exec.scalar_fun f (List.length args) in
-      fun d ->
-        let cargs = List.map (fun ca -> ca d) cargs in
-        fun i -> f (List.map (fun ca -> ca i) cargs)
+      widened sc e (fun d ->
+          let cargs = List.map (fun ca -> ca d) cargs in
+          fun i -> f (List.map (fun ca -> ca i) cargs))
   | A.Like (a, p) -> (
       let ca = comp a in
       match p with
@@ -1365,9 +1378,10 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) :
   | A.Fun (f, args) when Exec.expr_has_agg e ->
       let cargs = List.map comp args in
       let f = Exec.scalar_fun f (List.length args) in
+      let w = widening sc e in
       fun d gr ->
         let cargs = List.map (fun ca -> ca d gr) cargs in
-        fun g -> f (List.map (fun ca -> ca g) cargs)
+        fun g -> w (f (List.map (fun ca -> ca g) cargs))
   | A.IsNull a when Exec.expr_has_agg e ->
       let ca = comp a in
       fun d gr ->
@@ -1376,6 +1390,7 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) :
   | A.Case (branches, else_) when Exec.expr_has_agg e ->
       let cbs = List.map (fun (c, r) -> (comp c, comp r)) branches in
       let celse = Option.map comp else_ in
+      let w = widening sc e in
       fun d gr ->
         let cbs = List.map (fun (c, r) -> (c d gr, r d gr)) cbs in
         let celse = Option.map (fun ce -> ce d gr) celse in
@@ -1385,7 +1400,7 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) :
             | (cc, cr) :: rest ->
                 if Value.is_true (cc g) then cr g else go rest
           in
-          go cbs
+          w (go cbs)
   | A.Between (a, lo, hi) when Exec.expr_has_agg e ->
       let ca = comp a and clo = comp lo and chi = comp hi in
       fun d gr ->
@@ -2424,19 +2439,13 @@ let ocol_column : ocol -> Batch.column = function
   | Computed v -> Batch.column_of_values v
 
 (* what a planned SELECT yields when run *)
-type output = {
-  o_nrows : int;
-  o_cols : ocol array;
-  o_types : Catalog.Sqltype.t list;
-  o_plan : Opstats.node option;
-}
+type output = { o_nrows : int; o_cols : ocol array; o_plan : Opstats.node option }
 
-(* a planned FROM item: its bindings (a derived table's types are known
-   only once it has run, so [fp_run] returns the typed list) and the
-   thunk that produces the source *)
+(* a planned FROM item: its bindings, typed when planned, and the thunk
+   that produces the source *)
 type from_plan = {
   fp_bindings : Exec.binding list;
-  fp_run : unit -> source * Exec.binding list * Opstats.node option;
+  fp_run : unit -> source * Opstats.node option;
 }
 
 let expand_stars (bindings : Exec.binding list) (projs : A.proj list) :
@@ -2488,7 +2497,6 @@ let values_plan ~(collect : bool) : from_plan =
             values = (fun j _ -> no_columns j);
             gather = (fun j _ -> no_columns j);
           },
-          [],
           if collect then
             Some
               (Opstats.leaf ~op:"vector_values" ~detail:"" ~est_rows:1
@@ -2549,8 +2557,7 @@ let select_has_agg (s : A.select) (projs : A.proj list) : bool =
    of a SELECT without aggregates, ORDER BY or LIMIT whose projections
    are all plain columns or windows. Its output is then its rows in
    WHERE order and every computed column is a window that numbers all
-   of them, so each column's type is read from all rows, as without the
-   cut. *)
+   of them. *)
 let rank_cut (s : A.select) (projs : A.proj list) ~(has_agg : bool)
     (limits : (string * int) list) : (A.expr * int) option =
   if
@@ -2562,15 +2569,10 @@ let rank_cut (s : A.select) (projs : A.proj list) ~(has_agg : bool)
             projs)
   then None
   else
-    let outs =
-      List.mapi
-        (fun k p ->
-          { Exec.b_qual = None; b_name = Exec.proj_name k p; b_type = None })
-        projs
-    in
+    let outs = List.mapi Exec.proj_name projs in
     List.find_map
       (fun (c, k) ->
-        match (List.nth projs (Exec.find_binding outs None c)).A.p_expr with
+        match (List.nth projs (Exec.find_name outs c)).A.p_expr with
         | A.Window { win_fn; win_args = []; _ } as w
           when String.lowercase_ascii win_fn = "row_number" ->
             Some (w, k)
@@ -2652,27 +2654,16 @@ let survivors (b : bufs) (all : Batch.sel)
       total := need);
   if !total = Array.length all then all else Array.sub b.b_spill 0 !total
 
-(* the type of the first non-NULL value among [get 0 .. get (n - 1)],
-   text when there is none: how a computed column is typed *)
-let first_type (n : int) (get : int -> Value.t) : Catalog.Sqltype.t =
-  let rec scan r =
-    if r >= n then Catalog.Sqltype.TText
-    else match Value.type_of (get r) with Some ty -> ty | None -> scan (r + 1)
-  in
-  scan 0
-
-(* a planned SELECT's output as a source whose bindings [alias]
-   qualifies; [run] also returns the source's operator node. The column
-   types are known only once the SELECT has run. *)
-let derived_source (names : string list) (alias : string)
+(* a planned SELECT's output, the columns [cols], as a source whose
+   bindings [alias] qualifies; [run] also returns the source's operator
+   node *)
+let derived_source (cols : (string * Catalog.Sqltype.t) list) (alias : string)
     (run : unit -> output * Opstats.node option) : from_plan =
-  let qualify types =
-    List.map2
-      (fun n ty -> { Exec.b_qual = Some alias; b_name = n; b_type = ty })
-      names types
-  in
   {
-    fp_bindings = qualify (List.map (fun _ -> None) names);
+    fp_bindings =
+      List.map
+        (fun (n, ty) -> { Exec.b_qual = Some alias; b_name = n; b_type = ty })
+        cols;
     fp_run =
       (fun () ->
         let o, node = run () in
@@ -2684,7 +2675,6 @@ let derived_source (names : string list) (alias : string)
             values = (fun k idx -> ocol_values o.o_cols.(k) idx);
             gather = (fun k idx -> ocol_gather o.o_cols.(k) idx);
           },
-          qualify (List.map Option.some o.o_types),
           node ));
   }
 
@@ -2765,23 +2755,22 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
                 values = (fun j -> Batch.values b.Batch.cols.(j));
                 gather = (fun j -> Batch.gather b.Batch.cols.(j));
               },
-              bindings,
               node ));
       }
   | A.SubqueryRef (sel, alias) ->
       plan_derived ~limits:[] ~resolve ~collect sel alias
   | A.UnionRef (sels, alias) ->
       let branches = List.map (plan_select ~limits:[] ~resolve ~collect) sels in
-      let names =
+      let cols =
         match branches with
         | [] -> Errors.syntax_error "empty UNION"
-        | (names, _) :: _ -> names
+        | (cols, _) :: _ -> cols
       in
-      let width = List.length names in
-      if List.exists (fun (n, _) -> List.length n <> width) branches then
+      let width = List.length cols in
+      if List.exists (fun (c, _) -> List.length c <> width) branches then
         Errors.syntax_error
           "each UNION query must have the same number of columns";
-      derived_source names alias (fun () ->
+      derived_source cols alias (fun () ->
           let outs = List.map (fun (_, run) -> run ()) branches in
           let t0 = if collect then Exec.now_ns () else 0L in
           let nrows = List.fold_left (fun a o -> a + o.o_nrows) 0 outs in
@@ -2805,13 +2794,7 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
                    ~self_ns:(Int64.sub (Exec.now_ns ()) t0) ~children)
             else None
           in
-          ( {
-              o_nrows = nrows;
-              o_cols = cols;
-              o_types = (List.hd outs).o_types;
-              o_plan = node;
-            },
-            node ))
+          ({ o_nrows = nrows; o_cols = cols; o_plan = node }, node))
   | A.JoinItem { jkind; left; right; on } ->
       let left_outer = jkind = `Left in
       let lp = plan_from ~resolve ~collect left in
@@ -2872,8 +2855,8 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
         fp_bindings = bindings;
         fp_run =
           (fun () ->
-            let l, ltyped, lnode = lp.fp_run () in
-            let r, rtyped, rnode = rp.fp_run () in
+            let l, lnode = lp.fp_run () in
+            let r, rnode = rp.fp_run () in
             let t0 = if collect then Exec.now_ns () else 0L in
             let keys =
               List.map
@@ -2976,15 +2959,15 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
               end
               else None
             in
-            (src, ltyped @ rtyped, node));
+            (src, node));
       }
 
 (* a derived table: the SELECT's output as a source; [limits] are the
    rank limits the enclosing query places on it *)
 and plan_derived ~limits ~resolve ~collect (sel : A.select) (alias : string)
     : from_plan =
-  let names, run = plan_select ~limits ~resolve ~collect sel in
-  derived_source names alias (fun () ->
+  let cols, run = plan_select ~limits ~resolve ~collect sel in
+  derived_source cols alias (fun () ->
       let o = run () in
       ( o,
         if collect then
@@ -3000,12 +2983,13 @@ and plan_derived ~limits ~resolve ~collect (sel : A.select) (alias : string)
 
 (* Plan a SELECT: FROM tree, WHERE kernels, then either hash
    aggregation or windows + projections, then ORDER BY and LIMIT.
-   Returns the output column names and the thunk that runs it. [limits]
+   Returns the output columns, each name with its type, and the thunk
+   that runs it. [limits]
    are the enclosing query's rank limits on this SELECT's columns (see
    [rank_limits]); a FROM that is one derived table passes this WHERE's
    limits down to it. *)
 and plan_select ~limits ~resolve ~collect (s : A.select) :
-    string list * (unit -> output) =
+    (string * Catalog.Sqltype.t) list * (unit -> output) =
   (* the as-of lowering: a SELECT without WHERE whose one window is cut
      at 1 hands that window to its FROM ([plan_from]). Without stars the
      projections are known before the FROM is planned. *)
@@ -3055,9 +3039,8 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
   let proj_index e = index_of e (List.map (fun p -> p.A.p_expr) projs) in
   (* the body's stage two: given the data, the chunk buffers, the WHERE
      as a [scan] of the source, and the opstats push, return the
-     row-space size, the sort keys over it, the output columns for a
-     final row order, and the types of projections typed before the
-     final order (the cut's windows) *)
+     row-space size, the sort keys over it, and the output columns for a
+     final row order *)
   let body :
       source ->
       data ->
@@ -3066,10 +3049,7 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
       (?self_ns:int64 -> op:string -> detail:string -> est_rows:int ->
       rows_in:int -> rows_out:int -> unit -> unit) ->
       (unit -> int) ->
-      int
-      * sort_key list
-      * (int array -> ocol array)
-      * (int -> Catalog.Sqltype.t option) =
+      int * sort_key list * (int array -> ocol array) =
     if has_agg then begin
       (* aggregate context: windows are out of scope, so every compile
          here sees none and a window anywhere falls back *)
@@ -3176,9 +3156,8 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
           ~rows_in:!rows_in ~rows_out:ng ();
         ( ng,
           keys,
-          (fun fin ->
-            Array.map (fun v -> Computed (Array.map (Array.get v) fin)) vals),
-          fun _ -> None )
+          fun fin ->
+            Array.map (fun v -> Computed (Array.map (Array.get v) fin)) vals )
     end
     else begin
       let windows = select_windows projs s in
@@ -3236,21 +3215,8 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
                  a)
                wplans)
         in
-        let all = sel and sel = !kept in
+        let sel = !kept in
         let n = Array.length sel in
-        (* with the cut, a window projection's type: its first non-NULL
-           value over every row it saw; the cut window numbers them all *)
-        let pretyped k =
-          match (top, (List.nth projs k).A.p_expr) with
-          | Some (tw, _), w when w = tw ->
-              Some
-                (if Array.length all = 0 then Catalog.Sqltype.TText
-                 else Catalog.Sqltype.TBigint)
-          | Some _, (A.Window _ as w) ->
-              let a = warrs.(Option.get (index_of w windows)) in
-              Some (first_type (Array.length all) (fun t -> a.(all.(t))))
-          | _ -> None
-        in
         let d = { d with win = Array.get warrs } in
         let cprojs =
           Array.of_list
@@ -3290,19 +3256,19 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
           ~est_rows:(cur_est ()) ~rows_in:n ~rows_out:n ();
         ( n,
           keys,
-          (fun fin ->
+          fun fin ->
             let rows = Array.map (Array.get sel) fin in
             Array.map
               (function
                 | `Plain j -> Through (src, j, rows)
                 | `Expr (_, v) -> Computed (Array.map (Array.get v) fin))
-              cprojs),
-          pretyped )
+              cprojs )
     end
   in
-  ( out_names,
+  let types = List.map (fun p -> Exec.expr_type bindings p.A.p_expr) projs in
+  ( List.combine out_names types,
     fun () ->
-      let src, typed, src_node = fp.fp_run () in
+      let src, src_node = fp.fp_run () in
       let d = { col = src.column; win = no_windows } in
       let kernels = Array.of_list (List.map (fun (_, k) -> k d) conjs) in
       (* opstats chain: each phase pushes one node on top of the last,
@@ -3363,7 +3329,7 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
             tally
       in
       (* ---- aggregation or windows + projection *)
-      let n, keys, columns, pretyped =
+      let n, keys, columns =
         match body src d b scan push cur_est with
         | r ->
             give_bufs b;
@@ -3397,25 +3363,7 @@ and plan_select ~limits ~resolve ~collect (s : A.select) :
             ~est_rows:(Stdlib.min l (cur_est ()))
             ~rows_in:n ~rows_out:count ())
         s.A.limit;
-      let cols = columns fin in
-      (* ---- column types, as Exec.infer_col_type: a plain column's
-         declared type, a cast's target, else the first non-null value *)
-      let types =
-        List.mapi
-          (fun k p ->
-            let declared =
-              match p.A.p_expr with
-              | A.Col (q, c) ->
-                  (List.nth typed (Exec.find_binding typed q c)).Exec.b_type
-              | A.Cast (_, ty) -> Some ty
-              | _ -> pretyped k
-            in
-            match declared with
-            | Some ty -> ty
-            | None -> first_type count (ocol_get cols.(k)))
-          projs
-      in
-      { o_nrows = count; o_cols = cols; o_types = types; o_plan = !cur } )
+      { o_nrows = count; o_cols = columns fin; o_plan = !cur } )
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -3427,14 +3375,14 @@ type outcome = {
 }
 
 let run ~(resolve : resolver) ~(collect : bool) (s : A.select) : outcome =
-  let names, run = plan_select ~limits:[] ~resolve ~collect s in
+  let cols, run = plan_select ~limits:[] ~resolve ~collect s in
   let o = run () in
   Atomic.incr stats_vector;
   ignore (Atomic.fetch_and_add stats_rows_out o.o_nrows);
   {
     vr_result =
       {
-        Exec.res_cols = List.combine names o.o_types;
+        Exec.res_cols = cols;
         res_nrows = o.o_nrows;
         res_columns = Array.map ocol_column o.o_cols;
       };

@@ -179,7 +179,8 @@ let vector (ty : Qtype.t) (atoms : Atom.t array) : t =
 
 (** Build the most specific list from an array of atoms: a typed vector if
     all atoms share one (non-null-ambiguous) type, otherwise a general
-    list. Null atoms adopt the type of their neighbours. *)
+    list. Null atoms adopt the type of their neighbours; nulls alone are
+    a vector of their one type, or of longs when their types differ. *)
 let vector_of_atoms (atoms : Atom.t array) : t =
   let n = Array.length atoms in
   if n = 0 then List [||]
@@ -198,9 +199,10 @@ let vector_of_atoms (atoms : Atom.t array) : t =
         (* nulls take the vector's element type; booleans and chars have
            no null in kdb+ (they collapse to 0b / blank) *)
         vector t atoms
-    | true, None ->
-        (* all nulls: a long-null vector *)
-        Vector (Qtype.Long, Ints (Ivec.make n long_null))
+    | true, None -> (
+        match atoms.(0) with
+        | Atom.Null t when Array.for_all (( = ) (Atom.Null t)) atoms -> vector t atoms
+        | _ -> Vector (Qtype.Long, Ints (Ivec.make n long_null)))
     | false, _ -> List (init_values n (fun i -> Atom (Array.unsafe_get atoms i)))
 
 (** Build a list value from arbitrary values, collapsing to a typed vector
@@ -349,15 +351,20 @@ let til n = longs (Array.init n Fun.id)
 
 let enlist v = of_values [| v |]
 
+(* the item [first] or [last] takes from an empty [v]: its type's null *)
+let null_item = function
+  | Vector (ty, _) -> Atom (Atom.Null ty)
+  | _ -> Atom (Atom.Null Qtype.Long)
+
 let first = function
   | Atom _ as a -> a
-  | v -> if length v = 0 then Atom (Atom.Null Qtype.Long) else index v 0
+  | v -> if length v = 0 then null_item v else index v 0
 
 let last = function
   | Atom _ as a -> a
   | v ->
       let n = length v in
-      if n = 0 then Atom (Atom.Null Qtype.Long) else index v (n - 1)
+      if n = 0 then null_item v else index v (n - 1)
 
 let rec rev = function
   | Atom _ as a -> a

@@ -22,39 +22,13 @@ module I = Xtra.Ir
 module Batch = Pgdb.Batch
 
 (* ------------------------------------------------------------------ *)
-(* Column bookkeeping                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-column output types across shards: shards sniff expression-column
-   types from their own rows, so an empty shard reports TText where a
-   populated one reports the real type. Prefer the first shard that
-   committed to a non-text type, exactly as a full-rowset sniff would. *)
-let merge_col_types (results : B.result list) :
-    (string * Catalog.Sqltype.t) list =
-  match results with
-  | [] -> []
-  | first :: _ ->
-      let types =
-        List.map (fun r -> Array.of_list (List.map snd r.B.res_cols)) results
-      in
-      List.mapi
-        (fun i (name, ty) ->
-          let ty =
-            List.fold_left
-              (fun acc tys ->
-                if acc <> Catalog.Sqltype.TText || i >= Array.length tys then acc
-                else tys.(i))
-              ty types
-          in
-          (name, ty))
-        first.B.res_cols
-
-(* ------------------------------------------------------------------ *)
 (* Concat                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* the shards' results one after another: every shard plans the
+   statement alike, so each describes the first one's columns *)
 let concat (results : B.result list) : B.result =
-  let cols = merge_col_types results in
+  let cols = match results with r :: _ -> r.B.res_cols | [] -> [] in
   {
     B.res_cols = cols;
     res_nrows = List.fold_left (fun n r -> n + r.B.res_nrows) 0 results;
@@ -138,7 +112,7 @@ let gather ?(collect = false) (plan : Router.plan) (results : B.result list) :
       let bindings =
         List.map
           (fun (b_name, ty) ->
-            { Pgdb.Exec.b_qual = None; b_name; b_type = Some ty })
+            { Pgdb.Exec.b_qual = None; b_name; b_type = ty })
           all.B.res_cols
       in
       let batch = Batch.of_columns all.B.res_nrows all.B.res_columns in

@@ -20,12 +20,9 @@
    passes x through where kdb answers a null.
 
    Q's [n#] repeats the rows of a table shorter than n, where SQL's
-   LIMIT stops. And pgdb types a computed column by its first non-NULL
-   value, and text when it has none: a computed symbol column is text,
-   whose one-byte values pivot to chars; an all-null column is a
-   long-null vector, and an empty result's computed column is chars.
-   The last two differ from kdb in type only, and [result_tags] reads
-   them off kdb's answer. *)
+   LIMIT stops. Every other case must agree with kdb by value and by
+   column type: pgdb types each column from its expression before a row
+   is read, so an empty or all-null column has its type. *)
 
 module QV = Qvalue.Value
 module QA = Qvalue.Atom
@@ -47,10 +44,7 @@ type tag =
   | Div_zero
   | Asof_null
   | Deltas
-  | Sym_text
   | Take
-  | All_null
-  | Empty
 
 type source = {
   src : string;
@@ -67,10 +61,7 @@ let tag_names =
     (Div_zero, "% by a possible zero");
     (Asof_null, "aj over a NULL time");
     (Deltas, "deltas after a null");
-    (Sym_text, "computed symbol column");
     (Take, "n# of fewer rows");
-    (All_null, "all-null column's type");
-    (Empty, "empty result's column types");
   ]
 
 let tag_name t = List.assoc t tag_names
@@ -331,31 +322,12 @@ let fby agg (c : col) (g : col) =
   }
 
 let tags (q : query) : tag list =
-  (* a symbol the SELECT computes rather than passes through; an
-     update's guarded column is a CASE. Every source has more rows than
-     a take draws, so only a where clause makes n# short *)
-  let computed e =
-    e.ty = QT.Sym && ((not e.atomic) || (q.form = Update && q.where <> []))
-  in
+  (* every source has more rows than a take draws, so only a where
+     clause makes n# short *)
   List.sort_uniq compare
     (q.source.src_tags
-    @ (if List.exists computed q.cols then [ Sym_text ] else [])
     @ (if q.take <> None && q.where <> [] then [ Take ] else [])
     @ List.concat_map (fun e -> e.tags) (q.cols @ q.where))
-
-(* the classes kdb's answer [v] shows: no rows, or a column of nulls *)
-let result_tags (v : QV.t) : tag list =
-  let columns =
-    match QV.unkey v with
-    | QV.Table t -> Array.to_list t.QV.data
-    | QV.Dict (k, v) -> [ k; v ]
-    | v -> [ v ]
-  in
-  let all_null c =
-    QV.length c > 0 && Array.for_all QA.is_null (QV.atoms_exn c)
-  in
-  (if List.exists (fun c -> QV.length c = 0) columns then [ Empty ] else [])
-  @ if List.exists all_null columns then [ All_null ] else []
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

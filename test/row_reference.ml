@@ -42,6 +42,10 @@ type eval_ctx = {
   mutable windows : (A.expr * Value.t array) list;
 }
 
+(* [v], a value of [e], as its type's ({!Exec.widening}) *)
+let widen (ctx : eval_ctx) (e : A.expr) (v : Value.t) : Value.t =
+  match widening ctx.bindings e with Some w -> w v | None -> v
+
 let rec eval_expr (ctx : eval_ctx) (row : Value.t array) (idx : int)
     (e : A.expr) : Value.t =
   match e with
@@ -88,10 +92,11 @@ let rec eval_expr (ctx : eval_ctx) (row : Value.t array) (idx : int)
               eval_expr ctx row idx r
             else go rest
       in
-      go branches)
+      widen ctx e (go branches))
   | A.Cast (a, ty) -> Value.cast ty (eval_expr ctx row idx a)
   | A.Fun (f, args) ->
-      scalar_fun f (List.length args) (List.map (eval_expr ctx row idx) args)
+      widen ctx e
+        (scalar_fun f (List.length args) (List.map (eval_expr ctx row idx) args))
   | A.Like (a, p) -> (
       match (eval_expr ctx row idx a, eval_expr ctx row idx p) with
       | Value.Null, _ | _, Value.Null -> Value.Null
@@ -129,8 +134,9 @@ let rec eval_agg_expr (ctx : eval_ctx) (group_rows : Value.t array array)
       eval_expr ctx [||] 0 (A.Un (op, A.Lit (lit_of (eval_agg_expr ctx group_rows a))))
   | A.Cast (a, ty) -> Value.cast ty (eval_agg_expr ctx group_rows a)
   | A.Fun (f, args) when expr_has_agg e ->
-      scalar_fun f (List.length args)
-        (List.map (eval_agg_expr ctx group_rows) args)
+      widen ctx e
+        (scalar_fun f (List.length args)
+           (List.map (eval_agg_expr ctx group_rows) args))
   | A.IsNull a when expr_has_agg e ->
       Value.Bool (Value.is_null (eval_agg_expr ctx group_rows a))
   | A.Case (branches, else_) when expr_has_agg e -> (
@@ -144,7 +150,7 @@ let rec eval_agg_expr (ctx : eval_ctx) (group_rows : Value.t array array)
               eval_agg_expr ctx group_rows r
             else go rest
       in
-      go branches)
+      widen ctx e (go branches))
   | A.Between (a, lo, hi) when expr_has_agg e ->
       let v = eval_agg_expr ctx group_rows a in
       let vlo = eval_agg_expr ctx group_rows lo in
@@ -348,7 +354,7 @@ let rec eval_from (env : env) (f : A.from_item) : rowset =
       {
         bindings =
           List.map
-            (fun (n, ty) -> { b_qual = Some alias; b_name = n; b_type = Some ty })
+            (fun (n, ty) -> { b_qual = Some alias; b_name = n; b_type = ty })
             res.res_cols;
         rows = Stored.result_rows res;
       }
@@ -390,8 +396,7 @@ let rec eval_from (env : env) (f : A.from_item) : rowset =
           {
             bindings =
               List.map
-                (fun (n, ty) ->
-                  { b_qual = Some alias; b_name = n; b_type = Some ty })
+                (fun (n, ty) -> { b_qual = Some alias; b_name = n; b_type = ty })
                 first.res_cols;
             rows;
           })
@@ -545,30 +550,6 @@ and eval_join (env : env) lnode rnode (l : rowset) (r : rowset) jkind
 (* ------------------------------------------------------------------ *)
 (* SELECT driver                                                       *)
 (* ------------------------------------------------------------------ *)
-
-and infer_col_type (bindings : binding list) (rows : Value.t array array)
-    (col : int) (e : A.expr) : Catalog.Sqltype.t =
-  (* prefer the declared type when the projection is a plain column *)
-  let declared =
-    match e with
-    | A.Col (q, c) -> (
-        match List.nth_opt bindings (try find_binding bindings q c with _ -> -1) with
-        | Some b -> b.b_type
-        | None -> None)
-    | A.Cast (_, ty) -> Some ty
-    | _ -> None
-  in
-  match declared with
-  | Some ty -> ty
-  | None ->
-      let rec scan i =
-        if i >= Array.length rows then Catalog.Sqltype.TText
-        else
-          match Value.type_of rows.(i).(col) with
-          | Some ty -> ty
-          | None -> scan (i + 1)
-      in
-      scan 0
 
 and run_select (env : env) (s : A.select) : result =
   let c = env.collect in
@@ -757,12 +738,8 @@ and run_select (env : env) (s : A.select) : result =
         ~est_rows:(Stdlib.min n (cur_est ()))
         ~rows_in:n_pre_limit ~rows_out:(List.length pairs)
   | _ -> ());
+  let types = List.map (fun p -> expr_type input.bindings p.A.p_expr) projs in
   let out_rows = Array.of_list (List.map fst pairs) in
-  let types =
-    List.mapi
-      (fun i p -> infer_col_type input.bindings out_rows i p.A.p_expr)
-      projs
-  in
   if c then env.plan <- !cur;
   {
     res_cols = List.combine out_names types;
@@ -786,7 +763,7 @@ let resolve (sess : Db.session) (name : string) : rowset =
             {
               b_qual = None;
               b_name = c.Catalog.Schema.col_name;
-              b_type = Some c.Catalog.Schema.col_type;
+              b_type = c.Catalog.Schema.col_type;
             })
           tbl.Storage.def.Catalog.Schema.tbl_columns;
       rows = Stored.rows tbl;

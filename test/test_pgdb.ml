@@ -59,7 +59,7 @@ let cell res i j = (Stored.result_rows res).(i).(j)
 (* name resolution: the first exact name match wins, then the first
    case-insensitive one; qualifiers always match case-insensitively *)
 let test_find_binding () =
-  let b q n = { Pgdb.Exec.b_qual = q; b_name = n; b_type = None } in
+  let b q n = { Pgdb.Exec.b_qual = q; b_name = n; b_type = Catalog.Sqltype.TBigint } in
   let bs =
     [ b (Some "T") "Price"; b (Some "t") "price"; b (Some "u") "PRICE";
       b None "x" ]

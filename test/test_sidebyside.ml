@@ -392,27 +392,20 @@ let check_case (p : paths) (c : Qgen.query) : (unit, string) result =
   in
   let kdb = Kdb.Server.query p.oracle ~client:0 q in
   let tags = Qgen.tags c in
-  let classes =
-    tags @ match kdb with Ok v -> Qgen.result_tags v | Error _ -> []
-  in
   let tally agrees =
     List.iter
       (fun t ->
         let n = List.assoc t tallies in
         if agrees then n.agree <- n.agree + 1 else n.diverge <- n.diverge + 1)
-      classes
+      tags
   in
   match (cross_path, sql_leg) with
   | Some d, _ | None, Some d -> Error d
   | None, None -> (
-      (* a class read off kdb's answer waives the type check, not the
-         values *)
-      match (tags, value_differ kdb direct, differ kdb direct) with
-      | _ :: _, _, verdict -> Ok (tally (verdict = None))
-      | [], Some d, _ -> Error ("kdb vs Hyper-Q: " ^ d)
-      | [], None, Some d when classes = [] -> Error ("kdb vs Hyper-Q: " ^ d)
-      | [], None, None when classes = [] -> Ok (incr untagged)
-      | [], None, verdict -> Ok (tally (verdict = None)))
+      match (tags, differ kdb direct) with
+      | _ :: _, verdict -> Ok (tally (verdict = None))
+      | [], Some d -> Error ("kdb vs Hyper-Q: " ^ d)
+      | [], None -> Ok (incr untagged))
 
 let test_differential (d : MD.dataset) () =
   with_paths d (fun p ->
@@ -464,7 +457,12 @@ let test_differential (d : MD.dataset) () =
          longer validates its templates leaves 86 *)
       if !cache_hits < n_cases * 3 / 8 then
         Alcotest.failf "only %d of %d repeated requests hit the plan cache"
-          !cache_hits n_cases)
+          !cache_hits n_cases;
+      (* with this seed 235 cases are untagged and agree with kdb by
+         value and type; a tag drawn more widely leaves fewer *)
+      if !untagged < 235 then
+        Alcotest.failf "only %d of %d cases agree with kdb untagged" !untagged
+          n_cases)
 
 (* one case per class that still diverges from kdb, alike on every
    path: when a lowering fixes a class, its probe fails here and the
@@ -477,10 +475,7 @@ let pinned_probes =
     (Qgen.Div_zero, "select y:f%x from nt");
     (Qgen.Asof_null, "aj[`s`t; select s, t, x from nt; select s, t, f from nt]");
     (Qgen.Deltas, "select c0:deltas x from nt");
-    (Qgen.Sym_text, "exec c0:first Exch from trades");
     (Qgen.Take, "5#select from nt where x=3");
-    (Qgen.All_null, "select d from nt where null d");
-    (Qgen.Empty, "select c0:Size+1 from trades where Size<0");
   ]
 
 let test_pinned (d : MD.dataset) q () =
@@ -493,6 +488,30 @@ let test_pinned (d : MD.dataset) q () =
           Option.iter
             (Alcotest.failf "%s: %s" name)
             (differ direct (P.Client.query c q)))
+        p.platforms)
+
+(* queries Hyper-Q once answered otherwise than kdb, each checked by
+   value and column type against kdb on every path: a computed symbol
+   column, an all-null column and an empty result's computed column,
+   whose types pgdb read off the rows *)
+let fixed_queries =
+  [
+    "exec c0:first Exch from trades";
+    "select d from nt where null d";
+    "select c0:Size+1 from trades where Size<0";
+  ]
+
+let test_fixed (d : MD.dataset) q () =
+  with_paths d (fun p ->
+      let kdb = Kdb.Server.query p.oracle ~client:0 q in
+      Result.iter_error (Alcotest.failf "kdb: %s") kdb;
+      Option.iter (Alcotest.failf "direct: %s") (differ kdb (fst (hq_answer p.direct q)));
+      List.iter
+        (fun (name, _, c) ->
+          (* the second request is the 1-node platform's plan-cache hit *)
+          for _ = 1 to 2 do
+            Option.iter (Alcotest.failf "%s: %s" name) (differ kdb (P.Client.query c q))
+          done)
         p.platforms)
 
 let () =
@@ -558,6 +577,10 @@ let () =
                  ("pinned: " ^ Qgen.tag_name t)
                  `Quick (test_pinned d q))
              pinned_probes );
+      ( "fixed queries",
+        List.map
+          (fun q -> Alcotest.test_case q `Quick (test_fixed d q))
+          fixed_queries );
       ( "required order",
         List.map
           (fun (name, q, n) ->
