@@ -57,7 +57,6 @@ let () =
   let trace_ring = ref Obs.Export.default_capacity in
   let plan_cache_size = ref Hyperq.Plancache.default_capacity in
   let shards = ref 1 in
-  let workers = ref 0 in
   let ts_interval = ref Obs.Timeseries.default_interval_s in
   let ts_ring = ref Obs.Timeseries.default_capacity in
   let slo_spec = ref "" in
@@ -103,10 +102,6 @@ let () =
          backends; shard-safe queries fan out, the rest run on the \
          coordinator (default 1 = unsharded); inspect with .hq.shards \
          or GET /shards.json" );
-      ( "--workers",
-        Arg.Set_int workers,
-        "N size of the shard dispatch domain pool (default = --shards \
-         minus 1: the coordinator runs the last shard's statement itself)" );
       ( "--ts-interval",
         Arg.Set_float ts_interval,
         Printf.sprintf
@@ -214,9 +209,7 @@ let () =
   at_exit (fun () -> Atomic.set sampler_stop true);
   let platform =
     P.create ~plan_cache_size:!plan_cache_size ~obs
-      ~shards:!shards
-      ?workers:(if !workers > 0 then Some !workers else None)
-      ~analyze_sample:!analyze_sample db
+      ~shards:!shards ~analyze_sample:!analyze_sample db
   in
   at_exit (fun () -> P.shutdown platform);
   let recorder = (P.obs platform).Obs.Ctx.recorder in

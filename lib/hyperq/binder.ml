@@ -349,7 +349,10 @@ let bind_monadic_on_scalar ctx (name : string) (arg : I.scalar) : I.scalar =
           | "fills" ->
               unsupported
                 "fills has no direct SQL translation in this version"
-          | "string" -> I.Cast (arg, Ty.TText)
+          | "string" ->
+              (* a string is a char list per item; SQL text is one char
+                 per row here *)
+              unsupported "string has no direct SQL translation in this version"
           | _ -> unsupported "monadic %s is not translatable" name))
 
 (* ------------------------------------------------------------------ *)
@@ -509,6 +512,8 @@ and bind_app1_value ctx (f : Ast.expr) (fx : bval) : bval =
           keys = [];
           shape = RTable;
         }
+  (* a constant enlisted is a one-item list *)
+  | Ast.Var "enlist", BScalar (I.Const (l, ty)) -> BList [ (l, ty) ]
   (* monadic primitive over a scalar/column *)
   | Ast.Var name, BScalar s -> BScalar (bind_monadic_on_scalar ctx name s)
   | Ast.Var name, BList ls when List.mem_assoc name agg_map ->
@@ -1252,6 +1257,9 @@ and bind_select ctx (sql : Ast.sql) rel1 ~ordcol : bound_rel =
       let shape =
         if is_exec then
           match bound_cols with
+          | [ (_, s) ] when I.scalar_cols s = [] && not (I.spans_rows s) ->
+              (* a constant names no column: kdb's exec is its atom *)
+              RAtom
           | [ (n, _) ] -> RVector n
           | _ -> RTable
         else RTable

@@ -46,21 +46,21 @@ type connection = {
     sharded execution: the distributed tables ([distributions], default
     [trades]/[quotes] on [Symbol]) are hash-partitioned across that many
     independent pgdb backends — each behind its own PG wire gateway,
-    pinned to one of [workers] domains (default [shards - 1]; the
-    coordinator's domain runs each fan-out's last target) — and every
+    pinned to one of [shards - 1] worker domains (the coordinator's
+    domain runs each fan-out's last target) — and every
     other table is replicated to all of them. The coordinator [db] keeps
     the full data set, so statements the router cannot prove shard-safe
     fall back unchanged. [materialization] is passed to every connection's
     engine. *)
 let create ?(users = [ ("trader", "pwd") ]) ?(materialization = `Logical)
     ?(plan_cache_size = Hyperq.Plancache.default_capacity) ?obs
-    ?(shards = 1) ?workers ?distributions ?(analyze_sample = 0)
+    ?(shards = 1) ?distributions ?(analyze_sample = 0)
     (db : Pgdb.Db.t) : t =
   let obs = match obs with Some o -> o | None -> Obs.Ctx.create () in
   let cluster =
     if shards > 1 then
       Some
-        (Shard.Cluster.create ?distributions ?workers ~shards
+        (Shard.Cluster.create ?distributions ~shards
            ~make_backend:(fun ~shard_id ~obs session ->
              Gateway.wire_backend
                ~extra_labels:[ ("shard", string_of_int shard_id) ]

@@ -118,11 +118,11 @@ let shard_selections (map : Shardmap.t) (c : Pgdb.Batch.column) (nrows : int)
   Array.map Array.of_list sels
 
 (** Partition [db]'s tables onto [shards] fresh pgdb backends, each made
-    by [make_backend] over its session. The dispatch pool has [workers]
-    domains, by default [shards - 1] (at least one): the coordinator
-    runs a fan-out's last target itself, and targets are ascending, so
-    the last shard needs no worker of its own. *)
-let create ?(distributions = default_distributions) ?workers ~shards
+    by [make_backend] over its session. The dispatch pool has
+    [shards - 1] domains (at least one): the coordinator runs a
+    fan-out's last target itself, and targets are ascending, so the last
+    shard needs no worker of its own. *)
+let create ?(distributions = default_distributions) ~shards
     ?(make_backend =
       fun ~shard_id:_ ~obs:_ session -> B.of_pgdb_session session)
     ?(obs = Obs.Ctx.create ()) (db : Pgdb.Db.t) : t =
@@ -212,9 +212,7 @@ let create ?(distributions = default_distributions) ?workers ~shards
   in
   (* the coordinator runs a fan-out's last (highest) target itself, so
      shard [shards - 1] needs no worker of its own *)
-  let pool =
-    Pool.create ~workers:(Option.value ~default:(shards - 1) workers)
-  in
+  let pool = Pool.create ~workers:(shards - 1) in
   let workers_g =
     M.gauge reg ~help:"Shard dispatch pool size" "hq_shard_pool_workers"
   in

@@ -155,7 +155,6 @@ let rec scalar_type (cols : colref list) (s : scalar) : Ty.t =
   | Case ([], Some e) -> scalar_type cols e
   | Case ([], None) -> Ty.TText
   | Cast (_, ty) -> ty
-  | ScalarFun (("upper" | "lower"), _) -> Ty.TText
   | ScalarFun ("sign", _) -> Ty.TBigint
   | ScalarFun (("sqrt" | "exp" | "ln"), _) -> Ty.TDouble
   | ScalarFun (_, a :: _) -> scalar_type cols a

@@ -739,11 +739,43 @@ let props =
       prop_sql_parser_never_crashes;
     ]
 
+(* A column's type is fixed when its statement is planned, so the
+   RowDescription sent before any DataRow holds it whatever the rows: an
+   empty result's computed column, an all-NULL plain column, and first
+   and max over varchar *)
+let test_row_description () =
+  let db = Db.create () in
+  Db.load_table db
+    (S.table "rd" [ S.column "s" Ty.TVarchar; S.column "d" Ty.TDate; S.column "n" Ty.TBigint ])
+    [ [| V.Str "A"; V.Null; V.Int 1L |]; [| V.Str "B"; V.Null; V.Int 2L |] ];
+  let sess = Db.open_session db in
+  let described sql =
+    let res = rows_of (Db.exec sess sql) in
+    match
+      Pgwire.Server.row_description res
+        (Array.make (List.length res.Pgdb.Exec.res_cols) Pgwire.Codec.Binary)
+    with
+    | Pgwire.Codec.RowDescription fields ->
+        List.map
+          (fun f ->
+            Ty.name (Option.get (Pgwire.Codec.type_of_oid f.Pgwire.Codec.fd_type_oid)))
+          fields
+    | _ -> Alcotest.fail "not a RowDescription"
+  in
+  let types = Alcotest.(list string) in
+  check types "empty computed column" [ "bigint" ]
+    (described "SELECT n + 1 AS c FROM rd WHERE n < 0");
+  check types "all-NULL plain column" [ "date" ] (described "SELECT d FROM rd");
+  check types "first and max over varchar" [ "varchar"; "varchar" ]
+    (described "SELECT first(s) AS f, max(s) AS m FROM rd")
+
 let () =
   Alcotest.run "pgdb"
     [
       ( "basic",
         [
+          Alcotest.test_case "row description before any row" `Quick
+            test_row_description;
           Alcotest.test_case "select all" `Quick test_select_all;
           Alcotest.test_case "where + projection" `Quick
             test_where_and_projection;

@@ -425,8 +425,8 @@ let test_coordinator_error () =
 (* The platform end-to-end at --shards 2                               *)
 (* ------------------------------------------------------------------ *)
 
-let with_platform ?shards ?workers ?distributions db f =
-  let p = P.create ?shards ?workers ?distributions db in
+let with_platform ?shards ?distributions db f =
+  let p = P.create ?shards ?distributions db in
   Fun.protect ~finally:(fun () -> P.shutdown p) (fun () -> f p)
 
 (* The coordinator statements of one request, each checked to be a read

@@ -493,12 +493,18 @@ let test_pinned (d : MD.dataset) q () =
 (* queries Hyper-Q once answered otherwise than kdb, each checked by
    value and column type against kdb on every path: a computed symbol
    column, an all-null column and an empty result's computed column,
-   whose types pgdb read off the rows *)
+   whose types pgdb read off the rows, upper of a symbol, exec of a
+   constant, and monadic enlist of an atom *)
 let fixed_queries =
   [
     "exec c0:first Exch from trades";
     "select d from nt where null d";
     "select c0:Size+1 from trades where Size<0";
+    "select u:upper Exch from trades";
+    "exec c0:4600 from trades";
+    "select from trades where Symbol in enlist `AAA";
+    "trades lj ([Symbol:enlist `AAA] w:enlist 1.5)";
+    "count enlist 1.5";
   ]
 
 let test_fixed (d : MD.dataset) q () =
