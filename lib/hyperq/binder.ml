@@ -381,7 +381,7 @@ let rec bind (ctx : ctx) (e : Ast.expr) : bval =
   | Ast.App2 (f, x, y) -> bind_app2 ctx f x y
   | Ast.Apply (f, args) -> bind_apply ctx f args
   | Ast.Cond args -> bind_cond ctx args
-  | Ast.Sql sql -> BRel (bind_sql ctx sql)
+  | Ast.Sql sql -> bind_sql ctx sql
   | Ast.Lambda l -> BFun l
   | Ast.ListLit es -> (
       (* a list of scalars is an in-memory list *)
@@ -1111,7 +1111,7 @@ and extract_windows ctx (pred : I.scalar) :
   in
   (pred', List.rev !extracted)
 
-and bind_sql ctx (sql : Ast.sql) : bound_rel =
+and bind_sql ctx (sql : Ast.sql) : bval =
   let from_rel =
     match bind ctx sql.Ast.from with
     | BRel r -> r
@@ -1178,10 +1178,10 @@ and bind_sql ctx (sql : Ast.sql) : bound_rel =
                 ))
               (rel0, None) sql.Ast.filters
           in
-          bind_update ctx sql rel1 ~in_cols:cols0 ~pred
-      | Ast.Delete -> bind_delete ctx sql rel1)
+          BRel (bind_update ctx sql rel1 ~in_cols:cols0 ~pred)
+      | Ast.Delete -> BRel (bind_delete ctx sql rel1))
 
-and bind_select ctx (sql : Ast.sql) rel1 ~ordcol : bound_rel =
+and bind_select ctx (sql : Ast.sql) rel1 ~ordcol : bval =
   let named_cols =
     List.mapi
       (fun i (alias, e) ->
@@ -1221,51 +1221,47 @@ and bind_select ctx (sql : Ast.sql) rel1 ~ordcol : bound_rel =
     in
     if has_agg then begin
       let rel = I.Aggregate { input = rel1; keys = []; aggs = bound_cols } in
-      let shape =
-        if is_exec then RAtom
-        else RTable
-      in
-      { rel; keys = []; shape }
+      BRel { rel; keys = []; shape = (if is_exec then RAtom else RTable) }
     end
-    else begin
-      let exprs =
-        if bound_cols = [] then
-          List.map
-            (fun c -> (c.I.cr_name, I.ColRef c.I.cr_name))
-            (I.output_cols rel1)
-        else
-          (* keep the implicit order column flowing (it is pruned away
-             before the final projection by the Xformer if unused) *)
-          (match ordcol with
-          | Some oc when not (List.mem_assoc oc bound_cols) ->
-              (oc, I.ColRef oc)
-          | _ -> ("", I.ColRef ""))
-          :: bound_cols
-          |> List.filter (fun (n, _) -> n <> "")
-      in
-      let rel = I.Project { input = rel1; exprs } in
-      (* Q tables are ordered: declare the ordering requirement here; the
-         Xformer elides it when the consumer cannot observe it
-         (Section 3.3, Transparency) *)
-      let rel =
-        match I.order_col rel with
-        | Some oc ->
-            I.Sort
-              { input = rel; keys = [ { I.sk_expr = I.ColRef oc; sk_dir = `Asc } ] }
-        | None -> rel
-      in
-      let shape =
-        if is_exec then
-          match bound_cols with
-          | [ (_, s) ] when I.scalar_cols s = [] && not (I.spans_rows s) ->
-              (* a constant names no column: kdb's exec is its atom *)
-              RAtom
-          | [ (n, _) ] -> RVector n
-          | _ -> RTable
-        else RTable
-      in
-      { rel; keys = []; shape }
-    end
+    else
+      match bound_cols with
+      | [ (_, s) ] when is_exec && I.scalar_cols s = [] && not (I.spans_rows s) ->
+          (* an exec of what names no column is its value, whatever the
+             rows: kdb's atom, answered without them *)
+          BScalar s
+      | _ ->
+          let exprs =
+            if bound_cols = [] then
+              List.map
+                (fun c -> (c.I.cr_name, I.ColRef c.I.cr_name))
+                (I.output_cols rel1)
+            else
+              (* keep the implicit order column flowing (it is pruned away
+                 before the final projection by the Xformer if unused) *)
+              (match ordcol with
+              | Some oc when not (List.mem_assoc oc bound_cols) ->
+                  (oc, I.ColRef oc)
+              | _ -> ("", I.ColRef ""))
+              :: bound_cols
+              |> List.filter (fun (n, _) -> n <> "")
+          in
+          let rel = I.Project { input = rel1; exprs } in
+          (* Q tables are ordered: declare the ordering requirement here; the
+             Xformer elides it when the consumer cannot observe it
+             (Section 3.3, Transparency) *)
+          let rel =
+            match I.order_col rel with
+            | Some oc ->
+                I.Sort
+                  { input = rel; keys = [ { I.sk_expr = I.ColRef oc; sk_dir = `Asc } ] }
+            | None -> rel
+          in
+          let shape =
+            match bound_cols with
+            | [ (n, _) ] when is_exec -> RVector n
+            | _ -> RTable
+          in
+          BRel { rel; keys = []; shape }
   end
   else begin
     let by_cols =
@@ -1309,7 +1305,7 @@ and bind_select ctx (sql : Ast.sql) rel1 ~ordcol : bound_rel =
       if is_exec then RDict (key_names, List.map fst agg_cols)
       else RKeyed key_names
     in
-    { rel; keys = key_names; shape }
+    BRel { rel; keys = key_names; shape }
   end
 
 and scalar_contains_agg (s : I.scalar) : bool =

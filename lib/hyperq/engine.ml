@@ -216,12 +216,13 @@ module Batch = Pgdb.Batch
     names, or bools; so is a float payload. Without a NULL the vector
     shares it. With one the vector holds a copy with the type's null
     under each NULL: a result column may be stored data on the direct
-    backend, and a Q vector is never written. A text column's rows point
-    at its dictionary's strings: symbols for [varchar], chars for [text],
-    each a one-byte string. Any other column (all NULL, or no typed
-    payload) goes atom by atom through {!Typemap.atom_of_value} into
-    [ty]'s vector, where a NULL is the type's null (bool and char have
-    none: [0b], [" "]). *)
+    backend, and a Q vector is never written. A [varchar] column's rows
+    point at its dictionary's strings: symbols. A [text] column is chars
+    when every value is one byte long, else kdb's string form, a general
+    list of char vectors, a NULL the empty string. Any other column (all
+    NULL, or no payload of [ty]'s kind) goes atom by atom through
+    {!Typemap.atom_of_value} into [ty]'s vector, each cast to its type,
+    where a NULL is the type's null (bool has none: [0b]). *)
 let vector_of_column (ty : Ty.t) (n : int) (c : Batch.column) : QV.t =
   let qt = Typemap.qtype_of_sql ty in
   let null = Batch.is_null c in
@@ -235,8 +236,7 @@ let vector_of_column (ty : Ty.t) (n : int) (c : Batch.column) : QV.t =
       QV.Ints b
   in
   match (c.Batch.data, qt) with
-  | Batch.DInt { ints; _ }, (QT.Long | QT.Date | QT.Time | QT.Timestamp | QT.Bool)
-    ->
+  | Batch.DInt { kind; ints }, _ when Batch.kind_of_type ty = Some kind ->
       QV.Vector (qt, int_payload ints)
   | Batch.DFloat a, QT.Float ->
       QV.Vector
@@ -261,13 +261,14 @@ let vector_of_column (ty : Ty.t) (n : int) (c : Batch.column) : QV.t =
           Array.unsafe_set out i dict.(codes.(i))
         done;
       QV.Vector (qt, QV.Syms out)
-  | Batch.DStr { codes; dict }, QT.Char ->
-      QV.Vector
-        ( qt,
-          QV.Chars
-            (Bytes.init n (fun i ->
-                 if null i then ' ' else Typemap.char_of_text dict.(codes.(i))))
-        )
+  | _, QT.Char ->
+      (* a NULL reads as "" *)
+      let str i = match Batch.value_at c i with Pgdb.Value.Str s -> s | _ -> "" in
+      let rec chars i = i >= n || ((null i || String.length (str i) = 1) && chars (i + 1)) in
+      if chars 0 then
+        QV.Vector
+          (qt, QV.Chars (Bytes.init n (fun i -> if null i then ' ' else (str i).[0])))
+      else QV.List (Array.init n (fun i -> QV.string_ (str i)))
   | _ ->
       QV.vector qt
         (Array.init n (fun i -> Typemap.atom_of_value ty (Batch.value_at c i)))
@@ -395,14 +396,12 @@ let execute_scalar (t : t) (s : I.scalar) : QV.t =
   in
   match (res.Backend.res_cols, res.Backend.res_nrows) with
   | [ (_, ty) ], 1 ->
-      QV.Atom
-        (Typemap.atom_of_value ty
-           (Batch.value_at res.Backend.res_columns.(0) 0))
+      Typemap.q_of_value ty (Batch.value_at res.Backend.res_columns.(0) 0)
   | _ -> hq_error "backend" "scalar query returned a non-scalar result"
 
-(* a bound literal's Q atom: constants do not need the backend *)
-let atom_of_lit ((l, ty) : A.lit * Ty.t) : QA.t =
-  Typemap.atom_of_value ty
+(* a bound literal's Q value: constants do not need the backend *)
+let value_of_lit ((l, ty) : A.lit * Ty.t) : QV.t =
+  Typemap.q_of_value ty
     (match l with
     | A.Null -> Pgdb.Value.Null
     | A.Bool b -> Pgdb.Value.Bool b
@@ -414,7 +413,7 @@ let atom_of_lit ((l, ty) : A.lit * Ty.t) : QA.t =
         | _ -> Pgdb.Value.Str s))
 
 let value_of_list (ls : (A.lit * Ty.t) list) : QV.t =
-  QV.vector_of_atoms (Array.of_list (List.map atom_of_lit ls))
+  QV.of_values (Array.of_list (List.map value_of_lit ls))
 
 (** Execute one parsed Q statement. *)
 let run_statement (t : t) (stmt : Ast.expr) : run_result =
@@ -442,9 +441,7 @@ let run_statement (t : t) (stmt : Ast.expr) : run_result =
       let value =
         match v with
         | Binder.BRel brel -> fst (execute_rel t brel)
-        | Binder.BScalar (I.Const (A.Str s, Ty.TText)) when String.length s <> 1 ->
-            QV.string_ s
-        | Binder.BScalar (I.Const (l, ty)) -> QV.Atom (atom_of_lit (l, ty))
+        | Binder.BScalar (I.Const (l, ty)) -> value_of_lit (l, ty)
         | Binder.BScalar s -> execute_scalar t s
         | Binder.BList ls -> value_of_list ls
         | Binder.BFun l -> QV.string_ (Ast.to_string (Ast.Lambda l))
@@ -714,8 +711,6 @@ let try_run (t : t) (an : F.analysis) : (run_result, string) result =
   | r -> Ok r
   | exception Hq_error { category; message } ->
       fail (Printf.sprintf "[%s] %s" category message)
-  | exception Typemap.Not_a_char s ->
-      fail (Printf.sprintf "[pivot] text value %S is not one char" s)
   | exception Binder.Unsupported m -> fail (Printf.sprintf "[unsupported] %s" m)
   | exception I.Bind_error m -> fail (Printf.sprintf "[bind] %s" m)
   | exception Serializer.Serialize_error m ->

@@ -5,6 +5,7 @@
 module Ty = Catalog.Sqltype
 module QT = Qvalue.Qtype
 module QA = Qvalue.Atom
+module QV = Qvalue.Value
 module PV = Pgdb.Value
 
 let sql_of_qtype : QT.t -> Ty.t = function
@@ -54,15 +55,9 @@ let lit_of_atom (a : QA.t) : Sqlast.Ast.lit * Ty.t =
       | None -> (Sqlast.Ast.Null, Ty.TTimestamp))
   | QA.Null ty -> (Sqlast.Ast.Null, sql_of_qtype ty)
 
-(** A text value that is not one byte: a Q char column's cell must be. *)
-exception Not_a_char of string
-
-(** The Q char a [text] value holds. *)
-let char_of_text (s : string) : char =
-  if String.length s = 1 then String.unsafe_get s 0 else raise (Not_a_char s)
-
 (** SQL runtime value of a column of type [ty] -> Q atom of [ty]'s Q
-    type, for pivoting backend results into QIPC values. *)
+    type, for pivoting backend results into QIPC values. A [text] value
+    is one char here; {!q_of_value} takes any. *)
 let atom_of_value (ty : Ty.t) (v : PV.t) : QA.t =
   match v with
   | PV.Null -> QA.Null (qtype_of_sql ty)
@@ -74,7 +69,15 @@ let atom_of_value (ty : Ty.t) (v : PV.t) : QA.t =
       | Ty.TTimestamp -> QA.Timestamp i
       | _ -> QA.Long i)
   | PV.Float f -> QA.Float f
-  | PV.Str s -> ( match ty with Ty.TText -> QA.Char (char_of_text s) | _ -> QA.Sym s)
+  | PV.Str s -> if ty = Ty.TText then QA.Char s.[0] else QA.Sym s
   | PV.Date d -> QA.Date d
   | PV.Time t -> QA.Time t
   | PV.Timestamp n -> QA.Timestamp n
+
+(** SQL runtime value of a column of type [ty] -> Q value: its atom, or
+    the string (a char vector) kdb holds a [text] value in when it is
+    not one char. *)
+let q_of_value (ty : Ty.t) (v : PV.t) : QV.t =
+  match v with
+  | PV.Str s when ty = Ty.TText && String.length s <> 1 -> QV.string_ s
+  | v -> QV.Atom (atom_of_value ty v)

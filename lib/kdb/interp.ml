@@ -660,21 +660,18 @@ and push_cols env (t : Value.table) (indices : int array option) =
 
 and pop_cols env = env.cols <- List.tl env.cols
 
-(* [e]'s value over no row of [t]: what types a column whose rows are
-   none, since a column's Q type does not depend on its row count *)
-and eval_on_none env (t : Value.table) (e : Ast.expr) : Value.t option =
+(* [e]'s value over no row of [t], the sample that types a column of
+   no row ({!Value.of_values_like}); an untyped list when [e] fails
+   there *)
+and eval_on_none env (t : Value.table) (e : Ast.expr) : Value.t =
   push_cols env t (Some [||]);
-  let r = try Some (to_value (eval env e)) with _ -> None in
+  let r =
+    try to_value (eval env e) with
+    | Error.Q_error _ | Atom.Type_error _ | Value.Length_error | Value.Rank_error _ ->
+        Value.List [||]
+  in
   pop_cols env;
   r
-
-(* [vs] as a list; with no item, of the type of [none], a value over no
-   row *)
-and typed_list (none : Value.t option) (vs : Value.t array) : Value.t =
-  match (vs, none) with
-  | [||], Some (Value.Atom a) -> Value.vector (Atom.qtype a) [||]
-  | [||], Some (Value.Vector (ty, _)) -> Value.vector ty [||]
-  | vs, _ -> Value.of_values vs
 
 and eval_in_cols env (t : Value.table) (e : Ast.expr) : Value.t =
   push_cols env t None;
@@ -794,8 +791,7 @@ and eval_select env (sql : Ast.sql) (t0 : Value.table) : Value.t =
       List.mapi
         (fun ki name ->
           ( name,
-            typed_list
-              (Some (List.nth by_vals ki))
+            Value.of_values_like (List.nth by_vals ki)
               (Array.of_list (List.map (fun (k, _) -> List.nth k ki) groups))
           ))
         by_names
@@ -818,8 +814,8 @@ and eval_select env (sql : Ast.sql) (t0 : Value.table) : Value.t =
                 r)
               groups
           in
-          let none = if groups = [] then eval_on_none env t e else None in
-          (name, typed_list none (Array.of_list per_group)))
+          let none = if groups = [] then eval_on_none env t e else Value.List [||] in
+          (name, Value.of_values_like none (Array.of_list per_group)))
         col_specs
     in
     match sql.Ast.op with
@@ -893,11 +889,7 @@ and eval_update env (sql : Ast.sql) (t0 : Value.table) : Value.t =
           match Value.column t0 name with
           | Some c -> Array.map (fun v -> v) (Value.elements c)
           | None ->
-              Array.make n0
-                (match eval_on_none env t0 e with
-                | Some (Value.Atom a) -> Value.Atom (Atom.Null (Atom.qtype a))
-                | Some (Value.Vector (ty, _)) -> Value.Atom (Atom.Null ty)
-                | _ -> Value.Atom (Atom.Null Qtype.Long))
+              Array.make n0 (Value.null_like (eval_on_none env t0 e))
         in
         List.iter
           (fun ((_ : Value.t list), rows) ->
@@ -950,12 +942,7 @@ and eval_update env (sql : Ast.sql) (t0 : Value.table) : Value.t =
         let base =
           match Value.column !out name with
           | Some c -> Value.elements c
-          | None ->
-              Array.make n0
-                (match r with
-                | Value.Atom a -> Value.Atom (Atom.Null (Atom.qtype a))
-                | Value.Vector (ty, _) -> Value.Atom (Atom.Null ty)
-                | _ -> Value.Atom (Atom.Null Qtype.Long))
+          | None -> Array.make n0 (Value.null_like r)
         in
         let base = Array.copy base in
         (match r with

@@ -122,19 +122,11 @@ let signum =
 (** [x ^ y]: fill — replace nulls in [y] with [x]. *)
 let fill = atomic2 (fun x y -> if Atom.is_null y then x else y)
 
-(* [rs], items a verb made from [v]'s, as a list: of [v]'s type when
-   there are none and [v] is a typed vector, since a column's Q type
-   does not depend on its row count *)
-let like (v : Value.t) (rs : Value.t array) : Value.t =
-  match (v, rs) with
-  | Value.Vector (ty, _), [||] -> Value.vector ty [||]
-  | _ -> Value.of_values rs
-
 (** [prev]: shift right, null-filling the head; [next] shifts left. *)
 let prev_v v =
   let xs = Value.elements v in
   let n = Array.length xs in
-  like v
+  Value.of_values_like v
     (Array.init n (fun i ->
          if i = 0 then
            match xs.(0) with
@@ -145,7 +137,7 @@ let prev_v v =
 let next_v v =
   let xs = Value.elements v in
   let n = Array.length xs in
-  like v
+  Value.of_values_like v
     (Array.init n (fun i ->
          if i = n - 1 then
            match xs.(i) with
@@ -268,12 +260,12 @@ let avg_v v =
 (* min and max of no value: the null of [v]'s type *)
 let min_agg v =
   match non_null_atoms v with
-  | [] -> Value.null_item v
+  | [] -> Value.null_like v
   | a :: rest -> Value.Atom (List.fold_left Atom.min_ a rest)
 
 let max_agg v =
   match non_null_atoms v with
-  | [] -> Value.null_item v
+  | [] -> Value.null_like v
   | a :: rest -> Value.Atom (List.fold_left Atom.max_ a rest)
 
 let med_v v =
@@ -327,7 +319,7 @@ let any_v v =
 let running (f : Atom.t -> Atom.t -> Atom.t) v =
   let xs = Value.atoms_exn v in
   let acc = ref None in
-  like v @@ Array.map (fun a -> Value.Atom a)
+  Value.of_values_like v @@ Array.map (fun a -> Value.Atom a)
     (Array.map
        (fun x ->
          match !acc with
@@ -349,7 +341,7 @@ let mins = running Atom.min_
 (** [deltas]: first element unchanged, then pairwise differences. *)
 let deltas v =
   let xs = Value.atoms_exn v in
-  like v @@ Array.map (fun a -> Value.Atom a)
+  Value.of_values_like v @@ Array.map (fun a -> Value.Atom a)
     (Array.mapi (fun i x -> if i = 0 then x else Atom.sub x xs.(i - 1)) xs)
 
 let ratios v =
@@ -372,9 +364,7 @@ let moving (agg : Value.t -> Value.t) n v =
   in
   if len = 0 then
     (* the type [agg] gives a window of no item *)
-    match agg (window 0 0) with
-    | Value.Atom a -> Value.vector (Atom.qtype a) [||]
-    | _ -> Value.List [||]
+    Value.of_values_like (agg (window 0 0)) [||]
   else
     Value.of_values
       (Array.init len (fun i ->

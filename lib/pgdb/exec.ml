@@ -36,39 +36,26 @@ let equal_ci (a : string) (b : string) : bool =
   in
   go 0
 
-(* the position of [name] among [items], whose [qual_ok] the qualifier
-   admits: the first exact name match, failing that the first
-   case-insensitive one, failing that [undefined_column] *)
-let find_in (items : 'a list) (name_of : 'a -> string) (qual_ok : 'a -> bool)
-    (name : string) : int =
-  let rec go i ci = function
-    | [] -> if ci >= 0 then ci else error_undefined_column name
-    | b :: rest ->
-        let qual_ok = qual_ok b in
-        if qual_ok && String.equal (name_of b) name then i
-        else
-          let ci = if ci < 0 && qual_ok && equal_ci (name_of b) name then i else ci in
-          go (i + 1) ci rest
-  in
-  go 0 (-1) items
-
 (** Position of the column [qual.name] in [bindings]. The qualifier, when
     given, matches case-insensitively. The first binding whose name
     matches exactly wins; failing that, the first case-insensitive name
-    match; failing that, [undefined_column]. One pass. *)
+    match; failing that, [undefined_column]. One pass, no allocation. *)
 let find_binding (bindings : binding list) (qual : string option) (name : string) : int =
-  find_in bindings
-    (fun b -> b.b_name)
-    (fun b ->
-      match qual with
-      | None -> true
-      | Some q -> ( match b.b_qual with Some bq -> equal_ci bq q | None -> false))
-    name
-
-(** Position of the unqualified column [name] among output column
-    [names], as {!find_binding} resolves it. *)
-let find_name (names : string list) (name : string) : int =
-  find_in names Fun.id (fun _ -> true) name
+  let rec go i ci = function
+    | [] -> if ci >= 0 then ci else error_undefined_column name
+    | b :: rest ->
+        let qual_ok =
+          match qual with
+          | None -> true
+          | Some q -> (
+              match b.b_qual with Some bq -> equal_ci bq q | None -> false)
+        in
+        if qual_ok && String.equal b.b_name name then i
+        else
+          let ci = if ci < 0 && qual_ok && equal_ci b.b_name name then i else ci in
+          go (i + 1) ci rest
+  in
+  go 0 (-1) bindings
 
 (* ------------------------------------------------------------------ *)
 (* Key classes and the key order                                       *)
@@ -530,18 +517,13 @@ let arith_type (op : A.binop) (a : T.t) (b : T.t) : T.t =
   | _ -> T.TDouble
 
 (* the one type of a CASE's arms or of coalesce's, greatest's and
-   least's arguments: the first known one, a double when the others mix
-   bigint and double *)
+   least's arguments: the first known one, a double when that is a
+   bigint and another a double *)
 let common_type (tys : T.t option list) : T.t option =
   match List.filter_map Fun.id tys with
   | [] -> None
   | t :: rest ->
-      Some
-        (List.fold_left
-           (fun acc t ->
-             if acc <> t && T.is_numeric acc && T.is_numeric t then T.TDouble
-             else acc)
-           t rest)
+      Some (if t = T.TBigint && List.mem T.TDouble rest then T.TDouble else t)
 
 (* an expression's type; [None] for a bare NULL, whose type the
    expression around it decides, as PostgreSQL resolves an untyped
@@ -568,36 +550,22 @@ let rec type_of_expr (bindings : binding list) (e : A.expr) : T.t option =
   | A.Case (arms, default) ->
       common_type (List.map (fun (_, r) -> ty r) arms @ [ Option.bind default ty ])
   | A.Cast (_, t) -> Some t
-  | A.Fun (f, args) -> (
+  (* a function's, aggregate's or window's: sum, abs, floor and ceil
+     keep a bigint and are a double otherwise, as their values are *)
+  | A.Fun (f, args)
+  | A.Agg { agg_name = f; args; _ }
+  | A.Window { win_fn = f; win_args = args; _ } -> (
       match (String.lowercase_ascii f, args) with
       | ("coalesce" | "greatest" | "least"), _ -> common_type (List.map ty args)
-      | ("abs" | "floor" | "ceil"), [ a ] ->
+      | ("sum" | "abs" | "floor" | "ceil"), [ a ] ->
           Some (if ty a = Some T.TBigint then T.TBigint else T.TDouble)
-      | "sign", _ -> Some T.TBigint
-      | ("sqrt" | "exp" | "ln"), _ -> Some T.TDouble
+      | ("count" | "row_number" | "sign"), _ -> Some T.TBigint
+      | ("avg" | "median" | "stddev_pop" | "var_pop" | "sqrt" | "exp" | "ln"), _ ->
+          Some T.TDouble
+      | ("bool_and" | "bool_or"), _ -> Some T.TBool
+      | ("min" | "max" | "first" | "last" | "lag" | "lead"), [ a ] -> ty a
       | ("upper" | "lower"), [ a ] -> ty a
       | _ -> None)
-  | A.Agg { agg_name; args; _ } -> agg_type bindings agg_name args
-  | A.Window { win_fn; win_args; _ } -> (
-      match (String.lowercase_ascii win_fn, win_args) with
-      | "row_number", _ -> Some T.TBigint
-      | ("lag" | "lead"), [ a ] -> ty a
-      | f, args -> agg_type bindings f args)
-
-(* an aggregate's type, in GROUP BY and over a window frame: sum keeps
-   a bigint and is a double otherwise, as its fold is; min, max, first
-   and last keep their argument's *)
-and agg_type bindings (name : string) (args : A.expr list) : T.t option =
-  match (String.lowercase_ascii name, args) with
-  | "count", _ -> Some T.TBigint
-  | ("avg" | "median" | "stddev_pop" | "var_pop"), _ -> Some T.TDouble
-  | ("bool_and" | "bool_or"), _ -> Some T.TBool
-  | "sum", [ a ] ->
-      Some
-        (if type_of_expr bindings a = Some T.TBigint then T.TBigint
-         else T.TDouble)
-  | ("min" | "max" | "first" | "last"), [ a ] -> type_of_expr bindings a
-  | _ -> None
 
 (** The type of a result column computing [e] over [bindings], fixed
     when the statement is planned, before any row is read, as a
@@ -609,22 +577,21 @@ and agg_type bindings (name : string) (args : A.expr list) : T.t option =
 let expr_type (bindings : binding list) (e : A.expr) : T.t =
   Option.value (type_of_expr bindings e) ~default:T.TText
 
-(** How each value of [e] takes its one type when [e] is a CASE or a
-    coalesce, greatest or least whose arms mix bigint and double: a
-    bigint becomes a double. [None] for any other expression. *)
-let widening (bindings : binding list) (e : A.expr) : (Value.t -> Value.t) option =
+(** How each value of [e], a CASE or a function, takes [e]'s type: a
+    bigint becomes a double where a double CASE's arms or function's
+    arguments hold a bigint, as coalesce, greatest and least over both
+    do. *)
+let widening (bindings : binding list) (e : A.expr) : Value.t -> Value.t =
   let arms =
     match e with
     | A.Case (arms, default) -> List.map snd arms @ Option.to_list default
-    | A.Fun (f, args)
-      when List.mem (String.lowercase_ascii f) [ "coalesce"; "greatest"; "least" ] ->
-        args
+    | A.Fun (_, args) -> args
     | _ -> []
   in
-  let tys = List.map (type_of_expr bindings) arms in
-  if common_type tys = Some T.TDouble && List.mem (Some T.TBigint) tys then
-    Some (function Value.Int i -> Value.Float (Int64.to_float i) | v -> v)
-  else None
+  let ty = type_of_expr bindings in
+  if ty e = Some T.TDouble && List.exists (fun a -> ty a = Some T.TBigint) arms
+  then function Value.Int i -> Value.Float (Int64.to_float i) | v -> v
+  else Fun.id
 
 (* ------------------------------------------------------------------ *)
 (* Select-list helpers                                                 *)

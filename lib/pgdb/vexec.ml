@@ -71,19 +71,6 @@ let index_of (x : A.expr) (l : A.expr list) : int option =
   in
   go 0 l
 
-(* how each value of [e] takes its type ({!Exec.widening}) *)
-let widening (sc : scope) (e : A.expr) : Value.t -> Value.t =
-  Option.value (Exec.widening sc.bindings e) ~default:Fun.id
-
-(* [ce], the compiled [e], with each value widened *)
-let widened (sc : scope) (e : A.expr) (ce : data -> cexpr) : data -> cexpr =
-  match Exec.widening sc.bindings e with
-  | None -> ce
-  | Some w ->
-      fun d ->
-        let ce = ce d in
-        fun i -> w (ce i)
-
 let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
   let comp e = compile_expr sc e in
   match e with
@@ -166,16 +153,17 @@ let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
   | A.Case (branches, else_) ->
       let cbs = List.map (fun (c, r) -> (comp c, comp r)) branches in
       let celse = Option.map comp else_ in
-      widened sc e (fun d ->
-          let cbs = List.map (fun (c, r) -> (c d, r d)) cbs in
-          let celse = Option.map (fun ce -> ce d) celse in
-          fun i ->
-            let rec go = function
-              | [] -> ( match celse with Some ce -> ce i | None -> Value.Null)
-              | (cc, cr) :: rest ->
-                  if Value.is_true (cc i) then cr i else go rest
-            in
-            go cbs)
+      let w = Exec.widening sc.bindings e in
+      fun d ->
+        let cbs = List.map (fun (c, r) -> (c d, r d)) cbs in
+        let celse = Option.map (fun ce -> ce d) celse in
+        fun i ->
+          let rec go = function
+            | [] -> ( match celse with Some ce -> ce i | None -> Value.Null)
+            | (cc, cr) :: rest ->
+                if Value.is_true (cc i) then cr i else go rest
+          in
+          w (go cbs)
   | A.Cast (a, ty) ->
       let ca = comp a in
       fun d ->
@@ -184,9 +172,10 @@ let rec compile_expr (sc : scope) (e : A.expr) : data -> cexpr =
   | A.Fun (f, args) ->
       let cargs = List.map comp args in
       let f = Exec.scalar_fun f (List.length args) in
-      widened sc e (fun d ->
-          let cargs = List.map (fun ca -> ca d) cargs in
-          fun i -> f (List.map (fun ca -> ca i) cargs))
+      let w = Exec.widening sc.bindings e in
+      fun d ->
+        let cargs = List.map (fun ca -> ca d) cargs in
+        fun i -> w (f (List.map (fun ca -> ca i) cargs))
   | A.Like (a, p) -> (
       let ca = comp a in
       match p with
@@ -1378,7 +1367,7 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) :
   | A.Fun (f, args) when Exec.expr_has_agg e ->
       let cargs = List.map comp args in
       let f = Exec.scalar_fun f (List.length args) in
-      let w = widening sc e in
+      let w = Exec.widening sc.bindings e in
       fun d gr ->
         let cargs = List.map (fun ca -> ca d gr) cargs in
         fun g -> w (f (List.map (fun ca -> ca g) cargs))
@@ -1390,7 +1379,7 @@ let rec compile_agg_expr (sc : scope) (e : A.expr) :
   | A.Case (branches, else_) when Exec.expr_has_agg e ->
       let cbs = List.map (fun (c, r) -> (comp c, comp r)) branches in
       let celse = Option.map comp else_ in
-      let w = widening sc e in
+      let w = Exec.widening sc.bindings e in
       fun d gr ->
         let cbs = List.map (fun (c, r) -> (c d gr, r d gr)) cbs in
         let celse = Option.map (fun ce -> ce d gr) celse in
@@ -2420,12 +2409,6 @@ let ocol_dense : ocol -> Value.t array = function
   | Through (src, j, rows) -> src.values j rows
   | Computed v -> v
 
-(* the value in output row [r] *)
-let ocol_get (oc : ocol) (r : int) : Value.t =
-  match oc with
-  | Through (src, j, rows) -> (src.values j [| rows.(r) |]).(0)
-  | Computed v -> v.(r)
-
 (* the column through output-row indices (-1 is NULL) *)
 let ocol_gather (oc : ocol) (idx : int array) : Batch.column =
   match oc with
@@ -2569,10 +2552,16 @@ let rank_cut (s : A.select) (projs : A.proj list) ~(has_agg : bool)
             projs)
   then None
   else
-    let outs = List.mapi Exec.proj_name projs in
+    (* looked up by name only: no type is read *)
+    let outs =
+      List.mapi
+        (fun k p ->
+          { Exec.b_qual = None; b_name = Exec.proj_name k p; b_type = Catalog.Sqltype.TText })
+        projs
+    in
     List.find_map
       (fun (c, k) ->
-        match (List.nth projs (Exec.find_name outs c)).A.p_expr with
+        match (List.nth projs (Exec.find_binding outs None c)).A.p_expr with
         | A.Window { win_fn; win_args = []; _ } as w
           when String.lowercase_ascii win_fn = "row_number" ->
             Some (w, k)

@@ -351,20 +351,34 @@ let til n = longs (Array.init n Fun.id)
 
 let enlist v = of_values [| v |]
 
-(* the item [first] or [last] takes from an empty [v]: its type's null *)
-let null_item = function
+(* The type of what has no item comes from a sample value of it (an
+   expression over no row, or the vector a verb's items come from): a
+   column's Q type does not depend on its row count. *)
+
+(** [vs] as a list ({!of_values}); with no item, the empty vector of
+    [sample]'s type when that is an atom's or a vector's. *)
+let of_values_like (sample : t) (vs : t array) : t =
+  match (vs, sample) with
+  | [||], Atom a -> vector (Atom.qtype a) [||]
+  | [||], Vector (ty, _) -> vector ty [||]
+  | vs, _ -> of_values vs
+
+(** The null of [sample]'s type, a long null when it has none: the item
+    taken from no item. *)
+let null_like = function
+  | Atom a -> Atom (Atom.Null (Atom.qtype a))
   | Vector (ty, _) -> Atom (Atom.Null ty)
   | _ -> Atom (Atom.Null Qtype.Long)
 
 let first = function
   | Atom _ as a -> a
-  | v -> if length v = 0 then null_item v else index v 0
+  | v -> if length v = 0 then null_like v else index v 0
 
 let last = function
   | Atom _ as a -> a
   | v ->
       let n = length v in
-      if n = 0 then null_item v else index v (n - 1)
+      if n = 0 then null_like v else index v (n - 1)
 
 let rec rev = function
   | Atom _ as a -> a

@@ -42,10 +42,6 @@ type eval_ctx = {
   mutable windows : (A.expr * Value.t array) list;
 }
 
-(* [v], a value of [e], as its type's ({!Exec.widening}) *)
-let widen (ctx : eval_ctx) (e : A.expr) (v : Value.t) : Value.t =
-  match widening ctx.bindings e with Some w -> w v | None -> v
-
 let rec eval_expr (ctx : eval_ctx) (row : Value.t array) (idx : int)
     (e : A.expr) : Value.t =
   match e with
@@ -92,10 +88,10 @@ let rec eval_expr (ctx : eval_ctx) (row : Value.t array) (idx : int)
               eval_expr ctx row idx r
             else go rest
       in
-      widen ctx e (go branches))
+      widening ctx.bindings e (go branches))
   | A.Cast (a, ty) -> Value.cast ty (eval_expr ctx row idx a)
   | A.Fun (f, args) ->
-      widen ctx e
+      widening ctx.bindings e
         (scalar_fun f (List.length args) (List.map (eval_expr ctx row idx) args))
   | A.Like (a, p) -> (
       match (eval_expr ctx row idx a, eval_expr ctx row idx p) with
@@ -134,7 +130,7 @@ let rec eval_agg_expr (ctx : eval_ctx) (group_rows : Value.t array array)
       eval_expr ctx [||] 0 (A.Un (op, A.Lit (lit_of (eval_agg_expr ctx group_rows a))))
   | A.Cast (a, ty) -> Value.cast ty (eval_agg_expr ctx group_rows a)
   | A.Fun (f, args) when expr_has_agg e ->
-      widen ctx e
+      widening ctx.bindings e
         (scalar_fun f (List.length args)
            (List.map (eval_agg_expr ctx group_rows) args))
   | A.IsNull a when expr_has_agg e ->
@@ -150,7 +146,7 @@ let rec eval_agg_expr (ctx : eval_ctx) (group_rows : Value.t array array)
               eval_agg_expr ctx group_rows r
             else go rest
       in
-      widen ctx e (go branches))
+      widening ctx.bindings e (go branches))
   | A.Between (a, lo, hi) when expr_has_agg e ->
       let v = eval_agg_expr ctx group_rows a in
       let vlo = eval_agg_expr ctx group_rows lo in

@@ -494,7 +494,8 @@ let test_pinned (d : MD.dataset) q () =
    value and column type against kdb on every path: a computed symbol
    column, an all-null column and an empty result's computed column,
    whose types pgdb read off the rows, upper of a symbol, exec of a
-   constant, and monadic enlist of an atom *)
+   constant over rows and over none, strings, which text values longer
+   than one char come back as, and monadic enlist of an atom *)
 let fixed_queries =
   [
     "exec c0:first Exch from trades";
@@ -502,6 +503,9 @@ let fixed_queries =
     "select c0:Size+1 from trades where Size<0";
     "select u:upper Exch from trades";
     "exec c0:4600 from trades";
+    "exec c0:4600 from trades where Size<0";
+    "upper \"abc\"";
+    "(\"ab\";\"cd\")";
     "select from trades where Symbol in enlist `AAA";
     "trades lj ([Symbol:enlist `AAA] w:enlist 1.5)";
     "count enlist 1.5";
