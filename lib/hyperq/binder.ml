@@ -915,7 +915,6 @@ and bind_apply ctx (f : Ast.expr) (args : Ast.expr list) : bval =
                 left = lr.rel;
                 right = rr.rel;
                 eq_cols = col_syms;
-                extra_pred = None;
               };
           keys = [];
           shape = RTable;
@@ -955,7 +954,6 @@ and bind_lj ctx (l : Ast.expr) (r : Ast.expr) ~inner : bound_rel =
           left = lr.rel;
           right = rr.rel;
           eq_cols = keys;
-          extra_pred = None;
         };
     keys = lr.keys;
     shape = RTable;

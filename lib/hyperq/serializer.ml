@@ -118,6 +118,16 @@ let can_extend (s : A.select) =
 (* Relations                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* [la.c IS NOT DISTINCT FROM ra.c] for each key column, AND-folded *)
+let key_eqs la ra (eq_cols : string list) : A.expr option =
+  match
+    List.map
+      (fun c -> A.Bin (A.IsNotDistinctFrom, A.qcol la c, A.qcol ra c))
+      eq_cols
+  with
+  | [] -> None
+  | e :: rest -> Some (List.fold_left (fun a b -> A.Bin (A.And, a, b)) e rest)
+
 let rec select_of_rel (st : state) (r : I.rel) : A.select =
   match r with
   | I.Get { table; cols; _ } ->
@@ -256,8 +266,8 @@ let rec select_of_rel (st : state) (r : I.rel) : A.select =
           | [] -> []);
         from = Some (A.UnionRef (parts, alias));
       }
-  | I.Join { kind; left; right; eq_cols; extra_pred } ->
-      serialize_join st ~kind ~left ~right ~eq_cols ~extra_pred
+  | I.Join { kind; left; right; eq_cols } ->
+      serialize_join st ~kind ~left ~right ~eq_cols
   | I.AsofJoin { left; right; eq_cols; ts_col; keep_right_time } ->
       serialize_asof st ~left ~right ~eq_cols ~ts_col ~keep_right_time
 
@@ -295,25 +305,14 @@ and asof_side (st : state) (r : I.rel) (alias : string) : A.from_item =
       A.TableRef (table, Some alias)
   | s -> A.SubqueryRef (s, alias)
 
-and serialize_join st ~kind ~left ~right ~eq_cols ~extra_pred : A.select =
+and serialize_join st ~kind ~left ~right ~eq_cols : A.select =
   let la = fresh_alias st "l" and ra = fresh_alias st "r" in
   let litem = join_side st left la and ritem = join_side st right ra in
-  let on_eq =
-    List.map
-      (fun c -> A.Bin (A.IsNotDistinctFrom, A.qcol la c, A.qcol ra c))
-      eq_cols
-  in
-  let on_extra =
-    match extra_pred with
-    | Some p -> [ sql_of_scalar st p ]
-    | None -> []
-  in
   let on =
-    match on_eq @ on_extra with
-    | [] -> None
-    | e :: rest -> Some (List.fold_left (fun a b -> A.Bin (A.And, a, b)) e rest)
+    match key_eqs la ra eq_cols with
+    | Some keys -> keys
+    | None -> error "a join needs at least one key column"
   in
-  let jkind = (kind :> [ `Inner | `Left | `Cross ]) in
   let lcols = I.output_cols left in
   let rextras = I.join_extras ~eq_cols lcols (I.output_cols right) in
   let projs =
@@ -325,7 +324,7 @@ and serialize_join st ~kind ~left ~right ~eq_cols ~extra_pred : A.select =
   {
     A.empty_select with
     projs;
-    from = Some (A.JoinItem { jkind; left = litem; right = ritem; on });
+    from = Some (A.JoinItem { jkind = kind; left = litem; right = ritem; on });
   }
 
 (* one side of an as-of join with a unique row identity: its implicit
@@ -383,18 +382,11 @@ and serialize_asof st ~left ~right ~eq_cols ~ts_col ~keep_right_time :
   let la = fresh_alias st "l" and ra = fresh_alias st "r" in
   let left_sel, left_cols, left_id = identified_side st left la in
   let ritem, _, right_id = identified_side st right ra in
-  let on =
-    List.fold_left
-      (fun acc c ->
-        let eq = A.Bin (A.IsNotDistinctFrom, A.qcol la c, A.qcol ra c) in
-        match acc with None -> Some eq | Some a -> Some (A.Bin (A.And, a, eq)))
-      None eq_cols
-  in
   let range = A.Bin (A.Le, A.qcol ra ts_col, A.qcol la ts_col) in
   let on =
-    match on with
-    | None -> Some range
-    | Some a -> Some (A.Bin (A.And, a, range))
+    match key_eqs la ra eq_cols with
+    | None -> range
+    | Some keys -> A.Bin (A.And, keys, range)
   in
   let rcols = I.output_cols right in
   let rextras =

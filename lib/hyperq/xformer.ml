@@ -104,9 +104,6 @@ let column_pruning (root : I.rel) : I.rel =
         I.Filter { input = prune input (union (cols_of pred) required); pred }
     | I.Join j ->
         let needed = union (N.of_list j.eq_cols) required in
-        let needed =
-          match j.extra_pred with Some p -> union (cols_of p) needed | None -> needed
-        in
         I.Join { j with left = prune j.left needed; right = prune j.right needed }
     | I.AsofJoin a ->
         let ord = match I.order_col a.left with Some oc -> [ oc ] | None -> [] in

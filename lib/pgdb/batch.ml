@@ -209,21 +209,11 @@ let column_of_values (vals : Value.t array) : column =
 let of_columns nrows (cols : column array) : t =
   { nrows; cols; all = all_rows nrows }
 
-let empty ~width = of_columns 0 (Array.make width (column_of_values [||]))
-
-(* [b] with row-major [rows] after its own. Every column is built
-   again, so one may change representation: an Int column meeting a
-   Float turns boxed. *)
-let append (b : t) (rows : Value.t array array) : t =
-  let n = b.nrows and m = Array.length rows in
-  of_columns (n + m)
-    (Array.mapi
-       (fun j c ->
-         column_init (n + m) (fun i ->
-             if i < n then value_at c i else rows.(i - n).(j)))
-       b.cols)
-
-let of_rows ~width rows = append (empty ~width) rows
+(* a batch of row-major [rows], each [width] wide, pivoted once *)
+let of_rows ~width (rows : Value.t array array) : t =
+  let n = Array.length rows in
+  of_columns n
+    (Array.init width (fun j -> column_init n (fun i -> rows.(i).(j))))
 
 (* gather a column through a selection vector, or any vector of row
    indices, into a dense column *)

@@ -1,4 +1,4 @@
-(** The pgdb database facade: catalog, sessions, DDL and query execution.
+(** The pgdb database facade: catalog, sessions and statement execution.
 
     Sessions own temporary tables (dropped on close), matching how Hyper-Q
     materializes Q variables per session (paper Section 4.3). The catalog is
@@ -108,8 +108,6 @@ let refresh_catalog (db : t) =
     db.catalog_dirty <- false
   end
 
-let invalidate_catalog db = db.catalog_dirty <- true
-
 (* ------------------------------------------------------------------ *)
 (* Table resolution                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -145,121 +143,28 @@ let run_select (sess : session) (sel : A.select) : Exec.result =
   o.Vexec.vr_result
 
 (* ------------------------------------------------------------------ *)
-(* DDL / DML                                                           *)
+(* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* tables and temp tables share one namespace *)
-let table_exists sess name =
-  let lname = String.lowercase_ascii name in
-  Hashtbl.mem sess.temps lname || Hashtbl.mem sess.db.tables lname
-
-let table_of_result name temp (res : Exec.result) : Storage.table =
-  Storage.create
-    (S.table ~temp name
-       (List.map (fun (n, ty) -> S.column n ty) res.Exec.res_cols))
-    (Batch.of_columns res.Exec.res_nrows res.Exec.res_columns)
-
-(** Execute one parsed statement. *)
+(** Execute one parsed statement: a SELECT, or the paper's physical
+    materialization into a session temp table. Temp and base tables
+    share one namespace. *)
 let exec_stmt (sess : session) (stmt : A.stmt) : outcome =
   match stmt with
   | A.Select sel ->
       let res = run_select sess sel in
       Rows (res, Printf.sprintf "SELECT %d" res.Exec.res_nrows)
-  | A.CreateTable { ct_if_not_exists = true; ct_name; _ }
-    when table_exists sess ct_name ->
-      Complete "CREATE TABLE"
-  | A.CreateTable { ct_temp; ct_name; ct_cols; _ } ->
-      let lname = String.lowercase_ascii ct_name in
-      if table_exists sess lname then
-        Errors.duplicate_table "relation %s already exists" ct_name;
-      let def =
-        S.table ~temp:ct_temp lname
-          (List.map (fun c -> S.column c.A.cd_name c.A.cd_type) ct_cols)
-      in
-      let tbl = Storage.create def (Batch.empty ~width:(List.length ct_cols)) in
-      if ct_temp then Hashtbl.replace sess.temps lname tbl
-      else begin
-        Hashtbl.replace sess.db.tables lname tbl;
-        invalidate_catalog sess.db
-      end;
-      Complete "CREATE TABLE"
-  | A.CreateTableAs { cta_if_not_exists = true; cta_name; _ }
-    when table_exists sess cta_name ->
-      (* PostgreSQL skips the query too, and answers the statement's own
-         tag rather than a row count *)
-      Complete "CREATE TABLE AS"
-  | A.CreateTableAs { cta_temp; cta_name; cta_query; _ } ->
-      let lname = String.lowercase_ascii cta_name in
-      if table_exists sess lname then
-        Errors.duplicate_table "relation %s already exists" cta_name;
-      let res = run_select sess cta_query in
-      let tbl = table_of_result lname cta_temp res in
-      if cta_temp then Hashtbl.replace sess.temps lname tbl
-      else begin
-        Hashtbl.replace sess.db.tables lname tbl;
-        invalidate_catalog sess.db
-      end;
-      Complete
-        (Printf.sprintf "SELECT %d" res.Exec.res_nrows)
-  | A.InsertValues { ins_table; ins_cols; rows } ->
-      let lname = String.lowercase_ascii ins_table in
-      let tbl =
-        match Hashtbl.find_opt sess.temps lname with
-        | Some t -> t
-        | None -> (
-            match Hashtbl.find_opt sess.db.tables lname with
-            | Some t -> t
-            | None -> Errors.undefined_table "relation %s does not exist" ins_table)
-      in
-      let columns = tbl.Storage.def.S.tbl_columns in
-      let width = List.length columns in
-      let positions =
-        if ins_cols = [] then List.init width (fun i -> i)
-        else
-          List.map
-            (fun c ->
-              match Storage.column_index tbl c with
-              | Some i -> i
-              | None -> Errors.undefined_column "column %s does not exist" c)
-            ins_cols
-      in
-      let typed_rows =
-        Array.map
-          (fun lits ->
-            let row = Array.make width Value.Null in
-            List.iteri
-              (fun j lit ->
-                match List.nth_opt positions j with
-                | Some i ->
-                    let col = List.nth columns i in
-                    let v = Value.of_lit lit in
-                    let v =
-                      match v with
-                      | Value.Str _ | Value.Null -> (
-                          try Value.cast col.S.col_type v with _ -> v)
-                      | v -> v
-                    in
-                    row.(i) <- v
-                | None -> ())
-              lits;
-            row)
-          (Array.of_list rows)
-      in
-      tbl.Storage.batch <- Batch.append tbl.Storage.batch typed_rows;
-      Complete (Printf.sprintf "INSERT 0 %d" (List.length rows))
-  | A.DropTable { if_exists; name } ->
+  | A.CreateTempTableAs (name, query) ->
       let lname = String.lowercase_ascii name in
-      if Hashtbl.mem sess.temps lname then begin
-        Hashtbl.remove sess.temps lname;
-        Complete "DROP TABLE"
-      end
-      else if Hashtbl.mem sess.db.tables lname then begin
-        Hashtbl.remove sess.db.tables lname;
-        invalidate_catalog sess.db;
-        Complete "DROP TABLE"
-      end
-      else if if_exists then Complete "DROP TABLE"
-      else Errors.undefined_table "relation %s does not exist" name
+      if Hashtbl.mem sess.temps lname || Hashtbl.mem sess.db.tables lname then
+        Errors.duplicate_table "relation %s already exists" name;
+      let res = run_select sess query in
+      Hashtbl.replace sess.temps lname
+        (Storage.create
+           (S.table ~temp:true lname
+              (List.map (fun (n, ty) -> S.column n ty) res.Exec.res_cols))
+           (Batch.of_columns res.Exec.res_nrows res.Exec.res_columns));
+      Complete (Printf.sprintf "SELECT %d" res.Exec.res_nrows)
 
 (* ------------------------------------------------------------------ *)
 (* Statement cache (PG prepared-statement emulation)                    *)
@@ -420,7 +325,7 @@ let add_table (db : t) (def : S.table_def) (batch : Batch.t) =
   let lname = String.lowercase_ascii def.S.tbl_name in
   Hashtbl.replace db.tables lname
     (Storage.create { def with S.tbl_name = lname } batch);
-  invalidate_catalog db
+  db.catalog_dirty <- true
 
 (** {!add_table} over row-major rows, pivoted once. *)
 let load_table (db : t) (def : S.table_def) (rows : Value.t array list) =

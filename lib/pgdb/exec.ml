@@ -350,7 +350,6 @@ let binop (op : A.binop) : Value.t -> Value.t -> Value.t =
   | A.Div -> Value.div
   | A.Mod -> Value.modulo
   | A.Eq -> Value.eq3
-  | A.Neq -> fun a b -> Value.not3 (Value.eq3 a b)
   | A.Lt -> fun a b -> cmp_bool a b (fun c -> c < 0)
   | A.Le -> fun a b -> cmp_bool a b (fun c -> c <= 0)
   | A.Gt -> fun a b -> cmp_bool a b (fun c -> c > 0)
@@ -603,9 +602,26 @@ let rec conjuncts (e : A.expr) : A.expr list =
   | A.Bin (A.And, a, b) -> conjuncts a @ conjuncts b
   | e -> [ e ]
 
-(* whether [q.c] resolves in [bindings] *)
-let side_of (bindings : binding list) (q : string option) (c : string) : bool =
-  match find_binding bindings q c with _ -> true | exception _ -> false
+(* A join's ON split into its hash keys and the other conjuncts. A key
+   is a conjunct [l = r] or [l IS NOT DISTINCT FROM r] between a column
+   of each side, as (left index, right index, null-safe). *)
+let join_keys (lb : binding list) (rb : binding list) (on : A.expr) :
+    (int * int * bool) list * A.expr list =
+  let side bs q c =
+    match find_binding bs q c with i -> Some i | exception _ -> None
+  in
+  List.partition_map
+    (fun conj ->
+      match conj with
+      | A.Bin (((A.Eq | A.IsNotDistinctFrom) as op), A.Col (ql, cl), A.Col (qr, cr))
+        -> (
+          let null_safe = op = A.IsNotDistinctFrom in
+          match (side lb ql cl, side rb qr cr, side lb qr cr, side rb ql cl) with
+          | Some l, Some r, _, _ | _, _, Some l, Some r ->
+              Either.Left (l, r, null_safe)
+          | _ -> Either.Right conj)
+      | conj -> Either.Right conj)
+    (conjuncts on)
 
 let proj_name i (p : A.proj) : string =
   match p.p_alias with

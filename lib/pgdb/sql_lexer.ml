@@ -115,8 +115,8 @@ let tokenize (src : string) : token list =
       (* multi-char operators first *)
       let two = if !pos + 1 < n then String.sub src !pos 2 else "" in
       match two with
-      | "<>" | "<=" | ">=" | "!=" | "::" ->
-          emit (Op (if two = "!=" then "<>" else two));
+      | "<=" | ">=" | "::" ->
+          emit (Op two);
           pos := !pos + 2
       | _ -> (
           match c with

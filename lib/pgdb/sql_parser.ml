@@ -1,17 +1,17 @@
 (** Recursive-descent SQL parser producing {!Sqlast.Ast} statements.
 
     It accepts the SQL Hyper-Q's translator emits and nothing wider:
-    SELECT with joins, subqueries, UNION ALL, GROUP BY, ORDER BY and
-    LIMIT; aggregates (DISTINCT only inside one), window functions whose
-    frame is ROWS from [UNBOUNDED PRECEDING] or [k PRECEDING] to
-    [CURRENT ROW]; IS [NOT] NULL, IS [NOT] DISTINCT FROM, IN, BETWEEN,
-    LIKE, CASE and CAST (both function and [::] forms). The statements
-    besides SELECT are those the translator, the test fixtures and the
-    shard mirror send: CREATE [TEMPORARY] TABLE [IF NOT EXISTS] [AS],
-    INSERT ... VALUES and DROP TABLE [IF EXISTS]. Anything else is a
-    42601 syntax error; a function outside the closed set is refused
-    with 42883 when the statement is planned (DESIGN.md, "SELECT
-    surface"). *)
+    SELECT with one [INNER] or [LEFT [OUTER]] join, subqueries, UNION
+    ALL, GROUP BY, ORDER BY and LIMIT; aggregates (DISTINCT only inside
+    one), window functions whose frame is ROWS from [UNBOUNDED
+    PRECEDING] or [k PRECEDING] to [CURRENT ROW]; the comparisons [=],
+    [<], [<=], [>], [>=], IS [NOT] NULL, IS [NOT] DISTINCT FROM, IN over
+    non-NULL members, BETWEEN, LIKE, CASE and CAST (both function and
+    [::] forms). The one other statement is the paper's physical
+    materialization, CREATE TEMPORARY TABLE name AS SELECT. Anything
+    else is a 42601 syntax error; a function outside the closed set is
+    refused with 42883 when the statement is planned (DESIGN.md,
+    "SELECT surface"). *)
 
 module A = Sqlast.Ast
 
@@ -116,13 +116,12 @@ and parse_not st =
 and parse_predicate st =
   let lhs = parse_additive st in
   match peek st with
-  | Sql_lexer.Op (("=" | "<>" | "<" | "<=" | ">" | ">=") as op) ->
+  | Sql_lexer.Op (("=" | "<" | "<=" | ">" | ">=") as op) ->
       ignore (next st);
       let rhs = parse_additive st in
       let bop =
         match op with
         | "=" -> A.Eq
-        | "<>" -> A.Neq
         | "<" -> A.Lt
         | "<=" -> A.Le
         | ">" -> A.Gt
@@ -166,10 +165,12 @@ and parse_predicate st =
       A.Un (A.Not, A.Like (lhs, rhs))
   | _ -> lhs
 
+(* a NULL member lowers to [OR x IS NULL], never into the list *)
 and parse_in_list st =
   expect_op st "(";
   let es = parse_list st parse_expr in
   expect_op st ")";
+  if List.mem (A.Lit A.Null) es then error "NULL in an IN list";
   es
 
 and parse_additive st =
@@ -395,43 +396,28 @@ and parse_select st : A.select =
   in
   { A.projs; from; where; group_by; order_by; limit }
 
+(* one [item [INNER] JOIN item ON e] or [LEFT [OUTER] JOIN]; the
+   translator nests a further join in a derived table *)
 and parse_from st : A.from_item =
-  let base = parse_from_item st in
-  let rec joins left =
+  let left = parse_from_item st in
+  let jkind =
     match peek st with
-    | Sql_lexer.Ident "inner" ->
-        ignore (next st);
-        expect_kw st "join";
-        let right = parse_from_item st in
-        expect_kw st "on";
-        let on = parse_expr st in
-        joins (A.JoinItem { jkind = `Inner; left; right; on = Some on })
-    | Sql_lexer.Ident "join" ->
-        ignore (next st);
-        let right = parse_from_item st in
-        expect_kw st "on";
-        let on = parse_expr st in
-        joins (A.JoinItem { jkind = `Inner; left; right; on = Some on })
+    | Sql_lexer.Ident ("inner" | "join") ->
+        ignore (eat_kw st "inner");
+        Some `Inner
     | Sql_lexer.Ident "left" ->
         ignore (next st);
         ignore (eat_kw st "outer");
-        expect_kw st "join";
-        let right = parse_from_item st in
-        expect_kw st "on";
-        let on = parse_expr st in
-        joins (A.JoinItem { jkind = `Left; left; right; on = Some on })
-    | Sql_lexer.Ident "cross" ->
-        ignore (next st);
-        expect_kw st "join";
-        let right = parse_from_item st in
-        joins (A.JoinItem { jkind = `Cross; left; right; on = None })
-    | Sql_lexer.Op "," ->
-        ignore (next st);
-        let right = parse_from_item st in
-        joins (A.JoinItem { jkind = `Cross; left; right; on = None })
-    | _ -> left
+        Some `Left
+    | _ -> None
   in
-  joins base
+  match jkind with
+  | None -> left
+  | Some jkind ->
+      expect_kw st "join";
+      let right = parse_from_item st in
+      expect_kw st "on";
+      A.JoinItem { jkind; left; right; on = parse_expr st }
 
 and parse_from_item st : A.from_item =
   match peek st with
@@ -476,116 +462,13 @@ and parse_from_item st : A.from_item =
 let parse_stmt_tokens st : A.stmt =
   match peek st with
   | Sql_lexer.Ident "select" -> A.Select (parse_select st)
-  | Sql_lexer.Ident "create" -> (
+  | Sql_lexer.Ident "create" ->
       ignore (next st);
-      let temp = eat_kw st "temporary" || eat_kw st "temp" in
-      if eat_kw st "table" then begin
-        let if_not_exists =
-          if eat_kw st "if" then begin
-            expect_kw st "not";
-            expect_kw st "exists";
-            true
-          end
-          else false
-        in
-        let name = ident st in
-        if eat_kw st "as" then
-          A.CreateTableAs
-            {
-              cta_temp = temp;
-              cta_if_not_exists = if_not_exists;
-              cta_name = name;
-              cta_query = parse_select st;
-            }
-        else begin
-          expect_op st "(";
-          let rec go acc =
-            let cname = ident st in
-            let ty = type_name st in
-            let acc = { A.cd_name = cname; cd_type = ty } :: acc in
-            match next st with
-            | Sql_lexer.Op "," -> go acc
-            | Sql_lexer.Op ")" -> List.rev acc
-            | t -> error "expected , or ) in column list, found %s" (Sql_lexer.token_str t)
-          in
-          A.CreateTable
-            {
-              ct_temp = temp;
-              ct_if_not_exists = if_not_exists;
-              ct_name = name;
-              ct_cols = go [];
-            }
-        end
-      end
-      else error "expected TABLE after CREATE")
-  | Sql_lexer.Ident "insert" ->
-      ignore (next st);
-      expect_kw st "into";
+      expect_kw st "temporary";
+      expect_kw st "table";
       let name = ident st in
-      let cols =
-        if peek st = Sql_lexer.Op "(" then begin
-          ignore (next st);
-          let rec go acc =
-            let c = ident st in
-            match next st with
-            | Sql_lexer.Op "," -> go (c :: acc)
-            | Sql_lexer.Op ")" -> List.rev (c :: acc)
-            | t -> error "bad column list near %s" (Sql_lexer.token_str t)
-          in
-          go []
-        end
-        else []
-      in
-      expect_kw st "values";
-      let parse_lit () =
-        match next st with
-        | Sql_lexer.IntLit i -> A.Int i
-        | Sql_lexer.FloatLit f -> A.Float f
-        | Sql_lexer.StrLit s -> A.Str s
-        | Sql_lexer.Ident "null" -> A.Null
-        | Sql_lexer.Ident "true" -> A.Bool true
-        | Sql_lexer.Ident "false" -> A.Bool false
-        | Sql_lexer.Op "-" -> (
-            match next st with
-            | Sql_lexer.IntLit i -> A.Int (Int64.neg i)
-            | Sql_lexer.FloatLit f -> A.Float (-.f)
-            | t -> error "bad literal near %s" (Sql_lexer.token_str t))
-        | t -> error "expected literal, found %s" (Sql_lexer.token_str t)
-      in
-      let parse_row () =
-        expect_op st "(";
-        let rec go acc =
-          let l = parse_lit () in
-          match next st with
-          | Sql_lexer.Op "," -> go (l :: acc)
-          | Sql_lexer.Op ")" -> List.rev (l :: acc)
-          | t -> error "bad VALUES row near %s" (Sql_lexer.token_str t)
-        in
-        go []
-      in
-      let rec rows acc =
-        let r = parse_row () in
-        if peek st = Sql_lexer.Op "," then begin
-          ignore (next st);
-          rows (r :: acc)
-        end
-        else List.rev (r :: acc)
-      in
-      A.InsertValues { ins_table = name; ins_cols = cols; rows = rows [] }
-  | Sql_lexer.Ident "drop" -> (
-      ignore (next st);
-      let kind = ident st in
-      let if_exists =
-        if eat_kw st "if" then begin
-          expect_kw st "exists";
-          true
-        end
-        else false
-      in
-      let name = ident st in
-      match kind with
-      | "table" -> A.DropTable { if_exists; name }
-      | k -> error "cannot DROP %s" k)
+      expect_kw st "as";
+      A.CreateTempTableAs (name, parse_select st)
   | t -> error "unsupported statement starting with %s" (Sql_lexer.token_str t)
 
 (** Parse one SQL statement (a trailing semicolon is allowed). *)

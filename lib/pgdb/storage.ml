@@ -1,8 +1,8 @@
 (** Table storage for the pgdb backend: a table is its definition and
-    its typed columns ({!Batch}), held once. A mutation swaps in a new
-    batch. *)
+    its typed columns ({!Batch}), held once and never written, so the
+    shards of a replicated table share one batch. *)
 
-type table = { def : Catalog.Schema.table_def; mutable batch : Batch.t }
+type table = { def : Catalog.Schema.table_def; batch : Batch.t }
 
 let create def batch = { def; batch }
 let row_count t = t.batch.Batch.nrows

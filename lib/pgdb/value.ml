@@ -113,7 +113,7 @@ let arith name fop iop a b =
   match (a, b) with
   | Null, _ | _, Null -> Null
   | Int x, Int y -> Int (iop x y)
-  | Date d, Int i -> Date (d + Int64.to_int i)
+  | Date d, Int i -> Date (Int64.to_int (iop (Int64.of_int d) i))
   | Int i, Date d when name = "+" -> Date (d + Int64.to_int i)
   | Date x, Date y when name = "-" -> Int (Int64.of_int (x - y))
   | Timestamp x, Timestamp y when name = "-" -> Int (Int64.sub x y)

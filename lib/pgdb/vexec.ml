@@ -5,11 +5,10 @@
     closures over column vectors and runs it. The FROM tree may hold base
     tables and derived tables (planned with the same lowering and fed to
     the outer pipeline as a columnar source), UNION ALL (the branches
-    concatenated), a one-row source when there is no FROM, and joins: a
-    hash join on the ON clause's equality conjuncts, or a nested loop
-    over every pair when there is none, with the other conjuncts run as
-    a residual kernel over the candidate pairs. Then come WHERE
-    conjuncts, either hash group-by with the aggregates of
+    concatenated), a one-row source when there is no FROM, and a join: a
+    hash join on the ON clause's equality conjuncts, with the other
+    conjuncts run as a residual kernel over the key matches. Then come
+    WHERE conjuncts, either hash group-by with the aggregates of
     {!Exec.aggregates} or window functions plus projections, ORDER BY
     and LIMIT. DESIGN.md ("SELECT surface") states which errors are
     raised and when. *)
@@ -297,7 +296,6 @@ let select_rows (sel : Batch.sel) (keep : int -> bool) : Batch.sel =
 let cmp_test (op : A.binop) : (int -> bool) option =
   match op with
   | A.Eq -> Some (fun c -> c = 0)
-  | A.Neq -> Some (fun c -> c <> 0)
   | A.Lt -> Some (fun c -> c < 0)
   | A.Le -> Some (fun c -> c <= 0)
   | A.Gt -> Some (fun c -> c > 0)
@@ -537,7 +535,6 @@ let cmp_kernel (c : Batch.column) (op : A.binop) (l : A.lit) : kernel option =
                | A.Lt -> ((v, None), 1)
                | A.Le -> ((None, v), 0)
                | A.Gt -> ((None, v), 1)
-               | A.Neq -> ((v, v), 1)
                | _ -> ((v, v), 0)
              in
              int_kernel c ints (Array.of_list (int_interval kind lo hi)) flip
@@ -553,7 +550,6 @@ let cmp_kernel (c : Batch.column) (op : A.binop) (l : A.lit) : kernel option =
                | A.Lt -> ([| f; Float.infinity |], 1)
                | A.Gt -> (above, 0)
                | A.Le -> (above, 1)
-               | A.Neq -> ([| f; f |], 1)
                | _ -> ([| f; f |], 0)
              in
              float_kernel c a r flip
@@ -587,14 +583,11 @@ let between_kernel (c : Batch.column) (lo : bound) (hi : bound) :
                  String.compare s lo >= 0 && String.compare s hi <= 0)
          | _ -> invalid_arg "vexec: between_kernel on a boxed column")
 
-(* IN over a literal list. In WHERE position both [false] and [NULL]
-   (null in the list, no match) drop the row, so survival is exactly
-   "some element compares equal". *)
-let in_kernel (c : Batch.column) (lits : A.lit list) : kernel option =
-  let vals = List.filter (fun l -> l <> A.Null) lits in
+(* IN over a list of non-NULL literals (the parser refuses a NULL
+   member): a row survives when some member compares equal. *)
+let in_kernel (c : Batch.column) (vals : A.lit list) : kernel option =
   match c.Batch.data with
-  | _ when not (List.for_all (fun l -> fits c (Lit l)) lits) -> None
-  | _ when vals = [] -> Some (fun _ _ -> 0)
+  | _ when not (List.for_all (fun l -> fits c (Lit l)) vals) -> None
   | Batch.DInt { kind; ints } ->
       let r =
         List.concat_map
@@ -2461,11 +2454,6 @@ type resolver = string -> Exec.binding list * Batch.t
 let est_of (n : Opstats.node option) =
   match n with Some n -> n.Opstats.est_rows | None -> 1
 
-(* every (left, right) pair, grouped by left row *)
-let cross_pairs (lrows : int) (rrows : int) : int array * int array =
-  let n = lrows * rrows in
-  (Array.init n (fun k -> k / rrows), Array.init n (fun k -> k mod rrows))
-
 (* the source of a SELECT without FROM: one row, no columns *)
 let values_plan ~(collect : bool) : from_plan =
   let no_columns _ = invalid_arg "vexec: a VALUES row has no columns" in
@@ -2708,14 +2696,13 @@ let asof_shape (bindings : Exec.binding list) (nl : int) (w : A.expr)
 
 (* Lower a FROM tree. Base tables resolve to their batches; derived
    tables plan their SELECT with the same lowering and feed its output
-   as a source; UNION ALL concatenates its branches. A join with
-   equality conjuncts in ON hashes on them; any other join (CROSS,
-   comma, an ON without equality, or none) pairs every left row with
-   every right row. Either way the rest of the ON clause runs as one
-   residual kernel over the candidate pairs. A LEFT or INNER join in
-   the as-of shape of [asof], the cut window of the SELECT this FROM
-   feeds ([asof_shape]), runs as one [asof_join_idx] instead: at most
-   one pair per left row, the one the window would rank first. *)
+   as a source; UNION ALL concatenates its branches. A join hashes on
+   the equality conjuncts of its ON ({!Exec.join_keys}), and the rest of
+   the ON clause runs as one residual kernel over the key matches. A
+   join in the as-of shape of [asof], the cut window of the SELECT this
+   FROM feeds ([asof_shape]), runs as one [asof_join_idx] instead: at
+   most one pair per left row, the one the window would rank first. Its
+   keys may be none; any other join needs one. *)
 let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
     (f : A.from_item) : from_plan =
   match f with
@@ -2791,47 +2778,24 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
       let lb = lp.fp_bindings and rb = rp.fp_bindings in
       let nl = List.length lb in
       let bindings = lb @ rb in
-      (* equality conjuncts [left.a = right.b] (or IS NOT DISTINCT FROM)
-         become hash keys; a CROSS join tests its whole ON per pair *)
-      let equi, residual =
-        match on with
-        | None -> ([], [])
-        | Some _ when jkind = `Cross -> ([], [])
-        | Some e ->
-            List.partition_map
-              (fun conj ->
-                match conj with
-                | A.Bin
-                    ( ((A.Eq | A.IsNotDistinctFrom) as op),
-                      A.Col (ql, cl),
-                      A.Col (qr, cr) ) ->
-                    let null_safe = op = A.IsNotDistinctFrom in
-                    if Exec.side_of lb ql cl && Exec.side_of rb qr cr then
-                      Either.Left
-                        ( Exec.find_binding lb ql cl,
-                          Exec.find_binding rb qr cr,
-                          null_safe )
-                    else if Exec.side_of lb qr cr && Exec.side_of rb ql cl then
-                      Either.Left
-                        ( Exec.find_binding lb qr cr,
-                          Exec.find_binding rb ql cl,
-                          null_safe )
-                    else Either.Right conj
-                | conj -> Either.Right conj)
-              (Exec.conjuncts e)
-      in
+      let equi, residual = Exec.join_keys lb rb on in
       let fused =
-        match (asof, jkind, residual) with
-        | Some w, (`Left | `Inner), [ range ] ->
+        match (asof, residual) with
+        | Some w, [ range ] ->
             Option.map
               (fun shape -> (range, shape))
               (asof_shape bindings nl w range)
         | _ -> None
       in
-      (* without hash keys the residual is the ON clause as written *)
-      let residual = if equi = [] then Option.to_list on else residual in
+      (* a join without keys pairs every row of one side with every row
+         of the other; the translator emits one only as an as-of join
+         on the time column alone *)
+      if equi = [] && fused = None then
+        Errors.feature_not_supported
+          "JOIN is only supported with an equality between the two \
+           sides' columns";
       (* the residual is one AND-folded predicate, evaluated whole on
-         every candidate pair *)
+         every key match *)
       let residual =
         match residual with
         | [] -> None
@@ -2857,12 +2821,6 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
               if j < nl then Batch.gather (l.column j) lidx
               else Batch.gather (r.column (j - nl)) ridx
             in
-            let candidates () =
-              if equi = [] then cross_pairs l.nrows r.nrows
-              else
-                hash_join_idx ~lrows:l.nrows ~rall:r.all keys
-                  ~left_outer:false
-            in
             let fused_pairs =
               Option.bind fused (fun (_, (x, y, order)) ->
                   asof_join_idx ~lrows:l.nrows ~rall:r.all keys
@@ -2873,17 +2831,15 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
             let lidx, ridx =
               match (fused_pairs, residual) with
               | Some pairs, _ -> pairs
-              | None, None when equi <> [] ->
-                  hash_join_idx ~lrows:l.nrows ~rall:r.all keys ~left_outer
               | None, None ->
-                  let cl, cr = candidates () in
-                  residual_pairs ~lrows:l.nrows ~left_outer cl cr
-                    (Batch.all_rows (Array.length cl))
-                    (Array.length cl)
+                  hash_join_idx ~lrows:l.nrows ~rall:r.all keys ~left_outer
               | None, Some (_, kernel) ->
-                  let cl, cr = candidates () in
+                  let cl, cr =
+                    hash_join_idx ~lrows:l.nrows ~rall:r.all keys
+                      ~left_outer:false
+                  in
                   (* gather only the residual's own columns, through the
-                     candidate pairs *)
+                     key matches *)
                   let cand =
                     { col = memo width (through cl cr); win = no_windows }
                   in
@@ -2909,36 +2865,26 @@ let rec plan_from ?asof ~(resolve : resolver) ~(collect : bool)
             in
             let node =
               if collect then begin
-                let kind =
-                  match jkind with
-                  | `Left -> "left"
-                  | `Inner -> "inner"
-                  | `Cross -> "cross"
+                let kind = if left_outer then "left" else "inner" in
+                (* an as-of join is estimated as its left input, a hash
+                   join as max(inputs) *)
+                let op, detail =
+                  match fused with
+                  | Some (range, _) when fused_pairs <> None ->
+                      ( "vector_asof_join",
+                        Printf.sprintf "%s build=%d probe=%d range=%s" kind
+                          r.nrows l.nrows (A.expr_str range) )
+                  | _ ->
+                      ( "vector_hash_join",
+                        Printf.sprintf "%s build=%d probe=%d%s" kind r.nrows
+                          l.nrows
+                          (match residual with
+                          | Some (e, _) -> " residual=" ^ A.expr_str e
+                          | None -> "") )
                 in
-                (* a hash equi-join is estimated as max(inputs), a nested
-                   loop as the cross product *)
-                let op, est, detail =
-                  if fused_pairs <> None then
-                    ( "vector_asof_join",
-                      est_of lnode,
-                      Printf.sprintf "%s build=%d probe=%d range=%s" kind
-                        r.nrows l.nrows
-                        (A.expr_str (fst (Option.get fused))) )
-                  else if equi <> [] then
-                    ( "vector_hash_join",
-                      Stdlib.max (est_of lnode) (est_of rnode),
-                      Printf.sprintf "%s build=%d probe=%d" kind r.nrows
-                        l.nrows )
-                  else
-                    ( "vector_nested_loop",
-                      Stdlib.max 1 (est_of lnode) * Stdlib.max 1 (est_of rnode),
-                      Printf.sprintf "%s outer=%d inner=%d" kind l.nrows
-                        r.nrows )
-                in
-                let detail =
-                  match (fused_pairs, residual) with
-                  | None, Some (e, _) -> detail ^ " residual=" ^ A.expr_str e
-                  | _ -> detail
+                let est =
+                  if fused_pairs <> None then est_of lnode
+                  else Stdlib.max (est_of lnode) (est_of rnode)
                 in
                 Some
                   (Opstats.make ~op ~detail ~est_rows:est

@@ -387,9 +387,13 @@ let plain_sort_keys (keys : I.sort_key list) (out : string list) :
 (* Classification                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let try_partial_agg (map : Shardmap.t) ~(whole : I.rel) ~(input : I.rel)
-    ~(keys : (string * I.scalar) list) ~(aggs : (string * I.scalar) list)
-    ~(sort : I.sort_key list option) : route =
+(* The prelude of every route: a statement whose [input] is not
+   shard-safe, or reads replicated tables only, stays on the
+   coordinator; one whose distribution-key constraints pin one shard,
+   and that reads no union, runs [whole] there; any other goes to
+   [scatter] with the shards the constraints leave. *)
+let routed (map : Shardmap.t) ~(whole : I.rel) (input : I.rel)
+    (scatter : int list -> route) : route =
   let shards = Shardmap.shards map in
   match info map input with
   | No reason, _, _ -> Coordinator reason
@@ -397,71 +401,55 @@ let try_partial_agg (map : Shardmap.t) ~(whole : I.rel) ~(input : I.rel)
   | Partitioned _, cons, has_union -> (
       match pinned ~shards cons with
       | Some pin when not has_union -> Run (Single (pin, whole), [ pin ])
-      | _ -> (
-          match decompose aggs with
-          | None -> Coordinator "non-decomposable aggregate"
-          | Some (shard_aggs, combines) -> (
-              let key_names = List.map fst keys in
-              let sort_keys =
-                match sort with
-                | None -> Some []
-                | Some sk -> plain_sort_keys sk key_names
-              in
-              match sort_keys with
-              | None -> Coordinator "aggregate order not on group keys"
-              | Some a_sort ->
-                  Run
-                    ( PartialAgg
-                        {
-                          a_shard_rel =
-                            I.Aggregate { input; keys; aggs = shard_aggs };
-                          a_cols =
-                            List.map (fun n -> (n, CKey)) key_names
-                            @ combines;
-                          a_sort;
-                        },
-                      scatter_targets ~shards cons ))))
+      | _ -> scatter (scatter_targets ~shards cons))
+
+let try_partial_agg (map : Shardmap.t) ~(whole : I.rel) ~(input : I.rel)
+    ~(keys : (string * I.scalar) list) ~(aggs : (string * I.scalar) list)
+    ~(sort : I.sort_key list option) : route =
+  routed map ~whole input (fun targets ->
+      match decompose aggs with
+      | None -> Coordinator "non-decomposable aggregate"
+      | Some (shard_aggs, combines) -> (
+          let key_names = List.map fst keys in
+          let sort_keys =
+            match sort with
+            | None -> Some []
+            | Some sk -> plain_sort_keys sk key_names
+          in
+          match sort_keys with
+          | None -> Coordinator "aggregate order not on group keys"
+          | Some a_sort ->
+              Run
+                ( PartialAgg
+                    {
+                      a_shard_rel = I.Aggregate { input; keys; aggs = shard_aggs };
+                      a_cols = List.map (fun n -> (n, CKey)) key_names @ combines;
+                      a_sort;
+                    },
+                  targets )))
 
 let route (map : Shardmap.t) (rel : I.rel) : route =
-  let shards = Shardmap.shards map in
   match rel with
   | I.Aggregate { input; keys; aggs } ->
       try_partial_agg map ~whole:rel ~input ~keys ~aggs ~sort:None
   | I.Sort { input = I.Aggregate { input; keys; aggs }; keys = skeys } ->
       try_partial_agg map ~whole:rel ~input ~keys ~aggs ~sort:(Some skeys)
   | I.Sort { input; keys = [ { I.sk_expr = I.ColRef oc; sk_dir } ] }
-    when I.order_col input = Some oc -> (
+    when I.order_col input = Some oc ->
       (* class C: the root order is the implicit order column — unique
          per source row, so re-sorting the shards' concatenated results
          on it is deterministic *)
-      match info map input with
-      | No reason, _, _ -> Coordinator reason
-      | Replicated, _, _ -> Coordinator "replicated-only statement"
-      | Partitioned _, cons, has_union -> (
-          match pinned ~shards cons with
-          | Some pin when not has_union -> Run (Single (pin, rel), [ pin ])
-          | _ ->
-              Run
-                ( Merge (rel, [ (oc, sk_dir) ]),
-                  scatter_targets ~shards cons )))
+      routed map ~whole:rel input (fun targets ->
+          Run (Merge (rel, [ (oc, sk_dir) ]), targets))
   | I.Sort _ -> (
       (* an explicit user sort on payload columns: ties may straddle
          shards, so a merge is not deterministic — but a pinned
          statement still routes *)
-      match info map rel with
-      | Partitioned _, cons, false -> (
-          match pinned ~shards cons with
-          | Some pin -> Run (Single (pin, rel), [ pin ])
-          | None -> Coordinator "order not mergeable across shards")
-      | _ -> Coordinator "order not mergeable across shards")
-  | _ -> (
-      match info map rel with
-      | No reason, _, _ -> Coordinator reason
-      | Replicated, _, _ -> Coordinator "replicated-only statement"
-      | Partitioned _, cons, has_union -> (
-          match pinned ~shards cons with
-          | Some pin when not has_union -> Run (Single (pin, rel), [ pin ])
-          | _ -> Run (Concat rel, scatter_targets ~shards cons)))
+      let unmergeable = Coordinator "order not mergeable across shards" in
+      match routed map ~whole:rel rel (fun _ -> unmergeable) with
+      | Run (Single _, _) as pinned -> pinned
+      | _ -> unmergeable)
+  | _ -> routed map ~whole:rel rel (fun targets -> Run (Concat rel, targets))
 
 (* ------------------------------------------------------------------ *)
 (* Route explanation                                                   *)

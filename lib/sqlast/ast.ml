@@ -20,7 +20,6 @@ type binop =
   | Div
   | Mod
   | Eq
-  | Neq
   | Lt
   | Le
   | Gt
@@ -65,10 +64,10 @@ type from_item =
   | UnionRef of select list * string
       (** parenthesised UNION ALL of selects, with an alias *)
   | JoinItem of {
-      jkind : [ `Inner | `Left | `Cross ];
+      jkind : [ `Inner | `Left ];
       left : from_item;
       right : from_item;
-      on : expr option;
+      on : expr;
     }
 
 and select = {
@@ -82,24 +81,9 @@ and select = {
 
 and proj = { p_expr : expr; p_alias : string option }
 
-type col_def = { cd_name : string; cd_type : Catalog.Sqltype.t }
-
-type stmt =
-  | Select of select
-  | CreateTable of {
-      ct_temp : bool;
-      ct_if_not_exists : bool;
-      ct_name : string;
-      ct_cols : col_def list;
-    }
-  | CreateTableAs of {
-      cta_temp : bool;
-      cta_if_not_exists : bool;
-      cta_name : string;
-      cta_query : select;
-    }
-  | InsertValues of { ins_table : string; ins_cols : string list; rows : lit list list }
-  | DropTable of { if_exists : bool; name : string }
+(** The paper's physical materialization (Section 4.3) is the one
+    statement besides SELECT: [CREATE TEMPORARY TABLE name AS select]. *)
+type stmt = Select of select | CreateTempTableAs of string * select
 
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
@@ -132,7 +116,6 @@ let binop_str = function
   | Div -> "/"
   | Mod -> "%"
   | Eq -> "="
-  | Neq -> "<>"
   | Lt -> "<"
   | Le -> "<="
   | Gt -> ">"
@@ -249,15 +232,10 @@ and from_str = function
         (quote_ident a)
   | JoinItem { jkind; left; right; on } ->
       let kw =
-        match jkind with
-        | `Inner -> "INNER JOIN"
-        | `Left -> "LEFT OUTER JOIN"
-        | `Cross -> "CROSS JOIN"
+        match jkind with `Inner -> "INNER JOIN" | `Left -> "LEFT OUTER JOIN"
       in
-      let cond =
-        match on with Some e -> " ON " ^ expr_str e | None -> ""
-      in
-      Printf.sprintf "%s %s %s%s" (from_str left) kw (from_str right) cond
+      Printf.sprintf "%s %s %s ON %s" (from_str left) kw (from_str right)
+        (expr_str on)
 
 and select_str (s : select) : string =
   let buf = Buffer.create 128 in
@@ -298,35 +276,6 @@ and select_str (s : select) : string =
 
 let stmt_str = function
   | Select s -> select_str s
-  | CreateTable { ct_temp; ct_if_not_exists; ct_name; ct_cols } ->
-      Printf.sprintf "CREATE %sTABLE %s%s (%s)"
-        (if ct_temp then "TEMPORARY " else "")
-        (if ct_if_not_exists then "IF NOT EXISTS " else "")
-        (quote_ident ct_name)
-        (String.concat ", "
-           (List.map
-              (fun c ->
-                quote_ident c.cd_name ^ " " ^ Catalog.Sqltype.name c.cd_type)
-              ct_cols))
-  | CreateTableAs { cta_temp; cta_if_not_exists; cta_name; cta_query } ->
-      Printf.sprintf "CREATE %sTABLE %s%s AS %s"
-        (if cta_temp then "TEMPORARY " else "")
-        (if cta_if_not_exists then "IF NOT EXISTS " else "")
-        (quote_ident cta_name) (select_str cta_query)
-  | InsertValues { ins_table; ins_cols; rows } ->
-      let cols =
-        if ins_cols = [] then ""
-        else
-          Printf.sprintf " (%s)"
-            (String.concat ", " (List.map quote_ident ins_cols))
-      in
-      Printf.sprintf "INSERT INTO %s%s VALUES %s" (quote_ident ins_table) cols
-        (String.concat ", "
-           (List.map
-              (fun row ->
-                "(" ^ String.concat ", " (List.map lit_str row) ^ ")")
-              rows))
-  | DropTable { if_exists; name } ->
-      Printf.sprintf "DROP TABLE %s%s"
-        (if if_exists then "IF EXISTS " else "")
-        (quote_ident name)
+  | CreateTempTableAs (name, query) ->
+      Printf.sprintf "CREATE TEMPORARY TABLE %s AS %s" (quote_ident name)
+        (select_str query)

@@ -76,8 +76,6 @@ type rel =
       eq_cols : string list;
           (** equi-join on same-named columns of both sides (null-safe,
               per Q's 2VL key matching) *)
-      extra_pred : scalar option;
-          (** additional predicate over the combined columns *)
     }
   | AsofJoin of {
       left : rel;
@@ -314,14 +312,7 @@ let rec rel_map_scalars (f : scalar -> scalar) (r : rel) : rel =
       Project
         { input = rm input; exprs = List.map (fun (n, s) -> (n, f s)) exprs }
   | Filter { input; pred } -> Filter { input = rm input; pred = f pred }
-  | Join j ->
-      Join
-        {
-          j with
-          left = rm j.left;
-          right = rm j.right;
-          extra_pred = Option.map f j.extra_pred;
-        }
+  | Join j -> Join { j with left = rm j.left; right = rm j.right }
   | AsofJoin a -> AsofJoin { a with left = rm a.left; right = rm a.right }
   | Aggregate { input; keys; aggs } ->
       Aggregate

@@ -1,6 +1,6 @@
 (* The row-at-a-time SELECT interpreter pgdb served queries with before
-   its vectorized executor planned every shape: nested-loop and hashed
-   joins over materialized rows, grouping by hashed keys, windows
+   its vectorized executor planned every shape: hashed joins over
+   materialized rows, grouping by hashed keys, windows
    computed per partition. Joins, grouping and partitions class keys
    with Exec.gkey_of, and its sorts order them with Exec.compare_key, as
    Vexec does; its algorithms are its own (List.stable_sort, Array.sort
@@ -404,34 +404,16 @@ let rec eval_from (env : env) (f : A.from_item) : rowset =
       eval_join env lnode rnode l r jkind on
 
 (* ---------------------------------------------------------------- *)
-(* Join evaluation: hash join on extractable equality conjuncts,     *)
-(* nested loop otherwise                                             *)
+(* Join evaluation: hash join on the ON's equality conjuncts, the    *)
+(* rest tested per key match (no keys: one bucket of every row)      *)
 (* ---------------------------------------------------------------- *)
 
 and eval_join (env : env) lnode rnode (l : rowset) (r : rowset) jkind
-    (on : A.expr option) : rowset =
+    (on : A.expr) : rowset =
   let t0 = if env.collect then now_ns () else 0L in
   let bindings = l.bindings @ r.bindings in
   let ctx = { bindings; windows = [] } in
-  (* partition the ON conjuncts into hashable equality pairs and residuals *)
-  let equi, residual =
-    match on with
-    | None -> ([], [])
-    | Some e ->
-        List.partition_map
-          (fun conj ->
-            match conj with
-            | A.Bin (((A.Eq | A.IsNotDistinctFrom) as op), A.Col (ql, cl), A.Col (qr, cr)) ->
-                let null_safe = op = A.IsNotDistinctFrom in
-                if side_of l.bindings ql cl && side_of r.bindings qr cr then
-                  Left (find_binding l.bindings ql cl, find_binding r.bindings qr cr, null_safe)
-                else if side_of l.bindings qr cr && side_of r.bindings ql cl
-                then
-                  Left (find_binding l.bindings qr cr, find_binding r.bindings ql cl, null_safe)
-                else Right conj
-            | conj -> Right conj)
-          (conjuncts e)
-  in
+  let equi, residual = join_keys l.bindings r.bindings on in
   let residual_pred =
     match residual with
     | [] -> None
@@ -445,98 +427,62 @@ and eval_join (env : env) lnode rnode (l : rowset) (r : rowset) jkind
   let rwidth = List.length r.bindings in
   let null_right = Array.make rwidth Value.Null in
   let out = ref [] in
-  if equi <> [] && jkind <> `Cross then begin
-    (* hash the right side on the equality columns *)
-    let hashable rrow =
-      (* plain = never matches NULL keys *)
-      List.for_all
-        (fun (_, ri, null_safe) -> null_safe || not (Value.is_null rrow.(ri)))
-        equi
-    in
-    let rkey rrow = List.map (fun (_, ri, _) -> gkey_of rrow.(ri)) equi in
-    let lkey lrow = List.map (fun (li, _, _) -> gkey_of lrow.(li)) equi in
-    let table : (gkey list, Value.t array list ref) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    Array.iter
-      (fun rrow ->
-        if hashable rrow then
-          let k = rkey rrow in
-          match Hashtbl.find_opt table k with
-          | Some lst -> lst := rrow :: !lst
-          | None -> Hashtbl.add table k (ref [ rrow ]))
-      r.rows;
-    Array.iter
-      (fun lrow ->
-        let l_ok =
-          List.for_all
-            (fun (li, _, null_safe) ->
-              null_safe || not (Value.is_null lrow.(li)))
-            equi
-        in
-        let matches =
-          if not l_ok then []
-          else
-            match Hashtbl.find_opt table (lkey lrow) with
-            | Some lst -> List.rev !lst
-            | None -> []
-        in
-        let matched = ref false in
-        List.iter
-          (fun rrow ->
-            if test_residual lrow rrow then begin
-              matched := true;
-              out := Array.append lrow rrow :: !out
-            end)
-          matches;
-        if (not !matched) && jkind = `Left then
-          out := Array.append lrow null_right :: !out)
-      l.rows
-  end
-  else begin
-    (* nested loop *)
-    let test lrow rrow =
-      (match on with
-       | None -> true
-       | Some e -> Value.is_true (eval_expr ctx (Array.append lrow rrow) 0 e))
-    in
-    Array.iter
-      (fun lrow ->
-        let matched = ref false in
-        Array.iter
-          (fun rrow ->
-            if test lrow rrow then begin
-              matched := true;
-              out := Array.append lrow rrow :: !out
-            end)
-          r.rows;
-        if (not !matched) && jkind = `Left then
-          out := Array.append lrow null_right :: !out)
-      l.rows
-  end;
+  (* hash the right side on the equality columns *)
+  let hashable rrow =
+    (* plain = never matches NULL keys *)
+    List.for_all
+      (fun (_, ri, null_safe) -> null_safe || not (Value.is_null rrow.(ri)))
+      equi
+  in
+  let rkey rrow = List.map (fun (_, ri, _) -> gkey_of rrow.(ri)) equi in
+  let lkey lrow = List.map (fun (li, _, _) -> gkey_of lrow.(li)) equi in
+  let table : (gkey list, Value.t array list ref) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  Array.iter
+    (fun rrow ->
+      if hashable rrow then
+        let k = rkey rrow in
+        match Hashtbl.find_opt table k with
+        | Some lst -> lst := rrow :: !lst
+        | None -> Hashtbl.add table k (ref [ rrow ]))
+    r.rows;
+  Array.iter
+    (fun lrow ->
+      let l_ok =
+        List.for_all
+          (fun (li, _, null_safe) -> null_safe || not (Value.is_null lrow.(li)))
+          equi
+      in
+      let matches =
+        if not l_ok then []
+        else
+          match Hashtbl.find_opt table (lkey lrow) with
+          | Some lst -> List.rev !lst
+          | None -> []
+      in
+      let matched = ref false in
+      List.iter
+        (fun rrow ->
+          if test_residual lrow rrow then begin
+            matched := true;
+            out := Array.append lrow rrow :: !out
+          end)
+        matches;
+      if (not !matched) && jkind = `Left then
+        out := Array.append lrow null_right :: !out)
+    l.rows;
   let rows = Array.of_list (List.rev !out) in
   if env.collect then begin
-    let meth =
-      if equi <> [] && jkind <> `Cross then "hash_join" else "nested_loop"
-    in
-    let kind =
-      match jkind with `Inner -> "inner" | `Left -> "left" | `Cross -> "cross"
-    in
-    let l_est =
-      match lnode with Some n -> n.Opstats.est_rows | None -> Array.length l.rows
-    in
-    let r_est =
-      match rnode with Some n -> n.Opstats.est_rows | None -> Array.length r.rows
-    in
-    (* hash equi-joins estimated as max(inputs) (FK-ish), nested loops as
-       the cross product *)
-    let est =
-      if meth = "hash_join" then Stdlib.max l_est r_est
-      else Stdlib.max 1 l_est * Stdlib.max 1 r_est
+    let kind = match jkind with `Inner -> "inner" | `Left -> "left" in
+    let est_of node rs =
+      match node with Some n -> n.Opstats.est_rows | None -> Array.length rs
     in
     let children = List.filter_map Fun.id [ lnode; rnode ] in
+    (* estimated as max(inputs) (FK-ish) *)
     emit env
-      (Opstats.make ~op:meth ~detail:kind ~est_rows:est
+      (Opstats.make ~op:"hash_join" ~detail:kind
+         ~est_rows:(Stdlib.max (est_of lnode l.rows) (est_of rnode r.rows))
          ~rows_in:(Array.length l.rows + Array.length r.rows)
          ~rows_out:(Array.length rows)
          ~self_ns:(Int64.sub (now_ns ()) t0) ~children)

@@ -93,13 +93,9 @@ let test_exec_aggregate_and_join () =
        ON t.\"Symbol\" = s.\"Symbol\""
   in
   let _, j =
-    List.find
-      (fun (_, m) ->
-        m.Op.op = "vector_hash_join" || m.Op.op = "vector_nested_loop")
-      (Op.flatten join)
+    List.find (fun (_, m) -> m.Op.op = "vector_hash_join") (Op.flatten join)
   in
   check tint "join has two children" 2 (List.length j.Op.children);
-  check tstr "equi join hashes" "vector_hash_join" j.Op.op;
   (* join input accounting: rows_in is the sum of both children *)
   check tint "join rows_in"
     (List.fold_left (fun a c -> a + c.Op.rows_out) 0 j.Op.children)
@@ -134,8 +130,8 @@ let test_chunked_totals () =
   Db.set_analyze sess true;
   let plan =
     analyzed_plan sess
-      "SELECT g, count(*) AS n, sum(v) AS s FROM chunky WHERE i % 3 <> 0 AND \
-       v > 10 GROUP BY g"
+      "SELECT g, count(*) AS n, sum(v) AS s FROM chunky WHERE NOT (i % 3 = \
+       0) AND v > 10 GROUP BY g"
   in
   let nodes op =
     List.filter_map

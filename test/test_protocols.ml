@@ -711,7 +711,7 @@ let test_extended_batch_reply () =
   check tstr "no rows: NoData" "1 2 n C Z"
     (shape
        (Pgwire.Server.feed server
-          (Pgwire.Client.batch "CREATE TEMP TABLE u (x BIGINT)")));
+          (Pgwire.Client.batch "CREATE TEMPORARY TABLE u AS SELECT a FROM t")));
   check tstr "empty query" "1 2 n I Z"
     (shape (Pgwire.Server.feed server (Pgwire.Client.batch "")));
   (* the statement cache serves Parse with exec_script's key and counters *)
@@ -737,6 +737,14 @@ let test_extended_error_until_sync () =
     (shape
        (Pgwire.Server.feed server
           (Pgwire.Client.batch "SELEC 1" ^ Pgwire.Client.batch "SELECT a FROM t")));
+  (* a statement pgdb does not accept is refused at Parse, and after Sync
+     the connection answers a SELECT *)
+  check tstr "refused statement" "E42601 Z"
+    (shape
+       (Pgwire.Server.feed server
+          (Pgwire.Client.batch "INSERT INTO t VALUES (3, 'z')")));
+  check tstr "select after it" "1 2 T D D C Z"
+    (shape (Pgwire.Server.feed server (Pgwire.Client.batch "SELECT a FROM t")));
   check tstr "two statements in one Parse" "E42601 Z"
     (shape
        (Pgwire.Server.feed server
@@ -1289,7 +1297,8 @@ let test_one_write_per_statement () =
       writes := 0;
       ignore (Pgwire.Client.query client sql);
       check tint sql 1 !writes)
-    [ big_sql; "SELECT * FROM missing"; "CREATE TEMP TABLE w (x BIGINT)"; "" ]
+    [ big_sql; "SELECT * FROM missing";
+      "CREATE TEMPORARY TABLE w AS SELECT 1 AS x"; "" ]
 
 (* ------------------------------------------------------------------ *)
 (* Text format                                                         *)

@@ -33,7 +33,7 @@ let differ a b =
 
 let extension_queries =
   (* constructs beyond the 25-query workload: shifts, differ, sublist,
-     union join, take, sorting *)
+     union join, take, sorting, an as-of join on the time alone *)
   [
     "select Time, p:prev Price, n:next Price from trades where Symbol=`AAA";
     "select Time from trades where Symbol=`AAA, differ Exch";
@@ -54,6 +54,8 @@ let extension_queries =
     "select n:count Price by Symbol from trades where Symbol like \"A*\"";
     "select w:Size wavg Price by Symbol from trades";
     "select lo:min Bid, hi:max Ask by 3600000 xbar Time from quotes";
+    "aj[`Time; select Time, Price from trades where Symbol=`AAA; select \
+     Time, Bid from quotes where Symbol=`BBH]";
   ]
 
 (* every aggregate of the translator's agg_map in the three places it
@@ -495,7 +497,8 @@ let test_pinned (d : MD.dataset) q () =
    column, an all-null column and an empty result's computed column,
    whose types pgdb read off the rows, upper of a symbol, exec of a
    constant over rows and over none, strings, which text values longer
-   than one char come back as, and monadic enlist of an atom *)
+   than one char come back as, monadic enlist of an atom, and a date
+   less or times a long, which pgdb once answered as a sum *)
 let fixed_queries =
   [
     "exec c0:first Exch from trades";
@@ -509,6 +512,8 @@ let fixed_queries =
     "select from trades where Symbol in enlist `AAA";
     "trades lj ([Symbol:enlist `AAA] w:enlist 1.5)";
     "count enlist 1.5";
+    "select c0:d-1 from nt";
+    "select c0:d*2 from nt";
   ]
 
 let test_fixed (d : MD.dataset) q () =
