@@ -616,10 +616,18 @@ let join_keys (lb : binding list) (rb : binding list) (on : A.expr) :
       | A.Bin (((A.Eq | A.IsNotDistinctFrom) as op), A.Col (ql, cl), A.Col (qr, cr))
         -> (
           let null_safe = op = A.IsNotDistinctFrom in
-          match (side lb ql cl, side rb qr cr, side lb qr cr, side rb ql cl) with
-          | Some l, Some r, _, _ | _, _, Some l, Some r ->
-              Either.Left (l, r, null_safe)
-          | _ -> Either.Right conj)
+          (* the operands in written order first: a failed lookup scans
+             every binding and raises *)
+          let key (lq, lc) (rq, rc) =
+            Option.bind (side lb lq lc) (fun l ->
+                Option.map (fun r -> (l, r, null_safe)) (side rb rq rc))
+          in
+          match key (ql, cl) (qr, cr) with
+          | Some k -> Either.Left k
+          | None -> (
+              match key (qr, cr) (ql, cl) with
+              | Some k -> Either.Left k
+              | None -> Either.Right conj))
       | conj -> Either.Right conj)
     (conjuncts on)
 
