@@ -404,8 +404,8 @@ let rec eval_from (env : env) (f : A.from_item) : rowset =
       eval_join env lnode rnode l r jkind on
 
 (* ---------------------------------------------------------------- *)
-(* Join evaluation: hash join on the ON's equality conjuncts, the    *)
-(* rest tested per key match (no keys: one bucket of every row)      *)
+(* Join evaluation: hash join on the ON's equality conjuncts, the   *)
+(* rest tested per key match (no keys: one bucket of every row)     *)
 (* ---------------------------------------------------------------- *)
 
 and eval_join (env : env) lnode rnode (l : rowset) (r : rowset) jkind

@@ -329,7 +329,7 @@ let test_moving_window_frame () =
   check tbool "m2 = 11.5" true (cell res 2 0 = V.Float 11.5)
 
 (* ------------------------------------------------------------------ *)
-(* Subqueries, temp tables, the catalog                               *)
+(* Subqueries, temp tables, the catalog                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_subquery () =
