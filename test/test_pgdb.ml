@@ -367,6 +367,58 @@ let test_temp_table_lifecycle () =
   | exception Pgdb.Errors.Sql_error { code = "42P01"; _ } -> ()
   | _ -> Alcotest.fail "temp table must not leak across sessions"
 
+(* rows come in by Db.load_table and CREATE TEMPORARY TABLE ... AS: a
+   CREATE TABLE with a column list and an INSERT are refused before they
+   run, and create or add nothing *)
+let test_create_insert () =
+  let db = Db.create () in
+  let sess = Db.open_session db in
+  check tstr "CREATE TABLE refused" "42601"
+    (sqlstate sess "CREATE TABLE kv (k varchar, v bigint)");
+  check tstr "it created nothing" "42P01" (sqlstate sess "SELECT * FROM kv");
+  Db.load_table db
+    (S.table "kv" [ S.column "k" Ty.TVarchar; S.column "v" Ty.TBigint ])
+    [ [| V.Str "a"; V.Int 1L |]; [| V.Str "b"; V.Int 2L |] ];
+  check tstr "INSERT refused" "42601"
+    (sqlstate sess "INSERT INTO kv VALUES ('c', 3)");
+  check tint "it added nothing" 2 (q sess "SELECT k FROM kv").Pgdb.Exec.res_nrows;
+  let res = q sess "SELECT v FROM kv WHERE k = 'b'" in
+  check tbool "lookup" true (cell res 0 0 = V.Int 2L)
+
+(* IF NOT EXISTS is refused from the parser in every CREATE: a missing
+   table is not created and an existing relation of that name stands *)
+let test_create_if_not_exists () =
+  let sess = fixture () in
+  List.iter
+    (fun sql -> check tstr sql "42601" (sqlstate sess sql))
+    [
+      "CREATE TABLE IF NOT EXISTS t (a bigint)";
+      "CREATE TEMPORARY TABLE IF NOT EXISTS t AS SELECT 1 AS a";
+      "CREATE TABLE IF NOT EXISTS TRADES (a bigint)";
+      "CREATE TEMPORARY TABLE IF NOT EXISTS trades AS SELECT 1 AS a";
+    ];
+  check tstr "no table t" "42P01" (sqlstate sess "SELECT * FROM t");
+  check tint "trades stands" 5
+    (q sess "SELECT sym, price FROM trades").Pgdb.Exec.res_nrows
+
+(* CREATE TEMPORARY TABLE ... AS without IF NOT EXISTS: a missing table
+   is created from the query; onto an existing one it raises 42P07
+   before the query runs, and the table keeps its rows and columns *)
+let test_create_as_if_not_exists () =
+  let sess = fixture () in
+  (match Db.exec sess "CREATE TEMPORARY TABLE t AS SELECT price FROM trades LIMIT 2" with
+  | Db.Complete tag -> check tstr "missing table created" "SELECT 2" tag
+  | Db.Rows _ -> Alcotest.fail "expected Complete");
+  check tstr "existing table: 42P07" "42P07"
+    (sqlstate sess "CREATE TEMPORARY TABLE t AS SELECT size, price FROM trades");
+  check tstr "the query is not run" "42P07"
+    (sqlstate sess "CREATE TEMPORARY TABLE t AS SELECT nope FROM missing");
+  check tint "its rows and columns stand" 2
+    (q sess "SELECT price + 1 FROM t").Pgdb.Exec.res_nrows;
+  check tstr "printed back" "CREATE TEMPORARY TABLE t AS SELECT 1 AS a"
+    (Sqlast.Ast.stmt_str
+       (Pgdb.Sql_parser.parse "create temporary table t as select 1 as a"))
+
 (* nothing drops a table but the end of its session: closing a session
    drops its temp tables and leaves the base tables *)
 let test_drop () =
@@ -815,7 +867,12 @@ let () =
           Alcotest.test_case "subquery" `Quick test_subquery;
           Alcotest.test_case "temp table lifecycle" `Quick
             test_temp_table_lifecycle;
+          Alcotest.test_case "create + insert" `Quick test_create_insert;
           Alcotest.test_case "drop" `Quick test_drop;
+          Alcotest.test_case "create table as if not exists" `Quick
+            test_create_as_if_not_exists;
+          Alcotest.test_case "create table if not exists" `Quick
+            test_create_if_not_exists;
           Alcotest.test_case "catalog queryable" `Quick test_catalog_queryable;
         ] );
       ( "surface",

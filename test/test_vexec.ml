@@ -5,7 +5,9 @@
    interpreter (Row_reference) produces, including column types, row
    order, NULL placement and error codes. test_sidebyside's one
    differential runs the SQL of every generated case through both. Here,
-   differentials over window functions, nested derived tables, equi +
+   the lowerings the translator writes for the constructs it does not
+   emit (a join of a join, plain <>, NULL in an IN list) and their
+   refusal, differentials over window functions, nested derived tables, equi +
    residual joins, the translator's as-of join SQL, no FROM, UNION ALL,
    the rank-limit cut (and the shapes it must leave alone) and the
    rejected shapes' errors,
@@ -108,6 +110,48 @@ let vector_differential sess sqls =
         (Atomic.get Vexec.stats_vector - v0);
       check_same sql a (reference sess sql))
     sqls
+
+(* ------------------------------------------------------------------ *)
+(* Constructs the translator does not emit                             *)
+(* ------------------------------------------------------------------ *)
+
+(* three constructs the translator never emits, and what it writes in
+   their place: a join whose left side is a join (a derived table holding
+   the inner join), plain [<>] (Q's [<>] lowers to IS DISTINCT FROM) and
+   an IN list holding NULL (a null member lowers to OR ... IS NULL). The
+   lowerings run against the reference; the constructs themselves are
+   refused alike by both, from the parser *)
+let test_untranslated_constructs () =
+  let sess = session (fixture ()) in
+  bit_differential sess
+    [
+      "SELECT ab.sym, ab.t, c.size FROM (SELECT a.sym, b.t, b.note FROM \
+       trades a JOIN trades b ON a.sym = b.sym) AS ab LEFT JOIN trades c ON \
+       ab.note = c.note";
+      "SELECT count(*) AS n, sum(ab.size) AS sz FROM (SELECT a.size, b.sym \
+       FROM trades a LEFT JOIN trades b ON a.note IS NOT DISTINCT FROM \
+       b.note) AS ab JOIN trades c ON ab.sym = c.sym WHERE c.price > 10";
+      "SELECT sym, size FROM trades WHERE size IS DISTINCT FROM 250";
+      "SELECT sym, price FROM trades WHERE price IS DISTINCT FROM 12.0 AND \
+       note IS DISTINCT FROM 'x'";
+      "SELECT sym, t FROM trades WHERE note IN ('x') OR note IS NULL";
+      "SELECT sym, t FROM trades WHERE size IN (100, 75) OR size IS NULL";
+      "SELECT sym, t FROM trades WHERE NOT (note IN ('y') OR note IS NULL)";
+    ];
+  List.iter
+    (fun sql ->
+      match run sess sql with
+      | Error e when String.length e > 6 && String.sub e 0 6 = "42601:" ->
+          check_same sql (run sess sql) (reference sess sql)
+      | Error e -> Alcotest.failf "%s: expected 42601, got %s" sql e
+      | Ok _ -> Alcotest.failf "%s: answered" sql)
+    [
+      "SELECT a.sym, b.t, c.size FROM trades a JOIN trades b ON a.sym = \
+       b.sym LEFT JOIN trades c ON b.note = c.note";
+      "SELECT sym, size FROM trades WHERE size <> 250";
+      "SELECT sym, t FROM trades WHERE note IN ('x', NULL)";
+      "SELECT sym, t FROM trades WHERE NOT (note IN ('y', NULL))";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Edge values                                                         *)
@@ -2457,6 +2501,8 @@ let () =
     [
       ( "differential",
         [
+          Alcotest.test_case "constructs the translator does not emit" `Quick
+            test_untranslated_constructs;
           Alcotest.test_case "as-of join without an equality key" `Quick
             test_keyless_asof;
         ] );
